@@ -42,7 +42,7 @@
 use crate::builder::{build_index, build_index_with_matrix, BuildError, BuildOptions, IndexKind};
 use pmi_engine::{EngineConfig, EngineError, ShardedEngine};
 use pmi_metric::{CountingMetric, EncodeObject, Metric, PivotMatrix, SharedPivotMatrix};
-use pmi_router::{assign_pivot_space, PartitionPolicy, RoutingTable};
+use pmi_router::{partition_pivot_space, PartitionPolicy, RoutingTable};
 use std::time::Instant;
 
 fn flatten<O>(
@@ -116,7 +116,7 @@ where
         move |o: &O, out: &mut Vec<f64>| out.extend(pivots.iter().map(|p| metric.dist(o, p)))
     };
 
-    let mut partition_phase: Option<(usize, u64)> = None;
+    let mut partition_phase: Option<(u64, [(&str, u64); 3])> = None;
     let mut engine = match policy {
         PartitionPolicy::RoundRobin if !needs_matrix => {
             flatten(ShardedEngine::build_with(objects, cfg, |_, part| {
@@ -133,7 +133,8 @@ where
         PartitionPolicy::PivotSpace => {
             let p0 = Instant::now();
             let shards = cfg.resolved_shards(objects.len());
-            let assignment = assign_pivot_space(&matrix, shards, opts.seed);
+            let part = partition_pivot_space(&matrix, shards, opts.seed, cfg.resolved_threads());
+            let assignment = part.assignment;
             let router = RoutingTable::from_assignment(
                 make_mapper(),
                 pivots.len(),
@@ -141,8 +142,14 @@ where
                 &assignment,
                 shards,
             );
-            let partition_nanos = p0.elapsed().as_nanos() as u64;
-            partition_phase = Some((shards, partition_nanos));
+            partition_phase = Some((
+                p0.elapsed().as_nanos() as u64,
+                [
+                    ("shards", shards as u64),
+                    ("iters", part.iters),
+                    ("rejected", part.rejected),
+                ],
+            ));
             // Every kind routes over the shared matrix; adopting kinds
             // (LAESA, CPT, FQA) additionally seed their tables from their
             // slice, the rest build as usual and drop it (slices are row-id
@@ -162,17 +169,18 @@ where
     stats.build_compdists += matrix_compdists;
     stats.build_wall_secs = t0.elapsed().as_secs_f64();
     engine.set_build_stats(stats);
-    // Facade-side build phases (the engine itself recorded `build` /
-    // `build.shards` for the part it ran). No-ops with obs off.
+    // Facade-side build phases (the engine itself recorded `build.shards`,
+    // and `set_build_stats` has just widened `build` to the whole wall, so
+    // these nest under it). No-ops with obs off.
     if let Some(nanos) = matrix_nanos {
         engine
             .obs()
             .phase_add("build.matrix", 1, nanos, &[("compdists", matrix_compdists)]);
     }
-    if let Some((shards, nanos)) = partition_phase {
+    if let Some((nanos, counters)) = partition_phase {
         engine
             .obs()
-            .phase_add("build.partition", 1, nanos, &[("shards", shards as u64)]);
+            .phase_add("build.partition", 1, nanos, &counters);
     }
     Ok(engine)
 }
@@ -275,6 +283,62 @@ mod tests {
                 "{policy:?}: matrix computed exactly once"
             );
             assert!(stats.build_wall_secs > 0.0);
+        }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn build_phase_covers_its_children() {
+        // Two threads: shard builds overlap, and the tree must still nest.
+        let engine = build_sharded_vector_engine(
+            IndexKind::Laesa,
+            datasets::la(20_000, 3),
+            L2,
+            &BuildOptions {
+                d_plus: 14143.0,
+                ..BuildOptions::default()
+            },
+            &EngineConfig {
+                shards: 4,
+                threads: 2,
+                ..EngineConfig::default()
+            },
+            PartitionPolicy::PivotSpace,
+        )
+        .unwrap();
+        let snap = engine.metrics();
+        let phase = |path: &str| {
+            snap.phases
+                .iter()
+                .find(|p| p.path == path)
+                .unwrap_or_else(|| panic!("no `{path}` phase in\n{}", snap.render()))
+        };
+        let build = phase("build");
+        assert_eq!(build.calls, 1);
+        // Phase walls are whole nanoseconds, the build stats a float of the
+        // same clock reading.
+        assert!((build.wall_secs - engine.build_stats().build_wall_secs).abs() < 1e-8);
+        let children: f64 = snap
+            .phases
+            .iter()
+            .filter(|p| p.path.starts_with("build."))
+            .map(|p| p.wall_secs)
+            .sum();
+        assert!(
+            children <= build.wall_secs,
+            "children {children} s > build {} s\n{}",
+            build.wall_secs,
+            snap.render()
+        );
+        let count = |p: &pmi_obs::PhaseSnapshot, name: &str| {
+            p.counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+        };
+        let partition = phase("build.partition");
+        assert_eq!(count(partition, "shards"), Some(4));
+        assert!((1..=8).contains(&count(partition, "iters").unwrap()));
+        assert!(count(partition, "rejected").unwrap() > 0);
+        for path in ["build.matrix", "build.shards"] {
+            assert!(phase(path).wall_secs > 0.0, "{path}");
         }
     }
 

@@ -1165,7 +1165,6 @@ impl<O> ShardedEngine<O> {
         // entirely when the obs feature is compiled out.
         let timing = obs.is_enabled();
         let mut shard_wall = Hist::new();
-        let mut shards_nanos: u64 = 0;
         let built: Vec<Result<Shard<O>, E>> = if threads <= 1 || num_shards == 1 {
             parts
                 .into_iter()
@@ -1174,9 +1173,7 @@ impl<O> ShardedEngine<O> {
                     let b0 = timing.then(Instant::now);
                     let r = factory(s, objs, m).map(|idx| Shard::new(idx, gids));
                     if let Some(t) = b0 {
-                        let nanos = t.elapsed().as_nanos() as u64;
-                        shard_wall.record(nanos);
-                        shards_nanos += nanos;
+                        shard_wall.record(t.elapsed().as_nanos() as u64);
                     }
                     r
                 })
@@ -1215,7 +1212,6 @@ impl<O> ShardedEngine<O> {
                     for (s, r, nanos) in h.join().expect("shard build thread panicked") {
                         if timing {
                             shard_wall.record(nanos);
-                            shards_nanos += nanos;
                         }
                         slots[s] = Some(r);
                     }
@@ -1227,6 +1223,11 @@ impl<O> ShardedEngine<O> {
                 .map(|r| r.expect("every shard slot built exactly once"))
                 .collect()
         };
+
+        // Wall of the whole shard-build section, so that it nests under
+        // `build` when shards build in parallel; the per-shard walls are
+        // the `build.shard_wall` histogram.
+        let shards_nanos = t0.elapsed().as_nanos() as u64;
 
         let mut shards = Vec::with_capacity(num_shards);
         for b in built {
@@ -1240,15 +1241,16 @@ impl<O> ShardedEngine<O> {
             }
         }
 
+        let wall = t0.elapsed();
         let build_stats = BuildStats {
             build_compdists: shards.iter().map(|s| s.counters().compdists).sum(),
-            build_wall_secs: t0.elapsed().as_secs_f64(),
+            build_wall_secs: wall.as_secs_f64(),
         };
         if timing {
             obs.phase_add(
                 "build",
                 1,
-                t0.elapsed().as_nanos() as u64,
+                wall.as_nanos() as u64,
                 &[("objects", n as u64), ("shards", num_shards as u64)],
             );
             obs.phase_add(
@@ -1345,7 +1347,13 @@ impl<O> ShardedEngine<O> {
     /// construction work (shared matrix, pivot selection) on top of the
     /// engine build proper. The new stats appear in every subsequent
     /// [`ServeReport`], including batches served by concurrent readers.
+    /// The `build` phase grows by the added wall, so it stays the parent of
+    /// whatever `build.*` phases the caller records for that work.
     pub fn set_build_stats(&mut self, stats: BuildStats) {
+        let added = stats.build_wall_secs - self.build_stats.build_wall_secs;
+        self.core
+            .obs
+            .phase_add("build", 0, (added.max(0.0) * 1e9).round() as u64, &[]);
         self.build_stats = stats;
         *self.core.build.lock().unwrap_or_else(|e| e.into_inner()) = stats;
     }
@@ -2062,7 +2070,9 @@ impl<O> ShardedEngine<O> {
                 None => pair_rows.push_row(m.row(gid as usize)),
             };
         }
-        let split = pmi_router::assign_pivot_space(&pair_rows, 2, RECLUSTER_SEED);
+        let split =
+            pmi_router::partition_pivot_space(&pair_rows, 2, RECLUSTER_SEED, self.core.threads)
+                .assignment;
 
         // Orient the two clusters onto (hi, lo) so the fewest objects move.
         let stays = |flip: bool| {
@@ -2174,8 +2184,13 @@ impl<O> ShardedEngine<O> {
         // dense rebuild below.
         if txn.router.is_some() && txn.shards.len() >= 2 {
             let live_rows = snap.select(&survivors);
-            let assignment =
-                pmi_router::assign_pivot_space(&live_rows, txn.shards.len(), self.partition_seed);
+            let assignment = pmi_router::partition_pivot_space(
+                &live_rows,
+                txn.shards.len(),
+                self.partition_seed,
+                self.core.threads,
+            )
+            .assignment;
             for (rank, &gid) in survivors.iter().enumerate() {
                 let target = assignment[rank];
                 let (s, local) = txn.locator[&gid];

@@ -7,10 +7,14 @@
 //! bounds let an index *skip* work; this crate lifts that from objects to
 //! shards:
 //!
-//! * [`partition::assign_pivot_space`] clusters the dataset's
+//! * [`partition::partition_pivot_space`] clusters the dataset's
 //!   pivot-distance vectors (balanced k-means-style in pivot space, with a
 //!   round-robin fallback for degenerate inputs), so each shard holds a
-//!   compact region of the pivot space,
+//!   compact region of the pivot space. The balanced step is a deferred
+//!   acceptance between points and shards: linear passes over the matrix
+//!   rows, `O(n)` extra memory, run on the build's threads with an
+//!   assignment that does not depend on how many there are
+//!   ([`partition::assign_pivot_space`] is its single-threaded form),
 //! * [`RoutingTable`] summarizes each shard as a minimum bounding box
 //!   ([`pmi_metric::lemmas::Mbb`]) over its mapped points, and plans
 //!   queries against the summaries:
@@ -39,7 +43,7 @@
 pub mod partition;
 pub mod table;
 
-pub use partition::{assign_pivot_space, assign_round_robin};
+pub use partition::{assign_pivot_space, assign_round_robin, partition_pivot_space, Partition};
 pub use table::{Mapper, RoutingTable};
 
 /// How a sharded engine partitions its dataset across shards.
