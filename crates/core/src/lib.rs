@@ -216,7 +216,9 @@
 //! // One l-wide matrix row for the routed insert, zero shard-side remap.
 //! assert_eq!(report.map_compdists, opts.num_pivots as u64);
 //! assert_eq!(report.shard_compdists, 0);
-//! assert!(report.reboxed_shards >= 1, "removes shrink boxes");
+//! // A routing box is recomputed only when a removed member lay on one
+//! // of its faces; an interior member cannot have changed it.
+//! assert!(report.reboxed_shards <= 2);
 //! assert_eq!(report.compactions, 0, "2 dead rows is under every floor");
 //! assert_eq!(engine.len(), 1_999);
 //!

@@ -55,7 +55,7 @@ use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, U
 use pmi_metric::fault;
 use pmi_metric::lemmas::Mbb;
 use pmi_metric::{
-    Counters, MatrixSlice, MetricIndex, Neighbor, ObjId, PivotMatrix, QueryScratch,
+    cow, Counters, CowVec, MatrixSlice, MetricIndex, Neighbor, ObjId, PivotMatrix, QueryScratch,
     SharedPivotMatrix, StorageFootprint,
 };
 use pmi_obs::{
@@ -632,22 +632,50 @@ fn sample_quantile(sorted_nanos: &[u64], q: f64) -> f64 {
 /// the shared pivot-distance matrix.
 type MatrixPart<O> = (Partition<O>, Option<MatrixSlice>);
 
-/// The live members of shard `s` as `(local slot, global id)` pairs: walks
-/// the shard's own slot table and keeps only the slots the locator still
-/// maps to this shard (a slot keeps its last global id after a removal or
-/// a re-cluster move), so box maintenance touches one shard's slots
-/// instead of the whole dataset.
-fn live_members<'a, O>(
-    shard: &'a Shard<O>,
-    s: usize,
-    locator: &'a HashMap<ObjId, (u32, ObjId)>,
-) -> impl Iterator<Item = (ObjId, ObjId)> + 'a {
-    shard
-        .global_ids()
-        .iter()
-        .enumerate()
-        .filter(move |&(local, gid)| locator.get(gid) == Some(&(s as u32, local as ObjId)))
-        .map(|(local, &gid)| (local as ObjId, gid))
+/// Global id → `(shard, local id)` for live objects, dense: global ids are
+/// handed out consecutively from 0 (and a compaction renumbers the
+/// survivors back to `0..n`), so the table is indexed by id, a removed id
+/// keeps a sentinel entry, and a transaction's working copy shares every
+/// chunk it does not write with the committed one.
+#[derive(Clone, Default)]
+struct Locator(CowVec<(u32, ObjId)>);
+
+impl Locator {
+    /// The entry of an id that is not live.
+    const DEAD: (u32, ObjId) = (u32::MAX, ObjId::MAX);
+
+    fn get(&self, gid: ObjId) -> Option<(u32, ObjId)> {
+        self.0
+            .get(gid as usize)
+            .copied()
+            .filter(|&e| e != Self::DEAD)
+    }
+
+    /// Points `gid` at `(shard, local)`: a known id (a move) or the next
+    /// one (an insert — ids are handed out consecutively).
+    fn set(&mut self, gid: ObjId, shard: usize, local: ObjId) {
+        if gid as usize == self.0.len() {
+            self.0.push((shard as u32, local));
+        } else {
+            self.0.set(gid as usize, (shard as u32, local));
+        }
+    }
+
+    /// Marks `gid` dead, returning where it lived.
+    fn remove(&mut self, gid: ObjId) -> Option<(u32, ObjId)> {
+        let at = self.get(gid)?;
+        self.0.set(gid as usize, Self::DEAD);
+        Some(at)
+    }
+
+    /// The live ids, ascending.
+    fn live_ids(&self) -> impl Iterator<Item = ObjId> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter(|&(_, &e)| e != Self::DEAD)
+            .map(|(gid, _)| gid as ObjId)
+    }
 }
 
 /// The answers plus the measurement of one served batch.
@@ -668,8 +696,10 @@ pub struct BatchOutcome {
 /// batch: every answer is byte-identical to serving against some quiesced
 /// prefix of the update stream. Shards shared between consecutive
 /// snapshots are the *same* `Arc` — `apply` forks only the shards a batch
-/// touches (copy-on-write), so publication cost scales with the write set,
-/// not the engine.
+/// touches, and a fork shares every chunk of per-object state it does not
+/// write (copy-on-write at both levels) — so publication cost scales with
+/// the write set, not the engine, and a retired snapshot pins only the
+/// chunks its successor replaced.
 pub struct EngineSnapshot<O> {
     /// Publication epoch: 0 for the freshly built engine, +1 per commit.
     epoch: u64,
@@ -904,7 +934,7 @@ pub struct ShardedEngine<O> {
     /// Seed for the survivor re-partition at compaction.
     partition_seed: u64,
     /// Global id → (shard, local id) for live objects.
-    locator: HashMap<ObjId, (u32, ObjId)>,
+    locator: Locator,
     next_id: ObjId,
     /// Construction cost (per-shard builds; the facade adds the shared
     /// matrix cost through [`set_build_stats`](Self::set_build_stats)).
@@ -931,7 +961,8 @@ struct ApplyTxn<O> {
     /// Staged routing table (a copy-on-write clone: shared mapper, own
     /// boxes).
     router: Option<RoutingTable<O>>,
-    locator: HashMap<ObjId, (u32, ObjId)>,
+    /// Staged locator (a clone sharing every chunk this batch leaves alone).
+    locator: Locator,
     next_id: ObjId,
     /// Pivot rows staged (not yet published) by this batch, keyed by
     /// global id — lets rebox and recluster read this batch's own inserts
@@ -940,7 +971,8 @@ struct ApplyTxn<O> {
     /// Staged lifetime totals (committed into the engine's stats).
     stats: UpdateStats,
     report: ApplyReport,
-    /// Shards whose routing box must be recomputed at the end.
+    /// Shards that lost a member lying on a face of their routing box: the
+    /// only ones whose box can have changed, recomputed after the last op.
     dirty: Vec<bool>,
 }
 
@@ -1234,12 +1266,13 @@ impl<O> ShardedEngine<O> {
             shards.push(b.map_err(EngineError::Build)?);
         }
 
-        let mut locator = HashMap::with_capacity(n);
+        let mut locator = vec![Locator::DEAD; n];
         for (s, shard) in shards.iter().enumerate() {
-            for local in 0..shard.len() {
-                locator.insert(shard.global_id(local as ObjId), (s as u32, local as ObjId));
+            for (local, gid) in shard.live_members() {
+                locator[gid as usize] = (s as u32, local);
             }
         }
+        let locator = Locator(locator.into());
 
         let wall = t0.elapsed();
         let build_stats = BuildStats {
@@ -1608,7 +1641,7 @@ impl<O> ShardedEngine<O> {
 
     /// Shard and shard-local slot of a live object.
     pub fn locate(&self, id: ObjId) -> Option<(usize, ObjId)> {
-        self.locator.get(&id).map(|&(s, local)| (s as usize, local))
+        self.locator.get(id).map(|(s, local)| (s as usize, local))
     }
 
     /// Applies an ordered batch of inserts and removes through the same
@@ -1620,10 +1653,12 @@ impl<O> ShardedEngine<O> {
     ///   pushed into the shared [`SharedPivotMatrix`], and adopted by the
     ///   destination shard by row id — matrix-adopting kinds (LAESA, CPT,
     ///   FQA) pay zero shard-side remap distances.
-    /// * **Removes** tombstone the object; after the last op every
-    ///   affected shard's routing box is recomputed from its surviving
-    ///   members' matrix rows in one pass ([`RoutingTable::shrink`]), so
-    ///   pruning does not decay under churn.
+    /// * **Removes** tombstone the object; after the last op every shard
+    ///   that lost a member lying on a face of its routing box has the box
+    ///   recomputed from its surviving members' matrix rows in one pass
+    ///   ([`RoutingTable::shrink`]) — a member strictly inside the box
+    ///   cannot have changed it — so boxes stay tight and pruning does not
+    ///   decay under churn.
     /// * If the batch leaves live counts imbalanced past the
     ///   [`RefreshPolicy`], the worst shard pair is incrementally
     ///   re-clustered: a deterministic 2-means re-split over the members'
@@ -1667,6 +1702,7 @@ impl<O> ShardedEngine<O> {
         let mut clock = ObsClock::start(self.core.obs.is_enabled());
         let shard_cd0 = self.counters().compdists;
         let map_cd0 = self.update_stats.map_compdists;
+        let copied0 = cow::copied_bytes();
         let validator = self.core.validator();
         let mut txn = self.begin_txn();
         let staged = if txn.cow {
@@ -1697,7 +1733,23 @@ impl<O> ShardedEngine<O> {
             return report;
         }
         let mut report = std::mem::take(&mut txn.report);
+        let forked = if txn.cow {
+            txn.touched.iter().filter(|&&t| t).count()
+        } else {
+            0
+        };
         self.commit_txn(txn);
+        // Matrix publication, snapshot swap and the retire sweep; the bytes
+        // are the shared chunks this commit copied in order to write.
+        self.core.obs.phase_add(
+            "apply.publish",
+            1,
+            clock.lap(),
+            &[
+                ("forked_shards", forked as u64),
+                ("copied_bytes", cow::copied_bytes() - copied0),
+            ],
+        );
         let compacted = self.maybe_compact();
         report.compactions = usize::from(compacted > 0);
         report.compacted_rows = compacted as u64;
@@ -1726,8 +1778,9 @@ impl<O> ShardedEngine<O> {
     /// Opens an apply transaction over the current state.
     ///
     /// Copy-on-write engines stage against `Arc` clones of the published
-    /// shards (forked on first touch) plus copies of the small bookkeeping
-    /// (routing boxes, locator). Non-forkable engines take the exclusive
+    /// shards (forked on first touch), a copy of the routing boxes and a
+    /// chunk-sharing clone of the locator — `O(n / chunk)` handles, no
+    /// per-object copy. Non-forkable engines take the exclusive
     /// path: the published snapshot is detached (readers cannot exist —
     /// [`reader`](Self::reader) refuses them) and the live state moves
     /// into the transaction to be mutated in place.
@@ -1792,6 +1845,8 @@ impl<O> ShardedEngine<O> {
         O: Clone,
     {
         let mut mapped = Vec::new();
+        // The published rows, for the removes' face test.
+        let rows = self.matrix.as_ref().map(|mx| mx.snapshot());
         // Global ids this batch successfully removed, to tell a duplicate
         // remove apart from a remove of an id that was never live.
         let mut removed_here: HashSet<ObjId> = HashSet::new();
@@ -1812,13 +1867,11 @@ impl<O> ShardedEngine<O> {
                     txn.report.inserted_ids.push(gid);
                     txn.report.inserts += 1;
                 }
-                UpdateOp::Remove(id) => match self.stage_remove(txn, *id) {
-                    Some(s) => {
-                        txn.dirty[s] = true;
+                UpdateOp::Remove(id) => {
+                    if self.stage_remove(txn, *id, rows.as_deref()) {
                         txn.report.removes += 1;
                         removed_here.insert(*id);
-                    }
-                    None => {
+                    } else {
                         txn.report.missing_removes += 1;
                         let kind = if removed_here.contains(id) {
                             OpErrorKind::DuplicateRemove(*id)
@@ -1827,7 +1880,7 @@ impl<O> ShardedEngine<O> {
                         };
                         txn.report.op_errors.push(OpError { op: i, kind });
                     }
-                },
+                }
             }
         }
         self.core.obs.phase_add(
@@ -1869,18 +1922,13 @@ impl<O> ShardedEngine<O> {
     fn commit_txn(&mut self, mut txn: ApplyTxn<O>) {
         if let Some(mx) = &self.matrix {
             if mx.has_staged() {
-                // Sole-owned shards (this transaction's forks, or every
-                // shard on the exclusive path) release their cached matrix
-                // snapshot so the publication appends in place, then
-                // re-pin the fresh one. Shards still shared with the
-                // published snapshot hold only already-published rows, so
-                // their older pin stays valid — they are left alone (and
-                // their pin makes the publication copy-on-write).
-                for s in txn.shards.iter_mut() {
-                    if let Some(sh) = Arc::get_mut(s) {
-                        sh.release_rows();
-                    }
-                }
+                // The publication appends tail rows: it shares the base
+                // and every full tail chunk with whatever snapshot is still
+                // pinned and copies at most one chunk. Sole-owned shards
+                // (this transaction's forks, or every shard on the
+                // exclusive path) then re-pin the fresh snapshot. Shards
+                // still shared with the published engine snapshot hold only
+                // already-published rows, so their older pin stays valid.
                 mx.publish();
                 for s in txn.shards.iter_mut() {
                     if let Some(sh) = Arc::get_mut(s) {
@@ -1971,49 +2019,65 @@ impl<O> ShardedEngine<O> {
         if let Some(rt) = txn.router.as_mut() {
             rt.extend(si, mapped);
         }
-        txn.locator.insert(gid, (si as u32, local));
+        txn.locator.set(gid, si, local);
         txn.stats.inserts += 1;
         gid
     }
 
-    /// The one remove path: tombstone and report the affected shard.
-    fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId) -> Option<usize> {
-        let (s, local) = txn.locator.remove(&id)?;
-        if txn.shard_mut(s as usize).remove_local(local) {
-            txn.stats.removes += 1;
-            Some(s as usize)
-        } else {
-            None
+    /// The one remove path: tombstone, and flag the shard for a box
+    /// recomputation only if the box can have changed. Every staged box is
+    /// the tight bounding box of its shard's live rows (true at build, kept
+    /// by every insert's `extend` and every recomputation), so a member
+    /// whose row lies strictly inside it on every pivot dimension attains
+    /// no face: removing it leaves every per-dimension min and max — the
+    /// box — exactly as it was. `rows` is the published matrix snapshot.
+    fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId, rows: Option<&PivotMatrix>) -> bool {
+        let Some((s, local)) = txn.locator.remove(id) else {
+            return false;
+        };
+        let s = s as usize;
+        if !txn.shard_mut(s).remove_local(local) {
+            return false;
         }
+        txn.stats.removes += 1;
+        if let (false, Some(rt), Some(rows)) = (txn.dirty[s], &txn.router, rows) {
+            let row = match txn.staged.get(&id) {
+                Some(row) => row,
+                None => rows.row(id as usize),
+            };
+            let b = &rt.boxes()[s];
+            let inside = row
+                .iter()
+                .zip(b.lo().iter().zip(b.hi()))
+                .all(|(x, (lo, hi))| lo < x && x < hi);
+            txn.dirty[s] = !inside;
+        }
+        true
     }
 
     /// Recomputes the staged routing boxes of the flagged shards from
     /// their live members' matrix rows — published rows from the matrix
     /// snapshot, rows this batch inserted from the transaction's staging
-    /// map. Work is bounded by the dirty shards' own slot tables. Returns
-    /// how many boxes were recomputed (0 when the engine has no router or
-    /// no matrix).
+    /// map. Work is bounded by the flagged shards' own slot tables.
+    /// Returns how many boxes were recomputed (0 when the engine has no
+    /// router or no matrix).
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
-        if !dirty.iter().any(|&d| d) {
-            return 0;
-        }
-        if txn.router.is_none() {
-            return 0;
-        }
-        let Some(mx) = self.matrix.as_ref() else {
+        let (Some(rt), Some(mx)) = (txn.router.as_mut(), self.matrix.as_ref()) else {
             return 0;
         };
+        if !dirty.contains(&true) {
+            return 0;
+        }
         let m = mx.snapshot();
         let mut reboxed = 0;
         for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
             let mut b = Mbb::empty(m.width());
-            for (_, gid) in live_members(&txn.shards[s], s, &txn.locator) {
+            for (_, gid) in txn.shards[s].live_members() {
                 match txn.staged.get(&gid) {
                     Some(row) => b.extend(row),
                     None => b.extend(m.row(gid as usize)),
                 }
             }
-            let rt = txn.router.as_mut().expect("checked above");
             rt.shrink(s, b);
             reboxed += 1;
         }
@@ -2053,7 +2117,7 @@ impl<O> ShardedEngine<O> {
         // deterministic). Only the two shards are walked.
         let mut members: Vec<(ObjId, usize, ObjId)> = Vec::new();
         for s in [hi, lo] {
-            for (local, gid) in live_members(&txn.shards[s], s, &txn.locator) {
+            for (local, gid) in txn.shards[s].live_members() {
                 members.push((gid, s, local));
             }
         }
@@ -2098,7 +2162,7 @@ impl<O> ShardedEngine<O> {
             let new_local = txn
                 .shard_mut(target)
                 .insert_adopted(o, gid, gid, pair_rows.row(i));
-            txn.locator.insert(gid, (target as u32, new_local));
+            txn.locator.set(gid, target, new_local);
             moved += 1;
         }
         let mut reboxed = 0;
@@ -2176,8 +2240,7 @@ impl<O> ShardedEngine<O> {
         let mut txn = self.begin_txn();
         // Survivors in ascending (old) global-id order; their rank is the
         // new global id == new shared row id.
-        let mut survivors: Vec<ObjId> = txn.locator.keys().copied().collect();
-        survivors.sort_unstable();
+        let survivors: Vec<ObjId> = txn.locator.live_ids().collect();
 
         // (1) Full re-partition of the survivors on routed engines. The
         // movement tombstones this leaves behind are folded away by the
@@ -2193,7 +2256,7 @@ impl<O> ShardedEngine<O> {
             .assignment;
             for (rank, &gid) in survivors.iter().enumerate() {
                 let target = assignment[rank];
-                let (s, local) = txn.locator[&gid];
+                let (s, local) = txn.locator.get(gid).expect("a survivor is live");
                 if s as usize == target {
                     continue;
                 }
@@ -2204,7 +2267,7 @@ impl<O> ShardedEngine<O> {
                 let new_local =
                     txn.shard_mut(target)
                         .insert_adopted(o, gid, gid, live_rows.row(rank));
-                txn.locator.insert(gid, (target as u32, new_local));
+                txn.locator.set(gid, target, new_local);
             }
         }
 
@@ -2214,26 +2277,26 @@ impl<O> ShardedEngine<O> {
         let mut rows: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
         for (new_gid, &old_gid) in survivors.iter().enumerate() {
             dense.push_row(snap.row(old_gid as usize));
-            let (s, local) = txn.locator[&old_gid];
+            let (s, local) = txn.locator.get(old_gid).expect("a survivor is live");
             keep[s as usize].push(local);
             rows[s as usize].push(new_gid as ObjId);
         }
         mx.replace(dense);
-        let mut locator = HashMap::with_capacity(survivors.len());
+        let mut locator = vec![Locator::DEAD; survivors.len()];
         for (s, (keep, rows)) in keep.iter().zip(&rows).enumerate() {
             if txn.shard_mut(s).compact_rows(keep, rows) {
                 // Dense rebuild: new local id i holds new global id rows[i].
                 for (local, &gid) in rows.iter().enumerate() {
-                    locator.insert(gid, (s as u32, local as ObjId));
+                    locator[gid as usize] = (s as u32, local as ObjId);
                 }
             } else {
                 // Tombstones kept: local ids unchanged, global ids remapped.
                 for (&local, &gid) in keep.iter().zip(rows) {
-                    locator.insert(gid, (s as u32, local));
+                    locator[gid as usize] = (s as u32, local);
                 }
             }
         }
-        txn.locator = locator;
+        txn.locator = Locator(locator.into());
         txn.next_id = survivors.len() as ObjId;
 
         // (3) Tight boxes over the final membership (the staging map is
@@ -2261,7 +2324,7 @@ impl<O> ShardedEngine<O> {
 
     /// Fetches a copy of a live object by global id.
     pub fn get(&self, id: ObjId) -> Option<O> {
-        let (s, local) = *self.locator.get(&id)?;
+        let (s, local) = self.locator.get(id)?;
         self.shards[s as usize].get_local(local)
     }
 
@@ -3532,6 +3595,52 @@ mod tests {
             shrunk.range_query(&survivor, 0.5),
             vec![b_ids[b_ids.len() - 1]]
         );
+    }
+
+    #[test]
+    fn apply_phases_nest_under_apply_and_compact_carries_no_publish_wall() {
+        let mut e = engine(400, 4, 1);
+        if !e.obs().is_enabled() {
+            return; // observability compiled out: no phases to check
+        }
+        for round in 0..8u32 {
+            let mut batch = UpdateBatch::new();
+            for i in 0..32 {
+                batch.insert(vec![1000.0 + (round * 32 + i) as f32, 0.0]);
+                batch.remove(round * 32 + i);
+            }
+            assert_eq!(e.apply(&batch).removes, 32);
+        }
+        let snap = e.metrics();
+        let phase = |path: &str| {
+            snap.phases
+                .iter()
+                .find(|p| p.path == path)
+                .unwrap_or_else(|| panic!("no `{path}` phase in\n{}", snap.render()))
+        };
+        let children: f64 = snap
+            .phases
+            .iter()
+            .filter(|p| p.path.starts_with("apply."))
+            .map(|p| p.wall_secs)
+            .sum();
+        assert!(
+            children <= phase("apply").wall_secs,
+            "children {children} s exceed apply {} s",
+            phase("apply").wall_secs
+        );
+        let publish = phase("apply.publish");
+        assert_eq!(publish.calls, 8);
+        let counter = |name: &str| publish.counters.iter().find(|(k, _)| k == name).unwrap().1;
+        assert!((8..=32).contains(&counter("forked_shards")));
+        assert!(
+            counter("copied_bytes") > 0,
+            "forks copy the chunks they write"
+        );
+        // No compaction ran: the phase is a clock read, not the publish.
+        let compact = phase("apply.compact");
+        assert_eq!(compact.calls, 0);
+        assert!(compact.wall_secs < publish.wall_secs);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! mapping.
 
 use crate::merge::TopK;
-use pmi_metric::{Counters, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFootprint};
+use pmi_metric::{Counters, CowVec, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFootprint};
+
+/// What a removed (or never-filled) slot of the local→global table holds.
+const TOMBSTONE: ObjId = ObjId::MAX;
 
 /// One shard: any [`MetricIndex`] over a disjoint partition of the dataset,
 /// plus the mapping from the index's local object ids back to global
@@ -13,9 +16,11 @@ use pmi_metric::{Counters, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFo
 /// each local slot so merged answers always speak global ids.
 pub struct Shard<O> {
     index: Box<dyn MetricIndex<O>>,
-    /// Local id → global id. Slots keep their last value after a removal;
-    /// they are overwritten if the index reuses the local id.
-    global_ids: Vec<ObjId>,
+    /// Local id → global id; `ObjId::MAX` once the slot's object is removed
+    /// (overwritten if the index reuses the local id), so the table alone
+    /// says which slots are live members. Chunks are shared with every
+    /// [`fork`](Self::fork).
+    global_ids: CowVec<ObjId>,
 }
 
 impl<O> Shard<O> {
@@ -24,7 +29,10 @@ impl<O> Shard<O> {
     /// `global_ids[i]`).
     pub fn new(index: Box<dyn MetricIndex<O>>, global_ids: Vec<ObjId>) -> Self {
         debug_assert_eq!(index.len(), global_ids.len());
-        Shard { index, global_ids }
+        Shard {
+            index,
+            global_ids: global_ids.into(),
+        }
     }
 
     /// Number of live objects in this shard.
@@ -48,13 +56,21 @@ impl<O> Shard<O> {
         self.global_ids[local as usize]
     }
 
-    /// The full local→global slot table, **including stale slots**: a slot
-    /// keeps its last global id after a removal, so only the engine's
-    /// locator can say whether slot `i` still speaks for a live member of
-    /// this shard. Lets the engine walk one shard's members without
-    /// scanning the whole dataset.
-    pub fn global_ids(&self) -> &[ObjId] {
+    /// The full local→global slot table, **including dead slots**, which
+    /// hold `ObjId::MAX` (see [`live_members`](Self::live_members)).
+    pub fn global_ids(&self) -> &CowVec<ObjId> {
         &self.global_ids
+    }
+
+    /// The live members as `(local slot, global id)` pairs in slot order —
+    /// one pass over this shard's own table, which is what lets the engine
+    /// recompute a routing box without touching the rest of the dataset.
+    pub fn live_members(&self) -> impl Iterator<Item = (ObjId, ObjId)> + '_ {
+        self.global_ids
+            .iter()
+            .enumerate()
+            .filter(|&(_, &gid)| gid != TOMBSTONE)
+            .map(|(local, &gid)| (local as ObjId, gid))
     }
 
     /// Range query answered in global ids (unsorted).
@@ -146,12 +162,6 @@ impl<O> Shard<O> {
         self.index.refresh_rows();
     }
 
-    /// Releases the wrapped index's snapshot ahead of a publication so the
-    /// publish can append in place (no-op for non-adopting kinds).
-    pub fn release_rows(&mut self) {
-        self.index.release_rows();
-    }
-
     /// Engine-level compaction of the wrapped index: `keep` are the old
     /// local ids of this shard's survivors (ascending global id), `rows`
     /// their row ids in the freshly compacted shared matrix — which are
@@ -161,11 +171,11 @@ impl<O> Shard<O> {
     /// global ids are remapped then).
     pub fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
         if self.index.compact_rows(keep, rows) {
-            self.global_ids = rows.to_vec();
+            self.global_ids = rows.iter().copied().collect();
             true
         } else {
             for (&local, &gid) in keep.iter().zip(rows) {
-                self.global_ids[local as usize] = gid;
+                self.global_ids.set(local as usize, gid);
             }
             false
         }
@@ -173,19 +183,23 @@ impl<O> Shard<O> {
 
     fn note_mapping(&mut self, local: ObjId, global: ObjId) {
         let slot = local as usize;
+        while self.global_ids.len() < slot {
+            self.global_ids.push(TOMBSTONE);
+        }
         if slot == self.global_ids.len() {
             self.global_ids.push(global);
-        } else if slot < self.global_ids.len() {
-            self.global_ids[slot] = global;
         } else {
-            self.global_ids.resize(slot + 1, ObjId::MAX);
-            self.global_ids[slot] = global;
+            self.global_ids.set(slot, global);
         }
     }
 
-    /// Removes by local id.
+    /// Removes by local id, tombstoning the slot's global id.
     pub fn remove_local(&mut self, local: ObjId) -> bool {
-        self.index.remove(local)
+        let removed = self.index.remove(local);
+        if removed {
+            self.global_ids.set(local as usize, TOMBSTONE);
+        }
+        removed
     }
 
     /// Fetches a copy of a live object by local id.
@@ -220,10 +234,12 @@ impl<O> Shard<O> {
         self.index.forkable()
     }
 
-    /// A deep, independent copy of this shard for copy-on-write mutation
-    /// (see [`MetricIndex::fork`]): byte-identical answers at fork time, a
-    /// **shared** distance counter, and an independently mutable slot
-    /// table. `None` when the wrapped index kind does not support forking.
+    /// An independently mutable copy of this shard for copy-on-write
+    /// mutation (see [`MetricIndex::fork`]): byte-identical answers at fork
+    /// time, a **shared** distance counter, and a slot table that shares
+    /// every chunk with the original until one side writes to it — the
+    /// fork costs `O(n / chunk)`. `None` when the wrapped index kind does
+    /// not support forking.
     pub fn fork(&self) -> Option<Shard<O>> {
         Some(Shard {
             index: self.index.fork()?,

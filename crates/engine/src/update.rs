@@ -196,7 +196,10 @@ pub struct ApplyReport {
     /// CPT still pays its M-tree clustering, and fallback kinds their own
     /// insert cost). Exact delta of the aggregate shard counters.
     pub shard_compdists: u64,
-    /// Shards whose routing box was recomputed from surviving members.
+    /// Routing boxes actually recomputed from surviving members: one per
+    /// shard that lost a member lying on a face of its box (removing a
+    /// member strictly inside cannot change the box), plus the pair a
+    /// re-cluster re-split.
     pub reboxed_shards: usize,
     /// Re-clustering passes run (0 or 1 per apply).
     pub reclusters: usize,

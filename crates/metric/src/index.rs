@@ -5,6 +5,7 @@
 use crate::distance::{CountingMetric, Metric};
 use crate::scratch::QueryScratch;
 use crate::stats::{Counters, Neighbor, ObjId, StorageFootprint};
+use crate::table::ObjTable;
 
 /// A metric index over objects of type `O`, supporting the paper's two query
 /// types (Definitions 1 and 2) and updates (§6.3).
@@ -113,14 +114,6 @@ pub trait MetricIndex<O>: Send + Sync {
     /// slice.
     fn refresh_rows(&mut self) {}
 
-    /// Releases the index's adopted matrix snapshot ahead of a
-    /// publication ([`MatrixSlice::release`](crate::matrix::MatrixSlice::release)):
-    /// with every slice released the shared storage is sole-owned and the
-    /// publish appends in place instead of copying the matrix. The engine
-    /// always pairs this with [`refresh_rows`](Self::refresh_rows) before
-    /// any query can run. No-op for kinds without an adopted slice.
-    fn release_rows(&mut self) {}
-
     /// Engine-level compaction: drops every tombstoned slot, re-adding the
     /// survivors in `keep` order (old local ids — ascending global id, the
     /// order a from-scratch rebuild would use) and adopting `rows` — the
@@ -169,19 +162,22 @@ pub trait MetricIndex<O>: Send + Sync {
         false
     }
 
-    /// A deep, independent copy of this index for copy-on-write mutation:
-    /// the engine forks the shards an `apply` batch touches, mutates the
-    /// forks off to the side, and publishes them in one snapshot swap while
-    /// readers keep serving from the originals.
+    /// An independently mutable copy of this index for copy-on-write
+    /// mutation: the engine forks the shards an `apply` batch touches,
+    /// mutates the forks off to the side, and publishes them in one
+    /// snapshot swap while readers keep serving from the originals.
     ///
     /// Contract: the fork must answer every query byte-identically to the
-    /// original at fork time, and must **share** the original's distance
+    /// original at fork time, no later write to either side may be visible
+    /// to the other, and the fork must **share** the original's distance
     /// counter (a [`CountingMetric`] clone shares its
     /// [`DistanceCounter`](crate::DistanceCounter)) so engine-level
     /// `compdists` totals stay monotone across snapshot publications.
-    /// Structures behind `Arc` handles (the shared pivot matrix, the
-    /// simulated disk) may be shared rather than copied as long as reads
-    /// stay immutable. The default returns `None` (not forkable).
+    /// Independence does not mean a deep copy: the forking kinds keep
+    /// their per-object state in [`CowVec`](crate::CowVec)s, so a fork
+    /// shares every chunk with the original and each side copies only the
+    /// chunks it writes — a fork costs `O(n / chunk)`, not `O(n)`. The
+    /// default returns `None` (not forkable).
     fn fork(&self) -> Option<Box<dyn MetricIndex<O>>> {
         None
     }
@@ -189,12 +185,12 @@ pub trait MetricIndex<O>: Send + Sync {
 
 /// Brute-force linear scan; the correctness oracle for every other index.
 ///
-/// Cloning shares the distance counter (see [`CountingMetric`]) — the
-/// clone is the [`MetricIndex::fork`] of the original.
+/// Cloning shares the distance counter (see [`CountingMetric`]) and the
+/// object table's chunks (see [`ObjTable`]) — the clone is the
+/// [`MetricIndex::fork`] of the original.
 #[derive(Clone)]
 pub struct BruteForce<O, M> {
-    objects: Vec<Option<O>>,
-    live: usize,
+    table: ObjTable<O>,
     metric: CountingMetric<M>,
 }
 
@@ -202,8 +198,7 @@ impl<O, M: Metric<O>> BruteForce<O, M> {
     /// Builds the oracle over `objects`.
     pub fn new(objects: Vec<O>, metric: M) -> Self {
         BruteForce {
-            live: objects.len(),
-            objects: objects.into_iter().map(Some).collect(),
+            table: ObjTable::new(objects),
             metric: CountingMetric::new(metric),
         }
     }
@@ -232,7 +227,7 @@ where
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.table.len()
     }
 
     fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
@@ -249,11 +244,9 @@ where
     }
 
     fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        for (i, o) in self.objects.iter().enumerate() {
-            if let Some(o) = o {
-                if self.metric.dist(q, o) <= r {
-                    out.push(i as ObjId);
-                }
+        for (id, o) in self.table.iter() {
+            if self.metric.dist(q, o) <= r {
+                out.push(id);
             }
         }
     }
@@ -263,9 +256,8 @@ where
             return;
         }
         scratch.heap.clear();
-        for (i, o) in self.objects.iter().enumerate() {
-            let Some(o) = o else { continue };
-            let n = Neighbor::new(i as ObjId, self.metric.dist(q, o));
+        for (id, o) in self.table.iter() {
+            let n = Neighbor::new(id, self.metric.dist(q, o));
             if scratch.heap.len() < k {
                 scratch.heap.push(n);
             } else if n < *scratch.heap.peek().expect("heap is full") {
@@ -277,28 +269,19 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        self.live += 1;
-        self.objects.push(Some(o));
-        (self.objects.len() - 1) as ObjId
+        self.table.push(o)
     }
 
     fn remove(&mut self, id: ObjId) -> bool {
-        match self.objects.get_mut(id as usize) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+        self.table.remove(id)
     }
 
     fn get(&self, id: ObjId) -> Option<O> {
-        self.objects.get(id as usize).and_then(|o| o.clone())
+        self.table.get(id).cloned()
     }
 
     fn storage(&self) -> StorageFootprint {
-        StorageFootprint::mem((self.objects.len() * std::mem::size_of::<O>()) as u64)
+        StorageFootprint::mem((self.table.slots() * std::mem::size_of::<O>()) as u64)
     }
 
     fn counters(&self) -> Counters {

@@ -12,6 +12,8 @@
 //!   parallel, and adopted by the pivot tables and the sharded engine —
 //!   read through lock-free published snapshots and filtered through the
 //!   blocked [`ScanKernel`] (see [`matrix`] for the publication rule),
+//! * the persistent chunked vector ([`CowVec`]) that lets an index fork and
+//!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
 //!   allocation-free batch query path,
 //! * the object-safe [`MetricIndex`] trait implemented by all thirteen index
@@ -19,6 +21,7 @@
 //! * binary object encoding ([`object`]) used by the disk-resident indexes,
 //! * synthetic dataset generators matching the paper's Table 2 ([`datasets`]).
 
+pub mod cow;
 pub mod datasets;
 pub mod distance;
 pub mod fault;
@@ -32,6 +35,7 @@ pub mod simd;
 pub mod stats;
 pub mod table;
 
+pub use cow::CowVec;
 pub use distance::{CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2};
 pub use index::{BruteForce, MetricIndex};
 pub use matrix::{ColumnMode, MatrixSlice, PivotMatrix, ScanKernel, SharedPivotMatrix};

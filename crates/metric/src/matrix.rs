@@ -34,6 +34,13 @@
 //!   Rust's aliasing rules guarantee no query is concurrently reading the
 //!   structure that publishes, so publication is a plain `Arc` swap under
 //!   the writers' mutex.
+//! * **A publication costs what it appends.** The rows present at build
+//!   (or installed by a compaction) are one flat allocation behind an
+//!   `Arc` — the run the scan kernels stream — and every row published
+//!   since lives in fixed-size *tail chunks*, each behind its own `Arc`.
+//!   A new snapshot shares the base and every full tail chunk with the
+//!   previous one; when readers still pin the previous snapshot the
+//!   publication copies at most the one partly filled chunk it appends to.
 //!
 //! Removal is handled *outside* the matrix: rows of tombstoned objects stay
 //! in place (ids remain row indices) and are simply never verified, because
@@ -44,6 +51,7 @@
 //! engine builds a dense matrix over the survivors, installs it as the new
 //! snapshot, and remaps every slice's row ids ([`MatrixSlice::reindex`]).
 
+use crate::cow::{self, CowVec};
 use crate::distance::Metric;
 use crate::simd::{self, SimdTier};
 use parking_lot::Mutex;
@@ -85,7 +93,12 @@ impl ColumnMode {
 /// deriving the admissibility slack (see [`PivotMatrix::f32_slack`]).
 pub const F32_SLACK_FACTOR: f64 = 4.0;
 
-/// A flat, row-major `n × l` pivot-distance matrix with stable row ids.
+/// Rows per tail chunk: a pinned publication copies at most this many rows
+/// (40 KB at five pivots), and a scan makes one kernel call per chunk.
+const TAIL_ROWS: usize = 1024;
+
+/// A row-major `n × l` pivot-distance matrix with stable row ids: one flat
+/// base run plus the chunked tail of rows published since (module docs).
 ///
 /// Row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. Rows are never removed —
 /// indexes with tombstoned deletion keep the row and skip it via their slot
@@ -99,38 +112,59 @@ pub const F32_SLACK_FACTOR: f64 = 4.0;
 /// tracks only the running max magnitude that sizes the admissibility
 /// slack; the f64 rows remain authoritative — compaction, selection and
 /// staging all operate on f64 and slices re-derive their columns.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Cloning shares the base and every tail chunk (`O(tail / chunk)`), and a
+/// clone that is then written to copies what it writes — value semantics.
+#[derive(Clone, Debug, Default)]
 pub struct PivotMatrix {
-    /// Row-major distances; `data[i * width + j] = d(o_i, p_j)`.
-    data: Vec<f64>,
-    /// Running `max |data[..]|`, maintained only under [`ColumnMode::F32`]
-    /// (it sizes the rounding slack).
+    /// The rows present at construction, row-major and flat:
+    /// `base[i * width + j] = d(o_i, p_j)` for `i < base_rows`. Builders
+    /// ([`push_row`](Self::push_row), [`select`](Self::select)) grow it;
+    /// a snapshot publication never does.
+    base: Arc<Vec<f64>>,
+    /// Rows in `base` (tracked separately so `width == 0` still counts).
+    base_rows: usize,
+    /// Rows `base_rows..rows`, [`TAIL_ROWS`] to a chunk, appended by
+    /// snapshot publications (see the module docs). Cloning the matrix
+    /// shares `base` and every chunk.
+    tail: Vec<Arc<Vec<f64>>>,
+    /// Running `max |d|` over every stored distance, maintained only under
+    /// [`ColumnMode::F32`] (it sizes the rounding slack).
     max_abs: f64,
     /// Which representation the lower-bound kernel reads.
     mode: ColumnMode,
     /// Number of pivots `l` (row stride). A width of 0 is allowed (no
     /// pivots): the matrix then has zero-length rows.
     width: usize,
-    /// Number of rows `n` (tracked separately so `width == 0` still counts).
+    /// Number of rows `n`, base and tail.
     rows: usize,
+}
+
+/// Row-wise equality: where a row is stored (base or tail) is not part of
+/// a matrix's value.
+impl PartialEq for PivotMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width
+            && self.rows == other.rows
+            && self.mode == other.mode
+            && self.max_abs == other.max_abs
+            && (0..self.rows).all(|i| self.row(i) == other.row(i))
+    }
 }
 
 impl PivotMatrix {
     /// An empty matrix over `width` pivots.
     pub fn new(width: usize) -> Self {
         PivotMatrix {
-            data: Vec::new(),
-            max_abs: 0.0,
-            mode: ColumnMode::F64,
             width,
-            rows: 0,
+            ..PivotMatrix::default()
         }
     }
 
     /// An empty matrix with capacity reserved for `rows` rows.
     pub fn with_capacity(width: usize, rows: usize) -> Self {
         PivotMatrix {
-            data: Vec::with_capacity(width * rows),
+            base: Arc::new(Vec::with_capacity(width * rows)),
             ..PivotMatrix::new(width)
         }
     }
@@ -173,7 +207,8 @@ impl PivotMatrix {
             .expect("matrix worker thread panicked");
         }
         PivotMatrix {
-            data,
+            base: Arc::new(data),
+            base_rows: rows,
             rows,
             ..PivotMatrix::new(width)
         }
@@ -205,32 +240,55 @@ impl PivotMatrix {
     pub fn set_mode(&mut self, mode: ColumnMode) {
         self.mode = mode;
         self.max_abs = 0.0;
-        self.track_max_from(0);
+        if mode == ColumnMode::F32 {
+            let stored = self
+                .base
+                .iter()
+                .chain(self.tail.iter().flat_map(|c| c.iter()));
+            self.max_abs = stored.fold(0.0, |mx, x| f64::max(mx, x.abs()));
+        }
     }
 
-    /// Extends the running max magnitude from `data[from..]`. No-op under
-    /// [`ColumnMode::F64`] (the slack is never consulted there).
-    fn track_max_from(&mut self, from: usize) {
-        if self.mode != ColumnMode::F32 {
-            return;
+    /// Extends the running max magnitude over newly stored distances.
+    /// No-op under [`ColumnMode::F64`] (the slack is never consulted there).
+    fn track_max(&mut self, appended: &[f64]) {
+        if self.mode == ColumnMode::F32 {
+            self.max_abs = appended
+                .iter()
+                .fold(self.max_abs, |mx, x| f64::max(mx, x.abs()));
         }
-        let mut mx = self.max_abs;
-        for &x in &self.data[from..] {
-            let a = x.abs();
-            if a > mx {
-                mx = a;
-            }
-        }
-        self.max_abs = mx;
     }
 
-    /// Appends already-flat staged rows (the [`SharedPivotMatrix::publish`]
-    /// path), keeping the max magnitude in sync.
+    /// Appends one row to the tail, un-sharing the last chunk first if a
+    /// pinned snapshot still reads it.
+    fn push_tail(&mut self, row: &[f64]) {
+        if (self.rows - self.base_rows).is_multiple_of(TAIL_ROWS) {
+            let chunk = Vec::with_capacity(TAIL_ROWS * self.width);
+            self.tail.push(Arc::new(chunk));
+        }
+        let last = self.tail.last_mut().expect("a chunk was just ensured");
+        if Arc::get_mut(last).is_none() {
+            let mut own = Vec::with_capacity(TAIL_ROWS * self.width);
+            own.extend_from_slice(last);
+            cow::note_copied(8 * own.len());
+            *last = Arc::new(own);
+        }
+        Arc::get_mut(last)
+            .expect("the chunk was just made uniquely owned")
+            .extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Appends already-flat staged rows as tail rows (the
+    /// [`SharedPivotMatrix::publish`] path), keeping the max magnitude in
+    /// sync, and empties `staged`.
     pub(crate) fn append_flat(&mut self, staged: &mut Vec<f64>, staged_rows: usize) {
-        let from = self.data.len();
-        self.data.append(staged);
-        self.rows += staged_rows;
-        self.track_max_from(from);
+        let w = self.width;
+        for i in 0..staged_rows {
+            self.push_tail(&staged[i * w..(i + 1) * w]);
+        }
+        self.track_max(staged);
+        staged.clear();
     }
 
     /// Number of rows `n` (including rows of tombstoned objects).
@@ -251,16 +309,29 @@ impl PivotMatrix {
     /// Row `id` as a contiguous slice of `l` distances.
     #[inline]
     pub fn row(&self, id: usize) -> &[f64] {
-        &self.data[id * self.width..(id + 1) * self.width]
+        let w = self.width;
+        if id < self.base_rows {
+            &self.base[id * w..(id + 1) * w]
+        } else {
+            let t = id - self.base_rows;
+            &self.tail[t / TAIL_ROWS][t % TAIL_ROWS * w..(t % TAIL_ROWS + 1) * w]
+        }
     }
 
-    /// Appends one row, returning its row id.
+    /// Appends one row, returning its row id — the builder path: while no
+    /// publication has opened a tail the row extends the flat base
+    /// (amortized `O(l)`; a base shared with a clone is copied first, so
+    /// clones keep value semantics).
     pub fn push_row(&mut self, row: &[f64]) -> usize {
         assert_eq!(row.len(), self.width, "row length must equal pivot count");
-        let from = self.data.len();
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-        self.track_max_from(from);
+        if self.rows == self.base_rows {
+            Arc::make_mut(&mut self.base).extend_from_slice(row);
+            self.base_rows += 1;
+            self.rows += 1;
+        } else {
+            self.push_tail(row);
+        }
+        self.track_max(row);
         self.rows - 1
     }
 
@@ -269,18 +340,26 @@ impl PivotMatrix {
     /// engine hands each shard its part of the one precomputed matrix, and
     /// the dense-survivor rebuild of engine-level compaction.
     pub fn select(&self, ids: &[u32]) -> Self {
-        let mut out = PivotMatrix::with_capacity(self.width, ids.len());
+        let mut data = Vec::with_capacity(self.width * ids.len());
         for &id in ids {
-            out.data.extend_from_slice(self.row(id as usize));
+            data.extend_from_slice(self.row(id as usize));
         }
-        out.rows = ids.len();
+        let mut out = PivotMatrix {
+            base: Arc::new(data),
+            base_rows: ids.len(),
+            rows: ids.len(),
+            ..PivotMatrix::new(self.width)
+        };
         out.set_mode(self.mode);
         out
     }
 
-    /// The whole matrix as one flat row-major slice.
+    /// The flat row-major base run: the whole matrix for every matrix that
+    /// was computed, selected or built row by row — which is what callers
+    /// of this get — and the rows before the first published one otherwise.
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        debug_assert!(self.tail.is_empty(), "rows were published since the build");
+        &self.base
     }
 
     /// Running `max |d(o_i, p_j)|` over every stored distance (0 unless the
@@ -316,7 +395,73 @@ impl PivotMatrix {
     /// [`ColumnMode::F32`] the planar f32 columns live in the slices and
     /// are accounted by [`MatrixSlice::mem_bytes`]).
     pub fn mem_bytes(&self) -> u64 {
-        8 * self.data.len() as u64
+        8 * (self.rows * self.width) as u64
+    }
+
+    /// Lower bounds of the consecutive rows `first..first + out.len()`:
+    /// the contiguous kernel over the base run, then over each tail chunk.
+    fn bounds_of_run(&self, tier: SimdTier, qd: &[f64], first: usize, out: &mut [f64]) {
+        let w = self.width;
+        let in_base = self.base_rows.saturating_sub(first).min(out.len());
+        let (head, mut rest) = out.split_at_mut(in_base);
+        if in_base > 0 {
+            ScanKernel::fill(tier, qd, &self.base[first * w..(first + in_base) * w], head);
+        }
+        // Rows left over start at or past the end of the base.
+        let mut t = (first + in_base).saturating_sub(self.base_rows);
+        while !rest.is_empty() {
+            let (chunk, r) = (&self.tail[t / TAIL_ROWS], t % TAIL_ROWS);
+            let take = (TAIL_ROWS - r).min(rest.len());
+            let (now, later) = rest.split_at_mut(take);
+            ScanKernel::fill(tier, qd, &chunk[r * w..(r + take) * w], now);
+            rest = later;
+            t += take;
+        }
+    }
+
+    /// Lower bounds of the rows `index` names, in `index` order: the gather
+    /// kernel straight over the base run while nothing has been published
+    /// since the build; otherwise run by run — base rows against the base,
+    /// the rows of one tail chunk re-based onto that chunk in blocks.
+    fn bounds_of(&self, tier: SimdTier, qd: &[f64], index: &[u32], out: &mut [f64]) {
+        if self.tail.is_empty() {
+            return ScanKernel::fill_indexed(tier, qd, &self.base, index, out);
+        }
+        let in_base = |id: u32| (id as usize) < self.base_rows;
+        let mut i = 0;
+        while i < index.len() {
+            if in_base(index[i]) {
+                let run = index[i..]
+                    .iter()
+                    .position(|&id| !in_base(id))
+                    .unwrap_or(index.len() - i);
+                ScanKernel::fill_indexed(
+                    tier,
+                    qd,
+                    &self.base,
+                    &index[i..i + run],
+                    &mut out[i..i + run],
+                );
+                i += run;
+            } else {
+                // The unchecked gather kernels trust their row ids.
+                assert!((index[i] as usize) < self.rows, "row id out of range");
+                let c = (index[i] as usize - self.base_rows) / TAIL_ROWS;
+                let lo = self.base_rows + c * TAIL_ROWS;
+                let hi = (lo + TAIL_ROWS).min(self.rows);
+                let mut local = [0u32; 64];
+                let mut k = 0;
+                while k < local.len()
+                    && i + k < index.len()
+                    && (lo..hi).contains(&(index[i + k] as usize))
+                {
+                    local[k] = (index[i + k] as usize - lo) as u32;
+                    k += 1;
+                }
+                ScanKernel::fill_indexed(tier, qd, &self.tail[c], &local[..k], &mut out[i..i + k]);
+                i += k;
+            }
+        }
     }
 }
 
@@ -415,7 +560,7 @@ impl ScanKernel {
     }
 
     /// Lower bounds for `n` contiguous rows of flat row-major storage
-    /// (`rows.len() == n * qd.len()`), appended-into `out` (cleared first).
+    /// (`rows.len() == n * qd.len()`), written into `out` (cleared first).
     /// Dispatches once to the best available SIMD tier (`PMI_SIMD`
     /// overridable); every tier is bit-identical.
     pub fn lower_bounds(qd: &[f64], rows: &[f64], n: usize, out: &mut Vec<f64>) {
@@ -432,45 +577,42 @@ impl ScanKernel {
         n: usize,
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
         out.clear();
-        if w == 0 {
-            out.resize(n, 0.0);
-            return;
-        }
-        debug_assert_eq!(rows.len(), n * w);
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => {
-                out.resize(n, 0.0);
-                // SAFETY: dispatch/pinning is gated on runtime AVX2
-                // detection; slice lengths are checked above.
-                unsafe { simd::x86::lb_f64_avx2(qd, rows, out) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => {
-                out.resize(n, 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
-                unsafe { simd::x86::lb_f64_sse2(qd, rows, out) }
-            }
-            _ => Self::lower_bounds_portable(qd, rows, n, out),
-        }
+        out.resize(n, 0.0);
+        Self::fill(tier, qd, rows, out);
     }
 
-    /// The portable blocked path (and the non-x86-64 implementation).
-    fn lower_bounds_portable(qd: &[f64], rows: &[f64], n: usize, out: &mut Vec<f64>) {
+    /// The contiguous kernel into a slice: `out[i]` is the bound of row `i`
+    /// of `rows` (`rows.len() == out.len() * qd.len()`). Zero pivots bound
+    /// nothing: `out` is left as the caller zeroed it.
+    fn fill(tier: SimdTier, qd: &[f64], rows: &[f64], out: &mut [f64]) {
         let w = qd.len();
-        debug_assert_eq!(rows.len(), n * w);
-        out.reserve(n);
-        let mut blocks = rows.chunks_exact(Self::LANES * w);
-        for block in &mut blocks {
-            let (r0, rest) = block.split_at(w);
-            let (r1, rest) = rest.split_at(w);
-            let (r2, r3) = rest.split_at(w);
-            out.extend_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
+        if w == 0 {
+            return;
         }
-        for row in blocks.remainder().chunks_exact(w) {
-            out.push(Self::row_max(qd, row));
+        assert_eq!(rows.len(), out.len() * w, "one row per bound");
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: dispatch/pinning is gated on runtime AVX2 detection;
+            // slice lengths are checked above.
+            SimdTier::Avx2 => unsafe { simd::x86::lb_f64_avx2(qd, rows, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
+            SimdTier::Sse2 => unsafe { simd::x86::lb_f64_sse2(qd, rows, out) },
+            _ => {
+                let mut blocks = rows.chunks_exact(Self::LANES * w);
+                let mut outs = out.chunks_exact_mut(Self::LANES);
+                for (block, o) in (&mut blocks).zip(&mut outs) {
+                    let (r0, rest) = block.split_at(w);
+                    let (r1, rest) = rest.split_at(w);
+                    let (r2, r3) = rest.split_at(w);
+                    o.copy_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
+                }
+                let tail = blocks.remainder().chunks_exact(w);
+                for (row, o) in tail.zip(outs.into_remainder()) {
+                    *o = Self::row_max(qd, row);
+                }
+            }
         }
     }
 
@@ -496,40 +638,40 @@ impl ScanKernel {
         index: &[u32],
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
+        debug_assert_eq!(matrix.width(), qd.len());
         out.clear();
+        out.resize(index.len(), 0.0);
+        matrix.bounds_of(tier, qd, index, out);
+    }
+
+    /// The gather kernel into a slice, over one flat run of rows: `out[i]`
+    /// is the bound of row `index[i]` of `data`. Every id must name a row
+    /// of `data` (the SIMD tiers do not check).
+    fn fill_indexed(tier: SimdTier, qd: &[f64], data: &[f64], index: &[u32], out: &mut [f64]) {
+        let w = qd.len();
         if w == 0 {
-            out.resize(index.len(), 0.0);
             return;
         }
-        debug_assert_eq!(matrix.width(), w);
-        let data = matrix.as_slice();
+        assert_eq!(index.len(), out.len(), "one row id per bound");
         match tier {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => {
-                out.resize(index.len(), 0.0);
-                // SAFETY: runtime AVX2 detection; every index row is in
-                // bounds by the matrix's construction invariants.
-                unsafe { simd::x86::lb_f64_idx_avx2(qd, data, index, out) }
-            }
+            // SAFETY: runtime AVX2 detection; every index row is in bounds
+            // by the matrix's construction invariants.
+            SimdTier::Avx2 => unsafe { simd::x86::lb_f64_idx_avx2(qd, data, index, out) },
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => {
-                out.resize(index.len(), 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
-                unsafe { simd::x86::lb_f64_idx_sse2(qd, data, index, out) }
-            }
+            // SAFETY: SSE2 is baseline on x86-64.
+            SimdTier::Sse2 => unsafe { simd::x86::lb_f64_idx_sse2(qd, data, index, out) },
             _ => {
-                out.reserve(index.len());
+                let row = |id: u32| &data[id as usize * w..id as usize * w + w];
                 let mut blocks = index.chunks_exact(Self::LANES);
-                for ids in &mut blocks {
-                    let r0 = &data[ids[0] as usize * w..ids[0] as usize * w + w];
-                    let r1 = &data[ids[1] as usize * w..ids[1] as usize * w + w];
-                    let r2 = &data[ids[2] as usize * w..ids[2] as usize * w + w];
-                    let r3 = &data[ids[3] as usize * w..ids[3] as usize * w + w];
-                    out.extend_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
+                let mut outs = out.chunks_exact_mut(Self::LANES);
+                for (ids, o) in (&mut blocks).zip(&mut outs) {
+                    let maxes =
+                        Self::block_max(qd, row(ids[0]), row(ids[1]), row(ids[2]), row(ids[3]));
+                    o.copy_from_slice(&maxes);
                 }
-                for &id in blocks.remainder() {
-                    out.push(Self::row_max(qd, matrix.row(id as usize)));
+                for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+                    *o = Self::row_max(qd, row(id));
                 }
             }
         }
@@ -559,30 +701,30 @@ impl ScanKernel {
         slack: f64,
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
         out.clear();
+        out.resize(n, 0.0);
+        Self::fill_f32(tier, qd, cols, slack, out);
+    }
+
+    /// The planar f32 kernel into a slice: `out[i]` is the slack-adjusted
+    /// bound of row `i` of every column.
+    fn fill_f32(tier: SimdTier, qd: &[f32], cols: &[&[f32]], slack: f64, out: &mut [f64]) {
+        let w = qd.len();
         if w == 0 {
-            out.resize(n, 0.0);
             return;
         }
-        debug_assert_eq!(cols.len(), w);
-        debug_assert!(cols.iter().all(|c| c.len() >= n));
+        let n = out.len();
+        assert_eq!(cols.len(), w, "one column per pivot");
+        assert!(cols.iter().all(|c| c.len() >= n), "one entry per row");
         match tier {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => {
-                out.resize(n, 0.0);
-                // SAFETY: dispatch/pinning is gated on runtime AVX2
-                // detection; column lengths are checked above.
-                unsafe { simd::x86::lb_f32_planar_avx2(qd, cols, slack, out) }
-            }
+            // SAFETY: dispatch/pinning is gated on runtime AVX2 detection;
+            // column lengths are checked above.
+            SimdTier::Avx2 => unsafe { simd::x86::lb_f32_planar_avx2(qd, cols, slack, out) },
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => {
-                out.resize(n, 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
-                unsafe { simd::x86::lb_f32_planar_sse2(qd, cols, slack, out) }
-            }
+            // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
+            SimdTier::Sse2 => unsafe { simd::x86::lb_f32_planar_sse2(qd, cols, slack, out) },
             _ => {
-                out.reserve(n);
                 let mut i = 0;
                 while i + Self::LANES <= n {
                     let mut m = [0.0f32; Self::LANES];
@@ -592,11 +734,13 @@ impl ScanKernel {
                             *m = if d > *m { d } else { *m };
                         }
                     }
-                    out.extend(m.iter().map(|&m| adjust_f32(m, slack)));
+                    for (o, &m) in out[i..i + Self::LANES].iter_mut().zip(&m) {
+                        *o = adjust_f32(m, slack);
+                    }
                     i += Self::LANES;
                 }
-                for r in i..n {
-                    out.push(adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack));
+                for (r, o) in out.iter_mut().enumerate().skip(i) {
+                    *o = adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack);
                 }
             }
         }
@@ -680,7 +824,8 @@ impl SharedPivotMatrix {
         self.0.lock().snap.clone()
     }
 
-    /// An owned deep copy of the published snapshot (tests / diagnostics).
+    /// An owned copy of the published snapshot (tests / diagnostics); it
+    /// shares storage until either side is written to.
     pub fn snapshot_owned(&self) -> PivotMatrix {
         (*self.snapshot()).clone()
     }
@@ -718,17 +863,18 @@ impl SharedPivotMatrix {
 
     /// Stages one row and publishes immediately — the standalone-index
     /// insert path (see [`MatrixSlice::push_adopt`], which also makes the
-    /// publication in-place by releasing its own snapshot first).
+    /// publication in-place by dropping its own snapshot first).
     pub fn push_row(&self, row: &[f64]) -> usize {
         let id = self.stage_row(row);
         self.publish();
         id
     }
 
-    /// Publishes a new snapshot containing every staged row. When no other
-    /// snapshot holders remain (a sole-owner standalone index), the rows
-    /// are appended in place — amortized `O(l)` per row; otherwise one copy
-    /// of the matrix is made, amortized across the whole staged batch.
+    /// Publishes a new snapshot containing every staged row, appended as
+    /// tail rows. When no other snapshot holders remain (a sole-owner
+    /// standalone index) the snapshot is extended in place; otherwise the
+    /// new snapshot shares the base and every full tail chunk with the
+    /// pinned one and copies at most the one partly filled chunk.
     pub fn publish(&self) {
         let mut g = self.0.lock();
         if g.staged_rows == 0 {
@@ -739,8 +885,7 @@ impl SharedPivotMatrix {
             staged,
             staged_rows,
         } = &mut *g;
-        let m = Arc::make_mut(snap);
-        m.append_flat(staged, *staged_rows);
+        Arc::make_mut(snap).append_flat(staged, *staged_rows);
         *staged_rows = 0;
     }
 
@@ -787,6 +932,10 @@ impl SharedPivotMatrix {
 /// A standalone index (no engine) wraps its own freshly computed matrix via
 /// [`from_owned`](Self::from_owned), becoming the sole owner of a shared
 /// handle with an identity indirection; the code paths are the same.
+///
+/// Cloning — what an index fork does — shares the snapshot and every chunk
+/// of the indirection and of the f32 columns ([`CowVec`]); the clone copies
+/// only the chunks it then appends to.
 #[derive(Clone, Debug)]
 pub struct MatrixSlice {
     shared: SharedPivotMatrix,
@@ -794,7 +943,7 @@ pub struct MatrixSlice {
     /// the publication rule (the engine refreshes after publishing).
     snap: Arc<PivotMatrix>,
     /// Local row id → shared row id.
-    index: Vec<u32>,
+    index: CowVec<u32>,
     /// Whether `index` is one consecutive run (`index[i] = index[0] + i`),
     /// which lets the scan kernel run over contiguous storage with no
     /// gather. True for standalone identity slices and single-shard
@@ -806,7 +955,7 @@ pub struct MatrixSlice {
     /// matter how scattered `index` is. Empty under [`ColumnMode::F64`].
     /// Shared rows are append-only and immutable, so materialized entries
     /// never go stale; growth is tracked by `cols32_rows`.
-    cols32: Vec<Vec<f32>>,
+    cols32: Vec<CowVec<f32>>,
     /// How many leading local rows `cols32` has materialized. Lags
     /// `index.len()` only between adopting a still-staged row and the
     /// publication that makes it readable (no queries can run in between —
@@ -831,7 +980,7 @@ impl MatrixSlice {
         let mut slice = MatrixSlice {
             shared,
             snap,
-            index,
+            index: index.into(),
             consecutive,
             cols32: Vec::new(),
             cols32_rows: 0,
@@ -892,9 +1041,7 @@ impl MatrixSlice {
         if self.snap.mode() != ColumnMode::F32 {
             return;
         }
-        self.cols32 = (0..self.snap.width())
-            .map(|_| Vec::with_capacity(self.index.len()))
-            .collect();
+        self.cols32 = vec![CowVec::new(); self.snap.width()];
         self.sync_cols32();
     }
 
@@ -928,15 +1075,24 @@ impl MatrixSlice {
     /// kernel; the caller's slot map skips them in the verification pass.
     pub fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(qd.len(), self.width());
+        let tier = simd::tier();
+        out.clear();
+        out.resize(self.index.len(), 0.0);
+        if qd.is_empty() {
+            return;
+        }
         match self.snap.mode() {
             ColumnMode::F64 => {
                 if self.consecutive && !self.index.is_empty() {
-                    let w = self.snap.width();
-                    let start = self.index[0] as usize * w;
-                    let rows = &self.snap.as_slice()[start..start + self.index.len() * w];
-                    ScanKernel::lower_bounds(qd, rows, self.index.len(), out);
+                    self.snap
+                        .bounds_of_run(tier, qd, self.index[0] as usize, out);
                 } else {
-                    ScanKernel::lower_bounds_indexed(qd, &self.snap, &self.index, out);
+                    let mut rest = out.as_mut_slice();
+                    for ids in self.index.chunks() {
+                        let (now, later) = rest.split_at_mut(ids.len());
+                        self.snap.bounds_of(tier, qd, ids, now);
+                        rest = later;
+                    }
                 }
             }
             ColumnMode::F32 => {
@@ -975,19 +1131,26 @@ impl MatrixSlice {
                     &qheap
                 };
                 let slack = self.snap.f32_slack(qmax);
-                // Column refs on the stack for the common pivot counts.
+                // Every column chunks alike, so chunk `c` of each column
+                // covers the same local rows. Column refs sit on the stack
+                // for the common pivot counts.
                 let mut cstack: [&[f32]; 64] = [&[]; 64];
-                let cheap: Vec<&[f32]>;
-                let cols: &[&[f32]] = if w <= cstack.len() {
-                    for (s, c) in cstack.iter_mut().zip(&self.cols32) {
-                        *s = c.as_slice();
-                    }
-                    &cstack[..w]
+                let mut cheap: Vec<&[f32]> = Vec::new();
+                let cols: &mut [&[f32]] = if w <= cstack.len() {
+                    &mut cstack[..w]
                 } else {
-                    cheap = self.cols32.iter().map(|c| c.as_slice()).collect();
-                    &cheap
+                    cheap.resize(w, &[]);
+                    &mut cheap
                 };
-                ScanKernel::lower_bounds_f32(qd32, cols, self.index.len(), slack, out);
+                let mut rest = out.as_mut_slice();
+                for c in 0..self.cols32[0].chunks().len() {
+                    for (s, col) in cols.iter_mut().zip(&self.cols32) {
+                        *s = col.chunk(c);
+                    }
+                    let (now, later) = rest.split_at_mut(cols[0].len());
+                    ScanKernel::fill_f32(tier, qd32, cols, slack, now);
+                    rest = later;
+                }
             }
         }
     }
@@ -998,17 +1161,6 @@ impl MatrixSlice {
     pub fn refresh(&mut self) {
         self.snap = self.shared.snapshot();
         self.sync_cols32();
-    }
-
-    /// Drops the cached snapshot (replacing it with an empty placeholder)
-    /// so that an imminent publication finds the shared storage sole-owned
-    /// and appends **in place** instead of deep-copying the matrix — the
-    /// engine releases every shard's slice, publishes, then refreshes
-    /// them, all under its `&mut` borrow, so no query can observe the
-    /// placeholder. ([`push_adopt`](Self::push_adopt) is the one-slice
-    /// standalone form of the same discipline.)
-    pub fn release(&mut self) {
-        self.snap = Arc::new(PivotMatrix::default());
     }
 
     /// Adopts one more shared row, returning its local row id. The row must
@@ -1033,10 +1185,10 @@ impl MatrixSlice {
     }
 
     /// Computes, stages, publishes and adopts one row — the standalone
-    /// insert path. Releases this slice's own snapshot first so that a
-    /// sole-owner publication appends in place (amortized `O(l)`); an
-    /// engine-shared matrix falls back to one copy (engines batch through
-    /// `stage_row` + `publish` instead).
+    /// insert path. Drops this slice's own snapshot first so that a
+    /// sole-owner publication appends in place (amortized `O(l)`); under an
+    /// engine-shared matrix the other pins make it copy the last tail chunk
+    /// (engines batch through `stage_row` + `publish` instead).
     pub fn push_adopt(&mut self, row: &[f64]) -> usize {
         self.snap = Arc::new(PivotMatrix::default());
         let id = self.shared.push_row(row);
@@ -1058,7 +1210,7 @@ impl MatrixSlice {
             "every reindexed row must exist in the compacted matrix"
         );
         self.consecutive = is_consecutive(&index);
-        self.index = index;
+        self.index = index.into();
         self.rebuild_cols32();
     }
 
@@ -1337,7 +1489,7 @@ mod tests {
         let mut s = MatrixSlice::new(shared.clone(), vec![2, 0]);
         let qd = [3.0f64, -1.0];
         let check = |s: &MatrixSlice| {
-            let fresh = MatrixSlice::new(s.shared().clone(), s.index.clone());
+            let fresh = MatrixSlice::new(s.shared().clone(), s.index.to_vec());
             let (mut got, mut want) = (Vec::new(), Vec::new());
             s.lower_bounds_into(&qd, &mut got);
             fresh.lower_bounds_into(&qd, &mut want);
@@ -1487,6 +1639,76 @@ mod tests {
         s.refresh();
         assert_eq!(s.row(2), &[3.0]);
         assert_eq!(s.snapshot().rows(), 4);
+    }
+
+    #[test]
+    fn pinned_publication_shares_the_base_and_copies_one_chunk() {
+        let base: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, -(i as f64)]).collect();
+        let shared = SharedPivotMatrix::new(PivotMatrix::from_rows(2, &base));
+        let pin = MatrixSlice::new(shared.clone(), (0..100).collect());
+        // First publication under a pin: a fresh tail chunk, nothing copied.
+        let before = cow::copied_bytes();
+        shared.stage_row(&[7.0, 8.0]);
+        shared.publish();
+        assert_eq!(cow::copied_bytes(), before);
+        let second = shared.snapshot();
+        assert!(Arc::ptr_eq(&second.base, &pin.snapshot().base));
+        // Second publication with `second` pinned: the partly filled chunk
+        // (one row) is copied, the base is not.
+        shared.stage_row(&[9.0, 10.0]);
+        shared.publish();
+        assert_eq!(cow::copied_bytes() - before, 2 * 8);
+        let third = shared.snapshot();
+        assert!(Arc::ptr_eq(&third.base, &second.base));
+        assert_eq!(
+            (pin.snapshot().rows(), second.rows(), third.rows()),
+            (100, 101, 102)
+        );
+        assert_eq!(second.row(100), &[7.0, 8.0]);
+        assert_eq!(third.row(100), &[7.0, 8.0]);
+        assert_eq!(third.row(101), &[9.0, 10.0]);
+        assert_eq!(third.row(99), &[99.0, -99.0]);
+        // Where a row is stored is not part of a matrix's value.
+        let flat = PivotMatrix::from_rows(2, third.iter_rows().map(|(_, r)| r));
+        assert_eq!(*third, flat);
+        assert_eq!(third.mem_bytes(), flat.mem_bytes());
+    }
+
+    #[test]
+    fn scans_span_the_base_and_every_tail_chunk_bit_for_bit() {
+        // 300 base rows, then enough published rows for three tail chunks.
+        let total = 300 + 2 * TAIL_ROWS + 17;
+        let row = |i: usize| [(i * 37 % 101) as f64 - 50.0, (i * 53 % 211) as f64 * 1.375];
+        let qd = [3.0f64, -1.5];
+        for mode in [ColumnMode::F64, ColumnMode::F32] {
+            let flat = PivotMatrix::from_rows(2, (0..total).map(row)).with_mode(mode);
+            let shared = SharedPivotMatrix::new(
+                PivotMatrix::from_rows(2, (0..300).map(row)).with_mode(mode),
+            );
+            for i in 300..total {
+                shared.stage_row(&row(i));
+                if i % 700 == 0 {
+                    shared.publish();
+                }
+            }
+            shared.publish();
+            assert_eq!(*shared.snapshot(), flat);
+            // A consecutive run starting inside the base, and a scattered
+            // indirection mixing base and tail ids.
+            let run: Vec<u32> = (250..total as u32).collect();
+            let scattered: Vec<u32> = (0..total).map(|i| (i * 7919 % total) as u32).collect();
+            for index in [run, scattered] {
+                let tailed = MatrixSlice::new(shared.clone(), index.clone());
+                let reference = MatrixSlice::new(SharedPivotMatrix::new(flat.clone()), index);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                tailed.lower_bounds_into(&qd, &mut got);
+                reference.lower_bounds_into(&qd, &mut want);
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{mode:?} local row {i}");
+                }
+            }
+        }
     }
 
     #[test]

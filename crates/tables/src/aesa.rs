@@ -153,7 +153,7 @@ where
     }
 
     fn remove(&mut self, id: ObjId) -> bool {
-        self.table.remove(id).is_some()
+        self.table.remove(id)
     }
 
     fn get(&self, id: ObjId) -> Option<O> {

@@ -249,10 +249,6 @@ where
         self.rows.refresh();
     }
 
-    fn release_rows(&mut self) {
-        self.rows.release();
-    }
-
     fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
         debug_assert_eq!(keep.len(), rows.len());
         // Relabel the M-tree's entries onto the dense new local ids: fetch

@@ -456,13 +456,11 @@ where
         id
     }
 
+    /// Clears the slot's liveness bit. As for LAESA, the paper's
+    /// sequential-scan delete cost (§6.3) is not modelled: ids are slot
+    /// positions.
     fn remove(&mut self, id: ObjId) -> bool {
-        let (_visited, live) = self.table.scan_for(id);
-        if !live {
-            return false;
-        }
-        self.table.remove(id);
-        true
+        self.table.remove(id)
     }
 
     fn get(&self, id: ObjId) -> Option<O> {

@@ -21,8 +21,11 @@ use pmi_metric::{
 /// one shared matrix and grows it through [`MetricIndex::insert_adopted`];
 /// a standalone build owns its matrix through the same slice type.
 ///
-/// Cloning shares the distance counter and the shared-matrix handle (the
-/// slice's cached snapshot is an `Arc`); the clone is the
+/// Cloning shares the distance counter, the shared-matrix handle (the
+/// slice's cached snapshot is an `Arc`) and every chunk of the per-object
+/// state — the row indirection and the object table are
+/// [`CowVec`](pmi_metric::CowVec)s — so the clone costs `O(n / chunk)` and
+/// each side then copies only the chunks it writes. It is the
 /// [`MetricIndex::fork`] the engine's copy-on-write apply uses.
 #[derive(Clone)]
 pub struct Laesa<O, M> {
@@ -250,10 +253,6 @@ where
         self.rows.refresh();
     }
 
-    fn release_rows(&mut self) {
-        self.rows.release();
-    }
-
     fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
         debug_assert_eq!(keep.len(), rows.len());
         self.table.compact(keep);
@@ -261,16 +260,12 @@ where
         true
     }
 
+    /// Clears the slot's liveness bit; the matrix row stays in place — a
+    /// tombstoned slot is simply never verified. The paper prices a LAESA
+    /// delete as a sequential scan to locate the row (§6.3); ids here *are*
+    /// slot positions, so that cost is not modelled.
     fn remove(&mut self, id: ObjId) -> bool {
-        // Deletion scans the table to locate the row (paper §6.3: LAESA
-        // "employ[s] sequential scans to perform deletions"). The matrix row
-        // stays in place — the tombstoned slot is simply never scanned.
-        let (_visited, live) = self.table.scan_for(id);
-        if !live {
-            return false;
-        }
-        self.table.remove(id);
-        true
+        self.table.remove(id)
     }
 
     fn get(&self, id: ObjId) -> Option<O> {

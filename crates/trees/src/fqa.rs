@@ -485,12 +485,6 @@ where
         }
     }
 
-    fn release_rows(&mut self) {
-        if let Some(slice) = &mut self.adopted {
-            slice.release();
-        }
-    }
-
     fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
         if self.adopted.is_none() {
             return false;

@@ -174,13 +174,15 @@ where
         match node {
             Node::Leaf { ids, pdists } => {
                 for (idx, &id) in ids.iter().enumerate() {
-                    let Some(o) = self.table.get(id) else {
-                        continue;
-                    };
+                    // The leaf's own distances first: the table (liveness
+                    // bit, then the object) is read for survivors only.
                     let pd = &pdists[idx];
                     if lemmas::lemma1_prunable(&q_dists[..pd.len()], pd, r) {
                         continue;
                     }
+                    let Some(o) = self.table.get(id) else {
+                        continue;
+                    };
                     if self.metric.dist(q, o) <= r {
                         out.push(id);
                     }
@@ -249,14 +251,14 @@ where
             match node {
                 Node::Leaf { ids, pdists } => {
                     for (i, &id) in ids.iter().enumerate() {
-                        let Some(o) = self.table.get(id) else {
-                            continue;
-                        };
                         let r = radius(&result);
                         let pd = &pdists[i];
                         if r.is_finite() && lemmas::lemma1_prunable(&q_dists[..pd.len()], pd, r) {
                             continue;
                         }
+                        let Some(o) = self.table.get(id) else {
+                            continue;
+                        };
                         let d = self.metric.dist(q, o);
                         if d < radius(&result) || result.len() < k {
                             result.push(Neighbor::new(id, d));

@@ -1,0 +1,175 @@
+//! A commit costs what it changes, not what exists: `apply` forks shards by
+//! sharing their chunks, so the bytes one commit allocates must not grow
+//! with the dataset, and the snapshot it replaces must go on answering
+//! exactly as before.
+
+use pivot_metric_repro as pmr;
+use pmr::engine::TopK;
+use pmr::{
+    build_sharded_engine, datasets, BuildOptions, ColumnMode, EngineConfig, IndexKind, Neighbor,
+    ObjId, PartitionPolicy, ShardedEngine, UpdateBatch, L2,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// Counts every byte requested from the system allocator.
+struct CountingAlloc;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size.saturating_sub(layout.size());
+        ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The tests of this file share one allocation counter.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// One benchmark-shaped commit: this many inserts and as many FIFO removes.
+const OPS: usize = 128;
+
+fn laesa_engine(pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
+    let opts = BuildOptions {
+        d_plus: 14143.0,
+        column_mode: mode,
+        ..BuildOptions::default()
+    };
+    // Any five objects make valid pivots; selection quality is not at stake.
+    let pivots = (0..5).map(|i| pts[i * pts.len() / 5].clone()).collect();
+    let cfg = EngineConfig {
+        shards: 8,
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    build_sharded_engine(
+        IndexKind::Laesa,
+        pts.to_vec(),
+        L2,
+        pivots,
+        &opts,
+        &cfg,
+        PartitionPolicy::PivotSpace,
+    )
+    .expect("LAESA builds over L2")
+}
+
+fn commit(fresh: &[Vec<f32>], first_remove: ObjId) -> UpdateBatch<Vec<f32>> {
+    let mut batch = UpdateBatch::new();
+    for (i, o) in fresh.iter().enumerate() {
+        batch.insert(o.clone());
+        batch.remove(first_remove + i as ObjId);
+    }
+    batch
+}
+
+/// Bytes one commit allocates on an engine over `n` objects, first with no
+/// reader handle and then with one holding on to the engine. Two commits
+/// warm the write path before either is measured.
+fn commit_bytes(n: usize) -> [u64; 2] {
+    let pts = datasets::la(n + 4 * OPS, 42);
+    let (indexed, fresh) = pts.split_at(n);
+    let mut engine = laesa_engine(indexed, ColumnMode::F64);
+    let mut reader = None;
+    let mut bytes = [0; 4];
+    for (c, fresh) in fresh.chunks(OPS).enumerate() {
+        if c == 3 {
+            reader = Some(engine.reader().expect("LAESA engines hand out readers"));
+        }
+        let batch = commit(fresh, (c * OPS) as ObjId);
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let report = engine.apply(&batch);
+        bytes[c] = ALLOCATED.load(Ordering::Relaxed) - before;
+        assert_eq!((report.inserts, report.removes), (OPS, OPS));
+    }
+    assert_eq!(engine.len(), n);
+    drop(reader);
+    [bytes[2], bytes[3]]
+}
+
+#[test]
+fn commit_allocation_does_not_grow_with_the_dataset() {
+    let _serial = SERIAL.lock().unwrap();
+    let small = commit_bytes(20_000);
+    let large = commit_bytes(200_000);
+    for (pinned, (small, large)) in small.into_iter().zip(large).enumerate() {
+        assert!(
+            large <= 2 * small,
+            "reader={pinned}: a commit at n=200k allocates {large} B, at n=20k {small} B"
+        );
+        // Ten times the dataset may add spine entries, never copies: the
+        // per-object state alone is > 14 MB at n = 200k.
+        assert!(
+            large <= 1 << 20,
+            "reader={pinned}: a commit allocates {large} B"
+        );
+    }
+}
+
+/// What a shard set answers for a fixed handful of queries.
+fn answers(
+    shards: &[std::sync::Arc<pmr::engine::Shard<Vec<f32>>>],
+    queries: &[Vec<f32>],
+) -> Vec<(Vec<ObjId>, Vec<Neighbor>)> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut ids: Vec<ObjId> = shards
+                .iter()
+                .flat_map(|s| s.range_global(q, 900.0))
+                .collect();
+            ids.sort_unstable();
+            let mut topk = TopK::new(10);
+            shards.iter().for_each(|s| s.knn_into(q, 10, &mut topk));
+            (ids, topk.into_sorted())
+        })
+        .collect()
+}
+
+#[test]
+fn a_forked_commit_leaves_the_parent_snapshot_byte_identical() {
+    let _serial = SERIAL.lock().unwrap();
+    let n = 4_000;
+    let pts = datasets::la(n + 4 * OPS, 7);
+    let (indexed, fresh) = pts.split_at(n);
+    let queries: Vec<Vec<f32>> = indexed.iter().step_by(397).cloned().collect();
+    for mode in [ColumnMode::F64, ColumnMode::F32] {
+        let mut engine = laesa_engine(indexed, mode);
+        // The parent generation: the very shards the next commits fork.
+        let parent = engine.shards().to_vec();
+        let before = answers(&parent, &queries);
+        for (c, fresh) in fresh.chunks(OPS).enumerate() {
+            engine.apply(&commit(fresh, (c * OPS) as ObjId));
+        }
+        assert_eq!(
+            answers(&parent, &queries),
+            before,
+            "{mode:?}: the forks' writes reached the parent"
+        );
+        assert_ne!(
+            answers(engine.shards(), &queries),
+            before,
+            "{mode:?}: the commits changed what the engine answers"
+        );
+    }
+}

@@ -1,0 +1,231 @@
+//! Routing-box maintenance is exact: after every commit, each shard's box
+//! is **bit for bit** the tight bounding box of the shard's live rows — the
+//! invariant the face rule rests on (a removed member strictly inside its
+//! box cannot have changed it, so only a member on a face triggers a
+//! recomputation). Checked on the copy-on-write path (LAESA) and on the
+//! exclusive in-place path (MVPT), which share the locator and the rule.
+
+use pivot_metric_repro as pmr;
+use pmr::engine::{EngineConfig, ShardedEngine};
+use pmr::lemmas::Mbb;
+use pmr::{
+    build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex,
+    ObjId, PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, SharedPivotMatrix,
+    UpdateBatch, L2,
+};
+
+fn bits(edge: &[f64]) -> Vec<u64> {
+    edge.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every routing box against `Mbb::from_points` over the rows of the
+/// objects the engine locates in that shard (ids below `id_bound`).
+fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
+    let rt = e.routing().expect("a routed engine");
+    let dim = rt.boxes()[0].dim();
+    let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); rt.num_shards()];
+    for g in 0..id_bound {
+        let Some((s, _)) = e.locate(g) else { continue };
+        let o = e.get(g).expect("a located id is live");
+        let mut row = Vec::new();
+        rt.map_into(&o, &mut row);
+        rows[s].push(row);
+    }
+    assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
+    for (s, (got, rows)) in rt.boxes().iter().zip(&rows).enumerate() {
+        let want = Mbb::from_points(dim, rows.iter().map(Vec::as_slice));
+        assert_eq!(bits(got.lo()), bits(want.lo()), "{ctx}: shard {s} lo");
+        assert_eq!(bits(got.hi()), bits(want.hi()), "{ctx}: shard {s} hi");
+    }
+}
+
+fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedEngine<Vec<f32>> {
+    let opts = BuildOptions {
+        d_plus: 14143.0,
+        maxnum: 48,
+        ..BuildOptions::default()
+    };
+    let pivots = pmr::pivots::select_hfi(pts, &L2, 5, 21)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    let cfg = EngineConfig {
+        shards: 6,
+        threads: 1,
+        refresh,
+        ..EngineConfig::default()
+    };
+    build_sharded_engine(
+        kind,
+        pts.to_vec(),
+        L2,
+        pivots,
+        &opts,
+        &cfg,
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap()
+}
+
+/// The two write paths: LAESA forks (readers allowed), MVPT cannot.
+const KINDS: [(IndexKind, bool); 2] = [(IndexKind::Laesa, true), (IndexKind::Mvpt, false)];
+
+#[test]
+fn seeded_random_batches_keep_every_box_tight() {
+    let pts = datasets::la(600, 21);
+    let pool = datasets::la(400, 77);
+    for (kind, forks) in KINDS {
+        let mut e = engine(kind, &pts, RefreshPolicy::disabled());
+        assert_eq!(e.reader().is_some(), forks, "{}", kind.label());
+        assert_boxes_tight(&e, 600, "fresh build");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % below
+        };
+        let (mut id_bound, mut fed, mut reboxed) = (600 as ObjId, 0, 0);
+        for commit in 0..12 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..draw(40) {
+                batch.insert(pool[fed % pool.len()].clone());
+                fed += 1;
+            }
+            // Removes of live, dead and not-yet-assigned ids alike.
+            for _ in 0..draw(60) {
+                batch.remove(draw(id_bound as usize + 8) as ObjId);
+            }
+            let report = e.apply(&batch);
+            id_bound += report.inserts as ObjId;
+            reboxed += report.reboxed_shards;
+            let ctx = format!("{} commit {commit}", kind.label());
+            assert_boxes_tight(&e, id_bound, &ctx);
+        }
+        assert!(reboxed > 0, "{}: some remove hit a face", kind.label());
+    }
+}
+
+#[test]
+fn a_commit_that_reclusters_leaves_tight_boxes() {
+    let pts = datasets::la(400, 21);
+    let refresh = RefreshPolicy {
+        max_imbalance: 2.0,
+        min_objects: 50,
+    };
+    for (kind, _) in KINDS {
+        let mut e = engine(kind, &pts, refresh);
+        // 300 near-duplicates of one region all route to one shard.
+        let mut batch = UpdateBatch::new();
+        for i in 0..300 {
+            let mut o = pts[7].clone();
+            o[0] += (i % 17) as f32;
+            o[1] += (i % 13) as f32;
+            batch.insert(o);
+        }
+        let report = e.apply(&batch);
+        assert_eq!(report.reclusters, 1, "{}", kind.label());
+        assert!(report.moved_objects > 0);
+        assert_eq!(report.reboxed_shards, 2, "the re-split pair");
+        assert_boxes_tight(&e, 700, kind.label());
+    }
+}
+
+/// Two 1-d clusters under one pivot at the origin, so a row is the
+/// object's coordinate: shard 0 holds 0..=9 (even ids), shard 1 holds
+/// 100..=109 (odd ids; id `2i + 1` is `100 + i`).
+fn two_clusters() -> ShardedEngine<Vec<f32>> {
+    let objects: Vec<Vec<f32>> = (0..20)
+        .map(|i| vec![(i % 2 * 100 + i / 2) as f32])
+        .collect();
+    let row = |o: &Vec<f32>| L2.dist(o.as_slice(), [0.0f32].as_slice());
+    let mapped = PivotMatrix::from_rows(1, objects.iter().map(|o| [row(o)]));
+    let assignment: Vec<usize> = (0..20).map(|i| i % 2).collect();
+    let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| out.push(row(o));
+    let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
+    ShardedEngine::build_partitioned_with_matrix(
+        objects,
+        &assignment,
+        router,
+        SharedPivotMatrix::new(mapped),
+        &EngineConfig {
+            shards: 2,
+            threads: 1,
+            refresh: RefreshPolicy::disabled(),
+            ..EngineConfig::default()
+        },
+        |_, part, _| -> Result<Box<dyn MetricIndex<Vec<f32>>>, ()> {
+            Ok(Box::new(BruteForce::new(part, L2)))
+        },
+    )
+    .unwrap()
+}
+
+fn edges(e: &ShardedEngine<Vec<f32>>, s: usize) -> (f64, f64) {
+    let b = &e.routing().unwrap().boxes()[s];
+    (b.lo()[0], b.hi()[0])
+}
+
+#[test]
+fn only_a_member_on_a_face_triggers_a_recomputation() {
+    let mut e = two_clusters();
+    let id_of = |x: u32| 2 * (x - 100) + 1;
+    assert_eq!(edges(&e, 1), (100.0, 109.0));
+
+    // Interior members only: nothing to recompute, nothing changes.
+    let mut interior = UpdateBatch::new();
+    for x in 102..=106 {
+        interior.remove(id_of(x));
+    }
+    let report = e.apply(&interior);
+    assert_eq!((report.removes, report.reboxed_shards), (5, 0));
+    assert_eq!(edges(&e, 1), (100.0, 109.0));
+    assert_boxes_tight(&e, 20, "interior-only batch");
+
+    // The member on the upper face: one box recomputed, and it shrinks.
+    let mut face = UpdateBatch::new();
+    face.remove(id_of(109));
+    let report = e.apply(&face);
+    assert_eq!((report.removes, report.reboxed_shards), (1, 1));
+    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_boxes_tight(&e, 20, "face point");
+
+    // A duplicate row shares the face: removing one of the two touches
+    // the face, so the box is recomputed — to the same box.
+    let twin = e.insert(vec![108.0]);
+    assert_eq!(twin, 20);
+    assert_eq!(e.locate(twin).unwrap().0, 1);
+    let mut dup = UpdateBatch::new();
+    dup.remove(id_of(108));
+    let report = e.apply(&dup);
+    assert_eq!((report.removes, report.reboxed_shards), (1, 1));
+    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_boxes_tight(&e, 21, "duplicate on a face");
+
+    // Insert and remove of one object in a single batch: the insert grows
+    // the staged box, the remove finds its (still staged) row on the new
+    // face, and the recomputation takes the box back.
+    let mut both = UpdateBatch::new();
+    both.insert(vec![200.0]).remove(21);
+    let report = e.apply(&both);
+    assert_eq!((report.inserts, report.removes), (1, 1));
+    assert_eq!(report.reboxed_shards, 1);
+    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_boxes_tight(&e, 22, "insert and remove in one batch");
+
+    // The shard emptied: the box is the empty box, which every query prunes.
+    let mut rest = UpdateBatch::new();
+    for g in (0..22).filter(|&g| e.locate(g).is_some_and(|(s, _)| s == 1)) {
+        rest.remove(g);
+    }
+    let report = e.apply(&rest);
+    assert_eq!(report.removes, 4);
+    assert_eq!(report.reboxed_shards, 1);
+    assert!(e.routing().unwrap().boxes()[1].is_empty());
+    assert_boxes_tight(&e, 22, "a shard emptied");
+    assert_eq!(
+        edges(&e, 0),
+        (0.0, 9.0),
+        "the other shard was never touched"
+    );
+}
