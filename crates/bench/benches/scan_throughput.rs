@@ -90,6 +90,11 @@ impl MetricIndex<Vec<f32>> for LockedLaesa {
         "LockedLAESA"
     }
 
+    fn fork(&self) -> Box<dyn MetricIndex<Vec<f32>>> {
+        // The locked engine only serves; nothing calls `apply` on it.
+        unimplemented!("measurement-only index")
+    }
+
     fn len(&self) -> usize {
         self.objects.len()
     }

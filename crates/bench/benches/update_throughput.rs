@@ -228,7 +228,7 @@ fn main() {
     let window = Duration::from_millis(if smoke { 50 } else { 1_000 });
     let commit_period = Duration::from_millis(10);
     let mut avail = build(&pts, &opts, RefreshPolicy::default());
-    let reader = avail.reader().expect("matrix LAESA engines fork");
+    let reader = avail.reader().expect("always Some");
     let never = AtomicBool::new(false);
     let (idle_served, _, _, _) = pump_window(&reader, &batch, readers, window, &never);
     let qps_no_churn_concurrent = idle_served as f64 / window.as_secs_f64();

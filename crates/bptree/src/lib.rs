@@ -102,6 +102,24 @@ impl<K: Key, V: Val, S: Summarizer<K>> BpTree<K, V, S> {
         t
     }
 
+    /// This tree re-pointed at `disk`, a [`DiskSim::fork`] of its own disk:
+    /// same pages, independent afterwards.
+    pub fn fork_onto(&self, disk: &DiskSim) -> Self
+    where
+        S: Clone,
+    {
+        BpTree {
+            disk: disk.clone(),
+            summarizer: self.summarizer.clone(),
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            pages_used: self.pages_used,
+            free: self.free.clone(),
+            _marker: std::marker::PhantomData,
+        }
+    }
+
     /// Bulk-loads from entries sorted by key (ties in any order).
     pub fn bulk_load(disk: DiskSim, summarizer: S, sorted: &[(K, V)]) -> Self {
         let mut t = Self::new(disk, summarizer);

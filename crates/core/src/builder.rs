@@ -5,7 +5,10 @@
 use pmi_metric::{ColumnMode, EncodeObject, MatrixSlice, Metric, MetricIndex};
 use pmi_storage::DiskSim;
 
-/// Every index variant evaluated or surveyed by the paper.
+/// Every index variant evaluated or surveyed by the paper. All of them
+/// fork ([`MetricIndex::fork`]), so a sharded engine over any kind has
+/// MVCC readers and crash-safe `apply`; what a fork costs per family is
+/// tabled under "Commit cost" in `docs/performance.md`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// AESA (§3.1) — full n² table; surveyed but excluded from the paper's

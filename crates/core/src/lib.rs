@@ -235,10 +235,10 @@
 //! ```
 //!
 //! Each committed batch publishes a new immutable [`EngineSnapshot`]
-//! (epoch +1, visible on every `ServeReport::epoch`); on copy-on-write
-//! engines `apply` is all-or-nothing ([`ApplyReport`]`::aborted`) and
-//! [`EngineReader`] handles (`engine.reader()`) keep serving concurrently
-//! through commits. A standing [`SubmitQueue`] with [`AdmissionPolicy`]
+//! (epoch +1, visible on every `ServeReport::epoch`); `apply` is
+//! all-or-nothing ([`ApplyReport`]`::aborted`) and [`EngineReader`]
+//! handles (`engine.reader()`) keep serving concurrently through commits
+//! — for every [`IndexKind`], through the one write path. A standing [`SubmitQueue`] with [`AdmissionPolicy`]
 //! adds backpressure and deadline shedding for always-on operation. The
 //! concurrency model — snapshot lifecycle, epoch-based reclamation, the
 //! writer-crash contract — is documented in `docs/concurrency.md`.

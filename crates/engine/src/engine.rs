@@ -765,8 +765,6 @@ struct EngineCore<O> {
     /// Stats mirrors for reports, synced by the writer at each commit.
     build: Mutex<BuildStats>,
     updates: Mutex<UpdateStats>,
-    /// Live [`EngineReader`] handles (diagnostic gauge only).
-    readers: AtomicUsize,
 }
 
 impl<O> EngineCore<O> {
@@ -797,28 +795,12 @@ impl<O> EngineCore<O> {
 /// consistent — while a writer thread commits [`apply`] batches off to the
 /// side (MVCC).
 ///
-/// Obtained from [`ShardedEngine::reader`], which returns `None` for
-/// engines whose shard kind cannot fork (where `apply` mutates in place
-/// and concurrent serving would race).
+/// Obtained from [`ShardedEngine::reader`], for every shard kind.
 ///
 /// [`apply`]: ShardedEngine::apply
+#[derive(Clone)]
 pub struct EngineReader<O> {
     core: Arc<EngineCore<O>>,
-}
-
-impl<O> Clone for EngineReader<O> {
-    fn clone(&self) -> Self {
-        self.core.readers.fetch_add(1, Ordering::Relaxed);
-        EngineReader {
-            core: Arc::clone(&self.core),
-        }
-    }
-}
-
-impl<O> Drop for EngineReader<O> {
-    fn drop(&mut self) {
-        self.core.readers.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl<O> EngineReader<O> {
@@ -896,10 +878,8 @@ impl<O: Send + Sync> EngineReader<O> {
 /// commits with a single snapshot swap — readers obtained via
 /// [`reader`](Self::reader) keep serving the previous snapshot mid-apply
 /// and pick up the new one at their next batch. Retired snapshots are
-/// reclaimed once the last in-flight batch drops them. For shard kinds
-/// that cannot fork, `reader()` returns `None` and `apply` falls back to
-/// exclusive in-place mutation (safe: `&mut self` proves no concurrent
-/// reader exists).
+/// reclaimed once the last in-flight batch drops them. This is the only
+/// write path and every shard kind takes it ([`MetricIndex::fork`]).
 pub struct ShardedEngine<O> {
     /// Reader-shared serving state (snapshot slot, policies, metrics).
     core: Arc<EngineCore<O>>,
@@ -908,9 +888,6 @@ pub struct ShardedEngine<O> {
     shards: Vec<Arc<Shard<O>>>,
     /// Writer mirror of the published routing table.
     router: Option<Arc<RoutingTable<O>>>,
-    /// Whether every shard can fork: copy-on-write apply, reader handles
-    /// available. Non-forkable kinds take the exclusive in-place path.
-    cow: bool,
     /// Publication epoch of the current snapshot.
     epoch: u64,
     /// Retired snapshots not yet reclaimed (still pinned by in-flight
@@ -951,13 +928,11 @@ type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 /// engine's serving state, built off to the side and either committed with
 /// a single snapshot publish or dropped whole (all-or-nothing).
 struct ApplyTxn<O> {
-    /// Staged shard set. On the copy-on-write path entries start as the
-    /// published `Arc`s and are forked on first touch; on the exclusive
-    /// path they are the engine's own (uniquely owned) shards, moved in.
+    /// Staged shard set: entries start as the published `Arc`s and are
+    /// forked on first touch.
     shards: Vec<Arc<Shard<O>>>,
-    /// Which entries this transaction has made uniquely its own.
+    /// Which entries this transaction has forked.
     touched: Vec<bool>,
-    cow: bool,
     /// Staged routing table (a copy-on-write clone: shared mapper, own
     /// boxes).
     router: Option<RoutingTable<O>>,
@@ -980,13 +955,10 @@ impl<O> ApplyTxn<O> {
     /// Mutable access to staged shard `s`, forking it first if the
     /// published version is still shared (copy-on-write).
     fn shard_mut(&mut self, s: usize) -> &mut Shard<O> {
-        if self.cow && !self.touched[s] {
-            let fork = self.shards[s]
-                .fork()
-                .expect("copy-on-write engines hold forkable shards");
-            self.shards[s] = Arc::new(fork);
+        if !self.touched[s] {
+            self.shards[s] = Arc::new(self.shards[s].fork());
+            self.touched[s] = true;
         }
-        self.touched[s] = true;
         Arc::get_mut(&mut self.shards[s]).expect("transaction shard is uniquely owned")
     }
 }
@@ -1298,7 +1270,6 @@ impl<O> ShardedEngine<O> {
         }
 
         let shards: Vec<Arc<Shard<O>>> = shards.into_iter().map(Arc::new).collect();
-        let cow = shards.iter().all(|s| s.forkable());
         let router = router.map(Arc::new);
         let snap = Arc::new(EngineSnapshot {
             epoch: 0,
@@ -1320,13 +1291,11 @@ impl<O> ShardedEngine<O> {
             validator: Mutex::new(None),
             build: Mutex::new(build_stats),
             updates: Mutex::new(UpdateStats::default()),
-            readers: AtomicUsize::new(0),
         });
         Ok(ShardedEngine {
             core,
             shards,
             router,
-            cow,
             epoch: 0,
             retired: Vec::new(),
             matrix,
@@ -1412,24 +1381,13 @@ impl<O> ShardedEngine<O> {
         self.epoch
     }
 
-    /// Whether this engine supports concurrent snapshot readers — true
-    /// when every shard kind can fork (copy-on-write apply). See
-    /// [`reader`](Self::reader).
-    pub fn supports_readers(&self) -> bool {
-        self.cow
-    }
-
     /// A cloneable, thread-safe serving handle over the engine's published
-    /// snapshots, or `None` when a shard kind cannot fork (then `apply`
-    /// mutates in place and concurrent serving would race it).
+    /// snapshots. Always `Some`: the `Option` is kept only for the frozen
+    /// `benchmark/` callers that match on it.
     ///
     /// Readers stay valid across any number of `apply` / `compact` calls;
     /// each batch they serve sees exactly one published snapshot.
     pub fn reader(&self) -> Option<EngineReader<O>> {
-        if !self.cow {
-            return None;
-        }
-        self.core.readers.fetch_add(1, Ordering::Relaxed);
         Some(EngineReader {
             core: Arc::clone(&self.core),
         })
@@ -1683,16 +1641,13 @@ impl<O> ShardedEngine<O> {
     /// touched shards, a copy-on-write routing table, staged matrix rows —
     /// and commits by publishing one new [`EngineSnapshot`]. Concurrent
     /// [`EngineReader`]s never observe a half-applied batch: a batch
-    /// serves either entirely before or entirely after the swap.
-    ///
-    /// On forkable (copy-on-write) engines `apply` is additionally
+    /// serves either entirely before or entirely after the swap. It is
     /// **all-or-nothing**: a panic anywhere in staging (a poisoned op, an
     /// injected fault at `engine.apply.stage` / `engine.recluster` /
     /// `engine.apply.publish`) is caught, the staged state is discarded,
     /// and the report comes back with [`aborted`](ApplyReport::aborted)
     /// set — the engine keeps serving the last published snapshot and the
-    /// same batch can be retried. On non-forkable kinds the staging panic
-    /// propagates (pre-MVCC behavior).
+    /// same batch can be retried.
     pub fn apply(&mut self, batch: &UpdateBatch<O>) -> ApplyReport
     where
         O: Clone,
@@ -1705,16 +1660,10 @@ impl<O> ShardedEngine<O> {
         let copied0 = cow::copied_bytes();
         let validator = self.core.validator();
         let mut txn = self.begin_txn();
-        let staged = if txn.cow {
-            catch_unwind(AssertUnwindSafe(|| {
-                self.stage_batch(batch, validator.as_ref(), &mut txn, &mut clock)
-            }))
-            .is_ok()
-        } else {
-            self.stage_batch(batch, validator.as_ref(), &mut txn, &mut clock);
-            true
-        };
-        if !staged {
+        let staged = catch_unwind(AssertUnwindSafe(|| {
+            self.stage_batch(batch, validator.as_ref(), &mut txn, &mut clock)
+        }));
+        if staged.is_err() {
             // Abort: drop the forked shards and staged rows whole. Nothing
             // was published, so serving (including concurrent readers)
             // continues on the last snapshot, and retrying the batch
@@ -1733,11 +1682,7 @@ impl<O> ShardedEngine<O> {
             return report;
         }
         let mut report = std::mem::take(&mut txn.report);
-        let forked = if txn.cow {
-            txn.touched.iter().filter(|&&t| t).count()
-        } else {
-            0
-        };
+        let forked = txn.touched.iter().filter(|&&t| t).count();
         self.commit_txn(txn);
         // Matrix publication, snapshot swap and the retire sweep; the bytes
         // are the shared chunks this commit copied in order to write.
@@ -1775,59 +1720,22 @@ impl<O> ShardedEngine<O> {
         report
     }
 
-    /// Opens an apply transaction over the current state.
-    ///
-    /// Copy-on-write engines stage against `Arc` clones of the published
-    /// shards (forked on first touch), a copy of the routing boxes and a
-    /// chunk-sharing clone of the locator — `O(n / chunk)` handles, no
-    /// per-object copy. Non-forkable engines take the exclusive
-    /// path: the published snapshot is detached (readers cannot exist —
-    /// [`reader`](Self::reader) refuses them) and the live state moves
-    /// into the transaction to be mutated in place.
-    fn begin_txn(&mut self) -> ApplyTxn<O> {
+    /// Opens an apply transaction over the current state: `Arc` clones of
+    /// the published shards (forked on first touch), a copy of the routing
+    /// boxes and a chunk-sharing clone of the locator — `O(n / chunk)`
+    /// handles, no per-object copy.
+    fn begin_txn(&self) -> ApplyTxn<O> {
         let n = self.shards.len();
-        if self.cow {
-            ApplyTxn {
-                shards: self.shards.clone(),
-                touched: vec![false; n],
-                cow: true,
-                router: self.router.as_deref().cloned(),
-                locator: self.locator.clone(),
-                next_id: self.next_id,
-                staged: HashMap::new(),
-                stats: self.update_stats,
-                report: ApplyReport::default(),
-                dirty: vec![false; n],
-            }
-        } else {
-            // Detach the published snapshot so the mirror Arcs become
-            // uniquely owned, then move them into the transaction.
-            self.retired.clear();
-            *self.core.snap.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(EngineSnapshot {
-                epoch: self.epoch,
-                shards: Vec::new(),
-                router: None,
-            });
-            debug_assert_eq!(
-                self.core.readers.load(Ordering::Relaxed),
-                0,
-                "non-forkable engines hand out no readers"
-            );
-            ApplyTxn {
-                shards: std::mem::take(&mut self.shards),
-                touched: vec![true; n],
-                cow: false,
-                router: self
-                    .router
-                    .take()
-                    .map(|rt| Arc::try_unwrap(rt).unwrap_or_else(|rt| (*rt).clone())),
-                locator: std::mem::take(&mut self.locator),
-                next_id: self.next_id,
-                staged: HashMap::new(),
-                stats: self.update_stats,
-                report: ApplyReport::default(),
-                dirty: vec![false; n],
-            }
+        ApplyTxn {
+            shards: self.shards.clone(),
+            touched: vec![false; n],
+            router: self.router.as_deref().cloned(),
+            locator: self.locator.clone(),
+            next_id: self.next_id,
+            staged: HashMap::new(),
+            stats: self.update_stats,
+            report: ApplyReport::default(),
+            dirty: vec![false; n],
         }
     }
 
@@ -1924,10 +1832,9 @@ impl<O> ShardedEngine<O> {
             if mx.has_staged() {
                 // The publication appends tail rows: it shares the base
                 // and every full tail chunk with whatever snapshot is still
-                // pinned and copies at most one chunk. Sole-owned shards
-                // (this transaction's forks, or every shard on the
-                // exclusive path) then re-pin the fresh snapshot. Shards
-                // still shared with the published engine snapshot hold only
+                // pinned and copies at most one chunk. This transaction's
+                // forks then re-pin the fresh snapshot. Shards still shared
+                // with the published engine snapshot hold only
                 // already-published rows, so their older pin stays valid.
                 mx.publish();
                 for s in txn.shards.iter_mut() {
@@ -4194,6 +4101,11 @@ mod tests {
     impl MetricIndex<Vec<f32>> for PanickyIndex {
         fn name(&self) -> &str {
             "panicky"
+        }
+        fn fork(&self) -> Box<dyn MetricIndex<Vec<f32>>> {
+            Box::new(PanickyIndex {
+                inner: self.inner.fork(),
+            })
         }
         fn len(&self) -> usize {
             self.inner.len()

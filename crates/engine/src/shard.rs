@@ -227,24 +227,15 @@ impl<O> Shard<O> {
         self.index.set_page_cache(bytes)
     }
 
-    /// Whether [`fork`](Self::fork) is supported by the wrapped index —
-    /// the gate for the engine's copy-on-write apply transaction and for
-    /// vending concurrent readers.
-    pub fn forkable(&self) -> bool {
-        self.index.forkable()
-    }
-
-    /// An independently mutable copy of this shard for copy-on-write
-    /// mutation (see [`MetricIndex::fork`]): byte-identical answers at fork
-    /// time, a **shared** distance counter, and a slot table that shares
-    /// every chunk with the original until one side writes to it — the
-    /// fork costs `O(n / chunk)`. `None` when the wrapped index kind does
-    /// not support forking.
-    pub fn fork(&self) -> Option<Shard<O>> {
-        Some(Shard {
-            index: self.index.fork()?,
+    /// An independently mutable copy of this shard (see
+    /// [`MetricIndex::fork`]): byte-identical answers at fork time,
+    /// **shared** cost counters, and a slot table that shares every chunk
+    /// with the original until one side writes to it.
+    pub fn fork(&self) -> Shard<O> {
+        Shard {
+            index: self.index.fork(),
             global_ids: self.global_ids.clone(),
-        })
+        }
     }
 }
 

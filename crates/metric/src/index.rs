@@ -154,33 +154,27 @@ pub trait MetricIndex<O>: Send + Sync {
         let _ = bytes;
     }
 
-    /// Whether [`fork`](Self::fork) is supported. Kinds that return `true`
-    /// can participate in the engine's copy-on-write apply transaction
-    /// (serve-while-apply); kinds that return `false` fall back to the
-    /// exclusive in-place mutation path.
-    fn forkable(&self) -> bool {
-        false
-    }
-
-    /// An independently mutable copy of this index for copy-on-write
-    /// mutation: the engine forks the shards an `apply` batch touches,
-    /// mutates the forks off to the side, and publishes them in one
-    /// snapshot swap while readers keep serving from the originals.
+    /// An independently mutable copy of this index: the engine's one write
+    /// path forks the shards an `apply` batch touches, mutates the forks
+    /// off to the side, and publishes them in one snapshot swap while
+    /// readers keep serving from the originals.
     ///
-    /// Contract: the fork must answer every query byte-identically to the
-    /// original at fork time, no later write to either side may be visible
-    /// to the other, and the fork must **share** the original's distance
-    /// counter (a [`CountingMetric`] clone shares its
-    /// [`DistanceCounter`](crate::DistanceCounter)) so engine-level
-    /// `compdists` totals stay monotone across snapshot publications.
-    /// Independence does not mean a deep copy: the forking kinds keep
-    /// their per-object state in [`CowVec`](crate::CowVec)s, so a fork
-    /// shares every chunk with the original and each side copies only the
-    /// chunks it writes — a fork costs `O(n / chunk)`, not `O(n)`. The
-    /// default returns `None` (not forkable).
-    fn fork(&self) -> Option<Box<dyn MetricIndex<O>>> {
-        None
-    }
+    /// Contract, for every kind: the fork answers every query
+    /// byte-identically to the original at fork time, no later write to
+    /// either side is visible to the other, and the fork **shares** the
+    /// original's cost counters — the distance counter (a
+    /// [`CountingMetric`] clone shares its
+    /// [`DistanceCounter`](crate::DistanceCounter)) and, for disk kinds, the
+    /// page counters — so engine-level totals stay monotone across
+    /// snapshot publications.
+    ///
+    /// Every index is `Clone` and `fork` is that clone; what it costs is
+    /// decided by the kind's containers, not per call: the tables share
+    /// [`CowVec`](crate::CowVec) chunks, the disk kinds share pages
+    /// (`DiskSim::fork`, in-memory directories cloned), the trees share
+    /// nodes behind `Arc`s and path-copy what they write, and AESA, EPT and
+    /// FQA copy their rows.
+    fn fork(&self) -> Box<dyn MetricIndex<O>>;
 }
 
 /// Brute-force linear scan; the correctness oracle for every other index.
@@ -218,12 +212,8 @@ where
         "BruteForce"
     }
 
-    fn forkable(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn MetricIndex<O>>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -104,6 +104,26 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
         }
     }
 
+    /// This tree re-pointed at `disk`, a [`DiskSim::fork`] of its own disk:
+    /// same pages, a clone of the leaf directory, independent afterwards.
+    /// The metric is cloned (a counting metric keeps its shared counter).
+    pub fn fork_onto(&self, disk: &DiskSim) -> Self
+    where
+        M: Clone,
+    {
+        MTree {
+            disk: disk.clone(),
+            metric: self.metric.clone(),
+            pivots: self.pivots.clone(),
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            pages_used: self.pages_used,
+            free: self.free.clone(),
+            loc: self.loc.clone(),
+        }
+    }
+
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.len

@@ -221,6 +221,7 @@ pub fn select_hfi<O, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u6
 /// For each object `o`, selects `l` pivots from the HF candidate set `CP`
 /// maximizing the expectation of `D(q,o)/d(q,o)` over a query sample, where
 /// `D(q,o) = max_i |d(q,p_i) − d(o,p_i)|` is the pivot lower bound.
+#[derive(Clone)]
 pub struct PsaSelector<O, M> {
     metric: M,
     /// Candidate pivot objects (`CP`, |CP| = cp_scale).

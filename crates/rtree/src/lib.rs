@@ -242,6 +242,20 @@ impl RTree {
         t
     }
 
+    /// This tree re-pointed at `disk`, a [`DiskSim::fork`] of its own disk:
+    /// same pages, independent afterwards.
+    pub fn fork_onto(&self, disk: &DiskSim) -> Self {
+        RTree {
+            disk: disk.clone(),
+            dims: self.dims,
+            root: self.root,
+            height: self.height,
+            len: self.len,
+            pages_used: self.pages_used,
+            free: self.free.clone(),
+        }
+    }
+
     /// STR bulk load from `(box, object id)` pairs.
     pub fn bulk_load(disk: DiskSim, dims: usize, mut items: Vec<(Mbb, u32)>) -> Self {
         let mut t = Self::new(disk, dims);

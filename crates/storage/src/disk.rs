@@ -76,19 +76,26 @@ impl LruCache {
     }
 }
 
+/// Page access counters, shared by a store and every [`DiskSim::fork`] of it.
+#[derive(Default)]
+struct PageCounters {
+    reads: AtomicU64,
+    writes: AtomicU64,
+}
+
 struct DiskInner {
     page_size: usize,
     pages: Mutex<Vec<Arc<[u8]>>>,
     cache: Mutex<LruCache>,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    counters: Arc<PageCounters>,
 }
 
 /// A counting, paged in-memory "disk".
 ///
 /// Reads and writes are counted per page; reads served from the LRU cache
 /// are free, matching how the paper's experiments count PA with the 128 KB
-/// cache enabled. Cloning shares the underlying store and counters.
+/// cache enabled. Cloning shares the underlying store and counters;
+/// [`fork`](Self::fork) makes an independent store over the same page bytes.
 ///
 /// ```
 /// use pmi_storage::DiskSim;
@@ -111,8 +118,25 @@ impl DiskSim {
                 page_size,
                 pages: Mutex::new(Vec::new()),
                 cache: Mutex::new(LruCache::new(0)),
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
+                counters: Arc::default(),
+            }),
+        }
+    }
+
+    /// A new store holding the same pages: the page vector's `Arc<[u8]>`
+    /// handles are cloned (`O(pages)` pointers, no bytes) and a write to
+    /// either side replaces that side's handle only, so neither sees the
+    /// other's later writes or allocations. The cache starts cold with the
+    /// same capacity; the read/write counters are **shared**, so totals
+    /// stay monotone when an index moves from a store to its fork.
+    pub fn fork(&self) -> Self {
+        let capacity_pages = self.inner.cache.lock().capacity_pages;
+        DiskSim {
+            inner: Arc::new(DiskInner {
+                page_size: self.inner.page_size,
+                pages: Mutex::new(self.inner.pages.lock().clone()),
+                cache: Mutex::new(LruCache::new(capacity_pages)),
+                counters: Arc::clone(&self.inner.counters),
             }),
         }
     }
@@ -173,7 +197,7 @@ impl DiskSim {
                 .unwrap_or_else(|| panic!("read of unallocated page {id}"))
                 .clone()
         };
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.inner.cache.lock().put(id, data.clone());
         data
     }
@@ -194,7 +218,7 @@ impl DiskSim {
                 .unwrap_or_else(|| panic!("write of unallocated page {id}"));
             *slot = arc.clone();
         }
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.writes.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.inner.cache.lock();
         cache.invalidate(id);
         cache.put(id, arc);
@@ -209,18 +233,18 @@ impl DiskSim {
 
     /// Page reads so far.
     pub fn reads(&self) -> u64 {
-        self.inner.reads.load(Ordering::Relaxed)
+        self.inner.counters.reads.load(Ordering::Relaxed)
     }
 
     /// Page writes so far.
     pub fn writes(&self) -> u64 {
-        self.inner.writes.load(Ordering::Relaxed)
+        self.inner.counters.writes.load(Ordering::Relaxed)
     }
 
     /// Resets both counters.
     pub fn reset_counters(&self) {
-        self.inner.reads.store(0, Ordering::Relaxed);
-        self.inner.writes.store(0, Ordering::Relaxed);
+        self.inner.counters.reads.store(0, Ordering::Relaxed);
+        self.inner.counters.writes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -292,6 +316,36 @@ mod tests {
         d.reset_counters();
         assert_eq!(d.read(p)[0], 9, "cache must reflect the write");
         assert_eq!(d.reads(), 0, "served from cache");
+    }
+
+    #[test]
+    fn fork_shares_pages_and_counters_but_no_writes() {
+        let d = DiskSim::new(128);
+        d.set_cache_bytes(2 * 128);
+        let p = d.alloc_write(&[1u8; 128]);
+        let _ = d.read(p);
+        let f = d.fork();
+        // Cold cache of the same capacity: the first read is counted, the
+        // second is not; both land in the shared counters.
+        d.reset_counters();
+        assert_eq!(f.read(p)[0], 1);
+        assert_eq!(f.read(p)[0], 1);
+        assert_eq!((d.reads(), f.reads()), (1, 1));
+        // A write or allocation on either side is invisible to the other.
+        f.write(p, &[2u8; 128]);
+        let q = f.alloc_write(&[3u8; 128]);
+        assert_eq!((d.read(p)[0], f.read(p)[0]), (1, 2));
+        assert_eq!((d.num_pages(), f.num_pages()), (1, 2));
+        d.write(p, &[4u8; 128]);
+        let q2 = d.alloc_write(&[5u8; 128]);
+        assert_eq!(q, q2, "each side allocates from its own page vector");
+        assert_eq!((d.read(q)[0], f.read(q)[0]), (5, 3));
+        assert_eq!((d.read(p)[0], f.read(p)[0]), (4, 2));
+        assert_eq!(d.writes(), 4);
+        assert_eq!(f.writes(), 4);
+        // The parent can go away; the fork keeps its pages.
+        drop(d);
+        assert_eq!(f.read(p)[0], 2);
     }
 
     #[test]

@@ -40,6 +40,18 @@ impl Raf {
         }
     }
 
+    /// This file re-pointed at `disk`, a [`DiskSim::fork`] of its own
+    /// disk: same pages, a clone of the directory, independent afterwards.
+    pub fn fork_onto(&self, disk: &DiskSim) -> Self {
+        Raf {
+            disk: disk.clone(),
+            directory: self.directory.clone(),
+            pages: self.pages.clone(),
+            tail: self.tail,
+            live_bytes: self.live_bytes,
+        }
+    }
+
     /// The underlying disk handle.
     pub fn disk(&self) -> &DiskSim {
         &self.disk

@@ -12,6 +12,11 @@ use pmi_metric::{
 };
 
 /// AESA over a triangular distance matrix.
+///
+/// Cloning — the [`MetricIndex::fork`] — copies the whole `O(n²)` matrix
+/// (the object table's chunks and the distance counter are shared); an
+/// AESA insert is `O(n)` distances already and no workload commits to it.
+#[derive(Clone)]
 pub struct Aesa<O, M> {
     metric: CountingMetric<M>,
     /// Lower-triangular matrix: `tri[i][j]` = d(i, j) for j < i. Rows are
@@ -98,10 +103,14 @@ where
 impl<O, M> MetricIndex<O> for Aesa<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O>,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         "AESA"
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -116,13 +116,38 @@ where
     }
 }
 
+/// The [`MetricIndex::fork`]: the M-tree moves onto a [`DiskSim::fork`] of
+/// its disk (pages shared until written, page counters shared), the row
+/// slice shares its chunks, and the liveness bitmap and the M-tree's leaf
+/// directory are copied (`O(n)` small entries).
+impl<O, M> Clone for Cpt<O, M>
+where
+    O: Clone + EncodeObject,
+    M: Metric<O> + Clone,
+{
+    fn clone(&self) -> Self {
+        Cpt {
+            metric: self.metric.clone(),
+            pivots: self.pivots.clone(),
+            rows: self.rows.clone(),
+            alive: self.alive.clone(),
+            mtree: self.mtree.fork_onto(&self.mtree.disk().fork()),
+            live: self.live,
+        }
+    }
+}
+
 impl<O, M> MetricIndex<O> for Cpt<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O> + Clone,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         "CPT"
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -62,6 +62,7 @@ impl Default for EptConfig {
     }
 }
 
+#[derive(Clone)]
 enum Strategy<O, M> {
     Random {
         /// `l` groups, each of `m` indices into `pivot_objs`.
@@ -75,6 +76,11 @@ enum Strategy<O, M> {
 }
 
 /// EPT / EPT*: a pivot table where every object has its own pivots.
+///
+/// Cloning — the [`MetricIndex::fork`] — copies the flat rows (`10 · l`
+/// bytes per slot) and the pivot pool; the object table's chunks and the
+/// distance counter are shared. No workload commits to an EPT engine.
+#[derive(Clone)]
 pub struct Ept<O, M> {
     metric: CountingMetric<M>,
     mode: EptMode,
@@ -344,13 +350,17 @@ fn estimate_mus<O, M: Metric<O>>(metric: &M, pivots: &[O], sample: &[O]) -> Vec<
 impl<O, M> MetricIndex<O> for Ept<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O> + Clone,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         match self.mode {
             EptMode::Random => "EPT",
             EptMode::Psa => "EPT*",
         }
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -26,7 +26,7 @@ use pmi_metric::{
 /// state — the row indirection and the object table are
 /// [`CowVec`](pmi_metric::CowVec)s — so the clone costs `O(n / chunk)` and
 /// each side then copies only the chunks it writes. It is the
-/// [`MetricIndex::fork`] the engine's copy-on-write apply uses.
+/// [`MetricIndex::fork`].
 #[derive(Clone)]
 pub struct Laesa<O, M> {
     metric: CountingMetric<M>,
@@ -115,12 +115,8 @@ where
         "LAESA"
     }
 
-    fn forkable(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn MetricIndex<O>>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Which pivot policy the tree uses: `true` = FQT (fixed pivot per level
 /// from the shared set), `false` = BKT (random pivot per sub-tree).
@@ -50,13 +51,14 @@ impl Default for DiscreteTreeConfig {
     }
 }
 
+#[derive(Clone)]
 enum Node<O> {
     Internal {
         /// The pivot object, owned by the node so that routing never breaks
         /// when the underlying dataset object is removed.
         pivot: O,
         /// `children[b]` covers distances `[b·w, (b+1)·w)`.
-        children: Vec<Option<Box<Node<O>>>>,
+        children: Vec<Option<Arc<Node<O>>>>,
     },
     Leaf {
         ids: Vec<ObjId>,
@@ -64,13 +66,20 @@ enum Node<O> {
 }
 
 /// BKT / FQT over a discrete metric.
+///
+/// Cloning — the [`MetricIndex::fork`] — shares every node (the root and
+/// all children sit behind `Arc`s), the object table's chunks and the
+/// distance counter. `insert` / `remove` descend with `Arc::make_mut`: a
+/// sole owner copies nothing, a fork copies the root-to-leaf path it
+/// writes and nothing else.
+#[derive(Clone)]
 pub struct DiscreteTree<O, M> {
     kind: Kind,
     metric: CountingMetric<M>,
     /// FQT: the shared per-level pivots.
     level_pivots: Vec<O>,
     cfg: DiscreteTreeConfig,
-    root: Option<Node<O>>,
+    root: Option<Arc<Node<O>>>,
     table: ObjTable<O>,
     rng: StdRng,
     node_count: usize,
@@ -116,7 +125,7 @@ where
             node_count: 0,
         };
         let ids: Vec<ObjId> = t.table.iter().map(|(i, _)| i).collect();
-        t.root = Some(t.build_node(ids, 0));
+        t.root = Some(Arc::new(t.build_node(ids, 0)));
         t
     }
 
@@ -163,7 +172,7 @@ where
         }
         let children = parts
             .into_iter()
-            .map(|p| (!p.is_empty()).then(|| Box::new(self.build_node(p, depth + 1))))
+            .map(|p| (!p.is_empty()).then(|| Arc::new(self.build_node(p, depth + 1))))
             .collect();
         Node::Internal { pivot, children }
     }
@@ -215,13 +224,17 @@ where
 impl<O, M> MetricIndex<O> for DiscreteTree<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O>,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         match self.kind {
             Kind::Bkt => "BKT",
             Kind::Fqt => "FQT",
         }
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {
@@ -246,7 +259,7 @@ where
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         let mut nodes: Vec<(&Node<O>, usize, f64)> = Vec::new(); // node, depth, lb
         if let Some(root) = &self.root {
-            nodes.push((root, 0, 0.0));
+            nodes.push((&**root, 0, 0.0));
             heap.push(Reverse((0, 0)));
         }
         let radius = |res: &BinaryHeap<Neighbor>| {
@@ -297,7 +310,7 @@ where
                         };
                         let child_lb = lb.max(gap);
                         if child_lb <= radius(&result) {
-                            nodes.push((child, depth + 1, child_lb));
+                            nodes.push((&**child, depth + 1, child_lb));
                             heap.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
                         }
                     }
@@ -316,9 +329,12 @@ where
         let leaf_cap = self.cfg.leaf_cap;
         let max_depth = self.max_depth();
         // Descend to the leaf, splitting it if it overflows.
-        let mut root = self.root.take().unwrap_or(Node::Leaf { ids: Vec::new() });
+        let mut root = self
+            .root
+            .take()
+            .unwrap_or_else(|| Arc::new(Node::Leaf { ids: Vec::new() }));
         {
-            let mut node = &mut root;
+            let mut node = Arc::make_mut(&mut root);
             let mut depth = 0usize;
             loop {
                 match node {
@@ -326,12 +342,12 @@ where
                         let d = self.metric.dist(&o, pivot);
                         let b = ((d / w) as usize).min(buckets - 1);
                         if children[b].is_none() {
-                            children[b] = Some(Box::new(Node::Leaf { ids: vec![id] }));
+                            children[b] = Some(Arc::new(Node::Leaf { ids: vec![id] }));
                             self.node_count += 1;
                             self.root = Some(root);
                             return id;
                         }
-                        node = children[b].as_mut().unwrap();
+                        node = Arc::make_mut(children[b].as_mut().unwrap());
                         depth += 1;
                     }
                     Node::Leaf { ids } => {
@@ -360,14 +376,14 @@ where
         let mut removed = false;
         let mut root = self.root.take();
         if let Some(root) = root.as_mut() {
-            let mut node = root;
+            let mut node = Arc::make_mut(root);
             loop {
                 match node {
                     Node::Internal { pivot, children } => {
                         let d = self.metric.dist(&o, pivot);
                         let b = ((d / w) as usize).min(buckets - 1);
                         match children[b].as_mut() {
-                            Some(c) => node = c,
+                            Some(c) => node = Arc::make_mut(c),
                             None => break,
                         }
                     }

@@ -30,6 +30,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// FQA over a discrete metric; shares FQT's per-level pivots and bucketing.
+///
+/// Cloning — the [`MetricIndex::fork`] — copies the sorted signature rows
+/// (an FQA insert shifts them, `O(n)`, already); the object table, an
+/// adopted matrix slice and the distance counter are shared.
+#[derive(Clone)]
 pub struct Fqa<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
@@ -325,10 +330,14 @@ where
 impl<O, M> MetricIndex<O> for Fqa<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O>,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         "FQA"
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

@@ -17,6 +17,7 @@ use pmi_metric::{
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Construction parameters for [`Mvpt`].
 #[derive(Clone, Copy, Debug)]
@@ -36,26 +37,37 @@ impl Default for MvptConfig {
     }
 }
 
+#[derive(Clone)]
 enum Node {
     Internal {
         /// `m − 1` ascending cut values over d(o, pivot-of-level).
         cuts: Vec<f64>,
-        children: Vec<Node>,
+        children: Vec<Arc<Node>>,
     },
     Leaf {
         /// Object ids plus their distances to the path pivots
-        /// (`pdists[i][lvl] = d(o_i, P[lvl])`).
+        /// (`pdists[i][lvl] = d(o_i, P[lvl])`). A row never changes once
+        /// written, so a path copy of the leaf shares it: the copy is three
+        /// allocations, not one per entry.
         ids: Vec<ObjId>,
-        pdists: Vec<Vec<f64>>,
+        pdists: Vec<Arc<[f64]>>,
     },
 }
 
 /// MVPT (VPT when `arity == 2`).
+///
+/// Cloning — the [`MetricIndex::fork`] — shares every node (the root, all
+/// children and each leaf entry's distance row sit behind `Arc`s), the
+/// object table's chunks and the distance counter. `insert` / `remove`
+/// descend with `Arc::make_mut`: a sole owner copies nothing, a fork
+/// copies the root-to-leaf path it writes (≤ one node per level plus one
+/// leaf's id and row-handle vectors) and nothing else.
+#[derive(Clone)]
 pub struct Mvpt<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
     cfg: MvptConfig,
-    root: Node,
+    root: Arc<Node>,
     table: ObjTable<O>,
     node_count: usize,
 }
@@ -75,16 +87,16 @@ where
             metric,
             pivots,
             cfg,
-            root: Node::Leaf {
+            root: Arc::new(Node::Leaf {
                 ids: Vec::new(),
                 pdists: Vec::new(),
-            },
+            }),
             table,
             node_count: 0,
         };
         let items: Vec<(ObjId, Vec<f64>)> =
             t.table.iter().map(|(id, _)| (id, Vec::new())).collect();
-        t.root = t.build_node(items, 0);
+        t.root = Arc::new(t.build_node(items, 0));
         t
     }
 
@@ -112,8 +124,7 @@ where
     fn build_node(&mut self, mut items: Vec<(ObjId, Vec<f64>)>, level: usize) -> Node {
         self.node_count += 1;
         if items.len() <= self.cfg.leaf_cap || level >= self.pivots.len() {
-            let (ids, pdists) = items.into_iter().unzip();
-            return Node::Leaf { ids, pdists };
+            return Self::leaf(items);
         }
         // One distance computation per object per level: the n·l build cost
         // shared by all pivot-based structures (Table 4).
@@ -140,15 +151,18 @@ where
         }
         // Degenerate cuts (all-equal distances): keep as a leaf.
         if parts.iter().filter(|p| !p.is_empty()).count() <= 1 {
-            let items: Vec<_> = parts.into_iter().flatten().collect();
-            let (ids, pdists) = items.into_iter().unzip();
-            return Node::Leaf { ids, pdists };
+            return Self::leaf(parts.into_iter().flatten().collect());
         }
         let children = parts
             .into_iter()
-            .map(|p| self.build_node(p, level + 1))
+            .map(|p| Arc::new(self.build_node(p, level + 1)))
             .collect();
         Node::Internal { cuts, children }
+    }
+
+    fn leaf(items: Vec<(ObjId, Vec<f64>)>) -> Node {
+        let (ids, pdists) = items.into_iter().map(|(id, pd)| (id, pd.into())).unzip();
+        Node::Leaf { ids, pdists }
     }
 
     /// `[lo, hi]` range of d(o, pivot) covered by child `i`.
@@ -205,7 +219,7 @@ where
 impl<O, M> MetricIndex<O> for Mvpt<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O>,
+    M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
         if self.cfg.arity == 2 {
@@ -213,6 +227,10 @@ where
         } else {
             "MVPT"
         }
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {
@@ -232,7 +250,7 @@ where
         }
         let q_dists: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
         let mut result: BinaryHeap<Neighbor> = BinaryHeap::new();
-        let mut nodes: Vec<(&Node, usize, f64)> = vec![(&self.root, 0, 0.0)];
+        let mut nodes: Vec<(&Node, usize, f64)> = vec![(&*self.root, 0, 0.0)];
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         heap.push(Reverse((0, 0)));
         let radius = |res: &BinaryHeap<Neighbor>| {
@@ -281,7 +299,7 @@ where
                         };
                         let child_lb = lb.max(gap);
                         if child_lb <= radius(&result) {
-                            nodes.push((child, level + 1, child_lb));
+                            nodes.push((&**child, level + 1, child_lb));
                             heap.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
                         }
                     }
@@ -304,7 +322,7 @@ where
         #[allow(clippy::type_complexity)]
         let mut split: Option<(Vec<(ObjId, Vec<f64>)>, usize)> = None;
         {
-            let mut node = &mut self.root;
+            let mut node = Arc::make_mut(&mut self.root);
             let mut level = 0usize;
             loop {
                 match node {
@@ -319,7 +337,7 @@ where
                             }
                         }
                         path.push(idx);
-                        node = &mut children[idx];
+                        node = Arc::make_mut(&mut children[idx]);
                         level += 1;
                     }
                     Node::Leaf { ids, pdists } => {
@@ -332,16 +350,13 @@ where
                         }
                         pd.truncate(want);
                         ids.push(id);
-                        pdists.push(pd);
+                        pdists.push(pd.into());
                         if ids.len() > self.cfg.leaf_cap * 2 && level < self.pivots.len() {
                             let items: Vec<(ObjId, Vec<f64>)> = std::mem::take(ids)
                                 .into_iter()
                                 .zip(std::mem::take(pdists))
-                                .map(|(id, mut p)| {
-                                    // build_node recomputes from `level`.
-                                    p.truncate(level);
-                                    (id, p)
-                                })
+                                // build_node recomputes from `level`.
+                                .map(|(id, p)| (id, p[..level].to_vec()))
                                 .collect();
                             split = Some((items, level));
                         }
@@ -354,10 +369,11 @@ where
         if let Some((items, level)) = split {
             self.node_count -= 1; // the leaf being replaced
             let rebuilt = self.build_node(items, level);
-            let mut node = &mut self.root;
+            // Phase 1 made the whole path this tree's own: no copy here.
+            let mut node = Arc::make_mut(&mut self.root);
             for idx in path {
                 match node {
-                    Node::Internal { children, .. } => node = &mut children[idx],
+                    Node::Internal { children, .. } => node = Arc::make_mut(&mut children[idx]),
                     Node::Leaf { .. } => break,
                 }
             }
@@ -370,7 +386,7 @@ where
         let Some(o) = self.table.get(id).cloned() else {
             return false;
         };
-        let mut node = &mut self.root;
+        let mut node = Arc::make_mut(&mut self.root);
         let mut level = 0usize;
         loop {
             match node {
@@ -383,7 +399,7 @@ where
                             break;
                         }
                     }
-                    node = &mut children[idx];
+                    node = Arc::make_mut(&mut children[idx]);
                     level += 1;
                 }
                 Node::Leaf { ids, pdists } => {
@@ -411,7 +427,7 @@ where
                     4 * ids.len() as u64 + pdists.iter().map(|p| 8 * p.len() as u64).sum::<u64>()
                 }
                 Node::Internal { cuts, children } => {
-                    8 * cuts.len() as u64 + children.iter().map(node_bytes).sum::<u64>()
+                    8 * cuts.len() as u64 + children.iter().map(|c| node_bytes(c)).sum::<u64>()
                 }
             }
         }

@@ -63,8 +63,8 @@ fn main() {
         .collect();
 
     // ── Readers serve through churn ─────────────────────────────────────
-    // `reader()` is Some because LAESA shards fork (copy-on-write).
-    let reader = engine.reader().expect("forkable engine");
+    // `reader()` is Some for every kind: every index forks.
+    let reader = engine.reader().expect("always Some");
     println!(
         "engine built: n={n}, epoch {} — spawning 2 readers",
         engine.epoch()

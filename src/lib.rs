@@ -46,7 +46,8 @@
 //! names the version that answered), cloneable [`EngineReader`] handles
 //! (`engine.reader()`) that keep serving on any number of threads while
 //! `engine.apply(..)` commits copy-on-write transactions, crash-safe
-//! all-or-nothing apply ([`ApplyReport::aborted`]), and a standing
+//! all-or-nothing apply ([`ApplyReport::aborted`]) — one write path,
+//! the same for every [`IndexKind`] — and a standing
 //! [`SubmitQueue`] with admission control ([`AdmissionPolicy`]:
 //! backpressure on a full queue, deadline shedding of stale batches) —
 //! is documented in `docs/concurrency.md`: the snapshot lifecycle,

@@ -57,9 +57,24 @@ fn opts() -> BuildOptions {
     }
 }
 
-fn build(policy: PartitionPolicy, shards: usize, pts: &[Vec<f32>]) -> ShardedEngine<Vec<f32>> {
+/// The kinds the writer-crash and quarantine drills sweep: a table, a
+/// disk-backed table, a tree and a disk index.
+const KINDS: [IndexKind; 4] = [
+    IndexKind::Laesa,
+    IndexKind::Cpt,
+    IndexKind::Mvpt,
+    IndexKind::OmniR,
+];
+const POLICIES: [PartitionPolicy; 2] = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace];
+
+fn build(
+    kind: IndexKind,
+    policy: PartitionPolicy,
+    shards: usize,
+    pts: &[Vec<f32>],
+) -> ShardedEngine<Vec<f32>> {
     build_sharded_vector_engine(
-        IndexKind::Laesa,
+        kind,
         pts.to_vec(),
         L2,
         &opts(),
@@ -99,7 +114,7 @@ fn panicking_shard_probe_is_contained_and_routed_around() {
         .collect();
 
     // Fault-free baseline: per-query results and exact per-shard costs.
-    let clean = build(PartitionPolicy::PivotSpace, 8, &pts);
+    let clean = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 8, &pts);
     let baseline: Vec<(QueryResult, Vec<Counters>)> =
         queries.iter().map(|q| probe_one(&clean, q)).collect();
     // A probed LAESA shard always computes ≥ l pivot distances, so the
@@ -117,7 +132,7 @@ fn panicking_shard_probe_is_contained_and_routed_around() {
         })
         .expect("clustered data must leave some shard partially probed");
 
-    let chaos = build(PartitionPolicy::PivotSpace, 8, &pts);
+    let chaos = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 8, &pts);
     fault::install(FaultPlan::new().with(FaultSpec::always(
         "engine.probe",
         Some(faulted as u64),
@@ -206,7 +221,7 @@ fn nan_distances_never_poison_or_panic() {
     fault::clear();
 
     let pts = pmr::datasets::la(300, 7);
-    let e = build(PartitionPolicy::RoundRobin, 4, &pts);
+    let e = build(IndexKind::Laesa, PartitionPolicy::RoundRobin, 4, &pts);
     let q = Query::range(pts[10].clone(), 500.0);
     let exact = e.serve(std::slice::from_ref(&q));
     let QueryResult::Range(exact_ids) = &exact.results[0] else {
@@ -244,7 +259,7 @@ fn injected_probe_delays_trip_the_query_deadline() {
     fault::clear();
 
     let pts = pmr::datasets::la(400, 9);
-    let e = build(PartitionPolicy::RoundRobin, 4, &pts);
+    let e = build(IndexKind::Laesa, PartitionPolicy::RoundRobin, 4, &pts);
     let q = Query::range(pts[5].clone(), 500.0);
     let exact = e.serve(std::slice::from_ref(&q));
     let QueryResult::Range(exact_ids) = &exact.results[0] else {
@@ -292,25 +307,36 @@ fn injected_probe_delays_trip_the_query_deadline() {
 /// (`engine.apply.publish`) — aborts the whole batch. Nothing lands, the
 /// epoch does not advance, a reader hammering the engine *during* the
 /// abort sees byte-identical results throughout, and retrying the same
-/// batch after clearing the fault succeeds.
+/// batch after clearing the fault succeeds with the same ids — on every
+/// kind and policy, because there is one write path.
 #[test]
 fn writer_panic_mid_apply_aborts_and_serving_continues() {
     quiet_injected_panics();
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for kind in KINDS {
+        for policy in POLICIES {
+            writer_panic_mid_apply(kind, policy);
+        }
+    }
+}
+
+fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
     fault::clear();
 
     let pts = pmr::datasets::la(400, 5);
-    let mut e = build(PartitionPolicy::PivotSpace, 4, &pts);
-    let reader = e.reader().expect("matrix LAESA engines fork");
+    let mut e = build(kind, policy, 4, &pts);
+    let reader = e.reader().expect("every kind hands out readers");
     let queries: Vec<Query<Vec<f32>>> = (0..16)
         .map(|i| Query::range(pts[i * 23].clone(), 40.0))
         .collect();
     let baseline = e.serve(&queries).results;
     let epoch0 = e.epoch();
     let len0 = e.len();
+    let located0: Vec<_> = (0..len0 as u32 + 2).map(|g| e.locate(g)).collect();
 
-    for point in ["engine.apply.stage", "engine.apply.publish"] {
-        fault::install(FaultPlan::new().with(FaultSpec::always(point, None, FaultKind::Panic)));
+    for at in ["engine.apply.stage", "engine.apply.publish"] {
+        let point = &format!("{kind:?}/{policy:?} {at}");
+        fault::install(FaultPlan::new().with(FaultSpec::always(at, None, FaultKind::Panic)));
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             // Set the stop flag even if a writer-side assertion below
@@ -357,6 +383,14 @@ fn writer_panic_mid_apply_aborts_and_serving_continues() {
         assert_eq!(e.epoch(), epoch0, "{point}: epoch unchanged");
         assert_eq!(e.len(), len0, "{point}: live count unchanged");
         assert!(e.get(0).is_some(), "{point}: the remove did not apply");
+        assert_eq!(e.num_shards(), 4, "{point}: every shard still there");
+        assert_eq!(
+            (0..len0 as u32 + 2)
+                .map(|g| e.locate(g))
+                .collect::<Vec<_>>(),
+            located0,
+            "{point}: locator unchanged"
+        );
         assert_eq!(
             e.serve(&queries).results,
             baseline,
@@ -380,6 +414,8 @@ fn writer_panic_mid_apply_aborts_and_serving_continues() {
     let report = e.apply(&batch);
     assert!(!report.aborted);
     assert_eq!((report.inserts, report.removes), (1, 1));
+    // The aborted attempts consumed no id: the retry gets the first free one.
+    assert_eq!(report.inserted_ids, vec![len0 as u32]);
     assert_eq!(e.epoch(), epoch0 + 1);
     assert!(e.get(0).is_none());
 }
@@ -387,16 +423,23 @@ fn writer_panic_mid_apply_aborts_and_serving_continues() {
 /// A panic inside the re-clustering pass (`engine.recluster`) aborts the
 /// *whole* transaction, including the several hundred inserts that staged
 /// before the trigger fired — re-clustering is part of the apply
-/// transaction, not a separate best-effort pass.
+/// transaction, not a separate best-effort pass. Routed engines only:
+/// round-robin engines never re-cluster, so the fault point is never reached.
 #[test]
 fn recluster_panic_aborts_the_whole_batch() {
     quiet_injected_panics();
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for kind in KINDS {
+        recluster_panic_aborts(kind);
+    }
+}
+
+fn recluster_panic_aborts(kind: IndexKind) {
     fault::clear();
 
     let pts = pmr::datasets::la(400, 5);
     let mut e = build_sharded_vector_engine(
-        IndexKind::Laesa,
+        kind,
         pts.to_vec(),
         L2,
         &opts(),
@@ -413,6 +456,11 @@ fn recluster_panic_aborts_the_whole_batch() {
     )
     .unwrap();
     let epoch0 = e.epoch();
+    let queries: Vec<Query<Vec<f32>>> = (0..16)
+        .map(|i| Query::range(pts[i * 23].clone(), 40.0))
+        .collect();
+    let baseline = e.serve(&queries).results;
+    let boxes0 = e.routing().expect("routed").boxes().to_vec();
 
     // 300 near-duplicates of one region all route to one shard and trip
     // the refresh trigger — where the injected panic fires.
@@ -430,16 +478,19 @@ fn recluster_panic_aborts_the_whole_batch() {
         FaultKind::Panic,
     )));
     let report = e.apply(&batch);
-    assert!(report.aborted, "recluster panic aborts the transaction");
+    assert!(report.aborted, "{kind:?}: recluster panic aborts");
     assert_eq!(e.len(), 400, "all 300 staged inserts discarded with it");
     assert_eq!(e.epoch(), epoch0);
     assert_eq!(fault::fired(), vec![1]);
+    assert_eq!(e.serve(&queries).results, baseline, "{kind:?}");
+    assert_eq!(e.routing().expect("routed").boxes(), boxes0, "{kind:?}");
 
     // Retry lands everything, including the re-clustering pass.
     fault::clear();
     let report = e.apply(&batch);
     assert!(!report.aborted);
     assert_eq!(report.inserts, 300);
+    assert_eq!(report.inserted_ids, (400..700).collect::<Vec<u32>>());
     assert_eq!(report.reclusters, 1, "skew still trips the refresh policy");
     assert_eq!(e.len(), 700);
     assert_eq!(e.epoch(), epoch0 + 1);
@@ -457,13 +508,6 @@ fn quarantine_survives_publication_and_heal_restores_parity() {
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
 
-    let kinds = [
-        IndexKind::Laesa,
-        IndexKind::Cpt,
-        IndexKind::Mvpt,
-        IndexKind::OmniR,
-    ];
-    let policies = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace];
     let pts = pmr::datasets::la(150, 5);
     // Big-radius ranges probe every live shard on both policies.
     let queries: Vec<Query<Vec<f32>>> = (0..6)
@@ -482,8 +526,8 @@ fn quarantine_survives_publication_and_heal_restores_parity() {
         b
     };
 
-    for kind in kinds {
-        for policy in policies {
+    for kind in KINDS {
+        for policy in POLICIES {
             let mk = || {
                 build_sharded_vector_engine(
                     kind,

@@ -49,7 +49,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// One benchmark-shaped commit: this many inserts and as many FIFO removes.
 const OPS: usize = 128;
 
-fn laesa_engine(pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
+fn engine(kind: IndexKind, pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
         column_mode: mode,
@@ -63,7 +63,7 @@ fn laesa_engine(pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
         ..EngineConfig::default()
     };
     build_sharded_engine(
-        IndexKind::Laesa,
+        kind,
         pts.to_vec(),
         L2,
         pivots,
@@ -71,7 +71,7 @@ fn laesa_engine(pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
         &cfg,
         PartitionPolicy::PivotSpace,
     )
-    .expect("LAESA builds over L2")
+    .expect("builds over L2")
 }
 
 fn commit(fresh: &[Vec<f32>], first_remove: ObjId) -> UpdateBatch<Vec<f32>> {
@@ -86,15 +86,15 @@ fn commit(fresh: &[Vec<f32>], first_remove: ObjId) -> UpdateBatch<Vec<f32>> {
 /// Bytes one commit allocates on an engine over `n` objects, first with no
 /// reader handle and then with one holding on to the engine. Two commits
 /// warm the write path before either is measured.
-fn commit_bytes(n: usize) -> [u64; 2] {
+fn commit_bytes(kind: IndexKind, n: usize) -> [u64; 2] {
     let pts = datasets::la(n + 4 * OPS, 42);
     let (indexed, fresh) = pts.split_at(n);
-    let mut engine = laesa_engine(indexed, ColumnMode::F64);
+    let mut engine = engine(kind, indexed, ColumnMode::F64);
     let mut reader = None;
     let mut bytes = [0; 4];
     for (c, fresh) in fresh.chunks(OPS).enumerate() {
         if c == 3 {
-            reader = Some(engine.reader().expect("LAESA engines hand out readers"));
+            reader = Some(engine.reader().expect("every kind hands out readers"));
         }
         let batch = commit(fresh, (c * OPS) as ObjId);
         let before = ALLOCATED.load(Ordering::Relaxed);
@@ -110,19 +110,23 @@ fn commit_bytes(n: usize) -> [u64; 2] {
 #[test]
 fn commit_allocation_does_not_grow_with_the_dataset() {
     let _serial = SERIAL.lock().unwrap();
-    let small = commit_bytes(20_000);
-    let large = commit_bytes(200_000);
-    for (pinned, (small, large)) in small.into_iter().zip(large).enumerate() {
-        assert!(
-            large <= 2 * small,
-            "reader={pinned}: a commit at n=200k allocates {large} B, at n=20k {small} B"
-        );
-        // Ten times the dataset may add spine entries, never copies: the
-        // per-object state alone is > 14 MB at n = 200k.
-        assert!(
-            large <= 1 << 20,
-            "reader={pinned}: a commit allocates {large} B"
-        );
+    // A table (chunk-shared rows) and a tree (path-copied nodes).
+    for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
+        let label = kind.label();
+        let small = commit_bytes(kind, 20_000);
+        let large = commit_bytes(kind, 200_000);
+        for (pinned, (small, large)) in small.into_iter().zip(large).enumerate() {
+            assert!(
+                large <= 2 * small,
+                "{label} reader={pinned}: a commit at n=200k allocates {large} B, at n=20k {small} B"
+            );
+            // Ten times the dataset may add spine entries and a tree level,
+            // never copies: the per-object state alone is > 14 MB at n = 200k.
+            assert!(
+                large <= 1 << 20,
+                "{label} reader={pinned}: a commit allocates {large} B"
+            );
+        }
     }
 }
 
@@ -154,7 +158,7 @@ fn a_forked_commit_leaves_the_parent_snapshot_byte_identical() {
     let (indexed, fresh) = pts.split_at(n);
     let queries: Vec<Vec<f32>> = indexed.iter().step_by(397).cloned().collect();
     for mode in [ColumnMode::F64, ColumnMode::F32] {
-        let mut engine = laesa_engine(indexed, mode);
+        let mut engine = engine(IndexKind::Laesa, indexed, mode);
         // The parent generation: the very shards the next commits fork.
         let parent = engine.shards().to_vec();
         let before = answers(&parent, &queries);

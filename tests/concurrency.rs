@@ -86,13 +86,24 @@ fn query_batch(pts: &[Vec<f32>]) -> Vec<Query<Vec<f32>>> {
 /// The acceptance-criteria test: two reader threads hammer a fixed query
 /// batch while the writer commits 40 apply transactions (remove + insert
 /// each). Every reader observation must be byte-identical to the writer's
-/// own quiesced serve at the same snapshot epoch.
+/// own quiesced serve at the same snapshot epoch — for a table kind, a
+/// disk-backed table, a tree and a disk index alike.
 #[test]
 fn concurrent_reads_match_quiesced_prefix() {
+    for kind in [
+        IndexKind::Laesa,
+        IndexKind::Cpt,
+        IndexKind::Mvpt,
+        IndexKind::OmniR,
+    ] {
+        concurrent_reads_match_quiesced_prefix_on(kind);
+    }
+}
+
+fn concurrent_reads_match_quiesced_prefix_on(kind: IndexKind) {
     let pts: Vec<Vec<f32>> = pmr::datasets::la(600, 21);
-    let mut engine = build(IndexKind::Laesa, 8, 2, &pts);
-    assert!(engine.supports_readers(), "matrix LAESA shards can fork");
-    let reader = engine.reader().expect("forkable engine hands out readers");
+    let mut engine = build(kind, 8, 2, &pts);
+    let reader = engine.reader().expect("every kind hands out readers");
     let queries = query_batch(&pts);
 
     // Quiesced baseline per epoch, recorded by the writer immediately
@@ -143,19 +154,20 @@ fn concurrent_reads_match_quiesced_prefix() {
             .collect()
     });
 
+    let label = kind.label();
     assert_eq!(engine.epoch(), STEPS as u64);
     let expected = expected.into_inner().unwrap();
     assert!(
         !observations.is_empty(),
-        "readers served at least one batch"
+        "{label}: readers served at least one batch"
     );
     for (epoch, results) in &observations {
         let want = expected
             .get(epoch)
-            .unwrap_or_else(|| panic!("reader saw unpublished epoch {epoch}"));
+            .unwrap_or_else(|| panic!("{label}: reader saw unpublished epoch {epoch}"));
         assert_eq!(
             results, want,
-            "epoch {epoch}: concurrent batch differs from the quiesced serve"
+            "{label} epoch {epoch}: concurrent batch differs from the quiesced serve"
         );
     }
     // Readers moved forward with the writer: the final epoch was observed
@@ -187,20 +199,6 @@ fn quiesced_applies_reclaim_every_snapshot() {
     engine.apply(&UpdateBatch::new());
     assert_eq!(engine.retired_snapshots(), 0);
     assert_eq!(engine.epoch(), 11);
-}
-
-/// Shard kinds that cannot fork get no reader handles — `apply` falls
-/// back to exclusive in-place mutation there, and handing out a reader
-/// would race it.
-#[test]
-fn non_forkable_kinds_refuse_readers() {
-    let pts: Vec<Vec<f32>> = pmr::datasets::la(200, 21);
-    let engine = build(IndexKind::Cpt, 4, 1, &pts);
-    assert!(!engine.supports_readers());
-    assert!(engine.reader().is_none());
-    let engine = build(IndexKind::Laesa, 4, 1, &pts);
-    assert!(engine.supports_readers());
-    assert!(engine.reader().is_some());
 }
 
 /// The standing submit queue: bounded depth rejects at admission

@@ -2,8 +2,8 @@
 //! is **bit for bit** the tight bounding box of the shard's live rows — the
 //! invariant the face rule rests on (a removed member strictly inside its
 //! box cannot have changed it, so only a member on a face triggers a
-//! recomputation). Checked on the copy-on-write path (LAESA) and on the
-//! exclusive in-place path (MVPT), which share the locator and the rule.
+//! recomputation). Checked on a table, a disk-backed table, a tree and a
+//! disk index — one write path, one locator, one rule.
 
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, ShardedEngine};
@@ -67,16 +67,19 @@ fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedE
     .unwrap()
 }
 
-/// The two write paths: LAESA forks (readers allowed), MVPT cannot.
-const KINDS: [(IndexKind, bool); 2] = [(IndexKind::Laesa, true), (IndexKind::Mvpt, false)];
+const KINDS: [IndexKind; 4] = [
+    IndexKind::Laesa,
+    IndexKind::Cpt,
+    IndexKind::Mvpt,
+    IndexKind::OmniR,
+];
 
 #[test]
 fn seeded_random_batches_keep_every_box_tight() {
     let pts = datasets::la(600, 21);
     let pool = datasets::la(400, 77);
-    for (kind, forks) in KINDS {
+    for kind in KINDS {
         let mut e = engine(kind, &pts, RefreshPolicy::disabled());
-        assert_eq!(e.reader().is_some(), forks, "{}", kind.label());
         assert_boxes_tight(&e, 600, "fresh build");
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = |below: usize| {
@@ -113,7 +116,7 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         max_imbalance: 2.0,
         min_objects: 50,
     };
-    for (kind, _) in KINDS {
+    for kind in KINDS {
         let mut e = engine(kind, &pts, refresh);
         // 300 near-duplicates of one region all route to one shard.
         let mut batch = UpdateBatch::new();
