@@ -287,12 +287,6 @@ impl TrajectoryPoint {
         self
     }
 
-    /// Appends a string field.
-    pub fn field_str(mut self, k: &str, v: &str) -> Self {
-        self.obj = self.obj.field_str(k, v);
-        self
-    }
-
     /// Appends a boolean field.
     pub fn field_bool(mut self, k: &str, v: bool) -> Self {
         self.obj = self.obj.field_bool(k, v);

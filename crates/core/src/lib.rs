@@ -298,11 +298,11 @@
 //! }
 //! ```
 //!
-//! # Performance: f32 columns, the SIMD kernel, batch scheduling
+//! # Performance: f32 columns, the SIMD kernel, one serving model
 //!
 //! The Lemma 1 filter scan is bandwidth-bound, and `docs/performance.md`
-//! documents the three levers that speed it up without changing a single
-//! answer byte:
+//! documents the two levers that speed it up without changing a single
+//! answer byte, and the one way a query is served:
 //!
 //! * **Filter-column modes** — `BuildOptions { column_mode:`
 //!   [`ColumnMode::F32`](pmi_metric::ColumnMode)` , .. }` adds an `f32`
@@ -314,11 +314,13 @@
 //!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`
 //!   forces a tier for testing.
-//! * **Batch scheduling** — [`EngineConfig::sched`] ([`SchedPolicy`])
-//!   picks between query-parallel (workers claim whole queries; the
-//!   throughput shape) and shard-parallel (each query fans across
-//!   shards; the narrow-batch shape); `Auto` applies the cost model and
-//!   [`ServeReport::strategy`] reports what ran.
+//! * **One serving model** — workers claim whole queries from a shared
+//!   cursor and probe each query's planned shards in sequence, so a
+//!   batch of any width, a lone query included, runs one probe path:
+//!   budgets, quarantine, tracing and exact per-shard accounting hold
+//!   everywhere, and every kNN shard scan is seeded with the running
+//!   k-th distance. There is no scheduling knob;
+//!   [`ServeReport::threads`] is `min(threads, batch)`.
 
 pub mod builder;
 pub mod serve;
@@ -331,10 +333,9 @@ pub use pmi_engine::{
     AdmissionPolicy, ApplyReport, BatchOutcome, BuildStats, CompactionPolicy, Completeness,
     DegradeReason, Degraded, EngineConfig, EngineError, EngineReader, EngineScratch,
     EngineSnapshot, FaultPolicy, LatencySummary, OpError, OpErrorKind, PumpOutcome, Query,
-    QueryBudget, QueryError, QueryResult, QueryTrace, QueueStats, RefreshPolicy, SchedPolicy,
-    SchedStrategy, ServeBudget, ServeReport, ShardFaultState, ShardServeStats, ShardedEngine,
-    SubmitOutcome, SubmitQueue, TraceEvent, TraceKind, TracePolicy, UpdateBatch, UpdateOp,
-    UpdateStats,
+    QueryBudget, QueryError, QueryResult, QueryTrace, QueueStats, RefreshPolicy, ServeBudget,
+    ServeReport, ShardFaultState, ShardServeStats, ShardedEngine, SubmitOutcome, SubmitQueue,
+    TraceEvent, TraceKind, TracePolicy, UpdateBatch, UpdateOp, UpdateStats,
 };
 
 pub use pmi_obs as obs;

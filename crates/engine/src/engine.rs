@@ -40,12 +40,10 @@
 //! ≥ 1 shard (`EngineError::ZeroShards` otherwise) — whose violation is an
 //! engine bug, not bad input.
 
-use crate::merge::{merge_range, TopK};
+use crate::merge::TopK;
 use crate::query::{Query, QueryResult};
 use crate::queue::{PumpOutcome, SubmitQueue};
-use crate::report::{
-    BuildStats, LatencySummary, SchedStrategy, ServeReport, ShardServeStats, UpdateStats,
-};
+use crate::report::{BuildStats, LatencySummary, ServeReport, ShardServeStats, UpdateStats};
 use crate::robust::{
     DegradeReason, Degraded, FaultPolicy, OpError, OpErrorKind, QuarantineState, QueryBudget,
     QueryError, ServeBudget, ShardFaultState,
@@ -107,50 +105,7 @@ pub struct EngineConfig {
     /// When repeated per-shard query panics quarantine a shard (see
     /// [`FaultPolicy`]; default: after 3).
     pub faults: FaultPolicy,
-    /// How [`serve`](ShardedEngine::serve) schedules a batch onto the
-    /// worker pool (see [`SchedPolicy`]; default: [`SchedPolicy::Auto`]).
-    pub sched: SchedPolicy,
 }
-
-/// How [`serve`](ShardedEngine::serve) maps a batch of queries onto the
-/// worker pool.
-///
-/// *Query-parallel* assigns whole queries to workers: each worker claims
-/// queries from a shared cursor and fans nothing, so `P` shards cost one
-/// streaming scan each and the batch scales with the query count. This is
-/// the right shape whenever the batch is at least as wide as the pool.
-///
-/// *Shard-parallel* runs the batch serially and fans each query's probe
-/// set across the pool (the single-query low-latency path of
-/// [`range_query`](ShardedEngine::range_query) /
-/// [`knn_query`](ShardedEngine::knn_query)). It only wins when the batch
-/// is *narrower* than the pool — otherwise the per-query fan-out multiplies
-/// coordination cost without adding parallelism.
-///
-/// `Auto` (the default) picks per batch with that cost model; the choice
-/// made is reported as [`ServeReport::strategy`]. Budgeted, traced, or
-/// single-threaded serving always runs query-parallel — degradation,
-/// shedding, and trace capture are implemented on the per-worker claim
-/// loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Choose per batch: query-parallel unless the batch is narrower than
-    /// the worker pool and each query plans enough rows to amortize a
-    /// per-query fan-out.
-    #[default]
-    Auto,
-    /// Always assign whole queries to workers.
-    QueryParallel,
-    /// Always fan each query across shards (falls back to query-parallel
-    /// when budgets or tracing are active, or with a single worker or a
-    /// single shard, where the fan-out cannot be honored).
-    ShardParallel,
-}
-
-/// Minimum live-object count (an upper bound on the rows one query plans)
-/// below which a per-query shard fan-out cannot amortize its scoped-thread
-/// setup; the measured crossover sits at a few thousand rows.
-const SHARD_PARALLEL_MIN_ROWS: usize = 4096;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -163,7 +118,6 @@ impl Default for EngineConfig {
             trace: TracePolicy::disabled(),
             budget: ServeBudget::unlimited(),
             faults: FaultPolicy::default(),
-            sched: SchedPolicy::default(),
         }
     }
 }
@@ -753,8 +707,6 @@ struct EngineCore<O> {
     trace: Mutex<TracePolicy>,
     /// Serving budgets, read once per batch (same discipline as `trace`).
     budget: Mutex<ServeBudget>,
-    /// How `serve` schedules batches onto workers, read once per batch.
-    sched: Mutex<SchedPolicy>,
     /// When repeated per-shard panics quarantine a shard.
     faults: FaultPolicy,
     /// Per-shard panic counts and quarantine flags.
@@ -825,6 +777,21 @@ impl<O> EngineReader<O> {
         self.core
             .execute_with(&snap, query, &mut EngineScratch::new())
     }
+
+    /// `MRQ(q, radius)` over the current snapshot: the ids of
+    /// [`execute`](Self::execute); call `execute` to see `Completeness`.
+    pub fn range_query(&self, q: &O, radius: f64) -> Vec<ObjId> {
+        let snap = self.core.snapshot();
+        self.core
+            .range_with(&snap, q, radius, &mut EngineScratch::new())
+    }
+
+    /// `MkNNQ(q, k)` over the current snapshot: the neighbours of
+    /// [`execute`](Self::execute); call `execute` to see `Completeness`.
+    pub fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
+        let snap = self.core.snapshot();
+        self.core.knn_with(&snap, q, k, &mut EngineScratch::new())
+    }
 }
 
 impl<O: Send + Sync> EngineReader<O> {
@@ -834,18 +801,6 @@ impl<O: Send + Sync> EngineReader<O> {
     pub fn serve(&self, batch: &[Query<O>]) -> BatchOutcome {
         let snap = self.core.snapshot();
         self.core.serve(&snap, batch)
-    }
-
-    /// Exact `MRQ(q, radius)` over the current snapshot.
-    pub fn range_query(&self, q: &O, radius: f64) -> Vec<ObjId> {
-        let snap = self.core.snapshot();
-        self.core.range_query(&snap, q, radius)
-    }
-
-    /// Exact `MkNNQ(q, k)` over the current snapshot.
-    pub fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let snap = self.core.snapshot();
-        self.core.knn_query(&snap, q, k)
     }
 
     /// Pops one pending batch from `queue` and serves it against the
@@ -1285,7 +1240,6 @@ impl<O> ShardedEngine<O> {
             obs,
             trace: Mutex::new(cfg.trace),
             budget: Mutex::new(cfg.budget),
-            sched: Mutex::new(cfg.sched),
             faults: cfg.faults,
             quarantine: QuarantineState::new(num_shards),
             validator: Mutex::new(None),
@@ -1476,18 +1430,6 @@ impl<O> ShardedEngine<O> {
     /// The engine's shard quarantine policy.
     pub fn fault_policy(&self) -> FaultPolicy {
         self.core.faults
-    }
-
-    /// The configured batch scheduling policy (see [`SchedPolicy`]).
-    pub fn sched_policy(&self) -> SchedPolicy {
-        *self.core.sched.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Replaces the batch scheduling policy (takes effect for the next
-    /// [`serve`](Self::serve) batch). Lets an A/B comparison reuse one
-    /// built engine instead of rebuilding per policy.
-    pub fn set_sched(&mut self, sched: SchedPolicy) {
-        *self.core.sched.lock().unwrap_or_else(|e| e.into_inner()) = sched;
     }
 
     /// Installs a query/insert object validator: objects it rejects fail
@@ -2254,6 +2196,37 @@ impl<O> ShardedEngine<O> {
         let snap = self.core.snapshot();
         self.core.execute_with(&snap, query, scratch)
     }
+
+    /// Metric range query `MRQ(q, r)` against the current snapshot: the
+    /// ids of [`execute`](Self::execute), sorted ascending; call `execute`
+    /// to see `Completeness`.
+    pub fn range_query(&self, q: &O, radius: f64) -> Vec<ObjId> {
+        let snap = self.core.snapshot();
+        self.core
+            .range_with(&snap, q, radius, &mut EngineScratch::new())
+    }
+
+    /// Metric kNN query `MkNNQ(q, k)` against the current snapshot: the
+    /// neighbours of [`execute`](Self::execute), sorted ascending by
+    /// `(distance, global id)`; call `execute` to see `Completeness`.
+    pub fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
+        let snap = self.core.snapshot();
+        self.core.knn_with(&snap, q, k, &mut EngineScratch::new())
+    }
+}
+
+/// What a probe's bookkeeping knows about the query it serves — the only
+/// two points where a range probe and a kNN probe differ around the probe
+/// proper.
+#[derive(Clone, Copy)]
+enum ProbeKind {
+    /// Range planning recorded every shard's verdict up front, and the
+    /// kernel leaves its filter survivors in the scratch for the trace.
+    Range,
+    /// kNN decides shard by shard, so the verdict — box lower bound and
+    /// best-first rank — is traced as the probe starts; kNN scans verify
+    /// through the heap, not the range survivor buffer.
+    Knn { lb: f64, rank: u32 },
 }
 
 impl<O> EngineCore<O> {
@@ -2271,8 +2244,6 @@ impl<O> EngineCore<O> {
         query: &Query<O>,
         scratch: &mut EngineScratch,
     ) -> QueryResult {
-        let budget = scratch.ctl.batch_budget;
-        scratch.ctl.begin(budget, self.quarantine.any());
         match query {
             Query::Range { q, radius } => {
                 let ids = self.range_with(snap, q, *radius, scratch);
@@ -2289,6 +2260,86 @@ impl<O> EngineCore<O> {
                 }
             }
         }
+    }
+
+    /// The one guarded shard probe every query runs: quarantine and budget
+    /// checks, panic attribution, the fault point, the exact probe tally,
+    /// the compdist-cap and trace snapshots around `run` (the probe
+    /// proper), spend accounting, the sampled wall and the trace's `Scan`.
+    /// Returns whether the probe ran. A skipped probe counts as neither
+    /// probed nor pruned: the plan wanted it, the budget (or quarantine)
+    /// withheld it.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &self,
+        shard: &Shard<O>,
+        s: usize,
+        kind: ProbeKind,
+        qs: &mut QueryScratch,
+        obs: &mut ScratchObs,
+        trace: &mut ScratchTrace,
+        ctl: &mut QueryCtl,
+        clock: &mut ObsClock,
+        tclock: &mut ObsClock,
+        run: impl FnOnce(&mut QueryScratch),
+    ) -> bool {
+        let guarded = ctl.armed;
+        if guarded {
+            if self.quarantine.is_quarantined(s) {
+                ctl.skip(DegradeReason::Quarantined);
+                return false;
+            }
+            if !ctl.allow_probe() {
+                return false;
+            }
+        }
+        // Unconditional plain store: a panic caught by `serve` reads
+        // this to attribute itself to the shard under probe.
+        ctl.probing = Some(s as u32);
+        fault::at("engine.probe", s as u64);
+        obs.note_probe(s);
+        let cd0 = (guarded && ctl.budget.caps_compdists()).then(|| shard.counters().compdists);
+        // Traced queries (trace.active) run their own lap timer and
+        // per-probe counter snapshots — neither exists on the untraced
+        // path.
+        let tsnap = trace.active.then(|| {
+            if let ProbeKind::Knn { lb, rank } = kind {
+                trace.ring.push(TraceEvent::Plan {
+                    shard: s as u32,
+                    lower_bound: lb,
+                    probed: true,
+                    order: rank,
+                });
+            }
+            (shard.counters(), qs.kernel_rows, qs.kernel_blocks)
+        });
+        run(qs);
+        if let Some(c0) = cd0 {
+            ctl.spent += shard.counters().compdists.saturating_sub(c0);
+        }
+        if obs.sampled {
+            obs.note_probe_wall(s, clock.lap());
+        }
+        if let Some((c0, kr0, kb0)) = tsnap {
+            let d = shard.counters().since(&c0);
+            let kernel_rows = qs.kernel_rows - kr0;
+            trace.ring.push(TraceEvent::Scan {
+                shard: s as u32,
+                dists: d.compdists,
+                page_accesses: d.page_accesses(),
+                kernel_rows,
+                kernel_blocks: qs.kernel_blocks - kb0,
+                // The survivor buffer belongs to kernel scans; a tree
+                // shard leaves it untouched from the previous probe.
+                survivors: match kind {
+                    ProbeKind::Range if kernel_rows > 0 => qs.survivors.len() as u64,
+                    _ => 0,
+                },
+                nanos: tclock.lap(),
+            });
+        }
+        true
     }
 
     /// Plans and probes `MRQ(q, r)` serially through scratch buffers.
@@ -2309,10 +2360,9 @@ impl<O> EngineCore<O> {
             ctl,
             ..
         } = scratch;
+        ctl.begin(ctl.batch_budget, self.quarantine.any());
         // Sampled queries pay one extra clock read per phase boundary; the
-        // rest see only the plain per-shard probe tally. Traced queries
-        // (trace.active) run their own lap timer and per-probe counter
-        // snapshots — neither exists on the untraced path.
+        // rest see only the plain per-shard probe tally.
         let mut clock = ObsClock::start(obs.sampled);
         let mut tclock = ObsClock::start(trace.active);
         match &snap.router {
@@ -2373,58 +2423,22 @@ impl<O> EngineCore<O> {
             });
         }
         ids.clear();
-        let guarded = ctl.armed;
         let mut executed = 0usize;
         for &s in probe.iter() {
-            if guarded {
-                if self.quarantine.is_quarantined(s) {
-                    ctl.skip(DegradeReason::Quarantined);
-                    continue;
-                }
-                if !ctl.allow_probe() {
-                    continue;
-                }
-            }
-            // Unconditional plain store: a panic caught by `serve` reads
-            // this to attribute itself to the shard under probe.
-            ctl.probing = Some(s as u32);
-            fault::at("engine.probe", s as u64);
-            executed += 1;
-            obs.note_probe(s);
-            let cd0 = (guarded && ctl.budget.caps_compdists())
-                .then(|| snap.shards[s].counters().compdists);
-            let tsnap = trace
-                .active
-                .then(|| (snap.shards[s].counters(), qs.kernel_rows, qs.kernel_blocks));
-            snap.shards[s].range_global_into(q, radius, qs, ids);
-            if let Some(c0) = cd0 {
-                ctl.spent += snap.shards[s].counters().compdists.saturating_sub(c0);
-            }
-            if obs.sampled {
-                obs.note_probe_wall(s, clock.lap());
-            }
-            if let Some((c0, kr0, kb0)) = tsnap {
-                let d = snap.shards[s].counters().since(&c0);
-                let kernel_rows = qs.kernel_rows - kr0;
-                trace.ring.push(TraceEvent::Scan {
-                    shard: s as u32,
-                    dists: d.compdists,
-                    page_accesses: d.page_accesses(),
-                    kernel_rows,
-                    kernel_blocks: qs.kernel_blocks - kb0,
-                    // The survivor buffer belongs to kernel scans; a tree
-                    // shard leaves it untouched from the previous probe.
-                    survivors: if kernel_rows > 0 {
-                        qs.survivors.len() as u64
-                    } else {
-                        0
-                    },
-                    nanos: tclock.lap(),
-                });
-            }
+            let shard = &snap.shards[s];
+            executed += usize::from(self.probe(
+                shard,
+                s,
+                ProbeKind::Range,
+                qs,
+                obs,
+                trace,
+                ctl,
+                &mut clock,
+                &mut tclock,
+                |qs| shard.range_global_into(q, radius, qs, ids),
+            ));
         }
-        // Skipped probes count as neither probed nor pruned: the plan
-        // wanted them, the budget (or quarantine) withheld them.
         self.note_probes(executed, snap.shards.len() - probe.len());
         // Shards are disjoint partitions: the union is concatenation plus
         // one sort for determinism.
@@ -2462,8 +2476,8 @@ impl<O> EngineCore<O> {
             ctl,
             ..
         } = scratch;
+        ctl.begin(ctl.batch_budget, self.quarantine.any());
         topk.reset(k);
-        let guarded = ctl.armed;
         let mut clock = ObsClock::start(obs.sampled);
         let mut tclock = ObsClock::start(trace.active);
         match &snap.router {
@@ -2473,146 +2487,67 @@ impl<O> EngineCore<O> {
                 if obs.timing {
                     obs.map_dists += mapped.len() as u64;
                 }
-                obs.plan_nanos += clock.lap();
-                let plan_nanos = tclock.lap();
-                let (mut probed, mut pruned) = (0usize, 0usize);
-                for (rank, &(s, lb)) in order.iter().enumerate() {
-                    if lb > topk.threshold() {
-                        pruned += 1;
-                        if trace.active {
-                            // Best-first order: the rank is both the plan
-                            // position and the point where pruning struck.
-                            trace.ring.push(TraceEvent::Plan {
-                                shard: s as u32,
-                                lower_bound: lb,
-                                probed: false,
-                                order: rank as u32,
-                            });
-                        }
-                        continue;
-                    }
-                    if guarded {
-                        if self.quarantine.is_quarantined(s) {
-                            ctl.skip(DegradeReason::Quarantined);
-                            continue;
-                        }
-                        if !ctl.allow_probe() {
-                            continue;
-                        }
-                    }
-                    ctl.probing = Some(s as u32);
-                    fault::at("engine.probe", s as u64);
-                    probed += 1;
-                    obs.note_probe(s);
-                    let cd0 = (guarded && ctl.budget.caps_compdists())
-                        .then(|| snap.shards[s].counters().compdists);
-                    let tsnap = trace.active.then(|| {
-                        trace.ring.push(TraceEvent::Plan {
-                            shard: s as u32,
-                            lower_bound: lb,
-                            probed: true,
-                            order: rank as u32,
-                        });
-                        (snap.shards[s].counters(), qs.kernel_rows, qs.kernel_blocks)
+            }
+            // No boxes: every shard in shard order under a zero bound,
+            // which is never `> threshold`.
+            None => {
+                mapped.clear();
+                order.clear();
+                order.extend((0..snap.shards.len()).map(|s| (s, 0.0)));
+            }
+        }
+        obs.plan_nanos += clock.lap();
+        let plan_nanos = tclock.lap();
+        let (mut probed, mut pruned) = (0usize, 0usize);
+        for (rank, &(s, lb)) in order.iter().enumerate() {
+            if lb > topk.threshold() {
+                pruned += 1;
+                if trace.active {
+                    // Best-first order: the rank is both the plan
+                    // position and the point where pruning struck.
+                    trace.ring.push(TraceEvent::Plan {
+                        shard: s as u32,
+                        lower_bound: lb,
+                        probed: false,
+                        order: rank as u32,
                     });
+                }
+                continue;
+            }
+            let shard = &snap.shards[s];
+            let kind = ProbeKind::Knn {
+                lb,
+                rank: rank as u32,
+            };
+            probed += usize::from(self.probe(
+                shard,
+                s,
+                kind,
+                qs,
+                obs,
+                trace,
+                ctl,
+                &mut clock,
+                &mut tclock,
+                |qs| {
                     // Seed the shard scan with the running threshold:
                     // shards are probed in sequence here, so candidates
                     // the merge would reject are never even verified.
                     let seed = topk.threshold();
-                    snap.shards[s].knn_into_with(q, k, seed, qs, nbrs, topk);
-                    if let Some(c0) = cd0 {
-                        ctl.spent += snap.shards[s].counters().compdists.saturating_sub(c0);
-                    }
-                    if obs.sampled {
-                        obs.note_probe_wall(s, clock.lap());
-                    }
-                    if let Some((c0, kr0, kb0)) = tsnap {
-                        let d = snap.shards[s].counters().since(&c0);
-                        trace.ring.push(TraceEvent::Scan {
-                            shard: s as u32,
-                            dists: d.compdists,
-                            page_accesses: d.page_accesses(),
-                            kernel_rows: qs.kernel_rows - kr0,
-                            kernel_blocks: qs.kernel_blocks - kb0,
-                            // kNN scans verify through the heap, not the
-                            // range survivor buffer.
-                            survivors: 0,
-                            nanos: tclock.lap(),
-                        });
-                    }
-                }
-                if trace.active {
-                    trace.ring.push(TraceEvent::PlanDone {
-                        shards: order.len() as u32,
-                        probed: probed as u32,
-                        pruned: pruned as u32,
-                        map_dists: mapped.len() as u64,
-                        nanos: plan_nanos,
-                    });
-                }
-                self.note_probes(probed, pruned);
-            }
-            None => {
-                obs.plan_nanos += clock.lap();
-                if trace.active {
-                    trace.ring.push(TraceEvent::PlanDone {
-                        shards: snap.shards.len() as u32,
-                        probed: snap.shards.len() as u32,
-                        pruned: 0,
-                        map_dists: 0,
-                        nanos: tclock.lap(),
-                    });
-                }
-                let mut probed = 0usize;
-                for (s, shard) in snap.shards.iter().enumerate() {
-                    if guarded {
-                        if self.quarantine.is_quarantined(s) {
-                            ctl.skip(DegradeReason::Quarantined);
-                            continue;
-                        }
-                        if !ctl.allow_probe() {
-                            continue;
-                        }
-                    }
-                    ctl.probing = Some(s as u32);
-                    fault::at("engine.probe", s as u64);
-                    probed += 1;
-                    obs.note_probe(s);
-                    let cd0 = (guarded && ctl.budget.caps_compdists())
-                        .then(|| snap.shards[s].counters().compdists);
-                    let tsnap = trace.active.then(|| {
-                        trace.ring.push(TraceEvent::Plan {
-                            shard: s as u32,
-                            lower_bound: 0.0,
-                            probed: true,
-                            order: s as u32,
-                        });
-                        (snap.shards[s].counters(), qs.kernel_rows, qs.kernel_blocks)
-                    });
-                    let seed = topk.threshold();
                     shard.knn_into_with(q, k, seed, qs, nbrs, topk);
-                    if let Some(c0) = cd0 {
-                        ctl.spent += snap.shards[s].counters().compdists.saturating_sub(c0);
-                    }
-                    if obs.sampled {
-                        obs.note_probe_wall(s, clock.lap());
-                    }
-                    if let Some((c0, kr0, kb0)) = tsnap {
-                        let d = snap.shards[s].counters().since(&c0);
-                        trace.ring.push(TraceEvent::Scan {
-                            shard: s as u32,
-                            dists: d.compdists,
-                            page_accesses: d.page_accesses(),
-                            kernel_rows: qs.kernel_rows - kr0,
-                            kernel_blocks: qs.kernel_blocks - kb0,
-                            survivors: 0,
-                            nanos: tclock.lap(),
-                        });
-                    }
-                }
-                self.note_probes(probed, 0);
-            }
+                },
+            ));
         }
+        if trace.active {
+            trace.ring.push(TraceEvent::PlanDone {
+                shards: order.len() as u32,
+                probed: probed as u32,
+                pruned: pruned as u32,
+                map_dists: mapped.len() as u64,
+                nanos: plan_nanos,
+            });
+        }
+        self.note_probes(probed, pruned);
         let out = topk.drain_sorted();
         obs.merge_nanos += clock.lap();
         if trace.active {
@@ -2622,134 +2557,6 @@ impl<O> EngineCore<O> {
             });
         }
         out
-    }
-
-    /// The shards `MRQ(q, r)` must probe: all of them for round-robin
-    /// engines, the router's Lemma 1 survivors otherwise. Also records the
-    /// probe/prune counts. (Allocating planner for the parallel
-    /// single-query path; batch serving plans through [`EngineScratch`].)
-    fn range_probe_set(&self, snap: &EngineSnapshot<O>, q: &O, radius: f64) -> Vec<usize> {
-        let mut probe = Vec::new();
-        match &snap.router {
-            Some(rt) => {
-                let mut qd = Vec::new();
-                rt.map_into(q, &mut qd);
-                rt.range_plan_into(&qd, radius, &mut probe);
-            }
-            None => probe.extend(0..snap.shards.len()),
-        }
-        let pruned = snap.shards.len() - probe.len();
-        if self.quarantine.any() {
-            // Quarantine skips count as neither probed nor pruned.
-            probe.retain(|&s| !self.quarantine.is_quarantined(s));
-        }
-        self.note_probes(probe.len(), pruned);
-        probe
-    }
-
-    /// Probes the given shards serially and merges the range union.
-    fn range_over(
-        &self,
-        snap: &EngineSnapshot<O>,
-        probe: &[usize],
-        q: &O,
-        radius: f64,
-    ) -> Vec<ObjId> {
-        merge_range(
-            probe
-                .iter()
-                .map(|&s| snap.shards[s].range_global(q, radius))
-                .collect(),
-        )
-    }
-}
-
-impl<O: Send + Sync> EngineCore<O> {
-    /// Metric range query `MRQ(q, r)`, fanned across the shards the planner
-    /// selects on at most `threads` scoped worker threads (the low-latency
-    /// path for a single query). Returns global ids sorted ascending.
-    fn range_query(&self, snap: &EngineSnapshot<O>, q: &O, radius: f64) -> Vec<ObjId> {
-        let probe = self.range_probe_set(snap, q, radius);
-        if probe.len() <= 1 || self.threads <= 1 {
-            return self.range_over(snap, &probe, q, radius);
-        }
-        let chunk = probe.len().div_ceil(self.threads);
-        let partials: Vec<Vec<ObjId>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = probe
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move |_| {
-                        group
-                            .iter()
-                            .map(|&s| snap.shards[s].range_global(q, radius))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("range worker panicked"))
-                .collect()
-        })
-        .expect("range scope panicked");
-        merge_range(partials)
-    }
-
-    /// Metric kNN query `MkNNQ(q, k)`. Round-robin engines fan the query
-    /// across all shards on scoped worker threads and merge through a
-    /// bounded binary heap; routed engines probe best-first on the calling
-    /// thread instead, because each probe tightens the cutoff that prunes
-    /// the shards after it (batch serving still parallelizes across
-    /// queries). Sorted ascending by `(distance, global id)`.
-    fn knn_query(&self, snap: &EngineSnapshot<O>, q: &O, k: usize) -> Vec<Neighbor> {
-        if snap.router.is_some() || snap.shards.len() == 1 || self.threads <= 1 {
-            let mut scratch = EngineScratch::new();
-            // Arm the quarantine guard (no budget — single-query calls are
-            // unbudgeted by contract) so planning routes around
-            // quarantined shards here too.
-            scratch
-                .ctl
-                .begin(QueryBudget::unlimited(), self.quarantine.any());
-            return self.knn_with(snap, q, k, &mut scratch);
-        }
-        let live: Vec<&Arc<Shard<O>>> = if self.quarantine.any() {
-            snap.shards
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| !self.quarantine.is_quarantined(*s))
-                .map(|(_, sh)| sh)
-                .collect()
-        } else {
-            snap.shards.iter().collect()
-        };
-        self.note_probes(live.len(), 0);
-        let chunk = live.len().max(1).div_ceil(self.threads);
-        let partials: Vec<Vec<Neighbor>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = live
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move |_| {
-                        // Each worker pre-merges its shard group, so at most
-                        // k candidates per group reach the global merge.
-                        let mut topk = TopK::new(k);
-                        for s in group {
-                            s.knn_into(q, k, &mut topk);
-                        }
-                        topk.into_sorted()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("knn worker panicked"))
-                .collect()
-        })
-        .expect("knn scope panicked");
-        let mut topk = TopK::new(k);
-        for p in partials {
-            topk.offer_all(p);
-        }
-        topk.into_sorted()
     }
 
     /// Up-front validation of one query: the typed error a malformed query
@@ -2779,52 +2586,15 @@ impl<O: Send + Sync> EngineCore<O> {
             _ => None,
         }
     }
+}
 
-    /// Picks the scheduling strategy for one batch (see [`SchedPolicy`]).
-    ///
-    /// Budgeted, traced, single-worker, and single-shard serving always
-    /// run query-parallel: degradation, shedding, and trace capture live
-    /// on the per-worker claim loop, and a 1-thread or 1-shard engine has
-    /// nothing to fan a query across. Past those guards the configured
-    /// policy wins; `Auto` goes query-parallel whenever the batch can
-    /// saturate the pool with whole queries (`batch >= threads`) — the
-    /// cheapest parallelism there is — and otherwise fans each query
-    /// across shards, provided a query plans enough rows
-    /// ([`SHARD_PARALLEL_MIN_ROWS`]) to amortize the per-query
-    /// scoped-thread setup.
-    fn choose_strategy(
-        &self,
-        snap: &EngineSnapshot<O>,
-        batch_len: usize,
-        budget: &ServeBudget,
-        tpolicy: &TracePolicy,
-    ) -> SchedStrategy {
-        if self.threads <= 1 || snap.shards.len() <= 1 || budget.enabled() || tpolicy.enabled() {
-            return SchedStrategy::QueryParallel;
-        }
-        let sched = *self.sched.lock().unwrap_or_else(|e| e.into_inner());
-        match sched {
-            SchedPolicy::QueryParallel => SchedStrategy::QueryParallel,
-            SchedPolicy::ShardParallel => SchedStrategy::ShardParallel,
-            SchedPolicy::Auto => {
-                if batch_len >= self.threads || snap.len() < SHARD_PARALLEL_MIN_ROWS {
-                    SchedStrategy::QueryParallel
-                } else {
-                    SchedStrategy::ShardParallel
-                }
-            }
-        }
-    }
-
-    /// Serves a batch of mixed queries on the worker pool. Under
-    /// query-parallel scheduling (the default; see [`SchedPolicy`]) each
-    /// worker claims queries from a shared atomic cursor, executes them
-    /// against the shards the planner selects through its own reused
+impl<O: Send + Sync> EngineCore<O> {
+    /// Serves a batch of mixed queries on the worker pool: each worker
+    /// claims queries from a shared atomic cursor, executes them against
+    /// the shards the planner selects through its own reused
     /// [`EngineScratch`], merges, and records the per-query latency from a
-    /// monotonic clock. Under shard-parallel scheduling the batch runs
-    /// serially and each query fans its probe set across the pool (the
-    /// single-query low-latency path). Returns the merged answers in batch
-    /// order plus a [`ServeReport`] that names the strategy used.
+    /// monotonic clock. Returns the merged answers in batch order plus a
+    /// [`ServeReport`].
     ///
     /// The report's `cost` is the delta of the aggregate counters across
     /// the batch — exact for everything this engine's shards executed in
@@ -2858,14 +2628,6 @@ impl<O: Send + Sync> EngineCore<O> {
         let tpolicy = self.trace_policy();
         let budget = self.serve_budget();
         let validator = self.validator();
-        let strategy = self.choose_strategy(snap, batch.len(), &budget, &tpolicy);
-        // Worker threads the batch actually occupies, for the report and
-        // the idle estimate: the claim-loop pool under query-parallel, the
-        // per-query fan-out width under shard-parallel.
-        let pool = match strategy {
-            SchedStrategy::ShardParallel => self.threads.max(1),
-            SchedStrategy::QueryParallel => workers,
-        };
         let cursor = AtomicUsize::new(0);
         let t0 = Instant::now();
         // Batch-level admission deadline: once blown, still-unclaimed
@@ -2953,57 +2715,8 @@ impl<O: Send + Sync> EngineCore<O> {
             (local, obs, std::mem::take(&mut scratch.trace.captured))
         };
 
-        // Shard-parallel: the batch runs serially on this thread and each
-        // query fans its probe set across the pool through the
-        // single-query paths. Budgets and tracing are off by construction
-        // of the strategy, so the claim-loop machinery (degradation,
-        // per-segment sampling, capture) is not needed; validation,
-        // batch-deadline shedding, and panic isolation still apply. A
-        // panic inside the fan-out surfaces here without a shard
-        // attribution (the scoped workers' probes are not tracked
-        // per-shard on this path).
-        let run_fanned = || {
-            let b0 = timing.then(Instant::now);
-            let mut obs = ScratchObs::default();
-            obs.prepare(snap.shards.len(), timing);
-            let mut local = Vec::with_capacity(batch.len());
-            for (i, query) in batch.iter().enumerate() {
-                if let Some(d) = batch_deadline {
-                    if Instant::now() >= d {
-                        local.push((i, QueryResult::Shed, 0));
-                        continue;
-                    }
-                }
-                if let Some(e) = self.validate(validator.as_ref(), query) {
-                    local.push((i, QueryResult::Failed(e), 0));
-                    continue;
-                }
-                let q0 = Instant::now();
-                let res = catch_unwind(AssertUnwindSafe(|| match query {
-                    Query::Range { q, radius } => {
-                        QueryResult::Range(self.range_query(snap, q, *radius))
-                    }
-                    Query::Knn { q, k } => QueryResult::Knn(self.knn_query(snap, q, *k)),
-                }))
-                .unwrap_or(QueryResult::Failed(QueryError::Panicked { shard: None }));
-                let ns = q0.elapsed().as_nanos() as u64;
-                if timing {
-                    obs.query_wall.record(ns);
-                }
-                local.push((i, res, ns));
-            }
-            if timing {
-                if let Some(t) = b0 {
-                    obs.busy_nanos = t.elapsed().as_nanos() as u64;
-                }
-            }
-            (local, obs, Vec::new())
-        };
-
         type WorkerOut = (Vec<(usize, QueryResult, u64)>, ScratchObs, Vec<QueryTrace>);
-        let collected: Vec<WorkerOut> = if strategy == SchedStrategy::ShardParallel {
-            vec![run_fanned()]
-        } else if workers <= 1 {
+        let collected: Vec<WorkerOut> = if workers <= 1 {
             vec![run_worker()]
         } else {
             crossbeam::thread::scope(|scope| {
@@ -3116,7 +2829,7 @@ impl<O: Send + Sync> EngineCore<O> {
             // Phase walls for plan/scan/merge cover the sampled queries
             // only; extrapolate by the sampling stride so they read as
             // batch-level estimates next to the exact `serve` wall.
-            let idle_nanos = (wall_nanos * pool as u64).saturating_sub(agg.busy_nanos);
+            let idle_nanos = (wall_nanos * workers as u64).saturating_sub(agg.busy_nanos);
             self.obs.phase_add(
                 "serve",
                 1,
@@ -3124,7 +2837,7 @@ impl<O: Send + Sync> EngineCore<O> {
                 &[
                     ("queries", batch.len() as u64),
                     ("results", total_results as u64),
-                    ("workers", pool as u64),
+                    ("workers", workers as u64),
                     ("shards_probed", probed1 - probed0),
                     ("shards_pruned", pruned1 - pruned0),
                     ("compdists", cost.compdists),
@@ -3171,7 +2884,6 @@ impl<O: Send + Sync> EngineCore<O> {
         let range_queries = batch.iter().filter(|q| q.is_range()).count();
         let report = ServeReport {
             queries: batch.len(),
-            strategy,
             range_queries,
             knn_queries: batch.len() - range_queries,
             total_results,
@@ -3179,7 +2891,7 @@ impl<O: Send + Sync> EngineCore<O> {
             shed,
             failed,
             shards: snap.shards.len(),
-            threads: pool,
+            threads: workers,
             epoch: snap.epoch,
             wall_secs,
             qps: if wall_secs > 0.0 {
@@ -3226,19 +2938,6 @@ impl<O: Send + Sync> ShardedEngine<O> {
     pub fn serve(&self, batch: &[Query<O>]) -> BatchOutcome {
         let snap = self.core.snapshot();
         self.core.serve(&snap, batch)
-    }
-
-    /// Metric range query `MRQ(q, r)` against the current snapshot. See
-    /// [`EngineCore`]'s fan-out notes on the serving paths.
-    pub fn range_query(&self, q: &O, radius: f64) -> Vec<ObjId> {
-        let snap = self.core.snapshot();
-        self.core.range_query(&snap, q, radius)
-    }
-
-    /// Metric kNN query `MkNNQ(q, k)` against the current snapshot.
-    pub fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let snap = self.core.snapshot();
-        self.core.knn_query(&snap, q, k)
     }
 
     /// Drains one queued batch from `queue` against the current snapshot
@@ -4060,6 +3759,19 @@ mod tests {
             assert_eq!(t.shards_pruned(), 0);
             assert!(t.explain().contains("probed 4/4 shards"));
         }
+        // The kNN ran the routed loop over zero bounds: a verdict and a scan
+        // per shard, one summary each.
+        let knn = &out.report.traces[1].events;
+        let count = |f: fn(&TraceEvent) -> bool| knn.iter().filter(|e| f(e)).count();
+        assert_eq!(
+            [
+                count(|e| matches!(e, TraceEvent::Plan { .. })),
+                count(|e| matches!(e, TraceEvent::Scan { .. })),
+                count(|e| matches!(e, TraceEvent::PlanDone { .. })),
+                count(|e| matches!(e, TraceEvent::Merge { .. })),
+            ],
+            [4, 4, 1, 1]
+        );
     }
 
     use crate::robust::Completeness;
@@ -4138,10 +3850,11 @@ mod tests {
 
     /// 4-shard round-robin engine whose shard 1 panics on every query.
     fn panicky_engine(
+        n: usize,
         faults: FaultPolicy,
         threads: usize,
     ) -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
-        let objects = grid(40);
+        let objects = grid(n);
         let e = ShardedEngine::build_with(
             objects.clone(),
             &EngineConfig {
@@ -4167,6 +3880,7 @@ mod tests {
     fn panicking_shard_is_contained_then_quarantined_then_healed() {
         silent_panics(|| {
             let (objects, e) = panicky_engine(
+                40,
                 FaultPolicy {
                     quarantine_after: 2,
                 },
@@ -4220,6 +3934,47 @@ mod tests {
                 out2.results[0],
                 QueryResult::Failed(QueryError::Panicked { shard: Some(1) })
             );
+        });
+    }
+
+    #[test]
+    fn a_lone_query_is_accounted_like_any_batch() {
+        // Narrower than the pool, on an engine past any size threshold.
+        let e = engine(4096, 4, 4);
+        for one in [
+            Query::range(vec![3.0f32, 3.0], 2.0),
+            Query::knn(vec![3.0f32, 3.0], 5),
+        ] {
+            let report = e.serve(std::slice::from_ref(&one)).report;
+            assert_eq!(report.threads, 1, "max(1, min(threads, batch))");
+            assert_eq!(report.shards_probed, 4);
+            let probes: u64 = report.per_shard.iter().map(|s| s.probes).sum();
+            assert_eq!(probes, report.shards_probed, "per-shard tally is exact");
+        }
+    }
+
+    #[test]
+    fn lone_queries_attribute_their_panics_and_quarantine_the_shard() {
+        silent_panics(|| {
+            let (objects, e) = panicky_engine(
+                4096,
+                FaultPolicy {
+                    quarantine_after: 2,
+                },
+                4,
+            );
+            let one = [Query::range(objects[0].clone(), 1.0)];
+            for _ in 0..2 {
+                assert_eq!(
+                    e.serve(&one).results[0],
+                    QueryResult::Failed(QueryError::Panicked { shard: Some(1) })
+                );
+            }
+            assert_eq!(e.quarantined_shards(), vec![1]);
+            assert!(matches!(
+                e.serve(&one).results[0],
+                QueryResult::PartialRange(_, d) if d.reason == DegradeReason::Quarantined
+            ));
         });
     }
 
@@ -4394,92 +4149,5 @@ mod tests {
         let mut ok = UpdateBatch::new();
         ok.insert(vec![2.0, 2.0]).remove(5);
         assert!(e.apply(&ok).op_errors.is_empty());
-    }
-
-    #[test]
-    fn auto_scheduling_follows_the_cost_model() {
-        let one = &[Query::range(vec![0.0f32, 0.0], 1.0)];
-
-        // Small engine: a per-query fan-out can't amortize its setup, so
-        // Auto stays query-parallel even for a narrow batch on a wide pool.
-        let e = engine(40, 4, 4);
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::QueryParallel);
-
-        // Large engine + batch narrower than the pool: Auto fans out.
-        let e = engine(SHARD_PARALLEL_MIN_ROWS, 4, 4);
-        let out = e.serve(one);
-        assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
-        assert_eq!(out.report.threads, 4, "reports the fan-out width");
-        assert!(format!("{}", out.report).contains("shard-parallel scheduling"));
-
-        // Same engine, batch at least as wide as the pool: whole queries
-        // saturate the workers — query-parallel again.
-        let wide: Vec<_> = (0..4).map(|_| one[0].clone()).collect();
-        assert_eq!(e.serve(&wide).report.strategy, SchedStrategy::QueryParallel);
-
-        // Budgets pin the claim loop regardless of size or batch shape.
-        e.set_budget(ServeBudget {
-            query: QueryBudget {
-                wall_nanos: u64::MAX / 4,
-                compdists: 0,
-            },
-            batch_wall_nanos: 0,
-        });
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::QueryParallel);
-        e.set_budget(ServeBudget::unlimited());
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::ShardParallel);
-
-        // Forcing the policy overrides the size heuristic but never the
-        // feasibility guards (one worker / one shard serve query-parallel).
-        let mut small = engine(40, 4, 4);
-        small.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(small.sched_policy(), SchedPolicy::ShardParallel);
-        assert_eq!(
-            small.serve(one).report.strategy,
-            SchedStrategy::ShardParallel
-        );
-        let mut serial = engine(40, 4, 1);
-        serial.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(
-            serial.serve(one).report.strategy,
-            SchedStrategy::QueryParallel
-        );
-        let mut fused = engine(40, 1, 4);
-        fused.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(
-            fused.serve(one).report.strategy,
-            SchedStrategy::QueryParallel
-        );
-    }
-
-    #[test]
-    fn both_strategies_serve_identical_answers() {
-        let objects = grid(60);
-        let batch: Vec<Query<Vec<f32>>> = (0..12)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Query::range(objects[i * 3].clone(), 3.0)
-                } else {
-                    Query::knn(objects[i * 3].clone(), 5)
-                }
-            })
-            .collect();
-        let mut e = engine(60, 3, 2);
-        e.set_sched(SchedPolicy::QueryParallel);
-        let qp = e.serve(&batch);
-        e.set_sched(SchedPolicy::ShardParallel);
-        let sp = e.serve(&batch);
-        assert_eq!(qp.report.strategy, SchedStrategy::QueryParallel);
-        assert_eq!(sp.report.strategy, SchedStrategy::ShardParallel);
-        assert_eq!(qp.results, sp.results);
-        assert_eq!(sp.report.failed, 0);
-        assert_eq!(sp.report.shed, 0);
-        // Both paths validate: a malformed query fails per-item on the
-        // fanned path too.
-        let bad = e.serve(&[Query::range(objects[0].clone(), -1.0)]);
-        assert_eq!(
-            bad.results[0],
-            QueryResult::Failed(QueryError::NegativeRadius)
-        );
     }
 }

@@ -35,10 +35,12 @@
 //!   when a batch leaves the shards imbalanced. Every [`ApplyReport`]
 //!   counter is exact.
 //!
-//! Shard-level parallelism is also available per query:
-//! [`ShardedEngine::range_query`] and [`ShardedEngine::knn_query`] fan a
-//! single query across all shards on scoped threads and merge, which is the
-//! low-latency path for one-off queries.
+//! There is one serving model: every query — in a batch of any width, or
+//! alone through [`ShardedEngine::execute`], [`ShardedEngine::range_query`]
+//! or [`ShardedEngine::knn_query`] — is planned and probed shard by shard
+//! on the thread that claimed it, so quarantine, exact per-shard
+//! accounting and kNN threshold seeding hold on every path, and `serve`'s
+//! budgets and tracing at every batch width.
 //!
 //! # Example
 //!
@@ -75,16 +77,14 @@ pub mod update;
 
 pub use engine::{
     BatchOutcome, EngineConfig, EngineError, EngineReader, EngineScratch, EngineSnapshot,
-    SchedPolicy, ShardedEngine,
+    ShardedEngine,
 };
 pub use merge::TopK;
 pub use pmi_obs::{QueryTrace, TraceEvent, TraceKind, TracePolicy};
 pub use pmi_router::{PartitionPolicy, RoutingTable};
 pub use query::{Query, QueryResult};
 pub use queue::{AdmissionPolicy, PumpOutcome, QueueStats, SubmitOutcome, SubmitQueue};
-pub use report::{
-    BuildStats, LatencySummary, SchedStrategy, ServeReport, ShardServeStats, UpdateStats,
-};
+pub use report::{BuildStats, LatencySummary, ServeReport, ShardServeStats, UpdateStats};
 pub use robust::{
     Completeness, DegradeReason, Degraded, FaultPolicy, OpError, OpErrorKind, QueryBudget,
     QueryError, ServeBudget, ShardFaultState,

@@ -40,13 +40,6 @@ impl TopK {
         }
     }
 
-    /// Offers every neighbor of a per-shard partial result.
-    pub fn offer_all(&mut self, partial: impl IntoIterator<Item = Neighbor>) {
-        for n in partial {
-            self.offer(n);
-        }
-    }
-
     /// Current pruning threshold: the k-th best distance, or `+∞` while the
     /// heap is not yet full.
     pub fn threshold(&self) -> f64 {
@@ -65,13 +58,6 @@ impl TopK {
     /// Whether nothing has been collected.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// The collected neighbors sorted ascending by `(distance, id)`.
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v = self.heap.into_vec();
-        v.sort_unstable();
-        v
     }
 
     /// Re-arms the collector for a new query with bound `k`, keeping the
@@ -94,15 +80,6 @@ impl TopK {
     }
 }
 
-/// Merges per-shard range answers (already mapped to global ids) into one
-/// sorted union. Shards are disjoint partitions, so this is concatenation
-/// plus a sort for determinism.
-pub fn merge_range(partials: Vec<Vec<pmi_metric::ObjId>>) -> Vec<pmi_metric::ObjId> {
-    let mut out: Vec<pmi_metric::ObjId> = partials.into_iter().flatten().collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,8 +91,10 @@ mod tests {
     #[test]
     fn keeps_k_smallest() {
         let mut t = TopK::new(3);
-        t.offer_all([n(0, 5.0), n(1, 1.0), n(2, 4.0), n(3, 2.0), n(4, 3.0)]);
-        let got = t.into_sorted();
+        for x in [n(0, 5.0), n(1, 1.0), n(2, 4.0), n(3, 2.0), n(4, 3.0)] {
+            t.offer(x);
+        }
+        let got = t.drain_sorted();
         assert_eq!(got.iter().map(|x| x.id).collect::<Vec<_>>(), vec![1, 3, 4]);
     }
 
@@ -134,8 +113,10 @@ mod tests {
     #[test]
     fn ties_break_by_id() {
         let mut t = TopK::new(2);
-        t.offer_all([n(9, 1.0), n(3, 1.0), n(5, 1.0)]);
-        let got = t.into_sorted();
+        for x in [n(9, 1.0), n(3, 1.0), n(5, 1.0)] {
+            t.offer(x);
+        }
+        let got = t.drain_sorted();
         assert_eq!(got.iter().map(|x| x.id).collect::<Vec<_>>(), vec![3, 5]);
     }
 
@@ -144,25 +125,23 @@ mod tests {
         let mut t = TopK::new(0);
         t.offer(n(1, 1.0));
         assert!(t.is_empty());
-        assert!(t.into_sorted().is_empty());
-    }
-
-    #[test]
-    fn merge_range_unions_sorted() {
-        let merged = merge_range(vec![vec![7, 1], vec![], vec![4, 2]]);
-        assert_eq!(merged, vec![1, 2, 4, 7]);
+        assert!(t.drain_sorted().is_empty());
     }
 
     #[test]
     fn reset_and_drain_reuse_the_collector() {
         let mut t = TopK::new(2);
-        t.offer_all([n(0, 5.0), n(1, 1.0), n(2, 3.0)]);
+        for x in [n(0, 5.0), n(1, 1.0), n(2, 3.0)] {
+            t.offer(x);
+        }
         let first = t.drain_sorted();
         assert_eq!(first.iter().map(|x| x.id).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(first.capacity(), first.len(), "exact-size answer");
         assert!(t.is_empty());
         t.reset(1);
-        t.offer_all([n(7, 9.0), n(8, 2.0)]);
+        for x in [n(7, 9.0), n(8, 2.0)] {
+            t.offer(x);
+        }
         assert_eq!(t.drain_sorted()[0].id, 8);
     }
 }

@@ -133,32 +133,6 @@ pub struct UpdateStats {
     pub compacted_rows: u64,
 }
 
-/// How a [`serve`](crate::ShardedEngine::serve) batch was scheduled onto
-/// the worker pool — chosen per batch by a cost model (or pinned by
-/// [`SchedPolicy`](crate::SchedPolicy)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedStrategy {
-    /// Workers claim whole queries; each worker probes all of its query's
-    /// planned shards itself. The default: with enough queries to go
-    /// around it keeps every worker busy with zero cross-thread merge.
-    #[default]
-    QueryParallel,
-    /// Each query's planned shard probes fan out across the worker pool
-    /// (one query at a time). Wins only when the batch is smaller than the
-    /// pool and per-query work is large enough to amortize the fan-out.
-    ShardParallel,
-}
-
-impl SchedStrategy {
-    /// Human-readable label (`"query-parallel"` / `"shard-parallel"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedStrategy::QueryParallel => "query-parallel",
-            SchedStrategy::ShardParallel => "shard-parallel",
-        }
-    }
-}
-
 /// What a call to [`ShardedEngine::serve`](crate::ShardedEngine::serve)
 /// measured: batch shape, wall-clock throughput, latency percentiles, and
 /// the paper's cost metrics aggregated across every shard.
@@ -166,8 +140,6 @@ impl SchedStrategy {
 pub struct ServeReport {
     /// Total queries in the batch.
     pub queries: usize,
-    /// How the batch was scheduled onto workers (see [`SchedStrategy`]).
-    pub strategy: SchedStrategy,
     /// How many were range queries.
     pub range_queries: usize,
     /// How many were kNN queries.
@@ -185,7 +157,8 @@ pub struct ServeReport {
     /// Number of shards in the engine (actual probes are in
     /// `shards_probed` — routed queries touch a subset).
     pub shards: usize,
-    /// Worker threads used.
+    /// Worker threads the batch occupied: `max(1, min(engine threads,
+    /// queries))` for every batch.
     pub threads: usize,
     /// Publication epoch of the [`EngineSnapshot`](crate::EngineSnapshot)
     /// the whole batch was served against — every query in a batch sees one
@@ -245,13 +218,12 @@ impl std::fmt::Display for ServeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{} queries ({} range, {} kNN) on {} shard(s) x {} thread(s), {} scheduling, snapshot epoch {}",
+            "{} queries ({} range, {} kNN) on {} shard(s) x {} thread(s), snapshot epoch {}",
             self.queries,
             self.range_queries,
             self.knn_queries,
             self.shards,
             self.threads,
-            self.strategy.label(),
             self.epoch
         )?;
         writeln!(

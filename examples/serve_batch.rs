@@ -128,10 +128,7 @@ fn main() {
     // columns stream half the bytes through the Lemma 1 kernel while exact
     // distances stay f64 — the stored rows carry a conservative rounding
     // slack, so the bounds remain admissible and the answers stay
-    // byte-identical to the F64 engine. The report's first line names the
-    // active batch scheduling strategy (wide batches assign whole queries
-    // to workers; narrow batches on large engines fan each query across
-    // shards instead).
+    // byte-identical to the F64 engine.
     println!("\ncolumn modes (LAESA, P=8, pivot-space):");
     let f64_answers = {
         let e = build_sharded_vector_engine(
@@ -176,13 +173,6 @@ fn main() {
         "  answers byte-identical to mode={}: {}",
         pmr::ColumnMode::F64.label(),
         wide.results == f64_answers,
-    );
-    let narrow = f32_engine.serve(&batch[..2]);
-    println!(
-        "  narrow batch ({} queries on {} workers) chose {} scheduling",
-        2,
-        narrow.report.threads,
-        narrow.report.strategy.label(),
     );
 
     // The unified mutation path: one apply() batch routes inserts through

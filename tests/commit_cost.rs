@@ -7,7 +7,7 @@ use pivot_metric_repro as pmr;
 use pmr::engine::TopK;
 use pmr::{
     build_sharded_engine, datasets, BuildOptions, ColumnMode, EngineConfig, IndexKind, Neighbor,
-    ObjId, PartitionPolicy, ShardedEngine, UpdateBatch, L2,
+    ObjId, PartitionPolicy, QueryScratch, ShardedEngine, UpdateBatch, L2,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,14 +138,14 @@ fn answers(
     queries
         .iter()
         .map(|q| {
-            let mut ids: Vec<ObjId> = shards
-                .iter()
-                .flat_map(|s| s.range_global(q, 900.0))
-                .collect();
-            ids.sort_unstable();
+            let (mut qs, mut ids, mut tmp) = (QueryScratch::new(), Vec::new(), Vec::new());
             let mut topk = TopK::new(10);
-            shards.iter().for_each(|s| s.knn_into(q, 10, &mut topk));
-            (ids, topk.into_sorted())
+            for s in shards {
+                s.range_global_into(q, 900.0, &mut qs, &mut ids);
+                s.knn_into_with(q, 10, topk.threshold(), &mut qs, &mut tmp, &mut topk);
+            }
+            ids.sort_unstable();
+            (ids, topk.drain_sorted())
         })
         .collect()
 }

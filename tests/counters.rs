@@ -493,6 +493,41 @@ fn traced_queries_sum_exactly_to_serve_report() {
     }
 }
 
+/// A lone kNN runs the batch path's probe sequence, seeded with the running
+/// k-th distance: through `knn_query` it spends exactly the compdists of the
+/// same query through `execute` — on a round-robin engine too, where every
+/// shard is probed and only the seed saves verifications.
+#[test]
+fn lone_knn_spends_what_execute_spends() {
+    let pts = datasets::la(2_000, 29);
+    let opts = BuildOptions {
+        d_plus: 14143.0,
+        ..BuildOptions::default()
+    };
+    let engine = pmr::build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &opts,
+        &pmr::EngineConfig {
+            shards: 4,
+            threads: 2,
+            ..pmr::EngineConfig::default()
+        },
+        pmr::PartitionPolicy::RoundRobin,
+    )
+    .unwrap();
+    for q in pts.iter().step_by(199) {
+        let cd0 = engine.counters().compdists;
+        let executed = engine.execute(&pmr::Query::knn(q.clone(), 10));
+        let cd1 = engine.counters().compdists;
+        let nbrs = engine.knn_query(q, 10);
+        let cd2 = engine.counters().compdists;
+        assert_eq!(executed, pmr::QueryResult::Knn(nbrs));
+        assert_eq!(cd2 - cd1, cd1 - cd0, "knn_query is execute's probe path");
+    }
+}
+
 #[test]
 fn storage_split_matches_index_family() {
     // Table 4's (I)/(D) annotations: tables/trees in memory, external on
