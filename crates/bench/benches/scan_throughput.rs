@@ -324,7 +324,7 @@ fn main() {
     // halves the bytes the kernel streams, so the f32 path must beat the
     // f64 blocked path on rows/s (gated at >= 1.5x); its slack-adjusted
     // bounds must never exceed the exact f64 bounds (admissibility).
-    // Columns are materialized exactly as `MatrixSlice` does for an F32
+    // Columns are materialized exactly as `PivotMatrix` does for an F32
     // engine. Interleaved against a fresh f64 measurement so the ratio is
     // drift-immune.
     let matrix32 = matrix.clone().with_mode(pmi::ColumnMode::F32);

@@ -2,7 +2,7 @@
 //! parameters — the "equal footing" requirement of §6.1 (same HFI pivots,
 //! same page sizes, same defaults).
 
-use pmi_metric::{ColumnMode, EncodeObject, MatrixSlice, Metric, MetricIndex};
+use pmi_metric::{ColumnMode, EncodeObject, Metric, MetricIndex, PivotMatrix};
 use pmi_storage::DiskSim;
 
 /// Every index variant evaluated or surveyed by the paper. All of them
@@ -108,7 +108,7 @@ impl IndexKind {
     /// Whether [`build_index_with_matrix`] can *adopt* a pre-computed
     /// pivot-distance matrix over the shared pivot set for this kind,
     /// skipping the `n · l` table recomputation — and whether engine
-    /// inserts can push one shared row this kind takes by id
+    /// inserts can hand over a precomputed row this kind appends
     /// ([`MetricIndex::insert_adopted`](pmi_metric::MetricIndex::insert_adopted)).
     /// True for the shared-pivot in-memory tables (LAESA, CPT, FQA); every
     /// other kind either selects its own pivots (EPT/EPT*, BKT) or derives
@@ -333,23 +333,22 @@ where
     })
 }
 
-/// [`build_index`] over pre-computed pivot-distance rows (a
-/// [`MatrixSlice`] of the engine's shared matrix, or an owned
-/// `PivotMatrix` via `Into`): kinds whose
-/// [`IndexKind::adopts_pivot_matrix`] is true (LAESA, CPT, FQA) adopt
-/// `rows` (local row `i` = `objects[i]`'s distances to `pivots`) instead
-/// of recomputing the `n · l` table, with byte-identical query behavior —
-/// and keep the shared handle so engine inserts can push one row the index
-/// takes by id. Every other kind ignores the rows and builds exactly as
-/// [`build_index`] does. This is the shard factory of the sharded engine's
-/// shared-matrix build path.
+/// [`build_index`] over pre-computed pivot-distance rows (a shard's rows
+/// of the engine's build-time matrix, or any owned [`PivotMatrix`]): kinds
+/// whose [`IndexKind::adopts_pivot_matrix`] is true (LAESA, CPT, FQA) take
+/// ownership of `rows` (row `i` = `objects[i]`'s distances to `pivots`, in
+/// the mode it arrives in) instead of recomputing the `n · l` table, with
+/// byte-identical query behavior — and engine inserts then hand over one
+/// precomputed row the index appends. Every other kind drops the rows and
+/// builds exactly as [`build_index`] does. This is the shard factory of
+/// the sharded engine's matrix build path.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
     metric: M,
     pivots: Vec<O>,
     opts: &BuildOptions,
-    rows: impl Into<MatrixSlice>,
+    rows: PivotMatrix,
 ) -> Result<Box<dyn MetricIndex<O>>, BuildError>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,

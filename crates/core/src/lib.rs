@@ -115,18 +115,19 @@
 //! assert!(out.report.shards_pruned > 0, "routing skipped shard probes");
 //! ```
 //!
-//! # The shared pivot-distance matrix build path
+//! # The pivot-distance matrix build path
 //!
 //! Every pivot-based index is a view over the paper's central `n × l`
 //! matrix `A[i][j] = d(o_i, p_j)`. The sharded build computes that matrix
 //! **once, in parallel** across the engine's worker threads
 //! ([`PivotMatrix`]), clusters/routes over its rows, and hands each shard
-//! a [`MatrixSlice`] — a row-index view of the one shared
-//! [`SharedPivotMatrix`], nothing copied — so shared-pivot tables (LAESA,
-//! CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt* their distances
-//! instead of recomputing them: a `PivotSpace` LAESA build computes each
-//! object-pivot distance exactly once instead of twice. The exact cost is
-//! recorded in [`BuildStats`] and rides along in every [`ServeReport`]:
+//! its members' rows as one contiguous [`PivotMatrix`] of its own — the
+//! unit a query is routed to owns the bytes it scans — so shared-pivot
+//! tables (LAESA, CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt*
+//! their distances instead of recomputing them: a `PivotSpace` LAESA build
+//! computes each object-pivot distance exactly once instead of twice. The
+//! exact cost is recorded in [`BuildStats`] and rides along in every
+//! [`ServeReport`]:
 //!
 //! ```
 //! use pmi::{
@@ -159,26 +160,27 @@
 //! Mutations flow through the same layered path queries use. An
 //! [`UpdateBatch`] of inserts and removes is applied in order: each insert
 //! is routed via the routing table, its pivot row is computed **once** and
-//! pushed into the shared matrix as one row that the destination shard
-//! adopts by id (so a LAESA/CPT/FQA insert costs exactly `l` distance
-//! computations — no shard-side remap); removes shrink the affected
-//! shards' routing boxes back to their surviving members; and when a batch
-//! leaves live counts imbalanced past [`EngineConfig::refresh`]
-//! ([`RefreshPolicy`]), the worst shard pair is re-clustered incrementally
-//! (global ids and matrix rows are preserved — only membership moves).
+//! handed to the destination shard with the object (so a LAESA/CPT/FQA
+//! insert costs exactly `l` distance computations — no shard-side remap);
+//! removes shrink the affected shards' routing boxes back to their
+//! surviving members; and when a batch leaves live counts imbalanced past
+//! [`EngineConfig::refresh`] ([`RefreshPolicy`]), the worst shard pair is
+//! re-clustered incrementally (global ids are preserved and rows ride
+//! along — only membership moves).
 //! Routed answers after any churn are byte-identical to a from-scratch
 //! rebuild over the survivors; the [`ApplyReport`] accounts every step
 //! exactly, and cumulative totals ride along in `ServeReport::updates`.
 //!
-//! Sustained churn leaves tombstoned rows in the shared matrix — dead
+//! Sustained churn leaves tombstoned rows in the shards' matrices — dead
 //! weight the scan kernel still pays lower-bound arithmetic for. A
 //! [`CompactionPolicy`] (next to `refresh` on [`EngineConfig`]) lets
 //! `apply` drop them once the dead fraction crosses a threshold:
 //! survivors are renumbered **densely in ascending global-id order** (the
 //! ids a fresh rebuild would assign — old ids are invalidated, which is
-//! why the default policy is disabled), the matrix is rewritten without
-//! the dead rows, and serving afterwards is byte-identical to that
-//! rebuild. `engine.compact()` runs the same pass on demand.
+//! why the default policy is disabled), every shard keeps only its
+//! survivors' rows, and serving afterwards is byte-identical to that
+//! rebuild. `engine.compact()` runs the same pass on demand; it is
+//! all-or-nothing, like `apply`.
 //!
 //! ```
 //! use pmi::{
@@ -350,8 +352,8 @@ pub use pmi_metric::lemmas;
 pub use pmi_metric::object;
 pub use pmi_metric::{
     BruteForce, ColumnMode, Counters, CountingMetric, DistanceCounter, EditDistance, EncodeObject,
-    LInf, Lp, MatrixSlice, Metric, MetricIndex, Neighbor, ObjId, ObjTable, PivotMatrix,
-    QueryScratch, ScanKernel, SharedPivotMatrix, SimdTier, StorageFootprint, Vector, L1, L2,
+    LInf, Lp, Metric, MetricIndex, Neighbor, ObjId, ObjTable, PivotMatrix, QueryScratch,
+    ScanKernel, SimdTier, StorageFootprint, Vector, L1, L2,
 };
 
 pub use pmi_pivots as pivots;

@@ -8,28 +8,33 @@
 //! `P` partitions, each backed by `IndexKind` X built with the paper's
 //! shared parameters, partitioned per `PartitionPolicy`".
 //!
-//! # The shared pivot-distance matrix
+//! # The pivot-distance matrix
 //!
 //! The paper's central object — the `n × l` matrix of object-to-pivot
 //! distances — is computed **once, in parallel** across the engine's worker
-//! threads ([`pmi_metric::PivotMatrix::compute`]) and then reused
-//! everywhere it is needed:
+//! threads ([`pmi_metric::PivotMatrix::compute`]) and then used everywhere
+//! it is needed:
 //!
 //! * with [`PartitionPolicy::PivotSpace`], the router clusters directly
 //!   over the matrix rows (balanced k-means in pivot space) and builds its
 //!   per-shard [`pmi_router::RoutingTable`] boxes from them, so each query
 //!   only probes the shards whose bounding box survives Lemma 1;
-//! * each shard factory receives a [`pmi_metric::MatrixSlice`] — a
-//!   row-index view of the shared matrix, nothing copied — so index kinds
-//!   that adopt it ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA)
-//!   skip their own `n · l` recomputation entirely — a `PivotSpace` build
-//!   computes each object-pivot distance exactly once instead of twice;
-//! * the engine keeps the shared matrix (and, for round-robin matrix
-//!   builds, a pivot-space mapper) for its unified mutation path: an
-//!   `apply`-batch insert pushes exactly one row that the destination
-//!   shard adopts by id, removes shrink routing boxes over the surviving
-//!   rows, and the `RefreshPolicy` re-clusters the worst shard pair under
-//!   imbalance.
+//! * the engine then splits it: each shard gets its members' rows as one
+//!   contiguous run of its own ([`pmi_metric::PivotMatrix::select`], one
+//!   copy per row, the full matrix dropped before any shard builds) and
+//!   the shard factory receives it, so index kinds that adopt it
+//!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA) skip their own
+//!   `n · l` recomputation entirely — a `PivotSpace` build computes each
+//!   object-pivot distance exactly once instead of twice — and scan
+//!   sequential memory. Only those per-shard runs carry the
+//!   [`BuildOptions::column_mode`] f32 mirror; the full matrix and the
+//!   router's transient matrices stay f64;
+//! * the shards keep their rows (inside the index for adopting kinds,
+//!   beside it otherwise) for the engine's unified mutation path, and
+//!   round-robin matrix builds keep a pivot-space mapper: an `apply`-batch
+//!   insert maps its object once and hands the row to the destination
+//!   shard, removes shrink routing boxes over the surviving rows, and the
+//!   `RefreshPolicy` re-clusters the worst shard pair under imbalance.
 //!
 //! The exact build cost (matrix + every shard's construction) and build
 //! wall-clock are recorded in the engine's
@@ -41,7 +46,7 @@
 
 use crate::builder::{build_index, build_index_with_matrix, BuildError, BuildOptions, IndexKind};
 use pmi_engine::{EngineConfig, EngineError, ShardedEngine};
-use pmi_metric::{CountingMetric, EncodeObject, Metric, PivotMatrix, SharedPivotMatrix};
+use pmi_metric::{CountingMetric, EncodeObject, Metric, PivotMatrix};
 use pmi_router::{partition_pivot_space, PartitionPolicy, RoutingTable};
 use std::time::Instant;
 
@@ -59,9 +64,9 @@ fn flatten<O>(
 /// setup: pass one HFI set and every shard uses it). `policy` picks the
 /// partitioner: round-robin, or pivot-space clustering with routed
 /// (shard-pruning) query serving over the same pivots. Builds that need the
-/// shared pivot-distance matrix compute it once, in parallel, and reuse it
-/// for routing *and* for seeding the shards' own tables (see the module
-/// docs); the engine's `build_stats()` records the exact total.
+/// pivot-distance matrix compute it once, in parallel, and use it for
+/// routing *and* for seeding the shards' own tables (see the module docs);
+/// the engine's `build_stats()` records the exact total.
 pub fn build_sharded_engine<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
@@ -92,21 +97,20 @@ where
     let m0 = Instant::now();
     let (matrix, matrix_compdists) = if needs_matrix {
         let counting = CountingMetric::new(metric.clone());
-        let mut m = PivotMatrix::compute(&objects, &counting, &pivots, cfg.resolved_threads());
-        if kind.adopts_pivot_matrix() {
-            // The f32 mirror only pays off where the scan kernel reads it;
-            // a router-only matrix (non-adopting kind) stays f64.
-            m.set_mode(opts.column_mode);
-        }
-        let cost = counting.count();
-        (m, cost)
+        let m = PivotMatrix::compute(&objects, &counting, &pivots, cfg.resolved_threads());
+        (m, counting.count())
     } else {
         (PivotMatrix::new(pivots.len()), 0)
     };
     let matrix_nanos = needs_matrix.then(|| m0.elapsed().as_nanos() as u64);
 
-    let matrix_factory = |_s: usize, part: Vec<O>, m: pmi_metric::MatrixSlice| {
-        build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, m)
+    let matrix_factory = |_s: usize, part: Vec<O>, mut rows: PivotMatrix| {
+        if kind.adopts_pivot_matrix() {
+            // The f32 mirror only pays off where the scan kernel reads it:
+            // on the rows an adopting shard owns.
+            rows.set_mode(opts.column_mode);
+        }
+        build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
     };
     // The pivot-space mapper, shared by the router (query planning) and
     // the engine's mutation path (insert rows): `o ↦ (d(o, p_1), …)`.
@@ -125,7 +129,7 @@ where
         }
         PartitionPolicy::RoundRobin => flatten(ShardedEngine::build_with_matrix(
             objects,
-            SharedPivotMatrix::new(matrix),
+            matrix,
             Box::new(make_mapper()),
             cfg,
             matrix_factory,
@@ -150,15 +154,15 @@ where
                     ("rejected", part.rejected),
                 ],
             ));
-            // Every kind routes over the shared matrix; adopting kinds
-            // (LAESA, CPT, FQA) additionally seed their tables from their
-            // slice, the rest build as usual and drop it (slices are row-id
-            // views, so nothing was copied for them).
+            // Every kind routes over the matrix; adopting kinds (LAESA,
+            // CPT, FQA) additionally seed their tables from their rows,
+            // the rest build as usual and their shard keeps the rows for
+            // box maintenance.
             flatten(ShardedEngine::build_partitioned_with_matrix(
                 objects,
                 &assignment,
                 router,
-                SharedPivotMatrix::new(matrix),
+                matrix,
                 cfg,
                 matrix_factory,
             ))?
@@ -249,7 +253,7 @@ mod tests {
 
     #[test]
     fn shared_matrix_build_computes_each_distance_once() {
-        // LAESA adopts the shared matrix: the matrix is computed once
+        // LAESA adopts its rows of the matrix: the matrix is computed once
         // (n·l, recorded in BuildStats) and the shards compute *zero*
         // build distances — the recompute path paid n·l again there.
         let pts = datasets::la(600, 7);

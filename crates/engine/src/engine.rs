@@ -12,19 +12,20 @@
 //! which the engine accounts exactly through the `shards_probed` /
 //! `shards_pruned` counters.
 //!
-//! Construction can adopt a shared [`SharedPivotMatrix`]
+//! Construction can start from one precomputed `n × l` [`PivotMatrix`]
 //! ([`ShardedEngine::build_with_matrix`] /
-//! [`ShardedEngine::build_partitioned_with_matrix`]): each shard factory
-//! receives a [`MatrixSlice`] — a row-index view of the one precomputed
-//! `n × l` matrix — so shard builds stop recomputing pivot distances and
-//! nothing is copied. The engine keeps the shared matrix for its unified
-//! mutation path ([`ShardedEngine::apply`]): inserts compute their pivot
-//! row once, push it as one shared row (global id == row id), and the
-//! destination shard adopts the id; removes shrink the affected routing
-//! boxes back over the surviving rows; and a [`RefreshPolicy`] re-clusters
-//! the worst shard pair when live counts drift apart. Serving reuses
-//! per-worker [`EngineScratch`] buffers so the batch hot loop performs no
-//! transient heap allocations per query.
+//! [`ShardedEngine::build_partitioned_with_matrix`]): every shard gets its
+//! members' rows as one contiguous run of its own
+//! ([`PivotMatrix::select`]) and its factory receives them, so shard
+//! builds stop recomputing pivot distances and every scan streams
+//! sequential memory. The shards keep those rows — inside the index when
+//! the kind adopts them, beside it otherwise ([`Shard::pivot_row`]) — for
+//! the unified mutation path ([`ShardedEngine::apply`]): inserts compute
+//! their pivot row once and hand it to the destination shard; removes
+//! shrink the affected routing boxes back over the surviving rows; and a
+//! [`RefreshPolicy`] re-clusters the worst shard pair when live counts
+//! drift apart. Serving reuses per-worker [`EngineScratch`] buffers so the
+//! batch hot loop performs no transient heap allocations per query.
 //!
 //! # Panic policy
 //!
@@ -36,7 +37,7 @@
 //! toward that shard's quarantine (see `docs/robustness.md`). The
 //! `expect`s that remain state internal invariants — every worker slot is
 //! claimed exactly once, scoped worker threads cannot outlive the scope,
-//! partitioned builds carry one matrix slice per shard, a built engine has
+//! matrix builds carry one run of rows per shard, a built engine has
 //! ≥ 1 shard (`EngineError::ZeroShards` otherwise) — whose violation is an
 //! engine bug, not bad input.
 //!
@@ -50,14 +51,10 @@ use crate::robust::{
 use crate::shard::{partition_by_assignment, partition_round_robin, Partition, Shard};
 use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
-use pmi_metric::lemmas::Mbb;
-use pmi_metric::{
-    cow, Counters, CowVec, MatrixSlice, MetricIndex, ObjId, PivotMatrix, SharedPivotMatrix,
-    StorageFootprint,
-};
+use pmi_metric::{cow, Counters, CowVec, MetricIndex, ObjId, PivotMatrix, StorageFootprint};
 use pmi_obs::{Hist, MetricsSnapshot, Registry, Span, TracePolicy};
 use pmi_router::{Mapper, PartitionPolicy, RoutingTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,9 +76,9 @@ pub struct EngineConfig {
     /// When [`apply`](ShardedEngine::apply) re-clusters the worst shard
     /// pair (routed engines only).
     pub refresh: RefreshPolicy,
-    /// When [`apply`](ShardedEngine::apply) compacts the shared pivot
-    /// matrix (matrix-bearing engines only; renumbers global ids —
-    /// disabled by default, see [`CompactionPolicy`]).
+    /// When [`apply`](ShardedEngine::apply) compacts the shards' pivot
+    /// rows (matrix-built engines only; renumbers global ids — disabled by
+    /// default, see [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
     /// Seed for the engine's own partitioning decisions — the full
     /// survivor re-partition a [`compact`](ShardedEngine::compact) runs on
@@ -200,9 +197,9 @@ impl ObsClock {
     }
 }
 
-/// One partition awaiting its index, plus its optional adopted slice of
-/// the shared pivot-distance matrix.
-type MatrixPart<O> = (Partition<O>, Option<MatrixSlice>);
+/// One partition awaiting its index, plus its members' rows of the
+/// build-time pivot-distance matrix on the matrix build paths.
+type MatrixPart<O> = (Partition<O>, Option<PivotMatrix>);
 
 /// Global id → `(shard, local id)` for live objects, dense: global ids are
 /// handed out consecutively from 0 (and a compaction renumbers the
@@ -300,7 +297,7 @@ impl<O> EngineSnapshot<O> {
 
 /// The reader-shared half of the engine: everything batch serving needs
 /// behind `&self`. The writer half ([`ShardedEngine`]) owns the mutable
-/// bookkeeping (locator, shared matrix, policies) and publishes new
+/// bookkeeping (locator, policies) and publishes new
 /// [`EngineSnapshot`]s into `snap`; readers — [`EngineReader`] handles and
 /// the engine's own serve wrappers — load the snapshot once per batch and
 /// never observe a half-applied update.
@@ -428,26 +425,28 @@ pub struct ShardedEngine<O> {
     /// reader batches). Swept at each publish: a snapshot whose only owner
     /// is this list is dropped.
     retired: Vec<Arc<EngineSnapshot<O>>>,
-    /// The shared pivot-distance matrix the router and the shards adopted;
-    /// present for matrix builds. The mutation path pushes exactly one row
-    /// per insert, so **global id == shared row id** for the engine's
-    /// lifetime — which is what lets removes recompute routing boxes and
-    /// re-clustering move objects without recomputing any distance.
-    matrix: Option<SharedPivotMatrix>,
+    /// Whether every shard carries its members' rows under the engine's
+    /// own pivot-space mapping ([`Shard::pivot_row`]) — set by the two
+    /// matrix build paths. It is what lets inserts hand over their mapped
+    /// row, removes recompute routing boxes, and re-clustering and
+    /// compaction move objects without recomputing any distance. Without
+    /// it a table's rows are private (computed over the factory's pivots,
+    /// not the router's) and the engine never reads them.
+    shard_rows: bool,
     /// Maps objects into pivot space for the mutation path of
-    /// matrix-bearing round-robin engines (routed engines map through the
+    /// matrix-built round-robin engines (routed engines map through the
     /// router instead).
     insert_mapper: Option<Mapper<O>>,
     /// When [`apply`](Self::apply) re-clusters the worst shard pair.
     refresh: RefreshPolicy,
-    /// When [`apply`](Self::apply) compacts the shared matrix.
+    /// When [`apply`](Self::apply) compacts the shards' rows.
     compaction: CompactionPolicy,
     /// Seed for the survivor re-partition at compaction.
     partition_seed: u64,
     /// Global id → (shard, local id) for live objects.
     locator: Locator,
     next_id: ObjId,
-    /// Construction cost (per-shard builds; the facade adds the shared
+    /// Construction cost (per-shard builds; the facade adds the pivot
     /// matrix cost through [`set_build_stats`](Self::set_build_stats)).
     build_stats: BuildStats,
     /// Lifetime mutation totals (copied into every [`ServeReport`]).
@@ -458,9 +457,10 @@ pub struct ShardedEngine<O> {
 /// [`set_query_validator`](ShardedEngine::set_query_validator)).
 type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 
-/// One in-flight apply transaction: the staged next version of the
-/// engine's serving state, built off to the side and either committed with
-/// a single snapshot publish or dropped whole (all-or-nothing).
+/// One in-flight `apply` or `compact` transaction: the staged next version
+/// of the engine's serving state, built off to the side and either
+/// committed with a single snapshot publish or dropped whole
+/// (all-or-nothing).
 struct ApplyTxn<O> {
     /// Staged shard set: entries start as the published `Arc`s and are
     /// forked on first touch.
@@ -473,10 +473,6 @@ struct ApplyTxn<O> {
     /// Staged locator (a clone sharing every chunk this batch leaves alone).
     locator: Locator,
     next_id: ObjId,
-    /// Pivot rows staged (not yet published) by this batch, keyed by
-    /// global id — lets rebox and recluster read this batch's own inserts
-    /// before the matrix publishes at commit.
-    staged: HashMap<ObjId, Vec<f64>>,
     /// Staged lifetime totals (committed into the engine's stats).
     stats: UpdateStats,
     report: ApplyReport,
@@ -524,19 +520,20 @@ impl<O> ShardedEngine<O> {
         let n = objects.len();
         let parts = partition_round_robin(objects, cfg.resolved_shards(n));
         let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, None, None, None, cfg, |s, objs, _| factory(s, objs))
+        Self::build_parts(parts, None, None, cfg, |s, objs, _| factory(s, objs))
     }
 
-    /// [`build_with`](Self::build_with) over a [`SharedPivotMatrix`]: each
-    /// shard factory receives a [`MatrixSlice`] — its partition's row-index
-    /// view of the one shared matrix (row `i` of the matrix belongs to
-    /// `objects[i]`) — so shard builds adopt pivot distances instead of
-    /// recomputing them, without copying a single row. `mapper` maps new
-    /// objects into pivot space for the mutation path, which pushes one
-    /// shared row per insert that the destination shard adopts by id.
+    /// [`build_with`](Self::build_with) over a precomputed [`PivotMatrix`]
+    /// (row `i` belongs to `objects[i]`): each shard factory receives its
+    /// partition's rows as one contiguous run ([`PivotMatrix::select`]; the
+    /// full matrix is dropped before the first shard builds), so shard
+    /// builds adopt pivot distances instead of recomputing them. A factory
+    /// whose index exposes [`MetricIndex::pivot_rows`] must have built it
+    /// from those rows. `mapper` maps new objects into pivot space for the
+    /// mutation path, which hands each insert's row to its shard.
     pub fn build_with_matrix<E, F>(
         objects: Vec<O>,
-        matrix: SharedPivotMatrix,
+        matrix: PivotMatrix,
         mapper: Mapper<O>,
         cfg: &EngineConfig,
         factory: F,
@@ -544,35 +541,32 @@ impl<O> ShardedEngine<O> {
     where
         O: Send,
         E: Send,
-        F: Fn(usize, Vec<O>, MatrixSlice) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, Vec<O>, PivotMatrix) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         if cfg.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
         let n = objects.len();
-        assert_eq!(matrix.rows(), n, "one matrix row per object");
         let parts = partition_round_robin(objects, cfg.resolved_shards(n));
-        let parts = parts
+        let parts = Self::split_matrix(parts, matrix);
+        Self::build_parts(parts, None, Some(mapper), cfg, |s, objs, m| {
+            factory(s, objs, m.expect("every partition carries its rows"))
+        })
+    }
+
+    /// Gives every partition its own contiguous copy of its members' rows
+    /// and drops the full matrix, so the two coexist only here — before a
+    /// single shard table, locator or id table exists.
+    fn split_matrix(parts: Vec<Partition<O>>, matrix: PivotMatrix) -> Vec<MatrixPart<O>> {
+        let n: usize = parts.iter().map(|(objs, _)| objs.len()).sum();
+        assert_eq!(matrix.rows(), n, "one matrix row per object");
+        parts
             .into_iter()
             .map(|(objs, gids)| {
-                let slice = MatrixSlice::new(matrix.clone(), gids.clone());
-                ((objs, gids), Some(slice))
+                let rows = matrix.select(&gids);
+                ((objs, gids), Some(rows))
             })
-            .collect();
-        Self::build_parts(
-            parts,
-            None,
-            Some(matrix),
-            Some(mapper),
-            cfg,
-            |s, objs, m| {
-                factory(
-                    s,
-                    objs,
-                    m.expect("every partition carries its matrix slice"),
-                )
-            },
-        )
+            .collect()
     }
 
     /// Builds an engine from an explicit per-object shard assignment with
@@ -597,7 +591,7 @@ impl<O> ShardedEngine<O> {
         }
         let parts = partition_by_assignment(objects, assignment, shards);
         let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, None, None, None, cfg, |s, objs, _| factory(s, objs))
+        Self::build_parts(parts, None, None, cfg, |s, objs, _| factory(s, objs))
     }
 
     /// Builds a *routed* engine from an explicit per-object shard
@@ -623,58 +617,40 @@ impl<O> ShardedEngine<O> {
         }
         let parts = partition_by_assignment(objects, assignment, router.num_shards());
         let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, Some(router), None, None, cfg, |s, objs, _| {
+        Self::build_parts(parts, Some(router), None, cfg, |s, objs, _| {
             factory(s, objs)
         })
     }
 
-    /// [`build_partitioned_with`](Self::build_partitioned_with) over a
-    /// [`SharedPivotMatrix`]: the matrix that produced the clustering is
-    /// viewed per shard (a [`MatrixSlice`] row-index indirection, no
-    /// copying) and handed to each factory, closing the loop of "compute
-    /// the pivot-space mapping once, route with it, *and* seed every
-    /// shard's pivot table from it". The engine keeps the matrix: the
-    /// mutation path pushes one row per routed insert and removes shrink
-    /// routing boxes from the surviving rows.
+    /// [`build_partitioned_with`](Self::build_partitioned_with) over the
+    /// [`PivotMatrix`] that produced the clustering: each shard's rows are
+    /// copied out as one contiguous run and handed to its factory (see
+    /// [`build_with_matrix`](Self::build_with_matrix)), closing the loop of
+    /// "compute the pivot-space mapping once, route with it, *and* seed
+    /// every shard's pivot table from it". The shards keep their rows: the
+    /// mutation path hands over one row per routed insert and removes
+    /// shrink routing boxes from the surviving rows.
     pub fn build_partitioned_with_matrix<E, F>(
         objects: Vec<O>,
         assignment: &[usize],
         router: RoutingTable<O>,
-        matrix: SharedPivotMatrix,
+        matrix: PivotMatrix,
         cfg: &EngineConfig,
         factory: F,
     ) -> Result<Self, EngineError<E>>
     where
         O: Send,
         E: Send,
-        F: Fn(usize, Vec<O>, MatrixSlice) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, Vec<O>, PivotMatrix) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         if cfg.shards == 0 || router.num_shards() == 0 {
             return Err(EngineError::ZeroShards);
         }
-        assert_eq!(matrix.rows(), objects.len(), "one matrix row per object");
         let parts = partition_by_assignment(objects, assignment, router.num_shards());
-        let parts = parts
-            .into_iter()
-            .map(|(objs, gids)| {
-                let slice = MatrixSlice::new(matrix.clone(), gids.clone());
-                ((objs, gids), Some(slice))
-            })
-            .collect();
-        Self::build_parts(
-            parts,
-            Some(router),
-            Some(matrix),
-            None,
-            cfg,
-            |s, objs, m| {
-                factory(
-                    s,
-                    objs,
-                    m.expect("every partition carries its matrix slice"),
-                )
-            },
-        )
+        let parts = Self::split_matrix(parts, matrix);
+        Self::build_parts(parts, Some(router), None, cfg, |s, objs, m| {
+            factory(s, objs, m.expect("every partition carries its rows"))
+        })
     }
 
     /// Shared build tail: indexes every partition (in parallel when
@@ -684,7 +660,6 @@ impl<O> ShardedEngine<O> {
     fn build_parts<E, F>(
         parts: Vec<MatrixPart<O>>,
         router: Option<RoutingTable<O>>,
-        matrix: Option<SharedPivotMatrix>,
         insert_mapper: Option<Mapper<O>>,
         cfg: &EngineConfig,
         factory: F,
@@ -692,10 +667,20 @@ impl<O> ShardedEngine<O> {
     where
         O: Send,
         E: Send,
-        F: Fn(usize, Vec<O>, Option<MatrixSlice>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, Vec<O>, Option<PivotMatrix>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         let t0 = Instant::now();
         let num_shards = parts.len();
+        let shard_rows = parts.iter().all(|(_, rows)| rows.is_some());
+        // The factory gets a clone of the shard's rows (shared storage);
+        // the shard keeps the original only if the index did not take it.
+        let build_shard = |s: usize, ((objs, gids), rows): MatrixPart<O>| {
+            let idx = factory(s, objs, rows.clone())?;
+            Ok(match rows {
+                Some(rows) => Shard::with_rows(idx, gids, rows),
+                None => Shard::new(idx, gids),
+            })
+        };
         let n: usize = parts.iter().map(|((objs, _), _)| objs.len()).sum();
         let threads = resolve_threads(cfg.threads);
         let obs = Registry::new();
@@ -707,9 +692,9 @@ impl<O> ShardedEngine<O> {
             parts
                 .into_iter()
                 .enumerate()
-                .map(|(s, ((objs, gids), m))| {
+                .map(|(s, part)| {
                     let b0 = timing.then(Instant::now);
-                    let r = factory(s, objs, m).map(|idx| Shard::new(idx, gids));
+                    let r = build_shard(s, part);
                     if let Some(t) = b0 {
                         shard_wall.record(t.elapsed().as_nanos() as u64);
                     }
@@ -719,7 +704,7 @@ impl<O> ShardedEngine<O> {
         } else {
             // At most `threads` concurrent builders: distribute the shard
             // slots round-robin across worker buckets.
-            let factory = &factory;
+            let build_shard = &build_shard;
             let workers = threads.min(num_shards);
             let mut buckets: Vec<Vec<(usize, MatrixPart<O>)>> =
                 (0..workers).map(|_| Vec::new()).collect();
@@ -735,9 +720,9 @@ impl<O> ShardedEngine<O> {
                         scope.spawn(move |_| {
                             bucket
                                 .into_iter()
-                                .map(|(s, ((objs, gids), m))| {
+                                .map(|(s, part)| {
                                     let b0 = timing.then(Instant::now);
-                                    let r = factory(s, objs, m).map(|idx| Shard::new(idx, gids));
+                                    let r = build_shard(s, part);
                                     let nanos =
                                         b0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
                                     (s, r, nanos)
@@ -831,7 +816,7 @@ impl<O> ShardedEngine<O> {
             router,
             epoch: 0,
             retired: Vec::new(),
-            matrix,
+            shard_rows,
             insert_mapper,
             refresh: cfg.refresh,
             compaction: cfg.compaction,
@@ -872,14 +857,14 @@ impl<O> ShardedEngine<O> {
 
     /// Construction cost of this engine. The engine itself records the
     /// per-shard build compdists and wall-clock; constructors that also pay
-    /// for a shared pivot matrix (the `pmi` facade) add that through
+    /// for the pivot matrix (the `pmi` facade) add that through
     /// [`set_build_stats`](Self::set_build_stats).
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
     }
 
     /// Replaces the recorded build cost, for callers that layer extra
-    /// construction work (shared matrix, pivot selection) on top of the
+    /// construction work (pivot matrix, pivot selection) on top of the
     /// engine build proper. The new stats appear in every subsequent
     /// [`ServeReport`], including batches served by concurrent readers.
     /// The `build` phase grows by the added wall, so it stays the parent of
@@ -1078,9 +1063,9 @@ impl<O> ShardedEngine<O> {
 
     /// Inserts an object, returning its global id — sugar for a one-op
     /// [`apply`](Self::apply) batch. There is exactly one mutation route:
-    /// the same transaction stages the pivot row, the destination shard
-    /// adopts it by id, the routing box grows to cover it, and the new
-    /// snapshot publishes before returning.
+    /// the same transaction computes the pivot row, the destination shard's
+    /// fork takes it with the object, the routing box grows to cover it,
+    /// and the new snapshot publishes before returning.
     ///
     /// # Panics
     ///
@@ -1128,44 +1113,44 @@ impl<O> ShardedEngine<O> {
     ///
     /// * **Inserts** are routed via the routing table (nearest box lower
     ///   bound, smallest shard among ties; round-robin engines pick the
-    ///   smallest shard). The object's pivot row is computed **once**,
-    ///   pushed into the shared [`SharedPivotMatrix`], and adopted by the
-    ///   destination shard by row id — matrix-adopting kinds (LAESA, CPT,
-    ///   FQA) pay zero shard-side remap distances.
+    ///   smallest shard). The object's pivot row is computed **once** and
+    ///   handed to the destination shard with the object — kinds that own
+    ///   their rows (LAESA, CPT, FQA) append it and pay zero shard-side
+    ///   remap distances; for the rest the shard keeps it beside the index.
     /// * **Removes** tombstone the object; after the last op every shard
     ///   that lost a member lying on a face of its routing box has the box
-    ///   recomputed from its surviving members' matrix rows in one pass
-    ///   ([`RoutingTable::shrink`]) — a member strictly inside the box
-    ///   cannot have changed it — so boxes stay tight and pruning does not
-    ///   decay under churn.
+    ///   recomputed from its surviving members' rows in one pass
+    ///   ([`RoutingTable::rebox_from_rows`]) — a member strictly inside the
+    ///   box cannot have changed it — so boxes stay tight and pruning does
+    ///   not decay under churn.
     /// * If the batch leaves live counts imbalanced past the
     ///   [`RefreshPolicy`], the worst shard pair is incrementally
     ///   re-clustered: a deterministic 2-means re-split over the members'
     ///   mapped rows, moving only the objects that change side (their
-    ///   matrix rows and global ids are preserved; the locator and the
-    ///   shards' adopted slices are fixed up).
+    ///   global ids are preserved and their rows ride along; the locator
+    ///   is fixed up).
     ///
     /// Routed answers after any sequence of `apply` calls are identical to
     /// a from-scratch rebuild over the surviving objects — box maintenance
     /// is exact and shard membership never affects correctness.
     ///
-    /// Box shrinking and re-clustering need the engine's shared matrix
-    /// (any matrix build path — the `pmi` facade always provides it). On
-    /// an engine built without one (e.g. [`build_partitioned_with`]
-    /// (Self::build_partitioned_with)), `apply` still applies every op
-    /// correctly but keeps conservative boxes: `reboxed_shards` and
-    /// `reclusters` report 0.
+    /// Box shrinking and re-clustering need the shards' pivot rows (any
+    /// matrix build path — the `pmi` facade always takes one). On an
+    /// engine built without a matrix (e.g.
+    /// [`build_partitioned_with`](Self::build_partitioned_with)), `apply`
+    /// still applies every op correctly but keeps conservative boxes:
+    /// `reboxed_shards` and `reclusters` report 0.
     ///
     /// # Transaction semantics
     ///
     /// The whole batch stages off to the side — forked copies of the
-    /// touched shards, a copy-on-write routing table, staged matrix rows —
-    /// and commits by publishing one new [`EngineSnapshot`]. Concurrent
+    /// touched shards (rows included), a copy-on-write routing table — and
+    /// commits by publishing one new [`EngineSnapshot`]. Concurrent
     /// [`EngineReader`]s never observe a half-applied batch: a batch
     /// serves either entirely before or entirely after the swap. It is
     /// **all-or-nothing**: a panic anywhere in staging (a poisoned op, an
     /// injected fault at `engine.apply.stage` / `engine.recluster` /
-    /// `engine.apply.publish`) is caught, the staged state is discarded,
+    /// `engine.apply.publish`) is caught, the staged state is dropped,
     /// and the report comes back with [`aborted`](ApplyReport::aborted)
     /// set — the engine keeps serving the last published snapshot and the
     /// same batch can be retried.
@@ -1185,14 +1170,11 @@ impl<O> ShardedEngine<O> {
             self.stage_batch(batch, validator.as_ref(), &mut txn, &mut clock)
         }));
         if staged.is_err() {
-            // Abort: drop the forked shards and staged rows whole. Nothing
-            // was published, so serving (including concurrent readers)
-            // continues on the last snapshot, and retrying the batch
-            // re-stages it from scratch with the same ids.
+            // Abort: drop the forked shards whole. Nothing was published,
+            // so serving (including concurrent readers) continues on the
+            // last snapshot, and retrying the batch re-stages it from
+            // scratch with the same ids.
             drop(txn);
-            if let Some(mx) = &self.matrix {
-                mx.discard_staged();
-            }
             self.core.obs.counter_add("apply.aborts", 1);
             let mut report = ApplyReport {
                 aborted: true,
@@ -1205,8 +1187,8 @@ impl<O> ShardedEngine<O> {
         let mut report = std::mem::take(&mut txn.report);
         let forked = txn.touched.iter().filter(|&&t| t).count();
         self.commit_txn(txn);
-        // Matrix publication, snapshot swap and the retire sweep; the bytes
-        // are the shared chunks this commit copied in order to write.
+        // Snapshot swap and the retire sweep; the bytes are the shared
+        // chunks this commit copied in order to write.
         self.core.obs.phase_add(
             "apply.publish",
             1,
@@ -1241,8 +1223,8 @@ impl<O> ShardedEngine<O> {
         report
     }
 
-    /// Opens an apply transaction over the current state: `Arc` clones of
-    /// the published shards (forked on first touch), a copy of the routing
+    /// Opens a transaction over the current state: `Arc` clones of the
+    /// published shards (forked on first touch), a copy of the routing
     /// boxes and a chunk-sharing clone of the locator — `O(n / chunk)`
     /// handles, no per-object copy.
     fn begin_txn(&self) -> ApplyTxn<O> {
@@ -1253,7 +1235,6 @@ impl<O> ShardedEngine<O> {
             router: self.router.as_deref().cloned(),
             locator: self.locator.clone(),
             next_id: self.next_id,
-            staged: HashMap::new(),
             stats: self.update_stats,
             report: ApplyReport::default(),
             dirty: vec![false; n],
@@ -1261,9 +1242,8 @@ impl<O> ShardedEngine<O> {
     }
 
     /// Stages a whole batch into `txn`: ops, box shrinking, re-clustering.
-    /// Touches no published state (the shared matrix only accumulates
-    /// *staged* rows, invisible to readers) — everything it does can be
-    /// discarded by dropping the transaction.
+    /// Touches no published state — everything it does is discarded by
+    /// dropping the transaction.
     fn stage_batch(
         &self,
         batch: &UpdateBatch<O>,
@@ -1274,8 +1254,6 @@ impl<O> ShardedEngine<O> {
         O: Clone,
     {
         let mut mapped = Vec::new();
-        // The published rows, for the removes' face test.
-        let rows = self.matrix.as_ref().map(|mx| mx.snapshot());
         // Global ids this batch successfully removed, to tell a duplicate
         // remove apart from a remove of an id that was never live.
         let mut removed_here: HashSet<ObjId> = HashSet::new();
@@ -1297,7 +1275,7 @@ impl<O> ShardedEngine<O> {
                     txn.report.inserts += 1;
                 }
                 UpdateOp::Remove(id) => {
-                    if self.stage_remove(txn, *id, rows.as_deref()) {
+                    if self.stage_remove(txn, *id) {
                         txn.report.removes += 1;
                         removed_here.insert(*id);
                     } else {
@@ -1345,26 +1323,9 @@ impl<O> ShardedEngine<O> {
         fault::at("engine.apply.publish", 0);
     }
 
-    /// Publishes a committed transaction: matrix rows first (staged →
-    /// published, adopting shards re-pinned), then the new snapshot in a
-    /// single swap.
-    fn commit_txn(&mut self, mut txn: ApplyTxn<O>) {
-        if let Some(mx) = &self.matrix {
-            if mx.has_staged() {
-                // The publication appends tail rows: it shares the base
-                // and every full tail chunk with whatever snapshot is still
-                // pinned and copies at most one chunk. This transaction's
-                // forks then re-pin the fresh snapshot. Shards still shared
-                // with the published engine snapshot hold only
-                // already-published rows, so their older pin stays valid.
-                mx.publish();
-                for s in txn.shards.iter_mut() {
-                    if let Some(sh) = Arc::get_mut(s) {
-                        sh.refresh_rows();
-                    }
-                }
-            }
-        }
+    /// Publishes a staged transaction: the writer's mirror takes the
+    /// staged state and the new snapshot goes out in a single swap.
+    fn commit_txn(&mut self, txn: ApplyTxn<O>) {
         self.shards = txn.shards;
         self.router = txn.router.map(Arc::new);
         self.locator = txn.locator;
@@ -1398,15 +1359,15 @@ impl<O> ShardedEngine<O> {
             .gauge_set("engine.retired_snapshots", self.retired.len() as u64);
     }
 
-    /// The one insert path: map once, stage one shared row, adopt by id.
+    /// The one insert path: map once, hand the row to the shard.
     fn stage_insert(&self, txn: &mut ApplyTxn<O>, o: O, mapped: &mut Vec<f64>) -> ObjId {
         mapped.clear();
         match (&txn.router, &self.insert_mapper) {
             (Some(rt), _) => rt.map_into(&o, mapped),
             (None, Some(m)) => m(&o, mapped),
             (None, None) => debug_assert!(
-                self.matrix.is_none(),
-                "a matrix-bearing engine always has a mapper"
+                !self.shard_rows,
+                "a matrix-built engine always has a mapper"
             ),
         }
         txn.stats.map_compdists += mapped.len() as u64;
@@ -1434,15 +1395,10 @@ impl<O> ShardedEngine<O> {
         };
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = match &self.matrix {
-            Some(mx) => {
-                let row = mx.stage_row(mapped);
-                debug_assert_eq!(row as ObjId, gid, "global id tracks shared row id");
-                txn.staged.insert(gid, mapped.clone());
-                txn.shard_mut(si)
-                    .insert_adopted(o, gid, row as ObjId, mapped)
-            }
-            None => txn.shard_mut(si).insert(o, gid),
+        let local = if self.shard_rows {
+            txn.shard_mut(si).insert_adopted(o, gid, mapped)
+        } else {
+            txn.shard_mut(si).insert(o, gid)
         };
         if let Some(rt) = txn.router.as_mut() {
             rt.extend(si, mapped);
@@ -1458,8 +1414,9 @@ impl<O> ShardedEngine<O> {
     /// by every insert's `extend` and every recomputation), so a member
     /// whose row lies strictly inside it on every pivot dimension attains
     /// no face: removing it leaves every per-dimension min and max — the
-    /// box — exactly as it was. `rows` is the published matrix snapshot.
-    fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId, rows: Option<&PivotMatrix>) -> bool {
+    /// box — exactly as it was. The tombstoned slot keeps its row, whether
+    /// it was there at the last commit or inserted by this very batch.
+    fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId) -> bool {
         let Some((s, local)) = txn.locator.remove(id) else {
             return false;
         };
@@ -1468,13 +1425,10 @@ impl<O> ShardedEngine<O> {
             return false;
         }
         txn.stats.removes += 1;
-        if let (false, Some(rt), Some(rows)) = (txn.dirty[s], &txn.router, rows) {
-            let row = match txn.staged.get(&id) {
-                Some(row) => row,
-                None => rows.row(id as usize),
-            };
+        if let (false, Some(rt), true) = (txn.dirty[s], &txn.router, self.shard_rows) {
             let b = &rt.boxes()[s];
-            let inside = row
+            let inside = txn.shards[s]
+                .pivot_row(local)
                 .iter()
                 .zip(b.lo().iter().zip(b.hi()))
                 .all(|(x, (lo, hi))| lo < x && x < hi);
@@ -1484,29 +1438,20 @@ impl<O> ShardedEngine<O> {
     }
 
     /// Recomputes the staged routing boxes of the flagged shards from
-    /// their live members' matrix rows — published rows from the matrix
-    /// snapshot, rows this batch inserted from the transaction's staging
-    /// map. Work is bounded by the flagged shards' own slot tables.
-    /// Returns how many boxes were recomputed (0 when the engine has no
-    /// router or no matrix).
+    /// their live members' rows. Work is bounded by the flagged shards'
+    /// own slot tables. Returns how many boxes were recomputed (0 when the
+    /// engine has no router or its shards carry no rows).
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
-        let (Some(rt), Some(mx)) = (txn.router.as_mut(), self.matrix.as_ref()) else {
+        let (Some(rt), true) = (txn.router.as_mut(), self.shard_rows) else {
             return 0;
         };
-        if !dirty.contains(&true) {
-            return 0;
-        }
-        let m = mx.snapshot();
         let mut reboxed = 0;
         for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
-            let mut b = Mbb::empty(m.width());
-            for (_, gid) in txn.shards[s].live_members() {
-                match txn.staged.get(&gid) {
-                    Some(row) => b.extend(row),
-                    None => b.extend(m.row(gid as usize)),
-                }
-            }
-            rt.shrink(s, b);
+            let shard = &txn.shards[s];
+            let rows = shard
+                .live_members()
+                .map(|(local, _)| shard.pivot_row(local));
+            rt.rebox_from_rows(s, rows);
             reboxed += 1;
         }
         reboxed
@@ -1515,16 +1460,17 @@ impl<O> ShardedEngine<O> {
     /// Incremental re-clustering: when the live counts of the fullest and
     /// emptiest shards trip the [`RefreshPolicy`], their members are
     /// re-split by a deterministic balanced 2-means over mapped rows and
-    /// only the objects that changed side move (global ids and matrix rows
-    /// stay; locator and boxes are fixed up). Returns
+    /// only the objects that changed side move (global ids stay, rows ride
+    /// along; locator and boxes are fixed up). Returns
     /// `(passes, moved, boxes recomputed)`.
     fn stage_recluster(&self, txn: &mut ApplyTxn<O>) -> (usize, u64, usize) {
-        if txn.router.is_none() || txn.shards.len() < 2 {
-            return (0, 0, 0);
-        }
-        let Some(mx) = self.matrix.clone() else {
+        let Some(rt) = &txn.router else {
             return (0, 0, 0);
         };
+        if !self.shard_rows || txn.shards.len() < 2 {
+            return (0, 0, 0);
+        }
+        let width = rt.boxes()[0].dim();
         let (mut hi, mut lo) = (0usize, 0usize);
         for (s, shard) in txn.shards.iter().enumerate() {
             if shard.len() > txn.shards[hi].len() {
@@ -1550,18 +1496,13 @@ impl<O> ShardedEngine<O> {
             }
         }
         members.sort_unstable_by_key(|&(gid, _, _)| gid);
-        // Pair rows, staged-aware: a member inserted by this very batch
-        // has no published row yet, so its pivot vector comes from the
-        // transaction's staging map.
-        let m = mx.snapshot();
-        let mut pair_rows =
-            PivotMatrix::with_capacity(m.width(), members.len()).with_mode(m.mode());
-        for &(gid, _, _) in &members {
-            match txn.staged.get(&gid) {
-                Some(row) => pair_rows.push_row(row),
-                None => pair_rows.push_row(m.row(gid as usize)),
-            };
-        }
+        // The pair's rows as one transient matrix for the partitioner.
+        let pair_rows = PivotMatrix::from_rows(
+            width,
+            members
+                .iter()
+                .map(|&(_, s, local)| txn.shards[s].pivot_row(local)),
+        );
         let split =
             pmi_router::partition_pivot_space(&pair_rows, 2, RECLUSTER_SEED, self.core.threads)
                 .assignment;
@@ -1585,11 +1526,9 @@ impl<O> ShardedEngine<O> {
                 continue;
             };
             txn.shard_mut(s).remove_local(local);
-            // The moved object keeps its row id; its distances ride along
-            // from the pair's assembled rows.
             let new_local = txn
                 .shard_mut(target)
-                .insert_adopted(o, gid, gid, pair_rows.row(i));
+                .insert_adopted(o, gid, pair_rows.row(i));
             txn.locator.set(gid, target, new_local);
             moved += 1;
         }
@@ -1606,16 +1545,14 @@ impl<O> ShardedEngine<O> {
     /// Runs [`compact`](Self::compact) when the dead-row fraction trips
     /// the engine's [`CompactionPolicy`]. Returns the rows dropped.
     fn maybe_compact(&mut self) -> usize {
-        let Some(mx) = &self.matrix else { return 0 };
-        let total = mx.snapshot().rows();
-        let dead = total - self.len();
-        if !self.compaction.triggers(dead, total) {
+        let total = self.next_id as usize;
+        if !self.compaction.triggers(total - self.len(), total) {
             return 0;
         }
         self.compact()
     }
 
-    /// Compacts the shared pivot matrix under sustained churn — a **major
+    /// Compacts the shards' pivot rows under sustained churn — a **major
     /// compaction**, restoring the engine to what a from-scratch rebuild
     /// over the survivors would produce:
     ///
@@ -1624,16 +1561,15 @@ impl<O> ShardedEngine<O> {
     ///    membership away from the balanced clustering; probing an
     ///    oversized shard costs extra kernel work on every query).
     ///    Objects that change side move through the normal adopted path —
-    ///    matrix-adopting kinds compute no distances for a move.
-    /// 2. Every long-tombstoned matrix row is dropped and the survivors
-    ///    are renumbered **densely in ascending global-id order**
-    ///    (survivor of rank `i` becomes global id — and shared row — `i`,
-    ///    exactly the ids a rebuild would assign). The dense matrix is
-    ///    installed as the new published snapshot, and every shard is
-    ///    remapped: matrix-adopting kinds rebuild their slot tables
-    ///    tombstone-free ([`MetricIndex::compact_rows`]), other kinds
-    ///    keep their local tombstones and only have their live slots'
-    ///    global ids rewritten.
+    ///    kinds that own their rows compute no distances for a move.
+    /// 2. The survivors are renumbered **densely in ascending global-id
+    ///    order** (survivor of rank `i` becomes global id `i`, exactly the
+    ///    ids a rebuild would assign), and every shard is remapped: kinds
+    ///    that own their rows rebuild their slot tables tombstone-free
+    ///    and keep only the survivors' rows, as one contiguous run again
+    ///    ([`MetricIndex::compact_rows`]); other kinds keep their local
+    ///    tombstones and only have their live slots' global ids
+    ///    rewritten.
     /// 3. Routed engines recompute every routing box from the final
     ///    membership, so pruning is exactly a fresh build's.
     ///
@@ -1641,40 +1577,71 @@ impl<O> ShardedEngine<O> {
     /// probe/prune counts — to a rebuild over the survivors with this
     /// membership. **Renumbers global ids**: ids returned by earlier
     /// inserts are invalidated, exactly as a rebuild would. Returns the
-    /// number of dead rows dropped (0 on an engine without a shared
+    /// number of dead rows dropped (0 on an engine built without a pivot
     /// matrix, or with nothing dead).
+    ///
+    /// The pass is a transaction like [`apply`](Self::apply): everything
+    /// stages on forked shards and publishes as one new engine snapshot,
+    /// so in-flight reader batches keep serving old ids consistently from
+    /// the snapshot they hold, and it is **all-or-nothing** — a panic
+    /// anywhere in it (an injected fault at `engine.compact`) is caught,
+    /// the staged state is dropped, `compact.aborts` is counted and the
+    /// call returns 0 with nothing changed.
     pub fn compact(&mut self) -> usize {
-        let Some(mx) = self.matrix.clone() else {
-            return 0;
-        };
-        debug_assert!(
-            !mx.has_staged(),
-            "apply publishes at commit; nothing is staged between batches"
-        );
-        let snap = mx.snapshot();
-        let dead = snap.rows() - self.len();
-        if dead == 0 {
+        let dead = self.next_id as usize - self.len();
+        if !self.shard_rows || dead == 0 {
+            // A no-op records nothing: a `compact` phase in the metrics
+            // always means rows actually moved.
             return 0;
         }
-        // The no-op early returns above record nothing: a `compact` phase
-        // in the snapshot always means rows actually moved.
-        //
-        // Compaction runs as its own transaction and publishes one new
-        // engine snapshot at the end. In-flight reader batches keep their
-        // old snapshot, whose shards pin the *old* matrix generation — the
-        // dense replacement below installs a new `Arc`, so old-id serving
-        // stays consistent until the last pinned batch drains.
         let span = Span::enter("compact");
         let mut txn = self.begin_txn();
+        let staged = catch_unwind(AssertUnwindSafe(|| self.stage_compaction(&mut txn)));
+        let Ok(survivors) = staged else {
+            drop(txn);
+            self.core.obs.counter_add("compact.aborts", 1);
+            span.finish_with(&self.core.obs, &[("aborted", 1)]);
+            return 0;
+        };
+        txn.stats.compactions += 1;
+        txn.stats.compacted_rows += dead as u64;
+        self.commit_txn(txn);
+        span.finish_with(
+            &self.core.obs,
+            &[
+                ("compacted_rows", dead as u64),
+                ("survivors", survivors as u64),
+            ],
+        );
+        self.core
+            .obs
+            .gauge_set("engine.live_objects", self.len() as u64);
+        dead
+    }
+
+    /// Stages a whole compaction into `txn` (see [`compact`](Self::compact)
+    /// for the steps) and returns the survivor count. Touches no published
+    /// state.
+    fn stage_compaction(&self, txn: &mut ApplyTxn<O>) -> usize {
         // Survivors in ascending (old) global-id order; their rank is the
-        // new global id == new shared row id.
+        // new global id.
         let survivors: Vec<ObjId> = txn.locator.live_ids().collect();
+        let at = |txn: &ApplyTxn<O>, gid: ObjId| {
+            let (s, local) = txn.locator.get(gid).expect("a survivor is live");
+            (s as usize, local)
+        };
 
         // (1) Full re-partition of the survivors on routed engines. The
         // movement tombstones this leaves behind are folded away by the
         // dense rebuild below.
-        if txn.router.is_some() && txn.shards.len() >= 2 {
-            let live_rows = snap.select(&survivors);
+        if let (Some(rt), true) = (&txn.router, txn.shards.len() >= 2) {
+            let live_rows = PivotMatrix::from_rows(
+                rt.boxes()[0].dim(),
+                survivors.iter().map(|&gid| {
+                    let (s, local) = at(txn, gid);
+                    txn.shards[s].pivot_row(local)
+                }),
+            );
             let assignment = pmi_router::partition_pivot_space(
                 &live_rows,
                 txn.shards.len(),
@@ -1684,42 +1651,39 @@ impl<O> ShardedEngine<O> {
             .assignment;
             for (rank, &gid) in survivors.iter().enumerate() {
                 let target = assignment[rank];
-                let (s, local) = txn.locator.get(gid).expect("a survivor is live");
-                if s as usize == target {
+                let (s, local) = at(txn, gid);
+                if s == target {
                     continue;
                 }
-                let Some(o) = txn.shards[s as usize].get_local(local) else {
+                let Some(o) = txn.shards[s].get_local(local) else {
                     continue;
                 };
-                txn.shard_mut(s as usize).remove_local(local);
-                let new_local =
-                    txn.shard_mut(target)
-                        .insert_adopted(o, gid, gid, live_rows.row(rank));
+                txn.shard_mut(s).remove_local(local);
+                let new_local = txn
+                    .shard_mut(target)
+                    .insert_adopted(o, gid, live_rows.row(rank));
                 txn.locator.set(gid, target, new_local);
             }
         }
 
-        let mut dense =
-            PivotMatrix::with_capacity(snap.width(), survivors.len()).with_mode(snap.mode());
+        // (2) Dense ids, per-shard compaction.
         let mut keep: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
-        let mut rows: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
+        let mut gids: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
         for (new_gid, &old_gid) in survivors.iter().enumerate() {
-            dense.push_row(snap.row(old_gid as usize));
-            let (s, local) = txn.locator.get(old_gid).expect("a survivor is live");
-            keep[s as usize].push(local);
-            rows[s as usize].push(new_gid as ObjId);
+            let (s, local) = at(txn, old_gid);
+            keep[s].push(local);
+            gids[s].push(new_gid as ObjId);
         }
-        mx.replace(dense);
         let mut locator = vec![Locator::DEAD; survivors.len()];
-        for (s, (keep, rows)) in keep.iter().zip(&rows).enumerate() {
-            if txn.shard_mut(s).compact_rows(keep, rows) {
-                // Dense rebuild: new local id i holds new global id rows[i].
-                for (local, &gid) in rows.iter().enumerate() {
+        for (s, (keep, gids)) in keep.iter().zip(&gids).enumerate() {
+            if txn.shard_mut(s).compact_rows(keep, gids) {
+                // Dense rebuild: new local id i holds new global id gids[i].
+                for (local, &gid) in gids.iter().enumerate() {
                     locator[gid as usize] = (s as u32, local as ObjId);
                 }
             } else {
                 // Tombstones kept: local ids unchanged, global ids remapped.
-                for (&local, &gid) in keep.iter().zip(rows) {
+                for (&local, &gid) in keep.iter().zip(gids) {
                     locator[gid as usize] = (s as u32, local);
                 }
             }
@@ -1727,27 +1691,12 @@ impl<O> ShardedEngine<O> {
         txn.locator = Locator(locator.into());
         txn.next_id = survivors.len() as ObjId;
 
-        // (3) Tight boxes over the final membership (the staging map is
-        // empty here — every surviving row is published in the dense
-        // matrix under its new id).
-        if txn.router.is_some() {
-            let dirty = vec![true; txn.shards.len()];
-            self.stage_rebox(&mut txn, &dirty);
-        }
-        txn.stats.compactions += 1;
-        txn.stats.compacted_rows += dead as u64;
-        self.commit_txn(txn);
-        span.finish_with(
-            &self.core.obs,
-            &[
-                ("compacted_rows", dead as u64),
-                ("survivors", survivors.len() as u64),
-            ],
-        );
-        self.core
-            .obs
-            .gauge_set("engine.live_objects", self.len() as u64);
-        dead
+        // (3) Tight boxes over the final membership.
+        let dirty = vec![true; txn.shards.len()];
+        self.stage_rebox(txn, &dirty);
+        // The last abortable point: past here the compaction commits.
+        fault::at("engine.compact", 0);
+        survivors.len()
     }
 
     /// Fetches a copy of a live object by global id.
@@ -1852,12 +1801,9 @@ mod tests {
     #[test]
     fn matrix_build_matches_plain_build() {
         // A matrix-adopting factory must see exactly its shard's rows of
-        // the shared matrix, viewed in partition order.
+        // the build-time matrix, in partition order.
         let objects = grid(60);
-        let matrix = SharedPivotMatrix::new(PivotMatrix::from_rows(
-            2,
-            objects.iter().map(|o| [o[0] as f64, o[1] as f64]),
-        ));
+        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
         let cfg = EngineConfig {
             shards: 4,
             threads: 2,
@@ -1871,10 +1817,10 @@ mod tests {
             mapper,
             &cfg,
             |_, part, m| {
-                assert_eq!(m.len(), part.len());
+                assert_eq!(m.rows(), part.len());
                 assert_eq!(m.width(), 2);
                 for (i, o) in part.iter().enumerate() {
-                    assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "adopted slice");
+                    assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "the shard's rows");
                 }
                 brute_factory(part)
             },
@@ -1891,16 +1837,12 @@ mod tests {
 
     #[test]
     fn apply_batches_update_through_the_shared_path() {
-        // A matrix-bearing round-robin engine: inserts push one shared row
-        // each (gid == row id), removes tombstone, counters stay exact.
+        // A matrix-built round-robin engine: each insert hands one row to
+        // its shard, removes tombstone, counters stay exact.
         let objects = grid(30);
-        let matrix = SharedPivotMatrix::new(PivotMatrix::from_rows(
-            2,
-            objects.iter().map(|o| [o[0] as f64, o[1] as f64]),
-        ));
+        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
         let mapper: Mapper<Vec<f32>> =
             Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
-        let shared = matrix.clone();
         let mut e = ShardedEngine::build_with_matrix(
             objects.clone(),
             matrix,
@@ -1928,7 +1870,15 @@ mod tests {
         assert_eq!(report.map_compdists, 4, "one 2-wide row per insert");
         assert_eq!(report.shard_compdists, 0, "BruteForce inserts are free");
         assert_eq!(report.reboxed_shards, 0, "no router, nothing to shrink");
-        assert_eq!(shared.rows(), 32, "one pushed row per insert");
+        for gid in [30, 31] {
+            let (s, local) = e.locate(gid).unwrap();
+            let o = e.get(gid).unwrap();
+            assert_eq!(
+                e.shards()[s].pivot_row(local),
+                &[o[0] as f64, o[1] as f64],
+                "the shard keeps the row a BruteForce index does not take"
+            );
+        }
         assert_eq!(e.len(), 31);
         assert_eq!(e.locate(30), Some((e.locate(30).unwrap().0, 10)));
         assert_eq!(
@@ -1947,7 +1897,7 @@ mod tests {
     #[test]
     fn apply_shrinks_boxes_and_restores_pruning() {
         let (objects, mut e) = routed_two_clusters();
-        // Stale-path baseline: without a shared matrix apply cannot
+        // Stale-path baseline: without the shards' rows apply cannot
         // recompute box extents, so cluster B's box stays at its build
         // extent and a query there still probes shard 1.
         let b_ids: Vec<ObjId> = (0..20).filter(|i| i % 2 == 1).collect();
@@ -1973,7 +1923,7 @@ mod tests {
             objects.clone(),
             &assignment,
             router,
-            SharedPivotMatrix::new(mapped),
+            mapped,
             &EngineConfig {
                 shards: 2,
                 threads: 1,
@@ -2080,7 +2030,7 @@ mod tests {
             objects.clone(),
             &assignment,
             router,
-            SharedPivotMatrix::new(mapped),
+            mapped,
             &EngineConfig {
                 shards: 2,
                 threads: 1,
@@ -2132,18 +2082,15 @@ mod tests {
 
     #[test]
     fn compaction_renumbers_and_keeps_serving_exact() {
-        // Matrix-bearing round-robin engine over BruteForce shards (the
+        // Matrix-built round-robin engine over BruteForce shards (the
         // non-adopting fallback: tombstones stay local, gids remap).
         let objects = grid(40);
-        let matrix = SharedPivotMatrix::new(PivotMatrix::from_rows(
-            2,
-            objects.iter().map(|o| [o[0] as f64, o[1] as f64]),
-        ));
+        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
         let mapper: Mapper<Vec<f32>> =
             Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
         let mut e = ShardedEngine::build_with_matrix(
             objects.clone(),
-            matrix.clone(),
+            matrix,
             mapper,
             &EngineConfig {
                 shards: 3,
@@ -2161,13 +2108,11 @@ mod tests {
         let r = e.apply(&batch);
         assert_eq!((r.removes, r.inserts), (6, 1));
         assert_eq!(r.compactions, 0, "default policy never compacts");
-        assert_eq!(matrix.rows(), 41, "tombstoned rows still in the matrix");
 
         // Survivors in ascending old-gid order are the expected new order.
         let survivors: Vec<Vec<f32>> = (0..41u32).filter_map(|g| e.get(g)).collect();
         let dropped = e.compact();
         assert_eq!(dropped, 6, "one dead row per remove");
-        assert_eq!(matrix.rows(), 35, "matrix is dense again");
         assert_eq!(e.len(), 35);
         let stats = e.update_stats();
         assert_eq!((stats.compactions, stats.compacted_rows), (1, 6));
@@ -2181,7 +2126,6 @@ mod tests {
         // The next insert takes the next dense id and serving stays exact.
         let gid = e.insert(vec![600.0f32, 600.0]);
         assert_eq!(gid, 35);
-        assert_eq!(matrix.rows(), 36);
         assert_eq!(e.range_query(&vec![600.0f32, 600.0], 0.5), vec![35]);
         // compact with nothing dead is a no-op.
         assert_eq!(e.compact(), 0);
@@ -2190,15 +2134,12 @@ mod tests {
     #[test]
     fn compaction_policy_triggers_inside_apply() {
         let objects = grid(32);
-        let matrix = SharedPivotMatrix::new(PivotMatrix::from_rows(
-            2,
-            objects.iter().map(|o| [o[0] as f64, o[1] as f64]),
-        ));
+        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
         let mapper: Mapper<Vec<f32>> =
             Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
         let mut e = ShardedEngine::build_with_matrix(
             objects.clone(),
-            matrix.clone(),
+            matrix,
             mapper,
             &EngineConfig {
                 shards: 2,
@@ -2220,7 +2161,6 @@ mod tests {
         assert_eq!(r.removes, 12);
         assert_eq!(r.compactions, 1, "12/32 dead trips the 25% policy");
         assert_eq!(r.compacted_rows, 12);
-        assert_eq!(matrix.rows(), 20);
         assert_eq!(e.len(), 20);
         assert_eq!(e.range_query(&e.get(0).unwrap(), 0.0), vec![0]);
     }

@@ -28,8 +28,8 @@
 //!   benches and examples can measure QPS directly,
 //! * mutations flow through the same layered path as queries
 //!   ([`ShardedEngine::apply`] over an [`UpdateBatch`]): inserts are routed
-//!   via the routing table and push **one** pivot row into the engine's
-//!   shared matrix (the destination shard adopts it by id — no remap),
+//!   via the routing table and map to **one** pivot row that the
+//!   destination shard takes with the object (no remap),
 //!   removes shrink the affected routing boxes back to the surviving
 //!   members, and a [`RefreshPolicy`] re-clusters the worst shard pair
 //!   when a batch leaves the shards imbalanced. Every [`ApplyReport`]

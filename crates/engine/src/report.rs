@@ -97,13 +97,13 @@ pub struct ShardServeStats {
 
 /// What building a [`ShardedEngine`](crate::ShardedEngine) cost: exact
 /// distance computations and wall-clock. The engine records the per-shard
-/// construction cost itself; the `pmi` facade adds the shared
-/// pivot-distance matrix cost on top, so the ~2× build-distance saving of
-/// the shared-matrix path is visible and regression-testable.
+/// construction cost itself; the `pmi` facade adds the one
+/// pivot-distance matrix's cost on top, so the ~2× build-distance saving
+/// of the matrix build path is visible and regression-testable.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildStats {
-    /// Distance computations spent building the engine: the shared pivot
-    /// matrix (computed once) plus every shard's own construction cost.
+    /// Distance computations spent building the engine: the pivot matrix
+    /// (computed once) plus every shard's own construction cost.
     pub build_compdists: u64,
     /// Wall-clock duration of the whole build, seconds.
     pub build_wall_secs: f64,
@@ -127,9 +127,9 @@ pub struct UpdateStats {
     pub moved_objects: u64,
     /// Re-clustering passes run.
     pub reclusters: u64,
-    /// Shared-matrix compactions run (dead rows dropped, ids renumbered).
+    /// Compactions run (dead rows dropped, ids renumbered).
     pub compactions: u64,
-    /// Dead matrix rows dropped by compaction in total.
+    /// Dead pivot rows dropped by compaction in total.
     pub compacted_rows: u64,
 }
 

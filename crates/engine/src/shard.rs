@@ -2,7 +2,9 @@
 //! mapping.
 
 use crate::merge::TopK;
-use pmi_metric::{Counters, CowVec, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFootprint};
+use pmi_metric::{
+    Counters, CowVec, MetricIndex, Neighbor, ObjId, PivotMatrix, QueryScratch, StorageFootprint,
+};
 
 /// What a removed (or never-filled) slot of the local→global table holds.
 const TOMBSTONE: ObjId = ObjId::MAX;
@@ -21,6 +23,12 @@ pub struct Shard<O> {
     /// says which slots are live members. Chunks are shared with every
     /// [`fork`](Self::fork).
     global_ids: CowVec<ObjId>,
+    /// The members' pivot-distance rows, slot-aligned with `global_ids` (a
+    /// tombstoned slot keeps its row), on an engine built over a pivot
+    /// matrix whose index did not take them
+    /// ([`MetricIndex::pivot_rows`] is `None`). Routing state, not index
+    /// state: outside [`storage`](Self::storage).
+    rows: Option<PivotMatrix>,
 }
 
 impl<O> Shard<O> {
@@ -32,7 +40,41 @@ impl<O> Shard<O> {
         Shard {
             index,
             global_ids: global_ids.into(),
+            rows: None,
         }
+    }
+
+    /// [`new`](Self::new) on an engine built over a pivot matrix: `rows`
+    /// are the members' rows in insertion order. An index that adopted
+    /// them (it was built from a clone of `rows`, sharing the storage)
+    /// answers [`pivot_row`](Self::pivot_row) itself; otherwise the shard
+    /// keeps them.
+    pub fn with_rows(
+        index: Box<dyn MetricIndex<O>>,
+        global_ids: Vec<ObjId>,
+        rows: PivotMatrix,
+    ) -> Self {
+        debug_assert_eq!(rows.rows(), global_ids.len());
+        let adopted = index.pivot_rows().is_some();
+        Shard {
+            rows: (!adopted).then_some(rows),
+            ..Shard::new(index, global_ids)
+        }
+    }
+
+    /// The pivot-distance row of local slot `local`, live or tombstoned —
+    /// from the index's own rows or the ones the shard holds.
+    ///
+    /// # Panics
+    ///
+    /// On a shard of an engine built without a pivot matrix whose index
+    /// keeps no rows either.
+    pub fn pivot_row(&self, local: ObjId) -> &[f64] {
+        self.rows
+            .as_ref()
+            .or_else(|| self.index.pivot_rows())
+            .expect("a shard of a matrix-built engine carries its rows")
+            .row(local as usize)
     }
 
     /// Number of live objects in this shard.
@@ -122,39 +164,41 @@ impl<O> Shard<O> {
         local
     }
 
-    /// Inserts an object whose pivot row the engine already staged in the
-    /// shared matrix at shared row `row` (distances in `row_data`):
-    /// matrix-adopting indexes take the row by id (no remap); everything
-    /// else falls back to a plain [`insert`](Self::insert).
-    pub fn insert_adopted(&mut self, o: O, global: ObjId, row: ObjId, row_data: &[f64]) -> ObjId {
-        match self.index.insert_adopted(o, row, row_data) {
+    /// Inserts an object whose pivot row the engine already computed:
+    /// indexes that own their rows append it (no remap); for everything
+    /// else the index takes a plain [`insert`](Self::insert) and the shard
+    /// keeps the row.
+    pub fn insert_adopted(&mut self, o: O, global: ObjId, row: &[f64]) -> ObjId {
+        match self.index.insert_adopted(o, row) {
             Ok(local) => {
                 self.note_mapping(local, global);
                 local
             }
-            Err(o) => self.insert(o, global),
+            Err(o) => {
+                let local = self.insert(o, global);
+                if let Some(rows) = &mut self.rows {
+                    let slot = rows.push_row(row);
+                    assert_eq!(slot, local as usize, "routing rows stay slot-aligned");
+                }
+                local
+            }
         }
     }
 
-    /// Re-fetches the wrapped index's adopted matrix snapshot after the
-    /// engine published staged rows (no-op for non-adopting kinds).
-    pub fn refresh_rows(&mut self) {
-        self.index.refresh_rows();
-    }
-
     /// Engine-level compaction of the wrapped index: `keep` are the old
-    /// local ids of this shard's survivors (ascending global id), `rows`
-    /// their row ids in the freshly compacted shared matrix — which are
-    /// also their new global ids, so a successful compaction replaces the
-    /// local→global table wholesale. Returns whether the index compacted
-    /// (non-adopting kinds keep their tombstones; only the live slots'
-    /// global ids are remapped then).
-    pub fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
-        if self.index.compact_rows(keep, rows) {
-            self.global_ids = rows.iter().copied().collect();
+    /// local ids of this shard's survivors (ascending global id), `gids`
+    /// their new global ids. An index that compacts
+    /// ([`MetricIndex::compact_rows`]) holds survivor `i` at local id `i`
+    /// afterwards, so the local→global table is replaced wholesale. Returns
+    /// whether it did: other kinds keep their tombstones (and the shard
+    /// its slot-aligned rows); only the live slots' global ids are
+    /// rewritten then.
+    pub fn compact_rows(&mut self, keep: &[ObjId], gids: &[ObjId]) -> bool {
+        if self.index.compact_rows(keep) {
+            self.global_ids = gids.iter().copied().collect();
             true
         } else {
-            for (&local, &gid) in keep.iter().zip(rows) {
+            for (&local, &gid) in keep.iter().zip(gids) {
                 self.global_ids.set(local as usize, gid);
             }
             false
@@ -209,12 +253,13 @@ impl<O> Shard<O> {
 
     /// An independently mutable copy of this shard (see
     /// [`MetricIndex::fork`]): byte-identical answers at fork time,
-    /// **shared** cost counters, and a slot table that shares every chunk
-    /// with the original until one side writes to it.
+    /// **shared** cost counters, and a slot table and rows that share every
+    /// chunk with the original until one side writes to it.
     pub fn fork(&self) -> Shard<O> {
         Shard {
             index: self.index.fork(),
             global_ids: self.global_ids.clone(),
+            rows: self.rows.clone(),
         }
     }
 }
@@ -229,14 +274,9 @@ pub fn partition_round_robin<O>(objects: Vec<O>, shards: usize) -> Vec<Partition
     let shards = shards.max(1);
     let n = objects.len();
     // Balanced *contiguous* runs rather than a stride: shard s takes the
-    // next ⌈n/P⌉-or-⌊n/P⌋ ids in order. The split is just as
-    // geometry-agnostic as a stride, but consecutive global ids keep every
-    // shard's matrix slice one consecutive run, so the Lemma 1 kernel
-    // streams contiguous storage instead of gathering rows strided P·l
-    // apart — a stride makes each shard's scan touch one cache line per
-    // row across the *whole* shared matrix, multiplying a batch's line
-    // traffic by the shard count. (Compaction renumbers survivors in
-    // global-id order, so contiguity also survives churn+compact.)
+    // next ⌈n/P⌉-or-⌊n/P⌋ ids in order — just as geometry-agnostic as a
+    // stride. Tests pin this membership; no row layout depends on it any
+    // more (every shard scans its own copy of its rows).
     let mut parts: Vec<Partition<O>> = Vec::with_capacity(shards);
     let mut next = 0usize;
     let mut iter = objects.into_iter();
@@ -301,8 +341,7 @@ mod tests {
         assert_eq!(parts[0].1, vec![0, 1, 2, 3]);
         assert_eq!(parts[1].1, vec![4, 5, 6]);
         assert_eq!(parts[2].1, vec![7, 8, 9]);
-        // Contiguous runs: each shard's ids are consecutive, so its matrix
-        // slice takes the streaming (no-gather) kernel path.
+        // Contiguous runs: each shard's ids are consecutive.
         for (_, ids) in &parts {
             assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
         }

@@ -5,9 +5,8 @@
 //!
 //! Inserts and removes flow through the same layered fast path queries use:
 //! an insert is routed via the [`RoutingTable`](pmi_router::RoutingTable),
-//! its pivot row is computed **once** and pushed into the engine's shared
-//! [`SharedPivotMatrix`](pmi_metric::SharedPivotMatrix), and the
-//! destination shard adopts the row by id
+//! its pivot row is computed **once** and handed to the destination shard
+//! with the object
 //! ([`MetricIndex::insert_adopted`](pmi_metric::MetricIndex::insert_adopted))
 //! — no per-shard remap. Removes recompute the affected shards' routing
 //! boxes from the surviving members' rows, and a batch that leaves the
@@ -119,11 +118,11 @@ impl Default for RefreshPolicy {
     }
 }
 
-/// When `apply` compacts the shared pivot matrix: after a batch, if the
-/// fraction of dead (tombstoned) rows among all matrix rows exceeds
-/// `max_dead_fraction` (and there are at least `min_dead_rows` of them),
-/// the engine drops the dead rows, renumbers the survivors densely, and
-/// remaps every adopting shard plus its own id tables — see
+/// When `apply` compacts the shards' pivot rows: after a batch, if the
+/// fraction of dead (tombstoned) rows among all rows ever handed out
+/// exceeds `max_dead_fraction` (and there are at least `min_dead_rows` of
+/// them), the engine renumbers the survivors densely, has every shard
+/// that owns its rows drop the dead ones, and remaps its own id tables — see
 /// [`ShardedEngine::compact`](crate::ShardedEngine::compact). Serving after
 /// a compaction is byte-identical to a from-scratch rebuild over the
 /// survivors (with the rebuild's dense ids), which is exactly what closes
@@ -139,7 +138,7 @@ pub struct CompactionPolicy {
     /// Trigger threshold: compact when
     /// `dead_rows > max_dead_fraction * total_rows`.
     pub max_dead_fraction: f64,
-    /// Minimum dead rows before compaction is worth a matrix rewrite.
+    /// Minimum dead rows before compaction is worth rewriting the rows.
     pub min_dead_rows: usize,
 }
 
@@ -153,7 +152,7 @@ impl CompactionPolicy {
         }
     }
 
-    /// Compact when more than `fraction` of the matrix rows are dead
+    /// Compact when more than `fraction` of the pivot rows are dead
     /// (with a small absolute floor so tiny engines don't thrash).
     pub fn at_dead_fraction(fraction: f64) -> Self {
         CompactionPolicy {

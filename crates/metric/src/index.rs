@@ -3,6 +3,7 @@
 //! correctness oracle in tests.
 
 use crate::distance::{CountingMetric, Metric};
+use crate::matrix::PivotMatrix;
 use crate::scratch::QueryScratch;
 use crate::stats::{Counters, Neighbor, ObjId, StorageFootprint};
 use crate::table::ObjTable;
@@ -87,46 +88,42 @@ pub trait MetricIndex<O>: Send + Sync {
     /// Inserts an object, returning its id.
     fn insert(&mut self, o: O) -> ObjId;
 
-    /// Inserts an object whose pivot-distance row already exists in the
-    /// index's adopted shared matrix
-    /// ([`MatrixSlice`](crate::matrix::MatrixSlice)) at shared row `row` —
-    /// the sharded engine's unified mutation path, which computes each
-    /// insert's pivot row exactly once, stages it in the shared
-    /// [`SharedPivotMatrix`](crate::matrix::SharedPivotMatrix), and hands
-    /// indexes the row *id* plus the row's distances (`row_data`, so no
-    /// implementation ever needs to read a still-staged row back).
-    /// Implementations adopt the row without computing any distance beyond
-    /// what their auxiliary structures need (e.g. CPT's M-tree clustering).
-    ///
-    /// The row may still be *staged*: the engine publishes the snapshot
-    /// (and calls [`refresh_rows`](Self::refresh_rows)) before any query
-    /// can run. Indexes without an adopted shared matrix return `Err(o)`,
+    /// Inserts an object whose pivot-distance row the caller already
+    /// computed (`row`, its distances to the shared pivot set) — the
+    /// sharded engine's mutation path, which maps each insert into pivot
+    /// space exactly once. Kinds that own such rows
+    /// ([`pivot_rows`](Self::pivot_rows)) append `row` to them without
+    /// computing any distance beyond what their auxiliary structures need
+    /// (e.g. CPT's M-tree clustering). Every other kind returns `Err(o)`,
     /// handing the object back so the caller can fall back to
     /// [`insert`](Self::insert).
-    fn insert_adopted(&mut self, o: O, row: ObjId, row_data: &[f64]) -> Result<ObjId, O> {
-        let _ = (row, row_data);
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+        let _ = row;
         Err(o)
     }
 
-    /// Re-fetches the index's adopted matrix snapshot after the engine
-    /// published staged rows (see the publication rule in
-    /// [`matrix`](crate::matrix)). No-op for kinds without an adopted
-    /// slice.
-    fn refresh_rows(&mut self) {}
+    /// The pivot-distance rows this index owns and scans, aligned with its
+    /// slot ids (a tombstoned slot keeps its row) — LAESA, CPT, an adopting
+    /// FQA. On an engine built over a pivot matrix they are the shard's
+    /// share of it: what the engine reads to maintain routing boxes and to
+    /// move objects between shards without recomputing a distance. `None`
+    /// for kinds that keep no such rows — their shard holds them itself.
+    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+        None
+    }
 
-    /// Engine-level compaction: drops every tombstoned slot, re-adding the
+    /// Engine-level compaction: drops every tombstoned slot, keeping the
     /// survivors in `keep` order (old local ids — ascending global id, the
-    /// order a from-scratch rebuild would use) and adopting `rows` — the
-    /// survivors' row ids in the freshly compacted shared matrix, aligned
-    /// with `keep`. After a successful compaction local id `i` holds the
-    /// object previously at `keep[i]` and serving is byte-identical to a
-    /// rebuild over the survivors.
+    /// order a from-scratch rebuild would use). After a successful
+    /// compaction local id `i` holds the object — and the pivot row —
+    /// previously at `keep[i]` and serving is byte-identical to a rebuild
+    /// over the survivors.
     ///
-    /// Returns `false` (and must change nothing) for kinds without an
-    /// adopted matrix slice; the engine then only remaps its own id
-    /// tables and leaves the index's tombstones in place.
-    fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
-        let _ = (keep, rows);
+    /// Returns `false` (and must change nothing) for kinds without adopted
+    /// rows; the engine then only remaps its own id tables and leaves the
+    /// index's tombstones in place.
+    fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
+        let _ = keep;
         false
     }
 

@@ -8,10 +8,11 @@
 //!   computes distances so that the `compdists` cost metric of the paper can
 //!   be measured uniformly,
 //! * the four pivot filtering / validation lemmas of the paper ([`lemmas`]),
-//! * the shared flat pivot-distance matrix ([`PivotMatrix`]) built once, in
-//!   parallel, and adopted by the pivot tables and the sharded engine —
-//!   read through lock-free published snapshots and filtered through the
-//!   blocked [`ScanKernel`] (see [`matrix`] for the publication rule),
+//! * the flat pivot-distance matrix ([`PivotMatrix`]) built once, in
+//!   parallel, and split among the pivot tables of a sharded engine — each
+//!   owns its rows as one contiguous run, filtered through the blocked
+//!   [`ScanKernel`] (see [`matrix`] for the clone-shares, writer-copies
+//!   rule),
 //! * the persistent chunked vector ([`CowVec`]) that lets an index fork and
 //!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
@@ -38,7 +39,7 @@ pub mod table;
 pub use cow::CowVec;
 pub use distance::{CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2};
 pub use index::{BruteForce, MetricIndex};
-pub use matrix::{ColumnMode, MatrixSlice, PivotMatrix, ScanKernel, SharedPivotMatrix};
+pub use matrix::{ColumnMode, PivotMatrix, ScanKernel};
 pub use object::EncodeObject;
 pub use scratch::QueryScratch;
 pub use simd::SimdTier;

@@ -85,8 +85,8 @@ pub fn tier() -> SimdTier {
 
 /// The x86-64 lane implementations. All functions require the slice
 /// preconditions documented on their `ScanKernel` wrappers (`rows`/`out`
-/// sized to `n`·`w`, every index row in bounds) and, for the AVX2 set, a
-/// CPU with AVX2 — which the dispatcher guarantees.
+/// sized to `n`·`w`) and, for the AVX2 set, a CPU with AVX2 — which the
+/// dispatcher guarantees.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use crate::matrix::{adjust_f32, ScanKernel};
@@ -140,37 +140,6 @@ pub(crate) mod x86 {
         }
         for r in i..n {
             out[r] = ScanKernel::row_max(qd, &rows[r * w..(r + 1) * w]);
-        }
-    }
-
-    /// The gather twin of [`lb_f64_avx2`]: row `index[i]` of `data`.
-    ///
-    /// # Safety
-    /// Caller verified AVX2; every `index[i] * qd.len() + qd.len()` is in
-    /// bounds of `data`; `out.len() == index.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lb_f64_idx_avx2(qd: &[f64], data: &[f64], index: &[u32], out: &mut [f64]) {
-        let w = qd.len();
-        let n = out.len();
-        let base = data.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let r0 = base.add(*index.get_unchecked(i) as usize * w);
-            let r1 = base.add(*index.get_unchecked(i + 1) as usize * w);
-            let r2 = base.add(*index.get_unchecked(i + 2) as usize * w);
-            let r3 = base.add(*index.get_unchecked(i + 3) as usize * w);
-            let mut m = _mm256_setzero_pd();
-            for j in 0..w {
-                let x = _mm256_set_pd(*r3.add(j), *r2.add(j), *r1.add(j), *r0.add(j));
-                let q = _mm256_set1_pd(*qd.get_unchecked(j));
-                m = _mm256_max_pd(abs_pd(_mm256_sub_pd(q, x)), m);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), m);
-            i += 4;
-        }
-        for r in i..n {
-            let id = index[r] as usize;
-            out[r] = ScanKernel::row_max(qd, &data[id * w..id * w + w]);
         }
     }
 
@@ -240,35 +209,6 @@ pub(crate) mod x86 {
         }
         for r in i..n {
             out[r] = ScanKernel::row_max(qd, &rows[r * w..(r + 1) * w]);
-        }
-    }
-
-    /// The gather twin of [`lb_f64_sse2`].
-    ///
-    /// # Safety
-    /// Every `index[i] * qd.len() + qd.len()` is in bounds of `data`;
-    /// `out.len() == index.len()`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn lb_f64_idx_sse2(qd: &[f64], data: &[f64], index: &[u32], out: &mut [f64]) {
-        let w = qd.len();
-        let n = out.len();
-        let base = data.as_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let r0 = base.add(*index.get_unchecked(i) as usize * w);
-            let r1 = base.add(*index.get_unchecked(i + 1) as usize * w);
-            let mut m = _mm_setzero_pd();
-            for j in 0..w {
-                let x = _mm_set_pd(*r1.add(j), *r0.add(j));
-                let q = _mm_set1_pd(*qd.get_unchecked(j));
-                m = _mm_max_pd(abs_pd128(_mm_sub_pd(q, x)), m);
-            }
-            _mm_storeu_pd(out.as_mut_ptr().add(i), m);
-            i += 2;
-        }
-        for r in i..n {
-            let id = index[r] as usize;
-            out[r] = ScanKernel::row_max(qd, &data[id * w..id * w + w]);
         }
     }
 

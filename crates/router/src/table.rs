@@ -75,7 +75,7 @@ impl<O> RoutingTable<O> {
     }
 
     /// Builds the table from a partitioning: row `i` of `mapped` (the
-    /// shared pivot-distance matrix) is object `i`'s pivot-distance vector,
+    /// build-time pivot-distance matrix) is object `i`'s pivot-distance vector,
     /// `assignment[i]` its shard.
     pub fn from_assignment(
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,

@@ -6,17 +6,16 @@
 //! read through the M-tree leaf directory) before the distance can be
 //! computed. This is the CPU/I-O overhead the paper attributes to CPT.
 //!
-//! Like LAESA, the table is a flat row-major [`PivotMatrix`]; liveness is a
-//! separate slot bitmap, and the Lemma 1 filter runs through the blocked
-//! [`ScanKernel`](pmi_metric::ScanKernel) over the slice's lock-free
-//! published snapshot, with survivors collected before the fetch+verify
-//! pass.
+//! Like LAESA, the table is a flat row-major [`PivotMatrix`] the index
+//! owns; liveness is a separate slot bitmap, and the Lemma 1 filter runs
+//! through the blocked [`ScanKernel`](pmi_metric::ScanKernel) over those
+//! contiguous rows, with survivors collected before the fetch+verify pass.
 
 use pmi_metric::fault;
 use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
-    ColumnMode, Counters, CountingMetric, EncodeObject, MatrixSlice, Metric, MetricIndex, Neighbor,
-    ObjId, PivotMatrix, QueryScratch, StorageFootprint,
+    ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
+    PivotMatrix, QueryScratch, StorageFootprint,
 };
 use pmi_mtree::MTree;
 use pmi_storage::DiskSim;
@@ -25,8 +24,8 @@ use pmi_storage::DiskSim;
 pub struct Cpt<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
-    /// Adopted pivot-distance rows, aligned with slot ids.
-    rows: MatrixSlice,
+    /// Pivot-distance rows, aligned with slot ids.
+    rows: PivotMatrix,
     /// Liveness per slot (tombstoned removal keeps ids stable).
     alive: Vec<bool>,
     mtree: MTree<O, CountingMetric<M>>,
@@ -55,30 +54,23 @@ where
     ) -> Self {
         let metric = CountingMetric::new(metric);
         let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1).with_mode(mode);
-        Self::finish(
-            objects,
-            metric,
-            pivots,
-            MatrixSlice::from_owned(matrix),
-            disk,
-        )
+        Self::finish(objects, metric, pivots, matrix, disk)
     }
 
-    /// Builds CPT by *adopting* pre-computed pivot-distance rows (an owned
-    /// [`PivotMatrix`] or the shard's [`MatrixSlice`] of the engine's
-    /// shared matrix): the `n · l` table costs nothing here; only the
-    /// M-tree build computes distances. Queries are byte-identical to
-    /// [`build`](Self::build)'s, and engine inserts can push one shared
-    /// row this index adopts by id ([`MetricIndex::insert_adopted`]).
+    /// Builds CPT by *adopting* pre-computed pivot-distance rows (row `i` =
+    /// `objects[i]`'s distances to `pivots` — a shard's rows of the
+    /// engine's one matrix): the `n · l` table costs nothing here; only
+    /// the M-tree build computes distances. Queries are byte-identical to
+    /// [`build`](Self::build)'s, and engine inserts bring their row along
+    /// ([`MetricIndex::insert_adopted`]).
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        rows: impl Into<MatrixSlice>,
+        rows: PivotMatrix,
         disk: DiskSim,
     ) -> Self {
-        let rows = rows.into();
-        assert_eq!(rows.len(), objects.len(), "one matrix row per object");
+        assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
         assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
         Self::finish(objects, CountingMetric::new(metric), pivots, rows, disk)
     }
@@ -87,7 +79,7 @@ where
         objects: Vec<O>,
         metric: CountingMetric<M>,
         pivots: Vec<O>,
-        rows: MatrixSlice,
+        rows: PivotMatrix,
         disk: DiskSim,
     ) -> Self {
         // Plain M-tree (no pivot augmentation): it only clusters objects.
@@ -114,12 +106,22 @@ where
     pub fn mtree(&self) -> &MTree<O, CountingMetric<M>> {
         &self.mtree
     }
+
+    /// Appends an object and its pivot-distance row under one slot id;
+    /// only the M-tree clustering computes distances.
+    fn push(&mut self, o: &O, row: &[f64]) -> ObjId {
+        let id = self.rows.push_row(row) as ObjId;
+        self.alive.push(true);
+        self.mtree.insert(id, o);
+        self.live += 1;
+        id
+    }
 }
 
 /// The [`MetricIndex::fork`]: the M-tree moves onto a [`DiskSim::fork`] of
-/// its disk (pages shared until written, page counters shared), the row
-/// slice shares its chunks, and the liveness bitmap and the M-tree's leaf
-/// directory are copied (`O(n)` small entries).
+/// its disk (pages shared until written, page counters shared), the rows
+/// share their flat run and tail chunks, and the liveness bitmap and the
+/// M-tree's leaf directory are copied (`O(n)` small entries).
 impl<O, M> Clone for Cpt<O, M>
 where
     O: Clone + EncodeObject,
@@ -173,7 +175,7 @@ where
         if r.is_nan() || r < 0.0 {
             return;
         }
-        scratch.note_kernel(self.rows.len());
+        scratch.note_kernel(self.rows.rows());
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
@@ -214,7 +216,7 @@ where
         if k == 0 {
             return;
         }
-        scratch.note_kernel(self.rows.len());
+        scratch.note_kernel(self.rows.rows());
         let QueryScratch { qd, heap, lbs, .. } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
@@ -250,36 +252,24 @@ where
             .iter()
             .map(|p| self.metric.dist(&o, p))
             .collect();
-        let id = self.rows.push_adopt(&row) as ObjId;
-        self.alive.push(true);
-        self.mtree.insert(id, &o);
-        self.live += 1;
-        id
+        self.push(&o, &row)
     }
 
-    fn insert_adopted(&mut self, o: O, row: ObjId, _row_data: &[f64]) -> Result<ObjId, O> {
-        // The `n · l` table row is adopted by id; only the M-tree
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+        // The `n · l` table row comes with the object; only the M-tree
         // clustering computes distances (its normal insert cost).
-        if (row as usize) >= self.rows.shared().rows() {
-            return Err(o);
-        }
-        let id = self.rows.adopt(row as usize) as ObjId;
-        self.alive.push(true);
-        self.mtree.insert(id, &o);
-        self.live += 1;
-        Ok(id)
+        Ok(self.push(&o, row))
     }
 
-    fn refresh_rows(&mut self) {
-        self.rows.refresh();
+    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+        Some(&self.rows)
     }
 
-    fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
-        debug_assert_eq!(keep.len(), rows.len());
+    fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
         // Relabel the M-tree's entries onto the dense new local ids: fetch
         // every survivor, empty the tree, reinsert under the new id. This
         // pays the normal M-tree clustering cost (like a rebuild would);
-        // the n × l table itself is remapped for free.
+        // the n × l table itself is copied without computing a distance.
         let objs: Vec<O> = keep
             .iter()
             .map(|&id| self.mtree.fetch(id).expect("survivor on disk"))
@@ -293,7 +283,7 @@ where
         self.alive.clear();
         self.alive.resize(keep.len(), true);
         self.live = keep.len();
-        self.rows.reindex(rows.to_vec());
+        self.rows = self.rows.select(keep);
         true
     }
 
@@ -391,7 +381,7 @@ mod tests {
             pts.clone(),
             L2,
             idx.pivots.clone(),
-            idx.rows.shared().snapshot_owned(),
+            idx.rows.clone(),
             DiskSim::new(1024),
         );
         // The adopted build pays only the M-tree construction: exactly the
@@ -426,6 +416,9 @@ mod tests {
         assert!(idx.counters().compdists > 300 * 4);
         let s = idx.storage();
         assert!(s.mem_bytes > 0 && s.disk_bytes > 0);
+        // In memory: 8·l bytes of rows and one liveness byte per slot, plus
+        // the pivots (a 2-d f32 point encodes to 12 bytes).
+        assert_eq!(s.mem_bytes, 300 * (8 * 4 + 1) + 4 * 12);
     }
 
     #[test]

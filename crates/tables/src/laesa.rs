@@ -3,28 +3,26 @@
 use pmi_metric::fault;
 use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
-    ColumnMode, Counters, CountingMetric, EncodeObject, MatrixSlice, Metric, MetricIndex, Neighbor,
-    ObjId, ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
+    ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
+    ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
 };
 
 /// LAESA: `n × l` pre-computed distances + linear scan with Lemma 1.
 ///
-/// The distance table is an adopted [`MatrixSlice`] — a row-index view of a
-/// flat row-major shared [`PivotMatrix`] — aligned with the object table's
-/// slots: removal tombstones the slot (the matrix row stays in place,
-/// unverified). The Lemma 1 filter runs through the blocked
-/// [`ScanKernel`](pmi_metric::ScanKernel): one pass computes every slot's
-/// lower bound over contiguous flat storage (no lock — rows resolve through
-/// the slice's published snapshot), survivors are collected into the
-/// caller's [`QueryScratch`], and only then does the exact-distance
-/// verification pass run. A sharded engine hands every shard a slice of the
-/// one shared matrix and grows it through [`MetricIndex::insert_adopted`];
-/// a standalone build owns its matrix through the same slice type.
+/// The distance table is a flat row-major [`PivotMatrix`] the index owns,
+/// aligned with the object table's slots: removal tombstones the slot (the
+/// matrix row stays in place, unverified). The Lemma 1 filter runs through
+/// the blocked [`ScanKernel`](pmi_metric::ScanKernel): one pass computes
+/// every slot's lower bound over contiguous storage (no lock, no
+/// indirection), survivors are collected into the caller's
+/// [`QueryScratch`], and only then does the exact-distance verification
+/// pass run. A sharded engine hands every shard its own rows of the one
+/// precomputed matrix ([`build_with_matrix`](Laesa::build_with_matrix)) and
+/// grows them through [`MetricIndex::insert_adopted`].
 ///
-/// Cloning shares the distance counter, the shared-matrix handle (the
-/// slice's cached snapshot is an `Arc`) and every chunk of the per-object
-/// state — the row indirection and the object table are
-/// [`CowVec`](pmi_metric::CowVec)s — so the clone costs `O(n / chunk)` and
+/// Cloning shares the distance counter, the matrix's flat run and tail
+/// chunks (`Arc`s) and every chunk of the object table
+/// ([`CowVec`](pmi_metric::CowVec)), so the clone costs `O(n / chunk)` and
 /// each side then copies only the chunks it writes. It is the
 /// [`MetricIndex::fork`].
 #[derive(Clone)]
@@ -32,7 +30,7 @@ pub struct Laesa<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
     /// Pivot-distance rows, aligned with the object table's slots.
-    rows: MatrixSlice,
+    rows: PivotMatrix,
     table: ObjTable<O>,
 }
 
@@ -59,27 +57,25 @@ where
         Laesa {
             metric,
             pivots,
-            rows: MatrixSlice::from_owned(matrix),
+            rows: matrix,
             table: ObjTable::new(objects),
         }
     }
 
-    /// Builds LAESA by *adopting* pre-computed pivot-distance rows (local
-    /// row `i` = `objects[i]`'s distances to `pivots`): either an owned
-    /// [`PivotMatrix`] or — the sharded build path — a [`MatrixSlice`] of
-    /// the engine's shared matrix, so a sharded build costs `n · l` once
-    /// instead of once per shard *and* later engine inserts can push one
-    /// shared row that this index adopts by id
+    /// Builds LAESA by *adopting* pre-computed pivot-distance rows (row
+    /// `i` = `objects[i]`'s distances to `pivots`) — the sharded build
+    /// path hands each shard its rows of the one matrix the engine
+    /// computed, so a sharded build costs `n · l` once instead of once per
+    /// shard, and later engine inserts bring their row along
     /// ([`MetricIndex::insert_adopted`]). Computes **zero** distances;
     /// queries are byte-identical to [`build`](Self::build)'s.
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        rows: impl Into<MatrixSlice>,
+        rows: PivotMatrix,
     ) -> Self {
-        let rows = rows.into();
-        assert_eq!(rows.len(), objects.len(), "one matrix row per object");
+        assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
         assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
         Laesa {
             metric: CountingMetric::new(metric),
@@ -99,10 +95,18 @@ where
         self.pivots.len()
     }
 
-    /// The adopted pivot-distance rows (aligned with slot ids, including
+    /// The pivot-distance rows (aligned with slot ids, including
     /// tombstoned slots).
-    pub fn rows(&self) -> &MatrixSlice {
+    pub fn rows(&self) -> &PivotMatrix {
         &self.rows
+    }
+
+    /// Appends an object and its pivot-distance row under one slot id.
+    fn push(&mut self, o: O, row: &[f64]) -> ObjId {
+        let local = self.rows.push_row(row);
+        let id = self.table.push(o);
+        debug_assert_eq!(id as usize, local);
+        id
     }
 }
 
@@ -143,7 +147,7 @@ where
         if r.is_nan() || r < 0.0 {
             return;
         }
-        scratch.note_kernel(self.rows.len());
+        scratch.note_kernel(self.rows.rows());
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
@@ -184,7 +188,7 @@ where
         if k == 0 {
             return;
         }
-        scratch.note_kernel(self.rows.len());
+        scratch.note_kernel(self.rows.rows());
         let QueryScratch { qd, heap, lbs, .. } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
@@ -219,40 +223,27 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        // |P| distance computations (Table 6), pushed as one shared row
-        // (staged, published, adopted in one step — sole-owner standalone
-        // slices append in place).
+        // |P| distance computations (Table 6), appended as one row.
         let row: Vec<f64> = self
             .pivots
             .iter()
             .map(|p| self.metric.dist(&o, p))
             .collect();
-        let local = self.rows.push_adopt(&row);
-        let id = self.table.push(o);
-        debug_assert_eq!(id as usize, local);
-        id
+        self.push(o, &row)
     }
 
-    fn insert_adopted(&mut self, o: O, row: ObjId, _row_data: &[f64]) -> Result<ObjId, O> {
-        // The engine already staged the row in the shared matrix: adopt
-        // its id — zero distance computations, no remap.
-        if (row as usize) >= self.rows.shared().rows() {
-            return Err(o);
-        }
-        let local = self.rows.adopt(row as usize);
-        let id = self.table.push(o);
-        debug_assert_eq!(id as usize, local);
-        Ok(id)
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+        // The caller already mapped the object: zero distance computations.
+        Ok(self.push(o, row))
     }
 
-    fn refresh_rows(&mut self) {
-        self.rows.refresh();
+    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+        Some(&self.rows)
     }
 
-    fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
-        debug_assert_eq!(keep.len(), rows.len());
+    fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
         self.table.compact(keep);
-        self.rows.reindex(rows.to_vec());
+        self.rows = self.rows.select(keep);
         true
     }
 
@@ -314,7 +305,7 @@ mod tests {
     #[test]
     fn matrix_adoption_computes_zero_distances_and_matches() {
         let (pts, idx) = build(400, 4);
-        let matrix = idx.rows().shared().snapshot_owned();
+        let matrix = idx.rows().clone();
         let adopted = Laesa::build_with_matrix(pts.clone(), L2, idx.pivots.clone(), matrix);
         assert_eq!(adopted.counters().compdists, 0, "adoption is free");
         for qi in [0usize, 57, 399] {
@@ -329,19 +320,17 @@ mod tests {
     #[test]
     fn insert_adopted_is_free_and_byte_identical() {
         let (pts, mut plain) = build(200, 3);
-        let matrix = plain.rows().shared().snapshot_owned();
-        let mut adopted =
-            Laesa::build_with_matrix(pts.clone(), L2, plain.pivots.clone(), matrix.clone());
-        // Push the row the way the engine does, then adopt it by id; the
-        // plain index pays |P| distances to remap the same object.
+        let matrix = plain.rows().clone();
+        let mut adopted = Laesa::build_with_matrix(pts.clone(), L2, plain.pivots.clone(), matrix);
+        // Hand over the row the way the engine does; the plain insert pays
+        // |P| distances to map the same object.
         let o = pts[17].clone();
         let row: Vec<f64> = plain.pivots.iter().map(|p| L2.dist(&o, p)).collect();
-        let shared_row = adopted.rows().shared().push_row(&row);
         adopted.reset_counters();
         plain.reset_counters();
         let a = adopted
-            .insert_adopted(o.clone(), shared_row as ObjId, &row)
-            .expect("adopting index accepts the row");
+            .insert_adopted(o.clone(), &row)
+            .expect("LAESA owns its rows");
         let b = plain.insert(o.clone());
         assert_eq!(a, b, "same slot id");
         assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");
@@ -351,10 +340,10 @@ mod tests {
             plain.range_query(&o, 0.0),
             "identical answers after the insert"
         );
-        // A row id beyond the shared matrix is rejected, returning the
-        // object for the caller's fallback.
-        let missing = adopted.rows().shared().rows() as ObjId + 7;
-        assert!(adopted.insert_adopted(o, missing, &row).is_err());
+        assert_eq!(
+            adopted.pivot_rows().unwrap().row(a as usize),
+            row.as_slice()
+        );
     }
 
     #[test]
@@ -433,5 +422,11 @@ mod tests {
         assert!(s.mem_bytes > 0);
         assert_eq!(s.disk_bytes, 0);
         assert_eq!(idx.counters().page_accesses(), 0);
+        // Rows cost 8·l bytes per slot (12·l with the f32 mirror) and
+        // nothing else is per slot; a 2-d f32 point encodes to 12 bytes.
+        let objects_and_pivots = (100 + 3) * 12;
+        assert_eq!(s.mem_bytes, 100 * 8 * 3 + objects_and_pivots);
+        let rows32 = idx.rows().clone().with_mode(ColumnMode::F32);
+        assert_eq!(rows32.mem_bytes(), 100 * 12 * 3);
     }
 }

@@ -11,20 +11,20 @@
 //!
 //! A matrix-adopting FQA ([`Fqa::build_with_matrix`]) additionally holds
 //! the *exact* (unbucketed) pivot distances as a slot-aligned
-//! [`MatrixSlice`], and its hot-path queries
+//! [`PivotMatrix`], and its hot-path queries
 //! ([`MetricIndex::range_query_into`] / [`MetricIndex::knn_query_into`] and
 //! the allocating wrappers) filter through the blocked
 //! [`ScanKernel`](pmi_metric::ScanKernel) over those rows instead of
 //! descending bucketed signature runs: the exact Lemma 1 bound is at least
-//! as tight as the bucket bound, the scan is a lock-free linear kernel
+//! as tight as the bucket bound, the scan is a contiguous linear kernel
 //! pass, and results remain exact. A plain-built FQA (no matrix) keeps the
 //! classic signature descent.
 
 use pmi_metric::fault;
 use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, MatrixSlice, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
+    PivotMatrix, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,8 +32,8 @@ use std::collections::BinaryHeap;
 /// FQA over a discrete metric; shares FQT's per-level pivots and bucketing.
 ///
 /// Cloning — the [`MetricIndex::fork`] — copies the sorted signature rows
-/// (an FQA insert shifts them, `O(n)`, already); the object table, an
-/// adopted matrix slice and the distance counter are shared.
+/// (an FQA insert shifts them, `O(n)`, already); the object table, the
+/// adopted rows and the distance counter are shared.
 #[derive(Clone)]
 pub struct Fqa<O, M> {
     metric: CountingMetric<M>,
@@ -46,10 +46,10 @@ pub struct Fqa<O, M> {
     table: ObjTable<O>,
     /// Slot-aligned adopted pivot-distance rows, when built with
     /// [`build_with_matrix`](Self::build_with_matrix): signatures for
-    /// engine-pushed rows are bucketed from the shared matrix
+    /// engine inserts are bucketed from the row that comes with them
     /// ([`MetricIndex::insert_adopted`]) and removals re-derive the removed
     /// object's signature from its row — neither computes any distance.
-    adopted: Option<MatrixSlice>,
+    adopted: Option<PivotMatrix>,
 }
 
 /// The one bucketing rule of the FQA: distance `d` to a level pivot falls
@@ -106,19 +106,18 @@ where
         }
     }
 
-    /// Builds an FQA by *adopting* pre-computed pivot-distance rows (local
-    /// row `i` = `objects[i]`'s distances to `pivots`, e.g. the shard's
-    /// [`MatrixSlice`] of an engine's shared matrix): signatures are
-    /// bucketed straight from the rows, so construction computes **zero**
-    /// distances beyond what the caller already paid for the matrix, and
-    /// later engine inserts push one shared row this FQA buckets by id
-    /// ([`MetricIndex::insert_adopted`]). Queries are byte-identical to
-    /// [`build`](Self::build)'s.
+    /// Builds an FQA by *adopting* pre-computed pivot-distance rows (row
+    /// `i` = `objects[i]`'s distances to `pivots`, e.g. a shard's rows of
+    /// an engine's one matrix): signatures are bucketed straight from the
+    /// rows, so construction computes **zero** distances beyond what the
+    /// caller already paid for the matrix, and later engine inserts bring
+    /// a row this FQA buckets ([`MetricIndex::insert_adopted`]). Queries
+    /// are byte-identical to [`build`](Self::build)'s.
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        matrix_rows: impl Into<MatrixSlice>,
+        matrix_rows: PivotMatrix,
         max_distance: f64,
         buckets: u32,
     ) -> Self {
@@ -127,9 +126,8 @@ where
             "FQA requires a discrete distance function (paper §4.2)"
         );
         assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
-        let matrix_rows = matrix_rows.into();
         assert_eq!(
-            matrix_rows.len(),
+            matrix_rows.rows(),
             objects.len(),
             "one matrix row per object"
         );
@@ -369,19 +367,19 @@ where
         if r.is_nan() || r < 0.0 {
             return;
         }
-        let Some(slice) = &self.adopted else {
+        let Some(rows) = &self.adopted else {
             out.extend(self.range_by_signature(q, r));
             return;
         };
         // Adopted hot path: blocked kernel over the exact rows, survivors
         // collected, then verification — same shape as LAESA.
-        scratch.note_kernel(slice.len());
+        scratch.note_kernel(rows.rows());
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        slice.lower_bounds_into(qd, lbs);
+        rows.lower_bounds_into(qd, lbs);
         survivors.clear();
         survivors.extend(
             self.table
@@ -413,16 +411,16 @@ where
         if k == 0 {
             return;
         }
-        let Some(slice) = &self.adopted else {
+        let Some(rows) = &self.adopted else {
             // The signature path has no per-object lower bounds to seed.
             out.extend(self.knn_by_signature(q, k));
             return;
         };
-        scratch.note_kernel(slice.len());
+        scratch.note_kernel(rows.rows());
         let QueryScratch { qd, heap, lbs, .. } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        slice.lower_bounds_into(qd, lbs);
+        rows.lower_bounds_into(qd, lbs);
         heap.clear();
         for (id, o) in self.table.iter() {
             let radius = if heap.len() < k {
@@ -446,20 +444,17 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        // An adopted FQA keeps its slice slot-aligned even on the plain
-        // path: compute the raw row once, push it as one shared row
-        // (staged + published + adopted), and bucket the signature from it.
-        let sig = if self.adopted.is_some() {
+        // An adopted FQA keeps its rows slot-aligned even on the plain
+        // path: compute the raw row once, append it, and bucket the
+        // signature from it.
+        let sig = if let Some(rows) = &mut self.adopted {
             let row: Vec<f64> = self
                 .pivots
                 .iter()
                 .map(|p| self.metric.dist(&o, p))
                 .collect();
-            let sig = self.signature_of_row(&row);
-            if let Some(slice) = &mut self.adopted {
-                slice.push_adopt(&row);
-            }
-            sig
+            rows.push_row(&row);
+            self.signature_of_row(&row)
         } else {
             self.signature(&o)
         };
@@ -468,37 +463,29 @@ where
         id
     }
 
-    fn insert_adopted(&mut self, o: O, row: ObjId, row_data: &[f64]) -> Result<ObjId, O> {
-        // Bucket the signature straight from the engine-staged row's data:
-        // zero distance computations, and no read of the (possibly still
-        // unpublished) shared matrix.
-        if self.adopted.is_none() {
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+        // Bucket the signature straight from the caller's row: zero
+        // distance computations.
+        let Some(rows) = &mut self.adopted else {
             return Err(o);
-        }
-        debug_assert_eq!(row_data.len(), self.pivots.len());
-        let sig = self.signature_of_row(row_data);
-        let slice = self.adopted.as_mut().expect("checked adopted above");
-        if (row as usize) >= slice.shared().rows() {
-            return Err(o);
-        }
-        let local = slice.adopt(row as usize);
+        };
+        let local = rows.push_row(row);
+        let sig = self.signature_of_row(row);
         let id = self.table.push(o);
-        debug_assert_eq!(id as usize, local, "slice stays slot-aligned");
+        debug_assert_eq!(id as usize, local, "rows stay slot-aligned");
         self.insert_sorted(sig, id);
         Ok(id)
     }
 
-    fn refresh_rows(&mut self) {
-        if let Some(slice) = &mut self.adopted {
-            slice.refresh();
-        }
+    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+        self.adopted.as_ref()
     }
 
-    fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
-        if self.adopted.is_none() {
+    fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
+        let Some(rows) = &mut self.adopted else {
             return false;
-        }
-        debug_assert_eq!(keep.len(), rows.len());
+        };
+        *rows = rows.select(keep);
         // Remap slot ids in the sorted signature array (signatures are
         // unchanged — zero distance computations), re-sorting because keep
         // order is ascending global id, not necessarily ascending old slot.
@@ -512,9 +499,6 @@ where
         }
         self.rows.sort();
         self.table.compact(keep);
-        if let Some(slice) = &mut self.adopted {
-            slice.reindex(rows.to_vec());
-        }
         true
     }
 
@@ -525,7 +509,7 @@ where
         // Re-derive the signature from the adopted row when present (no
         // distance computations); fall back to the metric otherwise.
         let sig = match &self.adopted {
-            Some(slice) => self.signature_of_row(slice.row(id as usize)),
+            Some(rows) => self.signature_of_row(rows.row(id as usize)),
             None => {
                 let o = self.table.get(id).cloned().expect("checked live above");
                 self.signature(&o)
@@ -702,24 +686,23 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.dist, w.dist);
         }
-        // Engine-style insert: push the row into the shared matrix, adopt
-        // by id — still zero distance computations.
+        // Engine-style insert: the row comes with the object — still zero
+        // distance computations.
         let o = ws[11].clone();
         let row: Vec<f64> = plain
             .pivots
             .iter()
             .map(|p| EditDistance.dist(&o, p))
             .collect();
-        let shared_row = adopted.adopted.as_ref().unwrap().shared().push_row(&row);
         adopted.reset_counters();
         let id = adopted
-            .insert_adopted(o.clone(), shared_row as ObjId, &row)
+            .insert_adopted(o.clone(), &row)
             .expect("adopting FQA accepts the row");
         assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");
         assert!(adopted.range_query(&o, 0.0).contains(&id));
         // A plain-built FQA has no adopted matrix and hands the object back.
         let (_, mut bare) = build_words(50);
-        assert!(bare.insert_adopted(o, 0, &row).is_err());
+        assert!(bare.insert_adopted(o, &row).is_err());
     }
 
     #[test]

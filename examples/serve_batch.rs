@@ -176,8 +176,8 @@ fn main() {
     );
 
     // The unified mutation path: one apply() batch routes inserts through
-    // the routing table (each pushes ONE row into the shared matrix — the
-    // shard adopts it by id, no remap), shrinks the boxes of shards that
+    // the routing table (each maps to ONE pivot row its shard takes with
+    // the object, no remap), shrinks the boxes of shards that
     // lost members, and re-clusters the worst pair if live counts drift.
     let mut engine = engine;
     let mut churn = UpdateBatch::new();

@@ -420,6 +420,86 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
     assert!(e.get(0).is_none());
 }
 
+/// `compact()` is a transaction like `apply`: a panic at its last abortable
+/// point (`engine.compact` — the re-partition moves, every shard's
+/// compaction and the rebox have all staged by then) drops the staged state
+/// whole. The call returns 0, nothing observable changes — ids, locations,
+/// boxes, answers, the epoch, a pinned reader — and the retry compacts.
+#[test]
+fn compaction_panic_aborts_and_changes_nothing() {
+    quiet_injected_panics();
+    let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Rows inside the index, and rows the shard holds beside it.
+    for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
+        fault::clear();
+        let pts = pmr::datasets::la(400, 5);
+        let mut e = build(kind, PartitionPolicy::PivotSpace, 4, &pts);
+        let mut churn = UpdateBatch::new();
+        for i in 0..60u32 {
+            churn.remove(i * 5);
+        }
+        for o in pts.iter().step_by(10) {
+            churn.insert(o.iter().map(|c| c + 0.5).collect());
+        }
+        let report = e.apply(&churn);
+        assert_eq!((report.removes, report.inserts), (60, 40), "{kind:?}");
+        let id_bound = 440u32;
+
+        let reader = e.reader().expect("every kind hands out readers");
+        let queries: Vec<Query<Vec<f32>>> = (0..16)
+            .map(|i| Query::range(pts[i * 23 + 1].clone(), 300.0))
+            .collect();
+        let baseline = e.serve(&queries).results;
+        assert!(
+            baseline
+                .iter()
+                .all(|r| matches!(r, QueryResult::Range(ids) if !ids.is_empty())),
+            "{kind:?}: every drill query has an answer to lose"
+        );
+        let (epoch0, len0) = (e.epoch(), e.len());
+        let located0: Vec<_> = (0..id_bound + 2).map(|g| e.locate(g)).collect();
+        let boxes0 = e.routing().expect("routed").boxes().to_vec();
+
+        fault::install(FaultPlan::new().with(FaultSpec::always(
+            "engine.compact",
+            None,
+            FaultKind::Panic,
+        )));
+        assert_eq!(e.compact(), 0, "{kind:?}: the compaction aborted");
+        assert_eq!(fault::fired(), vec![1], "{kind:?}");
+        fault::clear();
+        assert_eq!(
+            (e.epoch(), e.len(), e.num_shards()),
+            (epoch0, len0, 4),
+            "{kind:?}"
+        );
+        let located: Vec<_> = (0..id_bound + 2).map(|g| e.locate(g)).collect();
+        assert_eq!(located, located0, "{kind:?}: locator unchanged");
+        assert_eq!(e.routing().expect("routed").boxes(), boxes0, "{kind:?}");
+        assert_eq!(e.serve(&queries).results, baseline, "{kind:?}");
+        let pinned = reader.serve(&queries);
+        assert_eq!(pinned.report.epoch, epoch0, "{kind:?}: nothing published");
+        assert_eq!(pinned.results, baseline, "{kind:?}: reader unperturbed");
+        let snap = e.metrics();
+        if snap.enabled {
+            let aborts = snap.counters.iter().find(|(n, _)| n == "compact.aborts");
+            assert_eq!(aborts.map(|(_, v)| *v), Some(1), "{kind:?}");
+        }
+
+        // Disarmed, the same call drops every dead row and serving equals
+        // a rebuild over the survivors (rank in id order == new id).
+        let survivors: Vec<Vec<f32>> = (0..id_bound).filter_map(|g| e.get(g)).collect();
+        assert_eq!(e.compact(), 60, "{kind:?}: one dead row per remove");
+        assert_eq!((e.epoch(), e.len()), (epoch0 + 1, len0), "{kind:?}");
+        let rebuilt = build(kind, PartitionPolicy::PivotSpace, 4, &survivors);
+        assert_eq!(
+            e.serve(&queries).results,
+            rebuilt.serve(&queries).results,
+            "{kind:?}: compacted serving equals a rebuild"
+        );
+    }
+}
+
 /// A panic inside the re-clustering pass (`engine.recluster`) aborts the
 /// *whole* transaction, including the several hundred inserts that staged
 /// before the trigger fired — re-clustering is part of the apply

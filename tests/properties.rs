@@ -167,7 +167,7 @@ proptest! {
         qraw in prop::collection::vec(-1000.0f32..1000.0, 6..=6),
         w in 1usize..5,
     ) {
-        use pmr::{ColumnMode, MatrixSlice, PivotMatrix};
+        use pmr::{ColumnMode, PivotMatrix};
         // An F32-mode matrix over random data: the stored rows are rounded
         // to f32 and the kernel subtracts a conservative slack, so every
         // bound must sit at or below the true distance — exactly, no float
@@ -175,10 +175,9 @@ proptest! {
         // push a bound past the quantity it is a bound on (Lemma 1).
         let pivots: Vec<Vec<f32>> = v.iter().take(w).cloned().collect();
         let m = PivotMatrix::compute(&v, &L2, &pivots, 1).with_mode(ColumnMode::F32);
-        let slice = MatrixSlice::from_owned(m.clone());
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&qraw, p)).collect();
         let mut lbs = Vec::new();
-        slice.lower_bounds_into(&qd, &mut lbs);
+        m.lower_bounds_into(&qd, &mut lbs);
         prop_assert_eq!(lbs.len(), v.len());
         for (i, o) in v.iter().enumerate() {
             let d = L2.dist(&qraw, o);

@@ -3,15 +3,16 @@
 //! invariant the face rule rests on (a removed member strictly inside its
 //! box cannot have changed it, so only a member on a face triggers a
 //! recomputation). Checked on a table, a disk-backed table, a tree and a
-//! disk index — one write path, one locator, one rule.
+//! disk index — one write path, one locator, one rule. The rows that rule
+//! reads live with the shard (inside the index for the tables, beside it
+//! for the rest): each is checked against the object it belongs to.
 
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, ShardedEngine};
 use pmr::lemmas::Mbb;
 use pmr::{
-    build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex,
-    ObjId, PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, SharedPivotMatrix,
-    UpdateBatch, L2,
+    build_sharded_engine, datasets, BruteForce, BuildOptions, ColumnMode, IndexKind, Metric,
+    MetricIndex, ObjId, PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, UpdateBatch, L2,
 };
 
 fn bits(edge: &[f64]) -> Vec<u64> {
@@ -19,16 +20,21 @@ fn bits(edge: &[f64]) -> Vec<u64> {
 }
 
 /// Every routing box against `Mbb::from_points` over the rows of the
-/// objects the engine locates in that shard (ids below `id_bound`).
+/// objects the engine locates in that shard (ids below `id_bound`), and
+/// every such object's row as its shard holds it against its pivot map.
 fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     let rt = e.routing().expect("a routed engine");
     let dim = rt.boxes()[0].dim();
     let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); rt.num_shards()];
     for g in 0..id_bound {
-        let Some((s, _)) = e.locate(g) else { continue };
+        let Some((s, local)) = e.locate(g) else {
+            continue;
+        };
         let o = e.get(g).expect("a located id is live");
         let mut row = Vec::new();
         rt.map_into(&o, &mut row);
+        let held = e.shards()[s].pivot_row(local);
+        assert_eq!(bits(held), bits(&row), "{ctx}: row of id {g} in shard {s}");
         rows[s].push(row);
     }
     assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
@@ -39,10 +45,15 @@ fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     }
 }
 
-fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedEngine<Vec<f32>> {
+fn engine(
+    (kind, column_mode): (IndexKind, ColumnMode),
+    pts: &[Vec<f32>],
+    refresh: RefreshPolicy,
+) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
         maxnum: 48,
+        column_mode,
         ..BuildOptions::default()
     };
     let pivots = pmr::pivots::select_hfi(pts, &L2, 5, 21)
@@ -67,19 +78,24 @@ fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedE
     .unwrap()
 }
 
-const KINDS: [IndexKind; 4] = [
-    IndexKind::Laesa,
-    IndexKind::Cpt,
-    IndexKind::Mvpt,
-    IndexKind::OmniR,
+/// The tables own their rows (in both column modes); the shards of the
+/// tree and the disk index hold them beside the index.
+const KINDS: [(IndexKind, ColumnMode); 6] = [
+    (IndexKind::Laesa, ColumnMode::F64),
+    (IndexKind::Laesa, ColumnMode::F32),
+    (IndexKind::Cpt, ColumnMode::F64),
+    (IndexKind::Cpt, ColumnMode::F32),
+    (IndexKind::Mvpt, ColumnMode::F64),
+    (IndexKind::OmniR, ColumnMode::F64),
 ];
 
 #[test]
 fn seeded_random_batches_keep_every_box_tight() {
     let pts = datasets::la(600, 21);
     let pool = datasets::la(400, 77);
-    for kind in KINDS {
-        let mut e = engine(kind, &pts, RefreshPolicy::disabled());
+    for case in KINDS {
+        let kind = case.0;
+        let mut e = engine(case, &pts, RefreshPolicy::disabled());
         assert_boxes_tight(&e, 600, "fresh build");
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = |below: usize| {
@@ -106,6 +122,9 @@ fn seeded_random_batches_keep_every_box_tight() {
             assert_boxes_tight(&e, id_bound, &ctx);
         }
         assert!(reboxed > 0, "{}: some remove hit a face", kind.label());
+        assert!(e.compact() > 0, "{}: churn left dead rows", kind.label());
+        let ctx = format!("{} compacted", kind.label());
+        assert_boxes_tight(&e, e.len() as ObjId, &ctx);
     }
 }
 
@@ -116,8 +135,9 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         max_imbalance: 2.0,
         min_objects: 50,
     };
-    for kind in KINDS {
-        let mut e = engine(kind, &pts, refresh);
+    for case in KINDS {
+        let kind = case.0;
+        let mut e = engine(case, &pts, refresh);
         // 300 near-duplicates of one region all route to one shard.
         let mut batch = UpdateBatch::new();
         for i in 0..300 {
@@ -150,7 +170,7 @@ fn two_clusters() -> ShardedEngine<Vec<f32>> {
         objects,
         &assignment,
         router,
-        SharedPivotMatrix::new(mapped),
+        mapped,
         &EngineConfig {
             shards: 2,
             threads: 1,

@@ -11,7 +11,7 @@ use pmr::builder::{build_index, build_index_with_matrix, BuildOptions, IndexKind
 use pmr::engine::{EngineConfig, Query, QueryResult, ShardedEngine};
 use pmr::{
     build_sharded_engine, datasets, BruteForce, Metric, MetricIndex, Neighbor, ObjId,
-    PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, SharedPivotMatrix, UpdateBatch, L2,
+    PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, UpdateBatch, L2,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -270,7 +270,7 @@ fn apply_batches_equal_rebuild_exactly() {
                         objs.clone(),
                         &assignment,
                         router,
-                        SharedPivotMatrix::new(matrix),
+                        matrix,
                         &cfg,
                         |_, part, m| {
                             build_index_with_matrix(kind, part, L2, pivots.clone(), &opts, m)
@@ -385,8 +385,8 @@ fn routed_insert_costs_exactly_l() {
 }
 
 /// FQA rides the same adopted path (the satellite: `build_with_matrix` for
-/// the in-memory discrete side): engine inserts push one row and the FQA
-/// buckets it by id, with zero shard-side distance computations.
+/// the in-memory discrete side): engine inserts bring one row and the FQA
+/// buckets it, with zero shard-side distance computations.
 #[test]
 fn fqa_adopts_engine_inserts() {
     let pts = datasets::synthetic(300, 17);
@@ -523,7 +523,7 @@ fn compaction_equals_rebuild_exactly() {
                         objs.clone(),
                         &assignment,
                         router,
-                        SharedPivotMatrix::new(matrix),
+                        matrix,
                         &cfg,
                         |_, part, m| {
                             build_index_with_matrix(kind, part, L2, pivots.clone(), &opts, m)
@@ -654,7 +654,7 @@ fn fqa_compaction_equals_rebuild() {
                     objs.clone(),
                     &assignment,
                     router,
-                    SharedPivotMatrix::new(matrix),
+                    matrix,
                     &cfg,
                     |_, part, m| {
                         build_index_with_matrix(
