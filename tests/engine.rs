@@ -129,6 +129,83 @@ fn aggregate_counters_equal_shard_sum_exactly() {
     );
 }
 
+/// The build layout, pinned: which shard and slot every object lands in,
+/// every routing box edge bit for bit, the exact build cost and every
+/// shard's counters — the tier-1 twin of the ruler's `result_checksum`.
+/// The hashes were recorded before the engine took over computing its own
+/// pivot space (PR 19), and must not depend on the thread count.
+#[test]
+fn build_layout_is_pinned_and_independent_of_thread_count() {
+    let fnv = |h: &mut u64, x: u64| {
+        for b in x.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let pts = datasets::la(2_000, 3);
+    let golden = [
+        (
+            IndexKind::Laesa,
+            PartitionPolicy::RoundRobin,
+            0x16cd_9125_dc74_c538u64,
+        ),
+        (
+            IndexKind::Laesa,
+            PartitionPolicy::PivotSpace,
+            0x5641_959c_ce4c_6a25,
+        ),
+        (
+            IndexKind::Mvpt,
+            PartitionPolicy::RoundRobin,
+            0xc159_caf3_8777_1350,
+        ),
+        (
+            IndexKind::Mvpt,
+            PartitionPolicy::PivotSpace,
+            0x0c1d_7dea_525d_e31a,
+        ),
+    ];
+    for (kind, policy, want) in golden {
+        for threads in [1usize, 2] {
+            let engine = build_sharded_vector_engine(
+                kind,
+                pts.clone(),
+                L2,
+                &opts(64),
+                &EngineConfig {
+                    shards: 8,
+                    threads,
+                    ..EngineConfig::default()
+                },
+                policy,
+            )
+            .unwrap();
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for gid in 0..pts.len() as u32 {
+                let (shard, local) = engine.locate(gid).expect("every built object is live");
+                fnv(&mut h, shard as u64);
+                fnv(&mut h, local as u64);
+            }
+            for b in engine.routing().map_or(&[][..], |rt| rt.boxes()) {
+                for x in b.lo().iter().chain(b.hi()) {
+                    fnv(&mut h, x.to_bits());
+                }
+            }
+            fnv(&mut h, engine.build_stats().build_compdists);
+            for c in engine.shard_counters() {
+                for x in [c.compdists, c.page_reads, c.page_writes] {
+                    fnv(&mut h, x);
+                }
+            }
+            assert_eq!(
+                h,
+                want,
+                "{} {policy:?} threads={threads}: got {h:#018x}",
+                kind.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn thousand_query_mixed_batch_matches_unsharded_baseline() {
     let pts = datasets::la(2_000, 42);

@@ -24,20 +24,35 @@ fn bits(edge: &[f64]) -> Vec<u64> {
 /// every such object's row as its shard holds it against its pivot map.
 fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     let rt = e.routing().expect("a routed engine");
-    let dim = rt.boxes()[0].dim();
-    let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); rt.num_shards()];
+    assert_rows_true(e, id_bound, &|o, row| rt.map_into(o, row), ctx);
+}
+
+/// [`assert_boxes_tight`] under a pivot map of the caller's (`map` clears
+/// and fills its buffer), so that it also covers an engine that holds rows
+/// but routes nothing: only the rows are checked there.
+fn assert_rows_true(
+    e: &ShardedEngine<Vec<f32>>,
+    id_bound: ObjId,
+    map: &dyn Fn(&Vec<f32>, &mut Vec<f64>),
+    ctx: &str,
+) {
+    let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); e.num_shards()];
     for g in 0..id_bound {
         let Some((s, local)) = e.locate(g) else {
             continue;
         };
         let o = e.get(g).expect("a located id is live");
         let mut row = Vec::new();
-        rt.map_into(&o, &mut row);
+        map(&o, &mut row);
         let held = e.shards()[s].pivot_row(local);
         assert_eq!(bits(held), bits(&row), "{ctx}: row of id {g} in shard {s}");
         rows[s].push(row);
     }
     assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
+    let Some(rt) = e.routing() else {
+        return;
+    };
+    let dim = rt.boxes()[0].dim();
     for (s, (got, rows)) in rt.boxes().iter().zip(&rows).enumerate() {
         let want = Mbb::from_points(dim, rows.iter().map(Vec::as_slice));
         assert_eq!(bits(got.lo()), bits(want.lo()), "{ctx}: shard {s} lo");
@@ -45,10 +60,26 @@ fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     }
 }
 
+fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    pmr::pivots::select_hfi(pts, &L2, 5, 21)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect()
+}
+
 fn engine(
+    case: (IndexKind, ColumnMode),
+    pts: &[Vec<f32>],
+    refresh: RefreshPolicy,
+) -> ShardedEngine<Vec<f32>> {
+    engine_under(case, pts, refresh, PartitionPolicy::PivotSpace)
+}
+
+fn engine_under(
     (kind, column_mode): (IndexKind, ColumnMode),
     pts: &[Vec<f32>],
     refresh: RefreshPolicy,
+    policy: PartitionPolicy,
 ) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
@@ -56,26 +87,13 @@ fn engine(
         column_mode,
         ..BuildOptions::default()
     };
-    let pivots = pmr::pivots::select_hfi(pts, &L2, 5, 21)
-        .into_iter()
-        .map(|i| pts[i].clone())
-        .collect();
     let cfg = EngineConfig {
         shards: 6,
         threads: 1,
         refresh,
         ..EngineConfig::default()
     };
-    build_sharded_engine(
-        kind,
-        pts.to_vec(),
-        L2,
-        pivots,
-        &opts,
-        &cfg,
-        PartitionPolicy::PivotSpace,
-    )
-    .unwrap()
+    build_sharded_engine(kind, pts.to_vec(), L2, hfi_pivots(pts), &opts, &cfg, policy).unwrap()
 }
 
 /// The tables own their rows (in both column modes); the shards of the
@@ -88,6 +106,33 @@ const KINDS: [(IndexKind, ColumnMode); 6] = [
     (IndexKind::Mvpt, ColumnMode::F64),
     (IndexKind::OmniR, ColumnMode::F64),
 ];
+
+/// Right after build, before any commit: every row a shard holds is its
+/// object's pivot map under the pivots the engine was built over (not the
+/// router's own mapper — this also proves the two agree), and every box is
+/// tight. An adopting kind and one whose shards hold the rows, under both
+/// policies; round-robin over a kind that adopts nothing has no pivot space.
+#[test]
+fn a_fresh_build_holds_true_rows_and_tight_boxes() {
+    let pts = datasets::la(600, 21);
+    let pivots = hfi_pivots(&pts);
+    let map = |o: &Vec<f32>, row: &mut Vec<f64>| {
+        row.clear();
+        row.extend(pivots.iter().map(|p| L2.dist(o, p)));
+    };
+    for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
+        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+            let case = (kind, ColumnMode::F64);
+            let e = engine_under(case, &pts, RefreshPolicy::disabled(), policy);
+            assert_eq!(e.policy(), policy);
+            if policy == PartitionPolicy::RoundRobin && !kind.adopts_pivot_matrix() {
+                continue;
+            }
+            let ctx = format!("{} {policy:?} fresh build", kind.label());
+            assert_rows_true(&e, 600, &map, &ctx);
+        }
+    }
+}
 
 #[test]
 fn seeded_random_batches_keep_every_box_tight() {
