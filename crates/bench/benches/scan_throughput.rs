@@ -44,7 +44,7 @@
 //! everything once at a reduced scale as a smoke test and writes no files.
 
 use pmi::builder::{BuildOptions, IndexKind};
-use pmi::engine::{EngineConfig, Query, ShardedEngine};
+use pmi::engine::{EngineConfig, Layout, Query, ShardedEngine};
 use pmi::lemmas::{self, pivot_lower_bound};
 use pmi::{
     build_sharded_vector_engine, datasets, Counters, CountingMetric, Metric, MetricIndex, Neighbor,
@@ -425,10 +425,11 @@ fn main() {
         threads: 0,
         ..EngineConfig::default()
     };
-    let locked_engine = ShardedEngine::build_with::<&str, _>(pts.clone(), &cfg, |_, part| {
-        Ok(Box::new(LockedLaesa::build(part, pivots.clone())))
-    })
-    .expect("buildable");
+    let locked_engine =
+        ShardedEngine::build::<&str, _>(pts.clone(), Layout::plain(), &cfg, |_, part, _| {
+            Ok(Box::new(LockedLaesa::build(part, pivots.clone())))
+        })
+        .expect("buildable");
     let snapshot_engine = build_sharded_vector_engine(
         IndexKind::Laesa,
         pts.clone(),

@@ -109,7 +109,7 @@ impl IndexKind {
     /// pivot-distance matrix over the shared pivot set for this kind,
     /// skipping the `n · l` table recomputation — and whether engine
     /// inserts can hand over a precomputed row this kind appends
-    /// ([`MetricIndex::insert_adopted`](pmi_metric::MetricIndex::insert_adopted)).
+    /// ([`MetricIndex::insert_adopted`]).
     /// True for the shared-pivot in-memory tables (LAESA, CPT, FQA); every
     /// other kind either selects its own pivots (EPT/EPT*, BKT) or derives
     /// a different structure from the pivot distances at build time, and
@@ -130,6 +130,9 @@ pub enum BuildError {
     NotEnoughPivots(IndexKind, usize),
     /// A sharded engine was requested with `EngineConfig::shards == 0`.
     ZeroShards,
+    /// A sharded engine was handed an explicit shard membership that does
+    /// not name one existing shard per object; says what it held.
+    BadMembership(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -144,6 +147,7 @@ impl std::fmt::Display for BuildError {
             BuildError::ZeroShards => {
                 write!(f, "a sharded engine requires at least one shard")
             }
+            BuildError::BadMembership(why) => write!(f, "bad shard membership: {why}"),
         }
     }
 }

@@ -312,7 +312,7 @@
 //!   row; a conservative rounding slack keeps the narrow bound
 //!   admissible, so exact `f64` verification returns byte-identical
 //!   results (proven in `tests/counters.rs`).
-//! * **The SIMD kernel** — [`metric::simd`](pmi_metric::simd) dispatches
+//! * **The SIMD kernel** — [`metric::simd`] dispatches
 //!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`
 //!   forces a tier for testing.

@@ -8,36 +8,38 @@
 //! `P` partitions, each backed by `IndexKind` X built with the paper's
 //! shared parameters, partitioned per `PartitionPolicy`".
 //!
-//! # The pivot-distance matrix
+//! # The pivot space
 //!
 //! The paper's central object — the `n × l` matrix of object-to-pivot
-//! distances — is computed **once, in parallel** across the engine's worker
-//! threads ([`pmi_metric::PivotMatrix::compute`]) and then used everywhere
-//! it is needed:
+//! distances — belongs to the engine: this module only decides *whether*
+//! there is one (`policy == PivotSpace || kind.adopts_pivot_matrix()`),
+//! hands [`ShardedEngine::build`] the mapper `o ↦ (d(o, p_1), …, d(o, p_l))`
+//! over the shared pivots, and supplies the shard factory. The engine
+//! computes the rows **once, in parallel** across its worker threads and
+//! derives everything else from them:
 //!
-//! * with [`PartitionPolicy::PivotSpace`], the router clusters directly
-//!   over the matrix rows (balanced k-means in pivot space) and builds its
-//!   per-shard [`pmi_router::RoutingTable`] boxes from them, so each query
-//!   only probes the shards whose bounding box survives Lemma 1;
-//! * the engine then splits it: each shard gets its members' rows as one
-//!   contiguous run of its own ([`pmi_metric::PivotMatrix::select`], one
-//!   copy per row, the full matrix dropped before any shard builds) and
-//!   the shard factory receives it, so index kinds that adopt it
+//! * with [`PartitionPolicy::PivotSpace`] it clusters over the rows
+//!   (balanced k-means in pivot space, seeded with [`BuildOptions::seed`])
+//!   and builds its per-shard [`pmi_router::RoutingTable`] boxes from them,
+//!   so each query only probes the shards whose bounding box survives
+//!   Lemma 1;
+//! * each shard gets its members' rows as one contiguous run of its own
+//!   and the shard factory receives it, so index kinds that adopt it
 //!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA) skip their own
 //!   `n · l` recomputation entirely — a `PivotSpace` build computes each
 //!   object-pivot distance exactly once instead of twice — and scan
 //!   sequential memory. Only those per-shard runs carry the
-//!   [`BuildOptions::column_mode`] f32 mirror; the full matrix and the
-//!   router's transient matrices stay f64;
+//!   [`BuildOptions::column_mode`] f32 mirror;
 //! * the shards keep their rows (inside the index for adopting kinds,
-//!   beside it otherwise) for the engine's unified mutation path, and
-//!   round-robin matrix builds keep a pivot-space mapper: an `apply`-batch
-//!   insert maps its object once and hands the row to the destination
-//!   shard, removes shrink routing boxes over the surviving rows, and the
-//!   `RefreshPolicy` re-clusters the worst shard pair under imbalance.
+//!   beside it otherwise) for the engine's unified mutation path: an
+//!   `apply`-batch insert maps its object once and hands the row to the
+//!   destination shard, removes shrink routing boxes over the surviving
+//!   rows, and the `RefreshPolicy` re-clusters the worst shard pair under
+//!   imbalance.
 //!
-//! The exact build cost (matrix + every shard's construction) and build
-//! wall-clock are recorded in the engine's
+//! Round-robin engines over kinds that adopt nothing hold no pivot space
+//! and pay for none. The exact build cost (rows + every shard's
+//! construction) and build wall-clock are recorded in the engine's
 //! [`BuildStats`](pmi_engine::BuildStats) and surfaced through every
 //! `ServeReport`. Query-time mapping distances (`l` per routed query)
 //! remain planner overhead outside the per-shard `Counters`, as before;
@@ -45,16 +47,16 @@
 //! [`ApplyReport`](pmi_engine::ApplyReport).
 
 use crate::builder::{build_index, build_index_with_matrix, BuildError, BuildOptions, IndexKind};
-use pmi_engine::{EngineConfig, EngineError, ShardedEngine};
-use pmi_metric::{CountingMetric, EncodeObject, Metric, PivotMatrix};
-use pmi_router::{partition_pivot_space, PartitionPolicy, RoutingTable};
-use std::time::Instant;
+use pmi_engine::{EngineConfig, EngineError, Layout, ShardedEngine};
+use pmi_metric::{EncodeObject, Metric};
+use pmi_router::PartitionPolicy;
 
 fn flatten<O>(
     r: Result<ShardedEngine<O>, EngineError<BuildError>>,
 ) -> Result<ShardedEngine<O>, BuildError> {
     r.map_err(|e| match e {
         EngineError::ZeroShards => BuildError::ZeroShards,
+        EngineError::BadMembership(why) => BuildError::BadMembership(why),
         EngineError::Build(b) => b,
     })
 }
@@ -63,10 +65,10 @@ fn flatten<O>(
 /// `opts`, sharing the caller-provided pivot set (the paper's equal-footing
 /// setup: pass one HFI set and every shard uses it). `policy` picks the
 /// partitioner: round-robin, or pivot-space clustering with routed
-/// (shard-pruning) query serving over the same pivots. Builds that need the
-/// pivot-distance matrix compute it once, in parallel, and use it for
-/// routing *and* for seeding the shards' own tables (see the module docs);
-/// the engine's `build_stats()` records the exact total.
+/// (shard-pruning) query serving over the same pivots. The engine computes
+/// the pivot rows once, in parallel, and uses them for routing *and* for
+/// seeding the shards' own tables (see the module docs); its
+/// `build_stats()` records the exact total.
 pub fn build_sharded_engine<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
@@ -80,113 +82,39 @@ where
     O: Clone + EncodeObject + Send + Sync + 'static,
     M: Metric<O> + Clone + 'static,
 {
-    if cfg.shards == 0 {
-        return Err(BuildError::ZeroShards);
-    }
-    let t0 = Instant::now();
-    // One seed governs every partitioning decision, including the
-    // survivor re-partition at compaction time.
+    // One seed governs every partitioning decision, at build and at
+    // compaction.
     let cfg = &EngineConfig {
         partition_seed: opts.seed,
         ..*cfg
     };
-
-    // The matrix pays for itself when the router clusters over it or the
-    // shards adopt it; round-robin engines over self-pivoting kinds skip it.
-    let needs_matrix = policy == PartitionPolicy::PivotSpace || kind.adopts_pivot_matrix();
-    let m0 = Instant::now();
-    let (matrix, matrix_compdists) = if needs_matrix {
-        let counting = CountingMetric::new(metric.clone());
-        let m = PivotMatrix::compute(&objects, &counting, &pivots, cfg.resolved_threads());
-        (m, counting.count())
+    // A pivot space pays for itself when the router clusters over it or the
+    // shards adopt its rows; round-robin engines over self-pivoting kinds
+    // hold none.
+    let layout = if policy == PartitionPolicy::PivotSpace || kind.adopts_pivot_matrix() {
+        let (metric, pivots) = (metric.clone(), pivots.clone());
+        Layout::mapped(pivots.len(), policy, move |o: &O, out: &mut Vec<f64>| {
+            out.extend(pivots.iter().map(|p| metric.dist(o, p)))
+        })
     } else {
-        (PivotMatrix::new(pivots.len()), 0)
+        Layout::plain()
     };
-    let matrix_nanos = needs_matrix.then(|| m0.elapsed().as_nanos() as u64);
-
-    let matrix_factory = |_s: usize, part: Vec<O>, mut rows: PivotMatrix| {
-        if kind.adopts_pivot_matrix() {
-            // The f32 mirror only pays off where the scan kernel reads it:
-            // on the rows an adopting shard owns.
-            rows.set_mode(opts.column_mode);
-        }
-        build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
-    };
-    // The pivot-space mapper, shared by the router (query planning) and
-    // the engine's mutation path (insert rows): `o ↦ (d(o, p_1), …)`.
-    let make_mapper = || {
-        let metric = metric.clone();
-        let pivots = pivots.clone();
-        move |o: &O, out: &mut Vec<f64>| out.extend(pivots.iter().map(|p| metric.dist(o, p)))
-    };
-
-    let mut partition_phase: Option<(u64, [(&str, u64); 3])> = None;
-    let mut engine = match policy {
-        PartitionPolicy::RoundRobin if !needs_matrix => {
-            flatten(ShardedEngine::build_with(objects, cfg, |_, part| {
-                build_index(kind, part, metric.clone(), pivots.clone(), opts)
-            }))?
-        }
-        PartitionPolicy::RoundRobin => flatten(ShardedEngine::build_with_matrix(
-            objects,
-            matrix,
-            Box::new(make_mapper()),
-            cfg,
-            matrix_factory,
-        ))?,
-        PartitionPolicy::PivotSpace => {
-            let p0 = Instant::now();
-            let shards = cfg.resolved_shards(objects.len());
-            let part = partition_pivot_space(&matrix, shards, opts.seed, cfg.resolved_threads());
-            let assignment = part.assignment;
-            let router = RoutingTable::from_assignment(
-                make_mapper(),
-                pivots.len(),
-                &matrix,
-                &assignment,
-                shards,
-            );
-            partition_phase = Some((
-                p0.elapsed().as_nanos() as u64,
-                [
-                    ("shards", shards as u64),
-                    ("iters", part.iters),
-                    ("rejected", part.rejected),
-                ],
-            ));
-            // Every kind routes over the matrix; adopting kinds (LAESA,
-            // CPT, FQA) additionally seed their tables from their rows,
-            // the rest build as usual and their shard keeps the rows for
-            // box maintenance.
-            flatten(ShardedEngine::build_partitioned_with_matrix(
-                objects,
-                &assignment,
-                router,
-                matrix,
-                cfg,
-                matrix_factory,
-            ))?
-        }
-    };
-
-    let mut stats = engine.build_stats();
-    stats.build_compdists += matrix_compdists;
-    stats.build_wall_secs = t0.elapsed().as_secs_f64();
-    engine.set_build_stats(stats);
-    // Facade-side build phases (the engine itself recorded `build.shards`,
-    // and `set_build_stats` has just widened `build` to the whole wall, so
-    // these nest under it). No-ops with obs off.
-    if let Some(nanos) = matrix_nanos {
-        engine
-            .obs()
-            .phase_add("build.matrix", 1, nanos, &[("compdists", matrix_compdists)]);
-    }
-    if let Some((nanos, counters)) = partition_phase {
-        engine
-            .obs()
-            .phase_add("build.partition", 1, nanos, &counters);
-    }
-    Ok(engine)
+    flatten(ShardedEngine::build(
+        objects,
+        layout,
+        cfg,
+        |_, part, rows| match rows {
+            Some(mut rows) => {
+                if kind.adopts_pivot_matrix() {
+                    // The f32 mirror only pays off where the scan kernel
+                    // reads it: on the rows an adopting shard owns.
+                    rows.set_mode(opts.column_mode);
+                }
+                build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
+            }
+            None => build_index(kind, part, metric.clone(), pivots.clone(), opts),
+        },
+    ))
 }
 
 /// Vector-dataset convenience: selects one shared HFI pivot set over the

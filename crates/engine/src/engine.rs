@@ -1,31 +1,41 @@
 //! The sharded engine: partitioning, the scoped-thread worker pool, and
 //! batch serving with exact aggregate cost accounting.
 //!
-//! Two partitioning regimes exist (see [`PartitionPolicy`]): the original
-//! round-robin split, where every query probes every shard, and pivot-space
-//! routing ([`ShardedEngine::build_partitioned_with`]), where a
-//! [`RoutingTable`] prunes shards per query via Lemma 1 box bounds — range
-//! queries skip every shard whose bounding box cannot intersect the search
-//! ball, and kNN queries probe shards best-first, skipping those whose
-//! lower bound exceeds the current k-th distance. Both regimes return
-//! identical answers; routing only changes how much work is paid for them,
-//! which the engine accounts exactly through the `shards_probed` /
-//! `shards_pruned` counters.
+//! Everything hangs off one mapping, `o ↦ (d(o, p_1), …, d(o, p_l))` — the
+//! engine's **pivot space** — and the engine owns it: there is one
+//! constructor, [`ShardedEngine::build`], and its [`Layout`] says only
+//! whether there is a pivot space (a mapper), which [`PartitionPolicy`]
+//! partitions the objects, and optionally an explicit membership. From the
+//! mapper the engine itself computes every object's row, clusters over the
+//! rows ([`PartitionPolicy::PivotSpace`]) or cuts balanced contiguous runs
+//! (round-robin), derives the [`RoutingTable`] boxes, and gives every shard
+//! its members' rows as one contiguous run of its own
+//! ([`PivotMatrix::select`]) — so "row `i` is the map of object `i`",
+//! "every member lies inside its shard's box" and "a routed engine holds
+//! rows" are true by construction, not by caller contract.
 //!
-//! Construction can start from one precomputed `n × l` [`PivotMatrix`]
-//! ([`ShardedEngine::build_with_matrix`] /
-//! [`ShardedEngine::build_partitioned_with_matrix`]): every shard gets its
-//! members' rows as one contiguous run of its own
-//! ([`PivotMatrix::select`]) and its factory receives them, so shard
-//! builds stop recomputing pivot distances and every scan streams
-//! sequential memory. The shards keep those rows — inside the index when
-//! the kind adopts them, beside it otherwise ([`Shard::pivot_row`]) — for
-//! the unified mutation path ([`ShardedEngine::apply`]): inserts compute
-//! their pivot row once and hand it to the destination shard; removes
-//! shrink the affected routing boxes back over the surviving rows; and a
-//! [`RefreshPolicy`] re-clusters the worst shard pair when live counts
-//! drift apart. Serving reuses per-worker [`EngineScratch`] buffers so the
-//! batch hot loop performs no transient heap allocations per query.
+//! Under round-robin every query probes every shard; under pivot-space
+//! partitioning the routing table prunes shards per query via Lemma 1 box
+//! bounds — range queries skip every shard whose bounding box cannot
+//! intersect the search ball, and kNN queries probe shards best-first,
+//! skipping those whose lower bound exceeds the current k-th distance.
+//! Both return identical answers; routing only changes how much work is
+//! paid for them, which the engine accounts exactly through the
+//! `shards_probed` / `shards_pruned` counters.
+//!
+//! The shards keep their rows — inside the index when the kind adopts them
+//! (the shard factory receives them, so shard builds stop recomputing pivot
+//! distances and every scan streams sequential memory), beside it otherwise
+//! ([`Shard::pivot_row`]) — for the unified mutation path
+//! ([`ShardedEngine::apply`]): inserts compute their pivot row once and
+//! hand it to the destination shard; removes shrink the affected routing
+//! boxes back over the surviving rows; a [`RefreshPolicy`] re-clusters the
+//! worst shard pair when live counts drift apart; and
+//! [`compact`](ShardedEngine::compact) re-partitions the survivors with the
+//! very call and seed the build ran. An engine without a pivot space
+//! (round-robin over kinds that adopt nothing) pays for none of it.
+//! Serving reuses per-worker [`EngineScratch`] buffers so the batch hot
+//! loop performs no transient heap allocations per query.
 //!
 //! # Panic policy
 //!
@@ -37,9 +47,10 @@
 //! toward that shard's quarantine (see `docs/robustness.md`). The
 //! `expect`s that remain state internal invariants — every worker slot is
 //! claimed exactly once, scoped worker threads cannot outlive the scope,
-//! matrix builds carry one run of rows per shard, a built engine has
-//! ≥ 1 shard (`EngineError::ZeroShards` otherwise) — whose violation is an
-//! engine bug, not bad input.
+//! a built engine has ≥ 1 shard (`EngineError::ZeroShards` otherwise), a
+//! membership reaches the partitioner checked
+//! (`EngineError::BadMembership` otherwise) — whose violation is an engine
+//! bug, not bad input.
 //!
 //! [`QueryError`]: crate::QueryError
 
@@ -48,12 +59,13 @@ use crate::report::{BuildStats, ServeReport, UpdateStats};
 use crate::robust::{
     FaultPolicy, OpError, OpErrorKind, QuarantineState, ServeBudget, ShardFaultState,
 };
-use crate::shard::{partition_by_assignment, partition_round_robin, Partition, Shard};
+use crate::shard::{partition_by_assignment, Partition, Shard};
 use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
 use pmi_metric::{cow, Counters, CowVec, MetricIndex, ObjId, PivotMatrix, StorageFootprint};
 use pmi_obs::{Hist, MetricsSnapshot, Registry, Span, TracePolicy};
-use pmi_router::{Mapper, PartitionPolicy, RoutingTable};
+use pmi_router::{PartitionPolicy, RoutingTable};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,14 +89,15 @@ pub struct EngineConfig {
     /// pair (routed engines only).
     pub refresh: RefreshPolicy,
     /// When [`apply`](ShardedEngine::apply) compacts the shards' pivot
-    /// rows (matrix-built engines only; renumbers global ids — disabled by
-    /// default, see [`CompactionPolicy`]).
+    /// rows (engines with a pivot space only; renumbers global ids —
+    /// disabled by default, see [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
-    /// Seed for the engine's own partitioning decisions — the full
-    /// survivor re-partition a [`compact`](ShardedEngine::compact) runs on
-    /// routed engines. The `pmi` facade sets it to `BuildOptions::seed`,
-    /// so a compaction reproduces exactly the clustering a fresh build
-    /// over the survivors would compute.
+    /// Seed for the engine's partitioning decisions — the pivot-space
+    /// clustering at build and the full survivor re-partition a
+    /// [`compact`](ShardedEngine::compact) runs on routed engines are one
+    /// call with this one seed, so a compaction reproduces exactly the
+    /// clustering a fresh build over the survivors would compute. The
+    /// `pmi` facade sets it to `BuildOptions::seed`.
     pub partition_seed: u64,
     /// Per-query trace capture: sample 1-in-N and/or retroactively keep
     /// slow queries (see [`TracePolicy`]). Disabled by default — the serve
@@ -117,9 +130,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The shard count actually built over `n` objects: `shards` clamped to
-    /// `1..=max(n, 1)` (no shard is ever empty). Callers that partition
-    /// externally (the pivot-space router) use the same clamp so that shard
-    /// counts agree with the round-robin path.
+    /// `1..=max(n, 1)` (no shard is ever empty unless an explicit
+    /// membership leaves it so). An explicit membership's entries must stay
+    /// below it.
     pub fn resolved_shards(&self, n: usize) -> usize {
         self.shards.max(1).min(n.max(1))
     }
@@ -136,6 +149,10 @@ impl EngineConfig {
 pub enum EngineError<E> {
     /// `EngineConfig::shards` was 0 — an engine needs at least one shard.
     ZeroShards,
+    /// An explicit membership ([`Layout::with_membership`]) did not hold
+    /// one shard below [`EngineConfig::resolved_shards`] per object; says
+    /// what it held instead.
+    BadMembership(String),
     /// A shard factory failed; carries the factory's own error.
     Build(E),
 }
@@ -149,6 +166,7 @@ impl<E: std::fmt::Display> std::fmt::Display for EngineError<E> {
                     "engine requires at least one shard (EngineConfig.shards == 0)"
                 )
             }
+            EngineError::BadMembership(why) => write!(f, "bad shard membership: {why}"),
             EngineError::Build(e) => write!(f, "shard build failed: {e}"),
         }
     }
@@ -197,8 +215,8 @@ impl ObsClock {
     }
 }
 
-/// One partition awaiting its index, plus its members' rows of the
-/// build-time pivot-distance matrix on the matrix build paths.
+/// One partition awaiting its index, plus its members' pivot rows when the
+/// engine holds a pivot space.
 type MatrixPart<O> = (Partition<O>, Option<PivotMatrix>);
 
 /// Global id → `(shard, local id)` for live objects, dense: global ids are
@@ -329,8 +347,9 @@ struct EngineCore<O> {
     /// Optional query/insert object validator (e.g. finite-coords for
     /// vector engines); rejected objects fail per-item, never the batch.
     validator: Mutex<Option<Validator<O>>>,
-    /// Stats mirrors for reports, synced by the writer at each commit.
-    build: Mutex<BuildStats>,
+    /// Construction cost, fixed at build; copied into every report.
+    build: BuildStats,
+    /// Stats mirror for reports, synced by the writer at each commit.
     updates: Mutex<UpdateStats>,
 }
 
@@ -425,30 +444,25 @@ pub struct ShardedEngine<O> {
     /// reader batches). Swept at each publish: a snapshot whose only owner
     /// is this list is dropped.
     retired: Vec<Arc<EngineSnapshot<O>>>,
-    /// Whether every shard carries its members' rows under the engine's
-    /// own pivot-space mapping ([`Shard::pivot_row`]) — set by the two
-    /// matrix build paths. It is what lets inserts hand over their mapped
-    /// row, removes recompute routing boxes, and re-clustering and
-    /// compaction move objects without recomputing any distance. Without
-    /// it a table's rows are private (computed over the factory's pivots,
-    /// not the router's) and the engine never reads them.
-    shard_rows: bool,
-    /// Maps objects into pivot space for the mutation path of
-    /// matrix-built round-robin engines (routed engines map through the
-    /// router instead).
-    insert_mapper: Option<Mapper<O>>,
+    /// The engine's pivot space, `o ↦ (d(o, p_1), …, d(o, p_l))`: present
+    /// iff every shard carries its members' rows under it
+    /// ([`Shard::pivot_row`]), and the router's mapper is a clone of it.
+    /// It is what lets inserts hand over their mapped row, removes
+    /// recompute routing boxes, and re-clustering and compaction move
+    /// objects without recomputing any distance. Without it a table's rows
+    /// are private (computed over the factory's pivots) and the engine
+    /// never reads them.
+    mapper: Option<PivotMap<O>>,
     /// When [`apply`](Self::apply) re-clusters the worst shard pair.
     refresh: RefreshPolicy,
     /// When [`apply`](Self::apply) compacts the shards' rows.
     compaction: CompactionPolicy,
-    /// Seed for the survivor re-partition at compaction.
+    /// Seed of the build's partitioning, reused by the survivor
+    /// re-partition at compaction.
     partition_seed: u64,
     /// Global id → (shard, local id) for live objects.
     locator: Locator,
     next_id: ObjId,
-    /// Construction cost (per-shard builds; the facade adds the pivot
-    /// matrix cost through [`set_build_stats`](Self::set_build_stats)).
-    build_stats: BuildStats,
     /// Lifetime mutation totals (copied into every [`ServeReport`]).
     update_stats: UpdateStats,
 }
@@ -456,6 +470,10 @@ pub struct ShardedEngine<O> {
 /// A shared per-item object validator (see
 /// [`set_query_validator`](ShardedEngine::set_query_validator)).
 type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
+
+/// The shared pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to
+/// the caller's buffer. The engine and its routing table hold clones.
+type PivotMap<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// One in-flight `apply` or `compact` transaction: the staged next version
 /// of the engine's serving state, built off to the side and either
@@ -493,200 +511,225 @@ impl<O> ApplyTxn<O> {
     }
 }
 
+/// What [`ShardedEngine::build`] builds over: whether the engine holds a
+/// pivot space, which [`PartitionPolicy`] splits the objects, and
+/// optionally an explicit membership. Pivot-space partitioning without a
+/// mapper cannot be written down.
+pub struct Layout<'a, O> {
+    /// The pivot space: its mapper and width `l`.
+    space: Option<(PivotMap<O>, usize)>,
+    policy: PartitionPolicy,
+    membership: Option<&'a [usize]>,
+}
+
+impl<'a, O> Layout<'a, O> {
+    /// No pivot space: balanced contiguous runs, every query probes every
+    /// shard, the shard factory receives no rows and the engine computes no
+    /// distance of its own — for kinds that would read no row of it.
+    pub fn plain() -> Self {
+        Layout {
+            space: None,
+            policy: PartitionPolicy::RoundRobin,
+            membership: None,
+        }
+    }
+
+    /// A pivot space: `mapper` appends `(d(o, p_1), …, d(o, p_width))` to
+    /// its buffer — exactly `width` values — and `policy` says whether the
+    /// engine also partitions and routes by it
+    /// ([`PartitionPolicy::PivotSpace`]) or only keeps the rows for its
+    /// shards ([`PartitionPolicy::RoundRobin`]).
+    pub fn mapped(
+        width: usize,
+        policy: PartitionPolicy,
+        mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
+    ) -> Self {
+        Layout {
+            space: Some((Arc::new(mapper), width)),
+            policy,
+            membership: None,
+        }
+    }
+
+    /// Places object `i` in shard `membership[i]` instead of partitioning:
+    /// reproduces another engine's final membership for a parity rebuild or
+    /// a migration. The policy still decides whether queries are routed
+    /// (boxes are derived from the members' rows either way). The build
+    /// checks that there is one entry per object, each below
+    /// [`EngineConfig::resolved_shards`].
+    pub fn with_membership(mut self, membership: &'a [usize]) -> Self {
+        self.membership = Some(membership);
+        self
+    }
+}
+
+/// The round-robin membership: balanced *contiguous* runs rather than a
+/// stride — shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋ ids in order, just as
+/// geometry-agnostic as a stride.
+fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
+    (0..shards)
+        .flat_map(|s| std::iter::repeat_n(s, n / shards + usize::from(s < n % shards)))
+        .collect()
+}
+
 impl<O> ShardedEngine<O> {
-    /// Builds an engine by partitioning `objects` round-robin into
-    /// `cfg.shards` parts and handing each part to `factory`, which returns
-    /// the shard's index (the `pmi` facade passes `builder::build_index`
-    /// here). Shard builds run in parallel on scoped threads when more than
-    /// one worker thread is configured — the paper's §6.2 observation that
-    /// per-object pivot distances parallelize trivially.
+    /// Builds an engine over `objects`, laid out per `layout`, handing each
+    /// partition to `factory`, which returns the shard's index (the `pmi`
+    /// facade passes `builder::build_index_with_matrix` here). This is the
+    /// one constructor; everything an engine derives from its pivot space
+    /// is derived here:
     ///
-    /// The factory receives `(shard_number, partition)` and must insert the
+    /// 1. the rows — row `i` is the mapper's image of `objects[i]`,
+    ///    computed once, in parallel over `cfg.threads`
+    ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
+    ///    order as [`PivotMatrix::compute`]);
+    /// 2. the membership — [`pmi_router::partition_pivot_space`] over the
+    ///    rows with `cfg.partition_seed` under
+    ///    [`PartitionPolicy::PivotSpace`] (the call
+    ///    [`compact`](Self::compact) repeats over the survivors), balanced
+    ///    contiguous runs under round-robin, or the layout's explicit one;
+    /// 3. under `PivotSpace`, the [`RoutingTable`]: one tight box per shard
+    ///    over its members' rows, and a clone of the mapper;
+    /// 4. each shard's rows as one contiguous run
+    ///    ([`PivotMatrix::select`]); the full matrix is dropped before the
+    ///    first shard table exists.
+    ///
+    /// The factory receives `(shard_number, partition, rows)` — `rows` is
+    /// `Some` iff the layout has a pivot space — and must insert the
     /// partition in order, so that local id `i` is the `i`-th object of the
-    /// partition (every index in this workspace does).
-    pub fn build_with<E, F>(
+    /// partition (every index in this workspace does). A factory whose
+    /// index exposes [`MetricIndex::pivot_rows`] must have built it from
+    /// those rows or from the same mapping. Shard builds run in parallel on
+    /// scoped threads when more than one worker thread is configured — the
+    /// paper's §6.2 observation that per-object pivot distances parallelize
+    /// trivially.
+    ///
+    /// [`BuildStats`] record the exact cost: `n · l` for the rows plus
+    /// every shard's own construction compdists, and the whole wall.
+    ///
+    /// # Panics
+    ///
+    /// If the mapper appends other than `width` values for some object.
+    pub fn build<E, F>(
         objects: Vec<O>,
+        layout: Layout<'_, O>,
         cfg: &EngineConfig,
         factory: F,
     ) -> Result<Self, EngineError<E>>
     where
-        O: Send,
-        E: Send,
-        F: Fn(usize, Vec<O>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let n = objects.len();
-        let parts = partition_round_robin(objects, cfg.resolved_shards(n));
-        let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, None, None, cfg, |s, objs, _| factory(s, objs))
-    }
-
-    /// [`build_with`](Self::build_with) over a precomputed [`PivotMatrix`]
-    /// (row `i` belongs to `objects[i]`): each shard factory receives its
-    /// partition's rows as one contiguous run ([`PivotMatrix::select`]; the
-    /// full matrix is dropped before the first shard builds), so shard
-    /// builds adopt pivot distances instead of recomputing them. A factory
-    /// whose index exposes [`MetricIndex::pivot_rows`] must have built it
-    /// from those rows. `mapper` maps new objects into pivot space for the
-    /// mutation path, which hands each insert's row to its shard.
-    pub fn build_with_matrix<E, F>(
-        objects: Vec<O>,
-        matrix: PivotMatrix,
-        mapper: Mapper<O>,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send,
-        E: Send,
-        F: Fn(usize, Vec<O>, PivotMatrix) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let n = objects.len();
-        let parts = partition_round_robin(objects, cfg.resolved_shards(n));
-        let parts = Self::split_matrix(parts, matrix);
-        Self::build_parts(parts, None, Some(mapper), cfg, |s, objs, m| {
-            factory(s, objs, m.expect("every partition carries its rows"))
-        })
-    }
-
-    /// Gives every partition its own contiguous copy of its members' rows
-    /// and drops the full matrix, so the two coexist only here — before a
-    /// single shard table, locator or id table exists.
-    fn split_matrix(parts: Vec<Partition<O>>, matrix: PivotMatrix) -> Vec<MatrixPart<O>> {
-        let n: usize = parts.iter().map(|(objs, _)| objs.len()).sum();
-        assert_eq!(matrix.rows(), n, "one matrix row per object");
-        parts
-            .into_iter()
-            .map(|(objs, gids)| {
-                let rows = matrix.select(&gids);
-                ((objs, gids), Some(rows))
-            })
-            .collect()
-    }
-
-    /// Builds an engine from an explicit per-object shard assignment with
-    /// **no** routing table: every query probes every shard, like
-    /// [`build_with`](Self::build_with), but the caller controls membership
-    /// — e.g. reproducing another engine's final shard layout for parity
-    /// testing or migration. `assignment[i]` must be `< shards`.
-    pub fn build_assigned_with<E, F>(
-        objects: Vec<O>,
-        assignment: &[usize],
-        shards: usize,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send,
-        E: Send,
-        F: Fn(usize, Vec<O>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 || shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let parts = partition_by_assignment(objects, assignment, shards);
-        let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, None, None, cfg, |s, objs, _| factory(s, objs))
-    }
-
-    /// Builds a *routed* engine from an explicit per-object shard
-    /// assignment (the pivot-space clustering of `pmi-router`) plus the
-    /// matching [`RoutingTable`]. The shard count is the router's
-    /// `num_shards()`; `assignment[i]` must be a valid shard for object
-    /// `i`, and every object's mapped point must lie inside its shard's
-    /// box (`RoutingTable::from_assignment` guarantees both).
-    pub fn build_partitioned_with<E, F>(
-        objects: Vec<O>,
-        assignment: &[usize],
-        router: RoutingTable<O>,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send,
-        E: Send,
-        F: Fn(usize, Vec<O>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 || router.num_shards() == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let parts = partition_by_assignment(objects, assignment, router.num_shards());
-        let parts = parts.into_iter().map(|p| (p, None)).collect();
-        Self::build_parts(parts, Some(router), None, cfg, |s, objs, _| {
-            factory(s, objs)
-        })
-    }
-
-    /// [`build_partitioned_with`](Self::build_partitioned_with) over the
-    /// [`PivotMatrix`] that produced the clustering: each shard's rows are
-    /// copied out as one contiguous run and handed to its factory (see
-    /// [`build_with_matrix`](Self::build_with_matrix)), closing the loop of
-    /// "compute the pivot-space mapping once, route with it, *and* seed
-    /// every shard's pivot table from it". The shards keep their rows: the
-    /// mutation path hands over one row per routed insert and removes
-    /// shrink routing boxes from the surviving rows.
-    pub fn build_partitioned_with_matrix<E, F>(
-        objects: Vec<O>,
-        assignment: &[usize],
-        router: RoutingTable<O>,
-        matrix: PivotMatrix,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send,
-        E: Send,
-        F: Fn(usize, Vec<O>, PivotMatrix) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 || router.num_shards() == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let parts = partition_by_assignment(objects, assignment, router.num_shards());
-        let parts = Self::split_matrix(parts, matrix);
-        Self::build_parts(parts, Some(router), None, cfg, |s, objs, m| {
-            factory(s, objs, m.expect("every partition carries its rows"))
-        })
-    }
-
-    /// Shared build tail: indexes every partition (in parallel when
-    /// configured), wires the locator, attaches the optional router, and
-    /// records [`BuildStats`] (wall-clock plus the exact per-shard
-    /// construction compdists).
-    fn build_parts<E, F>(
-        parts: Vec<MatrixPart<O>>,
-        router: Option<RoutingTable<O>>,
-        insert_mapper: Option<Mapper<O>>,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send,
+        O: Send + Sync + 'static,
         E: Send,
         F: Fn(usize, Vec<O>, Option<PivotMatrix>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
+        if cfg.shards == 0 {
+            return Err(EngineError::ZeroShards);
+        }
         let t0 = Instant::now();
-        let num_shards = parts.len();
-        let shard_rows = parts.iter().all(|(_, rows)| rows.is_some());
+        let n = objects.len();
+        let num_shards = cfg.resolved_shards(n);
+        if let Some(m) = layout.membership {
+            if m.len() != n {
+                return Err(EngineError::BadMembership(format!(
+                    "{} entries for {n} objects",
+                    m.len()
+                )));
+            }
+            if let Some((i, s)) = m.iter().enumerate().find(|&(_, &s)| s >= num_shards) {
+                return Err(EngineError::BadMembership(format!(
+                    "entry {i} names shard {s} of {num_shards}"
+                )));
+            }
+        }
+        let threads = resolve_threads(cfg.threads);
+        let obs = Registry::new();
+        // One clock pair per phase and per shard build — all of it vanishes
+        // when the obs feature is compiled out.
+        let timing = obs.is_enabled();
+        let mut clock = ObsClock::start(timing);
+
+        // The pivot space: row `i` is the map of object `i`.
+        let space = layout.space.map(|(map, width)| {
+            let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
+                let mut row = Vec::with_capacity(width);
+                for (o, slot) in run.iter().zip(slots.chunks_mut(width.max(1))) {
+                    row.clear();
+                    map(o, &mut row);
+                    slot.copy_from_slice(&row);
+                }
+            });
+            (map, rows)
+        });
+        let matrix_compdists = space
+            .as_ref()
+            .map_or(0, |(_, rows)| (rows.rows() * rows.width()) as u64);
+        if space.is_some() {
+            obs.phase_add(
+                "build.matrix",
+                1,
+                clock.lap(),
+                &[("compdists", matrix_compdists)],
+            );
+        }
+
+        // Routed iff the policy says so; the layout guarantees the space.
+        let routed = space
+            .as_ref()
+            .filter(|_| layout.policy == PartitionPolicy::PivotSpace);
+        let mut partitioned = None;
+        let membership: Cow<[usize]> = match (layout.membership, routed) {
+            (Some(m), _) => m.into(),
+            (None, Some((_, rows))) => {
+                let part = pmi_router::partition_pivot_space(
+                    rows,
+                    num_shards,
+                    cfg.partition_seed,
+                    threads,
+                );
+                partitioned = Some([
+                    ("shards", num_shards as u64),
+                    ("iters", part.iters),
+                    ("rejected", part.rejected),
+                ]);
+                part.assignment.into()
+            }
+            (None, None) => balanced_runs(n, num_shards).into(),
+        };
+        let router = routed.map(|(map, rows)| {
+            let map = Arc::clone(map);
+            RoutingTable::from_assignment(
+                move |o: &O, out: &mut Vec<f64>| map(o, out),
+                rows.width(),
+                rows,
+                &membership,
+                num_shards,
+            )
+        });
+        let partition_nanos = clock.lap();
+        if let Some(counters) = partitioned {
+            obs.phase_add("build.partition", 1, partition_nanos, &counters);
+        }
+
+        // Every partition takes its own contiguous copy of its members'
+        // rows and the full matrix is dropped, so the two coexist only here
+        // — before a single shard table, locator or id table exists.
+        let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
+            .into_iter()
+            .map(|(objs, gids)| {
+                let rows = space.as_ref().map(|(_, m)| m.select(&gids));
+                ((objs, gids), rows)
+            })
+            .collect();
+        drop(membership);
+        let mapper = space.map(|(map, _)| map);
+        // The split belongs to no child phase.
+        clock.lap();
+
         // The factory gets a clone of the shard's rows (shared storage);
         // the shard keeps the original only if the index did not take it.
         let build_shard = |s: usize, ((objs, gids), rows): MatrixPart<O>| {
             let idx = factory(s, objs, rows.clone())?;
-            Ok(match rows {
-                Some(rows) => Shard::with_rows(idx, gids, rows),
-                None => Shard::new(idx, gids),
-            })
+            Ok(Shard::new(idx, gids, rows))
         };
-        let n: usize = parts.iter().map(|((objs, _), _)| objs.len()).sum();
-        let threads = resolve_threads(cfg.threads);
-        let obs = Registry::new();
-        // Per-shard build wall: one clock pair per shard build — vanishes
-        // entirely when the obs feature is compiled out.
-        let timing = obs.is_enabled();
         let mut shard_wall = Hist::new();
         let built: Vec<Result<Shard<O>, E>> = if threads <= 1 || num_shards == 1 {
             parts
@@ -750,7 +793,7 @@ impl<O> ShardedEngine<O> {
         // Wall of the whole shard-build section, so that it nests under
         // `build` when shards build in parallel; the per-shard walls are
         // the `build.shard_wall` histogram.
-        let shards_nanos = t0.elapsed().as_nanos() as u64;
+        let shards_nanos = clock.lap();
 
         let mut shards = Vec::with_capacity(num_shards);
         for b in built {
@@ -766,8 +809,9 @@ impl<O> ShardedEngine<O> {
         let locator = Locator(locator.into());
 
         let wall = t0.elapsed();
+        let shard_compdists: u64 = shards.iter().map(|s| s.counters().compdists).sum();
         let build_stats = BuildStats {
-            build_compdists: shards.iter().map(|s| s.counters().compdists).sum(),
+            build_compdists: matrix_compdists + shard_compdists,
             build_wall_secs: wall.as_secs_f64(),
         };
         if timing {
@@ -781,7 +825,7 @@ impl<O> ShardedEngine<O> {
                 "build.shards",
                 num_shards as u64,
                 shards_nanos,
-                &[("compdists", build_stats.build_compdists)],
+                &[("compdists", shard_compdists)],
             );
             obs.hist_merge("build.shard_wall", &shard_wall);
             obs.gauge_set("engine.shards", num_shards as u64);
@@ -807,7 +851,7 @@ impl<O> ShardedEngine<O> {
             faults: cfg.faults,
             quarantine: QuarantineState::new(num_shards),
             validator: Mutex::new(None),
-            build: Mutex::new(build_stats),
+            build: build_stats,
             updates: Mutex::new(UpdateStats::default()),
         });
         Ok(ShardedEngine {
@@ -816,18 +860,18 @@ impl<O> ShardedEngine<O> {
             router,
             epoch: 0,
             retired: Vec::new(),
-            shard_rows,
-            insert_mapper,
+            mapper,
             refresh: cfg.refresh,
             compaction: cfg.compaction,
             partition_seed: cfg.partition_seed,
             locator,
             next_id: n as ObjId,
-            build_stats,
             update_stats: UpdateStats::default(),
         })
     }
+}
 
+impl<O> ShardedEngine<O> {
     /// Total live objects across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
@@ -855,27 +899,12 @@ impl<O> ShardedEngine<O> {
         &self.shards
     }
 
-    /// Construction cost of this engine. The engine itself records the
-    /// per-shard build compdists and wall-clock; constructors that also pay
-    /// for the pivot matrix (the `pmi` facade) add that through
-    /// [`set_build_stats`](Self::set_build_stats).
+    /// Construction cost of this engine: the exact distance computations
+    /// of its pivot rows (`n · l`, when it holds a pivot space) plus every
+    /// shard's own construction, and the wall-clock of the whole
+    /// [`build`](Self::build).
     pub fn build_stats(&self) -> BuildStats {
-        self.build_stats
-    }
-
-    /// Replaces the recorded build cost, for callers that layer extra
-    /// construction work (pivot matrix, pivot selection) on top of the
-    /// engine build proper. The new stats appear in every subsequent
-    /// [`ServeReport`], including batches served by concurrent readers.
-    /// The `build` phase grows by the added wall, so it stays the parent of
-    /// whatever `build.*` phases the caller records for that work.
-    pub fn set_build_stats(&mut self, stats: BuildStats) {
-        let added = stats.build_wall_secs - self.build_stats.build_wall_secs;
-        self.core
-            .obs
-            .phase_add("build", 0, (added.max(0.0) * 1e9).round() as u64, &[]);
-        self.build_stats = stats;
-        *self.core.build.lock().unwrap_or_else(|e| e.into_inner()) = stats;
+        self.core.build
     }
 
     /// Which partitioning regime this engine runs: `PivotSpace` when a
@@ -1087,8 +1116,8 @@ impl<O> ShardedEngine<O> {
 
     /// Removes an object by global id; returns whether it was present.
     /// Sugar for a one-op [`apply`](Self::apply) batch, so it shares the
-    /// full transactional path — on routed matrix engines the shard's box
-    /// shrinks back to the surviving members, preserving pruning power.
+    /// full transactional path — on routed engines the shard's box shrinks
+    /// back to the surviving members, preserving pruning power.
     pub fn remove(&mut self, id: ObjId) -> bool
     where
         O: Clone,
@@ -1113,10 +1142,11 @@ impl<O> ShardedEngine<O> {
     ///
     /// * **Inserts** are routed via the routing table (nearest box lower
     ///   bound, smallest shard among ties; round-robin engines pick the
-    ///   smallest shard). The object's pivot row is computed **once** and
-    ///   handed to the destination shard with the object — kinds that own
-    ///   their rows (LAESA, CPT, FQA) append it and pay zero shard-side
-    ///   remap distances; for the rest the shard keeps it beside the index.
+    ///   smallest shard). On an engine with a pivot space the object's
+    ///   pivot row is computed **once** and handed to the destination shard
+    ///   with the object — kinds that own their rows (LAESA, CPT, FQA)
+    ///   append it and pay zero shard-side remap distances; for the rest
+    ///   the shard keeps it beside the index.
     /// * **Removes** tombstone the object; after the last op every shard
     ///   that lost a member lying on a face of its routing box has the box
     ///   recomputed from its surviving members' rows in one pass
@@ -1133,13 +1163,6 @@ impl<O> ShardedEngine<O> {
     /// Routed answers after any sequence of `apply` calls are identical to
     /// a from-scratch rebuild over the surviving objects — box maintenance
     /// is exact and shard membership never affects correctness.
-    ///
-    /// Box shrinking and re-clustering need the shards' pivot rows (any
-    /// matrix build path — the `pmi` facade always takes one). On an
-    /// engine built without a matrix (e.g.
-    /// [`build_partitioned_with`](Self::build_partitioned_with)), `apply`
-    /// still applies every op correctly but keeps conservative boxes:
-    /// `reboxed_shards` and `reclusters` report 0.
     ///
     /// # Transaction semantics
     ///
@@ -1362,13 +1385,8 @@ impl<O> ShardedEngine<O> {
     /// The one insert path: map once, hand the row to the shard.
     fn stage_insert(&self, txn: &mut ApplyTxn<O>, o: O, mapped: &mut Vec<f64>) -> ObjId {
         mapped.clear();
-        match (&txn.router, &self.insert_mapper) {
-            (Some(rt), _) => rt.map_into(&o, mapped),
-            (None, Some(m)) => m(&o, mapped),
-            (None, None) => debug_assert!(
-                !self.shard_rows,
-                "a matrix-built engine always has a mapper"
-            ),
+        if let Some(map) = &self.mapper {
+            map(&o, mapped);
         }
         txn.stats.map_compdists += mapped.len() as u64;
         let si = match &txn.router {
@@ -1395,7 +1413,7 @@ impl<O> ShardedEngine<O> {
         };
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = if self.shard_rows {
+        let local = if self.mapper.is_some() {
             txn.shard_mut(si).insert_adopted(o, gid, mapped)
         } else {
             txn.shard_mut(si).insert(o, gid)
@@ -1425,7 +1443,7 @@ impl<O> ShardedEngine<O> {
             return false;
         }
         txn.stats.removes += 1;
-        if let (false, Some(rt), true) = (txn.dirty[s], &txn.router, self.shard_rows) {
+        if let (false, Some(rt)) = (txn.dirty[s], &txn.router) {
             let b = &rt.boxes()[s];
             let inside = txn.shards[s]
                 .pivot_row(local)
@@ -1440,9 +1458,9 @@ impl<O> ShardedEngine<O> {
     /// Recomputes the staged routing boxes of the flagged shards from
     /// their live members' rows. Work is bounded by the flagged shards'
     /// own slot tables. Returns how many boxes were recomputed (0 when the
-    /// engine has no router or its shards carry no rows).
+    /// engine has no router).
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
-        let (Some(rt), true) = (txn.router.as_mut(), self.shard_rows) else {
+        let Some(rt) = txn.router.as_mut() else {
             return 0;
         };
         let mut reboxed = 0;
@@ -1467,7 +1485,7 @@ impl<O> ShardedEngine<O> {
         let Some(rt) = &txn.router else {
             return (0, 0, 0);
         };
-        if !self.shard_rows || txn.shards.len() < 2 {
+        if txn.shards.len() < 2 {
             return (0, 0, 0);
         }
         let width = rt.boxes()[0].dim();
@@ -1557,7 +1575,7 @@ impl<O> ShardedEngine<O> {
     /// over the survivors would produce:
     ///
     /// 1. Routed engines first **re-partition** the survivors with the
-    ///    same balanced k-means a fresh build runs (churn drifts shard
+    ///    call and seed [`build`](Self::build) ran (churn drifts shard
     ///    membership away from the balanced clustering; probing an
     ///    oversized shard costs extra kernel work on every query).
     ///    Objects that change side move through the normal adopted path —
@@ -1577,8 +1595,8 @@ impl<O> ShardedEngine<O> {
     /// probe/prune counts — to a rebuild over the survivors with this
     /// membership. **Renumbers global ids**: ids returned by earlier
     /// inserts are invalidated, exactly as a rebuild would. Returns the
-    /// number of dead rows dropped (0 on an engine built without a pivot
-    /// matrix, or with nothing dead).
+    /// number of dead rows dropped (0 on an engine without a pivot space,
+    /// or with nothing dead).
     ///
     /// The pass is a transaction like [`apply`](Self::apply): everything
     /// stages on forked shards and publishes as one new engine snapshot,
@@ -1589,7 +1607,7 @@ impl<O> ShardedEngine<O> {
     /// call returns 0 with nothing changed.
     pub fn compact(&mut self) -> usize {
         let dead = self.next_id as usize - self.len();
-        if !self.shard_rows || dead == 0 {
+        if self.mapper.is_none() || dead == 0 {
             // A no-op records nothing: a `compact` phase in the metrics
             // always means rows actually moved.
             return 0;
@@ -1710,7 +1728,7 @@ impl<O> ShardedEngine<O> {
 mod tests {
     use super::*;
     use crate::{LatencySummary, Query};
-    use pmi_metric::{BruteForce, Metric, PivotMatrix, L2};
+    use pmi_metric::{BruteForce, Metric, L2};
 
     pub(super) fn grid(n: usize) -> Vec<Vec<f32>> {
         (0..n)
@@ -1722,22 +1740,41 @@ mod tests {
         Ok(Box::new(BruteForce::new(part, L2)))
     }
 
+    /// BruteForce shards in balanced runs, no pivot space: the reference
+    /// engine.
     pub(super) fn engine(n: usize, shards: usize, threads: usize) -> ShardedEngine<Vec<f32>> {
-        ShardedEngine::build_with(
+        ShardedEngine::build(
             grid(n),
+            Layout::plain(),
             &EngineConfig {
                 shards,
                 threads,
                 ..EngineConfig::default()
             },
-            |_, part| brute_factory(part),
+            |_, part, _| brute_factory(part),
         )
         .unwrap()
     }
 
+    /// A round-robin engine over [`grid`] whose pivot space is the identity
+    /// on the two coordinates, BruteForce shards (so the shards hold the
+    /// rows).
+    fn grid_space_engine(n: usize, cfg: &EngineConfig) -> ShardedEngine<Vec<f32>> {
+        let layout = Layout::mapped(
+            2,
+            PartitionPolicy::RoundRobin,
+            |o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]),
+        );
+        ShardedEngine::build(grid(n), layout, cfg, |_, part, _| brute_factory(part)).unwrap()
+    }
+
     /// A routed engine over two well-separated 1-d clusters, one pivot at
-    /// the origin (mapping = |x|).
+    /// the origin (mapping = |x|), one cluster per shard.
     pub(super) fn routed_two_clusters() -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
+        two_clusters(RefreshPolicy::disabled())
+    }
+
+    fn two_clusters(refresh: RefreshPolicy) -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
         let objects: Vec<Vec<f32>> = (0..20)
             .map(|i| {
                 if i % 2 == 0 {
@@ -1751,24 +1788,17 @@ mod tests {
         let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| {
             out.push(L2.dist(o.as_slice(), pivot.as_slice()))
         };
-        let mapped = PivotMatrix::from_rows(
-            1,
-            objects
-                .iter()
-                .map(|o| [L2.dist(o.as_slice(), [0.0f32].as_slice())]),
-        );
-        let assignment: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
-        let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
-        let e = ShardedEngine::build_partitioned_with(
+        let membership: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
+        let e = ShardedEngine::build(
             objects.clone(),
-            &assignment,
-            router,
+            Layout::mapped(1, PartitionPolicy::PivotSpace, mapper).with_membership(&membership),
             &EngineConfig {
                 shards: 2,
                 threads: 1,
+                refresh,
                 ..EngineConfig::default()
             },
-            |_, part| brute_factory(part),
+            |_, part, _| brute_factory(part),
         )
         .unwrap();
         (objects, e)
@@ -1799,62 +1829,103 @@ mod tests {
     }
 
     #[test]
-    fn matrix_build_matches_plain_build() {
-        // A matrix-adopting factory must see exactly its shard's rows of
-        // the build-time matrix, in partition order.
+    fn a_factory_sees_exactly_its_shards_rows() {
+        // Row i is the map of object i: a matrix-adopting factory must see
+        // its partition's rows, in partition order.
         let objects = grid(60);
-        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
         let cfg = EngineConfig {
             shards: 4,
             threads: 2,
             ..EngineConfig::default()
         };
-        let mapper: Mapper<Vec<f32>> =
-            Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
-        let e = ShardedEngine::build_with_matrix(
-            objects.clone(),
-            matrix,
-            mapper,
-            &cfg,
-            |_, part, m| {
-                assert_eq!(m.rows(), part.len());
-                assert_eq!(m.width(), 2);
-                for (i, o) in part.iter().enumerate() {
-                    assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "the shard's rows");
-                }
-                brute_factory(part)
-            },
-        )
+        let layout = Layout::mapped(
+            2,
+            PartitionPolicy::RoundRobin,
+            |o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]),
+        );
+        let e = ShardedEngine::build(objects.clone(), layout, &cfg, |_, part, m| {
+            let m = m.expect("a pivot space hands every factory its rows");
+            assert_eq!(m.rows(), part.len());
+            assert_eq!(m.width(), 2);
+            for (i, o) in part.iter().enumerate() {
+                assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "the shard's rows");
+            }
+            brute_factory(part)
+        })
         .unwrap();
+        assert_eq!(e.build_stats().build_compdists, 60 * 2, "n·l for the rows");
         let plain = engine(60, 4, 2);
+        assert_eq!(plain.build_stats().build_compdists, 0, "no pivot space");
         for qi in [0usize, 30, 59] {
             assert_eq!(
                 e.range_query(&objects[qi], 4.0),
                 plain.range_query(&objects[qi], 4.0)
             );
         }
+        for gid in 0..60 {
+            assert_eq!(e.locate(gid), plain.locate(gid), "same balanced runs");
+        }
+    }
+
+    #[test]
+    fn round_robin_cuts_balanced_contiguous_runs() {
+        assert_eq!(balanced_runs(10, 3), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
+        assert_eq!(balanced_runs(2, 2), [0, 1]);
+        assert!(balanced_runs(0, 1).is_empty());
+        let e = engine(10, 3, 1);
+        let of =
+            |s: usize| -> Vec<ObjId> { e.shards()[s].live_members().map(|(_, g)| g).collect() };
+        assert_eq!(
+            (of(0), of(1), of(2)),
+            (vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9])
+        );
+    }
+
+    #[test]
+    fn a_bad_membership_is_an_error_not_a_panic() {
+        let build = |membership: &[usize]| {
+            ShardedEngine::build(
+                grid(10),
+                Layout::plain().with_membership(membership),
+                &EngineConfig {
+                    shards: 4,
+                    threads: 1,
+                    ..EngineConfig::default()
+                },
+                |_, part, _| brute_factory(part),
+            )
+        };
+        let out_of_range = build(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 9]).err();
+        assert!(
+            matches!(&out_of_range, Some(EngineError::BadMembership(why)) if why.contains("entry 9 names shard 9 of 4")),
+            "{out_of_range:?}"
+        );
+        let short = build(&[0, 1, 2]).err();
+        assert!(
+            matches!(&short, Some(EngineError::BadMembership(why)) if why.contains("3 entries for 10 objects")),
+            "{short:?}"
+        );
+        // A valid one may leave a shard empty.
+        let e = build(&[0, 1, 3, 3, 0, 1, 3, 3, 0, 1]).unwrap();
+        assert_eq!(e.num_shards(), 4);
+        assert_eq!(e.policy(), PartitionPolicy::RoundRobin);
+        assert!(e.shards()[2].is_empty());
+        assert_eq!(e.range_query(&grid(10)[6], 0.0), vec![6]);
     }
 
     #[test]
     fn apply_batches_update_through_the_shared_path() {
-        // A matrix-built round-robin engine: each insert hands one row to
-        // its shard, removes tombstone, counters stay exact.
+        // A round-robin engine with a pivot space: each insert hands one
+        // row to its shard, removes tombstone, counters stay exact.
         let objects = grid(30);
-        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
-        let mapper: Mapper<Vec<f32>> =
-            Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
-        let mut e = ShardedEngine::build_with_matrix(
-            objects.clone(),
-            matrix,
-            mapper,
+        let mut e = grid_space_engine(
+            30,
             &EngineConfig {
                 shards: 3,
                 threads: 1,
                 ..EngineConfig::default()
             },
-            |_, part, _| brute_factory(part),
-        )
-        .unwrap();
+        );
         let mut batch = UpdateBatch::new();
         batch
             .insert(vec![100.0f32, 100.0])
@@ -1896,64 +1967,22 @@ mod tests {
 
     #[test]
     fn apply_shrinks_boxes_and_restores_pruning() {
-        let (objects, mut e) = routed_two_clusters();
-        // Stale-path baseline: without the shards' rows apply cannot
-        // recompute box extents, so cluster B's box stays at its build
-        // extent and a query there still probes shard 1.
+        let (objects, mut shrunk) = routed_two_clusters();
+        // Remove all of cluster B but its last member.
         let b_ids: Vec<ObjId> = (0..20).filter(|i| i % 2 == 1).collect();
         let mut batch = UpdateBatch::new();
         for &id in &b_ids[..b_ids.len() - 1] {
             batch.remove(id);
         }
-        // routed_two_clusters has no matrix, so apply cannot shrink there —
-        // rebuild the same engine with the matrix attached.
-        let pivot = vec![0.0f32];
-        let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| {
-            out.push(L2.dist(o.as_slice(), pivot.as_slice()))
-        };
-        let mapped = PivotMatrix::from_rows(
-            1,
-            objects
-                .iter()
-                .map(|o| [L2.dist(o.as_slice(), [0.0f32].as_slice())]),
-        );
-        let assignment: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
-        let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
-        let mut shrunk = ShardedEngine::build_partitioned_with_matrix(
-            objects.clone(),
-            &assignment,
-            router,
-            mapped,
-            &EngineConfig {
-                shards: 2,
-                threads: 1,
-                refresh: RefreshPolicy::disabled(),
-                ..EngineConfig::default()
-            },
-            |_, part, _| brute_factory(part),
-        )
-        .unwrap();
-
-        // Stale path: legacy removes on the matrix-free engine.
-        for &id in &b_ids[..b_ids.len() - 1] {
-            assert!(e.remove(id));
-        }
-        // Maintained path: the same removes through apply.
         let report = shrunk.apply(&batch);
         assert_eq!(report.removes, b_ids.len() - 1);
         assert_eq!(report.reboxed_shards, 1, "only shard 1 lost members");
 
-        // Query around the removed members: the stale box still matches,
-        // the shrunk box prunes.
+        // Query around the removed members: the shrunk box prunes.
         let q = vec![102.0f32]; // cluster B's low end, removed above
-        e.reset_counters();
-        let stale_hits = e.range_query(&q, 1.0);
-        let (stale_probed, _) = e.probe_counts();
         shrunk.reset_counters();
-        let shrunk_hits = shrunk.range_query(&q, 1.0);
+        assert!(shrunk.range_query(&q, 1.0).is_empty());
         let (shrunk_probed, shrunk_pruned) = shrunk.probe_counts();
-        assert_eq!(stale_hits, shrunk_hits, "identical answers either way");
-        assert_eq!(stale_probed, 1, "stale box still probes shard 1");
         assert_eq!((shrunk_probed, shrunk_pruned), (0, 2), "shrunk box prunes");
         // The survivor is still found through the shrunk box.
         let survivor = objects[b_ids[b_ids.len() - 1] as usize].clone();
@@ -2013,36 +2042,10 @@ mod tests {
     fn recluster_rebalances_worst_pair_and_keeps_answers() {
         // Start from two tight clusters, then grow cluster A only: the
         // imbalance trips RefreshPolicy and the pair is re-split.
-        let (objects, _) = routed_two_clusters();
-        let pivot = vec![0.0f32];
-        let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| {
-            out.push(L2.dist(o.as_slice(), pivot.as_slice()))
-        };
-        let mapped = PivotMatrix::from_rows(
-            1,
-            objects
-                .iter()
-                .map(|o| [L2.dist(o.as_slice(), [0.0f32].as_slice())]),
-        );
-        let assignment: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
-        let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
-        let mut e = ShardedEngine::build_partitioned_with_matrix(
-            objects.clone(),
-            &assignment,
-            router,
-            mapped,
-            &EngineConfig {
-                shards: 2,
-                threads: 1,
-                refresh: RefreshPolicy {
-                    max_imbalance: 2.0,
-                    min_objects: 10,
-                },
-                ..EngineConfig::default()
-            },
-            |_, part, _| brute_factory(part),
-        )
-        .unwrap();
+        let (_, mut e) = two_clusters(RefreshPolicy {
+            max_imbalance: 2.0,
+            min_objects: 10,
+        });
         // 40 inserts spread across cluster A's neighborhood: all route to
         // shard 0, leaving 50 vs 10.
         let mut batch = UpdateBatch::new();
@@ -2082,24 +2085,16 @@ mod tests {
 
     #[test]
     fn compaction_renumbers_and_keeps_serving_exact() {
-        // Matrix-built round-robin engine over BruteForce shards (the
+        // Round-robin engine with a pivot space over BruteForce shards (the
         // non-adopting fallback: tombstones stay local, gids remap).
-        let objects = grid(40);
-        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
-        let mapper: Mapper<Vec<f32>> =
-            Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
-        let mut e = ShardedEngine::build_with_matrix(
-            objects.clone(),
-            matrix,
-            mapper,
+        let mut e = grid_space_engine(
+            40,
             &EngineConfig {
                 shards: 3,
                 threads: 1,
                 ..EngineConfig::default()
             },
-            |_, part, _| brute_factory(part),
-        )
-        .unwrap();
+        );
         let mut batch = UpdateBatch::new();
         for id in [1u32, 5, 9, 13, 17, 21] {
             batch.remove(id);
@@ -2133,14 +2128,8 @@ mod tests {
 
     #[test]
     fn compaction_policy_triggers_inside_apply() {
-        let objects = grid(32);
-        let matrix = PivotMatrix::from_rows(2, objects.iter().map(|o| [o[0] as f64, o[1] as f64]));
-        let mapper: Mapper<Vec<f32>> =
-            Box::new(|o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]));
-        let mut e = ShardedEngine::build_with_matrix(
-            objects.clone(),
-            matrix,
-            mapper,
+        let mut e = grid_space_engine(
+            32,
             &EngineConfig {
                 shards: 2,
                 threads: 1,
@@ -2150,9 +2139,7 @@ mod tests {
                 },
                 ..EngineConfig::default()
             },
-            |_, part, _| brute_factory(part),
-        )
-        .unwrap();
+        );
         let mut batch = UpdateBatch::new();
         for id in 0..12u32 {
             batch.remove(id);
@@ -2180,14 +2167,15 @@ mod tests {
 
     #[test]
     fn zero_shards_is_an_error() {
-        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build_with(
+        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build(
             grid(10),
+            Layout::plain(),
             &EngineConfig {
                 shards: 0,
                 threads: 1,
                 ..EngineConfig::default()
             },
-            |_, part| brute_factory(part),
+            |_, part, _| brute_factory(part),
         );
         assert_eq!(r.err(), Some(EngineError::ZeroShards));
         let msg = format!("{}", EngineError::<&str>::ZeroShards);
@@ -2233,14 +2221,15 @@ mod tests {
 
     #[test]
     fn build_error_propagates() {
-        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build_with(
+        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build(
             grid(10),
+            Layout::plain(),
             &EngineConfig {
                 shards: 2,
                 threads: 1,
                 ..EngineConfig::default()
             },
-            |s, part| {
+            |s, part, _| {
                 if s == 1 {
                     Err("nope")
                 } else {

@@ -1090,7 +1090,7 @@ impl<O: Send + Sync> EngineCore<O> {
             cost,
             shards_probed: probed1 - probed0,
             shards_pruned: pruned1 - pruned0,
-            build: *self.build.lock().unwrap_or_else(|e| e.into_inner()),
+            build: self.build,
             updates: *self.updates.lock().unwrap_or_else(|e| e.into_inner()),
             per_shard,
             traces,
@@ -1219,7 +1219,7 @@ impl<O: Send + Sync> ShardedEngine<O> {
 mod tests {
     use super::*;
     use crate::engine::tests::{engine, grid, routed_two_clusters};
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, Layout};
     use crate::robust::{FaultPolicy, ServeBudget};
     use pmi_metric::{BruteForce, MetricIndex, StorageFootprint, L2};
     use pmi_router::PartitionPolicy;
@@ -1579,15 +1579,16 @@ mod tests {
         threads: usize,
     ) -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
         let objects = grid(n);
-        let e = ShardedEngine::build_with(
+        let e = ShardedEngine::build(
             objects.clone(),
+            Layout::plain(),
             &EngineConfig {
                 shards: 4,
                 threads,
                 faults,
                 ..EngineConfig::default()
             },
-            |s, part| {
+            |s, part, _| {
                 let inner = Box::new(BruteForce::new(part, L2)) as Box<dyn MetricIndex<_>>;
                 Ok::<_, String>(if s == 1 {
                     Box::new(PanickyIndex { inner }) as Box<dyn MetricIndex<_>>

@@ -6,23 +6,27 @@
 //! extends that observation from index *construction* to query *serving*:
 //!
 //! * [`ShardedEngine`] partitions a dataset across `P` independent shards,
-//!   each backed by any [`MetricIndex`] implementation (a shard factory
-//!   closure decides which — the `pmi` facade wires its `builder` module
-//!   in, so every index of the paper can serve). Partitioning is either
-//!   round-robin ([`ShardedEngine::build_with`]) or pivot-space routed
-//!   ([`ShardedEngine::build_partitioned_with`], policy
-//!   [`PartitionPolicy::PivotSpace`] from `pmi-router`), where a
-//!   [`RoutingTable`] of per-shard pivot-space bounding boxes lets queries
-//!   *skip* shards: Lemma 1 box pruning for range queries, best-first
-//!   probing with a tightening cutoff for kNN. Skips are counted exactly
-//!   in every [`ServeReport`] (`shards_probed` / `shards_pruned`),
+//!   each backed by any [`MetricIndex`](pmi_metric::MetricIndex)
+//!   implementation (a shard factory closure decides which — the `pmi`
+//!   facade wires its `builder` module in, so every index of the paper can
+//!   serve). There is one constructor, [`ShardedEngine::build`]: its
+//!   [`Layout`] says whether the engine holds a pivot space
+//!   (`o ↦ (d(o, p_1), …, d(o, p_l))`) and which [`PartitionPolicy`]
+//!   splits the objects, and the engine derives the rest itself — the
+//!   pivot rows, the partitioning (balanced contiguous runs, or
+//!   [`PartitionPolicy::PivotSpace`] clustering from `pmi-router`), each
+//!   shard's own run of rows, and a [`RoutingTable`] of per-shard
+//!   pivot-space bounding boxes that lets queries *skip* shards: Lemma 1
+//!   box pruning for range queries, best-first probing with a tightening
+//!   cutoff for kNN. Skips are counted exactly in every [`ServeReport`]
+//!   (`shards_probed` / `shards_pruned`),
 //! * batches of mixed range / kNN queries ([`Query`]) execute on a
 //!   crossbeam scoped-thread worker pool ([`ShardedEngine::serve`]), with
 //!   per-shard partial results merged per query — a set union for range
 //!   queries, a bounded binary heap ([`merge::TopK`]) for the global top-k,
 //! * the paper's cost model aggregates exactly: every shard counts
 //!   `compdists` and page accesses through atomic counters, and the engine
-//!   sums the per-shard [`Counters`] snapshots,
+//!   sums the per-shard [`Counters`](pmi_metric::Counters) snapshots,
 //! * every served batch produces a [`ServeReport`] — throughput,
 //!   monotonic-clock latency percentiles, and aggregate counters — so
 //!   benches and examples can measure QPS directly,
@@ -45,14 +49,14 @@
 //! # Example
 //!
 //! ```
-//! use pmi_engine::{EngineConfig, Query, ShardedEngine};
+//! use pmi_engine::{EngineConfig, Layout, Query, ShardedEngine};
 //! use pmi_metric::{BruteForce, MetricIndex, L2};
 //!
 //! let objects: Vec<Vec<f32>> = (0..1000)
 //!     .map(|i| vec![(i % 97) as f32, (i % 31) as f32])
 //!     .collect();
 //! let cfg = EngineConfig { shards: 4, threads: 2, ..EngineConfig::default() };
-//! let engine = ShardedEngine::build_with(objects.clone(), &cfg, |_, part| {
+//! let engine = ShardedEngine::build(objects.clone(), Layout::plain(), &cfg, |_, part, _| {
 //!     Ok::<_, String>(Box::new(BruteForce::new(part, L2)) as Box<dyn MetricIndex<_>>)
 //! })
 //! .unwrap();
@@ -76,7 +80,7 @@ pub mod shard;
 pub mod update;
 
 pub use engine::{
-    BatchOutcome, EngineConfig, EngineError, EngineReader, EngineScratch, EngineSnapshot,
+    BatchOutcome, EngineConfig, EngineError, EngineReader, EngineScratch, EngineSnapshot, Layout,
     ShardedEngine,
 };
 pub use merge::TopK;

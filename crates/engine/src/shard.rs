@@ -24,8 +24,8 @@ pub struct Shard<O> {
     /// [`fork`](Self::fork).
     global_ids: CowVec<ObjId>,
     /// The members' pivot-distance rows, slot-aligned with `global_ids` (a
-    /// tombstoned slot keeps its row), on an engine built over a pivot
-    /// matrix whose index did not take them
+    /// tombstoned slot keeps its row), on an engine that holds a pivot
+    /// space and whose index did not take them
     /// ([`MetricIndex::pivot_rows`] is `None`). Routing state, not index
     /// state: outside [`storage`](Self::storage).
     rows: Option<PivotMatrix>,
@@ -34,31 +34,22 @@ pub struct Shard<O> {
 impl<O> Shard<O> {
     /// Wraps a freshly built index whose insertion order matched
     /// `global_ids` (i.e. local id `i` holds the object with global id
-    /// `global_ids[i]`).
-    pub fn new(index: Box<dyn MetricIndex<O>>, global_ids: Vec<ObjId>) -> Self {
-        debug_assert_eq!(index.len(), global_ids.len());
-        Shard {
-            index,
-            global_ids: global_ids.into(),
-            rows: None,
-        }
-    }
-
-    /// [`new`](Self::new) on an engine built over a pivot matrix: `rows`
-    /// are the members' rows in insertion order. An index that adopted
-    /// them (it was built from a clone of `rows`, sharing the storage)
-    /// answers [`pivot_row`](Self::pivot_row) itself; otherwise the shard
-    /// keeps them.
-    pub fn with_rows(
+    /// `global_ids[i]`). On an engine that holds a pivot space, `rows` are
+    /// the members' rows in that order: an index that adopted them (it was
+    /// built from a clone of `rows`, sharing the storage) answers
+    /// [`pivot_row`](Self::pivot_row) itself; otherwise the shard keeps
+    /// them.
+    pub fn new(
         index: Box<dyn MetricIndex<O>>,
         global_ids: Vec<ObjId>,
-        rows: PivotMatrix,
+        rows: Option<PivotMatrix>,
     ) -> Self {
-        debug_assert_eq!(rows.rows(), global_ids.len());
-        let adopted = index.pivot_rows().is_some();
+        debug_assert_eq!(index.len(), global_ids.len());
+        debug_assert!(rows.iter().all(|r| r.rows() == global_ids.len()));
         Shard {
-            rows: (!adopted).then_some(rows),
-            ..Shard::new(index, global_ids)
+            rows: rows.filter(|_| index.pivot_rows().is_none()),
+            index,
+            global_ids: global_ids.into(),
         }
     }
 
@@ -67,13 +58,12 @@ impl<O> Shard<O> {
     ///
     /// # Panics
     ///
-    /// On a shard of an engine built without a pivot matrix whose index
-    /// keeps no rows either.
+    /// If neither holds any: the engine has no pivot space.
     pub fn pivot_row(&self, local: ObjId) -> &[f64] {
         self.rows
             .as_ref()
             .or_else(|| self.index.pivot_rows())
-            .expect("a shard of a matrix-built engine carries its rows")
+            .expect("a shard of an engine with a pivot space carries its rows")
             .row(local as usize)
     }
 
@@ -267,38 +257,13 @@ impl<O> Shard<O> {
 /// One partition awaiting its index: the objects plus their global ids.
 pub type Partition<O> = (Vec<O>, Vec<ObjId>);
 
-/// Splits `objects` into `shards` balanced, geometry-agnostic partitions
-/// (the "round-robin" baseline policy), returning each partition together
-/// with the global ids of its objects (the positions in the input vector).
-pub fn partition_round_robin<O>(objects: Vec<O>, shards: usize) -> Vec<Partition<O>> {
-    let shards = shards.max(1);
-    let n = objects.len();
-    // Balanced *contiguous* runs rather than a stride: shard s takes the
-    // next ⌈n/P⌉-or-⌊n/P⌋ ids in order — just as geometry-agnostic as a
-    // stride. Tests pin this membership; no row layout depends on it any
-    // more (every shard scans its own copy of its rows).
-    let mut parts: Vec<Partition<O>> = Vec::with_capacity(shards);
-    let mut next = 0usize;
-    let mut iter = objects.into_iter();
-    for s in 0..shards {
-        let take = n / shards + usize::from(s < n % shards);
-        let mut objs = Vec::with_capacity(take);
-        let mut ids = Vec::with_capacity(take);
-        for _ in 0..take {
-            objs.push(iter.next().expect("sizes sum to n"));
-            ids.push(next as ObjId);
-            next += 1;
-        }
-        parts.push((objs, ids));
-    }
-    parts
-}
-
 /// Splits `objects` into `shards` partitions according to an explicit
-/// per-object shard assignment (the router's pivot-space clustering),
-/// preserving input order within each partition so global ids stay the
-/// positions in the input vector.
-pub fn partition_by_assignment<O>(
+/// per-object shard assignment — every membership the builder produces or
+/// is given goes through here — preserving input order within each
+/// partition so global ids stay the positions in the input vector. The
+/// builder has checked that `assignment` holds one entry `< shards` per
+/// object.
+pub(crate) fn partition_by_assignment<O>(
     objects: Vec<O>,
     assignment: &[usize],
     shards: usize,
@@ -334,36 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_covers_everything_disjointly() {
-        let objects: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32]).collect();
-        let parts = partition_round_robin(objects, 3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].1, vec![0, 1, 2, 3]);
-        assert_eq!(parts[1].1, vec![4, 5, 6]);
-        assert_eq!(parts[2].1, vec![7, 8, 9]);
-        // Contiguous runs: each shard's ids are consecutive.
-        for (_, ids) in &parts {
-            assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
-        }
-        let mut all: Vec<u32> = parts.iter().flat_map(|(_, ids)| ids.clone()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn more_shards_than_objects() {
-        let objects: Vec<Vec<f32>> = (0..2).map(|i| vec![i as f32]).collect();
-        let parts = partition_round_robin(objects, 5);
-        assert_eq!(parts.len(), 5);
-        assert_eq!(parts.iter().map(|(o, _)| o.len()).sum::<usize>(), 2);
-    }
-
-    #[test]
     fn shard_speaks_global_ids() {
         // Shard holds objects with global ids 4, 9, 14.
         let objs = vec![vec![0.0f32], vec![10.0], vec![20.0]];
         let idx = Box::new(BruteForce::new(objs.clone(), L2));
-        let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14]);
+        let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14], None);
         let mut qs = QueryScratch::new();
         let mut hits = Vec::new();
         shard.range_global_into(&vec![0.0f32], 10.5, &mut qs, &mut hits);
@@ -380,7 +320,7 @@ mod tests {
     #[test]
     fn insert_extends_mapping() {
         let idx = Box::new(BruteForce::new(vec![vec![0.0f32]], L2));
-        let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7]);
+        let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7], None);
         shard.insert(vec![5.0f32], 42);
         assert_eq!(shard.len(), 2);
         let mut hits = Vec::new();

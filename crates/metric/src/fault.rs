@@ -3,7 +3,7 @@
 //!
 //! The types ([`FaultPlan`], [`FaultSpec`], [`FaultKind`]) are always
 //! available so callers can construct plans unconditionally; the *hooks*
-//! ([`at`], [`dist`]) and the installer ([`install`] / [`clear`]) only do
+//! ([`at`], [`dist`]) and the installer (`install` / `clear`) only do
 //! anything under the `fault-inject` feature — without it `at`/`dist` are
 //! `#[inline(always)]` no-ops the optimizer erases, so production builds
 //! carry zero fault-injection cost.
@@ -66,7 +66,7 @@ impl FaultSpec {
 }
 
 /// A deterministic set of injection rules, installed process-wide with
-/// [`install`].
+/// `install` (under the `fault-inject` feature).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The rules; every hit checks each matching spec in order and the

@@ -176,28 +176,37 @@ impl PivotMatrix {
         M: Metric<O> + Sync,
     {
         let width = pivots.len();
-        let rows = objects.len();
-        let mut data = vec![0.0f64; width * rows];
-        let threads = threads.max(1);
-        if threads == 1 || rows < 2 * threads || width == 0 {
-            for (slot, o) in data.chunks_mut(width.max(1)).zip(objects) {
+        Self::fill_with(objects, width, threads, |objs, slots| {
+            for (slot, o) in slots.chunks_mut(width.max(1)).zip(objs) {
                 for (x, p) in slot.iter_mut().zip(pivots) {
                     *x = metric.dist(o, p);
                 }
             }
+        })
+    }
+
+    /// The one chunked fill: an `objects.len() × width` matrix whose rows
+    /// `fill` writes. `fill(run, slots)` gets a contiguous run of objects
+    /// and their zeroed row slots (`run.len() * width` values, row-major)
+    /// — the whole input on the calling thread, or one run per scoped
+    /// worker when `threads > 1`. Row `i` depends on `objects[i]` alone, so
+    /// the result is the same for every thread count.
+    pub fn fill_with<O, F>(objects: &[O], width: usize, threads: usize, fill: F) -> Self
+    where
+        O: Sync,
+        F: Fn(&[O], &mut [f64]) + Sync,
+    {
+        let rows = objects.len();
+        let mut data = vec![0.0f64; width * rows];
+        let threads = threads.max(1);
+        if threads == 1 || rows < 2 * threads || width == 0 {
+            fill(objects, &mut data);
         } else {
             let chunk = rows.div_ceil(threads);
+            let fill = &fill;
             crossbeam::thread::scope(|s| {
-                for (slot_chunk, obj_chunk) in
-                    data.chunks_mut(chunk * width).zip(objects.chunks(chunk))
-                {
-                    s.spawn(move |_| {
-                        for (slot, o) in slot_chunk.chunks_mut(width).zip(obj_chunk) {
-                            for (x, p) in slot.iter_mut().zip(pivots) {
-                                *x = metric.dist(o, p);
-                            }
-                        }
-                    });
+                for (slots, run) in data.chunks_mut(chunk * width).zip(objects.chunks(chunk)) {
+                    s.spawn(move |_| fill(run, slots));
                 }
             })
             .expect("matrix worker thread panicked");

@@ -35,10 +35,10 @@
 //! answers are *identical* to probing every shard — pruning only ever
 //! removes shards that provably contain no answers.
 //!
-//! The engine stores a [`RoutingTable`] when built with
+//! The engine builds and stores a [`RoutingTable`] when laid out with
 //! [`PartitionPolicy::PivotSpace`]; the table maps query objects into
-//! pivot space through a boxed closure so the engine itself stays
-//! metric-agnostic.
+//! pivot space through a shared closure — a clone of the engine's own
+//! mapper — so the engine itself stays metric-agnostic.
 
 pub mod partition;
 pub mod table;
@@ -49,8 +49,10 @@ pub use table::{Mapper, RoutingTable};
 /// How a sharded engine partitions its dataset across shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionPolicy {
-    /// Object `i` goes to shard `i mod P`: perfectly balanced, but every
-    /// query must probe all `P` shards.
+    /// Geometry-agnostic: the engine cuts the objects, in input order, into
+    /// `P` balanced contiguous runs (shard `s` takes the next ⌈n/P⌉ or
+    /// ⌊n/P⌋). Perfectly balanced, but every query must probe all `P`
+    /// shards.
     #[default]
     RoundRobin,
     /// Objects are clustered by their pivot-distance vectors so that each

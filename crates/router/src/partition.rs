@@ -6,8 +6,8 @@
 //! `ceil(n / P)` objects and none is left empty), so routing quality never
 //! comes at the price of a hot shard. Degenerate inputs — one shard, no
 //! pivots, fewer objects than shards, or a dataset whose mapped points are
-//! all identical — fall back to the engine's original round-robin
-//! assignment, which is always valid.
+//! all identical — fall back to the stride ([`assign_round_robin`]), which
+//! is always valid.
 //!
 //! Every step is a linear pass over the matrix rows plus work proportional
 //! to the proposals a full shard turns away; the per-object passes run over
@@ -25,7 +25,10 @@ use std::collections::BinaryHeap;
 /// only steers routing quality, never correctness.
 const MAX_ITERS: usize = 8;
 
-/// The engine's original policy: object `i` to shard `i % shards`.
+/// The stride: object `i` to shard `i % shards`. Always valid and within
+/// one object of balanced, so it is [`partition_pivot_space`]'s fallback
+/// for inputs clustering cannot help — not what the engine builds under
+/// `PartitionPolicy::RoundRobin`, which is balanced contiguous runs.
 pub fn assign_round_robin(n: usize, shards: usize) -> Vec<usize> {
     let shards = shards.max(1);
     (0..n).map(|i| i % shards).collect()
@@ -41,7 +44,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 pub struct Partition {
     /// The shard of each object.
     pub assignment: Vec<usize>,
-    /// Balanced-assignment iterations run (0 on a round-robin fallback).
+    /// Balanced-assignment iterations run (0 on a stride fallback).
     pub iters: u64,
     /// Proposals a full shard turned away, over all iterations: every one
     /// made its point recompute its next-nearest centroid.
@@ -61,7 +64,7 @@ pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, seed: u64) -> Vec
 /// few rounds of: balanced nearest-centroid assignment, centroid
 /// recomputation. The assignment step guarantees every shard gets at least
 /// one object and at most `ceil(n / shards)`, so shards stay within one
-/// object of perfectly balanced. Falls back to round-robin when clustering
+/// object of perfectly balanced. Falls back to the stride when clustering
 /// cannot help (see module docs).
 ///
 /// Runs in `O(iters · n · shards)` distance computations plus

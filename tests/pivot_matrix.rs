@@ -6,11 +6,8 @@
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, build_vector_index, BuildOptions, IndexKind};
-use pmr::engine::{EngineConfig, Query, ShardedEngine};
-use pmr::router::assign_pivot_space;
-use pmr::{
-    build_sharded_vector_engine, Metric, Neighbor, PartitionPolicy, PivotMatrix, RoutingTable, L2,
-};
+use pmr::engine::{EngineConfig, Layout, Query, ShardedEngine};
+use pmr::{build_sharded_vector_engine, Metric, Neighbor, PartitionPolicy, L2};
 use proptest::prelude::*;
 
 fn opts() -> BuildOptions {
@@ -28,9 +25,10 @@ fn hfi_pivots(pts: &[Vec<f32>], opts: &BuildOptions) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The *recompute* path the shared matrix replaces: partition exactly like
-/// the facade does, but let every shard rebuild its own pivot table from
-/// scratch via `build_index`.
+/// The *recompute* reference the shared rows replace: laid out exactly
+/// like the facade's engine, but the factory ignores the rows it is handed
+/// and lets every shard rebuild its own pivot table from scratch via
+/// `build_index`.
 fn recompute_engine(
     kind: IndexKind,
     pts: &[Vec<f32>],
@@ -39,30 +37,27 @@ fn recompute_engine(
     policy: PartitionPolicy,
 ) -> ShardedEngine<Vec<f32>> {
     let pivots = hfi_pivots(pts, opts);
-    let factory =
-        |_s: usize, part: Vec<Vec<f32>>| build_index(kind, part, L2, pivots.clone(), opts);
-    match policy {
-        PartitionPolicy::RoundRobin => {
-            ShardedEngine::build_with(pts.to_vec(), cfg, factory).unwrap()
-        }
+    let layout = match policy {
+        PartitionPolicy::RoundRobin => Layout::plain(),
         PartitionPolicy::PivotSpace => {
-            let shards = cfg.resolved_shards(pts.len());
-            let matrix = PivotMatrix::compute(pts, &L2, &pivots, 1);
-            let assignment = assign_pivot_space(&matrix, shards, opts.seed);
-            let mapper_pivots = pivots.clone();
-            let router = RoutingTable::from_assignment(
-                move |o: &Vec<f32>, out: &mut Vec<f64>| {
-                    out.extend(mapper_pivots.iter().map(|p| L2.dist(o, p)))
-                },
+            let pivots = pivots.clone();
+            Layout::mapped(
                 pivots.len(),
-                &matrix,
-                &assignment,
-                shards,
-            );
-            ShardedEngine::build_partitioned_with(pts.to_vec(), &assignment, router, cfg, factory)
-                .unwrap()
+                policy,
+                move |o: &Vec<f32>, out: &mut Vec<f64>| {
+                    out.extend(pivots.iter().map(|p| L2.dist(o, p)))
+                },
+            )
         }
-    }
+    };
+    let cfg = EngineConfig {
+        partition_seed: opts.seed,
+        ..*cfg
+    };
+    ShardedEngine::build(pts.to_vec(), layout, &cfg, |_, part, _| {
+        build_index(kind, part, L2, pivots.clone(), opts)
+    })
+    .unwrap()
 }
 
 fn knn_multiset(ns: &[Neighbor]) -> Vec<(u32, u64)> {

@@ -8,11 +8,11 @@
 //! for the rest): each is checked against the object it belongs to.
 
 use pivot_metric_repro as pmr;
-use pmr::engine::{EngineConfig, ShardedEngine};
+use pmr::engine::{EngineConfig, Layout, ShardedEngine};
 use pmr::lemmas::Mbb;
 use pmr::{
     build_sharded_engine, datasets, BruteForce, BuildOptions, ColumnMode, IndexKind, Metric,
-    MetricIndex, ObjId, PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, UpdateBatch, L2,
+    MetricIndex, ObjId, PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
 };
 
 fn bits(edge: &[f64]) -> Vec<u64> {
@@ -206,16 +206,12 @@ fn two_clusters() -> ShardedEngine<Vec<f32>> {
     let objects: Vec<Vec<f32>> = (0..20)
         .map(|i| vec![(i % 2 * 100 + i / 2) as f32])
         .collect();
-    let row = |o: &Vec<f32>| L2.dist(o.as_slice(), [0.0f32].as_slice());
-    let mapped = PivotMatrix::from_rows(1, objects.iter().map(|o| [row(o)]));
-    let assignment: Vec<usize> = (0..20).map(|i| i % 2).collect();
-    let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| out.push(row(o));
-    let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
-    ShardedEngine::build_partitioned_with_matrix(
+    let membership: Vec<usize> = (0..20).map(|i| i % 2).collect();
+    let mapper =
+        |o: &Vec<f32>, out: &mut Vec<f64>| out.push(L2.dist(o.as_slice(), [0.0f32].as_slice()));
+    ShardedEngine::build(
         objects,
-        &assignment,
-        router,
-        mapped,
+        Layout::mapped(1, PartitionPolicy::PivotSpace, mapper).with_membership(&membership),
         &EngineConfig {
             shards: 2,
             threads: 1,

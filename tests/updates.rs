@@ -8,10 +8,10 @@
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, build_index_with_matrix, BuildOptions, IndexKind};
-use pmr::engine::{EngineConfig, Query, QueryResult, ShardedEngine};
+use pmr::engine::{EngineConfig, Layout, Query, QueryResult, ShardedEngine};
 use pmr::{
     build_sharded_engine, datasets, BruteForce, Metric, MetricIndex, Neighbor, ObjId,
-    PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, UpdateBatch, L2,
+    PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -160,6 +160,45 @@ fn live_objects(e: &ShardedEngine<Vec<f32>>, id_bound: u32) -> Vec<(ObjId, Vec<f
         .collect()
 }
 
+/// The parity reference: an engine built from scratch over the live
+/// objects of `e` (ids below `id_bound`, ascending) that reproduces `e`'s
+/// policy and final shard membership — answers never depend on membership;
+/// compdists and probe counts do. Shards adopt their rows under both
+/// policies, so the serve paths are structurally identical.
+fn rebuild_like<M>(
+    e: &ShardedEngine<Vec<f32>>,
+    id_bound: u32,
+    kind: IndexKind,
+    metric: M,
+    pivots: &[Vec<f32>],
+    opts: &BuildOptions,
+) -> ShardedEngine<Vec<f32>>
+where
+    M: Metric<Vec<f32>> + Clone + 'static,
+{
+    let (objs, membership): (Vec<Vec<f32>>, Vec<usize>) = live_objects(e, id_bound)
+        .into_iter()
+        .map(|(g, o)| (o, e.locate(g).expect("live object located").0))
+        .unzip();
+    let (m, p) = (metric.clone(), pivots.to_vec());
+    let layout = Layout::mapped(
+        pivots.len(),
+        e.policy(),
+        move |o: &Vec<f32>, out: &mut Vec<f64>| out.extend(p.iter().map(|p| m.dist(o, p))),
+    )
+    .with_membership(&membership);
+    let cfg = EngineConfig {
+        shards: e.num_shards(),
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    ShardedEngine::build(objs, layout, &cfg, |_, part, rows| {
+        let rows = rows.expect("a pivot space hands every factory its rows");
+        build_index_with_matrix(kind, part, metric.clone(), pivots.to_vec(), opts, rows)
+    })
+    .unwrap()
+}
+
 /// Maps an updated engine's global ids onto the compact 0..m ids of an
 /// engine rebuilt over the survivors in ascending-gid order. The bijection
 /// is monotone, so it preserves `(distance, id)` orderings — byte-identical
@@ -237,56 +276,11 @@ fn apply_batches_equal_rebuild_exactly() {
             let id_bound = 400 + 80;
 
             // Rebuild from scratch over the survivors, reproducing the
-            // updated engine's final shard membership (answers never depend
-            // on membership; compdists and probe counts do).
+            // updated engine's final shard membership.
             let live = live_objects(&e, id_bound);
             assert_eq!(live.len(), e.len());
             let map = gid_map(&live);
-            let objs: Vec<Vec<f32>> = live.iter().map(|(_, o)| o.clone()).collect();
-            let assignment: Vec<usize> = live
-                .iter()
-                .map(|&(g, _)| e.locate(g).expect("live object located").0)
-                .collect();
-            let cfg = EngineConfig {
-                shards,
-                threads: 1,
-                refresh: RefreshPolicy::disabled(),
-                ..EngineConfig::default()
-            };
-            let rebuilt = match policy {
-                PartitionPolicy::PivotSpace => {
-                    let matrix = PivotMatrix::compute(&objs, &L2, &pivots, 1);
-                    let mapper_pivots = pivots.clone();
-                    let router = RoutingTable::from_assignment(
-                        move |o: &Vec<f32>, out: &mut Vec<f64>| {
-                            out.extend(mapper_pivots.iter().map(|p| L2.dist(o, p)))
-                        },
-                        pivots.len(),
-                        &matrix,
-                        &assignment,
-                        shards,
-                    );
-                    ShardedEngine::build_partitioned_with_matrix(
-                        objs.clone(),
-                        &assignment,
-                        router,
-                        matrix,
-                        &cfg,
-                        |_, part, m| {
-                            build_index_with_matrix(kind, part, L2, pivots.clone(), &opts, m)
-                        },
-                    )
-                    .unwrap()
-                }
-                PartitionPolicy::RoundRobin => ShardedEngine::build_assigned_with(
-                    objs.clone(),
-                    &assignment,
-                    shards,
-                    &cfg,
-                    |_, part| build_index(kind, part, L2, pivots.clone(), &opts),
-                )
-                .unwrap(),
-            };
+            let rebuilt = rebuild_like(&e, id_bound, kind, L2, &pivots, &opts);
 
             // Boxes shrunk/extended by apply equal the fresh tight boxes.
             if policy == PartitionPolicy::PivotSpace {
@@ -459,12 +453,6 @@ fn compaction_equals_rebuild_exactly() {
     let opts = engine_opts(5);
     let pivots = hfi_pivots(&pts, 5);
     let shards = 4usize;
-    let cfg = EngineConfig {
-        shards,
-        threads: 1,
-        refresh: RefreshPolicy::disabled(),
-        ..EngineConfig::default()
-    };
 
     for kind in [IndexKind::Laesa, IndexKind::Cpt] {
         for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
@@ -499,50 +487,8 @@ fn compaction_equals_rebuild_exactly() {
             for (gid, o) in objs.iter().enumerate() {
                 assert_eq!(e.get(gid as u32).as_ref(), Some(o), "{kind:?} {policy:?}");
             }
-            let assignment: Vec<usize> = (0..objs.len() as u32)
-                .map(|g| e.locate(g).expect("live object located").0)
-                .collect();
 
-            // From-scratch rebuild over the survivors with the same
-            // membership; shards adopt matrices in both engines so the
-            // serve paths are structurally identical.
-            let rebuilt = match policy {
-                PartitionPolicy::PivotSpace => {
-                    let matrix = PivotMatrix::compute(&objs, &L2, &pivots, 1);
-                    let mapper_pivots = pivots.clone();
-                    let router = RoutingTable::from_assignment(
-                        move |o: &Vec<f32>, out: &mut Vec<f64>| {
-                            out.extend(mapper_pivots.iter().map(|p| L2.dist(o, p)))
-                        },
-                        pivots.len(),
-                        &matrix,
-                        &assignment,
-                        shards,
-                    );
-                    ShardedEngine::build_partitioned_with_matrix(
-                        objs.clone(),
-                        &assignment,
-                        router,
-                        matrix,
-                        &cfg,
-                        |_, part, m| {
-                            build_index_with_matrix(kind, part, L2, pivots.clone(), &opts, m)
-                        },
-                    )
-                    .unwrap()
-                }
-                PartitionPolicy::RoundRobin => ShardedEngine::build_assigned_with(
-                    objs.clone(),
-                    &assignment,
-                    shards,
-                    &cfg,
-                    |_, part| {
-                        let pm = PivotMatrix::compute(&part, &L2, &pivots, 1);
-                        build_index_with_matrix(kind, part, L2, pivots.clone(), &opts, pm)
-                    },
-                )
-                .unwrap(),
-            };
+            let rebuilt = rebuild_like(&e, objs.len() as u32, kind, L2, &pivots, &opts);
 
             if policy == PartitionPolicy::PivotSpace {
                 assert_eq!(
@@ -633,54 +579,14 @@ fn fqa_compaction_equals_rebuild() {
         let dropped = e.compact();
         assert!(dropped > 0);
         assert_eq!(e.len(), live.len());
-        let objs: Vec<Vec<f32>> = live.iter().map(|(_, o)| o.clone()).collect();
-        let assignment: Vec<usize> = (0..objs.len() as u32)
-            .map(|g| e.locate(g).expect("live object located").0)
-            .collect();
-        let rebuilt = match policy {
-            PartitionPolicy::PivotSpace => {
-                let matrix = PivotMatrix::compute(&objs, &metric, &pivots, 1);
-                let mapper_pivots = pivots.clone();
-                let router = RoutingTable::from_assignment(
-                    move |o: &Vec<f32>, out: &mut Vec<f64>| {
-                        out.extend(mapper_pivots.iter().map(|p| metric.dist(o, p)))
-                    },
-                    pivots.len(),
-                    &matrix,
-                    &assignment,
-                    shards,
-                );
-                ShardedEngine::build_partitioned_with_matrix(
-                    objs.clone(),
-                    &assignment,
-                    router,
-                    matrix,
-                    &cfg,
-                    |_, part, m| {
-                        build_index_with_matrix(
-                            IndexKind::Fqa,
-                            part,
-                            metric,
-                            pivots.clone(),
-                            &opts,
-                            m,
-                        )
-                    },
-                )
-                .unwrap()
-            }
-            PartitionPolicy::RoundRobin => ShardedEngine::build_assigned_with(
-                objs.clone(),
-                &assignment,
-                shards,
-                &cfg,
-                |_, part| {
-                    let pm = PivotMatrix::compute(&part, &metric, &pivots, 1);
-                    build_index_with_matrix(IndexKind::Fqa, part, metric, pivots.clone(), &opts, pm)
-                },
-            )
-            .unwrap(),
-        };
+        let rebuilt = rebuild_like(
+            &e,
+            live.len() as u32,
+            IndexKind::Fqa,
+            metric,
+            &pivots,
+            &opts,
+        );
         let batch = mixed_batch(&pts, 60, 1500.0, 7);
         e.reset_counters();
         rebuilt.reset_counters();
