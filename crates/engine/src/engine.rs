@@ -59,13 +59,12 @@ use crate::report::{BuildStats, ServeReport, UpdateStats};
 use crate::robust::{
     FaultPolicy, OpError, OpErrorKind, QuarantineState, ServeBudget, ShardFaultState,
 };
-use crate::shard::{partition_by_assignment, Partition, Shard};
+use crate::shard::Shard;
 use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
-use pmi_metric::{cow, Counters, CowVec, MetricIndex, ObjId, PivotMatrix, StorageFootprint};
-use pmi_obs::{Hist, MetricsSnapshot, Registry, Span, TracePolicy};
+use pmi_metric::{cow, Counters, CowVec, ObjId, PivotMatrix, StorageFootprint};
+use pmi_obs::{MetricsSnapshot, Registry, Span, TracePolicy};
 use pmi_router::{PartitionPolicy, RoutingTable};
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,6 +183,10 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
+#[path = "build.rs"]
+mod build;
+pub use build::Layout;
+
 #[path = "exec.rs"]
 mod exec;
 pub use exec::EngineScratch;
@@ -214,10 +217,6 @@ impl ObsClock {
         }
     }
 }
-
-/// One partition awaiting its index, plus its members' pivot rows when the
-/// engine holds a pivot space.
-type MatrixPart<O> = (Partition<O>, Option<PivotMatrix>);
 
 /// Global id → `(shard, local id)` for live objects, dense: global ids are
 /// handed out consecutively from 0 (and a compaction renumbers the
@@ -508,366 +507,6 @@ impl<O> ApplyTxn<O> {
             self.touched[s] = true;
         }
         Arc::get_mut(&mut self.shards[s]).expect("transaction shard is uniquely owned")
-    }
-}
-
-/// What [`ShardedEngine::build`] builds over: whether the engine holds a
-/// pivot space, which [`PartitionPolicy`] splits the objects, and
-/// optionally an explicit membership. Pivot-space partitioning without a
-/// mapper cannot be written down.
-pub struct Layout<'a, O> {
-    /// The pivot space: its mapper and width `l`.
-    space: Option<(PivotMap<O>, usize)>,
-    policy: PartitionPolicy,
-    membership: Option<&'a [usize]>,
-}
-
-impl<'a, O> Layout<'a, O> {
-    /// No pivot space: balanced contiguous runs, every query probes every
-    /// shard, the shard factory receives no rows and the engine computes no
-    /// distance of its own — for kinds that would read no row of it.
-    pub fn plain() -> Self {
-        Layout {
-            space: None,
-            policy: PartitionPolicy::RoundRobin,
-            membership: None,
-        }
-    }
-
-    /// A pivot space: `mapper` appends `(d(o, p_1), …, d(o, p_width))` to
-    /// its buffer — exactly `width` values — and `policy` says whether the
-    /// engine also partitions and routes by it
-    /// ([`PartitionPolicy::PivotSpace`]) or only keeps the rows for its
-    /// shards ([`PartitionPolicy::RoundRobin`]).
-    pub fn mapped(
-        width: usize,
-        policy: PartitionPolicy,
-        mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
-    ) -> Self {
-        Layout {
-            space: Some((Arc::new(mapper), width)),
-            policy,
-            membership: None,
-        }
-    }
-
-    /// Places object `i` in shard `membership[i]` instead of partitioning:
-    /// reproduces another engine's final membership for a parity rebuild or
-    /// a migration. The policy still decides whether queries are routed
-    /// (boxes are derived from the members' rows either way). The build
-    /// checks that there is one entry per object, each below
-    /// [`EngineConfig::resolved_shards`].
-    pub fn with_membership(mut self, membership: &'a [usize]) -> Self {
-        self.membership = Some(membership);
-        self
-    }
-}
-
-/// The round-robin membership: balanced *contiguous* runs rather than a
-/// stride — shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋ ids in order, just as
-/// geometry-agnostic as a stride.
-fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
-    (0..shards)
-        .flat_map(|s| std::iter::repeat_n(s, n / shards + usize::from(s < n % shards)))
-        .collect()
-}
-
-impl<O> ShardedEngine<O> {
-    /// Builds an engine over `objects`, laid out per `layout`, handing each
-    /// partition to `factory`, which returns the shard's index (the `pmi`
-    /// facade passes `builder::build_index_with_matrix` here). This is the
-    /// one constructor; everything an engine derives from its pivot space
-    /// is derived here:
-    ///
-    /// 1. the rows — row `i` is the mapper's image of `objects[i]`,
-    ///    computed once, in parallel over `cfg.threads`
-    ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
-    ///    order as [`PivotMatrix::compute`]);
-    /// 2. the membership — [`pmi_router::partition_pivot_space`] over the
-    ///    rows with `cfg.partition_seed` under
-    ///    [`PartitionPolicy::PivotSpace`] (the call
-    ///    [`compact`](Self::compact) repeats over the survivors), balanced
-    ///    contiguous runs under round-robin, or the layout's explicit one;
-    /// 3. under `PivotSpace`, the [`RoutingTable`]: one tight box per shard
-    ///    over its members' rows, and a clone of the mapper;
-    /// 4. each shard's rows as one contiguous run
-    ///    ([`PivotMatrix::select`]); the full matrix is dropped before the
-    ///    first shard table exists.
-    ///
-    /// The factory receives `(shard_number, partition, rows)` — `rows` is
-    /// `Some` iff the layout has a pivot space — and must insert the
-    /// partition in order, so that local id `i` is the `i`-th object of the
-    /// partition (every index in this workspace does). A factory whose
-    /// index exposes [`MetricIndex::pivot_rows`] must have built it from
-    /// those rows or from the same mapping. Shard builds run in parallel on
-    /// scoped threads when more than one worker thread is configured — the
-    /// paper's §6.2 observation that per-object pivot distances parallelize
-    /// trivially.
-    ///
-    /// [`BuildStats`] record the exact cost: `n · l` for the rows plus
-    /// every shard's own construction compdists, and the whole wall.
-    ///
-    /// # Panics
-    ///
-    /// If the mapper appends other than `width` values for some object.
-    pub fn build<E, F>(
-        objects: Vec<O>,
-        layout: Layout<'_, O>,
-        cfg: &EngineConfig,
-        factory: F,
-    ) -> Result<Self, EngineError<E>>
-    where
-        O: Send + Sync + 'static,
-        E: Send,
-        F: Fn(usize, Vec<O>, Option<PivotMatrix>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
-    {
-        if cfg.shards == 0 {
-            return Err(EngineError::ZeroShards);
-        }
-        let t0 = Instant::now();
-        let n = objects.len();
-        let num_shards = cfg.resolved_shards(n);
-        if let Some(m) = layout.membership {
-            if m.len() != n {
-                return Err(EngineError::BadMembership(format!(
-                    "{} entries for {n} objects",
-                    m.len()
-                )));
-            }
-            if let Some((i, s)) = m.iter().enumerate().find(|&(_, &s)| s >= num_shards) {
-                return Err(EngineError::BadMembership(format!(
-                    "entry {i} names shard {s} of {num_shards}"
-                )));
-            }
-        }
-        let threads = resolve_threads(cfg.threads);
-        let obs = Registry::new();
-        // One clock pair per phase and per shard build — all of it vanishes
-        // when the obs feature is compiled out.
-        let timing = obs.is_enabled();
-        let mut clock = ObsClock::start(timing);
-
-        // The pivot space: row `i` is the map of object `i`.
-        let space = layout.space.map(|(map, width)| {
-            let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
-                let mut row = Vec::with_capacity(width);
-                for (o, slot) in run.iter().zip(slots.chunks_mut(width.max(1))) {
-                    row.clear();
-                    map(o, &mut row);
-                    slot.copy_from_slice(&row);
-                }
-            });
-            (map, rows)
-        });
-        let matrix_compdists = space
-            .as_ref()
-            .map_or(0, |(_, rows)| (rows.rows() * rows.width()) as u64);
-        if space.is_some() {
-            obs.phase_add(
-                "build.matrix",
-                1,
-                clock.lap(),
-                &[("compdists", matrix_compdists)],
-            );
-        }
-
-        // Routed iff the policy says so; the layout guarantees the space.
-        let routed = space
-            .as_ref()
-            .filter(|_| layout.policy == PartitionPolicy::PivotSpace);
-        let mut partitioned = None;
-        let membership: Cow<[usize]> = match (layout.membership, routed) {
-            (Some(m), _) => m.into(),
-            (None, Some((_, rows))) => {
-                let part = pmi_router::partition_pivot_space(
-                    rows,
-                    num_shards,
-                    cfg.partition_seed,
-                    threads,
-                );
-                partitioned = Some([
-                    ("shards", num_shards as u64),
-                    ("iters", part.iters),
-                    ("rejected", part.rejected),
-                ]);
-                part.assignment.into()
-            }
-            (None, None) => balanced_runs(n, num_shards).into(),
-        };
-        let router = routed.map(|(map, rows)| {
-            let map = Arc::clone(map);
-            RoutingTable::from_assignment(
-                move |o: &O, out: &mut Vec<f64>| map(o, out),
-                rows.width(),
-                rows,
-                &membership,
-                num_shards,
-            )
-        });
-        let partition_nanos = clock.lap();
-        if let Some(counters) = partitioned {
-            obs.phase_add("build.partition", 1, partition_nanos, &counters);
-        }
-
-        // Every partition takes its own contiguous copy of its members'
-        // rows and the full matrix is dropped, so the two coexist only here
-        // — before a single shard table, locator or id table exists.
-        let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
-            .into_iter()
-            .map(|(objs, gids)| {
-                let rows = space.as_ref().map(|(_, m)| m.select(&gids));
-                ((objs, gids), rows)
-            })
-            .collect();
-        drop(membership);
-        let mapper = space.map(|(map, _)| map);
-        // The split belongs to no child phase.
-        clock.lap();
-
-        // The factory gets a clone of the shard's rows (shared storage);
-        // the shard keeps the original only if the index did not take it.
-        let build_shard = |s: usize, ((objs, gids), rows): MatrixPart<O>| {
-            let idx = factory(s, objs, rows.clone())?;
-            Ok(Shard::new(idx, gids, rows))
-        };
-        let mut shard_wall = Hist::new();
-        let built: Vec<Result<Shard<O>, E>> = if threads <= 1 || num_shards == 1 {
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(s, part)| {
-                    let b0 = timing.then(Instant::now);
-                    let r = build_shard(s, part);
-                    if let Some(t) = b0 {
-                        shard_wall.record(t.elapsed().as_nanos() as u64);
-                    }
-                    r
-                })
-                .collect()
-        } else {
-            // At most `threads` concurrent builders: distribute the shard
-            // slots round-robin across worker buckets.
-            let build_shard = &build_shard;
-            let workers = threads.min(num_shards);
-            let mut buckets: Vec<Vec<(usize, MatrixPart<O>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (s, part) in parts.into_iter().enumerate() {
-                buckets[s % workers].push((s, part));
-            }
-            let mut slots: Vec<Option<Result<Shard<O>, E>>> =
-                (0..num_shards).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move |_| {
-                            bucket
-                                .into_iter()
-                                .map(|(s, part)| {
-                                    let b0 = timing.then(Instant::now);
-                                    let r = build_shard(s, part);
-                                    let nanos =
-                                        b0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                                    (s, r, nanos)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (s, r, nanos) in h.join().expect("shard build thread panicked") {
-                        if timing {
-                            shard_wall.record(nanos);
-                        }
-                        slots[s] = Some(r);
-                    }
-                }
-            })
-            .expect("shard build scope panicked");
-            slots
-                .into_iter()
-                .map(|r| r.expect("every shard slot built exactly once"))
-                .collect()
-        };
-
-        // Wall of the whole shard-build section, so that it nests under
-        // `build` when shards build in parallel; the per-shard walls are
-        // the `build.shard_wall` histogram.
-        let shards_nanos = clock.lap();
-
-        let mut shards = Vec::with_capacity(num_shards);
-        for b in built {
-            shards.push(b.map_err(EngineError::Build)?);
-        }
-
-        let mut locator = vec![Locator::DEAD; n];
-        for (s, shard) in shards.iter().enumerate() {
-            for (local, gid) in shard.live_members() {
-                locator[gid as usize] = (s as u32, local);
-            }
-        }
-        let locator = Locator(locator.into());
-
-        let wall = t0.elapsed();
-        let shard_compdists: u64 = shards.iter().map(|s| s.counters().compdists).sum();
-        let build_stats = BuildStats {
-            build_compdists: matrix_compdists + shard_compdists,
-            build_wall_secs: wall.as_secs_f64(),
-        };
-        if timing {
-            obs.phase_add(
-                "build",
-                1,
-                wall.as_nanos() as u64,
-                &[("objects", n as u64), ("shards", num_shards as u64)],
-            );
-            obs.phase_add(
-                "build.shards",
-                num_shards as u64,
-                shards_nanos,
-                &[("compdists", shard_compdists)],
-            );
-            obs.hist_merge("build.shard_wall", &shard_wall);
-            obs.gauge_set("engine.shards", num_shards as u64);
-            obs.gauge_set("engine.live_objects", n as u64);
-        }
-
-        let shards: Vec<Arc<Shard<O>>> = shards.into_iter().map(Arc::new).collect();
-        let router = router.map(Arc::new);
-        let snap = Arc::new(EngineSnapshot {
-            epoch: 0,
-            shards: shards.clone(),
-            router: router.clone(),
-        });
-        obs.gauge_set("engine.snapshot_epoch", 0);
-        let core = Arc::new(EngineCore {
-            threads,
-            snap: Mutex::new(snap),
-            probed: AtomicU64::new(0),
-            pruned: AtomicU64::new(0),
-            obs,
-            trace: Mutex::new(cfg.trace),
-            budget: Mutex::new(cfg.budget),
-            faults: cfg.faults,
-            quarantine: QuarantineState::new(num_shards),
-            validator: Mutex::new(None),
-            build: build_stats,
-            updates: Mutex::new(UpdateStats::default()),
-        });
-        Ok(ShardedEngine {
-            core,
-            shards,
-            router,
-            epoch: 0,
-            retired: Vec::new(),
-            mapper,
-            refresh: cfg.refresh,
-            compaction: cfg.compaction,
-            partition_seed: cfg.partition_seed,
-            locator,
-            next_id: n as ObjId,
-            update_stats: UpdateStats::default(),
-        })
     }
 }
 
@@ -1727,8 +1366,8 @@ impl<O> ShardedEngine<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LatencySummary, Query};
-    use pmi_metric::{BruteForce, Metric, L2};
+    use crate::Query;
+    use pmi_metric::{BruteForce, Metric, MetricIndex, L2};
 
     pub(super) fn grid(n: usize) -> Vec<Vec<f32>> {
         (0..n)
@@ -1736,7 +1375,9 @@ mod tests {
             .collect()
     }
 
-    fn brute_factory(part: Vec<Vec<f32>>) -> Result<Box<dyn MetricIndex<Vec<f32>>>, &'static str> {
+    pub(super) fn brute_factory(
+        part: Vec<Vec<f32>>,
+    ) -> Result<Box<dyn MetricIndex<Vec<f32>>>, &'static str> {
         Ok(Box::new(BruteForce::new(part, L2)))
     }
 
@@ -1826,91 +1467,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_factory_sees_exactly_its_shards_rows() {
-        // Row i is the map of object i: a matrix-adopting factory must see
-        // its partition's rows, in partition order.
-        let objects = grid(60);
-        let cfg = EngineConfig {
-            shards: 4,
-            threads: 2,
-            ..EngineConfig::default()
-        };
-        let layout = Layout::mapped(
-            2,
-            PartitionPolicy::RoundRobin,
-            |o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]),
-        );
-        let e = ShardedEngine::build(objects.clone(), layout, &cfg, |_, part, m| {
-            let m = m.expect("a pivot space hands every factory its rows");
-            assert_eq!(m.rows(), part.len());
-            assert_eq!(m.width(), 2);
-            for (i, o) in part.iter().enumerate() {
-                assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "the shard's rows");
-            }
-            brute_factory(part)
-        })
-        .unwrap();
-        assert_eq!(e.build_stats().build_compdists, 60 * 2, "n·l for the rows");
-        let plain = engine(60, 4, 2);
-        assert_eq!(plain.build_stats().build_compdists, 0, "no pivot space");
-        for qi in [0usize, 30, 59] {
-            assert_eq!(
-                e.range_query(&objects[qi], 4.0),
-                plain.range_query(&objects[qi], 4.0)
-            );
-        }
-        for gid in 0..60 {
-            assert_eq!(e.locate(gid), plain.locate(gid), "same balanced runs");
-        }
-    }
-
-    #[test]
-    fn round_robin_cuts_balanced_contiguous_runs() {
-        assert_eq!(balanced_runs(10, 3), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-        assert_eq!(balanced_runs(2, 2), [0, 1]);
-        assert!(balanced_runs(0, 1).is_empty());
-        let e = engine(10, 3, 1);
-        let of =
-            |s: usize| -> Vec<ObjId> { e.shards()[s].live_members().map(|(_, g)| g).collect() };
-        assert_eq!(
-            (of(0), of(1), of(2)),
-            (vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9])
-        );
-    }
-
-    #[test]
-    fn a_bad_membership_is_an_error_not_a_panic() {
-        let build = |membership: &[usize]| {
-            ShardedEngine::build(
-                grid(10),
-                Layout::plain().with_membership(membership),
-                &EngineConfig {
-                    shards: 4,
-                    threads: 1,
-                    ..EngineConfig::default()
-                },
-                |_, part, _| brute_factory(part),
-            )
-        };
-        let out_of_range = build(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 9]).err();
-        assert!(
-            matches!(&out_of_range, Some(EngineError::BadMembership(why)) if why.contains("entry 9 names shard 9 of 4")),
-            "{out_of_range:?}"
-        );
-        let short = build(&[0, 1, 2]).err();
-        assert!(
-            matches!(&short, Some(EngineError::BadMembership(why)) if why.contains("3 entries for 10 objects")),
-            "{short:?}"
-        );
-        // A valid one may leave a shard empty.
-        let e = build(&[0, 1, 3, 3, 0, 1, 3, 3, 0, 1]).unwrap();
-        assert_eq!(e.num_shards(), 4);
-        assert_eq!(e.policy(), PartitionPolicy::RoundRobin);
-        assert!(e.shards()[2].is_empty());
-        assert_eq!(e.range_query(&grid(10)[6], 0.0), vec![6]);
     }
 
     #[test]
@@ -2153,36 +1709,6 @@ mod tests {
     }
 
     #[test]
-    fn build_stats_record_shard_construction() {
-        let e = engine(100, 4, 2);
-        let stats = e.build_stats();
-        // BruteForce construction computes no distances but the stats must
-        // exist and carry a wall-clock.
-        assert_eq!(stats.build_compdists, 0);
-        assert!(stats.build_wall_secs >= 0.0);
-        // Serve copies the stats into the report.
-        let out = e.serve(&[Query::range(vec![0.0f32, 0.0], 1.0)]);
-        assert_eq!(out.report.build, stats);
-    }
-
-    #[test]
-    fn zero_shards_is_an_error() {
-        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build(
-            grid(10),
-            Layout::plain(),
-            &EngineConfig {
-                shards: 0,
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            |_, part, _| brute_factory(part),
-        );
-        assert_eq!(r.err(), Some(EngineError::ZeroShards));
-        let msg = format!("{}", EngineError::<&str>::ZeroShards);
-        assert!(msg.contains("at least one shard"));
-    }
-
-    #[test]
     fn routed_insert_routes_and_extends() {
         let (_, mut e) = routed_two_clusters();
         // New object near cluster B must land in shard 1 and widen its box.
@@ -2207,37 +1733,6 @@ mod tests {
         assert_eq!(gid, 20);
         assert!(e.range_query(&o, 0.0).contains(&gid));
         assert_eq!(e.get(gid), Some(o));
-    }
-
-    #[test]
-    fn shard_clamp_and_empty_batch() {
-        let e = engine(3, 8, 2);
-        assert_eq!(e.num_shards(), 3, "shards clamp to n");
-        let out = e.serve(&[]);
-        assert_eq!(out.results.len(), 0);
-        assert_eq!(out.report.queries, 0);
-        assert_eq!(out.report.latency, LatencySummary::default());
-    }
-
-    #[test]
-    fn build_error_propagates() {
-        let r: Result<ShardedEngine<Vec<f32>>, EngineError<&str>> = ShardedEngine::build(
-            grid(10),
-            Layout::plain(),
-            &EngineConfig {
-                shards: 2,
-                threads: 1,
-                ..EngineConfig::default()
-            },
-            |s, part, _| {
-                if s == 1 {
-                    Err("nope")
-                } else {
-                    brute_factory(part)
-                }
-            },
-        );
-        assert_eq!(r.err(), Some(EngineError::Build("nope")));
     }
 
     #[test]
