@@ -344,8 +344,8 @@ where
 /// the mode it arrives in) instead of recomputing the `n · l` table, with
 /// byte-identical query behavior — and engine inserts then hand over one
 /// precomputed row the index appends. Every other kind drops the rows and
-/// builds exactly as [`build_index`] does. This is the shard factory of
-/// the sharded engine's matrix build path.
+/// builds exactly as [`build_index`] does. This is the shard factory the
+/// facade hands `ShardedEngine::build` for an engine with a pivot space.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: Vec<O>,

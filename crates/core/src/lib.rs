@@ -118,9 +118,10 @@
 //! # The pivot-distance matrix build path
 //!
 //! Every pivot-based index is a view over the paper's central `n × l`
-//! matrix `A[i][j] = d(o_i, p_j)`. The sharded build computes that matrix
-//! **once, in parallel** across the engine's worker threads
-//! ([`PivotMatrix`]), clusters/routes over its rows, and hands each shard
+//! matrix `A[i][j] = d(o_i, p_j)`. The engine's one constructor
+//! (`ShardedEngine::build`; this facade hands it the mapper over the
+//! shared pivots) computes that matrix **once, in parallel** across its
+//! worker threads ([`PivotMatrix`]), clusters/routes over its rows, and hands each shard
 //! its members' rows as one contiguous [`PivotMatrix`] of its own — the
 //! unit a query is routed to owns the bytes it scans — so shared-pivot
 //! tables (LAESA, CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt*

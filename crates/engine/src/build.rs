@@ -171,10 +171,9 @@ impl<O> ShardedEngine<O> {
             });
             (map, rows)
         });
-        let matrix_compdists = space
-            .as_ref()
-            .map_or(0, |(_, rows)| (rows.rows() * rows.width()) as u64);
-        if space.is_some() {
+        let mut matrix_compdists = 0;
+        if let Some((_, rows)) = &space {
+            matrix_compdists = (rows.rows() * rows.width()) as u64;
             obs.phase_add(
                 "build.matrix",
                 1,

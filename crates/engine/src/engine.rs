@@ -429,6 +429,9 @@ impl<O> EngineReader<O> {
 /// and pick up the new one at their next batch. Retired snapshots are
 /// reclaimed once the last in-flight batch drops them. This is the only
 /// write path and every shard kind takes it ([`MetricIndex::fork`]).
+///
+/// [`MetricIndex`]: pmi_metric::MetricIndex
+/// [`MetricIndex::fork`]: pmi_metric::MetricIndex::fork
 pub struct ShardedEngine<O> {
     /// Reader-shared serving state (snapshot slot, policies, metrics).
     core: Arc<EngineCore<O>>,
@@ -1244,6 +1247,8 @@ impl<O> ShardedEngine<O> {
     /// anywhere in it (an injected fault at `engine.compact`) is caught,
     /// the staged state is dropped, `compact.aborts` is counted and the
     /// call returns 0 with nothing changed.
+    ///
+    /// [`MetricIndex::compact_rows`]: pmi_metric::MetricIndex::compact_rows
     pub fn compact(&mut self) -> usize {
         let dead = self.next_id as usize - self.len();
         if self.mapper.is_none() || dead == 0 {

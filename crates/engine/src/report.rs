@@ -96,10 +96,11 @@ pub struct ShardServeStats {
 }
 
 /// What building a [`ShardedEngine`](crate::ShardedEngine) cost: exact
-/// distance computations and wall-clock. The engine records the per-shard
-/// construction cost itself; the `pmi` facade adds the one
-/// pivot-distance matrix's cost on top, so the ~2× build-distance saving
-/// of the matrix build path is visible and regression-testable.
+/// distance computations and wall-clock, recorded by
+/// [`ShardedEngine::build`](crate::ShardedEngine::build) itself — every
+/// shard's construction plus the `n · l` of the pivot rows it computed —
+/// so the ~2× build-distance saving of shards adopting those rows is
+/// visible and regression-testable.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildStats {
     /// Distance computations spent building the engine: the pivot matrix

@@ -68,14 +68,6 @@ fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
 }
 
 fn engine(
-    case: (IndexKind, ColumnMode),
-    pts: &[Vec<f32>],
-    refresh: RefreshPolicy,
-) -> ShardedEngine<Vec<f32>> {
-    engine_under(case, pts, refresh, PartitionPolicy::PivotSpace)
-}
-
-fn engine_under(
     (kind, column_mode): (IndexKind, ColumnMode),
     pts: &[Vec<f32>],
     refresh: RefreshPolicy,
@@ -123,7 +115,7 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
         for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
             let case = (kind, ColumnMode::F64);
-            let e = engine_under(case, &pts, RefreshPolicy::disabled(), policy);
+            let e = engine(case, &pts, RefreshPolicy::disabled(), policy);
             assert_eq!(e.policy(), policy);
             if policy == PartitionPolicy::RoundRobin && !kind.adopts_pivot_matrix() {
                 continue;
@@ -140,7 +132,12 @@ fn seeded_random_batches_keep_every_box_tight() {
     let pool = datasets::la(400, 77);
     for case in KINDS {
         let kind = case.0;
-        let mut e = engine(case, &pts, RefreshPolicy::disabled());
+        let mut e = engine(
+            case,
+            &pts,
+            RefreshPolicy::disabled(),
+            PartitionPolicy::PivotSpace,
+        );
         assert_boxes_tight(&e, 600, "fresh build");
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut draw = |below: usize| {
@@ -182,7 +179,7 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
     };
     for case in KINDS {
         let kind = case.0;
-        let mut e = engine(case, &pts, refresh);
+        let mut e = engine(case, &pts, refresh, PartitionPolicy::PivotSpace);
         // 300 near-duplicates of one region all route to one shard.
         let mut batch = UpdateBatch::new();
         for i in 0..300 {
