@@ -46,6 +46,7 @@
 use pmi::builder::{BuildOptions, IndexKind};
 use pmi::engine::{EngineConfig, Layout, Query, ShardedEngine};
 use pmi::lemmas::{self, pivot_lower_bound};
+use pmi::metric::KnnBest;
 use pmi::{
     build_sharded_vector_engine, datasets, Counters, CountingMetric, Metric, MetricIndex, Neighbor,
     ObjId, PartitionPolicy, PivotMatrix, QueryBudget, QueryScratch, RefreshPolicy, ScanKernel,
@@ -105,12 +106,6 @@ impl MetricIndex<Vec<f32>> for LockedLaesa {
         out
     }
 
-    fn knn_query(&self, q: &Vec<f32>, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(
         &self,
         q: &Vec<f32>,
@@ -134,44 +129,31 @@ impl MetricIndex<Vec<f32>> for LockedLaesa {
         }
     }
 
-    fn knn_query_into(
+    fn knn_query_into_seeded(
         &self,
         q: &Vec<f32>,
         k: usize,
+        seed: f64,
         scratch: &mut QueryScratch,
         out: &mut Vec<Neighbor>,
     ) {
         if k == 0 {
             return;
         }
-        scratch.qd.clear();
-        scratch
-            .qd
-            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        scratch.heap.clear();
+        let QueryScratch { qd, heap, .. } = scratch;
+        qd.clear();
+        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        // The shape this measures: slot order, one scalar bound per row.
+        let mut best = KnnBest::new(heap, k, seed);
         let rows = self.matrix.read().expect("matrix lock");
         for (i, o) in self.objects.iter().enumerate() {
-            let radius = if scratch.heap.len() < k {
-                f64::INFINITY
-            } else {
-                scratch.heap.peek().expect("heap is full").dist
-            };
-            if radius.is_finite() && lemmas::lemma1_prunable(&scratch.qd, rows.row(i), radius) {
+            let radius = best.radius();
+            if radius.is_finite() && lemmas::lemma1_prunable(qd, rows.row(i), radius) {
                 continue;
             }
-            let d = self.metric.dist(q, o);
-            if d < radius || scratch.heap.len() < k {
-                scratch.heap.push(Neighbor::new(i as ObjId, d));
-                if scratch.heap.len() > k {
-                    scratch.heap.pop();
-                }
-            }
+            best.offer(i as ObjId, self.metric.dist(q, o));
         }
-        let start = out.len();
-        while let Some(nb) = scratch.heap.pop() {
-            out.push(nb);
-        }
-        out[start..].reverse();
+        best.finish(out);
     }
 
     fn insert(&mut self, _o: Vec<f32>) -> ObjId {

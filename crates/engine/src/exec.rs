@@ -402,17 +402,15 @@ fn sample_quantile(sorted_nanos: &[u64], q: f64) -> f64 {
     sorted_nanos[rank - 1] as f64 * 1e-9
 }
 
-/// What a probe's bookkeeping knows about the query it serves — the only
-/// two points where a range probe and a kNN probe differ around the probe
+/// What a probe's bookkeeping knows about the query it serves — the one
+/// point where a range probe and a kNN probe differ around the probe
 /// proper.
 #[derive(Clone, Copy)]
 enum ProbeKind {
-    /// Range planning recorded every shard's verdict up front, and the
-    /// kernel leaves its filter survivors in the scratch for the trace.
+    /// Range planning recorded every shard's verdict up front.
     Range,
     /// kNN decides shard by shard, so the verdict — box lower bound and
-    /// best-first rank — is traced as the probe starts; kNN scans verify
-    /// through the heap, not the range survivor buffer.
+    /// best-first rank — is traced as the probe starts.
     Knn { lb: f64, rank: u32 },
 }
 
@@ -517,11 +515,13 @@ impl<O> EngineCore<O> {
                 page_accesses: d.page_accesses(),
                 kernel_rows,
                 kernel_blocks: qs.kernel_blocks - kb0,
-                // The survivor buffer belongs to kernel scans; a tree
-                // shard leaves it untouched from the previous probe.
-                survivors: match kind {
-                    ProbeKind::Range if kernel_rows > 0 => qs.survivors.len() as u64,
-                    _ => 0,
+                // The survivor buffer belongs to kernel scans — the slots
+                // a range or a kNN scan verified; a tree shard leaves it
+                // untouched from the previous probe.
+                survivors: if kernel_rows > 0 {
+                    qs.survivors.len() as u64
+                } else {
+                    0
                 },
                 nanos: tclock.lap(),
             });
@@ -1221,7 +1221,7 @@ mod tests {
     use crate::engine::tests::{engine, grid, routed_two_clusters};
     use crate::engine::{EngineConfig, Layout};
     use crate::robust::{FaultPolicy, ServeBudget};
-    use pmi_metric::{BruteForce, MetricIndex, StorageFootprint, L2};
+    use pmi_metric::{BruteForce, MetricIndex, QueryScratch, StorageFootprint, L2};
     use pmi_router::PartitionPolicy;
     use std::sync::Mutex;
 
@@ -1549,7 +1549,14 @@ mod tests {
         fn range_query(&self, _q: &Vec<f32>, _r: f64) -> Vec<ObjId> {
             panic!("injected: shard range panic")
         }
-        fn knn_query(&self, _q: &Vec<f32>, _k: usize) -> Vec<Neighbor> {
+        fn knn_query_into_seeded(
+            &self,
+            _q: &Vec<f32>,
+            _k: usize,
+            _seed: f64,
+            _scratch: &mut QueryScratch,
+            _out: &mut Vec<Neighbor>,
+        ) {
             panic!("injected: shard knn panic")
         }
         fn insert(&mut self, o: Vec<f32>) -> ObjId {

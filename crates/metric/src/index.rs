@@ -1,10 +1,10 @@
-//! The unified, object-safe index interface implemented by all thirteen
+//! The unified, object-safe index interface implemented by all seventeen
 //! index variants, plus a brute-force reference implementation used as the
 //! correctness oracle in tests.
 
 use crate::distance::{CountingMetric, Metric};
 use crate::matrix::PivotMatrix;
-use crate::scratch::QueryScratch;
+use crate::scratch::{KnnBest, QueryScratch};
 use crate::stats::{Counters, Neighbor, ObjId, StorageFootprint};
 use crate::table::ObjTable;
 
@@ -33,16 +33,23 @@ pub trait MetricIndex<O>: Send + Sync {
     fn range_query(&self, q: &O, r: f64) -> Vec<ObjId>;
 
     /// Metric k-nearest-neighbor query `MkNNQ(q, k)`, sorted by ascending
-    /// distance. Returns fewer than `k` entries only when the index holds
-    /// fewer than `k` objects. Ties at the k-th distance are broken
-    /// arbitrarily.
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor>;
+    /// `(distance, id)` — ties at the k-th distance go to the smaller id.
+    /// Returns fewer than `k` entries only when the index holds fewer than
+    /// `k` objects. Provided: the unseeded
+    /// [`knn_query_into_seeded`](Self::knn_query_into_seeded) over a fresh
+    /// scratch.
+    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
+        out
+    }
 
     /// [`range_query`](Self::range_query) variant for the batch-serving hot
     /// path: answers are *appended* to `out` and all transient state lives
     /// in `scratch`, so a worker that reuses both performs no per-query
     /// heap allocations once the buffers are warm. The default falls back
-    /// to the allocating path; the flat pivot tables override it.
+    /// to the allocating path; the flat pivot tables and the in-memory
+    /// trees override it.
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         let _ = scratch;
         out.extend(self.range_query(q, r));
@@ -51,17 +58,21 @@ pub trait MetricIndex<O>: Send + Sync {
     /// [`knn_query`](Self::knn_query) variant for the batch-serving hot
     /// path; appends the (ascending-sorted) neighbors to `out`. Same
     /// scratch-reuse contract as [`range_query_into`](Self::range_query_into).
+    /// Provided: [`knn_query_into_seeded`](Self::knn_query_into_seeded)
+    /// with no seed.
     fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        let _ = scratch;
-        out.extend(self.knn_query(q, k));
+        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out)
     }
 
-    /// [`knn_query_into`](Self::knn_query_into) with a *pruning seed*: the
-    /// caller already holds `k` candidates whose worst distance is `seed`
-    /// (the sharded engine's running top-k threshold when probing shards in
-    /// sequence), so any object with a Lemma 1 lower bound **strictly
-    /// above** `seed` can be skipped without being verified — it can only
-    /// lose the merge.
+    /// The one kNN method a kind implements: `MkNNQ(q, k)` under a
+    /// *pruning seed*. The caller already holds `k` candidates whose worst
+    /// distance is `seed` (the sharded engine's running top-k threshold
+    /// when probing shards in sequence), so any object — or subtree, page,
+    /// cluster — with a lower bound **strictly above** `seed` can be
+    /// skipped without being verified: it can only lose the merge. A kind
+    /// keeps its k best in a [`KnnBest`], which
+    /// prunes with `min(local k-th, seed)` and pushes by the local
+    /// `(distance, id)` rule alone; `k = 0` is an empty answer.
     ///
     /// Exactness contract: the merged results must be *identical* to the
     /// unseeded call's. This holds because a skipped object has
@@ -70,9 +81,9 @@ pub trait MetricIndex<O>: Send + Sync {
     /// `seed` and only tightens); a skipped object's absence from this
     /// shard's local top-k can only admit *worse* local candidates, which
     /// are rejected the same way. Pass `f64::INFINITY` when no candidates
-    /// are held yet — implementations must then behave exactly like
-    /// [`knn_query_into`](Self::knn_query_into); the default ignores the
-    /// seed entirely, which is always correct, just unpruned.
+    /// are held yet — the plain query. Ignoring the seed is always
+    /// correct, just unpruned, and has to be written down (`let _ = seed`
+    /// and the reason): there is no default to inherit it from.
     fn knn_query_into_seeded(
         &self,
         q: &O,
@@ -80,10 +91,7 @@ pub trait MetricIndex<O>: Send + Sync {
         seed: f64,
         scratch: &mut QueryScratch,
         out: &mut Vec<Neighbor>,
-    ) {
-        let _ = seed;
-        self.knn_query_into(q, k, scratch, out)
-    }
+    );
 
     /// Inserts an object, returning its id.
     fn insert(&mut self, o: O) -> ObjId;
@@ -223,13 +231,6 @@ where
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut scratch, &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         for (id, o) in self.table.iter() {
             if self.metric.dist(q, o) <= r {
@@ -238,21 +239,24 @@ where
         }
     }
 
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
+    fn knn_query_into_seeded(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
         if k == 0 {
             return;
         }
-        scratch.heap.clear();
+        // The oracle has no lower bound to hold against the radius: every
+        // distance is computed, seeded or not.
+        let mut best = KnnBest::new(&mut scratch.heap, k, seed);
         for (id, o) in self.table.iter() {
-            let n = Neighbor::new(id, self.metric.dist(q, o));
-            if scratch.heap.len() < k {
-                scratch.heap.push(n);
-            } else if n < *scratch.heap.peek().expect("heap is full") {
-                scratch.heap.push(n);
-                scratch.heap.pop();
-            }
+            best.offer(id, self.metric.dist(q, o));
         }
-        crate::scratch::drain_heap_sorted(&mut scratch.heap, out);
+        best.finish(out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

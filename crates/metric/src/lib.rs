@@ -17,7 +17,7 @@
 //!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
 //!   allocation-free batch query path,
-//! * the object-safe [`MetricIndex`] trait implemented by all thirteen index
+//! * the object-safe [`MetricIndex`] trait implemented by all seventeen index
 //!   variants,
 //! * binary object encoding ([`object`]) used by the disk-resident indexes,
 //! * synthetic dataset generators matching the paper's Table 2 ([`datasets`]).
@@ -41,7 +41,7 @@ pub use distance::{CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metr
 pub use index::{BruteForce, MetricIndex};
 pub use matrix::{ColumnMode, PivotMatrix, ScanKernel};
 pub use object::EncodeObject;
-pub use scratch::QueryScratch;
+pub use scratch::{KnnBest, QueryScratch};
 pub use simd::SimdTier;
 pub use stats::{Counters, Neighbor, ObjId, StorageFootprint};
 pub use table::ObjTable;

@@ -8,9 +8,20 @@
 //! [`MetricIndex::knn_query_into`](crate::MetricIndex::knn_query_into), so
 //! that after a short warmup the scan path performs no transient heap
 //! allocations per query.
+//!
+//! It also holds the two pieces every kind's kNN is made of: [`KnnBest`],
+//! the k best so far and the one radius a probe prunes with, and
+//! [`QueryScratch::knn_verify`], the verification order of the scan
+//! tables.
 
-use crate::stats::Neighbor;
+use crate::stats::{Neighbor, ObjId};
 use std::collections::BinaryHeap;
+
+/// Width of a scan table's kNN probe in units of `k`: the
+/// [`knn_verify`](QueryScratch::knn_verify) pass verifies the
+/// `PROBE_WIDTH · k` smallest lower bounds in bound order before it falls
+/// back to slot order.
+const PROBE_WIDTH: usize = 4;
 
 /// Reusable buffers for one query-serving worker.
 ///
@@ -29,9 +40,15 @@ pub struct QueryScratch {
     /// [`ScanKernel`](crate::matrix::ScanKernel) once per scan (entry `i`
     /// is the bound of slot `i`, tombstoned slots included).
     pub lbs: Vec<f64>,
-    /// Slot ids that survived the lower-bound filter of a range scan,
-    /// collected before the exact-distance verification pass.
+    /// Slot ids a kernel scan verified with an exact distance: the
+    /// lower-bound filter's survivors of a range scan (collected before the
+    /// verification pass), the slots
+    /// [`knn_verify`](Self::knn_verify) verified of a kNN scan.
     pub survivors: Vec<u32>,
+    /// The smallest `(lower bound, slot)` pairs of a kNN scan — each a
+    /// [`Neighbor`] whose `dist` is the bound and whose `id` the slot, for
+    /// its `(dist, id)` order. Refilled by each use; capacity persists.
+    pub probe: Vec<Neighbor>,
     /// Rows pushed through the blocked scan kernel since the last engine
     /// harvest (observability tally; stays 0 with the `obs` feature off).
     pub kernel_rows: u64,
@@ -54,6 +71,7 @@ impl QueryScratch {
         self.heap.clear();
         self.lbs.clear();
         self.survivors.clear();
+        self.probe.clear();
     }
 
     /// Tallies one blocked-kernel scan over `rows` table slots. A plain
@@ -78,38 +96,242 @@ impl QueryScratch {
         self.kernel_blocks = 0;
         t
     }
+
+    /// The verification half of a scan table's kNN, the same for LAESA,
+    /// CPT, EPT and the adopted FQA. `lbs` holds every slot's lower bound
+    /// (the kernel pass the caller just ran); `dist(slot)` is the exact
+    /// distance of a live slot, `None` for a tombstoned one; `seed` is the
+    /// caller's k-th distance
+    /// ([`MetricIndex::knn_query_into_seeded`](crate::MetricIndex::knn_query_into_seeded)).
+    /// Appends the local top-k to `out` and leaves the verified slots in
+    /// `survivors`.
+    ///
+    /// One pass keeps the `PROBE_WIDTH · k` smallest `(bound, slot)` pairs
+    /// not above the seed. They are verified in ascending order, and the
+    /// first bound above the running k-th distance ends the query: every
+    /// slot outside the probe has a larger bound still. Only a *full* probe
+    /// that runs dry continues, over the remaining slots in slot order
+    /// under [`KnnBest::radius`] — a short probe already held every slot
+    /// the seed admits. Full bound order would verify a little less, at a
+    /// random object read per slot; which phase ends a query is the data's
+    /// choice (`docs/performance.md`, "One kNN radius").
+    pub fn knn_verify(
+        &mut self,
+        k: usize,
+        seed: f64,
+        mut dist: impl FnMut(ObjId) -> Option<f64>,
+        out: &mut Vec<Neighbor>,
+    ) {
+        let QueryScratch {
+            heap,
+            lbs,
+            survivors,
+            probe,
+            ..
+        } = self;
+        survivors.clear();
+        if k == 0 {
+            return;
+        }
+        let width = k.saturating_mul(PROBE_WIDTH);
+        select_probe(lbs, seed, width, probe);
+        let mut best = KnnBest::new(heap, k, seed);
+        let mut verify = |slot: ObjId, best: &mut KnnBest| {
+            if let Some(d) = dist(slot) {
+                survivors.push(slot);
+                best.offer(slot, d);
+            }
+        };
+        let mut done = probe.len() < width;
+        for e in probe.iter() {
+            if e.dist > best.radius() {
+                done = true;
+                break;
+            }
+            verify(e.id, &mut best);
+        }
+        if !done {
+            let last = *probe.last().expect("a full probe is not empty");
+            // The radius moves only when a slot is verified; the pass over
+            // the rest compares against a local.
+            let mut radius = best.radius();
+            for (slot, &lb) in lbs.iter().enumerate() {
+                let slot = slot as ObjId;
+                if lb <= radius && Neighbor::new(slot, lb) > last {
+                    verify(slot, &mut best);
+                    radius = best.radius();
+                }
+            }
+        }
+        best.finish(out);
+    }
 }
 
-/// Drains `heap` (a max-heap of the k best) into `out` in ascending
-/// `(distance, id)` order, appending. Leaves the heap empty with its
-/// capacity intact.
-pub fn drain_heap_sorted(heap: &mut BinaryHeap<Neighbor>, out: &mut Vec<Neighbor>) {
-    let start = out.len();
-    while let Some(n) = heap.pop() {
-        out.push(n);
+/// Fills `probe` with the `width` smallest `(bound, slot)` pairs of `lbs`
+/// not above `seed`, ascending. Candidates under the cut gather in the
+/// buffer; whenever it holds twice the width a selection keeps the smaller
+/// half and lowers the cut to the largest pair kept — nothing at or past
+/// the cut is wanted.
+fn select_probe(lbs: &[f64], seed: f64, width: usize, probe: &mut Vec<Neighbor>) {
+    let keep_smallest = |probe: &mut Vec<Neighbor>| {
+        probe.select_nth_unstable(width - 1);
+        probe.truncate(width);
+        probe[width - 1]
+    };
+    probe.clear();
+    let mut cut = Neighbor::new(ObjId::MAX, seed);
+    for (slot, &lb) in lbs.iter().enumerate() {
+        let e = Neighbor::new(slot as ObjId, lb);
+        if lb <= cut.dist && e < cut {
+            probe.push(e);
+            if probe.len() == width.saturating_mul(2) {
+                cut = keep_smallest(probe);
+            }
+        }
     }
-    out[start..].reverse();
+    if probe.len() > width {
+        keep_smallest(probe);
+    }
+    probe.sort_unstable();
+}
+
+/// The running answer of one kNN probe and the one radius it prunes with:
+/// a k-bounded max-heap of the best candidates so far, under the caller's
+/// seed. Every kind's kNN goes through it, so "prune with
+/// `min(local k-th, seed)`, push by `(distance, id)`" is written once.
+pub struct KnnBest<'a> {
+    heap: &'a mut BinaryHeap<Neighbor>,
+    k: usize,
+    seed: f64,
+}
+
+impl<'a> KnnBest<'a> {
+    /// An empty answer for the `k ≥ 1` nearest over a reused `heap`
+    /// (emptied here), under `seed`
+    /// ([`MetricIndex::knn_query_into_seeded`](crate::MetricIndex::knn_query_into_seeded);
+    /// `+∞` for none).
+    pub fn new(heap: &'a mut BinaryHeap<Neighbor>, k: usize, seed: f64) -> Self {
+        debug_assert!(k > 0, "k = 0 is an empty answer, decided by the caller");
+        heap.clear();
+        KnnBest { heap, k, seed }
+    }
+
+    /// The pruning radius: the tighter of the local k-th distance (`+∞`
+    /// until `k` candidates are held) and the seed. Anything whose lower
+    /// bound is **strictly** above it can be skipped — an equal bound could
+    /// still hide an id-tie winner.
+    #[inline]
+    pub fn radius(&self) -> f64 {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() == self.k => worst.dist.min(self.seed),
+            _ => self.seed,
+        }
+    }
+
+    /// Offers a verified candidate. The push rule is local — the seed
+    /// never rejects a candidate, it only prunes — and compares
+    /// `(distance, id)`, so the answer does not depend on the order
+    /// candidates arrive in.
+    #[inline]
+    pub fn offer(&mut self, id: ObjId, dist: f64) {
+        let n = Neighbor::new(id, dist);
+        if self.heap.len() < self.k {
+            self.heap.push(n);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if n < *worst {
+                *worst = n;
+            }
+        }
+    }
+
+    /// Appends the answer to `out` in ascending `(distance, id)` order,
+    /// leaving the heap empty with its capacity intact.
+    pub fn finish(self, out: &mut Vec<Neighbor>) {
+        let start = out.len();
+        while let Some(n) = self.heap.pop() {
+            out.push(n);
+        }
+        out[start..].reverse();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Slots with bound `lb[i]` and distance `d[i]` (`None` = tombstoned).
+    fn verify(
+        s: &mut QueryScratch,
+        rows: &[(f64, Option<f64>)],
+        k: usize,
+        seed: f64,
+    ) -> (Vec<Neighbor>, usize) {
+        s.lbs.clear();
+        s.lbs.extend(rows.iter().map(|r| r.0));
+        let mut out = Vec::new();
+        s.knn_verify(k, seed, |slot| rows[slot as usize].1, &mut out);
+        (out, s.survivors.len())
+    }
+
     #[test]
-    fn drain_sorts_ascending_and_keeps_capacity() {
-        let mut h = BinaryHeap::with_capacity(8);
-        for (id, d) in [(3u32, 5.0f64), (1, 1.0), (2, 3.0)] {
-            h.push(Neighbor::new(id, d));
-        }
-        let cap = h.capacity();
-        let mut out = vec![Neighbor::new(9, 0.0)];
-        drain_heap_sorted(&mut h, &mut out);
+    fn knn_verify_ends_inside_the_probe_or_goes_on_in_slot_order() {
+        let mut s = QueryScratch::new();
+        // Bounds ascend against the slots, distances sit 0.5 above them.
+        let rows: Vec<(f64, Option<f64>)> = (0..100)
+            .rev()
+            .map(|i| (i as f64, Some(i as f64 + 0.5)))
+            .collect();
+        // The probe's first two bounds decide k = 1: slot 99 (bound 0) is
+        // verified, slot 98 (bound 1 > 0.5) ends the query.
+        let (got, verified) = verify(&mut s, &rows, 1, f64::INFINITY);
+        assert_eq!(got, vec![Neighbor::new(99, 0.5)]);
+        assert_eq!(verified, 1);
+        assert_eq!(s.probe.len(), PROBE_WIDTH, "the probe of k = 1");
+
+        // Loose bounds exhaust the full probe: the rest follows in slot
+        // order, and ties at the k-th distance go to the smaller slot.
+        let loose: Vec<(f64, Option<f64>)> =
+            (0..100).map(|i| (0.0, Some((i / 10) as f64))).collect();
+        let (got, verified) = verify(&mut s, &loose, 3, f64::INFINITY);
+        assert_eq!(got.iter().map(|n| n.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(verified, 100, "a zero bound prunes nothing");
+
+        // A seed keeps the probe short, and a short probe is all there is.
+        let (got, verified) = verify(&mut s, &rows, 3, 1.0);
+        assert_eq!(got.iter().map(|n| n.id).collect::<Vec<_>>(), vec![99, 98]);
+        assert_eq!(verified, 2, "bounds 0 and 1 are within the seed");
+
+        // Tombstoned slots cost nothing and answer nothing; k may exceed n.
+        let holed: Vec<(f64, Option<f64>)> = (0..6)
+            .map(|i| (0.0, (i % 2 == 0).then_some(i as f64)))
+            .collect();
+        let (got, verified) = verify(&mut s, &holed, 50, f64::INFINITY);
+        assert_eq!(got.iter().map(|n| n.id).collect::<Vec<_>>(), vec![0, 2, 4]);
+        assert_eq!(verified, 3);
+        assert!(verify(&mut s, &holed, 0, f64::INFINITY).0.is_empty());
+    }
+
+    #[test]
+    fn knn_best_prunes_with_the_tighter_radius_and_pushes_by_distance_then_id() {
+        let mut heap = BinaryHeap::new();
+        let mut best = KnnBest::new(&mut heap, 2, 5.0);
+        assert_eq!(best.radius(), 5.0, "the seed, until k are held");
+        best.offer(7, 9.0);
+        best.offer(3, 4.0);
+        assert_eq!(best.radius(), 5.0, "the local k-th (9) is looser");
+        best.offer(9, 4.0);
+        assert_eq!(best.radius(), 4.0);
+        best.offer(1, 4.0);
+        best.offer(8, 4.0);
+        // The answer is appended, ascending; the heap is left empty.
+        let mut out = vec![Neighbor::new(0, 0.0)];
+        best.finish(&mut out);
         assert_eq!(
-            out.iter().map(|n| n.id).collect::<Vec<_>>(),
-            vec![9, 1, 2, 3]
+            out[1..],
+            [Neighbor::new(1, 4.0), Neighbor::new(3, 4.0)],
+            "ties at the k-th distance go to the smaller id"
         );
-        assert!(h.is_empty());
-        assert_eq!(h.capacity(), cap);
+        assert!(heap.is_empty() && heap.capacity() >= 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! splits trigger on serialized size.
 
 use pmi_metric::lemmas;
-use pmi_metric::{EncodeObject, Metric};
+use pmi_metric::{EncodeObject, KnnBest, Metric};
 use pmi_storage::{DiskSim, PageId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -386,52 +386,34 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
     }
 
     /// MkNNQ over the tree: best-first by the entry lower bound (ball bound
-    /// combined with the MBB bound when augmented), shrinking the radius as
-    /// neighbors are found (paper §5.1).
-    pub fn knn(&self, q: &O, k: usize, q_dists: &[f64]) -> Vec<(u32, f64)> {
-        let mut result: BinaryHeap<(NotNan, u32)> = BinaryHeap::new(); // max-heap on dist
-        let mut heap: BinaryHeap<Reverse<(NotNan, PageId, u64)>> = BinaryHeap::new();
+    /// combined with the MBB bound when augmented), offering every verified
+    /// object into the caller's `best` and pruning with its radius, which
+    /// shrinks as neighbors are found (paper §5.1).
+    pub fn knn(&self, q: &O, q_dists: &[f64], best: &mut KnnBest<'_>) {
+        let Some(root) = self.root else { return };
+        let mut frontier: BinaryHeap<Reverse<(NotNan, PageId, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        if k == 0 {
-            return Vec::new();
-        }
-        heap.push(Reverse((NotNan(0.0), root, seq)));
-        let radius = |res: &BinaryHeap<(NotNan, u32)>| {
-            if res.len() < k {
-                f64::INFINITY
-            } else {
-                res.peek().unwrap().0 .0
-            }
-        };
-        while let Some(Reverse((lb, pid, _))) = heap.pop() {
-            if lb.0 > radius(&result) {
+        frontier.push(Reverse((NotNan(0.0), root, seq)));
+        while let Some(Reverse((lb, pid, _))) = frontier.pop() {
+            if lb.0 > best.radius() {
                 break;
             }
             match self.read_node(pid) {
                 Node::Leaf(entries) => {
                     for e in entries {
-                        let r = radius(&result);
+                        let r = best.radius();
                         if !q_dists.is_empty()
                             && r.is_finite()
                             && lemmas::lemma1_prunable(q_dists, &e.mapped, r)
                         {
                             continue;
                         }
-                        let d = self.metric.dist(q, &e.obj);
-                        if d <= radius(&result) {
-                            result.push((NotNan(d), e.oid));
-                            if result.len() > k {
-                                result.pop();
-                            }
-                        }
+                        best.offer(e.oid, self.metric.dist(q, &e.obj));
                     }
                 }
                 Node::Internal(entries) => {
                     for e in entries {
-                        let r = radius(&result);
+                        let r = best.radius();
                         let mut lb = 0.0f64;
                         if !q_dists.is_empty() {
                             lb = lemmas::mbb_lower_bound(q_dists, &e.mbb_lo, &e.mbb_hi);
@@ -442,17 +424,14 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
                         let d = self.metric.dist(q, &e.robj);
                         let ball_lb = lemmas::ball_lower_bound(d, e.radius);
                         let lower = ball_lb.max(lb);
-                        if lower <= radius(&result) {
+                        if lower <= best.radius() {
                             seq += 1;
-                            heap.push(Reverse((NotNan(lower), e.child, seq)));
+                            frontier.push(Reverse((NotNan(lower), e.child, seq)));
                         }
                     }
                 }
             }
         }
-        let mut v: Vec<(u32, f64)> = result.into_iter().map(|(d, oid)| (oid, d.0)).collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        v
     }
 
     // --- internals ---------------------------------------------------------
@@ -964,7 +943,7 @@ impl Ord for NotNan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmi_metric::{datasets, CountingMetric, L2};
+    use pmi_metric::{datasets, CountingMetric, Neighbor, L2};
 
     #[allow(clippy::type_complexity)]
     fn build(n: usize, pivots: usize) -> (Vec<Vec<f32>>, MTree<Vec<f32>, CountingMetric<L2>>) {
@@ -981,6 +960,20 @@ mod tests {
     // Tiny local pivot picker to avoid a dev-dependency cycle.
     fn pmi_pivots_stub(pts: &[Vec<f32>], k: usize) -> Vec<Vec<f32>> {
         (0..k).map(|i| pts[i * 37 % pts.len()].clone()).collect()
+    }
+
+    /// The unseeded kNN over a fresh heap.
+    fn knn<M: Metric<Vec<f32>>>(
+        t: &MTree<Vec<f32>, M>,
+        q: &Vec<f32>,
+        k: usize,
+        qd: &[f64],
+    ) -> Vec<Neighbor> {
+        let (mut heap, mut out) = (BinaryHeap::new(), Vec::new());
+        let mut best = KnnBest::new(&mut heap, k, f64::INFINITY);
+        t.knn(q, qd, &mut best);
+        best.finish(&mut out);
+        out
     }
 
     fn brute_range(pts: &[Vec<f32>], q: &[f32], r: f64) -> Vec<u32> {
@@ -1043,18 +1036,15 @@ mod tests {
         let (pts, t) = build(400, 3);
         let q = &pts[7];
         let qd = t.map_object(q);
-        let got = t.knn(q, 10, &qd);
+        let got = knn(&t, q, 10, &qd);
         assert_eq!(got.len(), 10);
-        let mut all: Vec<(u32, f64)> = pts
+        let mut all: Vec<Neighbor> = pts
             .iter()
             .enumerate()
-            .map(|(i, p)| (i as u32, L2.dist(q, p)))
+            .map(|(i, p)| Neighbor::new(i as u32, L2.dist(q, p)))
             .collect();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1));
-        // Distance multiset must match (ties can reorder ids).
-        for (g, w) in got.iter().zip(&all[..10]) {
-            assert!((g.1 - w.1).abs() < 1e-9, "{got:?}");
-        }
+        all.sort();
+        assert_eq!(got, all[..10], "the (distance, id) top-k");
     }
 
     #[test]
@@ -1125,6 +1115,6 @@ mod tests {
         let t: MTree<Vec<f32>, L2> = MTree::new(DiskSim::new(1024), L2, vec![]);
         assert!(t.is_empty());
         assert_eq!(t.range(&vec![0.0, 0.0], 10.0, &[]), vec![]);
-        assert_eq!(t.knn(&vec![0.0, 0.0], 3, &[]), vec![]);
+        assert_eq!(knn(&t, &vec![0.0, 0.0], 3, &[]), vec![]);
     }
 }

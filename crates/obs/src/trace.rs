@@ -138,7 +138,8 @@ pub enum TraceEvent {
         /// Kernel blocks those rows amounted to.
         kernel_blocks: u64,
         /// Candidates that survived the lower-bound filter into exact
-        /// verification (range scans over kernel shards; 0 elsewhere).
+        /// verification, range or kNN: a kernel shard's probe pays
+        /// `dists == survivors + l`. 0 for tree shards.
         survivors: u64,
         /// Probe wall, nanoseconds.
         nanos: u64,

@@ -7,8 +7,8 @@
 //! completeness and as a strong lower bound on query compdists.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    StorageFootprint,
+    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
+    ObjTable, QueryScratch, StorageFootprint,
 };
 
 /// AESA over a triangular distance matrix.
@@ -58,8 +58,9 @@ where
 
     /// Successive elimination: repeatedly verify the live object with the
     /// smallest lower bound, then tighten every other bound through the
-    /// verified object's matrix row.
-    fn search<F: FnMut(ObjId, f64) -> f64>(&self, q: &O, mut radius: f64, mut on_hit: F) {
+    /// verified object's matrix row. `on_verified` takes each verified
+    /// object's distance and returns the radius to prune with from then on.
+    fn search<F: FnMut(ObjId, f64) -> f64>(&self, q: &O, mut radius: f64, mut on_verified: F) {
         let n = self.tri.len();
         let mut lb = vec![0.0f64; n];
         let mut state = vec![0u8; n]; // 0 = alive, 1 = computed, 2 = pruned
@@ -85,9 +86,7 @@ where
             let d = self
                 .metric
                 .dist(q, self.table.get(s as ObjId).expect("live"));
-            if d <= radius {
-                radius = on_hit(s as ObjId, d);
-            }
+            radius = on_verified(s as ObjId, d);
             for i in 0..n {
                 if state[i] == 0 {
                     lb[i] = lb[i].max((d - self.pair(s, i)).abs());
@@ -119,32 +118,33 @@ where
 
     fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
         let mut out = Vec::new();
-        self.search(q, r, |id, _d| {
-            out.push(id);
+        self.search(q, r, |id, d| {
+            if d <= r {
+                out.push(id);
+            }
             r
         });
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
+    fn knn_query_into_seeded(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
         if k == 0 {
-            return Vec::new();
+            return;
         }
-        let mut heap: std::collections::BinaryHeap<Neighbor> = std::collections::BinaryHeap::new();
-        self.search(q, f64::INFINITY, |id, d| {
-            heap.push(Neighbor::new(id, d));
-            if heap.len() > k {
-                heap.pop();
-            }
-            if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().unwrap().dist
-            }
+        // Elimination starts from the seed instead of from ∞.
+        let mut best = KnnBest::new(&mut scratch.heap, k, seed);
+        self.search(q, seed, |id, d| {
+            best.offer(id, d);
+            best.radius()
         });
-        let mut v = heap.into_sorted_vec();
-        v.truncate(k);
-        v
+        best.finish(out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

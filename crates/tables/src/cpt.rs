@@ -12,7 +12,6 @@
 //! contiguous rows, with survivors collected before the fetch+verify pass.
 
 use pmi_metric::fault;
-use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
     ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
     PivotMatrix, QueryScratch, StorageFootprint,
@@ -162,12 +161,6 @@ where
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         // Malformed radii are rejected at the engine boundary; here they
         // are an empty answer, never a panic. `+∞` stays valid.
@@ -201,10 +194,6 @@ where
         }
     }
 
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out);
-    }
-
     fn knn_query_into_seeded(
         &self,
         q: &O,
@@ -217,33 +206,20 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
-        let QueryScratch { qd, heap, lbs, .. } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        self.rows.lower_bounds_into(qd, lbs);
-        heap.clear();
-        // Seeded pruning skips disk fetches too — the biggest win for CPT,
-        // whose verification pass pages objects in from the M-tree.
-        for (id, _) in self.alive.iter().enumerate().filter(|&(_, &a)| a) {
-            let radius = if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().expect("heap is full").dist
-            };
-            let prune = if radius < seed { radius } else { seed };
-            if prune.is_finite() && lbs[id] > prune {
-                continue;
-            }
-            let o = self.mtree.fetch(id as ObjId).expect("object on disk");
-            let d = self.metric.dist(q, &o);
-            if d < radius || heap.len() < k {
-                heap.push(Neighbor::new(id as ObjId, d));
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        drain_heap_sorted(heap, out);
+        scratch.qd.clear();
+        scratch
+            .qd
+            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        // A slot never verified is a disk fetch saved too — the biggest win
+        // for CPT, whose verification pages objects in from the M-tree.
+        let dist = |id| {
+            self.alive[id as usize].then(|| {
+                let o = self.mtree.fetch(id).expect("object on disk");
+                self.metric.dist(q, &o)
+            })
+        };
+        scratch.knn_verify(k, seed, dist, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

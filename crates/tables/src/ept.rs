@@ -18,7 +18,6 @@
 //! only reorders lower-bound arithmetic across rows, never within one.
 
 use pmi_metric::fault;
-use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
     PivotMatrix, QueryScratch, StorageFootprint,
@@ -373,12 +372,6 @@ where
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         // Malformed radii are rejected at the engine boundary; here they
         // are an empty answer, never a panic. `+∞` stays valid.
@@ -409,10 +402,6 @@ where
         }
     }
 
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out);
-    }
-
     fn knn_query_into_seeded(
         &self,
         q: &O,
@@ -425,30 +414,13 @@ where
             return;
         }
         scratch.note_kernel(self.table.slots());
-        let QueryScratch { qd, heap, lbs, .. } = scratch;
-        qd.clear();
-        qd.extend(self.pivot_objs.iter().map(|p| self.metric.dist(q, p)));
-        self.lower_bounds_into(qd, lbs);
-        heap.clear();
-        for (id, o) in self.table.iter() {
-            let radius = if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().expect("heap is full").dist
-            };
-            let prune = if radius < seed { radius } else { seed };
-            if prune.is_finite() && lbs[id as usize] > prune {
-                continue;
-            }
-            let d = self.metric.dist(q, o);
-            if d < radius || heap.len() < k {
-                heap.push(Neighbor::new(id, d));
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        drain_heap_sorted(heap, out);
+        scratch.qd.clear();
+        scratch
+            .qd
+            .extend(self.pivot_objs.iter().map(|p| self.metric.dist(q, p)));
+        self.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
+        scratch.knn_verify(k, seed, dist, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

@@ -1,7 +1,6 @@
 //! LAESA (paper §3.1): a linear pivot table over a shared pivot set.
 
 use pmi_metric::fault;
-use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
     ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
     ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
@@ -16,9 +15,11 @@ use pmi_metric::{
 /// every slot's lower bound over contiguous storage (no lock, no
 /// indirection), survivors are collected into the caller's
 /// [`QueryScratch`], and only then does the exact-distance verification
-/// pass run. A sharded engine hands every shard its own rows of the one
-/// precomputed matrix ([`build_with_matrix`](Laesa::build_with_matrix)) and
-/// grows them through [`MetricIndex::insert_adopted`].
+/// pass run — for a kNN scan nearest bound first
+/// ([`QueryScratch::knn_verify`]). A sharded engine hands every shard its
+/// own rows of the one precomputed matrix
+/// ([`build_with_matrix`](Laesa::build_with_matrix)) and grows them through
+/// [`MetricIndex::insert_adopted`].
 ///
 /// Cloning shares the distance counter, the matrix's flat run and tail
 /// chunks (`Arc`s) and every chunk of the object table
@@ -133,12 +134,6 @@ where
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         // Malformed radii are rejected at the engine boundary
         // (`QueryError::NanRadius` / `NegativeRadius`); below it they are an
@@ -173,10 +168,6 @@ where
         }
     }
 
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out);
-    }
-
     fn knn_query_into_seeded(
         &self,
         q: &O,
@@ -189,37 +180,16 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
-        let QueryScratch { qd, heap, lbs, .. } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        scratch.qd.clear();
+        scratch
+            .qd
+            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         // Lower bounds are radius-independent: one blocked kernel pass,
-        // then the usual tightening scan. Max-heap of current k best;
-        // radius = worst of the k (∞ until k found). Objects verified in
-        // storage order — the paper notes this is suboptimal but is how
-        // LAESA works (§3.1 discussion). Pruning uses the tighter of the
-        // local radius and the caller's seed (see the trait's exactness
-        // contract); the push condition stays purely local.
-        self.rows.lower_bounds_into(qd, lbs);
-        heap.clear();
-        for (id, o) in self.table.iter() {
-            let radius = if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().expect("heap is full").dist
-            };
-            let prune = if radius < seed { radius } else { seed };
-            if prune.is_finite() && lbs[id as usize] > prune {
-                continue;
-            }
-            let d = self.metric.dist(q, o);
-            if d < radius || heap.len() < k {
-                heap.push(Neighbor::new(id, d));
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        drain_heap_sorted(heap, out);
+        // then verification nearest bound first (the paper's LAESA scans in
+        // storage order and notes that as suboptimal, §3.1 discussion).
+        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
+        scratch.knn_verify(k, seed, dist, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

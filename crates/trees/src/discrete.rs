@@ -7,8 +7,8 @@
 //! (§4.1 discussion): children are distance *buckets* of equal width.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    StorageFootprint,
+    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
+    ObjTable, QueryScratch, StorageFootprint,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -243,50 +243,44 @@ where
 
     fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
         let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            self.range_rec(root, q, r, &mut out);
-        }
+        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.table.is_empty() {
-            return Vec::new();
-        }
-        // Best-first: nodes ordered by the lower bound accumulated from
-        // bucket ranges along the path.
-        let mut result: BinaryHeap<Neighbor> = BinaryHeap::new();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut nodes: Vec<(&Node<O>, usize, f64)> = Vec::new(); // node, depth, lb
+    fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         if let Some(root) = &self.root {
-            nodes.push((&**root, 0, 0.0));
-            heap.push(Reverse((0, 0)));
+            self.range_rec(root, q, r, out);
         }
-        let radius = |res: &BinaryHeap<Neighbor>| {
-            if res.len() < k {
-                f64::INFINITY
-            } else {
-                res.peek().unwrap().dist
-            }
-        };
-        while let Some(Reverse((lb_bits, idx))) = heap.pop() {
+    }
+
+    fn knn_query_into_seeded(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        if k == 0 || self.table.is_empty() {
+            return;
+        }
+        let Some(root) = &self.root else { return };
+        // Best-first: nodes ordered by the lower bound accumulated from
+        // bucket ranges along the path, under the one radius.
+        let mut best = KnnBest::new(&mut scratch.heap, k, seed);
+        let mut nodes: Vec<&Node<O>> = vec![&**root];
+        let mut frontier: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        frontier.push(Reverse((0, 0)));
+        while let Some(Reverse((lb_bits, idx))) = frontier.pop() {
             let lb = f64::from_bits(lb_bits);
-            if lb > radius(&result) {
+            if lb > best.radius() {
                 break;
             }
-            let (node, depth, _) = nodes[idx];
-            match node {
+            match nodes[idx] {
                 Node::Leaf { ids } => {
                     for &id in ids {
-                        let Some(o) = self.table.get(id) else {
-                            continue;
-                        };
-                        let d = self.metric.dist(q, o);
-                        if d < radius(&result) || result.len() < k {
-                            result.push(Neighbor::new(id, d));
-                            if result.len() > k {
-                                result.pop();
-                            }
+                        if let Some(o) = self.table.get(id) {
+                            best.offer(id, self.metric.dist(q, o));
                         }
                     }
                 }
@@ -309,17 +303,15 @@ where
                             0.0
                         };
                         let child_lb = lb.max(gap);
-                        if child_lb <= radius(&result) {
-                            nodes.push((&**child, depth + 1, child_lb));
-                            heap.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
+                        if child_lb <= best.radius() {
+                            nodes.push(&**child);
+                            frontier.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
                         }
                     }
                 }
             }
         }
-        let mut v = result.into_sorted_vec();
-        v.truncate(k);
-        v
+        best.finish(out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

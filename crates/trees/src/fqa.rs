@@ -12,8 +12,9 @@
 //! A matrix-adopting FQA ([`Fqa::build_with_matrix`]) additionally holds
 //! the *exact* (unbucketed) pivot distances as a slot-aligned
 //! [`PivotMatrix`], and its hot-path queries
-//! ([`MetricIndex::range_query_into`] / [`MetricIndex::knn_query_into`] and
-//! the allocating wrappers) filter through the blocked
+//! ([`MetricIndex::range_query_into`] /
+//! [`MetricIndex::knn_query_into_seeded`] and the wrappers over them)
+//! filter through the blocked
 //! [`ScanKernel`](pmi_metric::ScanKernel) over those rows instead of
 //! descending bucketed signature runs: the exact Lemma 1 bound is at least
 //! as tight as the bucket bound, the scan is a contiguous linear kernel
@@ -21,10 +22,9 @@
 //! classic signature descent.
 
 use pmi_metric::fault;
-use pmi_metric::scratch::drain_heap_sorted;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    PivotMatrix, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
+    ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -263,40 +263,32 @@ where
 
     /// The classic FQA kNN query: best-first over signature runs, keyed by
     /// the accumulated bucket lower bound.
-    fn knn_by_signature(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.table.is_empty() {
-            return Vec::new();
+    fn knn_by_signature(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        if self.table.is_empty() {
+            return;
         }
-        let qd: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
-        let mut result: BinaryHeap<Neighbor> = BinaryHeap::new();
-        let radius = |res: &BinaryHeap<Neighbor>| {
-            if res.len() < k {
-                f64::INFINITY
-            } else {
-                res.peek().unwrap().dist
-            }
-        };
-        let mut heap: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
-        heap.push(Reverse((0, 0, self.rows.len(), 0)));
-        while let Some(Reverse((lb_bits, lo, hi, level))) = heap.pop() {
+        let QueryScratch { qd, heap, .. } = scratch;
+        qd.clear();
+        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        let mut best = KnnBest::new(heap, k, seed);
+        let mut frontier: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
+        frontier.push(Reverse((0, 0, self.rows.len(), 0)));
+        while let Some(Reverse((lb_bits, lo, hi, level))) = frontier.pop() {
             let lb = f64::from_bits(lb_bits);
-            if lb > radius(&result) || lo >= hi {
-                if lb > radius(&result) {
-                    break;
-                }
-                continue;
+            if lb > best.radius() {
+                break;
             }
             if level == self.pivots.len() {
                 for (_, id) in &self.rows[lo..hi] {
-                    let Some(o) = self.table.get(*id) else {
-                        continue;
-                    };
-                    let d = self.metric.dist(q, o);
-                    if d < radius(&result) || result.len() < k {
-                        result.push(Neighbor::new(*id, d));
-                        if result.len() > k {
-                            result.pop();
-                        }
+                    if let Some(o) = self.table.get(*id) {
+                        best.offer(*id, self.metric.dist(q, o));
                     }
                 }
                 continue;
@@ -308,8 +300,8 @@ where
                 let (s, e) = self.value_run(lo, hi, level, v);
                 if s < e {
                     let child_lb = lb.max(self.bucket_gap(qd[level], v));
-                    if child_lb <= radius(&result) {
-                        heap.push(Reverse((child_lb.to_bits(), s, e, level + 1)));
+                    if child_lb <= best.radius() {
+                        frontier.push(Reverse((child_lb.to_bits(), s, e, level + 1)));
                     }
                 }
                 if v >= last {
@@ -319,9 +311,7 @@ where
                 v = if e < hi { self.rows[e].0[level] } else { break };
             }
         }
-        let mut out = result.into_sorted_vec();
-        out.truncate(k);
-        out
+        best.finish(out);
     }
 }
 
@@ -349,15 +339,6 @@ where
             return out;
         }
         self.range_by_signature(q, r)
-    }
-
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
-        if self.adopted.is_some() {
-            let mut out = Vec::new();
-            self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
-            return out;
-        }
-        self.knn_by_signature(q, k)
     }
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
@@ -396,10 +377,6 @@ where
         }
     }
 
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out);
-    }
-
     fn knn_query_into_seeded(
         &self,
         q: &O,
@@ -412,35 +389,16 @@ where
             return;
         }
         let Some(rows) = &self.adopted else {
-            // The signature path has no per-object lower bounds to seed.
-            out.extend(self.knn_by_signature(q, k));
-            return;
+            return self.knn_by_signature(q, k, seed, scratch, out);
         };
         scratch.note_kernel(rows.rows());
-        let QueryScratch { qd, heap, lbs, .. } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        rows.lower_bounds_into(qd, lbs);
-        heap.clear();
-        for (id, o) in self.table.iter() {
-            let radius = if heap.len() < k {
-                f64::INFINITY
-            } else {
-                heap.peek().expect("heap is full").dist
-            };
-            let prune = if radius < seed { radius } else { seed };
-            if prune.is_finite() && lbs[id as usize] > prune {
-                continue;
-            }
-            let d = self.metric.dist(q, o);
-            if d < radius || heap.len() < k {
-                heap.push(Neighbor::new(id, d));
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        drain_heap_sorted(heap, out);
+        scratch.qd.clear();
+        scratch
+            .qd
+            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
+        scratch.knn_verify(k, seed, dist, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {
@@ -677,15 +635,10 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want);
         }
-        // The adopted kernel scan and the plain signature descent agree on
-        // every distance; ties at the k-th distance may resolve to a
-        // different id (the trait allows either).
-        let got = adopted.knn_query(&ws[55], 7);
-        let want = plain.knn_query(&ws[55], 7);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.dist, w.dist);
-        }
+        // The adopted kernel scan and the plain signature descent meet
+        // candidates in different orders and agree id for id: ties at the
+        // k-th distance go to the smaller id on both.
+        assert_eq!(adopted.knn_query(&ws[55], 7), plain.knn_query(&ws[55], 7));
         // Engine-style insert: the row comes with the object — still zero
         // distance computations.
         let o = ws[11].clone();

@@ -12,8 +12,8 @@
 
 use pmi_metric::lemmas;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    StorageFootprint,
+    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
+    ObjTable, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -238,56 +238,60 @@ where
     }
 
     fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        let q_dists: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
         let mut out = Vec::new();
-        self.range_rec(&self.root, q, r, &q_dists, 0, &mut out);
+        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
         out
     }
 
-    fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
+    fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
+        let qd = &mut scratch.qd;
+        qd.clear();
+        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        self.range_rec(&self.root, q, r, qd, 0, out);
+    }
+
+    fn knn_query_into_seeded(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
         if k == 0 || self.table.is_empty() {
-            return Vec::new();
+            return;
         }
-        let q_dists: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
-        let mut result: BinaryHeap<Neighbor> = BinaryHeap::new();
-        let mut nodes: Vec<(&Node, usize, f64)> = vec![(&*self.root, 0, 0.0)];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        heap.push(Reverse((0, 0)));
-        let radius = |res: &BinaryHeap<Neighbor>| {
-            if res.len() < k {
-                f64::INFINITY
-            } else {
-                res.peek().unwrap().dist
-            }
-        };
-        while let Some(Reverse((lb_bits, idx))) = heap.pop() {
+        let QueryScratch { qd, heap, .. } = scratch;
+        qd.clear();
+        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        // Best-first by the lower bound accumulated along the path; the
+        // frontier, the leaf filter and the stop all hold against the one
+        // radius, so a seeded probe never opens a subtree the merge has
+        // already ruled out.
+        let mut best = KnnBest::new(heap, k, seed);
+        let mut nodes: Vec<(&Node, usize)> = vec![(&*self.root, 0)];
+        let mut frontier: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        frontier.push(Reverse((0, 0)));
+        while let Some(Reverse((lb_bits, idx))) = frontier.pop() {
             let lb = f64::from_bits(lb_bits);
-            if lb > radius(&result) {
+            if lb > best.radius() {
                 break;
             }
-            let (node, level, _) = nodes[idx];
+            let (node, level) = nodes[idx];
             match node {
                 Node::Leaf { ids, pdists } => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        let r = radius(&result);
-                        let pd = &pdists[i];
-                        if r.is_finite() && lemmas::lemma1_prunable(&q_dists[..pd.len()], pd, r) {
+                    for (&id, pd) in ids.iter().zip(pdists) {
+                        let r = best.radius();
+                        if r.is_finite() && lemmas::lemma1_prunable(&qd[..pd.len()], pd, r) {
                             continue;
                         }
-                        let Some(o) = self.table.get(id) else {
-                            continue;
-                        };
-                        let d = self.metric.dist(q, o);
-                        if d < radius(&result) || result.len() < k {
-                            result.push(Neighbor::new(id, d));
-                            if result.len() > k {
-                                result.pop();
-                            }
+                        if let Some(o) = self.table.get(id) {
+                            best.offer(id, self.metric.dist(q, o));
                         }
                     }
                 }
                 Node::Internal { cuts, children } => {
-                    let dq = q_dists[level];
+                    let dq = qd[level];
                     for (i, child) in children.iter().enumerate() {
                         let (lo, hi) = Self::child_range(cuts, i);
                         let gap = if dq < lo {
@@ -298,17 +302,15 @@ where
                             0.0
                         };
                         let child_lb = lb.max(gap);
-                        if child_lb <= radius(&result) {
-                            nodes.push((&**child, level + 1, child_lb));
-                            heap.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
+                        if child_lb <= best.radius() {
+                            nodes.push((&**child, level + 1));
+                            frontier.push(Reverse((child_lb.to_bits(), nodes.len() - 1)));
                         }
                     }
                 }
             }
         }
-        let mut v = result.into_sorted_vec();
-        v.truncate(k);
-        v
+        best.finish(out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {

@@ -8,6 +8,7 @@ use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, BuildOptions, IndexKind};
 use pmr::lemmas::pivot_lower_bound;
 use pmr::{datasets, Ept, EptConfig, EptMode, Fqa, Metric, MetricIndex, PivotMatrix, L2};
+use std::cell::Cell;
 
 fn build(kind: IndexKind, n: usize) -> (Vec<Vec<f32>>, Box<dyn MetricIndex<Vec<f32>>>) {
     let pts = datasets::la(n, 31);
@@ -107,33 +108,95 @@ fn compdists_scale_with_radius() {
 
 /// Scalar reference for a Lemma 1 pivot-table scan: given every live
 /// slot's (lower bound, exact distance) pair, replay the exact filter the
-/// index runs — range keeps `lb <= r`, kNN tightens a k-bounded max-heap in
-/// slot order — and return how many exact distance evaluations it performs.
+/// index runs — range keeps `lb <= r`, kNN verifies nearest bound first
+/// (below) — and return how many exact distance evaluations it performs.
 fn scalar_range_verifications(rows: &[(f64, f64)], r: f64) -> u64 {
     rows.iter().filter(|&&(lb, _)| lb <= r).count() as u64
 }
 
-fn scalar_knn_verifications(rows: &[(f64, f64)], k: usize) -> u64 {
-    let mut heap: std::collections::BinaryHeap<pmr::Neighbor> = std::collections::BinaryHeap::new();
-    let mut verified = 0u64;
-    for (id, &(lb, d)) in rows.iter().enumerate() {
-        let radius = if heap.len() < k {
+/// The k best `(distance, slot)` pairs so far, kept sorted: the replays'
+/// stand-in for the index's bounded heap.
+struct Best {
+    k: usize,
+    held: Vec<(f64, usize)>,
+}
+
+impl Best {
+    fn kth(&self) -> f64 {
+        if self.held.len() < self.k {
             f64::INFINITY
         } else {
-            heap.peek().unwrap().dist
-        };
-        if radius.is_finite() && lb > radius {
-            continue;
+            self.held[self.k - 1].0
+        }
+    }
+
+    fn offer(&mut self, d: f64, slot: usize) {
+        self.held.push((d, slot));
+        self.held
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.held.truncate(self.k);
+    }
+}
+
+/// Scalar replay of the tables' kNN verification order: the `4 · k`
+/// smallest `(bound, slot)` pairs ascending, ending the query at the first
+/// bound above the running k-th distance; only a full probe that runs dry
+/// goes on over the remaining slots in slot order.
+fn scalar_knn_verifications(rows: &[(f64, f64)], k: usize) -> u64 {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| rows[a].0.total_cmp(&rows[b].0).then(a.cmp(&b)));
+    let width = 4 * k;
+    let probe = &order[..width.min(order.len())];
+    let mut best = Best {
+        k,
+        held: Vec::new(),
+    };
+    let mut verified = 0u64;
+    for &slot in probe {
+        if rows[slot].0 > best.kth() {
+            return verified;
         }
         verified += 1;
-        if d < radius || heap.len() < k {
-            heap.push(pmr::Neighbor::new(id as u32, d));
-            if heap.len() > k {
-                heap.pop();
-            }
+        best.offer(rows[slot].1, slot);
+    }
+    if probe.len() < width {
+        return verified;
+    }
+    let mut probed = vec![false; rows.len()];
+    probe.iter().for_each(|&slot| probed[slot] = true);
+    for (slot, &(lb, d)) in rows.iter().enumerate() {
+        if !probed[slot] && lb <= best.kth() {
+            verified += 1;
+            best.offer(d, slot);
         }
     }
     verified
+}
+
+/// The order the tables verified in before: every slot in slot order under
+/// the running k-th distance. Kept as the yardstick the new order must beat.
+fn slot_order_knn_verifications(rows: &[(f64, f64)], k: usize) -> u64 {
+    let mut best = Best {
+        k,
+        held: Vec::new(),
+    };
+    let mut verified = 0u64;
+    for (slot, &(lb, d)) in rows.iter().enumerate() {
+        if lb <= best.kth() {
+            verified += 1;
+            best.offer(d, slot);
+        }
+    }
+    verified
+}
+
+/// What no order can go below: every slot whose bound is within the true
+/// k-th distance has to be verified.
+fn knn_verification_floor(rows: &[(f64, f64)], k: usize) -> u64 {
+    let mut ds: Vec<f64> = rows.iter().map(|&(_, d)| d).collect();
+    ds.sort_by(f64::total_cmp);
+    let dk = ds[k.min(ds.len()) - 1];
+    rows.iter().filter(|&&(lb, _)| lb <= dk).count() as u64
 }
 
 /// The blocked-kernel satellite: for every pivot-table kind the kernel now
@@ -143,6 +206,9 @@ fn scalar_knn_verifications(rows: &[(f64, f64)], k: usize) -> u64 {
 /// (per-row `pivot_lower_bound`, no blocking) would perform. Bit-for-bit
 /// kernel-vs-scalar equality is unit-tested in `pmi_metric::matrix`; this
 /// test closes the loop end to end through real indexes and real counters.
+/// A kNN query also never verifies fewer than the slots whose bound is
+/// within the true k-th distance, and over the LA sample the nearest-bound
+/// order verifies fewer than the slot order it replaced.
 #[test]
 fn blocked_kernel_changes_no_exact_counters() {
     let n = 500usize;
@@ -168,6 +234,7 @@ fn blocked_kernel_changes_no_exact_counters() {
 
     // LAESA and CPT share the scan shape (CPT additionally pays page
     // reads, which the kernel does not touch either way).
+    let (la_verified, la_slot_order) = (Cell::new(0u64), Cell::new(0u64));
     let check = |idx: &dyn MetricIndex<Vec<f32>>, label: &str| {
         for &qi in &queries {
             let (qd, rows) = table_rows(&pts[qi]);
@@ -188,6 +255,13 @@ fn blocked_kernel_changes_no_exact_counters() {
                     qd.len() as u64 + scalar_knn_verifications(&rows, k),
                     "{label} knn q={qi} k={k}"
                 );
+                let verified = idx.counters().compdists - qd.len() as u64;
+                assert!(
+                    knn_verification_floor(&rows, k) <= verified,
+                    "{label} knn q={qi} k={k}: below the floor"
+                );
+                la_verified.set(la_verified.get() + verified);
+                la_slot_order.set(la_slot_order.get() + slot_order_knn_verifications(&rows, k));
             }
         }
     };
@@ -199,6 +273,12 @@ fn blocked_kernel_changes_no_exact_counters() {
     check(laesa.as_ref(), "LAESA");
     let cpt = build_index(IndexKind::Cpt, pts.clone(), L2, pivots.clone(), &opts).unwrap();
     check(cpt.as_ref(), "CPT");
+    assert!(
+        la_verified.get() < la_slot_order.get(),
+        "nearest bound first verified {}, slot order {}",
+        la_verified.get(),
+        la_slot_order.get()
+    );
 
     // EPT: per-object extreme pivots over its own pool; the scalar oracle
     // reads the SoA rows back through the public accessors.
@@ -234,6 +314,10 @@ fn blocked_kernel_changes_no_exact_counters() {
                 ept.counters().compdists,
                 qd.len() as u64 + scalar_knn_verifications(&rows, k),
                 "EPT knn q={qi} k={k}"
+            );
+            assert!(
+                qd.len() as u64 + knn_verification_floor(&rows, k) <= ept.counters().compdists,
+                "EPT knn q={qi} k={k}: below the floor"
             );
         }
     }
@@ -282,8 +366,56 @@ fn blocked_kernel_changes_no_exact_counters() {
                 qd.len() as u64 + scalar_knn_verifications(&rows, k),
                 "FQA knn q={qi} k={k}"
             );
+            assert!(
+                qd.len() as u64 + knn_verification_floor(&rows, k) <= fqa.counters().compdists,
+                "FQA knn q={qi} k={k}: below the floor"
+            );
         }
     }
+}
+
+/// Nearest-bound-first verification meets candidates in bound order, not id
+/// order, so the tie rule has to be the push's, not the scan's: over a
+/// corpus that holds every object twice — every distance tied, ids `i` and
+/// `n + i` — each table's kNN is `BruteForce`'s id for id.
+#[test]
+fn duplicated_corpus_knn_ties_go_to_the_smaller_id() {
+    let twice = |pts: Vec<Vec<f32>>| [pts.clone(), pts].concat();
+    let same_as_oracle = |idx: &dyn MetricIndex<Vec<f32>>,
+                          oracle: &dyn MetricIndex<Vec<f32>>,
+                          pts: &[Vec<f32>],
+                          label: &str| {
+        for q in pts.iter().step_by(37) {
+            for k in [1usize, 3, 10, 41] {
+                assert_eq!(idx.knn_query(q, k), oracle.knn_query(q, k), "{label} k={k}");
+            }
+        }
+    };
+    let opts = BuildOptions {
+        d_plus: 14143.0,
+        ..BuildOptions::default()
+    };
+    let pts = twice(datasets::la(300, 31));
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(&pts, &L2, 5, 31)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    let oracle = pmr::BruteForce::new(pts.clone(), L2);
+    for kind in [IndexKind::Laesa, IndexKind::Cpt, IndexKind::Ept] {
+        let idx = build_index(kind, pts.clone(), L2, pivots.clone(), &opts).unwrap();
+        same_as_oracle(idx.as_ref(), &oracle, &pts, kind.label());
+    }
+
+    let m = pmr::LInf::discrete();
+    let dpts = twice(datasets::synthetic(300, 17));
+    let dpivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(&dpts, &m, 5, 17)
+        .into_iter()
+        .map(|i| dpts[i].clone())
+        .collect();
+    let dmatrix = PivotMatrix::compute(&dpts, &m, &dpivots, 1);
+    let fqa = Fqa::build_with_matrix(dpts.clone(), m, dpivots, dmatrix, 10000.0, 32);
+    let oracle = pmr::BruteForce::new(dpts.clone(), m);
+    same_as_oracle(&fqa, &oracle, &dpts, "FQA");
 }
 
 /// The observability tentpole's core contract: flipping the obs switch

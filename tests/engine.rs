@@ -206,6 +206,71 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
     }
 }
 
+/// The running k-th distance reaches the leaves of a tree shard too: a kNN
+/// batch over MVPT shards costs fewer distances than the same plan — same
+/// shards, same order, same skips — with every probe unseeded, and answers
+/// the same.
+#[test]
+fn knn_seed_prunes_inside_tree_shards() {
+    use pmr::engine::TopK;
+    let pts = datasets::la(4_000, 17);
+    let (indexed, held_out) = pts.split_at(3_800);
+    let engine = build_sharded_vector_engine(
+        IndexKind::Mvpt,
+        indexed.to_vec(),
+        L2,
+        &opts(64),
+        &EngineConfig {
+            shards: 8,
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    let k = 10;
+    let batch: Vec<Query<Vec<f32>>> = held_out.iter().map(|q| Query::knn(q.clone(), k)).collect();
+
+    let before = engine.counters().compdists;
+    let served = engine.serve(&batch).results;
+    let seeded = engine.counters().compdists - before;
+
+    let rt = engine.routing().expect("pivot-space engines route");
+    let (mut mapped, mut order) = (Vec::new(), Vec::new());
+    let (mut qs, mut tmp, mut topk) = (pmr::QueryScratch::new(), Vec::new(), TopK::new(k));
+    let mut probes = 0;
+    let by_hand: Vec<QueryResult> = held_out
+        .iter()
+        .map(|q| {
+            topk.reset(k);
+            rt.map_into(q, &mut mapped);
+            rt.knn_order_into(&mapped, &mut order);
+            for &(s, lb) in &order {
+                if lb <= topk.threshold() {
+                    engine.shards()[s].knn_into_with(
+                        q,
+                        k,
+                        f64::INFINITY,
+                        &mut qs,
+                        &mut tmp,
+                        &mut topk,
+                    );
+                    probes += 1;
+                }
+            }
+            QueryResult::Knn(topk.drain_sorted())
+        })
+        .collect();
+    let unseeded = engine.counters().compdists - before - seeded;
+
+    assert_eq!(served, by_hand);
+    assert!(probes > held_out.len(), "some query probes a second shard");
+    assert!(
+        seeded < unseeded,
+        "seeded probes paid {seeded} distances, unseeded ones {unseeded}"
+    );
+}
+
 #[test]
 fn thousand_query_mixed_batch_matches_unsharded_baseline() {
     let pts = datasets::la(2_000, 42);

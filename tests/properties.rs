@@ -4,12 +4,171 @@
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, BuildOptions, IndexKind};
+use pmr::engine::TopK;
 use pmr::storage::sfc::Hilbert;
-use pmr::{lemmas, BruteForce, EditDistance, EncodeObject, LInf, Metric, MetricIndex, L1, L2};
+use pmr::{
+    lemmas, BruteForce, EditDistance, EncodeObject, LInf, Metric, MetricIndex, Neighbor,
+    QueryScratch, L1, L2,
+};
 use proptest::prelude::*;
 
 fn vecs(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-1000.0f32..1000.0, dim..=dim), n)
+}
+
+/// Integer points of a small grid: under L∞ nearly every distance is tied.
+fn grid_vecs(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    let coord = (-40i32..40).prop_map(|x| x as f32);
+    prop::collection::vec(prop::collection::vec(coord, dim..=dim), n)
+}
+
+/// Every kind, and whether its kNN prunes with the caller's seed. A disk
+/// kind may turn `false` (its `knn_query_into_seeded` then says why in one
+/// line); the kinds of `crates/tables` and `crates/trees` may not.
+const HONOURS_SEED: [(IndexKind, bool); 17] = [
+    (IndexKind::Aesa, true),
+    (IndexKind::Laesa, true),
+    (IndexKind::Ept, true),
+    (IndexKind::EptStar, true),
+    (IndexKind::Cpt, true),
+    (IndexKind::Bkt, true),
+    (IndexKind::Fqt, true),
+    (IndexKind::Fqa, true),
+    (IndexKind::Vpt, true),
+    (IndexKind::Mvpt, true),
+    (IndexKind::PmTree, true),
+    (IndexKind::OmniSeq, true),
+    (IndexKind::OmniBPlus, true),
+    (IndexKind::OmniR, true),
+    (IndexKind::MIndex, true),
+    (IndexKind::MIndexStar, true),
+    (IndexKind::Spb, true),
+];
+
+/// Every kind of `crates/tables` and `crates/trees`.
+const TABLES_AND_TREES: [IndexKind; 10] = [
+    IndexKind::Aesa,
+    IndexKind::Laesa,
+    IndexKind::Ept,
+    IndexKind::EptStar,
+    IndexKind::Cpt,
+    IndexKind::Bkt,
+    IndexKind::Fqt,
+    IndexKind::Fqa,
+    IndexKind::Vpt,
+    IndexKind::Mvpt,
+];
+
+/// A local answer merged the way the engine merges a shard's: offered into
+/// a collector that already holds `k` candidates at the seed.
+fn merged(k: usize, seed: f64, local: &[Neighbor]) -> Vec<(u32, u64)> {
+    let mut topk = TopK::new(k);
+    (0..k as u32).for_each(|i| topk.offer(Neighbor::new(u32::MAX - i, seed)));
+    local.iter().for_each(|&n| topk.offer(n));
+    let out = topk.drain_sorted();
+    out.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+/// The contract of `MetricIndex::knn_query_into_seeded`, for every kind
+/// that builds over `metric`: unseeded it is `BruteForce`'s answer id for
+/// id; under each seed of {∞, the true k-th distance, a looser one, 0} its
+/// answer merges bit for bit like the unseeded one, and a kind that
+/// honours the seed pays no more distances for it. Returns the kinds that
+/// paid strictly less under some seed.
+fn check_seed_contract<M>(
+    objects: &[Vec<f32>],
+    metric: M,
+    d_plus: f64,
+    q: &Vec<f32>,
+    k: usize,
+    loosen: f64,
+) -> Vec<IndexKind>
+where
+    M: Metric<Vec<f32>> + Clone + 'static,
+{
+    let opts = BuildOptions {
+        d_plus,
+        maxnum: 16,
+        num_pivots: 3,
+        ..BuildOptions::default()
+    };
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(objects, &metric, 3, 7)
+        .into_iter()
+        .map(|i| objects[i].clone())
+        .collect();
+    let truth = BruteForce::new(objects.to_vec(), metric.clone()).knn_query(q, k);
+    let dk = truth.last().expect("k >= 1 over a non-empty corpus").dist;
+    let mut scratch = QueryScratch::new();
+    let mut pruned = Vec::new();
+    for (kind, honours) in HONOURS_SEED {
+        let Ok(idx) = build_index(
+            kind,
+            objects.to_vec(),
+            metric.clone(),
+            pivots.clone(),
+            &opts,
+        ) else {
+            continue; // BKT / FQT / FQA over a continuous metric
+        };
+        let mut run = |seed: f64| {
+            idx.reset_counters();
+            let mut out = Vec::new();
+            idx.knn_query_into_seeded(q, k, seed, &mut scratch, &mut out);
+            (out, idx.counters().compdists)
+        };
+        let (plain, plain_cost) = run(f64::INFINITY);
+        assert_eq!(plain, truth, "{} unseeded", kind.label());
+        for seed in [f64::INFINITY, dk, dk * loosen + 1.0, 0.0] {
+            let (seeded, cost) = run(seed);
+            assert_eq!(
+                merged(k, seed, &seeded),
+                merged(k, seed, &plain),
+                "{} seed {seed}",
+                kind.label()
+            );
+            if honours {
+                assert!(
+                    cost <= plain_cost,
+                    "{} seed {seed}: {cost} > {plain_cost}",
+                    kind.label()
+                );
+                if cost < plain_cost {
+                    pruned.push(kind);
+                }
+            }
+        }
+    }
+    pruned
+}
+
+/// No in-memory kind ignores the seed, and no kind claims it for nothing:
+/// over a fixed corpus each one that honours it pays strictly fewer
+/// distances under some seed.
+#[test]
+fn every_kind_that_honours_the_seed_prunes_with_it() {
+    for kind in TABLES_AND_TREES {
+        assert!(HONOURS_SEED.contains(&(kind, true)), "{}", kind.label());
+    }
+    let pts = pmr::datasets::synthetic(260, 17);
+    let (indexed, queries) = pts.split_at(256);
+    let mut pruned = Vec::new();
+    for q in queries {
+        pruned.extend(check_seed_contract(
+            indexed,
+            LInf::discrete(),
+            10000.0,
+            q,
+            7,
+            1.5,
+        ));
+    }
+    for (kind, honours) in HONOURS_SEED {
+        assert!(
+            !honours || pruned.contains(&kind),
+            "{} never pruned",
+            kind.label()
+        );
+    }
 }
 
 proptest! {
@@ -159,6 +318,24 @@ proptest! {
         for (g, w) in gk.iter().zip(&wk) {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} kNN", kind.label());
         }
+    }
+
+    #[test]
+    fn seeded_knn_merges_like_unseeded_for_every_kind(
+        v in vecs(3, 30..90),
+        g in grid_vecs(3, 30..90),
+        q in prop::collection::vec(-40i32..40, 3..=3),
+        k in 1usize..12,
+        loosen in 1.0f64..3.0,
+    ) {
+        // A third of each corpus a second time: ties at whole distances.
+        let twice = |mut v: Vec<Vec<f32>>| {
+            v.extend_from_within(..v.len() / 3);
+            v
+        };
+        let q: Vec<f32> = q.into_iter().map(|x| x as f32).collect();
+        check_seed_contract(&twice(v), L2, 8000.0, &q, k, loosen);
+        check_seed_contract(&twice(g), LInf::discrete(), 100.0, &q, k, loosen);
     }
 
     #[test]
