@@ -24,7 +24,7 @@ EXPERIMENTS:
   fig17    MkNNQ vs k (9 indexes x 4 datasets)
   fig18    MkNNQ vs |P| (LA + Synthetic)
   scale    batch-serve QPS at 10^5 x scale objects (Synthetic, LAESA, P in {1,8},
-           both partition policies and filter-column modes; --scale 10 = 10^6)
+           both partition policies; --scale 10 = 10^6)
   all      everything above
 ";
 

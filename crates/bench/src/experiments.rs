@@ -166,7 +166,9 @@ where
         .collect()
 }
 
-/// Regenerates Table 4 (construction costs and storage sizes).
+/// Regenerates Table 4 (construction costs and storage sizes). LAESA and
+/// CPT store their pivot distances as f32 — 4 B each in `Mem(KB)` where
+/// the paper's implementation used 8.
 pub fn table4(cfg: &ExpConfig) -> Vec<(Scenario, Vec<(IndexKind, BuildStats)>)> {
     let mut all = Vec::new();
     for s in Scenario::ALL {
@@ -671,8 +673,6 @@ pub struct ScalePoint {
     pub shards: usize,
     /// Partition policy label.
     pub policy: &'static str,
-    /// Filter-column mode label.
-    pub mode: &'static str,
     /// Best-of-reps batch QPS.
     pub qps: f64,
     /// Build wall seconds.
@@ -681,15 +681,12 @@ pub struct ScalePoint {
 
 /// Scalable serving tier: batch-serve QPS on the paper's synthetic recipe
 /// at `10^5 x cfg.scale` objects (`--scale 10` reaches the paper's 10^6),
-/// LAESA engines at `P ∈ {1, 8}` for both partition policies and both
-/// filter-column modes. The printed table makes the shard-scaling
-/// contract observable at scale — `P = 8` must not serve slower than
-/// `P = 1` over the same shared matrix — alongside the F32 column mode's
-/// bandwidth savings on the identical workload.
+/// LAESA engines at `P ∈ {1, 8}` for both partition policies. The printed
+/// table makes the shard-scaling contract observable at scale — `P = 8`
+/// must not serve slower than `P = 1` over the same shared matrix.
 pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
-    use pmi::builder::BuildOptions;
     use pmi::engine::{EngineConfig, Query};
-    use pmi::{build_sharded_vector_engine, ColumnMode, LInf, PartitionPolicy};
+    use pmi::{build_sharded_vector_engine, LInf, PartitionPolicy};
     use std::time::Instant;
 
     let n = ((100_000.0 * cfg.scale) as usize).max(1_000);
@@ -708,10 +705,7 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
             }
         })
         .collect();
-    let opts = |mode| BuildOptions {
-        column_mode: mode,
-        ..harness::options_for(n, s.d_plus(), harness::DEFAULT_PIVOTS, false, cfg.seed)
-    };
+    let opts = harness::options_for(n, s.d_plus(), harness::DEFAULT_PIVOTS, false, cfg.seed);
 
     println!(
         "\nScale tier [{}]: n = {n}, {queries} queries (range r = {radius:.0} + {}-NN), LAESA",
@@ -719,65 +713,53 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
         harness::DEFAULT_K
     );
     println!(
-        "{:<14} {:>3} {:>6} {:>12} {:>10}",
-        "policy", "P", "mode", "build_s", "qps"
+        "{:<14} {:>3} {:>12} {:>10}",
+        "policy", "P", "build_s", "qps"
     );
     let mut out = Vec::new();
     for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
         for shards in [1usize, 8] {
-            for mode in [ColumnMode::F64, ColumnMode::F32] {
-                let engine = build_sharded_vector_engine(
-                    IndexKind::Laesa,
-                    pts.clone(),
-                    metric,
-                    &opts(mode),
-                    &EngineConfig {
-                        shards,
-                        threads: 0,
-                        ..EngineConfig::default()
-                    },
-                    policy,
-                )
-                .expect("buildable");
-                let build_secs = engine.build_stats().build_wall_secs;
-                let _ = engine.serve(&batch); // warm scratch + page cache
-                let mut best = f64::INFINITY;
-                for _ in 0..2 {
-                    let t0 = Instant::now();
-                    let _ = engine.serve(&batch);
-                    best = best.min(t0.elapsed().as_secs_f64());
-                }
-                let qps = queries as f64 / best;
-                println!(
-                    "{:<14} {:>3} {:>6} {:>12.3} {:>10.0}",
-                    policy.label(),
+            let engine = build_sharded_vector_engine(
+                IndexKind::Laesa,
+                pts.clone(),
+                metric,
+                &opts,
+                &EngineConfig {
                     shards,
-                    mode.label(),
-                    build_secs,
-                    qps
-                );
-                out.push(ScalePoint {
-                    n,
-                    shards,
-                    policy: policy.label(),
-                    mode: mode.label(),
-                    qps,
-                    build_secs,
-                });
+                    threads: 0,
+                    ..EngineConfig::default()
+                },
+                policy,
+            )
+            .expect("buildable");
+            let build_secs = engine.build_stats().build_wall_secs;
+            let _ = engine.serve(&batch); // warm scratch + page cache
+            let mut best = f64::INFINITY;
+            for _ in 0..2 {
+                let t0 = Instant::now();
+                let _ = engine.serve(&batch);
+                best = best.min(t0.elapsed().as_secs_f64());
             }
+            let qps = queries as f64 / best;
+            println!(
+                "{:<14} {:>3} {:>12.3} {:>10.0}",
+                policy.label(),
+                shards,
+                build_secs,
+                qps
+            );
+            out.push(ScalePoint {
+                n,
+                shards,
+                policy: policy.label(),
+                qps,
+                build_secs,
+            });
         }
     }
     for p1 in out.iter().filter(|p| p.shards == 1) {
-        if let Some(p8) = out
-            .iter()
-            .find(|p| p.shards == 8 && p.policy == p1.policy && p.mode == p1.mode)
-        {
-            println!(
-                "  {} / {}: P8/P1 = {:.2}x",
-                p1.policy,
-                p1.mode,
-                p8.qps / p1.qps
-            );
+        if let Some(p8) = out.iter().find(|p| p.shards == 8 && p.policy == p1.policy) {
+            println!("  {}: P8/P1 = {:.2}x", p1.policy, p8.qps / p1.qps);
         }
     }
     out
@@ -825,11 +807,9 @@ mod tests {
     #[test]
     fn scale_smoke() {
         let out = scale(&tiny());
-        assert_eq!(out.len(), 8, "2 policies x P in {{1,8}} x 2 modes");
+        assert_eq!(out.len(), 4, "2 policies x P in {{1,8}}");
         assert!(out.iter().all(|p| p.qps > 0.0 && p.build_secs >= 0.0));
-        // Same n everywhere, both column modes measured.
-        assert!(out.iter().all(|p| p.n == out[0].n));
-        assert!(out.iter().any(|p| p.mode == "f32"));
+        assert!(out.iter().all(|p| p.n == out[0].n), "same n everywhere");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! parameters — the "equal footing" requirement of §6.1 (same HFI pivots,
 //! same page sizes, same defaults).
 
-use pmi_metric::{ColumnMode, EncodeObject, Metric, MetricIndex, PivotMatrix};
+use pmi_metric::{EncodeObject, Metric, MetricIndex, PivotColumns};
 use pmi_storage::DiskSim;
 
 /// Every index variant evaluated or surveyed by the paper. All of them
@@ -184,10 +184,6 @@ pub struct BuildOptions {
     pub tree_leaf_cap: usize,
     /// Seed for all randomized components.
     pub seed: u64,
-    /// Filter-column precision for the pivot-matrix scan kernel
-    /// ([`ColumnMode::F32`] halves the bytes the Lemma 1 filter streams;
-    /// exact distances stay f64 and results are byte-identical).
-    pub column_mode: ColumnMode,
 }
 
 impl Default for BuildOptions {
@@ -206,7 +202,6 @@ impl Default for BuildOptions {
             buckets: 32,
             tree_leaf_cap: 8,
             seed: 42,
-            column_mode: ColumnMode::F64,
         }
     }
 }
@@ -244,16 +239,10 @@ where
     };
     Ok(match kind {
         IndexKind::Aesa => Box::new(Aesa::build(objects, metric)),
-        IndexKind::Laesa => Box::new(Laesa::build_mode(objects, metric, pivots, opts.column_mode)),
+        IndexKind::Laesa => Box::new(Laesa::build(objects, metric, pivots)),
         IndexKind::Ept => Box::new(Ept::build(objects, metric, EptMode::Random, ept_cfg)),
         IndexKind::EptStar => Box::new(Ept::build(objects, metric, EptMode::Psa, ept_cfg)),
-        IndexKind::Cpt => Box::new(Cpt::build_mode(
-            objects,
-            metric,
-            pivots,
-            disk,
-            opts.column_mode,
-        )),
+        IndexKind::Cpt => Box::new(Cpt::build(objects, metric, pivots, disk)),
         IndexKind::Bkt => Box::new(DiscreteTree::bkt(
             objects,
             metric,
@@ -337,22 +326,25 @@ where
     })
 }
 
-/// [`build_index`] over pre-computed pivot-distance rows (a shard's rows
-/// of the engine's build-time matrix, or any owned [`PivotMatrix`]): kinds
-/// whose [`IndexKind::adopts_pivot_matrix`] is true (LAESA, CPT, FQA) take
-/// ownership of `rows` (row `i` = `objects[i]`'s distances to `pivots`, in
-/// the mode it arrives in) instead of recomputing the `n · l` table, with
-/// byte-identical query behavior — and engine inserts then hand over one
-/// precomputed row the index appends. Every other kind drops the rows and
-/// builds exactly as [`build_index`] does. This is the shard factory the
-/// facade hands `ShardedEngine::build` for an engine with a pivot space.
+/// [`build_index`] over pre-computed, stored pivot-distance rows (a
+/// shard's rows of the engine's build-time matrix, or any owned
+/// [`PivotColumns`]): kinds whose [`IndexKind::adopts_pivot_matrix`] is
+/// true (LAESA, CPT, FQA) take ownership of `rows` (row `i` =
+/// `objects[i]`'s distances to `pivots`) instead of recomputing the `n · l`
+/// table, with byte-identical query behavior — and engine inserts then
+/// hand over one precomputed row the index appends. Every other kind —
+/// and an FQA whose distance domain `opts.d_plus` exceeds what an f32
+/// column holds exactly (`Fqa::MAX_ADOPTED_DISTANCE`, 2²⁴) — drops the
+/// rows and builds exactly as [`build_index`] does. This is the shard
+/// factory the facade hands `ShardedEngine::build` for an engine with a
+/// pivot space.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
     metric: M,
     pivots: Vec<O>,
     opts: &BuildOptions,
-    rows: PivotMatrix,
+    rows: PivotColumns,
 ) -> Result<Box<dyn MetricIndex<O>>, BuildError>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
@@ -371,7 +363,7 @@ where
                 objects, metric, pivots, rows, disk,
             )))
         }
-        IndexKind::Fqa => {
+        IndexKind::Fqa if opts.d_plus <= Fqa::<O, M>::MAX_ADOPTED_DISTANCE => {
             if !metric.is_discrete() {
                 return Err(BuildError::RequiresDiscreteMetric(kind));
             }
@@ -464,6 +456,36 @@ mod tests {
             let mut want = oracle.range_query(&pts[0], 1500.0);
             want.sort();
             assert_eq!(got, want, "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn fqa_declines_rows_an_f32_column_cannot_hold_exactly() {
+        // Above 2^24 a stored row no longer determines its signature: the
+        // factory builds the plain FQA, whose removes re-derive signatures
+        // from the metric and always find their row.
+        use pmi_metric::PivotMatrix;
+        let pts = datasets::synthetic(120, 7);
+        let m = LInf::discrete();
+        let pivots = vec![pts[0].clone(), pts[1].clone()];
+        let rows = PivotColumns::from(&PivotMatrix::compute(&pts, &m, &pivots, 1));
+        for (d_plus, adopts) in [(10_000.0, true), (1e8, false)] {
+            let opts = BuildOptions {
+                d_plus,
+                ..BuildOptions::default()
+            };
+            let mut idx = build_index_with_matrix(
+                IndexKind::Fqa,
+                pts.clone(),
+                m,
+                pivots.clone(),
+                &opts,
+                rows.clone(),
+            )
+            .unwrap();
+            assert_eq!(idx.pivot_rows().is_some(), adopts, "d_plus={d_plus}");
+            assert!((0..120).all(|id| idx.remove(id)), "d_plus={d_plus}");
+            assert!(idx.is_empty());
         }
     }
 

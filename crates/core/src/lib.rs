@@ -121,9 +121,10 @@
 //! matrix `A[i][j] = d(o_i, p_j)`. The engine's one constructor
 //! (`ShardedEngine::build`; this facade hands it the mapper over the
 //! shared pivots) computes that matrix **once, in parallel** across its
-//! worker threads ([`PivotMatrix`]), clusters/routes over its rows, and hands each shard
-//! its members' rows as one contiguous [`PivotMatrix`] of its own — the
-//! unit a query is routed to owns the bytes it scans — so shared-pivot
+//! worker threads ([`PivotMatrix`]), clusters/routes over its rows, and
+//! hands each shard its members' rows as planar f32 [`PivotColumns`] of
+//! its own — the only form a pivot distance is stored in, and the unit a
+//! query is routed to owns the bytes it scans — so shared-pivot
 //! tables (LAESA, CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt*
 //! their distances instead of recomputing them: a `PivotSpace` LAESA build
 //! computes each object-pivot distance exactly once instead of twice. The
@@ -307,12 +308,14 @@
 //! documents the two levers that speed it up without changing a single
 //! answer byte, and the one way a query is served:
 //!
-//! * **Filter-column modes** — `BuildOptions { column_mode:`
-//!   [`ColumnMode::F32`](pmi_metric::ColumnMode)` , .. }` adds an `f32`
-//!   mirror of the pivot matrix and streams half the bytes per filtered
-//!   row; a conservative rounding slack keeps the narrow bound
-//!   admissible, so exact `f64` verification returns byte-identical
-//!   results (proven in `tests/counters.rs`).
+//! * **Stored pivot distances are f32** — every table and shard stores
+//!   its pivot distances once, as planar `f32` columns
+//!   ([`PivotColumns`]; there is no f64 copy and no mode to pick), so the
+//!   filter streams 4 bytes per distance; a conservative rounding slack
+//!   keeps the narrow bound admissible and routing boxes cover the
+//!   interval each stored value stands for, so exact `f64` verification
+//!   returns precisely the brute-force answer (proven in
+//!   `tests/counters.rs` and `tests/properties.rs`).
 //! * **The SIMD kernel** — [`metric::simd`] dispatches
 //!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`
@@ -352,8 +355,8 @@ pub use pmi_metric::fault;
 pub use pmi_metric::lemmas;
 pub use pmi_metric::object;
 pub use pmi_metric::{
-    BruteForce, ColumnMode, Counters, CountingMetric, DistanceCounter, EditDistance, EncodeObject,
-    LInf, Lp, Metric, MetricIndex, Neighbor, ObjId, ObjTable, PivotMatrix, QueryScratch,
+    BruteForce, Counters, CountingMetric, DistanceCounter, EditDistance, EncodeObject, LInf, Lp,
+    Metric, MetricIndex, Neighbor, ObjId, ObjTable, PivotColumns, PivotMatrix, QueryScratch,
     ScanKernel, SimdTier, StorageFootprint, Vector, L1, L2,
 };
 

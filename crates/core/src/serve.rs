@@ -23,13 +23,13 @@
 //!   and builds its per-shard [`pmi_router::RoutingTable`] boxes from them,
 //!   so each query only probes the shards whose bounding box survives
 //!   Lemma 1;
-//! * each shard gets its members' rows as one contiguous run of its own
-//!   and the shard factory receives it, so index kinds that adopt it
+//! * each shard gets its members' rows, quantised once into planar f32
+//!   columns of its own (the only form a pivot distance is stored in), and
+//!   the shard factory receives them, so index kinds that adopt them
 //!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA) skip their own
 //!   `n · l` recomputation entirely — a `PivotSpace` build computes each
 //!   object-pivot distance exactly once instead of twice — and scan
-//!   sequential memory. Only those per-shard runs carry the
-//!   [`BuildOptions::column_mode`] f32 mirror;
+//!   sequential memory;
 //! * the shards keep their rows (inside the index for adopting kinds,
 //!   beside it otherwise) for the engine's unified mutation path: an
 //!   `apply`-batch insert maps its object once and hands the row to the
@@ -104,12 +104,7 @@ where
         layout,
         cfg,
         |_, part, rows| match rows {
-            Some(mut rows) => {
-                if kind.adopts_pivot_matrix() {
-                    // The f32 mirror only pays off where the scan kernel
-                    // reads it: on the rows an adopting shard owns.
-                    rows.set_mode(opts.column_mode);
-                }
+            Some(rows) => {
                 build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
             }
             None => build_index(kind, part, metric.clone(), pivots.clone(), opts),

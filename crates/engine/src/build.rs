@@ -1,6 +1,6 @@
 //! The one constructor: the [`Layout`] it builds over and everything it
 //! derives from the layout's pivot space — the rows, the membership, the
-//! routing boxes, each shard's own run of rows — before it indexes the
+//! routing boxes, each shard's own stored columns — before it indexes the
 //! partitions. A child of the `engine` module, so it fills the engine's
 //! private state directly.
 
@@ -11,7 +11,7 @@ use super::{
 use crate::report::{BuildStats, UpdateStats};
 use crate::robust::QuarantineState;
 use crate::shard::{partition_by_assignment, Partition, Shard};
-use pmi_metric::{MetricIndex, ObjId, PivotMatrix};
+use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
 use pmi_obs::{Hist, Registry};
 use pmi_router::{PartitionPolicy, RoutingTable};
 use std::borrow::Cow;
@@ -19,9 +19,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One partition awaiting its index, plus its members' pivot rows when the
-/// engine holds a pivot space.
-type MatrixPart<O> = (Partition<O>, Option<PivotMatrix>);
+/// One partition awaiting its index, plus its members' stored pivot rows
+/// when the engine holds a pivot space.
+type MatrixPart<O> = (Partition<O>, Option<PivotColumns>);
 
 /// What [`ShardedEngine::build`] builds over: whether the engine holds a
 /// pivot space, which [`PartitionPolicy`] splits the objects, and
@@ -100,11 +100,12 @@ impl<O> ShardedEngine<O> {
     ///    [`PartitionPolicy::PivotSpace`] (the call
     ///    [`compact`](Self::compact) repeats over the survivors), balanced
     ///    contiguous runs under round-robin, or the layout's explicit one;
-    /// 3. under `PivotSpace`, the [`RoutingTable`]: one tight box per shard
-    ///    over its members' rows, and a clone of the mapper;
-    /// 4. each shard's rows as one contiguous run
-    ///    ([`PivotMatrix::select`]); the full matrix is dropped before the
-    ///    first shard table exists.
+    /// 3. under `PivotSpace`, the [`RoutingTable`]: one box per shard over
+    ///    what it stores of its members' rows, and a clone of the mapper;
+    /// 4. each shard's rows, quantised once into its own planar f32
+    ///    [`PivotColumns`] — the only form any shard, index or snapshot
+    ///    holds them in; the full f64 matrix is dropped before the first
+    ///    shard table exists.
     ///
     /// The factory receives `(shard_number, partition, rows)` — `rows` is
     /// `Some` iff the layout has a pivot space — and must insert the
@@ -131,7 +132,7 @@ impl<O> ShardedEngine<O> {
     where
         O: Send + Sync + 'static,
         E: Send,
-        F: Fn(usize, Vec<O>, Option<PivotMatrix>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, Vec<O>, Option<PivotColumns>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         if cfg.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -220,13 +221,15 @@ impl<O> ShardedEngine<O> {
             obs.phase_add("build.partition", 1, partition_nanos, &counters);
         }
 
-        // Every partition takes its own contiguous copy of its members'
-        // rows and the full matrix is dropped, so the two coexist only here
+        // Every partition quantises its members' rows into columns of its
+        // own and the full matrix is dropped, so the two coexist only here
         // — before a single shard table, locator or id table exists.
         let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
             .into_iter()
             .map(|(objs, gids)| {
-                let rows = space.as_ref().map(|(_, m)| m.select(&gids));
+                let rows = space.as_ref().map(|(_, m)| {
+                    PivotColumns::from_rows(m.width(), gids.iter().map(|&g| m.row(g as usize)))
+                });
                 ((objs, gids), rows)
             })
             .collect();
@@ -408,7 +411,7 @@ mod tests {
             assert_eq!(m.rows(), part.len());
             assert_eq!(m.width(), 2);
             for (i, o) in part.iter().enumerate() {
-                assert_eq!(m.row(i), &[o[0] as f64, o[1] as f64], "the shard's rows");
+                assert!(m.row(i).eq([o[0], o[1]]), "the shard's rows");
             }
             brute_factory(part)
         })

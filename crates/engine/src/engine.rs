@@ -9,10 +9,11 @@
 //! mapper the engine itself computes every object's row, clusters over the
 //! rows ([`PartitionPolicy::PivotSpace`]) or cuts balanced contiguous runs
 //! (round-robin), derives the [`RoutingTable`] boxes, and gives every shard
-//! its members' rows as one contiguous run of its own
-//! ([`PivotMatrix::select`]) — so "row `i` is the map of object `i`",
-//! "every member lies inside its shard's box" and "a routed engine holds
-//! rows" are true by construction, not by caller contract.
+//! its members' rows, quantised once into planar f32 columns of its own
+//! ([`pmi_metric::PivotColumns`], the only form a row is stored in) — so
+//! "row `i` stores the map of object `i`", "every member lies inside its
+//! shard's box" and "a routed engine holds rows" are true by construction,
+//! not by caller contract.
 //!
 //! Under round-robin every query probes every shard; under pivot-space
 //! partitioning the routing table prunes shards per query via Lemma 1 box
@@ -62,6 +63,7 @@ use crate::robust::{
 use crate::shard::Shard;
 use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
+use pmi_metric::matrix::stored_interval;
 use pmi_metric::{cow, Counters, CowVec, ObjId, PivotMatrix, StorageFootprint};
 use pmi_obs::{MetricsSnapshot, Registry, Span, TracePolicy};
 use pmi_router::{PartitionPolicy, RoutingTable};
@@ -476,6 +478,22 @@ type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 /// The shared pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to
 /// the caller's buffer. The engine and its routing table hold clones.
 type PivotMap<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
+
+/// Stored rows as one transient f64 matrix for the partitioner (every f32
+/// is an f64, so a moved object's row re-quantises to itself).
+fn stored_rows<R>(width: usize, rows: impl Iterator<Item = R>) -> PivotMatrix
+where
+    R: Iterator<Item = f32>,
+{
+    let mut out = PivotMatrix::with_capacity(width, rows.size_hint().0);
+    let mut buf = Vec::with_capacity(width);
+    for row in rows {
+        buf.clear();
+        buf.extend(row.map(f64::from));
+        out.push_row(&buf);
+    }
+    out
+}
 
 /// One in-flight `apply` or `compact` transaction: the staged next version
 /// of the engine's serving state, built off to the side and either
@@ -1070,9 +1088,10 @@ impl<O> ShardedEngine<O> {
 
     /// The one remove path: tombstone, and flag the shard for a box
     /// recomputation only if the box can have changed. Every staged box is
-    /// the tight bounding box of its shard's live rows (true at build, kept
-    /// by every insert's `extend` and every recomputation), so a member
-    /// whose row lies strictly inside it on every pivot dimension attains
+    /// the bounding box of its shard's live *stored* rows, each value
+    /// widened to the interval it stands for (true at build, kept by every
+    /// insert's `extend` and every recomputation), so a member whose
+    /// widened row lies strictly inside it on every pivot dimension attains
     /// no face: removing it leaves every per-dimension min and max — the
     /// box — exactly as it was. The tombstoned slot keeps its row, whether
     /// it was there at the last commit or inserted by this very batch.
@@ -1089,9 +1108,11 @@ impl<O> ShardedEngine<O> {
             let b = &rt.boxes()[s];
             let inside = txn.shards[s]
                 .pivot_row(local)
-                .iter()
                 .zip(b.lo().iter().zip(b.hi()))
-                .all(|(x, (lo, hi))| lo < x && x < hi);
+                .all(|(y, (&lo, &hi))| {
+                    let (below, above) = stored_interval(y);
+                    lo < below && above < hi
+                });
             txn.dirty[s] = !inside;
         }
         true
@@ -1157,7 +1178,7 @@ impl<O> ShardedEngine<O> {
         }
         members.sort_unstable_by_key(|&(gid, _, _)| gid);
         // The pair's rows as one transient matrix for the partitioner.
-        let pair_rows = PivotMatrix::from_rows(
+        let pair_rows = stored_rows(
             width,
             members
                 .iter()
@@ -1217,16 +1238,17 @@ impl<O> ShardedEngine<O> {
     /// over the survivors would produce:
     ///
     /// 1. Routed engines first **re-partition** the survivors with the
-    ///    call and seed [`build`](Self::build) ran (churn drifts shard
-    ///    membership away from the balanced clustering; probing an
-    ///    oversized shard costs extra kernel work on every query).
+    ///    call and seed [`build`](Self::build) ran, over their stored
+    ///    rows (churn drifts shard membership away from the balanced
+    ///    clustering; probing an oversized shard costs extra kernel work
+    ///    on every query).
     ///    Objects that change side move through the normal adopted path —
     ///    kinds that own their rows compute no distances for a move.
     /// 2. The survivors are renumbered **densely in ascending global-id
     ///    order** (survivor of rank `i` becomes global id `i`, exactly the
     ///    ids a rebuild would assign), and every shard is remapped: kinds
     ///    that own their rows rebuild their slot tables tombstone-free
-    ///    and keep only the survivors' rows, as one contiguous run again
+    ///    and keep only the survivors' stored rows
     ///    ([`MetricIndex::compact_rows`]); other kinds keep their local
     ///    tombstones and only have their live slots' global ids
     ///    rewritten.
@@ -1297,7 +1319,7 @@ impl<O> ShardedEngine<O> {
         // movement tombstones this leaves behind are folded away by the
         // dense rebuild below.
         if let (Some(rt), true) = (&txn.router, txn.shards.len() >= 2) {
-            let live_rows = PivotMatrix::from_rows(
+            let live_rows = stored_rows(
                 rt.boxes()[0].dim(),
                 survivors.iter().map(|&gid| {
                     let (s, local) = at(txn, gid);
@@ -1505,9 +1527,8 @@ mod tests {
         for gid in [30, 31] {
             let (s, local) = e.locate(gid).unwrap();
             let o = e.get(gid).unwrap();
-            assert_eq!(
-                e.shards()[s].pivot_row(local),
-                &[o[0] as f64, o[1] as f64],
+            assert!(
+                e.shards()[s].pivot_row(local).eq([o[0], o[1]]),
                 "the shard keeps the row a BruteForce index does not take"
             );
         }

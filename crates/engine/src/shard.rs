@@ -3,7 +3,7 @@
 
 use crate::merge::TopK;
 use pmi_metric::{
-    Counters, CowVec, MetricIndex, Neighbor, ObjId, PivotMatrix, QueryScratch, StorageFootprint,
+    Counters, CowVec, MetricIndex, Neighbor, ObjId, PivotColumns, QueryScratch, StorageFootprint,
 };
 
 /// What a removed (or never-filled) slot of the local→global table holds.
@@ -23,12 +23,12 @@ pub struct Shard<O> {
     /// says which slots are live members. Chunks are shared with every
     /// [`fork`](Self::fork).
     global_ids: CowVec<ObjId>,
-    /// The members' pivot-distance rows, slot-aligned with `global_ids` (a
-    /// tombstoned slot keeps its row), on an engine that holds a pivot
-    /// space and whose index did not take them
+    /// The members' stored pivot-distance rows, slot-aligned with
+    /// `global_ids` (a tombstoned slot keeps its row), on an engine that
+    /// holds a pivot space and whose index did not take them
     /// ([`MetricIndex::pivot_rows`] is `None`). Routing state, not index
     /// state: outside [`storage`](Self::storage).
-    rows: Option<PivotMatrix>,
+    rows: Option<PivotColumns>,
 }
 
 impl<O> Shard<O> {
@@ -42,7 +42,7 @@ impl<O> Shard<O> {
     pub fn new(
         index: Box<dyn MetricIndex<O>>,
         global_ids: Vec<ObjId>,
-        rows: Option<PivotMatrix>,
+        rows: Option<PivotColumns>,
     ) -> Self {
         debug_assert_eq!(index.len(), global_ids.len());
         debug_assert!(rows.iter().all(|r| r.rows() == global_ids.len()));
@@ -53,13 +53,15 @@ impl<O> Shard<O> {
         }
     }
 
-    /// The pivot-distance row of local slot `local`, live or tombstoned —
-    /// from the index's own rows or the ones the shard holds.
+    /// The stored pivot-distance row of local slot `local`, live or
+    /// tombstoned — from the index's own rows or the ones the shard holds.
+    /// Each value stands for a true distance within
+    /// [`stored_interval`](pmi_metric::matrix::stored_interval) of it.
     ///
     /// # Panics
     ///
     /// If neither holds any: the engine has no pivot space.
-    pub fn pivot_row(&self, local: ObjId) -> &[f64] {
+    pub fn pivot_row(&self, local: ObjId) -> impl Iterator<Item = f32> + '_ {
         self.rows
             .as_ref()
             .or_else(|| self.index.pivot_rows())

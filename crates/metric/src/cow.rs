@@ -8,10 +8,11 @@
 //! original then share every full chunk until one of them overwrites an
 //! element, which un-shares exactly the chunk it touches ([`Arc::get_mut`],
 //! else one chunk copy). That is what makes a fork of an index — an object
-//! table, a row indirection, a local→global id table — cost `O(n / chunk)`
-//! instead of `O(n)`, and lets a commit that appends `b` elements copy at
-//! most one chunk. A lookup is two loads: the spine entry, then the element
-//! (the chunk's elements sit inline behind the `Arc`).
+//! table, a pivot-distance column, a local→global id table — cost
+//! `O(n / chunk)` instead of `O(n)`, and lets a commit that appends `b`
+//! elements copy at most one chunk. A lookup is two loads: the spine
+//! entry, then the element (the chunk's elements sit inline behind the
+//! `Arc`).
 //!
 //! The sharing rule readers rely on: **a chunk reachable from another clone
 //! is never mutated** — `Arc::get_mut` succeeds only for a sole owner, so a
@@ -36,14 +37,14 @@ thread_local! {
 
 /// Cumulative shallow bytes of the chunks **this thread** has copied in
 /// order to write to them — a clone's last chunk, an overwritten shared
-/// chunk, a pinned tail chunk of the pivot matrix. A writer reads it before
-/// and after a commit; the difference is what the commit un-shared.
+/// chunk. A writer reads it before and after a commit; the difference is
+/// what the commit un-shared.
 pub fn copied_bytes() -> u64 {
     COPIED.with(Cell::get)
 }
 
 /// Books one chunk copy (see [`copied_bytes`]).
-pub(crate) fn note_copied(bytes: usize) {
+fn note_copied(bytes: usize) {
     COPIED.with(|c| c.set(c.get() + bytes as u64));
 }
 
@@ -153,6 +154,11 @@ impl<T> CowVec<T> {
             self.tail.reserve_exact(Self::CHUNK);
         }
         self.tail.push(v);
+        self.seal_full_tail();
+    }
+
+    /// Moves the last chunk behind its `Arc` once it is full.
+    fn seal_full_tail(&mut self) {
         if self.tail.len() == Self::CHUNK {
             let full = std::mem::replace(&mut self.tail, Vec::with_capacity(Self::CHUNK));
             self.full.push(full.into());
@@ -187,6 +193,20 @@ impl<'a, T> Iterator for CowChunks<'a, T> {
 impl<T> ExactSizeIterator for CowChunks<'_, T> {}
 
 impl<T: Clone> CowVec<T> {
+    /// Appends every element of `vs` in order — [`push`](Self::push) in
+    /// bulk, one copy per chunk it fills.
+    pub fn extend_from_slice(&mut self, mut vs: &[T]) {
+        while !vs.is_empty() {
+            if self.tail.capacity() == 0 {
+                self.tail.reserve_exact(Self::CHUNK);
+            }
+            let (now, later) = vs.split_at(vs.len().min(Self::CHUNK - self.tail.len()));
+            self.tail.extend_from_slice(now);
+            vs = later;
+            self.seal_full_tail();
+        }
+    }
+
     /// Overwrites element `i`; copies its chunk first if another clone
     /// shares it. Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, v: T) {
@@ -270,6 +290,11 @@ mod tests {
                         cow.set(i, wide(v));
                     }
                     6 => frozen.push((cow.clone(), model.clone())),
+                    7 if at % 4 == 0 => {
+                        let run = vec![wide(v); at % 150];
+                        model.extend_from_slice(&run);
+                        cow.extend_from_slice(&run);
+                    }
                     _ => {
                         prop_assert_eq!(cow.get(at), model.get(at));
                     }

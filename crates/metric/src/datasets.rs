@@ -5,8 +5,9 @@
 //! vectors, L∞). The original files are not redistributable here, so each
 //! generator reproduces the published statistics — dimensionality, value
 //! domain, distance measure and, most importantly, intrinsic dimensionality
-//! `μ² / 2σ²`, which is what drives pivot-filter effectiveness. See
-//! DESIGN.md §4 for the substitution rationale.
+//! `μ² / 2σ²`, which is what drives pivot-filter effectiveness: a
+//! substitute with the same statistics exercises the same pruning
+//! behaviour, which is all the paper's relative comparisons depend on.
 
 use crate::distance::Metric;
 use rand::rngs::StdRng;

@@ -3,7 +3,7 @@
 //! correctness oracle in tests.
 
 use crate::distance::{CountingMetric, Metric};
-use crate::matrix::PivotMatrix;
+use crate::matrix::PivotColumns;
 use crate::scratch::{KnnBest, QueryScratch};
 use crate::stats::{Counters, Neighbor, ObjId, StorageFootprint};
 use crate::table::ObjTable;
@@ -100,7 +100,7 @@ pub trait MetricIndex<O>: Send + Sync {
     /// computed (`row`, its distances to the shared pivot set) — the
     /// sharded engine's mutation path, which maps each insert into pivot
     /// space exactly once. Kinds that own such rows
-    /// ([`pivot_rows`](Self::pivot_rows)) append `row` to them without
+    /// ([`pivot_rows`](Self::pivot_rows)) quantise and append `row` without
     /// computing any distance beyond what their auxiliary structures need
     /// (e.g. CPT's M-tree clustering). Every other kind returns `Err(o)`,
     /// handing the object back so the caller can fall back to
@@ -110,13 +110,14 @@ pub trait MetricIndex<O>: Send + Sync {
         Err(o)
     }
 
-    /// The pivot-distance rows this index owns and scans, aligned with its
-    /// slot ids (a tombstoned slot keeps its row) — LAESA, CPT, an adopting
-    /// FQA. On an engine built over a pivot matrix they are the shard's
-    /// share of it: what the engine reads to maintain routing boxes and to
-    /// move objects between shards without recomputing a distance. `None`
-    /// for kinds that keep no such rows — their shard holds them itself.
-    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+    /// The stored pivot-distance rows this index owns and scans, aligned
+    /// with its slot ids (a tombstoned slot keeps its row) — LAESA, CPT, an
+    /// adopting FQA. On an engine built over a pivot matrix they are the
+    /// shard's share of it: what the engine reads to maintain routing boxes
+    /// and to move objects between shards without recomputing a distance.
+    /// `None` for kinds that keep no such rows — their shard holds them
+    /// itself.
+    fn pivot_rows(&self) -> Option<&PivotColumns> {
         None
     }
 

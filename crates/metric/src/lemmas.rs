@@ -5,6 +5,8 @@
 //! that cannot be answers (Lemmas 1–3) and may only validate objects that
 //! must be answers (Lemma 4).
 
+use crate::matrix::stored_interval;
+
 /// Lower bound on `d(q, o)` from pre-computed pivot distances:
 /// `max_i |d(q, p_i) - d(o, p_i)|` (triangle inequality). With no pivots the
 /// bound is trivially 0.
@@ -166,6 +168,24 @@ impl Mbb {
         }
     }
 
+    /// Grows the box to cover every true distance a *stored* row can stand
+    /// for: per dimension the [`stored_interval`] of the stored value, i.e.
+    /// the value widened outward by one f32 ulp per face. A box extended
+    /// only this way is the bounding box of its members' stored values
+    /// widened by one ulp — a pure function of those values, whatever the
+    /// order — and contains the exact f64 map of every member.
+    pub fn extend_stored(&mut self, row: impl IntoIterator<Item = f32>) {
+        for ((y, lo), hi) in row.into_iter().zip(&mut self.lo).zip(&mut self.hi) {
+            let (below, above) = stored_interval(y);
+            if below < *lo {
+                *lo = below;
+            }
+            if above > *hi {
+                *hi = above;
+            }
+        }
+    }
+
     /// [`mbb_lower_bound`] against this box; `+∞` when the box is empty
     /// (nothing inside, so everything is prunable).
     pub fn lower_bound(&self, q_dists: &[f64]) -> f64 {
@@ -303,6 +323,28 @@ mod tests {
         assert_eq!(b.lower_bound(&[1.5, 2.5]), 0.0);
         let c = Mbb::from_points(2, [[1.0, 3.0].as_slice(), [2.0, 2.0].as_slice()]);
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn stored_rows_widen_the_box_by_one_ulp_a_face() {
+        // 16 777 217 = 2^24 + 1 is a round-to-even tie: it is stored as
+        // 2^24, and the box must still contain it.
+        let exact = [[16_777_217.0, 0.1], [3.0, 0.3]];
+        let mut b = Mbb::empty(2);
+        for row in &exact {
+            b.extend_stored(row.iter().map(|&x| x as f32));
+        }
+        for row in &exact {
+            assert_eq!(b.lower_bound(row), 0.0, "{row:?} outside {b:?}");
+        }
+        assert_eq!(b.lo()[0], 3.0f32.next_down() as f64);
+        assert_eq!(b.hi()[0], 16_777_216.0f32.next_up() as f64);
+        // Order-blind, and equal to widening the stored values' own box.
+        let mut rev = Mbb::empty(2);
+        for row in exact.iter().rev() {
+            rev.extend_stored(row.iter().map(|&x| x as f32));
+        }
+        assert_eq!(b, rev);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * the four pivot filtering / validation lemmas of the paper ([`lemmas`]),
 //! * the flat pivot-distance matrix ([`PivotMatrix`]) built once, in
 //!   parallel, and split among the pivot tables of a sharded engine — each
-//!   owns its rows as one contiguous run, filtered through the blocked
-//!   [`ScanKernel`] (see [`matrix`] for the clone-shares, writer-copies
-//!   rule),
+//!   stores its members' rows as planar f32 [`PivotColumns`], filtered
+//!   through the blocked [`ScanKernel`] (see [`matrix`] for the slack that
+//!   keeps them exact and the clone-shares, writer-copies rule),
 //! * the persistent chunked vector ([`CowVec`]) that lets an index fork and
 //!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
@@ -39,7 +39,7 @@ pub mod table;
 pub use cow::CowVec;
 pub use distance::{CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2};
 pub use index::{BruteForce, MetricIndex};
-pub use matrix::{ColumnMode, PivotMatrix, ScanKernel};
+pub use matrix::{PivotColumns, PivotMatrix, ScanKernel};
 pub use object::EncodeObject;
 pub use scratch::{KnnBest, QueryScratch};
 pub use simd::SimdTier;

@@ -1,151 +1,87 @@
-//! The pivot-distance matrix: the paper's central `n × l` object.
+//! The pivot-distance matrix — the paper's central `n × l` object — in its
+//! two forms: the transient f64 [`PivotMatrix`] a build computes and
+//! partitions over, and the [`PivotColumns`] every table and shard *stores*
+//! and the Lemma 1 kernel scans.
 //!
 //! Every pivot-based index is, at its core, a view over the matrix
-//! `A[i][j] = d(o_i, p_j)`. Historically each index in this workspace
-//! recomputed (and re-stored) its own copy as `Vec<Option<Vec<f64>>>` — one
-//! heap allocation and one pointer chase per object on every Lemma 1 scan.
-//! [`PivotMatrix`] stores the matrix once, flat and row-major, so that
+//! `A[i][j] = d(o_i, p_j)`.
 //!
-//! * it can be **built once, in parallel** ([`PivotMatrix::compute`], on the
-//!   same scoped-thread worker pool as [`crate::parallel`]), clustered over
-//!   by the router and then split among the shards of a sharded engine
-//!   ([`PivotMatrix::select`]),
-//! * Lemma 1 scanning is a branch-light sequential pass over contiguous
-//!   memory ([`PivotMatrix::row`] is a plain slice), and
-//! * the per-object lower-bound filter runs through a cache-blocked,
-//!   auto-vectorizable [`ScanKernel`] instead of one function call per row.
+//! * [`PivotMatrix`] is that matrix flat, row-major and exact: **built
+//!   once, in parallel** ([`PivotMatrix::compute`], on the same
+//!   scoped-thread worker pool as [`crate::parallel`]), clustered over by
+//!   the router, and dropped once every shard has taken its members' rows.
+//! * [`PivotColumns`] is the only stored form: one planar f32 column per
+//!   pivot, in local-slot order, quantised once on the way in
+//!   ([`quantise`]). Half the bytes per distance and twice the SIMD lanes
+//!   per register of f64 rows, one contiguous load per column and step, and
+//!   still **exact**: the kernel subtracts a rounding slack
+//!   ([`PivotColumns::slack`]) from every bound, so a bound only ever gets
+//!   *smaller* — an occasional extra exact check, never a dropped result —
+//!   and routing boxes cover the whole interval of distances a stored value
+//!   can stand for ([`stored_interval`]).
+//! * The per-object lower-bound filter runs through the cache-blocked,
+//!   SIMD-dispatched [`ScanKernel`] instead of one function call per row.
 //!
 //! # One owner, clone shares, a writer copies what it writes
 //!
-//! A matrix has value semantics and exactly one owner: a standalone table,
-//! or one shard of a sharded engine, which holds its members' rows in
-//! local-slot order — the unit a query is routed to owns the bytes it
-//! scans. The discipline:
+//! Stored columns have value semantics and exactly one owner: a standalone
+//! table, or one shard of a sharded engine — the unit a query is routed to
+//! owns the bytes it scans. Each column is a [`CowVec`]: readers never
+//! block (a scan is a pass over plain slices behind `Arc`s), a clone (what
+//! an index fork is) shares every full chunk and copies the one partly
+//! filled chunk per column — what a forked shard pays per commit — so a
+//! [`PivotColumns::push_row`] on it writes only memory it owns. The other
+//! side never observes the write, and dropping an unpublished clone changes
+//! nothing.
 //!
-//! * **Readers never block.** A scan is a pass over plain slices behind
-//!   `Arc`s: no lock, no atomic read-modify-write, no indirection.
-//! * **Clone shares.** The rows present at build (or left by a compaction)
-//!   are one flat allocation behind an `Arc` — the run the scan kernel
-//!   streams — and every row pushed since a clone pinned that run lives in
-//!   fixed-size *tail chunks*, each behind its own `Arc`. A clone (what an
-//!   index fork is) bumps those `Arc`s and copies nothing.
-//! * **A writer copies what it writes.** [`PivotMatrix::push_row`] extends
-//!   the flat run in place while nobody else holds it; once a clone does,
-//!   the row goes to the tail, and the one partly filled chunk is copied
-//!   first if the clone still reads it. The other side never observes the
-//!   write, and dropping an unpublished clone changes nothing.
-//!
-//! Removal is handled *outside* the matrix: rows of tombstoned objects stay
-//! in place (ids remain row indices) and are simply never verified, because
-//! liveness lives in the index's slot map ([`crate::ObjTable`]). Under
-//! sustained churn those dead rows still cost lower-bound arithmetic and
-//! cache space, which is what compaction (driven by the engine's
+//! Removal is handled *outside* the columns: rows of tombstoned objects
+//! stay in place (ids remain row indices) and are simply never verified,
+//! because liveness lives in the index's slot map ([`crate::ObjTable`]).
+//! Under sustained churn those dead rows still cost lower-bound arithmetic
+//! and cache space, which is what compaction (driven by the engine's
 //! `CompactionPolicy`) reclaims: each shard keeps
-//! [`select`](PivotMatrix::select) of its survivors — one flat run again.
+//! [`select`](PivotColumns::select) of its survivors.
 
-use crate::cow::{self, CowVec};
+use crate::cow::CowVec;
 use crate::distance::Metric;
 use crate::simd::{self, SimdTier};
-use std::sync::Arc;
-
-/// Storage precision of the *filter* columns the scan kernel reads.
-///
-/// Exact distances are always f64; the column mode only controls what the
-/// Lemma 1 lower-bound kernel streams through. Under [`ColumnMode::F32`]
-/// a [`PivotMatrix`] keeps a **planar** (column-major) f32 mirror of its
-/// rows for the kernel — half the bytes per row, twice the SIMD lanes per
-/// register, one contiguous load per column and step — and
-/// admissibility is preserved by subtracting a conservative rounding
-/// slack from every computed bound (see [`PivotMatrix::f32_slack`]): a
-/// bound can only get *smaller*, which costs an occasional extra exact
-/// check but can never drop a true result, so serve results stay
-/// byte-identical to the f64 engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ColumnMode {
-    /// Filter columns are the exact f64 distances (the default).
-    #[default]
-    F64,
-    /// Filter columns are a planar f32 mirror with slack-adjusted
-    /// (admissible) lower bounds; exact distances stay f64.
-    F32,
-}
-
-impl ColumnMode {
-    /// Human-readable label (`"f64"` / `"f32"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ColumnMode::F64 => "f64",
-            ColumnMode::F32 => "f32",
-        }
-    }
-}
 
 /// Safety factor applied on top of the worst-case f32 rounding error when
-/// deriving the admissibility slack (see [`PivotMatrix::f32_slack`]).
+/// deriving the admissibility slack (see [`PivotColumns::slack`]).
 pub const F32_SLACK_FACTOR: f64 = 4.0;
 
-/// Rows per tail chunk: a write to a matrix a clone still reads copies at
-/// most this many rows (10 KB at five pivots — a commit pays it once per
-/// touched shard), and a scan makes one kernel call per chunk.
-const TAIL_ROWS: usize = 256;
+/// The one rounding a pivot distance undergoes on its way into
+/// [`PivotColumns`] (round to nearest f32). Everything derived from stored
+/// values — the scan's slack, the routing boxes — accounts for exactly this.
+#[inline]
+pub fn quantise(x: f64) -> f32 {
+    x as f32
+}
 
-/// A row-major `n × l` pivot-distance matrix with stable row ids: one flat
-/// base run plus the chunked tail of rows pushed since a clone pinned that
-/// run (module docs).
-///
-/// Row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. Rows are never removed —
-/// indexes with tombstoned deletion keep the row and skip it via their slot
-/// map — so row indices are stable slot ids for the lifetime of the index
-/// (until an explicit engine-level compaction renumbers them wholesale).
-///
-/// Under [`ColumnMode::F32`] the matrix also keeps the representation the
-/// kernel streams: a **planar** (column-major) f32 mirror of its rows, kept
-/// in step by [`push_row`](Self::push_row), plus the running max magnitude
-/// that sizes the admissibility slack. The f64 rows remain authoritative —
-/// [`select`](Self::select) and [`set_mode`](Self::set_mode) re-derive the
-/// mirror from them.
-///
-/// Cloning shares the base, every tail chunk and every full mirror chunk
-/// (`O(rows / chunk)` handles), and a clone that is then written to copies
-/// what it writes — value semantics.
-#[derive(Clone, Debug, Default)]
+/// The closed interval of true distances a stored value `y` can stand for:
+/// `quantise(x) == y` implies `lo ≤ x ≤ hi` (round-to-nearest moves `x` by
+/// at most half an ulp, so one whole ulp either side contains it, ties and
+/// overflow to `∞` included). Routing boxes are built from these intervals,
+/// which is what keeps them admissible for the exact f64 map of every
+/// member while remaining a pure function of the stored columns.
+#[inline]
+pub fn stored_interval(y: f32) -> (f64, f64) {
+    (y.next_down() as f64, y.next_up() as f64)
+}
+
+/// The transient, exact, row-major `n × l` matrix a build computes:
+/// row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. The engine partitions
+/// over it and hands each shard its members' rows, which the shard stores
+/// as [`PivotColumns`]; nothing keeps an f64 row after the build.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PivotMatrix {
-    /// The flat run, row-major: `base[i * width + j] = d(o_i, p_j)` for
-    /// `i < base_rows`. [`push_row`](Self::push_row) grows it only while
-    /// no clone shares it and no tail exists.
-    base: Arc<Vec<f64>>,
-    /// Rows in `base` (tracked separately so `width == 0` still counts).
-    base_rows: usize,
-    /// Rows `base_rows..rows`, [`TAIL_ROWS`] to a chunk (see the module
-    /// docs). Cloning the matrix shares `base` and every chunk.
-    tail: Vec<Arc<Vec<f64>>>,
-    /// Under [`ColumnMode::F32`]: the rows as **planar** (column-major)
-    /// f32 columns — `cols32[j][i]` is `row(i)[j] as f32` — so the f32
-    /// kernel streams one contiguous load per column. Empty under
-    /// [`ColumnMode::F64`].
-    cols32: Vec<CowVec<f32>>,
-    /// Running `max |d|` over every stored distance, maintained only under
-    /// [`ColumnMode::F32`] (it sizes the rounding slack).
-    max_abs: f64,
-    /// Which representation the lower-bound kernel reads.
-    mode: ColumnMode,
+    /// `data[i * width + j] = d(o_i, p_j)`.
+    data: Vec<f64>,
     /// Number of pivots `l` (row stride). A width of 0 is allowed (no
     /// pivots): the matrix then has zero-length rows.
     width: usize,
-    /// Number of rows `n`, base and tail.
+    /// Number of rows `n` (tracked separately so `width == 0` still counts).
     rows: usize,
-}
-
-/// Row-wise equality: where a row is stored (base or tail) is not part of
-/// a matrix's value.
-impl PartialEq for PivotMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.width == other.width
-            && self.rows == other.rows
-            && self.mode == other.mode
-            && self.max_abs == other.max_abs
-            && (0..self.rows).all(|i| self.row(i) == other.row(i))
-    }
 }
 
 impl PivotMatrix {
@@ -160,7 +96,7 @@ impl PivotMatrix {
     /// An empty matrix with capacity reserved for `rows` rows.
     pub fn with_capacity(width: usize, rows: usize) -> Self {
         PivotMatrix {
-            base: Arc::new(Vec::with_capacity(width * rows)),
+            data: Vec::with_capacity(width * rows),
             ..PivotMatrix::new(width)
         }
     }
@@ -211,12 +147,7 @@ impl PivotMatrix {
             })
             .expect("matrix worker thread panicked");
         }
-        PivotMatrix {
-            base: Arc::new(data),
-            base_rows: rows,
-            rows,
-            ..PivotMatrix::new(width)
-        }
+        PivotMatrix { data, width, rows }
     }
 
     /// Builds a matrix from per-object rows (each of length `width`).
@@ -229,57 +160,7 @@ impl PivotMatrix {
         m
     }
 
-    /// Which representation the lower-bound kernel reads.
-    pub fn mode(&self) -> ColumnMode {
-        self.mode
-    }
-
-    /// Switches the filter-column mode, (re)deriving the f32 mirror and the
-    /// max magnitude that sizes its slack from the stored distances. Cheap
-    /// on an empty matrix; `O(n·l)` otherwise.
-    pub fn with_mode(mut self, mode: ColumnMode) -> Self {
-        self.set_mode(mode);
-        self
-    }
-
-    /// In-place form of [`with_mode`](Self::with_mode).
-    pub fn set_mode(&mut self, mode: ColumnMode) {
-        let (mut cols, mut max_abs) = (Vec::new(), 0.0f64);
-        if mode == ColumnMode::F32 {
-            cols = vec![CowVec::new(); self.width];
-            for i in 0..self.rows {
-                for (col, &x) in cols.iter_mut().zip(self.row(i)) {
-                    // The one rounding the slack formula accounts for.
-                    col.push(x as f32);
-                    max_abs = max_abs.max(x.abs());
-                }
-            }
-        }
-        self.mode = mode;
-        self.cols32 = cols;
-        self.max_abs = max_abs;
-    }
-
-    /// Appends one row to the tail, un-sharing the last chunk first if a
-    /// clone still reads it.
-    fn push_tail(&mut self, row: &[f64]) {
-        if (self.rows - self.base_rows).is_multiple_of(TAIL_ROWS) {
-            let chunk = Vec::with_capacity(TAIL_ROWS * self.width);
-            self.tail.push(Arc::new(chunk));
-        }
-        let last = self.tail.last_mut().expect("a chunk was just ensured");
-        if Arc::get_mut(last).is_none() {
-            let mut own = Vec::with_capacity(TAIL_ROWS * self.width);
-            own.extend_from_slice(last);
-            cow::note_copied(8 * own.len());
-            *last = Arc::new(own);
-        }
-        Arc::get_mut(last)
-            .expect("the chunk was just made uniquely owned")
-            .extend_from_slice(row);
-    }
-
-    /// Number of rows `n` (including rows of tombstoned objects).
+    /// Number of rows `n`.
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -297,79 +178,144 @@ impl PivotMatrix {
     /// Row `id` as a contiguous slice of `l` distances.
     #[inline]
     pub fn row(&self, id: usize) -> &[f64] {
-        let w = self.width;
-        if id < self.base_rows {
-            &self.base[id * w..(id + 1) * w]
-        } else {
-            let t = id - self.base_rows;
-            &self.tail[t / TAIL_ROWS][t % TAIL_ROWS * w..(t % TAIL_ROWS + 1) * w]
-        }
+        &self.data[id * self.width..(id + 1) * self.width]
     }
 
-    /// Appends one row, returning its row id. A sole owner that has opened
-    /// no tail extends the flat base in place (amortized `O(l)`, the
-    /// builder path); a matrix whose base a clone shares appends to the
-    /// tail instead, copying at most the one partly filled chunk — what a
-    /// forked shard pays per commit (module docs).
+    /// Appends one row, returning its row id.
     pub fn push_row(&mut self, row: &[f64]) -> usize {
         assert_eq!(row.len(), self.width, "row length must equal pivot count");
-        match Arc::get_mut(&mut self.base) {
-            Some(base) if self.tail.is_empty() => {
-                base.extend_from_slice(row);
-                self.base_rows += 1;
-            }
-            _ => self.push_tail(row),
-        }
+        self.data.extend_from_slice(row);
         self.rows += 1;
-        if self.mode == ColumnMode::F32 {
-            for (col, &x) in self.cols32.iter_mut().zip(row) {
-                col.push(x as f32);
-                self.max_abs = self.max_abs.max(x.abs());
-            }
-        }
         self.rows - 1
     }
 
-    /// A new matrix holding the given rows of `self`, in `ids` order, as
-    /// one flat run in `self`'s mode — how a sharded build hands each shard
-    /// its part of the one precomputed matrix, and the dense-survivor
-    /// rebuild of a shard's compaction.
-    pub fn select(&self, ids: &[u32]) -> Self {
-        let mut data = Vec::with_capacity(self.width * ids.len());
-        for &id in ids {
-            data.extend_from_slice(self.row(id as usize));
+    /// The whole matrix as one flat row-major run.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Iterates `(row id, row)` over every row.
+    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        (0..self.rows).map(|i| (i, self.row(i)))
+    }
+}
+
+/// The stored form of pivot distances: one planar (column-major) f32 column
+/// per pivot — `column j` holds `quantise(d(o_i, p_j))` at index `i` — plus
+/// the running max magnitude that sizes the admissibility slack. Row ids are
+/// stable slot ids: rows are never removed (a tombstoned slot keeps its row
+/// and its index skips it) until an engine-level compaction
+/// [`select`](Self::select)s the survivors.
+///
+/// Cloning shares every full chunk of every column and copies the partly
+/// filled one (`O(rows / chunk)` handles, at most one 8 KiB chunk per
+/// column), and a clone that is then written to copies what it writes —
+/// value semantics (module docs).
+#[derive(Clone, Debug, Default)]
+pub struct PivotColumns {
+    /// `cols[j][i] = quantise(d(o_i, p_j))`. Every column chunks alike, so
+    /// chunk `c` of each covers the same rows.
+    cols: Vec<CowVec<f32>>,
+    /// Running `max |y|` over every stored value (tombstoned rows
+    /// included): sizes the rounding slack.
+    max_abs: f32,
+    /// Number of rows (tracked separately so zero pivots still count).
+    rows: usize,
+}
+
+impl PivotColumns {
+    /// Empty columns over `width` pivots.
+    pub fn new(width: usize) -> Self {
+        PivotColumns {
+            cols: vec![CowVec::new(); width],
+            ..PivotColumns::default()
         }
-        let mut out = PivotMatrix {
-            base: Arc::new(data),
-            base_rows: ids.len(),
-            rows: ids.len(),
-            ..PivotMatrix::new(self.width)
-        };
-        out.set_mode(self.mode);
+    }
+
+    /// Quantises per-object rows (each of length `width`), in order — how a
+    /// sharded build hands each shard its members' rows of the one matrix
+    /// (a standalone table stores the whole of the matrix it computed:
+    /// `PivotColumns::from(&matrix)`).
+    pub fn from_rows<R: AsRef<[f64]>>(width: usize, rows: impl IntoIterator<Item = R>) -> Self {
+        // Rows are transposed a block at a time, so that each column takes
+        // a slice instead of one push per value.
+        const BLOCK: usize = 1024;
+        let mut out = PivotColumns::new(width);
+        let mut block = vec![0.0f32; width * BLOCK];
+        let mut rows = rows.into_iter();
+        loop {
+            let mut n = 0;
+            for row in rows.by_ref().take(BLOCK) {
+                let row = row.as_ref();
+                assert_eq!(row.len(), width, "row length must equal pivot count");
+                for (j, &x) in row.iter().enumerate() {
+                    block[j * BLOCK + n] = quantise(x);
+                }
+                n += 1;
+            }
+            for (col, ys) in out.cols.iter_mut().zip(block.chunks(BLOCK)) {
+                col.extend_from_slice(&ys[..n]);
+                out.max_abs = ys[..n].iter().fold(out.max_abs, |m, y| m.max(y.abs()));
+            }
+            out.rows += n;
+            if n < BLOCK {
+                return out;
+            }
+        }
+    }
+
+    /// Number of rows (including rows of tombstoned objects).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of pivots `l`.
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The stored values of row `id`, pivot order.
+    #[inline]
+    pub fn row(&self, id: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(id < self.rows, "row {id} of {}", self.rows);
+        self.cols.iter().map(move |c| c[id])
+    }
+
+    /// Quantises and appends one row, returning its row id. Never copies a
+    /// chunk: a clone took its own copy of each column's partly filled one
+    /// (module docs).
+    pub fn push_row(&mut self, row: &[f64]) -> usize {
+        assert_eq!(row.len(), self.width(), "row length must equal pivot count");
+        self.push_stored(row.iter().map(|&x| quantise(x)));
+        self.rows - 1
+    }
+
+    fn push_stored(&mut self, row: impl Iterator<Item = f32>) {
+        for (col, y) in self.cols.iter_mut().zip(row) {
+            col.push(y);
+            self.max_abs = self.max_abs.max(y.abs());
+        }
+        self.rows += 1;
+    }
+
+    /// New columns holding the given rows of `self`, in `ids` order, as
+    /// stored (nothing is re-rounded; the max magnitude is the survivors'
+    /// own) — the dense-survivor rebuild of a shard's compaction.
+    pub fn select(&self, ids: &[u32]) -> Self {
+        let mut out = PivotColumns::new(self.width());
+        for &id in ids {
+            out.push_stored(self.row(id as usize));
+        }
         out
     }
 
-    /// The whole matrix as one flat row-major run — what every matrix
-    /// that was computed, selected or built row by row by its sole owner
-    /// is.
-    ///
-    /// # Panics
-    ///
-    /// If rows were pushed while a clone shared the base: they live in tail
-    /// chunks, and the base alone would be a silently truncated matrix.
-    pub fn as_slice(&self) -> &[f64] {
-        assert!(self.tail.is_empty(), "rows were pushed past a shared base");
-        &self.base
-    }
-
-    /// Running `max |d(o_i, p_j)|` over every stored distance (0 unless the
-    /// mode is [`ColumnMode::F32`], where it sizes the rounding slack).
+    /// Running `max |y|` over every stored value.
     pub fn max_abs(&self) -> f64 {
-        self.max_abs
+        self.max_abs as f64
     }
 
-    /// The admissibility slack subtracted from every f32-computed bound for
-    /// a query whose pivot distances have max magnitude `qd_max_abs`.
+    /// The admissibility slack subtracted from every bound for a query
+    /// whose pivot distances have max magnitude `qd_max_abs`.
     ///
     /// Worst-case error of the f32 bound vs the true f64 bound
     /// `max_j |qd_j − row_j|`: rounding each operand to f32 perturbs it by
@@ -378,106 +324,82 @@ impl PivotMatrix {
     /// so each `|qd_j − row_j|` term is off by at most about
     /// `ε₃₂·(|qd_j| + |row_j|)`; `max` never amplifies error. Subtracting
     /// `F32_SLACK_FACTOR · ε₃₂ · (max|row| + max|qd|)` therefore guarantees
-    /// the adjusted bound never exceeds the true bound — with a 4× margin —
-    /// and the kernel clamps at zero (degenerate inputs such as overflow to
+    /// the adjusted bound never exceeds the true bound — with a 4× margin,
+    /// which also absorbs taking `max|row|` over the stored values — and
+    /// the kernel clamps at zero (degenerate inputs such as overflow to
     /// `±∞` or `NaN` produce a zero bound, i.e. a full exact scan, never an
     /// inadmissible one).
-    pub fn f32_slack(&self, qd_max_abs: f64) -> f64 {
-        F32_SLACK_FACTOR * (f32::EPSILON as f64) * (self.max_abs + qd_max_abs)
+    pub fn slack(&self, qd_max_abs: f64) -> f64 {
+        F32_SLACK_FACTOR * (f32::EPSILON as f64) * (self.max_abs() + qd_max_abs)
     }
 
-    /// Iterates `(row id, row)` over every row (tombstoned or not).
-    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[f64])> {
-        (0..self.rows).map(|i| (i, self.row(i)))
-    }
-
-    /// In-memory footprint of the matrix in bytes: the f64 rows, plus the
-    /// planar f32 mirror under [`ColumnMode::F32`].
+    /// In-memory footprint in bytes: 4 per stored distance.
     pub fn mem_bytes(&self) -> u64 {
-        let per_distance = match self.mode {
-            ColumnMode::F64 => 8,
-            ColumnMode::F32 => 12,
-        };
-        per_distance * (self.rows * self.width) as u64
+        4 * (self.rows * self.width()) as u64
     }
 
     /// Lemma 1 lower bounds for **all** rows at once, through the blocked
-    /// [`ScanKernel`] (f64: the contiguous kernel over the base run, then
-    /// over each tail chunk; f32: the planar kernel over the mirror), into
-    /// a reused buffer. Rows of tombstoned slots are included — computing
-    /// their bound is cheaper than branching on liveness inside the
-    /// kernel; the caller's slot map skips them in the verification pass.
+    /// [`ScanKernel`] over each chunk of the columns, slack-adjusted into
+    /// admissible f64 bounds, into a reused buffer. Rows of tombstoned
+    /// slots are included — computing their bound is cheaper than branching
+    /// on liveness inside the kernel; the caller's slot map skips them in
+    /// the verification pass.
     pub fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
-        debug_assert_eq!(qd.len(), self.width);
+        let w = self.width();
+        debug_assert_eq!(qd.len(), w);
         let tier = simd::tier();
-        let w = self.width;
         out.clear();
         out.resize(self.rows, 0.0);
         if qd.is_empty() {
             return;
         }
-        match self.mode {
-            ColumnMode::F64 => {
-                let (head, mut rest) = out.split_at_mut(self.base_rows);
-                ScanKernel::fill(tier, qd, &self.base, head);
-                for chunk in &self.tail {
-                    let (now, later) = rest.split_at_mut(chunk.len() / w);
-                    ScanKernel::fill(tier, qd, chunk, now);
-                    rest = later;
-                }
+        // Round the query's pivot distances once per scan; the slack
+        // covers this rounding plus the columns'.
+        let mut qmax = 0.0f64;
+        let mut qstack = [0.0f32; 64];
+        let qheap: Vec<f32>;
+        let qd32: &[f32] = if w <= qstack.len() {
+            for (s, q) in qstack.iter_mut().zip(qd) {
+                *s = quantise(*q);
+                qmax = qmax.max(q.abs());
             }
-            ColumnMode::F32 => {
-                // Round the query's pivot distances once per scan; the
-                // admissibility slack covers this rounding plus the
-                // columns' (see `f32_slack`).
-                let mut qmax = 0.0f64;
-                let mut qstack = [0.0f32; 64];
-                let qheap: Vec<f32>;
-                let qd32: &[f32] = if w <= qstack.len() {
-                    for (s, q) in qstack.iter_mut().zip(qd) {
-                        *s = *q as f32;
-                        let a = q.abs();
-                        if a > qmax {
-                            qmax = a;
-                        }
-                    }
-                    &qstack[..w]
-                } else {
-                    qheap = qd
-                        .iter()
-                        .map(|q| {
-                            let a = q.abs();
-                            if a > qmax {
-                                qmax = a;
-                            }
-                            *q as f32
-                        })
-                        .collect();
-                    &qheap
-                };
-                let slack = self.f32_slack(qmax);
-                // Every column chunks alike, so chunk `c` of each column
-                // covers the same rows. Column refs sit on the stack for
-                // the common pivot counts.
-                let mut cstack: [&[f32]; 64] = [&[]; 64];
-                let mut cheap: Vec<&[f32]> = Vec::new();
-                let cols: &mut [&[f32]] = if w <= cstack.len() {
-                    &mut cstack[..w]
-                } else {
-                    cheap.resize(w, &[]);
-                    &mut cheap
-                };
-                let mut rest = out.as_mut_slice();
-                for c in 0..self.cols32[0].chunks().len() {
-                    for (s, col) in cols.iter_mut().zip(&self.cols32) {
-                        *s = col.chunk(c);
-                    }
-                    let (now, later) = rest.split_at_mut(cols[0].len());
-                    ScanKernel::fill_f32(tier, qd32, cols, slack, now);
-                    rest = later;
-                }
+            &qstack[..w]
+        } else {
+            qheap = qd
+                .iter()
+                .map(|q| {
+                    qmax = qmax.max(q.abs());
+                    quantise(*q)
+                })
+                .collect();
+            &qheap
+        };
+        let slack = self.slack(qmax);
+        // Column refs sit on the stack for the common pivot counts.
+        let mut cstack: [&[f32]; 64] = [&[]; 64];
+        let mut cheap: Vec<&[f32]> = Vec::new();
+        let cols: &mut [&[f32]] = if w <= cstack.len() {
+            &mut cstack[..w]
+        } else {
+            cheap.resize(w, &[]);
+            &mut cheap
+        };
+        let mut rest = out.as_mut_slice();
+        for c in 0..self.cols[0].chunks().len() {
+            for (s, col) in cols.iter_mut().zip(&self.cols) {
+                *s = col.chunk(c);
             }
+            let (now, later) = rest.split_at_mut(cols[0].len());
+            ScanKernel::fill_f32(tier, qd32, cols, slack, now);
+            rest = later;
         }
+    }
+}
+
+impl From<&PivotMatrix> for PivotColumns {
+    /// Every row of `matrix`, quantised, in row order.
+    fn from(matrix: &PivotMatrix) -> Self {
+        Self::from_rows(matrix.width(), matrix.iter_rows().map(|(_, r)| r))
     }
 }
 
@@ -521,7 +443,7 @@ pub(crate) fn clamp_pos(x: f64) -> f64 {
 
 /// Widens an f32 row-max to f64 and applies the admissibility slack (the
 /// one adjustment formula every f32 tier shares — see
-/// [`PivotMatrix::f32_slack`]).
+/// [`PivotColumns::slack`]).
 #[inline(always)]
 pub(crate) fn adjust_f32(m: f32, slack: f64) -> f64 {
     clamp_pos(m as f64 - slack)
@@ -634,18 +556,14 @@ impl ScanKernel {
     /// f32 filter columns: lower bounds for `n` rows of **planar**
     /// (column-major) storage — `cols[j][i]` is row `i`'s f32 distance to
     /// pivot `j` — **slack-adjusted** into admissible f64 bounds
-    /// (`clamp_pos(m − slack)`, see [`PivotMatrix::f32_slack`]) so callers
+    /// (`clamp_pos(m − slack)`, see [`PivotColumns::slack`]) so callers
     /// compare them against f64 radii/thresholds unchanged.
     ///
-    /// Planar storage is what makes the f32 mode pay: every SIMD step is
-    /// one contiguous load per column (a [`PivotMatrix`] keeps its rows'
-    /// columns in row order).
-    pub fn lower_bounds_f32(qd: &[f32], cols: &[&[f32]], n: usize, slack: f64, out: &mut Vec<f64>) {
-        Self::lower_bounds_f32_with_tier(simd::tier(), qd, cols, n, slack, out);
-    }
-
-    /// [`lower_bounds_f32`](Self::lower_bounds_f32) pinned to an explicit
-    /// SIMD tier.
+    /// Planar storage is what makes f32 pay: every SIMD step is one
+    /// contiguous load per column ([`PivotColumns`] keeps its columns in
+    /// row order).
+    /// [`PivotColumns::lower_bounds_into`] is the serving entry point; this
+    /// one is pinned to an explicit SIMD tier for the tier-agreement tests.
     pub fn lower_bounds_f32_with_tier(
         tier: SimdTier,
         qd: &[f32],
@@ -738,6 +656,7 @@ impl ScanKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cow;
     use crate::datasets;
     use crate::distance::{CountingMetric, L2};
     use crate::lemmas::pivot_lower_bound;
@@ -770,32 +689,24 @@ mod tests {
     }
 
     #[test]
-    fn push_select_roundtrip() {
+    fn push_row_roundtrip() {
         let mut m = PivotMatrix::new(2);
         assert!(m.is_empty());
         assert_eq!(m.push_row(&[1.0, 2.0]), 0);
         assert_eq!(m.push_row(&[3.0, 4.0]), 1);
         assert_eq!(m.push_row(&[5.0, 6.0]), 2);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        let s = m.select(&[2, 0]);
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.row(0), &[5.0, 6.0]);
-        assert_eq!(s.row(1), &[1.0, 2.0]);
         assert_eq!(m.as_slice().len(), 6);
-        assert_eq!(m.mem_bytes(), 48);
         let rows: Vec<_> = m.iter_rows().collect();
         assert_eq!(rows[2], (2, [5.0, 6.0].as_slice()));
+        assert_eq!(
+            m,
+            PivotMatrix::from_rows(2, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        );
     }
 
     #[test]
-    fn from_rows_matches_push() {
-        let m = PivotMatrix::from_rows(2, [[1.0, 2.0], [3.0, 4.0]]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn zero_width_matrix_counts_rows() {
+    fn zero_width_counts_rows() {
         let mut m = PivotMatrix::new(0);
         m.push_row(&[]);
         m.push_row(&[]);
@@ -805,12 +716,18 @@ mod tests {
         let c = PivotMatrix::compute(&pts, &L2, &[], 4);
         assert_eq!(c.rows(), 10);
         assert_eq!(c.width(), 0);
+        // Stored: rows count, nothing to scan, every bound is zero.
+        let cols = PivotColumns::from(&c);
+        assert_eq!((cols.rows(), cols.width(), cols.mem_bytes()), (10, 0, 0));
+        let mut lbs = vec![1.0];
+        cols.lower_bounds_into(&[], &mut lbs);
+        assert_eq!(lbs, vec![0.0; 10]);
     }
 
     #[test]
     #[should_panic]
     fn push_row_rejects_wrong_width() {
-        let mut m = PivotMatrix::new(2);
+        let mut m = PivotColumns::new(2);
         m.push_row(&[1.0]);
     }
 
@@ -886,15 +803,15 @@ mod tests {
                     let rows64: Vec<f64> = (0..n * w)
                         .map(|i| ((i * 53 % 211) as f64 - 100.0) * 1.375)
                         .collect();
-                    // Planar columns, rounded the same way slices round.
+                    // Planar columns, rounded the way the store rounds.
                     let cols_own: Vec<Vec<f32>> = (0..w)
-                        .map(|j| (0..n).map(|i| rows64[i * w + j] as f32).collect())
+                        .map(|j| (0..n).map(|i| quantise(rows64[i * w + j])).collect())
                         .collect();
                     let cols: Vec<&[f32]> = cols_own.iter().map(|c| c.as_slice()).collect();
                     let qd64: Vec<f64> = (0..w)
                         .map(|j| ((j * 29 % 31) as f64 - 15.0) * 1.1)
                         .collect();
-                    let qd32: Vec<f32> = qd64.iter().map(|&x| x as f32).collect();
+                    let qd32: Vec<f32> = qd64.iter().map(|&x| quantise(x)).collect();
                     let max_abs = rows64.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                     let qmax = qd64.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                     let slack = F32_SLACK_FACTOR * (f32::EPSILON as f64) * (max_abs + qmax);
@@ -923,37 +840,68 @@ mod tests {
         }
     }
 
+    // -----------------------------------------------------------------
+    // PivotColumns: the stored form.
+    // -----------------------------------------------------------------
+
     #[test]
-    fn f32_max_abs_tracks_every_mutation_path() {
-        let m = PivotMatrix::from_rows(2, [[1.0, -8.0], [2.5, 3.0]]).with_mode(ColumnMode::F32);
-        assert_eq!(m.mode(), ColumnMode::F32);
+    fn stored_intervals_contain_what_they_stand_for() {
+        // Exactly representable, a round-to-even tie (2^24 + 1), just off a
+        // tie on either side, subnormal, zero, overflow.
+        let tie = 16_777_217.0f64;
+        for x in [
+            0.0,
+            1.0,
+            0.1,
+            tie,
+            tie + 1e-9,
+            tie - 1e-9,
+            9_000_000.5,
+            1e-45,
+            f32::MAX as f64,
+            1e39,
+        ] {
+            let (lo, hi) = stored_interval(quantise(x));
+            assert!(lo <= x && x <= hi, "{x} outside [{lo}, {hi}]");
+            assert!(lo < hi);
+        }
+        // One ulp a face, no more.
+        assert_eq!(
+            stored_interval(1.0),
+            (1.0 - 2f64.powi(-24), 1.0 + 2f64.powi(-23))
+        );
+    }
+
+    #[test]
+    fn max_abs_tracks_every_mutation_path() {
+        let mut m = PivotColumns::from_rows(2, [[1.0, -8.0], [2.5, 3.0]]);
+        assert_eq!((m.rows(), m.width()), (2, 2));
         assert_eq!(m.max_abs(), 8.0);
-        assert_eq!(m.mem_bytes(), 4 * 12, "f64 rows plus the f32 mirror");
+        assert_eq!(m.mem_bytes(), 4 * 4, "four bytes per stored distance");
+        assert_eq!(m.row(0).collect::<Vec<_>>(), [1.0f32, -8.0]);
 
         // push_row extends the max.
-        let mut m = m;
-        m.push_row(&[-9.5, 0.25]);
+        assert_eq!(m.push_row(&[-9.5, 0.25]), 2);
         assert_eq!(m.max_abs(), 9.5);
 
-        // select inherits the mode and recomputes the (tighter) max.
-        let s = m.select(&[0, 1]);
-        assert_eq!(s.mode(), ColumnMode::F32);
+        // select keeps stored values and recomputes the (tighter) max.
+        let s = m.select(&[1, 0]);
         assert_eq!(s.max_abs(), 8.0);
+        assert_eq!(s.row(0).collect::<Vec<_>>(), [2.5f32, 3.0]);
 
-        // A push past a pinned base (the tail path) tracks too.
+        // A push on a clone is the clone's alone.
         let mut forked = m.clone();
         forked.push_row(&[100.0, -1.0]);
         assert_eq!(forked.max_abs(), 100.0);
-        assert_eq!(m.max_abs(), 9.5, "the pinned side is untouched");
-
-        // Dropping back to F64 resets the (unused) max and the mirror.
-        let back = forked.with_mode(ColumnMode::F64);
-        assert_eq!(back.max_abs(), 0.0);
-        assert_eq!(back.mem_bytes(), 8 * 8);
+        assert_eq!(
+            (m.max_abs(), m.rows()),
+            (9.5, 3),
+            "the pinned side is untouched"
+        );
     }
 
-    /// Bit-for-bit agreement of two matrices' bounds for one query.
-    fn assert_same_bounds(got: &PivotMatrix, want: &PivotMatrix, qd: &[f64], ctx: &str) {
+    /// Bit-for-bit agreement of two column sets' bounds for one query.
+    fn assert_same_bounds(got: &PivotColumns, want: &PivotColumns, qd: &[f64], ctx: &str) {
         let (mut g, mut w) = (Vec::new(), Vec::new());
         got.lower_bounds_into(qd, &mut g);
         want.lower_bounds_into(qd, &mut w);
@@ -964,47 +912,78 @@ mod tests {
     }
 
     #[test]
-    fn f32_planar_columns_track_matrix_mutations() {
-        // Under F32 the scan reads the planar mirror; it must track a sole
-        // owner's push, a push past a pinned clone, select and set_mode.
-        // Equality oracle: a fresh matrix over the same rows (derives its
-        // mirror from scratch).
-        let qd = [3.0f64, -1.0];
-        let check = |m: &PivotMatrix, ctx: &str| {
-            let fresh =
-                PivotMatrix::from_rows(2, m.iter_rows().map(|(_, r)| r)).with_mode(ColumnMode::F32);
-            assert_same_bounds(m, &fresh, &qd, ctx);
-        };
-        let mut m = PivotMatrix::from_rows(2, [[0.0, 1.0], [10.0, -3.0], [4.0, 4.0], [-2.0, 7.0]])
-            .with_mode(ColumnMode::F32);
-        check(&m, "set_mode");
-        m.push_row(&[5.0, 5.0]);
-        check(&m, "sole-owner push");
-        let pin = m.clone();
-        m.push_row(&[-6.0, 2.0]);
-        check(&m, "push past a pinned clone");
-        check(&pin, "the pinned clone");
-        assert_eq!((pin.rows(), m.rows()), (5, 6));
-        check(&m.select(&[5, 0, 2]), "select");
+    fn scans_span_every_chunk_and_survive_forks_bit_for_bit() {
+        // Enough rows for three chunks per column, re-pinned along the way
+        // so partly filled chunks get copied. Oracle: fresh columns over
+        // the same rows.
+        let chunk = CowVec::<f32>::CHUNK;
+        let total = 2 * chunk + 17;
+        let row = |i: usize| [(i * 37 % 101) as f64 - 50.0, (i * 53 % 211) as f64 * 1.375];
+        let qd = [3.0f64, -1.5];
+        let flat = PivotColumns::from_rows(2, (0..total).map(row));
+        let mut grown = PivotColumns::from_rows(2, (0..300).map(row));
+        let mut pin = grown.clone();
+        for i in 300..total {
+            grown.push_row(&row(i));
+            if i % 700 == 0 {
+                pin = grown.clone();
+            }
+        }
+        assert!(pin.rows() < total && grown.cols[0].chunks().len() == 3);
+        assert_same_bounds(&grown, &flat, &qd, "grown under pins");
+        let pinned = PivotColumns::from_rows(2, (0..pin.rows()).map(row));
+        assert_same_bounds(&pin, &pinned, &qd, "the pinned clone");
+        let ids: Vec<u32> = (0..total as u32).rev().step_by(3).collect();
+        let selected = PivotColumns::from_rows(2, ids.iter().map(|&i| row(i as usize)));
+        assert_eq!(grown.select(&ids).max_abs(), selected.max_abs());
+        assert_same_bounds(&grown.select(&ids), &selected, &qd, "select");
     }
 
     #[test]
-    fn f32_bounds_are_admissible_on_real_data() {
+    fn a_push_on_a_clone_copies_at_most_one_chunk_per_column() {
+        let chunk = CowVec::<f32>::CHUNK;
+        let first =
+            PivotColumns::from_rows(2, (0..3 * chunk + 100).map(|i| [i as f64, -(i as f64)]));
+        let before = cow::copied_bytes();
+        let mut second = first.clone();
+        second.push_row(&[7.0, 8.0]);
+        // The clone copied each column's 100-value last chunk; the push
+        // found it owned.
+        assert_eq!(cow::copied_bytes() - before, 2 * 100 * 4);
+        assert_eq!(
+            (first.rows(), second.rows()),
+            (3 * chunk + 100, 3 * chunk + 101)
+        );
+        assert_eq!(
+            second.row(3 * chunk + 100).collect::<Vec<_>>(),
+            [7.0f32, 8.0]
+        );
+        assert_eq!(second.row(99).collect::<Vec<_>>(), [99.0f32, -99.0]);
+    }
+
+    #[test]
+    fn stored_bounds_are_admissible_on_real_data() {
         let pts = datasets::la(500, 7);
         let pivots: Vec<Vec<f32>> = vec![pts[3].clone(), pts[90].clone(), pts[222].clone()];
         let m64 = PivotMatrix::compute(&pts, &L2, &pivots, 1);
-        let m32 = m64.clone().with_mode(ColumnMode::F32);
+        let m32 = PivotColumns::from(&m64);
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&pts[42], p)).collect();
         let mut lbs = Vec::new();
         m32.lower_bounds_into(&qd, &mut lbs);
         assert_eq!(lbs.len(), 500);
+        let slk = m32.slack(qd.iter().fold(0.0f64, |a, q| a.max(q.abs())));
         for (i, lb) in lbs.iter().enumerate() {
             let truth = pivot_lower_bound(&qd, m64.row(i));
-            assert!(*lb <= truth, "row {i}: f32 bound {lb} > true {truth}");
+            assert!(*lb <= truth, "row {i}: stored bound {lb} > true {truth}");
             assert!(*lb >= 0.0);
             // And not uselessly loose: within slack of the truth.
-            let slk = m32.f32_slack(qd.iter().fold(0.0f64, |a, q| a.max(q.abs())));
             assert!(truth - *lb <= 2.0 * slk + truth * 1e-6, "row {i} too loose");
+            // The by-hand form of the stored-precision bound.
+            let m = m32
+                .row(i)
+                .zip(&qd)
+                .fold(0.0f32, |m, (y, &q)| m.max((quantise(q) - y).abs()));
+            assert_eq!(lb.to_bits(), clamp_pos(m as f64 - slk).to_bits(), "row {i}");
         }
         // A permuted selection (same rows, so the same slack) agrees per row.
         let index: Vec<u32> = (0..500u32).map(|i| (i * 7) % 500).collect();
@@ -1013,110 +992,5 @@ mod tests {
         for (i, &id) in index.iter().enumerate() {
             assert_eq!(plbs[i].to_bits(), lbs[id as usize].to_bits());
         }
-    }
-
-    #[test]
-    fn lower_bounds_match_per_row_scan() {
-        let pts = datasets::la(300, 11);
-        let pivots: Vec<Vec<f32>> = vec![pts[0].clone(), pts[10].clone(), pts[20].clone()];
-        let matrix = PivotMatrix::compute(&pts, &L2, &pivots, 1);
-        let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&pts[42], p)).collect();
-        let mut lbs = Vec::new();
-        matrix.lower_bounds_into(&qd, &mut lbs);
-        for (i, lb) in lbs.iter().enumerate() {
-            assert_eq!(
-                lb.to_bits(),
-                pivot_lower_bound(&qd, matrix.row(i)).to_bits()
-            );
-        }
-        // A permuted selection scans its own copy of the rows.
-        let index: Vec<u32> = (0..300u32).map(|i| (i * 7) % 300).collect();
-        matrix.select(&index).lower_bounds_into(&qd, &mut lbs);
-        for (i, &id) in index.iter().enumerate() {
-            assert_eq!(
-                lbs[i].to_bits(),
-                pivot_lower_bound(&qd, matrix.row(id as usize)).to_bits()
-            );
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Clone shares, a writer copies what it writes.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn a_push_past_a_pinned_clone_shares_the_base_and_copies_one_chunk() {
-        let base: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, -(i as f64)]).collect();
-        let first = PivotMatrix::from_rows(2, &base);
-        // First push under a pin: a fresh tail chunk, nothing copied.
-        let before = cow::copied_bytes();
-        let mut second = first.clone();
-        second.push_row(&[7.0, 8.0]);
-        assert_eq!(cow::copied_bytes(), before);
-        assert!(Arc::ptr_eq(&second.base, &first.base));
-        // Second push with `second` pinned: the partly filled chunk (one
-        // row) is copied, the base is not.
-        let mut third = second.clone();
-        third.push_row(&[9.0, 10.0]);
-        assert_eq!(cow::copied_bytes() - before, 2 * 8);
-        assert!(Arc::ptr_eq(&third.base, &second.base));
-        assert_eq!((first.rows(), second.rows(), third.rows()), (100, 101, 102));
-        assert_eq!(second.row(100), &[7.0, 8.0]);
-        assert_eq!(third.row(100), &[7.0, 8.0]);
-        assert_eq!(third.row(101), &[9.0, 10.0]);
-        assert_eq!(third.row(99), &[99.0, -99.0]);
-        // Where a row is stored is not part of a matrix's value.
-        let flat = PivotMatrix::from_rows(2, third.iter_rows().map(|(_, r)| r));
-        assert_eq!(third, flat);
-        assert_eq!(third.mem_bytes(), flat.mem_bytes());
-    }
-
-    #[test]
-    fn scans_span_the_base_and_every_tail_chunk_bit_for_bit() {
-        // 300 base rows, then enough pushed rows for three tail chunks,
-        // re-pinned along the way so partly filled chunks get copied.
-        let total = 300 + 2 * TAIL_ROWS + 17;
-        let row = |i: usize| [(i * 37 % 101) as f64 - 50.0, (i * 53 % 211) as f64 * 1.375];
-        let qd = [3.0f64, -1.5];
-        for mode in [ColumnMode::F64, ColumnMode::F32] {
-            let flat = PivotMatrix::from_rows(2, (0..total).map(row)).with_mode(mode);
-            let mut tailed = PivotMatrix::from_rows(2, (0..300).map(row)).with_mode(mode);
-            let mut pin = tailed.clone();
-            for i in 300..total {
-                tailed.push_row(&row(i));
-                if i % 100 == 0 {
-                    pin = tailed.clone();
-                }
-            }
-            assert!(pin.rows() < total && tailed.tail.len() == 3);
-            assert_eq!(tailed, flat);
-            assert_same_bounds(&tailed, &flat, &qd, mode.label());
-        }
-    }
-
-    #[test]
-    fn sole_owner_push_appends_in_place() {
-        // Nobody else holds the base, so pushes extend it without copying:
-        // the data pointer is stable once capacity exists, and no tail
-        // opens.
-        let mut m = PivotMatrix::with_capacity(1, 16);
-        m.push_row(&[0.0]);
-        let at = m.as_slice().as_ptr();
-        for i in 1..10 {
-            assert_eq!(m.push_row(&[i as f64]), i);
-            assert_eq!(m.row(i), &[i as f64]);
-        }
-        assert_eq!(m.as_slice().len(), 10);
-        assert_eq!(m.as_slice().as_ptr(), at);
-    }
-
-    #[test]
-    #[should_panic(expected = "pushed past a shared base")]
-    fn as_slice_refuses_a_matrix_with_a_tail() {
-        let pin = PivotMatrix::from_rows(1, [[1.0], [2.0]]);
-        let mut m = pin.clone();
-        m.push_row(&[3.0]);
-        assert_eq!(m.rows(), 3);
-        let _truncated = m.as_slice();
     }
 }

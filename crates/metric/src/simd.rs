@@ -2,10 +2,10 @@
 //! one-time runtime dispatch.
 //!
 //! The Lemma 1 filter `max_j |qd_j − row_j|` is memory-bound, so the win of
-//! hand-written lanes is modest for f64 — LLVM already auto-vectorizes the
-//! portable blocked loop — but load-bearing for the f32 column mode, where
-//! AVX2 processes **eight** rows per step over **half** the bytes. Three
-//! tiers exist:
+//! hand-written lanes is modest for the f64 reference kernel — LLVM already
+//! auto-vectorizes the portable blocked loop — but load-bearing for the
+//! stored f32 columns every index scans, where AVX2 processes **eight**
+//! rows per step over **half** the bytes. Three tiers exist:
 //!
 //! * [`SimdTier::Avx2`] — 256-bit lanes (4 × f64 / 8 × f32 rows per step),
 //!   picked when the CPU reports AVX2 at first use.

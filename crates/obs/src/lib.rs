@@ -19,7 +19,7 @@
 //!     compiles to exactly what it was before instrumentation;
 //!   - *run time*: [`Registry::set_enabled`] flips an `AtomicBool` checked
 //!     once per batch, which is what lets a single binary A/B its own
-//!     obs-on vs obs-off throughput (`BENCH_scan.json` records the ratio).
+//!     obs-on vs obs-off throughput.
 //! * **Measurement never changes answers.** Instrumentation reads clocks
 //!   and adds integers; it must not reorder, skip, or add distance
 //!   evaluations. `tests/counters.rs` proves serving is byte-identical in

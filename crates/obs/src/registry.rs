@@ -173,7 +173,7 @@ mod imp {
         }
 
         /// Flips the runtime switch. Lets one binary A/B its own obs-on
-        /// vs obs-off throughput (`BENCH_scan.json` records the ratio).
+        /// vs obs-off throughput.
         pub fn set_enabled(&self, on: bool) {
             self.on.store(on, Ordering::Relaxed);
         }

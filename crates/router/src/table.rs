@@ -2,6 +2,7 @@
 //! planner that decides which shards a query must probe.
 
 use pmi_metric::lemmas::Mbb;
+use pmi_metric::matrix::quantise;
 use pmi_metric::PivotMatrix;
 use std::sync::Arc;
 
@@ -18,7 +19,14 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
 /// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and one
-/// minimum bounding box per shard over its members' mapped points.
+/// bounding box per shard over its members' mapped points — over what the
+/// shard *stores* of them: the bounding box of the members' stored (f32)
+/// pivot distances, widened outward by one f32 ulp per face
+/// ([`Mbb::extend_stored`]). That box is a pure function of the shard's
+/// stored columns — identical whether it was grown insert by insert or
+/// recomputed from the rows — and contains the exact f64 map of every
+/// member, so planning against it with the exact f64 map of a query stays
+/// admissible.
 ///
 /// Planning is a conservative application of Lemma 1 at shard granularity,
 /// so a routed engine returns exactly what probing every shard would:
@@ -35,7 +43,7 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 ///
 /// Boxes are maintained exactly through the engine's mutation path: grown
 /// on insert ([`extend`](Self::extend)) and recomputed from the surviving
-/// members' mapped points on remove ([`shrink`](Self::shrink) /
+/// members' stored rows on remove ([`shrink`](Self::shrink) /
 /// [`rebox_from_rows`](Self::rebox_from_rows)), so pruning power does not
 /// decay under churn — there is exactly one mutation route (the engine's
 /// transactional `apply`), so published boxes are never stale.
@@ -62,8 +70,8 @@ impl<O> RoutingTable<O> {
     ///
     /// Correctness contract: `mapper` must append the pivot-distance vector
     /// of its argument under the *same* pivots and metric that produced the
-    /// boxes, and every object in shard `s` must have its mapped point
-    /// inside `boxes[s]`.
+    /// boxes, and every object in shard `s` must have its (exact) mapped
+    /// point inside `boxes[s]`.
     pub fn new(
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
         boxes: Vec<Mbb>,
@@ -75,8 +83,9 @@ impl<O> RoutingTable<O> {
     }
 
     /// Builds the table from a partitioning: row `i` of `mapped` (the
-    /// build-time pivot-distance matrix) is object `i`'s pivot-distance vector,
-    /// `assignment[i]` its shard.
+    /// build-time pivot-distance matrix) is object `i`'s pivot-distance
+    /// vector, `assignment[i]` its shard. Each box covers what its shard
+    /// will store of those rows (see [`extend`](Self::extend)).
     pub fn from_assignment(
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
         dim: usize,
@@ -86,11 +95,19 @@ impl<O> RoutingTable<O> {
     ) -> Self {
         debug_assert_eq!(mapped.rows(), assignment.len());
         debug_assert_eq!(mapped.width(), dim);
-        let mut boxes = vec![Mbb::empty(dim); shards];
+        // Rounding to nearest is monotone, so the box of the stored values
+        // is the stored form of the exact rows' box: take that (two
+        // compares a value), then widen each occupied box once.
+        let mut exact = vec![Mbb::empty(dim); shards];
         for ((_, m), &s) in mapped.iter_rows().zip(assignment) {
-            boxes[s].extend(m);
+            exact[s].extend(m);
         }
-        Self::new(mapper, boxes)
+        let mut table = Self::new(mapper, vec![Mbb::empty(dim); shards]);
+        for (s, b) in exact.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            table.extend(s, b.lo());
+            table.extend(s, b.hi());
+        }
+        table
     }
 
     /// Number of shards the table routes over.
@@ -134,10 +151,14 @@ impl<O> RoutingTable<O> {
         out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     }
 
-    /// Grows shard `s`'s box to cover a newly inserted object's mapped
-    /// point.
+    /// Grows shard `s`'s box to cover a newly inserted object: `point` is
+    /// its exact mapped point, and the box grows by the interval its
+    /// *stored* form stands for — exactly what
+    /// [`rebox_from_rows`](Self::rebox_from_rows) would produce for that
+    /// row, so an insert followed by a rebox of the same members yields the
+    /// identical box.
     pub fn extend(&mut self, s: usize, point: &[f64]) {
-        self.boxes[s].extend(point);
+        self.boxes[s].extend_stored(point.iter().map(|&x| quantise(x)));
     }
 
     /// Replaces shard `s`'s box with an exactly recomputed one — the
@@ -145,19 +166,26 @@ impl<O> RoutingTable<O> {
     /// over the shard's surviving members (it recomputes several shards'
     /// boxes in one pass over its locator and installs each here).
     ///
-    /// Correctness contract: `to` must cover every live member's mapped
-    /// point; passing the tight box restores full pruning power.
+    /// Correctness contract: `to` must cover every live member's exact
+    /// mapped point; passing the box over the stored rows restores full
+    /// pruning power.
     pub fn shrink(&mut self, s: usize, to: Mbb) {
         debug_assert_eq!(to.dim(), self.boxes[s].dim());
         self.boxes[s] = to;
     }
 
-    /// Recomputes shard `s`'s box from its live members' mapped points (an
+    /// Recomputes shard `s`'s box from its live members' stored rows (an
     /// empty iterator leaves the always-prunable empty box). The one-shard
     /// form of [`shrink`](Self::shrink).
-    pub fn rebox_from_rows<'a>(&mut self, s: usize, rows: impl IntoIterator<Item = &'a [f64]>) {
-        let dim = self.boxes[s].dim();
-        self.shrink(s, Mbb::from_points(dim, rows));
+    pub fn rebox_from_rows<R>(&mut self, s: usize, rows: impl IntoIterator<Item = R>)
+    where
+        R: IntoIterator<Item = f32>,
+    {
+        let mut to = Mbb::empty(self.boxes[s].dim());
+        for row in rows {
+            to.extend_stored(row);
+        }
+        self.shrink(s, to);
     }
 }
 
@@ -227,10 +255,11 @@ mod tests {
     fn knn_order_is_best_first() {
         let t = table(&[(1.0, 0), (2.0, 0), (10.0, 1), (12.0, 1), (5.0, 2)], 3);
         let order = knn_order(&t, &[11.0]);
-        // Shard 1's box contains 11 (bound 0), shard 2 is 6 away, shard 0 is 9.
+        // Shard 1's box contains 11 (bound 0), shard 2 is 6 away, shard 0 is
+        // 9 — each less the one f32 ulp its face is widened by.
         assert_eq!(order[0], (1, 0.0));
-        assert_eq!(order[1], (2, 6.0));
-        assert_eq!(order[2], (0, 9.0));
+        assert_eq!(order[1], (2, 11.0 - 5.0f32.next_up() as f64));
+        assert_eq!(order[2], (0, 11.0 - 2.0f32.next_up() as f64));
     }
 
     #[test]
@@ -249,7 +278,11 @@ mod tests {
         t.extend(0, &[5.0]);
         assert_eq!(range_plan(&t, &[5.0], 1.0), vec![0]);
         assert_eq!(t.boxes()[0].lower_bound(&[5.0]), 0.0);
-        assert_eq!(t.boxes()[1].lower_bound(&[5.0]), 5.0);
+        // One f32 ulp inside the stored 10.
+        assert_eq!(
+            t.boxes()[1].lower_bound(&[5.0]),
+            10.0f32.next_down() as f64 - 5.0
+        );
     }
 
     #[test]
@@ -262,7 +295,14 @@ mod tests {
             vec![0],
             "stale box still matches near the removed member"
         );
-        t.rebox_from_rows(0, [[1.0].as_slice(), [2.0].as_slice()]);
+        let grown = t.boxes()[0].clone();
+        t.rebox_from_rows(0, [[1.0f32], [2.0], [9.0]]);
+        assert_eq!(
+            t.boxes()[0],
+            grown,
+            "a rebox of the same members is the same box"
+        );
+        t.rebox_from_rows(0, [[1.0f32], [2.0]]);
         assert_eq!(
             range_plan(&t, &[8.0], 0.5),
             Vec::<usize>::new(),

@@ -3,7 +3,7 @@
 //! The paper's I/O metric is the number of page accesses (PA), not
 //! wall-clock disk time, so the "disk" here is a counting, paged in-memory
 //! store ([`DiskSim`]) — this reproduces PA exactly and removes machine
-//! noise (DESIGN.md §4). On top of it sit:
+//! noise. On top of it sit:
 //!
 //! * an optional LRU page cache (the paper's 128 KB cache for MkNNQ, §6.1),
 //! * [`Raf`], the random access file used by OmniR-tree / M-index / SPB-tree

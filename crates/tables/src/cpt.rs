@@ -6,14 +6,14 @@
 //! read through the M-tree leaf directory) before the distance can be
 //! computed. This is the CPU/I-O overhead the paper attributes to CPT.
 //!
-//! Like LAESA, the table is a flat row-major [`PivotMatrix`] the index
+//! Like LAESA, the table is stored as planar f32 [`PivotColumns`] the index
 //! owns; liveness is a separate slot bitmap, and the Lemma 1 filter runs
 //! through the blocked [`ScanKernel`](pmi_metric::ScanKernel) over those
-//! contiguous rows, with survivors collected before the fetch+verify pass.
+//! columns, with survivors collected before the fetch+verify pass.
 
 use pmi_metric::fault;
 use pmi_metric::{
-    ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
+    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, PivotColumns,
     PivotMatrix, QueryScratch, StorageFootprint,
 };
 use pmi_mtree::MTree;
@@ -23,8 +23,8 @@ use pmi_storage::DiskSim;
 pub struct Cpt<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
-    /// Pivot-distance rows, aligned with slot ids.
-    rows: PivotMatrix,
+    /// Stored pivot-distance rows, aligned with slot ids.
+    rows: PivotColumns,
     /// Liveness per slot (tombstoned removal keeps ids stable).
     alive: Vec<bool>,
     mtree: MTree<O, CountingMetric<M>>,
@@ -39,24 +39,13 @@ where
     /// Builds CPT on `disk` (the paper uses 40 KB pages for Color/Synthetic
     /// because objects are stored inline in the M-tree).
     pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>, disk: DiskSim) -> Self {
-        Self::build_mode(objects, metric, pivots, disk, ColumnMode::F64)
-    }
-
-    /// [`build`](Self::build) with an explicit filter-column mode (see
-    /// [`ColumnMode`]); exact verification and results are unaffected.
-    pub fn build_mode(
-        objects: Vec<O>,
-        metric: M,
-        pivots: Vec<O>,
-        disk: DiskSim,
-        mode: ColumnMode,
-    ) -> Self {
         let metric = CountingMetric::new(metric);
-        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1).with_mode(mode);
-        Self::finish(objects, metric, pivots, matrix, disk)
+        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1);
+        let rows = PivotColumns::from(&matrix);
+        Self::finish(objects, metric, pivots, rows, disk)
     }
 
-    /// Builds CPT by *adopting* pre-computed pivot-distance rows (row `i` =
+    /// Builds CPT by *adopting* stored pivot-distance rows (row `i` =
     /// `objects[i]`'s distances to `pivots` — a shard's rows of the
     /// engine's one matrix): the `n · l` table costs nothing here; only
     /// the M-tree build computes distances. Queries are byte-identical to
@@ -66,7 +55,7 @@ where
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        rows: PivotMatrix,
+        rows: PivotColumns,
         disk: DiskSim,
     ) -> Self {
         assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
@@ -78,7 +67,7 @@ where
         objects: Vec<O>,
         metric: CountingMetric<M>,
         pivots: Vec<O>,
-        rows: PivotMatrix,
+        rows: PivotColumns,
         disk: DiskSim,
     ) -> Self {
         // Plain M-tree (no pivot augmentation): it only clusters objects.
@@ -119,7 +108,7 @@ where
 
 /// The [`MetricIndex::fork`]: the M-tree moves onto a [`DiskSim::fork`] of
 /// its disk (pages shared until written, page counters shared), the rows
-/// share their flat run and tail chunks, and the liveness bitmap and the
+/// share every full chunk of their columns, and the liveness bitmap and the
 /// M-tree's leaf directory are copied (`O(n)` small entries).
 impl<O, M> Clone for Cpt<O, M>
 where
@@ -237,7 +226,7 @@ where
         Ok(self.push(&o, row))
     }
 
-    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+    fn pivot_rows(&self) -> Option<&PivotColumns> {
         Some(&self.rows)
     }
 
@@ -392,9 +381,9 @@ mod tests {
         assert!(idx.counters().compdists > 300 * 4);
         let s = idx.storage();
         assert!(s.mem_bytes > 0 && s.disk_bytes > 0);
-        // In memory: 8·l bytes of rows and one liveness byte per slot, plus
+        // In memory: 4·l bytes of rows and one liveness byte per slot, plus
         // the pivots (a 2-d f32 point encodes to 12 bytes).
-        assert_eq!(s.mem_bytes, 300 * (8 * 4 + 1) + 4 * 12);
+        assert_eq!(s.mem_bytes, 300 * (4 * 4 + 1) + 4 * 12);
     }
 
     #[test]

@@ -2,36 +2,36 @@
 
 use pmi_metric::fault;
 use pmi_metric::{
-    ColumnMode, Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
+    PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
 };
 
 /// LAESA: `n × l` pre-computed distances + linear scan with Lemma 1.
 ///
-/// The distance table is a flat row-major [`PivotMatrix`] the index owns,
-/// aligned with the object table's slots: removal tombstones the slot (the
-/// matrix row stays in place, unverified). The Lemma 1 filter runs through
-/// the blocked [`ScanKernel`](pmi_metric::ScanKernel): one pass computes
-/// every slot's lower bound over contiguous storage (no lock, no
-/// indirection), survivors are collected into the caller's
-/// [`QueryScratch`], and only then does the exact-distance verification
-/// pass run — for a kNN scan nearest bound first
-/// ([`QueryScratch::knn_verify`]). A sharded engine hands every shard its
-/// own rows of the one precomputed matrix
+/// The distance table is stored as planar f32 [`PivotColumns`] the index
+/// owns (4 bytes per distance where the paper's implementation uses 8; the
+/// kernel's rounding slack keeps every answer exact), aligned with the
+/// object table's slots: removal tombstones the slot (the row stays in
+/// place, unverified). The Lemma 1 filter runs through the blocked
+/// [`ScanKernel`](pmi_metric::ScanKernel): one pass computes every slot's
+/// lower bound over contiguous storage (no lock, no indirection), survivors
+/// are collected into the caller's [`QueryScratch`], and only then does the
+/// exact-distance verification pass run — for a kNN scan nearest bound
+/// first ([`QueryScratch::knn_verify`]). A sharded engine hands every shard
+/// its own rows of the one precomputed matrix
 /// ([`build_with_matrix`](Laesa::build_with_matrix)) and grows them through
 /// [`MetricIndex::insert_adopted`].
 ///
-/// Cloning shares the distance counter, the matrix's flat run and tail
-/// chunks (`Arc`s) and every chunk of the object table
-/// ([`CowVec`](pmi_metric::CowVec)), so the clone costs `O(n / chunk)` and
-/// each side then copies only the chunks it writes. It is the
-/// [`MetricIndex::fork`].
+/// Cloning shares the distance counter and every full chunk of the columns
+/// and of the object table ([`CowVec`](pmi_metric::CowVec)), so the clone
+/// costs `O(n / chunk)` and each side then copies only the chunks it
+/// writes. It is the [`MetricIndex::fork`].
 #[derive(Clone)]
 pub struct Laesa<O, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
-    /// Pivot-distance rows, aligned with the object table's slots.
-    rows: PivotMatrix,
+    /// Stored pivot-distance rows, aligned with the object table's slots.
+    rows: PivotColumns,
     table: ObjTable<O>,
 }
 
@@ -44,37 +44,28 @@ where
     /// the caller with the shared HFI strategy, §6.1). Construction computes
     /// exactly `n · l` distances.
     pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>) -> Self {
-        Self::build_mode(objects, metric, pivots, ColumnMode::F64)
-    }
-
-    /// [`build`](Self::build) with an explicit filter-column mode:
-    /// distances are computed in f64 (same count, same exact verification);
-    /// [`ColumnMode::F32`] additionally keeps the f32 mirror the scan
-    /// kernel reads, with slack-adjusted admissible bounds — results stay
-    /// byte-identical to the f64 build.
-    pub fn build_mode(objects: Vec<O>, metric: M, pivots: Vec<O>, mode: ColumnMode) -> Self {
         let metric = CountingMetric::new(metric);
-        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1).with_mode(mode);
+        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1);
         Laesa {
             metric,
+            rows: PivotColumns::from(&matrix),
             pivots,
-            rows: matrix,
             table: ObjTable::new(objects),
         }
     }
 
-    /// Builds LAESA by *adopting* pre-computed pivot-distance rows (row
-    /// `i` = `objects[i]`'s distances to `pivots`) — the sharded build
-    /// path hands each shard its rows of the one matrix the engine
-    /// computed, so a sharded build costs `n · l` once instead of once per
-    /// shard, and later engine inserts bring their row along
+    /// Builds LAESA by *adopting* stored pivot-distance rows (row `i` =
+    /// `objects[i]`'s distances to `pivots`) — the sharded build path
+    /// hands each shard its rows of the one matrix the engine computed, so
+    /// a sharded build costs `n · l` once instead of once per shard, and
+    /// later engine inserts bring their row along
     /// ([`MetricIndex::insert_adopted`]). Computes **zero** distances;
     /// queries are byte-identical to [`build`](Self::build)'s.
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        rows: PivotMatrix,
+        rows: PivotColumns,
     ) -> Self {
         assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
         assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
@@ -96,9 +87,9 @@ where
         self.pivots.len()
     }
 
-    /// The pivot-distance rows (aligned with slot ids, including
+    /// The stored pivot-distance rows (aligned with slot ids, including
     /// tombstoned slots).
-    pub fn rows(&self) -> &PivotMatrix {
+    pub fn rows(&self) -> &PivotColumns {
         &self.rows
     }
 
@@ -207,7 +198,7 @@ where
         Ok(self.push(o, row))
     }
 
-    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+    fn pivot_rows(&self) -> Option<&PivotColumns> {
         Some(&self.rows)
     }
 
@@ -217,7 +208,7 @@ where
         true
     }
 
-    /// Clears the slot's liveness bit; the matrix row stays in place — a
+    /// Clears the slot's liveness bit; the stored row stays in place — a
     /// tombstoned slot is simply never verified. The paper prices a LAESA
     /// delete as a sequential scan to locate the row (§6.3); ids here *are*
     /// slot positions, so that cost is not modelled.
@@ -230,7 +221,7 @@ where
     }
 
     fn storage(&self) -> StorageFootprint {
-        // The matrix keeps tombstoned rows (ids stay stable), so its
+        // The columns keep tombstoned rows (ids stay stable), so their
         // footprint counts slots, not live objects.
         let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
         let pivots: u64 = self.pivots.iter().map(|p| p.encoded_len() as u64).sum();
@@ -310,10 +301,11 @@ mod tests {
             plain.range_query(&o, 0.0),
             "identical answers after the insert"
         );
-        assert_eq!(
-            adopted.pivot_rows().unwrap().row(a as usize),
-            row.as_slice()
-        );
+        assert!(adopted
+            .pivot_rows()
+            .unwrap()
+            .row(a as usize)
+            .eq(row.iter().map(|&x| x as f32)));
     }
 
     #[test]
@@ -392,11 +384,9 @@ mod tests {
         assert!(s.mem_bytes > 0);
         assert_eq!(s.disk_bytes, 0);
         assert_eq!(idx.counters().page_accesses(), 0);
-        // Rows cost 8·l bytes per slot (12·l with the f32 mirror) and
-        // nothing else is per slot; a 2-d f32 point encodes to 12 bytes.
+        // Rows cost 4·l bytes per slot and nothing else is per slot; a
+        // 2-d f32 point encodes to 12 bytes.
         let objects_and_pivots = (100 + 3) * 12;
-        assert_eq!(s.mem_bytes, 100 * 8 * 3 + objects_and_pivots);
-        let rows32 = idx.rows().clone().with_mode(ColumnMode::F32);
-        assert_eq!(rows32.mem_bytes(), 100 * 12 * 3);
+        assert_eq!(s.mem_bytes, 100 * 4 * 3 + objects_and_pivots);
     }
 }

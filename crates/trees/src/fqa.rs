@@ -10,8 +10,9 @@
 //! settings.
 //!
 //! A matrix-adopting FQA ([`Fqa::build_with_matrix`]) additionally holds
-//! the *exact* (unbucketed) pivot distances as a slot-aligned
-//! [`PivotMatrix`], and its hot-path queries
+//! the *exact* (unbucketed) pivot distances as slot-aligned
+//! [`PivotColumns`] — an f32 column holds a discrete distance exactly up to
+//! 2²⁴ ([`Fqa::MAX_ADOPTED_DISTANCE`]) — and its hot-path queries
 //! ([`MetricIndex::range_query_into`] /
 //! [`MetricIndex::knn_query_into_seeded`] and the wrappers over them)
 //! filter through the blocked
@@ -24,7 +25,7 @@
 use pmi_metric::fault;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, PivotMatrix, QueryScratch, StorageFootprint,
+    ObjTable, PivotColumns, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,7 +50,7 @@ pub struct Fqa<O, M> {
     /// engine inserts are bucketed from the row that comes with them
     /// ([`MetricIndex::insert_adopted`]) and removals re-derive the removed
     /// object's signature from its row — neither computes any distance.
-    adopted: Option<PivotMatrix>,
+    adopted: Option<PivotColumns>,
 }
 
 /// The one bucketing rule of the FQA: distance `d` to a level pivot falls
@@ -62,11 +63,23 @@ fn bucket(d: f64, width: f64, buckets: u32) -> u32 {
     ((d / width) as u32).min(buckets - 1)
 }
 
+/// The signature of a stored row — exact for the discrete distances an
+/// adopting FQA accepts (`Fqa::MAX_ADOPTED_DISTANCE`).
+fn signature_of_row(row: impl Iterator<Item = f32>, width: f64, buckets: u32) -> Vec<u32> {
+    row.map(|d| bucket(d as f64, width, buckets)).collect()
+}
+
 impl<O, M> Fqa<O, M>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
     M: Metric<O>,
 {
+    /// The largest distance domain [`build_with_matrix`](Self::build_with_matrix)
+    /// adopts rows for: 2²⁴, up to which every integer is an f32. Removal
+    /// and compaction re-derive an object's signature from its *stored*
+    /// row, which must therefore hold each discrete distance exactly.
+    pub const MAX_ADOPTED_DISTANCE: f64 = 16_777_216.0;
+
     /// Builds an FQA with the shared pivot set. `max_distance` bounds the
     /// discrete distance domain; `buckets` is the signature alphabet size.
     pub fn build(
@@ -106,18 +119,25 @@ where
         }
     }
 
-    /// Builds an FQA by *adopting* pre-computed pivot-distance rows (row
-    /// `i` = `objects[i]`'s distances to `pivots`, e.g. a shard's rows of
-    /// an engine's one matrix): signatures are bucketed straight from the
+    /// Builds an FQA by *adopting* stored pivot-distance rows (row `i` =
+    /// `objects[i]`'s distances to `pivots`, e.g. a shard's rows of an
+    /// engine's one matrix): signatures are bucketed straight from the
     /// rows, so construction computes **zero** distances beyond what the
     /// caller already paid for the matrix, and later engine inserts bring
     /// a row this FQA buckets ([`MetricIndex::insert_adopted`]). Queries
     /// are byte-identical to [`build`](Self::build)'s.
+    ///
+    /// # Panics
+    ///
+    /// If `max_distance` exceeds
+    /// [`MAX_ADOPTED_DISTANCE`](Self::MAX_ADOPTED_DISTANCE): above it a
+    /// stored row no longer determines its signature, and a later remove
+    /// could miss its signature row. Use [`build`](Self::build) there.
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
         pivots: Vec<O>,
-        matrix_rows: PivotMatrix,
+        matrix_rows: PivotColumns,
         max_distance: f64,
         buckets: u32,
     ) -> Self {
@@ -126,6 +146,10 @@ where
             "FQA requires a discrete distance function (paper §4.2)"
         );
         assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
+        assert!(
+            max_distance <= Self::MAX_ADOPTED_DISTANCE,
+            "an f32 column holds discrete distances exactly only up to 2^24"
+        );
         assert_eq!(
             matrix_rows.rows(),
             objects.len(),
@@ -141,12 +165,10 @@ where
         let mut rows: Vec<(Vec<u32>, ObjId)> = table
             .iter()
             .map(|(id, _)| {
-                let sig = matrix_rows
-                    .row(id as usize)
-                    .iter()
-                    .map(|&d| bucket(d, width, buckets))
-                    .collect();
-                (sig, id)
+                (
+                    signature_of_row(matrix_rows.row(id as usize), width, buckets),
+                    id,
+                )
             })
             .collect();
         rows.sort();
@@ -165,12 +187,6 @@ where
         self.pivots
             .iter()
             .map(|p| bucket(self.metric.dist(o, p), self.width, self.buckets))
-            .collect()
-    }
-
-    fn signature_of_row(&self, row: &[f64]) -> Vec<u32> {
-        row.iter()
-            .map(|&d| bucket(d, self.width, self.buckets))
             .collect()
     }
 
@@ -411,8 +427,8 @@ where
                 .iter()
                 .map(|p| self.metric.dist(&o, p))
                 .collect();
-            rows.push_row(&row);
-            self.signature_of_row(&row)
+            let local = rows.push_row(&row);
+            signature_of_row(rows.row(local), self.width, self.buckets)
         } else {
             self.signature(&o)
         };
@@ -428,14 +444,14 @@ where
             return Err(o);
         };
         let local = rows.push_row(row);
-        let sig = self.signature_of_row(row);
+        let sig = signature_of_row(rows.row(local), self.width, self.buckets);
         let id = self.table.push(o);
         debug_assert_eq!(id as usize, local, "rows stay slot-aligned");
         self.insert_sorted(sig, id);
         Ok(id)
     }
 
-    fn pivot_rows(&self) -> Option<&PivotMatrix> {
+    fn pivot_rows(&self) -> Option<&PivotColumns> {
         self.adopted.as_ref()
     }
 
@@ -467,7 +483,7 @@ where
         // Re-derive the signature from the adopted row when present (no
         // distance computations); fall back to the metric otherwise.
         let sig = match &self.adopted {
-            Some(rows) => self.signature_of_row(rows.row(id as usize)),
+            Some(rows) => signature_of_row(rows.row(id as usize), self.width, self.buckets),
             None => {
                 let o = self.table.get(id).cloned().expect("checked live above");
                 self.signature(&o)
@@ -519,7 +535,7 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{BruteForce, EditDistance, LInf};
+    use pmi_metric::{BruteForce, EditDistance, LInf, PivotMatrix};
     use pmi_pivots::select_hfi;
 
     fn build_words(n: usize) -> (Vec<String>, Fqa<String, EditDistance>) {
@@ -611,14 +627,13 @@ mod tests {
 
     #[test]
     fn matrix_adoption_is_free_and_byte_identical() {
-        use pmi_metric::{MetricIndex as _, PivotMatrix};
         let (ws, plain) = build_words(300);
         let matrix = PivotMatrix::compute(&ws, &EditDistance, &plain.pivots, 2);
         let mut adopted = Fqa::build_with_matrix(
             ws.clone(),
             EditDistance,
             plain.pivots.clone(),
-            matrix,
+            PivotColumns::from(&matrix),
             34.0,
             16,
         );
@@ -656,6 +671,18 @@ mod tests {
         // A plain-built FQA has no adopted matrix and hands the object back.
         let (_, mut bare) = build_words(50);
         assert!(bare.insert_adopted(o, &row).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "only up to 2^24")]
+    fn adoption_is_refused_where_f32_cannot_hold_the_distances() {
+        // 2^24 + 1 is stored as 2^24: a signature re-derived from the
+        // stored row could name another bucket than the one built from the
+        // distance, and a remove would not find its signature row.
+        let ws = datasets::words(20, 3);
+        let pivots = vec![ws[0].clone()];
+        let rows = PivotColumns::from(&PivotMatrix::compute(&ws, &EditDistance, &pivots, 1));
+        let _ = Fqa::build_with_matrix(ws, EditDistance, pivots, rows, 16_777_217.0, 16);
     }
 
     #[test]

@@ -124,55 +124,20 @@ fn main() {
         engine.counters().compdists,
     );
 
-    // The bandwidth-halving scan path (docs/performance.md): F32 filter
-    // columns stream half the bytes through the Lemma 1 kernel while exact
-    // distances stay f64 — the stored rows carry a conservative rounding
-    // slack, so the bounds remain admissible and the answers stay
-    // byte-identical to the F64 engine.
-    println!("\ncolumn modes (LAESA, P=8, pivot-space):");
-    let f64_answers = {
-        let e = build_sharded_vector_engine(
-            IndexKind::Laesa,
-            pts.clone(),
-            L2,
-            &opts,
-            &EngineConfig {
-                shards: 8,
-                threads: 0,
-                ..EngineConfig::default()
-            },
-            PartitionPolicy::PivotSpace,
-        )
-        .expect("buildable");
-        e.serve(&batch).results
-    };
-    let f32_engine = build_sharded_vector_engine(
-        IndexKind::Laesa,
-        pts.clone(),
-        L2,
-        &BuildOptions {
-            column_mode: pmr::ColumnMode::F32,
-            ..opts
-        },
-        &EngineConfig {
-            shards: 8,
-            threads: 0,
-            ..EngineConfig::default()
-        },
-        PartitionPolicy::PivotSpace,
-    )
-    .expect("buildable");
-    let wide = f32_engine.serve(&batch);
+    // The scan path (docs/performance.md): each shard stores its members'
+    // pivot distances once, as planar f32 columns — half the bytes of f64
+    // rows through the Lemma 1 kernel. Exact distances stay f64 and the
+    // kernel subtracts a conservative rounding slack from every bound, so
+    // the answers are the brute-force ones.
+    let wide = engine.serve(&batch);
     println!(
-        "  mode={} simd={}: {}",
-        pmr::ColumnMode::F32.label(),
+        "\nstored f32 columns (LAESA, P=8, pivot-space) simd={}: {}",
         pmr::metric::simd::tier().label(),
         wide.report,
     );
     println!(
-        "  answers byte-identical to mode={}: {}",
-        pmr::ColumnMode::F64.label(),
-        wide.results == f64_answers,
+        "  index footprint: {:.1} B/object",
+        engine.storage().total() as f64 / n as f64,
     );
 
     // The unified mutation path: one apply() batch routes inserts through

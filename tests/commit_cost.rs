@@ -6,8 +6,8 @@
 use pivot_metric_repro as pmr;
 use pmr::engine::TopK;
 use pmr::{
-    build_sharded_engine, datasets, BuildOptions, ColumnMode, EngineConfig, IndexKind, Neighbor,
-    ObjId, PartitionPolicy, QueryScratch, ShardedEngine, UpdateBatch, L2,
+    build_sharded_engine, datasets, BuildOptions, EngineConfig, IndexKind, Neighbor, ObjId,
+    PartitionPolicy, QueryScratch, ShardedEngine, UpdateBatch, L2,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,10 +49,9 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// One benchmark-shaped commit: this many inserts and as many FIFO removes.
 const OPS: usize = 128;
 
-fn engine(kind: IndexKind, pts: &[Vec<f32>], mode: ColumnMode) -> ShardedEngine<Vec<f32>> {
+fn engine(kind: IndexKind, pts: &[Vec<f32>]) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
-        column_mode: mode,
         ..BuildOptions::default()
     };
     // Any five objects make valid pivots; selection quality is not at stake.
@@ -89,7 +88,7 @@ fn commit(fresh: &[Vec<f32>], first_remove: ObjId) -> UpdateBatch<Vec<f32>> {
 fn commit_bytes(kind: IndexKind, n: usize) -> [u64; 2] {
     let pts = datasets::la(n + 4 * OPS, 42);
     let (indexed, fresh) = pts.split_at(n);
-    let mut engine = engine(kind, indexed, ColumnMode::F64);
+    let mut engine = engine(kind, indexed);
     let mut reader = None;
     let mut bytes = [0; 4];
     for (c, fresh) in fresh.chunks(OPS).enumerate() {
@@ -110,7 +109,9 @@ fn commit_bytes(kind: IndexKind, n: usize) -> [u64; 2] {
 #[test]
 fn commit_allocation_does_not_grow_with_the_dataset() {
     let _serial = SERIAL.lock().unwrap();
-    // A table (chunk-shared rows) and a tree (path-copied nodes).
+    // A table (chunk-shared columns: a commit un-shares at most one 8 KiB
+    // chunk per pivot column per touched shard) and a tree (path-copied
+    // nodes, the same columns beside them).
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
         let label = kind.label();
         let small = commit_bytes(kind, 20_000);
@@ -157,23 +158,21 @@ fn a_forked_commit_leaves_the_parent_snapshot_byte_identical() {
     let pts = datasets::la(n + 4 * OPS, 7);
     let (indexed, fresh) = pts.split_at(n);
     let queries: Vec<Vec<f32>> = indexed.iter().step_by(397).cloned().collect();
-    for mode in [ColumnMode::F64, ColumnMode::F32] {
-        let mut engine = engine(IndexKind::Laesa, indexed, mode);
-        // The parent generation: the very shards the next commits fork.
-        let parent = engine.shards().to_vec();
-        let before = answers(&parent, &queries);
-        for (c, fresh) in fresh.chunks(OPS).enumerate() {
-            engine.apply(&commit(fresh, (c * OPS) as ObjId));
-        }
-        assert_eq!(
-            answers(&parent, &queries),
-            before,
-            "{mode:?}: the forks' writes reached the parent"
-        );
-        assert_ne!(
-            answers(engine.shards(), &queries),
-            before,
-            "{mode:?}: the commits changed what the engine answers"
-        );
+    let mut engine = engine(IndexKind::Laesa, indexed);
+    // The parent generation: the very shards the next commits fork.
+    let parent = engine.shards().to_vec();
+    let before = answers(&parent, &queries);
+    for (c, fresh) in fresh.chunks(OPS).enumerate() {
+        engine.apply(&commit(fresh, (c * OPS) as ObjId));
     }
+    assert_eq!(
+        answers(&parent, &queries),
+        before,
+        "the forks' writes reached the parent"
+    );
+    assert_ne!(
+        answers(engine.shards(), &queries),
+        before,
+        "the commits changed what the engine answers"
+    );
 }

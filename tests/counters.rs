@@ -2,13 +2,40 @@
 //! and behave as §6 describes (in-memory indexes have zero PA, disk indexes
 //! pay PA on queries, the kNN cache absorbs repeat reads, counters reset) —
 //! and the blocked scan kernel must change **no** exact counter: it only
-//! reorders lower-bound arithmetic, never distance evaluations.
+//! reorders lower-bound arithmetic, never distance evaluations. The tables
+//! store their pivot distances as f32, so the by-hand filter oracles here
+//! count survivors with the stored-precision bound.
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, BuildOptions, IndexKind};
-use pmr::lemmas::pivot_lower_bound;
-use pmr::{datasets, Ept, EptConfig, EptMode, Fqa, Metric, MetricIndex, PivotMatrix, L2};
+use pmr::{
+    datasets, Ept, EptConfig, EptMode, Fqa, Metric, MetricIndex, PivotColumns, PivotMatrix, L2,
+};
 use std::cell::Cell;
+
+/// A table's stored rows by hand: every distance of `matrix` rounded to
+/// f32, plus the largest stored magnitude (it sizes the slack).
+fn stored(matrix: &PivotMatrix) -> (Vec<Vec<f32>>, f64) {
+    let rows: Vec<Vec<f32>> = matrix
+        .iter_rows()
+        .map(|(_, r)| r.iter().map(|&x| x as f32).collect())
+        .collect();
+    let max_abs = rows.iter().flatten().fold(0.0f32, |m, y| m.max(y.abs()));
+    (rows, max_abs as f64)
+}
+
+/// The stored-precision Lemma 1 bound by hand: `max_j |qd32_j − y_j|` in
+/// f32, less the rounding slack `4 · ε₃₂ · (max|y| + max|qd|)`, clamped at 0
+/// — never above the f64 `pivot_lower_bound` over the exact row.
+fn stored_lower_bound(qd: &[f64], row: &[f32], max_abs: f64) -> f64 {
+    let qmax = qd.iter().fold(0.0f64, |m, q| m.max(q.abs()));
+    let slack = 4.0 * f32::EPSILON as f64 * (max_abs + qmax);
+    let m = qd
+        .iter()
+        .zip(row)
+        .fold(0.0f32, |m, (&q, &y)| m.max((q as f32 - y).abs()));
+    (m as f64 - slack).max(0.0)
+}
 
 fn build(kind: IndexKind, n: usize) -> (Vec<Vec<f32>>, Box<dyn MetricIndex<Vec<f32>>>) {
     let pts = datasets::la(n, 31);
@@ -203,7 +230,7 @@ fn knn_verification_floor(rows: &[(f64, f64)], k: usize) -> u64 {
 /// drives (LAESA, CPT, EPT, adopted FQA), measured compdists for range and
 /// kNN queries must equal the scalar-path prediction exactly — `|pivots|`
 /// query-mapping distances plus the verifications the scalar Lemma 1 filter
-/// (per-row `pivot_lower_bound`, no blocking) would perform. Bit-for-bit
+/// (per-row stored-precision bound, no blocking) would perform. Bit-for-bit
 /// kernel-vs-scalar equality is unit-tested in `pmi_metric::matrix`; this
 /// test closes the loop end to end through real indexes and real counters.
 /// A kNN query also never verifies fewer than the slots whose bound is
@@ -223,11 +250,16 @@ fn blocked_kernel_changes_no_exact_counters() {
     let ks = [1usize, 10, 40];
 
     // The scalar oracle's view of the shared-pivot tables' rows.
-    let matrix = PivotMatrix::compute(&pts, &L2, &pivots, 1);
+    let (srows, max_abs) = stored(&PivotMatrix::compute(&pts, &L2, &pivots, 1));
     let table_rows = |q: &Vec<f32>| -> (Vec<f64>, Vec<(f64, f64)>) {
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(q, p)).collect();
         let rows = (0..n)
-            .map(|i| (pivot_lower_bound(&qd, matrix.row(i)), L2.dist(q, &pts[i])))
+            .map(|i| {
+                (
+                    stored_lower_bound(&qd, &srows[i], max_abs),
+                    L2.dist(q, &pts[i]),
+                )
+            })
             .collect();
         (qd, rows)
     };
@@ -331,11 +363,12 @@ fn blocked_kernel_changes_no_exact_counters() {
         .map(|i| dpts[i].clone())
         .collect();
     let dmatrix = PivotMatrix::compute(&dpts, &m, &dpivots, 1);
+    let (drows, dmax) = stored(&dmatrix);
     let fqa = Fqa::build_with_matrix(
         dpts.clone(),
         m,
         dpivots.clone(),
-        dmatrix.clone(),
+        PivotColumns::from(&dmatrix),
         10000.0,
         32,
     );
@@ -344,7 +377,7 @@ fn blocked_kernel_changes_no_exact_counters() {
         let rows: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 (
-                    pivot_lower_bound(&qd, dmatrix.row(i)),
+                    stored_lower_bound(&qd, &drows[i], dmax),
                     m.dist(&dpts[qi], &dpts[i]),
                 )
             })
@@ -412,8 +445,8 @@ fn duplicated_corpus_knn_ties_go_to_the_smaller_id() {
         .into_iter()
         .map(|i| dpts[i].clone())
         .collect();
-    let dmatrix = PivotMatrix::compute(&dpts, &m, &dpivots, 1);
-    let fqa = Fqa::build_with_matrix(dpts.clone(), m, dpivots, dmatrix, 10000.0, 32);
+    let rows = PivotColumns::from(&PivotMatrix::compute(&dpts, &m, &dpivots, 1));
+    let fqa = Fqa::build_with_matrix(dpts.clone(), m, dpivots, rows, 10000.0, 32);
     let oracle = pmr::BruteForce::new(dpts.clone(), m);
     same_as_oracle(&fqa, &oracle, &dpts, "FQA");
 }
@@ -677,30 +710,19 @@ fn storage_split_matches_index_family() {
 #[test]
 fn f32_columns_serve_byte_identical_answers() {
     use pmr::engine::{EngineConfig, Query};
-    use pmr::{build_sharded_vector_engine, ColumnMode, LInf, PartitionPolicy, QueryResult};
+    use pmr::{build_sharded_vector_engine, BruteForce, LInf, PartitionPolicy, QueryResult};
 
-    // The F32 column mode halves the bytes the Lemma 1 kernel streams but
-    // must change no answer: the rounded rows carry a conservative slack,
-    // so the filter is only ever looser and the exact f64 verification
-    // pass produces the same results bit for bit — across every adopting
-    // kind (LAESA, CPT, FQA; EPT rides along to cover a non-adopter),
-    // both partition policies, range and kNN.
+    // Pivot distances are stored as f32 — half the bytes the Lemma 1 kernel
+    // streams — and that must change no answer: the rounded rows carry a
+    // conservative slack and the routing boxes cover what each stored value
+    // stands for, so the filter is only ever looser and exact f64
+    // verification returns `BruteForce`'s answer id for id, distances bit
+    // for bit — across every adopting kind (LAESA, CPT, FQA; EPT rides
+    // along to cover a non-adopter), both partition policies, range and kNN.
     let pts = datasets::la(600, 31);
-    let radius = datasets::calibrate_radius(&pts, &L2, 0.05, 31);
-    let batch: Vec<Query<Vec<f32>>> = (0..40)
-        .map(|i| {
-            let q = pts[(i * 13) % pts.len()].clone();
-            if i % 2 == 0 {
-                Query::range(q, radius)
-            } else {
-                Query::knn(q, 7)
-            }
-        })
-        .collect();
-    let opts = |mode| BuildOptions {
+    let opts = BuildOptions {
         d_plus: 14143.0,
         maxnum: 48,
-        column_mode: mode,
         ..BuildOptions::default()
     };
     let cfg = EngineConfig {
@@ -708,61 +730,53 @@ fn f32_columns_serve_byte_identical_answers() {
         threads: 2,
         ..EngineConfig::default()
     };
-    for kind in [
-        IndexKind::Laesa,
-        IndexKind::Cpt,
-        IndexKind::Fqa,
-        IndexKind::Ept,
-    ] {
+    fn check<M: Metric<Vec<f32>> + Clone + 'static>(
+        kind: IndexKind,
+        metric: M,
+        pts: &[Vec<f32>],
+        opts: &BuildOptions,
+        cfg: &EngineConfig,
+    ) {
+        let oracle = BruteForce::new(pts.to_vec(), metric.clone());
+        let radius = datasets::calibrate_radius(pts, &metric, 0.05, 31);
         for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let build = |mode| {
-                // FQA buckets distances, which requires a discrete metric;
-                // the other kinds run the paper's L2 setup.
-                if kind == IndexKind::Fqa {
-                    build_sharded_vector_engine(
-                        kind,
-                        pts.clone(),
-                        LInf::discrete(),
-                        &opts(mode),
-                        &cfg,
-                        policy,
-                    )
-                    .unwrap()
-                } else {
-                    build_sharded_vector_engine(kind, pts.clone(), L2, &opts(mode), &cfg, policy)
-                        .unwrap()
-                }
-            };
-            let e64 = build(ColumnMode::F64);
-            let e32 = build(ColumnMode::F32);
-            e64.reset_counters();
-            e32.reset_counters();
-            let r64 = e64.serve(&batch);
-            let r32 = e32.serve(&batch);
-            assert_eq!(
-                r64.results,
-                r32.results,
-                "{} {}",
-                kind.label(),
-                policy.label()
-            );
-            // Bit-level check on the kNN distances (`==` alone would let
-            // -0.0 pass for 0.0).
-            for (a, b) in r64.results.iter().zip(&r32.results) {
-                if let (QueryResult::Knn(na), QueryResult::Knn(nb)) = (a, b) {
-                    for (x, y) in na.iter().zip(nb) {
-                        assert_eq!(x.dist.to_bits(), y.dist.to_bits());
+            let label = format!("{} {}", kind.label(), policy.label());
+            let engine =
+                build_sharded_vector_engine(kind, pts.to_vec(), metric.clone(), opts, cfg, policy)
+                    .unwrap();
+            let batch: Vec<Query<Vec<f32>>> = (0..40)
+                .map(|i| {
+                    let q = pts[(i * 13) % pts.len()].clone();
+                    if i % 2 == 0 {
+                        Query::range(q, radius)
+                    } else {
+                        Query::knn(q, 7)
                     }
+                })
+                .collect();
+            for (q, got) in batch.iter().zip(engine.serve(&batch).results) {
+                match (q, got) {
+                    (Query::Range { q, radius }, QueryResult::Range(ids)) => {
+                        let mut want = oracle.range_query(q, *radius);
+                        want.sort_unstable();
+                        assert_eq!(ids, want, "{label}");
+                    }
+                    (Query::Knn { q, k }, QueryResult::Knn(nbrs)) => {
+                        let want = oracle.knn_query(q, *k);
+                        assert_eq!(nbrs, want, "{label}");
+                        // `==` alone would let -0.0 pass for 0.0.
+                        for (x, y) in nbrs.iter().zip(&want) {
+                            assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{label}");
+                        }
+                    }
+                    (_, other) => panic!("{label}: {other:?}"),
                 }
             }
-            // Admissibility means the f32 filter is only ever looser: it
-            // may send more candidates to exact verification, never fewer.
-            assert!(
-                e32.counters().compdists >= e64.counters().compdists,
-                "{} {}: f32 filter pruned more than f64",
-                kind.label(),
-                policy.label()
-            );
         }
     }
+    for kind in [IndexKind::Laesa, IndexKind::Cpt, IndexKind::Ept] {
+        check(kind, L2, &pts, &opts, &cfg);
+    }
+    // FQA buckets distances, which requires a discrete metric.
+    check(IndexKind::Fqa, LInf::discrete(), &pts, &opts, &cfg);
 }

@@ -129,42 +129,56 @@ fn aggregate_counters_equal_shard_sum_exactly() {
     );
 }
 
-/// The build layout, pinned: which shard and slot every object lands in,
-/// every routing box edge bit for bit, the exact build cost and every
-/// shard's counters — the tier-1 twin of the ruler's `result_checksum`.
-/// The hashes were recorded before the engine took over computing its own
-/// pivot space (PR 19), and must not depend on the thread count.
+/// The build layout, pinned in two hashes — the tier-1 twin of the ruler's
+/// `result_checksum`. `layout`: which shard and slot every object lands in,
+/// the exact build cost and every shard's counters — recorded before the
+/// engine took over computing its own pivot space (PR 19) and unmoved since:
+/// the partition runs over the exact f64 matrix whatever the shards store.
+/// `boxes`: every routing box edge bit for bit, one value for both kinds
+/// (one pivot space, one partition) — re-recorded once, from
+/// `0x214dd13ecd99f158`, when a box became the bounding box of the stored
+/// f32 values widened by one ulp a face instead of the exact f64 rows' box.
+/// (Hashed as one, with the edges between membership and cost, the
+/// pivot-space pair read `0x5641959cce4c6a25` / `0x0c1d7dea525de31a` then;
+/// the round-robin pair has no boxes and reads as it always did.) Neither
+/// hash may depend on the thread count.
 #[test]
 fn build_layout_is_pinned_and_independent_of_thread_count() {
+    const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
     let fnv = |h: &mut u64, x: u64| {
         for b in x.to_le_bytes() {
             *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
     let pts = datasets::la(2_000, 3);
+    // (kind, policy, layout, boxes); an unrouted engine has no box to hash.
     let golden = [
         (
             IndexKind::Laesa,
             PartitionPolicy::RoundRobin,
             0x16cd_9125_dc74_c538u64,
+            FNV_BASIS,
         ),
         (
             IndexKind::Laesa,
             PartitionPolicy::PivotSpace,
-            0x5641_959c_ce4c_6a25,
+            0xfa99_ac15_7d22_c5b8,
+            0xebf9_4245_fc6f_7a1a,
         ),
         (
             IndexKind::Mvpt,
             PartitionPolicy::RoundRobin,
             0xc159_caf3_8777_1350,
+            FNV_BASIS,
         ),
         (
             IndexKind::Mvpt,
             PartitionPolicy::PivotSpace,
-            0x0c1d_7dea_525d_e31a,
+            0xffc6_de3b_9924_2963,
+            0xebf9_4245_fc6f_7a1a,
         ),
     ];
-    for (kind, policy, want) in golden {
+    for (kind, policy, want_layout, want_boxes) in golden {
         for threads in [1usize, 2] {
             let engine = build_sharded_vector_engine(
                 kind,
@@ -179,27 +193,28 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
                 policy,
             )
             .unwrap();
-            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            let mut layout = FNV_BASIS;
             for gid in 0..pts.len() as u32 {
                 let (shard, local) = engine.locate(gid).expect("every built object is live");
-                fnv(&mut h, shard as u64);
-                fnv(&mut h, local as u64);
+                fnv(&mut layout, shard as u64);
+                fnv(&mut layout, local as u64);
             }
-            for b in engine.routing().map_or(&[][..], |rt| rt.boxes()) {
-                for x in b.lo().iter().chain(b.hi()) {
-                    fnv(&mut h, x.to_bits());
-                }
-            }
-            fnv(&mut h, engine.build_stats().build_compdists);
+            fnv(&mut layout, engine.build_stats().build_compdists);
             for c in engine.shard_counters() {
                 for x in [c.compdists, c.page_reads, c.page_writes] {
-                    fnv(&mut h, x);
+                    fnv(&mut layout, x);
+                }
+            }
+            let mut boxes = FNV_BASIS;
+            for b in engine.routing().map_or(&[][..], |rt| rt.boxes()) {
+                for x in b.lo().iter().chain(b.hi()) {
+                    fnv(&mut boxes, x.to_bits());
                 }
             }
             assert_eq!(
-                h,
-                want,
-                "{} {policy:?} threads={threads}: got {h:#018x}",
+                (layout, boxes),
+                (want_layout, want_boxes),
+                "{} {policy:?} threads={threads}: got layout {layout:#018x}, boxes {boxes:#018x}",
                 kind.label()
             );
         }

@@ -1,27 +1,36 @@
 //! Routing-box maintenance is exact: after every commit, each shard's box
-//! is **bit for bit** the tight bounding box of the shard's live rows — the
-//! invariant the face rule rests on (a removed member strictly inside its
-//! box cannot have changed it, so only a member on a face triggers a
-//! recomputation). Checked on a table, a disk-backed table, a tree and a
-//! disk index — one write path, one locator, one rule. The rows that rule
-//! reads live with the shard (inside the index for the tables, beside it
-//! for the rest): each is checked against the object it belongs to.
+//! is **bit for bit** the bounding box of the shard's live *stored* rows
+//! widened outward by one f32 ulp per face — a pure function of the stored
+//! columns, and the invariant the face rule rests on (a removed member
+//! whose widened row lies strictly inside its box cannot have changed it,
+//! so only a member on a face triggers a recomputation) — **and** contains
+//! the mapper's exact f64 row of every live member, which is what keeps
+//! routing admissible over f32 storage. Checked on a table, a disk-backed
+//! table, a tree and a disk index — one write path, one locator, one rule.
+//! The rows that rule reads live with the shard (inside the index for the
+//! tables, beside it for the rest): each is checked against the object it
+//! belongs to.
 
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, Layout, ShardedEngine};
 use pmr::lemmas::Mbb;
 use pmr::{
-    build_sharded_engine, datasets, BruteForce, BuildOptions, ColumnMode, IndexKind, Metric,
-    MetricIndex, ObjId, PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
+    build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex,
+    ObjId, PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
 };
 
 fn bits(edge: &[f64]) -> Vec<u64> {
     edge.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every routing box against `Mbb::from_points` over the rows of the
-/// objects the engine locates in that shard (ids below `id_bound`), and
-/// every such object's row as its shard holds it against its pivot map.
+/// One f32 ulp outward from a box over stored (f32-representable) values.
+fn widened(lo: f64, hi: f64) -> (f64, f64) {
+    ((lo as f32).next_down() as f64, (hi as f32).next_up() as f64)
+}
+
+/// Every routing box against the widened `Mbb::from_points` over the stored
+/// rows of the objects the engine locates in that shard (ids below
+/// `id_bound`), and every such object's stored row against its pivot map.
 fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     let rt = e.routing().expect("a routed engine");
     assert_rows_true(e, id_bound, &|o, row| rt.map_into(o, row), ctx);
@@ -36,17 +45,23 @@ fn assert_rows_true(
     map: &dyn Fn(&Vec<f32>, &mut Vec<f64>),
     ctx: &str,
 ) {
-    let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); e.num_shards()];
+    // Per shard: (stored row as f64, exact row) of every live member.
+    let mut rows: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![Vec::new(); e.num_shards()];
     for g in 0..id_bound {
         let Some((s, local)) = e.locate(g) else {
             continue;
         };
         let o = e.get(g).expect("a located id is live");
-        let mut row = Vec::new();
-        map(&o, &mut row);
-        let held = e.shards()[s].pivot_row(local);
-        assert_eq!(bits(held), bits(&row), "{ctx}: row of id {g} in shard {s}");
-        rows[s].push(row);
+        let mut exact = Vec::new();
+        map(&o, &mut exact);
+        let held: Vec<f32> = e.shards()[s].pivot_row(local).collect();
+        let rounded: Vec<f32> = exact.iter().map(|&x| x as f32).collect();
+        assert_eq!(
+            held.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+            rounded.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+            "{ctx}: row of id {g} in shard {s}"
+        );
+        rows[s].push((held.iter().map(|&y| y as f64).collect(), exact));
     }
     assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
     let Some(rt) = e.routing() else {
@@ -54,9 +69,24 @@ fn assert_rows_true(
     };
     let dim = rt.boxes()[0].dim();
     for (s, (got, rows)) in rt.boxes().iter().zip(&rows).enumerate() {
-        let want = Mbb::from_points(dim, rows.iter().map(Vec::as_slice));
-        assert_eq!(bits(got.lo()), bits(want.lo()), "{ctx}: shard {s} lo");
-        assert_eq!(bits(got.hi()), bits(want.hi()), "{ctx}: shard {s} hi");
+        let stored = Mbb::from_points(dim, rows.iter().map(|(y, _)| y.as_slice()));
+        let (lo, hi): (Vec<f64>, Vec<f64>) = stored
+            .lo()
+            .iter()
+            .zip(stored.hi())
+            .map(|(&lo, &hi)| if lo <= hi { widened(lo, hi) } else { (lo, hi) })
+            .unzip();
+        assert_eq!(bits(got.lo()), bits(&lo), "{ctx}: shard {s} lo");
+        assert_eq!(bits(got.hi()), bits(&hi), "{ctx}: shard {s} hi");
+        for (_, exact) in rows {
+            assert!(
+                exact
+                    .iter()
+                    .zip(got.lo().iter().zip(got.hi()))
+                    .all(|(x, (lo, hi))| lo <= x && x <= hi),
+                "{ctx}: shard {s}'s box does not contain the exact row {exact:?}"
+            );
+        }
     }
 }
 
@@ -68,7 +98,7 @@ fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
 }
 
 fn engine(
-    (kind, column_mode): (IndexKind, ColumnMode),
+    kind: IndexKind,
     pts: &[Vec<f32>],
     refresh: RefreshPolicy,
     policy: PartitionPolicy,
@@ -76,7 +106,6 @@ fn engine(
     let opts = BuildOptions {
         d_plus: 14143.0,
         maxnum: 48,
-        column_mode,
         ..BuildOptions::default()
     };
     let cfg = EngineConfig {
@@ -88,18 +117,16 @@ fn engine(
     build_sharded_engine(kind, pts.to_vec(), L2, hfi_pivots(pts), &opts, &cfg, policy).unwrap()
 }
 
-/// The tables own their rows (in both column modes); the shards of the
-/// tree and the disk index hold them beside the index.
-const KINDS: [(IndexKind, ColumnMode); 6] = [
-    (IndexKind::Laesa, ColumnMode::F64),
-    (IndexKind::Laesa, ColumnMode::F32),
-    (IndexKind::Cpt, ColumnMode::F64),
-    (IndexKind::Cpt, ColumnMode::F32),
-    (IndexKind::Mvpt, ColumnMode::F64),
-    (IndexKind::OmniR, ColumnMode::F64),
+/// The tables own their rows; the shards of the tree and the disk index
+/// hold them beside the index.
+const KINDS: [IndexKind; 4] = [
+    IndexKind::Laesa,
+    IndexKind::Cpt,
+    IndexKind::Mvpt,
+    IndexKind::OmniR,
 ];
 
-/// Right after build, before any commit: every row a shard holds is its
+/// Right after build, before any commit: every row a shard holds stores its
 /// object's pivot map under the pivots the engine was built over (not the
 /// router's own mapper — this also proves the two agree), and every box is
 /// tight. An adopting kind and one whose shards hold the rows, under both
@@ -114,8 +141,7 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
     };
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
         for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let case = (kind, ColumnMode::F64);
-            let e = engine(case, &pts, RefreshPolicy::disabled(), policy);
+            let e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
             assert_eq!(e.policy(), policy);
             if policy == PartitionPolicy::RoundRobin && !kind.adopts_pivot_matrix() {
                 continue;
@@ -130,43 +156,49 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
 fn seeded_random_batches_keep_every_box_tight() {
     let pts = datasets::la(600, 21);
     let pool = datasets::la(400, 77);
-    for case in KINDS {
-        let kind = case.0;
-        let mut e = engine(
-            case,
-            &pts,
-            RefreshPolicy::disabled(),
-            PartitionPolicy::PivotSpace,
-        );
-        assert_boxes_tight(&e, 600, "fresh build");
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut draw = |below: usize| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            (state >> 33) as usize % below
-        };
-        let (mut id_bound, mut fed, mut reboxed) = (600 as ObjId, 0, 0);
-        for commit in 0..12 {
-            let mut batch = UpdateBatch::new();
-            for _ in 0..draw(40) {
-                batch.insert(pool[fed % pool.len()].clone());
-                fed += 1;
+    let pivots = hfi_pivots(&pts);
+    let map = |o: &Vec<f32>, row: &mut Vec<f64>| {
+        row.clear();
+        row.extend(pivots.iter().map(|p| L2.dist(o, p)));
+    };
+    for kind in KINDS {
+        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+            // Round-robin keeps a pivot space (rows, no boxes) only for the
+            // kinds that adopt its rows.
+            let routed = policy == PartitionPolicy::PivotSpace;
+            if !routed && !kind.adopts_pivot_matrix() {
+                continue;
             }
-            // Removes of live, dead and not-yet-assigned ids alike.
-            for _ in 0..draw(60) {
-                batch.remove(draw(id_bound as usize + 8) as ObjId);
+            let label = format!("{} {policy:?}", kind.label());
+            let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
+            assert_rows_true(&e, 600, &map, &format!("{label} fresh build"));
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut draw = |below: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (state >> 33) as usize % below
+            };
+            let (mut id_bound, mut fed, mut reboxed) = (600 as ObjId, 0, 0);
+            for commit in 0..12 {
+                let mut batch = UpdateBatch::new();
+                for _ in 0..draw(40) {
+                    batch.insert(pool[fed % pool.len()].clone());
+                    fed += 1;
+                }
+                // Removes of live, dead and not-yet-assigned ids alike.
+                for _ in 0..draw(60) {
+                    batch.remove(draw(id_bound as usize + 8) as ObjId);
+                }
+                let report = e.apply(&batch);
+                id_bound += report.inserts as ObjId;
+                reboxed += report.reboxed_shards;
+                assert_rows_true(&e, id_bound, &map, &format!("{label} commit {commit}"));
             }
-            let report = e.apply(&batch);
-            id_bound += report.inserts as ObjId;
-            reboxed += report.reboxed_shards;
-            let ctx = format!("{} commit {commit}", kind.label());
-            assert_boxes_tight(&e, id_bound, &ctx);
+            assert_eq!(reboxed > 0, routed, "{label}: some remove hit a face");
+            assert!(e.compact() > 0, "{label}: churn left dead rows");
+            assert_rows_true(&e, e.len() as ObjId, &map, &format!("{label} compacted"));
         }
-        assert!(reboxed > 0, "{}: some remove hit a face", kind.label());
-        assert!(e.compact() > 0, "{}: churn left dead rows", kind.label());
-        let ctx = format!("{} compacted", kind.label());
-        assert_boxes_tight(&e, e.len() as ObjId, &ctx);
     }
 }
 
@@ -177,9 +209,8 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         max_imbalance: 2.0,
         min_objects: 50,
     };
-    for case in KINDS {
-        let kind = case.0;
-        let mut e = engine(case, &pts, refresh, PartitionPolicy::PivotSpace);
+    for kind in KINDS {
+        let mut e = engine(kind, &pts, refresh, PartitionPolicy::PivotSpace);
         // 300 near-duplicates of one region all route to one shard.
         let mut batch = UpdateBatch::new();
         for i in 0..300 {
@@ -231,7 +262,7 @@ fn edges(e: &ShardedEngine<Vec<f32>>, s: usize) -> (f64, f64) {
 fn only_a_member_on_a_face_triggers_a_recomputation() {
     let mut e = two_clusters();
     let id_of = |x: u32| 2 * (x - 100) + 1;
-    assert_eq!(edges(&e, 1), (100.0, 109.0));
+    assert_eq!(edges(&e, 1), widened(100.0, 109.0));
 
     // Interior members only: nothing to recompute, nothing changes.
     let mut interior = UpdateBatch::new();
@@ -240,7 +271,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     }
     let report = e.apply(&interior);
     assert_eq!((report.removes, report.reboxed_shards), (5, 0));
-    assert_eq!(edges(&e, 1), (100.0, 109.0));
+    assert_eq!(edges(&e, 1), widened(100.0, 109.0));
     assert_boxes_tight(&e, 20, "interior-only batch");
 
     // The member on the upper face: one box recomputed, and it shrinks.
@@ -248,7 +279,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     face.remove(id_of(109));
     let report = e.apply(&face);
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
-    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 20, "face point");
 
     // A duplicate row shares the face: removing one of the two touches
@@ -260,7 +291,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     dup.remove(id_of(108));
     let report = e.apply(&dup);
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
-    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 21, "duplicate on a face");
 
     // Insert and remove of one object in a single batch: the insert grows
@@ -271,7 +302,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     let report = e.apply(&both);
     assert_eq!((report.inserts, report.removes), (1, 1));
     assert_eq!(report.reboxed_shards, 1);
-    assert_eq!(edges(&e, 1), (100.0, 108.0));
+    assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 22, "insert and remove in one batch");
 
     // The shard emptied: the box is the empty box, which every query prunes.
@@ -286,7 +317,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_boxes_tight(&e, 22, "a shard emptied");
     assert_eq!(
         edges(&e, 0),
-        (0.0, 9.0),
+        widened(0.0, 9.0),
         "the other shard was never touched"
     );
 }

@@ -4,11 +4,18 @@
 //! return byte-identical results to a malformed-free serve. This is the
 //! serve-boundary contract of `docs/robustness.md`: validation happens
 //! once at the boundary, the layers below assume well-formed input.
+//! And budget pressure degrades, it never corrupts: tightening compdist
+//! caps turns monotonically more queries into subsets of their exact
+//! answer, and a blown batch deadline sheds the batch without touching a
+//! shard (the `robust.degraded_ok` invariant of the retired
+//! `scan_throughput` bench, here on every run).
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Query, QueryResult};
-use pmr::{build_sharded_vector_engine, LInf, PartitionPolicy, QueryError, L2};
+use pmr::{
+    build_sharded_vector_engine, LInf, PartitionPolicy, QueryBudget, QueryError, ServeBudget, L2,
+};
 use proptest::prelude::*;
 
 const N: usize = 150;
@@ -177,4 +184,66 @@ proptest! {
             }
         }
     }
+}
+
+/// Deadline pressure on a LAESA engine, one worker so the accounting is
+/// deterministic: under compdist caps ∞, 1 000, 100, 1 the degraded count
+/// never falls and ends at the whole batch, every answer along the way is a
+/// subset of the exact one, and a 1 ns batch deadline sheds every query
+/// before any shard is probed.
+#[test]
+fn tightening_budgets_degrade_monotonically_and_never_invent_answers() {
+    const BATCH: usize = 64;
+    let pts = pmr::datasets::la(2_000, 21);
+    let radius = pmr::datasets::calibrate_radius(&pts, &L2, 0.04, 21);
+    let engine = build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &opts(),
+        &EngineConfig {
+            shards: 8,
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::RoundRobin,
+    )
+    .unwrap();
+    let batch: Vec<Query<Vec<f32>>> = (0..BATCH)
+        .map(|i| Query::range(pts[(i * 131) % pts.len()].clone(), radius))
+        .collect();
+    let exact = engine.serve(&batch);
+    assert_eq!(exact.report.degraded + exact.report.shed, 0);
+    let mut degraded = 0;
+    for cap in [0u64, 1_000, 100, 1] {
+        // A cap of 0 disables the budget.
+        engine.set_budget(ServeBudget {
+            query: QueryBudget {
+                wall_nanos: 0,
+                compdists: cap,
+            },
+            batch_wall_nanos: 0,
+        });
+        let out = engine.serve(&batch);
+        for (got, want) in out.results.iter().zip(&exact.results) {
+            let (got, want) = (got.as_range().unwrap(), want.as_range().unwrap());
+            assert!(got.iter().all(|id| want.contains(id)), "cap {cap}");
+        }
+        assert!(
+            out.report.degraded >= degraded,
+            "cap {cap}: {} degraded, {degraded} under the looser cap",
+            out.report.degraded
+        );
+        assert_eq!(out.report.shed, 0, "cap {cap}");
+        degraded = out.report.degraded;
+    }
+    assert_eq!(degraded, BATCH, "a one-distance cap degrades every query");
+    engine.set_budget(ServeBudget {
+        query: QueryBudget::unlimited(),
+        batch_wall_nanos: 1,
+    });
+    engine.reset_counters();
+    let shed = engine.serve(&batch);
+    assert_eq!(shed.report.shed, BATCH);
+    assert_eq!(engine.counters().compdists, 0, "no shard was touched");
 }
