@@ -81,7 +81,8 @@
 //! per-shard bounding box over the mapped points. Each query is then
 //! *routed*: range queries skip every shard whose box fails the Lemma 1
 //! intersection test, and kNN queries probe shards best-first by box lower
-//! bound, skipping the rest once the k-th distance undercuts them. Answers
+//! bound (the boxes a query lies inside, nearest centre first), skipping
+//! the rest once the k-th distance undercuts them. Answers
 //! are identical to round-robin (pruning is conservative); the saved work
 //! shows up in `ServeReport::shards_pruned`.
 //!

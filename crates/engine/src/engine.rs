@@ -30,7 +30,8 @@
 //! ([`Shard::pivot_row`]) — for the unified mutation path
 //! ([`ShardedEngine::apply`]): inserts compute their pivot row once and
 //! hand it to the destination shard; removes shrink the affected routing
-//! boxes back over the surviving rows; a [`RefreshPolicy`] re-clusters the
+//! boxes back over the surviving rows (and every insert and remove moves
+//! the shard's routing centre); a [`RefreshPolicy`] re-clusters the
 //! worst shard pair when live counts drift apart; and
 //! [`compact`](ShardedEngine::compact) re-partitions the survivors with the
 //! very call and seed the build ran. An engine without a pivot space
@@ -811,8 +812,9 @@ impl<O> ShardedEngine<O> {
     ///   that lost a member lying on a face of its routing box has the box
     ///   recomputed from its surviving members' rows in one pass
     ///   ([`RoutingTable::rebox_from_rows`]) — a member strictly inside the
-    ///   box cannot have changed it — so boxes stay tight and pruning does
-    ///   not decay under churn.
+    ///   box cannot have changed it, and only gives its row back to the
+    ///   shard's routing centre ([`RoutingTable::forget`]) — so boxes stay
+    ///   tight and pruning does not decay under churn.
     /// * If the batch leaves live counts imbalanced past the
     ///   [`RefreshPolicy`], the worst shard pair is incrementally
     ///   re-clustered: a deterministic 2-means re-split over the members'
@@ -1104,24 +1106,29 @@ impl<O> ShardedEngine<O> {
             return false;
         }
         txn.stats.removes += 1;
-        if let (false, Some(rt)) = (txn.dirty[s], &txn.router) {
+        if let (false, Some(rt)) = (txn.dirty[s], txn.router.as_mut()) {
+            let row = || txn.shards[s].pivot_row(local);
             let b = &rt.boxes()[s];
-            let inside = txn.shards[s]
-                .pivot_row(local)
-                .zip(b.lo().iter().zip(b.hi()))
-                .all(|(y, (&lo, &hi))| {
-                    let (below, above) = stored_interval(y);
-                    lo < below && above < hi
-                });
-            txn.dirty[s] = !inside;
+            let inside = row().zip(b.lo().iter().zip(b.hi())).all(|(y, (&lo, &hi))| {
+                let (below, above) = stored_interval(y);
+                lo < below && above < hi
+            });
+            if inside {
+                // The box stands; the centre gives the row back. A flagged
+                // shard's centre is recomputed with its box instead.
+                rt.forget(s, row());
+            } else {
+                txn.dirty[s] = true;
+            }
         }
         true
     }
 
-    /// Recomputes the staged routing boxes of the flagged shards from
-    /// their live members' rows. Work is bounded by the flagged shards'
-    /// own slot tables. Returns how many boxes were recomputed (0 when the
-    /// engine has no router).
+    /// Recomputes the staged routing boxes and centres of the flagged
+    /// shards from their live members' rows, in slot order (re-clustering
+    /// and compaction get their centres here). Work is bounded by the
+    /// flagged shards' own slot tables. Returns how many boxes were
+    /// recomputed (0 when the engine has no router).
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
         let Some(rt) = txn.router.as_mut() else {
             return 0;
@@ -1394,6 +1401,7 @@ impl<O> ShardedEngine<O> {
 mod tests {
     use super::*;
     use crate::Query;
+    use pmi_metric::lemmas::Mbb;
     use pmi_metric::{BruteForce, Metric, MetricIndex, L2};
 
     pub(super) fn grid(n: usize) -> Vec<Vec<f32>> {
@@ -1572,6 +1580,30 @@ mod tests {
             shrunk.range_query(&survivor, 0.5),
             vec![b_ids[b_ids.len() - 1]]
         );
+    }
+
+    #[test]
+    fn a_pinned_snapshot_keeps_the_table_it_was_published_with() {
+        let (_, mut e) = routed_two_clusters();
+        let table_of = |rt: &RoutingTable<Vec<f32>>| -> Vec<(Mbb, Option<Vec<f64>>)> {
+            (0..rt.num_shards())
+                .map(|s| (rt.boxes()[s].clone(), rt.centre(s).map(|c| c.collect())))
+                .collect()
+        };
+        // What an in-flight reader batch holds across the commits below.
+        let pinned = e.core.snapshot();
+        let published = table_of(pinned.router.as_ref().unwrap());
+        assert_eq!(published[1].1, Some(vec![104.5]));
+        // An insert, an interior remove (102) and a face remove (109): the
+        // staged copy's centre moves by `extend`, `forget` and a rebox.
+        let mut batch = UpdateBatch::new();
+        batch.insert(vec![107.5]).remove(5).remove(19);
+        assert_eq!(e.apply(&batch).reboxed_shards, 1);
+        assert_eq!(table_of(pinned.router.as_ref().unwrap()), published);
+        // {100, 101, 103, …, 108} and 107.5 remain.
+        let now = table_of(e.routing().unwrap());
+        assert_eq!(now[1].1, Some(vec![(1045.0 - 102.0 - 109.0 + 107.5) / 9.0]));
+        assert_eq!(now[0], published[0], "cluster A was never touched");
     }
 
     #[test]

@@ -409,9 +409,14 @@ fn sample_quantile(sorted_nanos: &[u64], q: f64) -> f64 {
 enum ProbeKind {
     /// Range planning recorded every shard's verdict up front.
     Range,
-    /// kNN decides shard by shard, so the verdict — box lower bound and
-    /// best-first rank — is traced as the probe starts.
-    Knn { lb: f64, rank: u32 },
+    /// kNN decides shard by shard, so the verdict — box lower bound,
+    /// best-first rank and (traced queries only) the centre distance that
+    /// ranks bound ties — is traced as the probe starts.
+    Knn {
+        lb: f64,
+        rank: u32,
+        centre_dist: f64,
+    },
 }
 
 impl<O> EngineCore<O> {
@@ -489,12 +494,18 @@ impl<O> EngineCore<O> {
         // per-probe counter snapshots — neither exists on the untraced
         // path.
         let tsnap = trace.active.then(|| {
-            if let ProbeKind::Knn { lb, rank } = kind {
+            if let ProbeKind::Knn {
+                lb,
+                rank,
+                centre_dist,
+            } = kind
+            {
                 trace.ring.push(TraceEvent::Plan {
                     shard: s as u32,
                     lower_bound: lb,
                     probed: true,
                     order: rank,
+                    centre_dist,
                 });
             }
             (shard.counters(), qs.kernel_rows, qs.kernel_blocks)
@@ -587,6 +598,7 @@ impl<O> EngineCore<O> {
                             lower_bound: b.lower_bound(mapped),
                             probed,
                             order,
+                            centre_dist: 0.0,
                         });
                     }
                 }
@@ -597,6 +609,7 @@ impl<O> EngineCore<O> {
                             lower_bound: 0.0,
                             probed: true,
                             order: s as u32,
+                            centre_dist: 0.0,
                         });
                     }
                 }
@@ -642,9 +655,10 @@ impl<O> EngineCore<O> {
     }
 
     /// Probes `MkNNQ(q, k)` serially into the scratch's bounded top-k
-    /// collector. Routed engines go best-first by box lower bound and skip
-    /// every shard whose bound exceeds the current k-th distance (strictly
-    /// — an equal bound could still hide an id-tie winner).
+    /// collector. Routed engines go best-first by box lower bound — bound
+    /// ties by the nearer centre, whose shard then seeds the radius — and
+    /// skip every shard whose bound exceeds the current k-th distance
+    /// (strictly — an equal bound could still hide an id-tie winner).
     fn knn_with(
         &self,
         snap: &EngineSnapshot<O>,
@@ -687,6 +701,11 @@ impl<O> EngineCore<O> {
         let plan_nanos = tclock.lap();
         let (mut probed, mut pruned) = (0usize, 0usize);
         for (rank, &(s, lb)) in order.iter().enumerate() {
+            // Traced queries record the key that ranked bound ties too.
+            let centre_dist = match &snap.router {
+                Some(rt) if trace.active => rt.centre_distance(s, mapped),
+                _ => 0.0,
+            };
             if lb > topk.threshold() {
                 pruned += 1;
                 if trace.active {
@@ -697,6 +716,7 @@ impl<O> EngineCore<O> {
                         lower_bound: lb,
                         probed: false,
                         order: rank as u32,
+                        centre_dist,
                     });
                 }
                 continue;
@@ -705,6 +725,7 @@ impl<O> EngineCore<O> {
             let kind = ProbeKind::Knn {
                 lb,
                 rank: rank as u32,
+                centre_dist,
             };
             probed += usize::from(self.probe(
                 shard,

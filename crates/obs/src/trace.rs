@@ -111,6 +111,11 @@ pub enum TraceEvent {
         probed: bool,
         /// Position in the planning order (probe rank for probed shards).
         order: u32,
+        /// Squared pivot-space distance from the mapped query to the
+        /// shard's centre: the key a kNN plan ranks shards by where their
+        /// bounds tie (`∞` for a shard without members). 0 where no centre
+        /// is consulted — range plans and round-robin engines.
+        centre_dist: f64,
     },
     /// Planning finished: totals plus the plan-stage wall.
     PlanDone {
@@ -342,7 +347,7 @@ impl QueryTrace {
 
         // Plan stage: the summary line, then one verdict per shard in
         // planning order.
-        let mut plan: Vec<(u32, u32, f64, bool)> = self
+        let mut plan: Vec<(u32, u32, f64, f64, bool)> = self
             .events
             .iter()
             .filter_map(|e| match e {
@@ -351,11 +356,30 @@ impl QueryTrace {
                     lower_bound,
                     probed,
                     order,
-                } => Some((*order, *shard, *lower_bound, *probed)),
+                    centre_dist,
+                } => Some((*order, *shard, *lower_bound, *centre_dist, *probed)),
                 _ => None,
             })
             .collect();
         plan.sort_by_key(|&(order, shard, ..)| (order, shard));
+        // A kNN plan ranks by (bound, centre distance, shard id): a line
+        // whose bound ties with a neighbour's says which later key placed
+        // it.
+        let tie_note = |i: usize| {
+            let (.., lb, centre, _) = plan[i];
+            let around = || {
+                [i.wrapping_sub(1), i + 1]
+                    .into_iter()
+                    .filter_map(|j| plan.get(j))
+            };
+            if !matches!(self.kind, TraceKind::Knn { .. }) || !around().any(|p| p.2 == lb) {
+                String::new()
+            } else if around().any(|p| p.2 == lb && p.3 == centre) {
+                "  (bound and centre tie: by shard id)".to_string()
+            } else {
+                format!("  (bound tie: by centre², {centre:.3})")
+            }
+        };
         let done = self.events.iter().find_map(|e| match e {
             TraceEvent::PlanDone {
                 shards,
@@ -374,13 +398,16 @@ impl QueryTrace {
         } else {
             out.push_str("├─ plan\n");
         }
-        for (order, shard, lb, probed) in &plan {
+        for (i, (order, shard, lb, _, probed)) in plan.iter().enumerate() {
+            let tie = tie_note(i);
             if *probed {
                 out.push_str(&format!(
-                    "│    probe #{order} → shard {shard}  lb {lb:.3}\n"
+                    "│    probe #{order} → shard {shard}  lb {lb:.3}{tie}\n"
                 ));
             } else {
-                out.push_str(&format!("│    pruned    · shard {shard}  lb {lb:.3}\n"));
+                out.push_str(&format!(
+                    "│    pruned    · shard {shard}  lb {lb:.3}{tie}\n"
+                ));
             }
         }
 
@@ -463,6 +490,7 @@ mod tests {
                     lower_bound: 0.0,
                     probed: true,
                     order: 0,
+                    centre_dist: 1.5,
                 },
                 TraceEvent::Scan {
                     shard: 2,
@@ -478,6 +506,7 @@ mod tests {
                     lower_bound: 9.99,
                     probed: false,
                     order: 1,
+                    centre_dist: 120.0,
                 },
                 TraceEvent::PlanDone {
                     shards: 2,
@@ -568,6 +597,44 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("merge: 10 results"), "{s}");
+    }
+
+    #[test]
+    fn explain_names_the_key_that_split_a_bound_tie() {
+        let plan = |shard, lower_bound, order, centre_dist| TraceEvent::Plan {
+            shard,
+            lower_bound,
+            probed: true,
+            order,
+            centre_dist,
+        };
+        let mut t = sample_trace();
+        // Shards 4 and 1 both contain the query (bound 0): the nearer
+        // centre went first. Shards 3 and 5 tie on bound and centre alike.
+        t.events = vec![
+            plan(4, 0.0, 0, 0.25),
+            plan(1, 0.0, 1, 7.5),
+            plan(2, 3.0, 2, 9.0),
+            plan(3, f64::INFINITY, 3, f64::INFINITY),
+            plan(5, f64::INFINITY, 4, f64::INFINITY),
+        ];
+        let s = t.explain();
+        assert!(
+            s.contains("probe #0 → shard 4  lb 0.000  (bound tie: by centre², 0.250)\n"),
+            "{s}"
+        );
+        assert!(
+            s.contains("probe #1 → shard 1  lb 0.000  (bound tie: by centre², 7.500)\n"),
+            "{s}"
+        );
+        assert!(s.contains("shard 2  lb 3.000\n"), "the bound decided: {s}");
+        assert!(
+            s.contains("shard 5  lb inf  (bound and centre tie: by shard id)\n"),
+            "{s}"
+        );
+        // A range plan ranks nothing: equal bounds carry no note.
+        t.kind = TraceKind::Range { radius: 1.0 };
+        assert!(!t.explain().contains("tie"));
     }
 
     #[test]

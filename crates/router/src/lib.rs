@@ -16,20 +16,31 @@
 //!   assignment that does not depend on how many there are
 //!   ([`partition::assign_pivot_space`] is its single-threaded form),
 //! * [`RoutingTable`] summarizes each shard as a minimum bounding box
-//!   ([`pmi_metric::lemmas::Mbb`]) over its mapped points, and plans
-//!   queries against the summaries:
+//!   ([`pmi_metric::lemmas::Mbb`]) and a centre (the mean) over its mapped
+//!   points, and plans queries against the summaries:
 //!   - **range**: a shard whose box satisfies `lemma1_box_prunable` cannot
 //!     hold any answer and is skipped outright
 //!     ([`RoutingTable::range_plan_into`]),
-//!   - **kNN**: shards are ordered best-first by the box lower bound
+//!   - **kNN**: shards are ordered best-first by the box lower bound,
+//!     shards whose bounds tie — a query usually lies inside several
+//!     overlapping boxes, bound 0 for each — by the distance from the
+//!     mapped query to their centre, the quantity the balanced k-means
+//!     partition was built on, and only then by shard id
 //!     ([`RoutingTable::knn_order_into`]); the engine probes in that order
 //!     and skips every shard whose lower bound exceeds the current k-th
-//!     distance as the global heap tightens.
+//!     distance as the global heap tightens. The first shard probed seeds
+//!     that distance, so the tie rule decides what a kNN costs (never what
+//!     it answers).
 //!
 //! Boxes stay exact under churn: the engine's mutation path grows a box on
 //! insert ([`RoutingTable::extend`]) and recomputes it from the surviving
-//! members on remove ([`RoutingTable::shrink`] /
-//! [`RoutingTable::rebox_from_rows`]).
+//! members when a remove hits one of its faces
+//! ([`RoutingTable::rebox_from_rows`]). Centres ride along — `extend` adds
+//! the row, [`RoutingTable::forget`] subtracts a removed one, a rebox
+//! recomputes — and are a function of the rows a shard *stores* (the f64
+//! sum of the stored f32 values in slot order, over the count), so a build
+//! and a compaction of the same survivors order their probes, and count
+//! their distances, identically.
 //!
 //! Both decisions are conservative applications of Lemma 1, so routed
 //! answers are *identical* to probing every shard — pruning only ever

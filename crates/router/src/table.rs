@@ -18,15 +18,20 @@ pub type Mapper<O> = Box<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
-/// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and one
-/// bounding box per shard over its members' mapped points — over what the
-/// shard *stores* of them: the bounding box of the members' stored (f32)
-/// pivot distances, widened outward by one f32 ulp per face
-/// ([`Mbb::extend_stored`]). That box is a pure function of the shard's
-/// stored columns — identical whether it was grown insert by insert or
-/// recomputed from the rows — and contains the exact f64 map of every
-/// member, so planning against it with the exact f64 map of a query stays
-/// admissible.
+/// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and, per
+/// shard, one bounding box and one centre over its members' mapped points —
+/// over what the shard *stores* of them. The box is the bounding box of the
+/// members' stored (f32) pivot distances, widened outward by one f32 ulp per
+/// face ([`Mbb::extend_stored`]); the centre is their mean, kept as the f64
+/// sum of the stored values and the live count. Both are pure functions of
+/// the shard's stored columns: the box is identical whether it was grown
+/// insert by insert or recomputed from the rows, and contains the exact f64
+/// map of every member, so planning against it with the exact f64 map of a
+/// query stays admissible; the centre recomputed from the rows (a build, a
+/// [`rebox_from_rows`](Self::rebox_from_rows)) is the sum *in slot order*
+/// over the count, so a fresh build and a compaction of the same survivors
+/// agree bit for bit — which keeps their probe orders, and with them their
+/// distance counts, identical.
 ///
 /// Planning is a conservative application of Lemma 1 at shard granularity,
 /// so a routed engine returns exactly what probing every shard would:
@@ -35,25 +40,37 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 ///   box intersects the query's search box (`lemma1_box_prunable` on the
 ///   rest);
 /// * [`knn_order_into`](Self::knn_order_into) sorts shards by ascending box
-///   lower bound, letting the engine probe best-first and stop paying for
-///   shards whose bound exceeds the current k-th distance.
+///   lower bound, bound ties by the nearer centre, letting the engine probe
+///   best-first and stop paying for shards whose bound exceeds the current
+///   k-th distance.
 ///
 /// All planning entry points are write-into (the serving hot loop reuses
 /// one buffer per worker); the old allocating wrappers are gone.
 ///
 /// Boxes are maintained exactly through the engine's mutation path: grown
 /// on insert ([`extend`](Self::extend)) and recomputed from the surviving
-/// members' stored rows on remove ([`shrink`](Self::shrink) /
-/// [`rebox_from_rows`](Self::rebox_from_rows)), so pruning power does not
+/// members' stored rows when a remove hits a face
+/// ([`rebox_from_rows`](Self::rebox_from_rows)), so pruning power does not
 /// decay under churn — there is exactly one mutation route (the engine's
-/// transactional `apply`), so published boxes are never stale.
+/// transactional `apply`), so published boxes are never stale. Centres
+/// follow the same route: `extend` adds a row, [`forget`](Self::forget)
+/// subtracts one, a rebox recomputes. Between reboxes a centre may differ
+/// from the mean of the rows by accumulated rounding, which can only ever
+/// reorder two shards whose bounds tie and whose centres are equidistant
+/// to that precision — an order the answer does not depend on.
 ///
-/// Cloning shares the mapper (an `Arc`) and deep-copies only the boxes:
-/// the table is immutable once published inside an engine snapshot, and
-/// the apply transaction reboxes a copy-on-write clone off to the side.
+/// Cloning shares the mapper (an `Arc`) and deep-copies the boxes and
+/// centres: the table is immutable once published inside an engine
+/// snapshot, and the apply transaction reboxes a copy-on-write clone off to
+/// the side.
 pub struct RoutingTable<O> {
     mapper: SharedMapper<O>,
     boxes: Vec<Mbb>,
+    /// Shard-major, one box dimension each: `sums[s * dim..][..dim]` is Σ
+    /// of shard `s`'s live stored rows.
+    sums: Vec<f64>,
+    /// Live rows behind each shard's sum.
+    counts: Vec<u64>,
 }
 
 impl<O> Clone for RoutingTable<O> {
@@ -61,31 +78,23 @@ impl<O> Clone for RoutingTable<O> {
         RoutingTable {
             mapper: Arc::clone(&self.mapper),
             boxes: self.boxes.clone(),
+            sums: self.sums.clone(),
+            counts: self.counts.clone(),
         }
     }
 }
 
 impl<O> RoutingTable<O> {
-    /// Wraps a mapper and pre-computed per-shard boxes.
+    /// Builds the table from a partitioning — the only way to make one:
+    /// row `i` of `mapped` (the build-time pivot-distance matrix) is object
+    /// `i`'s pivot-distance vector, `assignment[i]` its shard. Each box and
+    /// centre covers what its shard will store of those rows (see
+    /// [`extend`](Self::extend)); a shard's members are summed in row
+    /// order, the order it stores them in.
     ///
     /// Correctness contract: `mapper` must append the pivot-distance vector
-    /// of its argument under the *same* pivots and metric that produced the
-    /// boxes, and every object in shard `s` must have its (exact) mapped
-    /// point inside `boxes[s]`.
-    pub fn new(
-        mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
-        boxes: Vec<Mbb>,
-    ) -> Self {
-        RoutingTable {
-            mapper: Arc::new(mapper),
-            boxes,
-        }
-    }
-
-    /// Builds the table from a partitioning: row `i` of `mapped` (the
-    /// build-time pivot-distance matrix) is object `i`'s pivot-distance
-    /// vector, `assignment[i]` its shard. Each box covers what its shard
-    /// will store of those rows (see [`extend`](Self::extend)).
+    /// of its argument under the *same* pivots and metric that produced
+    /// `mapped`.
     pub fn from_assignment(
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
         dim: usize,
@@ -99,15 +108,26 @@ impl<O> RoutingTable<O> {
         // is the stored form of the exact rows' box: take that (two
         // compares a value), then widen each occupied box once.
         let mut exact = vec![Mbb::empty(dim); shards];
+        let mut sums = vec![0.0; shards * dim];
+        let mut counts = vec![0u64; shards];
         for ((_, m), &s) in mapped.iter_rows().zip(assignment) {
             exact[s].extend(m);
+            for (t, &x) in sums[s * dim..][..dim].iter_mut().zip(m) {
+                *t += f64::from(quantise(x));
+            }
+            counts[s] += 1;
         }
-        let mut table = Self::new(mapper, vec![Mbb::empty(dim); shards]);
-        for (s, b) in exact.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
-            table.extend(s, b.lo());
-            table.extend(s, b.hi());
+        let mut boxes = vec![Mbb::empty(dim); shards];
+        for (b, e) in boxes.iter_mut().zip(&exact).filter(|(_, e)| !e.is_empty()) {
+            b.extend_stored(e.lo().iter().map(|&x| quantise(x)));
+            b.extend_stored(e.hi().iter().map(|&x| quantise(x)));
         }
-        table
+        RoutingTable {
+            mapper: Arc::new(mapper),
+            boxes,
+            sums,
+            counts,
+        }
     }
 
     /// Number of shards the table routes over.
@@ -118,6 +138,33 @@ impl<O> RoutingTable<O> {
     /// The per-shard boxes, for inspection.
     pub fn boxes(&self) -> &[Mbb] {
         &self.boxes
+    }
+
+    /// Shard `s`'s centre — the mean of its live members' stored rows —
+    /// for inspection; `None` for a shard without members.
+    pub fn centre(&self, s: usize) -> Option<impl Iterator<Item = f64> + '_> {
+        let n = self.counts[s];
+        (n > 0).then(|| self.sum(s).iter().map(move |&t| t / n as f64))
+    }
+
+    /// Squared Euclidean distance in pivot space from a mapped query to
+    /// shard `s`'s centre — the key [`knn_order_into`](Self::knn_order_into)
+    /// breaks bound ties with; `∞` for a shard without members.
+    pub fn centre_distance(&self, s: usize, q_dists: &[f64]) -> f64 {
+        match self.centre(s) {
+            Some(c) => c.zip(q_dists).map(|(c, &q)| (c - q) * (c - q)).sum(),
+            None => f64::INFINITY,
+        }
+    }
+
+    fn sum(&self, s: usize) -> &[f64] {
+        let dim = self.boxes[s].dim();
+        &self.sums[s * dim..][..dim]
+    }
+
+    fn sum_mut(&mut self, s: usize) -> &mut [f64] {
+        let dim = self.boxes[s].dim();
+        &mut self.sums[s * dim..][..dim]
     }
 
     /// Maps a query object into pivot space (`l` distance computations)
@@ -137,9 +184,20 @@ impl<O> RoutingTable<O> {
     }
 
     /// All shards ordered best-first for `MkNNQ(q, k)`, written into a
-    /// reused buffer (cleared first): ascending box lower bound (`MINDIST`
-    /// in pivot space), ties by shard id. The engine probes in this order
-    /// and skips every shard whose bound exceeds the current k-th distance.
+    /// reused buffer (cleared first) as `(shard, box lower bound)`:
+    /// ascending box lower bound (`MINDIST` in pivot space), bound ties by
+    /// ascending [`centre_distance`](Self::centre_distance), then by shard
+    /// id. The engine probes in this order and skips every shard whose
+    /// bound exceeds the current k-th distance.
+    ///
+    /// The tie rule decides what a kNN costs: boxes of a clustered
+    /// partition overlap, so a query usually lies inside several (bound 0
+    /// for each), and the shard probed first seeds the radius every later
+    /// probe prunes with. The shard whose centre is nearest is the one the
+    /// balanced k-means partition would have put the query in — the likely
+    /// home of its true neighbours — where the shard id says nothing. The
+    /// answer does not depend on the order (the engine merges by
+    /// `(distance, id)`), only the number of distances paid for it does.
     pub fn knn_order_into(&self, q_dists: &[f64], out: &mut Vec<(usize, f64)>) {
         out.clear();
         out.extend(
@@ -148,44 +206,72 @@ impl<O> RoutingTable<O> {
                 .enumerate()
                 .map(|(s, b)| (s, b.lower_bound(q_dists))),
         );
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        // Centre distances are computed only where two bounds tie: a
+        // handful of `l`-term sums per query, and nothing to allocate.
+        out.sort_unstable_by(|a, b| {
+            a.1.total_cmp(&b.1)
+                .then_with(|| {
+                    self.centre_distance(a.0, q_dists)
+                        .total_cmp(&self.centre_distance(b.0, q_dists))
+                })
+                .then(a.0.cmp(&b.0))
+        });
     }
 
-    /// Grows shard `s`'s box to cover a newly inserted object: `point` is
-    /// its exact mapped point, and the box grows by the interval its
-    /// *stored* form stands for — exactly what
+    /// Grows shard `s`'s box and moves its centre to cover a newly inserted
+    /// object: `point` is its exact mapped point, and the box grows by the
+    /// interval its *stored* form stands for — exactly what
     /// [`rebox_from_rows`](Self::rebox_from_rows) would produce for that
     /// row, so an insert followed by a rebox of the same members yields the
-    /// identical box.
+    /// identical box — while the centre takes the stored value itself.
     pub fn extend(&mut self, s: usize, point: &[f64]) {
         self.boxes[s].extend_stored(point.iter().map(|&x| quantise(x)));
+        for (t, &x) in self.sum_mut(s).iter_mut().zip(point) {
+            *t += f64::from(quantise(x));
+        }
+        self.counts[s] += 1;
     }
 
-    /// Replaces shard `s`'s box with an exactly recomputed one — the
-    /// engine's remove path shrinks stale boxes back to the minimum box
-    /// over the shard's surviving members (it recomputes several shards'
-    /// boxes in one pass over its locator and installs each here).
-    ///
-    /// Correctness contract: `to` must cover every live member's exact
-    /// mapped point; passing the box over the stored rows restores full
-    /// pruning power.
-    pub fn shrink(&mut self, s: usize, to: Mbb) {
-        debug_assert_eq!(to.dim(), self.boxes[s].dim());
-        self.boxes[s] = to;
+    /// Takes a removed member's stored `row` out of shard `s`'s centre. The
+    /// box is left alone: the engine calls this for a member strictly
+    /// inside it, and recomputes box and centre together
+    /// ([`rebox_from_rows`](Self::rebox_from_rows)) for one on a face.
+    pub fn forget(&mut self, s: usize, row: impl IntoIterator<Item = f32>) {
+        assert!(self.counts[s] > 0, "forgetting a row of an empty shard");
+        self.counts[s] -= 1;
+        let emptied = self.counts[s] == 0;
+        let sum = self.sum_mut(s);
+        for (t, y) in sum.iter_mut().zip(row) {
+            *t -= f64::from(y);
+        }
+        if emptied {
+            // No members, no rounding residue for the next one to inherit.
+            sum.fill(0.0);
+        }
     }
 
-    /// Recomputes shard `s`'s box from its live members' stored rows (an
-    /// empty iterator leaves the always-prunable empty box). The one-shard
-    /// form of [`shrink`](Self::shrink).
+    /// Recomputes shard `s`'s box and centre from its live members' stored
+    /// rows, restoring full pruning power after removes (an empty iterator
+    /// leaves the always-prunable empty box and no centre). Rows are summed
+    /// in the order given — the engine passes slot order.
     pub fn rebox_from_rows<R>(&mut self, s: usize, rows: impl IntoIterator<Item = R>)
     where
         R: IntoIterator<Item = f32>,
     {
         let mut to = Mbb::empty(self.boxes[s].dim());
+        let sum = self.sum_mut(s);
+        sum.fill(0.0);
+        let mut count = 0;
         for row in rows {
-            to.extend_stored(row);
+            // One pass over the row feeds both the box and the sum.
+            to.extend_stored(row.into_iter().zip(sum.iter_mut()).map(|(y, t)| {
+                *t += f64::from(y);
+                y
+            }));
+            count += 1;
         }
-        self.shrink(s, to);
+        self.boxes[s] = to;
+        self.counts[s] = count;
     }
 }
 
@@ -194,6 +280,8 @@ impl<O> std::fmt::Debug for RoutingTable<O> {
         f.debug_struct("RoutingTable")
             .field("shards", &self.boxes.len())
             .field("boxes", &self.boxes)
+            .field("sums", &self.sums)
+            .field("counts", &self.counts)
             .finish_non_exhaustive()
     }
 }
@@ -286,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn shrink_and_rebox_restore_pruning() {
+    fn rebox_restores_pruning() {
         // Shard 0 holds |x| in {1, 2, 9}; removing the 9 leaves the box
         // stale at [1, 9] until it is recomputed from the survivors.
         let mut t = table(&[(1.0, 0), (2.0, 0), (9.0, 0), (30.0, 1)], 2);
@@ -309,10 +397,174 @@ mod tests {
             "recomputed box prunes the query again"
         );
         assert_eq!(range_plan(&t, &[1.5], 0.5), vec![0], "members still found");
-        // shrink() installs a caller-built box; an empty one (the shard
-        // lost its last member) is always pruned.
-        t.shrink(0, Mbb::empty(1));
+        // The shard lost its last member: the empty box is always pruned.
+        t.rebox_from_rows(0, [[0.0f32]; 0]);
         assert_eq!(range_plan(&t, &[1.5], 1e9), vec![1]);
         assert_eq!(knn_order(&t, &[1.5])[1], (0, f64::INFINITY));
+    }
+
+    fn centre(t: &RoutingTable<f64>, s: usize) -> Option<Vec<f64>> {
+        t.centre(s).map(|c| c.collect())
+    }
+
+    fn shards_of(order: &[(usize, f64)]) -> Vec<usize> {
+        order.iter().map(|&(s, _)| s).collect()
+    }
+
+    #[test]
+    fn bound_ties_go_to_the_nearer_centre_then_the_lower_id() {
+        // Three overlapping boxes: [1, 9] centred 5, [4, 8] and [3, 9]
+        // both centred 6.
+        let t = table(
+            &[(1.0, 0), (9.0, 0), (4.0, 1), (8.0, 1), (3.0, 2), (9.0, 2)],
+            3,
+        );
+        assert_eq!(centre(&t, 0), Some(vec![5.0]));
+        assert_eq!(centre(&t, 1), Some(vec![6.0]));
+        // 7 lies inside all three (bound 0): the two centres at 6 come
+        // first, lower id first between them; by id alone it was 0, 1, 2.
+        let order = knn_order(&t, &[7.0]);
+        assert!(order.iter().all(|&(_, lb)| lb == 0.0));
+        assert_eq!(shards_of(&order), vec![1, 2, 0]);
+        // 5 sits on shard 0's centre.
+        assert_eq!(shards_of(&knn_order(&t, &[5.0])), vec![0, 1, 2]);
+        // 3.5 is outside shard 1's box: the bound decides that one, the
+        // centres the tie between the other two.
+        let order = knn_order(&t, &[3.5]);
+        assert_eq!(shards_of(&order), vec![0, 2, 1]);
+        assert!(order[1].1 == 0.0 && order[2].1 > 0.0);
+    }
+
+    #[test]
+    fn distinct_bounds_keep_their_order_whatever_the_centres_say() {
+        // Shard 0's box [0, 10] has its centre far left at 2.5; shard 1's
+        // box [11, 12] is centred at 11.5. A query at 10.4 is nearer shard
+        // 0's *box* and far nearer shard 1's *centre*: the box decides.
+        let t = table(
+            &[
+                (0.0, 0),
+                (0.0, 0),
+                (0.0, 0),
+                (10.0, 0),
+                (11.0, 1),
+                (12.0, 1),
+            ],
+            2,
+        );
+        let q = [10.4];
+        assert!(t.centre_distance(1, &q) < t.centre_distance(0, &q));
+        let order = knn_order(&t, &q);
+        assert_eq!(shards_of(&order), vec![0, 1]);
+        assert!(order[0].1 < order[1].1);
+    }
+
+    #[test]
+    fn an_empty_shard_stays_last_and_has_no_centre() {
+        // Shard 0 never receives a point; the query is inside both others.
+        let t = table(&[(1.0, 1), (9.0, 1), (2.0, 2), (4.0, 2)], 3);
+        assert_eq!(centre(&t, 0), None);
+        assert_eq!(t.centre_distance(0, &[3.0]), f64::INFINITY);
+        let order = knn_order(&t, &[3.0]);
+        assert_eq!(order, vec![(2, 0.0), (1, 0.0), (0, f64::INFINITY)]);
+    }
+
+    #[test]
+    fn extend_forget_and_rebox_move_the_centre() {
+        let mut t = table(&[(1.0, 0), (3.0, 0), (10.0, 1)], 2);
+        assert_eq!(centre(&t, 0), Some(vec![2.0]));
+        t.extend(0, &[8.0]);
+        assert_eq!(centre(&t, 0), Some(vec![4.0]));
+        // A member strictly inside the box leaves: the box stays, the
+        // centre follows.
+        let boxed = t.boxes()[0].clone();
+        t.forget(0, [3.0f32]);
+        assert_eq!(centre(&t, 0), Some(vec![4.5]));
+        assert_eq!(t.boxes()[0], boxed);
+        // The centre is over the *stored* values: 0.1 is not an f32.
+        t.extend(1, &[0.1]);
+        assert_eq!(centre(&t, 1), Some(vec![(10.0 + f64::from(0.1f32)) / 2.0]));
+        t.rebox_from_rows(1, [[0.1f32], [0.5]]);
+        assert_eq!(
+            centre(&t, 1),
+            Some(vec![(f64::from(0.1f32) + 0.5) / 2.0]),
+            "a rebox recomputes the centre from the rows it is given"
+        );
+        // The last member forgotten: no centre, and no residue for the next.
+        let mut t = table(&[(0.1, 0), (0.7, 1)], 2);
+        t.forget(0, [0.1f32]);
+        assert_eq!(centre(&t, 0), None);
+        t.extend(0, &[0.25]);
+        assert_eq!(centre(&t, 0), Some(vec![0.25]));
+        // A clone carries the centres it was cloned with.
+        let published = t.clone();
+        t.extend(0, &[0.75]);
+        assert_eq!(centre(&published, 0), Some(vec![0.25]));
+        assert_eq!(centre(&t, 0), Some(vec![0.5]));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Random rows on a coarse grid (boxes overlap and bounds tie at 0
+        /// and elsewhere; some shards stay empty), a few inserts on top:
+        /// the order is the sort of `(bound, centre distance, id)` with
+        /// the centre worked out here from the rows, and its bound column
+        /// is the `(bound, id)` order's.
+        #[test]
+        fn knn_order_is_the_sort_of_bound_centre_distance_id(
+            cells in prop::collection::vec((0u32..10_000, 0usize..6), 1..60),
+            inserts in prop::collection::vec((0u32..10_000, 0usize..6), 0..8),
+            width in 1usize..=4,
+            shards in 1usize..=6,
+            q_cell in 0u32..10_000,
+        ) {
+            let point = |cell: u32| -> Vec<f64> {
+                (0..width as u32).map(|k| f64::from((cell / 10u32.pow(k)) % 10) / 3.0).collect()
+            };
+            let rows: Vec<Vec<f64>> = cells.iter().map(|&(c, _)| point(c)).collect();
+            let assignment: Vec<usize> = cells.iter().map(|&(_, s)| s % shards).collect();
+            let mut t = RoutingTable::from_assignment(
+                |_: &f64, _: &mut Vec<f64>| {},
+                width,
+                &PivotMatrix::from_rows(width, &rows),
+                &assignment,
+                shards,
+            );
+            let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shards];
+            for (row, &s) in rows.iter().zip(&assignment) {
+                members[s].push(row.clone());
+            }
+            for &(c, s) in &inserts {
+                t.extend(s % shards, &point(c));
+                members[s % shards].push(point(c));
+            }
+            let q = point(q_cell);
+            let centre_distance = |s: usize| -> f64 {
+                if members[s].is_empty() {
+                    return f64::INFINITY;
+                }
+                (0..width)
+                    .map(|j| {
+                        let sum: f64 = members[s].iter().map(|r| f64::from(quantise(r[j]))).sum();
+                        let c = sum / members[s].len() as f64;
+                        (c - q[j]) * (c - q[j])
+                    })
+                    .sum()
+            };
+            let mut want: Vec<(usize, f64, f64)> = (0..shards)
+                .map(|s| (s, t.boxes()[s].lower_bound(&q), centre_distance(s)))
+                .collect();
+            let mut by_id = want.clone();
+            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)).then(a.0.cmp(&b.0)));
+            by_id.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let got = knn_order(&t, &q);
+            prop_assert_eq!(&got, &want.iter().map(|&(s, lb, _)| (s, lb)).collect::<Vec<_>>());
+            prop_assert_eq!(
+                got.iter().map(|&(_, lb)| lb.to_bits()).collect::<Vec<_>>(),
+                by_id.iter().map(|&(_, lb, _)| lb.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -10,6 +10,12 @@
 //! The rows that rule reads live with the shard (inside the index for the
 //! tables, beside it for the rest): each is checked against the object it
 //! belongs to.
+//!
+//! The routing centres ride the same path: each is the mean of its shard's
+//! live stored rows — bit for bit the slot-order f64 sum over the count
+//! wherever it was just recomputed (a build, a rebox, a compaction), within
+//! rounding of it where it was maintained insert by insert and remove by
+//! remove.
 
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, Layout, ShardedEngine};
@@ -90,6 +96,43 @@ fn assert_rows_true(
     }
 }
 
+/// Every routing centre against the mean of the shard's live stored rows,
+/// summed as f64 in slot order: bit for bit on the shards `recomputed`
+/// names (fresh from a build, a rebox or a compaction), within 1e-9
+/// relative on the rest (moved by `extend` / `forget` since). Nothing to
+/// check on an engine that routes nothing.
+fn assert_centres_true(e: &ShardedEngine<Vec<f32>>, recomputed: impl Fn(usize) -> bool, ctx: &str) {
+    let Some(rt) = e.routing() else {
+        return;
+    };
+    for (s, shard) in e.shards().iter().enumerate() {
+        let mut sum = vec![0.0f64; rt.boxes()[s].dim()];
+        let mut count = 0u64;
+        for (local, _) in shard.live_members() {
+            for (t, y) in sum.iter_mut().zip(shard.pivot_row(local)) {
+                *t += f64::from(y);
+            }
+            count += 1;
+        }
+        let got: Option<Vec<f64>> = rt.centre(s).map(|c| c.collect());
+        let Some(got) = got else {
+            assert_eq!(count, 0, "{ctx}: shard {s} has members and no centre");
+            continue;
+        };
+        let want: Vec<f64> = sum.iter().map(|t| t / count as f64).collect();
+        if recomputed(s) {
+            assert_eq!(bits(&got), bits(&want), "{ctx}: shard {s} centre");
+        } else {
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                    "{ctx}: shard {s} centre {got:?} drifted from {want:?}"
+                );
+            }
+        }
+    }
+}
+
 fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
     pmr::pivots::select_hfi(pts, &L2, 5, 21)
         .into_iter()
@@ -148,6 +191,7 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
             }
             let ctx = format!("{} {policy:?} fresh build", kind.label());
             assert_rows_true(&e, 600, &map, &ctx);
+            assert_centres_true(&e, |_| true, &ctx);
         }
     }
 }
@@ -193,11 +237,18 @@ fn seeded_random_batches_keep_every_box_tight() {
                 let report = e.apply(&batch);
                 id_bound += report.inserts as ObjId;
                 reboxed += report.reboxed_shards;
-                assert_rows_true(&e, id_bound, &map, &format!("{label} commit {commit}"));
+                if commit % 4 == 3 {
+                    e.heal();
+                }
+                let ctx = format!("{label} commit {commit}");
+                assert_rows_true(&e, id_bound, &map, &ctx);
+                assert_centres_true(&e, |_| false, &ctx);
             }
             assert_eq!(reboxed > 0, routed, "{label}: some remove hit a face");
             assert!(e.compact() > 0, "{label}: churn left dead rows");
-            assert_rows_true(&e, e.len() as ObjId, &map, &format!("{label} compacted"));
+            let ctx = format!("{label} compacted");
+            assert_rows_true(&e, e.len() as ObjId, &map, &ctx);
+            assert_centres_true(&e, |_| true, &ctx);
         }
     }
 }
@@ -224,6 +275,8 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         assert!(report.moved_objects > 0);
         assert_eq!(report.reboxed_shards, 2, "the re-split pair");
         assert_boxes_tight(&e, 700, kind.label());
+        // The pair was recomputed, the other four untouched since the build.
+        assert_centres_true(&e, |_| true, kind.label());
     }
 }
 
@@ -273,6 +326,11 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!((report.removes, report.reboxed_shards), (5, 0));
     assert_eq!(edges(&e, 1), widened(100.0, 109.0));
     assert_boxes_tight(&e, 20, "interior-only batch");
+    // No box was recomputed, yet shard 1's centre let the five rows go:
+    // {100, 101, 107, 108, 109} remain.
+    assert_centres_true(&e, |s| s == 0, "interior-only batch");
+    let centre: Vec<f64> = e.routing().unwrap().centre(1).unwrap().collect();
+    assert_eq!(centre, [105.0]);
 
     // The member on the upper face: one box recomputed, and it shrinks.
     let mut face = UpdateBatch::new();
@@ -281,6 +339,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 20, "face point");
+    assert_centres_true(&e, |_| true, "face point");
 
     // A duplicate row shares the face: removing one of the two touches
     // the face, so the box is recomputed — to the same box.
@@ -293,6 +352,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 21, "duplicate on a face");
+    assert_centres_true(&e, |_| true, "duplicate on a face");
 
     // Insert and remove of one object in a single batch: the insert grows
     // the staged box, the remove finds its (still staged) row on the new
@@ -304,6 +364,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!(report.reboxed_shards, 1);
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 22, "insert and remove in one batch");
+    assert_centres_true(&e, |_| true, "insert and remove in one batch");
 
     // The shard emptied: the box is the empty box, which every query prunes.
     let mut rest = UpdateBatch::new();
@@ -314,7 +375,9 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!(report.removes, 4);
     assert_eq!(report.reboxed_shards, 1);
     assert!(e.routing().unwrap().boxes()[1].is_empty());
+    assert!(e.routing().unwrap().centre(1).is_none());
     assert_boxes_tight(&e, 22, "a shard emptied");
+    assert_centres_true(&e, |_| true, "a shard emptied");
     assert_eq!(
         edges(&e, 0),
         widened(0.0, 9.0),
