@@ -167,8 +167,8 @@ where
 }
 
 /// Regenerates Table 4 (construction costs and storage sizes). LAESA and
-/// CPT store their pivot distances as f32 — 4 B each in `Mem(KB)` where
-/// the paper's implementation used 8.
+/// CPT store their pivot distances as u16 buckets — 2 B each in `Mem(KB)`
+/// where the paper's implementation used 8.
 pub fn table4(cfg: &ExpConfig) -> Vec<(Scenario, Vec<(IndexKind, BuildStats)>)> {
     let mut all = Vec::new();
     for s in Scenario::ALL {

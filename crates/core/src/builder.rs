@@ -333,9 +333,9 @@ where
 /// `objects[i]`'s distances to `pivots`) instead of recomputing the `n · l`
 /// table, with byte-identical query behavior — and engine inserts then
 /// hand over one precomputed row the index appends. Every other kind —
-/// and an FQA whose distance domain `opts.d_plus` exceeds what an f32
-/// column holds exactly (`Fqa::MAX_ADOPTED_DISTANCE`, 2²⁴) — drops the
-/// rows and builds exactly as [`build_index`] does. This is the shard
+/// and an FQA over rows that do not hold every discrete distance exactly
+/// ([`PivotColumns::holds_integers_exactly`]: distances beyond 65 535) —
+/// drops the rows and builds exactly as [`build_index`] does. This is the shard
 /// factory the facade hands `ShardedEngine::build` for an engine with a
 /// pivot space.
 pub fn build_index_with_matrix<O, M>(
@@ -363,7 +363,7 @@ where
                 objects, metric, pivots, rows, disk,
             )))
         }
-        IndexKind::Fqa if opts.d_plus <= Fqa::<O, M>::MAX_ADOPTED_DISTANCE => {
+        IndexKind::Fqa if rows.holds_integers_exactly() => {
             if !metric.is_discrete() {
                 return Err(BuildError::RequiresDiscreteMetric(kind));
             }
@@ -460,31 +460,29 @@ mod tests {
     }
 
     #[test]
-    fn fqa_declines_rows_an_f32_column_cannot_hold_exactly() {
-        // Above 2^24 a stored row no longer determines its signature: the
-        // factory builds the plain FQA, whose removes re-derive signatures
-        // from the metric and always find their row.
+    fn fqa_declines_rows_that_do_not_hold_the_distances_exactly() {
+        // Distances beyond 65 535 need a step above 1, and a stored row no
+        // longer determines its signature: the factory builds the plain
+        // FQA, whose removes re-derive signatures from the metric and
+        // always find their row.
         use pmi_metric::PivotMatrix;
-        let pts = datasets::synthetic(120, 7);
         let m = LInf::discrete();
-        let pivots = vec![pts[0].clone(), pts[1].clone()];
-        let rows = PivotColumns::from(&PivotMatrix::compute(&pts, &m, &pivots, 1));
-        for (d_plus, adopts) in [(10_000.0, true), (1e8, false)] {
+        for (scale, adopts) in [(1.0f32, true), (10.0, false)] {
+            let pts: Vec<Vec<f32>> = datasets::synthetic(120, 7)
+                .into_iter()
+                .map(|p| p.into_iter().map(|x| x * scale).collect())
+                .collect();
+            let pivots = vec![pts[0].clone(), pts[1].clone()];
+            let rows = PivotColumns::from(&PivotMatrix::compute(&pts, &m, &pivots, 1));
+            assert_eq!(rows.step() <= 1.0, adopts, "scale={scale}");
             let opts = BuildOptions {
-                d_plus,
+                d_plus: 10_000.0 * f64::from(scale),
                 ..BuildOptions::default()
             };
-            let mut idx = build_index_with_matrix(
-                IndexKind::Fqa,
-                pts.clone(),
-                m,
-                pivots.clone(),
-                &opts,
-                rows.clone(),
-            )
-            .unwrap();
-            assert_eq!(idx.pivot_rows().is_some(), adopts, "d_plus={d_plus}");
-            assert!((0..120).all(|id| idx.remove(id)), "d_plus={d_plus}");
+            let mut idx =
+                build_index_with_matrix(IndexKind::Fqa, pts, m, pivots, &opts, rows).unwrap();
+            assert_eq!(idx.pivot_rows().is_some(), adopts, "scale={scale}");
+            assert!((0..120).all(|id| idx.remove(id)), "scale={scale}");
             assert!(idx.is_empty());
         }
     }

@@ -123,8 +123,8 @@
 //! (`ShardedEngine::build`; this facade hands it the mapper over the
 //! shared pivots) computes that matrix **once, in parallel** across its
 //! worker threads ([`PivotMatrix`]), clusters/routes over its rows, and
-//! hands each shard its members' rows as planar f32 [`PivotColumns`] of
-//! its own — the only form a pivot distance is stored in, and the unit a
+//! hands each shard its members' rows as planar u16 bucket
+//! [`PivotColumns`] of its own — the only form a pivot distance is stored in, and the unit a
 //! query is routed to owns the bytes it scans — so shared-pivot
 //! tables (LAESA, CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt*
 //! their distances instead of recomputing them: a `PivotSpace` LAESA build
@@ -303,20 +303,21 @@
 //! }
 //! ```
 //!
-//! # Performance: f32 columns, the SIMD kernel, one serving model
+//! # Performance: u16 bucket columns, the SIMD kernel, one serving model
 //!
 //! The Lemma 1 filter scan is bandwidth-bound, and `docs/performance.md`
 //! documents the two levers that speed it up without changing a single
 //! answer byte, and the one way a query is served:
 //!
-//! * **Stored pivot distances are f32** — every table and shard stores
-//!   its pivot distances once, as planar `f32` columns
-//!   ([`PivotColumns`]; there is no f64 copy and no mode to pick), so the
-//!   filter streams 4 bytes per distance; a conservative rounding slack
-//!   keeps the narrow bound admissible and routing boxes cover the
-//!   interval each stored value stands for, so exact `f64` verification
-//!   returns precisely the brute-force answer (proven in
-//!   `tests/counters.rs` and `tests/properties.rs`).
+//! * **Stored pivot distances are u16 buckets** — every table and shard
+//!   stores its pivot distances once, as planar columns of `u16` bucket
+//!   codes under one power-of-two step ([`PivotColumns`]; there is no f64
+//!   copy and no mode to pick), so the filter streams 2 bytes per
+//!   distance through integer lanes; a code stands for a whole bucket, so
+//!   the bound only loosens, and routing boxes cover the bucket each
+//!   stored value stands for, so exact `f64` verification returns
+//!   precisely the brute-force answer (proven in `tests/counters.rs`,
+//!   `tests/properties.rs` and `tests/rebox.rs`).
 //! * **The SIMD kernel** — [`metric::simd`] dispatches
 //!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`

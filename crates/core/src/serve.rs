@@ -23,7 +23,7 @@
 //!   and builds its per-shard [`pmi_router::RoutingTable`] boxes from them,
 //!   so each query only probes the shards whose bounding box survives
 //!   Lemma 1;
-//! * each shard gets its members' rows, quantised once into planar f32
+//! * each shard gets its members' rows, stored once as planar u16 bucket
 //!   columns of its own (the only form a pivot distance is stored in), and
 //!   the shard factory receives them, so index kinds that adopt them
 //!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA) skip their own

@@ -102,10 +102,12 @@ impl<O> ShardedEngine<O> {
     ///    contiguous runs under round-robin, or the layout's explicit one;
     /// 3. under `PivotSpace`, the [`RoutingTable`]: one box per shard over
     ///    what it stores of its members' rows, and a clone of the mapper;
-    /// 4. each shard's rows, quantised once into its own planar f32
-    ///    [`PivotColumns`] — the only form any shard, index or snapshot
-    ///    holds them in; the full f64 matrix is dropped before the first
-    ///    shard table exists.
+    /// 4. each shard's rows, stored once as its own planar u16 bucket
+    ///    columns ([`PivotColumns`]) under the matrix's one step
+    ///    ([`PivotMatrix::step`], which the routing table gets too, and
+    ///    which every later insert, fork and compaction keeps) — the only
+    ///    form any shard, index or snapshot holds them in; the full f64
+    ///    matrix is dropped before the first shard table exists.
     ///
     /// The factory receives `(shard_number, partition, rows)` — `rows` is
     /// `Some` iff the layout has a pivot space — and must insert the
@@ -170,10 +172,13 @@ impl<O> ShardedEngine<O> {
                     slot.copy_from_slice(&row);
                 }
             });
-            (map, rows)
+            // The one step every shard's columns and the routing table
+            // get: boxes stay a pure function of the stored rows.
+            let step = rows.step();
+            (map, rows, step)
         });
         let mut matrix_compdists = 0;
-        if let Some((_, rows)) = &space {
+        if let Some((_, rows, _)) = &space {
             matrix_compdists = (rows.rows() * rows.width()) as u64;
             obs.phase_add(
                 "build.matrix",
@@ -190,7 +195,7 @@ impl<O> ShardedEngine<O> {
         let mut partitioned = None;
         let membership: Cow<[usize]> = match (layout.membership, routed) {
             (Some(m), _) => m.into(),
-            (None, Some((_, rows))) => {
+            (None, Some((_, rows, _))) => {
                 let part = pmi_router::partition_pivot_space(
                     rows,
                     num_shards,
@@ -206,7 +211,7 @@ impl<O> ShardedEngine<O> {
             }
             (None, None) => balanced_runs(n, num_shards).into(),
         };
-        let router = routed.map(|(map, rows)| {
+        let router = routed.map(|(map, rows, step)| {
             let map = Arc::clone(map);
             RoutingTable::from_assignment(
                 move |o: &O, out: &mut Vec<f64>| map(o, out),
@@ -214,6 +219,7 @@ impl<O> ShardedEngine<O> {
                 rows,
                 &membership,
                 num_shards,
+                *step,
             )
         });
         let partition_nanos = clock.lap();
@@ -221,20 +227,22 @@ impl<O> ShardedEngine<O> {
             obs.phase_add("build.partition", 1, partition_nanos, &counters);
         }
 
-        // Every partition quantises its members' rows into columns of its
-        // own and the full matrix is dropped, so the two coexist only here
-        // — before a single shard table, locator or id table exists.
+        // Every partition stores its members' rows as columns of its own,
+        // all under the matrix's one step, and the full matrix is dropped,
+        // so the two coexist only here — before a single shard table,
+        // locator or id table exists.
         let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
             .into_iter()
             .map(|(objs, gids)| {
-                let rows = space.as_ref().map(|(_, m)| {
-                    PivotColumns::from_rows(m.width(), gids.iter().map(|&g| m.row(g as usize)))
+                let rows = space.as_ref().map(|(_, m, step)| {
+                    let members = gids.iter().map(|&g| m.row(g as usize));
+                    PivotColumns::from_rows(m.width(), *step, members)
                 });
                 ((objs, gids), rows)
             })
             .collect();
         drop(membership);
-        let mapper = space.map(|(map, _)| map);
+        let mapper = space.map(|(map, _, _)| map);
         // The split belongs to no child phase.
         clock.lap();
 
@@ -411,7 +419,7 @@ mod tests {
             assert_eq!(m.rows(), part.len());
             assert_eq!(m.width(), 2);
             for (i, o) in part.iter().enumerate() {
-                assert!(m.row(i).eq([o[0], o[1]]), "the shard's rows");
+                assert!(m.row(i).eq([o[0] as f64, o[1] as f64]), "the shard's rows");
             }
             brute_factory(part)
         })

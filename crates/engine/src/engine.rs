@@ -9,8 +9,9 @@
 //! mapper the engine itself computes every object's row, clusters over the
 //! rows ([`PartitionPolicy::PivotSpace`]) or cuts balanced contiguous runs
 //! (round-robin), derives the [`RoutingTable`] boxes, and gives every shard
-//! its members' rows, quantised once into planar f32 columns of its own
-//! ([`pmi_metric::PivotColumns`], the only form a row is stored in) — so
+//! its members' rows, stored once as planar u16 bucket columns of its own
+//! under one engine-wide step ([`pmi_metric::PivotColumns`], the only form
+//! a row is stored in) — so
 //! "row `i` stores the map of object `i`", "every member lies inside its
 //! shard's box" and "a routed engine holds rows" are true by construction,
 //! not by caller contract.
@@ -480,17 +481,18 @@ type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 /// the caller's buffer. The engine and its routing table hold clones.
 type PivotMap<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
-/// Stored rows as one transient f64 matrix for the partitioner (every f32
-/// is an f64, so a moved object's row re-quantises to itself).
+/// Stored rows as one transient f64 matrix for the partitioner (a stored
+/// value is its bucket's lower edge and every shard shares one step, so a
+/// moved object's row is stored again as the codes it had).
 fn stored_rows<R>(width: usize, rows: impl Iterator<Item = R>) -> PivotMatrix
 where
-    R: Iterator<Item = f32>,
+    R: Iterator<Item = f64>,
 {
     let mut out = PivotMatrix::with_capacity(width, rows.size_hint().0);
     let mut buf = Vec::with_capacity(width);
     for row in rows {
         buf.clear();
-        buf.extend(row.map(f64::from));
+        buf.extend(row);
         out.push_row(&buf);
     }
     out
@@ -1091,11 +1093,11 @@ impl<O> ShardedEngine<O> {
     /// The one remove path: tombstone, and flag the shard for a box
     /// recomputation only if the box can have changed. Every staged box is
     /// the bounding box of its shard's live *stored* rows, each value
-    /// widened to the interval it stands for (true at build, kept by every
+    /// widened to the bucket it stands for (true at build, kept by every
     /// insert's `extend` and every recomputation), so a member whose
-    /// widened row lies strictly inside it on every pivot dimension attains
-    /// no face: removing it leaves every per-dimension min and max — the
-    /// box — exactly as it was. The tombstoned slot keeps its row, whether
+    /// bucket lies strictly inside it on every pivot dimension attains no
+    /// face: removing it leaves every per-dimension min and max — the box
+    /// — exactly as it was. The tombstoned slot keeps its row, whether
     /// it was there at the last commit or inserted by this very batch.
     fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId) -> bool {
         let Some((s, local)) = txn.locator.remove(id) else {
@@ -1108,9 +1110,9 @@ impl<O> ShardedEngine<O> {
         txn.stats.removes += 1;
         if let (false, Some(rt)) = (txn.dirty[s], txn.router.as_mut()) {
             let row = || txn.shards[s].pivot_row(local);
-            let b = &rt.boxes()[s];
+            let (b, step) = (&rt.boxes()[s], rt.step());
             let inside = row().zip(b.lo().iter().zip(b.hi())).all(|(y, (&lo, &hi))| {
-                let (below, above) = stored_interval(y);
+                let (below, above) = stored_interval(y, step);
                 lo < below && above < hi
             });
             if inside {
@@ -1264,7 +1266,10 @@ impl<O> ShardedEngine<O> {
     ///
     /// Serving afterwards is byte-identical — results, compdists,
     /// probe/prune counts — to a rebuild over the survivors with this
-    /// membership. **Renumbers global ids**: ids returned by earlier
+    /// membership and the same step (the rows keep the step the engine
+    /// was built under; a rebuild sizes its own from the survivors, which
+    /// differs only if the largest pivot distance left or entered a
+    /// power-of-two band). **Renumbers global ids**: ids returned by earlier
     /// inserts are invalidated, exactly as a rebuild would. Returns the
     /// number of dead rows dropped (0 on an engine without a pivot space,
     /// or with nothing dead).
@@ -1532,11 +1537,13 @@ mod tests {
         assert_eq!(report.map_compdists, 4, "one 2-wide row per insert");
         assert_eq!(report.shard_compdists, 0, "BruteForce inserts are free");
         assert_eq!(report.reboxed_shards, 0, "no router, nothing to shrink");
+        // The grid's coordinates stay under 30, so the rows are stored in
+        // steps of 2⁻¹¹ that stop short of 32: both inserts saturate.
+        let top = 65_535.0 / 2048.0;
         for gid in [30, 31] {
             let (s, local) = e.locate(gid).unwrap();
-            let o = e.get(gid).unwrap();
             assert!(
-                e.shards()[s].pivot_row(local).eq([o[0], o[1]]),
+                e.shards()[s].pivot_row(local).eq([top, top]),
                 "the shard keeps the row a BruteForce index does not take"
             );
         }

@@ -55,13 +55,14 @@ impl<O> Shard<O> {
 
     /// The stored pivot-distance row of local slot `local`, live or
     /// tombstoned — from the index's own rows or the ones the shard holds.
-    /// Each value stands for a true distance within
-    /// [`stored_interval`](pmi_metric::matrix::stored_interval) of it.
+    /// Each value is the lower edge of a bucket and stands for every true
+    /// distance in its
+    /// [`stored_interval`](pmi_metric::matrix::stored_interval).
     ///
     /// # Panics
     ///
     /// If neither holds any: the engine has no pivot space.
-    pub fn pivot_row(&self, local: ObjId) -> impl Iterator<Item = f32> + '_ {
+    pub fn pivot_row(&self, local: ObjId) -> impl Iterator<Item = f64> + '_ {
         self.rows
             .as_ref()
             .or_else(|| self.index.pivot_rows())

@@ -100,7 +100,7 @@ pub trait MetricIndex<O>: Send + Sync {
     /// computed (`row`, its distances to the shared pivot set) — the
     /// sharded engine's mutation path, which maps each insert into pivot
     /// space exactly once. Kinds that own such rows
-    /// ([`pivot_rows`](Self::pivot_rows)) quantise and append `row` without
+    /// ([`pivot_rows`](Self::pivot_rows)) store and append `row` without
     /// computing any distance beyond what their auxiliary structures need
     /// (e.g. CPT's M-tree clustering). Every other kind returns `Err(o)`,
     /// handing the object back so the caller can fall back to

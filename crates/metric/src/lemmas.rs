@@ -169,14 +169,14 @@ impl Mbb {
     }
 
     /// Grows the box to cover every true distance a *stored* row can stand
-    /// for: per dimension the [`stored_interval`] of the stored value, i.e.
-    /// the value widened outward by one f32 ulp per face. A box extended
-    /// only this way is the bounding box of its members' stored values
-    /// widened by one ulp — a pure function of those values, whatever the
+    /// for: per dimension the [`stored_interval`] of the stored value under
+    /// the columns' `step` — its bucket, open above for the top one. A box
+    /// extended only this way is the union of its members' buckets per
+    /// dimension — a pure function of the stored values, whatever the
     /// order — and contains the exact f64 map of every member.
-    pub fn extend_stored(&mut self, row: impl IntoIterator<Item = f32>) {
+    pub fn extend_stored(&mut self, row: impl IntoIterator<Item = f64>, step: f64) {
         for ((y, lo), hi) in row.into_iter().zip(&mut self.lo).zip(&mut self.hi) {
-            let (below, above) = stored_interval(y);
+            let (below, above) = stored_interval(y, step);
             if below < *lo {
                 *lo = below;
             }
@@ -326,23 +326,25 @@ mod tests {
     }
 
     #[test]
-    fn stored_rows_widen_the_box_by_one_ulp_a_face() {
-        // 16 777 217 = 2^24 + 1 is a round-to-even tie: it is stored as
-        // 2^24, and the box must still contain it.
-        let exact = [[16_777_217.0, 0.1], [3.0, 0.3]];
+    fn stored_rows_widen_the_box_to_their_buckets() {
+        use crate::matrix::snap;
+        // Step 0.5: 7.3 is stored as 7.0 and stands for [7, 7.5]; 40 000
+        // is beyond the top bucket, stored saturated and open above.
+        let step = 0.5;
+        let exact = [[7.3, 0.1], [3.0, 40_000.0]];
         let mut b = Mbb::empty(2);
         for row in &exact {
-            b.extend_stored(row.iter().map(|&x| x as f32));
+            b.extend_stored(row.iter().map(|&x| snap(x, step)), step);
         }
         for row in &exact {
             assert_eq!(b.lower_bound(row), 0.0, "{row:?} outside {b:?}");
         }
-        assert_eq!(b.lo()[0], 3.0f32.next_down() as f64);
-        assert_eq!(b.hi()[0], 16_777_216.0f32.next_up() as f64);
-        // Order-blind, and equal to widening the stored values' own box.
+        assert_eq!((b.lo()[0], b.hi()[0]), (3.0, 7.5));
+        assert_eq!((b.lo()[1], b.hi()[1]), (0.0, f64::INFINITY));
+        // Order-blind.
         let mut rev = Mbb::empty(2);
         for row in exact.iter().rev() {
-            rev.extend_stored(row.iter().map(|&x| x as f32));
+            rev.extend_stored(row.iter().map(|&x| snap(x, step)), step);
         }
         assert_eq!(b, rev);
     }

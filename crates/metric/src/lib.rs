@@ -10,9 +10,9 @@
 //! * the four pivot filtering / validation lemmas of the paper ([`lemmas`]),
 //! * the flat pivot-distance matrix ([`PivotMatrix`]) built once, in
 //!   parallel, and split among the pivot tables of a sharded engine — each
-//!   stores its members' rows as planar f32 [`PivotColumns`], filtered
-//!   through the blocked [`ScanKernel`] (see [`matrix`] for the slack that
-//!   keeps them exact and the clone-shares, writer-copies rule),
+//!   stores its members' rows as planar u16 bucket [`PivotColumns`],
+//!   filtered through the blocked [`ScanKernel`] (see [`matrix`] for why a
+//!   bucket keeps answers exact and the clone-shares, writer-copies rule),
 //! * the persistent chunked vector ([`CowVec`]) that lets an index fork and
 //!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the

@@ -10,17 +10,32 @@
 //!   once, in parallel** ([`PivotMatrix::compute`], on the same
 //!   scoped-thread worker pool as [`crate::parallel`]), clustered over by
 //!   the router, and dropped once every shard has taken its members' rows.
-//! * [`PivotColumns`] is the only stored form: one planar f32 column per
-//!   pivot, in local-slot order, quantised once on the way in
-//!   ([`quantise`]). Half the bytes per distance and twice the SIMD lanes
-//!   per register of f64 rows, one contiguous load per column and step, and
-//!   still **exact**: the kernel subtracts a rounding slack
-//!   ([`PivotColumns::slack`]) from every bound, so a bound only ever gets
-//!   *smaller* — an occasional extra exact check, never a dropped result —
-//!   and routing boxes cover the whole interval of distances a stored value
-//!   can stand for ([`stored_interval`]).
+//! * [`PivotColumns`] is the only stored form: one planar column of u16
+//!   *bucket codes* per pivot, in local-slot order. Code `c` stands for
+//!   every distance in `[c·step, (c+1)·step]` ([`stored_interval`]) — the
+//!   discretisation the paper's own compact indexes use (SPB-tree's δ-grid,
+//!   FQA's buckets): Lemma 1 stays admissible when a stored distance is an
+//!   interval, so a bound only ever gets *smaller* — an occasional extra
+//!   exact check, never a dropped result. Two bytes per distance, sixteen
+//!   rows per 256-bit register, and all of it integer arithmetic: there is
+//!   no rounding to account for.
 //! * The per-object lower-bound filter runs through the cache-blocked,
 //!   SIMD-dispatched [`ScanKernel`] instead of one function call per row.
+//!
+//! # The step
+//!
+//! A set of columns has one `step`, chosen when it is built
+//! ([`step_for`]: the smallest power of two under which the largest
+//! distance of the build's matrix still gets a code) and **fixed for its
+//! life** — forks, [`select`](PivotColumns::select) and appends keep it, and
+//! a sharded engine hands every shard and its routing table the same one,
+//! so a row moves between shards as it is and routing boxes are a pure
+//! function of the stored codes. A power of two makes `x / step` and
+//! `c · step` exact, so the code of a distance is its exact floor and the
+//! bucket edges are exact f64s. The top code is open above
+//! (`[65 535·step, ∞)`): a later insert farther from a pivot than anything
+//! the build saw is stored *saturated* and stays admissible — it is merely
+//! filtered less well.
 //!
 //! # One owner, clone shares, a writer copies what it writes
 //!
@@ -46,27 +61,62 @@ use crate::cow::CowVec;
 use crate::distance::Metric;
 use crate::simd::{self, SimdTier};
 
-/// Safety factor applied on top of the worst-case f32 rounding error when
-/// deriving the admissibility slack (see [`PivotColumns::slack`]).
-pub const F32_SLACK_FACTOR: f64 = 4.0;
+/// The top bucket code: open above, what a distance beyond `TOP · step`
+/// saturates to.
+const TOP: u16 = u16::MAX;
 
-/// The one rounding a pivot distance undergoes on its way into
-/// [`PivotColumns`] (round to nearest f32). Everything derived from stored
-/// values — the scan's slack, the routing boxes — accounts for exactly this.
-#[inline]
-pub fn quantise(x: f64) -> f32 {
-    x as f32
+/// The step of a set of columns whose build saw distances up to `max`: the
+/// smallest power of two with `max ≤ 65 535 · step`, so that every build-time
+/// distance gets a code of its own bucket. A `max` that is not a positive
+/// finite number (no rows, all-zero rows) gives 1.
+pub fn step_for(max: f64) -> f64 {
+    if !(max.is_finite() && max > 0.0) {
+        return 1.0;
+    }
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    let top = f64::from(TOP);
+    // 2^⌊log₂(max / 65 535)⌋ by masking the mantissa off, then the at most
+    // two doublings that cover `max`. `top * step` is exact.
+    let mut step = f64::from_bits((max / top).to_bits() & EXPONENT).max(f64::MIN_POSITIVE);
+    while top * step < max {
+        step *= 2.0;
+    }
+    step
 }
 
-/// The closed interval of true distances a stored value `y` can stand for:
-/// `quantise(x) == y` implies `lo ≤ x ≤ hi` (round-to-nearest moves `x` by
-/// at most half an ulp, so one whole ulp either side contains it, ties and
-/// overflow to `∞` included). Routing boxes are built from these intervals,
-/// which is what keeps them admissible for the exact f64 map of every
-/// member while remaining a pure function of the stored columns.
+/// The code a distance is stored as: `min(⌊x / step⌋, 65 535)` — exact,
+/// `step` being a power of two (so is the product with its reciprocal,
+/// which keeps a division out of the build's per-value loop). The cast
+/// saturates, which is the whole out-of-range rule: beyond the top bucket
+/// (and `+∞`) is the top code, below zero and `NaN` — no distance — are
+/// code 0.
 #[inline]
-pub fn stored_interval(y: f32) -> (f64, f64) {
-    (y.next_down() as f64, y.next_up() as f64)
+fn quantise(x: f64, step: f64) -> u16 {
+    (x * (1.0 / step)) as u16
+}
+
+/// What a distance `x` reads back as once stored under `step`: the lower
+/// edge of its bucket, `c · step` (exact). An integer-valued metric whose
+/// distances stay under `65 535 · step` with `step ≤ 1` reads back exactly.
+#[inline]
+pub fn snap(x: f64, step: f64) -> f64 {
+    f64::from(quantise(x, step)) * step
+}
+
+/// The closed interval of true distances a stored value `y` (a bucket's
+/// lower edge, as [`snap`] and [`PivotColumns::row`] yield it) stands for:
+/// `snap(x, step) == y` implies `lo ≤ x ≤ hi`. The top bucket is open
+/// above. Routing boxes are built from these intervals, which is what keeps
+/// them admissible for the exact f64 map of every member while remaining a
+/// pure function of the stored columns.
+#[inline]
+pub fn stored_interval(y: f64, step: f64) -> (f64, f64) {
+    let hi = if y >= f64::from(TOP) * step {
+        f64::INFINITY
+    } else {
+        y + step
+    };
+    (y, hi)
 }
 
 /// The transient, exact, row-major `n × l` matrix a build computes:
@@ -198,50 +248,76 @@ impl PivotMatrix {
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[f64])> {
         (0..self.rows).map(|i| (i, self.row(i)))
     }
+
+    /// The step to store these rows under: [`step_for`] the largest finite
+    /// distance in the matrix.
+    pub fn step(&self) -> f64 {
+        // Eight running maxima: a single one is a chain of compares each
+        // waiting on the last (6× the wall over 5·10⁶ values).
+        let mut lanes = [0.0f64; 8];
+        for chunk in self.data.chunks(lanes.len()) {
+            for (m, &x) in lanes.iter_mut().zip(chunk) {
+                if x > *m && x < f64::INFINITY {
+                    *m = x;
+                }
+            }
+        }
+        step_for(lanes.into_iter().fold(0.0, f64::max))
+    }
 }
 
-/// The stored form of pivot distances: one planar (column-major) f32 column
-/// per pivot — `column j` holds `quantise(d(o_i, p_j))` at index `i` — plus
-/// the running max magnitude that sizes the admissibility slack. Row ids are
-/// stable slot ids: rows are never removed (a tombstoned slot keeps its row
-/// and its index skips it) until an engine-level compaction
-/// [`select`](Self::select)s the survivors.
+/// The stored form of pivot distances: one planar (column-major) column of
+/// u16 bucket codes per pivot — `column j` holds `⌊d(o_i, p_j) / step⌋`
+/// (saturating) at index `i` — plus the one `step` they share (module
+/// docs). Row ids are stable slot ids: rows are never removed (a tombstoned
+/// slot keeps its row and its index skips it) until an engine-level
+/// compaction [`select`](Self::select)s the survivors.
 ///
 /// Cloning shares every full chunk of every column and copies the partly
 /// filled one (`O(rows / chunk)` handles, at most one 8 KiB chunk per
 /// column), and a clone that is then written to copies what it writes —
 /// value semantics (module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PivotColumns {
-    /// `cols[j][i] = quantise(d(o_i, p_j))`. Every column chunks alike, so
-    /// chunk `c` of each covers the same rows.
-    cols: Vec<CowVec<f32>>,
-    /// Running `max |y|` over every stored value (tombstoned rows
-    /// included): sizes the rounding slack.
-    max_abs: f32,
+    /// `cols[j][i]` is the code of `d(o_i, p_j)`. Every column chunks
+    /// alike, so chunk `c` of each covers the same rows.
+    cols: Vec<CowVec<u16>>,
+    /// The bucket width, a power of two, fixed for the columns' life.
+    step: f64,
     /// Number of rows (tracked separately so zero pivots still count).
     rows: usize,
 }
 
 impl PivotColumns {
-    /// Empty columns over `width` pivots.
-    pub fn new(width: usize) -> Self {
+    /// Empty columns over `width` pivots under `step` (a power of two —
+    /// [`step_for`], or the step of the columns these will sit beside).
+    fn new(width: usize, step: f64) -> Self {
+        assert!(
+            step > 0.0 && step.is_finite() && step.to_bits() << 12 == 0,
+            "{step} is not a power of two"
+        );
         PivotColumns {
             cols: vec![CowVec::new(); width],
-            ..PivotColumns::default()
+            step,
+            rows: 0,
         }
     }
 
-    /// Quantises per-object rows (each of length `width`), in order — how a
-    /// sharded build hands each shard its members' rows of the one matrix
-    /// (a standalone table stores the whole of the matrix it computed:
+    /// Stores per-object rows (each of length `width`) under `step`, in
+    /// order — how a sharded build hands each shard its members' rows of
+    /// the one matrix, under the matrix's one step (a standalone table
+    /// stores the whole of the matrix it computed:
     /// `PivotColumns::from(&matrix)`).
-    pub fn from_rows<R: AsRef<[f64]>>(width: usize, rows: impl IntoIterator<Item = R>) -> Self {
+    pub fn from_rows<R: AsRef<[f64]>>(
+        width: usize,
+        step: f64,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Self {
         // Rows are transposed a block at a time, so that each column takes
         // a slice instead of one push per value.
         const BLOCK: usize = 1024;
-        let mut out = PivotColumns::new(width);
-        let mut block = vec![0.0f32; width * BLOCK];
+        let mut out = PivotColumns::new(width, step);
+        let mut block = vec![0u16; width * BLOCK];
         let mut rows = rows.into_iter();
         loop {
             let mut n = 0;
@@ -249,13 +325,12 @@ impl PivotColumns {
                 let row = row.as_ref();
                 assert_eq!(row.len(), width, "row length must equal pivot count");
                 for (j, &x) in row.iter().enumerate() {
-                    block[j * BLOCK + n] = quantise(x);
+                    block[j * BLOCK + n] = quantise(x, step);
                 }
                 n += 1;
             }
-            for (col, ys) in out.cols.iter_mut().zip(block.chunks(BLOCK)) {
-                col.extend_from_slice(&ys[..n]);
-                out.max_abs = ys[..n].iter().fold(out.max_abs, |m, y| m.max(y.abs()));
+            for (col, codes) in out.cols.iter_mut().zip(block.chunks(BLOCK)) {
+                col.extend_from_slice(&codes[..n]);
             }
             out.rows += n;
             if n < BLOCK {
@@ -274,111 +349,97 @@ impl PivotColumns {
         self.cols.len()
     }
 
-    /// The stored values of row `id`, pivot order.
-    #[inline]
-    pub fn row(&self, id: usize) -> impl Iterator<Item = f32> + '_ {
-        assert!(id < self.rows, "row {id} of {}", self.rows);
-        self.cols.iter().map(move |c| c[id])
+    /// The bucket width every stored value is a multiple of.
+    pub fn step(&self) -> f64 {
+        self.step
     }
 
-    /// Quantises and appends one row, returning its row id. Never copies a
+    /// The stored values of row `id`, pivot order: each the lower edge of
+    /// its bucket ([`snap`] of the distance that was pushed), standing for
+    /// its [`stored_interval`].
+    #[inline]
+    pub fn row(&self, id: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(id < self.rows, "row {id} of {}", self.rows);
+        self.cols.iter().map(move |c| f64::from(c[id]) * self.step)
+    }
+
+    /// Whether every stored value *is* the distance it was pushed as,
+    /// given that distances are integers: the step divides 1 and no code
+    /// is the (open) top one. What an index that re-derives exact discrete
+    /// distances from its stored rows (FQA's signatures) needs of the rows
+    /// it adopts.
+    pub fn holds_integers_exactly(&self) -> bool {
+        self.step <= 1.0 && self.cols.iter().all(|c| c.iter().all(|&code| code != TOP))
+    }
+
+    /// Stores and appends one row, returning its row id. Never copies a
     /// chunk: a clone took its own copy of each column's partly filled one
     /// (module docs).
     pub fn push_row(&mut self, row: &[f64]) -> usize {
         assert_eq!(row.len(), self.width(), "row length must equal pivot count");
-        self.push_stored(row.iter().map(|&x| quantise(x)));
+        for (col, &x) in self.cols.iter_mut().zip(row) {
+            col.push(quantise(x, self.step));
+        }
+        self.rows += 1;
         self.rows - 1
     }
 
-    fn push_stored(&mut self, row: impl Iterator<Item = f32>) {
-        for (col, y) in self.cols.iter_mut().zip(row) {
-            col.push(y);
-            self.max_abs = self.max_abs.max(y.abs());
-        }
-        self.rows += 1;
-    }
-
-    /// New columns holding the given rows of `self`, in `ids` order, as
-    /// stored (nothing is re-rounded; the max magnitude is the survivors'
-    /// own) — the dense-survivor rebuild of a shard's compaction.
+    /// New columns holding the given rows of `self`, in `ids` order, code
+    /// for code under the same step — the dense-survivor rebuild of a
+    /// shard's compaction.
     pub fn select(&self, ids: &[u32]) -> Self {
-        let mut out = PivotColumns::new(self.width());
-        for &id in ids {
-            out.push_stored(self.row(id as usize));
+        let mut out = PivotColumns::new(self.width(), self.step);
+        for (to, from) in out.cols.iter_mut().zip(&self.cols) {
+            for &id in ids {
+                to.push(from[id as usize]);
+            }
         }
+        out.rows = ids.len();
         out
     }
 
-    /// Running `max |y|` over every stored value.
-    pub fn max_abs(&self) -> f64 {
-        self.max_abs as f64
-    }
-
-    /// The admissibility slack subtracted from every bound for a query
-    /// whose pivot distances have max magnitude `qd_max_abs`.
-    ///
-    /// Worst-case error of the f32 bound vs the true f64 bound
-    /// `max_j |qd_j − row_j|`: rounding each operand to f32 perturbs it by
-    /// at most `½·ε₃₂·|operand|`, and the f32 subtraction adds at most
-    /// `½·ε₃₂` of the result's magnitude (≤ the operand magnitudes' sum),
-    /// so each `|qd_j − row_j|` term is off by at most about
-    /// `ε₃₂·(|qd_j| + |row_j|)`; `max` never amplifies error. Subtracting
-    /// `F32_SLACK_FACTOR · ε₃₂ · (max|row| + max|qd|)` therefore guarantees
-    /// the adjusted bound never exceeds the true bound — with a 4× margin,
-    /// which also absorbs taking `max|row|` over the stored values — and
-    /// the kernel clamps at zero (degenerate inputs such as overflow to
-    /// `±∞` or `NaN` produce a zero bound, i.e. a full exact scan, never an
-    /// inadmissible one).
-    pub fn slack(&self, qd_max_abs: f64) -> f64 {
-        F32_SLACK_FACTOR * (f32::EPSILON as f64) * (self.max_abs() + qd_max_abs)
-    }
-
-    /// In-memory footprint in bytes: 4 per stored distance.
+    /// In-memory footprint in bytes: 2 per stored distance.
     pub fn mem_bytes(&self) -> u64 {
-        4 * (self.rows * self.width()) as u64
+        2 * (self.rows * self.width()) as u64
     }
 
     /// Lemma 1 lower bounds for **all** rows at once, through the blocked
-    /// [`ScanKernel`] over each chunk of the columns, slack-adjusted into
-    /// admissible f64 bounds, into a reused buffer. Rows of tombstoned
-    /// slots are included — computing their bound is cheaper than branching
-    /// on liveness inside the kernel; the caller's slot map skips them in
-    /// the verification pass.
+    /// [`ScanKernel`] over each chunk of the columns, as admissible f64
+    /// bounds into a reused buffer. Rows of tombstoned slots are included
+    /// — computing their bound is cheaper than branching on liveness inside
+    /// the kernel; the caller's slot map skips them in the verification
+    /// pass.
     pub fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
+        self.lower_bounds_with_tier(simd::tier(), qd, out);
+    }
+
+    /// [`lower_bounds_into`](Self::lower_bounds_into) pinned to an explicit
+    /// SIMD tier, for the tier-agreement tests.
+    fn lower_bounds_with_tier(&self, tier: SimdTier, qd: &[f64], out: &mut Vec<f64>) {
         let w = self.width();
         debug_assert_eq!(qd.len(), w);
-        let tier = simd::tier();
         out.clear();
         out.resize(self.rows, 0.0);
         if qd.is_empty() {
             return;
         }
-        // Round the query's pivot distances once per scan; the slack
-        // covers this rounding plus the columns'.
-        let mut qmax = 0.0f64;
-        let mut qstack = [0.0f32; 64];
-        let qheap: Vec<f32>;
-        let qd32: &[f32] = if w <= qstack.len() {
-            for (s, q) in qstack.iter_mut().zip(qd) {
-                *s = quantise(*q);
-                qmax = qmax.max(q.abs());
+        // The query moves to code space once per scan. A query beyond the
+        // top bucket saturates like a row does, which only loosens bounds.
+        let mut qstack = [0u16; 64];
+        let qheap: Vec<u16>;
+        let qf: &[u16] = if w <= qstack.len() {
+            for (s, &q) in qstack.iter_mut().zip(qd) {
+                *s = quantise(q, self.step);
             }
             &qstack[..w]
         } else {
-            qheap = qd
-                .iter()
-                .map(|q| {
-                    qmax = qmax.max(q.abs());
-                    quantise(*q)
-                })
-                .collect();
+            qheap = qd.iter().map(|&q| quantise(q, self.step)).collect();
             &qheap
         };
-        let slack = self.slack(qmax);
         // Column refs sit on the stack for the common pivot counts.
-        let mut cstack: [&[f32]; 64] = [&[]; 64];
-        let mut cheap: Vec<&[f32]> = Vec::new();
-        let cols: &mut [&[f32]] = if w <= cstack.len() {
+        let mut cstack: [&[u16]; 64] = [&[]; 64];
+        let mut cheap: Vec<&[u16]> = Vec::new();
+        let cols: &mut [&[u16]] = if w <= cstack.len() {
             &mut cstack[..w]
         } else {
             cheap.resize(w, &[]);
@@ -390,64 +451,56 @@ impl PivotColumns {
                 *s = col.chunk(c);
             }
             let (now, later) = rest.split_at_mut(cols[0].len());
-            ScanKernel::fill_f32(tier, qd32, cols, slack, now);
+            ScanKernel::fill_codes(tier, qf, cols, self.step, now);
             rest = later;
         }
     }
 }
 
 impl From<&PivotMatrix> for PivotColumns {
-    /// Every row of `matrix`, quantised, in row order.
+    /// Every row of `matrix`, in row order, under the matrix's own
+    /// [`step`](PivotMatrix::step).
     fn from(matrix: &PivotMatrix) -> Self {
-        Self::from_rows(matrix.width(), matrix.iter_rows().map(|(_, r)| r))
+        Self::from_rows(
+            matrix.width(),
+            matrix.step(),
+            matrix.iter_rows().map(|(_, r)| r),
+        )
     }
 }
 
 /// The cache-blocked, branchless pivot-filter kernel: computes the Lemma 1
 /// lower bound `max_j |qd_j - row_j|` for whole *blocks* of candidate rows
-/// at once over the flat row-major storage, instead of one
-/// [`pivot_lower_bound`](crate::lemmas::pivot_lower_bound) call per row.
+/// at once instead of one
+/// [`pivot_lower_bound`](crate::lemmas::pivot_lower_bound) call per row —
+/// in code space over the planar u16 columns every index stores
+/// ([`PivotColumns::lower_bounds_into`], the serving entry point), and in
+/// f64 over flat row-major rows ([`lower_bounds`](Self::lower_bounds), the
+/// exact reference the tests and the ruler's hand-made replica call).
 ///
-/// Processing [`ScanKernel::LANES`] rows per step keeps that many
-/// independent `max` dependency chains in flight (the scalar loop is a
-/// single serial chain of `l` compare-selects per row) and lets LLVM
-/// auto-vectorize the fixed-stride inner loop; there is no per-row slot
-/// branch, no `Option` unwrap, and no enumeration overhead inside the
-/// block. The arithmetic is *identical* to the scalar path — `|a − b|` and
-/// `max` are exact and each row's reduction runs in the same pivot order —
-/// so blocked results equal scalar results **bit for bit** (unit-tested
-/// below), which is what lets every index route its filter through the
-/// kernel without changing a single exact counter.
+/// The stored-code kernel works on integers throughout: the query's pivot
+/// distances are floored to codes once per scan, a row's
+/// `m = max_j |c_j − qf_j|` is a saturating-subtract / OR / max reduction in
+/// u16 lanes, and the bound is `(m − 1)⁺ · step` — a row code `c` and a
+/// query code `qf` put the two true distances strictly more than
+/// `(|c − qf| − 1) · step` apart, whichever buckets' ends they sit at, and
+/// a saturated code on either side only shrinks `m`. Integer arithmetic is
+/// exact and `u16 → f64` and a multiplication by a power of two round
+/// nothing, so every tier produces **bit-identical** bounds by
+/// construction, and there is no slack to subtract.
 ///
-/// On x86-64 the public entry points dispatch once (cached, overridable via
+/// The f64 reference processes [`ScanKernel::LANES`] rows per step, which
+/// keeps that many independent `max` dependency chains in flight; its
+/// arithmetic is *identical* to the scalar path — `|a − b|` is one
+/// correctly-rounded op, `abs` is exact and a `max` reduction over
+/// non-negative finite values is exact in any association — so blocked
+/// results equal scalar results bit for bit on every tier (unit-tested
+/// below).
+///
+/// On x86-64 the entry points dispatch once (cached, overridable via
 /// `PMI_SIMD`) to explicit [`std::arch`] lanes — see [`crate::simd`] — with
-/// this blocked code as the portable fallback. Every tier produces
-/// bit-identical bounds: `|a − b|` is one correctly-rounded op, `abs` is
-/// exact, and a `max` reduction over non-negative finite values is exact in
-/// any association, so SIMD dispatch is invisible to results and counters
-/// (tier-agreement is unit-tested per tier).
+/// the blocked code here as the portable fallback.
 pub struct ScanKernel;
-
-/// `max(x, +0.0)` with the exact semantics of `_mm_max_pd(x, 0)`: `+0.0`
-/// for negative, `±0` and `NaN` inputs. Keeping one copy shared by the
-/// portable f32 path and every SIMD remainder loop is load-bearing for
-/// tier bit-identity.
-#[inline(always)]
-pub(crate) fn clamp_pos(x: f64) -> f64 {
-    if x > 0.0 {
-        x
-    } else {
-        0.0
-    }
-}
-
-/// Widens an f32 row-max to f64 and applies the admissibility slack (the
-/// one adjustment formula every f32 tier shares — see
-/// [`PivotColumns::slack`]).
-#[inline(always)]
-pub(crate) fn adjust_f32(m: f32, slack: f64) -> f64 {
-    clamp_pos(m as f64 - slack)
-}
 
 impl ScanKernel {
     /// Rows processed per unrolled step (independent max-chains in flight).
@@ -463,18 +516,23 @@ impl ScanKernel {
         m
     }
 
-    /// The f32 per-row reduction over planar columns: row `r` of the slice
-    /// whose column `j` is `cols[j]`. Pivot order (`j` ascending) and max
-    /// semantics match [`row_max`](Self::row_max), which is what keeps
-    /// every f32 tier bit-identical to the scalar reference.
+    /// The stored-code per-row reduction over planar columns: row `r` of
+    /// the slice whose column `j` is `cols[j]` — the tail every tier
+    /// finishes its blocks with.
     #[inline(always)]
-    pub(crate) fn row_max_f32_planar(qd: &[f32], cols: &[&[f32]], r: usize) -> f32 {
-        let mut m = 0.0f32;
-        for (q, col) in qd.iter().zip(cols) {
-            let d = (q - col[r]).abs();
-            m = if d > m { d } else { m };
+    pub(crate) fn row_max_codes(qf: &[u16], cols: &[&[u16]], r: usize) -> u16 {
+        let mut m = 0u16;
+        for (&q, col) in qf.iter().zip(cols) {
+            m = m.max(q.abs_diff(col[r]));
         }
         m
+    }
+
+    /// The bound a row-max of code differences stands for: the two true
+    /// distances lie strictly more than `(m − 1) · step` apart.
+    #[inline(always)]
+    pub(crate) fn code_bound(m: u16, step: f64) -> f64 {
+        f64::from(m.saturating_sub(1)) * step
     }
 
     /// The portable tier's 4-lane reduction: four independent
@@ -553,34 +611,16 @@ impl ScanKernel {
         }
     }
 
-    /// f32 filter columns: lower bounds for `n` rows of **planar**
-    /// (column-major) storage — `cols[j][i]` is row `i`'s f32 distance to
-    /// pivot `j` — **slack-adjusted** into admissible f64 bounds
-    /// (`clamp_pos(m − slack)`, see [`PivotColumns::slack`]) so callers
-    /// compare them against f64 radii/thresholds unchanged.
-    ///
-    /// Planar storage is what makes f32 pay: every SIMD step is one
-    /// contiguous load per column ([`PivotColumns`] keeps its columns in
-    /// row order).
-    /// [`PivotColumns::lower_bounds_into`] is the serving entry point; this
-    /// one is pinned to an explicit SIMD tier for the tier-agreement tests.
-    pub fn lower_bounds_f32_with_tier(
-        tier: SimdTier,
-        qd: &[f32],
-        cols: &[&[f32]],
-        n: usize,
-        slack: f64,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(n, 0.0);
-        Self::fill_f32(tier, qd, cols, slack, out);
-    }
-
-    /// The planar f32 kernel into a slice: `out[i]` is the slack-adjusted
-    /// bound of row `i` of every column.
-    fn fill_f32(tier: SimdTier, qd: &[f32], cols: &[&[f32]], slack: f64, out: &mut [f64]) {
-        let w = qd.len();
+    /// The stored-code kernel into a slice: `out[i]` is the bound of row
+    /// `i` of every column — `cols[j][i]` is row `i`'s code against pivot
+    /// `j`, `qf[j]` the query's. Planar storage is what makes the narrow
+    /// codes pay: every SIMD step is one contiguous load per column
+    /// ([`PivotColumns`] keeps its columns in row order).
+    fn fill_codes(tier: SimdTier, qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
+        /// Rows per step of the portable body: what LLVM turns into whole
+        /// u16 vectors on any target.
+        const BLOCK: usize = 16;
+        let w = qf.len();
         if w == 0 {
             return;
         }
@@ -591,27 +631,26 @@ impl ScanKernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch/pinning is gated on runtime AVX2 detection;
             // column lengths are checked above.
-            SimdTier::Avx2 => unsafe { simd::x86::lb_f32_planar_avx2(qd, cols, slack, out) },
+            SimdTier::Avx2 => unsafe { simd::x86::lb_codes_avx2(qf, cols, step, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
-            SimdTier::Sse2 => unsafe { simd::x86::lb_f32_planar_sse2(qd, cols, slack, out) },
+            SimdTier::Sse2 => unsafe { simd::x86::lb_codes_sse2(qf, cols, step, out) },
             _ => {
                 let mut i = 0;
-                while i + Self::LANES <= n {
-                    let mut m = [0.0f32; Self::LANES];
-                    for (q, col) in qd.iter().zip(cols) {
-                        for (m, &x) in m.iter_mut().zip(&col[i..i + Self::LANES]) {
-                            let d = (q - x).abs();
-                            *m = if d > *m { d } else { *m };
+                while i + BLOCK <= n {
+                    let mut m = [0u16; BLOCK];
+                    for (&q, col) in qf.iter().zip(cols) {
+                        for (m, &c) in m.iter_mut().zip(&col[i..i + BLOCK]) {
+                            *m = (*m).max(q.abs_diff(c));
                         }
                     }
-                    for (o, &m) in out[i..i + Self::LANES].iter_mut().zip(&m) {
-                        *o = adjust_f32(m, slack);
+                    for (o, &m) in out[i..i + BLOCK].iter_mut().zip(&m) {
+                        *o = Self::code_bound(m, step);
                     }
-                    i += Self::LANES;
+                    i += BLOCK;
                 }
                 for (r, o) in out.iter_mut().enumerate().skip(i) {
-                    *o = adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack);
+                    *o = Self::code_bound(Self::row_max_codes(qf, cols, r), step);
                 }
             }
         }
@@ -631,25 +670,6 @@ impl ScanKernel {
         }
         debug_assert_eq!(rows.len(), n * w);
         out.extend(rows.chunks_exact(w).map(|row| Self::row_max(qd, row)));
-    }
-
-    /// The f32 scalar reference over planar columns (slack-adjusted like
-    /// every f32 path).
-    pub fn lower_bounds_scalar_f32(
-        qd: &[f32],
-        cols: &[&[f32]],
-        n: usize,
-        slack: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let w = qd.len();
-        out.clear();
-        if w == 0 {
-            out.resize(n, 0.0);
-            return;
-        }
-        debug_assert_eq!(cols.len(), w);
-        out.extend((0..n).map(|r| adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack)));
     }
 }
 
@@ -727,7 +747,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn push_row_rejects_wrong_width() {
-        let mut m = PivotColumns::new(2);
+        let mut m = PivotColumns::new(2, 1.0);
         m.push_row(&[1.0]);
     }
 
@@ -795,109 +815,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_tiers_agree_and_stay_admissible() {
-        for tier in simd::available_tiers() {
-            for w in [1usize, 4, 5, 9] {
-                for n in [1usize, 5, 8, 9, 16, 17, 64, 131] {
-                    let rows64: Vec<f64> = (0..n * w)
-                        .map(|i| ((i * 53 % 211) as f64 - 100.0) * 1.375)
-                        .collect();
-                    // Planar columns, rounded the way the store rounds.
-                    let cols_own: Vec<Vec<f32>> = (0..w)
-                        .map(|j| (0..n).map(|i| quantise(rows64[i * w + j])).collect())
-                        .collect();
-                    let cols: Vec<&[f32]> = cols_own.iter().map(|c| c.as_slice()).collect();
-                    let qd64: Vec<f64> = (0..w)
-                        .map(|j| ((j * 29 % 31) as f64 - 15.0) * 1.1)
-                        .collect();
-                    let qd32: Vec<f32> = qd64.iter().map(|&x| quantise(x)).collect();
-                    let max_abs = rows64.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-                    let qmax = qd64.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-                    let slack = F32_SLACK_FACTOR * (f32::EPSILON as f64) * (max_abs + qmax);
-                    let mut want = Vec::new();
-                    ScanKernel::lower_bounds_scalar_f32(&qd32, &cols, n, slack, &mut want);
-                    let mut got = Vec::new();
-                    ScanKernel::lower_bounds_f32_with_tier(tier, &qd32, &cols, n, slack, &mut got);
-                    assert_eq!(got.len(), n);
-                    for i in 0..n {
-                        assert_eq!(
-                            got[i].to_bits(),
-                            want[i].to_bits(),
-                            "{tier:?} w={w} n={n} row {i}"
-                        );
-                        // Admissible: never above the true f64 bound.
-                        let truth = ScanKernel::row_max(&qd64, &rows64[i * w..(i + 1) * w]);
-                        assert!(
-                            got[i] <= truth,
-                            "{tier:?} w={w} n={n} row {i}: f32 bound {} > true {truth}",
-                            got[i]
-                        );
-                        assert!(got[i] >= 0.0);
-                    }
-                }
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
     // PivotColumns: the stored form.
     // -----------------------------------------------------------------
 
     #[test]
-    fn stored_intervals_contain_what_they_stand_for() {
-        // Exactly representable, a round-to-even tie (2^24 + 1), just off a
-        // tie on either side, subnormal, zero, overflow.
-        let tie = 16_777_217.0f64;
-        for x in [
-            0.0,
-            1.0,
-            0.1,
-            tie,
-            tie + 1e-9,
-            tie - 1e-9,
-            9_000_000.5,
-            1e-45,
-            f32::MAX as f64,
-            1e39,
+    fn the_step_is_the_smallest_power_of_two_that_codes_the_maximum() {
+        for max in [
+            1e-300, 0.001, 0.75, 1.0, 31.9, 32.0, 14_143.0, 16_383.75, 16_383.76, 65_535.0,
+            65_535.5, 1e9, 1e300,
         ] {
-            let (lo, hi) = stored_interval(quantise(x));
-            assert!(lo <= x && x <= hi, "{x} outside [{lo}, {hi}]");
-            assert!(lo < hi);
+            let step = step_for(max);
+            assert_eq!(step.to_bits() << 12, 0, "{step} is a power of two");
+            assert!(max <= 65_535.0 * step, "{max} has no code under {step}");
+            assert!(max > 65_535.0 * (step / 2.0), "{step} is not the smallest");
         }
-        // One ulp a face, no more.
-        assert_eq!(
-            stored_interval(1.0),
-            (1.0 - 2f64.powi(-24), 1.0 + 2f64.powi(-23))
-        );
+        assert_eq!(step_for(16_383.75), 0.25);
+        assert_eq!(step_for(16_383.76), 0.5);
+        // Nothing to size from: 1.
+        for max in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(step_for(max), 1.0);
+        }
+        // A matrix sizes from its largest finite distance.
+        let m = PivotMatrix::from_rows(2, [[1.0, f64::INFINITY], [f64::NAN, 100.0]]);
+        assert_eq!(m.step(), step_for(100.0));
+        assert_eq!(PivotMatrix::new(3).step(), 1.0);
     }
 
     #[test]
-    fn max_abs_tracks_every_mutation_path() {
-        let mut m = PivotColumns::from_rows(2, [[1.0, -8.0], [2.5, 3.0]]);
-        assert_eq!((m.rows(), m.width()), (2, 2));
-        assert_eq!(m.max_abs(), 8.0);
-        assert_eq!(m.mem_bytes(), 4 * 4, "four bytes per stored distance");
-        assert_eq!(m.row(0).collect::<Vec<_>>(), [1.0f32, -8.0]);
+    fn stored_intervals_contain_what_they_stand_for() {
+        // On an edge, inside a bucket, the last bucket with an upper edge,
+        // the first distance of the open top bucket, far beyond it, +∞.
+        for step in [0.25, 1.0, 8.0] {
+            let top = 65_535.0 * step;
+            for x in [
+                0.0,
+                step,
+                step * 0.999,
+                3.3 * step,
+                top - step,
+                top - step / 3.0,
+                top,
+                top + step / 2.0,
+                1e12,
+                f64::INFINITY,
+            ] {
+                let y = snap(x, step);
+                let (lo, hi) = stored_interval(y, step);
+                assert!(lo <= x && x <= hi, "{x} outside [{lo}, {hi}]");
+                assert_eq!(lo, y);
+                assert_eq!(y % step, 0.0, "a stored value is a multiple of the step");
+                if x < top {
+                    assert_eq!(hi, lo + step, "one bucket, no more");
+                } else {
+                    assert_eq!((lo, hi), (top, f64::INFINITY), "saturated");
+                }
+                // A stored value stores as itself: rows move between
+                // columns of one step unchanged.
+                assert_eq!(snap(y, step), y);
+            }
+        }
+        // No distance: the bottom code.
+        assert_eq!(snap(f64::NAN, 0.5), 0.0);
+        assert_eq!(snap(-7.0, 0.5), 0.0);
+    }
 
-        // push_row extends the max.
-        assert_eq!(m.push_row(&[-9.5, 0.25]), 2);
-        assert_eq!(m.max_abs(), 9.5);
+    #[test]
+    fn the_step_survives_every_mutation_path() {
+        let mut m = PivotColumns::from(&PivotMatrix::from_rows(2, [[1.0, 8.0], [2.5, 3.0]]));
+        let step = step_for(8.0);
+        assert_eq!((m.rows(), m.width(), m.step()), (2, 2, step));
+        assert_eq!(m.mem_bytes(), 4 * 2, "two bytes per stored distance");
+        assert_eq!(m.row(0).collect::<Vec<_>>(), [1.0, 8.0]);
+        assert!(m.holds_integers_exactly());
 
-        // select keeps stored values and recomputes the (tighter) max.
-        let s = m.select(&[1, 0]);
-        assert_eq!(s.max_abs(), 8.0);
-        assert_eq!(s.row(0).collect::<Vec<_>>(), [2.5f32, 3.0]);
+        // A push stores under the same step, saturating beyond the top
+        // bucket; 0.3 is stored as the edge under it.
+        assert_eq!(m.push_row(&[0.3, 1e6]), 2);
+        assert_eq!(
+            m.row(2).collect::<Vec<_>>(),
+            [snap(0.3, step), 65_535.0 * step]
+        );
+        assert!(0.3 - snap(0.3, step) < step);
+        assert!(!m.holds_integers_exactly(), "a saturated code is no value");
+
+        // select keeps codes and step.
+        let s = m.select(&[2, 0]);
+        assert_eq!((s.rows(), s.step()), (2, step));
+        assert!(s.row(0).eq(m.row(2)) && s.row(1).eq(m.row(0)));
 
         // A push on a clone is the clone's alone.
         let mut forked = m.clone();
-        forked.push_row(&[100.0, -1.0]);
-        assert_eq!(forked.max_abs(), 100.0);
-        assert_eq!(
-            (m.max_abs(), m.rows()),
-            (9.5, 3),
-            "the pinned side is untouched"
-        );
+        forked.push_row(&[4.0, 4.0]);
+        assert_eq!((forked.rows(), forked.step()), (4, step));
+        assert_eq!(m.rows(), 3, "the pinned side is untouched");
+
+        // Integers above 65 535 need a step that no longer divides 1.
+        let wide = PivotColumns::from(&PivotMatrix::from_rows(1, [[70_000.0]]));
+        assert_eq!(wide.step(), 2.0);
+        assert!(!wide.holds_integers_exactly());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_step_that_is_no_power_of_two_is_refused() {
+        let _ = PivotColumns::new(2, 0.3);
     }
 
     /// Bit-for-bit agreement of two column sets' bounds for one query.
@@ -916,12 +938,13 @@ mod tests {
         // Enough rows for three chunks per column, re-pinned along the way
         // so partly filled chunks get copied. Oracle: fresh columns over
         // the same rows.
-        let chunk = CowVec::<f32>::CHUNK;
+        let chunk = CowVec::<u16>::CHUNK;
         let total = 2 * chunk + 17;
-        let row = |i: usize| [(i * 37 % 101) as f64 - 50.0, (i * 53 % 211) as f64 * 1.375];
-        let qd = [3.0f64, -1.5];
-        let flat = PivotColumns::from_rows(2, (0..total).map(row));
-        let mut grown = PivotColumns::from_rows(2, (0..300).map(row));
+        let row = |i: usize| [(i * 37 % 101) as f64, (i * 53 % 211) as f64 * 1.375];
+        let qd = [3.0f64, 41.5];
+        let step = 0.125;
+        let flat = PivotColumns::from_rows(2, step, (0..total).map(row));
+        let mut grown = PivotColumns::from_rows(2, step, (0..300).map(row));
         let mut pin = grown.clone();
         for i in 300..total {
             grown.push_row(&row(i));
@@ -931,66 +954,118 @@ mod tests {
         }
         assert!(pin.rows() < total && grown.cols[0].chunks().len() == 3);
         assert_same_bounds(&grown, &flat, &qd, "grown under pins");
-        let pinned = PivotColumns::from_rows(2, (0..pin.rows()).map(row));
+        let pinned = PivotColumns::from_rows(2, step, (0..pin.rows()).map(row));
         assert_same_bounds(&pin, &pinned, &qd, "the pinned clone");
         let ids: Vec<u32> = (0..total as u32).rev().step_by(3).collect();
-        let selected = PivotColumns::from_rows(2, ids.iter().map(|&i| row(i as usize)));
-        assert_eq!(grown.select(&ids).max_abs(), selected.max_abs());
+        let selected = PivotColumns::from_rows(2, step, ids.iter().map(|&i| row(i as usize)));
         assert_same_bounds(&grown.select(&ids), &selected, &qd, "select");
     }
 
     #[test]
     fn a_push_on_a_clone_copies_at_most_one_chunk_per_column() {
-        let chunk = CowVec::<f32>::CHUNK;
-        let first =
-            PivotColumns::from_rows(2, (0..3 * chunk + 100).map(|i| [i as f64, -(i as f64)]));
+        let chunk = CowVec::<u16>::CHUNK;
+        let rows = (0..3 * chunk + 100).map(|i| [i as f64, (i / 2) as f64]);
+        let first = PivotColumns::from_rows(2, 1.0, rows);
         let before = cow::copied_bytes();
         let mut second = first.clone();
         second.push_row(&[7.0, 8.0]);
         // The clone copied each column's 100-value last chunk; the push
         // found it owned.
-        assert_eq!(cow::copied_bytes() - before, 2 * 100 * 4);
+        assert_eq!(cow::copied_bytes() - before, 2 * 100 * 2);
         assert_eq!(
             (first.rows(), second.rows()),
             (3 * chunk + 100, 3 * chunk + 101)
         );
-        assert_eq!(
-            second.row(3 * chunk + 100).collect::<Vec<_>>(),
-            [7.0f32, 8.0]
-        );
-        assert_eq!(second.row(99).collect::<Vec<_>>(), [99.0f32, -99.0]);
+        assert_eq!(second.row(3 * chunk + 100).collect::<Vec<_>>(), [7.0, 8.0]);
+        assert_eq!(second.row(99).collect::<Vec<_>>(), [99.0, 49.0]);
     }
 
     #[test]
     fn stored_bounds_are_admissible_on_real_data() {
         let pts = datasets::la(500, 7);
         let pivots: Vec<Vec<f32>> = vec![pts[3].clone(), pts[90].clone(), pts[222].clone()];
-        let m64 = PivotMatrix::compute(&pts, &L2, &pivots, 1);
-        let m32 = PivotColumns::from(&m64);
+        let exact = PivotMatrix::compute(&pts, &L2, &pivots, 1);
+        let stored = PivotColumns::from(&exact);
+        let step = stored.step();
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&pts[42], p)).collect();
         let mut lbs = Vec::new();
-        m32.lower_bounds_into(&qd, &mut lbs);
+        stored.lower_bounds_into(&qd, &mut lbs);
         assert_eq!(lbs.len(), 500);
-        let slk = m32.slack(qd.iter().fold(0.0f64, |a, q| a.max(q.abs())));
         for (i, lb) in lbs.iter().enumerate() {
-            let truth = pivot_lower_bound(&qd, m64.row(i));
+            let truth = pivot_lower_bound(&qd, exact.row(i));
             assert!(*lb <= truth, "row {i}: stored bound {lb} > true {truth}");
             assert!(*lb >= 0.0);
-            // And not uselessly loose: within slack of the truth.
-            assert!(truth - *lb <= 2.0 * slk + truth * 1e-6, "row {i} too loose");
-            // The by-hand form of the stored-precision bound.
-            let m = m32
+            // And not uselessly loose: within two buckets of the truth.
+            assert!(truth - *lb < 2.0 * step, "row {i} too loose");
+            // The by-hand form: floors of the query and of the row, one
+            // step of overlap given back.
+            let m = exact
                 .row(i)
+                .iter()
                 .zip(&qd)
-                .fold(0.0f32, |m, (y, &q)| m.max((quantise(q) - y).abs()));
-            assert_eq!(lb.to_bits(), clamp_pos(m as f64 - slk).to_bits(), "row {i}");
+                .map(|(x, q)| ((x / step).floor() - (q / step).floor()).abs())
+                .fold(0.0, f64::max);
+            assert_eq!(*lb, (m - 1.0).max(0.0) * step, "row {i}");
+            // What the row reads back as stands for the exact row.
+            for (y, &x) in stored.row(i).zip(exact.row(i)) {
+                let (lo, hi) = stored_interval(y, step);
+                assert!(lo <= x && x <= hi, "row {i}");
+            }
         }
-        // A permuted selection (same rows, so the same slack) agrees per row.
+        // A permuted selection agrees per row.
         let index: Vec<u32> = (0..500u32).map(|i| (i * 7) % 500).collect();
         let mut plbs = Vec::new();
-        m32.select(&index).lower_bounds_into(&qd, &mut plbs);
+        stored.select(&index).lower_bounds_into(&qd, &mut plbs);
         for (i, &id) in index.iter().enumerate() {
             assert_eq!(plbs[i].to_bits(), lbs[id as usize].to_bits());
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random columns under a random step, rows and queries inside the
+        /// coded range, in the open top bucket and far beyond it: every
+        /// tier returns the same bounds bit for bit, each admissible
+        /// against the exact f64 kernel over the un-bucketed rows, and —
+        /// where neither side saturates — within two steps of it, so a
+        /// kernel that is silently loose fails too.
+        #[test]
+        fn code_kernel_tiers_agree_and_bracket_the_exact_bound(
+            width in 1usize..=8,
+            n in 0usize..200,
+            step_exp in -10i32..=4,
+            cells in prop::collection::vec((0u32..70_000, 0u32..1000), 8 * 200),
+            query in prop::collection::vec((0u32..140_000, 0u32..1000), 8),
+        ) {
+            let step = 2f64.powi(step_exp);
+            let value = |&(cell, frac): &(u32, u32)| (f64::from(cell) + f64::from(frac) / 1000.0) * step;
+            let rows: Vec<f64> = cells[..n * width].iter().map(value).collect();
+            let qd: Vec<f64> = query[..width].iter().map(value).collect();
+            let stored = PivotColumns::from_rows(width, step, rows.chunks(width));
+            let mut exact = Vec::new();
+            ScanKernel::lower_bounds_scalar(&qd, &rows, n, &mut exact);
+            let top = 65_535.0 * step;
+            let query_coded = qd.iter().all(|&q| q < top);
+            let mut want = Vec::new();
+            stored.lower_bounds_with_tier(SimdTier::Portable, &qd, &mut want);
+            for (i, (&lb, &truth)) in want.iter().zip(&exact).enumerate() {
+                prop_assert!(lb <= truth, "row {}: {} > exact {}", i, lb, truth);
+                let row_coded = rows[i * width..][..width].iter().all(|&x| x < top);
+                if query_coded && row_coded {
+                    prop_assert!(lb > truth - 2.0 * step, "row {}: {} loose of {}", i, lb, truth);
+                }
+            }
+            for tier in simd::available_tiers() {
+                let mut got = Vec::new();
+                stored.lower_bounds_with_tier(tier, &qd, &mut got);
+                prop_assert_eq!(got.len(), n);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} row {}", tier, i);
+                }
+            }
         }
     }
 }

@@ -4,22 +4,25 @@
 //! The Lemma 1 filter `max_j |qd_j − row_j|` is memory-bound, so the win of
 //! hand-written lanes is modest for the f64 reference kernel — LLVM already
 //! auto-vectorizes the portable blocked loop — but load-bearing for the
-//! stored f32 columns every index scans, where AVX2 processes **eight**
-//! rows per step over **half** the bytes. Three tiers exist:
+//! stored u16 code columns every index scans, where AVX2 processes
+//! **sixteen** rows per step over a **quarter** of the bytes. Three tiers
+//! exist:
 //!
-//! * [`SimdTier::Avx2`] — 256-bit lanes (4 × f64 / 8 × f32 rows per step),
+//! * [`SimdTier::Avx2`] — 256-bit lanes (4 × f64 / 16 × u16 rows per step),
 //!   picked when the CPU reports AVX2 at first use.
-//! * [`SimdTier::Sse2`] — 128-bit lanes (2 × f64 / 4 × f32), the x86-64
+//! * [`SimdTier::Sse2`] — 128-bit lanes (2 × f64 / 8 × u16), the x86-64
 //!   baseline.
 //! * [`SimdTier::Portable`] — the blocked scalar code in `matrix.rs`
 //!   (LLVM-auto-vectorized), the only tier on non-x86-64 targets.
 //!
-//! **Every tier produces bit-identical bounds.** `a − b` is a single
-//! correctly-rounded operation, `abs` is exact, and a `max` reduction over
-//! non-negative finite values is exact and association-insensitive;
-//! degenerate inputs (`NaN`, `±∞`) collapse to the same clamped result
-//! through one shared adjustment helper. The per-tier entry points on
-//! `ScanKernel` exist so tests can pin every available tier against the
+//! **Every tier produces bit-identical bounds.** In f64, `a − b` is a
+//! single correctly-rounded operation, `abs` is exact, and a `max`
+//! reduction over non-negative finite values is exact and
+//! association-insensitive. The code kernel is integer arithmetic — an
+//! absolute difference and a max of u16s, exact in any order — finished by
+//! one shared `(m − 1)⁺ · step` whose conversion and power-of-two product
+//! round nothing. Pinning a tier (`ScanKernel::lower_bounds_with_tier`, the
+//! kernel proptest) is how tests hold every available tier against the
 //! portable reference.
 //!
 //! Dispatch is decided once per process ([`tier`], a `OnceLock`) and can be
@@ -89,7 +92,7 @@ pub fn tier() -> SimdTier {
 /// dispatcher guarantees.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::matrix::{adjust_f32, ScanKernel};
+    use crate::matrix::ScanKernel;
     use core::arch::x86_64::*;
 
     /// `|x|` via sign-bit clear — exact, no rounding.
@@ -101,16 +104,6 @@ pub(crate) mod x86 {
     #[inline(always)]
     unsafe fn abs_pd128(x: __m128d) -> __m128d {
         _mm_andnot_pd(_mm_set1_pd(-0.0), x)
-    }
-
-    #[inline(always)]
-    unsafe fn abs_ps(x: __m256) -> __m256 {
-        _mm256_andnot_ps(_mm256_set1_ps(-0.0), x)
-    }
-
-    #[inline(always)]
-    unsafe fn abs_ps128(x: __m128) -> __m128 {
-        _mm_andnot_ps(_mm_set1_ps(-0.0), x)
     }
 
     /// 4 rows of f64 per step; remainder through the shared scalar
@@ -143,45 +136,46 @@ pub(crate) mod x86 {
         }
     }
 
-    /// 8 rows of f32 per step over **planar** (column-major) storage:
-    /// `cols[j][i]` is the f32 filter value of local row `i` against pivot
+    /// 16 rows of u16 codes per step over **planar** (column-major)
+    /// storage: `cols[j][i]` is the code of local row `i` against pivot
     /// `j`, so every inner step is one contiguous `loadu` per column — no
-    /// per-lane scalar gather, which is what lets f32 actually cash in its
-    /// halved bytes and doubled lanes. Row maxes are widened to f64 and
-    /// slack-adjusted in-register (`max(m − slack, +0)` — `_mm256_max_pd(x,
-    /// 0)` matches the scalar `clamp_pos`, including for `NaN` and `−0`).
+    /// per-lane gather. `|c − q|` of unsigned lanes is the OR of the two
+    /// saturating differences (one of them is zero); the row maxes lose
+    /// their one step of bucket overlap in-register (`subs 1`) and are
+    /// widened u16 → i32 → f64 and scaled, four rows a store.
     ///
     /// # Safety
-    /// Caller verified AVX2; every `cols[j].len() == out.len()`.
+    /// Caller verified AVX2; every `cols[j].len() >= out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lb_f32_planar_avx2(qd: &[f32], cols: &[&[f32]], slack: f64, out: &mut [f64]) {
-        let w = qd.len();
+    pub unsafe fn lb_codes_avx2(qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
+        let w = qf.len();
         let n = out.len();
         debug_assert_eq!(cols.len(), w);
-        let slk = _mm256_set1_pd(slack);
-        let zero = _mm256_setzero_pd();
+        let scale = _mm256_set1_pd(step);
+        let one = _mm256_set1_epi16(1);
         let mut i = 0;
-        while i + 8 <= n {
-            let mut m = _mm256_setzero_ps();
+        while i + 16 <= n {
+            let mut m = _mm256_setzero_si256();
             for j in 0..w {
-                let x = _mm256_loadu_ps(cols.get_unchecked(j).as_ptr().add(i));
-                let q = _mm256_set1_ps(*qd.get_unchecked(j));
-                m = _mm256_max_ps(abs_ps(_mm256_sub_ps(q, x)), m);
+                let c = _mm256_loadu_si256(cols.get_unchecked(j).as_ptr().add(i).cast());
+                let q = _mm256_set1_epi16(*qf.get_unchecked(j) as i16);
+                let d = _mm256_or_si256(_mm256_subs_epu16(c, q), _mm256_subs_epu16(q, c));
+                m = _mm256_max_epu16(m, d);
             }
-            let lo = _mm256_max_pd(
-                _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(m)), slk),
-                zero,
-            );
-            let hi = _mm256_max_pd(
-                _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(m, 1)), slk),
-                zero,
-            );
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), lo);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), hi);
-            i += 8;
+            let m = _mm256_subs_epu16(m, one);
+            let lo = _mm256_cvtepu16_epi32(_mm256_castsi256_si128(m));
+            let hi = _mm256_cvtepu16_epi32(_mm256_extracti128_si256(m, 1));
+            let o = out.as_mut_ptr().add(i);
+            for (k, half) in [lo, hi].into_iter().enumerate() {
+                let a = _mm256_cvtepi32_pd(_mm256_castsi256_si128(half));
+                let b = _mm256_cvtepi32_pd(_mm256_extracti128_si256(half, 1));
+                _mm256_storeu_pd(o.add(8 * k), _mm256_mul_pd(a, scale));
+                _mm256_storeu_pd(o.add(8 * k + 4), _mm256_mul_pd(b, scale));
+            }
+            i += 16;
         }
         for (r, o) in out.iter_mut().enumerate().take(n).skip(i) {
-            *o = adjust_f32(ScanKernel::row_max_f32_planar(qd, cols, r), slack);
+            *o = ScanKernel::code_bound(ScanKernel::row_max_codes(qf, cols, r), step);
         }
     }
 
@@ -212,34 +206,36 @@ pub(crate) mod x86 {
         }
     }
 
-    /// 4 rows of f32 per step (SSE2 baseline) over planar storage, widened
-    /// and slack-adjusted. See [`lb_f32_planar_avx2`] for the layout.
+    /// 8 rows of u16 codes per step (SSE2 baseline) over planar storage;
+    /// see [`lb_codes_avx2`] for the layout. SSE2 has no unsigned 16-bit
+    /// max: `max(a, b) = adds(subs(a, b), b)`. The eight row maxes go
+    /// through the shared scalar finish.
     ///
     /// # Safety
-    /// Every `cols[j].len() == out.len()`.
+    /// Every `cols[j].len() >= out.len()`.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn lb_f32_planar_sse2(qd: &[f32], cols: &[&[f32]], slack: f64, out: &mut [f64]) {
-        let w = qd.len();
+    pub unsafe fn lb_codes_sse2(qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
+        let w = qf.len();
         let n = out.len();
         debug_assert_eq!(cols.len(), w);
-        let slk = _mm_set1_pd(slack);
-        let zero = _mm_setzero_pd();
         let mut i = 0;
-        while i + 4 <= n {
-            let mut m = _mm_setzero_ps();
+        while i + 8 <= n {
+            let mut m = _mm_setzero_si128();
             for j in 0..w {
-                let x = _mm_loadu_ps(cols.get_unchecked(j).as_ptr().add(i));
-                let q = _mm_set1_ps(*qd.get_unchecked(j));
-                m = _mm_max_ps(abs_ps128(_mm_sub_ps(q, x)), m);
+                let c = _mm_loadu_si128(cols.get_unchecked(j).as_ptr().add(i).cast());
+                let q = _mm_set1_epi16(*qf.get_unchecked(j) as i16);
+                let d = _mm_or_si128(_mm_subs_epu16(c, q), _mm_subs_epu16(q, c));
+                m = _mm_adds_epu16(_mm_subs_epu16(m, d), d);
             }
-            let lo = _mm_max_pd(_mm_sub_pd(_mm_cvtps_pd(m), slk), zero);
-            let hi = _mm_max_pd(_mm_sub_pd(_mm_cvtps_pd(_mm_movehl_ps(m, m)), slk), zero);
-            _mm_storeu_pd(out.as_mut_ptr().add(i), lo);
-            _mm_storeu_pd(out.as_mut_ptr().add(i + 2), hi);
-            i += 4;
+            let mut ms = [0u16; 8];
+            _mm_storeu_si128(ms.as_mut_ptr().cast(), m);
+            for (o, &m) in out[i..i + 8].iter_mut().zip(&ms) {
+                *o = ScanKernel::code_bound(m, step);
+            }
+            i += 8;
         }
         for (r, o) in out.iter_mut().enumerate().take(n).skip(i) {
-            *o = adjust_f32(ScanKernel::row_max_f32_planar(qd, cols, r), slack);
+            *o = ScanKernel::code_bound(ScanKernel::row_max_codes(qf, cols, r), step);
         }
     }
 }

@@ -37,10 +37,10 @@
 //! members when a remove hits one of its faces
 //! ([`RoutingTable::rebox_from_rows`]). Centres ride along — `extend` adds
 //! the row, [`RoutingTable::forget`] subtracts a removed one, a rebox
-//! recomputes — and are a function of the rows a shard *stores* (the f64
-//! sum of the stored f32 values in slot order, over the count), so a build
-//! and a compaction of the same survivors order their probes, and count
-//! their distances, identically.
+//! recomputes — and are a function of the rows a shard *stores* (the sum of
+//! the stored values — multiples of one step, so exact in any order — over
+//! the count), so a build and a compaction of the same survivors order
+//! their probes, and count their distances, identically.
 //!
 //! Both decisions are conservative applications of Lemma 1, so routed
 //! answers are *identical* to probing every shard — pruning only ever

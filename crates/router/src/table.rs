@@ -2,7 +2,7 @@
 //! planner that decides which shards a query must probe.
 
 use pmi_metric::lemmas::Mbb;
-use pmi_metric::matrix::quantise;
+use pmi_metric::matrix::snap;
 use pmi_metric::PivotMatrix;
 use std::sync::Arc;
 
@@ -20,16 +20,18 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
 /// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and, per
 /// shard, one bounding box and one centre over its members' mapped points —
-/// over what the shard *stores* of them. The box is the bounding box of the
-/// members' stored (f32) pivot distances, widened outward by one f32 ulp per
-/// face ([`Mbb::extend_stored`]); the centre is their mean, kept as the f64
-/// sum of the stored values and the live count. Both are pure functions of
-/// the shard's stored columns: the box is identical whether it was grown
-/// insert by insert or recomputed from the rows, and contains the exact f64
-/// map of every member, so planning against it with the exact f64 map of a
-/// query stays admissible; the centre recomputed from the rows (a build, a
-/// [`rebox_from_rows`](Self::rebox_from_rows)) is the sum *in slot order*
-/// over the count, so a fresh build and a compaction of the same survivors
+/// over what the shard *stores* of them, under the one `step` the engine
+/// hands every shard's columns and this table. The box is the union of the
+/// buckets the members' stored pivot distances stand for
+/// ([`Mbb::extend_stored`]: from the lowest stored value to one step above
+/// the highest, open above once a member is stored saturated); the centre
+/// is the mean of the stored values, kept as their f64 sum and the live
+/// count. Both are pure functions of the shard's stored columns: the box is
+/// identical whether it was grown insert by insert or recomputed from the
+/// rows, and contains the exact f64 map of every member, so planning
+/// against it with the exact f64 map of a query stays admissible; a stored
+/// value is a whole number of steps, fewer than `2¹⁶`, so the sum is exact
+/// in any order, and a fresh build and a compaction of the same survivors
 /// agree bit for bit — which keeps their probe orders, and with them their
 /// distance counts, identical.
 ///
@@ -54,10 +56,7 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 /// decay under churn — there is exactly one mutation route (the engine's
 /// transactional `apply`), so published boxes are never stale. Centres
 /// follow the same route: `extend` adds a row, [`forget`](Self::forget)
-/// subtracts one, a rebox recomputes. Between reboxes a centre may differ
-/// from the mean of the rows by accumulated rounding, which can only ever
-/// reorder two shards whose bounds tie and whose centres are equidistant
-/// to that precision — an order the answer does not depend on.
+/// subtracts one, a rebox recomputes.
 ///
 /// Cloning shares the mapper (an `Arc`) and deep-copies the boxes and
 /// centres: the table is immutable once published inside an engine
@@ -71,6 +70,8 @@ pub struct RoutingTable<O> {
     sums: Vec<f64>,
     /// Live rows behind each shard's sum.
     counts: Vec<u64>,
+    /// The bucket width of the shards' stored columns.
+    step: f64,
 }
 
 impl<O> Clone for RoutingTable<O> {
@@ -80,6 +81,7 @@ impl<O> Clone for RoutingTable<O> {
             boxes: self.boxes.clone(),
             sums: self.sums.clone(),
             counts: self.counts.clone(),
+            step: self.step,
         }
     }
 }
@@ -87,10 +89,10 @@ impl<O> Clone for RoutingTable<O> {
 impl<O> RoutingTable<O> {
     /// Builds the table from a partitioning — the only way to make one:
     /// row `i` of `mapped` (the build-time pivot-distance matrix) is object
-    /// `i`'s pivot-distance vector, `assignment[i]` its shard. Each box and
-    /// centre covers what its shard will store of those rows (see
-    /// [`extend`](Self::extend)); a shard's members are summed in row
-    /// order, the order it stores them in.
+    /// `i`'s pivot-distance vector, `assignment[i]` its shard, `step` the
+    /// bucket width the shards store those rows under. Each box and centre
+    /// covers what its shard will store of them (see
+    /// [`extend`](Self::extend)).
     ///
     /// Correctness contract: `mapper` must append the pivot-distance vector
     /// of its argument under the *same* pivots and metric that produced
@@ -101,10 +103,11 @@ impl<O> RoutingTable<O> {
         mapped: &PivotMatrix,
         assignment: &[usize],
         shards: usize,
+        step: f64,
     ) -> Self {
         debug_assert_eq!(mapped.rows(), assignment.len());
         debug_assert_eq!(mapped.width(), dim);
-        // Rounding to nearest is monotone, so the box of the stored values
+        // Flooring to a bucket is monotone, so the box of the stored values
         // is the stored form of the exact rows' box: take that (two
         // compares a value), then widen each occupied box once.
         let mut exact = vec![Mbb::empty(dim); shards];
@@ -113,21 +116,27 @@ impl<O> RoutingTable<O> {
         for ((_, m), &s) in mapped.iter_rows().zip(assignment) {
             exact[s].extend(m);
             for (t, &x) in sums[s * dim..][..dim].iter_mut().zip(m) {
-                *t += f64::from(quantise(x));
+                *t += snap(x, step);
             }
             counts[s] += 1;
         }
         let mut boxes = vec![Mbb::empty(dim); shards];
         for (b, e) in boxes.iter_mut().zip(&exact).filter(|(_, e)| !e.is_empty()) {
-            b.extend_stored(e.lo().iter().map(|&x| quantise(x)));
-            b.extend_stored(e.hi().iter().map(|&x| quantise(x)));
+            b.extend_stored(e.lo().iter().map(|&x| snap(x, step)), step);
+            b.extend_stored(e.hi().iter().map(|&x| snap(x, step)), step);
         }
         RoutingTable {
             mapper: Arc::new(mapper),
             boxes,
             sums,
             counts,
+            step,
         }
+    }
+
+    /// The bucket width of the stored rows the boxes and centres are over.
+    pub fn step(&self) -> f64 {
+        self.step
     }
 
     /// Number of shards the table routes over.
@@ -220,14 +229,15 @@ impl<O> RoutingTable<O> {
 
     /// Grows shard `s`'s box and moves its centre to cover a newly inserted
     /// object: `point` is its exact mapped point, and the box grows by the
-    /// interval its *stored* form stands for — exactly what
+    /// bucket its *stored* form stands for — exactly what
     /// [`rebox_from_rows`](Self::rebox_from_rows) would produce for that
     /// row, so an insert followed by a rebox of the same members yields the
     /// identical box — while the centre takes the stored value itself.
     pub fn extend(&mut self, s: usize, point: &[f64]) {
-        self.boxes[s].extend_stored(point.iter().map(|&x| quantise(x)));
+        let step = self.step;
+        self.boxes[s].extend_stored(point.iter().map(|&x| snap(x, step)), step);
         for (t, &x) in self.sum_mut(s).iter_mut().zip(point) {
-            *t += f64::from(quantise(x));
+            *t += snap(x, step);
         }
         self.counts[s] += 1;
     }
@@ -236,38 +246,33 @@ impl<O> RoutingTable<O> {
     /// box is left alone: the engine calls this for a member strictly
     /// inside it, and recomputes box and centre together
     /// ([`rebox_from_rows`](Self::rebox_from_rows)) for one on a face.
-    pub fn forget(&mut self, s: usize, row: impl IntoIterator<Item = f32>) {
+    pub fn forget(&mut self, s: usize, row: impl IntoIterator<Item = f64>) {
         assert!(self.counts[s] > 0, "forgetting a row of an empty shard");
         self.counts[s] -= 1;
-        let emptied = self.counts[s] == 0;
-        let sum = self.sum_mut(s);
-        for (t, y) in sum.iter_mut().zip(row) {
-            *t -= f64::from(y);
-        }
-        if emptied {
-            // No members, no rounding residue for the next one to inherit.
-            sum.fill(0.0);
+        for (t, y) in self.sum_mut(s).iter_mut().zip(row) {
+            *t -= y;
         }
     }
 
     /// Recomputes shard `s`'s box and centre from its live members' stored
     /// rows, restoring full pruning power after removes (an empty iterator
-    /// leaves the always-prunable empty box and no centre). Rows are summed
-    /// in the order given — the engine passes slot order.
+    /// leaves the always-prunable empty box and no centre).
     pub fn rebox_from_rows<R>(&mut self, s: usize, rows: impl IntoIterator<Item = R>)
     where
-        R: IntoIterator<Item = f32>,
+        R: IntoIterator<Item = f64>,
     {
+        let step = self.step;
         let mut to = Mbb::empty(self.boxes[s].dim());
         let sum = self.sum_mut(s);
         sum.fill(0.0);
         let mut count = 0;
         for row in rows {
             // One pass over the row feeds both the box and the sum.
-            to.extend_stored(row.into_iter().zip(sum.iter_mut()).map(|(y, t)| {
-                *t += f64::from(y);
+            let fed = row.into_iter().zip(sum.iter_mut()).map(|(y, t)| {
+                *t += y;
                 y
-            }));
+            });
+            to.extend_stored(fed, step);
             count += 1;
         }
         self.boxes[s] = to;
@@ -290,6 +295,10 @@ impl<O> std::fmt::Debug for RoutingTable<O> {
 mod tests {
     use super::*;
 
+    /// The bucket width of the tests' tables: coordinates are stored to
+    /// the eighth below them.
+    const STEP: f64 = 0.125;
+
     /// 1-d objects, one pivot at the origin: mapping is |x|.
     fn table(points: &[(f64, usize)], shards: usize) -> RoutingTable<f64> {
         let mapped = PivotMatrix::from_rows(1, points.iter().map(|&(x, _)| [x.abs()]));
@@ -300,6 +309,7 @@ mod tests {
             &mapped,
             &assignment,
             shards,
+            STEP,
         )
     }
 
@@ -344,10 +354,10 @@ mod tests {
         let t = table(&[(1.0, 0), (2.0, 0), (10.0, 1), (12.0, 1), (5.0, 2)], 3);
         let order = knn_order(&t, &[11.0]);
         // Shard 1's box contains 11 (bound 0), shard 2 is 6 away, shard 0 is
-        // 9 — each less the one f32 ulp its face is widened by.
+        // 9 — each less the one bucket its upper face stands for.
         assert_eq!(order[0], (1, 0.0));
-        assert_eq!(order[1], (2, 11.0 - 5.0f32.next_up() as f64));
-        assert_eq!(order[2], (0, 11.0 - 2.0f32.next_up() as f64));
+        assert_eq!(order[1], (2, 11.0 - (5.0 + STEP)));
+        assert_eq!(order[2], (0, 11.0 - (2.0 + STEP)));
     }
 
     #[test]
@@ -366,10 +376,16 @@ mod tests {
         t.extend(0, &[5.0]);
         assert_eq!(range_plan(&t, &[5.0], 1.0), vec![0]);
         assert_eq!(t.boxes()[0].lower_bound(&[5.0]), 0.0);
-        // One f32 ulp inside the stored 10.
+        // A lower face is the stored value itself.
+        assert_eq!(t.boxes()[1].lower_bound(&[5.0]), 10.0 - 5.0);
+        // Beyond the top bucket (65 535 steps) a member is stored
+        // saturated: its box is open above, wherever it really is.
+        t.extend(1, &[9_000.0]);
+        assert_eq!(t.boxes()[1].hi(), &[f64::INFINITY]);
+        assert_eq!(t.boxes()[1].lower_bound(&[1e9]), 0.0);
         assert_eq!(
-            t.boxes()[1].lower_bound(&[5.0]),
-            10.0f32.next_down() as f64 - 5.0
+            t.centre(1).unwrap().next(),
+            Some((10.0 + 65_535.0 * STEP) / 2.0)
         );
     }
 
@@ -384,13 +400,13 @@ mod tests {
             "stale box still matches near the removed member"
         );
         let grown = t.boxes()[0].clone();
-        t.rebox_from_rows(0, [[1.0f32], [2.0], [9.0]]);
+        t.rebox_from_rows(0, [[1.0], [2.0], [9.0]]);
         assert_eq!(
             t.boxes()[0],
             grown,
             "a rebox of the same members is the same box"
         );
-        t.rebox_from_rows(0, [[1.0f32], [2.0]]);
+        t.rebox_from_rows(0, [[1.0], [2.0]]);
         assert_eq!(
             range_plan(&t, &[8.0], 0.5),
             Vec::<usize>::new(),
@@ -398,7 +414,7 @@ mod tests {
         );
         assert_eq!(range_plan(&t, &[1.5], 0.5), vec![0], "members still found");
         // The shard lost its last member: the empty box is always pruned.
-        t.rebox_from_rows(0, [[0.0f32]; 0]);
+        t.rebox_from_rows(0, [[0.0]; 0]);
         assert_eq!(range_plan(&t, &[1.5], 1e9), vec![1]);
         assert_eq!(knn_order(&t, &[1.5])[1], (0, f64::INFINITY));
     }
@@ -477,21 +493,22 @@ mod tests {
         // A member strictly inside the box leaves: the box stays, the
         // centre follows.
         let boxed = t.boxes()[0].clone();
-        t.forget(0, [3.0f32]);
+        t.forget(0, [3.0]);
         assert_eq!(centre(&t, 0), Some(vec![4.5]));
         assert_eq!(t.boxes()[0], boxed);
-        // The centre is over the *stored* values: 0.1 is not an f32.
-        t.extend(1, &[0.1]);
-        assert_eq!(centre(&t, 1), Some(vec![(10.0 + f64::from(0.1f32)) / 2.0]));
-        t.rebox_from_rows(1, [[0.1f32], [0.5]]);
+        // The centre is over the *stored* values: 0.3 is stored as 0.25.
+        t.extend(1, &[0.3]);
+        assert_eq!(centre(&t, 1), Some(vec![(10.0 + 0.25) / 2.0]));
+        t.rebox_from_rows(1, [[0.25], [0.5]]);
         assert_eq!(
             centre(&t, 1),
-            Some(vec![(f64::from(0.1f32) + 0.5) / 2.0]),
+            Some(vec![(0.25 + 0.5) / 2.0]),
             "a rebox recomputes the centre from the rows it is given"
         );
-        // The last member forgotten: no centre, and no residue for the next.
-        let mut t = table(&[(0.1, 0), (0.7, 1)], 2);
-        t.forget(0, [0.1f32]);
+        // The last member forgotten: no centre, and — stored values sum
+        // exactly — no residue for the next.
+        let mut t = table(&[(0.3, 0), (0.7, 1)], 2);
+        t.forget(0, [0.25]);
         assert_eq!(centre(&t, 0), None);
         t.extend(0, &[0.25]);
         assert_eq!(centre(&t, 0), Some(vec![0.25]));
@@ -531,6 +548,7 @@ mod tests {
                 &PivotMatrix::from_rows(width, &rows),
                 &assignment,
                 shards,
+                STEP,
             );
             let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shards];
             for (row, &s) in rows.iter().zip(&assignment) {
@@ -547,7 +565,7 @@ mod tests {
                 }
                 (0..width)
                     .map(|j| {
-                        let sum: f64 = members[s].iter().map(|r| f64::from(quantise(r[j]))).sum();
+                        let sum: f64 = members[s].iter().map(|r| snap(r[j], STEP)).sum();
                         let c = sum / members[s].len() as f64;
                         (c - q[j]) * (c - q[j])
                     })

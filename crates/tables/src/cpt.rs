@@ -6,10 +6,11 @@
 //! read through the M-tree leaf directory) before the distance can be
 //! computed. This is the CPU/I-O overhead the paper attributes to CPT.
 //!
-//! Like LAESA, the table is stored as planar f32 [`PivotColumns`] the index
-//! owns; liveness is a separate slot bitmap, and the Lemma 1 filter runs
-//! through the blocked [`ScanKernel`](pmi_metric::ScanKernel) over those
-//! columns, with survivors collected before the fetch+verify pass.
+//! Like LAESA, the table is stored as planar u16 bucket [`PivotColumns`]
+//! the index owns; liveness is a separate slot bitmap, and the Lemma 1
+//! filter runs through the blocked [`ScanKernel`](pmi_metric::ScanKernel)
+//! over those columns, with survivors collected before the fetch+verify
+//! pass.
 
 use pmi_metric::fault;
 use pmi_metric::{
@@ -381,9 +382,9 @@ mod tests {
         assert!(idx.counters().compdists > 300 * 4);
         let s = idx.storage();
         assert!(s.mem_bytes > 0 && s.disk_bytes > 0);
-        // In memory: 4·l bytes of rows and one liveness byte per slot, plus
+        // In memory: 2·l bytes of rows and one liveness byte per slot, plus
         // the pivots (a 2-d f32 point encodes to 12 bytes).
-        assert_eq!(s.mem_bytes, 300 * (4 * 4 + 1) + 4 * 12);
+        assert_eq!(s.mem_bytes, 300 * (2 * 4 + 1) + 4 * 12);
     }
 
     #[test]

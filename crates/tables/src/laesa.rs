@@ -8,9 +8,10 @@ use pmi_metric::{
 
 /// LAESA: `n × l` pre-computed distances + linear scan with Lemma 1.
 ///
-/// The distance table is stored as planar f32 [`PivotColumns`] the index
-/// owns (4 bytes per distance where the paper's implementation uses 8; the
-/// kernel's rounding slack keeps every answer exact), aligned with the
+/// The distance table is stored as planar u16 bucket [`PivotColumns`] the
+/// index owns (2 bytes per distance where the paper's implementation uses
+/// 8; a bucket only ever loosens a bound, so every answer stays exact),
+/// aligned with the
 /// object table's slots: removal tombstones the slot (the row stays in
 /// place, unverified). The Lemma 1 filter runs through the blocked
 /// [`ScanKernel`](pmi_metric::ScanKernel): one pass computes every slot's
@@ -301,11 +302,12 @@ mod tests {
             plain.range_query(&o, 0.0),
             "identical answers after the insert"
         );
-        assert!(adopted
-            .pivot_rows()
-            .unwrap()
-            .row(a as usize)
-            .eq(row.iter().map(|&x| x as f32)));
+        // The stored row stands for the row handed over.
+        let rows = adopted.pivot_rows().unwrap();
+        for (y, &x) in rows.row(a as usize).zip(&row) {
+            let (lo, hi) = pmi_metric::matrix::stored_interval(y, rows.step());
+            assert!(lo <= x && x <= hi && hi - lo == rows.step());
+        }
     }
 
     #[test]
@@ -384,9 +386,9 @@ mod tests {
         assert!(s.mem_bytes > 0);
         assert_eq!(s.disk_bytes, 0);
         assert_eq!(idx.counters().page_accesses(), 0);
-        // Rows cost 4·l bytes per slot and nothing else is per slot; a
+        // Rows cost 2·l bytes per slot and nothing else is per slot; a
         // 2-d f32 point encodes to 12 bytes.
         let objects_and_pivots = (100 + 3) * 12;
-        assert_eq!(s.mem_bytes, 100 * 4 * 3 + objects_and_pivots);
+        assert_eq!(s.mem_bytes, 100 * 2 * 3 + objects_and_pivots);
     }
 }

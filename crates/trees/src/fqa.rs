@@ -10,9 +10,11 @@
 //! settings.
 //!
 //! A matrix-adopting FQA ([`Fqa::build_with_matrix`]) additionally holds
-//! the *exact* (unbucketed) pivot distances as slot-aligned
-//! [`PivotColumns`] — an f32 column holds a discrete distance exactly up to
-//! 2²⁴ ([`Fqa::MAX_ADOPTED_DISTANCE`]) — and its hot-path queries
+//! the *exact* pivot distances as slot-aligned [`PivotColumns`] — columns
+//! whose step divides 1 hold every discrete distance below their top
+//! bucket as itself ([`PivotColumns::holds_integers_exactly`], the
+//! condition for adopting them: FQA's own buckets are far coarser than the
+//! columns') — and its hot-path queries
 //! ([`MetricIndex::range_query_into`] /
 //! [`MetricIndex::knn_query_into_seeded`] and the wrappers over them)
 //! filter through the blocked
@@ -63,10 +65,10 @@ fn bucket(d: f64, width: f64, buckets: u32) -> u32 {
     ((d / width) as u32).min(buckets - 1)
 }
 
-/// The signature of a stored row — exact for the discrete distances an
-/// adopting FQA accepts (`Fqa::MAX_ADOPTED_DISTANCE`).
-fn signature_of_row(row: impl Iterator<Item = f32>, width: f64, buckets: u32) -> Vec<u32> {
-    row.map(|d| bucket(d as f64, width, buckets)).collect()
+/// The signature of a pivot-distance row, as mapped or as stored — the
+/// same for the discrete distances the adopted columns hold exactly.
+fn signature_of_row(row: impl Iterator<Item = f64>, width: f64, buckets: u32) -> Vec<u32> {
+    row.map(|d| bucket(d, width, buckets)).collect()
 }
 
 impl<O, M> Fqa<O, M>
@@ -74,12 +76,6 @@ where
     O: Clone + EncodeObject + Send + Sync + 'static,
     M: Metric<O>,
 {
-    /// The largest distance domain [`build_with_matrix`](Self::build_with_matrix)
-    /// adopts rows for: 2²⁴, up to which every integer is an f32. Removal
-    /// and compaction re-derive an object's signature from its *stored*
-    /// row, which must therefore hold each discrete distance exactly.
-    pub const MAX_ADOPTED_DISTANCE: f64 = 16_777_216.0;
-
     /// Builds an FQA with the shared pivot set. `max_distance` bounds the
     /// discrete distance domain; `buckets` is the signature alphabet size.
     pub fn build(
@@ -129,10 +125,14 @@ where
     ///
     /// # Panics
     ///
-    /// If `max_distance` exceeds
-    /// [`MAX_ADOPTED_DISTANCE`](Self::MAX_ADOPTED_DISTANCE): above it a
-    /// stored row no longer determines its signature, and a later remove
-    /// could miss its signature row. Use [`build`](Self::build) there.
+    /// Unless `matrix_rows`
+    /// [hold every distance exactly](PivotColumns::holds_integers_exactly)
+    /// — removal re-derives an object's signature from its *stored* row.
+    /// Under a step above 1 (distances beyond 65 535) a stored row no
+    /// longer determines its signature; use [`build`](Self::build) there.
+    /// (A later insert beyond the columns' top bucket is stored saturated
+    /// all the same; its removal pays `l` distances to name its
+    /// signature.)
     pub fn build_with_matrix(
         objects: Vec<O>,
         metric: M,
@@ -147,8 +147,8 @@ where
         );
         assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
         assert!(
-            max_distance <= Self::MAX_ADOPTED_DISTANCE,
-            "an f32 column holds discrete distances exactly only up to 2^24"
+            matrix_rows.holds_integers_exactly(),
+            "adopted rows must hold every discrete distance exactly"
         );
         assert_eq!(
             matrix_rows.rows(),
@@ -193,6 +193,17 @@ where
     fn insert_sorted(&mut self, sig: Vec<u32>, id: ObjId) {
         let pos = self.rows.partition_point(|(s, _)| (s, 0) < (&sig, 1));
         self.rows.insert(pos, (sig, id));
+    }
+
+    /// Where `(sig, id)` sits in the sorted signature array: the run of
+    /// equal signatures, then the id within it.
+    fn position(&self, sig: &[u32], id: ObjId) -> Option<usize> {
+        let start = self.rows.partition_point(|(s, _)| s.as_slice() < sig);
+        self.rows[start..]
+            .iter()
+            .take_while(|(s, _)| s == sig)
+            .position(|&(_, rid)| rid == id)
+            .map(|i| start + i)
     }
 
     /// Bucket value range compatible with `d(q,p) = dq` and radius `r` at
@@ -427,8 +438,8 @@ where
                 .iter()
                 .map(|p| self.metric.dist(&o, p))
                 .collect();
-            let local = rows.push_row(&row);
-            signature_of_row(rows.row(local), self.width, self.buckets)
+            rows.push_row(&row);
+            signature_of_row(row.into_iter(), self.width, self.buckets)
         } else {
             self.signature(&o)
         };
@@ -444,7 +455,7 @@ where
             return Err(o);
         };
         let local = rows.push_row(row);
-        let sig = signature_of_row(rows.row(local), self.width, self.buckets);
+        let sig = signature_of_row(row.iter().copied(), self.width, self.buckets);
         let id = self.table.push(o);
         debug_assert_eq!(id as usize, local, "rows stay slot-aligned");
         self.insert_sorted(sig, id);
@@ -477,31 +488,21 @@ where
     }
 
     fn remove(&mut self, id: ObjId) -> bool {
-        if self.table.get(id).is_none() {
+        let Some(o) = self.table.get(id) else {
             return false;
-        }
-        // Re-derive the signature from the adopted row when present (no
-        // distance computations); fall back to the metric otherwise.
-        let sig = match &self.adopted {
-            Some(rows) => signature_of_row(rows.row(id as usize), self.width, self.buckets),
-            None => {
-                let o = self.table.get(id).cloned().expect("checked live above");
-                self.signature(&o)
-            }
         };
-        // Locate the run of equal signatures, then the id within it.
-        let start = self.rows.partition_point(|(s, _)| s < &sig);
-        let mut pos = None;
-        for (i, (s, rid)) in self.rows[start..].iter().enumerate() {
-            if s != &sig {
-                break;
-            }
-            if *rid == id {
-                pos = Some(start + i);
-                break;
-            }
-        }
-        let Some(pos) = pos else { return false };
+        // Re-derive the signature from the adopted row when present (no
+        // distance computations). A row stored saturated — inserted farther
+        // from a pivot than the columns' top bucket — no longer names its
+        // signature: that one is recomputed from the metric, as a plain
+        // FQA's always is.
+        let stored = self.adopted.as_ref().and_then(|rows| {
+            let sig = signature_of_row(rows.row(id as usize), self.width, self.buckets);
+            self.position(&sig, id)
+        });
+        let Some(pos) = stored.or_else(|| self.position(&self.signature(o), id)) else {
+            return false;
+        };
         self.rows.remove(pos);
         self.table.remove(id);
         true
@@ -674,15 +675,56 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only up to 2^24")]
-    fn adoption_is_refused_where_f32_cannot_hold_the_distances() {
-        // 2^24 + 1 is stored as 2^24: a signature re-derived from the
-        // stored row could name another bucket than the one built from the
-        // distance, and a remove would not find its signature row.
+    #[should_panic(expected = "hold every discrete distance exactly")]
+    fn adoption_is_refused_where_the_columns_cannot_hold_the_distances() {
+        // Distances up to 70 001 need a step of 2: 70 001 is stored as
+        // 70 000, a signature re-derived from the stored row could name
+        // another bucket than the one built from the distance, and a
+        // remove would not find its signature row.
         let ws = datasets::words(20, 3);
         let pivots = vec![ws[0].clone()];
+        let far = PivotMatrix::from_rows(1, (0..20).map(|i| [70_001.0 - f64::from(i)]));
+        let _ = Fqa::build_with_matrix(ws, EditDistance, pivots, (&far).into(), 1e5, 16);
+    }
+
+    #[test]
+    fn an_insert_beyond_the_adopted_top_bucket_is_still_removable() {
+        // Short words only at build: distances to the pivot stay under 16,
+        // so the columns' step is 2⁻¹² and their top bucket starts at 16.
+        let ws: Vec<String> = datasets::words(400, 17)
+            .into_iter()
+            .filter(|w| w.len() <= 8)
+            .collect();
+        let pivots = vec![ws[0].clone()];
         let rows = PivotColumns::from(&PivotMatrix::compute(&ws, &EditDistance, &pivots, 1));
-        let _ = Fqa::build_with_matrix(ws, EditDistance, pivots, rows, 16_777_217.0, 16);
+        assert!(65_535.0 * rows.step() < 17.0);
+        let mut idx = Fqa::build_with_matrix(ws, EditDistance, pivots.clone(), rows, 34.0, 16);
+        // Two long words, 20 and 30 edits from the pivot: both are stored
+        // saturated, in different signature buckets.
+        let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
+        let ids: Vec<ObjId> = long
+            .iter()
+            .map(|w| {
+                let row = [EditDistance.dist(w, &pivots[0])];
+                idx.insert_adopted(w.clone(), &row).expect("adopting")
+            })
+            .collect();
+        assert_eq!(
+            idx.pivot_rows().unwrap().row(ids[0] as usize).next(),
+            idx.pivot_rows().unwrap().row(ids[1] as usize).next()
+        );
+        for (w, &id) in long.iter().zip(&ids) {
+            assert_eq!(idx.range_query(w, 0.0), vec![id]);
+            assert_eq!(idx.knn_query(w, 1)[0].id, id);
+        }
+        idx.reset_counters();
+        assert!(idx.remove(ids[1]) && idx.remove(ids[0]) && !idx.remove(ids[0]));
+        assert_eq!(idx.counters().compdists, 2, "one pivot distance a miss");
+        assert!(idx.range_query(&long[1], 0.0).is_empty());
+        // A row the columns hold exactly costs nothing to remove.
+        idx.reset_counters();
+        assert!(idx.remove(3));
+        assert_eq!(idx.counters().compdists, 0);
     }
 
     #[test]

@@ -125,13 +125,13 @@ fn main() {
     );
 
     // The scan path (docs/performance.md): each shard stores its members'
-    // pivot distances once, as planar f32 columns — half the bytes of f64
-    // rows through the Lemma 1 kernel. Exact distances stay f64 and the
-    // kernel subtracts a conservative rounding slack from every bound, so
-    // the answers are the brute-force ones.
+    // pivot distances once, as planar u16 bucket columns — a quarter of the
+    // bytes of f64 rows through the Lemma 1 kernel. Exact distances stay
+    // f64 and a bucket only ever loosens a bound, so the answers are the
+    // brute-force ones.
     let wide = engine.serve(&batch);
     println!(
-        "\nstored f32 columns (LAESA, P=8, pivot-space) simd={}: {}",
+        "\nstored u16 bucket columns (LAESA, P=8, pivot-space) simd={}: {}",
         pmr::metric::simd::tier().label(),
         wide.report,
     );

@@ -64,14 +64,14 @@
 //! `Completeness` contract, the quarantine lifecycle, the fault-point
 //! catalog, and how to run the chaos suite (`tests/chaos.rs`).
 //!
-//! Performance — pivot distances stored once as planar `f32` columns
-//! (`pmr::PivotColumns`: half the filter bandwidth of f64 rows, answers
-//! exact, no mode to pick), the explicit-SIMD scan kernel with runtime
-//! dispatch (`pmr::metric::simd::tier()`, override with `PMI_SIMD`),
-//! and the one serving model (workers claim whole queries; a lone query
-//! runs the same probe path as a batch) — is documented in
-//! `docs/performance.md`: the conservative-rounding and box-widening
-//! admissibility argument, the SIMD tier table and bit-identity
-//! contract, why there is no scheduling knob, and the measurements.
+//! Performance — pivot distances stored once as planar `u16` bucket
+//! columns (`pmr::PivotColumns`: a quarter of the filter bandwidth of f64
+//! rows, answers exact, no mode to pick), the explicit-SIMD scan kernel
+//! with runtime dispatch (`pmr::metric::simd::tier()`, override with
+//! `PMI_SIMD`), and the one serving model (workers claim whole queries; a
+//! lone query runs the same probe path as a batch) — is documented in
+//! `docs/performance.md`: the bucket and box-widening admissibility
+//! argument, the SIMD tier table and bit-identity contract, why there is
+//! no scheduling knob, and the measurements.
 
 pub use pmi::*;

@@ -3,8 +3,8 @@
 //! pay PA on queries, the kNN cache absorbs repeat reads, counters reset) —
 //! and the blocked scan kernel must change **no** exact counter: it only
 //! reorders lower-bound arithmetic, never distance evaluations. The tables
-//! store their pivot distances as f32, so the by-hand filter oracles here
-//! count survivors with the stored-precision bound.
+//! store their pivot distances as u16 buckets, so the by-hand filter oracles
+//! here count survivors with the bucketed bound.
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, BuildOptions, IndexKind};
@@ -13,28 +13,35 @@ use pmr::{
 };
 use std::cell::Cell;
 
-/// A table's stored rows by hand: every distance of `matrix` rounded to
-/// f32, plus the largest stored magnitude (it sizes the slack).
-fn stored(matrix: &PivotMatrix) -> (Vec<Vec<f32>>, f64) {
-    let rows: Vec<Vec<f32>> = matrix
+/// A table's stored rows by hand: the step — the smallest power of two
+/// under which the largest distance of `matrix` is within 65 535 steps —
+/// and every distance floored to a whole number of steps.
+fn stored(matrix: &PivotMatrix) -> (Vec<Vec<f64>>, f64) {
+    let max = matrix.as_slice().iter().fold(0.0f64, |m, &x| m.max(x));
+    let mut step = 1.0;
+    while 65_535.0 * step < max {
+        step *= 2.0;
+    }
+    while 65_535.0 * (step / 2.0) >= max {
+        step /= 2.0;
+    }
+    let rows = matrix
         .iter_rows()
-        .map(|(_, r)| r.iter().map(|&x| x as f32).collect())
+        .map(|(_, r)| r.iter().map(|&x| (x / step).floor() * step).collect())
         .collect();
-    let max_abs = rows.iter().flatten().fold(0.0f32, |m, y| m.max(y.abs()));
-    (rows, max_abs as f64)
+    (rows, step)
 }
 
-/// The stored-precision Lemma 1 bound by hand: `max_j |qd32_j − y_j|` in
-/// f32, less the rounding slack `4 · ε₃₂ · (max|y| + max|qd|)`, clamped at 0
-/// — never above the f64 `pivot_lower_bound` over the exact row.
-fn stored_lower_bound(qd: &[f64], row: &[f32], max_abs: f64) -> f64 {
-    let qmax = qd.iter().fold(0.0f64, |m, q| m.max(q.abs()));
-    let slack = 4.0 * f32::EPSILON as f64 * (max_abs + qmax);
-    let m = qd
-        .iter()
-        .zip(row)
-        .fold(0.0f32, |m, (&q, &y)| m.max((q as f32 - y).abs()));
-    (m as f64 - slack).max(0.0)
+/// The bucketed Lemma 1 bound by hand: with the query floored to whole
+/// steps like the stored `row`, `max_j |⌊qd_j⌋ − y_j|` less the one step two
+/// buckets can overlap by, clamped at 0 — never above the f64
+/// `pivot_lower_bound` over the exact row.
+fn stored_lower_bound(qd: &[f64], row: &[f64], step: f64) -> f64 {
+    let top = 65_535.0 * step;
+    let m = qd.iter().zip(row).fold(0.0f64, |m, (&q, &y)| {
+        m.max((((q / step).floor() * step).min(top) - y).abs())
+    });
+    (m - step).max(0.0)
 }
 
 fn build(kind: IndexKind, n: usize) -> (Vec<Vec<f32>>, Box<dyn MetricIndex<Vec<f32>>>) {
@@ -230,7 +237,7 @@ fn knn_verification_floor(rows: &[(f64, f64)], k: usize) -> u64 {
 /// drives (LAESA, CPT, EPT, adopted FQA), measured compdists for range and
 /// kNN queries must equal the scalar-path prediction exactly — `|pivots|`
 /// query-mapping distances plus the verifications the scalar Lemma 1 filter
-/// (per-row stored-precision bound, no blocking) would perform. Bit-for-bit
+/// (per-row bucketed bound, no blocking) would perform. Bit-for-bit
 /// kernel-vs-scalar equality is unit-tested in `pmi_metric::matrix`; this
 /// test closes the loop end to end through real indexes and real counters.
 /// A kNN query also never verifies fewer than the slots whose bound is
@@ -250,13 +257,13 @@ fn blocked_kernel_changes_no_exact_counters() {
     let ks = [1usize, 10, 40];
 
     // The scalar oracle's view of the shared-pivot tables' rows.
-    let (srows, max_abs) = stored(&PivotMatrix::compute(&pts, &L2, &pivots, 1));
+    let (srows, step) = stored(&PivotMatrix::compute(&pts, &L2, &pivots, 1));
     let table_rows = |q: &Vec<f32>| -> (Vec<f64>, Vec<(f64, f64)>) {
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(q, p)).collect();
         let rows = (0..n)
             .map(|i| {
                 (
-                    stored_lower_bound(&qd, &srows[i], max_abs),
+                    stored_lower_bound(&qd, &srows[i], step),
                     L2.dist(q, &pts[i]),
                 )
             })
@@ -363,7 +370,7 @@ fn blocked_kernel_changes_no_exact_counters() {
         .map(|i| dpts[i].clone())
         .collect();
     let dmatrix = PivotMatrix::compute(&dpts, &m, &dpivots, 1);
-    let (drows, dmax) = stored(&dmatrix);
+    let (drows, dstep) = stored(&dmatrix);
     let fqa = Fqa::build_with_matrix(
         dpts.clone(),
         m,
@@ -377,7 +384,7 @@ fn blocked_kernel_changes_no_exact_counters() {
         let rows: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 (
-                    stored_lower_bound(&qd, &drows[i], dmax),
+                    stored_lower_bound(&qd, &drows[i], dstep),
                     m.dist(&dpts[qi], &dpts[i]),
                 )
             })
@@ -731,7 +738,7 @@ fn knn_probe_order_stays_near_the_verification_floor() {
         .unwrap();
         let rt = engine.routing().unwrap();
         // Every shard's stored rows (LAESA's own, the floor's input).
-        let rows: Vec<Vec<Vec<f32>>> = engine
+        let rows: Vec<Vec<Vec<f64>>> = engine
             .shards()
             .iter()
             .map(|sh| {
@@ -769,10 +776,9 @@ fn knn_probe_order_stays_near_the_verification_floor() {
                 verified += dists - probes * mapped.len() as u64;
                 let dk = real[K - 1].dist;
                 for &(s, _) in order.iter().filter(|&&(_, lb)| lb <= dk) {
-                    let max_abs = engine.shards()[s].index().pivot_rows().unwrap().max_abs();
                     floor += rows[s]
                         .iter()
-                        .filter(|row| stored_lower_bound(&mapped, row, max_abs) <= dk)
+                        .filter(|row| stored_lower_bound(&mapped, row, rt.step()) <= dk)
                         .count() as u64;
                 }
             }
@@ -842,17 +848,18 @@ fn storage_split_matches_index_family() {
 }
 
 #[test]
-fn f32_columns_serve_byte_identical_answers() {
+fn stored_columns_serve_byte_identical_answers() {
     use pmr::engine::{EngineConfig, Query};
     use pmr::{build_sharded_vector_engine, BruteForce, LInf, PartitionPolicy, QueryResult};
 
-    // Pivot distances are stored as f32 — half the bytes the Lemma 1 kernel
-    // streams — and that must change no answer: the rounded rows carry a
-    // conservative slack and the routing boxes cover what each stored value
-    // stands for, so the filter is only ever looser and exact f64
-    // verification returns `BruteForce`'s answer id for id, distances bit
-    // for bit — across every adopting kind (LAESA, CPT, FQA; EPT rides
-    // along to cover a non-adopter), both partition policies, range and kNN.
+    // Pivot distances are stored as u16 buckets — a quarter of the bytes
+    // of the distances themselves for the Lemma 1 kernel to stream — and
+    // that must change no answer: a bucket stands for every distance in
+    // it and the routing boxes cover what each stored value stands for,
+    // so the filter is only ever looser and exact f64 verification
+    // returns `BruteForce`'s answer id for id, distances bit for bit —
+    // across every adopting kind (LAESA, CPT, FQA; EPT rides along to
+    // cover a non-adopter), both partition policies, range and kNN.
     let pts = datasets::la(600, 31);
     let opts = BuildOptions {
         d_plus: 14143.0,

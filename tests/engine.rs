@@ -135,13 +135,12 @@ fn aggregate_counters_equal_shard_sum_exactly() {
 /// engine took over computing its own pivot space (PR 19) and unmoved since:
 /// the partition runs over the exact f64 matrix whatever the shards store.
 /// `boxes`: every routing box edge bit for bit, one value for both kinds
-/// (one pivot space, one partition) — re-recorded once, from
-/// `0x214dd13ecd99f158`, when a box became the bounding box of the stored
-/// f32 values widened by one ulp a face instead of the exact f64 rows' box.
-/// (Hashed as one, with the edges between membership and cost, the
-/// pivot-space pair read `0x5641959cce4c6a25` / `0x0c1d7dea525de31a` then;
-/// the round-robin pair has no boxes and reads as it always did.) Neither
-/// hash may depend on the thread count.
+/// (one pivot space, one partition) — re-recorded whenever what a shard
+/// stores of a row changed, and with it the box that stands for it:
+/// `0x214dd13ecd99f158` over the exact f64 rows, `0xebf94245fc6f7a1a` over
+/// f32 values widened by one ulp a face, and now the union of the u16
+/// buckets (step 0.25 here) the stored rows stand for. Neither hash may
+/// depend on the thread count.
 #[test]
 fn build_layout_is_pinned_and_independent_of_thread_count() {
     const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
@@ -163,7 +162,7 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
             IndexKind::Laesa,
             PartitionPolicy::PivotSpace,
             0xfa99_ac15_7d22_c5b8,
-            0xebf9_4245_fc6f_7a1a,
+            0x0530_0648_fcd9_a264,
         ),
         (
             IndexKind::Mvpt,
@@ -175,7 +174,7 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
             IndexKind::Mvpt,
             PartitionPolicy::PivotSpace,
             0xffc6_de3b_9924_2963,
-            0xebf9_4245_fc6f_7a1a,
+            0x0530_0648_fcd9_a264,
         ),
     ];
     for (kind, policy, want_layout, want_boxes) in golden {

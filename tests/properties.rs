@@ -339,17 +339,16 @@ proptest! {
     }
 
     #[test]
-    fn f32_filter_bounds_stay_admissible(
+    fn stored_filter_bounds_stay_admissible(
         v in vecs(6, 8..40),
         qraw in prop::collection::vec(-1000.0f32..1000.0, 6..=6),
         w in 1usize..5,
     ) {
         use pmr::{PivotColumns, PivotMatrix};
-        // Stored columns over random data: the rows are rounded to f32 and
-        // the kernel subtracts a conservative slack, so every bound must
-        // sit at or below the true distance — exactly, no float tolerance;
-        // the slack exists so that the rounding error can never push a
-        // bound past the quantity it is a bound on (Lemma 1).
+        // Stored columns over random data: the rows are floored to u16
+        // buckets and the kernel gives back the one step two buckets can
+        // overlap by, so every bound must sit at or below the true
+        // distance — exactly, no float tolerance (Lemma 1 over intervals).
         let pivots: Vec<Vec<f32>> = v.iter().take(w).cloned().collect();
         let m = PivotMatrix::compute(&v, &L2, &pivots, 1);
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&qraw, p)).collect();
@@ -358,40 +357,51 @@ proptest! {
         prop_assert_eq!(lbs.len(), v.len());
         for (i, o) in v.iter().enumerate() {
             let d = L2.dist(&qraw, o);
-            prop_assert!(lbs[i] <= d, "lb_f32 {} > d {} at row {i}", lbs[i], d);
+            prop_assert!(lbs[i] <= d, "stored lb {} > d {} at row {i}", lbs[i], d);
             prop_assert!(lbs[i] >= 0.0);
             // Never above the exact f64 Lemma 1 bound it approximates —
             // the stored-precision filter is strictly the looser of the two.
             let lb64 = pmr::lemmas::pivot_lower_bound(&qd, m.row(i));
-            prop_assert!(lbs[i] <= lb64, "lb_f32 {} > lb_f64 {}", lbs[i], lb64);
+            prop_assert!(lbs[i] <= lb64, "stored lb {} > lb_f64 {}", lbs[i], lb64);
         }
     }
 }
 
-/// The adversarial case for f32 storage: L1 over coordinates up to 10⁷ whose
-/// pivot distances are exact round-to-even ties between adjacent f32 values
-/// (`k + 0.5` above 2²³, where f32 spacing is 1), queried with a radius of
-/// *exactly* `d(q, o)` along a line through the pivot, where Lemma 1 is tight
-/// (`|d(q, p) − d(o, p)| = d(q, o)`). Rounding alone moves the f32 bound to
-/// either side of the radius (`9 000 011.5 → …12`, `9 000 000.5 → …00`: 12
-/// against a true 11) and a box over bare stored values ends half a unit short
-/// of its outermost member; the slack and the one-ulp widening are what keep
-/// `o` in the answer. Every object is queried from both sides, so every shard
-/// has its face members probed from outside the box.
+/// The adversarial case for bucketed storage: L1 over coordinates up to 10⁷
+/// — pivot distances in steps of 256 — with every object's distance to the
+/// first pivot *on* a bucket edge (even ids) or half a unit under the next
+/// one (odd ids), queried with a radius of *exactly* `d(q, o)` along a line
+/// through the pivot, where Lemma 1 is tight (`|d(q, p) − d(o, p)| = d(q,
+/// o)`), from 11 and 12 units to either side: query and object fall in
+/// adjacent buckets while being 11 apart. A bound of whole code differences
+/// reads 256 for a true 11, and a box over bare stored values ends a bucket
+/// short of its outermost member; the step the kernel gives back and the
+/// boxes' bucket-wide faces are what keep `o` in the answer. Every object is
+/// queried from both sides, so every shard has its face members probed from
+/// outside the box.
 #[test]
 fn stored_precision_never_loses_an_answer_on_a_rounding_boundary() {
     use pmr::engine::EngineConfig;
     use pmr::{build_sharded_engine, PartitionPolicy};
 
+    // 8 499 968 = 33 203 · 256, and objects are 11 buckets apart.
     let objects: Vec<Vec<f32>> = (0..400)
-        .map(|i| vec![(8_500_000 + 3_001 * i + i % 2) as f32, 0.5])
+        .map(|i| {
+            let edge = (8_499_968 + 2_816 * i) as f32;
+            if i % 2 == 0 {
+                vec![edge, 0.0]
+            } else {
+                vec![edge - 1.0, 0.5]
+            }
+        })
         .collect();
     let pivots = vec![vec![0.0f32, 0.0], vec![10_000_000.0, 0.0]];
-    let ties = objects
+    let edges = objects
         .iter()
-        .filter(|o| L1.dist(o.as_slice(), pivots[0].as_slice()).fract() == 0.5)
+        .map(|o| L1.dist(o.as_slice(), pivots[0].as_slice()) % 256.0)
+        .filter(|&past| past == 0.0 || past == 255.5)
         .count();
-    assert_eq!(ties, 400, "every distance to the first pivot is an f32 tie");
+    assert_eq!(edges, 400, "every distance to the first pivot hugs an edge");
     let opts = BuildOptions {
         d_plus: 2e7,
         ..BuildOptions::default()
@@ -421,10 +431,11 @@ fn stored_precision_never_loses_an_answer_on_a_rounding_boundary() {
         let (mut mapped, mut plan) = (Vec::new(), Vec::new());
         for (gid, o) in objects.iter().enumerate() {
             for step in [-11.0f32, 11.0, -12.0, 12.0] {
-                let q = vec![o[0] + step, 0.5];
+                let q = vec![o[0] + step, o[1]];
                 let r = L1.dist(q.as_slice(), o.as_slice());
                 assert_eq!(r, step.abs() as f64, "the radius is d(q, o) exactly");
                 if let Some(rt) = engine.routing() {
+                    assert_eq!(rt.step(), 256.0, "{label}");
                     let (shard, _) = engine.locate(gid as u32).expect("live");
                     rt.map_into(&q, &mut mapped);
                     rt.range_plan_into(&mapped, r, &mut plan);

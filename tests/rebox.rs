@@ -1,25 +1,24 @@
 //! Routing-box maintenance is exact: after every commit, each shard's box
-//! is **bit for bit** the bounding box of the shard's live *stored* rows
-//! widened outward by one f32 ulp per face — a pure function of the stored
+//! is **bit for bit** the union of the buckets its live *stored* rows stand
+//! for — from the lowest stored value to one step above the highest, open
+//! above once a member is stored saturated — a pure function of the stored
 //! columns, and the invariant the face rule rests on (a removed member
-//! whose widened row lies strictly inside its box cannot have changed it,
-//! so only a member on a face triggers a recomputation) — **and** contains
-//! the mapper's exact f64 row of every live member, which is what keeps
-//! routing admissible over f32 storage. Checked on a table, a disk-backed
+//! whose bucket lies strictly inside its box cannot have changed it, so
+//! only a member on a face triggers a recomputation) — **and** contains the
+//! mapper's exact f64 row of every live member, which is what keeps routing
+//! admissible over bucketed storage. Checked on a table, a disk-backed
 //! table, a tree and a disk index — one write path, one locator, one rule.
 //! The rows that rule reads live with the shard (inside the index for the
 //! tables, beside it for the rest): each is checked against the object it
 //! belongs to.
 //!
 //! The routing centres ride the same path: each is the mean of its shard's
-//! live stored rows — bit for bit the slot-order f64 sum over the count
-//! wherever it was just recomputed (a build, a rebox, a compaction), within
-//! rounding of it where it was maintained insert by insert and remove by
-//! remove.
+//! live stored rows, bit for bit — stored values are multiples of one step,
+//! so their sum is exact whether it was recomputed or maintained insert by
+//! insert and remove by remove.
 
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, Layout, ShardedEngine};
-use pmr::lemmas::Mbb;
 use pmr::{
     build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex,
     ObjId, PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
@@ -29,14 +28,33 @@ fn bits(edge: &[f64]) -> Vec<u64> {
     edge.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One f32 ulp outward from a box over stored (f32-representable) values.
-fn widened(lo: f64, hi: f64) -> (f64, f64) {
-    ((lo as f32).next_down() as f64, (hi as f32).next_up() as f64)
+/// The one step of the engine's stored rows: the routing table's, or — on
+/// an engine that holds rows but routes nothing — the adopted columns'.
+fn step_of(e: &ShardedEngine<Vec<f32>>) -> f64 {
+    match e.routing() {
+        Some(rt) => rt.step(),
+        None => {
+            let rows = e.shards()[0].index().pivot_rows();
+            rows.expect("an unrouted pivot space is adopted").step()
+        }
+    }
 }
 
-/// Every routing box against the widened `Mbb::from_points` over the stored
-/// rows of the objects the engine locates in that shard (ids below
-/// `id_bound`), and every such object's stored row against its pivot map.
+/// By hand: what `x` is stored as under `step` and the bucket that stands
+/// for — `⌊x / step⌋` steps, 65 535 at most, the last one open above.
+fn bucket(x: f64, step: f64) -> (f64, f64) {
+    let code = (x / step).floor().min(65_535.0);
+    let upper = if code == 65_535.0 {
+        f64::INFINITY
+    } else {
+        (code + 1.0) * step
+    };
+    (code * step, upper)
+}
+
+/// Every routing box against the union of the buckets of the stored rows of
+/// the objects the engine locates in that shard (ids below `id_bound`), and
+/// every such object's stored row against its pivot map.
 fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
     let rt = e.routing().expect("a routed engine");
     assert_rows_true(e, id_bound, &|o, row| rt.map_into(o, row), ctx);
@@ -51,8 +69,10 @@ fn assert_rows_true(
     map: &dyn Fn(&Vec<f32>, &mut Vec<f64>),
     ctx: &str,
 ) {
-    // Per shard: (stored row as f64, exact row) of every live member.
-    let mut rows: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![Vec::new(); e.num_shards()];
+    let step = step_of(e);
+    assert_eq!(step.to_bits() << 12, 0, "{ctx}: {step} is a power of two");
+    // Per shard: the exact row of every live member.
+    let mut rows: Vec<Vec<Vec<f64>>> = vec![Vec::new(); e.num_shards()];
     for g in 0..id_bound {
         let Some((s, local)) = e.locate(g) else {
             continue;
@@ -60,14 +80,14 @@ fn assert_rows_true(
         let o = e.get(g).expect("a located id is live");
         let mut exact = Vec::new();
         map(&o, &mut exact);
-        let held: Vec<f32> = e.shards()[s].pivot_row(local).collect();
-        let rounded: Vec<f32> = exact.iter().map(|&x| x as f32).collect();
+        let held: Vec<f64> = e.shards()[s].pivot_row(local).collect();
+        let floored: Vec<f64> = exact.iter().map(|&x| bucket(x, step).0).collect();
         assert_eq!(
-            held.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
-            rounded.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+            bits(&held),
+            bits(&floored),
             "{ctx}: row of id {g} in shard {s}"
         );
-        rows[s].push((held.iter().map(|&y| y as f64).collect(), exact));
+        rows[s].push(exact);
     }
     assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
     let Some(rt) = e.routing() else {
@@ -75,33 +95,23 @@ fn assert_rows_true(
     };
     let dim = rt.boxes()[0].dim();
     for (s, (got, rows)) in rt.boxes().iter().zip(&rows).enumerate() {
-        let stored = Mbb::from_points(dim, rows.iter().map(|(y, _)| y.as_slice()));
-        let (lo, hi): (Vec<f64>, Vec<f64>) = stored
-            .lo()
-            .iter()
-            .zip(stored.hi())
-            .map(|(&lo, &hi)| if lo <= hi { widened(lo, hi) } else { (lo, hi) })
-            .unzip();
+        let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
+        for exact in rows {
+            for (j, &x) in exact.iter().enumerate() {
+                let (below, above) = bucket(x, step);
+                assert!(below <= x && x <= above);
+                lo[j] = lo[j].min(below);
+                hi[j] = hi[j].max(above);
+            }
+        }
         assert_eq!(bits(got.lo()), bits(&lo), "{ctx}: shard {s} lo");
         assert_eq!(bits(got.hi()), bits(&hi), "{ctx}: shard {s} hi");
-        for (_, exact) in rows {
-            assert!(
-                exact
-                    .iter()
-                    .zip(got.lo().iter().zip(got.hi()))
-                    .all(|(x, (lo, hi))| lo <= x && x <= hi),
-                "{ctx}: shard {s}'s box does not contain the exact row {exact:?}"
-            );
-        }
     }
 }
 
 /// Every routing centre against the mean of the shard's live stored rows,
-/// summed as f64 in slot order: bit for bit on the shards `recomputed`
-/// names (fresh from a build, a rebox or a compaction), within 1e-9
-/// relative on the rest (moved by `extend` / `forget` since). Nothing to
-/// check on an engine that routes nothing.
-fn assert_centres_true(e: &ShardedEngine<Vec<f32>>, recomputed: impl Fn(usize) -> bool, ctx: &str) {
+/// bit for bit. Nothing to check on an engine that routes nothing.
+fn assert_centres_true(e: &ShardedEngine<Vec<f32>>, ctx: &str) {
     let Some(rt) = e.routing() else {
         return;
     };
@@ -110,7 +120,7 @@ fn assert_centres_true(e: &ShardedEngine<Vec<f32>>, recomputed: impl Fn(usize) -
         let mut count = 0u64;
         for (local, _) in shard.live_members() {
             for (t, y) in sum.iter_mut().zip(shard.pivot_row(local)) {
-                *t += f64::from(y);
+                *t += y;
             }
             count += 1;
         }
@@ -120,16 +130,7 @@ fn assert_centres_true(e: &ShardedEngine<Vec<f32>>, recomputed: impl Fn(usize) -
             continue;
         };
         let want: Vec<f64> = sum.iter().map(|t| t / count as f64).collect();
-        if recomputed(s) {
-            assert_eq!(bits(&got), bits(&want), "{ctx}: shard {s} centre");
-        } else {
-            for (g, w) in got.iter().zip(&want) {
-                assert!(
-                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
-                    "{ctx}: shard {s} centre {got:?} drifted from {want:?}"
-                );
-            }
-        }
+        assert_eq!(bits(&got), bits(&want), "{ctx}: shard {s} centre");
     }
 }
 
@@ -191,7 +192,7 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
             }
             let ctx = format!("{} {policy:?} fresh build", kind.label());
             assert_rows_true(&e, 600, &map, &ctx);
-            assert_centres_true(&e, |_| true, &ctx);
+            assert_centres_true(&e, &ctx);
         }
     }
 }
@@ -242,13 +243,13 @@ fn seeded_random_batches_keep_every_box_tight() {
                 }
                 let ctx = format!("{label} commit {commit}");
                 assert_rows_true(&e, id_bound, &map, &ctx);
-                assert_centres_true(&e, |_| false, &ctx);
+                assert_centres_true(&e, &ctx);
             }
             assert_eq!(reboxed > 0, routed, "{label}: some remove hit a face");
             assert!(e.compact() > 0, "{label}: churn left dead rows");
             let ctx = format!("{label} compacted");
             assert_rows_true(&e, e.len() as ObjId, &map, &ctx);
-            assert_centres_true(&e, |_| true, &ctx);
+            assert_centres_true(&e, &ctx);
         }
     }
 }
@@ -275,8 +276,7 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         assert!(report.moved_objects > 0);
         assert_eq!(report.reboxed_shards, 2, "the re-split pair");
         assert_boxes_tight(&e, 700, kind.label());
-        // The pair was recomputed, the other four untouched since the build.
-        assert_centres_true(&e, |_| true, kind.label());
+        assert_centres_true(&e, kind.label());
     }
 }
 
@@ -315,6 +315,11 @@ fn edges(e: &ShardedEngine<Vec<f32>>, s: usize) -> (f64, f64) {
 fn only_a_member_on_a_face_triggers_a_recomputation() {
     let mut e = two_clusters();
     let id_of = |x: u32| 2 * (x - 100) + 1;
+    // Distances up to 109: 65 535 steps of 2⁻⁹ reach just under 128. An
+    // integer is stored as itself and stands for one step above it.
+    let step = e.routing().unwrap().step();
+    assert_eq!(step, 2f64.powi(-9));
+    let widened = |lo: f64, hi: f64| (lo, hi + step);
     assert_eq!(edges(&e, 1), widened(100.0, 109.0));
 
     // Interior members only: nothing to recompute, nothing changes.
@@ -328,7 +333,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_boxes_tight(&e, 20, "interior-only batch");
     // No box was recomputed, yet shard 1's centre let the five rows go:
     // {100, 101, 107, 108, 109} remain.
-    assert_centres_true(&e, |s| s == 0, "interior-only batch");
+    assert_centres_true(&e, "interior-only batch");
     let centre: Vec<f64> = e.routing().unwrap().centre(1).unwrap().collect();
     assert_eq!(centre, [105.0]);
 
@@ -339,7 +344,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 20, "face point");
-    assert_centres_true(&e, |_| true, "face point");
+    assert_centres_true(&e, "face point");
 
     // A duplicate row shares the face: removing one of the two touches
     // the face, so the box is recomputed — to the same box.
@@ -352,11 +357,13 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!((report.removes, report.reboxed_shards), (1, 1));
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 21, "duplicate on a face");
-    assert_centres_true(&e, |_| true, "duplicate on a face");
+    assert_centres_true(&e, "duplicate on a face");
 
     // Insert and remove of one object in a single batch: the insert grows
-    // the staged box, the remove finds its (still staged) row on the new
-    // face, and the recomputation takes the box back.
+    // the staged box — 200 is beyond the top bucket, so it is stored
+    // saturated and opens the box above — the remove finds its (still
+    // staged) row on the new face, and the recomputation takes the box
+    // back.
     let mut both = UpdateBatch::new();
     both.insert(vec![200.0]).remove(21);
     let report = e.apply(&both);
@@ -364,7 +371,7 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert_eq!(report.reboxed_shards, 1);
     assert_eq!(edges(&e, 1), widened(100.0, 108.0));
     assert_boxes_tight(&e, 22, "insert and remove in one batch");
-    assert_centres_true(&e, |_| true, "insert and remove in one batch");
+    assert_centres_true(&e, "insert and remove in one batch");
 
     // The shard emptied: the box is the empty box, which every query prunes.
     let mut rest = UpdateBatch::new();
@@ -377,10 +384,140 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
     assert!(e.routing().unwrap().boxes()[1].is_empty());
     assert!(e.routing().unwrap().centre(1).is_none());
     assert_boxes_tight(&e, 22, "a shard emptied");
-    assert_centres_true(&e, |_| true, "a shard emptied");
+    assert_centres_true(&e, "a shard emptied");
     assert_eq!(
         edges(&e, 0),
         widened(0.0, 9.0),
         "the other shard was never touched"
     );
+}
+
+/// Objects farther from every pivot than any build-time member are stored
+/// saturated: their shard's box opens above on every dimension, they are
+/// still found (and still pruned from afar), removing them — or a member on
+/// a lower face — recomputes the box, and a compaction keeps the step.
+/// Answers are `BruteForce`'s id for id throughout.
+#[test]
+fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
+    let pts = datasets::la(600, 21);
+    let pivots = hfi_pivots(&pts);
+    let map = |o: &Vec<f32>, row: &mut Vec<f64>| {
+        row.clear();
+        row.extend(pivots.iter().map(|p| L2.dist(o, p)));
+    };
+    // LA lies in [0, 10⁴]²: distances stay under 14 143, the step is 0.25
+    // and the top bucket starts at 16 383.75. These are 40 000 and more
+    // from all of it, in two far-apart groups.
+    let far: Vec<Vec<f32>> = (0..12)
+        .map(|i| {
+            let along = 1_000.0 * (i / 2) as f32;
+            if i % 2 == 0 {
+                vec![60_000.0 + along, 55_000.0]
+            } else {
+                vec![-45_000.0, -50_000.0 - along]
+            }
+        })
+        .collect();
+    let same_answers = |e: &ShardedEngine<Vec<f32>>, live: &[(ObjId, Vec<f32>)], ctx: &str| {
+        let oracle = BruteForce::new(live.iter().map(|(_, o)| o.clone()).collect(), L2);
+        let gid = |local: ObjId| live[local as usize].0;
+        for q in [&far[0], &far[1], &far[7], &pts[3], &pts[411]] {
+            for r in [0.0, 900.0, 5_000.0, 80_000.0] {
+                let mut got = e.range_query(q, r);
+                got.sort_unstable();
+                let want: Vec<ObjId> = oracle.range_query(q, r).into_iter().map(gid).collect();
+                assert_eq!(got, want, "{ctx}: range {r} around {q:?}");
+            }
+            let got = e.knn_query(q, 9);
+            let want = oracle.knn_query(q, 9);
+            assert_eq!(got.len(), want.len(), "{ctx}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.id, g.dist.to_bits()),
+                    (gid(w.id), w.dist.to_bits()),
+                    "{ctx}"
+                );
+            }
+        }
+    };
+    for kind in [IndexKind::Laesa, IndexKind::Cpt] {
+        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+            let label = format!("{} {policy:?}", kind.label());
+            let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
+            let step = step_of(&e);
+            assert_eq!(step, 0.25, "{label}");
+            let mut live: Vec<(ObjId, Vec<f32>)> =
+                (0..).zip(pts.iter().cloned()).collect::<Vec<_>>();
+
+            let mut batch = UpdateBatch::new();
+            for o in &far {
+                batch.insert(o.clone());
+            }
+            assert_eq!(e.apply(&batch).inserts, 12, "{label}");
+            live.extend((600..).zip(far.iter().cloned()));
+            let ctx = format!("{label} saturated inserts");
+            for g in 600..612 {
+                let (s, local) = e.locate(g).unwrap();
+                assert!(
+                    e.shards()[s].pivot_row(local).all(|y| y == 65_535.0 * step),
+                    "{ctx}: id {g} is beyond the top bucket on every pivot"
+                );
+            }
+            assert_rows_true(&e, 612, &map, &ctx);
+            assert_centres_true(&e, &ctx);
+            let open = |e: &ShardedEngine<Vec<f32>>| {
+                let boxes = e
+                    .routing()
+                    .map(|rt| rt.boxes().to_vec())
+                    .unwrap_or_default();
+                boxes.iter().filter(|b| b.hi()[0] == f64::INFINITY).count()
+            };
+            let routed = policy == PartitionPolicy::PivotSpace;
+            assert_eq!(open(&e) > 0, routed, "{ctx}: a box is open above");
+            same_answers(&e, &live, &ctx);
+
+            // The saturated members sit on their boxes' (open) upper faces,
+            // and each shard's nearest member to pivot 0 on a lower one.
+            let mut faces = UpdateBatch::new();
+            for g in (600..612).filter(|g| g % 3 != 0) {
+                faces.remove(g);
+            }
+            for shard in e.shards() {
+                let nearest = shard.live_members().min_by(|a, b| {
+                    let first = |local| shard.pivot_row(local).next().unwrap();
+                    first(a.0).total_cmp(&first(b.0)).then(a.1.cmp(&b.1))
+                });
+                faces.remove(nearest.unwrap().1);
+            }
+            let report = e.apply(&faces);
+            assert_eq!(report.removes, 8 + 6, "{label}");
+            assert_eq!(report.reboxed_shards > 0, routed, "{label}");
+            live.retain(|(g, _)| e.locate(*g).is_some());
+            let ctx = format!("{label} face removes");
+            assert_rows_true(&e, 612, &map, &ctx);
+            assert_centres_true(&e, &ctx);
+            same_answers(&e, &live, &ctx);
+
+            // The rest of them gone: every box closes again.
+            let mut rest = UpdateBatch::new();
+            for g in (600..612).filter(|g| g % 3 == 0) {
+                rest.remove(g);
+            }
+            assert_eq!(e.apply(&rest).removes, 4, "{label}");
+            assert_eq!(open(&e), 0, "{label}: no saturated member, no open box");
+            // One comes back, and a compaction keeps the step it is under.
+            let back = e.insert(far[5].clone());
+            live.retain(|(g, _)| e.locate(*g).is_some());
+            live.push((back, far[5].clone()));
+            assert!(e.compact() > 0, "{label}");
+            let live: Vec<(ObjId, Vec<f32>)> =
+                (0..).zip(live.into_iter().map(|(_, o)| o)).collect();
+            let ctx = format!("{label} compacted");
+            assert_eq!(step_of(&e), step, "{ctx}");
+            assert_rows_true(&e, live.len() as ObjId, &map, &ctx);
+            assert_centres_true(&e, &ctx);
+            assert_eq!(open(&e) > 0, routed, "{ctx}");
+            same_answers(&e, &live, &ctx);
+        }
+    }
 }
