@@ -23,9 +23,11 @@ EXPERIMENTS:
   fig16    MRQ vs radius selectivity (9 indexes x 4 datasets)
   fig17    MkNNQ vs k (9 indexes x 4 datasets)
   fig18    MkNNQ vs |P| (LA + Synthetic)
+  ablation design-choice sweeps (MVPT arity, SPB SFC bits, PM-tree vs CPT,
+           FQT vs FQA, EPT* vs EPT*-disk)
   scale    batch-serve QPS at 10^5 x scale objects (Synthetic, LAESA, P in {1,8},
            both partition policies; --scale 10 = 10^6)
-  all      everything above
+  all      everything above except scale
 ";
 
 fn main() {
@@ -83,6 +85,9 @@ fn main() {
         "fig18" => {
             experiments::fig18(&cfg);
         }
+        "ablation" => {
+            experiments::ablation(&cfg);
+        }
         "scale" => {
             experiments::scale(&cfg);
         }
@@ -95,6 +100,7 @@ fn main() {
             experiments::fig16(&cfg);
             experiments::fig17(&cfg);
             experiments::fig18(&cfg);
+            experiments::ablation(&cfg);
         }
         other => {
             eprintln!("unknown experiment: {other}\n{USAGE}");

@@ -4,8 +4,8 @@
 
 use crate::harness::{self, BuildStats, QueryCost, UpdateCost};
 use crate::scenario::{Scenario, ScenarioData};
-use pmi::builder::IndexKind;
-use pmi::{datasets, EncodeObject, Metric};
+use pmi::builder::{BuildOptions, IndexKind};
+use pmi::{datasets, EncodeObject, Metric, MetricIndex};
 
 /// Harness-wide experiment settings.
 #[derive(Clone, Copy, Debug)]
@@ -664,6 +664,119 @@ pub fn fig18(cfg: &ExpConfig) -> Vec<(Scenario, Vec<SweepPoint>)> {
     all
 }
 
+/// Ablations of the design choices the paper discusses but plots in no
+/// figure, each as one sweep in the figures' three costs: MVPT arity
+/// (§4.3: "we set m as 5"), SPB-tree SFC resolution (§5.4's discretization
+/// trade-off), the PM-tree's pivot rings versus CPT's plain M-tree
+/// clustering, FQT versus its array form FQA on a discrete metric, and
+/// EPT* versus the disk-resident EPT* of §7's future work. MkNNQ sweeps
+/// run at the default `k`, the arity and SFC sweeps put the swept value in
+/// the `x` column.
+pub fn ablation(cfg: &ExpConfig) -> Vec<(&'static str, Vec<SweepPoint>)> {
+    let (k, l) = (harness::DEFAULT_K, harness::DEFAULT_PIVOTS);
+    let vecs = |s: Scenario| match s.data(cfg.scale, cfg.seed) {
+        ScenarioData::Vecs {
+            objects, metric, ..
+        } => (objects, metric),
+        ScenarioData::Strs { .. } => unreachable!("{} is vector data", s.label()),
+    };
+    let (la, l2) = vecs(Scenario::La);
+    let opts = harness::options_for(la.len(), Scenario::La.d_plus(), l, false, cfg.seed);
+    let pivots = harness::shared_pivots(&la, &l2, l, cfg.seed);
+    let queries = harness::query_positions(la.len(), cfg.queries, cfg.seed);
+    let radius = harness::radius_for(&la, &l2, harness::DEFAULT_SELECTIVITY, cfg.seed);
+    let build = |kind: IndexKind, opts: &BuildOptions| {
+        let (idx, _) = harness::build_measured(kind, &la, &l2, &pivots, opts)
+            .expect("MVPT, SPB-tree and EPT* build on LA");
+        idx
+    };
+    let knn = |idx: &dyn MetricIndex<Vec<f32>>| {
+        idx.set_page_cache(harness::knn_cache_bytes());
+        harness::run_knn(idx, &la, &queries, k)
+    };
+    let point = |index, x: usize, cost| SweepPoint {
+        index,
+        x: x as f64,
+        cost,
+    };
+
+    let arity = [2usize, 5, 16].map(|mvpt_arity| {
+        let o = BuildOptions {
+            mvpt_arity,
+            ..opts.clone()
+        };
+        let idx = build(IndexKind::Mvpt, &o);
+        point(IndexKind::Mvpt.label(), mvpt_arity, knn(idx.as_ref()))
+    });
+    let bits = [4u32, 8, 12].map(|sfc_bits| {
+        let o = BuildOptions {
+            sfc_bits,
+            ..opts.clone()
+        };
+        let idx = build(IndexKind::Spb, &o);
+        let cost = harness::run_mrq(idx.as_ref(), &la, &queries, radius);
+        point(IndexKind::Spb.label(), sfc_bits as usize, cost)
+    });
+    let mut rings = Vec::new();
+    mrq_sweep(
+        &[IndexKind::PmTree, IndexKind::Cpt],
+        &la,
+        &l2,
+        Scenario::La,
+        cfg,
+        &mut rings,
+    );
+    let mut fq_form = Vec::new();
+    let (syn, linf) = vecs(Scenario::Synthetic);
+    knn_sweep(
+        &[IndexKind::Fqt, IndexKind::Fqa],
+        &syn,
+        &linf,
+        Scenario::Synthetic,
+        &[k],
+        l,
+        cfg,
+        &mut fq_form,
+    );
+    let star = build(IndexKind::EptStar, &opts);
+    let disk = pmi::EptDisk::build(
+        la.clone(),
+        l2,
+        pmi::storage::DiskSim::default_pages(),
+        pmi::EptDiskConfig {
+            l,
+            seed: cfg.seed,
+            ..Default::default()
+        },
+    );
+    let ept_disk = vec![
+        point(IndexKind::EptStar.label(), k, knn(star.as_ref())),
+        point("EPT*-disk", k, knn(&disk)),
+    ];
+
+    let all = vec![
+        ("MVPT arity m, MkNNQ [LA]", "m", arity.to_vec()),
+        (
+            "SPB-tree SFC bits, MRQ at r = 16% [LA]",
+            "bits",
+            bits.to_vec(),
+        ),
+        (
+            "PM-tree rings vs CPT, MRQ vs selectivity r [LA]",
+            "r",
+            rings,
+        ),
+        ("FQT vs FQA, MkNNQ [Synthetic]", "k", fq_form),
+        ("EPT* vs EPT*-disk, MkNNQ [LA]", "k", ept_disk),
+    ];
+    all.into_iter()
+        .map(|(title, xname, pts)| {
+            print_sweep(&format!("Ablation: {title}"), xname, &pts);
+            (title, pts)
+        })
+        .collect()
+}
+
 /// One measured point of the [`scale`] experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalePoint {
@@ -802,6 +915,29 @@ mod tests {
             assert_eq!(pts.len(), 2 * harness::KS.len());
             assert!(pts.iter().all(|p| p.cost.results > 0.0));
         }
+    }
+
+    #[test]
+    fn ablation_smoke() {
+        let cfg = ExpConfig {
+            scale: 0.02,
+            ..tiny()
+        };
+        let out = ablation(&cfg);
+        let sizes: Vec<usize> = out.iter().map(|(_, pts)| pts.len()).collect();
+        assert_eq!(sizes, [3, 3, 2 * harness::SELECTIVITIES.len(), 2, 2]);
+        // Every variant is exact: the same queries at the same `k` or
+        // radius return the same number of objects. Only the rings sweep
+        // varies the radius — PM-tree's five selectivities, then CPT's.
+        for (i, (title, pts)) in out.iter().enumerate() {
+            assert!(pts.iter().all(|p| p.cost.compdists > 0.0), "{title}");
+            let stride = if i == 2 { pts.len() / 2 } else { 1 };
+            for (a, b) in pts.iter().zip(&pts[stride..]) {
+                assert_eq!(a.cost.results, b.cost.results, "{title}");
+            }
+        }
+        let pa = |sweep: usize, point: usize| out[sweep].1[point].cost.pa;
+        assert!(pa(4, 0) == 0.0 && pa(4, 1) > 0.0, "only EPT*-disk pages");
     }
 
     #[test]

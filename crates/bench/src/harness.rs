@@ -3,7 +3,6 @@
 //! metrics averaged per operation.
 
 use pmi::builder::{build_index, BuildOptions, IndexKind};
-use pmi::obs::{fingerprint, JsonObj, RunLog};
 use pmi::{datasets, pivots, EncodeObject, Metric, MetricIndex, ObjId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -219,137 +218,9 @@ pub fn radius_for<O, M: Metric<O>>(objects: &[O], metric: &M, selectivity: f64, 
     datasets::calibrate_radius(objects, metric, selectivity, seed)
 }
 
-/// Schema version stamped into every `BENCH_*.json` trajectory point —
-/// bump when the shared header shape below changes.
-pub const BENCH_SCHEMA: &str = "pmi-bench-v2";
-
-/// The workspace root, where every trajectory artifact
-/// (`BENCH_*.json`, `RUNLOG.jsonl`) lands.
-pub fn workspace_root() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../..")
-}
-
-/// One `BENCH_*.json` trajectory point. Every emitter funnels through
-/// here, so each file carries the same header: `schema` (the
-/// [`BENCH_SCHEMA`] version), `bench`, `config_fingerprint` (FNV-1a over
-/// the bench name and its config pairs — trajectory consumers use it to
-/// tell apart points produced under different parameter sets), and the
-/// config echo itself. Bench-specific measurements chain on via the
-/// `field_*` builders; [`write`](Self::write) lands the file at the
-/// workspace root.
-pub struct TrajectoryPoint {
-    bench: &'static str,
-    fingerprint: u64,
-    obj: JsonObj,
-}
-
-impl TrajectoryPoint {
-    /// `config` pairs are `(key, raw JSON value)` — numbers as `"8000"`,
-    /// strings pre-quoted as `"\"la\""`.
-    pub fn new(bench: &'static str, config: &[(&str, String)]) -> Self {
-        let mut parts: Vec<String> = vec![bench.to_string()];
-        parts.extend(config.iter().map(|(k, v)| format!("{k}={v}")));
-        let fp = fingerprint(&parts);
-        let mut obj = JsonObj::new()
-            .field_str("schema", BENCH_SCHEMA)
-            .field_str("bench", bench)
-            .field_str("config_fingerprint", &format!("{fp:#018x}"));
-        for (k, v) in config {
-            obj = obj.field_raw(k, v);
-        }
-        TrajectoryPoint {
-            bench,
-            fingerprint: fp,
-            obj,
-        }
-    }
-
-    /// The config fingerprint stamped into the header (also the key that
-    /// links this point's run-log lines — see [`runlog`](Self::runlog)).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// A fresh run-log keyed to this point's bench name + fingerprint.
-    pub fn runlog(&self) -> RunLog {
-        RunLog::new(self.bench, self.fingerprint)
-    }
-
-    /// Appends an unsigned-integer measurement.
-    pub fn field_u64(mut self, k: &str, v: u64) -> Self {
-        self.obj = self.obj.field_u64(k, v);
-        self
-    }
-
-    /// Appends a float measurement (non-finite values become `null`).
-    pub fn field_f64(mut self, k: &str, v: f64) -> Self {
-        self.obj = self.obj.field_f64(k, v);
-        self
-    }
-
-    /// Appends a boolean field.
-    pub fn field_bool(mut self, k: &str, v: bool) -> Self {
-        self.obj = self.obj.field_bool(k, v);
-        self
-    }
-
-    /// Appends pre-rendered JSON (nested objects / arrays).
-    pub fn field_raw(mut self, k: &str, v: &str) -> Self {
-        self.obj = self.obj.field_raw(k, v);
-        self
-    }
-
-    /// Writes the point to `<workspace root>/<file>` and logs it.
-    pub fn write(self, file: &str) {
-        let path = format!("{}/{file}", workspace_root());
-        let mut body = self.obj.finish();
-        body.push('\n');
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {file}: {e}"));
-        println!("wrote {file}");
-    }
-}
-
-/// Appends a bench's run-log lines to `<workspace root>/RUNLOG.jsonl`
-/// (no-op when the log is empty, e.g. with the `obs` feature off). The
-/// sink is size-capped: once the file would exceed
-/// [`pmi::obs::RUNLOG_MAX_LINES`] lines it is rotated down to the newest
-/// lines, so the committed trajectory never grows without bound while the
-/// recent history `pmi-analyze` diffs against stays intact.
-///
-/// The run log is telemetry, not a result: an unwritable sink (read-only
-/// checkout, full disk) must not fail the bench that produced the numbers,
-/// so I/O errors are reported on stderr and otherwise ignored.
-pub fn append_runlog(log: &RunLog) {
-    if log.is_empty() {
-        return;
-    }
-    let path = std::path::Path::new(workspace_root()).join("RUNLOG.jsonl");
-    match log.append_to_capped(&path, pmi::obs::RUNLOG_MAX_LINES) {
-        Ok(()) => println!(
-            "appended {} run-log line(s) to RUNLOG.jsonl",
-            log.lines().len()
-        ),
-        Err(e) => eprintln!("warning: could not append RUNLOG.jsonl: {e} (continuing)"),
-    }
-}
-
-/// The uniform run-log trailer for the criterion figure benches: records
-/// one whole-process `bench` phase and appends it. Only fires in real
-/// measurement mode (`cargo bench` passes `--bench`); smoke/test
-/// invocations write nothing, mirroring the `BENCH_*.json` emitters.
-pub fn finish_criterion_runlog(bench: &'static str, t0: Instant) {
-    if !std::env::args().any(|a| a == "--bench") {
-        return;
-    }
-    let mut log = RunLog::new(bench, fingerprint(&[bench]));
-    log.record("bench", 1, t0.elapsed().as_secs_f64(), &[]);
-    append_runlog(&log);
-}
-
-/// Enables the paper's 128 KB MkNNQ cache on a disk-based index by probing
-/// its storage handle (no-op for in-memory indexes). The trait has no disk
-/// accessor, so the harness passes the flag at build time instead; this
-/// helper documents the knob for external users.
+/// Byte capacity of the paper's MkNNQ page cache (128 KB LRU, §6.1); the
+/// kNN sweeps hand it to [`MetricIndex::set_page_cache`] after the build
+/// (a no-op for in-memory indexes).
 pub fn knn_cache_bytes() -> usize {
     pmi::storage::KNN_CACHE_BYTES
 }

@@ -6,7 +6,7 @@
 //! page accesses (PA), distance computations (compdists) and CPU time —
 //! averaged over a batch of random queries. The `repro` binary
 //! (`cargo run -p pmi-bench --release --bin repro -- all`) regenerates
-//! every table and figure; see EXPERIMENTS.md for the mapping.
+//! every table and figure; `repro --help` lists the experiments.
 
 pub mod experiments;
 pub mod harness;

@@ -1567,7 +1567,13 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn range_query(&self, _q: &Vec<f32>, _r: f64) -> Vec<ObjId> {
+        fn range_query_into(
+            &self,
+            _q: &Vec<f32>,
+            _r: f64,
+            _scratch: &mut QueryScratch,
+            _out: &mut Vec<ObjId>,
+        ) {
             panic!("injected: shard range panic")
         }
         fn knn_query_into_seeded(

@@ -29,8 +29,13 @@ pub trait MetricIndex<O>: Send + Sync {
     }
 
     /// Metric range query `MRQ(q, r)`: ids of all objects within distance
-    /// `r` of `q`. Order is unspecified.
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId>;
+    /// `r` of `q`. Order is unspecified. Provided:
+    /// [`range_query_into`](Self::range_query_into) over a fresh scratch.
+    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
+        let mut out = Vec::new();
+        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
+        out
+    }
 
     /// Metric k-nearest-neighbor query `MkNNQ(q, k)`, sorted by ascending
     /// `(distance, id)` — ties at the k-th distance go to the smaller id.
@@ -44,16 +49,12 @@ pub trait MetricIndex<O>: Send + Sync {
         out
     }
 
-    /// [`range_query`](Self::range_query) variant for the batch-serving hot
-    /// path: answers are *appended* to `out` and all transient state lives
-    /// in `scratch`, so a worker that reuses both performs no per-query
-    /// heap allocations once the buffers are warm. The default falls back
-    /// to the allocating path; the flat pivot tables and the in-memory
-    /// trees override it.
-    fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        let _ = scratch;
-        out.extend(self.range_query(q, r));
-    }
+    /// The one range method a kind implements: `MRQ(q, r)` for the
+    /// batch-serving hot path. Answers are *appended* to `out` and the
+    /// transient state the kind shares with the kernel lives in `scratch`,
+    /// so the flat pivot tables and the in-memory trees perform no
+    /// per-query heap allocations once a worker's buffers are warm.
+    fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>);
 
     /// [`knn_query`](Self::knn_query) variant for the batch-serving hot
     /// path; appends the (ascending-sorted) neighbors to `out`. Same
@@ -224,12 +225,6 @@ where
 
     fn len(&self) -> usize {
         self.table.len()
-    }
-
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
-        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
-        out
     }
 
     fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {

@@ -1,10 +1,9 @@
 //! A tiny chainable JSON object builder and a matching recursive-descent
-//! reader — the workspace has no serde, and the bench emitters plus the
-//! run-log only ever need flat objects with a couple of nested raw values.
+//! reader — the workspace has no serde, and the report emitters only ever
+//! need flat objects with a couple of nested raw values.
 //! [`JsonValue::parse`] is the read side: it covers exactly the JSON this
 //! module writes (escaped strings, numbers, bools, null, objects, arrays),
-//! which is what `validate_runlog_line` and the `pmi-analyze` trajectory
-//! reader build on.
+//! which is what the ruler's `benchmark compare` reads its reports with.
 
 /// Appends `s` to `buf` with JSON string escaping (quotes not included).
 pub(crate) fn escape_into(buf: &mut String, s: &str) {

@@ -1,8 +1,9 @@
 //! `pmi-obs` — the workspace's observability layer: a lock-free metrics
 //! registry, fixed-bucket log-scale latency histograms, lightweight phase
-//! spans, per-query traces with an EXPLAIN renderer ([`trace`]), and the
-//! JSONL run-metrics sink the benches write. `docs/observability.md` in
-//! the repository root covers the whole layer end-to-end.
+//! spans, per-query traces with an EXPLAIN renderer ([`trace`]), and a
+//! small JSON writer / reader ([`json`]) for reports.
+//! `docs/observability.md` in the repository root covers the whole layer
+//! end-to-end.
 //!
 //! # Design rules
 //!
@@ -48,43 +49,9 @@
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod runlog;
 pub mod trace;
 
 pub use hist::{Hist, HistSummary};
 pub use json::{JsonObj, JsonValue};
 pub use registry::{MetricsSnapshot, PhaseSnapshot, Registry, Span};
-pub use runlog::{rotate_runlog, validate_runlog_line, RunLog, RUNLOG_MAX_LINES, RUNLOG_SCHEMA};
 pub use trace::{QueryTrace, TraceEvent, TraceKind, TracePolicy, TraceRing};
-
-/// FNV-1a 64-bit fingerprint of a configuration, used to stamp every
-/// trajectory point and run-log line so points from different configs are
-/// never conflated when the `BENCH_*.json` history is queried across PRs.
-/// Parts are joined with an unambiguous separator before hashing.
-pub fn fingerprint<S: AsRef<str>>(parts: &[S]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for p in parts {
-        for &b in p.as_ref().as_bytes() {
-            eat(b);
-        }
-        eat(0x1f);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fingerprint_is_stable_and_separator_sensitive() {
-        assert_eq!(fingerprint(&["a", "b"]), fingerprint(&["a", "b"]));
-        assert_ne!(fingerprint(&["a", "b"]), fingerprint(&["ab"]));
-        assert_ne!(fingerprint(&["a", "b"]), fingerprint(&["b", "a"]));
-        assert_ne!(fingerprint::<&str>(&[]), fingerprint(&[""]));
-    }
-}

@@ -116,15 +116,13 @@ where
         self.table.len()
     }
 
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
+    fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         self.search(q, r, |id, d| {
             if d <= r {
                 out.push(id);
             }
             r
         });
-        out
     }
 
     fn knn_query_into_seeded(

@@ -145,12 +145,6 @@ where
         self.live
     }
 
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
-        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         // Malformed radii are rejected at the engine boundary; here they
         // are an empty answer, never a panic. `+∞` stays valid.

@@ -241,12 +241,6 @@ where
         self.table.len()
     }
 
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
-        self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
     fn range_query_into(&self, q: &O, r: f64, _scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         if let Some(root) = &self.root {
             self.range_rec(root, q, r, out);

@@ -252,15 +252,8 @@ where
     /// The classic FQA range query: best-case `log n` descent over bucketed
     /// signature runs. The only range path for plain builds; adopted
     /// builds filter through the exact-row kernel instead (module docs).
-    fn range_by_signature(&self, q: &O, r: f64) -> Vec<ObjId> {
-        // Same boundary contract as the adopted path: a malformed radius
-        // is an empty answer here, never a panic.
-        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
-        if r.is_nan() || r < 0.0 {
-            return Vec::new();
-        }
+    fn range_by_signature(&self, q: &O, r: f64, out: &mut Vec<ObjId>) {
         let qd: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
-        let mut out = Vec::new();
         // Iterative stack of (slice start, slice end, level).
         let mut stack = vec![(0usize, self.rows.len(), 0usize)];
         while let Some((lo, hi, level)) = stack.pop() {
@@ -285,7 +278,6 @@ where
                 }
             }
         }
-        out
     }
 
     /// The classic FQA kNN query: best-first over signature runs, keyed by
@@ -359,15 +351,6 @@ where
         self.table.len()
     }
 
-    fn range_query(&self, q: &O, r: f64) -> Vec<ObjId> {
-        if self.adopted.is_some() {
-            let mut out = Vec::new();
-            self.range_query_into(q, r, &mut QueryScratch::new(), &mut out);
-            return out;
-        }
-        self.range_by_signature(q, r)
-    }
-
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         // Malformed radii are rejected at the engine boundary; here they
         // are an empty answer, never a panic. `+∞` stays valid.
@@ -376,8 +359,7 @@ where
             return;
         }
         let Some(rows) = &self.adopted else {
-            out.extend(self.range_by_signature(q, r));
-            return;
+            return self.range_by_signature(q, r, out);
         };
         // Adopted hot path: blocked kernel over the exact rows, survivors
         // collected, then verification — same shape as LAESA.

@@ -34,12 +34,10 @@
 //! Observability — per-shard serve stats (`out.report.per_shard`), the
 //! engine phase tree (`engine.metrics()`), per-query traces with an
 //! EXPLAIN renderer (`engine.set_trace_policy(..)` then
-//! `out.report.traces[..].explain()`), and the JSONL run-log sink
-//! (`pmr::obs::RunLog`) — is behind the default-on `obs` feature (trace
-//! and run-log data types are unconditional). `docs/observability.md`
-//! is the quickstart for the whole layer: the zero-overhead rule, the
-//! `pmi-runlog-v1` schema, the trace format, and the `pmi-analyze`
-//! regression sentinel.
+//! `out.report.traces[..].explain()`) — is behind the default-on `obs`
+//! feature (the trace data types are unconditional).
+//! `docs/observability.md` is the quickstart for the whole layer: the
+//! zero-overhead rule, the metrics reference and the trace format.
 //!
 //! Concurrency — the engine serves through churn: immutable
 //! [`EngineSnapshot`]s behind an atomic slot (every `out.report.epoch`
@@ -52,7 +50,7 @@
 //! backpressure on a full queue, deadline shedding of stale batches) —
 //! is documented in `docs/concurrency.md`: the snapshot lifecycle,
 //! epoch-based reclamation, the writer-crash contract, and the
-//! `update.availability_ok` bench gate.
+//! availability gate (serving never waits for the writer).
 //!
 //! Robustness — per-query/batch budgets with graceful degradation
 //! (`engine.set_budget(..)`, the [`Completeness`] marker on every

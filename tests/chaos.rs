@@ -25,6 +25,7 @@ use pmr::{
     build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, PartitionPolicy,
     QueryBudget, QueryError, ServeBudget, ShardedEngine, UpdateBatch, L2,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// The installed fault plan is process-global: every test that arms one
@@ -47,6 +48,15 @@ fn quiet_injected_panics() {
             }
         }));
     });
+}
+
+/// Sets a reader loop's stop flag even if a writer-side assertion panics,
+/// so the reader thread exits and the scope join cannot hang the suite.
+struct StopOnDrop<'a>(&'a AtomicBool);
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 fn opts() -> BuildOptions {
@@ -337,17 +347,8 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
     for at in ["engine.apply.stage", "engine.apply.publish"] {
         let point = &format!("{kind:?}/{policy:?} {at}");
         fault::install(FaultPlan::new().with(FaultSpec::always(at, None, FaultKind::Panic)));
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            // Set the stop flag even if a writer-side assertion below
-            // panics, so the reader thread exits and the scope join cannot
-            // hang the suite.
-            struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
-            impl Drop for StopOnDrop<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
             let _stop_guard = StopOnDrop(&stop);
             let h = {
                 let r = reader.clone();
@@ -363,7 +364,7 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
                         assert_eq!(out.report.epoch, epoch0, "no epoch mid-abort");
                         assert_eq!(&out.results, baseline, "reads unperturbed by abort");
                         batches += 1;
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        if stop.load(Ordering::Relaxed) {
                             break;
                         }
                     }
@@ -376,7 +377,7 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
             assert!(report.aborted, "{point}: the transaction aborted");
             assert_eq!((report.inserts, report.removes), (0, 0), "{point}");
             assert!(report.inserted_ids.is_empty(), "{point}");
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
             assert!(h.join().expect("reader panicked") > 0);
         });
         // All-or-nothing: no op landed, no snapshot was published.
@@ -418,6 +419,95 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
     assert_eq!(report.inserted_ids, vec![len0 as u32]);
     assert_eq!(e.epoch(), epoch0 + 1);
     assert!(e.get(0).is_none());
+}
+
+/// The availability gate (`docs/concurrency.md`): serving never waits for
+/// the writer. The writer is stalled for 150 ms at its last step before
+/// publication (`engine.apply.publish`) — asleep, not spinning, so the
+/// reader keeps a core whatever the host has — and a reader must complete
+/// whole batches *inside* that stall, on the old snapshot; the first batch
+/// after `apply` returns reads the new one. A publication that held the
+/// snapshot slot while it stalled would leave the count at zero.
+#[test]
+fn serving_never_waits_for_a_stalled_writer() {
+    let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for kind in KINDS {
+        for policy in POLICIES {
+            serving_through_a_stalled_writer(kind, policy);
+        }
+    }
+}
+
+fn serving_through_a_stalled_writer(kind: IndexKind, policy: PartitionPolicy) {
+    fault::clear();
+    let label = &format!("{kind:?}/{policy:?}");
+
+    let pts = pmr::datasets::la(400, 5);
+    let queries: Vec<Query<Vec<f32>>> = (0..16)
+        .map(|i| Query::range(pts[i * 23].clone(), 40.0))
+        .collect();
+    let mut batch = UpdateBatch::new();
+    batch.remove(0).insert(vec![1.0f32; 2]);
+
+    let mut quiesced = build(kind, policy, 4, &pts);
+    assert!(!quiesced.apply(&batch).aborted, "{label}");
+    let after = quiesced.serve(&queries).results;
+
+    let mut e = build(kind, policy, 4, &pts);
+    let reader = e.reader().expect("every kind hands out readers");
+    let before = e.serve(&queries).results;
+    assert_ne!(before, after, "{label}: the batch changes an answer");
+    let epoch0 = e.epoch();
+
+    fault::install(FaultPlan::new().with(FaultSpec {
+        limit: 1,
+        ..FaultSpec::always(
+            "engine.apply.publish",
+            None,
+            FaultKind::DelayMicros(150_000),
+        )
+    }));
+    let returned = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let _stop_guard = StopOnDrop(&returned);
+        let h = {
+            let r = reader.clone();
+            let (returned, queries, before, after) = (&returned, &queries, &before, &after);
+            s.spawn(move || {
+                // Whole batches that began after the writer reached its
+                // stall and completed before `apply` returned.
+                let mut inside_stall = 0u32;
+                loop {
+                    let stalled = fault::fired() == [1];
+                    let out = r.serve(queries);
+                    let done = returned.load(Ordering::Relaxed);
+                    if out.report.epoch == epoch0 {
+                        assert_eq!(&out.results, before, "old snapshot, old answers");
+                        inside_stall += u32::from(stalled && !done);
+                    } else {
+                        assert_eq!(out.report.epoch, epoch0 + 1);
+                        assert_eq!(&out.results, after, "new snapshot, new answers");
+                    }
+                    if done {
+                        return inside_stall;
+                    }
+                }
+            })
+        };
+        let report = e.apply(&batch);
+        returned.store(true, Ordering::Relaxed);
+        assert!(!report.aborted, "{label}: a delay is not a crash");
+        assert_eq!(fault::fired(), vec![1], "{label}: the writer did stall");
+        let first = reader.serve(&queries);
+        assert_eq!(first.report.epoch, epoch0 + 1, "{label}: published");
+        assert_eq!(first.results, after, "{label}: equals the quiesced engine");
+        let inside_stall = h.join().expect("reader panicked");
+        assert!(
+            inside_stall >= 2,
+            "{label}: {inside_stall} batches served while the writer stalled"
+        );
+    });
+    fault::clear();
 }
 
 /// `compact()` is a transaction like `apply`: a panic at its last abortable

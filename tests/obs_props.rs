@@ -1,10 +1,10 @@
 //! Property-based tests on the observability layer: the log-scale
 //! histogram's quantiles stay within one sub-bucket of the exact sorted
-//! quantiles, and every line the run-log writer emits is accepted — and
-//! read back faithfully — by the validator's independent parser.
+//! quantiles, and every object the JSON writer emits is read back
+//! faithfully by the independent parser.
 
 use pivot_metric_repro as pmr;
-use pmr::obs::{validate_runlog_line, Hist, JsonValue, RunLog};
+use pmr::obs::{Hist, JsonObj, JsonValue};
 use proptest::prelude::*;
 
 /// Exact nearest-rank quantile over the raw samples, mirroring
@@ -69,46 +69,48 @@ proptest! {
         prop_assert_eq!(merged, whole);
     }
 
-    /// Writer ↔ validator round-trip: any line [`RunLog::record`] emits —
-    /// arbitrary printable bench/phase names (quotes and backslashes
-    /// included, exercising the escaper), any fingerprint, any calls
-    /// count, any finite non-negative wall, arbitrary counter maps — must
-    /// validate, and parsing it back must recover the exact fields.
+    /// Writer ↔ parser round-trip, what `benchmark compare` rests on: any
+    /// object [`JsonObj`] emits — arbitrary printable keys and strings
+    /// (quotes and backslashes included, exercising the escaper), any
+    /// `u64` a double holds exactly, any `f64` (non-finite ones are
+    /// written as `null`), a nested object through `field_raw` — must
+    /// parse, and reading it back must recover the exact fields in order.
     #[test]
-    fn runlog_writer_validator_roundtrip(
-        bench in "\\PC{1,16}",
-        phase in "\\PC{1,16}",
-        fingerprint in any::<u64>(),
-        calls in 0u64..(1 << 53),
-        wall_secs in 0.0f64..1e6,
-        counters in prop::collection::vec(("\\PC{0,8}", 0u64..(1 << 53)), 0..6),
+    fn json_writer_parser_roundtrip(
+        keys in prop::collection::vec("\\PC{1,16}", 4..5),
+        text in "\\PC{0,16}",
+        count in 0u64..(1 << 53),
+        float in any::<u64>().prop_map(f64::from_bits),
+        nested in prop::collection::vec(("\\PC{0,8}", 0u64..(1 << 53)), 0..6),
     ) {
-        let mut log = RunLog::new(&bench, fingerprint);
-        let pairs: Vec<(&str, u64)> =
-            counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        log.record(&phase, calls, wall_secs, &pairs);
-        prop_assert_eq!(log.lines().len(), 1);
-        let line = &log.lines()[0];
+        let inner = nested
+            .iter()
+            .fold(JsonObj::new(), |o, (k, v)| o.field_u64(k, *v))
+            .finish();
+        let line = JsonObj::new()
+            .field_str(&keys[0], &text)
+            .field_u64(&keys[1], count)
+            .field_f64(&keys[2], float)
+            .field_raw(&keys[3], &inner)
+            .finish();
 
-        validate_runlog_line(line)
-            .unwrap_or_else(|e| panic!("emitted line rejected: {e}: {line}"));
-
-        let v = JsonValue::parse(line).expect("emitted line parses");
-        prop_assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some(bench.as_str()));
-        prop_assert_eq!(v.get("phase").and_then(|p| p.as_str()), Some(phase.as_str()));
-        prop_assert_eq!(
-            v.get("fingerprint").and_then(|f| f.as_str()),
-            Some(format!("{fingerprint:#018x}").as_str())
-        );
-        prop_assert_eq!(v.get("calls").and_then(|c| c.as_u64()), Some(calls));
-        let wall_back = v.get("wall_secs").and_then(|w| w.as_f64()).unwrap();
-        prop_assert!(
-            (wall_back - wall_secs).abs() <= wall_secs.abs() * 1e-12,
-            "wall {wall_secs} read back as {wall_back}"
-        );
-        let cs = v.get("counters").unwrap().entries().unwrap();
-        prop_assert_eq!(cs.len(), counters.len());
-        for ((wk, wv), (rk, rv)) in counters.iter().zip(cs) {
+        let v = JsonValue::parse(&line)
+            .unwrap_or_else(|e| panic!("emitted object rejected: {e}: {line}"));
+        let fields = v.entries().expect("an object");
+        prop_assert_eq!(fields.len(), 4);
+        for (key, (read, _)) in keys.iter().zip(fields) {
+            prop_assert_eq!(key, read);
+        }
+        prop_assert_eq!(fields[0].1.as_str(), Some(text.as_str()));
+        prop_assert_eq!(fields[1].1.as_u64(), Some(count));
+        if float.is_finite() {
+            prop_assert_eq!(fields[2].1.as_f64(), Some(float), "{}", line);
+        } else {
+            prop_assert_eq!(&fields[2].1, &JsonValue::Null);
+        }
+        let back = fields[3].1.entries().expect("a nested object");
+        prop_assert_eq!(back.len(), nested.len());
+        for ((wk, wv), (rk, rv)) in nested.iter().zip(back) {
             prop_assert_eq!(wk, rk);
             prop_assert_eq!(rv.as_u64(), Some(*wv));
         }
