@@ -280,6 +280,14 @@ where
 }
 
 /// Regenerates Table 6 (update costs: delete + reinsert).
+///
+/// Two departures from the paper's numbers. Its sequential-scan delete
+/// cost for LAESA / EPT (§6.3: a scan to locate the row) is not modelled
+/// since PR 15 — ids here are slot positions, so a delete finds its row
+/// directly (ROADMAP item 10). And EPT*'s charged build compdists are lower
+/// at `n > 4096` than before PR 25: `PsaSelector` takes its candidates from
+/// [`hf_candidates`](pmi::pivots::hf_candidates), which charges one distance
+/// per *distinct* sampled object, not per draw.
 pub fn table6(cfg: &ExpConfig) -> Vec<(Scenario, Vec<(IndexKind, UpdateCost)>)> {
     let mut all = Vec::new();
     for s in Scenario::ALL {

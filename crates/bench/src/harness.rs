@@ -87,7 +87,7 @@ pub fn options_for(
 /// Selects the shared HFI pivot set (§6.1) — uncounted, like the paper,
 /// which charges pivot selection to neither index (EPT/EPT*/BKT pick their
 /// own pivots inside their builders and *are* charged).
-pub fn shared_pivots<O: Clone, M: Metric<O>>(
+pub fn shared_pivots<O: Clone + Sync, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     l: usize,

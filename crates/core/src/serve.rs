@@ -114,7 +114,9 @@ where
 
 /// Vector-dataset convenience: selects one shared HFI pivot set over the
 /// *full* dataset (so shards stay on equal footing with an unsharded
-/// build), then shards per `policy`.
+/// build), on the engine's `cfg.threads` — the same pivots as one thread
+/// picks — then shards per `policy`. Selection happens before
+/// `ShardedEngine::build`, so it is outside `BuildStats::build_wall_secs`.
 ///
 /// Vector queries additionally get an input validator: a query object with
 /// a non-finite coordinate is rejected at the serve boundary as
@@ -131,7 +133,13 @@ pub fn build_sharded_vector_engine<M>(
 where
     M: Metric<Vec<f32>> + Clone + 'static,
 {
-    let ids = pmi_pivots::select_hfi(&objects, &metric, opts.num_pivots, opts.seed);
+    let ids = pmi_pivots::select_hfi_with_threads(
+        &objects,
+        &metric,
+        opts.num_pivots,
+        opts.seed,
+        cfg.resolved_threads(),
+    );
     let pivots = ids.into_iter().map(|i| objects[i].clone()).collect();
     let mut engine = build_sharded_engine(kind, objects, metric, pivots, opts, cfg, policy)?;
     engine.set_query_validator(|o: &Vec<f32>| o.iter().all(|c| c.is_finite()));

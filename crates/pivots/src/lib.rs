@@ -9,13 +9,16 @@
 //! * [`hf_candidates`] — the Hull-of-Foci outlier search of the Omni-family,
 //! * [`select_hfi`] — HF candidates + greedy incremental selection that
 //!   maximizes the similarity between the metric space and the mapped
-//!   vector space (the workspace-wide default),
+//!   vector space (the workspace-wide default); [`select_hfi_with_threads`]
+//!   is the same selection with its distance passes on several threads,
 //! * [`PsaSelector`] — Algorithm 1 of the paper (PSA), the per-object pivot
 //!   selection that turns EPT into EPT*.
 
+use pmi_metric::parallel::map_row_chunks;
 use pmi_metric::Metric;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashSet;
 
 /// Number of HF candidates used by PSA; the paper sets `cp_scale` to 40
 /// "because this value yields enough outliers in our experiments" (§3.2).
@@ -37,6 +40,24 @@ pub fn select_random(n: usize, k: usize, seed: u64) -> Vec<usize> {
     chosen
 }
 
+/// Distances below which a chunk of an HF or HFI pass is not worth a thread
+/// of its own: a spawn costs tens of microseconds, a `Metric::dist` from a
+/// few nanoseconds (2-d L2) to hundreds (282-d L1).
+const MIN_DISTS_PER_CHUNK: usize = 512;
+
+/// Runs `update(&mut val[si], sample[si])` for every sample slot, over
+/// contiguous slot ranges on up to `threads` scoped threads.
+fn per_slot<F>(val: &mut [f64], sample: &[usize], threads: usize, update: F)
+where
+    F: Fn(&mut f64, usize) + Sync,
+{
+    map_row_chunks(val, threads, MIN_DISTS_PER_CHUNK, |start, chunk| {
+        for (v, &o) in chunk.iter_mut().zip(&sample[start..]) {
+            update(v, o);
+        }
+    });
+}
+
 /// Hull-of-Foci (HF) candidate search from the Omni-family: finds up to
 /// `count` mutually far-apart "outlier" objects.
 ///
@@ -45,11 +66,17 @@ pub fn select_random(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// repeatedly add the object whose distances to the current foci deviate
 /// least from the diameter edge (i.e. it is roughly `edge` away from every
 /// focus — a new hull corner).
-pub fn hf_candidates<O, M: Metric<O>>(
+///
+/// Each distinct sampled object costs one distance per pass, and the passes
+/// run over contiguous sample ranges on up to `threads` scoped threads;
+/// every choice (the farthest object, the least error) is made on the
+/// caller in sample order, so the foci are the same for every `threads`.
+pub fn hf_candidates<O: Sync, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     count: usize,
     seed: u64,
+    threads: usize,
 ) -> Vec<usize> {
     let n = objects.len();
     assert!(n >= 2, "HF needs at least two objects");
@@ -57,66 +84,75 @@ pub fn hf_candidates<O, M: Metric<O>>(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4846);
 
     // Work on a sample for large datasets; HF cost is O(sample · foci).
-    let sample: Vec<usize> = if n <= 4096 {
+    let mut sample: Vec<usize> = if n <= 4096 {
         (0..n).collect()
     } else {
         (0..4096).map(|_| rng.random_range(0..n)).collect()
     };
+    // The start is drawn from the draws, repeats included; only then are
+    // repeats dropped, keeping first occurrences in draw order. A repeat has
+    // its first occurrence's distances and errors, and every scan below
+    // keeps the first of equals, so a repeat could never have been chosen.
+    let s = sample[rng.random_range(0..sample.len())];
+    let mut seen = HashSet::with_capacity(sample.len());
+    sample.retain(|&j| seen.insert(j));
 
-    let farthest_from = |i: usize| -> usize {
-        let mut best = sample[0];
-        let mut best_d = -1.0;
-        for &j in &sample {
-            if j == i {
-                continue;
-            }
-            let d = metric.dist(&objects[i], &objects[j]);
-            if d > best_d {
-                best_d = d;
-                best = j;
+    // The slot of the sample object farthest from object `i`, the first
+    // among equals; `i` itself is skipped, not charged.
+    let mut d = vec![0.0; sample.len()];
+    let mut farthest_from = |i: usize| -> usize {
+        per_slot(&mut d, &sample, threads, |v, j| {
+            *v = if j == i {
+                f64::NEG_INFINITY
+            } else {
+                metric.dist(&objects[i], &objects[j])
+            };
+        });
+        let (mut best, mut best_d) = (0, -1.0);
+        for (si, &dj) in d.iter().enumerate() {
+            if dj > best_d {
+                best_d = dj;
+                best = si;
             }
         }
         best
     };
 
-    let s = sample[rng.random_range(0..sample.len())];
-    let f1 = farthest_from(s);
-    let f2 = farthest_from(f1);
+    let a = farthest_from(s);
+    let b = farthest_from(sample[a]);
+    let (f1, f2) = (sample[a], sample[b]);
     let edge = metric.dist(&objects[f1], &objects[f2]);
 
     // Incremental error accumulation: each round adds one focus and charges
     // one distance per sample object, keeping HF at O(sample · count)
-    // distance computations.
+    // distance computations. Each `err[si]` is summed in focus order
+    // whatever the thread count.
     let mut foci = vec![f1, f2];
-    let mut err: Vec<f64> = sample
-        .iter()
-        .map(|&j| {
-            (metric.dist(&objects[j], &objects[f1]) - edge).abs()
-                + (metric.dist(&objects[j], &objects[f2]) - edge).abs()
-        })
-        .collect();
+    let mut taken = vec![false; sample.len()];
+    taken[a] = true;
+    taken[b] = true;
+    let mut err = vec![0.0; sample.len()];
+    per_slot(&mut err, &sample, threads, |e, j| {
+        *e = (metric.dist(&objects[j], &objects[f1]) - edge).abs()
+            + (metric.dist(&objects[j], &objects[f2]) - edge).abs();
+    });
     while foci.len() < count {
         let mut best = None;
         let mut best_err = f64::INFINITY;
-        for (si, &j) in sample.iter().enumerate() {
-            if foci.contains(&j) {
-                continue;
-            }
-            if err[si] < best_err {
-                best_err = err[si];
-                best = Some((si, j));
+        for (si, &e) in err.iter().enumerate() {
+            if !taken[si] && e < best_err {
+                best_err = e;
+                best = Some(si);
             }
         }
-        match best {
-            Some((_, j)) => {
-                foci.push(j);
-                if foci.len() < count {
-                    for (si, &o) in sample.iter().enumerate() {
-                        err[si] += (metric.dist(&objects[o], &objects[j]) - edge).abs();
-                    }
-                }
-            }
-            None => break, // sample exhausted
+        let Some(si) = best else { break }; // sample exhausted
+        taken[si] = true;
+        let j = sample[si];
+        foci.push(j);
+        if foci.len() < count {
+            per_slot(&mut err, &sample, threads, |e, o| {
+                *e += (metric.dist(&objects[o], &objects[j]) - edge).abs();
+            });
         }
     }
     foci.truncate(count);
@@ -131,14 +167,34 @@ pub fn hf_candidates<O, M: Metric<O>>(
 /// step adds the candidate that maximizes the mean ratio
 /// `max_i |d(x,p_i) − d(y,p_i)| / d(x,y)` over a sample of object pairs
 /// (the "precision" of the mapped space).
-pub fn select_hfi<O, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u64) -> Vec<usize> {
+///
+/// This is [`select_hfi_with_threads`] on the calling thread.
+pub fn select_hfi<O: Sync, M: Metric<O>>(
+    objects: &[O],
+    metric: &M,
+    k: usize,
+    seed: u64,
+) -> Vec<usize> {
+    select_hfi_with_threads(objects, metric, k, seed, 1)
+}
+
+/// [`select_hfi`] with its distance passes — HF's and the candidate-to-pair
+/// distances, split by candidate range — on up to `threads` scoped threads.
+/// The pivots are the same for every `threads`.
+pub fn select_hfi_with_threads<O: Sync, M: Metric<O>>(
+    objects: &[O],
+    metric: &M,
+    k: usize,
+    seed: u64,
+    threads: usize,
+) -> Vec<usize> {
     let n = objects.len();
     assert!(k <= n, "cannot select {k} pivots from {n} objects");
     if k == 0 {
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x484649);
-    let candidates = hf_candidates(objects, metric, (4 * k).max(CP_SCALE).min(n), seed);
+    let candidates = hf_candidates(objects, metric, (4 * k).max(CP_SCALE).min(n), seed, threads);
 
     // Sample of object pairs for the precision estimate.
     let pairs: Vec<(usize, usize)> = (0..256)
@@ -159,20 +215,20 @@ pub fn select_hfi<O, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u6
         .collect();
 
     // Pre-compute candidate-to-pair-endpoint distances.
-    let cand_dists: Vec<(Vec<f64>, Vec<f64>)> = candidates
-        .iter()
-        .map(|&c| {
-            let da: Vec<f64> = pairs
+    let mut cand_dists: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); candidates.len()];
+    let min_rows = MIN_DISTS_PER_CHUNK.div_ceil(2 * pairs.len());
+    map_row_chunks(&mut cand_dists, threads, min_rows, |start, chunk| {
+        for ((da, db), &c) in chunk.iter_mut().zip(&candidates[start..]) {
+            *da = pairs
                 .iter()
                 .map(|&(a, _)| metric.dist(&objects[c], &objects[a]))
                 .collect();
-            let db: Vec<f64> = pairs
+            *db = pairs
                 .iter()
                 .map(|&(_, b)| metric.dist(&objects[c], &objects[b]))
                 .collect();
-            (da, db)
-        })
-        .collect();
+        }
+    });
 
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
     let mut chosen_cand: Vec<usize> = Vec::with_capacity(k);
@@ -232,7 +288,7 @@ pub struct PsaSelector<O, M> {
     cand_sample: Vec<Vec<f64>>,
 }
 
-impl<O: Clone, M: Metric<O>> PsaSelector<O, M> {
+impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
     /// Prepares a PSA selector: draws the sample `S`, computes HF candidates
     /// and the candidate-to-sample distance matrix. Owns clones of the
     /// selected objects so the selector can outlive the input slice (EPT*
@@ -243,7 +299,7 @@ impl<O: Clone, M: Metric<O>> PsaSelector<O, M> {
         let sample: Vec<O> = (0..sample_size.min(n).max(1))
             .map(|_| objects[rng.random_range(0..n)].clone())
             .collect();
-        let candidates: Vec<O> = hf_candidates(objects, &metric, CP_SCALE.min(n), seed)
+        let candidates: Vec<O> = hf_candidates(objects, &metric, CP_SCALE.min(n), seed, 1)
             .into_iter()
             .map(|c| objects[c].clone())
             .collect();
@@ -314,7 +370,8 @@ impl<O: Clone, M: Metric<O>> PsaSelector<O, M> {
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{CountingMetric, L2};
+    use pmi_metric::{CountingMetric, EditDistance, L1, L2};
+    use proptest::prelude::*;
 
     #[test]
     fn random_selection_distinct() {
@@ -330,7 +387,7 @@ mod tests {
     fn hf_finds_outliers() {
         // Points on a line: HF must pick the two extremes first.
         let pts: Vec<Vec<f32>> = (0..50).map(|i| vec![i as f32, 0.0]).collect();
-        let foci = hf_candidates(&pts, &L2, 2, 1);
+        let foci = hf_candidates(&pts, &L2, 2, 1, 1);
         let mut ends: Vec<usize> = foci.clone();
         ends.sort();
         assert_eq!(ends, vec![0, 49]);
@@ -339,7 +396,7 @@ mod tests {
     #[test]
     fn hf_count_and_distinct() {
         let pts = datasets::la(300, 5);
-        let foci = hf_candidates(&pts, &L2, 10, 5);
+        let foci = hf_candidates(&pts, &L2, 10, 5, 1);
         assert_eq!(foci.len(), 10);
         let set: std::collections::HashSet<_> = foci.iter().collect();
         assert_eq!(set.len(), 10);
@@ -411,5 +468,220 @@ mod tests {
         assert_eq!(p.len(), 3);
         let set: std::collections::HashSet<_> = p.iter().collect();
         assert_eq!(set.len(), 3);
+    }
+
+    /// `select_hfi` as it stood at commit 1fa4b80, before HF dropped repeat
+    /// draws and ran on threads: the reference the new code must match id
+    /// for id.
+    fn parent_select_hfi<O, M: Metric<O>>(
+        objects: &[O],
+        metric: &M,
+        k: usize,
+        seed: u64,
+    ) -> Vec<usize> {
+        let n = objects.len();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x484649);
+        if k == 0 {
+            return Vec::new();
+        }
+        let candidates = parent_hf_candidates(objects, metric, (4 * k).max(CP_SCALE).min(n), seed);
+        let pairs: Vec<(usize, usize)> = (0..256)
+            .filter_map(|_| {
+                let a = rng.random_range(0..n);
+                let b = rng.random_range(0..n);
+                (a != b).then_some((a, b))
+            })
+            .collect();
+        let pairs = if pairs.is_empty() {
+            vec![(0, n - 1)]
+        } else {
+            pairs
+        };
+        let pair_dist: Vec<f64> = pairs
+            .iter()
+            .map(|&(a, b)| metric.dist(&objects[a], &objects[b]).max(1e-12))
+            .collect();
+        let cand_dists: Vec<(Vec<f64>, Vec<f64>)> = candidates
+            .iter()
+            .map(|&c| {
+                let da = pairs
+                    .iter()
+                    .map(|&(a, _)| metric.dist(&objects[c], &objects[a]));
+                let db = pairs
+                    .iter()
+                    .map(|&(_, b)| metric.dist(&objects[c], &objects[b]));
+                (da.collect(), db.collect())
+            })
+            .collect();
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        let mut chosen_cand: Vec<usize> = Vec::with_capacity(k);
+        let mut best_lb = vec![0.0f64; pairs.len()];
+        for _ in 0..k {
+            let mut best = None;
+            let mut best_gain = -1.0;
+            for (ci, &c) in candidates.iter().enumerate() {
+                if chosen_cand.contains(&ci) {
+                    continue;
+                }
+                let (da, db) = &cand_dists[ci];
+                let mut score = 0.0;
+                for p in 0..pairs.len() {
+                    score += (da[p] - db[p]).abs().max(best_lb[p]) / pair_dist[p];
+                }
+                if score > best_gain {
+                    best_gain = score;
+                    best = Some((ci, c));
+                }
+            }
+            let Some((ci, c)) = best else { break };
+            chosen_cand.push(ci);
+            chosen.push(c);
+            let (da, db) = &cand_dists[ci];
+            for p in 0..pairs.len() {
+                best_lb[p] = best_lb[p].max((da[p] - db[p]).abs());
+            }
+        }
+        let mut i = 0;
+        while chosen.len() < k {
+            if !chosen.contains(&i) {
+                chosen.push(i);
+            }
+            i += 1;
+        }
+        chosen
+    }
+
+    fn parent_hf_candidates<O, M: Metric<O>>(
+        objects: &[O],
+        metric: &M,
+        count: usize,
+        seed: u64,
+    ) -> Vec<usize> {
+        let n = objects.len();
+        let count = count.min(n);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4846);
+        let sample: Vec<usize> = if n <= 4096 {
+            (0..n).collect()
+        } else {
+            (0..4096).map(|_| rng.random_range(0..n)).collect()
+        };
+        let farthest_from = |i: usize| -> usize {
+            let mut best = sample[0];
+            let mut best_d = -1.0;
+            for &j in &sample {
+                if j == i {
+                    continue;
+                }
+                let d = metric.dist(&objects[i], &objects[j]);
+                if d > best_d {
+                    best_d = d;
+                    best = j;
+                }
+            }
+            best
+        };
+        let s = sample[rng.random_range(0..sample.len())];
+        let f1 = farthest_from(s);
+        let f2 = farthest_from(f1);
+        let edge = metric.dist(&objects[f1], &objects[f2]);
+        let mut foci = vec![f1, f2];
+        let mut err: Vec<f64> = sample
+            .iter()
+            .map(|&j| {
+                (metric.dist(&objects[j], &objects[f1]) - edge).abs()
+                    + (metric.dist(&objects[j], &objects[f2]) - edge).abs()
+            })
+            .collect();
+        while foci.len() < count {
+            let mut best = None;
+            let mut best_err = f64::INFINITY;
+            for (si, &j) in sample.iter().enumerate() {
+                if !foci.contains(&j) && err[si] < best_err {
+                    best_err = err[si];
+                    best = Some(j);
+                }
+            }
+            let Some(j) = best else { break };
+            foci.push(j);
+            if foci.len() < count {
+                for (si, &o) in sample.iter().enumerate() {
+                    err[si] += (metric.dist(&objects[o], &objects[j]) - edge).abs();
+                }
+            }
+        }
+        foci.truncate(count);
+        foci
+    }
+
+    /// The parent's pivots on every thread count, and the parent's HF foci.
+    fn assert_same_pivots<O: Sync, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u64) {
+        let n = objects.len();
+        let count = (4 * k).max(CP_SCALE).min(n);
+        assert_eq!(
+            hf_candidates(objects, metric, count, seed, 1),
+            parent_hf_candidates(objects, metric, count, seed),
+            "HF: n={n} seed={seed}"
+        );
+        let want = parent_select_hfi(objects, metric, k, seed);
+        for threads in [1, 2, 3, 8] {
+            let got = select_hfi_with_threads(objects, metric, k, seed, threads);
+            assert_eq!(got, want, "n={n} k={k} seed={seed} threads={threads}");
+        }
+    }
+
+    #[test]
+    fn hfi_is_independent_of_thread_count() {
+        // LA 10^5 draws repeats; the rest take the whole set as the sample,
+        // and 15 objects are fewer than `4k`.
+        assert_same_pivots(&datasets::la(100_000, 42), &L2, 5, 42);
+        assert_same_pivots(&datasets::la(4096, 3), &L2, 5, 3);
+        assert_same_pivots(&datasets::la(15, 4), &L2, 5, 4);
+        assert_same_pivots(&datasets::words(1500, 7), &EditDistance, 5, 7);
+    }
+
+    /// The 282-d corpus and sampled strings, where a distance costs
+    /// hundreds of nanoseconds: release builds only (CI's release leg).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn hfi_is_independent_of_thread_count_on_costly_metrics() {
+        assert_same_pivots(&datasets::color(12_500, 42), &L1, 5, 42);
+        assert_same_pivots(&datasets::words(9000, 7), &EditDistance, 5, 7);
+    }
+
+    #[test]
+    fn hfi_pivots_and_cost_on_the_benchmark_corpora() {
+        // Ids recorded at commit 1fa4b80 with `select_hfi(…, 5, 42)`; the
+        // parent charged 188 671 distances to each, one per sample draw,
+        // where one per distinct sampled object is charged now.
+        let color = CountingMetric::new(L1);
+        let ids = select_hfi(&datasets::color(12_500, 42), &color, 5, 42);
+        assert_eq!(ids, [74, 4685, 6991, 7809, 2076]);
+        assert_eq!(color.count(), 163_292);
+        let la = CountingMetric::new(L2);
+        let ids = select_hfi(&datasets::la(100_000, 42), &la, 5, 42);
+        assert_eq!(ids, [60526, 21986, 67332, 96245, 6796]);
+        assert_eq!(la.count(), 185_186);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Integer grid points under L1: many duplicate objects and exactly
+        /// equal distances, so every first-among-equals rule is exercised;
+        /// `n` spans tiny sets, `n < 4k`, whole-set samples and sampled sets
+        /// with repeat draws.
+        #[test]
+        fn hfi_equals_the_parent_on_random_grids(
+            n in 2usize..6000,
+            grid in 2u32..40,
+            k in 0usize..9,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pts: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..3).map(|_| rng.random_range(0..grid) as f32).collect())
+                .collect();
+            assert_same_pivots(&pts, &L1, k.min(n), seed);
+        }
     }
 }

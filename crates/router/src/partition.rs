@@ -25,6 +25,11 @@ use std::collections::BinaryHeap;
 /// only steers routing quality, never correctness.
 const MAX_ITERS: usize = 8;
 
+/// Rows below which a chunk of a per-object pass is not worth a thread of
+/// its own: a spawn costs tens of microseconds, a row here a few
+/// nanoseconds.
+const MIN_ROWS_PER_CHUNK: usize = 8192;
+
 /// The stride: object `i` to shard `i % shards`. Always valid and within
 /// one object of balanced, so it is [`partition_pivot_space`]'s fallback
 /// for inputs clustering cannot help — not what the engine builds under
@@ -114,7 +119,7 @@ pub fn partition_pivot_space(
         // The first row at the maximum, as one sequential pass finds it:
         // strict `>` inside a chunk and again across chunks in row order.
         let (mut far, mut far_d) = (0usize, -1.0f64);
-        for (i, d) in map_row_chunks(&mut nearest, threads, |start, chunk| {
+        for (i, d) in map_row_chunks(&mut nearest, threads, MIN_ROWS_PER_CHUNK, |start, chunk| {
             let (mut far, mut far_d) = (0usize, -1.0f64);
             let chunk_rows = rows[start * dim..].chunks_exact(dim);
             for (j, (slot, m)) in chunk.iter_mut().zip(chunk_rows).enumerate() {
@@ -302,26 +307,31 @@ impl Balancer {
         // (1) First proposals, and per centroid its `p` nearest points —
         // enough to replay `p` claims, each of which removes one point.
         self.proposal.resize(n, (0, 0));
-        let chunk_nearest = map_row_chunks(&mut self.proposal, threads, |start, chunk| {
-            let mut nearest = Nearest::new(p);
-            let chunk_rows = rows[start * dim..].chunks_exact(dim);
-            for (j, (slot, m)) in chunk.iter_mut().zip(chunk_rows).enumerate() {
-                // Strict `<`: a tie goes to the lower centroid id. Written
-                // as selects so that the loop has no unpredictable branch.
-                let mut first = (u64::MAX, 0u32);
-                for (s, c) in centroids.chunks_exact(dim).enumerate() {
-                    let bits = sq_dist(m, c).to_bits();
-                    let nearer = bits < first.0;
-                    first.0 = if nearer { bits } else { first.0 };
-                    first.1 = if nearer { s as u32 } else { first.1 };
+        let chunk_nearest = map_row_chunks(
+            &mut self.proposal,
+            threads,
+            MIN_ROWS_PER_CHUNK,
+            |start, chunk| {
+                let mut nearest = Nearest::new(p);
+                let chunk_rows = rows[start * dim..].chunks_exact(dim);
+                for (j, (slot, m)) in chunk.iter_mut().zip(chunk_rows).enumerate() {
+                    // Strict `<`: a tie goes to the lower centroid id. Written
+                    // as selects so that the loop has no unpredictable branch.
+                    let mut first = (u64::MAX, 0u32);
+                    for (s, c) in centroids.chunks_exact(dim).enumerate() {
+                        let bits = sq_dist(m, c).to_bits();
+                        let nearer = bits < first.0;
+                        first.0 = if nearer { bits } else { first.0 };
+                        first.1 = if nearer { s as u32 } else { first.1 };
+                    }
+                    *slot = first;
+                    if first.0 < nearest.widest {
+                        nearest.offer((start + j) as u32, m, centroids);
+                    }
                 }
-                *slot = first;
-                if first.0 < nearest.widest {
-                    nearest.offer((start + j) as u32, m, centroids);
-                }
-            }
-            nearest.lists
-        });
+                nearest.lists
+            },
+        );
         let mut room = vec![cap; p];
         out.clear();
         out.resize(n, usize::MAX);
