@@ -110,6 +110,13 @@ impl pmi::Metric<Vec<f32>> for VecMetric {
             VecMetric::LInf(m) => m.dist(a, b),
         }
     }
+    fn dist4(&self, a: &Vec<f32>, b: [&Vec<f32>; 4]) -> [f64; 4] {
+        match self {
+            VecMetric::L1(m) => m.dist4(a, b),
+            VecMetric::L2(m) => m.dist4(a, b),
+            VecMetric::LInf(m) => m.dist4(a, b),
+        }
+    }
     fn is_discrete(&self) -> bool {
         match self {
             VecMetric::L1(m) => pmi::Metric::<Vec<f32>>::is_discrete(m),

@@ -48,7 +48,7 @@
 
 use crate::builder::{build_index, build_index_with_matrix, BuildError, BuildOptions, IndexKind};
 use pmi_engine::{EngineConfig, EngineError, Layout, ShardedEngine};
-use pmi_metric::{EncodeObject, Metric};
+use pmi_metric::{dists_from, EncodeObject, Metric};
 use pmi_router::PartitionPolicy;
 
 fn flatten<O>(
@@ -94,7 +94,7 @@ where
     let layout = if policy == PartitionPolicy::PivotSpace || kind.adopts_pivot_matrix() {
         let (metric, pivots) = (metric.clone(), pivots.clone());
         Layout::mapped(pivots.len(), policy, move |o: &O, out: &mut Vec<f64>| {
-            out.extend(pivots.iter().map(|p| metric.dist(o, p)))
+            dists_from(&metric, o, pivots.iter().enumerate(), |_, d| out.push(d))
         })
     } else {
         Layout::plain()

@@ -37,7 +37,9 @@ pub mod stats;
 pub mod table;
 
 pub use cow::CowVec;
-pub use distance::{CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2};
+pub use distance::{
+    dists_from, CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2,
+};
 pub use index::{BruteForce, MetricIndex};
 pub use matrix::{PivotColumns, PivotMatrix, ScanKernel};
 pub use object::EncodeObject;

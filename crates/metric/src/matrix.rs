@@ -58,7 +58,7 @@
 //! [`select`](PivotColumns::select) of its survivors.
 
 use crate::cow::CowVec;
-use crate::distance::Metric;
+use crate::distance::{dists_from, Metric};
 use crate::simd::{self, SimdTier};
 
 /// The top bucket code: open above, what a distance beyond `TOP · step`
@@ -164,9 +164,7 @@ impl PivotMatrix {
         let width = pivots.len();
         Self::fill_with(objects, width, threads, |objs, slots| {
             for (slot, o) in slots.chunks_mut(width.max(1)).zip(objs) {
-                for (x, p) in slot.iter_mut().zip(pivots) {
-                    *x = metric.dist(o, p);
-                }
+                dists_from(metric, o, slot.iter_mut().zip(pivots), |x, d| *x = d);
             }
         })
     }

@@ -12,9 +12,12 @@
 //! It also holds the two pieces every kind's kNN is made of: [`KnnBest`],
 //! the k best so far and the one radius a probe prunes with, and
 //! [`QueryScratch::knn_verify`], the verification order of the scan
-//! tables.
+//! tables; [`QueryScratch::range_verify`] is their range verification.
 
+use crate::distance::{dists_from, Metric};
+use crate::fault;
 use crate::stats::{Neighbor, ObjId};
+use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
 /// Width of a scan table's kNN probe in units of `k`: the
@@ -164,6 +167,47 @@ impl QueryScratch {
             }
         }
         best.finish(out);
+    }
+
+    /// Maps the query into `qd`: `(d(q, p_1), …, d(q, p_l))`, through
+    /// [`dists_from`].
+    pub fn map_query<O, M: Metric<O>>(&mut self, metric: &M, q: &O, pivots: &[O]) {
+        let qd = &mut self.qd;
+        qd.clear();
+        dists_from(metric, q, pivots.iter().enumerate(), |_, d| qd.push(d));
+    }
+
+    /// The verification half of a scan table's range query, the same for
+    /// LAESA, CPT, EPT and the adopted FQA: `d(q, o)` for every collected
+    /// survivor (`get(slot)` yields its object), through [`dists_from`]'s
+    /// groups of four; appends the slots within `r` to `out`, in survivor
+    /// order. Each distance passes the kind's `point` hook
+    /// ([`fault::dist`], an inlined identity unless the chaos suite's
+    /// `fault-inject` feature arms it) once, in survivor order.
+    ///
+    /// A kNN scan stays one distance at a time
+    /// ([`knn_verify`](Self::knn_verify)): its radius may shrink after any
+    /// distance, and a group of four would verify slots the shrunken
+    /// radius skips.
+    pub fn range_verify<O, M, B>(
+        &self,
+        metric: &M,
+        q: &O,
+        r: f64,
+        point: &str,
+        get: impl Fn(ObjId) -> B,
+        out: &mut Vec<ObjId>,
+    ) where
+        O: ?Sized,
+        M: Metric<O>,
+        B: Borrow<O>,
+    {
+        let slots = self.survivors.iter().map(|&slot| (slot, get(slot)));
+        dists_from(metric, q, slots, |slot, d| {
+            if fault::dist(point, slot as u64, d) <= r {
+                out.push(slot);
+            }
+        });
     }
 }
 

@@ -15,7 +15,7 @@
 //!   selection that turns EPT into EPT*.
 
 use pmi_metric::parallel::map_row_chunks;
-use pmi_metric::Metric;
+use pmi_metric::{dists_from, Metric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
@@ -44,19 +44,6 @@ pub fn select_random(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// of its own: a spawn costs tens of microseconds, a `Metric::dist` from a
 /// few nanoseconds (2-d L2) to hundreds (282-d L1).
 const MIN_DISTS_PER_CHUNK: usize = 512;
-
-/// Runs `update(&mut val[si], sample[si])` for every sample slot, over
-/// contiguous slot ranges on up to `threads` scoped threads.
-fn per_slot<F>(val: &mut [f64], sample: &[usize], threads: usize, update: F)
-where
-    F: Fn(&mut f64, usize) + Sync,
-{
-    map_row_chunks(val, threads, MIN_DISTS_PER_CHUNK, |start, chunk| {
-        for (v, &o) in chunk.iter_mut().zip(&sample[start..]) {
-            update(v, o);
-        }
-    });
-}
 
 /// Hull-of-Foci (HF) candidate search from the Omni-family: finds up to
 /// `count` mutually far-apart "outlier" objects.
@@ -97,17 +84,29 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
     let mut seen = HashSet::with_capacity(sample.len());
     sample.retain(|&j| seen.insert(j));
 
+    // `update(&mut val[si], d(objects[from], objects[sample[si]]))` for
+    // every sample slot but, when `skip_from`, `from`'s own (left as it is,
+    // not charged): through `dists_from` over contiguous slot ranges on up
+    // to `threads` scoped threads. Every metric here is bitwise symmetric,
+    // so `d(from, o)` is the `d(o, from)` a per-object loop computes.
+    let pass =
+        |from: usize, skip_from: bool, val: &mut [f64], update: &(dyn Fn(&mut f64, f64) + Sync)| {
+            map_row_chunks(val, threads, MIN_DISTS_PER_CHUNK, |start, chunk| {
+                let slots = chunk
+                    .iter_mut()
+                    .zip(&sample[start..])
+                    .filter(|&(_, &j)| !(skip_from && j == from))
+                    .map(|(v, &j)| (v, &objects[j]));
+                dists_from(metric, &objects[from], slots, update);
+            });
+        };
+
     // The slot of the sample object farthest from object `i`, the first
     // among equals; `i` itself is skipped, not charged.
     let mut d = vec![0.0; sample.len()];
     let mut farthest_from = |i: usize| -> usize {
-        per_slot(&mut d, &sample, threads, |v, j| {
-            *v = if j == i {
-                f64::NEG_INFINITY
-            } else {
-                metric.dist(&objects[i], &objects[j])
-            };
-        });
+        d.fill(f64::NEG_INFINITY);
+        pass(i, true, &mut d, &|v, dist| *v = dist);
         let (mut best, mut best_d) = (0, -1.0);
         for (si, &dj) in d.iter().enumerate() {
             if dj > best_d {
@@ -132,10 +131,8 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
     taken[a] = true;
     taken[b] = true;
     let mut err = vec![0.0; sample.len()];
-    per_slot(&mut err, &sample, threads, |e, j| {
-        *e = (metric.dist(&objects[j], &objects[f1]) - edge).abs()
-            + (metric.dist(&objects[j], &objects[f2]) - edge).abs();
-    });
+    pass(f1, false, &mut err, &|e, d| *e = (d - edge).abs());
+    pass(f2, false, &mut err, &|e, d| *e += (d - edge).abs());
     while foci.len() < count {
         let mut best = None;
         let mut best_err = f64::INFINITY;
@@ -150,9 +147,7 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
         let j = sample[si];
         foci.push(j);
         if foci.len() < count {
-            per_slot(&mut err, &sample, threads, |e, o| {
-                *e += (metric.dist(&objects[o], &objects[j]) - edge).abs();
-            });
+            pass(j, false, &mut err, &|e, d| *e += (d - edge).abs());
         }
     }
     foci.truncate(count);
@@ -214,19 +209,23 @@ pub fn select_hfi_with_threads<O: Sync, M: Metric<O>>(
         .map(|&(a, b)| metric.dist(&objects[a], &objects[b]).max(1e-12))
         .collect();
 
-    // Pre-compute candidate-to-pair-endpoint distances.
-    let mut cand_dists: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); candidates.len()];
+    // Pre-compute candidate-to-pair-endpoint distances, into rows allocated
+    // here rather than on the workers.
+    let zeros = vec![0.0; pairs.len()];
+    let mut cand_dists = vec![(zeros.clone(), zeros); candidates.len()];
     let min_rows = MIN_DISTS_PER_CHUNK.div_ceil(2 * pairs.len());
     map_row_chunks(&mut cand_dists, threads, min_rows, |start, chunk| {
         for ((da, db), &c) in chunk.iter_mut().zip(&candidates[start..]) {
-            *da = pairs
-                .iter()
-                .map(|&(a, _)| metric.dist(&objects[c], &objects[a]))
-                .collect();
-            *db = pairs
-                .iter()
-                .map(|&(_, b)| metric.dist(&objects[c], &objects[b]))
-                .collect();
+            let a_ends = da
+                .iter_mut()
+                .zip(&pairs)
+                .map(|(x, &(a, _))| (x, &objects[a]));
+            dists_from(metric, &objects[c], a_ends, |x, d| *x = d);
+            let b_ends = db
+                .iter_mut()
+                .zip(&pairs)
+                .map(|(x, &(_, b))| (x, &objects[b]));
+            dists_from(metric, &objects[c], b_ends, |x, d| *x = d);
         }
     });
 
@@ -305,7 +304,11 @@ impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
             .collect();
         let cand_sample = candidates
             .iter()
-            .map(|c| sample.iter().map(|s| metric.dist(c, s)).collect())
+            .map(|c| {
+                let mut row = Vec::with_capacity(sample.len());
+                dists_from(&metric, c, sample.iter().enumerate(), |_, d| row.push(d));
+                row
+            })
             .collect();
         PsaSelector {
             metric,
@@ -320,16 +323,12 @@ impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
     pub fn pivots_for(&self, o: &O, l: usize) -> Vec<(usize, f64)> {
         let l = l.min(self.candidates.len());
         // Distances from o to every candidate and to every sample object.
-        let d_cand: Vec<f64> = self
-            .candidates
-            .iter()
-            .map(|c| self.metric.dist(o, c))
-            .collect();
-        let d_sample: Vec<f64> = self
-            .sample
-            .iter()
-            .map(|s| self.metric.dist(o, s).max(1e-12))
-            .collect();
+        let mut d_cand = Vec::with_capacity(self.candidates.len());
+        let candidates = self.candidates.iter().enumerate();
+        dists_from(&self.metric, o, candidates, |_, d| d_cand.push(d));
+        let mut d_sample = Vec::with_capacity(self.sample.len());
+        let sample = self.sample.iter().enumerate();
+        dists_from(&self.metric, o, sample, |_, d| d_sample.push(d.max(1e-12)));
 
         let mut chosen: Vec<usize> = Vec::with_capacity(l);
         // Current best lower bound per sample query.

@@ -12,7 +12,6 @@
 //! over those columns, with survivors collected before the fetch+verify
 //! pass.
 
-use pmi_metric::fault;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, PivotColumns,
     PivotMatrix, QueryScratch, StorageFootprint,
@@ -153,11 +152,10 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
+        scratch.map_query(&self.metric, q, &self.pivots);
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         // Blocked kernel over all slots, survivors collected, then the
         // fetch-from-disk verification pass.
         self.rows.lower_bounds_into(qd, lbs);
@@ -169,13 +167,8 @@ where
                 .filter(|&(i, &a)| a && lbs[i] <= r)
                 .map(|(i, _)| i as ObjId),
         );
-        for &id in survivors.iter() {
-            let o = self.mtree.fetch(id).expect("object on disk");
-            // Inlined identity unless the chaos suite arms `cpt.dist`.
-            if fault::dist("cpt.dist", id as u64, self.metric.dist(q, &o)) <= r {
-                out.push(id);
-            }
-        }
+        let get = |id| self.mtree.fetch(id).expect("object on disk");
+        scratch.range_verify(&self.metric, q, r, "cpt.dist", get, out);
     }
 
     fn knn_query_into_seeded(
@@ -190,10 +183,7 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
-        scratch.qd.clear();
-        scratch
-            .qd
-            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        scratch.map_query(&self.metric, q, &self.pivots);
         self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
         // A slot never verified is a disk fetch saved too — the biggest win
         // for CPT, whose verification pages objects in from the M-tree.

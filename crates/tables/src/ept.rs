@@ -17,7 +17,6 @@
 //! several rows at once — with the same bit-for-bit guarantee: blocking
 //! only reorders lower-bound arithmetic across rows, never within one.
 
-use pmi_metric::fault;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
     PivotMatrix, QueryScratch, StorageFootprint,
@@ -374,11 +373,10 @@ where
             return;
         }
         scratch.note_kernel(self.table.slots());
+        scratch.map_query(&self.metric, q, &self.pivot_objs);
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
-        qd.clear();
-        qd.extend(self.pivot_objs.iter().map(|p| self.metric.dist(q, p)));
         self.lower_bounds_into(qd, lbs);
         survivors.clear();
         survivors.extend(
@@ -387,13 +385,8 @@ where
                 .filter(|&(id, _)| lbs[id as usize] <= r)
                 .map(|(id, _)| id),
         );
-        for &id in survivors.iter() {
-            let o = self.table.get(id).expect("survivor is live");
-            // Inlined identity unless the chaos suite arms `ept.dist`.
-            if fault::dist("ept.dist", id as u64, self.metric.dist(q, o)) <= r {
-                out.push(id);
-            }
-        }
+        let get = |id| self.table.get(id).expect("survivor is live");
+        scratch.range_verify(&self.metric, q, r, "ept.dist", get, out);
     }
 
     fn knn_query_into_seeded(
@@ -408,10 +401,7 @@ where
             return;
         }
         scratch.note_kernel(self.table.slots());
-        scratch.qd.clear();
-        scratch
-            .qd
-            .extend(self.pivot_objs.iter().map(|p| self.metric.dist(q, p)));
+        scratch.map_query(&self.metric, q, &self.pivot_objs);
         self.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
         let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
         scratch.knn_verify(k, seed, dist, out);

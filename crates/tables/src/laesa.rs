@@ -1,6 +1,5 @@
 //! LAESA (paper §3.1): a linear pivot table over a shared pivot set.
 
-use pmi_metric::fault;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
     PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
@@ -129,11 +128,10 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
+        scratch.map_query(&self.metric, q, &self.pivots);
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         // Blocked kernel over all slots, then collect survivors (live and
         // under the bound) before the exact-distance pass.
         self.rows.lower_bounds_into(qd, lbs);
@@ -144,14 +142,8 @@ where
                 .filter(|&(id, _)| lbs[id as usize] <= r)
                 .map(|(id, _)| id),
         );
-        for &id in survivors.iter() {
-            let o = self.table.get(id).expect("survivor is live");
-            // `fault::dist` is an inlined identity unless the chaos suite's
-            // `fault-inject` feature arms the `laesa.dist` point.
-            if fault::dist("laesa.dist", id as u64, self.metric.dist(q, o)) <= r {
-                out.push(id);
-            }
-        }
+        let get = |id| self.table.get(id).expect("survivor is live");
+        scratch.range_verify(&self.metric, q, r, "laesa.dist", get, out);
     }
 
     fn knn_query_into_seeded(
@@ -166,10 +158,7 @@ where
             return;
         }
         scratch.note_kernel(self.rows.rows());
-        scratch.qd.clear();
-        scratch
-            .qd
-            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        scratch.map_query(&self.metric, q, &self.pivots);
         // Lower bounds are radius-independent: one blocked kernel pass,
         // then verification nearest bound first (the paper's LAESA scans in
         // storage order and notes that as suboptimal, §3.1 discussion).

@@ -24,7 +24,6 @@
 //! pass, and results remain exact. A plain-built FQA (no matrix) keeps the
 //! classic signature descent.
 
-use pmi_metric::fault;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
     ObjTable, PivotColumns, QueryScratch, StorageFootprint,
@@ -364,11 +363,10 @@ where
         // Adopted hot path: blocked kernel over the exact rows, survivors
         // collected, then verification — same shape as LAESA.
         scratch.note_kernel(rows.rows());
+        scratch.map_query(&self.metric, q, &self.pivots);
         let QueryScratch {
             qd, lbs, survivors, ..
         } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         rows.lower_bounds_into(qd, lbs);
         survivors.clear();
         survivors.extend(
@@ -377,13 +375,8 @@ where
                 .filter(|&(id, _)| lbs[id as usize] <= r)
                 .map(|(id, _)| id),
         );
-        for &id in survivors.iter() {
-            let o = self.table.get(id).expect("survivor is live");
-            // Inlined identity unless the chaos suite arms `fqa.dist`.
-            if fault::dist("fqa.dist", id as u64, self.metric.dist(q, o)) <= r {
-                out.push(id);
-            }
-        }
+        let get = |id| self.table.get(id).expect("survivor is live");
+        scratch.range_verify(&self.metric, q, r, "fqa.dist", get, out);
     }
 
     fn knn_query_into_seeded(
@@ -401,10 +394,7 @@ where
             return self.knn_by_signature(q, k, seed, scratch, out);
         };
         scratch.note_kernel(rows.rows());
-        scratch.qd.clear();
-        scratch
-            .qd
-            .extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
+        scratch.map_query(&self.metric, q, &self.pivots);
         rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
         let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
         scratch.knn_verify(k, seed, dist, out);

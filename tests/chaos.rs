@@ -23,7 +23,7 @@ use pmr::engine::{EngineConfig, Query, QueryResult};
 use pmr::fault::{self, FaultKind, FaultPlan, FaultSpec};
 use pmr::{
     build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, PartitionPolicy,
-    QueryBudget, QueryError, ServeBudget, ShardedEngine, UpdateBatch, L2,
+    QueryBudget, QueryError, QueryScratch, ServeBudget, ShardedEngine, UpdateBatch, L2,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -260,6 +260,84 @@ fn nan_distances_never_poison_or_panic() {
     fault::clear();
     let again = e.serve(std::slice::from_ref(&q));
     assert_eq!(again.results[0], exact.results[0]);
+}
+
+/// Range verification computes four distances per `Metric::dist4` call
+/// (`QueryScratch::range_verify`), yet each distance still passes the
+/// kind's fault hook once, under its own slot id. A panic armed on the third
+/// survivor of a shard's first group of four fires on that slot, fails the
+/// one query that verifies it, and leaves every other answer and per-shard
+/// counter byte-identical.
+#[test]
+fn a_dist_fault_inside_a_group_of_four_fires_on_its_own_slot() {
+    quiet_injected_panics();
+    let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+
+    let pts = pmr::datasets::la(800, 5);
+    let radius = pmr::datasets::calibrate_radius(&pts, &L2, 0.02, 5);
+    let centres: Vec<Vec<f32>> = (0..24).map(|i| pts[i * 31].clone()).collect();
+    let queries: Vec<Query<Vec<f32>>> = centres
+        .iter()
+        .map(|c| Query::range(c.clone(), radius))
+        .collect();
+    let clean = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, &pts);
+
+    // Every shard's range survivors of every query, in verification order.
+    let mut scratch = QueryScratch::new();
+    let survivors: Vec<Vec<Vec<u32>>> = centres
+        .iter()
+        .map(|c| {
+            let shards = clean.shards().iter();
+            shards
+                .map(|s| {
+                    s.index()
+                        .range_query_into(c, radius, &mut scratch, &mut Vec::new());
+                    scratch.survivors.clone()
+                })
+                .collect()
+        })
+        .collect();
+    // A query and shard whose third survivor no other query or shard
+    // verifies: arming its slot id then breaks that one probe alone.
+    let verified_elsewhere = |qi: usize, s: usize, slot: u32| {
+        survivors.iter().enumerate().any(|(qj, per_shard)| {
+            let other = |(t, ids): (usize, &Vec<u32>)| (qj, t) != (qi, s) && ids.contains(&slot);
+            per_shard.iter().enumerate().any(other)
+        })
+    };
+    let (qi, s, slot) = (0..queries.len())
+        .flat_map(|qi| (0..4).map(move |s| (qi, s)))
+        .filter(|&(qi, s)| survivors[qi][s].len() >= 4)
+        .map(|(qi, s)| (qi, s, survivors[qi][s][2]))
+        .find(|&(qi, s, slot)| !verified_elsewhere(qi, s, slot))
+        .expect("some shard's third survivor is verified by one query alone");
+
+    let baseline: Vec<(QueryResult, Vec<Counters>)> =
+        queries.iter().map(|q| probe_one(&clean, q)).collect();
+    let chaos = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, &pts);
+    fault::install(FaultPlan::new().with(FaultSpec::always(
+        "laesa.dist",
+        Some(slot as u64),
+        FaultKind::Panic,
+    )));
+    for (i, q) in queries.iter().enumerate() {
+        let (res, per_shard) = probe_one(&chaos, q);
+        if i == qi {
+            assert_eq!(
+                res,
+                QueryResult::Failed(QueryError::Panicked {
+                    shard: Some(s as u32)
+                }),
+                "query {i}: the armed slot's probe fails"
+            );
+        } else {
+            assert_eq!(res, baseline[i].0, "query {i}: unaffected result");
+            assert_eq!(per_shard, baseline[i].1, "query {i}: unaffected counters");
+        }
+    }
+    assert_eq!(fault::fired(), vec![1], "fired once, on the armed slot");
+    fault::clear();
 }
 
 #[test]
