@@ -272,6 +272,8 @@ mod tests {
         assert_eq!(count(partition, "shards"), Some(4));
         assert!((1..=8).contains(&count(partition, "iters").unwrap()));
         assert!(count(partition, "rejected").unwrap() > 0);
+        // A rejection is made in a deferred-acceptance round.
+        assert!(count(partition, "rounds").unwrap() >= 1);
         for path in ["build.matrix", "build.shards"] {
             assert!(phase(path).wall_secs > 0.0, "{path}");
         }

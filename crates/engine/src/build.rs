@@ -206,6 +206,7 @@ impl<O> ShardedEngine<O> {
                     ("shards", num_shards as u64),
                     ("iters", part.iters),
                     ("rejected", part.rejected),
+                    ("rounds", part.rounds),
                 ]);
                 part.assignment.into()
             }

@@ -10,16 +10,17 @@
 //! is always valid.
 //!
 //! Every step is a linear pass over the matrix rows plus work proportional
-//! to the proposals a full shard turns away; the per-object passes run over
-//! row ranges on the caller's threads and merge exactly, so the assignment
-//! does not depend on the thread count (see `docs/performance.md`, "Build
-//! and partition cost").
+//! to the proposals a full shard turns away. The per-object passes run over
+//! row ranges, and the per-shard work shard by shard, on the caller's
+//! threads; every merge is exact, so the assignment does not depend on the
+//! thread count (see `docs/performance.md`, "Build and partition cost").
 
 use pmi_metric::parallel::map_row_chunks;
 use pmi_metric::PivotMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// Assignment iterations; balanced k-means converges fast and the result
 /// only steers routing quality, never correctness.
@@ -29,6 +30,20 @@ const MAX_ITERS: usize = 8;
 /// its own: a spawn costs tens of microseconds, a row here a few
 /// nanoseconds.
 const MIN_ROWS_PER_CHUNK: usize = 8192;
+
+/// Proposals a thread must get for a deferred-acceptance round to leave the
+/// caller, and points turned away for step 2 to: a proposal fetches a row
+/// from anywhere in the matrix and costs tens of nanoseconds, a spawn tens
+/// of microseconds.
+const MIN_PROPOSALS_PER_PART: usize = 4096;
+
+/// How many proposals ahead a round prefetches the row, or the slot of
+/// `out`, it will touch: a round's points are scattered over the matrix, and
+/// this many proposals of work cover a miss to memory.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Centroids per block of the distance kernel ([`Lanes`]).
+const LANES: usize = 8;
 
 /// The stride: object `i` to shard `i % shards`. Always valid and within
 /// one object of balanced, so it is [`partition_pivot_space`]'s fallback
@@ -54,6 +69,9 @@ pub struct Partition {
     /// Proposals a full shard turned away, over all iterations: every one
     /// made its point recompute its next-nearest centroid.
     pub rejected: u64,
+    /// Deferred-acceptance rounds, over all iterations: a round moves every
+    /// point the one before turned away to its next-nearest centroid.
+    pub rounds: u64,
 }
 
 /// [`partition_pivot_space`] on the calling thread, keeping only the
@@ -72,13 +90,14 @@ pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, seed: u64) -> Vec
 /// object of perfectly balanced. Falls back to the stride when clustering
 /// cannot help (see module docs).
 ///
-/// Runs in `O(iters · n · shards)` distance computations plus
-/// `O(shards + log n)` per rejected proposal (at most `n · shards` of them
-/// per iteration, a fraction of `n` on clustered data), and `O(n)` memory
-/// beyond the matrix: nothing is stored per (object, shard) pair. The
-/// per-object passes (seeding, first proposals) run over row ranges on up
-/// to `threads` scoped threads; the assignment is the same for every
-/// `threads`.
+/// Runs in `O(iters · n · shards)` distance computations, plus per rejected
+/// proposal `shards` more and one `O(log n)` heap step (at most
+/// `n · shards` rejections per iteration, a fraction of `n` on clustered
+/// data), plus `O(shards)` per round; and `O(n)` memory beyond the matrix:
+/// nothing is stored per (object, shard) pair. Seeding, the first proposals
+/// and each round's next proposals run over row ranges, and the select,
+/// heapify and acceptances shard by shard, on up to `threads` scoped
+/// threads; the partition is the same for every `threads`.
 ///
 /// # Panics
 ///
@@ -96,6 +115,7 @@ pub fn partition_pivot_space(
         assignment: assign_round_robin(n, p),
         iters: 0,
         rejected: 0,
+        rounds: 0,
     };
     if p <= 1 || dim == 0 || n <= p {
         return fallback();
@@ -150,11 +170,18 @@ pub fn partition_pivot_space(
     let mut work = Balancer::new(p);
     let mut assignment = vec![usize::MAX; n];
     let mut next = Vec::new();
-    let (mut iters, mut rejected) = (0u64, 0u64);
+    let mut iters = 0u64;
     let mut sums = vec![0.0f64; p * dim];
     let mut counts = vec![0usize; p];
     for iter in 0..MAX_ITERS {
-        rejected += work.assign(mapped, &centroids, cap, threads, &mut next);
+        work.assign(
+            mapped,
+            &centroids,
+            cap,
+            threads,
+            MIN_PROPOSALS_PER_PART,
+            &mut next,
+        );
         iters += 1;
         if next == assignment {
             break;
@@ -187,7 +214,8 @@ pub fn partition_pivot_space(
     Partition {
         assignment,
         iters,
-        rejected,
+        rejected: work.rejected,
+        rounds: work.rounds,
     }
 }
 
@@ -196,19 +224,260 @@ pub fn partition_pivot_space(
 /// compare exactly as the reference's `total_cmp`-then-id order.
 type Key = (u64, u32);
 
+/// A proposal: `(distance bits, shard, point)`. Flat, so that it packs
+/// into 16 bytes; `(bits, shard)` is its key.
+type Move = (u64, u32, u32);
+
 const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 
+/// Hints that the cache line holding `*at` is about to be used, without
+/// waiting for it. Does nothing off x86-64.
+#[inline(always)]
+fn prefetch<T>(at: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch only warms the cache: it cannot fault, changes
+    // nothing the program observes, and `at` is a live reference anyway.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((at as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = at;
+}
+
+/// The one kernel for a row's squared distances to all `p` centroids. The
+/// centroids are copied centroid-major in blocks of [`LANES`], so one loop
+/// over a row's coordinates feeds a whole block; lane `j` of block `b` sums
+/// centroid `b · LANES + j`'s terms in dimension order from `0.0`. Those
+/// are [`sq_dist`]'s operations (whose `sum` may start from `-0.0`, which
+/// a first term `≥ +0.0` absorbs like `0.0`), so a distance has `sq_dist`'s
+/// bits for every `p`. The lanes past `p` in the last block hold zeros and
+/// are never reported.
+struct Lanes {
+    p: usize,
+    dim: usize,
+    /// Block `b`, coordinate `k`, at `blocks[b · dim + k]`.
+    blocks: Vec<[f64; LANES]>,
+}
+
+impl Lanes {
+    fn new(centroids: &[f64], dim: usize) -> Self {
+        let p = centroids.len() / dim;
+        let mut blocks = vec![[0.0; LANES]; p.div_ceil(LANES) * dim];
+        for (s, c) in centroids.chunks_exact(dim).enumerate() {
+            for (k, &x) in c.iter().enumerate() {
+                blocks[s / LANES * dim + k][s % LANES] = x;
+            }
+        }
+        Lanes { p, dim, blocks }
+    }
+
+    /// Calls `f(s, sq_dist(m, centroid s))` for `s = 0..p`, in order.
+    #[inline(always)]
+    fn each(&self, m: &[f64], mut f: impl FnMut(usize, f64)) {
+        for (b, block) in self.blocks.chunks_exact(self.dim).enumerate() {
+            let mut acc = [0.0f64; LANES];
+            for (lanes, &x) in block.iter().zip(m) {
+                for (a, &c) in acc.iter_mut().zip(lanes) {
+                    let t = x - c;
+                    *a += t * t;
+                }
+            }
+            let first = b * LANES;
+            for (j, &d) in acc.iter().enumerate().take(self.p - first) {
+                f(first + j, d);
+            }
+        }
+    }
+}
+
 /// The buffers of the balanced assignment step, reused across the k-means
-/// iterations of one partitioning run.
+/// iterations of one partitioning run, and the work it has done.
 struct Balancer {
-    /// Per point, the `(distance bits, shard)` of the shard it currently
-    /// proposes to (or is held by): its cursor into its own preference
-    /// order, which is never materialized.
-    proposal: Vec<Key>,
-    /// Per shard, the `(distance bits, point)` of the points it holds.
-    held: Vec<Vec<Key>>,
-    /// Points turned away and not yet placed.
-    rejected: Vec<u32>,
+    /// Proposals in flight, each `(distance bits, shard)` a cursor into its
+    /// point's own preference order, which is never materialized: after
+    /// step 1 every point's first proposal, then the points turned away,
+    /// each with the proposal it lost. A round rewrites each to its next
+    /// proposal, buckets them by shard and lets each shard overwrite its
+    /// bucket with what it turns away, all in place.
+    moves: Vec<Move>,
+    shards: Vec<Shard>,
+    /// Per shard, what it turns away in step 2, or the proposals it
+    /// receives in a round.
+    counts: Vec<usize>,
+    /// Per shard, its bucket's cursor while a round is bucketed.
+    cursors: Vec<usize>,
+    /// Proposals turned away, over every `assign` so far.
+    rejected: u64,
+    /// Deferred-acceptance rounds, over every `assign` so far.
+    rounds: u64,
+}
+
+/// One shard's side of the deferred acceptance.
+struct Shard {
+    held: Held,
+    /// Places left after the claims.
+    room: usize,
+}
+
+/// The `(distance bits, point)` of the points a shard holds.
+enum Held {
+    /// Below its room: proposals are appended, in no order.
+    Open(Vec<Key>),
+    /// At its room: a max-heap, the worst point held on top.
+    Full(BinaryHeap<Key>),
+}
+
+impl Shard {
+    /// Empties the shard, keeping its buffer, which it returns.
+    fn reopen(&mut self, room: usize) -> &mut Vec<Key> {
+        if let Held::Full(heap) = &mut self.held {
+            self.held = Held::Open(std::mem::take(heap).into_vec());
+        }
+        self.room = room;
+        let Held::Open(held) = &mut self.held else {
+            unreachable!("opened above")
+        };
+        held.clear();
+        held
+    }
+
+    /// Step 2 for shard `s`: over its room, keep the best by one
+    /// `select_nth_unstable` and write the rest to `out`, which has exactly
+    /// their number of slots; at its room, become a heap. Returns how many
+    /// it turned away.
+    fn settle(&mut self, s: usize, out: &mut [Move]) -> usize {
+        let Held::Open(held) = &mut self.held else {
+            unreachable!("every shard is reopened before step 2")
+        };
+        debug_assert_eq!(out.len(), held.len().saturating_sub(self.room));
+        if held.len() > self.room {
+            held.select_nth_unstable(self.room);
+            for (slot, (bits, i)) in out.iter_mut().zip(held.drain(self.room..)) {
+                *slot = (bits, s as u32, i);
+            }
+        }
+        if held.len() == self.room {
+            self.held = Held::Full(BinaryHeap::from(std::mem::take(held)));
+        }
+        out.len()
+    }
+
+    /// Step 3: takes the proposal `entry`, returning the one it turns away.
+    /// Below its room the shard keeps it, and heapifies once, when it
+    /// fills; a full shard keeps the better of `entry` and its worst point.
+    fn offer(&mut self, entry: Key) -> Option<Key> {
+        match &mut self.held {
+            Held::Open(held) => {
+                held.push(entry);
+                if held.len() == self.room {
+                    self.held = Held::Full(BinaryHeap::from(std::mem::take(held)));
+                }
+                None
+            }
+            Held::Full(heap) => Some(match heap.peek_mut() {
+                Some(mut worst) if entry < *worst => std::mem::replace(&mut *worst, entry),
+                _ => entry,
+            }),
+        }
+    }
+}
+
+/// One shard's part of a pass: its id, the shard, its slots of the output
+/// and where to record how many of them it wrote.
+type Task<'a> = (usize, &'a mut Shard, &'a mut [Move], &'a mut usize);
+
+/// Runs `work(s, shard, slots)` on every shard, where `slots` is the
+/// shard's own `bound[s]` entries of `out` and `work` returns how many it
+/// wrote; then packs what was written, in shard order, into `out`. With
+/// `threads > 1` and at least `floor` slots a thread, up to `threads`
+/// workers, the caller one of them, take the shards most slots first, each
+/// the next one left as it finishes. Nothing is allocated off the caller.
+fn for_each_shard<F>(
+    shards: &mut [Shard],
+    bound: &[usize],
+    threads: usize,
+    floor: usize,
+    out: &mut Vec<Move>,
+    work: F,
+) where
+    F: Fn(usize, &mut Shard, &mut [Move]) -> usize + Sync,
+{
+    let total: usize = bound.iter().sum();
+    let workers = threads.min(total / floor.max(1)).clamp(1, shards.len());
+    out.resize(total, (0, 0, 0));
+    let mut written = vec![0usize; shards.len()];
+    let mut tasks: Vec<Task> = Vec::with_capacity(shards.len());
+    let mut rest = &mut out[..];
+    for (((s, shard), &bound), written) in
+        shards.iter_mut().enumerate().zip(bound).zip(&mut written)
+    {
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(bound);
+        rest = tail;
+        tasks.push((s, shard, slots, written));
+    }
+    let run = |(s, shard, slots, written): Task| *written = work(s, shard, slots);
+    if workers == 1 {
+        tasks.into_iter().for_each(run);
+    } else {
+        // Ascending, so that `pop` hands out the largest first.
+        tasks.sort_by_key(|task| task.2.len());
+        let queue = Mutex::new(tasks);
+        // The guard drops inside `next`, not at the end of the loop body.
+        let next = || {
+            queue
+                .lock()
+                .expect("no worker panics holding the queue")
+                .pop()
+        };
+        let drain = || {
+            while let Some(task) = next() {
+                run(task);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(drain);
+            }
+            drain();
+        });
+    }
+    let (mut from, mut to) = (0, 0);
+    for (&bound, &written) in bound.iter().zip(&written) {
+        out.copy_within(from..from + written, to);
+        from += bound;
+        to += written;
+    }
+    out.truncate(to);
+}
+
+/// Reorders `moves` so that the `counts[s]` entries proposing to shard `s`
+/// come before those of shard `s + 1`, in place: one cycle-leader pass, no
+/// second buffer.
+fn bucket_by_shard(moves: &mut [Move], counts: &[usize], cursors: &mut Vec<usize>) {
+    // Everything before `cursors[s]` in bucket `s` is already in place.
+    cursors.clear();
+    let mut start = 0;
+    cursors.extend(counts.iter().map(|&count| {
+        start += count;
+        start - count
+    }));
+    let mut end = 0;
+    for (s, &count) in counts.iter().enumerate() {
+        end += count;
+        while cursors[s] < end {
+            // Follow the cycle through the entry at the cursor, carrying
+            // the displaced one, until an entry of bucket `s` comes back.
+            let mut entry = moves[cursors[s]];
+            while entry.1 as usize != s {
+                let at = &mut cursors[entry.1 as usize];
+                std::mem::swap(&mut entry, &mut moves[*at]);
+                *at += 1;
+            }
+            moves[cursors[s]] = entry;
+            cursors[s] += 1;
+        }
+    }
 }
 
 /// Per centroid, its `p` nearest points of one row chunk, each list in
@@ -232,14 +501,14 @@ impl Nearest {
         }
     }
 
-    /// Enters row `i` (`m`) into every list it belongs to. Rows must be
-    /// offered in ascending id order: a tie with a full list's last entry
-    /// then loses, as it does in the reference.
-    fn offer(&mut self, i: u32, m: &[f64], centroids: &[f64]) {
+    /// Enters row `i`, at squared distance `dists[s]` from centroid `s`,
+    /// into every list it belongs to. Rows must be offered in ascending id
+    /// order: a tie with a full list's last entry then loses, as it does in
+    /// the reference.
+    fn offer(&mut self, i: u32, dists: &[f64]) {
         let p = self.lists.len();
-        let each = centroids.chunks_exact(m.len());
-        for ((c, list), bound) in each.zip(&mut self.lists).zip(&mut self.bound) {
-            let bits = sq_dist(m, c).to_bits();
+        for ((d, list), bound) in dists.iter().zip(&mut self.lists).zip(&mut self.bound) {
+            let bits = d.to_bits();
             if bits < *bound {
                 let at = list.partition_point(|e| e.0 <= bits);
                 list.insert(at, (bits, i));
@@ -256,15 +525,25 @@ impl Nearest {
 impl Balancer {
     fn new(p: usize) -> Self {
         Balancer {
-            proposal: Vec::new(),
-            held: vec![Vec::new(); p],
-            rejected: Vec::new(),
+            moves: Vec::new(),
+            shards: (0..p)
+                .map(|_| Shard {
+                    held: Held::Open(Vec::new()),
+                    room: 0,
+                })
+                .collect(),
+            counts: Vec::new(),
+            cursors: Vec::new(),
+            rejected: 0,
+            rounds: 0,
         }
     }
 
     /// Nearest-centroid assignment under a per-shard capacity, written to
-    /// `out`; returns the number of proposals rejected. `centroids` is
-    /// `p` rows of `mapped.width()` values.
+    /// `out`; adds the proposals rejected and the rounds run to `rejected`
+    /// and `rounds`. `centroids` is `p` rows of `mapped.width()` values;
+    /// `floor` is [`MIN_PROPOSALS_PER_PART`] (tests lower it to reach the
+    /// threaded paths on small inputs).
     ///
     /// The assignment is defined by the reference in the tests: first every
     /// centroid in turn claims its single nearest unclaimed point (no shard
@@ -276,18 +555,24 @@ impl Balancer {
     /// rankings are restrictions of one strict order on pairs, so the stable
     /// matching is unique — the smallest remaining pair blocks any matching
     /// that omits it — and deferred acceptance reaches it whatever the
-    /// order of proposals. Hence:
+    /// order of proposals. Every point then proposes to exactly the shards
+    /// it ranks at or above its final one (McVitie and Wilson, 1971), so
+    /// the number of rejections is the same for every order too. Hence:
     ///
     /// 1. one pass computes each point's nearest centroid (its first
     ///    proposal) and, fused into it, the `p` nearest points of every
     ///    centroid, from which the claims are replayed in centroid order;
     /// 2. every shard over capacity keeps its best `cap − claimed` proposers
     ///    by one `select_nth_unstable` and turns the rest away;
-    /// 3. each rejected point recomputes its next preference on demand and
-    ///    proposes again. From here on a shard's held set is a max-heap, so
-    ///    a proposal to a full shard costs `O(log cap)` — accepted by
+    /// 3. in rounds, every point turned away recomputes its next preference
+    ///    and proposes again, all at once: the next proposals over ranges
+    ///    of the round, prefetching rows ahead, then the acceptances shard
+    ///    by shard. A shard below its room appends; once full it is a
+    ///    max-heap, so a proposal to it costs `O(log cap)` — accepted by
     ///    evicting the worst held point, or refused — and a chain of
-    ///    single evictions cannot turn quadratic.
+    ///    single evictions cannot turn quadratic. What a round turns away
+    ///    is the same set whatever the order inside it (a full shard keeps
+    ///    its best `room` of all it was offered), so the rounds are too.
     ///
     /// Total capacity `p · cap >= n` guarantees every point lands somewhere.
     fn assign(
@@ -296,37 +581,42 @@ impl Balancer {
         centroids: &[f64],
         cap: usize,
         threads: usize,
+        floor: usize,
         out: &mut Vec<usize>,
-    ) -> u64 {
+    ) {
         let n = mapped.rows();
         let dim = mapped.width();
-        let p = self.held.len();
+        let p = self.shards.len();
         debug_assert_eq!(centroids.len(), p * dim);
         let rows = mapped.as_slice();
+        let lanes = Lanes::new(centroids, dim);
 
         // (1) First proposals, and per centroid its `p` nearest points —
         // enough to replay `p` claims, each of which removes one point.
-        self.proposal.resize(n, (0, 0));
+        self.moves.resize(n, (0, 0, 0));
         let chunk_nearest = map_row_chunks(
-            &mut self.proposal,
+            &mut self.moves,
             threads,
             MIN_ROWS_PER_CHUNK,
             |start, chunk| {
                 let mut nearest = Nearest::new(p);
+                let mut dists = vec![0.0; p];
                 let chunk_rows = rows[start * dim..].chunks_exact(dim);
                 for (j, (slot, m)) in chunk.iter_mut().zip(chunk_rows).enumerate() {
                     // Strict `<`: a tie goes to the lower centroid id. Written
                     // as selects so that the loop has no unpredictable branch.
                     let mut first = (u64::MAX, 0u32);
-                    for (s, c) in centroids.chunks_exact(dim).enumerate() {
-                        let bits = sq_dist(m, c).to_bits();
+                    lanes.each(m, |s, d| {
+                        dists[s] = d;
+                        let bits = d.to_bits();
                         let nearer = bits < first.0;
                         first.0 = if nearer { bits } else { first.0 };
                         first.1 = if nearer { s as u32 } else { first.1 };
-                    }
-                    *slot = first;
+                    });
+                    let i = (start + j) as u32;
+                    *slot = (first.0, first.1, i);
                     if first.0 < nearest.widest {
-                        nearest.offer((start + j) as u32, m, centroids);
+                        nearest.offer(i, &dists);
                     }
                 }
                 nearest.lists
@@ -350,69 +640,100 @@ impl Balancer {
             }
         }
 
-        // (2) Group the free points by first choice; over-full shards keep
-        // their nearest.
-        for held in &mut self.held {
-            held.clear();
-        }
-        for (i, (&(bits, s), &claimed)) in self.proposal.iter().zip(out.iter()).enumerate() {
-            if claimed == usize::MAX {
-                self.held[s as usize].push((bits, i as u32));
-            }
-        }
-        self.rejected.clear();
-        for (held, &room) in self.held.iter_mut().zip(&room) {
-            if held.len() > room {
-                held.select_nth_unstable(room);
-                self.rejected.extend(held.drain(room..).map(|(_, i)| i));
-            }
-        }
-        let mut turned_away = self.rejected.len() as u64;
-
-        // (3) Deferred acceptance over the rejected.
-        let mut heaps: Vec<BinaryHeap<Key>> = self
-            .held
+        // (2) Group the free points by first choice, which `out` records
+        // from here on as the shard each last proposed to; over-full shards
+        // keep their nearest.
+        let mut open: Vec<&mut Vec<Key>> = self
+            .shards
             .iter_mut()
-            .map(|held| BinaryHeap::from(std::mem::take(held)))
+            .zip(&room)
+            .map(|(shard, &room)| shard.reopen(room))
             .collect();
-        while let Some(i) = self.rejected.pop() {
-            let m = mapped.row(i as usize);
-            let tried = self.proposal[i as usize];
-            let mut next = (u64::MAX, u32::MAX);
-            for (s, c) in centroids.chunks_exact(dim).enumerate() {
-                let key = (sq_dist(m, c).to_bits(), s as u32);
-                if key > tried && key < next {
-                    next = key;
-                }
-            }
-            let (bits, s) = next;
-            debug_assert!((s as usize) < p, "total capacity covers every point");
-            self.proposal[i as usize] = next;
-            let heap = &mut heaps[s as usize];
-            if heap.len() < room[s as usize] {
-                heap.push((bits, i));
-                continue;
-            }
-            turned_away += 1;
-            match heap.peek_mut() {
-                Some(mut worst) if (bits, i) < *worst => {
-                    self.rejected.push(worst.1);
-                    *worst = (bits, i);
-                }
-                _ => self.rejected.push(i),
-            }
-        }
-        for (held, heap) in self.held.iter_mut().zip(heaps) {
-            *held = heap.into_vec(); // keep the buffer for the next iteration
-        }
-        // Every free point is now held by the shard it last proposed to.
-        for (shard, &(_, s)) in out.iter_mut().zip(&self.proposal) {
+        for (&(bits, s, i), shard) in self.moves.iter().zip(out.iter_mut()) {
             if *shard == usize::MAX {
                 *shard = s as usize;
+                open[s as usize].push((bits, i));
             }
         }
+        for (held, &room) in open.iter_mut().zip(&room) {
+            // A shard below its room stays open: filling it on a worker
+            // must not allocate.
+            held.reserve(room.saturating_sub(held.len()));
+        }
+        self.counts.clear();
+        self.counts.extend(
+            open.iter()
+                .zip(&room)
+                .map(|(held, &room)| held.len().saturating_sub(room)),
+        );
+        for_each_shard(
+            &mut self.shards,
+            &self.counts,
+            threads,
+            floor,
+            &mut self.moves,
+            |s, shard, slots| shard.settle(s, slots),
+        );
+        self.rejected += self.moves.len() as u64;
+
+        // (3) Deferred acceptance, one round per generation of rejections.
+        while !self.moves.is_empty() {
+            self.rounds += 1;
+            map_row_chunks(&mut self.moves, threads, floor, |_, chunk| {
+                for j in 0..chunk.len() {
+                    if let Some(&(_, _, ahead)) = chunk.get(j + PREFETCH_AHEAD) {
+                        let row = &rows[ahead as usize * dim..][..dim];
+                        prefetch(&row[0]);
+                        prefetch(&row[dim - 1]);
+                    }
+                    let (bits, shard, i) = chunk[j];
+                    let tried = (bits, shard);
+                    let mut next = (u64::MAX, u32::MAX);
+                    lanes.each(&rows[i as usize * dim..][..dim], |s, d| {
+                        let key = (d.to_bits(), s as u32);
+                        if key > tried && key < next {
+                            next = key;
+                        }
+                    });
+                    debug_assert!((next.1 as usize) < p, "total capacity covers every point");
+                    chunk[j] = (next.0, next.1, i);
+                }
+            });
+            // Record each proposal as its point's, and bucket them by shard.
+            self.counts.clear();
+            self.counts.resize(p, 0);
+            for (j, &(_, s, i)) in self.moves.iter().enumerate() {
+                if let Some(&(_, _, ahead)) = self.moves.get(j + PREFETCH_AHEAD) {
+                    prefetch(&out[ahead as usize]);
+                }
+                out[i as usize] = s as usize;
+                self.counts[s as usize] += 1;
+            }
+            bucket_by_shard(&mut self.moves, &self.counts, &mut self.cursors);
+            // Apply them, each shard overwriting its bucket with what it
+            // turns away: it writes an entry only after reading it.
+            for_each_shard(
+                &mut self.shards,
+                &self.counts,
+                threads,
+                floor,
+                &mut self.moves,
+                |s, shard, bucket| {
+                    let mut turned = 0;
+                    for j in 0..bucket.len() {
+                        let (bits, _, i) = bucket[j];
+                        if let Some((bits, i)) = shard.offer((bits, i)) {
+                            bucket[turned] = (bits, s as u32, i);
+                            turned += 1;
+                        }
+                    }
+                    turned
+                },
+            );
+            self.rejected += self.moves.len() as u64;
+        }
+        // Every free point is now held by the shard it last proposed to.
         debug_assert!(out.iter().all(|&s| s < p));
-        turned_away
     }
 }
 
@@ -554,16 +875,19 @@ mod tests {
         assignment
     }
 
-    /// One assignment step of the implementation, plus its rejection count.
+    /// One assignment step of the implementation on `threads`, with step 2
+    /// and the rounds split down to single proposals, plus the proposals it
+    /// rejected and the rounds it ran.
     fn balanced_assign(
         mapped: &PivotMatrix,
         centroids: &[Vec<f64>],
         cap: usize,
-    ) -> (Vec<usize>, u64) {
+        threads: usize,
+    ) -> (Vec<usize>, u64, u64) {
         let mut out = Vec::new();
-        let rejected =
-            Balancer::new(centroids.len()).assign(mapped, &centroids.concat(), cap, 1, &mut out);
-        (out, rejected)
+        let mut work = Balancer::new(centroids.len());
+        work.assign(mapped, &centroids.concat(), cap, threads, 1, &mut out);
+        (out, work.rejected, work.rounds)
     }
 
     #[test]
@@ -587,7 +911,7 @@ mod tests {
             // the real loop would produce.
             let centroids: Vec<Vec<f64>> =
                 (0..p).map(|s| mapped.row((s * n) / p).to_vec()).collect();
-            let (fast, _) = balanced_assign(&mapped, &centroids, cap);
+            let (fast, _, _) = balanced_assign(&mapped, &centroids, cap, 1);
             let slow = balanced_assign_reference(&mapped, &centroids, cap);
             assert_eq!(fast, slow, "n={n} p={p}");
         }
@@ -600,15 +924,18 @@ mod tests {
         /// duplicate rows are the common case, `p` rarely divides `n`),
         /// optionally squeezed next to one centroid so that nearly every
         /// first proposal lands on the same shard; centroids are rows of
-        /// the data (zero distances) or arbitrary grid points.
+        /// the data (zero distances) or arbitrary grid points. `p` spans
+        /// whole lane blocks and masked tails, and every case runs on one,
+        /// two and three threads with step 2 and the rounds split down to
+        /// single proposals.
         #[test]
         fn deferred_acceptance_equals_reference_on_random_input(
             cells in prop::collection::vec(0u32..1_000_000, 12..400),
             width in 1usize..=5,
-            p in 2usize..=9,
+            p in 2usize..=17,
             grid in 2u32..12,
             squeeze in 0u32..3,
-            centroid_picks in prop::collection::vec(0u32..1_000_000, 9),
+            centroid_picks in prop::collection::vec(0u32..1_000_000, 17),
             data_centroids in 0u32..2,
         ) {
             // One cell value per point, unpacked digit by digit in base
@@ -637,11 +964,31 @@ mod tests {
                 .iter()
                 .map(|&c| if data_centroids == 1 { rows[c as usize % n].clone() } else { point(c) })
                 .collect();
+            // The lane kernel is `sq_dist` bit for bit, on coordinates whose
+            // sums round (the grid's are exact in any order).
+            let thirds = |v: &Vec<f64>| -> Vec<f64> { v.iter().map(|x| x / 3.0 + 0.1).collect() };
+            let lanes = Lanes::new(&centroids.iter().flat_map(thirds).collect::<Vec<_>>(), width);
+            for m in rows.iter().map(thirds) {
+                let mut got = Vec::new();
+                lanes.each(&m, |s, d| got.push((s, d.to_bits())));
+                let want: Vec<(usize, u64)> =
+                    centroids.iter().map(|c| sq_dist(&m, &thirds(c)).to_bits()).enumerate().collect();
+                prop_assert_eq!(got, want, "lane kernel p={} width={}", p, width);
+            }
             let cap = n.div_ceil(p);
-            let (fast, rejected) = balanced_assign(&mapped, &centroids, cap);
             let slow = balanced_assign_reference(&mapped, &centroids, cap);
+            let (fast, rejected, rounds) = balanced_assign(&mapped, &centroids, cap, 1);
             prop_assert_eq!(&fast, &slow, "n={} p={} width={}", n, p, width);
             prop_assert!(rejected <= (n * p) as u64, "a point proposes to a shard at most once");
+            prop_assert_eq!(rounds > 0, rejected > 0);
+            for threads in [2, 3] {
+                let threaded = balanced_assign(&mapped, &centroids, cap, threads);
+                prop_assert_eq!(
+                    threaded,
+                    (slow.clone(), rejected, rounds),
+                    "n={} p={} width={} threads={}", n, p, width, threads
+                );
+            }
         }
     }
 
@@ -669,19 +1016,28 @@ mod tests {
         // FNV-1a over the assignment (each shard id as 8 LE bytes),
         // recorded at commit 1fcac48 from the lazy-heap `balanced_assign`
         // this implementation replaced. The partition is the same partition.
+        // Beside each, the iterations and rejections, recorded at commit
+        // 4c66cae from the one-proposal-at-a-time loop the rounds replaced:
+        // the proposals made do not depend on their order.
+        let check = |mapped: &PivotMatrix, what: &str, p: usize, want: (u64, u64, u64)| {
+            let part = partition_pivot_space(mapped, p, 42, 1);
+            let got = (fnv1a(&part.assignment), part.iters, part.rejected);
+            assert_eq!(got, want, "{what} P={p}: {:#018x}", got.0);
+        };
         let la = hfi_matrix(&datasets::la(20_000, 42), &L2);
         for (p, want) in [
-            (2, 0x84af_9b87_9ca9_6645u64),
-            (3, 0xdf44_2b11_71a2_cc66),
-            (8, 0x30d2_4900_802e_b0a5),
+            (2, (0x84af_9b87_9ca9_6645, 8, 11_811)),
+            (3, (0xdf44_2b11_71a2_cc66, 7, 8_385)),
+            (8, (0x30d2_4900_802e_b0a5, 8, 42_332)),
         ] {
-            let got = fnv1a(&assign_pivot_space(&la, p, 42));
-            assert_eq!(got, want, "LA n=20000 P={p}: {got:#018x}");
+            check(&la, "LA n=20000", p, want);
         }
         let color = hfi_matrix(&datasets::color(5_000, 42), &L1);
-        for (p, want) in [(8, 0x48d9_8aee_5d40_e8a5u64), (5, 0x55e3_4681_8a68_3ea5)] {
-            let got = fnv1a(&assign_pivot_space(&color, p, 42));
-            assert_eq!(got, want, "Color n=5000 P={p}: {got:#018x}");
+        for (p, want) in [
+            (8, (0x48d9_8aee_5d40_e8a5, 5, 1_535)),
+            (5, (0x55e3_4681_8a68_3ea5, 8, 5_233)),
+        ] {
+            check(&color, "Color n=5000", p, want);
         }
     }
 
@@ -692,7 +1048,10 @@ mod tests {
         for p in [2, 8] {
             let one = partition_pivot_space(&mapped, p, 42, 1);
             assert_eq!(one.assignment, assign_pivot_space(&mapped, p, 42));
-            assert!(one.iters >= 1 && one.rejected > 0, "{one:?}");
+            assert!(
+                one.iters >= 1 && one.rejected > 0 && one.rounds >= 1,
+                "{one:?}"
+            );
             for threads in [2, 3, 7] {
                 assert_eq!(
                     partition_pivot_space(&mapped, p, 42, threads),
@@ -712,7 +1071,16 @@ mod tests {
         let n = 200_000usize;
         let p = 8;
         let check = |mapped: &PivotMatrix, what: &str| {
-            let part = partition_pivot_space(mapped, p, 42, 2);
+            // Rounds this large split their acceptances over the threads;
+            // a race there would show as a different partition.
+            let part = partition_pivot_space(mapped, p, 42, 1);
+            for threads in [2, 3] {
+                assert_eq!(
+                    partition_pivot_space(mapped, p, 42, threads),
+                    part,
+                    "{what}: threads={threads}"
+                );
+            }
             let mut counts = vec![0usize; p];
             for &s in &part.assignment {
                 counts[s] += 1;
