@@ -85,8 +85,11 @@ pub struct EngineConfig {
     /// Number of shards `P`. Clamped to at most `n` at build time so no
     /// shard is ever empty; `0` is a build error ([`EngineError::ZeroShards`]).
     pub shards: usize,
-    /// Worker threads for batch serving and parallel shard builds;
-    /// `0` means one per available hardware thread.
+    /// Worker threads for every parallel step the engine runs: batch
+    /// serving, the build's pivot matrix, the pivot-space partition (at
+    /// build, re-cluster and compaction) and the shard builds — and,
+    /// through the `pmi` facade, HFI pivot selection. `0` means one per
+    /// available hardware thread.
     pub threads: usize,
     /// When [`apply`](ShardedEngine::apply) re-clusters the worst shard
     /// pair (routed engines only).
@@ -743,14 +746,6 @@ impl<O> ShardedEngine<O> {
         self.shards
             .iter()
             .fold(StorageFootprint::default(), |acc, s| acc + s.storage())
-    }
-
-    /// Configures the page cache on every shard (the paper's 128 KB MkNNQ
-    /// cache, applied per shard).
-    pub fn set_page_cache(&self, bytes: usize) {
-        for s in &self.shards {
-            s.set_page_cache(bytes);
-        }
     }
 
     /// Inserts an object, returning its global id — sugar for a one-op

@@ -101,10 +101,8 @@ struct ScratchObs {
     map_dists: u64,
     /// Every query's wall (not sampled — one histogram record per query).
     query_wall: Hist,
-    /// Scan-kernel tally harvested from [`QueryScratch`] at worker exit.
+    /// Scan-kernel row tally harvested from [`QueryScratch`] at worker exit.
     kernel_rows: u64,
-    /// See `kernel_rows`.
-    kernel_blocks: u64,
     /// This worker's busy wall across the batch, nanoseconds.
     busy_nanos: u64,
 }
@@ -179,7 +177,6 @@ impl ScratchObs {
         self.map_dists += other.map_dists;
         self.query_wall.merge(&other.query_wall);
         self.kernel_rows += other.kernel_rows;
-        self.kernel_blocks += other.kernel_blocks;
         self.busy_nanos += other.busy_nanos;
     }
 }
@@ -508,7 +505,7 @@ impl<O> EngineCore<O> {
                     centre_dist,
                 });
             }
-            (shard.counters(), qs.kernel_rows, qs.kernel_blocks)
+            (shard.counters(), qs.kernel_rows)
         });
         run(qs);
         if let Some(c0) = cd0 {
@@ -517,7 +514,7 @@ impl<O> EngineCore<O> {
         if obs.sampled {
             obs.note_probe_wall(s, clock.lap());
         }
-        if let Some((c0, kr0, kb0)) = tsnap {
+        if let Some((c0, kr0)) = tsnap {
             let d = shard.counters().since(&c0);
             let kernel_rows = qs.kernel_rows - kr0;
             trace.ring.push(TraceEvent::Scan {
@@ -525,7 +522,6 @@ impl<O> EngineCore<O> {
                 dists: d.compdists,
                 page_accesses: d.page_accesses(),
                 kernel_rows,
-                kernel_blocks: qs.kernel_blocks - kb0,
                 // The survivor buffer belongs to kernel scans — the slots
                 // a range or a kNN scan verified; a tree shard leaves it
                 // untouched from the previous probe.
@@ -911,11 +907,10 @@ impl<O: Send + Sync> EngineCore<O> {
                 }
                 local.push((i, res, ns));
             }
-            let (kernel_rows, kernel_blocks) = scratch.qs.take_kernel_tally();
+            let kernel_rows = scratch.qs.take_kernel_tally();
             let mut obs = std::mem::take(&mut scratch.obs);
             if timing {
                 obs.kernel_rows += kernel_rows;
-                obs.kernel_blocks += kernel_blocks;
                 if let Some(t) = b0 {
                     obs.busy_nanos = t.elapsed().as_nanos() as u64;
                 }
@@ -1064,7 +1059,6 @@ impl<O: Send + Sync> EngineCore<O> {
                 agg.scan_nanos * OBS_SAMPLE,
                 &[
                     ("kernel_rows", agg.kernel_rows),
-                    ("kernel_blocks", agg.kernel_blocks),
                     ("compdists", cost.compdists),
                     ("page_accesses", cost.page_accesses()),
                 ],

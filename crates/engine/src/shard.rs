@@ -239,11 +239,6 @@ impl<O> Shard<O> {
         self.index.storage()
     }
 
-    /// Forwards the page-cache knob to the wrapped index.
-    pub fn set_page_cache(&self, bytes: usize) {
-        self.index.set_page_cache(bytes)
-    }
-
     /// An independently mutable copy of this shard (see
     /// [`MetricIndex::fork`]): byte-identical answers at fork time,
     /// **shared** cost counters, and a slot table and rows that share every

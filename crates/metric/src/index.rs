@@ -45,7 +45,7 @@ pub trait MetricIndex<O>: Send + Sync {
     /// scratch.
     fn knn_query(&self, q: &O, k: usize) -> Vec<Neighbor> {
         let mut out = Vec::new();
-        self.knn_query_into(q, k, &mut QueryScratch::new(), &mut out);
+        self.knn_query_into_seeded(q, k, f64::INFINITY, &mut QueryScratch::new(), &mut out);
         out
     }
 
@@ -56,17 +56,10 @@ pub trait MetricIndex<O>: Send + Sync {
     /// per-query heap allocations once a worker's buffers are warm.
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>);
 
-    /// [`knn_query`](Self::knn_query) variant for the batch-serving hot
-    /// path; appends the (ascending-sorted) neighbors to `out`. Same
-    /// scratch-reuse contract as [`range_query_into`](Self::range_query_into).
-    /// Provided: [`knn_query_into_seeded`](Self::knn_query_into_seeded)
-    /// with no seed.
-    fn knn_query_into(&self, q: &O, k: usize, scratch: &mut QueryScratch, out: &mut Vec<Neighbor>) {
-        self.knn_query_into_seeded(q, k, f64::INFINITY, scratch, out)
-    }
-
     /// The one kNN method a kind implements: `MkNNQ(q, k)` under a
-    /// *pruning seed*. The caller already holds `k` candidates whose worst
+    /// *pruning seed*, for the batch-serving hot path. The (ascending-sorted)
+    /// neighbors are appended to `out`, with the same scratch-reuse
+    /// contract as [`range_query_into`](Self::range_query_into). The caller already holds `k` candidates whose worst
     /// distance is `seed` (the sharded engine's running top-k threshold
     /// when probing shards in sequence), so any object — or subtree, page,
     /// cluster — with a lower bound **strictly above** `seed` can be

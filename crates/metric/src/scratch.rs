@@ -5,7 +5,7 @@
 //! and result buffers for every query is pure overhead. A [`QueryScratch`]
 //! owns those buffers once per worker and is threaded through
 //! [`MetricIndex::range_query_into`](crate::MetricIndex::range_query_into) /
-//! [`MetricIndex::knn_query_into`](crate::MetricIndex::knn_query_into), so
+//! [`MetricIndex::knn_query_into_seeded`](crate::MetricIndex::knn_query_into_seeded), so
 //! that after a short warmup the scan path performs no transient heap
 //! allocations per query.
 //!
@@ -52,12 +52,10 @@ pub struct QueryScratch {
     /// [`Neighbor`] whose `dist` is the bound and whose `id` the slot, for
     /// its `(dist, id)` order. Refilled by each use; capacity persists.
     pub probe: Vec<Neighbor>,
-    /// Rows pushed through the blocked scan kernel since the last engine
-    /// harvest (observability tally; stays 0 with the `obs` feature off).
+    /// Rows pushed through the Lemma 1 scan kernel since the last engine
+    /// harvest (the tally a query trace's `Scan` event and the
+    /// `serve.scan` phase read).
     pub kernel_rows: u64,
-    /// Kernel blocks those rows amounted to (rows / `ScanKernel::LANES`,
-    /// rounded up per scan; stays 0 with the `obs` feature off).
-    pub kernel_blocks: u64,
 }
 
 impl QueryScratch {
@@ -77,27 +75,17 @@ impl QueryScratch {
         self.probe.clear();
     }
 
-    /// Tallies one blocked-kernel scan over `rows` table slots. A plain
-    /// integer add on thread-local state — no atomics; with the `obs`
-    /// feature off the body compiles to nothing.
+    /// Tallies one kernel scan over `rows` table slots: one integer add on
+    /// the worker's own state per probe, no atomics.
     #[inline]
     pub fn note_kernel(&mut self, rows: usize) {
-        #[cfg(feature = "obs")]
-        {
-            self.kernel_rows += rows as u64;
-            self.kernel_blocks += rows.div_ceil(crate::matrix::ScanKernel::LANES) as u64;
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = rows;
+        self.kernel_rows += rows as u64;
     }
 
-    /// Returns and resets the `(rows, blocks)` kernel tally.
+    /// Returns and resets the kernel row tally.
     #[inline]
-    pub fn take_kernel_tally(&mut self) -> (u64, u64) {
-        let t = (self.kernel_rows, self.kernel_blocks);
-        self.kernel_rows = 0;
-        self.kernel_blocks = 0;
-        t
+    pub fn take_kernel_tally(&mut self) -> u64 {
+        std::mem::take(&mut self.kernel_rows)
     }
 
     /// The verification half of a scan table's kNN, the same for LAESA,

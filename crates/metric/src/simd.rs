@@ -1,29 +1,24 @@
-//! Explicit-SIMD tiers for the [`ScanKernel`](crate::ScanKernel), with
-//! one-time runtime dispatch.
+//! Explicit-SIMD tiers for the stored-code Lemma 1 kernel
+//! ([`PivotColumns::lower_bounds_into`](crate::PivotColumns::lower_bounds_into)),
+//! with one-time runtime dispatch.
 //!
-//! The Lemma 1 filter `max_j |qd_j − row_j|` is memory-bound, so the win of
-//! hand-written lanes is modest for the f64 reference kernel — LLVM already
-//! auto-vectorizes the portable blocked loop — but load-bearing for the
-//! stored u16 code columns every index scans, where AVX2 processes
-//! **sixteen** rows per step over a **quarter** of the bytes. Three tiers
-//! exist:
+//! The filter `max_j |qf_j − c_j|` over the u16 code columns every index
+//! stores is memory-bound; hand-written lanes let AVX2 process **sixteen**
+//! rows per step and finish them in-register. Three tiers exist:
 //!
-//! * [`SimdTier::Avx2`] — 256-bit lanes (4 × f64 / 16 × u16 rows per step),
-//!   picked when the CPU reports AVX2 at first use.
-//! * [`SimdTier::Sse2`] — 128-bit lanes (2 × f64 / 8 × u16), the x86-64
+//! * [`SimdTier::Avx2`] — 256-bit lanes (16 u16 rows per step), picked
+//!   when the CPU reports AVX2 at first use.
+//! * [`SimdTier::Sse2`] — 128-bit lanes (8 u16 rows per step), the x86-64
 //!   baseline.
 //! * [`SimdTier::Portable`] — the blocked scalar code in `matrix.rs`
 //!   (LLVM-auto-vectorized), the only tier on non-x86-64 targets.
 //!
-//! **Every tier produces bit-identical bounds.** In f64, `a − b` is a
-//! single correctly-rounded operation, `abs` is exact, and a `max`
-//! reduction over non-negative finite values is exact and
-//! association-insensitive. The code kernel is integer arithmetic — an
-//! absolute difference and a max of u16s, exact in any order — finished by
-//! one shared `(m − 1)⁺ · step` whose conversion and power-of-two product
-//! round nothing. Pinning a tier (`ScanKernel::lower_bounds_with_tier`, the
-//! kernel proptest) is how tests hold every available tier against the
-//! portable reference.
+//! **Every tier produces bit-identical bounds.** The kernel is integer
+//! arithmetic — an absolute difference and a max of u16s, exact in any
+//! order — finished by one shared `(m − 1)⁺ · step` whose conversion and
+//! power-of-two product round nothing. `PivotColumns` pins a tier
+//! privately, which is how the kernel proptest holds every available tier
+//! against the portable body.
 //!
 //! Dispatch is decided once per process ([`tier`], a `OnceLock`) and can be
 //! forced down with `PMI_SIMD=portable|sse2|avx2` — compiler flags alone
@@ -33,14 +28,15 @@
 
 use std::sync::OnceLock;
 
-/// A SIMD implementation tier of the scan kernel.
+/// A SIMD implementation tier of the stored-code scan kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimdTier {
-    /// Blocked scalar code, auto-vectorized by LLVM. Always available.
+    /// Blocked scalar code, 16 u16 rows per step, auto-vectorized by LLVM.
+    /// Always available.
     Portable,
-    /// 128-bit `std::arch` lanes (x86-64 baseline).
+    /// 128-bit `std::arch` lanes, 8 u16 rows per step (x86-64 baseline).
     Sse2,
-    /// 256-bit `std::arch` lanes (runtime-detected).
+    /// 256-bit `std::arch` lanes, 16 u16 rows per step (runtime-detected).
     Avx2,
 }
 
@@ -86,55 +82,14 @@ pub fn tier() -> SimdTier {
     *TIER.get_or_init(detect)
 }
 
-/// The x86-64 lane implementations. All functions require the slice
-/// preconditions documented on their `ScanKernel` wrappers (`rows`/`out`
-/// sized to `n`·`w`) and, for the AVX2 set, a CPU with AVX2 — which the
-/// dispatcher guarantees.
+/// The x86-64 lane implementations. Both require the slice preconditions
+/// `ScanKernel::fill_codes` checks (one column per pivot, each at least
+/// `out.len()` long) and, for AVX2, a CPU with AVX2 — which the dispatcher
+/// guarantees.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use crate::matrix::ScanKernel;
     use core::arch::x86_64::*;
-
-    /// `|x|` via sign-bit clear — exact, no rounding.
-    #[inline(always)]
-    unsafe fn abs_pd(x: __m256d) -> __m256d {
-        _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
-    }
-
-    #[inline(always)]
-    unsafe fn abs_pd128(x: __m128d) -> __m128d {
-        _mm_andnot_pd(_mm_set1_pd(-0.0), x)
-    }
-
-    /// 4 rows of f64 per step; remainder through the shared scalar
-    /// reduction (bit-identical by the module-level argument).
-    ///
-    /// # Safety
-    /// Caller verified AVX2; `rows.len() == out.len() * qd.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lb_f64_avx2(qd: &[f64], rows: &[f64], out: &mut [f64]) {
-        let w = qd.len();
-        let n = out.len();
-        let base = rows.as_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let r0 = base.add(i * w);
-            let r1 = r0.add(w);
-            let r2 = r1.add(w);
-            let r3 = r2.add(w);
-            let mut m = _mm256_setzero_pd();
-            for j in 0..w {
-                let x = _mm256_set_pd(*r3.add(j), *r2.add(j), *r1.add(j), *r0.add(j));
-                let q = _mm256_set1_pd(*qd.get_unchecked(j));
-                m = _mm256_max_pd(abs_pd(_mm256_sub_pd(q, x)), m);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), m);
-            i += 4;
-        }
-        for r in i..n {
-            out[r] = ScanKernel::row_max(qd, &rows[r * w..(r + 1) * w]);
-        }
-    }
 
     /// 16 rows of u16 codes per step over **planar** (column-major)
     /// storage: `cols[j][i]` is the code of local row `i` against pivot
@@ -176,33 +131,6 @@ pub(crate) mod x86 {
         }
         for (r, o) in out.iter_mut().enumerate().take(n).skip(i) {
             *o = ScanKernel::code_bound(ScanKernel::row_max_codes(qf, cols, r), step);
-        }
-    }
-
-    /// 2 rows of f64 per step (SSE2 baseline).
-    ///
-    /// # Safety
-    /// `rows.len() == out.len() * qd.len()` (SSE2 is baseline on x86-64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn lb_f64_sse2(qd: &[f64], rows: &[f64], out: &mut [f64]) {
-        let w = qd.len();
-        let n = out.len();
-        let base = rows.as_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let r0 = base.add(i * w);
-            let r1 = r0.add(w);
-            let mut m = _mm_setzero_pd();
-            for j in 0..w {
-                let x = _mm_set_pd(*r1.add(j), *r0.add(j));
-                let q = _mm_set1_pd(*qd.get_unchecked(j));
-                m = _mm_max_pd(abs_pd128(_mm_sub_pd(q, x)), m);
-            }
-            _mm_storeu_pd(out.as_mut_ptr().add(i), m);
-            i += 2;
-        }
-        for r in i..n {
-            out[r] = ScanKernel::row_max(qd, &rows[r * w..(r + 1) * w]);
         }
     }
 

@@ -138,10 +138,8 @@ pub enum TraceEvent {
         dists: u64,
         /// Simulated page accesses this probe paid.
         page_accesses: u64,
-        /// Rows the blocked scan kernel filtered (0 for tree shards).
+        /// Rows the Lemma 1 scan kernel filtered (0 for tree shards).
         kernel_rows: u64,
-        /// Kernel blocks those rows amounted to.
-        kernel_blocks: u64,
         /// Candidates that survived the lower-bound filter into exact
         /// verification, range or kNN: a kernel shard's probe pays
         /// `dists == survivors + l`. 0 for tree shards.
@@ -418,7 +416,6 @@ impl QueryTrace {
                 dists,
                 page_accesses,
                 kernel_rows,
-                kernel_blocks,
                 survivors,
                 nanos,
             } = e
@@ -428,7 +425,7 @@ impl QueryTrace {
                 ));
                 if *kernel_rows > 0 {
                     out.push_str(&format!(
-                        ", kernel {kernel_rows} rows / {kernel_blocks} blocks, survivors {survivors}"
+                        ", kernel {kernel_rows} rows, survivors {survivors}"
                     ));
                 }
                 out.push_str(&format!(", {}\n", fmt_nanos(*nanos)));
@@ -497,7 +494,6 @@ mod tests {
                     dists: 42,
                     page_accesses: 2,
                     kernel_rows: 1024,
-                    kernel_blocks: 8,
                     survivors: 37,
                     nanos: 45_600,
                 },
@@ -591,9 +587,7 @@ mod tests {
         assert!(s.contains("probe #0 → shard 2  lb 0.000"), "{s}");
         assert!(s.contains("pruned    · shard 0  lb 9.990"), "{s}");
         assert!(
-            s.contains(
-                "scan shard 2: dists 42, pages 2, kernel 1024 rows / 8 blocks, survivors 37"
-            ),
+            s.contains("scan shard 2: dists 42, pages 2, kernel 1024 rows, survivors 37"),
             "{s}"
         );
         assert!(s.contains("merge: 10 results"), "{s}");

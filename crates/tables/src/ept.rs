@@ -12,10 +12,10 @@
 //! one `f64` distance array, fixed stride `l`), so the per-object scan is a
 //! sequential pass with no per-row allocation; tombstoned removal keeps ids
 //! stable through the object table's slot map. The Lemma 1 filter runs as a
-//! blocked kernel over the SoA rows — the EPT-shaped sibling of
-//! [`pmi_metric::ScanKernel`], gathering `qd[pivot_id]` at fixed stride for
-//! several rows at once — with the same bit-for-bit guarantee: blocking
-//! only reorders lower-bound arithmetic across rows, never within one.
+//! blocked kernel of its own over the SoA rows, gathering `qd[pivot_id]` at
+//! fixed stride for four rows at once, bit for bit equal to the per-row
+//! bound: blocking only reorders lower-bound arithmetic across rows, never
+//! within one.
 
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
@@ -238,12 +238,13 @@ where
 
     /// Blocked Lemma 1 lower bounds for **all** slots (tombstoned
     /// included) over the flat SoA rows, into a reused buffer: the
-    /// EPT-shaped scan kernel. [`ScanKernel::LANES`] independent max-chains
-    /// run per step; each row's reduction visits its pivots in storage
-    /// order, so results are bit-identical to the per-row scalar
+    /// EPT-shaped scan kernel. `CHAINS` independent max-chains run per
+    /// step; each row's reduction visits its pivots in storage order, so
+    /// results are bit-identical to the per-row scalar
     /// [`row_lower_bound`](Self::row_lower_bound).
     fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
-        use pmi_metric::ScanKernel;
+        /// Rows per step: one max-chain each, in flight together.
+        const CHAINS: usize = 4;
         let w = self.stride;
         out.clear();
         if w == 0 {
@@ -251,8 +252,8 @@ where
             return;
         }
         out.reserve(self.row_dists.len() / w);
-        let mut pi_blocks = self.row_pivots.chunks_exact(ScanKernel::LANES * w);
-        let mut d_blocks = self.row_dists.chunks_exact(ScanKernel::LANES * w);
+        let mut pi_blocks = self.row_pivots.chunks_exact(CHAINS * w);
+        let mut d_blocks = self.row_dists.chunks_exact(CHAINS * w);
         for (pis, ds) in (&mut pi_blocks).zip(&mut d_blocks) {
             let (mut m0, mut m1, mut m2, mut m3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
             for j in 0..w {

@@ -357,7 +357,7 @@ mod tests {
             idx.range_query_into(&pts[qi], 500.0, &mut scratch, &mut out_ids);
             assert_eq!(out_ids, idx.range_query(&pts[qi], 500.0), "qi={qi}");
             out_nn.clear();
-            idx.knn_query_into(&pts[qi], 9, &mut scratch, &mut out_nn);
+            idx.knn_query_into_seeded(&pts[qi], 9, f64::INFINITY, &mut scratch, &mut out_nn);
             assert_eq!(out_nn, idx.knn_query(&pts[qi], 9), "qi={qi}");
         }
     }

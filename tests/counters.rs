@@ -638,6 +638,34 @@ fn traced_queries_sum_exactly_to_serve_report() {
         "routed clusters must actually prune somewhere in the batch"
     );
 
+    // Every LAESA probe, range or kNN, scans its shard's rows and pays its
+    // l query-pivot distances plus one per verified survivor — whether or
+    // not observability is compiled in.
+    let l = opts.num_pivots as u64;
+    let mut scans = 0;
+    for t in traces {
+        for ev in &t.events {
+            if let pmr::TraceEvent::Scan {
+                dists,
+                kernel_rows,
+                survivors,
+                ..
+            } = *ev
+            {
+                scans += 1;
+                assert!(kernel_rows > 0, "a table probe scanned no rows: {ev:?}");
+                assert_eq!(dists, survivors + l, "{:?} probe: {ev:?}", t.kind);
+                assert!(
+                    t.explain()
+                        .contains(&format!("kernel {kernel_rows} rows, survivors {survivors}")),
+                    "kernel clause missing:\n{}",
+                    t.explain()
+                );
+            }
+        }
+    }
+    assert_eq!(scans, probed, "one Scan per probed shard");
+
     // explain() renders the plan tree: every trace names each shard's
     // verdict, and its headline ratio matches the trace's own counters.
     for t in traces {
