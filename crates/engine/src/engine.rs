@@ -423,8 +423,12 @@ impl<O> EngineReader<O> {
 /// one global answer — a sorted union for range queries, a bounded-heap
 /// top-k for kNN — and because pruning is conservative and each shard's own
 /// query processing is exact, the merged answers are identical to a single
-/// unsharded index over the same data (ties at the k-th distance excepted,
-/// as the trait allows either).
+/// unsharded index over the same data, ties included: shards and the merge
+/// order kNN answers by `(distance, id)`, and a shard's local ids ascend
+/// with its global ids, so a tie at the k-th distance goes to the smaller
+/// global id on both sides (`tests/engine.rs`,
+/// `sharded_equals_unsharded_across_kinds_and_shard_counts`, over a corpus
+/// that holds every object twice).
 ///
 /// # Concurrency model (MVCC snapshots)
 ///

@@ -8,12 +8,14 @@
 //! taken from the workspace-wide HFI set. Leaves store, for each object,
 //! its exact distances to all path pivots, enabling full Lemma 1 filtering
 //! at the leaf level — this is the subset of pre-computed distances the
-//! paper says the trees keep.
+//! paper says the trees keep. A leaf keeps them flat, one row of `depth`
+//! distances per entry, so it is two allocations however many entries it
+//! holds.
 
 use pmi_metric::lemmas;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, QueryScratch, StorageFootprint,
+    dists_from, Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor,
+    ObjId, ObjTable, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -45,23 +47,25 @@ enum Node {
         children: Vec<Arc<Node>>,
     },
     Leaf {
-        /// Object ids plus their distances to the path pivots
-        /// (`pdists[i][lvl] = d(o_i, P[lvl])`). A row never changes once
-        /// written, so a path copy of the leaf shares it: the copy is three
-        /// allocations, not one per entry.
+        /// Object ids plus their distances to the path pivots, entry after
+        /// entry: `pdists[i * depth + lvl] = d(o_i, P[lvl])`, so
+        /// `pdists.len() == ids.len() * depth`.
         ids: Vec<ObjId>,
-        pdists: Vec<Arc<[f64]>>,
+        pdists: Vec<f64>,
+        /// Path distances per entry: the leaf's level, or one more when
+        /// degenerate cuts stopped the split.
+        depth: usize,
     },
 }
 
 /// MVPT (VPT when `arity == 2`).
 ///
-/// Cloning — the [`MetricIndex::fork`] — shares every node (the root, all
-/// children and each leaf entry's distance row sit behind `Arc`s), the
-/// object table's chunks and the distance counter. `insert` / `remove`
-/// descend with `Arc::make_mut`: a sole owner copies nothing, a fork
-/// copies the root-to-leaf path it writes (≤ one node per level plus one
-/// leaf's id and row-handle vectors) and nothing else.
+/// Cloning — the [`MetricIndex::fork`] — shares every node (the root and
+/// all children sit behind `Arc`s), the object table's chunks and the
+/// distance counter. `insert` / `remove` descend with `Arc::make_mut`: a
+/// sole owner copies nothing, a fork copies the root-to-leaf path it writes
+/// (≤ one node per level, the leaf's two vectors included) and nothing
+/// else.
 #[derive(Clone)]
 pub struct Mvpt<O, M> {
     metric: CountingMetric<M>,
@@ -90,13 +94,14 @@ where
             root: Arc::new(Node::Leaf {
                 ids: Vec::new(),
                 pdists: Vec::new(),
+                depth: 0,
             }),
             table,
             node_count: 0,
         };
-        let items: Vec<(ObjId, Vec<f64>)> =
-            t.table.iter().map(|(id, _)| (id, Vec::new())).collect();
-        t.root = Arc::new(t.build_node(items, 0));
+        let ids: Vec<ObjId> = t.table.iter().map(|(id, _)| id).collect();
+        let rows = vec![0.0; ids.len() * t.pivots.len()];
+        t.root = Arc::new(t.subtree(ids, rows, 0));
         t
     }
 
@@ -120,49 +125,24 @@ where
         &self.metric
     }
 
-    /// Builds a subtree from `(id, path distances so far)` items.
-    fn build_node(&mut self, mut items: Vec<(ObjId, Vec<f64>)>, level: usize) -> Node {
-        self.node_count += 1;
-        if items.len() <= self.cfg.leaf_cap || level >= self.pivots.len() {
-            return Self::leaf(items);
-        }
-        // One distance computation per object per level: the n·l build cost
-        // shared by all pivot-based structures (Table 4).
-        let pivot = self.pivots[level].clone();
-        for (id, pd) in &mut items {
-            let o = self.table.get(*id).expect("live");
-            pd.push(self.metric.dist(o, &pivot));
-        }
-        items.sort_by(|a, b| a.1[level].total_cmp(&b.1[level]));
-        // Quantile cuts (medians for m = 2).
-        let m = self.cfg.arity;
-        let cuts: Vec<f64> = (1..m)
-            .map(|i| items[(items.len() * i / m).min(items.len() - 1)].1[level])
-            .collect();
-        let mut parts: Vec<Vec<(ObjId, Vec<f64>)>> = (0..m).map(|_| Vec::new()).collect();
-        'outer: for item in items {
-            for (i, c) in cuts.iter().enumerate() {
-                if item.1[level] <= *c {
-                    parts[i].push(item);
-                    continue 'outer;
-                }
-            }
-            parts[m - 1].push(item);
-        }
-        // Degenerate cuts (all-equal distances): keep as a leaf.
-        if parts.iter().filter(|p| !p.is_empty()).count() <= 1 {
-            return Self::leaf(parts.into_iter().flatten().collect());
-        }
-        let children = parts
-            .into_iter()
-            .map(|p| Arc::new(self.build_node(p, level + 1)))
-            .collect();
-        Node::Internal { cuts, children }
-    }
-
-    fn leaf(items: Vec<(ObjId, Vec<f64>)>) -> Node {
-        let (ids, pdists) = items.into_iter().map(|(id, pd)| (id, pd.into())).unzip();
-        Node::Leaf { ids, pdists }
+    /// Builds the subtree at `level` over `ids`, whose path distances so
+    /// far fill the first `level` columns of `rows` (one row of
+    /// `pivots.len()` per id), and counts its nodes.
+    fn subtree(&mut self, ids: Vec<ObjId>, rows: Vec<f64>, level: usize) -> Node {
+        let mut items: Vec<u32> = (0..ids.len() as u32).collect();
+        let mut b = Builder {
+            metric: &self.metric,
+            table: &self.table,
+            pivots: &self.pivots,
+            cfg: self.cfg,
+            ids,
+            rows,
+            keys: Vec::new(),
+            nodes: 0,
+        };
+        let node = b.node(&mut items, level);
+        self.node_count += b.nodes;
+        node
     }
 
     /// `[lo, hi]` range of d(o, pivot) covered by child `i`.
@@ -186,12 +166,13 @@ where
         out: &mut Vec<ObjId>,
     ) {
         match node {
-            Node::Leaf { ids, pdists } => {
+            Node::Leaf { ids, pdists, depth } => {
+                let q_dists = &q_dists[..*depth];
                 for (idx, &id) in ids.iter().enumerate() {
                     // The leaf's own distances first: the table (liveness
                     // bit, then the object) is read for survivors only.
-                    let pd = &pdists[idx];
-                    if lemmas::lemma1_prunable(&q_dists[..pd.len()], pd, r) {
+                    let pd = &pdists[idx * depth..][..*depth];
+                    if lemmas::lemma1_prunable(q_dists, pd, r) {
                         continue;
                     }
                     let Some(o) = self.table.get(id) else {
@@ -212,6 +193,89 @@ where
                     self.range_rec(child, q, r, q_dists, level + 1, out);
                 }
             }
+        }
+    }
+}
+
+/// The one subtree builder, for [`Mvpt::build`] and an insert's leaf
+/// split. Items are positions into `ids` and `rows` (row `p` is
+/// `rows[p * l..][..l]`, `l = pivots.len()`); a node permutes its slice of
+/// positions and hands each child a sub-slice, so no item's row moves.
+struct Builder<'a, O, M> {
+    metric: &'a CountingMetric<M>,
+    table: &'a ObjTable<O>,
+    pivots: &'a [O],
+    cfg: MvptConfig,
+    ids: Vec<ObjId>,
+    rows: Vec<f64>,
+    /// A node's `(distance, item)` keys; reused by every node.
+    keys: Vec<(f64, u32)>,
+    nodes: usize,
+}
+
+impl<O, M: Metric<O>> Builder<'_, O, M> {
+    fn node(&mut self, items: &mut [u32], level: usize) -> Node {
+        self.nodes += 1;
+        if items.len() <= self.cfg.leaf_cap || level >= self.pivots.len() {
+            return self.leaf(items, level);
+        }
+        // One distance computation per object per level: the n·l build cost
+        // shared by all pivot-based structures (Table 4).
+        let l = self.pivots.len();
+        let Builder {
+            keys, rows, ids, ..
+        } = self;
+        keys.clear();
+        let objects = items.iter().map(|&p| {
+            let o = self.table.get(ids[p as usize]).expect("live");
+            (p, o)
+        });
+        dists_from(self.metric, &self.pivots[level], objects, |p, d| {
+            rows[p as usize * l + level] = d;
+            keys.push((d, p));
+        });
+        // Stable: ties keep their order in the slice.
+        keys.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Quantile cuts (medians for m = 2).
+        let m = self.cfg.arity;
+        let n = keys.len();
+        let cuts: Vec<f64> = (1..m).map(|i| keys[(n * i / m).min(n - 1)].0).collect();
+        // Each item goes to the first part whose cut it does not exceed.
+        // The keys ascend and so do the cuts, so each part is a run of the
+        // sorted keys.
+        let mut sizes = vec![0usize; m];
+        for (slot, &(d, p)) in items.iter_mut().zip(keys.iter()) {
+            *slot = p;
+            sizes[cuts.iter().position(|c| d <= *c).unwrap_or(m - 1)] += 1;
+        }
+        // Degenerate cuts (all-equal distances): keep as a leaf.
+        if sizes.iter().filter(|&&s| s > 0).count() <= 1 {
+            return self.leaf(items, level + 1);
+        }
+        let mut rest = items;
+        let children = sizes
+            .iter()
+            .map(|&s| {
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(s);
+                rest = tail;
+                Arc::new(self.node(part, level + 1))
+            })
+            .collect();
+        Node::Internal { cuts, children }
+    }
+
+    /// A leaf of `items` in slice order, each with its first `depth` path
+    /// distances.
+    fn leaf(&self, items: &[u32], depth: usize) -> Node {
+        let l = self.pivots.len();
+        let mut pdists = Vec::with_capacity(items.len() * depth);
+        for &p in items {
+            pdists.extend_from_slice(&self.rows[p as usize * l..][..depth]);
+        }
+        Node::Leaf {
+            ids: items.iter().map(|&p| self.ids[p as usize]).collect(),
+            pdists,
+            depth,
         }
     }
 }
@@ -238,10 +302,8 @@ where
     }
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        let qd = &mut scratch.qd;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        self.range_rec(&self.root, q, r, qd, 0, out);
+        scratch.map_query(&self.metric, q, &self.pivots);
+        self.range_rec(&self.root, q, r, &scratch.qd, 0, out);
     }
 
     fn knn_query_into_seeded(
@@ -255,9 +317,8 @@ where
         if k == 0 || self.table.is_empty() {
             return;
         }
+        scratch.map_query(&self.metric, q, &self.pivots);
         let QueryScratch { qd, heap, .. } = scratch;
-        qd.clear();
-        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         // Best-first by the lower bound accumulated along the path; the
         // frontier, the leaf filter and the stop all hold against the one
         // radius, so a seeded probe never opens a subtree the merge has
@@ -273,10 +334,12 @@ where
             }
             let (node, level) = nodes[idx];
             match node {
-                Node::Leaf { ids, pdists } => {
-                    for (&id, pd) in ids.iter().zip(pdists) {
+                Node::Leaf { ids, pdists, depth } => {
+                    let qd = &qd[..*depth];
+                    for (i, &id) in ids.iter().enumerate() {
                         let r = best.radius();
-                        if r.is_finite() && lemmas::lemma1_prunable(&qd[..pd.len()], pd, r) {
+                        let pd = &pdists[i * depth..][..*depth];
+                        if r.is_finite() && lemmas::lemma1_prunable(qd, pd, r) {
                             continue;
                         }
                         if let Some(o) = self.table.get(id) {
@@ -315,8 +378,7 @@ where
         // without further distance computations.
         let mut pd: Vec<f64> = Vec::new();
         let mut path: Vec<usize> = Vec::new();
-        #[allow(clippy::type_complexity)]
-        let mut split: Option<(Vec<(ObjId, Vec<f64>)>, usize)> = None;
+        let mut split: Option<(Vec<ObjId>, Vec<f64>, usize)> = None;
         {
             let mut node = Arc::make_mut(&mut self.root);
             let mut level = 0usize;
@@ -336,25 +398,26 @@ where
                         node = Arc::make_mut(&mut children[idx]);
                         level += 1;
                     }
-                    Node::Leaf { ids, pdists } => {
-                        // Leaf objects may carry fewer path distances than
-                        // the leaf's depth suggests if an ancestor
-                        // degenerated; match their length.
-                        let want = pdists.first().map(|p| p.len()).unwrap_or(pd.len());
-                        while pd.len() < want {
+                    Node::Leaf { ids, pdists, depth } => {
+                        // A leaf under degenerate cuts holds one more path
+                        // distance than its level; an empty leaf takes the
+                        // descent's.
+                        if ids.is_empty() {
+                            *depth = pd.len();
+                        }
+                        while pd.len() < *depth {
                             pd.push(self.metric.dist(&o, &self.pivots[pd.len()]));
                         }
-                        pd.truncate(want);
                         ids.push(id);
-                        pdists.push(pd.into());
+                        pdists.extend_from_slice(&pd[..*depth]);
                         if ids.len() > self.cfg.leaf_cap * 2 && level < self.pivots.len() {
-                            let items: Vec<(ObjId, Vec<f64>)> = std::mem::take(ids)
-                                .into_iter()
-                                .zip(std::mem::take(pdists))
-                                // build_node recomputes from `level`.
-                                .map(|(id, p)| (id, p[..level].to_vec()))
-                                .collect();
-                            split = Some((items, level));
+                            // The builder recomputes from `level`.
+                            let l = self.pivots.len();
+                            let mut rows = vec![0.0; ids.len() * l];
+                            for (i, row) in rows.chunks_exact_mut(l).enumerate() {
+                                row[..level].copy_from_slice(&pdists[i * *depth..][..level]);
+                            }
+                            split = Some((std::mem::take(ids), rows, level));
                         }
                         break;
                     }
@@ -362,9 +425,9 @@ where
             }
         }
         // Phase 2: rebuild the overflowed leaf in place.
-        if let Some((items, level)) = split {
+        if let Some((ids, rows, level)) = split {
             self.node_count -= 1; // the leaf being replaced
-            let rebuilt = self.build_node(items, level);
+            let rebuilt = self.subtree(ids, rows, level);
             // Phase 1 made the whole path this tree's own: no copy here.
             let mut node = Arc::make_mut(&mut self.root);
             for idx in path {
@@ -379,15 +442,15 @@ where
     }
 
     fn remove(&mut self, id: ObjId) -> bool {
-        let Some(o) = self.table.get(id).cloned() else {
+        let Some(o) = self.table.get(id) else {
             return false;
         };
         let mut node = Arc::make_mut(&mut self.root);
         let mut level = 0usize;
-        loop {
+        let found = loop {
             match node {
                 Node::Internal { cuts, children } => {
-                    let d = self.metric.dist(&o, &self.pivots[level]);
+                    let d = self.metric.dist(o, &self.pivots[level]);
                     let mut idx = cuts.len();
                     for (i, c) in cuts.iter().enumerate() {
                         if d <= *c {
@@ -398,17 +461,22 @@ where
                     node = Arc::make_mut(&mut children[idx]);
                     level += 1;
                 }
-                Node::Leaf { ids, pdists } => {
-                    if let Some(pos) = ids.iter().position(|&x| x == id) {
-                        ids.swap_remove(pos);
-                        pdists.swap_remove(pos);
-                        self.table.remove(id);
-                        return true;
-                    }
-                    return false;
+                Node::Leaf { ids, pdists, depth } => {
+                    let Some(pos) = ids.iter().position(|&x| x == id) else {
+                        break false;
+                    };
+                    let last = ids.len() - 1;
+                    ids.swap_remove(pos);
+                    pdists.copy_within(last * *depth.., pos * *depth);
+                    pdists.truncate(last * *depth);
+                    break true;
                 }
             }
+        };
+        if found {
+            self.table.remove(id);
         }
+        found
     }
 
     fn get(&self, id: ObjId) -> Option<O> {
@@ -419,9 +487,7 @@ where
         let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
         fn node_bytes(n: &Node) -> u64 {
             match n {
-                Node::Leaf { ids, pdists } => {
-                    4 * ids.len() as u64 + pdists.iter().map(|p| 8 * p.len() as u64).sum::<u64>()
-                }
+                Node::Leaf { ids, pdists, .. } => 4 * ids.len() as u64 + 8 * pdists.len() as u64,
                 Node::Internal { cuts, children } => {
                     8 * cuts.len() as u64 + children.iter().map(|c| node_bytes(c)).sum::<u64>()
                 }
@@ -482,10 +548,7 @@ mod tests {
             for k in [1usize, 10, 40] {
                 let got = idx.knn_query(&pts[77], k);
                 let want = oracle.knn_query(&pts[77], k);
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert!((g.dist - w.dist).abs() < 1e-9, "arity={arity} k={k}");
-                }
+                assert_eq!(bits(&got), bits(&want), "arity={arity} k={k}");
             }
         }
     }
@@ -535,15 +598,144 @@ mod tests {
         for p in pts.iter().take(120) {
             idx.insert(vec![p[0] + 1.0, p[1] + 1.0]);
         }
-        let all: Vec<Vec<f32>> = idx.table.iter().map(|(_, o)| o.clone()).collect();
+        // The oracle numbers the live objects 0, 1, …; `live` maps its ids
+        // back, in ascending order, so ties keep their order.
+        let (live, all): (Vec<ObjId>, Vec<Vec<f32>>) =
+            idx.table.iter().map(|(id, o)| (id, o.clone())).unzip();
         let oracle = BruteForce::new(all, L2);
         let got = idx.knn_query(&pts[10], 15);
-        let want = oracle.knn_query(&pts[10], 15);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g.dist - w.dist).abs() < 1e-9);
+        let mut want = oracle.knn_query(&pts[10], 15);
+        for w in &mut want {
+            w.id = live[w.id as usize];
         }
+        assert_eq!(bits(&got), bits(&want));
         let mut gr = idx.range_query(&pts[10], 700.0);
         gr.sort();
-        assert_eq!(gr.len(), oracle.range_query(&pts[10], 700.0).len());
+        let mut wr: Vec<ObjId> = oracle
+            .range_query(&pts[10], 700.0)
+            .into_iter()
+            .map(|i| live[i as usize])
+            .collect();
+        wr.sort();
+        assert_eq!(gr, wr);
     }
+
+    /// `(id, distance bits)` of a kNN answer, in answer order.
+    fn bits(answer: &[Neighbor]) -> Vec<(ObjId, u64)> {
+        answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    }
+
+    /// `[node_count, storage bytes, distances charged so far, distances
+    /// of 50 range and 50 kNN queries, sum of their answer ids, wrapping
+    /// sum of the kNN distances' bits]`.
+    fn fingerprint<O, M>(idx: &Mvpt<O, M>, queries: &[O], r: f64, k: usize) -> [u64; 6]
+    where
+        O: Clone + EncodeObject + Send + Sync + 'static,
+        M: Metric<O> + Clone + 'static,
+    {
+        let charged = idx.counters().compdists;
+        idx.reset_counters();
+        let (mut ids, mut bits) = (0u64, 0u64);
+        for q in queries {
+            ids += idx.range_query(q, r).iter().map(|&i| i as u64).sum::<u64>();
+            for nb in idx.knn_query(q, k) {
+                ids += nb.id as u64;
+                bits = bits.wrapping_add(nb.dist.to_bits());
+            }
+        }
+        let queried = idx.counters().compdists;
+        idx.reset_counters();
+        [
+            idx.node_count() as u64,
+            idx.storage().mem_bytes,
+            charged,
+            queried,
+            ids,
+            bits,
+        ]
+    }
+
+    /// Builds over ten HFI pivots, fingerprints, inserts `extra` and
+    /// removes 200 ids, then fingerprints again.
+    fn golden_run<O, M>(
+        objs: Vec<O>,
+        metric: M,
+        arity: usize,
+        extra: Vec<O>,
+        (r, k): (f64, usize),
+    ) -> [[u64; 6]; 2]
+    where
+        O: Clone + EncodeObject + Send + Sync + 'static,
+        M: Metric<O> + Clone + 'static,
+    {
+        let n = objs.len();
+        let pv: Vec<O> = select_hfi(&objs, &metric, 10, 17)
+            .into_iter()
+            .map(|i| objs[i].clone())
+            .collect();
+        let queries: Vec<O> = (0..50).map(|i| objs[(i * 97 + 5) % n].clone()).collect();
+        let mut idx = Mvpt::build(objs, metric, pv, MvptConfig { arity, leaf_cap: 8 });
+        let built = fingerprint(&idx, &queries, r, k);
+        for o in extra {
+            idx.insert(o);
+        }
+        for i in 0..200 {
+            assert!(idx.remove(((i * 13) % n) as ObjId));
+        }
+        [built, fingerprint(&idx, &queries, r, k)]
+    }
+
+    /// The tree's shape, storage, distance counts and answers, pinned to
+    /// constants recorded when each leaf entry kept its own `Arc<[f64]>`
+    /// row and the build a growing `Vec<f64>` per object: a rewrite of the
+    /// build or the leaf layout must return the same tree, bit for bit,
+    /// after a build and after 300 inserts (crowded around ten objects, so
+    /// leaves overflow and split) and 200 removes. Words' integer distances
+    /// make degenerate cuts (the `level + 1` leaf).
+    #[test]
+    fn mvpt_golden_tree_is_pinned() {
+        let la = datasets::la(5_000, 41);
+        let crowd: Vec<Vec<f32>> = (0..300)
+            .map(|i| vec![la[i % 10][0] + (i / 10) as f32 * 0.5, la[i % 10][1]])
+            .collect();
+        let words = datasets::words(2_000, 43);
+        let suffixes = ["a", "e", "i", "o", "u", "y"];
+        let near: Vec<String> = (0..300)
+            .map(|i| {
+                format!(
+                    "{}{}",
+                    words[i % 10],
+                    suffixes[(i / 10) % 6].repeat(1 + i / 60)
+                )
+            })
+            .collect();
+        for (at, arity) in [2usize, 5].into_iter().enumerate() {
+            let got = golden_run(la.clone(), L2, arity, crowd.clone(), (150.0, 10));
+            assert_eq!(got, GOLDEN_LA[at], "LA arity={arity}");
+            let got = golden_run(words.clone(), EditDistance, arity, near.clone(), (2.0, 5));
+            assert_eq!(got, GOLDEN_WORDS[at], "Words arity={arity}");
+        }
+    }
+
+    /// `golden_run` at arity 2 and 5.
+    const GOLDEN_LA: [[[u64; 6]; 2]; 2] = [
+        [
+            [1963, 485208, 49670, 2447, 2653781, 16009208973270053318],
+            [1965, 495032, 4988, 2522, 3173050, 2010456659952510091],
+        ],
+        [
+            [1301, 255920, 20950, 2496, 2653781, 16009208973270053318],
+            [1391, 265984, 2665, 2559, 3173050, 2010456659952510091],
+        ],
+    ];
+    const GOLDEN_WORDS: [[[u64; 6]; 2]; 2] = [
+        [
+            [589, 185140, 17635, 34234, 769976, 354095520702005248],
+            [633, 194269, 4689, 35944, 788736, 9571838058022567936],
+        ],
+        [
+            [1046, 124132, 9467, 45249, 769976, 354095520702005248],
+            [1056, 128325, 2224, 48316, 788736, 9571838058022567936],
+        ],
+    ];
 }

@@ -82,6 +82,41 @@ fn sharded_equals_unsharded_across_kinds_and_shard_counts() {
                 }
             }
         }
+        // Ties: every object twice (ids `i` and `300 + i`), so every
+        // distance is tied and an odd `k` cuts between twins. Shards and the
+        // merge order by `(distance, id)` and a shard's local ids ascend
+        // with its global ids, so the answer is the unsharded index's, in
+        // order, ties included.
+        let twins = [&pts[..300], &pts[..300]].concat();
+        let single = build_vector_index(kind, twins.clone(), L2, &opts(64)).unwrap();
+        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+            for shards in [2usize, 7] {
+                let engine = build_sharded_vector_engine(
+                    kind,
+                    twins.clone(),
+                    L2,
+                    &opts(64),
+                    &EngineConfig {
+                        shards,
+                        threads: 2,
+                        ..EngineConfig::default()
+                    },
+                    policy,
+                )
+                .unwrap();
+                for qi in [0usize, 13, 299, 451] {
+                    for k in [1usize, 3, 11] {
+                        assert_eq!(
+                            engine.knn_query(&twins[qi], k),
+                            single.knn_query(&twins[qi], k),
+                            "{} {} P={shards} qi={qi} k={k} tied MkNNQ",
+                            kind.label(),
+                            policy.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
