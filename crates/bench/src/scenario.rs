@@ -117,6 +117,20 @@ impl pmi::Metric<Vec<f32>> for VecMetric {
             VecMetric::LInf(m) => m.dist4(a, b),
         }
     }
+    fn dist8(&self, a: &Vec<f32>, b: [&Vec<f32>; 8]) -> [f64; 8] {
+        match self {
+            VecMetric::L1(m) => m.dist8(a, b),
+            VecMetric::L2(m) => m.dist8(a, b),
+            VecMetric::LInf(m) => m.dist8(a, b),
+        }
+    }
+    fn wide(&self, a: &Vec<f32>) -> bool {
+        match self {
+            VecMetric::L1(m) => pmi::Metric::<Vec<f32>>::wide(m, a),
+            VecMetric::L2(m) => pmi::Metric::<Vec<f32>>::wide(m, a),
+            VecMetric::LInf(m) => pmi::Metric::<Vec<f32>>::wide(m, a),
+        }
+    }
     fn is_discrete(&self) -> bool {
         match self {
             VecMetric::L1(m) => pmi::Metric::<Vec<f32>>::is_discrete(m),
@@ -209,6 +223,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Each arm reaches its norm's own `dist8` and `wide`: a missing
+    /// forward would keep the bits and lose the register kernel.
+    #[test]
+    fn vec_metric_forwards_dist8_and_wide() {
+        use pmi::metric::{distance::dist8_calls, simd};
+        use pmi::Metric;
+        let vs: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32; 9]).collect();
+        let b: [&Vec<f32>; 8] = std::array::from_fn(|j| &vs[j + 1]);
+        let wide = simd::tier() == pmi::SimdTier::Avx2;
+        for m in [
+            VecMetric::L1(L1),
+            VecMetric::L2(L2),
+            VecMetric::LInf(LInf::default()),
+        ] {
+            let before = dist8_calls();
+            let d = m.dist8(&vs[0], b);
+            assert_eq!(dist8_calls(), before + 1, "{}", m.name());
+            assert_eq!(d.map(f64::to_bits), b.map(|b| m.dist(&vs[0], b).to_bits()));
+            assert_eq!(m.wide(&vs[0]), wide, "{}", m.name());
+            assert!(!m.wide(&vs[0][..7].to_vec()), "{}", m.name());
         }
     }
 }

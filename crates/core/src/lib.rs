@@ -319,7 +319,8 @@
 //!   precisely the brute-force answer (proven in `tests/counters.rs`,
 //!   `tests/properties.rs` and `tests/rebox.rs`).
 //! * **The SIMD kernel** — [`metric::simd`] dispatches
-//!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
+//!   the scan, and eight L1 / L2 / L∞ distances per `Metric::dist8`
+//!   call, to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`
 //!   forces a tier for testing.
 //! * **One serving model** — workers claim whole queries from a shared

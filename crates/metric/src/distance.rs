@@ -4,6 +4,7 @@
 //! identity and the triangle inequality (paper §2.1). The implementations
 //! here are property-tested against those axioms.
 
+use crate::simd::{self, Lane, SimdTier};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,9 +22,31 @@ pub trait Metric<O: ?Sized>: Send + Sync {
     /// [`dist`](Self::dist) call. An override may interleave the four
     /// distances (independent accumulator chains keep a serial add chain's
     /// latency from bounding its throughput) but never reassociate inside
-    /// one. Callers reach it through [`dists_from`].
+    /// one. Callers reach it through [`dists_from`]. L1, L2, L∞ and Lp on
+    /// `[f32]` run four scalar chains in lockstep, which LLVM packs into
+    /// SSE2 registers on every tier.
     fn dist4(&self, a: &O, b: [&O; 4]) -> [f64; 4] {
         b.map(|b| self.dist(a, b))
+    }
+
+    /// `[d(a, b[0]), …, d(a, b[7])]`, each bit-identical to its
+    /// [`dist`](Self::dist) call, under the same rule as
+    /// [`dist4`](Self::dist4); by default two `dist4` calls. L1, L2 and L∞
+    /// on `[f32]` run one AVX2 register kernel for it
+    /// (`simd::x86::fold8_avx2`) when [`simd::tier`] is
+    /// [`SimdTier::Avx2`] and all nine lengths are equal and at least 8.
+    /// Callers reach it through [`dists_from`].
+    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+        dist4_twice(self, a, b)
+    }
+
+    /// Whether [`dist8`](Self::dist8) against `a` runs a kernel wider than
+    /// two `dist4` calls; by default not. [`dists_from`] pairs its groups
+    /// of four into `dist8` calls only then: grouping by eight costs cheap
+    /// distances (2-d L2) more than two `dist4` calls save. L1, L2 and L∞
+    /// on `[f32]` are wide when `dist8` would run the register kernel.
+    fn wide(&self, _a: &O) -> bool {
+        false
     }
 
     /// Whether the distance domain is discrete (integer-valued). BKT and FQT
@@ -43,6 +66,12 @@ impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
     fn dist4(&self, a: &O, b: [&O; 4]) -> [f64; 4] {
         (**self).dist4(a, b)
     }
+    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+        (**self).dist8(a, b)
+    }
+    fn wide(&self, a: &O) -> bool {
+        (**self).wide(a)
+    }
     fn is_discrete(&self) -> bool {
         (**self).is_discrete()
     }
@@ -52,13 +81,16 @@ impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
 }
 
 /// `d(a, b)` for every `(tag, b)` of `items`, handed to `sink(tag, d)` in
-/// item order: four distances per [`Metric::dist4`] call, and one
-/// [`Metric::dist`] each for a last group of one to three. This is the one "fixed object against
-/// many" loop — HF and HFI pivot selection, PSA, the pivot map of a build,
-/// an insert and a query, and range verification all run through it — so
-/// every one of them gets the interleaved kernel, and a
-/// [`CountingMetric`] still counts one per distance. `items` are drawn in
-/// groups of four before any of the group is computed.
+/// item order: four distances per [`Metric::dist4`] call — two groups of
+/// four per [`Metric::dist8`] call when the metric is
+/// [`wide`](Metric::wide) for `a` — and one [`Metric::dist`] each for a
+/// last group of one to three. This is the one "fixed object against many"
+/// loop — HF and HFI pivot selection, PSA, the pivot map of a build, an
+/// insert and a query, and range verification all run through it — so
+/// every one of them gets the widest kernel, and a [`CountingMetric`]
+/// still counts one per distance. `items` are drawn in groups of four
+/// before any of the group is computed, and a `dist8`'s second group
+/// before its first.
 pub fn dists_from<O, M, T, B>(
     metric: &M,
     a: &O,
@@ -69,25 +101,111 @@ pub fn dists_from<O, M, T, B>(
     M: Metric<O> + ?Sized,
     B: Borrow<O>,
 {
+    let wide = metric.wide(a);
     let mut items = items.into_iter().fuse();
-    loop {
-        match std::array::from_fn(|_| items.next()) {
-            [Some((t0, b0)), Some((t1, b1)), Some((t2, b2)), Some((t3, b3))] => {
-                let [d0, d1, d2, d3] =
-                    metric.dist4(a, [b0.borrow(), b1.borrow(), b2.borrow(), b3.borrow()]);
-                sink(t0, d0);
-                sink(t1, d1);
-                sink(t2, d2);
-                sink(t3, d3);
-            }
-            rest => {
-                for (t, b) in rest.into_iter().flatten() {
-                    sink(t, metric.dist(a, b.borrow()));
-                }
-                return;
-            }
+    let mut four = || match std::array::from_fn(|_| items.next()) {
+        [Some(i0), Some(i1), Some(i2), Some(i3)] => Ok([i0, i1, i2, i3]),
+        rest => Err(rest),
+    };
+    let rest = loop {
+        let first = match four() {
+            Ok(first) => first,
+            Err(rest) => break rest,
+        };
+        if !wide {
+            sink4(metric, a, first, &mut sink);
+            continue;
         }
+        let [(t4, b4), (t5, b5), (t6, b6), (t7, b7)] = match four() {
+            Ok(second) => second,
+            Err(rest) => {
+                sink4(metric, a, first, &mut sink);
+                break rest;
+            }
+        };
+        let [(t0, b0), (t1, b1), (t2, b2), (t3, b3)] = first;
+        let b = [&b0, &b1, &b2, &b3, &b4, &b5, &b6, &b7].map(|b| b.borrow());
+        let d = metric.dist8(a, b);
+        for (t, d) in [t0, t1, t2, t3, t4, t5, t6, t7].into_iter().zip(d) {
+            sink(t, d);
+        }
+    };
+    for (t, b) in rest.into_iter().flatten() {
+        sink(t, metric.dist(a, b.borrow()));
     }
+}
+
+/// [`dists_from`]'s group of four: one [`Metric::dist4`] call.
+#[inline(always)]
+fn sink4<O, M, T, B>(metric: &M, a: &O, group: [(T, B); 4], sink: &mut impl FnMut(T, f64))
+where
+    O: ?Sized,
+    M: Metric<O> + ?Sized,
+    B: Borrow<O>,
+{
+    let [(t0, b0), (t1, b1), (t2, b2), (t3, b3)] = group;
+    let d = metric.dist4(a, [b0.borrow(), b1.borrow(), b2.borrow(), b3.borrow()]);
+    for (t, d) in [t0, t1, t2, t3].into_iter().zip(d) {
+        sink(t, d);
+    }
+}
+
+/// `[dist4(a, b[0..4]), dist4(a, b[4..8])]`: `dist8` without a wider kernel.
+fn dist4_twice<O: ?Sized, M: Metric<O> + ?Sized>(m: &M, a: &O, b: [&O; 8]) -> [f64; 8] {
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = b;
+    let [d0, d1, d2, d3] = m.dist4(a, [b0, b1, b2, b3]);
+    let [d4, d5, d6, d7] = m.dist4(a, [b4, b5, b6, b7]);
+    [d0, d1, d2, d3, d4, d5, d6, d7]
+}
+
+/// A norm on `[f32]` whose `dist8` has the AVX2 register kernel
+/// ([`simd::x86::fold8_avx2`]): the lane operation of its `dist` loop.
+pub(crate) trait Lanes: Metric<[f32]> {
+    const LANE: Lane;
+}
+
+/// Whether the register kernel runs against `a`: `a` at least 8 long, and
+/// `tier()` AVX2 (not asked for shorter vectors). [`Metric::wide`] for the
+/// [`Lanes`] norms.
+#[inline]
+fn in_registers(a: &[f32], tier: impl FnOnce() -> SimdTier) -> bool {
+    a.len() >= 8 && tier() == SimdTier::Avx2
+}
+
+thread_local! {
+    static DIST8_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many `dist8` calls this thread has made into L1's, L2's or L∞'s own
+/// `dist8` on `[f32]`, on any tier. A wrapper (`&M`, [`CountingMetric`],
+/// the `Vec<f32>` impls, an enum over the norms) that forgot to forward
+/// `dist8` would return the same bits through two `dist4` calls, at half
+/// the speed; this count is how a test sees the difference.
+#[doc(hidden)]
+pub fn dist8_calls() -> u64 {
+    DIST8_CALLS.with(|c| c.get())
+}
+
+/// `dist8` as `tier` runs it: the register kernel when [`in_registers`]
+/// (and the CPU has AVX2) and all nine lengths are equal, two `dist4`
+/// calls otherwise. [`Metric::dist8`] passes [`simd::tier`]; the tier
+/// proptest pins each available tier here.
+pub(crate) fn dist8_on<M: Lanes>(tier: SimdTier, m: &M, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+    DIST8_CALLS.with(|c| c.set(c.get() + 1));
+    #[cfg(target_arch = "x86_64")]
+    if in_registers(a, || tier)
+        && b.iter().all(|b| b.len() == a.len())
+        && is_x86_feature_detected!("avx2")
+    {
+        // SAFETY: AVX2 detected and every length equal to `a`'s, just above.
+        let s = unsafe { simd::x86::fold8_avx2(M::LANE, a, b) };
+        return if M::LANE == Lane::Square {
+            s.map(f64::sqrt)
+        } else {
+            s
+        };
+    }
+    dist4_twice(m, a, b)
 }
 
 /// Four left-to-right folds in lockstep: lane `j` runs
@@ -132,9 +250,20 @@ impl Metric<[f32]> for L1 {
     fn dist4(&self, a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
         fold4(a, b, |s, x, y| s + (x - y).abs()).unwrap_or_else(|| b.map(|b| self.dist(a, b)))
     }
+    fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+        dist8_on(simd::tier(), self, a, b)
+    }
+    #[inline]
+    fn wide(&self, a: &[f32]) -> bool {
+        in_registers(a, simd::tier)
+    }
     fn name(&self) -> &'static str {
         "L1"
     }
+}
+
+impl Lanes for L1 {
+    const LANE: Lane = Lane::Abs;
 }
 
 /// L2 norm (Euclidean distance) — used by the LA dataset.
@@ -163,9 +292,20 @@ impl Metric<[f32]> for L2 {
             None => b.map(|b| self.dist(a, b)),
         }
     }
+    fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+        dist8_on(simd::tier(), self, a, b)
+    }
+    #[inline]
+    fn wide(&self, a: &[f32]) -> bool {
+        in_registers(a, simd::tier)
+    }
     fn name(&self) -> &'static str {
         "L2"
     }
+}
+
+impl Lanes for L2 {
+    const LANE: Lane = Lane::Square;
 }
 
 /// L∞ norm (Chebyshev distance) — used by the Synthetic dataset. On
@@ -210,12 +350,23 @@ impl Metric<[f32]> for LInf {
         };
         fold4(a, b, max).unwrap_or_else(|| b.map(|b| self.dist(a, b)))
     }
+    fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+        dist8_on(simd::tier(), self, a, b)
+    }
+    #[inline]
+    fn wide(&self, a: &[f32]) -> bool {
+        in_registers(a, simd::tier)
+    }
     fn is_discrete(&self) -> bool {
         self.discrete
     }
     fn name(&self) -> &'static str {
         "Linf"
     }
+}
+
+impl Lanes for LInf {
+    const LANE: Lane = Lane::Max;
 }
 
 /// General Lp norm for p ≥ 1 (p < 1 does not satisfy the triangle
@@ -274,6 +425,14 @@ macro_rules! impl_vec_metric {
             #[inline]
             fn dist4(&self, a: &Vec<f32>, b: [&Vec<f32>; 4]) -> [f64; 4] {
                 Metric::<[f32]>::dist4(self, a.as_slice(), b.map(Vec::as_slice))
+            }
+            #[inline]
+            fn dist8(&self, a: &Vec<f32>, b: [&Vec<f32>; 8]) -> [f64; 8] {
+                Metric::<[f32]>::dist8(self, a.as_slice(), b.map(Vec::as_slice))
+            }
+            #[inline]
+            fn wide(&self, a: &Vec<f32>) -> bool {
+                Metric::<[f32]>::wide(self, a.as_slice())
             }
             fn is_discrete(&self) -> bool {
                 Metric::<[f32]>::is_discrete(self)
@@ -426,6 +585,15 @@ impl<O: ?Sized, M: Metric<O>> Metric<O> for CountingMetric<M> {
         self.counter.bump(4);
         self.inner.dist4(a, b)
     }
+    #[inline]
+    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+        self.counter.bump(8);
+        self.inner.dist8(a, b)
+    }
+    #[inline]
+    fn wide(&self, a: &O) -> bool {
+        self.inner.wide(a)
+    }
     fn is_discrete(&self) -> bool {
         self.inner.is_discrete()
     }
@@ -530,53 +698,140 @@ mod tests {
         ]
     }
 
-    fn assert_dist4<M: Metric<[f32]>>(m: &M, a: &[f32], b: [&[f32]; 4]) {
-        let want = b.map(|b| m.dist(a, b).to_bits());
-        assert_eq!(m.dist4(a, b).map(f64::to_bits), want, "{}", m.name());
-        for b in b {
-            assert_eq!(
-                m.dist(a, b).to_bits(),
-                m.dist(b, a).to_bits(),
-                "{}",
+    /// `m` with its `dist8` and `wide` on one pinned SIMD tier.
+    struct Pinned<'m, M>(&'m M, SimdTier);
+
+    impl<M: Lanes> Metric<[f32]> for Pinned<'_, M> {
+        fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
+            self.0.dist(a, b)
+        }
+        fn dist4(&self, a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
+            self.0.dist4(a, b)
+        }
+        fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+            dist8_on(self.1, self.0, a, b)
+        }
+        fn wide(&self, a: &[f32]) -> bool {
+            in_registers(a, || self.1)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// The same bits, or both NaN: which NaN a sum of NaNs yields is not
+    /// part of the contract.
+    fn same(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan()
+    }
+
+    /// `dist4` over `b[..4]`, `dist8` over `b[..8]` and `dists_from` over
+    /// every prefix of `b` return `dist`'s result item for item;
+    /// `dists_from` charges one per item, sinks the items in order, and
+    /// makes one `dist8` call per eight items exactly when `m` is wide.
+    fn assert_matches_dist<M: Metric<[f32]>>(m: &M, a: &[f32], b: &[&[f32]]) {
+        let want: Vec<f64> = b.iter().map(|b| m.dist(a, b)).collect();
+        let check = |how: &str, got: &[f64]| {
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert!(same(g, w), "{} {how} item {i}: {g:?} != {w:?}", m.name());
+            }
+        };
+        check("dist4", &m.dist4(a, std::array::from_fn(|j| b[j])));
+        check("dist8", &m.dist8(a, std::array::from_fn(|j| b[j])));
+        for k in 0..=b.len() {
+            let counted = CountingMetric::new(m);
+            let mut got = Vec::new();
+            let before = dist8_calls();
+            dists_from(&counted, a, b[..k].iter().copied().enumerate(), |t, d| {
+                got.push((t, d))
+            });
+            let pairs = if m.wide(a) { k / 8 } else { 0 };
+            assert_eq!(dist8_calls() - before, pairs as u64, "{} pairs", m.name());
+            assert_eq!(counted.count(), k as u64, "{} charges {k} items", m.name());
+            assert!(
+                got.iter().map(|g| g.0).eq(0..k),
+                "{} in item order",
                 m.name()
             );
+            check("dists_from", &got.iter().map(|g| g.1).collect::<Vec<_>>());
         }
     }
 
     const MAX_LEN: usize = 300;
+    /// The most items one `dists_from` case takes: two groups of eight and
+    /// a last three.
+    const ITEMS: usize = 19;
+    /// Room per vector for its offset and a length mismatch.
+    const STRIDE: usize = MAX_LEN + 6;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `dist4` is four `dist` calls bit for bit, every shipped metric is
-        /// bitwise symmetric, and the counting wrappers charge one per
-        /// distance.
+        /// On every SIMD tier this CPU has, L1 / L2 / L∞ / Lp `dist4`,
+        /// `dist8` and `dists_from` over 0–19 items are `dist` bit for bit:
+        /// lengths on both sides of the kernel's 8-wide step and the
+        /// Color width, slices at odd float offsets, ±inf and NaN
+        /// coordinates, and (without debug assertions, which reject it in
+        /// `dist`) one item of another length, where every path takes
+        /// `dist`'s zip truncation. Every shipped metric is bitwise
+        /// symmetric, the counting wrappers charge one per distance, and
+        /// the pivot map charges exactly `n · l`.
         #[test]
-        fn dist4_is_dist_four_times(
-            vals in prop::collection::vec(coord(), 5 * MAX_LEN),
-            len in (0usize..=MAX_LEN, 0usize..4).prop_map(|(n, pick)| [2, 282, n, n][pick]),
+        fn dist_kernels_equal_dist_on_every_tier(
+            vals in prop::collection::vec(coord(), (ITEMS + 1) * STRIDE),
+            len in prop_oneof![
+                1 => (0usize..10).prop_map(|i| [0, 1, 2, 7, 8, 9, 15, 16, 17, 282][i]),
+                1 => 0usize..=MAX_LEN,
+            ],
+            offsets in prop::collection::vec(0usize..4, ITEMS + 1),
+            specials in prop::collection::vec((any::<usize>(), 0usize..3), 0..4),
+            (odd, delta) in (0usize..ITEMS, 0usize..4),
             words in prop::collection::vec("[a-c]{0,9}", 2),
             (n, threads) in (1usize..40, 1usize..4),
         ) {
-            let a = &vals[..len];
-            let b: [&[f32]; 4] = std::array::from_fn(|j| &vals[(j + 1) * MAX_LEN..][..len]);
-            assert_dist4(&L1, a, b);
-            assert_dist4(&L2, a, b);
-            assert_dist4(&LInf::default(), a, b);
-            for p in [1.0, 1.5, 2.0, 3.0] {
-                assert_dist4(&Lp::new(p), a, b);
+            let start = |j: usize| j * STRIDE + offsets[j];
+            let mut vals = vals;
+            for (pos, k) in specials {
+                if len > 0 {
+                    let j = pos % (ITEMS + 1);
+                    vals[start(j) + pos / (ITEMS + 1) % len] =
+                        [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][k];
+                }
             }
-            let owned = b.map(<[f32]>::to_vec);
-            let via_vec = Metric::<Vec<f32>>::dist4(&L1, &a.to_vec(), owned.each_ref());
-            prop_assert_eq!(via_vec.map(f64::to_bits), L1.dist4(a, b).map(f64::to_bits));
+            let a = &vals[start(0)..][..len];
+            let mut b: Vec<&[f32]> = (1..=ITEMS).map(|j| &vals[start(j)..][..len]).collect();
+            let run = |b: &[&[f32]]| {
+                for tier in simd::available_tiers() {
+                    assert_matches_dist(&Pinned(&L1, tier), a, b);
+                    assert_matches_dist(&Pinned(&L2, tier), a, b);
+                    assert_matches_dist(&Pinned(&LInf::default(), tier), a, b);
+                }
+                for p in [1.0, 1.5, 2.0, 3.0] {
+                    assert_matches_dist(&Lp::new(p), a, b);
+                }
+            };
+            run(&b);
+            if !cfg!(debug_assertions) {
+                let other = [len + 1, len + 2, len.saturating_sub(1), len.saturating_sub(2)][delta];
+                b[odd] = &vals[start(odd + 1)..][..other];
+                run(&b);
+                b[odd] = &vals[start(odd + 1)..][..len];
+            }
 
+            for m in [&L1 as &dyn Metric<[f32]>, &L2, &LInf::default(), &Lp::new(1.5)] {
+                for b in &b {
+                    prop_assert!(same(m.dist(a, b), m.dist(b, a)), "{}", m.name());
+                }
+            }
             let (s, t) = (words[0].as_str(), words[1].as_str());
             prop_assert_eq!(EditDistance.dist(s, t).to_bits(), EditDistance.dist(t, s).to_bits());
 
+            let b8: [&[f32]; 8] = std::array::from_fn(|j| b[j]);
             let counted = CountingMetric::new(L2);
             let by_ref = &counted;
-            prop_assert_eq!(by_ref.dist4(a, b).map(f64::to_bits), L2.dist4(a, b).map(f64::to_bits));
-            prop_assert_eq!(counted.count(), 4);
+            let _ = by_ref.dist4(a, std::array::from_fn(|j| b[j]));
+            let _ = by_ref.dist8(a, b8);
+            prop_assert_eq!(counted.count(), 12);
 
             // The pivot map charges exactly `n · l`, through groups of four
             // and the remainder alike, with every entry `dist`'s bits.
@@ -592,6 +847,83 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Records the `Metric` methods called on it.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<&'static str>>);
+
+    impl Recorder {
+        fn saw(&self, call: &'static str) {
+            self.0.lock().unwrap().push(call);
+        }
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut self.0.lock().unwrap())
+        }
+    }
+
+    impl Metric<[f32]> for Recorder {
+        fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
+            self.saw("dist");
+            L1.dist(a, b)
+        }
+        fn dist4(&self, a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
+            self.saw("dist4");
+            L1.dist4(a, b)
+        }
+        fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
+            self.saw("dist8");
+            L1.dist8(a, b)
+        }
+        fn wide(&self, _a: &[f32]) -> bool {
+            self.saw("wide");
+            true
+        }
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+    }
+    impl_vec_metric!(Recorder);
+
+    /// `&M`, `CountingMetric` and the `Vec<f32>` impls forward `dist8` and
+    /// `wide` (a wrapper that did not would keep the bits and lose the
+    /// register kernel), and the shipped norms' `Vec<f32>` impls reach
+    /// their own `dist8`.
+    #[test]
+    fn wrappers_forward_dist8_and_wide() {
+        let vs: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32 * 0.5; 9]).collect();
+        let (a, b) = (
+            vs[0].as_slice(),
+            std::array::from_fn(|j| vs[j + 1].as_slice()),
+        );
+        let bv: [&Vec<f32>; 8] = std::array::from_fn(|j| &vs[j + 1]);
+
+        let rec = Recorder::default();
+        let _ = <&Recorder as Metric<[f32]>>::dist8(&&rec, a, b);
+        let _ = <&Recorder as Metric<[f32]>>::wide(&&rec, a);
+        assert_eq!(rec.take(), ["dist8", "wide"], "&M");
+        let _ = Metric::<Vec<f32>>::dist8(&rec, &vs[0], bv);
+        let _ = Metric::<Vec<f32>>::wide(&rec, &vs[0]);
+        assert_eq!(rec.take(), ["dist8", "wide"], "Vec<f32>");
+        let counted = CountingMetric::new(Recorder::default());
+        let _ = counted.dist8(a, b);
+        let _ = counted.wide(a);
+        assert_eq!(counted.inner().take(), ["dist8", "wide"], "CountingMetric");
+        assert_eq!(counted.count(), 8);
+
+        let norms: [&dyn Metric<Vec<f32>>; 3] = [&L1, &L2, &LInf::default()];
+        for m in norms {
+            let before = dist8_calls();
+            let d = m.dist8(&vs[0], bv);
+            assert_eq!(dist8_calls(), before + 1, "{}", m.name());
+            assert_eq!(d.map(f64::to_bits), bv.map(|b| m.dist(&vs[0], b).to_bits()));
+            assert_eq!(
+                m.wide(&vs[0]),
+                simd::tier() == SimdTier::Avx2,
+                "{}",
+                m.name()
+            );
         }
     }
 }

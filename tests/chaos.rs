@@ -22,9 +22,10 @@ use pmr::builder::{BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Query, QueryResult};
 use pmr::fault::{self, FaultKind, FaultPlan, FaultSpec};
 use pmr::{
-    build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, PartitionPolicy,
-    QueryBudget, QueryError, QueryScratch, ServeBudget, ShardedEngine, UpdateBatch, L2,
+    build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, Metric, PartitionPolicy,
+    QueryBudget, QueryError, QueryScratch, ServeBudget, ShardedEngine, UpdateBatch, L1, L2,
 };
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -83,10 +84,20 @@ fn build(
     shards: usize,
     pts: &[Vec<f32>],
 ) -> ShardedEngine<Vec<f32>> {
+    build_with(kind, policy, shards, pts, L2)
+}
+
+fn build_with<M: Metric<Vec<f32>> + Clone + 'static>(
+    kind: IndexKind,
+    policy: PartitionPolicy,
+    shards: usize,
+    pts: &[Vec<f32>],
+    metric: M,
+) -> ShardedEngine<Vec<f32>> {
     build_sharded_vector_engine(
         kind,
         pts.to_vec(),
-        L2,
+        metric,
         &opts(),
         &EngineConfig {
             shards,
@@ -270,18 +281,44 @@ fn nan_distances_never_poison_or_panic() {
 /// counter byte-identical.
 #[test]
 fn a_dist_fault_inside_a_group_of_four_fires_on_its_own_slot() {
+    let pts = pmr::datasets::la(800, 5);
+    a_dist_fault_fires_on_its_own_slot(&pts, L2, 0.02, (2, 4));
+}
+
+/// The same on 282-d Color under L1, where range verification computes
+/// eight distances per `Metric::dist8` call (the AVX2 register kernel, on a
+/// CPU that has it): a panic armed on the seventh survivor of a shard's
+/// first group of eight fires on that slot alone.
+#[test]
+fn a_dist_fault_inside_a_group_of_eight_fires_on_its_own_slot() {
+    let pts = pmr::datasets::color(800, 5);
+    a_dist_fault_fires_on_its_own_slot(&pts, L1, 0.01, (6, 8));
+}
+
+/// Arms `laesa.dist` on survivor `rank` of one query's survivors in one
+/// shard (shard-local slot ids: a slot that query verifies in no other
+/// shard), over four LAESA shards of `pts`, with groups of `group`
+/// survivors or more. Queries that verify that slot id elsewhere would fail
+/// too and are left out; of the rest, the armed query alone fails, on that
+/// shard, the fault fires once, and every other answer and per-shard
+/// counter equals the fault-free run's.
+fn a_dist_fault_fires_on_its_own_slot<M: Metric<Vec<f32>> + Clone + 'static>(
+    pts: &[Vec<f32>],
+    metric: M,
+    selectivity: f64,
+    (rank, group): (usize, usize),
+) {
     quiet_injected_panics();
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
 
-    let pts = pmr::datasets::la(800, 5);
-    let radius = pmr::datasets::calibrate_radius(&pts, &L2, 0.02, 5);
+    let radius = pmr::datasets::calibrate_radius(pts, &metric, selectivity, 5);
     let centres: Vec<Vec<f32>> = (0..24).map(|i| pts[i * 31].clone()).collect();
-    let queries: Vec<Query<Vec<f32>>> = centres
-        .iter()
-        .map(|c| Query::range(c.clone(), radius))
-        .collect();
-    let clean = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, &pts);
+    let engine = || {
+        let m = metric.clone();
+        build_with(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, pts, m)
+    };
+    let clean = engine();
 
     // Every shard's range survivors of every query, in verification order.
     let mut scratch = QueryScratch::new();
@@ -298,32 +335,41 @@ fn a_dist_fault_inside_a_group_of_four_fires_on_its_own_slot() {
                 .collect()
         })
         .collect();
-    // A query and shard whose third survivor no other query or shard
-    // verifies: arming its slot id then breaks that one probe alone.
-    let verified_elsewhere = |qi: usize, s: usize, slot: u32| {
-        survivors.iter().enumerate().any(|(qj, per_shard)| {
-            let other = |(t, ids): (usize, &Vec<u32>)| (qj, t) != (qi, s) && ids.contains(&slot);
-            per_shard.iter().enumerate().any(other)
-        })
+    // How many shards verify shard-local slot id `slot` for query `qi`.
+    let verifying = |qi: usize, slot: u32| {
+        survivors[qi]
+            .iter()
+            .filter(|ids| ids.contains(&slot))
+            .count()
     };
-    let (qi, s, slot) = (0..queries.len())
+    // The queries a fault on `slot`, armed for query `qi`, leaves alone.
+    let spared = |qi: usize, slot: u32| {
+        (0..centres.len()).filter(move |&qj| qj != qi && verifying(qj, slot) == 0)
+    };
+    let (qi, s, slot) = (0..centres.len())
         .flat_map(|qi| (0..4).map(move |s| (qi, s)))
-        .filter(|&(qi, s)| survivors[qi][s].len() >= 4)
-        .map(|(qi, s)| (qi, s, survivors[qi][s][2]))
-        .find(|&(qi, s, slot)| !verified_elsewhere(qi, s, slot))
-        .expect("some shard's third survivor is verified by one query alone");
+        .filter(|&(qi, s)| survivors[qi][s].len() >= group)
+        .map(|(qi, s)| (qi, s, survivors[qi][s][rank]))
+        .filter(|&(qi, _, slot)| verifying(qi, slot) == 1)
+        .max_by_key(|&(qi, s, slot)| (spared(qi, slot).count(), Reverse((qi, s))))
+        .expect("some query verifies its armed slot in one shard");
+    let queries: Vec<(usize, Query<Vec<f32>>)> = std::iter::once(qi)
+        .chain(spared(qi, slot))
+        .map(|qj| (qj, Query::range(centres[qj].clone(), radius)))
+        .collect();
+    assert!(queries.len() >= 12, "{} queries left", queries.len());
 
     let baseline: Vec<(QueryResult, Vec<Counters>)> =
-        queries.iter().map(|q| probe_one(&clean, q)).collect();
-    let chaos = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, &pts);
+        queries.iter().map(|(_, q)| probe_one(&clean, q)).collect();
+    let chaos = engine();
     fault::install(FaultPlan::new().with(FaultSpec::always(
         "laesa.dist",
         Some(slot as u64),
         FaultKind::Panic,
     )));
-    for (i, q) in queries.iter().enumerate() {
+    for ((i, q), (base, base_counters)) in queries.iter().zip(&baseline) {
         let (res, per_shard) = probe_one(&chaos, q);
-        if i == qi {
+        if *i == qi {
             assert_eq!(
                 res,
                 QueryResult::Failed(QueryError::Panicked {
@@ -332,8 +378,8 @@ fn a_dist_fault_inside_a_group_of_four_fires_on_its_own_slot() {
                 "query {i}: the armed slot's probe fails"
             );
         } else {
-            assert_eq!(res, baseline[i].0, "query {i}: unaffected result");
-            assert_eq!(per_shard, baseline[i].1, "query {i}: unaffected counters");
+            assert_eq!(&res, base, "query {i}: unaffected result");
+            assert_eq!(&per_shard, base_counters, "query {i}: unaffected counters");
         }
     }
     assert_eq!(fault::fired(), vec![1], "fired once, on the armed slot");
