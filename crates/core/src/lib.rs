@@ -41,9 +41,10 @@
 //! The [`engine`] module (crate `pmi-engine`) turns any of the indexes into
 //! a concurrent query-serving tier: the dataset is partitioned across `P`
 //! shards, each backed by its own index, and batches of mixed range/kNN
-//! queries execute on a scoped-thread worker pool with per-shard results
-//! merged per query (set union for range, a bounded binary heap for the
-//! global top-k). Cost counters aggregate exactly across shards.
+//! queries execute on the engine's workers, the calling thread one of
+//! them, with per-shard results merged per query (set union for range, a
+//! bounded binary heap for the global top-k). Cost counters aggregate
+//! exactly across shards.
 //!
 //! ```
 //! use pmi::{

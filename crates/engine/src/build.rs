@@ -11,6 +11,7 @@ use super::{
 use crate::report::{BuildStats, UpdateStats};
 use crate::robust::QuarantineState;
 use crate::shard::{partition_by_assignment, Partition, Shard};
+use pmi_metric::parallel::claim_each;
 use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
 use pmi_obs::{Hist, Registry};
 use pmi_router::{PartitionPolicy, RoutingTable};
@@ -114,10 +115,12 @@ impl<O> ShardedEngine<O> {
     /// partition in order, so that local id `i` is the `i`-th object of the
     /// partition (every index in this workspace does). A factory whose
     /// index exposes [`MetricIndex::pivot_rows`] must have built it from
-    /// those rows or from the same mapping. Shard builds run in parallel on
-    /// scoped threads when more than one worker thread is configured — the
-    /// paper's §6.2 observation that per-object pivot distances parallelize
-    /// trivially.
+    /// those rows or from the same mapping. Shard builds run in parallel,
+    /// up to `cfg.threads` workers with the caller one of them, each taking
+    /// the next shard in shard order ([`claim_each`]) — the paper's §6.2
+    /// observation that per-object pivot distances parallelize trivially.
+    /// A factory's panic reaches the caller with its own payload, after
+    /// every other shard build has returned.
     ///
     /// [`BuildStats`] record the exact cost: `n · l` for the rows plus
     /// every shard's own construction compdists, and the whole wall.
@@ -247,80 +250,31 @@ impl<O> ShardedEngine<O> {
         // The split belongs to no child phase.
         clock.lap();
 
-        // The factory gets a clone of the shard's rows (shared storage);
-        // the shard keeps the original only if the index did not take it.
-        let build_shard = |s: usize, ((objs, gids), rows): MatrixPart<O>| {
-            let idx = factory(s, objs, rows.clone())?;
-            Ok(Shard::new(idx, gids, rows))
-        };
-        let mut shard_wall = Hist::new();
-        let built: Vec<Result<Shard<O>, E>> = if threads <= 1 || num_shards == 1 {
-            parts
-                .into_iter()
-                .enumerate()
-                .map(|(s, part)| {
-                    let b0 = timing.then(Instant::now);
-                    let r = build_shard(s, part);
-                    if let Some(t) = b0 {
-                        shard_wall.record(t.elapsed().as_nanos() as u64);
-                    }
-                    r
-                })
-                .collect()
-        } else {
-            // At most `threads` concurrent builders: distribute the shard
-            // slots round-robin across worker buckets.
-            let build_shard = &build_shard;
-            let workers = threads.min(num_shards);
-            let mut buckets: Vec<Vec<(usize, MatrixPart<O>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (s, part) in parts.into_iter().enumerate() {
-                buckets[s % workers].push((s, part));
-            }
-            let mut slots: Vec<Option<Result<Shard<O>, E>>> =
-                (0..num_shards).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move |_| {
-                            bucket
-                                .into_iter()
-                                .map(|(s, part)| {
-                                    let b0 = timing.then(Instant::now);
-                                    let r = build_shard(s, part);
-                                    let nanos =
-                                        b0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                                    (s, r, nanos)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (s, r, nanos) in h.join().expect("shard build thread panicked") {
-                        if timing {
-                            shard_wall.record(nanos);
-                        }
-                        slots[s] = Some(r);
-                    }
-                }
-            })
-            .expect("shard build scope panicked");
-            slots
-                .into_iter()
-                .map(|r| r.expect("every shard slot built exactly once"))
-                .collect()
-        };
-
+        // Shards in shard order, each built by the next free worker. The
+        // factory gets a clone of the shard's rows (shared storage); the
+        // shard keeps the original only if the index did not take it. Each
+        // build returns its own wall for `build.shard_wall`.
+        let built = claim_each(
+            parts.into_iter().enumerate().collect(),
+            threads,
+            |(s, ((objs, gids), rows))| {
+                let b0 = timing.then(Instant::now);
+                let shard = factory(s, objs, rows.clone()).map(|idx| Shard::new(idx, gids, rows));
+                (shard, b0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+            },
+        );
         // Wall of the whole shard-build section, so that it nests under
         // `build` when shards build in parallel; the per-shard walls are
         // the `build.shard_wall` histogram.
         let shards_nanos = clock.lap();
 
+        let mut shard_wall = Hist::new();
         let mut shards = Vec::with_capacity(num_shards);
-        for b in built {
-            shards.push(b.map_err(EngineError::Build)?);
+        for (shard, nanos) in built {
+            if timing {
+                shard_wall.record(nanos);
+            }
+            shards.push(shard.map_err(EngineError::Build)?);
         }
 
         let mut locator = vec![Locator::DEAD; n];
@@ -523,6 +477,55 @@ mod tests {
         assert_eq!(out.results.len(), 0);
         assert_eq!(out.report.queries, 0);
         assert_eq!(out.report.latency, LatencySummary::default());
+    }
+
+    #[test]
+    fn a_factory_panic_reaches_the_caller_with_its_own_payload() {
+        for threads in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                ShardedEngine::build(
+                    grid(40),
+                    Layout::plain(),
+                    &EngineConfig {
+                        shards: 4,
+                        threads,
+                        ..EngineConfig::default()
+                    },
+                    |s, part, _| {
+                        if s == 1 {
+                            panic!("factory boom on shard {s}");
+                        }
+                        brute_factory(part)
+                    },
+                )
+            })
+            .err()
+            .expect("the factory's panic reaches the caller");
+            assert_eq!(
+                caught.downcast_ref::<String>().map(String::as_str),
+                Some("factory boom on shard 1"),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn any_thread_count_builds_a_mapped_engine() {
+        let e = ShardedEngine::build(
+            grid(40),
+            Layout::mapped(
+                1,
+                PartitionPolicy::PivotSpace,
+                |o: &Vec<f32>, out: &mut Vec<f64>| out.push(o[0] as f64),
+            ),
+            &EngineConfig {
+                threads: usize::MAX,
+                ..EngineConfig::default()
+            },
+            |_, part, _| brute_factory(part),
+        )
+        .unwrap();
+        assert_eq!(e.len(), 40);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The sharded engine: partitioning, the scoped-thread worker pool, and
-//! batch serving with exact aggregate cost accounting.
+//! The sharded engine: partitioning, parallel builds and batch serving
+//! (every parallel step through [`pmi_metric::parallel`]), with exact
+//! aggregate cost accounting.
 //!
 //! Everything hangs off one mapping, `o ↦ (d(o, p_1), …, d(o, p_l))` — the
 //! engine's **pivot space** — and the engine owns it: there is one
@@ -49,11 +50,10 @@
 //! the serve boundary, turned into `QueryResult::Failed`, and counted
 //! toward that shard's quarantine (see `docs/robustness.md`). The
 //! `expect`s that remain state internal invariants — every worker slot is
-//! claimed exactly once, scoped worker threads cannot outlive the scope,
-//! a built engine has ≥ 1 shard (`EngineError::ZeroShards` otherwise), a
-//! membership reaches the partitioner checked
-//! (`EngineError::BadMembership` otherwise) — whose violation is an engine
-//! bug, not bad input.
+//! claimed exactly once, a built engine has ≥ 1 shard
+//! (`EngineError::ZeroShards` otherwise), a membership reaches the
+//! partitioner checked (`EngineError::BadMembership` otherwise) — whose
+//! violation is an engine bug, not bad input.
 //!
 //! [`QueryError`]: crate::QueryError
 
@@ -88,7 +88,10 @@ pub struct EngineConfig {
     /// Worker threads for every parallel step the engine runs: batch
     /// serving, the build's pivot matrix, the pivot-space partition (at
     /// build, re-cluster and compaction) and the shard builds — and,
-    /// through the `pmi` facade, HFI pivot selection. `0` means one per
+    /// through the `pmi` facade, HFI pivot selection. The calling thread
+    /// is one of the workers, so a step with one task (one shard, one
+    /// query, one row chunk) spawns nothing; any count, `usize::MAX`
+    /// included, is capped by the work there is. `0` means one per
     /// available hardware thread.
     pub threads: usize,
     /// When [`apply`](ShardedEngine::apply) re-clusters the worst shard
@@ -538,6 +541,23 @@ impl<O> ApplyTxn<O> {
             self.touched[s] = true;
         }
         Arc::get_mut(&mut self.shards[s]).expect("transaction shard is uniquely owned")
+    }
+
+    /// Moves object `gid` from `(shard, local slot)` to shard `to` with its
+    /// stored `row` and re-points the locator. Returns whether it moved:
+    /// not if it is in `to` already, or the slot holds nothing.
+    fn move_object(&mut self, gid: ObjId, from: (usize, ObjId), to: usize, row: &[f64]) -> bool {
+        let (s, local) = from;
+        if s == to {
+            return false;
+        }
+        let Some(o) = self.shards[s].get_local(local) else {
+            return false;
+        };
+        self.shard_mut(s).remove_local(local);
+        let new_local = self.shard_mut(to).insert_adopted(o, gid, row);
+        self.locator.set(gid, to, new_local);
+        true
     }
 }
 
@@ -1208,18 +1228,7 @@ impl<O> ShardedEngine<O> {
         let mut moved = 0u64;
         for (i, (&(gid, s, local), &c)) in members.iter().zip(&split).enumerate() {
             let target = if (c == 0) != flip { hi } else { lo };
-            if target == s {
-                continue;
-            }
-            let Some(o) = txn.shards[s].get_local(local) else {
-                continue;
-            };
-            txn.shard_mut(s).remove_local(local);
-            let new_local = txn
-                .shard_mut(target)
-                .insert_adopted(o, gid, pair_rows.row(i));
-            txn.locator.set(gid, target, new_local);
-            moved += 1;
+            moved += u64::from(txn.move_object(gid, (s, local), target, pair_rows.row(i)));
         }
         let mut reboxed = 0;
         if moved > 0 {
@@ -1344,20 +1353,9 @@ impl<O> ShardedEngine<O> {
                 self.core.threads,
             )
             .assignment;
-            for (rank, &gid) in survivors.iter().enumerate() {
-                let target = assignment[rank];
-                let (s, local) = at(txn, gid);
-                if s == target {
-                    continue;
-                }
-                let Some(o) = txn.shards[s].get_local(local) else {
-                    continue;
-                };
-                txn.shard_mut(s).remove_local(local);
-                let new_local = txn
-                    .shard_mut(target)
-                    .insert_adopted(o, gid, live_rows.row(rank));
-                txn.locator.set(gid, target, new_local);
+            for (rank, (&gid, &target)) in survivors.iter().zip(&assignment).enumerate() {
+                let from = at(txn, gid);
+                txn.move_object(gid, from, target, live_rows.row(rank));
             }
         }
 

@@ -14,6 +14,7 @@ use crate::report::{LatencySummary, ServeReport, ShardServeStats};
 use crate::robust::{DegradeReason, Degraded, QueryBudget, QueryError};
 use crate::shard::Shard;
 use pmi_metric::fault;
+use pmi_metric::parallel::fan_out;
 use pmi_metric::{Counters, Neighbor, ObjId, QueryScratch};
 use pmi_obs::{Hist, QueryTrace, TraceEvent, TraceKind, TracePolicy, TraceRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -842,7 +843,7 @@ impl<O: Send + Sync> EngineCore<O> {
         // Each worker claims queries from the shared cursor and returns its
         // answered slice plus its private observability state (probe
         // tallies, sampled walls, kernel tally) — plain writes only, folded
-        // after the scope joins.
+        // once every worker has returned.
         let run_worker = || {
             let b0 = timing.then(Instant::now);
             let mut scratch = EngineScratch::new();
@@ -918,22 +919,8 @@ impl<O: Send + Sync> EngineCore<O> {
             (local, obs, std::mem::take(&mut scratch.trace.captured))
         };
 
-        type WorkerOut = (Vec<(usize, QueryResult, u64)>, ScratchObs, Vec<QueryTrace>);
-        let collected: Vec<WorkerOut> = if workers <= 1 {
-            vec![run_worker()]
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let run_worker = &run_worker;
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(move |_| run_worker()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("serve worker panicked"))
-                    .collect()
-            })
-            .expect("serve scope panicked")
-        };
+        // `workers` copies of the claiming loop, the caller one of them.
+        let collected = fan_out(vec![(); workers], |()| run_worker());
 
         let wall_nanos = t0.elapsed().as_nanos() as u64;
         let wall_secs = wall_nanos as f64 / 1e9;

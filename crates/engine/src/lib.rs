@@ -20,9 +20,10 @@
 //!   box pruning for range queries, best-first probing with a tightening
 //!   cutoff for kNN. Skips are counted exactly in every [`ServeReport`]
 //!   (`shards_probed` / `shards_pruned`),
-//! * batches of mixed range / kNN queries ([`Query`]) execute on a
-//!   crossbeam scoped-thread worker pool ([`ShardedEngine::serve`]), with
-//!   per-shard partial results merged per query — a set union for range
+//! * batches of mixed range / kNN queries ([`Query`]) execute on
+//!   `threads` workers, the calling thread one of them, each claiming the
+//!   next query ([`ShardedEngine::serve`], through
+//!   [`pmi_metric::parallel::fan_out`]), with per-shard partial results merged per query — a set union for range
 //!   queries, a bounded binary heap ([`merge::TopK`]) for the global top-k,
 //! * the paper's cost model aggregates exactly: every shard counts
 //!   `compdists` and page accesses through atomic counters, and the engine

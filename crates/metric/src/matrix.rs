@@ -7,8 +7,8 @@
 //! `A[i][j] = d(o_i, p_j)`.
 //!
 //! * [`PivotMatrix`] is that matrix flat, row-major and exact: **built
-//!   once, in parallel** ([`PivotMatrix::compute`], on the same
-//!   scoped-thread worker pool as [`crate::parallel`]), clustered over by
+//!   once, in parallel** ([`PivotMatrix::compute`], through
+//!   [`crate::parallel::fan_out`]), clustered over by
 //!   the router, and dropped once every shard has taken its members' rows.
 //! * [`PivotColumns`] is the only stored form: one planar column of u16
 //!   *bucket codes* per pivot, in local-slot order. Code `c` stands for
@@ -153,9 +153,9 @@ impl PivotMatrix {
     }
 
     /// Computes the full `objects × pivots` matrix, fanning rows across
-    /// `threads` scoped worker threads (1 ⇒ serial). Deterministic: the
-    /// output is identical for every thread count, and with a
-    /// [`CountingMetric`](crate::CountingMetric) exactly
+    /// `threads` workers, the caller one of them (1 ⇒ serial).
+    /// Deterministic: the output is identical for every thread count, and
+    /// with a [`CountingMetric`](crate::CountingMetric) exactly
     /// `objects.len() * pivots.len()` evaluations are counted.
     pub fn compute<O, M>(objects: &[O], metric: &M, pivots: &[O], threads: usize) -> Self
     where
@@ -172,10 +172,11 @@ impl PivotMatrix {
 
     /// The one chunked fill: an `objects.len() × width` matrix whose rows
     /// `fill` writes. `fill(run, slots)` gets a contiguous run of objects
-    /// and their zeroed row slots (`run.len() * width` values, row-major)
-    /// — the whole input on the calling thread, or one run per scoped
-    /// worker when `threads > 1`. Row `i` depends on `objects[i]` alone, so
-    /// the result is the same for every thread count.
+    /// and their zeroed row slots (`run.len() * width` values, row-major):
+    /// one run per thread, [`fan_out`](crate::parallel::fan_out) running
+    /// the last on the caller, or the whole input as one run when there are
+    /// fewer than two rows a thread. Row `i` depends on `objects[i]` alone,
+    /// so the result is the same for every thread count.
     pub fn fill_with<O, F>(objects: &[O], width: usize, threads: usize, fill: F) -> Self
     where
         O: Sync,
@@ -184,18 +185,17 @@ impl PivotMatrix {
         let rows = objects.len();
         let mut data = vec![0.0f64; width * rows];
         let threads = threads.max(1);
-        if threads == 1 || rows < 2 * threads || width == 0 {
-            fill(objects, &mut data);
+        // `rows / 2 < threads` is `rows < 2 * threads` without the overflow.
+        let runs: Vec<(&[O], &mut [f64])> = if rows / 2 < threads || width == 0 {
+            vec![(objects, &mut data)]
         } else {
             let chunk = rows.div_ceil(threads);
-            let fill = &fill;
-            crossbeam::thread::scope(|s| {
-                for (slots, run) in data.chunks_mut(chunk * width).zip(objects.chunks(chunk)) {
-                    s.spawn(move |_| fill(run, slots));
-                }
-            })
-            .expect("matrix worker thread panicked");
-        }
+            objects
+                .chunks(chunk)
+                .zip(data.chunks_mut(chunk * width))
+                .collect()
+        };
+        crate::parallel::fan_out(runs, |(run, slots)| fill(run, slots));
         PivotMatrix { data, width, rows }
     }
 

@@ -11,16 +11,17 @@
 //!
 //! Every step is a linear pass over the matrix rows plus work proportional
 //! to the proposals a full shard turns away. The per-object passes run over
-//! row ranges, and the per-shard work shard by shard, on the caller's
-//! threads; every merge is exact, so the assignment does not depend on the
-//! thread count (see `docs/performance.md`, "Build and partition cost").
+//! row ranges, and the per-shard work shard by shard, on up to `threads`
+//! workers with the caller one of them; every merge is exact, so the
+//! assignment does not depend on the thread count (see
+//! `docs/performance.md`, "Build and partition cost").
 
-use pmi_metric::parallel::map_row_chunks;
+use pmi_metric::parallel::{claim_each, map_row_chunks};
 use pmi_metric::PivotMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 /// Assignment iterations; balanced k-means converges fast and the result
 /// only steers routing quality, never correctness.
@@ -96,8 +97,9 @@ pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, seed: u64) -> Vec
 /// data), plus `O(shards)` per round; and `O(n)` memory beyond the matrix:
 /// nothing is stored per (object, shard) pair. Seeding, the first proposals
 /// and each round's next proposals run over row ranges, and the select,
-/// heapify and acceptances shard by shard, on up to `threads` scoped
-/// threads; the partition is the same for every `threads`.
+/// heapify and acceptances shard by shard, on up to `threads` workers, the
+/// caller one of them ([`pmi_metric::parallel`]); the partition is the same
+/// for every `threads`.
 ///
 /// # Panics
 ///
@@ -383,16 +385,12 @@ impl Shard {
     }
 }
 
-/// One shard's part of a pass: its id, the shard, its slots of the output
-/// and where to record how many of them it wrote.
-type Task<'a> = (usize, &'a mut Shard, &'a mut [Move], &'a mut usize);
-
 /// Runs `work(s, shard, slots)` on every shard, where `slots` is the
 /// shard's own `bound[s]` entries of `out` and `work` returns how many it
-/// wrote; then packs what was written, in shard order, into `out`. With
-/// `threads > 1` and at least `floor` slots a thread, up to `threads`
-/// workers, the caller one of them, take the shards most slots first, each
-/// the next one left as it finishes. Nothing is allocated off the caller.
+/// wrote; then packs what was written, in shard order, into `out`. Up to
+/// `threads` workers, one per `floor` slots at most and the caller one of
+/// them, take the shards most slots first ([`claim_each`]). Nothing is
+/// allocated off the caller.
 fn for_each_shard<F>(
     shards: &mut [Shard],
     bound: &[usize],
@@ -404,46 +402,22 @@ fn for_each_shard<F>(
     F: Fn(usize, &mut Shard, &mut [Move]) -> usize + Sync,
 {
     let total: usize = bound.iter().sum();
-    let workers = threads.min(total / floor.max(1)).clamp(1, shards.len());
+    let workers = threads.min(total / floor.max(1));
     out.resize(total, (0, 0, 0));
-    let mut written = vec![0usize; shards.len()];
-    let mut tasks: Vec<Task> = Vec::with_capacity(shards.len());
+    let mut tasks = Vec::with_capacity(shards.len());
     let mut rest = &mut out[..];
-    for (((s, shard), &bound), written) in
-        shards.iter_mut().enumerate().zip(bound).zip(&mut written)
-    {
+    for ((s, shard), &bound) in shards.iter_mut().enumerate().zip(bound) {
         let (slots, tail) = std::mem::take(&mut rest).split_at_mut(bound);
         rest = tail;
-        tasks.push((s, shard, slots, written));
+        tasks.push((s, shard, slots));
     }
-    let run = |(s, shard, slots, written): Task| *written = work(s, shard, slots);
-    if workers == 1 {
-        tasks.into_iter().for_each(run);
-    } else {
-        // Ascending, so that `pop` hands out the largest first.
-        tasks.sort_by_key(|task| task.2.len());
-        let queue = Mutex::new(tasks);
-        // The guard drops inside `next`, not at the end of the loop body.
-        let next = || {
-            queue
-                .lock()
-                .expect("no worker panics holding the queue")
-                .pop()
-        };
-        let drain = || {
-            while let Some(task) = next() {
-                run(task);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(drain);
-            }
-            drain();
-        });
-    }
+    tasks.sort_by_key(|task| Reverse(task.2.len()));
+    let mut written = claim_each(tasks, workers, |(s, shard, slots)| {
+        (s, work(s, shard, slots))
+    });
+    written.sort_unstable();
     let (mut from, mut to) = (0, 0);
-    for (&bound, &written) in bound.iter().zip(&written) {
+    for (&bound, &(_, written)) in bound.iter().zip(&written) {
         out.copy_within(from..from + written, to);
         from += bound;
         to += written;

@@ -65,8 +65,12 @@ fn merged(k: usize, seed: f64, local: &[Neighbor]) -> Vec<(u32, u64)> {
     let mut topk = TopK::new(k);
     (0..k as u32).for_each(|i| topk.offer(Neighbor::new(u32::MAX - i, seed)));
     local.iter().for_each(|&n| topk.offer(n));
-    let out = topk.drain_sorted();
-    out.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    id_bits(&topk.drain_sorted())
+}
+
+/// An answer as `(id, distance bits)`, for equality bit for bit.
+fn id_bits(answer: &[Neighbor]) -> Vec<(u32, u64)> {
+    answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
 }
 
 /// The contract of `MetricIndex::knn_query_into_seeded`, for every kind
@@ -182,7 +186,8 @@ proptest! {
                 for b in &v {
                     let dab = m.dist(a, b);
                     prop_assert!(dab >= 0.0);
-                    prop_assert!((dab - m.dist(b, a)).abs() < 1e-9, "symmetry");
+                    // Bitwise: HFI computes each pair distance once.
+                    prop_assert_eq!(dab.to_bits(), m.dist(b, a).to_bits(), "symmetry");
                     if a == b {
                         prop_assert_eq!(dab, 0.0);
                     }
@@ -312,12 +317,14 @@ proptest! {
         let mut want = oracle.range_query(q, r);
         want.sort_unstable();
         prop_assert_eq!(got, want, "{} MRQ", kind.label());
-        let gk = idx.knn_query(q, k);
-        let wk = oracle.knn_query(q, k);
-        prop_assert_eq!(gk.len(), wk.len());
-        for (g, w) in gk.iter().zip(&wk) {
-            prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} kNN", kind.label());
-        }
+        // Bit for bit, ties included: every kind computes the same `dist`
+        // and breaks ties by the smaller id, as the oracle does.
+        prop_assert_eq!(
+            id_bits(&idx.knn_query(q, k)),
+            id_bits(&oracle.knn_query(q, k)),
+            "{} kNN",
+            kind.label()
+        );
     }
 
     #[test]
