@@ -167,8 +167,9 @@ where
 }
 
 /// Regenerates Table 4 (construction costs and storage sizes). LAESA and
-/// CPT store their pivot distances as u16 buckets — 2 B each in `Mem(KB)`
-/// where the paper's implementation used 8.
+/// CPT store their pivot distances as u16 buckets, and VPT / MVPT leaves
+/// their path distances — 2 B each in `Mem(KB)` where the paper's
+/// implementation used 8.
 pub fn table4(cfg: &ExpConfig) -> Vec<(Scenario, Vec<(IndexKind, BuildStats)>)> {
     let mut all = Vec::new();
     for s in Scenario::ALL {

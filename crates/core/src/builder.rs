@@ -90,6 +90,23 @@ impl IndexKind {
         matches!(self, IndexKind::Bkt | IndexKind::Fqt | IndexKind::Fqa)
     }
 
+    /// The fewest shared pivots the index can be built over: two for the
+    /// M-index (hyperplane partitioning), one for the kinds that split or
+    /// sign on them level by level (FQT, FQA, VPT, MVPT) or index the
+    /// mapped space itself (OmniR-tree, SPB-tree), none for the rest.
+    pub fn min_pivots(&self) -> usize {
+        match self {
+            IndexKind::MIndex | IndexKind::MIndexStar => 2,
+            IndexKind::Fqt
+            | IndexKind::Fqa
+            | IndexKind::Vpt
+            | IndexKind::Mvpt
+            | IndexKind::OmniR
+            | IndexKind::Spb => 1,
+            _ => 0,
+        }
+    }
+
     /// Whether the index stores data on (simulated) disk.
     pub fn is_disk_based(&self) -> bool {
         matches!(
@@ -126,7 +143,8 @@ impl IndexKind {
 pub enum BuildError {
     /// BKT/FQT need a discrete distance function (paper §4.1).
     RequiresDiscreteMetric(IndexKind),
-    /// The M-index needs at least two pivots (hyperplane partitioning).
+    /// The kind needs more pivots ([`IndexKind::min_pivots`]) than the
+    /// given number.
     NotEnoughPivots(IndexKind, usize),
     /// A sharded engine was requested with `EngineConfig::shards == 0`.
     ZeroShards,
@@ -227,6 +245,9 @@ where
     if kind.requires_discrete() && !metric.is_discrete() {
         return Err(BuildError::RequiresDiscreteMetric(kind));
     }
+    if pivots.len() < kind.min_pivots() {
+        return Err(BuildError::NotEnoughPivots(kind, pivots.len()));
+    }
     let disk = DiskSim::new(match kind {
         IndexKind::Cpt | IndexKind::PmTree => opts.inline_page_size,
         _ => opts.page_size,
@@ -297,22 +318,17 @@ where
             Box::new(OmniBPlus::build(objects, metric, pivots, disk, opts.d_plus))
         }
         IndexKind::OmniR => Box::new(OmniRTree::build(objects, metric, pivots, disk)),
-        IndexKind::MIndex | IndexKind::MIndexStar => {
-            if pivots.len() < 2 {
-                return Err(BuildError::NotEnoughPivots(kind, pivots.len()));
-            }
-            Box::new(MIndex::build(
-                objects,
-                metric,
-                pivots,
-                disk,
-                MIndexConfig {
-                    d_plus: opts.d_plus,
-                    maxnum: opts.maxnum,
-                    starred: kind == IndexKind::MIndexStar,
-                },
-            ))
-        }
+        IndexKind::MIndex | IndexKind::MIndexStar => Box::new(MIndex::build(
+            objects,
+            metric,
+            pivots,
+            disk,
+            MIndexConfig {
+                d_plus: opts.d_plus,
+                maxnum: opts.maxnum,
+                starred: kind == IndexKind::MIndexStar,
+            },
+        )),
         IndexKind::Spb => Box::new(SpbTree::build(
             objects,
             metric,
@@ -332,8 +348,10 @@ where
 /// true (LAESA, CPT, FQA) take ownership of `rows` (row `i` =
 /// `objects[i]`'s distances to `pivots`) instead of recomputing the `n · l`
 /// table, with byte-identical query behavior — and engine inserts then
-/// hand over one precomputed row the index appends. Every other kind —
-/// and an FQA over rows that do not hold every discrete distance exactly
+/// hand over one precomputed row the index appends. VPT and MVPT build as
+/// [`build_index`] does but store their leaf codes under the rows' step,
+/// so each equals the code the rows hold for that member. Every other kind
+/// — and an FQA over rows that do not hold every discrete distance exactly
 /// ([`PivotColumns::holds_integers_exactly`]: distances beyond 65 535) —
 /// drops the rows and builds exactly as [`build_index`] does. This is the shard
 /// factory the facade hands `ShardedEngine::build` for an engine with a
@@ -351,8 +369,12 @@ where
     M: Metric<O> + Clone + 'static,
 {
     use pmi_tables::*;
-    use pmi_trees::Fqa;
+    use pmi_trees::{Fqa, Mvpt, MvptConfig};
 
+    if pivots.len() < kind.min_pivots() {
+        // Refused: `build_index` says why.
+        return build_index(kind, objects, metric, pivots, opts);
+    }
     match kind {
         IndexKind::Laesa => Ok(Box::new(Laesa::build_with_matrix(
             objects, metric, pivots, rows,
@@ -374,6 +396,20 @@ where
                 rows,
                 opts.d_plus,
                 opts.buckets as u32,
+            )))
+        }
+        IndexKind::Vpt | IndexKind::Mvpt => {
+            let cfg = MvptConfig {
+                arity: if kind == IndexKind::Vpt {
+                    2
+                } else {
+                    opts.mvpt_arity
+                },
+                leaf_cap: opts.mvpt_leaf_cap,
+            };
+            let step = rows.step();
+            Ok(Box::new(Mvpt::build_with_step(
+                objects, metric, pivots, cfg, step,
             )))
         }
         _ => build_index(kind, objects, metric, pivots, opts),
@@ -497,6 +533,94 @@ mod tests {
         };
         let err = build_vector_index(IndexKind::MIndexStar, pts, L2, &opts);
         assert!(matches!(err, Err(BuildError::NotEnoughPivots(_, 1))));
+    }
+
+    /// Every kind over no pivots, on a continuous and a discrete space,
+    /// standalone and behind both engine policies: built, or refused with
+    /// an error — never a panic. The kinds that split or sign on the
+    /// shared pivots refuse with `NotEnoughPivots`.
+    #[test]
+    fn zero_pivots_build_or_refuse_and_never_panic() {
+        use crate::serve::{build_sharded_engine, build_sharded_vector_engine};
+        use pmi_engine::EngineConfig;
+        use pmi_metric::EditDistance;
+        use pmi_router::PartitionPolicy;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let kinds = [
+            IndexKind::Aesa,
+            IndexKind::Laesa,
+            IndexKind::Ept,
+            IndexKind::EptStar,
+            IndexKind::Cpt,
+            IndexKind::Bkt,
+            IndexKind::Fqt,
+            IndexKind::Fqa,
+            IndexKind::Vpt,
+            IndexKind::Mvpt,
+            IndexKind::PmTree,
+            IndexKind::OmniSeq,
+            IndexKind::OmniBPlus,
+            IndexKind::OmniR,
+            IndexKind::MIndex,
+            IndexKind::MIndexStar,
+            IndexKind::Spb,
+        ];
+        let pts = datasets::la(120, 7);
+        let words = datasets::words(120, 7);
+        let opts = BuildOptions {
+            num_pivots: 0,
+            d_plus: 14143.0,
+            maxnum: 32,
+            ..BuildOptions::default()
+        };
+        let cfg = EngineConfig {
+            shards: 3,
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let refused = |kind: IndexKind, err: &BuildError, ctx: &str| {
+            if kind.min_pivots() > 0 && !kind.requires_discrete() {
+                assert_eq!(*err, BuildError::NotEnoughPivots(kind, 0), "{ctx}");
+            }
+        };
+        for kind in kinds {
+            let label = kind.label();
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                build_index(kind, pts.clone(), L2, Vec::new(), &opts).map(|_| ())
+            }));
+            let ctx = format!("{label} LA standalone");
+            match built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                Ok(()) => assert_eq!(kind.min_pivots(), 0, "{ctx}"),
+                Err(e) => refused(kind, &e, &ctx),
+            }
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                build_index(kind, words.clone(), EditDistance, Vec::new(), &opts).map(|_| ())
+            }));
+            let ctx = format!("{label} Words standalone");
+            match built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                Ok(()) => assert_eq!(kind.min_pivots(), 0, "{ctx}"),
+                Err(e) => assert_eq!(e, BuildError::NotEnoughPivots(kind, 0), "{ctx}"),
+            }
+            for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+                let built = catch_unwind(AssertUnwindSafe(|| {
+                    build_sharded_vector_engine(kind, pts.clone(), L2, &opts, &cfg, policy)
+                        .map(|_| ())
+                }));
+                let ctx = format!("{label} LA engine {policy:?}");
+                if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                    refused(kind, &e, &ctx);
+                }
+                let built = catch_unwind(AssertUnwindSafe(|| {
+                    let (w, m) = (words.clone(), EditDistance);
+                    build_sharded_engine(kind, w, m, Vec::new(), &opts, &cfg, policy).map(|_| ())
+                }));
+                let ctx = format!("{label} Words engine {policy:?}");
+                if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                    assert_eq!(e, BuildError::NotEnoughPivots(kind, 0), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

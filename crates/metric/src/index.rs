@@ -154,6 +154,13 @@ pub trait MetricIndex<O>: Send + Sync {
         let _ = bytes;
     }
 
+    /// The index as its concrete type, for inspecting a boxed one (a
+    /// shard's) through `downcast_ref`; `None` for kinds that offer
+    /// nothing to inspect beyond this trait.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
+
     /// An independently mutable copy of this index: the engine's one write
     /// path forks the shards an `apply` batch touches, mutates the forks
     /// off to the side, and publishes them in one snapshot swap while

@@ -92,7 +92,7 @@ pub fn step_for(max: f64) -> f64 {
 /// (and `+∞`) is the top code, below zero and `NaN` — no distance — are
 /// code 0.
 #[inline]
-fn quantise(x: f64, step: f64) -> u16 {
+pub fn quantise(x: f64, step: f64) -> u16 {
     (x * (1.0 / step)) as u16
 }
 
@@ -118,6 +118,31 @@ pub fn stored_interval(y: f64, step: f64) -> (f64, f64) {
         y + step
     };
     (y, hi)
+}
+
+/// Lemma 1 over a row stored as `codes` under `step`, against the *exact*
+/// query map `qd`: the largest distance by which some `qd[j]` lies outside
+/// the bucket of `codes[j]` (`[c·step, (c+1)·step]`, the top one open
+/// above). Every row the codes stand for is at least this far from the
+/// query, so the bound is admissible; it gives back at most one step of
+/// the exact `max_j |qd[j] − d_j|` where no code saturates — what a tree
+/// leaf that stores its path distances as codes filters with.
+#[inline]
+pub fn code_lower_bound(qd: &[f64], codes: &[u16], step: f64) -> f64 {
+    debug_assert_eq!(qd.len(), codes.len());
+    let mut m = 0.0f64;
+    for (&q, &c) in qd.iter().zip(codes) {
+        let lo = f64::from(c) * step;
+        let hi = if c == TOP { f64::INFINITY } else { lo + step };
+        let (below, above) = (lo - q, q - hi);
+        if below > m {
+            m = below;
+        }
+        if above > m {
+            m = above;
+        }
+    }
+    m
 }
 
 /// The transient, exact, row-major `n × l` matrix a build computes:
@@ -887,6 +912,17 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// `(cell, frac)`: the distance `(cell + frac / 1024) · step` — inside
+    /// the coded range, on a bucket edge, in the top bucket or far beyond.
+    fn offset() -> impl Strategy<Value = (u32, u32)> {
+        prop_oneof![
+            4 => (0u32..65_535, 0u32..1024),
+            2 => (0u32..65_535).prop_map(|cell| (cell, 0)),
+            1 => (65_535u32..65_600, 0u32..1024),
+            1 => (65_600u32..10_000_000, 0u32..1024),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -929,6 +965,42 @@ mod tests {
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} row {}", tier, i);
                 }
+            }
+        }
+
+        /// A tree leaf's bound over points on a line: the object at 0, the
+        /// pivots and the query at dyadic offsets either side of it, so
+        /// every distance and difference is exact. It is never above the
+        /// exact Lemma 1 bound `max_j |qd_j − d_j|`, which is never above
+        /// `d(q, o)`; and where no code saturates it is at most one step
+        /// below the exact bound, so a silently loose leaf filter fails too.
+        /// (Exactly one step when the distance sits on its bucket's lower
+        /// edge and the query lies above the bucket: the code cannot tell
+        /// that distance from one just under the upper edge.)
+        #[test]
+        fn code_lower_bound_is_admissible_and_within_one_step(
+            depth in 1usize..=8,
+            step_exp in -10i32..=8,
+            pivots in prop::collection::vec((0u8..2, offset()), 8),
+            query in (0u8..2, offset()),
+        ) {
+            let step = 2f64.powi(step_exp);
+            let at = |&(side, (cell, frac)): &(u8, (u32, u32))| {
+                let x = (f64::from(cell) + f64::from(frac) / 1024.0) * step;
+                if side == 0 { x } else { -x }
+            };
+            let q = at(&query);
+            let pivots: Vec<f64> = pivots[..depth].iter().map(at).collect();
+            let d: Vec<f64> = pivots.iter().map(|p| p.abs()).collect();
+            let qd: Vec<f64> = pivots.iter().map(|p| (q - p).abs()).collect();
+            let codes: Vec<u16> = d.iter().map(|&x| quantise(x, step)).collect();
+            let bound = code_lower_bound(&qd, &codes, step);
+            let exact = qd.iter().zip(&d).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+            prop_assert!(bound >= 0.0);
+            prop_assert!(bound <= exact, "{} > exact {}", bound, exact);
+            prop_assert!(exact <= q.abs(), "{} > d(q, o) {}", exact, q.abs());
+            if codes.iter().all(|&c| c < TOP) {
+                prop_assert!(bound >= exact - step, "{} loose of {}", bound, exact);
             }
         }
     }

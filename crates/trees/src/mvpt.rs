@@ -5,14 +5,24 @@
 //! their distances to the level's pivot; VPT is the `m = 2` case and the
 //! paper fixes `m = 5` for MVPT. To allow apples-to-apples comparison with
 //! the other indexes, nodes at the same level share the same pivot (§4.3),
-//! taken from the workspace-wide HFI set. Leaves store, for each object,
-//! its exact distances to all path pivots, enabling full Lemma 1 filtering
-//! at the leaf level — this is the subset of pre-computed distances the
-//! paper says the trees keep. A leaf keeps them flat, one row of `depth`
-//! distances per entry, so it is two allocations however many entries it
-//! holds.
+//! taken from the workspace-wide HFI set. Internal nodes keep their cuts as
+//! exact f64s, and every descent compares exact distances against them.
+//!
+//! Leaves store, for each object, its distances to all path pivots — the
+//! subset of pre-computed distances the paper says the trees keep, so that
+//! Lemma 1 filters at the leaf level. They are stored the way every pivot
+//! table stores them ([`pmi_metric::matrix`]): one u16 bucket code per
+//! distance under the tree's one power-of-two `step`, flat, one row of
+//! `depth` codes per entry, so a leaf is two allocations however many
+//! entries it holds. A code stands for an interval of distances; the leaf
+//! filter tests that interval against the exact query distance
+//! ([`code_lower_bound`]), which only ever gives back bound, never an
+//! answer. In a sharded engine the tree takes the step of the shard's
+//! stored columns, so each leaf code equals the shard's code for that
+//! member; a standalone build sizes the step from the largest distance it
+//! computed ([`step_for`]).
 
-use pmi_metric::lemmas;
+use pmi_metric::matrix::{code_lower_bound, quantise, step_for};
 use pmi_metric::{
     dists_from, Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor,
     ObjId, ObjTable, QueryScratch, StorageFootprint,
@@ -47,11 +57,12 @@ enum Node {
         children: Vec<Arc<Node>>,
     },
     Leaf {
-        /// Object ids plus their distances to the path pivots, entry after
-        /// entry: `pdists[i * depth + lvl] = d(o_i, P[lvl])`, so
-        /// `pdists.len() == ids.len() * depth`.
+        /// Object ids plus the codes of their distances to the path pivots,
+        /// entry after entry: `codes[i * depth + lvl]` is `d(o_i, P[lvl])`
+        /// stored under the tree's step, so
+        /// `codes.len() == ids.len() * depth`.
         ids: Vec<ObjId>,
-        pdists: Vec<f64>,
+        codes: Vec<u16>,
         /// Path distances per entry: the leaf's level, or one more when
         /// degenerate cuts stopped the split.
         depth: usize,
@@ -74,6 +85,9 @@ pub struct Mvpt<O, M> {
     root: Arc<Node>,
     table: ObjTable<O>,
     node_count: usize,
+    /// The bucket width of every leaf code, a power of two, fixed for the
+    /// tree's life.
+    step: f64,
 }
 
 impl<O, M> Mvpt<O, M>
@@ -81,8 +95,38 @@ where
     O: Clone + EncodeObject + Send + Sync + 'static,
     M: Metric<O>,
 {
-    /// Builds an MVPT with one shared pivot per level (`pivots[lvl]`).
+    /// Builds an MVPT with one shared pivot per level (`pivots[lvl]`),
+    /// storing leaf codes under [`step_for`] the largest distance the build
+    /// computed.
     pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>, cfg: MvptConfig) -> Self {
+        Self::build_under(objects, metric, pivots, cfg, None)
+    }
+
+    /// [`build`](Self::build), storing leaf codes under `step` (a power of
+    /// two) — the step of the [`PivotColumns`](pmi_metric::PivotColumns)
+    /// the tree sits beside, so each leaf code equals the column's code for
+    /// that member. Same tree, same distance count.
+    pub fn build_with_step(
+        objects: Vec<O>,
+        metric: M,
+        pivots: Vec<O>,
+        cfg: MvptConfig,
+        step: f64,
+    ) -> Self {
+        assert!(
+            step > 0.0 && step.is_finite() && step.to_bits() << 12 == 0,
+            "{step} is not a power of two"
+        );
+        Self::build_under(objects, metric, pivots, cfg, Some(step))
+    }
+
+    fn build_under(
+        objects: Vec<O>,
+        metric: M,
+        pivots: Vec<O>,
+        cfg: MvptConfig,
+        step: Option<f64>,
+    ) -> Self {
         assert!(cfg.arity >= 2, "MVPT arity must be at least 2");
         assert!(!pivots.is_empty(), "MVPT needs at least one pivot");
         let metric = CountingMetric::new(metric);
@@ -93,15 +137,16 @@ where
             cfg,
             root: Arc::new(Node::Leaf {
                 ids: Vec::new(),
-                pdists: Vec::new(),
+                codes: Vec::new(),
                 depth: 0,
             }),
             table,
             node_count: 0,
+            step: 1.0,
         };
         let ids: Vec<ObjId> = t.table.iter().map(|(id, _)| id).collect();
         let rows = vec![0.0; ids.len() * t.pivots.len()];
-        t.root = Arc::new(t.subtree(ids, rows, 0));
+        t.root = Arc::new(t.subtree(ids, rows, 0, step));
         t
     }
 
@@ -125,10 +170,42 @@ where
         &self.metric
     }
 
+    /// The bucket width of every leaf code.
+    pub fn step(&self) -> f64 {
+        self.step
+    }
+
+    /// Every leaf entry with its stored path codes (`codes[lvl]` for
+    /// `d(o, pivots[lvl])`), leaf after leaf, depth first.
+    pub fn leaf_codes(&self) -> Vec<(ObjId, &[u16])> {
+        fn walk<'a>(node: &'a Node, out: &mut Vec<(ObjId, &'a [u16])>) {
+            match node {
+                Node::Leaf { ids, codes, depth } => {
+                    let rows = ids.iter().enumerate();
+                    out.extend(rows.map(|(i, &id)| (id, &codes[i * depth..][..*depth])));
+                }
+                Node::Internal { children, .. } => {
+                    children.iter().for_each(|c| walk(c, out));
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, &mut out);
+        out
+    }
+
     /// Builds the subtree at `level` over `ids`, whose path distances so
     /// far fill the first `level` columns of `rows` (one row of
-    /// `pivots.len()` per id), and counts its nodes.
-    fn subtree(&mut self, ids: Vec<ObjId>, rows: Vec<f64>, level: usize) -> Node {
+    /// `pivots.len()` per id), and counts its nodes. Its leaves store codes
+    /// under `step`, or — `None`, a whole build — under [`step_for`] the
+    /// largest distance the builder computed, which becomes the tree's.
+    fn subtree(
+        &mut self,
+        ids: Vec<ObjId>,
+        rows: Vec<f64>,
+        level: usize,
+        step: Option<f64>,
+    ) -> Node {
         let mut items: Vec<u32> = (0..ids.len() as u32).collect();
         let mut b = Builder {
             metric: &self.metric,
@@ -140,8 +217,21 @@ where
             keys: Vec::new(),
             nodes: 0,
         };
-        let node = b.node(&mut items, level);
+        let mut node = b.node(&mut items, level);
         self.node_count += b.nodes;
+        self.step = step.unwrap_or_else(|| {
+            step_for(
+                b.rows
+                    .iter()
+                    .copied()
+                    .filter(|d| d.is_finite())
+                    .fold(0.0, f64::max),
+            )
+        });
+        // The leaves hold their entries in slice order, and the children of
+        // a node take consecutive sub-slices: leaf after leaf, depth first,
+        // they list `items` front to back.
+        b.encode(&mut node, &mut items.iter(), self.step);
         node
     }
 
@@ -166,13 +256,13 @@ where
         out: &mut Vec<ObjId>,
     ) {
         match node {
-            Node::Leaf { ids, pdists, depth } => {
+            Node::Leaf { ids, codes, depth } => {
                 let q_dists = &q_dists[..*depth];
                 for (idx, &id) in ids.iter().enumerate() {
-                    // The leaf's own distances first: the table (liveness
-                    // bit, then the object) is read for survivors only.
-                    let pd = &pdists[idx * depth..][..*depth];
-                    if lemmas::lemma1_prunable(q_dists, pd, r) {
+                    // The leaf's own codes first: the table (liveness bit,
+                    // then the object) is read for survivors only.
+                    let row = &codes[idx * depth..][..*depth];
+                    if code_lower_bound(q_dists, row, self.step) > r {
                         continue;
                     }
                     let Some(o) = self.table.get(id) else {
@@ -264,18 +354,33 @@ impl<O, M: Metric<O>> Builder<'_, O, M> {
         Node::Internal { cuts, children }
     }
 
-    /// A leaf of `items` in slice order, each with its first `depth` path
-    /// distances.
+    /// A leaf of `items` in slice order, each to hold its first `depth`
+    /// path distances; [`encode`](Self::encode) stores them.
     fn leaf(&self, items: &[u32], depth: usize) -> Node {
-        let l = self.pivots.len();
-        let mut pdists = Vec::with_capacity(items.len() * depth);
-        for &p in items {
-            pdists.extend_from_slice(&self.rows[p as usize * l..][..depth]);
-        }
         Node::Leaf {
             ids: items.iter().map(|&p| self.ids[p as usize]).collect(),
-            pdists,
+            codes: Vec::with_capacity(items.len() * depth),
             depth,
+        }
+    }
+
+    /// Stores the codes of every leaf under `node`, leaf after leaf in
+    /// depth-first order, taking its entries' rows from `items` in turn.
+    fn encode(&self, node: &mut Node, items: &mut std::slice::Iter<'_, u32>, step: f64) {
+        let l = self.pivots.len();
+        match node {
+            Node::Leaf { ids, codes, depth } => {
+                for &p in items.by_ref().take(ids.len()) {
+                    let row = &self.rows[p as usize * l..][..*depth];
+                    codes.extend(row.iter().map(|&d| quantise(d, step)));
+                }
+            }
+            Node::Internal { children, .. } => {
+                for child in children {
+                    let child = Arc::get_mut(child).expect("a fresh subtree is unshared");
+                    self.encode(child, items, step);
+                }
+            }
         }
     }
 }
@@ -295,6 +400,10 @@ where
 
     fn fork(&self) -> Box<dyn MetricIndex<O>> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 
     fn len(&self) -> usize {
@@ -334,12 +443,12 @@ where
             }
             let (node, level) = nodes[idx];
             match node {
-                Node::Leaf { ids, pdists, depth } => {
+                Node::Leaf { ids, codes, depth } => {
                     let qd = &qd[..*depth];
                     for (i, &id) in ids.iter().enumerate() {
                         let r = best.radius();
-                        let pd = &pdists[i * depth..][..*depth];
-                        if r.is_finite() && lemmas::lemma1_prunable(qd, pd, r) {
+                        let row = &codes[i * depth..][..*depth];
+                        if r.is_finite() && code_lower_bound(qd, row, self.step) > r {
                             continue;
                         }
                         if let Some(o) = self.table.get(id) {
@@ -379,6 +488,7 @@ where
         let mut pd: Vec<f64> = Vec::new();
         let mut path: Vec<usize> = Vec::new();
         let mut split: Option<(Vec<ObjId>, Vec<f64>, usize)> = None;
+        let step = self.step;
         {
             let mut node = Arc::make_mut(&mut self.root);
             let mut level = 0usize;
@@ -398,7 +508,7 @@ where
                         node = Arc::make_mut(&mut children[idx]);
                         level += 1;
                     }
-                    Node::Leaf { ids, pdists, depth } => {
+                    Node::Leaf { ids, codes, depth } => {
                         // A leaf under degenerate cuts holds one more path
                         // distance than its level; an empty leaf takes the
                         // descent's.
@@ -409,13 +519,17 @@ where
                             pd.push(self.metric.dist(&o, &self.pivots[pd.len()]));
                         }
                         ids.push(id);
-                        pdists.extend_from_slice(&pd[..*depth]);
+                        codes.extend(pd[..*depth].iter().map(|&d| quantise(d, step)));
                         if ids.len() > self.cfg.leaf_cap * 2 && level < self.pivots.len() {
-                            // The builder recomputes from `level`.
+                            // The builder recomputes from `level`; above it,
+                            // each code's lower edge stores as the same code.
                             let l = self.pivots.len();
                             let mut rows = vec![0.0; ids.len() * l];
                             for (i, row) in rows.chunks_exact_mut(l).enumerate() {
-                                row[..level].copy_from_slice(&pdists[i * *depth..][..level]);
+                                let stored = &codes[i * *depth..][..level];
+                                for (x, &c) in row.iter_mut().zip(stored) {
+                                    *x = f64::from(c) * step;
+                                }
                             }
                             split = Some((std::mem::take(ids), rows, level));
                         }
@@ -427,7 +541,7 @@ where
         // Phase 2: rebuild the overflowed leaf in place.
         if let Some((ids, rows, level)) = split {
             self.node_count -= 1; // the leaf being replaced
-            let rebuilt = self.subtree(ids, rows, level);
+            let rebuilt = self.subtree(ids, rows, level, Some(self.step));
             // Phase 1 made the whole path this tree's own: no copy here.
             let mut node = Arc::make_mut(&mut self.root);
             for idx in path {
@@ -461,14 +575,14 @@ where
                     node = Arc::make_mut(&mut children[idx]);
                     level += 1;
                 }
-                Node::Leaf { ids, pdists, depth } => {
+                Node::Leaf { ids, codes, depth } => {
                     let Some(pos) = ids.iter().position(|&x| x == id) else {
                         break false;
                     };
                     let last = ids.len() - 1;
                     ids.swap_remove(pos);
-                    pdists.copy_within(last * *depth.., pos * *depth);
-                    pdists.truncate(last * *depth);
+                    codes.copy_within(last * *depth.., pos * *depth);
+                    codes.truncate(last * *depth);
                     break true;
                 }
             }
@@ -487,7 +601,7 @@ where
         let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
         fn node_bytes(n: &Node) -> u64 {
             match n {
-                Node::Leaf { ids, pdists, .. } => 4 * ids.len() as u64 + 8 * pdists.len() as u64,
+                Node::Leaf { ids, codes, .. } => 4 * ids.len() as u64 + 2 * codes.len() as u64,
                 Node::Internal { cuts, children } => {
                     8 * cuts.len() as u64 + children.iter().map(|c| node_bytes(c)).sum::<u64>()
                 }
@@ -685,13 +799,18 @@ mod tests {
         [built, fingerprint(&idx, &queries, r, k)]
     }
 
-    /// The tree's shape, storage, distance counts and answers, pinned to
-    /// constants recorded when each leaf entry kept its own `Arc<[f64]>`
-    /// row and the build a growing `Vec<f64>` per object: a rewrite of the
-    /// build or the leaf layout must return the same tree, bit for bit,
-    /// after a build and after 300 inserts (crowded around ten objects, so
-    /// leaves overflow and split) and 200 removes. Words' integer distances
-    /// make degenerate cuts (the `level + 1` leaf).
+    /// The tree's shape, storage, distance counts and answers, pinned: a
+    /// rewrite of the build or the leaf layout must return the same tree,
+    /// bit for bit, after a build and after 300 inserts (crowded around ten
+    /// objects, so leaves overflow and split) and 200 removes. Words'
+    /// integer distances make degenerate cuts (the `level + 1` leaf).
+    ///
+    /// Node counts, build distances and answers are the constants recorded
+    /// when each leaf entry kept its own `Arc<[f64]>` row. Storage (2 B a
+    /// leaf code, was 8 B an f64) and LA's query distances (a code stands
+    /// for a bucket a quarter wide, so a few more entries reach
+    /// verification) were re-pinned when leaves began to store codes;
+    /// Words' integer distances code losslessly and kept their counts.
     #[test]
     fn mvpt_golden_tree_is_pinned() {
         let la = datasets::la(5_000, 41);
@@ -720,22 +839,22 @@ mod tests {
     /// `golden_run` at arity 2 and 5.
     const GOLDEN_LA: [[[u64; 6]; 2]; 2] = [
         [
-            [1963, 485208, 49670, 2447, 2653781, 16009208973270053318],
-            [1965, 495032, 4988, 2522, 3173050, 2010456659952510091],
+            [1963, 187188, 49670, 2448, 2653781, 16009208973270053318],
+            [1965, 190850, 4988, 2525, 3173050, 2010456659952510091],
         ],
         [
-            [1301, 255920, 20950, 2496, 2653781, 16009208973270053318],
-            [1391, 265984, 2665, 2559, 3173050, 2010456659952510091],
+            [1301, 130220, 20950, 2498, 2653781, 16009208973270053318],
+            [1391, 134368, 2665, 2563, 3173050, 2010456659952510091],
         ],
     ];
     const GOLDEN_WORDS: [[[u64; 6]; 2]; 2] = [
         [
-            [589, 185140, 17635, 34234, 769976, 354095520702005248],
-            [633, 194269, 4689, 35944, 788736, 9571838058022567936],
+            [589, 79330, 17635, 34234, 769976, 354095520702005248],
+            [633, 82585, 4689, 35944, 788736, 9571838058022567936],
         ],
         [
-            [1046, 124132, 9467, 45249, 769976, 354095520702005248],
-            [1056, 128325, 2224, 48316, 788736, 9571838058022567936],
+            [1046, 67330, 9467, 45249, 769976, 354095520702005248],
+            [1056, 69267, 2224, 48316, 788736, 9571838058022567936],
         ],
     ];
 }

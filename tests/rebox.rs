@@ -20,7 +20,7 @@
 use pivot_metric_repro as pmr;
 use pmr::engine::{EngineConfig, Layout, ShardedEngine};
 use pmr::{
-    build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex,
+    build_sharded_engine, datasets, BruteForce, BuildOptions, IndexKind, Metric, MetricIndex, Mvpt,
     ObjId, PartitionPolicy, RefreshPolicy, UpdateBatch, L2,
 };
 
@@ -107,6 +107,38 @@ fn assert_rows_true(
         assert_eq!(bits(got.lo()), bits(&lo), "{ctx}: shard {s} lo");
         assert_eq!(bits(got.hi()), bits(&hi), "{ctx}: shard {s} hi");
     }
+}
+
+/// One stored form: every leaf entry of every shard's VPT / MVPT holds,
+/// code for code, what the shard's columns store for that member under the
+/// one step, and the leaves hold every live member once. Returns the trees'
+/// total node count.
+fn assert_leaf_codes_are_the_columns(e: &ShardedEngine<Vec<f32>>, ctx: &str) -> usize {
+    let step = step_of(e);
+    let mut nodes = 0;
+    for (s, shard) in e.shards().iter().enumerate() {
+        let tree = shard
+            .index()
+            .as_any()
+            .and_then(|a| a.downcast_ref::<Mvpt<Vec<f32>, L2>>())
+            .expect("a tree shard");
+        assert_eq!(tree.step(), step, "{ctx}: shard {s} step");
+        let mut held: Vec<ObjId> = Vec::new();
+        for (local, codes) in tree.leaf_codes() {
+            let stored: Vec<u16> = shard
+                .pivot_row(local)
+                .take(codes.len())
+                .map(|y| (y / step) as u16)
+                .collect();
+            assert_eq!(codes, stored, "{ctx}: shard {s} slot {local}");
+            held.push(local);
+        }
+        held.sort_unstable();
+        let live: Vec<ObjId> = shard.live_members().map(|(local, _)| local).collect();
+        assert_eq!(held, live, "{ctx}: shard {s} leaf entries");
+        nodes += tree.node_count();
+    }
+    nodes
 }
 
 /// Every routing centre against the mean of the shard's live stored rows,
@@ -280,6 +312,57 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
     }
 }
 
+/// The trees' leaf codes stay the shard's column codes through every write
+/// path: a build, inserts that split leaves, removes, a commit that
+/// re-clusters and a `compact()`.
+#[test]
+fn tree_leaves_store_the_shard_columns_codes() {
+    let pts = datasets::la(400, 21);
+    let refresh = RefreshPolicy {
+        max_imbalance: 2.0,
+        min_objects: 50,
+    };
+    let near = |i: usize| {
+        let mut o = pts[7].clone();
+        o[0] += (i % 17) as f32;
+        o[1] += (i % 13) as f32;
+        o
+    };
+    for kind in [IndexKind::Vpt, IndexKind::Mvpt] {
+        let label = kind.label();
+        let mut e = engine(kind, &pts, refresh, PartitionPolicy::PivotSpace);
+        let built = assert_leaf_codes_are_the_columns(&e, &format!("{label} build"));
+
+        // Forty near-duplicates land in one leaf and split it, short of
+        // the imbalance that re-clusters.
+        let mut batch = UpdateBatch::new();
+        for i in 0..40 {
+            batch.insert(near(i));
+        }
+        let report = e.apply(&batch);
+        assert_eq!((report.inserts, report.reclusters), (40, 0), "{label}");
+        let split = assert_leaf_codes_are_the_columns(&e, &format!("{label} inserts"));
+        assert!(split > built, "{label}: a leaf split");
+
+        let mut batch = UpdateBatch::new();
+        for g in (0..440).step_by(7) {
+            batch.remove(g);
+        }
+        assert_eq!(e.apply(&batch).removes, 63, "{label}");
+        assert_leaf_codes_are_the_columns(&e, &format!("{label} removes"));
+
+        let mut batch = UpdateBatch::new();
+        for i in 0..300 {
+            batch.insert(near(i));
+        }
+        assert_eq!(e.apply(&batch).reclusters, 1, "{label}");
+        assert_leaf_codes_are_the_columns(&e, &format!("{label} re-cluster"));
+
+        assert_eq!(e.compact(), 63, "{label}");
+        assert_leaf_codes_are_the_columns(&e, &format!("{label} compacted"));
+    }
+}
+
 /// Two 1-d clusters under one pivot at the origin, so a row is the
 /// object's coordinate: shard 0 holds 0..=9 (even ids), shard 1 holds
 /// 100..=109 (odd ids; id `2i + 1` is `100 + i`).
@@ -396,7 +479,9 @@ fn only_a_member_on_a_face_triggers_a_recomputation() {
 /// saturated: their shard's box opens above on every dimension, they are
 /// still found (and still pruned from afar), removing them — or a member on
 /// a lower face — recomputes the box, and a compaction keeps the step.
-/// Answers are `BruteForce`'s id for id throughout.
+/// Answers are `BruteForce`'s id for id throughout. In VPT and MVPT shards
+/// the saturated members' leaf codes are the top code too, as the columns
+/// hold them.
 #[test]
 fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
     let pts = datasets::la(600, 21);
@@ -440,84 +525,99 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
             }
         }
     };
-    for kind in [IndexKind::Laesa, IndexKind::Cpt] {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let label = format!("{} {policy:?}", kind.label());
-            let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
-            let step = step_of(&e);
-            assert_eq!(step, 0.25, "{label}");
-            let mut live: Vec<(ObjId, Vec<f32>)> =
-                (0..).zip(pts.iter().cloned()).collect::<Vec<_>>();
-
-            let mut batch = UpdateBatch::new();
-            for o in &far {
-                batch.insert(o.clone());
-            }
-            assert_eq!(e.apply(&batch).inserts, 12, "{label}");
-            live.extend((600..).zip(far.iter().cloned()));
-            let ctx = format!("{label} saturated inserts");
-            for g in 600..612 {
-                let (s, local) = e.locate(g).unwrap();
-                assert!(
-                    e.shards()[s].pivot_row(local).all(|y| y == 65_535.0 * step),
-                    "{ctx}: id {g} is beyond the top bucket on every pivot"
-                );
-            }
-            assert_rows_true(&e, 612, &map, &ctx);
-            assert_centres_true(&e, &ctx);
-            let open = |e: &ShardedEngine<Vec<f32>>| {
-                let boxes = e
-                    .routing()
-                    .map(|rt| rt.boxes().to_vec())
-                    .unwrap_or_default();
-                boxes.iter().filter(|b| b.hi()[0] == f64::INFINITY).count()
-            };
-            let routed = policy == PartitionPolicy::PivotSpace;
-            assert_eq!(open(&e) > 0, routed, "{ctx}: a box is open above");
-            same_answers(&e, &live, &ctx);
-
-            // The saturated members sit on their boxes' (open) upper faces,
-            // and each shard's nearest member to pivot 0 on a lower one.
-            let mut faces = UpdateBatch::new();
-            for g in (600..612).filter(|g| g % 3 != 0) {
-                faces.remove(g);
-            }
-            for shard in e.shards() {
-                let nearest = shard.live_members().min_by(|a, b| {
-                    let first = |local| shard.pivot_row(local).next().unwrap();
-                    first(a.0).total_cmp(&first(b.0)).then(a.1.cmp(&b.1))
-                });
-                faces.remove(nearest.unwrap().1);
-            }
-            let report = e.apply(&faces);
-            assert_eq!(report.removes, 8 + 6, "{label}");
-            assert_eq!(report.reboxed_shards > 0, routed, "{label}");
-            live.retain(|(g, _)| e.locate(*g).is_some());
-            let ctx = format!("{label} face removes");
-            assert_rows_true(&e, 612, &map, &ctx);
-            assert_centres_true(&e, &ctx);
-            same_answers(&e, &live, &ctx);
-
-            // The rest of them gone: every box closes again.
-            let mut rest = UpdateBatch::new();
-            for g in (600..612).filter(|g| g % 3 == 0) {
-                rest.remove(g);
-            }
-            assert_eq!(e.apply(&rest).removes, 4, "{label}");
-            assert_eq!(open(&e), 0, "{label}: no saturated member, no open box");
-            // One comes back, and a compaction keeps the step it is under.
-            let back = e.insert(far[5].clone());
-            live.retain(|(g, _)| e.locate(*g).is_some());
-            live.push((back, far[5].clone()));
-            assert!(e.compact() > 0, "{label}");
-            let live: Vec<(ObjId, Vec<f32>)> =
-                (0..).zip(live.into_iter().map(|(_, o)| o)).collect();
-            let ctx = format!("{label} compacted");
-            assert_eq!(step_of(&e), step, "{ctx}");
-            assert_rows_true(&e, live.len() as ObjId, &map, &ctx);
-            assert_centres_true(&e, &ctx);
-            assert_eq!(open(&e) > 0, routed, "{ctx}");
-            same_answers(&e, &live, &ctx);
+    // Round-robin over a tree kind holds no pivot space: the trees run
+    // routed only.
+    let runs = [IndexKind::Laesa, IndexKind::Cpt]
+        .into_iter()
+        .flat_map(|k| {
+            [
+                (k, PartitionPolicy::RoundRobin),
+                (k, PartitionPolicy::PivotSpace),
+            ]
+        })
+        .chain([IndexKind::Vpt, IndexKind::Mvpt].map(|k| (k, PartitionPolicy::PivotSpace)));
+    let trees = |e: &ShardedEngine<Vec<f32>>, kind: IndexKind, ctx: &str| {
+        if !kind.adopts_pivot_matrix() {
+            assert_leaf_codes_are_the_columns(e, ctx);
         }
+    };
+    for (kind, policy) in runs {
+        let label = format!("{} {policy:?}", kind.label());
+        let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
+        let step = step_of(&e);
+        assert_eq!(step, 0.25, "{label}");
+        let mut live: Vec<(ObjId, Vec<f32>)> = (0..).zip(pts.iter().cloned()).collect::<Vec<_>>();
+
+        let mut batch = UpdateBatch::new();
+        for o in &far {
+            batch.insert(o.clone());
+        }
+        assert_eq!(e.apply(&batch).inserts, 12, "{label}");
+        live.extend((600..).zip(far.iter().cloned()));
+        let ctx = format!("{label} saturated inserts");
+        for g in 600..612 {
+            let (s, local) = e.locate(g).unwrap();
+            assert!(
+                e.shards()[s].pivot_row(local).all(|y| y == 65_535.0 * step),
+                "{ctx}: id {g} is beyond the top bucket on every pivot"
+            );
+        }
+        assert_rows_true(&e, 612, &map, &ctx);
+        assert_centres_true(&e, &ctx);
+        let open = |e: &ShardedEngine<Vec<f32>>| {
+            let boxes = e
+                .routing()
+                .map(|rt| rt.boxes().to_vec())
+                .unwrap_or_default();
+            boxes.iter().filter(|b| b.hi()[0] == f64::INFINITY).count()
+        };
+        let routed = policy == PartitionPolicy::PivotSpace;
+        assert_eq!(open(&e) > 0, routed, "{ctx}: a box is open above");
+        trees(&e, kind, &ctx);
+        same_answers(&e, &live, &ctx);
+
+        // The saturated members sit on their boxes' (open) upper faces,
+        // and each shard's nearest member to pivot 0 on a lower one.
+        let mut faces = UpdateBatch::new();
+        for g in (600..612).filter(|g| g % 3 != 0) {
+            faces.remove(g);
+        }
+        for shard in e.shards() {
+            let nearest = shard.live_members().min_by(|a, b| {
+                let first = |local| shard.pivot_row(local).next().unwrap();
+                first(a.0).total_cmp(&first(b.0)).then(a.1.cmp(&b.1))
+            });
+            faces.remove(nearest.unwrap().1);
+        }
+        let report = e.apply(&faces);
+        assert_eq!(report.removes, 8 + 6, "{label}");
+        assert_eq!(report.reboxed_shards > 0, routed, "{label}");
+        live.retain(|(g, _)| e.locate(*g).is_some());
+        let ctx = format!("{label} face removes");
+        assert_rows_true(&e, 612, &map, &ctx);
+        assert_centres_true(&e, &ctx);
+        trees(&e, kind, &ctx);
+        same_answers(&e, &live, &ctx);
+
+        // The rest of them gone: every box closes again.
+        let mut rest = UpdateBatch::new();
+        for g in (600..612).filter(|g| g % 3 == 0) {
+            rest.remove(g);
+        }
+        assert_eq!(e.apply(&rest).removes, 4, "{label}");
+        assert_eq!(open(&e), 0, "{label}: no saturated member, no open box");
+        // One comes back, and a compaction keeps the step it is under.
+        let back = e.insert(far[5].clone());
+        live.retain(|(g, _)| e.locate(*g).is_some());
+        live.push((back, far[5].clone()));
+        assert!(e.compact() > 0, "{label}");
+        let live: Vec<(ObjId, Vec<f32>)> = (0..).zip(live.into_iter().map(|(_, o)| o)).collect();
+        let ctx = format!("{label} compacted");
+        assert_eq!(step_of(&e), step, "{ctx}");
+        assert_rows_true(&e, live.len() as ObjId, &map, &ctx);
+        assert_centres_true(&e, &ctx);
+        assert_eq!(open(&e) > 0, routed, "{ctx}");
+        trees(&e, kind, &ctx);
+        same_answers(&e, &live, &ctx);
     }
 }
