@@ -127,12 +127,14 @@ impl IndexKind {
     /// skipping the `n · l` table recomputation — and whether engine
     /// inserts can hand over a precomputed row this kind appends
     /// ([`MetricIndex::insert_adopted`]).
-    /// True for the shared-pivot in-memory tables (LAESA, CPT, FQA); every
-    /// other kind either selects its own pivots (EPT/EPT*, BKT) or derives
-    /// a different structure from the pivot distances at build time, and
-    /// falls back to [`build_index`]. (The Omni family also stores
-    /// caller-pivot distance tables but interleaves them with its disk
-    /// layout; adoption there is an open item.)
+    /// True for the kinds that are the one pivot table: LAESA, CPT, and
+    /// FQA, which adopts as LAESA under FQA's name (an FQA over stored rows
+    /// scans them and never reads its signatures). Every other kind either
+    /// selects its own pivots (EPT/EPT*, BKT) or derives a different
+    /// structure from the pivot distances at build time, and falls back to
+    /// [`build_index`]. (The Omni family also stores caller-pivot distance
+    /// tables but interleaves them with its disk layout; adoption there is
+    /// an open item.)
     pub fn adopts_pivot_matrix(&self) -> bool {
         matches!(self, IndexKind::Laesa | IndexKind::Cpt | IndexKind::Fqa)
     }
@@ -345,17 +347,18 @@ where
 /// [`build_index`] over pre-computed, stored pivot-distance rows (a
 /// shard's rows of the engine's build-time matrix, or any owned
 /// [`PivotColumns`]): kinds whose [`IndexKind::adopts_pivot_matrix`] is
-/// true (LAESA, CPT, FQA) take ownership of `rows` (row `i` =
-/// `objects[i]`'s distances to `pivots`) instead of recomputing the `n · l`
-/// table, with byte-identical query behavior — and engine inserts then
-/// hand over one precomputed row the index appends. VPT and MVPT build as
-/// [`build_index`] does but store their leaf codes under the rows' step,
-/// so each equals the code the rows hold for that member. Every other kind
-/// — and an FQA over rows that do not hold every discrete distance exactly
-/// ([`PivotColumns::holds_integers_exactly`]: distances beyond 65 535) —
-/// drops the rows and builds exactly as [`build_index`] does. This is the shard
-/// factory the facade hands `ShardedEngine::build` for an engine with a
-/// pivot space.
+/// true take ownership of `rows` (row `i` = `objects[i]`'s distances to
+/// `pivots`) instead of recomputing the `n · l` table, with byte-identical
+/// query behavior — and engine inserts then hand over one precomputed row
+/// the index appends. LAESA and CPT adopt as themselves; FQA adopts as
+/// LAESA under FQA's name (`name()` is `"FQA"`, range verification passes
+/// the `fqa.dist` fault point), still refusing a continuous metric,
+/// because an FQA over stored rows scans them and never reads its
+/// signature array. VPT and MVPT build as [`build_index`] does but store
+/// their leaf codes under the rows' step, so each equals the code the rows
+/// hold for that member. Every other kind drops the rows and builds
+/// exactly as [`build_index`] does. This is the shard factory the facade
+/// hands `ShardedEngine::build` for an engine with a pivot space.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
@@ -369,7 +372,7 @@ where
     M: Metric<O> + Clone + 'static,
 {
     use pmi_tables::*;
-    use pmi_trees::{Fqa, Mvpt, MvptConfig};
+    use pmi_trees::{Mvpt, MvptConfig};
 
     if pivots.len() < kind.min_pivots() {
         // Refused: `build_index` says why.
@@ -385,17 +388,12 @@ where
                 objects, metric, pivots, rows, disk,
             )))
         }
-        IndexKind::Fqa if rows.holds_integers_exactly() => {
+        IndexKind::Fqa => {
             if !metric.is_discrete() {
                 return Err(BuildError::RequiresDiscreteMetric(kind));
             }
-            Ok(Box::new(Fqa::build_with_matrix(
-                objects,
-                metric,
-                pivots,
-                rows,
-                opts.d_plus,
-                opts.buckets as u32,
+            Ok(Box::new(Laesa::fqa_with_matrix(
+                objects, metric, pivots, rows,
             )))
         }
         IndexKind::Vpt | IndexKind::Mvpt => {
@@ -435,7 +433,7 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{BruteForce, LInf, L2};
+    use pmi_metric::{BruteForce, LInf, ObjId, L2};
 
     #[test]
     fn builds_every_continuous_index() {
@@ -495,31 +493,114 @@ mod tests {
         }
     }
 
+    /// The engine builds every FQA shard as the pivot table under FQA's
+    /// name, whatever the rows' step: at scale 10 the distances pass
+    /// 65 535, the step is 2, and the rows are adopted all the same. No
+    /// build distance is paid, and every remove finds its object.
     #[test]
-    fn fqa_declines_rows_that_do_not_hold_the_distances_exactly() {
-        // Distances beyond 65 535 need a step above 1, and a stored row no
-        // longer determines its signature: the factory builds the plain
-        // FQA, whose removes re-derive signatures from the metric and
-        // always find their row.
+    fn fqa_adopts_rows_at_any_step() {
         use pmi_metric::PivotMatrix;
         let m = LInf::discrete();
-        for (scale, adopts) in [(1.0f32, true), (10.0, false)] {
+        for scale in [1.0f32, 10.0] {
             let pts: Vec<Vec<f32>> = datasets::synthetic(120, 7)
                 .into_iter()
                 .map(|p| p.into_iter().map(|x| x * scale).collect())
                 .collect();
             let pivots = vec![pts[0].clone(), pts[1].clone()];
             let rows = PivotColumns::from(&PivotMatrix::compute(&pts, &m, &pivots, 1));
-            assert_eq!(rows.step() <= 1.0, adopts, "scale={scale}");
+            assert_eq!(rows.step() <= 1.0, scale == 1.0, "scale={scale}");
             let opts = BuildOptions {
                 d_plus: 10_000.0 * f64::from(scale),
                 ..BuildOptions::default()
             };
             let mut idx =
                 build_index_with_matrix(IndexKind::Fqa, pts, m, pivots, &opts, rows).unwrap();
-            assert_eq!(idx.pivot_rows().is_some(), adopts, "scale={scale}");
+            assert_eq!(idx.name(), "FQA");
+            assert!(idx.pivot_rows().is_some(), "scale={scale}");
+            assert_eq!(idx.counters().compdists, 0, "scale={scale}");
             assert!((0..120).all(|id| idx.remove(id)), "scale={scale}");
             assert!(idx.is_empty());
+        }
+    }
+
+    /// An engine FQA shard counts what its queries read: the columns, the
+    /// objects and the pivots — LAESA's formula on the same rows, not a
+    /// signature array no query reads.
+    #[test]
+    fn fqa_storage_counts_the_columns_it_scans() {
+        use pmi_metric::PivotMatrix;
+        let m = LInf::discrete();
+        let pts = datasets::synthetic(150, 7);
+        let pivots: Vec<Vec<f32>> = pts[..3].to_vec();
+        let rows = PivotColumns::from(&PivotMatrix::compute(&pts, &m, &pivots, 1));
+        let opts = BuildOptions {
+            d_plus: 10_000.0,
+            ..BuildOptions::default()
+        };
+        let bytes = |o: &Vec<f32>| o.encoded_len() as u64;
+        let want = rows.mem_bytes()
+            + pts.iter().map(bytes).sum::<u64>()
+            + pivots.iter().map(bytes).sum::<u64>();
+        let build = |kind| {
+            let (pts, pivots, rows) = (pts.clone(), pivots.clone(), rows.clone());
+            build_index_with_matrix(kind, pts, m, pivots, &opts, rows).unwrap()
+        };
+        let fqa = build(IndexKind::Fqa);
+        assert_eq!(fqa.storage().mem_bytes, want);
+        assert_eq!(fqa.storage(), build(IndexKind::Laesa).storage());
+    }
+
+    /// An engine FQA insert farther from a pivot than the columns' top
+    /// bucket is stored saturated; it is still answered exactly and
+    /// removable.
+    #[test]
+    fn an_fqa_insert_beyond_the_top_bucket_is_exact_and_removable() {
+        use pmi_metric::{EditDistance, PivotMatrix};
+        // Short words only at build: distances to the pivot stay under 16,
+        // so the columns' step is 2⁻¹² and their top bucket starts at 16.
+        let ws: Vec<String> = datasets::words(400, 17)
+            .into_iter()
+            .filter(|w| w.len() <= 8)
+            .collect();
+        let pivots = vec![ws[0].clone()];
+        let rows = PivotColumns::from(&PivotMatrix::compute(&ws, &EditDistance, &pivots, 1));
+        assert!(65_535.0 * rows.step() < 17.0);
+        let opts = BuildOptions {
+            d_plus: 34.0,
+            ..BuildOptions::default()
+        };
+        let (m, n) = (EditDistance, ws.len() as ObjId);
+        let mut idx =
+            build_index_with_matrix(IndexKind::Fqa, ws.clone(), m, pivots.clone(), &opts, rows)
+                .unwrap();
+        let queries: Vec<String> = ws.iter().step_by(40).cloned().collect();
+        let mut oracle = BruteForce::new(ws, m);
+        // Two long words, 20 and 30 edits from the pivot: both stored
+        // saturated, under one code.
+        let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
+        for w in &long {
+            let row = [m.dist(w, &pivots[0])];
+            let id = idx.insert_adopted(w.clone(), &row).expect("FQA adopts");
+            assert_eq!(id, oracle.insert(w.clone()));
+        }
+        let stored = |id| idx.pivot_rows().unwrap().row(id as usize).next();
+        assert_eq!(stored(n), stored(n + 1));
+        let same = |idx: &dyn MetricIndex<String>, oracle: &BruteForce<String, _>, q| {
+            for r in [0.0, 3.0, 12.0, 30.0] {
+                let (mut got, mut want) = (idx.range_query(q, r), oracle.range_query(q, r));
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "q={q} r={r}");
+            }
+            assert_eq!(idx.knn_query(q, 5), oracle.knn_query(q, 5), "q={q}");
+        };
+        for q in long.iter().chain(&queries) {
+            same(idx.as_ref(), &oracle, q);
+        }
+        assert!(idx.remove(n + 1) && idx.remove(n) && !idx.remove(n));
+        assert!(oracle.remove(n + 1) && oracle.remove(n));
+        for q in long.iter().chain(&queries) {
+            same(idx.as_ref(), &oracle, q);
         }
     }
 

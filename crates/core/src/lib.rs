@@ -127,7 +127,8 @@
 //! hands each shard its members' rows as planar u16 bucket
 //! [`PivotColumns`] of its own — the only form a pivot distance is stored in, and the unit a
 //! query is routed to owns the bytes it scans — so shared-pivot
-//! tables (LAESA, CPT, FQA — [`IndexKind::adopts_pivot_matrix`]) *adopt*
+//! tables (LAESA, CPT, and FQA as LAESA under its name —
+//! [`IndexKind::adopts_pivot_matrix`]) *adopt*
 //! their distances instead of recomputing them: a `PivotSpace` LAESA build
 //! computes each object-pivot distance exactly once instead of twice. The
 //! exact cost is recorded in [`BuildStats`] and rides along in every

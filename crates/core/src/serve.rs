@@ -26,8 +26,10 @@
 //! * each shard gets its members' rows, stored once as planar u16 bucket
 //!   columns of its own (the only form a pivot distance is stored in), and
 //!   the shard factory receives them, so index kinds that adopt them
-//!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, FQA) skip their own
-//!   `n · l` recomputation entirely — a `PivotSpace` build computes each
+//!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, and FQA, whose
+//!   shards are the pivot table under FQA's name — an FQA over stored rows
+//!   scans them and never reads its signatures) skip their own `n · l`
+//!   recomputation entirely — a `PivotSpace` build computes each
 //!   object-pivot distance exactly once instead of twice — and scan
 //!   sequential memory;
 //! * the shards keep their rows (inside the index for adopting kinds,

@@ -105,8 +105,8 @@ pub trait MetricIndex<O>: Send + Sync {
     }
 
     /// The stored pivot-distance rows this index owns and scans, aligned
-    /// with its slot ids (a tombstoned slot keeps its row) — LAESA, CPT, an
-    /// adopting FQA. On an engine built over a pivot matrix they are the
+    /// with its slot ids (a tombstoned slot keeps its row) — LAESA, CPT and
+    /// an engine's FQA shard, all one pivot table. On an engine built over a pivot matrix they are the
     /// shard's share of it: what the engine reads to maintain routing boxes
     /// and to move objects between shards without recomputing a distance.
     /// `None` for kinds that keep no such rows — their shard holds them

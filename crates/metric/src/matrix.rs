@@ -387,15 +387,6 @@ impl PivotColumns {
         self.cols.iter().map(move |c| f64::from(c[id]) * self.step)
     }
 
-    /// Whether every stored value *is* the distance it was pushed as,
-    /// given that distances are integers: the step divides 1 and no code
-    /// is the (open) top one. What an index that re-derives exact discrete
-    /// distances from its stored rows (FQA's signatures) needs of the rows
-    /// it adopts.
-    pub fn holds_integers_exactly(&self) -> bool {
-        self.step <= 1.0 && self.cols.iter().all(|c| c.iter().all(|&code| code != TOP))
-    }
-
     /// Stores and appends one row, returning its row id. Never copies a
     /// chunk: a clone took its own copy of each column's partly filled one
     /// (module docs).
@@ -775,7 +766,6 @@ mod tests {
         assert_eq!((m.rows(), m.width(), m.step()), (2, 2, step));
         assert_eq!(m.mem_bytes(), 4 * 2, "two bytes per stored distance");
         assert_eq!(m.row(0).collect::<Vec<_>>(), [1.0, 8.0]);
-        assert!(m.holds_integers_exactly());
 
         // A push stores under the same step, saturating beyond the top
         // bucket; 0.3 is stored as the edge under it.
@@ -785,7 +775,6 @@ mod tests {
             [snap(0.3, step), 65_535.0 * step]
         );
         assert!(0.3 - snap(0.3, step) < step);
-        assert!(!m.holds_integers_exactly(), "a saturated code is no value");
 
         // select keeps codes and step.
         let s = m.select(&[2, 0]);
@@ -801,7 +790,6 @@ mod tests {
         // Integers above 65 535 need a step that no longer divides 1.
         let wide = PivotColumns::from(&PivotMatrix::from_rows(1, [[70_000.0]]));
         assert_eq!(wide.step(), 2.0);
-        assert!(!wide.holds_integers_exactly());
     }
 
     #[test]

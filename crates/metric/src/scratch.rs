@@ -88,8 +88,8 @@ impl QueryScratch {
         std::mem::take(&mut self.kernel_rows)
     }
 
-    /// The verification half of a scan table's kNN, the same for LAESA,
-    /// CPT, EPT and the adopted FQA. `lbs` holds every slot's lower bound
+    /// The verification half of a scan table's kNN, the same for the pivot
+    /// table (LAESA, CPT, an engine's FQA) and EPT. `lbs` holds every slot's lower bound
     /// (the kernel pass the caller just ran); `dist(slot)` is the exact
     /// distance of a live slot, `None` for a tombstoned one; `seed` is the
     /// caller's k-th distance
@@ -166,7 +166,7 @@ impl QueryScratch {
     }
 
     /// The verification half of a scan table's range query, the same for
-    /// LAESA, CPT, EPT and the adopted FQA: `d(q, o)` for every collected
+    /// the pivot table (LAESA, CPT, an engine's FQA) and EPT: `d(q, o)` for every collected
     /// survivor (`get(slot)` yields its object), through [`dists_from`]'s
     /// groups of four; appends the slots within `r` to `out`, in survivor
     /// order. Each distance passes the kind's `point` hook

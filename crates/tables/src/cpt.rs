@@ -1,30 +1,24 @@
 //! CPT (paper §3.3): clustered pivot table — LAESA's distance table in main
 //! memory, with the objects themselves clustered on disk in an M-tree.
 //!
-//! Queries scan the in-memory distance table exactly like LAESA; whenever an
-//! object survives Lemma 1 it must first be *fetched from disk* (one page
-//! read through the M-tree leaf directory) before the distance can be
-//! computed. This is the CPU/I-O overhead the paper attributes to CPT.
-//!
-//! Like LAESA, the table is stored as planar u16 bucket [`PivotColumns`]
-//! the index owns; liveness is a separate slot bitmap, and the Lemma 1
-//! filter runs through the blocked [`ScanKernel`](pmi_metric::ScanKernel)
-//! over those columns, with survivors collected before the fetch+verify
-//! pass.
+//! Queries run the same table body as LAESA; whenever an object survives
+//! Lemma 1 it must first be *fetched from disk* (one page read through the
+//! M-tree leaf directory) before the distance can be computed. This is the
+//! CPU/I-O overhead the paper attributes to CPT. What CPT adds to the table
+//! is only that: a slot liveness bitmap and the M-tree the objects are
+//! fetched from.
 
+use crate::pivot_table::PivotTable;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, PivotColumns,
-    PivotMatrix, QueryScratch, StorageFootprint,
+    QueryScratch, StorageFootprint,
 };
 use pmi_mtree::MTree;
 use pmi_storage::DiskSim;
 
 /// CPT: in-memory pivot table + on-disk M-tree holding the objects.
 pub struct Cpt<O, M> {
-    metric: CountingMetric<M>,
-    pivots: Vec<O>,
-    /// Stored pivot-distance rows, aligned with slot ids.
-    rows: PivotColumns,
+    table: PivotTable<O, M>,
     /// Liveness per slot (tombstoned removal keeps ids stable).
     alive: Vec<bool>,
     mtree: MTree<O, CountingMetric<M>>,
@@ -39,10 +33,8 @@ where
     /// Builds CPT on `disk` (the paper uses 40 KB pages for Color/Synthetic
     /// because objects are stored inline in the M-tree).
     pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>, disk: DiskSim) -> Self {
-        let metric = CountingMetric::new(metric);
-        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1);
-        let rows = PivotColumns::from(&matrix);
-        Self::finish(objects, metric, pivots, rows, disk)
+        let table = PivotTable::compute(&objects, metric, pivots);
+        Self::finish(objects, table, disk)
     }
 
     /// Builds CPT by *adopting* stored pivot-distance rows (row `i` =
@@ -58,27 +50,18 @@ where
         rows: PivotColumns,
         disk: DiskSim,
     ) -> Self {
-        assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
-        assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
-        Self::finish(objects, CountingMetric::new(metric), pivots, rows, disk)
+        let table = PivotTable::adopt(objects.len(), metric, pivots, rows);
+        Self::finish(objects, table, disk)
     }
 
-    fn finish(
-        objects: Vec<O>,
-        metric: CountingMetric<M>,
-        pivots: Vec<O>,
-        rows: PivotColumns,
-        disk: DiskSim,
-    ) -> Self {
+    fn finish(objects: Vec<O>, table: PivotTable<O, M>, disk: DiskSim) -> Self {
         // Plain M-tree (no pivot augmentation): it only clusters objects.
-        let mut mtree = MTree::new(disk, metric.clone(), Vec::new());
+        let mut mtree = MTree::new(disk, table.metric.clone(), Vec::new());
         for (i, o) in objects.iter().enumerate() {
             mtree.insert(i as u32, o);
         }
         Cpt {
-            metric,
-            pivots,
-            rows,
+            table,
             alive: vec![true; objects.len()],
             mtree,
             live: objects.len(),
@@ -87,7 +70,7 @@ where
 
     /// The instrumented metric.
     pub fn metric(&self) -> &CountingMetric<M> {
-        &self.metric
+        &self.table.metric
     }
 
     /// The on-disk M-tree.
@@ -95,10 +78,10 @@ where
         &self.mtree
     }
 
-    /// Appends an object and its pivot-distance row under one slot id;
-    /// only the M-tree clustering computes distances.
-    fn push(&mut self, o: &O, row: &[f64]) -> ObjId {
-        let id = self.rows.push_row(row) as ObjId;
+    /// Adds an object under the slot its row was just pushed to; only the
+    /// M-tree clustering computes distances.
+    fn push(&mut self, o: &O, local: usize) -> ObjId {
+        let id = local as ObjId;
         self.alive.push(true);
         self.mtree.insert(id, o);
         self.live += 1;
@@ -117,9 +100,7 @@ where
 {
     fn clone(&self) -> Self {
         Cpt {
-            metric: self.metric.clone(),
-            pivots: self.pivots.clone(),
-            rows: self.rows.clone(),
+            table: self.table.clone(),
             alive: self.alive.clone(),
             mtree: self.mtree.fork_onto(&self.mtree.disk().fork()),
             live: self.live,
@@ -145,30 +126,9 @@ where
     }
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        // Malformed radii are rejected at the engine boundary; here they
-        // are an empty answer, never a panic. `+∞` stays valid.
-        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
-        if r.is_nan() || r < 0.0 {
-            return;
-        }
-        scratch.note_kernel(self.rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        let QueryScratch {
-            qd, lbs, survivors, ..
-        } = scratch;
-        // Blocked kernel over all slots, survivors collected, then the
-        // fetch-from-disk verification pass.
-        self.rows.lower_bounds_into(qd, lbs);
-        survivors.clear();
-        survivors.extend(
-            self.alive
-                .iter()
-                .enumerate()
-                .filter(|&(i, &a)| a && lbs[i] <= r)
-                .map(|(i, _)| i as ObjId),
-        );
+        let live = |id: ObjId| self.alive[id as usize];
         let get = |id| self.mtree.fetch(id).expect("object on disk");
-        scratch.range_verify(&self.metric, q, r, "cpt.dist", get, out);
+        self.table.range(q, r, scratch, live, "cpt.dist", get, out);
     }
 
     fn knn_query_into_seeded(
@@ -179,40 +139,27 @@ where
         scratch: &mut QueryScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        if k == 0 {
-            return;
-        }
-        scratch.note_kernel(self.rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
         // A slot never verified is a disk fetch saved too — the biggest win
         // for CPT, whose verification pages objects in from the M-tree.
-        let dist = |id| {
-            self.alive[id as usize].then(|| {
-                let o = self.mtree.fetch(id).expect("object on disk");
-                self.metric.dist(q, &o)
-            })
-        };
-        scratch.knn_verify(k, seed, dist, out);
+        let get =
+            |id| self.alive[id as usize].then(|| self.mtree.fetch(id).expect("object on disk"));
+        self.table.knn(q, k, seed, scratch, get, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        let row: Vec<f64> = self
-            .pivots
-            .iter()
-            .map(|p| self.metric.dist(&o, p))
-            .collect();
-        self.push(&o, &row)
+        let local = self.table.push_mapped(&o);
+        self.push(&o, local)
     }
 
     fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
         // The `n · l` table row comes with the object; only the M-tree
         // clustering computes distances (its normal insert cost).
-        Ok(self.push(&o, row))
+        let local = self.table.push(row);
+        Ok(self.push(&o, local))
     }
 
     fn pivot_rows(&self) -> Option<&PivotColumns> {
-        Some(&self.rows)
+        Some(&self.table.rows)
     }
 
     fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
@@ -233,7 +180,7 @@ where
         self.alive.clear();
         self.alive.resize(keep.len(), true);
         self.live = keep.len();
-        self.rows = self.rows.select(keep);
+        self.table.select(keep);
         true
     }
 
@@ -258,23 +205,22 @@ where
     }
 
     fn storage(&self) -> StorageFootprint {
-        let pivots: u64 = self.pivots.iter().map(|p| p.encoded_len() as u64).sum();
         StorageFootprint {
-            mem_bytes: self.rows.mem_bytes() + self.alive.len() as u64 + pivots,
+            mem_bytes: self.table.mem_bytes() + self.alive.len() as u64,
             disk_bytes: self.mtree.disk_bytes(),
         }
     }
 
     fn counters(&self) -> Counters {
         Counters {
-            compdists: self.metric.count(),
+            compdists: self.table.metric.count(),
             page_reads: self.mtree.disk().reads(),
             page_writes: self.mtree.disk().writes(),
         }
     }
 
     fn reset_counters(&self) {
-        self.metric.reset();
+        self.table.metric.reset();
         self.mtree.disk().reset_counters();
     }
 
@@ -330,8 +276,8 @@ mod tests {
         let adopted = Cpt::build_with_matrix(
             pts.clone(),
             L2,
-            idx.pivots.clone(),
-            idx.rows.clone(),
+            idx.table.pivots.clone(),
+            idx.table.rows.clone(),
             DiskSim::new(1024),
         );
         // The adopted build pays only the M-tree construction: exactly the

@@ -19,7 +19,7 @@
 
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    PivotMatrix, QueryScratch, StorageFootprint,
+    QueryScratch, StorageFootprint,
 };
 use pmi_pivots::PsaSelector;
 use rand::rngs::StdRng;
@@ -102,49 +102,16 @@ where
 {
     /// Builds an EPT (`mode = Random`) or EPT* (`mode = Psa`).
     pub fn build(objects: Vec<O>, metric: M, mode: EptMode, cfg: EptConfig) -> Self {
-        Self::build_inner(objects, metric, mode, cfg, None)
-    }
-
-    /// Builds an EPT (`EptMode::Random` only) by *adopting* a pre-computed
-    /// distance matrix over its own pivot pool: `pool_matrix` row `i` must
-    /// hold `objects[i]`'s distances to [`Ept::random_pool_indices`]`(n, cfg)`
-    /// (e.g. computed once, in parallel, with [`PivotMatrix::compute`]).
-    /// Extreme-pivot selection then reads matrix rows instead of computing
-    /// `n · l · m` distances; queries are byte-identical to
-    /// [`build`](Self::build)'s.
-    ///
-    /// EPT* has no matrix-adoption path: its PSA candidate set is itself the
-    /// product of distance computations, so there is nothing a caller could
-    /// precompute without doing that work.
-    pub fn build_with_matrix(
-        objects: Vec<O>,
-        metric: M,
-        cfg: EptConfig,
-        pool_matrix: &PivotMatrix,
-    ) -> Self {
-        assert_eq!(
-            pool_matrix.rows(),
-            objects.len(),
-            "one pool-matrix row per object"
-        );
-        Self::build_inner(objects, metric, EptMode::Random, cfg, Some(pool_matrix))
+        Self::build_inner(objects, metric, mode, cfg)
     }
 
     /// The deterministic pivot pool [`build`](Self::build) draws random
     /// groups from: indices into `objects` for a dataset of `n` objects.
-    /// Use this to precompute the pool matrix for
-    /// [`build_with_matrix`](Self::build_with_matrix).
-    pub fn random_pool_indices(n: usize, cfg: EptConfig) -> Vec<usize> {
+    fn random_pool_indices(n: usize, cfg: EptConfig) -> Vec<usize> {
         pmi_pivots::select_random(n, (cfg.l * cfg.m).min(n), cfg.seed)
     }
 
-    fn build_inner(
-        objects: Vec<O>,
-        metric: M,
-        mode: EptMode,
-        cfg: EptConfig,
-        pool_matrix: Option<&PivotMatrix>,
-    ) -> Self {
+    fn build_inner(objects: Vec<O>, metric: M, mode: EptMode, cfg: EptConfig) -> Self {
         let metric = CountingMetric::new(metric);
         let n = objects.len();
         assert!(n >= 2, "EPT needs at least two objects");
@@ -155,9 +122,6 @@ where
                 let picks = Self::random_pool_indices(n, cfg);
                 let total = picks.len();
                 let pivot_objs: Vec<O> = picks.iter().map(|&i| objects[i].clone()).collect();
-                if let Some(m) = pool_matrix {
-                    assert_eq!(m.width(), total, "one pool-matrix column per pool pivot");
-                }
                 let groups: Vec<Vec<u16>> = (0..cfg.l)
                     .map(|g| {
                         (0..cfg.m)
@@ -179,10 +143,6 @@ where
                 )
             }
             EptMode::Psa => {
-                assert!(
-                    pool_matrix.is_none(),
-                    "EPT* (PSA) has no matrix-adoption path"
-                );
                 let sel = PsaSelector::new(&objects, metric.clone(), cfg.sample, cfg.seed);
                 (sel.candidates.clone(), Strategy::Psa(sel))
             }
@@ -199,8 +159,8 @@ where
             table: ObjTable::empty(),
             l: cfg.l,
         };
-        for (i, o) in objects.into_iter().enumerate() {
-            let row = ept.select_row_from(&o, pool_matrix.map(|m| m.row(i)));
+        for o in objects {
+            let row = ept.select_row(&o);
             ept.table.push(o);
             ept.push_row(row);
         }
@@ -280,7 +240,7 @@ where
     /// Selects the `(pivot, distance)` row for one object. In Random mode,
     /// `pool_row` (the object's pre-computed distances to the whole pivot
     /// pool) substitutes for computing them here.
-    fn select_row_from(&self, o: &O, pool_row: Option<&[f64]>) -> Vec<(u16, f64)> {
+    fn select_row(&self, o: &O) -> Vec<(u16, f64)> {
         match &self.strategy {
             Strategy::Random { groups, mus, .. } => {
                 let mut row = Vec::with_capacity(groups.len());
@@ -289,10 +249,7 @@ where
                     let mut best_score = f64::NEG_INFINITY;
                     let mut best_d = 0.0;
                     for &pi in group {
-                        let d = match pool_row {
-                            Some(r) => r[pi as usize],
-                            None => self.metric.dist(o, &self.pivot_objs[pi as usize]),
-                        };
+                        let d = self.metric.dist(o, &self.pivot_objs[pi as usize]);
                         let score = (d - mus[pi as usize]).abs();
                         if score > best_score {
                             best_score = score;
@@ -310,10 +267,6 @@ where
                 .map(|(ci, d)| (ci as u16, d))
                 .collect(),
         }
-    }
-
-    fn select_row(&self, o: &O) -> Vec<(u16, f64)> {
-        self.select_row_from(o, None)
     }
 
     /// The scalar per-row lower bound (`max_j |qd[p_j] - d_j|`), shared by
@@ -503,38 +456,6 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g.dist - w.dist).abs() < 1e-9, "{mode:?}");
             }
-        }
-    }
-
-    #[test]
-    fn pool_matrix_adoption_is_cheaper_and_byte_identical() {
-        let (pts, idx) = build(EptMode::Random, 400);
-        let pool: Vec<Vec<f32>> = Ept::<Vec<f32>, L2>::random_pool_indices(400, cfg())
-            .into_iter()
-            .map(|i| pts[i].clone())
-            .collect();
-        let matrix = PivotMatrix::compute(&pts, &L2, &pool, 4);
-        let adopted = Ept::build_with_matrix(pts.clone(), L2, cfg(), &matrix);
-        // Selection reads matrix rows: the n·l·m selection distances vanish;
-        // only μ estimation remains.
-        assert!(
-            adopted.counters().compdists < idx.counters().compdists,
-            "adoption must skip the selection distances: {} vs {}",
-            adopted.counters().compdists,
-            idx.counters().compdists
-        );
-        // Identical rows, hence byte-identical queries at identical cost.
-        assert_eq!(adopted.row_pivots, idx.row_pivots);
-        assert_eq!(adopted.row_dists, idx.row_dists);
-        for qi in [0usize, 99, 399] {
-            idx.reset_counters();
-            adopted.reset_counters();
-            assert_eq!(
-                adopted.range_query(&pts[qi], 600.0),
-                idx.range_query(&pts[qi], 600.0)
-            );
-            assert_eq!(adopted.knn_query(&pts[qi], 9), idx.knn_query(&pts[qi], 9));
-            assert_eq!(adopted.counters(), idx.counters(), "qi={qi}");
         }
     }
 

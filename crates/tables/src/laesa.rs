@@ -1,8 +1,10 @@
-//! LAESA (paper §3.1): a linear pivot table over a shared pivot set.
+//! LAESA (paper §3.1): the pivot table over a shared pivot set, with the
+//! objects in main memory.
 
+use crate::pivot_table::PivotTable;
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
+    PivotColumns, QueryScratch, StorageFootprint,
 };
 
 /// LAESA: `n × l` pre-computed distances + linear scan with Lemma 1.
@@ -10,17 +12,21 @@ use pmi_metric::{
 /// The distance table is stored as planar u16 bucket [`PivotColumns`] the
 /// index owns (2 bytes per distance where the paper's implementation uses
 /// 8; a bucket only ever loosens a bound, so every answer stays exact),
-/// aligned with the
-/// object table's slots: removal tombstones the slot (the row stays in
-/// place, unverified). The Lemma 1 filter runs through the blocked
-/// [`ScanKernel`](pmi_metric::ScanKernel): one pass computes every slot's
-/// lower bound over contiguous storage (no lock, no indirection), survivors
-/// are collected into the caller's [`QueryScratch`], and only then does the
+/// aligned with the object table's slots: removal tombstones the slot (the
+/// row stays in place, unverified). A query runs the table's one body,
+/// written once for LAESA and CPT: one pass of the blocked
+/// [`ScanKernel`](pmi_metric::ScanKernel) computes every slot's lower bound
+/// over contiguous storage (no lock, no indirection), survivors are
+/// collected into the caller's [`QueryScratch`], and only then does the
 /// exact-distance verification pass run — for a kNN scan nearest bound
 /// first ([`QueryScratch::knn_verify`]). A sharded engine hands every shard
 /// its own rows of the one precomputed matrix
 /// ([`build_with_matrix`](Laesa::build_with_matrix)) and grows them through
 /// [`MetricIndex::insert_adopted`].
+///
+/// An engine's FQA is this index under FQA's name
+/// ([`fqa_with_matrix`](Laesa::fqa_with_matrix)): an FQA that holds the
+/// rows scans them and never reads a signature array.
 ///
 /// Cloning shares the distance counter and every full chunk of the columns
 /// and of the object table ([`CowVec`](pmi_metric::CowVec)), so the clone
@@ -28,11 +34,13 @@ use pmi_metric::{
 /// writes. It is the [`MetricIndex::fork`].
 #[derive(Clone)]
 pub struct Laesa<O, M> {
-    metric: CountingMetric<M>,
-    pivots: Vec<O>,
-    /// Stored pivot-distance rows, aligned with the object table's slots.
-    rows: PivotColumns,
-    table: ObjTable<O>,
+    table: PivotTable<O, M>,
+    /// The objects, slot-aligned with the table's rows.
+    objects: ObjTable<O>,
+    /// The name the index answers to ([`MetricIndex::name`]).
+    name: &'static str,
+    /// The fault point range verification passes (`fault::dist`).
+    point: &'static str,
 }
 
 impl<O, M> Laesa<O, M>
@@ -44,13 +52,11 @@ where
     /// the caller with the shared HFI strategy, §6.1). Construction computes
     /// exactly `n · l` distances.
     pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>) -> Self {
-        let metric = CountingMetric::new(metric);
-        let matrix = PivotMatrix::compute(&objects, &metric, &pivots, 1);
         Laesa {
-            metric,
-            rows: PivotColumns::from(&matrix),
-            pivots,
-            table: ObjTable::new(objects),
+            table: PivotTable::compute(&objects, metric, pivots),
+            objects: ObjTable::new(objects),
+            name: "LAESA",
+            point: "laesa.dist",
         }
     }
 
@@ -67,36 +73,54 @@ where
         pivots: Vec<O>,
         rows: PivotColumns,
     ) -> Self {
-        assert_eq!(rows.rows(), objects.len(), "one matrix row per object");
-        assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
         Laesa {
-            metric: CountingMetric::new(metric),
-            pivots,
-            rows,
-            table: ObjTable::new(objects),
+            table: PivotTable::adopt(objects.len(), metric, pivots, rows),
+            objects: ObjTable::new(objects),
+            name: "LAESA",
+            point: "laesa.dist",
+        }
+    }
+
+    /// [`build_with_matrix`](Self::build_with_matrix) under FQA's name
+    /// (`name()` is `"FQA"`, range verification passes the `fqa.dist`
+    /// fault point): the FQA a sharded engine builds. Its signature array
+    /// would never be read, because an FQA over stored rows answers by
+    /// scanning them, so only the table is kept.
+    ///
+    /// # Panics
+    ///
+    /// Unless `metric` is discrete, as FQA's is (paper §4.2).
+    pub fn fqa_with_matrix(objects: Vec<O>, metric: M, pivots: Vec<O>, rows: PivotColumns) -> Self {
+        assert!(
+            metric.is_discrete(),
+            "FQA requires a discrete distance function (paper §4.2)"
+        );
+        Laesa {
+            name: "FQA",
+            point: "fqa.dist",
+            ..Self::build_with_matrix(objects, metric, pivots, rows)
         }
     }
 
     /// The instrumented metric.
     pub fn metric(&self) -> &CountingMetric<M> {
-        &self.metric
+        &self.table.metric
     }
 
     /// Number of pivots.
     pub fn num_pivots(&self) -> usize {
-        self.pivots.len()
+        self.table.pivots.len()
     }
 
     /// The stored pivot-distance rows (aligned with slot ids, including
     /// tombstoned slots).
     pub fn rows(&self) -> &PivotColumns {
-        &self.rows
+        &self.table.rows
     }
 
-    /// Appends an object and its pivot-distance row under one slot id.
-    fn push(&mut self, o: O, row: &[f64]) -> ObjId {
-        let local = self.rows.push_row(row);
-        let id = self.table.push(o);
+    /// Appends an object under the slot its row was just pushed to.
+    fn push(&mut self, o: O, local: usize) -> ObjId {
+        let id = self.objects.push(o);
         debug_assert_eq!(id as usize, local);
         id
     }
@@ -108,7 +132,7 @@ where
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
-        "LAESA"
+        self.name
     }
 
     fn fork(&self) -> Box<dyn MetricIndex<O>> {
@@ -116,34 +140,13 @@ where
     }
 
     fn len(&self) -> usize {
-        self.table.len()
+        self.objects.len()
     }
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        // Malformed radii are rejected at the engine boundary
-        // (`QueryError::NanRadius` / `NegativeRadius`); below it they are an
-        // empty answer, never a panic. `+∞` stays a valid "match all".
-        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
-        if r.is_nan() || r < 0.0 {
-            return;
-        }
-        scratch.note_kernel(self.rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        let QueryScratch {
-            qd, lbs, survivors, ..
-        } = scratch;
-        // Blocked kernel over all slots, then collect survivors (live and
-        // under the bound) before the exact-distance pass.
-        self.rows.lower_bounds_into(qd, lbs);
-        survivors.clear();
-        survivors.extend(
-            self.table
-                .iter()
-                .filter(|&(id, _)| lbs[id as usize] <= r)
-                .map(|(id, _)| id),
-        );
-        let get = |id| self.table.get(id).expect("survivor is live");
-        scratch.range_verify(&self.metric, q, r, "laesa.dist", get, out);
+        let live = |id| self.objects.get(id).is_some();
+        let get = |id| self.objects.get(id).expect("survivor is live");
+        self.table.range(q, r, scratch, live, self.point, get, out);
     }
 
     fn knn_query_into_seeded(
@@ -154,41 +157,28 @@ where
         scratch: &mut QueryScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        if k == 0 {
-            return;
-        }
-        scratch.note_kernel(self.rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        // Lower bounds are radius-independent: one blocked kernel pass,
-        // then verification nearest bound first (the paper's LAESA scans in
-        // storage order and notes that as suboptimal, §3.1 discussion).
-        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
-        let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
-        scratch.knn_verify(k, seed, dist, out);
+        let get = |id| self.objects.get(id);
+        self.table.knn(q, k, seed, scratch, get, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        // |P| distance computations (Table 6), appended as one row.
-        let row: Vec<f64> = self
-            .pivots
-            .iter()
-            .map(|p| self.metric.dist(&o, p))
-            .collect();
-        self.push(o, &row)
+        let local = self.table.push_mapped(&o);
+        self.push(o, local)
     }
 
     fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
         // The caller already mapped the object: zero distance computations.
-        Ok(self.push(o, row))
+        let local = self.table.push(row);
+        Ok(self.push(o, local))
     }
 
     fn pivot_rows(&self) -> Option<&PivotColumns> {
-        Some(&self.rows)
+        Some(&self.table.rows)
     }
 
     fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
-        self.table.compact(keep);
-        self.rows = self.rows.select(keep);
+        self.objects.compact(keep);
+        self.table.select(keep);
         true
     }
 
@@ -197,30 +187,33 @@ where
     /// delete as a sequential scan to locate the row (§6.3); ids here *are*
     /// slot positions, so that cost is not modelled.
     fn remove(&mut self, id: ObjId) -> bool {
-        self.table.remove(id)
+        self.objects.remove(id)
     }
 
     fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+        self.objects.get(id).cloned()
     }
 
     fn storage(&self) -> StorageFootprint {
         // The columns keep tombstoned rows (ids stay stable), so their
         // footprint counts slots, not live objects.
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
-        let pivots: u64 = self.pivots.iter().map(|p| p.encoded_len() as u64).sum();
-        StorageFootprint::mem(self.rows.mem_bytes() + objs + pivots)
+        let objs: u64 = self
+            .objects
+            .iter()
+            .map(|(_, o)| o.encoded_len() as u64)
+            .sum();
+        StorageFootprint::mem(self.table.mem_bytes() + objs)
     }
 
     fn counters(&self) -> Counters {
         Counters {
-            compdists: self.metric.count(),
+            compdists: self.table.metric.count(),
             ..Counters::default()
         }
     }
 
     fn reset_counters(&self) {
-        self.metric.reset();
+        self.table.metric.reset();
     }
 }
 
@@ -251,7 +244,7 @@ mod tests {
     fn matrix_adoption_computes_zero_distances_and_matches() {
         let (pts, idx) = build(400, 4);
         let matrix = idx.rows().clone();
-        let adopted = Laesa::build_with_matrix(pts.clone(), L2, idx.pivots.clone(), matrix);
+        let adopted = Laesa::build_with_matrix(pts.clone(), L2, idx.table.pivots.clone(), matrix);
         assert_eq!(adopted.counters().compdists, 0, "adoption is free");
         for qi in [0usize, 57, 399] {
             assert_eq!(
@@ -266,11 +259,12 @@ mod tests {
     fn insert_adopted_is_free_and_byte_identical() {
         let (pts, mut plain) = build(200, 3);
         let matrix = plain.rows().clone();
-        let mut adopted = Laesa::build_with_matrix(pts.clone(), L2, plain.pivots.clone(), matrix);
+        let mut adopted =
+            Laesa::build_with_matrix(pts.clone(), L2, plain.table.pivots.clone(), matrix);
         // Hand over the row the way the engine does; the plain insert pays
         // |P| distances to map the same object.
         let o = pts[17].clone();
-        let row: Vec<f64> = plain.pivots.iter().map(|p| L2.dist(&o, p)).collect();
+        let row: Vec<f64> = plain.table.pivots.iter().map(|p| L2.dist(&o, p)).collect();
         adopted.reset_counters();
         plain.reset_counters();
         let a = adopted

@@ -11,11 +11,18 @@
 //! | EPT   | `n × l`, per-object pivots      | main memory      |
 //! | EPT*  | `n × l`, PSA pivots (Alg. 1)    | main memory      |
 //! | CPT   | `n × l` to a shared pivot set   | disk (M-tree)    |
+//!
+//! LAESA and CPT are one table and differ only in where the objects live:
+//! the metric, the shared pivots and the stored rows, and the table's
+//! build, range and kNN bodies, inserts and compaction, are written once
+//! (a private pivot table both wrap). A sharded engine's FQA shard is that
+//! table too, as LAESA under FQA's name ([`Laesa::fqa_with_matrix`]).
 
 mod aesa;
 mod cpt;
 mod ept;
 mod laesa;
+mod pivot_table;
 
 pub use aesa::Aesa;
 pub use cpt::Cpt;

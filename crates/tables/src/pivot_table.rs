@@ -1,0 +1,134 @@
+//! The pivot table itself (paper §3): `n × l` stored distances from every
+//! slot to one shared pivot set, scanned with Lemma 1. LAESA and CPT are
+//! this table plus a place for the objects, so its build, its range and
+//! kNN bodies, its inserts and its compaction are written here once.
+
+use pmi_metric::{
+    CountingMetric, EncodeObject, Metric, Neighbor, ObjId, PivotColumns, PivotMatrix, QueryScratch,
+};
+use std::borrow::Borrow;
+
+/// The instrumented metric, the shared pivots and the stored rows (planar
+/// u16 bucket [`PivotColumns`], one row per slot, tombstoned slots
+/// included). Cloning shares the distance counter and every full chunk of
+/// the columns.
+#[derive(Clone)]
+pub(crate) struct PivotTable<O, M> {
+    pub(crate) metric: CountingMetric<M>,
+    pub(crate) pivots: Vec<O>,
+    pub(crate) rows: PivotColumns,
+}
+
+impl<O, M> PivotTable<O, M>
+where
+    O: EncodeObject + Sync,
+    M: Metric<O>,
+{
+    /// Computes the rows of `objects`: exactly `n · l` distances.
+    pub(crate) fn compute(objects: &[O], metric: M, pivots: Vec<O>) -> Self {
+        let metric = CountingMetric::new(metric);
+        let rows = PivotColumns::from(&PivotMatrix::compute(objects, &metric, &pivots, 1));
+        PivotTable {
+            metric,
+            pivots,
+            rows,
+        }
+    }
+
+    /// Adopts `rows` (row `i` = object `i`'s distances to `pivots`, of `n`
+    /// objects): zero distances.
+    pub(crate) fn adopt(n: usize, metric: M, pivots: Vec<O>, rows: PivotColumns) -> Self {
+        assert_eq!(rows.rows(), n, "one matrix row per object");
+        assert_eq!(rows.width(), pivots.len(), "one matrix column per pivot");
+        PivotTable {
+            metric: CountingMetric::new(metric),
+            pivots,
+            rows,
+        }
+    }
+
+    /// Appends a row the caller mapped (zero distances); returns its slot.
+    pub(crate) fn push(&mut self, row: &[f64]) -> usize {
+        self.rows.push_row(row)
+    }
+
+    /// Maps `o` (`|P|` distances, Table 6) and appends its row; returns
+    /// its slot.
+    pub(crate) fn push_mapped(&mut self, o: &O) -> usize {
+        let row: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(o, p)).collect();
+        self.push(&row)
+    }
+
+    /// Keeps the rows of `keep`, in that order (the engine's compaction).
+    pub(crate) fn select(&mut self, keep: &[ObjId]) {
+        self.rows = self.rows.select(keep);
+    }
+
+    /// Bytes of the rows and the pivots; the objects are the caller's.
+    pub(crate) fn mem_bytes(&self) -> u64 {
+        let pivots: u64 = self.pivots.iter().map(|p| p.encoded_len() as u64).sum();
+        self.rows.mem_bytes() + pivots
+    }
+
+    /// The range body: one kernel pass over every slot, the slots under
+    /// `r` that are `live` collected in slot order, then
+    /// [`QueryScratch::range_verify`] through the `point` fault hook,
+    /// `get(slot)` yielding a survivor's object. Liveness is asked only of
+    /// the few slots under the bound.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn range<B: Borrow<O>>(
+        &self,
+        q: &O,
+        r: f64,
+        scratch: &mut QueryScratch,
+        live: impl Fn(ObjId) -> bool,
+        point: &str,
+        get: impl Fn(ObjId) -> B,
+        out: &mut Vec<ObjId>,
+    ) {
+        // Malformed radii are rejected at the engine boundary
+        // (`QueryError::NanRadius` / `NegativeRadius`); below it they are an
+        // empty answer, never a panic. `+∞` stays a valid "match all".
+        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
+        if r.is_nan() || r < 0.0 {
+            return;
+        }
+        scratch.note_kernel(self.rows.rows());
+        scratch.map_query(&self.metric, q, &self.pivots);
+        let QueryScratch {
+            qd, lbs, survivors, ..
+        } = scratch;
+        self.rows.lower_bounds_into(qd, lbs);
+        survivors.clear();
+        for (id, &lb) in lbs.iter().enumerate() {
+            let id = id as ObjId;
+            if lb <= r && live(id) {
+                survivors.push(id);
+            }
+        }
+        scratch.range_verify(&self.metric, q, r, point, get, out);
+    }
+
+    /// The kNN body: one kernel pass (the bounds do not depend on a
+    /// radius), then [`QueryScratch::knn_verify`], nearest bound first;
+    /// `get(slot)` is `None` for a tombstoned slot. The paper's LAESA
+    /// verifies in storage order and notes that as suboptimal (§3.1).
+    pub(crate) fn knn<B: Borrow<O>>(
+        &self,
+        q: &O,
+        k: usize,
+        seed: f64,
+        scratch: &mut QueryScratch,
+        get: impl Fn(ObjId) -> Option<B>,
+        out: &mut Vec<Neighbor>,
+    ) {
+        if k == 0 {
+            return;
+        }
+        scratch.note_kernel(self.rows.rows());
+        scratch.map_query(&self.metric, q, &self.pivots);
+        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        let dist = |id| get(id).map(|o| self.metric.dist(q, o.borrow()));
+        scratch.knn_verify(k, seed, dist, out);
+    }
+}

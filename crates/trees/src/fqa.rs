@@ -9,24 +9,14 @@
 //! the reason it historically scaled past the FQT in memory-constrained
 //! settings.
 //!
-//! A matrix-adopting FQA ([`Fqa::build_with_matrix`]) additionally holds
-//! the *exact* pivot distances as slot-aligned [`PivotColumns`] — columns
-//! whose step divides 1 hold every discrete distance below their top
-//! bucket as itself ([`PivotColumns::holds_integers_exactly`], the
-//! condition for adopting them: FQA's own buckets are far coarser than the
-//! columns') — and its hot-path queries
-//! ([`MetricIndex::range_query_into`] /
-//! [`MetricIndex::knn_query_into_seeded`] and the wrappers over them)
-//! filter through the blocked
-//! [`ScanKernel`](pmi_metric::ScanKernel) over those rows instead of
-//! descending bucketed signature runs: the exact Lemma 1 bound is at least
-//! as tight as the bucket bound, the scan is a contiguous linear kernel
-//! pass, and results remain exact. A plain-built FQA (no matrix) keeps the
-//! classic signature descent.
+//! An FQA over stored pivot rows would answer by scanning them and never
+//! read its signatures, so a sharded engine's FQA shard is the pivot table
+//! itself (`pmi_tables::Laesa::fqa_with_matrix`); this type is the paper's
+//! signature array, what standalone builds and `repro` measure.
 
 use pmi_metric::{
     Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, PivotColumns, QueryScratch, StorageFootprint,
+    ObjTable, QueryScratch, StorageFootprint,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,8 +24,8 @@ use std::collections::BinaryHeap;
 /// FQA over a discrete metric; shares FQT's per-level pivots and bucketing.
 ///
 /// Cloning — the [`MetricIndex::fork`] — copies the sorted signature rows
-/// (an FQA insert shifts them, `O(n)`, already); the object table, the
-/// adopted rows and the distance counter are shared.
+/// (an FQA insert shifts them, `O(n)`, already); the object table and the
+/// distance counter are shared.
 #[derive(Clone)]
 pub struct Fqa<O, M> {
     metric: CountingMetric<M>,
@@ -46,28 +36,13 @@ pub struct Fqa<O, M> {
     /// Lexicographically sorted `(signature, id)` pairs.
     rows: Vec<(Vec<u32>, ObjId)>,
     table: ObjTable<O>,
-    /// Slot-aligned adopted pivot-distance rows, when built with
-    /// [`build_with_matrix`](Self::build_with_matrix): signatures for
-    /// engine inserts are bucketed from the row that comes with them
-    /// ([`MetricIndex::insert_adopted`]) and removals re-derive the removed
-    /// object's signature from its row — neither computes any distance.
-    adopted: Option<PivotColumns>,
 }
 
 /// The one bucketing rule of the FQA: distance `d` to a level pivot falls
-/// in bucket `min(⌊d / width⌋, buckets - 1)`. Every signature — built from
-/// the metric, from an adopted matrix row at build time, or from an
-/// engine-pushed row at insert time — goes through this function, so the
-/// sorted-row binary searches always agree.
+/// in bucket `min(⌊d / width⌋, buckets - 1)`.
 #[inline]
 fn bucket(d: f64, width: f64, buckets: u32) -> u32 {
     ((d / width) as u32).min(buckets - 1)
-}
-
-/// The signature of a pivot-distance row, as mapped or as stored — the
-/// same for the discrete distances the adopted columns hold exactly.
-fn signature_of_row(row: impl Iterator<Item = f64>, width: f64, buckets: u32) -> Vec<u32> {
-    row.map(|d| bucket(d, width, buckets)).collect()
 }
 
 impl<O, M> Fqa<O, M>
@@ -97,7 +72,7 @@ where
             .map(|(id, o)| {
                 let sig = pivots
                     .iter()
-                    .map(|p| ((metric.dist(o, p) / width) as u32).min(buckets - 1))
+                    .map(|p| bucket(metric.dist(o, p), width, buckets))
                     .collect();
                 (sig, id)
             })
@@ -110,75 +85,6 @@ where
             buckets,
             rows,
             table,
-            adopted: None,
-        }
-    }
-
-    /// Builds an FQA by *adopting* stored pivot-distance rows (row `i` =
-    /// `objects[i]`'s distances to `pivots`, e.g. a shard's rows of an
-    /// engine's one matrix): signatures are bucketed straight from the
-    /// rows, so construction computes **zero** distances beyond what the
-    /// caller already paid for the matrix, and later engine inserts bring
-    /// a row this FQA buckets ([`MetricIndex::insert_adopted`]). Queries
-    /// are byte-identical to [`build`](Self::build)'s.
-    ///
-    /// # Panics
-    ///
-    /// Unless `matrix_rows`
-    /// [hold every distance exactly](PivotColumns::holds_integers_exactly)
-    /// — removal re-derives an object's signature from its *stored* row.
-    /// Under a step above 1 (distances beyond 65 535) a stored row no
-    /// longer determines its signature; use [`build`](Self::build) there.
-    /// (A later insert beyond the columns' top bucket is stored saturated
-    /// all the same; its removal pays `l` distances to name its
-    /// signature.)
-    pub fn build_with_matrix(
-        objects: Vec<O>,
-        metric: M,
-        pivots: Vec<O>,
-        matrix_rows: PivotColumns,
-        max_distance: f64,
-        buckets: u32,
-    ) -> Self {
-        assert!(
-            metric.is_discrete(),
-            "FQA requires a discrete distance function (paper §4.2)"
-        );
-        assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
-        assert!(
-            matrix_rows.holds_integers_exactly(),
-            "adopted rows must hold every discrete distance exactly"
-        );
-        assert_eq!(
-            matrix_rows.rows(),
-            objects.len(),
-            "one matrix row per object"
-        );
-        assert_eq!(
-            matrix_rows.width(),
-            pivots.len(),
-            "one matrix column per pivot"
-        );
-        let width = (max_distance / buckets as f64).max(1.0);
-        let table = ObjTable::new(objects);
-        let mut rows: Vec<(Vec<u32>, ObjId)> = table
-            .iter()
-            .map(|(id, _)| {
-                (
-                    signature_of_row(matrix_rows.row(id as usize), width, buckets),
-                    id,
-                )
-            })
-            .collect();
-        rows.sort();
-        Fqa {
-            metric: CountingMetric::new(metric),
-            pivots,
-            width,
-            buckets,
-            rows,
-            table,
-            adopted: Some(matrix_rows),
         }
     }
 
@@ -247,12 +153,37 @@ where
             0.0
         }
     }
+}
 
-    /// The classic FQA range query: best-case `log n` descent over bucketed
-    /// signature runs. The only range path for plain builds; adopted
-    /// builds filter through the exact-row kernel instead (module docs).
-    fn range_by_signature(&self, q: &O, r: f64, out: &mut Vec<ObjId>) {
-        let qd: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(q, p)).collect();
+impl<O, M> MetricIndex<O> for Fqa<O, M>
+where
+    O: Clone + EncodeObject + Send + Sync + 'static,
+    M: Metric<O> + Clone + 'static,
+{
+    fn name(&self) -> &str {
+        "FQA"
+    }
+
+    fn fork(&self) -> Box<dyn MetricIndex<O>> {
+        Box::new(self.clone())
+    }
+
+    fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
+        // Malformed radii are rejected at the engine boundary; here they
+        // are an empty answer, never a panic. `+∞` stays valid.
+        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
+        if r.is_nan() || r < 0.0 {
+            return;
+        }
+        // The classic FQA descent: best case `log n` over bucketed
+        // signature runs.
+        let qd = &mut scratch.qd;
+        qd.clear();
+        qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
         // Iterative stack of (slice start, slice end, level).
         let mut stack = vec![(0usize, self.rows.len(), 0usize)];
         while let Some((lo, hi, level)) = stack.pop() {
@@ -279,9 +210,7 @@ where
         }
     }
 
-    /// The classic FQA kNN query: best-first over signature runs, keyed by
-    /// the accumulated bucket lower bound.
-    fn knn_by_signature(
+    fn knn_query_into_seeded(
         &self,
         q: &O,
         k: usize,
@@ -289,9 +218,11 @@ where
         scratch: &mut QueryScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        if self.table.is_empty() {
+        if k == 0 || self.table.is_empty() {
             return;
         }
+        // Best-first over signature runs, keyed by the accumulated bucket
+        // lower bound.
         let QueryScratch { qd, heap, .. } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
@@ -331,148 +262,19 @@ where
         }
         best.finish(out);
     }
-}
-
-impl<O, M> MetricIndex<O> for Fqa<O, M>
-where
-    O: Clone + EncodeObject + Send + Sync + 'static,
-    M: Metric<O> + Clone + 'static,
-{
-    fn name(&self) -> &str {
-        "FQA"
-    }
-
-    fn fork(&self) -> Box<dyn MetricIndex<O>> {
-        Box::new(self.clone())
-    }
-
-    fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        // Malformed radii are rejected at the engine boundary; here they
-        // are an empty answer, never a panic. `+∞` stays valid.
-        debug_assert!(!r.is_nan(), "NaN radius must be rejected upstream");
-        if r.is_nan() || r < 0.0 {
-            return;
-        }
-        let Some(rows) = &self.adopted else {
-            return self.range_by_signature(q, r, out);
-        };
-        // Adopted hot path: blocked kernel over the exact rows, survivors
-        // collected, then verification — same shape as LAESA.
-        scratch.note_kernel(rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        let QueryScratch {
-            qd, lbs, survivors, ..
-        } = scratch;
-        rows.lower_bounds_into(qd, lbs);
-        survivors.clear();
-        survivors.extend(
-            self.table
-                .iter()
-                .filter(|&(id, _)| lbs[id as usize] <= r)
-                .map(|(id, _)| id),
-        );
-        let get = |id| self.table.get(id).expect("survivor is live");
-        scratch.range_verify(&self.metric, q, r, "fqa.dist", get, out);
-    }
-
-    fn knn_query_into_seeded(
-        &self,
-        q: &O,
-        k: usize,
-        seed: f64,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        if k == 0 {
-            return;
-        }
-        let Some(rows) = &self.adopted else {
-            return self.knn_by_signature(q, k, seed, scratch, out);
-        };
-        scratch.note_kernel(rows.rows());
-        scratch.map_query(&self.metric, q, &self.pivots);
-        rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
-        let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
-        scratch.knn_verify(k, seed, dist, out);
-    }
 
     fn insert(&mut self, o: O) -> ObjId {
-        // An adopted FQA keeps its rows slot-aligned even on the plain
-        // path: compute the raw row once, append it, and bucket the
-        // signature from it.
-        let sig = if let Some(rows) = &mut self.adopted {
-            let row: Vec<f64> = self
-                .pivots
-                .iter()
-                .map(|p| self.metric.dist(&o, p))
-                .collect();
-            rows.push_row(&row);
-            signature_of_row(row.into_iter(), self.width, self.buckets)
-        } else {
-            self.signature(&o)
-        };
+        let sig = self.signature(&o);
         let id = self.table.push(o);
         self.insert_sorted(sig, id);
         id
-    }
-
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
-        // Bucket the signature straight from the caller's row: zero
-        // distance computations.
-        let Some(rows) = &mut self.adopted else {
-            return Err(o);
-        };
-        let local = rows.push_row(row);
-        let sig = signature_of_row(row.iter().copied(), self.width, self.buckets);
-        let id = self.table.push(o);
-        debug_assert_eq!(id as usize, local, "rows stay slot-aligned");
-        self.insert_sorted(sig, id);
-        Ok(id)
-    }
-
-    fn pivot_rows(&self) -> Option<&PivotColumns> {
-        self.adopted.as_ref()
-    }
-
-    fn compact_rows(&mut self, keep: &[ObjId]) -> bool {
-        let Some(rows) = &mut self.adopted else {
-            return false;
-        };
-        *rows = rows.select(keep);
-        // Remap slot ids in the sorted signature array (signatures are
-        // unchanged — zero distance computations), re-sorting because keep
-        // order is ascending global id, not necessarily ascending old slot.
-        let mut remap = vec![u32::MAX; self.table.slots()];
-        for (new, &old) in keep.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
-        for (_, id) in self.rows.iter_mut() {
-            *id = remap[*id as usize];
-            debug_assert_ne!(*id, u32::MAX, "signature rows hold only live ids");
-        }
-        self.rows.sort();
-        self.table.compact(keep);
-        true
     }
 
     fn remove(&mut self, id: ObjId) -> bool {
         let Some(o) = self.table.get(id) else {
             return false;
         };
-        // Re-derive the signature from the adopted row when present (no
-        // distance computations). A row stored saturated — inserted farther
-        // from a pivot than the columns' top bucket — no longer names its
-        // signature: that one is recomputed from the metric, as a plain
-        // FQA's always is.
-        let stored = self.adopted.as_ref().and_then(|rows| {
-            let sig = signature_of_row(rows.row(id as usize), self.width, self.buckets);
-            self.position(&sig, id)
-        });
-        let Some(pos) = stored.or_else(|| self.position(&self.signature(o), id)) else {
+        let Some(pos) = self.position(&self.signature(o), id) else {
             return false;
         };
         self.rows.remove(pos);
@@ -508,7 +310,7 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{BruteForce, EditDistance, LInf, PivotMatrix};
+    use pmi_metric::{BruteForce, EditDistance, LInf};
     use pmi_pivots::select_hfi;
 
     fn build_words(n: usize) -> (Vec<String>, Fqa<String, EditDistance>) {
@@ -596,107 +398,6 @@ mod tests {
             },
         );
         assert!(fqa.storage().mem_bytes < fqt.storage().mem_bytes);
-    }
-
-    #[test]
-    fn matrix_adoption_is_free_and_byte_identical() {
-        let (ws, plain) = build_words(300);
-        let matrix = PivotMatrix::compute(&ws, &EditDistance, &plain.pivots, 2);
-        let mut adopted = Fqa::build_with_matrix(
-            ws.clone(),
-            EditDistance,
-            plain.pivots.clone(),
-            PivotColumns::from(&matrix),
-            34.0,
-            16,
-        );
-        assert_eq!(
-            adopted.counters().compdists,
-            0,
-            "signatures bucket matrix rows"
-        );
-        assert_eq!(adopted.rows, plain.rows, "identical signature array");
-        for r in [1.0, 4.0] {
-            let mut got = adopted.range_query(&ws[9], r);
-            got.sort_unstable();
-            let mut want = plain.range_query(&ws[9], r);
-            want.sort_unstable();
-            assert_eq!(got, want);
-        }
-        // The adopted kernel scan and the plain signature descent meet
-        // candidates in different orders and agree id for id: ties at the
-        // k-th distance go to the smaller id on both.
-        assert_eq!(adopted.knn_query(&ws[55], 7), plain.knn_query(&ws[55], 7));
-        // Engine-style insert: the row comes with the object — still zero
-        // distance computations.
-        let o = ws[11].clone();
-        let row: Vec<f64> = plain
-            .pivots
-            .iter()
-            .map(|p| EditDistance.dist(&o, p))
-            .collect();
-        adopted.reset_counters();
-        let id = adopted
-            .insert_adopted(o.clone(), &row)
-            .expect("adopting FQA accepts the row");
-        assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");
-        assert!(adopted.range_query(&o, 0.0).contains(&id));
-        // A plain-built FQA has no adopted matrix and hands the object back.
-        let (_, mut bare) = build_words(50);
-        assert!(bare.insert_adopted(o, &row).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "hold every discrete distance exactly")]
-    fn adoption_is_refused_where_the_columns_cannot_hold_the_distances() {
-        // Distances up to 70 001 need a step of 2: 70 001 is stored as
-        // 70 000, a signature re-derived from the stored row could name
-        // another bucket than the one built from the distance, and a
-        // remove would not find its signature row.
-        let ws = datasets::words(20, 3);
-        let pivots = vec![ws[0].clone()];
-        let far = PivotMatrix::from_rows(1, (0..20).map(|i| [70_001.0 - f64::from(i)]));
-        let _ = Fqa::build_with_matrix(ws, EditDistance, pivots, (&far).into(), 1e5, 16);
-    }
-
-    #[test]
-    fn an_insert_beyond_the_adopted_top_bucket_is_still_removable() {
-        // Short words only at build: distances to the pivot stay under 16,
-        // so the columns' step is 2⁻¹² and their top bucket starts at 16.
-        let ws: Vec<String> = datasets::words(400, 17)
-            .into_iter()
-            .filter(|w| w.len() <= 8)
-            .collect();
-        let pivots = vec![ws[0].clone()];
-        let rows = PivotColumns::from(&PivotMatrix::compute(&ws, &EditDistance, &pivots, 1));
-        assert!(65_535.0 * rows.step() < 17.0);
-        let mut idx = Fqa::build_with_matrix(ws, EditDistance, pivots.clone(), rows, 34.0, 16);
-        // Two long words, 20 and 30 edits from the pivot: both are stored
-        // saturated, in different signature buckets.
-        let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
-        let ids: Vec<ObjId> = long
-            .iter()
-            .map(|w| {
-                let row = [EditDistance.dist(w, &pivots[0])];
-                idx.insert_adopted(w.clone(), &row).expect("adopting")
-            })
-            .collect();
-        assert_eq!(
-            idx.pivot_rows().unwrap().row(ids[0] as usize).next(),
-            idx.pivot_rows().unwrap().row(ids[1] as usize).next()
-        );
-        for (w, &id) in long.iter().zip(&ids) {
-            assert_eq!(idx.range_query(w, 0.0), vec![id]);
-            assert_eq!(idx.knn_query(w, 1)[0].id, id);
-        }
-        idx.reset_counters();
-        assert!(idx.remove(ids[1]) && idx.remove(ids[0]) && !idx.remove(ids[0]));
-        assert_eq!(idx.counters().compdists, 2, "one pivot distance a miss");
-        assert!(idx.range_query(&long[1], 0.0).is_empty());
-        // A row the columns hold exactly costs nothing to remove.
-        idx.reset_counters();
-        assert!(idx.remove(3));
-        assert_eq!(idx.counters().compdists, 0);
     }
 
     #[test]

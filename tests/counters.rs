@@ -7,10 +7,8 @@
 //! here count survivors with the bucketed bound.
 
 use pivot_metric_repro as pmr;
-use pmr::builder::{build_index, BuildOptions, IndexKind};
-use pmr::{
-    datasets, Ept, EptConfig, EptMode, Fqa, Metric, MetricIndex, PivotColumns, PivotMatrix, L2,
-};
+use pmr::builder::{build_index, build_index_with_matrix, BuildOptions, IndexKind};
+use pmr::{datasets, Ept, EptConfig, EptMode, Metric, MetricIndex, PivotColumns, PivotMatrix, L2};
 use std::cell::Cell;
 
 /// A table's stored rows by hand: the step — the smallest power of two
@@ -361,7 +359,7 @@ fn blocked_kernel_changes_no_exact_counters() {
         }
     }
 
-    // Adopted FQA runs the same kernel over its exact rows (discrete
+    // The engine's FQA is the same table over its adopted rows (discrete
     // metric; the slot-aligned slice is the oracle's matrix).
     let m = pmr::LInf::discrete();
     let dpts = datasets::synthetic(n, 17);
@@ -371,14 +369,20 @@ fn blocked_kernel_changes_no_exact_counters() {
         .collect();
     let dmatrix = PivotMatrix::compute(&dpts, &m, &dpivots, 1);
     let (drows, dstep) = stored(&dmatrix);
-    let fqa = Fqa::build_with_matrix(
+    let dopts = BuildOptions {
+        d_plus: 10000.0,
+        buckets: 32,
+        ..BuildOptions::default()
+    };
+    let fqa = build_index_with_matrix(
+        IndexKind::Fqa,
         dpts.clone(),
         m,
         dpivots.clone(),
+        &dopts,
         PivotColumns::from(&dmatrix),
-        10000.0,
-        32,
-    );
+    )
+    .unwrap();
     for &qi in &queries {
         let qd: Vec<f64> = dpivots.iter().map(|p| m.dist(&dpts[qi], p)).collect();
         let rows: Vec<(f64, f64)> = (0..n)
@@ -453,9 +457,15 @@ fn duplicated_corpus_knn_ties_go_to_the_smaller_id() {
         .map(|i| dpts[i].clone())
         .collect();
     let rows = PivotColumns::from(&PivotMatrix::compute(&dpts, &m, &dpivots, 1));
-    let fqa = Fqa::build_with_matrix(dpts.clone(), m, dpivots, rows, 10000.0, 32);
+    let dopts = BuildOptions {
+        d_plus: 10000.0,
+        buckets: 32,
+        ..BuildOptions::default()
+    };
+    let fqa =
+        build_index_with_matrix(IndexKind::Fqa, dpts.clone(), m, dpivots, &dopts, rows).unwrap();
     let oracle = pmr::BruteForce::new(dpts.clone(), m);
-    same_as_oracle(&fqa, &oracle, &dpts, "FQA");
+    same_as_oracle(fqa.as_ref(), &oracle, &dpts, "FQA");
 }
 
 /// The observability tentpole's core contract: flipping the obs switch

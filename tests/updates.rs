@@ -378,9 +378,9 @@ fn routed_insert_costs_exactly_l() {
     }
 }
 
-/// FQA rides the same adopted path (the satellite: `build_with_matrix` for
-/// the in-memory discrete side): engine inserts bring one row and the FQA
-/// buckets it, with zero shard-side distance computations.
+/// FQA rides the same adopted path (an engine's FQA shard is the pivot table
+/// under FQA's name): engine inserts bring one row and the shard appends
+/// it, with zero shard-side distance computations.
 #[test]
 fn fqa_adopts_engine_inserts() {
     let pts = datasets::synthetic(300, 17);
