@@ -166,10 +166,10 @@ where
         .collect()
 }
 
-/// Regenerates Table 4 (construction costs and storage sizes). LAESA and
-/// CPT store their pivot distances as u16 buckets, and VPT / MVPT leaves
-/// their path distances — 2 B each in `Mem(KB)` where the paper's
-/// implementation used 8.
+/// Regenerates Table 4 (construction costs and storage sizes). LAESA, CPT,
+/// EPT and EPT* store their pivot distances as u16 buckets, and VPT / MVPT
+/// leaves their path distances — 2 B each in `Mem(KB)` where the paper's
+/// implementation used 8; EPT and EPT* add a 2 B pivot id per entry.
 pub fn table4(cfg: &ExpConfig) -> Vec<(Scenario, Vec<(IndexKind, BuildStats)>)> {
     let mut all = Vec::new();
     for s in Scenario::ALL {

@@ -176,11 +176,11 @@ pub trait MetricIndex<O>: Send + Sync {
     /// snapshot publications.
     ///
     /// Every index is `Clone` and `fork` is that clone; what it costs is
-    /// decided by the kind's containers, not per call: the tables share
-    /// [`CowVec`](crate::CowVec) chunks, the disk kinds share pages
-    /// (`DiskSim::fork`, in-memory directories cloned), the trees share
-    /// nodes behind `Arc`s and path-copy what they write, and AESA, EPT and
-    /// FQA copy their rows.
+    /// decided by the kind's containers, not per call: the tables (EPT
+    /// included) share [`CowVec`](crate::CowVec) chunks, the disk kinds
+    /// share pages (`DiskSim::fork`, in-memory directories cloned), the
+    /// trees share nodes behind `Arc`s and path-copy what they write, and
+    /// AESA and FQA copy their rows.
     fn fork(&self) -> Box<dyn MetricIndex<O>>;
 }
 

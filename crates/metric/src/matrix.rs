@@ -20,7 +20,8 @@
 //!   rows per 256-bit register, and all of it integer arithmetic: there is
 //!   no rounding to account for.
 //! * The per-object lower-bound filter runs through the cache-blocked,
-//!   SIMD-dispatched [`ScanKernel`] instead of one function call per row.
+//!   SIMD-dispatched [`ScanKernel`] instead of one function call per row,
+//!   and yields one u16 *gap* per row ([`ScanKernel`], "The gap").
 //!
 //! # The step
 //!
@@ -118,6 +119,19 @@ pub fn stored_interval(y: f64, step: f64) -> (f64, f64) {
         y + step
     };
     (y, hi)
+}
+
+/// The largest gap a radius admits: for every u16 `g`,
+/// `g ≤ steps_within(r, step)` exactly when `f64::from(g) · step ≤ r`.
+/// `step` is a power of two, so `r / step` is exact unless it leaves the
+/// normal range, where the floor is 0 anyway (subnormal) or the cast
+/// saturates (overflow); `+∞` and every radius from `65 535 · step` up
+/// admit every gap. For a radius that is a distance: neither NaN nor
+/// negative.
+#[inline]
+pub fn steps_within(r: f64, step: f64) -> u16 {
+    debug_assert!(r >= 0.0, "a radius is a distance, not {r}");
+    (r / step) as u16
 }
 
 /// Lemma 1 over a row stored as `codes` under `step`, against the *exact*
@@ -418,39 +432,25 @@ impl PivotColumns {
         2 * (self.rows * self.width()) as u64
     }
 
-    /// Lemma 1 lower bounds for **all** rows at once, through the blocked
-    /// [`ScanKernel`] over each chunk of the columns, as admissible f64
-    /// bounds into a reused buffer. Rows of tombstoned slots are included
-    /// — computing their bound is cheaper than branching on liveness inside
-    /// the kernel; the caller's slot map skips them in the verification
-    /// pass.
-    pub fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
-        self.lower_bounds_with_tier(simd::tier(), qd, out);
+    /// Lemma 1 for **all** rows at once: `out[i]` is row `i`'s gap, the
+    /// bound `g · step` in whole steps ([`ScanKernel`]), through the blocked
+    /// kernel over each chunk of the columns. Rows of tombstoned slots are
+    /// included — a gap is cheaper than a branch on liveness inside the
+    /// kernel; the caller's slot map skips them in the verification pass.
+    pub fn gaps_into(&self, qd: &[f64], out: &mut Vec<u16>) {
+        self.gaps_with_tier(simd::tier(), qd, out);
     }
 
-    /// [`lower_bounds_into`](Self::lower_bounds_into) pinned to an explicit
-    /// SIMD tier, for the tier-agreement tests.
-    fn lower_bounds_with_tier(&self, tier: SimdTier, qd: &[f64], out: &mut Vec<f64>) {
+    /// [`gaps_into`](Self::gaps_into) pinned to an explicit SIMD tier, for
+    /// the tier-agreement tests.
+    pub(crate) fn gaps_with_tier(&self, tier: SimdTier, qd: &[f64], out: &mut Vec<u16>) {
         let w = self.width();
         debug_assert_eq!(qd.len(), w);
         out.clear();
-        out.resize(self.rows, 0.0);
-        if qd.is_empty() {
+        out.resize(self.rows, 0);
+        if w == 0 {
             return;
         }
-        // The query moves to code space once per scan. A query beyond the
-        // top bucket saturates like a row does, which only loosens bounds.
-        let mut qstack = [0u16; 64];
-        let qheap: Vec<u16>;
-        let qf: &[u16] = if w <= qstack.len() {
-            for (s, &q) in qstack.iter_mut().zip(qd) {
-                *s = quantise(q, self.step);
-            }
-            &qstack[..w]
-        } else {
-            qheap = qd.iter().map(|&q| quantise(q, self.step)).collect();
-            &qheap
-        };
         // Column refs sit on the stack for the common pivot counts.
         let mut cstack: [&[u16]; 64] = [&[]; 64];
         let mut cheap: Vec<&[u16]> = Vec::new();
@@ -460,15 +460,60 @@ impl PivotColumns {
             cheap.resize(w, &[]);
             &mut cheap
         };
-        let mut rest = out.as_mut_slice();
-        for c in 0..self.cols[0].chunks().len() {
-            for (s, col) in cols.iter_mut().zip(&self.cols) {
-                *s = col.chunk(c);
+        query_codes(qd, self.step, |qf| {
+            let mut rest = out.as_mut_slice();
+            for c in 0..self.cols[0].chunks().len() {
+                for (s, col) in cols.iter_mut().zip(&self.cols) {
+                    *s = col.chunk(c);
+                }
+                let (now, later) = rest.split_at_mut(cols[0].len());
+                ScanKernel::fill_gaps(tier, qf, cols, now);
+                rest = later;
             }
-            let (now, later) = rest.split_at_mut(cols[0].len());
-            ScanKernel::fill_codes(tier, qf, cols, self.step, now);
-            rest = later;
+        });
+    }
+
+    /// [`gaps_into`](Self::gaps_into) for rows whose entries each name
+    /// their own pivot (EPT): entry `j` of row `i` is compared with the
+    /// query's code for pivot `pivots[j][i]` of `qd`, one gather per entry.
+    pub fn gathered_gaps_into(&self, qd: &[f64], pivots: &[CowVec<u16>], out: &mut Vec<u16>) {
+        assert_eq!(
+            pivots.len(),
+            self.width(),
+            "one pivot column per code column"
+        );
+        out.clear();
+        out.resize(self.rows, 0);
+        query_codes(qd, self.step, |qf| {
+            for (codes, ids) in self.cols.iter().zip(pivots) {
+                let mut rest = out.as_mut_slice();
+                for (codes, ids) in codes.chunks().zip(ids.chunks()) {
+                    let (now, later) = rest.split_at_mut(codes.len());
+                    for ((m, &c), &p) in now.iter_mut().zip(codes).zip(ids) {
+                        *m = (*m).max(c.abs_diff(qf[usize::from(p)]));
+                    }
+                    rest = later;
+                }
+            }
+        });
+        for g in out.iter_mut() {
+            *g = g.saturating_sub(1);
         }
+    }
+}
+
+/// Runs `f` over the query's pivot distances moved to code space, once per
+/// scan (on the stack for the common pivot counts). A query beyond the top
+/// bucket saturates like a row does, which only loosens bounds.
+fn query_codes(qd: &[f64], step: f64, f: impl FnOnce(&[u16])) {
+    let mut stack = [0u16; 64];
+    if qd.len() <= stack.len() {
+        for (s, &q) in stack.iter_mut().zip(qd) {
+            *s = quantise(q, step);
+        }
+        f(&stack[..qd.len()]);
+    } else {
+        f(&qd.iter().map(|&q| quantise(q, step)).collect::<Vec<_>>());
     }
 }
 
@@ -484,25 +529,30 @@ impl From<&PivotMatrix> for PivotColumns {
     }
 }
 
-/// The Lemma 1 pivot filter over whole tables: the lower bound
-/// `max_j |qd_j - row_j|` of every candidate row. One kernel runs, in code
+/// The Lemma 1 pivot filter over whole tables: a lower bound on
+/// `max_j |qd_j - row_j|` for every candidate row. One kernel runs, in code
 /// space over the planar u16 columns every index stores
-/// ([`PivotColumns::lower_bounds_into`], the serving entry point), blocks
-/// of rows at a time. Beside it sits one exact f64 oracle over flat
-/// row-major rows ([`lower_bounds`](Self::lower_bounds):
-/// [`pivot_lower_bound`] row by row), which the tests and the ruler's
-/// hand-made replica call and no index scans.
+/// ([`PivotColumns::gaps_into`], the serving entry point), blocks of rows
+/// at a time. Beside it sits one exact f64 oracle over flat row-major rows
+/// ([`lower_bounds`](Self::lower_bounds): [`pivot_lower_bound`] row by
+/// row), which the tests and the ruler's hand-made replica call and no
+/// index scans.
 ///
-/// The stored-code kernel works on integers throughout: the query's pivot
-/// distances are floored to codes once per scan, a row's
-/// `m = max_j |c_j − qf_j|` is a saturating-subtract / OR / max reduction in
-/// u16 lanes, and the bound is `(m − 1)⁺ · step` — a row code `c` and a
-/// query code `qf` put the two true distances strictly more than
-/// `(|c − qf| − 1) · step` apart, whichever buckets' ends they sit at, and
-/// a saturated code on either side only shrinks `m`. Integer arithmetic is
-/// exact and `u16 → f64` and a multiplication by a power of two round
-/// nothing, so every tier produces **bit-identical** bounds by
-/// construction, and there is no slack to subtract.
+/// # The gap
+///
+/// A scan's only per-row output is a u16 **gap** `g`, and the row's bound
+/// is `g · step`. The kernel works on integers throughout: the query's
+/// pivot distances are floored to codes once per scan, a row's
+/// `m = max_j |c_j − qf_j|` is a saturating-subtract / OR / max reduction
+/// in u16 lanes, and `g = (m − 1)⁺` — a row code `c` and a query code `qf`
+/// put the two true distances strictly more than `(|c − qf| − 1) · step`
+/// apart, whichever buckets' ends they sit at, and a saturated code on
+/// either side only shrinks `m`. Integer arithmetic is exact, so every tier
+/// produces **bit-identical** gaps by construction, with no slack to
+/// subtract. A gap meets a radius in code space: `g · step ≤ r` is
+/// `g ≤ steps_within(r, step)` ([`steps_within`]), exactly, and ordering
+/// rows by `(g, slot)` is ordering them by `(g · step, slot)`; a bound is
+/// never materialised as an f64 per row.
 ///
 /// On x86-64 the code kernel dispatches once (cached, overridable via
 /// `PMI_SIMD`) to explicit [`std::arch`] lanes — see [`crate::simd`] — with
@@ -510,23 +560,15 @@ impl From<&PivotMatrix> for PivotColumns {
 pub struct ScanKernel;
 
 impl ScanKernel {
-    /// The stored-code per-row reduction over planar columns: row `r` of
-    /// the slice whose column `j` is `cols[j]` — the tail every tier
-    /// finishes its blocks with.
+    /// The gap of row `r` of the slice whose column `j` is `cols[j]` — the
+    /// tail every tier finishes its blocks with.
     #[inline(always)]
-    pub(crate) fn row_max_codes(qf: &[u16], cols: &[&[u16]], r: usize) -> u16 {
+    pub(crate) fn row_gap(qf: &[u16], cols: &[&[u16]], r: usize) -> u16 {
         let mut m = 0u16;
         for (&q, col) in qf.iter().zip(cols) {
             m = m.max(q.abs_diff(col[r]));
         }
-        m
-    }
-
-    /// The bound a row-max of code differences stands for: the two true
-    /// distances lie strictly more than `(m − 1) · step` apart.
-    #[inline(always)]
-    pub(crate) fn code_bound(m: u16, step: f64) -> f64 {
-        f64::from(m.saturating_sub(1)) * step
+        m.saturating_sub(1)
     }
 
     /// The exact f64 oracle: the Lemma 1 bound of each of `n` contiguous
@@ -544,30 +586,26 @@ impl ScanKernel {
         out.extend(rows.chunks_exact(w).map(|row| pivot_lower_bound(qd, row)));
     }
 
-    /// The stored-code kernel into a slice: `out[i]` is the bound of row
-    /// `i` of every column — `cols[j][i]` is row `i`'s code against pivot
-    /// `j`, `qf[j]` the query's. Planar storage is what makes the narrow
-    /// codes pay: every SIMD step is one contiguous load per column
+    /// The stored-code kernel into a slice: `out[i]` is the gap of row `i`
+    /// of every column — `cols[j][i]` is row `i`'s code against pivot `j`,
+    /// `qf[j]` the query's. Planar storage is what makes the narrow codes
+    /// pay: every SIMD step is one contiguous load per column
     /// ([`PivotColumns`] keeps its columns in row order).
-    fn fill_codes(tier: SimdTier, qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
+    fn fill_gaps(tier: SimdTier, qf: &[u16], cols: &[&[u16]], out: &mut [u16]) {
         /// Rows per step of the portable body: what LLVM turns into whole
         /// u16 vectors on any target.
         const BLOCK: usize = 16;
-        let w = qf.len();
-        if w == 0 {
-            return;
-        }
         let n = out.len();
-        assert_eq!(cols.len(), w, "one column per pivot");
+        assert_eq!(cols.len(), qf.len(), "one column per pivot");
         assert!(cols.iter().all(|c| c.len() >= n), "one entry per row");
         match tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: dispatch/pinning is gated on runtime AVX2 detection;
             // column lengths are checked above.
-            SimdTier::Avx2 => unsafe { simd::x86::lb_codes_avx2(qf, cols, step, out) },
+            SimdTier::Avx2 => unsafe { simd::x86::gaps_avx2(qf, cols, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
-            SimdTier::Sse2 => unsafe { simd::x86::lb_codes_sse2(qf, cols, step, out) },
+            SimdTier::Sse2 => unsafe { simd::x86::gaps_sse2(qf, cols, out) },
             _ => {
                 let mut i = 0;
                 while i + BLOCK <= n {
@@ -578,12 +616,12 @@ impl ScanKernel {
                         }
                     }
                     for (o, &m) in out[i..i + BLOCK].iter_mut().zip(&m) {
-                        *o = Self::code_bound(m, step);
+                        *o = m.saturating_sub(1);
                     }
                     i += BLOCK;
                 }
                 for (r, o) in out.iter_mut().enumerate().skip(i) {
-                    *o = Self::code_bound(Self::row_max_codes(qf, cols, r), step);
+                    *o = Self::row_gap(qf, cols, r);
                 }
             }
         }
@@ -652,12 +690,14 @@ mod tests {
         let c = PivotMatrix::compute(&pts, &L2, &[], 4);
         assert_eq!(c.rows(), 10);
         assert_eq!(c.width(), 0);
-        // Stored: rows count, nothing to scan, every bound is zero.
+        // Stored: rows count, nothing to scan, every gap is zero.
         let cols = PivotColumns::from(&c);
         assert_eq!((cols.rows(), cols.width(), cols.mem_bytes()), (10, 0, 0));
-        let mut lbs = vec![1.0];
-        cols.lower_bounds_into(&[], &mut lbs);
-        assert_eq!(lbs, vec![0.0; 10]);
+        let mut gaps = vec![1];
+        cols.gaps_into(&[], &mut gaps);
+        assert_eq!(gaps, vec![0; 10]);
+        cols.gathered_gaps_into(&[], &[], &mut gaps);
+        assert_eq!(gaps, vec![0; 10]);
     }
 
     #[test]
@@ -798,15 +838,12 @@ mod tests {
         let _ = PivotColumns::new(2, 0.3);
     }
 
-    /// Bit-for-bit agreement of two column sets' bounds for one query.
+    /// Agreement of two column sets' gaps for one query.
     fn assert_same_bounds(got: &PivotColumns, want: &PivotColumns, qd: &[f64], ctx: &str) {
         let (mut g, mut w) = (Vec::new(), Vec::new());
-        got.lower_bounds_into(qd, &mut g);
-        want.lower_bounds_into(qd, &mut w);
-        assert_eq!(g.len(), w.len(), "{ctx}");
-        for (i, (g, w)) in g.iter().zip(&w).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: row {i}");
-        }
+        got.gaps_into(qd, &mut g);
+        want.gaps_into(qd, &mut w);
+        assert_eq!(g, w, "{ctx}");
     }
 
     #[test]
@@ -864,16 +901,16 @@ mod tests {
         let stored = PivotColumns::from(&exact);
         let step = stored.step();
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&pts[42], p)).collect();
-        let mut lbs = Vec::new();
-        stored.lower_bounds_into(&qd, &mut lbs);
-        assert_eq!(lbs.len(), 500);
+        let mut gaps = Vec::new();
+        stored.gaps_into(&qd, &mut gaps);
+        assert_eq!(gaps.len(), 500);
         let mut truths = Vec::new();
         ScanKernel::lower_bounds(&qd, exact.as_slice(), exact.rows(), &mut truths);
-        for (i, (lb, &truth)) in lbs.iter().zip(&truths).enumerate() {
-            assert!(*lb <= truth, "row {i}: stored bound {lb} > true {truth}");
-            assert!(*lb >= 0.0);
+        for (i, (&g, &truth)) in gaps.iter().zip(&truths).enumerate() {
+            let lb = f64::from(g) * step;
+            assert!(lb <= truth, "row {i}: stored bound {lb} > true {truth}");
             // And not uselessly loose: within two buckets of the truth.
-            assert!(truth - *lb < 2.0 * step, "row {i} too loose");
+            assert!(truth - lb < 2.0 * step, "row {i} too loose");
             // The by-hand form: floors of the query and of the row, one
             // step of overlap given back.
             let m = exact
@@ -882,7 +919,7 @@ mod tests {
                 .zip(&qd)
                 .map(|(x, q)| ((x / step).floor() - (q / step).floor()).abs())
                 .fold(0.0, f64::max);
-            assert_eq!(*lb, (m - 1.0).max(0.0) * step, "row {i}");
+            assert_eq!(lb, (m - 1.0).max(0.0) * step, "row {i}");
             // What the row reads back as stands for the exact row.
             for (y, &x) in stored.row(i).zip(exact.row(i)) {
                 let (lo, hi) = stored_interval(y, step);
@@ -891,10 +928,23 @@ mod tests {
         }
         // A permuted selection agrees per row.
         let index: Vec<u32> = (0..500u32).map(|i| (i * 7) % 500).collect();
-        let mut plbs = Vec::new();
-        stored.select(&index).lower_bounds_into(&qd, &mut plbs);
+        let mut pgaps = Vec::new();
+        stored.select(&index).gaps_into(&qd, &mut pgaps);
         for (i, &id) in index.iter().enumerate() {
-            assert_eq!(plbs[i].to_bits(), lbs[id as usize].to_bits());
+            assert_eq!(pgaps[i], gaps[id as usize]);
+        }
+        // Entries that name their own pivots: each row's columns against
+        // the pivots `ids` names are a row of the shared-pivot table over
+        // the query's distances in that order.
+        let ids: Vec<CowVec<u16>> = (0..3u16)
+            .map(|j| (0..500).map(|i| (j + i) % 3).collect())
+            .collect();
+        stored.gathered_gaps_into(&qd, &ids, &mut pgaps);
+        for (i, &g) in pgaps.iter().enumerate() {
+            let order: Vec<f64> = ids.iter().map(|c| qd[usize::from(c[i])]).collect();
+            let mut want = Vec::new();
+            stored.select(&[i as u32]).gaps_into(&order, &mut want);
+            assert_eq!(g, want[0], "row {i}");
         }
     }
 
@@ -916,7 +966,8 @@ mod tests {
 
         /// Random columns under a random step, rows and queries inside the
         /// coded range, in the open top bucket and far beyond it: every
-        /// tier returns the same bounds bit for bit, each admissible
+        /// tier (and the gathered scan) returns the same gaps, each bound
+        /// `gap · step` admissible
         /// against the exact f64 oracle over the un-bucketed rows, and —
         /// where neither side saturates — within two steps of it, so a
         /// kernel that is silently loose fails too.
@@ -938,8 +989,9 @@ mod tests {
             let top = 65_535.0 * step;
             let query_coded = qd.iter().all(|&q| q < top);
             let mut want = Vec::new();
-            stored.lower_bounds_with_tier(SimdTier::Portable, &qd, &mut want);
-            for (i, (&lb, &truth)) in want.iter().zip(&exact).enumerate() {
+            stored.gaps_with_tier(SimdTier::Portable, &qd, &mut want);
+            for (i, (&g, &truth)) in want.iter().zip(&exact).enumerate() {
+                let lb = f64::from(g) * step;
                 prop_assert!(lb <= truth, "row {}: {} > exact {}", i, lb, truth);
                 let row_coded = rows[i * width..][..width].iter().all(|&x| x < top);
                 if query_coded && row_coded {
@@ -948,11 +1000,47 @@ mod tests {
             }
             for tier in simd::available_tiers() {
                 let mut got = Vec::new();
-                stored.lower_bounds_with_tier(tier, &qd, &mut got);
-                prop_assert_eq!(got.len(), n);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} row {}", tier, i);
-                }
+                stored.gaps_with_tier(tier, &qd, &mut got);
+                prop_assert_eq!(&got, &want, "{:?}", tier);
+            }
+            // Every entry naming its own column's pivot is the same scan.
+            let ids: Vec<CowVec<u16>> = (0..width as u16).map(|j| vec![j; n].into()).collect();
+            let mut got = Vec::new();
+            stored.gathered_gaps_into(&qd, &ids, &mut got);
+            prop_assert_eq!(&got, &want, "gathered");
+        }
+
+        /// A gap meets a radius in code space, exactly: for every u16 gap
+        /// `g`, `g ≤ steps_within(r, step)` ⇔ `f64::from(g) · step ≤ r`,
+        /// over power-of-two steps from 2⁻¹⁰²² up, and radii of 0,
+        /// subnormal, exact multiples of the step and one ulp either side,
+        /// from the top code `65 535 · step` up, and `+∞`.
+        #[test]
+        fn code_kernel_steps_within_is_exact_for_every_gap(
+            step_exp in -1022i32..=1000,
+            kind in 0u8..7,
+            cell in 0u32..70_000,
+            tiny in 1u64..1 << 52,
+        ) {
+            // 2^step_exp, built from its exponent bits.
+            let step = f64::from_bits(((step_exp + 1023) as u64) << 52);
+            let multiple = f64::from(cell) * step;
+            let r = match kind {
+                0 => 0.0,
+                1 => f64::from_bits(tiny),
+                2 => multiple,
+                3 => multiple.next_up(),
+                4 => multiple.next_down().max(0.0),
+                5 => f64::from(65_535 + cell) * step,
+                _ => f64::INFINITY,
+            };
+            let within = steps_within(r, step);
+            for g in 0..=u16::MAX {
+                prop_assert_eq!(
+                    g <= within,
+                    f64::from(g) * step <= r,
+                    "g {} step 2^{} r {:e}", g, step_exp, r
+                );
             }
         }
 

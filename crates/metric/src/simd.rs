@@ -1,12 +1,15 @@
 //! Explicit-SIMD tiers, with one-time runtime dispatch, for two kernels:
 //! the stored-code Lemma 1 scan
-//! ([`PivotColumns::lower_bounds_into`](crate::PivotColumns::lower_bounds_into))
-//! and eight distances per register pass ([`Metric::dist8`](crate::Metric::dist8)
+//! ([`PivotColumns::gaps_into`](crate::PivotColumns::gaps_into)) and eight
+//! distances per register pass ([`Metric::dist8`](crate::Metric::dist8)
 //! for L1, L2 and L∞ on `[f32]`).
 //!
-//! The filter `max_j |qf_j − c_j|` over the u16 code columns every index
-//! stores is memory-bound; hand-written lanes let AVX2 process **sixteen**
-//! rows per step and finish them in-register. Three tiers exist:
+//! The filter over the u16 code columns every index stores is
+//! memory-bound: ten bytes in per row at five pivots, and two out — the
+//! row's gap `(max_j |qf_j − c_j| − 1)⁺`, whose bound is `gap · step`
+//! ([`ScanKernel`](crate::ScanKernel), "The gap"). Hand-written lanes let
+//! AVX2 process **sixteen** rows per step and store their gaps straight
+//! from the register. Three tiers exist:
 //!
 //! * [`SimdTier::Avx2`] — 256-bit lanes (16 u16 rows per step), picked
 //!   when the CPU reports AVX2 at first use. `dist8` runs its register
@@ -19,9 +22,8 @@
 //!   as under SSE2.
 //!
 //! **Every tier produces bit-identical results.** The scan kernel is
-//! integer arithmetic — an absolute difference and a max of u16s, exact in
-//! any order — finished by one shared `(m − 1)⁺ · step` whose conversion
-//! and power-of-two product round nothing. A `dist8` lane runs `dist`'s
+//! integer arithmetic — an absolute difference, a max and a saturating
+//! decrement of u16s, exact in any order. A `dist8` lane runs `dist`'s
 //! operations in `dist`'s order, so each lane is `dist`'s result bit for
 //! bit (`x86::fold8_avx2` says why). `PivotColumns` and `dist8` each take
 //! a pinned tier privately, which is how the kernel proptests hold every
@@ -120,7 +122,7 @@ pub(crate) enum Lane {
 }
 
 /// The x86-64 lane implementations. The scan kernels require the slice
-/// preconditions `ScanKernel::fill_codes` checks (one column per pivot,
+/// preconditions `ScanKernel::fill_gaps` checks (one column per pivot,
 /// each at least `out.len()` long), `fold8_avx2` nine equal lengths, and
 /// the AVX2 ones a CPU with AVX2 — which the dispatcher guarantees.
 #[cfg(target_arch = "x86_64")]
@@ -135,73 +137,58 @@ pub(crate) mod x86 {
     /// per-lane gather. `|c − q|` of unsigned lanes is the OR of the two
     /// saturating differences (one of them is zero); the row maxes lose
     /// their one step of bucket overlap in-register (`subs 1`) and are
-    /// widened u16 → i32 → f64 and scaled, four rows a store.
+    /// stored as they are: sixteen gaps, one store.
     ///
     /// # Safety
     /// Caller verified AVX2; every `cols[j].len() >= out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lb_codes_avx2(qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
-        let w = qf.len();
+    pub unsafe fn gaps_avx2(qf: &[u16], cols: &[&[u16]], out: &mut [u16]) {
         let n = out.len();
-        debug_assert_eq!(cols.len(), w);
-        let scale = _mm256_set1_pd(step);
+        debug_assert_eq!(cols.len(), qf.len());
         let one = _mm256_set1_epi16(1);
         let mut i = 0;
         while i + 16 <= n {
             let mut m = _mm256_setzero_si256();
-            for j in 0..w {
-                let c = _mm256_loadu_si256(cols.get_unchecked(j).as_ptr().add(i).cast());
-                let q = _mm256_set1_epi16(*qf.get_unchecked(j) as i16);
+            for (col, &q) in cols.iter().zip(qf) {
+                let c = _mm256_loadu_si256(col.as_ptr().add(i).cast());
+                let q = _mm256_set1_epi16(q as i16);
                 let d = _mm256_or_si256(_mm256_subs_epu16(c, q), _mm256_subs_epu16(q, c));
                 m = _mm256_max_epu16(m, d);
             }
-            let m = _mm256_subs_epu16(m, one);
-            let lo = _mm256_cvtepu16_epi32(_mm256_castsi256_si128(m));
-            let hi = _mm256_cvtepu16_epi32(_mm256_extracti128_si256(m, 1));
-            let o = out.as_mut_ptr().add(i);
-            for (k, half) in [lo, hi].into_iter().enumerate() {
-                let a = _mm256_cvtepi32_pd(_mm256_castsi256_si128(half));
-                let b = _mm256_cvtepi32_pd(_mm256_extracti128_si256(half, 1));
-                _mm256_storeu_pd(o.add(8 * k), _mm256_mul_pd(a, scale));
-                _mm256_storeu_pd(o.add(8 * k + 4), _mm256_mul_pd(b, scale));
-            }
+            let g = _mm256_subs_epu16(m, one);
+            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), g);
             i += 16;
         }
-        for (r, o) in out.iter_mut().enumerate().take(n).skip(i) {
-            *o = ScanKernel::code_bound(ScanKernel::row_max_codes(qf, cols, r), step);
+        for (r, o) in out.iter_mut().enumerate().skip(i) {
+            *o = ScanKernel::row_gap(qf, cols, r);
         }
     }
 
     /// 8 rows of u16 codes per step (SSE2 baseline) over planar storage;
-    /// see [`lb_codes_avx2`] for the layout. SSE2 has no unsigned 16-bit
-    /// max: `max(a, b) = adds(subs(a, b), b)`. The eight row maxes go
-    /// through the shared scalar finish.
+    /// see [`gaps_avx2`] for the layout. SSE2 has no unsigned 16-bit max:
+    /// `max(a, b) = adds(subs(a, b), b)`.
     ///
     /// # Safety
     /// Every `cols[j].len() >= out.len()`.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn lb_codes_sse2(qf: &[u16], cols: &[&[u16]], step: f64, out: &mut [f64]) {
-        let w = qf.len();
+    pub unsafe fn gaps_sse2(qf: &[u16], cols: &[&[u16]], out: &mut [u16]) {
         let n = out.len();
-        debug_assert_eq!(cols.len(), w);
+        debug_assert_eq!(cols.len(), qf.len());
+        let one = _mm_set1_epi16(1);
         let mut i = 0;
         while i + 8 <= n {
             let mut m = _mm_setzero_si128();
-            for j in 0..w {
-                let c = _mm_loadu_si128(cols.get_unchecked(j).as_ptr().add(i).cast());
-                let q = _mm_set1_epi16(*qf.get_unchecked(j) as i16);
+            for (col, &q) in cols.iter().zip(qf) {
+                let c = _mm_loadu_si128(col.as_ptr().add(i).cast());
+                let q = _mm_set1_epi16(q as i16);
                 let d = _mm_or_si128(_mm_subs_epu16(c, q), _mm_subs_epu16(q, c));
                 m = _mm_adds_epu16(_mm_subs_epu16(m, d), d);
             }
-            let mut ms = [0u16; 8];
-            _mm_storeu_si128(ms.as_mut_ptr().cast(), m);
-            for (o, &m) in out[i..i + 8].iter_mut().zip(&ms) {
-                *o = ScanKernel::code_bound(m, step);
-            }
+            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm_subs_epu16(m, one));
             i += 8;
         }
-        for (r, o) in out.iter_mut().enumerate().take(n).skip(i) {
-            *o = ScanKernel::code_bound(ScanKernel::row_max_codes(qf, cols, r), step);
+        for (r, o) in out.iter_mut().enumerate().skip(i) {
+            *o = ScanKernel::row_gap(qf, cols, r);
         }
     }
 

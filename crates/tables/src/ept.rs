@@ -8,18 +8,19 @@
 //! query sample — better pivots at a much higher construction cost
 //! (Table 4), which is the trade-off Figure 14 measures.
 //!
-//! Rows are stored flat (structure-of-arrays: one `u16` pivot-id array and
-//! one `f64` distance array, fixed stride `l`), so the per-object scan is a
-//! sequential pass with no per-row allocation; tombstoned removal keeps ids
-//! stable through the object table's slot map. The Lemma 1 filter runs as a
-//! blocked kernel of its own over the SoA rows, gathering `qd[pivot_id]` at
-//! fixed stride for four rows at once, bit for bit equal to the per-row
-//! bound: blocking only reorders lower-bound arithmetic across rows, never
-//! within one.
+//! Each of a row's `l` entries is stored as a u16 pivot id and a u16
+//! bucket code of its distance, in planar columns: `l` columns of ids and
+//! one [`PivotColumns`] of codes under one power-of-two step, sized from
+//! the largest distance the build stores (an insert beyond the top bucket
+//! is stored saturated). The Lemma 1 filter is the pivot table's gap
+//! ([`PivotColumns::gathered_gaps_into`]: each entry against the query's
+//! code for its own pivot), and the scan feeds the same range filter and
+//! kNN verification as LAESA's. Tombstoned removal keeps ids stable
+//! through the object table's slot map.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    QueryScratch, StorageFootprint,
+    Counters, CountingMetric, CowVec, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
+    PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
 };
 use pmi_pivots::PsaSelector;
 use rand::rngs::StdRng;
@@ -73,11 +74,47 @@ enum Strategy<O, M> {
     Psa(PsaSelector<O, CountingMetric<M>>),
 }
 
+impl<O: Clone + Sync, M: Metric<O>> Strategy<O, M> {
+    /// The row of `o`: its pivots' indices into `pivot_objs` and its
+    /// distances to them, computed here.
+    fn select_row(
+        &self,
+        metric: &CountingMetric<M>,
+        pivot_objs: &[O],
+        l: usize,
+        o: &O,
+    ) -> (Vec<u16>, Vec<f64>) {
+        match self {
+            Strategy::Random { groups, mus, .. } => groups
+                .iter()
+                .map(|group| {
+                    let mut best = (group[0], 0.0);
+                    let mut best_score = f64::NEG_INFINITY;
+                    for &pi in group {
+                        let d = metric.dist(o, &pivot_objs[usize::from(pi)]);
+                        let score = (d - mus[usize::from(pi)]).abs();
+                        if score > best_score {
+                            best_score = score;
+                            best = (pi, d);
+                        }
+                    }
+                    best
+                })
+                .unzip(),
+            Strategy::Psa(sel) => sel
+                .pivots_for(o, l)
+                .into_iter()
+                .map(|(ci, d)| (ci as u16, d))
+                .unzip(),
+        }
+    }
+}
+
 /// EPT / EPT*: a pivot table where every object has its own pivots.
 ///
-/// Cloning — the [`MetricIndex::fork`] — copies the flat rows (`10 · l`
-/// bytes per slot) and the pivot pool; the object table's chunks and the
-/// distance counter are shared. No workload commits to an EPT engine.
+/// Cloning — the [`MetricIndex::fork`] — shares every full chunk of the
+/// id and code columns and of the object table, and the distance counter;
+/// it copies the pivot pool and the selection state.
 #[derive(Clone)]
 pub struct Ept<O, M> {
     metric: CountingMetric<M>,
@@ -85,12 +122,11 @@ pub struct Ept<O, M> {
     /// All pivot objects any row may reference.
     pivot_objs: Vec<O>,
     strategy: Strategy<O, M>,
-    /// Flat SoA rows: `row_pivots[id·l ..][j]` is the pivot index of the
-    /// `j`-th pivot of slot `id`, `row_dists` the matching distance.
-    row_pivots: Vec<u16>,
-    row_dists: Vec<f64>,
-    /// Row stride: pivots stored per object.
-    stride: usize,
+    /// `pivot_ids[j][id]`: the index into `pivot_objs` of slot `id`'s
+    /// `j`-th pivot.
+    pivot_ids: Vec<CowVec<u16>>,
+    /// Column `j` holds the code of slot `id`'s distance to that pivot.
+    codes: PivotColumns,
     table: ObjTable<O>,
     l: usize,
 }
@@ -102,16 +138,6 @@ where
 {
     /// Builds an EPT (`mode = Random`) or EPT* (`mode = Psa`).
     pub fn build(objects: Vec<O>, metric: M, mode: EptMode, cfg: EptConfig) -> Self {
-        Self::build_inner(objects, metric, mode, cfg)
-    }
-
-    /// The deterministic pivot pool [`build`](Self::build) draws random
-    /// groups from: indices into `objects` for a dataset of `n` objects.
-    fn random_pool_indices(n: usize, cfg: EptConfig) -> Vec<usize> {
-        pmi_pivots::select_random(n, (cfg.l * cfg.m).min(n), cfg.seed)
-    }
-
-    fn build_inner(objects: Vec<O>, metric: M, mode: EptMode, cfg: EptConfig) -> Self {
         let metric = CountingMetric::new(metric);
         let n = objects.len();
         assert!(n >= 2, "EPT needs at least two objects");
@@ -119,7 +145,8 @@ where
 
         let (pivot_objs, strategy) = match mode {
             EptMode::Random => {
-                let picks = Self::random_pool_indices(n, cfg);
+                // The deterministic pivot pool the groups are drawn from.
+                let picks = pmi_pivots::select_random(n, (cfg.l * cfg.m).min(n), cfg.seed);
                 let total = picks.len();
                 let pivot_objs: Vec<O> = picks.iter().map(|&i| objects[i].clone()).collect();
                 let groups: Vec<Vec<u16>> = (0..cfg.l)
@@ -148,139 +175,42 @@ where
             }
         };
 
-        let mut ept = Ept {
+        let (ids, dists): (Vec<_>, Vec<_>) = objects
+            .iter()
+            .map(|o| strategy.select_row(&metric, &pivot_objs, cfg.l, o))
+            .unzip();
+        let width = ids.first().map_or(0, Vec::len);
+        Ept {
+            pivot_ids: (0..width)
+                .map(|j| ids.iter().map(|row| row[j]).collect())
+                .collect(),
+            codes: PivotColumns::from(&PivotMatrix::from_rows(width, &dists)),
             metric,
             mode,
             pivot_objs,
             strategy,
-            row_pivots: Vec::new(),
-            row_dists: Vec::new(),
-            stride: 0,
-            table: ObjTable::empty(),
+            table: ObjTable::new(objects),
             l: cfg.l,
-        };
-        for o in objects {
-            let row = ept.select_row(&o);
-            ept.table.push(o);
-            ept.push_row(row);
-        }
-        ept
-    }
-
-    fn push_row(&mut self, row: Vec<(u16, f64)>) {
-        if self.stride == 0 && !row.is_empty() {
-            self.stride = row.len();
-        }
-        assert_eq!(row.len(), self.stride, "EPT rows have a fixed stride");
-        for (pi, d) in row {
-            self.row_pivots.push(pi);
-            self.row_dists.push(d);
         }
     }
 
-    /// The flat row of slot `id` as `(pivot indices, distances)`. Public
-    /// for diagnostics and the exact-counter tests, which recompute the
-    /// scalar lower bound per row and compare against the blocked kernel.
-    #[inline]
-    pub fn row_of(&self, id: ObjId) -> (&[u16], &[f64]) {
-        let s = id as usize * self.stride;
-        (
-            &self.row_pivots[s..s + self.stride],
-            &self.row_dists[s..s + self.stride],
-        )
+    /// The stored row of slot `id`, entry by entry: the pivot's index into
+    /// [`pivot_objects`](Self::pivot_objects) and the lower edge of the
+    /// distance's bucket under [`step`](Self::step).
+    pub fn row(&self, id: ObjId) -> impl Iterator<Item = (u16, f64)> + '_ {
+        let ids = self.pivot_ids.iter().map(move |col| col[id as usize]);
+        ids.zip(self.codes.row(id as usize))
+    }
+
+    /// The bucket width every stored distance is a multiple of.
+    pub fn step(&self) -> f64 {
+        self.codes.step()
     }
 
     /// All pivot objects any row may reference (the `m × l` pool of the
     /// paper's cost equations; queries pay one distance to each).
     pub fn pivot_objects(&self) -> &[O] {
         &self.pivot_objs
-    }
-
-    /// Blocked Lemma 1 lower bounds for **all** slots (tombstoned
-    /// included) over the flat SoA rows, into a reused buffer: the
-    /// EPT-shaped scan kernel. `CHAINS` independent max-chains run per
-    /// step; each row's reduction visits its pivots in storage order, so
-    /// results are bit-identical to the per-row scalar
-    /// [`row_lower_bound`](Self::row_lower_bound).
-    fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
-        /// Rows per step: one max-chain each, in flight together.
-        const CHAINS: usize = 4;
-        let w = self.stride;
-        out.clear();
-        if w == 0 {
-            out.resize(self.table.slots(), 0.0);
-            return;
-        }
-        out.reserve(self.row_dists.len() / w);
-        let mut pi_blocks = self.row_pivots.chunks_exact(CHAINS * w);
-        let mut d_blocks = self.row_dists.chunks_exact(CHAINS * w);
-        for (pis, ds) in (&mut pi_blocks).zip(&mut d_blocks) {
-            let (mut m0, mut m1, mut m2, mut m3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for j in 0..w {
-                let d0 = (qd[pis[j] as usize] - ds[j]).abs();
-                let d1 = (qd[pis[w + j] as usize] - ds[w + j]).abs();
-                let d2 = (qd[pis[2 * w + j] as usize] - ds[2 * w + j]).abs();
-                let d3 = (qd[pis[3 * w + j] as usize] - ds[3 * w + j]).abs();
-                m0 = if d0 > m0 { d0 } else { m0 };
-                m1 = if d1 > m1 { d1 } else { m1 };
-                m2 = if d2 > m2 { d2 } else { m2 };
-                m3 = if d3 > m3 { d3 } else { m3 };
-            }
-            out.extend_from_slice(&[m0, m1, m2, m3]);
-        }
-        for (pis, ds) in pi_blocks
-            .remainder()
-            .chunks_exact(w)
-            .zip(d_blocks.remainder().chunks_exact(w))
-        {
-            out.push(Self::row_lower_bound(qd, pis, ds));
-        }
-    }
-
-    /// Selects the `(pivot, distance)` row for one object. In Random mode,
-    /// `pool_row` (the object's pre-computed distances to the whole pivot
-    /// pool) substitutes for computing them here.
-    fn select_row(&self, o: &O) -> Vec<(u16, f64)> {
-        match &self.strategy {
-            Strategy::Random { groups, mus, .. } => {
-                let mut row = Vec::with_capacity(groups.len());
-                for group in groups {
-                    let mut best = group[0];
-                    let mut best_score = f64::NEG_INFINITY;
-                    let mut best_d = 0.0;
-                    for &pi in group {
-                        let d = self.metric.dist(o, &self.pivot_objs[pi as usize]);
-                        let score = (d - mus[pi as usize]).abs();
-                        if score > best_score {
-                            best_score = score;
-                            best = pi;
-                            best_d = d;
-                        }
-                    }
-                    row.push((best, best_d));
-                }
-                row
-            }
-            Strategy::Psa(sel) => sel
-                .pivots_for(o, self.l)
-                .into_iter()
-                .map(|(ci, d)| (ci as u16, d))
-                .collect(),
-        }
-    }
-
-    /// The scalar per-row lower bound (`max_j |qd[p_j] - d_j|`), shared by
-    /// the kernel's remainder path and the exact-counter tests.
-    #[inline]
-    pub fn row_lower_bound(qd: &[f64], pivots: &[u16], dists: &[f64]) -> f64 {
-        let mut lb = 0.0f64;
-        for (pi, d) in pivots.iter().zip(dists) {
-            let x = (qd[*pi as usize] - d).abs();
-            if x > lb {
-                lb = x;
-            }
-        }
-        lb
     }
 
     /// The instrumented metric.
@@ -328,17 +258,10 @@ where
         }
         scratch.note_kernel(self.table.slots());
         scratch.map_query(&self.metric, q, &self.pivot_objs);
-        let QueryScratch {
-            qd, lbs, survivors, ..
-        } = scratch;
-        self.lower_bounds_into(qd, lbs);
-        survivors.clear();
-        survivors.extend(
-            self.table
-                .iter()
-                .filter(|&(id, _)| lbs[id as usize] <= r)
-                .map(|(id, _)| id),
-        );
+        self.codes
+            .gathered_gaps_into(&scratch.qd, &self.pivot_ids, &mut scratch.gaps);
+        let live = |id| self.table.get(id).is_some();
+        scratch.range_survivors(r, self.codes.step(), live);
         let get = |id| self.table.get(id).expect("survivor is live");
         scratch.range_verify(&self.metric, q, r, "ept.dist", get, out);
     }
@@ -356,9 +279,10 @@ where
         }
         scratch.note_kernel(self.table.slots());
         scratch.map_query(&self.metric, q, &self.pivot_objs);
-        self.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        self.codes
+            .gathered_gaps_into(&scratch.qd, &self.pivot_ids, &mut scratch.gaps);
         let dist = |id| self.table.get(id).map(|o| self.metric.dist(q, o));
-        scratch.knn_verify(k, seed, dist, out);
+        scratch.knn_verify(k, seed, self.codes.step(), dist, out);
     }
 
     fn insert(&mut self, o: O) -> ObjId {
@@ -369,11 +293,14 @@ where
             let fresh = estimate_mus(&self.metric, &self.pivot_objs, mu_sample);
             *mus = fresh;
         }
-        let row = self.select_row(&o);
-        let id = self.table.push(o);
-        debug_assert_eq!(id as usize * self.stride, self.row_pivots.len());
-        self.push_row(row);
-        id
+        let (ids, dists) = self
+            .strategy
+            .select_row(&self.metric, &self.pivot_objs, self.l, &o);
+        self.codes.push_row(&dists);
+        for (col, id) in self.pivot_ids.iter_mut().zip(ids) {
+            col.push(id);
+        }
+        self.table.push(o)
     }
 
     /// Clears the slot's liveness bit. As for LAESA, the paper's
@@ -388,11 +315,11 @@ where
     }
 
     fn storage(&self) -> StorageFootprint {
-        // Rows store (pivot id, distance) pairs — the extra pivot-id bytes
-        // relative to LAESA that Table 4 points out. Tombstoned slots keep
-        // their rows (ids stay stable), so slots are counted, not live
-        // objects.
-        let rows: u64 = 12 * self.row_dists.len() as u64;
+        // Each entry is a 2 B pivot id beside its 2 B code — the pivot-id
+        // bytes relative to LAESA that Table 4 points out. Tombstoned slots
+        // keep their rows (ids stay stable), so slots are counted, not
+        // live objects.
+        let rows = 2 * self.codes.mem_bytes();
         let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
         let pivots: u64 = self.pivot_objs.iter().map(|p| p.encoded_len() as u64).sum();
         StorageFootprint::mem(rows + objs + pivots)
@@ -414,7 +341,7 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{BruteForce, L2};
+    use pmi_metric::{BruteForce, EditDistance, L1, L2};
 
     fn cfg() -> EptConfig {
         EptConfig {
@@ -446,17 +373,53 @@ mod tests {
         }
     }
 
+    /// EPT and EPT* answer exactly what `BruteForce` answers — ids and
+    /// distance bits — on LA (L2), on Words (edit distance, whose integer
+    /// distances tie at the k-th place) and on Color (282-d L1), for
+    /// members and outsiders.
     #[test]
     fn ept_knn_matches_brute_force() {
-        for mode in [EptMode::Random, EptMode::Psa] {
-            let (pts, idx) = build(mode, 350);
-            let oracle = BruteForce::new(pts.clone(), L2);
-            let got = idx.knn_query(&pts[7], 12);
-            let want = oracle.knn_query(&pts[7], 12);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.dist - w.dist).abs() < 1e-9, "{mode:?}");
+        fn check<O, M>(objects: Vec<O>, outsiders: Vec<O>, metric: M, label: &str)
+        where
+            O: Clone + EncodeObject + Send + Sync + 'static,
+            M: Metric<O> + Clone + 'static,
+        {
+            let key = |v: Vec<Neighbor>| -> Vec<(ObjId, u64)> {
+                v.into_iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            let oracle = BruteForce::new(objects.clone(), metric.clone());
+            let queries: Vec<O> = objects
+                .iter()
+                .step_by(97)
+                .chain(&outsiders)
+                .cloned()
+                .collect();
+            for mode in [EptMode::Random, EptMode::Psa] {
+                let idx = Ept::build(objects.clone(), metric.clone(), mode, cfg());
+                for (qi, q) in queries.iter().enumerate() {
+                    for k in [1, 12, 40] {
+                        assert_eq!(
+                            key(idx.knn_query(q, k)),
+                            key(oracle.knn_query(q, k)),
+                            "{label} {mode:?} query {qi} k={k}"
+                        );
+                    }
+                }
             }
         }
+        check(datasets::la(350, 13), datasets::la(3, 14), L2, "LA");
+        check(
+            datasets::words(350, 13),
+            datasets::words(3, 14),
+            EditDistance,
+            "Words",
+        );
+        check(
+            datasets::color(350, 13),
+            datasets::color(3, 14),
+            L1,
+            "Color",
+        );
     }
 
     #[test]

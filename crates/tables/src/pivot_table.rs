@@ -70,11 +70,11 @@ where
         self.rows.mem_bytes() + pivots
     }
 
-    /// The range body: one kernel pass over every slot, the slots under
-    /// `r` that are `live` collected in slot order, then
+    /// The range body: one kernel pass over every slot, the `live` slots
+    /// whose gap admits `r` collected in slot order
+    /// ([`QueryScratch::range_survivors`]), then
     /// [`QueryScratch::range_verify`] through the `point` fault hook,
-    /// `get(slot)` yielding a survivor's object. Liveness is asked only of
-    /// the few slots under the bound.
+    /// `get(slot)` yielding a survivor's object.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn range<B: Borrow<O>>(
         &self,
@@ -95,21 +95,12 @@ where
         }
         scratch.note_kernel(self.rows.rows());
         scratch.map_query(&self.metric, q, &self.pivots);
-        let QueryScratch {
-            qd, lbs, survivors, ..
-        } = scratch;
-        self.rows.lower_bounds_into(qd, lbs);
-        survivors.clear();
-        for (id, &lb) in lbs.iter().enumerate() {
-            let id = id as ObjId;
-            if lb <= r && live(id) {
-                survivors.push(id);
-            }
-        }
+        self.rows.gaps_into(&scratch.qd, &mut scratch.gaps);
+        scratch.range_survivors(r, self.rows.step(), live);
         scratch.range_verify(&self.metric, q, r, point, get, out);
     }
 
-    /// The kNN body: one kernel pass (the bounds do not depend on a
+    /// The kNN body: one kernel pass (the gaps do not depend on a
     /// radius), then [`QueryScratch::knn_verify`], nearest bound first;
     /// `get(slot)` is `None` for a tombstoned slot. The paper's LAESA
     /// verifies in storage order and notes that as suboptimal (§3.1).
@@ -127,8 +118,8 @@ where
         }
         scratch.note_kernel(self.rows.rows());
         scratch.map_query(&self.metric, q, &self.pivots);
-        self.rows.lower_bounds_into(&scratch.qd, &mut scratch.lbs);
+        self.rows.gaps_into(&scratch.qd, &mut scratch.gaps);
         let dist = |id| get(id).map(|o| self.metric.dist(q, o.borrow()));
-        scratch.knn_verify(k, seed, dist, out);
+        scratch.knn_verify(k, seed, self.rows.step(), dist, out);
     }
 }

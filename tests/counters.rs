@@ -318,7 +318,8 @@ fn blocked_kernel_changes_no_exact_counters() {
     );
 
     // EPT: per-object extreme pivots over its own pool; the scalar oracle
-    // reads the SoA rows back through the public accessors.
+    // decodes each stored row (pivot id, bucket edge) and bounds it with the
+    // bucketed rule against the query's distance to that entry's pivot.
     let ept = Ept::build(pts.clone(), L2, EptMode::Random, EptConfig::default());
     for &qi in &queries {
         let qd: Vec<f64> = ept
@@ -328,9 +329,10 @@ fn blocked_kernel_changes_no_exact_counters() {
             .collect();
         let rows: Vec<(f64, f64)> = (0..n as u32)
             .map(|id| {
-                let (pis, ds) = ept.row_of(id);
+                let (pqd, ys): (Vec<f64>, Vec<f64>) =
+                    ept.row(id).map(|(p, y)| (qd[usize::from(p)], y)).unzip();
                 (
-                    Ept::<Vec<f32>, L2>::row_lower_bound(&qd, pis, ds),
+                    stored_lower_bound(&pqd, &ys, ept.step()),
                     L2.dist(&pts[qi], &pts[id as usize]),
                 )
             })

@@ -354,22 +354,24 @@ proptest! {
         use pmr::{PivotColumns, PivotMatrix};
         // Stored columns over random data: the rows are floored to u16
         // buckets and the kernel gives back the one step two buckets can
-        // overlap by, so every bound must sit at or below the true
-        // distance — exactly, no float tolerance (Lemma 1 over intervals).
+        // overlap by, so every row's bound `gap · step` must sit at or below
+        // the true distance — exactly, no float tolerance (Lemma 1 over
+        // intervals).
         let pivots: Vec<Vec<f32>> = v.iter().take(w).cloned().collect();
         let m = PivotMatrix::compute(&v, &L2, &pivots, 1);
         let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&qraw, p)).collect();
-        let mut lbs = Vec::new();
-        PivotColumns::from(&m).lower_bounds_into(&qd, &mut lbs);
-        prop_assert_eq!(lbs.len(), v.len());
+        let stored = PivotColumns::from(&m);
+        let mut gaps = Vec::new();
+        stored.gaps_into(&qd, &mut gaps);
+        prop_assert_eq!(gaps.len(), v.len());
         for (i, o) in v.iter().enumerate() {
             let d = L2.dist(&qraw, o);
-            prop_assert!(lbs[i] <= d, "stored lb {} > d {} at row {i}", lbs[i], d);
-            prop_assert!(lbs[i] >= 0.0);
+            let lb = f64::from(gaps[i]) * stored.step();
+            prop_assert!(lb <= d, "stored lb {} > d {} at row {i}", lb, d);
             // Never above the exact f64 Lemma 1 bound it approximates —
             // the stored-precision filter is strictly the looser of the two.
             let lb64 = pmr::lemmas::pivot_lower_bound(&qd, m.row(i));
-            prop_assert!(lbs[i] <= lb64, "stored lb {} > lb_f64 {}", lbs[i], lb64);
+            prop_assert!(lb <= lb64, "stored lb {} > lb_f64 {}", lb, lb64);
         }
     }
 }
