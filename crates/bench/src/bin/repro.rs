@@ -26,7 +26,7 @@ EXPERIMENTS:
   ablation design-choice sweeps (MVPT arity, SPB SFC bits, PM-tree vs CPT,
            FQT vs FQA, EPT* vs EPT*-disk)
   scale    batch-serve QPS at 10^5 x scale objects (Synthetic, LAESA, P in {1,8},
-           both partition policies; --scale 10 = 10^6)
+           unrouted and routed; --scale 10 = 10^6)
   all      everything above except scale
 ";
 

@@ -285,7 +285,7 @@ where
 /// Two departures from the paper's numbers. Its sequential-scan delete
 /// cost for LAESA / EPT (§6.3: a scan to locate the row) is not modelled
 /// since PR 15 — ids here are slot positions, so a delete finds its row
-/// directly (ROADMAP item 10). And EPT*'s charged build compdists are lower
+/// directly (ROADMAP item 12). And EPT*'s charged build compdists are lower
 /// at `n > 4096` than before PR 25: `PsaSelector` takes its candidates from
 /// [`hf_candidates`](pmi::pivots::hf_candidates), which charges one distance
 /// per *distinct* sampled object, not per draw.
@@ -801,8 +801,8 @@ pub struct ScalePoint {
     pub n: usize,
     /// Shard count `P`.
     pub shards: usize,
-    /// Partition policy label.
-    pub policy: &'static str,
+    /// `"routed"` (the facade's engine) or `"unrouted"` (`Layout::plain()`).
+    pub layout: &'static str,
     /// Best-of-reps batch QPS.
     pub qps: f64,
     /// Build wall seconds.
@@ -811,12 +811,15 @@ pub struct ScalePoint {
 
 /// Scalable serving tier: batch-serve QPS on the paper's synthetic recipe
 /// at `10^5 x cfg.scale` objects (`--scale 10` reaches the paper's 10^6),
-/// LAESA engines at `P ∈ {1, 8}` for both partition policies. The printed
-/// table makes the shard-scaling contract observable at scale — `P = 8`
-/// must not serve slower than `P = 1` over the same shared matrix.
+/// LAESA engines at `P ∈ {1, 8}` over one HFI pivot set, unrouted
+/// (`Layout::plain()`: contiguous runs, every shard probed, each shard's
+/// LAESA computing its own table) and routed (the facade's engine). The
+/// printed table makes the shard-scaling contract observable at scale —
+/// `P = 8` must not serve slower than `P = 1`.
 pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
-    use pmi::engine::{EngineConfig, Query};
-    use pmi::{build_sharded_vector_engine, LInf, PartitionPolicy};
+    use pmi::builder::build_index;
+    use pmi::engine::{EngineConfig, Layout, Query};
+    use pmi::{build_sharded_engine, LInf, PartitionPolicy, ShardedEngine};
     use std::time::Instant;
 
     let n = ((100_000.0 * cfg.scale) as usize).max(1_000);
@@ -836,6 +839,10 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
         })
         .collect();
     let opts = harness::options_for(n, s.d_plus(), harness::DEFAULT_PIVOTS, false, cfg.seed);
+    let pivots: Vec<Vec<f32>> = pmi::pivots::select_hfi(&pts, &metric, opts.num_pivots, opts.seed)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
 
     println!(
         "\nScale tier [{}]: n = {n}, {queries} queries (range r = {radius:.0} + {}-NN), LAESA",
@@ -844,24 +851,27 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
     );
     println!(
         "{:<14} {:>3} {:>12} {:>10}",
-        "policy", "P", "build_s", "qps"
+        "layout", "P", "build_s", "qps"
     );
     let mut out = Vec::new();
-    for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+    for layout in ["unrouted", "routed"] {
         for shards in [1usize, 8] {
-            let engine = build_sharded_vector_engine(
-                IndexKind::Laesa,
-                pts.clone(),
-                metric,
-                &opts,
-                &EngineConfig {
-                    shards,
-                    threads: 0,
-                    ..EngineConfig::default()
-                },
-                policy,
-            )
-            .expect("buildable");
+            let ecfg = EngineConfig {
+                shards,
+                threads: 0,
+                ..EngineConfig::default()
+            };
+            let (objects, kind) = (pts.clone(), IndexKind::Laesa);
+            let engine = if layout == "routed" {
+                let policy = PartitionPolicy::PivotSpace;
+                build_sharded_engine(kind, objects, metric, pivots.clone(), &opts, &ecfg, policy)
+                    .expect("buildable")
+            } else {
+                ShardedEngine::build(objects, Layout::plain(), &ecfg, |_, part, _| {
+                    build_index(kind, part, metric, pivots.clone(), &opts)
+                })
+                .expect("buildable")
+            };
             let build_secs = engine.build_stats().build_wall_secs;
             let _ = engine.serve(&batch); // warm scratch + page cache
             let mut best = f64::INFINITY;
@@ -873,23 +883,20 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
             let qps = queries as f64 / best;
             println!(
                 "{:<14} {:>3} {:>12.3} {:>10.0}",
-                policy.label(),
-                shards,
-                build_secs,
-                qps
+                layout, shards, build_secs, qps
             );
             out.push(ScalePoint {
                 n,
                 shards,
-                policy: policy.label(),
+                layout,
                 qps,
                 build_secs,
             });
         }
     }
     for p1 in out.iter().filter(|p| p.shards == 1) {
-        if let Some(p8) = out.iter().find(|p| p.shards == 8 && p.policy == p1.policy) {
-            println!("  {}: P8/P1 = {:.2}x", p1.policy, p8.qps / p1.qps);
+        if let Some(p8) = out.iter().find(|p| p.shards == 8 && p.layout == p1.layout) {
+            println!("  {}: P8/P1 = {:.2}x", p1.layout, p8.qps / p1.qps);
         }
     }
     out
@@ -960,7 +967,7 @@ mod tests {
     #[test]
     fn scale_smoke() {
         let out = scale(&tiny());
-        assert_eq!(out.len(), 4, "2 policies x P in {{1,8}}");
+        assert_eq!(out.len(), 4, "2 layouts x P in {{1,8}}");
         assert!(out.iter().all(|p| p.qps > 0.0 && p.build_secs >= 0.0));
         assert!(out.iter().all(|p| p.n == out[0].n), "same n everywhere");
     }

@@ -121,23 +121,6 @@ impl IndexKind {
                 | IndexKind::Spb
         )
     }
-
-    /// Whether [`build_index_with_matrix`] can *adopt* a pre-computed
-    /// pivot-distance matrix over the shared pivot set for this kind,
-    /// skipping the `n · l` table recomputation — and whether engine
-    /// inserts can hand over a precomputed row this kind appends
-    /// ([`MetricIndex::insert_adopted`]).
-    /// True for the kinds that are the one pivot table: LAESA, CPT, and
-    /// FQA, which adopts as LAESA under FQA's name (an FQA over stored rows
-    /// scans them and never reads its signatures). Every other kind either
-    /// selects its own pivots (EPT/EPT*, BKT) or derives a different
-    /// structure from the pivot distances at build time, and falls back to
-    /// [`build_index`]. (The Omni family also stores caller-pivot distance
-    /// tables but interleaves them with its disk layout; adoption there is
-    /// an open item.)
-    pub fn adopts_pivot_matrix(&self) -> bool {
-        matches!(self, IndexKind::Laesa | IndexKind::Cpt | IndexKind::Fqa)
-    }
 }
 
 /// Why an index could not be built.
@@ -346,19 +329,23 @@ where
 
 /// [`build_index`] over pre-computed, stored pivot-distance rows (a
 /// shard's rows of the engine's build-time matrix, or any owned
-/// [`PivotColumns`]): kinds whose [`IndexKind::adopts_pivot_matrix`] is
-/// true take ownership of `rows` (row `i` = `objects[i]`'s distances to
-/// `pivots`) instead of recomputing the `n · l` table, with byte-identical
-/// query behavior — and engine inserts then hand over one precomputed row
-/// the index appends. LAESA and CPT adopt as themselves; FQA adopts as
+/// [`PivotColumns`]): the kinds that are the one pivot table — LAESA, CPT
+/// and FQA — take ownership of `rows` (row `i` = `objects[i]`'s distances
+/// to `pivots`) instead of recomputing the `n · l` table, with
+/// byte-identical query behavior, and engine inserts then hand over one
+/// precomputed row the index appends ([`MetricIndex::insert_adopted`]);
+/// a shard's index shows it adopted through [`MetricIndex::pivot_rows`].
+/// LAESA and CPT adopt as themselves; FQA adopts as
 /// LAESA under FQA's name (`name()` is `"FQA"`, range verification passes
 /// the `fqa.dist` fault point), still refusing a continuous metric,
 /// because an FQA over stored rows scans them and never reads its
 /// signature array. VPT and MVPT build as [`build_index`] does but store
 /// their leaf codes under the rows' step, so each equals the code the rows
-/// hold for that member. Every other kind drops the rows and builds
-/// exactly as [`build_index`] does. This is the shard factory the facade
-/// hands `ShardedEngine::build` for an engine with a pivot space.
+/// hold for that member. Every other kind — selecting its own pivots
+/// (EPT/EPT*, BKT) or deriving another structure from the distances (the
+/// Omni family interleaves its tables with its disk layout) — drops the
+/// rows and builds exactly as [`build_index`] does. This is the shard
+/// factory the facade hands `ShardedEngine::build`.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
@@ -414,7 +401,9 @@ where
     }
 }
 
-/// Convenience wrapper for vector datasets: selects HFI pivots internally.
+/// Convenience wrapper for vector datasets: selects HFI pivots internally,
+/// at most one per object, so a kind that needs more refuses with
+/// [`BuildError::NotEnoughPivots`].
 pub fn build_vector_index<M>(
     kind: IndexKind,
     objects: Vec<Vec<f32>>,
@@ -424,7 +413,12 @@ pub fn build_vector_index<M>(
 where
     M: Metric<Vec<f32>> + Clone + 'static,
 {
-    let ids = pmi_pivots::select_hfi(&objects, &metric, opts.num_pivots, opts.seed);
+    let ids = pmi_pivots::select_hfi(
+        &objects,
+        &metric,
+        opts.num_pivots.min(objects.len()),
+        opts.seed,
+    );
     let pivots = ids.into_iter().map(|i| objects[i].clone()).collect();
     build_index(kind, objects, metric, pivots, opts)
 }
@@ -617,15 +611,15 @@ mod tests {
     }
 
     /// Every kind over no pivots, on a continuous and a discrete space,
-    /// standalone and behind both engine policies: built, or refused with
-    /// an error — never a panic. The kinds that split or sign on the
-    /// shared pivots refuse with `NotEnoughPivots`.
+    /// standalone and behind the routed engine, and over fewer objects
+    /// (0, 1, 3) than the default 5 pivots through both vector builders:
+    /// built, or refused with an error — never a panic. The kinds that
+    /// split or sign on the shared pivots refuse with `NotEnoughPivots`.
     #[test]
     fn zero_pivots_build_or_refuse_and_never_panic() {
-        use crate::serve::{build_sharded_engine, build_sharded_vector_engine};
+        use crate::serve::{build_sharded_engine, build_sharded_vector_engine, PartitionPolicy};
         use pmi_engine::EngineConfig;
         use pmi_metric::EditDistance;
-        use pmi_router::PartitionPolicy;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let kinds = [
@@ -660,9 +654,15 @@ mod tests {
             threads: 1,
             ..EngineConfig::default()
         };
-        let refused = |kind: IndexKind, err: &BuildError, ctx: &str| {
-            if kind.min_pivots() > 0 && !kind.requires_discrete() {
-                assert_eq!(*err, BuildError::NotEnoughPivots(kind, 0), "{ctx}");
+        // The default 5 pivots, over fewer objects than that.
+        let few = BuildOptions {
+            d_plus: 14143.0,
+            maxnum: 32,
+            ..BuildOptions::default()
+        };
+        let refused = |kind: IndexKind, err: &BuildError, pivots: usize, ctx: &str| {
+            if kind.min_pivots() > pivots && !kind.requires_discrete() {
+                assert_eq!(*err, BuildError::NotEnoughPivots(kind, pivots), "{ctx}");
             }
         };
         for kind in kinds {
@@ -673,7 +673,7 @@ mod tests {
             let ctx = format!("{label} LA standalone");
             match built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
                 Ok(()) => assert_eq!(kind.min_pivots(), 0, "{ctx}"),
-                Err(e) => refused(kind, &e, &ctx),
+                Err(e) => refused(kind, &e, 0, &ctx),
             }
             let built = catch_unwind(AssertUnwindSafe(|| {
                 build_index(kind, words.clone(), EditDistance, Vec::new(), &opts).map(|_| ())
@@ -683,22 +683,44 @@ mod tests {
                 Ok(()) => assert_eq!(kind.min_pivots(), 0, "{ctx}"),
                 Err(e) => assert_eq!(e, BuildError::NotEnoughPivots(kind, 0), "{ctx}"),
             }
-            for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
+            let policy = PartitionPolicy::PivotSpace;
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                build_sharded_vector_engine(kind, pts.clone(), L2, &opts, &cfg, policy).map(|_| ())
+            }));
+            let ctx = format!("{label} LA engine");
+            if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                refused(kind, &e, 0, &ctx);
+            }
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                let (w, m) = (words.clone(), EditDistance);
+                build_sharded_engine(kind, w, m, Vec::new(), &opts, &cfg, policy).map(|_| ())
+            }));
+            let ctx = format!("{label} Words engine");
+            if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                assert_eq!(e, BuildError::NotEnoughPivots(kind, 0), "{ctx}");
+            }
+            // At most one pivot per object is selected; a built index
+            // answers a range beyond every LA distance with all n objects.
+            for n in [0, 1, 3] {
+                let (small, pivots) = (pts[..n].to_vec(), n.min(few.num_pivots));
                 let built = catch_unwind(AssertUnwindSafe(|| {
-                    build_sharded_vector_engine(kind, pts.clone(), L2, &opts, &cfg, policy)
-                        .map(|_| ())
+                    let idx = build_vector_index(kind, small.clone(), L2, &few)?;
+                    Ok(idx.range_query(&pts[0], 20_000.0).len())
                 }));
-                let ctx = format!("{label} LA engine {policy:?}");
-                if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
-                    refused(kind, &e, &ctx);
+                let ctx = format!("{label} LA n={n} standalone");
+                match built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                    Ok(all) => assert_eq!((all, kind.min_pivots() <= pivots), (n, true), "{ctx}"),
+                    Err(e) => refused(kind, &e, pivots, &ctx),
                 }
                 let built = catch_unwind(AssertUnwindSafe(|| {
-                    let (w, m) = (words.clone(), EditDistance);
-                    build_sharded_engine(kind, w, m, Vec::new(), &opts, &cfg, policy).map(|_| ())
+                    let e =
+                        build_sharded_vector_engine(kind, small.clone(), L2, &few, &cfg, policy)?;
+                    Ok(e.range_query(&pts[0], 20_000.0).len())
                 }));
-                let ctx = format!("{label} Words engine {policy:?}");
-                if let Err(e) = built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
-                    assert_eq!(e, BuildError::NotEnoughPivots(kind, 0), "{ctx}");
+                let ctx = format!("{label} LA n={n} engine");
+                match built.unwrap_or_else(|_| panic!("{ctx} panicked")) {
+                    Ok(all) => assert_eq!(all, n, "{ctx}"),
+                    Err(e) => refused(kind, &e, pivots, &ctx),
                 }
             }
         }

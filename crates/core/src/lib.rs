@@ -58,7 +58,7 @@
 //!     pmi::L2,
 //!     &BuildOptions { d_plus: 14143.0, ..BuildOptions::default() },
 //!     &EngineConfig { shards: 4, threads: 2, ..EngineConfig::default() },
-//!     PartitionPolicy::RoundRobin,
+//!     PartitionPolicy::PivotSpace,
 //! )
 //! .unwrap();
 //!
@@ -73,19 +73,20 @@
 //! assert!(out.report.cost.compdists > 0);
 //! ```
 //!
-//! # Routing-aware sharding (`PartitionPolicy::PivotSpace`)
+//! # Routing-aware sharding
 //!
-//! Round-robin spreads every metric region across all shards, so every
-//! query probes all `P` of them. [`PartitionPolicy::PivotSpace`] instead
-//! clusters objects by their pivot-distance vectors (balanced k-means in
-//! pivot space, via the [`router`] module / crate `pmi-router`) and keeps a
-//! per-shard bounding box over the mapped points. Each query is then
+//! Contiguous runs of the input would spread every metric region across
+//! all shards, so every query would probe all `P` of them. The facade's
+//! engines instead cluster objects by their pivot-distance vectors
+//! (balanced k-means in pivot space, via the [`router`] module / crate
+//! `pmi-router`; [`PartitionPolicy::PivotSpace`], the one policy) and keep
+//! a per-shard bounding box over the mapped points. Each query is then
 //! *routed*: range queries skip every shard whose box fails the Lemma 1
 //! intersection test, and kNN queries probe shards best-first by box lower
 //! bound (the boxes a query lies inside, nearest centre first), skipping
-//! the rest once the k-th distance undercuts them. Answers
-//! are identical to round-robin (pruning is conservative); the saved work
-//! shows up in `ServeReport::shards_pruned`.
+//! the rest once the k-th distance undercuts them. Answers are identical
+//! to probing every shard (pruning is conservative); the saved work shows
+//! up in `ServeReport::shards_pruned`.
 //!
 //! ```
 //! use pmi::{
@@ -102,7 +103,7 @@
 //!     PartitionPolicy::PivotSpace,
 //! )
 //! .unwrap();
-//! assert_eq!(engine.policy(), PartitionPolicy::PivotSpace);
+//! assert!(engine.routing().is_some());
 //!
 //! // Selective range queries on clustered data skip most shards.
 //! let batch: Vec<Query<Vec<f32>>> = (0..32)
@@ -127,10 +128,9 @@
 //! hands each shard its members' rows as planar u16 bucket
 //! [`PivotColumns`] of its own — the only form a pivot distance is stored in, and the unit a
 //! query is routed to owns the bytes it scans — so shared-pivot
-//! tables (LAESA, CPT, and FQA as LAESA under its name —
-//! [`IndexKind::adopts_pivot_matrix`]) *adopt*
-//! their distances instead of recomputing them: a `PivotSpace` LAESA build
-//! computes each object-pivot distance exactly once instead of twice. The
+//! tables (LAESA, CPT, and FQA as LAESA under its name) *adopt* their
+//! distances instead of recomputing them: a LAESA engine build computes
+//! each object-pivot distance exactly once instead of twice. The
 //! exact cost is recorded in [`BuildStats`] and rides along in every
 //! [`ServeReport`]:
 //!
@@ -337,7 +337,7 @@ pub mod builder;
 pub mod serve;
 
 pub use builder::{build_index_with_matrix, BuildError, BuildOptions, IndexKind};
-pub use serve::{build_sharded_engine, build_sharded_vector_engine};
+pub use serve::{build_sharded_engine, build_sharded_vector_engine, PartitionPolicy};
 
 pub use pmi_engine as engine;
 pub use pmi_engine::{
@@ -352,7 +352,7 @@ pub use pmi_engine::{
 pub use pmi_obs as obs;
 
 pub use pmi_router as router;
-pub use pmi_router::{PartitionPolicy, RoutingTable};
+pub use pmi_router::RoutingTable;
 
 pub use pmi_metric as metric;
 pub use pmi_metric::datasets;

@@ -5,33 +5,30 @@
 //!
 //! The engine itself is index-agnostic — it takes a shard factory. These
 //! helpers close the loop for the common case: "shard this dataset across
-//! `P` partitions, each backed by `IndexKind` X built with the paper's
-//! shared parameters, partitioned per `PartitionPolicy`".
+//! `P` partitions of its pivot space, each backed by `IndexKind` X built
+//! with the paper's shared parameters, and route queries by it".
 //!
 //! # The pivot space
 //!
 //! The paper's central object — the `n × l` matrix of object-to-pivot
-//! distances — belongs to the engine: this module only decides *whether*
-//! there is one (`policy == PivotSpace || kind.adopts_pivot_matrix()`),
-//! hands [`ShardedEngine::build`] the mapper `o ↦ (d(o, p_1), …, d(o, p_l))`
-//! over the shared pivots, and supplies the shard factory. The engine
-//! computes the rows **once, in parallel** across its worker threads and
-//! derives everything else from them:
+//! distances — belongs to the engine: this module hands
+//! [`ShardedEngine::build`] the mapper `o ↦ (d(o, p_1), …, d(o, p_l))` over
+//! the shared pivots and supplies the shard factory. The engine computes
+//! the rows **once, in parallel** across its worker threads and derives
+//! everything else from them:
 //!
-//! * with [`PartitionPolicy::PivotSpace`] it clusters over the rows
-//!   (balanced k-means in pivot space, seeded with [`BuildOptions::seed`])
-//!   and builds its per-shard [`pmi_router::RoutingTable`] boxes from them,
-//!   so each query only probes the shards whose bounding box survives
-//!   Lemma 1;
+//! * it clusters over the rows (balanced k-means in pivot space, seeded
+//!   with [`BuildOptions::seed`]) and builds its per-shard
+//!   [`pmi_router::RoutingTable`] boxes from them, so each query only
+//!   probes the shards whose bounding box survives Lemma 1;
 //! * each shard gets its members' rows, stored once as planar u16 bucket
 //!   columns of its own (the only form a pivot distance is stored in), and
-//!   the shard factory receives them, so index kinds that adopt them
-//!   ([`IndexKind::adopts_pivot_matrix`]: LAESA, CPT, and FQA, whose
-//!   shards are the pivot table under FQA's name — an FQA over stored rows
-//!   scans them and never reads its signatures) skip their own `n · l`
-//!   recomputation entirely — a `PivotSpace` build computes each
-//!   object-pivot distance exactly once instead of twice — and scan
-//!   sequential memory;
+//!   the shard factory receives them, so the kinds that adopt them (LAESA,
+//!   CPT, and FQA, whose shards are the pivot table under FQA's name — an
+//!   FQA over stored rows scans them and never reads its signatures) skip
+//!   their own `n · l` recomputation entirely — each object-pivot distance
+//!   is computed exactly once instead of twice — and scan sequential
+//!   memory;
 //! * the shards keep their rows (inside the index for adopting kinds,
 //!   beside it otherwise) for the engine's unified mutation path: an
 //!   `apply`-batch insert maps its object once and hands the row to the
@@ -39,19 +36,29 @@
 //!   rows, and the `RefreshPolicy` re-clusters the worst shard pair under
 //!   imbalance.
 //!
-//! Round-robin engines over kinds that adopt nothing hold no pivot space
-//! and pay for none. The exact build cost (rows + every shard's
-//! construction) and build wall-clock are recorded in the engine's
+//! An engine that probes every shard and holds no rows is built directly:
+//! `ShardedEngine::build(objects, Layout::plain(), cfg, ..)` with
+//! [`build_index`](crate::builder::build_index) as the factory. The exact build cost (rows + every
+//! shard's construction) and build wall-clock are recorded in the engine's
 //! [`BuildStats`](pmi_engine::BuildStats) and surfaced through every
 //! `ServeReport`. Query-time mapping distances (`l` per routed query)
 //! remain planner overhead outside the per-shard `Counters`, as before;
 //! mutation-side mapping distances are accounted exactly in each
 //! [`ApplyReport`](pmi_engine::ApplyReport).
 
-use crate::builder::{build_index, build_index_with_matrix, BuildError, BuildOptions, IndexKind};
+use crate::builder::{build_index_with_matrix, BuildError, BuildOptions, IndexKind};
 use pmi_engine::{EngineConfig, EngineError, Layout, ShardedEngine};
 use pmi_metric::{dists_from, EncodeObject, Metric};
-use pmi_router::PartitionPolicy;
+
+/// How the facade's engines partition their dataset: by pivot space, the
+/// one policy — each shard covers a compact pivot-space region, and
+/// queries prune shards by Lemma 1 box bounds and probe the rest
+/// best-first. The argument stays only because existing callers name it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum PartitionPolicy {
+    /// Cluster by pivot-distance vectors and route by them.
+    PivotSpace,
+}
 
 fn flatten<O>(
     r: Result<ShardedEngine<O>, EngineError<BuildError>>,
@@ -63,14 +70,13 @@ fn flatten<O>(
     })
 }
 
-/// Builds a sharded engine whose shards are all `kind` indexes built with
-/// `opts`, sharing the caller-provided pivot set (the paper's equal-footing
-/// setup: pass one HFI set and every shard uses it). `policy` picks the
-/// partitioner: round-robin, or pivot-space clustering with routed
-/// (shard-pruning) query serving over the same pivots. The engine computes
-/// the pivot rows once, in parallel, and uses them for routing *and* for
-/// seeding the shards' own tables (see the module docs); its
-/// `build_stats()` records the exact total.
+/// Builds a routed sharded engine whose shards are all `kind` indexes
+/// built with `opts`, sharing the caller-provided pivot set (the paper's
+/// equal-footing setup: pass one HFI set and every shard uses it). The
+/// engine computes the pivot rows once, in parallel, clusters the shards
+/// over them, and uses them for routing *and* for seeding the shards' own
+/// tables (see the module docs); its `build_stats()` records the exact
+/// total.
 pub fn build_sharded_engine<O, M>(
     kind: IndexKind,
     objects: Vec<O>,
@@ -78,7 +84,7 @@ pub fn build_sharded_engine<O, M>(
     pivots: Vec<O>,
     opts: &BuildOptions,
     cfg: &EngineConfig,
-    policy: PartitionPolicy,
+    _: PartitionPolicy,
 ) -> Result<ShardedEngine<O>, BuildError>
 where
     O: Clone + EncodeObject + Send + Sync + 'static,
@@ -90,26 +96,19 @@ where
         partition_seed: opts.seed,
         ..*cfg
     };
-    // A pivot space pays for itself when the router clusters over it or the
-    // shards adopt its rows; round-robin engines over self-pivoting kinds
-    // hold none.
-    let layout = if policy == PartitionPolicy::PivotSpace || kind.adopts_pivot_matrix() {
-        let (metric, pivots) = (metric.clone(), pivots.clone());
-        Layout::mapped(pivots.len(), policy, move |o: &O, out: &mut Vec<f64>| {
-            dists_from(&metric, o, pivots.iter().enumerate(), |_, d| out.push(d))
+    let (map_metric, map_pivots) = (metric.clone(), pivots.clone());
+    let layout = Layout::mapped(pivots.len(), move |o: &O, out: &mut Vec<f64>| {
+        dists_from(&map_metric, o, map_pivots.iter().enumerate(), |_, d| {
+            out.push(d)
         })
-    } else {
-        Layout::plain()
-    };
+    });
     flatten(ShardedEngine::build(
         objects,
         layout,
         cfg,
-        |_, part, rows| match rows {
-            Some(rows) => {
-                build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
-            }
-            None => build_index(kind, part, metric.clone(), pivots.clone(), opts),
+        |_, part, rows| {
+            let rows = rows.expect("a mapped layout hands every shard its rows");
+            build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
         },
     ))
 }
@@ -117,8 +116,10 @@ where
 /// Vector-dataset convenience: selects one shared HFI pivot set over the
 /// *full* dataset (so shards stay on equal footing with an unsharded
 /// build), on the engine's `cfg.threads` — the same pivots as one thread
-/// picks — then shards per `policy`. Selection happens before
-/// `ShardedEngine::build`, so it is outside `BuildStats::build_wall_secs`.
+/// picks — then builds the routed engine. At most `n` pivots are selected,
+/// so a kind that needs more refuses with [`BuildError::NotEnoughPivots`].
+/// Selection happens before `ShardedEngine::build`, so it is outside
+/// `BuildStats::build_wall_secs`.
 ///
 /// Vector queries additionally get an input validator: a query object with
 /// a non-finite coordinate is rejected at the serve boundary as
@@ -138,7 +139,7 @@ where
     let ids = pmi_pivots::select_hfi_with_threads(
         &objects,
         &metric,
-        opts.num_pivots,
+        opts.num_pivots.min(objects.len()),
         opts.seed,
         cfg.resolved_threads(),
     );
@@ -161,27 +162,25 @@ mod tests {
             d_plus: 14143.0,
             ..BuildOptions::default()
         };
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let engine = build_sharded_vector_engine(
-                IndexKind::Laesa,
-                pts.clone(),
-                L2,
-                &opts,
-                &EngineConfig {
-                    shards: 4,
-                    threads: 2,
-                    ..EngineConfig::default()
-                },
-                policy,
-            )
-            .unwrap();
-            assert_eq!(engine.len(), 400);
-            assert_eq!(engine.policy(), policy);
-            let oracle = BruteForce::new(pts.clone(), L2);
-            let mut want = oracle.range_query(&pts[3], 800.0);
-            want.sort_unstable();
-            assert_eq!(engine.range_query(&pts[3], 800.0), want);
-        }
+        let engine = build_sharded_vector_engine(
+            IndexKind::Laesa,
+            pts.clone(),
+            L2,
+            &opts,
+            &EngineConfig {
+                shards: 4,
+                threads: 2,
+                ..EngineConfig::default()
+            },
+            PartitionPolicy::PivotSpace,
+        )
+        .unwrap();
+        assert_eq!(engine.len(), 400);
+        assert!(engine.routing().is_some());
+        let oracle = BruteForce::new(pts.clone(), L2);
+        let mut want = oracle.range_query(&pts[3], 800.0);
+        want.sort_unstable();
+        assert_eq!(engine.range_query(&pts[3], 800.0), want);
     }
 
     #[test]
@@ -194,33 +193,31 @@ mod tests {
             d_plus: 14143.0,
             ..BuildOptions::default()
         };
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let engine = build_sharded_vector_engine(
-                IndexKind::Laesa,
-                pts.clone(),
-                L2,
-                &opts,
-                &EngineConfig {
-                    shards: 4,
-                    threads: 2,
-                    ..EngineConfig::default()
-                },
-                policy,
-            )
-            .unwrap();
-            assert_eq!(
-                engine.counters().compdists,
-                0,
-                "{policy:?}: shards must adopt, not recompute"
-            );
-            let stats = engine.build_stats();
-            assert_eq!(
-                stats.build_compdists,
-                600 * opts.num_pivots as u64,
-                "{policy:?}: matrix computed exactly once"
-            );
-            assert!(stats.build_wall_secs > 0.0);
-        }
+        let engine = build_sharded_vector_engine(
+            IndexKind::Laesa,
+            pts.clone(),
+            L2,
+            &opts,
+            &EngineConfig {
+                shards: 4,
+                threads: 2,
+                ..EngineConfig::default()
+            },
+            PartitionPolicy::PivotSpace,
+        )
+        .unwrap();
+        assert_eq!(
+            engine.counters().compdists,
+            0,
+            "shards must adopt, not recompute"
+        );
+        let stats = engine.build_stats();
+        assert_eq!(
+            stats.build_compdists,
+            600 * opts.num_pivots as u64,
+            "matrix computed exactly once"
+        );
+        assert!(stats.build_wall_secs > 0.0);
     }
 
     #[cfg(feature = "obs")]
@@ -328,28 +325,26 @@ mod tests {
             L2,
             &BuildOptions::default(),
             &EngineConfig::default(),
-            PartitionPolicy::RoundRobin,
+            PartitionPolicy::PivotSpace,
         );
         assert!(matches!(err, Err(BuildError::RequiresDiscreteMetric(_))));
     }
 
     #[test]
     fn zero_shards_is_a_build_error() {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let err = build_sharded_vector_engine(
-                IndexKind::Laesa,
-                datasets::la(20, 1),
-                L2,
-                &BuildOptions::default(),
-                &EngineConfig {
-                    shards: 0,
-                    threads: 1,
-                    ..EngineConfig::default()
-                },
-                policy,
-            );
-            assert_eq!(err.err(), Some(BuildError::ZeroShards), "{policy:?}");
-        }
+        let err = build_sharded_vector_engine(
+            IndexKind::Laesa,
+            datasets::la(20, 1),
+            L2,
+            &BuildOptions::default(),
+            &EngineConfig {
+                shards: 0,
+                threads: 1,
+                ..EngineConfig::default()
+            },
+            PartitionPolicy::PivotSpace,
+        );
+        assert_eq!(err.err(), Some(BuildError::ZeroShards));
     }
 
     #[test]

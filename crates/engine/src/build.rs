@@ -14,7 +14,7 @@ use crate::shard::{partition_by_assignment, Partition, Shard};
 use pmi_metric::parallel::claim_each;
 use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
 use pmi_obs::{Hist, Registry};
-use pmi_router::{PartitionPolicy, RoutingTable};
+use pmi_router::RoutingTable;
 use std::borrow::Cow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -25,13 +25,11 @@ use std::time::Instant;
 type MatrixPart<O> = (Partition<O>, Option<PivotColumns>);
 
 /// What [`ShardedEngine::build`] builds over: whether the engine holds a
-/// pivot space, which [`PartitionPolicy`] splits the objects, and
-/// optionally an explicit membership. Pivot-space partitioning without a
-/// mapper cannot be written down.
+/// pivot space — and with it routes — and optionally an explicit
+/// membership. Routing without a mapper cannot be written down.
 pub struct Layout<'a, O> {
     /// The pivot space: its mapper and width `l`.
     space: Option<(PivotMap<O>, usize)>,
-    policy: PartitionPolicy,
     membership: Option<&'a [usize]>,
 }
 
@@ -42,33 +40,29 @@ impl<'a, O> Layout<'a, O> {
     pub fn plain() -> Self {
         Layout {
             space: None,
-            policy: PartitionPolicy::RoundRobin,
             membership: None,
         }
     }
 
     /// A pivot space: `mapper` appends `(d(o, p_1), …, d(o, p_width))` to
-    /// its buffer — exactly `width` values — and `policy` says whether the
-    /// engine also partitions and routes by it
-    /// ([`PartitionPolicy::PivotSpace`]) or only keeps the rows for its
-    /// shards ([`PartitionPolicy::RoundRobin`]).
+    /// its buffer — exactly `width` values — and the engine partitions by
+    /// it, routes queries and inserts through it, and gives every shard its
+    /// members' rows.
     pub fn mapped(
         width: usize,
-        policy: PartitionPolicy,
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
     ) -> Self {
         Layout {
             space: Some((Arc::new(mapper), width)),
-            policy,
             membership: None,
         }
     }
 
     /// Places object `i` in shard `membership[i]` instead of partitioning:
     /// reproduces another engine's final membership for a parity rebuild or
-    /// a migration. The policy still decides whether queries are routed
-    /// (boxes are derived from the members' rows either way). The build
-    /// checks that there is one entry per object, each below
+    /// a migration. A mapped layout still routes (the boxes are derived
+    /// from the members' rows), a plain one still probes every shard. The
+    /// build checks that there is one entry per object, each below
     /// [`EngineConfig::resolved_shards`].
     pub fn with_membership(mut self, membership: &'a [usize]) -> Self {
         self.membership = Some(membership);
@@ -76,8 +70,8 @@ impl<'a, O> Layout<'a, O> {
     }
 }
 
-/// The round-robin membership: balanced *contiguous* runs rather than a
-/// stride — shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋ ids in order, just as
+/// The plain membership: balanced *contiguous* runs rather than a stride —
+/// shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋ ids in order, just as
 /// geometry-agnostic as a stride.
 fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
     (0..shards)
@@ -97,12 +91,13 @@ impl<O> ShardedEngine<O> {
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
     ///    order as [`PivotMatrix::compute`]);
     /// 2. the membership — [`pmi_router::partition_pivot_space`] over the
-    ///    rows with `cfg.partition_seed` under
-    ///    [`PartitionPolicy::PivotSpace`] (the call
+    ///    rows with `cfg.partition_seed` (the call
     ///    [`compact`](Self::compact) repeats over the survivors), balanced
-    ///    contiguous runs under round-robin, or the layout's explicit one;
-    /// 3. under `PivotSpace`, the [`RoutingTable`]: one box per shard over
-    ///    what it stores of its members' rows, and a clone of the mapper;
+    ///    contiguous runs without a pivot space, or the layout's explicit
+    ///    one;
+    /// 3. the [`RoutingTable`]: one box per shard over what it stores of
+    ///    its members' rows, and the mapper, which queries and inserts map
+    ///    through;
     /// 4. each shard's rows, stored once as its own planar u16 bucket
     ///    columns ([`PivotColumns`]) under the matrix's one step
     ///    ([`PivotMatrix::step`], which the routing table gets too, and
@@ -191,12 +186,8 @@ impl<O> ShardedEngine<O> {
             );
         }
 
-        // Routed iff the policy says so; the layout guarantees the space.
-        let routed = space
-            .as_ref()
-            .filter(|_| layout.policy == PartitionPolicy::PivotSpace);
         let mut partitioned = None;
-        let membership: Cow<[usize]> = match (layout.membership, routed) {
+        let membership: Cow<[usize]> = match (layout.membership, &space) {
             (Some(m), _) => m.into(),
             (None, Some((_, rows, _))) => {
                 let part = pmi_router::partition_pivot_space(
@@ -215,7 +206,7 @@ impl<O> ShardedEngine<O> {
             }
             (None, None) => balanced_runs(n, num_shards).into(),
         };
-        let router = routed.map(|(map, rows, step)| {
+        let router = space.as_ref().map(|(map, rows, step)| {
             let map = Arc::clone(map);
             RoutingTable::from_assignment(
                 move |o: &O, out: &mut Vec<f64>| map(o, out),
@@ -246,7 +237,7 @@ impl<O> ShardedEngine<O> {
             })
             .collect();
         drop(membership);
-        let mapper = space.map(|(map, _, _)| map);
+        drop(space);
         // The split belongs to no child phase.
         clock.lap();
 
@@ -337,7 +328,6 @@ impl<O> ShardedEngine<O> {
             router,
             epoch: 0,
             retired: Vec::new(),
-            mapper,
             refresh: cfg.refresh,
             compaction: cfg.compaction,
             partition_seed: cfg.partition_seed,
@@ -364,11 +354,11 @@ mod tests {
             threads: 2,
             ..EngineConfig::default()
         };
-        let layout = Layout::mapped(
-            2,
-            PartitionPolicy::RoundRobin,
-            |o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]),
-        );
+        let runs = balanced_runs(60, 4);
+        let layout = Layout::mapped(2, |o: &Vec<f32>, out: &mut Vec<f64>| {
+            out.extend([o[0] as f64, o[1] as f64])
+        })
+        .with_membership(&runs);
         let e = ShardedEngine::build(objects.clone(), layout, &cfg, |_, part, m| {
             let m = m.expect("a pivot space hands every factory its rows");
             assert_eq!(m.rows(), part.len());
@@ -434,7 +424,7 @@ mod tests {
         // A valid one may leave a shard empty.
         let e = build(&[0, 1, 3, 3, 0, 1, 3, 3, 0, 1]).unwrap();
         assert_eq!(e.num_shards(), 4);
-        assert_eq!(e.policy(), PartitionPolicy::RoundRobin);
+        assert!(e.routing().is_none(), "a plain layout never routes");
         assert!(e.shards()[2].is_empty());
         assert_eq!(e.range_query(&grid(10)[6], 0.0), vec![6]);
     }
@@ -513,11 +503,7 @@ mod tests {
     fn any_thread_count_builds_a_mapped_engine() {
         let e = ShardedEngine::build(
             grid(40),
-            Layout::mapped(
-                1,
-                PartitionPolicy::PivotSpace,
-                |o: &Vec<f32>, out: &mut Vec<f64>| out.push(o[0] as f64),
-            ),
+            Layout::mapped(1, |o: &Vec<f32>, out: &mut Vec<f64>| out.push(o[0] as f64)),
             &EngineConfig {
                 threads: usize::MAX,
                 ..EngineConfig::default()

@@ -5,26 +5,26 @@
 //! Everything hangs off one mapping, `o ↦ (d(o, p_1), …, d(o, p_l))` — the
 //! engine's **pivot space** — and the engine owns it: there is one
 //! constructor, [`ShardedEngine::build`], and its [`Layout`] says only
-//! whether there is a pivot space (a mapper), which [`PartitionPolicy`]
-//! partitions the objects, and optionally an explicit membership. From the
-//! mapper the engine itself computes every object's row, clusters over the
-//! rows ([`PartitionPolicy::PivotSpace`]) or cuts balanced contiguous runs
-//! (round-robin), derives the [`RoutingTable`] boxes, and gives every shard
-//! its members' rows, stored once as planar u16 bucket columns of its own
-//! under one engine-wide step ([`pmi_metric::PivotColumns`], the only form
-//! a row is stored in) — so
+//! whether there is a pivot space (a mapper) and optionally an explicit
+//! membership. A pivot space means routing: from the mapper the engine
+//! itself computes every object's row, clusters over the rows, derives the
+//! [`RoutingTable`] boxes (the table holds the mapper from then on), and
+//! gives every shard its members' rows, stored once as planar u16 bucket
+//! columns of its own under one engine-wide step
+//! ([`pmi_metric::PivotColumns`], the only form a row is stored in) — so
 //! "row `i` stores the map of object `i`", "every member lies inside its
 //! shard's box" and "a routed engine holds rows" are true by construction,
 //! not by caller contract.
 //!
-//! Under round-robin every query probes every shard; under pivot-space
-//! partitioning the routing table prunes shards per query via Lemma 1 box
-//! bounds — range queries skip every shard whose bounding box cannot
-//! intersect the search ball, and kNN queries probe shards best-first,
-//! skipping those whose lower bound exceeds the current k-th distance.
-//! Both return identical answers; routing only changes how much work is
+//! The routing table prunes shards per query via Lemma 1 box bounds —
+//! range queries skip every shard whose bounding box cannot intersect the
+//! search ball, and kNN queries probe shards best-first, skipping those
+//! whose lower bound exceeds the current k-th distance. The answers are
+//! those of probing every shard; routing only changes how much work is
 //! paid for them, which the engine accounts exactly through the
-//! `shards_probed` / `shards_pruned` counters.
+//! `shards_probed` / `shards_pruned` counters. The one unrouted shape,
+//! [`Layout::plain`], cuts balanced contiguous runs, holds no rows and
+//! probes every shard.
 //!
 //! The shards keep their rows — inside the index when the kind adopts them
 //! (the shard factory receives them, so shard builds stop recomputing pivot
@@ -36,8 +36,7 @@
 //! the shard's routing centre); a [`RefreshPolicy`] re-clusters the
 //! worst shard pair when live counts drift apart; and
 //! [`compact`](ShardedEngine::compact) re-partitions the survivors with the
-//! very call and seed the build ran. An engine without a pivot space
-//! (round-robin over kinds that adopt nothing) pays for none of it.
+//! very call and seed the build ran. A plain engine pays for none of it.
 //! Serving reuses per-worker [`EngineScratch`] buffers so the batch hot
 //! loop performs no transient heap allocations per query.
 //!
@@ -68,7 +67,7 @@ use pmi_metric::fault;
 use pmi_metric::matrix::stored_interval;
 use pmi_metric::{cow, Counters, CowVec, ObjId, PivotMatrix, StorageFootprint};
 use pmi_obs::{MetricsSnapshot, Registry, Span, TracePolicy};
-use pmi_router::{PartitionPolicy, RoutingTable};
+use pmi_router::RoutingTable;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,7 +97,7 @@ pub struct EngineConfig {
     /// pair (routed engines only).
     pub refresh: RefreshPolicy,
     /// When [`apply`](ShardedEngine::apply) compacts the shards' pivot
-    /// rows (engines with a pivot space only; renumbers global ids —
+    /// rows (routed engines only; renumbers global ids —
     /// disabled by default, see [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
     /// Seed for the engine's partitioning decisions — the pivot-space
@@ -301,7 +300,7 @@ pub struct EngineSnapshot<O> {
     epoch: u64,
     /// The shard set of this version.
     shards: Vec<Arc<Shard<O>>>,
-    /// The routing table of this version; `None` for round-robin engines.
+    /// The routing table of this version; `None` for a plain engine.
     router: Option<Arc<RoutingTable<O>>>,
 }
 
@@ -418,11 +417,11 @@ impl<O> EngineReader<O> {
 /// A dataset sharded across `P` independent [`MetricIndex`]es, serving
 /// batches of mixed range / kNN queries concurrently.
 ///
-/// Under round-robin partitioning every query probes every shard (shards
-/// partition the data, so all hold candidates). Under pivot-space
-/// partitioning a [`RoutingTable`] summarizes each shard as a bounding box
-/// in pivot space and queries skip every shard those summaries prove
-/// answer-free (Lemma 1). Either way, per-shard partial answers merge into
+/// An engine with a pivot space holds a [`RoutingTable`] that summarizes
+/// each shard as a bounding box in pivot space, and queries skip every
+/// shard those summaries prove answer-free (Lemma 1); a plain engine
+/// probes every shard (shards partition the data, so all hold candidates).
+/// Either way, per-shard partial answers merge into
 /// one global answer — a sorted union for range queries, a bounded-heap
 /// top-k for kNN — and because pruning is conservative and each shard's own
 /// query processing is exact, the merged answers are identical to a single
@@ -452,7 +451,14 @@ pub struct ShardedEngine<O> {
     /// Writer mirror of the published shard set — the same `Arc`s as the
     /// current snapshot's. `apply` forks the entries it touches.
     shards: Vec<Arc<Shard<O>>>,
-    /// Writer mirror of the published routing table.
+    /// Writer mirror of the published routing table: present iff the
+    /// engine has a pivot space, that is iff every shard carries its
+    /// members' rows ([`Shard::pivot_row`]). Its mapper is what lets
+    /// inserts hand over their mapped row; the rows let removes recompute
+    /// routing boxes, and re-clustering and compaction move objects
+    /// without recomputing any distance. Without it a table's rows are
+    /// private (computed over the factory's pivots) and the engine never
+    /// reads them.
     router: Option<Arc<RoutingTable<O>>>,
     /// Publication epoch of the current snapshot.
     epoch: u64,
@@ -460,15 +466,6 @@ pub struct ShardedEngine<O> {
     /// reader batches). Swept at each publish: a snapshot whose only owner
     /// is this list is dropped.
     retired: Vec<Arc<EngineSnapshot<O>>>,
-    /// The engine's pivot space, `o ↦ (d(o, p_1), …, d(o, p_l))`: present
-    /// iff every shard carries its members' rows under it
-    /// ([`Shard::pivot_row`]), and the router's mapper is a clone of it.
-    /// It is what lets inserts hand over their mapped row, removes
-    /// recompute routing boxes, and re-clustering and compaction move
-    /// objects without recomputing any distance. Without it a table's rows
-    /// are private (computed over the factory's pivots) and the engine
-    /// never reads them.
-    mapper: Option<PivotMap<O>>,
     /// When [`apply`](Self::apply) re-clusters the worst shard pair.
     refresh: RefreshPolicy,
     /// When [`apply`](Self::apply) compacts the shards' rows.
@@ -487,8 +484,9 @@ pub struct ShardedEngine<O> {
 /// [`set_query_validator`](ShardedEngine::set_query_validator)).
 type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 
-/// The shared pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to
-/// the caller's buffer. The engine and its routing table hold clones.
+/// The pivot-space mapper a [`Layout`] carries to the build, which hands it
+/// to the routing table: appends `(d(o, p_1), …, d(o, p_l))` to the
+/// caller's buffer.
 type PivotMap<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Stored rows as one transient f64 matrix for the partitioner (a stored
@@ -597,17 +595,7 @@ impl<O> ShardedEngine<O> {
         self.core.build
     }
 
-    /// Which partitioning regime this engine runs: `PivotSpace` when a
-    /// routing table is attached, `RoundRobin` otherwise.
-    pub fn policy(&self) -> PartitionPolicy {
-        if self.router.is_some() {
-            PartitionPolicy::PivotSpace
-        } else {
-            PartitionPolicy::RoundRobin
-        }
-    }
-
-    /// The routing table, when pivot-space partitioned.
+    /// The routing table; `None` for a plain engine.
     pub fn routing(&self) -> Option<&RoutingTable<O>> {
         self.router.as_deref()
     }
@@ -639,7 +627,7 @@ impl<O> ShardedEngine<O> {
     /// Exact `(shards_probed, shards_pruned)` totals since construction or
     /// the last [`reset_counters`](Self::reset_counters): every query adds
     /// its probed shard count to the first and its routed-away shard count
-    /// to the second (round-robin engines always add `(P, 0)`).
+    /// to the second (a plain engine always adds `(P, 0)`).
     pub fn probe_counts(&self) -> (u64, u64) {
         (
             self.core.probed.load(Ordering::Relaxed),
@@ -823,7 +811,7 @@ impl<O> ShardedEngine<O> {
     /// layered path queries use, returning exact accounting.
     ///
     /// * **Inserts** are routed via the routing table (nearest box lower
-    ///   bound, smallest shard among ties; round-robin engines pick the
+    ///   bound, smallest shard among ties; a plain engine picks the
     ///   smallest shard). On an engine with a pivot space the object's
     ///   pivot row is computed **once** and handed to the destination shard
     ///   with the object — kinds that own their rows (LAESA, CPT, FQA)
@@ -1067,13 +1055,10 @@ impl<O> ShardedEngine<O> {
 
     /// The one insert path: map once, hand the row to the shard.
     fn stage_insert(&self, txn: &mut ApplyTxn<O>, o: O, mapped: &mut Vec<f64>) -> ObjId {
-        mapped.clear();
-        if let Some(map) = &self.mapper {
-            map(&o, mapped);
-        }
-        txn.stats.map_compdists += mapped.len() as u64;
         let si = match &txn.router {
             Some(rt) => {
+                rt.map_into(&o, mapped);
+                txn.stats.map_compdists += mapped.len() as u64;
                 // Nearest box lower bound; ties go to the smallest shard,
                 // then the lowest shard id.
                 let mut best = (f64::INFINITY, usize::MAX, 0usize);
@@ -1096,7 +1081,7 @@ impl<O> ShardedEngine<O> {
         };
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = if self.mapper.is_some() {
+        let local = if txn.router.is_some() {
             txn.shard_mut(si).insert_adopted(o, gid, mapped)
         } else {
             txn.shard_mut(si).insert(o, gid)
@@ -1293,7 +1278,7 @@ impl<O> ShardedEngine<O> {
     /// [`MetricIndex::compact_rows`]: pmi_metric::MetricIndex::compact_rows
     pub fn compact(&mut self) -> usize {
         let dead = self.next_id as usize - self.len();
-        if self.mapper.is_none() || dead == 0 {
+        if self.router.is_none() || dead == 0 {
             // A no-op records nothing: a `compact` phase in the metrics
             // always means rows actually moved.
             return 0;
@@ -1335,9 +1320,8 @@ impl<O> ShardedEngine<O> {
             (s as usize, local)
         };
 
-        // (1) Full re-partition of the survivors on routed engines. The
-        // movement tombstones this leaves behind are folded away by the
-        // dense rebuild below.
+        // (1) Full re-partition of the survivors. The movement tombstones
+        // this leaves behind are folded away by the dense rebuild below.
         if let (Some(rt), true) = (&txn.router, txn.shards.len() >= 2) {
             let live_rows = stored_rows(
                 rt.boxes()[0].dim(),
@@ -1434,15 +1418,12 @@ mod tests {
         .unwrap()
     }
 
-    /// A round-robin engine over [`grid`] whose pivot space is the identity
-    /// on the two coordinates, BruteForce shards (so the shards hold the
-    /// rows).
+    /// A routed engine over [`grid`] whose pivot space is the identity on
+    /// the two coordinates, BruteForce shards (so the shards hold the rows).
     fn grid_space_engine(n: usize, cfg: &EngineConfig) -> ShardedEngine<Vec<f32>> {
-        let layout = Layout::mapped(
-            2,
-            PartitionPolicy::RoundRobin,
-            |o: &Vec<f32>, out: &mut Vec<f64>| out.extend([o[0] as f64, o[1] as f64]),
-        );
+        let layout = Layout::mapped(2, |o: &Vec<f32>, out: &mut Vec<f64>| {
+            out.extend([o[0] as f64, o[1] as f64])
+        });
         ShardedEngine::build(grid(n), layout, cfg, |_, part, _| brute_factory(part)).unwrap()
     }
 
@@ -1469,7 +1450,7 @@ mod tests {
         let membership: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
         let e = ShardedEngine::build(
             objects.clone(),
-            Layout::mapped(1, PartitionPolicy::PivotSpace, mapper).with_membership(&membership),
+            Layout::mapped(1, mapper).with_membership(&membership),
             &EngineConfig {
                 shards: 2,
                 threads: 1,
@@ -1490,7 +1471,7 @@ mod tests {
             let e = engine(300, shards, 2);
             assert_eq!(e.len(), 300);
             assert_eq!(e.num_shards(), shards);
-            assert_eq!(e.policy(), PartitionPolicy::RoundRobin);
+            assert!(e.routing().is_none());
             for qi in [0usize, 17, 299] {
                 let mut want = single.range_query(&objects[qi], 5.0);
                 want.sort_unstable();
@@ -1508,8 +1489,7 @@ mod tests {
 
     #[test]
     fn apply_batches_update_through_the_shared_path() {
-        // A round-robin engine with a pivot space: each insert hands one
-        // row to its shard, removes tombstone, counters stay exact.
+        // A routed engine: each insert hands one row to its shard, removes tombstone, counters stay exact.
         let objects = grid(30);
         let mut e = grid_space_engine(
             30,
@@ -1533,7 +1513,8 @@ mod tests {
         assert_eq!(report.inserted_ids, vec![30, 31]);
         assert_eq!(report.map_compdists, 4, "one 2-wide row per insert");
         assert_eq!(report.shard_compdists, 0, "BruteForce inserts are free");
-        assert_eq!(report.reboxed_shards, 0, "no router, nothing to shrink");
+        // Every object of grid(30) has y = 0, on its box's face.
+        assert_eq!(report.reboxed_shards, 1, "object 7's shard is reboxed");
         // The grid's coordinates stay under 30, so the rows are stored in
         // steps of 2⁻¹¹ that stop short of 32: both inserts saturate.
         let top = 65_535.0 / 2048.0;
@@ -1703,8 +1684,8 @@ mod tests {
 
     #[test]
     fn compaction_renumbers_and_keeps_serving_exact() {
-        // Round-robin engine with a pivot space over BruteForce shards (the
-        // non-adopting fallback: tombstones stay local, gids remap).
+        // A routed engine over BruteForce shards (the non-adopting
+        // fallback: tombstones stay local, gids remap).
         let mut e = grid_space_engine(
             40,
             &EngineConfig {

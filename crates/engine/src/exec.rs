@@ -1224,13 +1224,12 @@ mod tests {
     use crate::engine::{EngineConfig, Layout};
     use crate::robust::{FaultPolicy, ServeBudget};
     use pmi_metric::{BruteForce, MetricIndex, QueryScratch, StorageFootprint, L2};
-    use pmi_router::PartitionPolicy;
     use std::sync::Mutex;
 
     #[test]
     fn routed_engine_prunes_and_stays_exact() {
         let (objects, e) = routed_two_clusters();
-        assert_eq!(e.policy(), PartitionPolicy::PivotSpace);
+        assert!(e.routing().is_some());
         let single = BruteForce::new(objects.clone(), L2);
 
         // Selective range query inside cluster A: shard 1 is pruned.
@@ -1481,7 +1480,7 @@ mod tests {
         ]);
         assert_eq!(out.report.traces.len(), 2);
         for t in &out.report.traces {
-            assert_eq!(t.shards_probed(), 4, "round-robin probes all shards");
+            assert_eq!(t.shards_probed(), 4, "a plain engine probes all shards");
             assert_eq!(t.shards_pruned(), 0);
             assert!(t.explain().contains("probed 4/4 shards"));
         }
@@ -1587,7 +1586,7 @@ mod tests {
         }
     }
 
-    /// 4-shard round-robin engine whose shard 1 panics on every query.
+    /// 4-shard plain engine whose shard 1 panics on every query.
     fn panicky_engine(
         n: usize,
         faults: FaultPolicy,

@@ -9,17 +9,16 @@
 //!   each backed by any [`MetricIndex`](pmi_metric::MetricIndex)
 //!   implementation (a shard factory closure decides which — the `pmi`
 //!   facade wires its `builder` module in, so every index of the paper can
-//!   serve). There is one constructor, [`ShardedEngine::build`]: its
-//!   [`Layout`] says whether the engine holds a pivot space
-//!   (`o ↦ (d(o, p_1), …, d(o, p_l))`) and which [`PartitionPolicy`]
-//!   splits the objects, and the engine derives the rest itself — the
-//!   pivot rows, the partitioning (balanced contiguous runs, or
-//!   [`PartitionPolicy::PivotSpace`] clustering from `pmi-router`), each
-//!   shard's own run of rows, and a [`RoutingTable`] of per-shard
+//!   serve). There is one constructor, [`ShardedEngine::build`], and two
+//!   shapes: [`Layout::mapped`] hands it a pivot space
+//!   (`o ↦ (d(o, p_1), …, d(o, p_l))`) and the engine derives the rest
+//!   itself — the pivot rows, the clustering over them (`pmi-router`),
+//!   each shard's own run of rows, and a [`RoutingTable`] of per-shard
 //!   pivot-space bounding boxes that lets queries *skip* shards: Lemma 1
 //!   box pruning for range queries, best-first probing with a tightening
-//!   cutoff for kNN. Skips are counted exactly in every [`ServeReport`]
-//!   (`shards_probed` / `shards_pruned`),
+//!   cutoff for kNN; [`Layout::plain`] cuts balanced contiguous runs, holds
+//!   no rows and probes every shard. Skips are counted exactly in every
+//!   [`ServeReport`] (`shards_probed` / `shards_pruned`),
 //! * batches of mixed range / kNN queries ([`Query`]) execute on
 //!   `threads` workers, the calling thread one of them, each claiming the
 //!   next query ([`ShardedEngine::serve`], through
@@ -86,7 +85,7 @@ pub use engine::{
 };
 pub use merge::TopK;
 pub use pmi_obs::{QueryTrace, TraceEvent, TraceKind, TracePolicy};
-pub use pmi_router::{PartitionPolicy, RoutingTable};
+pub use pmi_router::RoutingTable;
 pub use query::{Query, QueryResult};
 pub use queue::{AdmissionPolicy, PumpOutcome, QueueStats, SubmitOutcome, SubmitQueue};
 pub use report::{BuildStats, LatencySummary, ServeReport, ShardServeStats, UpdateStats};

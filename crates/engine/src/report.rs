@@ -73,8 +73,8 @@ impl LatencySummary {
 
 /// Per-shard serving breakdown for one batch: exact probe and cost
 /// accounting always, probe-wall timing when observability is enabled
-/// (zeros otherwise). This is what makes shard skew — the P=8 round-robin
-/// straggler — visible in a [`ServeReport`].
+/// (zeros otherwise). This is what makes shard skew — the P=8 straggler
+/// of an engine that probes every shard — visible in a [`ServeReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardServeStats {
     /// Shard index.
@@ -177,11 +177,11 @@ pub struct ServeReport {
     /// counts through atomic counters.
     pub cost: Counters,
     /// Exact number of shard probes executed across the batch (a query
-    /// touching 3 of 8 shards adds 3). Round-robin engines always probe
-    /// `queries × shards`.
+    /// touching 3 of 8 shards adds 3). A plain (unrouted) engine always
+    /// probes `queries × shards`.
     pub shards_probed: u64,
     /// Exact number of shard probes avoided by pivot-space routing across
-    /// the batch (the same query adds 5). Always 0 for round-robin engines.
+    /// the batch (the same query adds 5). Always 0 for a plain engine.
     pub shards_pruned: u64,
     /// Construction cost of the serving engine (copied from
     /// [`ShardedEngine::build_stats`](crate::ShardedEngine::build_stats),

@@ -81,8 +81,8 @@ impl<O> FromIterator<UpdateOp<O>> for UpdateBatch<O> {
 /// than `max_imbalance ×` the emptiest shard's live objects (and the pair
 /// is big enough to matter), the worst pair is re-split by 2-means over the
 /// members' mapped rows — an incremental rebalance instead of a full
-/// rebuild. Only routed (pivot-space) engines re-cluster; round-robin
-/// engines keep balance by construction.
+/// rebuild. Only routed engines re-cluster; a plain engine's contiguous
+/// runs are balanced by construction.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RefreshPolicy {
     /// Trigger threshold: re-cluster when `max_len > max_imbalance *

@@ -104,8 +104,8 @@ pub enum TraceEvent {
     Plan {
         /// Shard the verdict is about.
         shard: u32,
-        /// Lemma-1 lower bound of the shard's routing box (0 for
-        /// round-robin engines, which have no boxes).
+        /// Lemma-1 lower bound of the shard's routing box (0 for a plain
+        /// engine, which has no boxes).
         lower_bound: f64,
         /// `true` if the shard was probed, `false` if pruned.
         probed: bool,
@@ -114,7 +114,7 @@ pub enum TraceEvent {
         /// Squared pivot-space distance from the mapped query to the
         /// shard's centre: the key a kNN plan ranks shards by where their
         /// bounds tie (`∞` for a shard without members). 0 where no centre
-        /// is consulted — range plans and round-robin engines.
+        /// is consulted — range plans and plain engines.
         centre_dist: f64,
     },
     /// Planning finished: totals plus the plan-stage wall.

@@ -58,6 +58,8 @@ const MIN_DISTS_PER_CHUNK: usize = 512;
 /// run over contiguous sample ranges on up to `threads` scoped threads;
 /// every choice (the farthest object, the least error) is made on the
 /// caller in sample order, so the foci are the same for every `threads`.
+/// Fewer than two objects have no diameter to walk: they are their own
+/// foci, at no cost.
 pub fn hf_candidates<O: Sync, M: Metric<O>>(
     objects: &[O],
     metric: &M,
@@ -66,8 +68,10 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
     threads: usize,
 ) -> Vec<usize> {
     let n = objects.len();
-    assert!(n >= 2, "HF needs at least two objects");
     let count = count.min(n);
+    if n < 2 {
+        return (0..count).collect();
+    }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4846);
 
     // Work on a sample for large datasets; HF cost is O(sample · foci).
@@ -295,7 +299,7 @@ impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
     pub fn new(objects: &[O], metric: M, sample_size: usize, seed: u64) -> Self {
         let n = objects.len();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x505341);
-        let sample: Vec<O> = (0..sample_size.min(n).max(1))
+        let sample: Vec<O> = (0..sample_size.min(n).max(n.min(1)))
             .map(|_| objects[rng.random_range(0..n)].clone())
             .collect();
         let candidates: Vec<O> = hf_candidates(objects, &metric, CP_SCALE.min(n), seed, 1)

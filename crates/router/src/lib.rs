@@ -1,15 +1,15 @@
 //! `pmi-router` — pivot-space routing-aware sharding for the serving
 //! engine.
 //!
-//! The engine's original round-robin partitioning spreads every metric
-//! region across all `P` shards, so every query must probe every shard.
-//! The paper's whole contribution (§2.3, Lemmas 1–4) is that pivot-distance
+//! An engine cut into contiguous runs spreads every metric region across
+//! all `P` shards, so every query must probe every shard. The paper's
+//! whole contribution (§2.3, Lemmas 1–4) is that pivot-distance
 //! bounds let an index *skip* work; this crate lifts that from objects to
 //! shards:
 //!
 //! * [`partition::partition_pivot_space`] clusters the dataset's
 //!   pivot-distance vectors (balanced k-means-style in pivot space, with a
-//!   round-robin fallback for degenerate inputs), so each shard holds a
+//!   stride fallback for degenerate inputs), so each shard holds a
 //!   compact region of the pivot space. The balanced step is a deferred
 //!   acceptance between points and shards: linear passes over the matrix
 //!   rows, `O(n)` extra memory, run on the build's threads with an
@@ -46,38 +46,13 @@
 //! answers are *identical* to probing every shard — pruning only ever
 //! removes shards that provably contain no answers.
 //!
-//! The engine builds and stores a [`RoutingTable`] when laid out with
-//! [`PartitionPolicy::PivotSpace`]; the table maps query objects into
-//! pivot space through a shared closure — a clone of the engine's own
-//! mapper — so the engine itself stays metric-agnostic.
+//! The engine builds and stores a [`RoutingTable`] whenever it holds a
+//! pivot space; the table maps query and inserted objects into pivot space
+//! through the engine's one mapper, so the engine itself stays
+//! metric-agnostic.
 
 pub mod partition;
 pub mod table;
 
 pub use partition::{assign_pivot_space, assign_round_robin, partition_pivot_space, Partition};
 pub use table::{Mapper, RoutingTable};
-
-/// How a sharded engine partitions its dataset across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PartitionPolicy {
-    /// Geometry-agnostic: the engine cuts the objects, in input order, into
-    /// `P` balanced contiguous runs (shard `s` takes the next ⌈n/P⌉ or
-    /// ⌊n/P⌋). Perfectly balanced, but every query must probe all `P`
-    /// shards.
-    #[default]
-    RoundRobin,
-    /// Objects are clustered by their pivot-distance vectors so that each
-    /// shard covers a compact pivot-space region; queries then prune shards
-    /// via Lemma 1 box bounds and probe the rest best-first.
-    PivotSpace,
-}
-
-impl PartitionPolicy {
-    /// Short display name, used by benches and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PartitionPolicy::RoundRobin => "round-robin",
-            PartitionPolicy::PivotSpace => "pivot-space",
-        }
-    }
-}

@@ -48,8 +48,8 @@ const LANES: usize = 8;
 
 /// The stride: object `i` to shard `i % shards`. Always valid and within
 /// one object of balanced, so it is [`partition_pivot_space`]'s fallback
-/// for inputs clustering cannot help — not what the engine builds under
-/// `PartitionPolicy::RoundRobin`, which is balanced contiguous runs.
+/// for inputs clustering cannot help — not what an unrouted engine is cut
+/// into, which is balanced contiguous runs.
 pub fn assign_round_robin(n: usize, shards: usize) -> Vec<usize> {
     let shards = shards.max(1);
     (0..n).map(|i| i % shards).collect()

@@ -140,7 +140,6 @@ where
     pub fn build(objects: Vec<O>, metric: M, mode: EptMode, cfg: EptConfig) -> Self {
         let metric = CountingMetric::new(metric);
         let n = objects.len();
-        assert!(n >= 2, "EPT needs at least two objects");
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x455054);
 
         let (pivot_objs, strategy) = match mode {
@@ -149,7 +148,10 @@ where
                 let picks = pmi_pivots::select_random(n, (cfg.l * cfg.m).min(n), cfg.seed);
                 let total = picks.len();
                 let pivot_objs: Vec<O> = picks.iter().map(|&i| objects[i].clone()).collect();
+                // An empty pool (no objects) makes empty rows: every
+                // object is verified, as in a scan.
                 let groups: Vec<Vec<u16>> = (0..cfg.l)
+                    .filter(|_| total > 0)
                     .map(|g| {
                         (0..cfg.m)
                             .map(|j| ((g * cfg.m + j) % total) as u16)

@@ -2,10 +2,9 @@
 //! submit a mixed range/kNN batch, and read the `ServeReport` — throughput,
 //! latency percentiles, the paper's aggregate cost counters, and the
 //! routing counters (`shards_probed` / `shards_pruned`) — for each shard
-//! count and partition policy. With `PartitionPolicy::PivotSpace` the
-//! engine routes each query to the shards its pivot-space bounding boxes
-//! cannot rule out, so selective queries skip most shards while returning
-//! the same answers as round-robin.
+//! count. The engine routes each query to the shards its pivot-space
+//! bounding boxes cannot rule out, so selective queries skip most shards
+//! while returning the same answers as probing every shard.
 //!
 //! Also demonstrates the observability surface: the per-shard serve
 //! breakdown (`report.per_shard` — probes, exact compdists, sampled
@@ -59,42 +58,40 @@ fn main() {
     );
 
     for shards in [1usize, 2, 4, 8] {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let engine = build_sharded_vector_engine(
-                IndexKind::Mvpt,
-                pts.clone(),
-                L2,
-                &opts,
-                &EngineConfig {
-                    shards,
-                    threads: 0,
-                    ..EngineConfig::default()
-                },
-                policy,
-            )
-            .expect("buildable");
-            engine.reset_counters();
-            let out = engine.serve(&batch);
-            println!("P={shards} [{}]:\n{}", policy.label(), out.report);
+        let engine = build_sharded_vector_engine(
+            IndexKind::Mvpt,
+            pts.clone(),
+            L2,
+            &opts,
+            &EngineConfig {
+                shards,
+                threads: 0,
+                ..EngineConfig::default()
+            },
+            PartitionPolicy::PivotSpace,
+        )
+        .expect("buildable");
+        engine.reset_counters();
+        let out = engine.serve(&batch);
+        println!("P={shards}:\n{}", out.report);
+        println!(
+            "  probes/query {:.2} of {shards} shard(s), prune rate {:.1}%",
+            out.report.shards_probed as f64 / out.report.queries.max(1) as f64,
+            out.report.prune_rate() * 100.0
+        );
+        // The per-shard breakdown (printed above as part of the
+        // report) makes skew visible: under pivot-space routing the
+        // probe counts — and so compdists and wall — concentrate on
+        // the shards whose boxes overlap the workload.
+        if shards == 8 {
+            let probes: Vec<u64> = out.report.per_shard.iter().map(|s| s.probes).collect();
             println!(
-                "  probes/query {:.2} of {shards} shard(s), prune rate {:.1}%",
-                out.report.shards_probed as f64 / out.report.queries.max(1) as f64,
-                out.report.prune_rate() * 100.0
+                "  shard skew: hottest shard {} probes vs coldest {}",
+                probes.iter().max().unwrap_or(&0),
+                probes.iter().min().unwrap_or(&0)
             );
-            // The per-shard breakdown (printed above as part of the
-            // report) makes skew visible: under pivot-space routing the
-            // probe counts — and so compdists and wall — concentrate on
-            // the shards whose boxes overlap the workload.
-            if shards == 8 {
-                let probes: Vec<u64> = out.report.per_shard.iter().map(|s| s.probes).collect();
-                println!(
-                    "  shard skew: hottest shard {} probes vs coldest {}",
-                    probes.iter().max().unwrap_or(&0),
-                    probes.iter().min().unwrap_or(&0)
-                );
-            }
-            println!();
         }
+        println!();
     }
 
     // The shared-matrix build path: LAESA shards adopt their slice of the

@@ -18,8 +18,8 @@
 #![cfg(feature = "fault-inject")]
 
 use pivot_metric_repro as pmr;
-use pmr::builder::{BuildOptions, IndexKind};
-use pmr::engine::{EngineConfig, Query, QueryResult};
+use pmr::builder::{build_index, BuildOptions, IndexKind};
+use pmr::engine::{EngineConfig, Layout, Query, QueryResult};
 use pmr::fault::{self, FaultKind, FaultPlan, FaultSpec};
 use pmr::{
     build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, Metric, PartitionPolicy,
@@ -76,39 +76,42 @@ const KINDS: [IndexKind; 4] = [
     IndexKind::Mvpt,
     IndexKind::OmniR,
 ];
-const POLICIES: [PartitionPolicy; 2] = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace];
+fn cfg(shards: usize) -> EngineConfig {
+    EngineConfig {
+        shards,
+        threads: 1,
+        faults: FaultPolicy {
+            quarantine_after: 2,
+        },
+        ..EngineConfig::default()
+    }
+}
 
-fn build(
-    kind: IndexKind,
-    policy: PartitionPolicy,
-    shards: usize,
-    pts: &[Vec<f32>],
-) -> ShardedEngine<Vec<f32>> {
-    build_with(kind, policy, shards, pts, L2)
+fn build(kind: IndexKind, shards: usize, pts: &[Vec<f32>]) -> ShardedEngine<Vec<f32>> {
+    build_with(kind, shards, pts, L2)
 }
 
 fn build_with<M: Metric<Vec<f32>> + Clone + 'static>(
     kind: IndexKind,
-    policy: PartitionPolicy,
     shards: usize,
     pts: &[Vec<f32>],
     metric: M,
 ) -> ShardedEngine<Vec<f32>> {
-    build_sharded_vector_engine(
-        kind,
-        pts.to_vec(),
-        metric,
-        &opts(),
-        &EngineConfig {
-            shards,
-            threads: 1,
-            faults: FaultPolicy {
-                quarantine_after: 2,
-            },
-            ..EngineConfig::default()
-        },
-        policy,
-    )
+    let policy = PartitionPolicy::PivotSpace;
+    build_sharded_vector_engine(kind, pts.to_vec(), metric, &opts(), &cfg(shards), policy).unwrap()
+}
+
+/// LAESA shards over balanced contiguous runs (`Layout::plain()`), with
+/// the facade's options and pivots: every query probes every shard.
+fn plain_laesa(shards: usize, pts: &[Vec<f32>]) -> ShardedEngine<Vec<f32>> {
+    let opts = opts();
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(pts, &L2, opts.num_pivots, opts.seed)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    ShardedEngine::build(pts.to_vec(), Layout::plain(), &cfg(shards), |_, part, _| {
+        build_index(IndexKind::Laesa, part, L2, pivots.clone(), &opts)
+    })
     .unwrap()
 }
 
@@ -135,7 +138,7 @@ fn panicking_shard_probe_is_contained_and_routed_around() {
         .collect();
 
     // Fault-free baseline: per-query results and exact per-shard costs.
-    let clean = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 8, &pts);
+    let clean = build(IndexKind::Laesa, 8, &pts);
     let baseline: Vec<(QueryResult, Vec<Counters>)> =
         queries.iter().map(|q| probe_one(&clean, q)).collect();
     // A probed LAESA shard always computes ≥ l pivot distances, so the
@@ -153,7 +156,7 @@ fn panicking_shard_probe_is_contained_and_routed_around() {
         })
         .expect("clustered data must leave some shard partially probed");
 
-    let chaos = build(IndexKind::Laesa, PartitionPolicy::PivotSpace, 8, &pts);
+    let chaos = build(IndexKind::Laesa, 8, &pts);
     fault::install(FaultPlan::new().with(FaultSpec::always(
         "engine.probe",
         Some(faulted as u64),
@@ -242,7 +245,7 @@ fn nan_distances_never_poison_or_panic() {
     fault::clear();
 
     let pts = pmr::datasets::la(300, 7);
-    let e = build(IndexKind::Laesa, PartitionPolicy::RoundRobin, 4, &pts);
+    let e = build(IndexKind::Laesa, 4, &pts);
     let q = Query::range(pts[10].clone(), 500.0);
     let exact = e.serve(std::slice::from_ref(&q));
     let QueryResult::Range(exact_ids) = &exact.results[0] else {
@@ -316,7 +319,7 @@ fn a_dist_fault_fires_on_its_own_slot<M: Metric<Vec<f32>> + Clone + 'static>(
     let centres: Vec<Vec<f32>> = (0..24).map(|i| pts[i * 31].clone()).collect();
     let engine = || {
         let m = metric.clone();
-        build_with(IndexKind::Laesa, PartitionPolicy::PivotSpace, 4, pts, m)
+        build_with(IndexKind::Laesa, 4, pts, m)
     };
     let clean = engine();
 
@@ -393,7 +396,7 @@ fn injected_probe_delays_trip_the_query_deadline() {
     fault::clear();
 
     let pts = pmr::datasets::la(400, 9);
-    let e = build(IndexKind::Laesa, PartitionPolicy::RoundRobin, 4, &pts);
+    let e = plain_laesa(4, &pts);
     let q = Query::range(pts[5].clone(), 500.0);
     let exact = e.serve(std::slice::from_ref(&q));
     let QueryResult::Range(exact_ids) = &exact.results[0] else {
@@ -442,23 +445,21 @@ fn injected_probe_delays_trip_the_query_deadline() {
 /// epoch does not advance, a reader hammering the engine *during* the
 /// abort sees byte-identical results throughout, and retrying the same
 /// batch after clearing the fault succeeds with the same ids — on every
-/// kind and policy, because there is one write path.
+/// kind, because there is one write path.
 #[test]
 fn writer_panic_mid_apply_aborts_and_serving_continues() {
     quiet_injected_panics();
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for kind in KINDS {
-        for policy in POLICIES {
-            writer_panic_mid_apply(kind, policy);
-        }
+        writer_panic_mid_apply(kind);
     }
 }
 
-fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
+fn writer_panic_mid_apply(kind: IndexKind) {
     fault::clear();
 
     let pts = pmr::datasets::la(400, 5);
-    let mut e = build(kind, policy, 4, &pts);
+    let mut e = build(kind, 4, &pts);
     let reader = e.reader().expect("every kind hands out readers");
     let queries: Vec<Query<Vec<f32>>> = (0..16)
         .map(|i| Query::range(pts[i * 23].clone(), 40.0))
@@ -469,7 +470,7 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
     let located0: Vec<_> = (0..len0 as u32 + 2).map(|g| e.locate(g)).collect();
 
     for at in ["engine.apply.stage", "engine.apply.publish"] {
-        let point = &format!("{kind:?}/{policy:?} {at}");
+        let point = &format!("{kind:?} {at}");
         fault::install(FaultPlan::new().with(FaultSpec::always(at, None, FaultKind::Panic)));
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -556,15 +557,13 @@ fn writer_panic_mid_apply(kind: IndexKind, policy: PartitionPolicy) {
 fn serving_never_waits_for_a_stalled_writer() {
     let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for kind in KINDS {
-        for policy in POLICIES {
-            serving_through_a_stalled_writer(kind, policy);
-        }
+        serving_through_a_stalled_writer(kind);
     }
 }
 
-fn serving_through_a_stalled_writer(kind: IndexKind, policy: PartitionPolicy) {
+fn serving_through_a_stalled_writer(kind: IndexKind) {
     fault::clear();
-    let label = &format!("{kind:?}/{policy:?}");
+    let label = &format!("{kind:?}");
 
     let pts = pmr::datasets::la(400, 5);
     let queries: Vec<Query<Vec<f32>>> = (0..16)
@@ -573,11 +572,11 @@ fn serving_through_a_stalled_writer(kind: IndexKind, policy: PartitionPolicy) {
     let mut batch = UpdateBatch::new();
     batch.remove(0).insert(vec![1.0f32; 2]);
 
-    let mut quiesced = build(kind, policy, 4, &pts);
+    let mut quiesced = build(kind, 4, &pts);
     assert!(!quiesced.apply(&batch).aborted, "{label}");
     let after = quiesced.serve(&queries).results;
 
-    let mut e = build(kind, policy, 4, &pts);
+    let mut e = build(kind, 4, &pts);
     let reader = e.reader().expect("every kind hands out readers");
     let before = e.serve(&queries).results;
     assert_ne!(before, after, "{label}: the batch changes an answer");
@@ -647,7 +646,7 @@ fn compaction_panic_aborts_and_changes_nothing() {
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
         fault::clear();
         let pts = pmr::datasets::la(400, 5);
-        let mut e = build(kind, PartitionPolicy::PivotSpace, 4, &pts);
+        let mut e = build(kind, 4, &pts);
         let mut churn = UpdateBatch::new();
         for i in 0..60u32 {
             churn.remove(i * 5);
@@ -705,7 +704,7 @@ fn compaction_panic_aborts_and_changes_nothing() {
         let survivors: Vec<Vec<f32>> = (0..id_bound).filter_map(|g| e.get(g)).collect();
         assert_eq!(e.compact(), 60, "{kind:?}: one dead row per remove");
         assert_eq!((e.epoch(), e.len()), (epoch0 + 1, len0), "{kind:?}");
-        let rebuilt = build(kind, PartitionPolicy::PivotSpace, 4, &survivors);
+        let rebuilt = build(kind, 4, &survivors);
         assert_eq!(
             e.serve(&queries).results,
             rebuilt.serve(&queries).results,
@@ -717,8 +716,7 @@ fn compaction_panic_aborts_and_changes_nothing() {
 /// A panic inside the re-clustering pass (`engine.recluster`) aborts the
 /// *whole* transaction, including the several hundred inserts that staged
 /// before the trigger fired — re-clustering is part of the apply
-/// transaction, not a separate best-effort pass. Routed engines only:
-/// round-robin engines never re-cluster, so the fault point is never reached.
+/// transaction, not a separate best-effort pass.
 #[test]
 fn recluster_panic_aborts_the_whole_batch() {
     quiet_injected_panics();
@@ -821,73 +819,54 @@ fn quarantine_survives_publication_and_heal_restores_parity() {
     };
 
     for kind in KINDS {
-        for policy in POLICIES {
-            let mk = || {
-                build_sharded_vector_engine(
-                    kind,
-                    pts.clone(),
-                    L2,
-                    &opts(),
-                    &EngineConfig {
-                        shards: 3,
-                        threads: 1,
-                        faults: FaultPolicy {
-                            quarantine_after: 2,
-                        },
-                        ..EngineConfig::default()
-                    },
-                    policy,
-                )
-                .unwrap()
-            };
-            let mut chaos = mk();
-            let mut control = mk();
-            let label = format!("{kind:?}/{policy:?}");
+        let mk = || build(kind, 3, &pts);
+        let mut chaos = mk();
+        let mut control = mk();
+        let label = format!("{kind:?}");
 
-            // Two injected probe panics on shard 1 trip the quarantine.
-            fault::install(FaultPlan::new().with(FaultSpec::always(
-                "engine.probe",
-                Some(1),
-                FaultKind::Panic,
-            )));
-            let out = chaos.serve(&queries);
-            assert_eq!(out.report.failed, 2, "{label}: two contained panics");
-            assert_eq!(chaos.quarantined_shards(), vec![1], "{label}");
-            fault::clear();
+        // Two injected probe panics on shard 1 trip the quarantine.
+        fault::install(FaultPlan::new().with(FaultSpec::always(
+            "engine.probe",
+            Some(1),
+            FaultKind::Panic,
+        )));
+        let out = chaos.serve(&queries);
+        assert_eq!(out.report.failed, 2, "{label}: two contained panics");
+        assert_eq!(chaos.quarantined_shards(), vec![1], "{label}");
+        fault::clear();
 
-            // Churn publishes a fresh snapshot; the quarantine carries over
-            // and the new snapshot still routes around shard 1.
-            let epoch0 = chaos.epoch();
-            chaos.apply(&churn(0));
-            control.apply(&churn(0));
-            assert_eq!(chaos.epoch(), epoch0 + 1, "{label}: publish happened");
-            assert_eq!(
-                chaos.quarantined_shards(),
-                vec![1],
-                "{label}: quarantine survives publication"
-            );
-            let during = chaos.serve(&queries);
-            assert_eq!(during.report.failed, 0, "{label}: no more panics");
-            assert_eq!(
-                during.report.degraded,
-                queries.len(),
-                "{label}: every query degrades around the quarantined shard"
-            );
+        // Churn publishes a fresh snapshot; the quarantine carries over
+        // and the new snapshot still routes around shard 1.
+        let epoch0 = chaos.epoch();
+        chaos.apply(&churn(0));
+        control.apply(&churn(0));
+        assert_eq!(chaos.epoch(), epoch0 + 1, "{label}: publish happened");
+        assert_eq!(
+            chaos.quarantined_shards(),
+            vec![1],
+            "{label}: quarantine survives publication"
+        );
+        let during = chaos.serve(&queries);
+        assert_eq!(during.report.failed, 0, "{label}: no more panics");
+        assert_eq!(
+            during.report.degraded,
+            queries.len(),
+            "{label}: every query degrades around the quarantined shard"
+        );
 
-            // Heal, publish once more: byte-identical to the never-faulted
-            // control engine over the same batch stream.
-            assert_eq!(chaos.heal(), 1, "{label}");
-            chaos.apply(&churn(1));
-            control.apply(&churn(1));
-            let healed = chaos.serve(&queries);
-            let clean = control.serve(&queries);
-            assert_eq!(healed.report.degraded, 0, "{label}: fully healed");
-            assert_eq!(healed.report.failed, 0, "{label}");
-            assert_eq!(
-                healed.results, clean.results,
-                "{label}: healed serving matches the control engine"
-            );
-            assert_eq!(healed.report.epoch, clean.report.epoch, "{label}");
-        }
+        // Heal, publish once more: byte-identical to the never-faulted
+        // control engine over the same batch stream.
+        assert_eq!(chaos.heal(), 1, "{label}");
+        chaos.apply(&churn(1));
+        control.apply(&churn(1));
+        let healed = chaos.serve(&queries);
+        let clean = control.serve(&queries);
+        assert_eq!(healed.report.degraded, 0, "{label}: fully healed");
+        assert_eq!(healed.report.failed, 0, "{label}");
+        assert_eq!(
+            healed.results, clean.results,
+            "{label}: healed serving matches the control engine"
+        );
+        assert_eq!(healed.report.epoch, clean.report.epoch, "{label}");
     }
 }

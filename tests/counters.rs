@@ -493,100 +493,95 @@ fn obs_toggle_changes_no_results_and_no_exact_counters() {
         IndexKind::Ept,
         IndexKind::Mvpt,
     ] {
-        for policy in [
-            pmr::PartitionPolicy::RoundRobin,
+        let engine = pmr::build_sharded_vector_engine(
+            kind,
+            pts.clone(),
+            L2,
+            &opts,
+            &pmr::EngineConfig {
+                shards: 4,
+                threads: 2,
+                ..pmr::EngineConfig::default()
+            },
             pmr::PartitionPolicy::PivotSpace,
-        ] {
-            let engine = pmr::build_sharded_vector_engine(
-                kind,
-                pts.clone(),
-                L2,
-                &opts,
-                &pmr::EngineConfig {
-                    shards: 4,
-                    threads: 2,
-                    ..pmr::EngineConfig::default()
-                },
-                policy,
-            )
-            .unwrap();
-            let batch: Vec<pmr::Query<Vec<f32>>> = (0..48)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        pmr::Query::range(pts[i * 11].clone(), radius)
-                    } else {
-                        pmr::Query::knn(pts[i * 7].clone(), 10)
-                    }
-                })
-                .collect();
-            let run = |on: bool| {
-                engine.set_obs_enabled(on);
-                engine.reset_counters();
-                engine.serve(&batch)
-            };
-            let on = run(true);
-            let off = run(false);
-            let label = format!("{} {policy:?}", kind.label());
-
-            assert_eq!(on.results, off.results, "{label}: answers must match");
-            assert_eq!(on.report.cost, off.report.cost, "{label}: exact cost");
-            assert_eq!(on.report.shards_probed, off.report.shards_probed, "{label}");
-            assert_eq!(on.report.shards_pruned, off.report.shards_pruned, "{label}");
-            assert_eq!(on.report.total_results, off.report.total_results, "{label}");
-
-            // The per-shard breakdown's exact columns are toggle-invariant;
-            // its wall columns are all-zero when nothing was timed.
-            assert_eq!(on.report.per_shard.len(), 4, "{label}");
-            for (a, b) in on.report.per_shard.iter().zip(&off.report.per_shard) {
-                assert_eq!(
-                    (a.shard, a.probes, a.compdists, a.page_accesses),
-                    (b.shard, b.probes, b.compdists, b.page_accesses),
-                    "{label}: per-shard exact columns"
-                );
-            }
-            assert!(
-                off.report
-                    .per_shard
-                    .iter()
-                    .all(|s| s.wall_secs == 0.0 && s.p50_secs == 0.0 && s.p99_secs == 0.0),
-                "{label}: obs off must record no walls"
-            );
-            let probe_sum: u64 = on.report.per_shard.iter().map(|s| s.probes).sum();
-            assert_eq!(probe_sum, on.report.shards_probed, "{label}: probes add up");
-            let cd_sum: u64 = on.report.per_shard.iter().map(|s| s.compdists).sum();
-            assert_eq!(
-                cd_sum, on.report.cost.compdists,
-                "{label}: compdists add up"
-            );
-
-            // Phase tree: populated exactly when the feature is compiled in
-            // and the switch was on.
-            let snap = engine.metrics();
-            if pmr::obs::Registry::compiled_in() {
-                assert!(
-                    snap.phases.iter().any(|p| p.path == "serve"),
-                    "{label}: serve phase recorded"
-                );
-                let scan = snap
-                    .phases
-                    .iter()
-                    .find(|p| p.path == "serve.scan")
-                    .unwrap_or_else(|| panic!("{label}: serve.scan phase missing"));
-                assert_eq!(
-                    scan.calls, on.report.shards_probed,
-                    "{label}: scan calls == probes (obs-off serve recorded nothing)"
-                );
-                if kind != IndexKind::Mvpt {
-                    assert!(
-                        scan.counters
-                            .iter()
-                            .any(|(k, v)| k == "kernel_rows" && *v > 0),
-                        "{label}: kernel tally surfaced"
-                    );
+        )
+        .unwrap();
+        let batch: Vec<pmr::Query<Vec<f32>>> = (0..48)
+            .map(|i| {
+                if i % 2 == 0 {
+                    pmr::Query::range(pts[i * 11].clone(), radius)
+                } else {
+                    pmr::Query::knn(pts[i * 7].clone(), 10)
                 }
-            } else {
-                assert!(snap.phases.is_empty(), "{label}: compiled out, no phases");
+            })
+            .collect();
+        let run = |on: bool| {
+            engine.set_obs_enabled(on);
+            engine.reset_counters();
+            engine.serve(&batch)
+        };
+        let on = run(true);
+        let off = run(false);
+        let label = kind.label();
+
+        assert_eq!(on.results, off.results, "{label}: answers must match");
+        assert_eq!(on.report.cost, off.report.cost, "{label}: exact cost");
+        assert_eq!(on.report.shards_probed, off.report.shards_probed, "{label}");
+        assert_eq!(on.report.shards_pruned, off.report.shards_pruned, "{label}");
+        assert_eq!(on.report.total_results, off.report.total_results, "{label}");
+
+        // The per-shard breakdown's exact columns are toggle-invariant;
+        // its wall columns are all-zero when nothing was timed.
+        assert_eq!(on.report.per_shard.len(), 4, "{label}");
+        for (a, b) in on.report.per_shard.iter().zip(&off.report.per_shard) {
+            assert_eq!(
+                (a.shard, a.probes, a.compdists, a.page_accesses),
+                (b.shard, b.probes, b.compdists, b.page_accesses),
+                "{label}: per-shard exact columns"
+            );
+        }
+        assert!(
+            off.report
+                .per_shard
+                .iter()
+                .all(|s| s.wall_secs == 0.0 && s.p50_secs == 0.0 && s.p99_secs == 0.0),
+            "{label}: obs off must record no walls"
+        );
+        let probe_sum: u64 = on.report.per_shard.iter().map(|s| s.probes).sum();
+        assert_eq!(probe_sum, on.report.shards_probed, "{label}: probes add up");
+        let cd_sum: u64 = on.report.per_shard.iter().map(|s| s.compdists).sum();
+        assert_eq!(
+            cd_sum, on.report.cost.compdists,
+            "{label}: compdists add up"
+        );
+
+        // Phase tree: populated exactly when the feature is compiled in
+        // and the switch was on.
+        let snap = engine.metrics();
+        if pmr::obs::Registry::compiled_in() {
+            assert!(
+                snap.phases.iter().any(|p| p.path == "serve"),
+                "{label}: serve phase recorded"
+            );
+            let scan = snap
+                .phases
+                .iter()
+                .find(|p| p.path == "serve.scan")
+                .unwrap_or_else(|| panic!("{label}: serve.scan phase missing"));
+            assert_eq!(
+                scan.calls, on.report.shards_probed,
+                "{label}: scan calls == probes (obs-off serve recorded nothing)"
+            );
+            if kind != IndexKind::Mvpt {
+                assert!(
+                    scan.counters
+                        .iter()
+                        .any(|(k, v)| k == "kernel_rows" && *v > 0),
+                    "{label}: kernel tally surfaced"
+                );
             }
+        } else {
+            assert!(snap.phases.is_empty(), "{label}: compiled out, no phases");
         }
     }
 }
@@ -840,8 +835,8 @@ fn knn_probe_order_stays_near_the_verification_floor() {
 
 /// A lone kNN runs the batch path's probe sequence, seeded with the running
 /// k-th distance: through `knn_query` it spends exactly the compdists of the
-/// same query through `execute` — on a round-robin engine too, where every
-/// shard is probed and only the seed saves verifications.
+/// same query through `execute` — on a routed engine and on a plain one,
+/// where every shard is probed and only the seed saves verifications.
 #[test]
 fn lone_knn_spends_what_execute_spends() {
     let pts = datasets::la(2_000, 29);
@@ -849,27 +844,41 @@ fn lone_knn_spends_what_execute_spends() {
         d_plus: 14143.0,
         ..BuildOptions::default()
     };
-    let engine = pmr::build_sharded_vector_engine(
+    let cfg = pmr::EngineConfig {
+        shards: 4,
+        threads: 2,
+        ..pmr::EngineConfig::default()
+    };
+    let routed = pmr::build_sharded_vector_engine(
         IndexKind::Laesa,
         pts.clone(),
         L2,
         &opts,
-        &pmr::EngineConfig {
-            shards: 4,
-            threads: 2,
-            ..pmr::EngineConfig::default()
-        },
-        pmr::PartitionPolicy::RoundRobin,
+        &cfg,
+        pmr::PartitionPolicy::PivotSpace,
     )
     .unwrap();
-    for q in pts.iter().step_by(199) {
-        let cd0 = engine.counters().compdists;
-        let executed = engine.execute(&pmr::Query::knn(q.clone(), 10));
-        let cd1 = engine.counters().compdists;
-        let nbrs = engine.knn_query(q, 10);
-        let cd2 = engine.counters().compdists;
-        assert_eq!(executed, pmr::QueryResult::Knn(nbrs));
-        assert_eq!(cd2 - cd1, cd1 - cd0, "knn_query is execute's probe path");
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(&pts, &L2, opts.num_pivots, opts.seed)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    let plain = pmr::ShardedEngine::build(
+        pts.clone(),
+        pmr::engine::Layout::plain(),
+        &cfg,
+        |_, part, _| build_index(IndexKind::Laesa, part, L2, pivots.clone(), &opts),
+    )
+    .unwrap();
+    for engine in [&routed, &plain] {
+        for q in pts.iter().step_by(199) {
+            let cd0 = engine.counters().compdists;
+            let executed = engine.execute(&pmr::Query::knn(q.clone(), 10));
+            let cd1 = engine.counters().compdists;
+            let nbrs = engine.knn_query(q, 10);
+            let cd2 = engine.counters().compdists;
+            assert_eq!(executed, pmr::QueryResult::Knn(nbrs));
+            assert_eq!(cd2 - cd1, cd1 - cd0, "knn_query is execute's probe path");
+        }
     }
 }
 
@@ -899,7 +908,7 @@ fn stored_columns_serve_byte_identical_answers() {
     // so the filter is only ever looser and exact f64 verification
     // returns `BruteForce`'s answer id for id, distances bit for bit —
     // across every adopting kind (LAESA, CPT, FQA; EPT rides along to
-    // cover a non-adopter), both partition policies, range and kNN.
+    // cover a non-adopter), range and kNN.
     let pts = datasets::la(600, 31);
     let opts = BuildOptions {
         d_plus: 14143.0,
@@ -920,38 +929,37 @@ fn stored_columns_serve_byte_identical_answers() {
     ) {
         let oracle = BruteForce::new(pts.to_vec(), metric.clone());
         let radius = datasets::calibrate_radius(pts, &metric, 0.05, 31);
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let label = format!("{} {}", kind.label(), policy.label());
-            let engine =
-                build_sharded_vector_engine(kind, pts.to_vec(), metric.clone(), opts, cfg, policy)
-                    .unwrap();
-            let batch: Vec<Query<Vec<f32>>> = (0..40)
-                .map(|i| {
-                    let q = pts[(i * 13) % pts.len()].clone();
-                    if i % 2 == 0 {
-                        Query::range(q, radius)
-                    } else {
-                        Query::knn(q, 7)
-                    }
-                })
-                .collect();
-            for (q, got) in batch.iter().zip(engine.serve(&batch).results) {
-                match (q, got) {
-                    (Query::Range { q, radius }, QueryResult::Range(ids)) => {
-                        let mut want = oracle.range_query(q, *radius);
-                        want.sort_unstable();
-                        assert_eq!(ids, want, "{label}");
-                    }
-                    (Query::Knn { q, k }, QueryResult::Knn(nbrs)) => {
-                        let want = oracle.knn_query(q, *k);
-                        assert_eq!(nbrs, want, "{label}");
-                        // `==` alone would let -0.0 pass for 0.0.
-                        for (x, y) in nbrs.iter().zip(&want) {
-                            assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{label}");
-                        }
-                    }
-                    (_, other) => panic!("{label}: {other:?}"),
+        let policy = PartitionPolicy::PivotSpace;
+        let label = kind.label();
+        let engine =
+            build_sharded_vector_engine(kind, pts.to_vec(), metric.clone(), opts, cfg, policy)
+                .unwrap();
+        let batch: Vec<Query<Vec<f32>>> = (0..40)
+            .map(|i| {
+                let q = pts[(i * 13) % pts.len()].clone();
+                if i % 2 == 0 {
+                    Query::range(q, radius)
+                } else {
+                    Query::knn(q, 7)
                 }
+            })
+            .collect();
+        for (q, got) in batch.iter().zip(engine.serve(&batch).results) {
+            match (q, got) {
+                (Query::Range { q, radius }, QueryResult::Range(ids)) => {
+                    let mut want = oracle.range_query(q, *radius);
+                    want.sort_unstable();
+                    assert_eq!(ids, want, "{label}");
+                }
+                (Query::Knn { q, k }, QueryResult::Knn(nbrs)) => {
+                    let want = oracle.knn_query(q, *k);
+                    assert_eq!(nbrs, want, "{label}");
+                    // `==` alone would let -0.0 pass for 0.0.
+                    for (x, y) in nbrs.iter().zip(&want) {
+                        assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{label}");
+                    }
+                }
+                (_, other) => panic!("{label}: {other:?}"),
             }
         }
     }

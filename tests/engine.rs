@@ -45,41 +45,36 @@ fn sharded_equals_unsharded_across_kinds_and_shard_counts() {
         IndexKind::OmniR,
     ] {
         let single = build_vector_index(kind, pts.clone(), L2, &opts(64)).unwrap();
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            for shards in [1usize, 2, 4, 7] {
-                let engine = build_sharded_vector_engine(
-                    kind,
-                    pts.clone(),
-                    L2,
-                    &opts(64),
-                    &EngineConfig {
-                        shards,
-                        threads: 2,
-                        ..EngineConfig::default()
-                    },
-                    policy,
-                )
-                .unwrap();
-                assert_eq!(engine.num_shards(), shards);
-                assert_eq!(engine.len(), pts.len());
-                assert_eq!(engine.policy(), policy);
-                for qi in [0usize, 13, 299, 599] {
-                    let q = &pts[qi];
-                    assert_eq!(
-                        engine.range_query(q, radius),
-                        sorted_range(single.as_ref(), q, radius),
-                        "{} {} P={shards} qi={qi} MRQ",
-                        kind.label(),
-                        policy.label()
-                    );
-                    assert_eq!(
-                        knn_multiset(&engine.knn_query(q, 10)),
-                        knn_multiset(&single.knn_query(q, 10)),
-                        "{} {} P={shards} qi={qi} MkNNQ",
-                        kind.label(),
-                        policy.label()
-                    );
-                }
+        for shards in [1usize, 2, 4, 7] {
+            let engine = build_sharded_vector_engine(
+                kind,
+                pts.clone(),
+                L2,
+                &opts(64),
+                &EngineConfig {
+                    shards,
+                    threads: 2,
+                    ..EngineConfig::default()
+                },
+                PartitionPolicy::PivotSpace,
+            )
+            .unwrap();
+            assert_eq!(engine.num_shards(), shards);
+            assert_eq!(engine.len(), pts.len());
+            for qi in [0usize, 13, 299, 599] {
+                let q = &pts[qi];
+                assert_eq!(
+                    engine.range_query(q, radius),
+                    sorted_range(single.as_ref(), q, radius),
+                    "{} P={shards} qi={qi} MRQ",
+                    kind.label()
+                );
+                assert_eq!(
+                    knn_multiset(&engine.knn_query(q, 10)),
+                    knn_multiset(&single.knn_query(q, 10)),
+                    "{} P={shards} qi={qi} MkNNQ",
+                    kind.label()
+                );
             }
         }
         // Ties: every object twice (ids `i` and `300 + i`), so every
@@ -89,31 +84,28 @@ fn sharded_equals_unsharded_across_kinds_and_shard_counts() {
         // order, ties included.
         let twins = [&pts[..300], &pts[..300]].concat();
         let single = build_vector_index(kind, twins.clone(), L2, &opts(64)).unwrap();
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            for shards in [2usize, 7] {
-                let engine = build_sharded_vector_engine(
-                    kind,
-                    twins.clone(),
-                    L2,
-                    &opts(64),
-                    &EngineConfig {
-                        shards,
-                        threads: 2,
-                        ..EngineConfig::default()
-                    },
-                    policy,
-                )
-                .unwrap();
-                for qi in [0usize, 13, 299, 451] {
-                    for k in [1usize, 3, 11] {
-                        assert_eq!(
-                            engine.knn_query(&twins[qi], k),
-                            single.knn_query(&twins[qi], k),
-                            "{} {} P={shards} qi={qi} k={k} tied MkNNQ",
-                            kind.label(),
-                            policy.label()
-                        );
-                    }
+        for shards in [2usize, 7] {
+            let engine = build_sharded_vector_engine(
+                kind,
+                twins.clone(),
+                L2,
+                &opts(64),
+                &EngineConfig {
+                    shards,
+                    threads: 2,
+                    ..EngineConfig::default()
+                },
+                PartitionPolicy::PivotSpace,
+            )
+            .unwrap();
+            for qi in [0usize, 13, 299, 451] {
+                for k in [1usize, 3, 11] {
+                    assert_eq!(
+                        engine.knn_query(&twins[qi], k),
+                        single.knn_query(&twins[qi], k),
+                        "{} P={shards} qi={qi} k={k} tied MkNNQ",
+                        kind.label()
+                    );
                 }
             }
         }
@@ -134,7 +126,7 @@ fn aggregate_counters_equal_shard_sum_exactly() {
             threads: 3,
             ..EngineConfig::default()
         },
-        PartitionPolicy::RoundRobin,
+        PartitionPolicy::PivotSpace,
     )
     .unwrap();
     engine.reset_counters();
@@ -185,34 +177,20 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
         }
     };
     let pts = datasets::la(2_000, 3);
-    // (kind, policy, layout, boxes); an unrouted engine has no box to hash.
+    // (kind, layout, boxes).
     let golden = [
         (
             IndexKind::Laesa,
-            PartitionPolicy::RoundRobin,
-            0x16cd_9125_dc74_c538u64,
-            FNV_BASIS,
-        ),
-        (
-            IndexKind::Laesa,
-            PartitionPolicy::PivotSpace,
-            0xfa99_ac15_7d22_c5b8,
-            0x0530_0648_fcd9_a264,
+            0xfa99_ac15_7d22_c5b8u64,
+            0x0530_0648_fcd9_a264u64,
         ),
         (
             IndexKind::Mvpt,
-            PartitionPolicy::RoundRobin,
-            0xc159_caf3_8777_1350,
-            FNV_BASIS,
-        ),
-        (
-            IndexKind::Mvpt,
-            PartitionPolicy::PivotSpace,
             0xffc6_de3b_9924_2963,
             0x0530_0648_fcd9_a264,
         ),
     ];
-    for (kind, policy, want_layout, want_boxes) in golden {
+    for (kind, want_layout, want_boxes) in golden {
         for threads in [1usize, 2] {
             let engine = build_sharded_vector_engine(
                 kind,
@@ -224,7 +202,7 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
                     threads,
                     ..EngineConfig::default()
                 },
-                policy,
+                PartitionPolicy::PivotSpace,
             )
             .unwrap();
             let mut layout = FNV_BASIS;
@@ -240,7 +218,7 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
                 }
             }
             let mut boxes = FNV_BASIS;
-            for b in engine.routing().map_or(&[][..], |rt| rt.boxes()) {
+            for b in engine.routing().expect("a routed engine").boxes() {
                 for x in b.lo().iter().chain(b.hi()) {
                     fnv(&mut boxes, x.to_bits());
                 }
@@ -248,7 +226,7 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
             assert_eq!(
                 (layout, boxes),
                 (want_layout, want_boxes),
-                "{} {policy:?} threads={threads}: got layout {layout:#018x}, boxes {boxes:#018x}",
+                "{} threads={threads}: got layout {layout:#018x}, boxes {boxes:#018x}",
                 kind.label()
             );
         }
@@ -336,7 +314,7 @@ fn thousand_query_mixed_batch_matches_unsharded_baseline() {
             threads: 0,
             ..EngineConfig::default()
         },
-        PartitionPolicy::RoundRobin,
+        PartitionPolicy::PivotSpace,
     )
     .unwrap();
     let batch: Vec<Query<Vec<f32>>> = (0..1_000)
@@ -419,7 +397,7 @@ proptest! {
             L2,
             &opts,
             &EngineConfig { shards, threads: 2, ..EngineConfig::default() },
-            PartitionPolicy::RoundRobin,
+            PartitionPolicy::PivotSpace,
         )
         .unwrap();
         let q = &v[0];

@@ -34,22 +34,12 @@ fn recompute_engine(
     pts: &[Vec<f32>],
     opts: &BuildOptions,
     cfg: &EngineConfig,
-    policy: PartitionPolicy,
 ) -> ShardedEngine<Vec<f32>> {
     let pivots = hfi_pivots(pts, opts);
-    let layout = match policy {
-        PartitionPolicy::RoundRobin => Layout::plain(),
-        PartitionPolicy::PivotSpace => {
-            let pivots = pivots.clone();
-            Layout::mapped(
-                pivots.len(),
-                policy,
-                move |o: &Vec<f32>, out: &mut Vec<f64>| {
-                    out.extend(pivots.iter().map(|p| L2.dist(o, p)))
-                },
-            )
-        }
-    };
+    let map_pivots = pivots.clone();
+    let layout = Layout::mapped(pivots.len(), move |o: &Vec<f32>, out: &mut Vec<f64>| {
+        out.extend(map_pivots.iter().map(|p| L2.dist(o, p)))
+    });
     let cfg = EngineConfig {
         partition_seed: opts.seed,
         ..*cfg
@@ -111,13 +101,7 @@ fn pivot_space_build_saves_n_times_l_distance_computations() {
         PartitionPolicy::PivotSpace,
     )
     .unwrap();
-    let recompute = recompute_engine(
-        IndexKind::Laesa,
-        &pts,
-        &opts,
-        &cfg,
-        PartitionPolicy::PivotSpace,
-    );
+    let recompute = recompute_engine(IndexKind::Laesa, &pts, &opts, &cfg);
 
     // Shard-side construction cost: n·l for the recompute path (each shard
     // pays its |shard|·l), exactly zero for the shared-matrix path.
@@ -194,38 +178,37 @@ fn matrix_and_recompute_engines_scan_identically() {
         ..EngineConfig::default()
     };
     for kind in [IndexKind::Laesa, IndexKind::Cpt] {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let shared =
-                build_sharded_vector_engine(kind, pts.clone(), L2, &opts, &cfg, policy).unwrap();
-            let recompute = recompute_engine(kind, &pts, &opts, &cfg, policy);
-            shared.reset_counters();
-            recompute.reset_counters();
-            let batch: Vec<Query<Vec<f32>>> = (0..60)
-                .map(|i| {
-                    let q = pts[(i * 53) % pts.len()].clone();
-                    if i % 2 == 0 {
-                        Query::range(q, 400.0)
-                    } else {
-                        Query::knn(q, 8)
-                    }
-                })
-                .collect();
-            let a = shared.serve(&batch);
-            let b = recompute.serve(&batch);
-            assert_eq!(a.results, b.results, "{kind:?} {policy:?}");
-            let scanned = counters_where_steps_agree(&shared, &recompute);
-            assert_eq!(scanned.len(), cfg.shards, "{kind:?} {policy:?}: one step");
-            assert_eq!(
-                scanned,
-                counters_where_steps_agree(&recompute, &shared),
-                "{kind:?} {policy:?}: identical per-shard scan cost"
-            );
-            assert_eq!(
-                (a.report.shards_probed, a.report.shards_pruned),
-                (b.report.shards_probed, b.report.shards_pruned),
-                "{kind:?} {policy:?}: identical routing"
-            );
-        }
+        let policy = PartitionPolicy::PivotSpace;
+        let shared =
+            build_sharded_vector_engine(kind, pts.clone(), L2, &opts, &cfg, policy).unwrap();
+        let recompute = recompute_engine(kind, &pts, &opts, &cfg);
+        shared.reset_counters();
+        recompute.reset_counters();
+        let batch: Vec<Query<Vec<f32>>> = (0..60)
+            .map(|i| {
+                let q = pts[(i * 53) % pts.len()].clone();
+                if i % 2 == 0 {
+                    Query::range(q, 400.0)
+                } else {
+                    Query::knn(q, 8)
+                }
+            })
+            .collect();
+        let a = shared.serve(&batch);
+        let b = recompute.serve(&batch);
+        assert_eq!(a.results, b.results, "{kind:?}");
+        let scanned = counters_where_steps_agree(&shared, &recompute);
+        assert_eq!(scanned.len(), cfg.shards, "{kind:?}: one step");
+        assert_eq!(
+            scanned,
+            counters_where_steps_agree(&recompute, &shared),
+            "{kind:?}: identical per-shard scan cost"
+        );
+        assert_eq!(
+            (a.report.shards_probed, a.report.shards_pruned),
+            (b.report.shards_probed, b.report.shards_pruned),
+            "{kind:?}: identical routing"
+        );
     }
 }
 
@@ -236,8 +219,8 @@ fn vecs(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random datasets, radii, k, shard counts, policies and all
-    /// matrix-affected index kinds, the shared-matrix engine returns
+    /// For random datasets, radii, k, shard counts and all matrix-affected
+    /// index kinds, the shared-matrix engine returns
     /// byte-identical answers to the recompute-path engine (and correct
     /// answers vs the unsharded oracle), at identical query compdists in
     /// every shard the two store under one step.
@@ -248,11 +231,10 @@ proptest! {
         k in 1usize..10,
         shards_pick in 0usize..4,
         kind_pick in 0usize..2,
-        policy_pick in 0usize..2,
     ) {
         let shards = [1usize, 2, 4, 7][shards_pick];
         let kind = [IndexKind::Laesa, IndexKind::Cpt][kind_pick];
-        let policy = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace][policy_pick];
+        let policy = PartitionPolicy::PivotSpace;
         let opts = BuildOptions {
             d_plus: 8000.0,
             num_pivots: 3,
@@ -262,7 +244,7 @@ proptest! {
         let single = build_vector_index(kind, v.clone(), L2, &opts).unwrap();
         let shared =
             build_sharded_vector_engine(kind, v.clone(), L2, &opts, &cfg, policy).unwrap();
-        let recompute = recompute_engine(kind, &v, &opts, &cfg, policy);
+        let recompute = recompute_engine(kind, &v, &opts, &cfg);
         // LAESA shards never recompute adopted rows (CPT still pays its
         // M-tree construction, so only the n·l table vanishes there).
         if kind == IndexKind::Laesa {
@@ -280,28 +262,28 @@ proptest! {
             let got_range_recompute = recompute.range_query(q, r);
             prop_assert_eq!(
                 &got_range, &want,
-                "{} P={} {:?} MRQ", kind.label(), shards, policy
+                "{} P={} MRQ", kind.label(), shards
             );
             prop_assert_eq!(
                 got_range, got_range_recompute,
-                "{} P={} {:?} MRQ vs recompute", kind.label(), shards, policy
+                "{} P={} MRQ vs recompute", kind.label(), shards
             );
             let got_knn = shared.knn_query(q, k);
             let got_knn_recompute = recompute.knn_query(q, k);
             prop_assert_eq!(
                 knn_multiset(&got_knn),
                 knn_multiset(&single.knn_query(q, k)),
-                "{} P={} {:?} MkNNQ", kind.label(), shards, policy
+                "{} P={} MkNNQ", kind.label(), shards
             );
             prop_assert_eq!(
                 got_knn, got_knn_recompute,
-                "{} P={} {:?} MkNNQ vs recompute", kind.label(), shards, policy
+                "{} P={} MkNNQ vs recompute", kind.label(), shards
             );
         }
         prop_assert_eq!(
             counters_where_steps_agree(&shared, &recompute),
             counters_where_steps_agree(&recompute, &shared),
-            "{} P={} {:?}: identical query cost", kind.label(), shards, policy
+            "{} P={}: identical query cost", kind.label(), shards
         );
     }
 }

@@ -420,13 +420,8 @@ fn stored_precision_never_loses_an_answer_on_a_rounding_boundary() {
         threads: 1,
         ..EngineConfig::default()
     };
-    for (kind, policy) in [
-        (IndexKind::Laesa, PartitionPolicy::PivotSpace),
-        (IndexKind::Laesa, PartitionPolicy::RoundRobin),
-        (IndexKind::Cpt, PartitionPolicy::PivotSpace),
-        (IndexKind::Mvpt, PartitionPolicy::PivotSpace),
-    ] {
-        let label = format!("{} {}", kind.label(), policy.label());
+    for kind in [IndexKind::Laesa, IndexKind::Cpt, IndexKind::Mvpt] {
+        let label = kind.label();
         let engine = build_sharded_engine(
             kind,
             objects.clone(),
@@ -434,25 +429,24 @@ fn stored_precision_never_loses_an_answer_on_a_rounding_boundary() {
             pivots.clone(),
             &opts,
             &cfg,
-            policy,
+            PartitionPolicy::PivotSpace,
         )
         .unwrap();
+        let rt = engine.routing().expect("a routed engine");
+        assert_eq!(rt.step(), 256.0, "{label}");
         let (mut mapped, mut plan) = (Vec::new(), Vec::new());
         for (gid, o) in objects.iter().enumerate() {
             for step in [-11.0f32, 11.0, -12.0, 12.0] {
                 let q = vec![o[0] + step, o[1]];
                 let r = L1.dist(q.as_slice(), o.as_slice());
                 assert_eq!(r, step.abs() as f64, "the radius is d(q, o) exactly");
-                if let Some(rt) = engine.routing() {
-                    assert_eq!(rt.step(), 256.0, "{label}");
-                    let (shard, _) = engine.locate(gid as u32).expect("live");
-                    rt.map_into(&q, &mut mapped);
-                    rt.range_plan_into(&mapped, r, &mut plan);
-                    assert!(
-                        plan.contains(&shard),
-                        "{label}: shard {shard} holding {gid} pruned for step {step}"
-                    );
-                }
+                let (shard, _) = engine.locate(gid as u32).expect("live");
+                rt.map_into(&q, &mut mapped);
+                rt.range_plan_into(&mapped, r, &mut plan);
+                assert!(
+                    plan.contains(&shard),
+                    "{label}: shard {shard} holding {gid} pruned for step {step}"
+                );
                 assert!(
                     engine.range_query(&q, r).contains(&(gid as u32)),
                     "{label}: object {gid} lost at radius d(q, o) = {r}, step {step}"

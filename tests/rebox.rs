@@ -28,16 +28,9 @@ fn bits(edge: &[f64]) -> Vec<u64> {
     edge.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The one step of the engine's stored rows: the routing table's, or — on
-/// an engine that holds rows but routes nothing — the adopted columns'.
+/// The one step of the engine's stored rows: the routing table's.
 fn step_of(e: &ShardedEngine<Vec<f32>>) -> f64 {
-    match e.routing() {
-        Some(rt) => rt.step(),
-        None => {
-            let rows = e.shards()[0].index().pivot_rows();
-            rows.expect("an unrouted pivot space is adopted").step()
-        }
-    }
+    e.routing().expect("a routed engine").step()
 }
 
 /// By hand: what `x` is stored as under `step` and the bucket that stands
@@ -61,8 +54,8 @@ fn assert_boxes_tight(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId, ctx: &str) {
 }
 
 /// [`assert_boxes_tight`] under a pivot map of the caller's (`map` clears
-/// and fills its buffer), so that it also covers an engine that holds rows
-/// but routes nothing: only the rows are checked there.
+/// and fills its buffer), so that it also proves the router's mapper and
+/// the caller's pivots agree.
 fn assert_rows_true(
     e: &ShardedEngine<Vec<f32>>,
     id_bound: ObjId,
@@ -90,9 +83,7 @@ fn assert_rows_true(
         rows[s].push(exact);
     }
     assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), e.len(), "{ctx}");
-    let Some(rt) = e.routing() else {
-        return;
-    };
+    let rt = e.routing().expect("a routed engine");
     let dim = rt.boxes()[0].dim();
     for (s, (got, rows)) in rt.boxes().iter().zip(&rows).enumerate() {
         let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
@@ -173,12 +164,7 @@ fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn engine(
-    kind: IndexKind,
-    pts: &[Vec<f32>],
-    refresh: RefreshPolicy,
-    policy: PartitionPolicy,
-) -> ShardedEngine<Vec<f32>> {
+fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
         maxnum: 48,
@@ -190,6 +176,7 @@ fn engine(
         refresh,
         ..EngineConfig::default()
     };
+    let policy = PartitionPolicy::PivotSpace;
     build_sharded_engine(kind, pts.to_vec(), L2, hfi_pivots(pts), &opts, &cfg, policy).unwrap()
 }
 
@@ -205,8 +192,7 @@ const KINDS: [IndexKind; 4] = [
 /// Right after build, before any commit: every row a shard holds stores its
 /// object's pivot map under the pivots the engine was built over (not the
 /// router's own mapper — this also proves the two agree), and every box is
-/// tight. An adopting kind and one whose shards hold the rows, under both
-/// policies; round-robin over a kind that adopts nothing has no pivot space.
+/// tight. An adopting kind and one whose shards hold the rows.
 #[test]
 fn a_fresh_build_holds_true_rows_and_tight_boxes() {
     let pts = datasets::la(600, 21);
@@ -216,16 +202,10 @@ fn a_fresh_build_holds_true_rows_and_tight_boxes() {
         row.extend(pivots.iter().map(|p| L2.dist(o, p)));
     };
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            let e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
-            assert_eq!(e.policy(), policy);
-            if policy == PartitionPolicy::RoundRobin && !kind.adopts_pivot_matrix() {
-                continue;
-            }
-            let ctx = format!("{} {policy:?} fresh build", kind.label());
-            assert_rows_true(&e, 600, &map, &ctx);
-            assert_centres_true(&e, &ctx);
-        }
+        let e = engine(kind, &pts, RefreshPolicy::disabled());
+        let ctx = format!("{} fresh build", kind.label());
+        assert_rows_true(&e, 600, &map, &ctx);
+        assert_centres_true(&e, &ctx);
     }
 }
 
@@ -239,50 +219,42 @@ fn seeded_random_batches_keep_every_box_tight() {
         row.extend(pivots.iter().map(|p| L2.dist(o, p)));
     };
     for kind in KINDS {
-        for policy in [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace] {
-            // Round-robin keeps a pivot space (rows, no boxes) only for the
-            // kinds that adopt its rows.
-            let routed = policy == PartitionPolicy::PivotSpace;
-            if !routed && !kind.adopts_pivot_matrix() {
-                continue;
+        let label = kind.label();
+        let mut e = engine(kind, &pts, RefreshPolicy::disabled());
+        assert_rows_true(&e, 600, &map, &format!("{label} fresh build"));
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % below
+        };
+        let (mut id_bound, mut fed, mut reboxed) = (600 as ObjId, 0, 0);
+        for commit in 0..12 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..draw(40) {
+                batch.insert(pool[fed % pool.len()].clone());
+                fed += 1;
             }
-            let label = format!("{} {policy:?}", kind.label());
-            let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
-            assert_rows_true(&e, 600, &map, &format!("{label} fresh build"));
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            let mut draw = |below: usize| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1);
-                (state >> 33) as usize % below
-            };
-            let (mut id_bound, mut fed, mut reboxed) = (600 as ObjId, 0, 0);
-            for commit in 0..12 {
-                let mut batch = UpdateBatch::new();
-                for _ in 0..draw(40) {
-                    batch.insert(pool[fed % pool.len()].clone());
-                    fed += 1;
-                }
-                // Removes of live, dead and not-yet-assigned ids alike.
-                for _ in 0..draw(60) {
-                    batch.remove(draw(id_bound as usize + 8) as ObjId);
-                }
-                let report = e.apply(&batch);
-                id_bound += report.inserts as ObjId;
-                reboxed += report.reboxed_shards;
-                if commit % 4 == 3 {
-                    e.heal();
-                }
-                let ctx = format!("{label} commit {commit}");
-                assert_rows_true(&e, id_bound, &map, &ctx);
-                assert_centres_true(&e, &ctx);
+            // Removes of live, dead and not-yet-assigned ids alike.
+            for _ in 0..draw(60) {
+                batch.remove(draw(id_bound as usize + 8) as ObjId);
             }
-            assert_eq!(reboxed > 0, routed, "{label}: some remove hit a face");
-            assert!(e.compact() > 0, "{label}: churn left dead rows");
-            let ctx = format!("{label} compacted");
-            assert_rows_true(&e, e.len() as ObjId, &map, &ctx);
+            let report = e.apply(&batch);
+            id_bound += report.inserts as ObjId;
+            reboxed += report.reboxed_shards;
+            if commit % 4 == 3 {
+                e.heal();
+            }
+            let ctx = format!("{label} commit {commit}");
+            assert_rows_true(&e, id_bound, &map, &ctx);
             assert_centres_true(&e, &ctx);
         }
+        assert!(reboxed > 0, "{label}: some remove hit a face");
+        assert!(e.compact() > 0, "{label}: churn left dead rows");
+        let ctx = format!("{label} compacted");
+        assert_rows_true(&e, e.len() as ObjId, &map, &ctx);
+        assert_centres_true(&e, &ctx);
     }
 }
 
@@ -294,7 +266,7 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         min_objects: 50,
     };
     for kind in KINDS {
-        let mut e = engine(kind, &pts, refresh, PartitionPolicy::PivotSpace);
+        let mut e = engine(kind, &pts, refresh);
         // 300 near-duplicates of one region all route to one shard.
         let mut batch = UpdateBatch::new();
         for i in 0..300 {
@@ -330,7 +302,7 @@ fn tree_leaves_store_the_shard_columns_codes() {
     };
     for kind in [IndexKind::Vpt, IndexKind::Mvpt] {
         let label = kind.label();
-        let mut e = engine(kind, &pts, refresh, PartitionPolicy::PivotSpace);
+        let mut e = engine(kind, &pts, refresh);
         let built = assert_leaf_codes_are_the_columns(&e, &format!("{label} build"));
 
         // Forty near-duplicates land in one leaf and split it, short of
@@ -375,7 +347,7 @@ fn two_clusters() -> ShardedEngine<Vec<f32>> {
         |o: &Vec<f32>, out: &mut Vec<f64>| out.push(L2.dist(o.as_slice(), [0.0f32].as_slice()));
     ShardedEngine::build(
         objects,
-        Layout::mapped(1, PartitionPolicy::PivotSpace, mapper).with_membership(&membership),
+        Layout::mapped(1, mapper).with_membership(&membership),
         &EngineConfig {
             shards: 2,
             threads: 1,
@@ -525,25 +497,20 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
             }
         }
     };
-    // Round-robin over a tree kind holds no pivot space: the trees run
-    // routed only.
-    let runs = [IndexKind::Laesa, IndexKind::Cpt]
-        .into_iter()
-        .flat_map(|k| {
-            [
-                (k, PartitionPolicy::RoundRobin),
-                (k, PartitionPolicy::PivotSpace),
-            ]
-        })
-        .chain([IndexKind::Vpt, IndexKind::Mvpt].map(|k| (k, PartitionPolicy::PivotSpace)));
-    let trees = |e: &ShardedEngine<Vec<f32>>, kind: IndexKind, ctx: &str| {
-        if !kind.adopts_pivot_matrix() {
+    // The tables own their rows; the trees' leaves hold the columns' codes.
+    let trees = |e: &ShardedEngine<Vec<f32>>, ctx: &str| {
+        if e.shards()[0].index().pivot_rows().is_none() {
             assert_leaf_codes_are_the_columns(e, ctx);
         }
     };
-    for (kind, policy) in runs {
-        let label = format!("{} {policy:?}", kind.label());
-        let mut e = engine(kind, &pts, RefreshPolicy::disabled(), policy);
+    for kind in [
+        IndexKind::Laesa,
+        IndexKind::Cpt,
+        IndexKind::Vpt,
+        IndexKind::Mvpt,
+    ] {
+        let label = kind.label();
+        let mut e = engine(kind, &pts, RefreshPolicy::disabled());
         let step = step_of(&e);
         assert_eq!(step, 0.25, "{label}");
         let mut live: Vec<(ObjId, Vec<f32>)> = (0..).zip(pts.iter().cloned()).collect::<Vec<_>>();
@@ -565,15 +532,11 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
         assert_rows_true(&e, 612, &map, &ctx);
         assert_centres_true(&e, &ctx);
         let open = |e: &ShardedEngine<Vec<f32>>| {
-            let boxes = e
-                .routing()
-                .map(|rt| rt.boxes().to_vec())
-                .unwrap_or_default();
+            let boxes = e.routing().expect("a routed engine").boxes();
             boxes.iter().filter(|b| b.hi()[0] == f64::INFINITY).count()
         };
-        let routed = policy == PartitionPolicy::PivotSpace;
-        assert_eq!(open(&e) > 0, routed, "{ctx}: a box is open above");
-        trees(&e, kind, &ctx);
+        assert!(open(&e) > 0, "{ctx}: a box is open above");
+        trees(&e, &ctx);
         same_answers(&e, &live, &ctx);
 
         // The saturated members sit on their boxes' (open) upper faces,
@@ -591,12 +554,12 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
         }
         let report = e.apply(&faces);
         assert_eq!(report.removes, 8 + 6, "{label}");
-        assert_eq!(report.reboxed_shards > 0, routed, "{label}");
+        assert!(report.reboxed_shards > 0, "{label}");
         live.retain(|(g, _)| e.locate(*g).is_some());
         let ctx = format!("{label} face removes");
         assert_rows_true(&e, 612, &map, &ctx);
         assert_centres_true(&e, &ctx);
-        trees(&e, kind, &ctx);
+        trees(&e, &ctx);
         same_answers(&e, &live, &ctx);
 
         // The rest of them gone: every box closes again.
@@ -616,8 +579,8 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
         assert_eq!(step_of(&e), step, "{ctx}");
         assert_rows_true(&e, live.len() as ObjId, &map, &ctx);
         assert_centres_true(&e, &ctx);
-        assert_eq!(open(&e) > 0, routed, "{ctx}");
-        trees(&e, kind, &ctx);
+        assert!(open(&e) > 0, "{ctx}");
+        trees(&e, &ctx);
         same_answers(&e, &live, &ctx);
     }
 }

@@ -1,5 +1,5 @@
 //! Robustness: malformed queries must never panic the engine — across
-//! index kinds and partition policies — and must come back as typed
+//! index kinds — and must come back as typed
 //! per-item [`QueryError`]s while the valid queries sharing the batch
 //! return byte-identical results to a malformed-free serve. This is the
 //! serve-boundary contract of `docs/robustness.md`: validation happens
@@ -11,10 +11,11 @@
 //! `scan_throughput` bench, here on every run).
 
 use pivot_metric_repro as pmr;
-use pmr::builder::{BuildOptions, IndexKind};
-use pmr::engine::{EngineConfig, Query, QueryResult};
+use pmr::builder::{build_index, BuildOptions, IndexKind};
+use pmr::engine::{EngineConfig, Layout, Query, QueryResult};
 use pmr::{
-    build_sharded_vector_engine, LInf, PartitionPolicy, QueryBudget, QueryError, ServeBudget, L2,
+    build_sharded_vector_engine, LInf, PartitionPolicy, QueryBudget, QueryError, ServeBudget,
+    ShardedEngine, L2,
 };
 use proptest::prelude::*;
 
@@ -25,7 +26,6 @@ const KINDS: [IndexKind; 4] = [
     IndexKind::Ept,
     IndexKind::Fqa,
 ];
-const POLICIES: [PartitionPolicy; 2] = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace];
 
 fn opts() -> BuildOptions {
     BuildOptions {
@@ -115,79 +115,76 @@ proptest! {
         }
 
         for kind in KINDS {
-            for policy in POLICIES {
-                // FQA buckets distances, which requires a discrete metric;
-                // the other kinds run the paper's L2 setup.
-                let engine = if kind == IndexKind::Fqa {
-                    build_sharded_vector_engine(
-                        kind,
-                        pts.clone(),
-                        LInf::discrete(),
-                        &opts(),
-                        &cfg(),
-                        policy,
-                    )
+            let policy = PartitionPolicy::PivotSpace;
+            // FQA buckets distances, which requires a discrete metric;
+            // the other kinds run the paper's L2 setup.
+            let engine = if kind == IndexKind::Fqa {
+                build_sharded_vector_engine(
+                    kind,
+                    pts.clone(),
+                    LInf::discrete(),
+                    &opts(),
+                    &cfg(),
+                    policy,
+                )
+                .unwrap()
+            } else {
+                build_sharded_vector_engine(kind, pts.clone(), L2, &opts(), &cfg(), policy)
                     .unwrap()
-                } else {
-                    build_sharded_vector_engine(kind, pts.clone(), L2, &opts(), &cfg(), policy)
-                        .unwrap()
-                };
-                // Neither serve may panic; the engine stays usable after.
-                let mixed_out = engine.serve(&mixed);
-                let clean_out = engine.serve(&valid_qs);
-                prop_assert_eq!(mixed_out.results.len(), mixed.len());
+            };
+            // Neither serve may panic; the engine stays usable after.
+            let mixed_out = engine.serve(&mixed);
+            let clean_out = engine.serve(&valid_qs);
+            prop_assert_eq!(mixed_out.results.len(), mixed.len());
 
-                // Valid queries are byte-identical to the clean batch.
-                for (ci, &mi) in valid_pos.iter().enumerate() {
-                    prop_assert_eq!(
-                        &mixed_out.results[mi],
-                        &clean_out.results[ci],
-                        "{}/{:?}: valid query {} perturbed by hostile neighbors",
-                        kind.label(),
-                        policy,
-                        ci
-                    );
-                }
-
-                // Hostile queries come back as the expected typed error —
-                // or, for the legal extremes, as complete exact answers.
-                let mut failed = 0usize;
-                for (hi, &mi) in hostile_pos.iter().enumerate() {
-                    let res = &mixed_out.results[mi];
-                    match &hostile_qs[hi].1 {
-                        Some(err) => {
-                            failed += 1;
-                            prop_assert_eq!(
-                                res,
-                                &QueryResult::Failed(*err),
-                                "{}/{:?}: hostile query {}",
-                                kind.label(),
-                                policy,
-                                hi
-                            );
-                        }
-                        None => match res {
-                            QueryResult::Range(ids) => prop_assert_eq!(ids.len(), N),
-                            QueryResult::Knn(ns) => prop_assert_eq!(ns.len(), N),
-                            other => prop_assert!(
-                                false,
-                                "{}/{:?}: extreme-but-valid query degraded: {:?}",
-                                kind.label(),
-                                policy,
-                                other
-                            ),
-                        },
-                    }
-                }
-                prop_assert_eq!(mixed_out.report.failed, failed);
-                prop_assert_eq!(clean_out.report.failed, 0);
+            // Valid queries are byte-identical to the clean batch.
+            for (ci, &mi) in valid_pos.iter().enumerate() {
+                prop_assert_eq!(
+                    &mixed_out.results[mi],
+                    &clean_out.results[ci],
+                    "{}: valid query {} perturbed by hostile neighbors",
+                    kind.label(),
+                    ci
+                );
             }
+
+            // Hostile queries come back as the expected typed error —
+            // or, for the legal extremes, as complete exact answers.
+            let mut failed = 0usize;
+            for (hi, &mi) in hostile_pos.iter().enumerate() {
+                let res = &mixed_out.results[mi];
+                match &hostile_qs[hi].1 {
+                    Some(err) => {
+                        failed += 1;
+                        prop_assert_eq!(
+                            res,
+                            &QueryResult::Failed(*err),
+                            "{}: hostile query {}",
+                            kind.label(),
+                            hi
+                        );
+                    }
+                    None => match res {
+                        QueryResult::Range(ids) => prop_assert_eq!(ids.len(), N),
+                        QueryResult::Knn(ns) => prop_assert_eq!(ns.len(), N),
+                        other => prop_assert!(
+                            false,
+                            "{}: extreme-but-valid query degraded: {:?}",
+                            kind.label(),
+                            other
+                        ),
+                    },
+                }
+            }
+            prop_assert_eq!(mixed_out.report.failed, failed);
+            prop_assert_eq!(clean_out.report.failed, 0);
         }
     }
 }
 
-/// Deadline pressure on a LAESA engine, one worker so the accounting is
-/// deterministic: under compdist caps ∞, 1 000, 100, 1 the degraded count
+/// Deadline pressure on a plain LAESA engine — every query probes all 8
+/// shards, so a budget can always cut one short — one worker so the
+/// accounting is deterministic: under compdist caps ∞, 1 000, 100, 1 the degraded count
 /// never falls and ends at the whole batch, every answer along the way is a
 /// subset of the exact one, and a 1 ns batch deadline sheds every query
 /// before any shard is probed.
@@ -196,18 +193,19 @@ fn tightening_budgets_degrade_monotonically_and_never_invent_answers() {
     const BATCH: usize = 64;
     let pts = pmr::datasets::la(2_000, 21);
     let radius = pmr::datasets::calibrate_radius(&pts, &L2, 0.04, 21);
-    let engine = build_sharded_vector_engine(
-        IndexKind::Laesa,
-        pts.clone(),
-        L2,
-        &opts(),
-        &EngineConfig {
-            shards: 8,
-            threads: 1,
-            ..EngineConfig::default()
-        },
-        PartitionPolicy::RoundRobin,
-    )
+    let opts = opts();
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(&pts, &L2, opts.num_pivots, opts.seed)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    let cfg = EngineConfig {
+        shards: 8,
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let engine = ShardedEngine::build(pts.clone(), Layout::plain(), &cfg, |_, part, _| {
+        build_index(IndexKind::Laesa, part, L2, pivots.clone(), &opts)
+    })
     .unwrap();
     let batch: Vec<Query<Vec<f32>>> = (0..BATCH)
         .map(|i| Query::range(pts[(i * 131) % pts.len()].clone(), radius))

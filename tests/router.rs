@@ -1,13 +1,16 @@
 //! Routing-aware sharding: a pivot-space-partitioned engine must answer
 //! *identically* to the unsharded baseline (range queries as id sets, kNN
 //! as `(id, distance)` multisets) while probing strictly fewer shards than
-//! round-robin on clustered data — shard pruning may only ever skip work,
-//! never answers.
+//! an unrouted engine on clustered data — shard pruning may only ever skip
+//! work, never answers.
 
 use pivot_metric_repro as pmr;
-use pmr::builder::{build_vector_index, BuildOptions, IndexKind};
-use pmr::engine::{EngineConfig, Query, QueryResult};
-use pmr::{build_sharded_vector_engine, MetricIndex, Neighbor, PartitionPolicy, L2};
+use pmr::builder::{build_index, build_vector_index, BuildOptions, IndexKind};
+use pmr::engine::{EngineConfig, Layout, Query, QueryResult};
+use pmr::{
+    build_sharded_vector_engine, BruteForce, MetricIndex, Neighbor, PartitionPolicy, ShardedEngine,
+    L2,
+};
 use proptest::prelude::*;
 
 fn opts() -> BuildOptions {
@@ -59,25 +62,40 @@ fn gaussian_blobs(n: usize, blobs: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The ISSUE's acceptance scenario: Gaussian blobs, P = 8, selective range
-/// queries. Pivot-space routing must probe strictly fewer shards than
-/// round-robin while returning byte-identical result sets to the unsharded
-/// baseline.
+/// Gaussian blobs, P = 8, selective range queries: the routed engine
+/// probes strictly fewer shards than a `Layout::plain()` engine over the
+/// same kind and pivots, which probes all of them, and both return
+/// byte-identical result sets, equal to brute force; kNN answers are
+/// brute force's, in order, ties included.
 #[test]
 fn blobs_prune_shards_and_match_baseline_exactly() {
     let pts = gaussian_blobs(1_600, 8, 0xb10b5);
-    let single = build_vector_index(IndexKind::Mvpt, pts.clone(), L2, &opts()).unwrap();
+    let oracle = BruteForce::new(pts.clone(), L2);
+    let (kind, opts) = (IndexKind::Mvpt, opts());
     let cfg = EngineConfig {
         shards: 8,
         threads: 2,
         ..EngineConfig::default()
     };
-    let build = |policy| {
-        build_sharded_vector_engine(IndexKind::Mvpt, pts.clone(), L2, &opts(), &cfg, policy)
-            .unwrap()
-    };
-    let routed = build(PartitionPolicy::PivotSpace);
-    let round_robin = build(PartitionPolicy::RoundRobin);
+    let routed = build_sharded_vector_engine(
+        kind,
+        pts.clone(),
+        L2,
+        &opts,
+        &cfg,
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    // The facade's pivots: HFI over the whole corpus.
+    let pivots: Vec<Vec<f32>> = pmr::pivots::select_hfi(&pts, &L2, opts.num_pivots, opts.seed)
+        .into_iter()
+        .map(|i| pts[i].clone())
+        .collect();
+    let plain = ShardedEngine::build(pts.clone(), Layout::plain(), &cfg, |_, part, _| {
+        build_index(kind, part, L2, pivots.clone(), &opts)
+    })
+    .unwrap();
+    assert!(routed.routing().is_some() && plain.routing().is_none());
 
     // Selective radius: ~a blob's core, far below the inter-blob spacing.
     let batch: Vec<Query<Vec<f32>>> = (0..200)
@@ -86,55 +104,59 @@ fn blobs_prune_shards_and_match_baseline_exactly() {
 
     routed.reset_counters();
     let routed_out = routed.serve(&batch);
-    round_robin.reset_counters();
-    let rr_out = round_robin.serve(&batch);
+    plain.reset_counters();
+    let plain_out = plain.serve(&batch);
 
-    // Round-robin probes everything; routing must skip shards.
-    assert_eq!(rr_out.report.shards_probed, 200 * 8);
-    assert_eq!(rr_out.report.shards_pruned, 0);
+    // The plain engine probes everything; routing must skip shards.
+    assert_eq!(plain_out.report.shards_probed, 200 * 8);
+    assert_eq!(plain_out.report.shards_pruned, 0);
     assert!(
         routed_out.report.shards_pruned > 0,
         "selective queries on blobs must prune shards"
     );
     assert!(
-        routed_out.report.shards_probed < rr_out.report.shards_probed,
-        "routing must probe strictly fewer shards than round-robin"
+        routed_out.report.shards_probed < plain_out.report.shards_probed,
+        "routing must probe strictly fewer shards than the plain engine"
     );
     assert_eq!(
         routed_out.report.shards_probed + routed_out.report.shards_pruned,
         200 * 8
     );
 
-    // Byte-identical result sets: routed == round-robin == unsharded.
+    // Byte-identical result sets: routed == plain == brute force.
     for (i, (query, result)) in batch.iter().zip(&routed_out.results).enumerate() {
         let Query::Range { q, radius } = query else {
             unreachable!()
         };
-        let want = sorted_range(single.as_ref(), q, *radius);
-        assert_eq!(result.as_range().unwrap(), want, "query {i} vs unsharded");
-        assert_eq!(result, &rr_out.results[i], "query {i} vs round-robin");
+        assert_eq!(result, &plain_out.results[i], "query {i} vs plain");
+        let want = sorted_range(&oracle, q, *radius);
+        assert_eq!(result.as_range().unwrap(), want, "query {i} vs brute force");
     }
 
-    // kNN on the same engine: exact answers, and best-first probing prunes
-    // the far blobs once the heap fills from the query's own blob.
+    // kNN: brute force's answers in brute force's order, and best-first
+    // probing prunes the far blobs once the heap fills from the query's
+    // own blob.
     routed.reset_counters();
     let knn_batch: Vec<Query<Vec<f32>>> = (0..100)
         .map(|i| Query::knn(pts[(i * 97) % pts.len()].clone(), 10))
         .collect();
     let knn_out = routed.serve(&knn_batch);
+    let plain_knn = plain.serve(&knn_batch);
     assert!(
         knn_out.report.shards_pruned > 0,
         "kNN best-first must prune far blobs"
     );
+    let ordered = |ns: &[Neighbor]| -> Vec<(u32, u64)> {
+        ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    };
     for (i, (query, result)) in knn_batch.iter().zip(&knn_out.results).enumerate() {
         let Query::Knn { q, k } = query else {
             unreachable!()
         };
-        assert_eq!(
-            knn_multiset(result.as_knn().unwrap()),
-            knn_multiset(&single.knn_query(q, *k)),
-            "kNN query {i}"
-        );
+        let want = ordered(&oracle.knn_query(q, *k));
+        assert_eq!(ordered(result.as_knn().unwrap()), want, "kNN query {i}");
+        let got = ordered(plain_knn.results[i].as_knn().unwrap());
+        assert_eq!(got, want, "kNN query {i}, plain");
     }
 }
 

@@ -133,7 +133,6 @@ fn build_engine(
     pivots: &[Vec<f32>],
     opts: &BuildOptions,
     shards: usize,
-    policy: PartitionPolicy,
 ) -> ShardedEngine<Vec<f32>> {
     build_sharded_engine(
         kind,
@@ -147,7 +146,7 @@ fn build_engine(
             refresh: RefreshPolicy::disabled(),
             ..EngineConfig::default()
         },
-        policy,
+        PartitionPolicy::PivotSpace,
     )
     .unwrap()
 }
@@ -162,9 +161,9 @@ fn live_objects(e: &ShardedEngine<Vec<f32>>, id_bound: u32) -> Vec<(ObjId, Vec<f
 
 /// The parity reference: an engine built from scratch over the live
 /// objects of `e` (ids below `id_bound`, ascending) that reproduces `e`'s
-/// policy and final shard membership — answers never depend on membership;
-/// compdists and probe counts do. Shards adopt their rows under both
-/// policies, so the serve paths are structurally identical.
+/// final shard membership — answers never depend on membership; compdists
+/// and probe counts do. Both engines route and their shards adopt their
+/// rows, so the serve paths are structurally identical.
 fn rebuild_like<M>(
     e: &ShardedEngine<Vec<f32>>,
     id_bound: u32,
@@ -181,11 +180,9 @@ where
         .map(|(g, o)| (o, e.locate(g).expect("live object located").0))
         .unzip();
     let (m, p) = (metric.clone(), pivots.to_vec());
-    let layout = Layout::mapped(
-        pivots.len(),
-        e.policy(),
-        move |o: &Vec<f32>, out: &mut Vec<f64>| out.extend(p.iter().map(|p| m.dist(o, p))),
-    )
+    let layout = Layout::mapped(pivots.len(), move |o: &Vec<f32>, out: &mut Vec<f64>| {
+        out.extend(p.iter().map(|p| m.dist(o, p)))
+    })
     .with_membership(&membership);
     let cfg = EngineConfig {
         shards: e.num_shards(),
@@ -251,86 +248,82 @@ fn apply_batches_equal_rebuild_exactly() {
     let shards = 4usize;
 
     for kind in [IndexKind::Laesa, IndexKind::Cpt] {
-        for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
-            let mut e = build_engine(kind, &pts, &pivots, &opts, shards, policy);
+        let mut e = build_engine(kind, &pts, &pivots, &opts, shards);
 
-            // Two apply batches: removes across the id range interleaved
-            // with inserts, then removes that also hit batch-1 inserts.
-            let mut b1 = UpdateBatch::new();
-            for step in 0..60u32 {
-                b1.remove((step * 13) % 400);
-            }
-            for o in &extra[..40] {
-                b1.insert(o.clone());
-            }
-            let r1 = e.apply(&b1);
-            assert_eq!(r1.inserts, 40);
-            assert!(r1.removes > 0);
-            let mut b2 = UpdateBatch::new();
-            for o in &extra[40..] {
-                b2.insert(o.clone());
-            }
-            b2.remove(r1.inserted_ids[3]).remove(5).remove(5);
-            let r2 = e.apply(&b2);
-            assert_eq!(r2.inserts, 40);
-            let id_bound = 400 + 80;
+        // Two apply batches: removes across the id range interleaved
+        // with inserts, then removes that also hit batch-1 inserts.
+        let mut b1 = UpdateBatch::new();
+        for step in 0..60u32 {
+            b1.remove((step * 13) % 400);
+        }
+        for o in &extra[..40] {
+            b1.insert(o.clone());
+        }
+        let r1 = e.apply(&b1);
+        assert_eq!(r1.inserts, 40);
+        assert!(r1.removes > 0);
+        let mut b2 = UpdateBatch::new();
+        for o in &extra[40..] {
+            b2.insert(o.clone());
+        }
+        b2.remove(r1.inserted_ids[3]).remove(5).remove(5);
+        let r2 = e.apply(&b2);
+        assert_eq!(r2.inserts, 40);
+        let id_bound = 400 + 80;
 
-            // Rebuild from scratch over the survivors, reproducing the
-            // updated engine's final shard membership.
-            let live = live_objects(&e, id_bound);
-            assert_eq!(live.len(), e.len());
-            let map = gid_map(&live);
-            let rebuilt = rebuild_like(&e, id_bound, kind, L2, &pivots, &opts);
+        // Rebuild from scratch over the survivors, reproducing the
+        // updated engine's final shard membership.
+        let live = live_objects(&e, id_bound);
+        assert_eq!(live.len(), e.len());
+        let map = gid_map(&live);
+        let rebuilt = rebuild_like(&e, id_bound, kind, L2, &pivots, &opts);
 
-            // Boxes shrunk/extended by apply equal the fresh tight boxes.
-            if policy == PartitionPolicy::PivotSpace {
-                assert_eq!(
-                    e.routing().unwrap().boxes(),
-                    rebuilt.routing().unwrap().boxes(),
-                    "{kind:?}: maintained boxes are the tight boxes"
-                );
-            }
+        // Boxes shrunk/extended by apply equal the fresh tight boxes.
+        assert_eq!(
+            e.routing().unwrap().boxes(),
+            rebuilt.routing().unwrap().boxes(),
+            "{kind:?}: maintained boxes are the tight boxes"
+        );
 
-            let radius = datasets::calibrate_radius(&pts, &L2, 0.02, 21);
-            let batch = mixed_batch(&pts, 80, radius, 9);
-            e.reset_counters();
-            rebuilt.reset_counters();
-            let out_updated = e.serve(&batch);
-            let out_rebuilt = rebuilt.serve(&batch);
-            for (i, (a, b)) in out_updated
-                .results
-                .iter()
-                .zip(&out_rebuilt.results)
-                .enumerate()
-            {
-                assert_eq!(
-                    map_result(a, &map),
-                    *b,
-                    "{kind:?} {policy:?} query {i}: updated vs rebuilt"
-                );
-            }
+        let radius = datasets::calibrate_radius(&pts, &L2, 0.02, 21);
+        let batch = mixed_batch(&pts, 80, radius, 9);
+        e.reset_counters();
+        rebuilt.reset_counters();
+        let out_updated = e.serve(&batch);
+        let out_rebuilt = rebuilt.serve(&batch);
+        for (i, (a, b)) in out_updated
+            .results
+            .iter()
+            .zip(&out_rebuilt.results)
+            .enumerate()
+        {
             assert_eq!(
-                out_updated.report.cost.compdists, out_rebuilt.report.cost.compdists,
-                "{kind:?} {policy:?}: exact serve compdist parity"
+                map_result(a, &map),
+                *b,
+                "{kind:?} query {i}: updated vs rebuilt"
             );
+        }
+        assert_eq!(
+            out_updated.report.cost.compdists, out_rebuilt.report.cost.compdists,
+            "{kind:?}: exact serve compdist parity"
+        );
+        assert_eq!(
+            (
+                out_updated.report.shards_probed,
+                out_updated.report.shards_pruned
+            ),
+            (
+                out_rebuilt.report.shards_probed,
+                out_rebuilt.report.shards_pruned
+            ),
+            "{kind:?}: exact probe/prune parity"
+        );
+        if kind == IndexKind::Laesa {
             assert_eq!(
-                (
-                    out_updated.report.shards_probed,
-                    out_updated.report.shards_pruned
-                ),
-                (
-                    out_rebuilt.report.shards_probed,
-                    out_rebuilt.report.shards_pruned
-                ),
-                "{kind:?} {policy:?}: exact probe/prune parity"
+                e.shard_counters(),
+                rebuilt.shard_counters(),
+                "{kind:?}: per-shard counter parity"
             );
-            if kind == IndexKind::Laesa {
-                assert_eq!(
-                    e.shard_counters(),
-                    rebuilt.shard_counters(),
-                    "{kind:?} {policy:?}: per-shard counter parity"
-                );
-            }
         }
     }
 }
@@ -345,36 +338,30 @@ fn routed_insert_costs_exactly_l() {
     let l = 5usize;
     let opts = engine_opts(l);
     let pivots = hfi_pivots(&pts, l);
-    for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
-        let mut e = build_engine(IndexKind::Laesa, &pts, &pivots, &opts, 4, policy);
-        e.reset_counters();
-        let mut batch = UpdateBatch::new();
-        for o in &extra {
-            batch.insert(o.clone());
-        }
-        let report = e.apply(&batch);
-        assert_eq!(
-            report.map_compdists,
-            (extra.len() * l) as u64,
-            "{policy:?}: exactly one l-wide row per insert"
+    let mut e = build_engine(IndexKind::Laesa, &pts, &pivots, &opts, 4);
+    e.reset_counters();
+    let mut batch = UpdateBatch::new();
+    for o in &extra {
+        batch.insert(o.clone());
+    }
+    let report = e.apply(&batch);
+    assert_eq!(
+        report.map_compdists,
+        (extra.len() * l) as u64,
+        "exactly one l-wide row per insert"
+    );
+    assert_eq!(
+        report.shard_compdists, 0,
+        "LAESA shards adopt the row — no remap"
+    );
+    assert_eq!(e.counters().compdists, 0, "shard counters agree");
+    // The inserted objects are served exactly.
+    for (i, o) in extra.iter().enumerate() {
+        let hits = e.range_query(o, 0.0);
+        assert!(
+            hits.contains(&report.inserted_ids[i]),
+            "insert {i} is queryable"
         );
-        assert_eq!(
-            report.shard_compdists, 0,
-            "{policy:?}: LAESA shards adopt the row — no remap"
-        );
-        assert_eq!(
-            e.counters().compdists,
-            0,
-            "{policy:?}: shard counters agree"
-        );
-        // The inserted objects are served exactly.
-        for (i, o) in extra.iter().enumerate() {
-            let hits = e.range_query(o, 0.0);
-            assert!(
-                hits.contains(&report.inserted_ids[i]),
-                "{policy:?}: insert {i} is queryable"
-            );
-        }
     }
 }
 
@@ -394,49 +381,47 @@ fn fqa_adopts_engine_inserts() {
         .into_iter()
         .map(|i| pts[i].clone())
         .collect();
-    assert!(IndexKind::Fqa.adopts_pivot_matrix());
-    for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
-        let mut e = build_sharded_engine(
-            IndexKind::Fqa,
-            pts.clone(),
-            metric,
-            pivots.clone(),
-            &opts,
-            &EngineConfig {
-                shards: 3,
-                threads: 1,
-                refresh: RefreshPolicy::disabled(),
-                ..EngineConfig::default()
-            },
-            policy,
-        )
-        .unwrap();
-        // Build-side: every shard bucketed matrix rows, no recomputation.
-        assert_eq!(e.counters().compdists, 0, "{policy:?}: adopted build");
-        let mut batch = UpdateBatch::new();
-        for o in &extra {
-            batch.insert(o.clone());
-        }
-        for id in [3u32, 33, 111] {
-            batch.remove(id);
-        }
-        let report = e.apply(&batch);
-        assert_eq!(report.shard_compdists, 0, "{policy:?}: adopted inserts");
-        assert_eq!(report.map_compdists, (extra.len() * 5) as u64);
-        assert_eq!(report.removes, 3);
-        // Exactness against a brute-force oracle over the survivors.
-        let live = live_objects(&e, 320);
-        let oracle = BruteForce::new(
-            live.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>(),
-            metric,
-        );
-        let map = gid_map(&live);
-        for q in extra.iter().take(4).chain(pts.iter().take(4)) {
-            let got: Vec<ObjId> = e.range_query(q, 1500.0).iter().map(|i| map[i]).collect();
-            let mut want = oracle.range_query(q, 1500.0);
-            want.sort_unstable();
-            assert_eq!(got, want, "{policy:?}: FQA post-apply MRQ");
-        }
+    let mut e = build_sharded_engine(
+        IndexKind::Fqa,
+        pts.clone(),
+        metric,
+        pivots.clone(),
+        &opts,
+        &EngineConfig {
+            shards: 3,
+            threads: 1,
+            refresh: RefreshPolicy::disabled(),
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    // Build-side: every shard took its rows, no recomputation.
+    assert!(e.shards().iter().all(|s| s.index().pivot_rows().is_some()));
+    assert_eq!(e.counters().compdists, 0, "adopted build");
+    let mut batch = UpdateBatch::new();
+    for o in &extra {
+        batch.insert(o.clone());
+    }
+    for id in [3u32, 33, 111] {
+        batch.remove(id);
+    }
+    let report = e.apply(&batch);
+    assert_eq!(report.shard_compdists, 0, "adopted inserts");
+    assert_eq!(report.map_compdists, (extra.len() * 5) as u64);
+    assert_eq!(report.removes, 3);
+    // Exactness against a brute-force oracle over the survivors.
+    let live = live_objects(&e, 320);
+    let oracle = BruteForce::new(
+        live.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>(),
+        metric,
+    );
+    let map = gid_map(&live);
+    for q in extra.iter().take(4).chain(pts.iter().take(4)) {
+        let got: Vec<ObjId> = e.range_query(q, 1500.0).iter().map(|i| map[i]).collect();
+        let mut want = oracle.range_query(q, 1500.0);
+        want.sort_unstable();
+        assert_eq!(got, want, "FQA post-apply MRQ");
     }
 }
 
@@ -455,81 +440,77 @@ fn compaction_equals_rebuild_exactly() {
     let shards = 4usize;
 
     for kind in [IndexKind::Laesa, IndexKind::Cpt] {
-        for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
-            let mut e = build_engine(kind, &pts, &pivots, &opts, shards, policy);
-            // Churn: two apply batches of interleaved removes + inserts.
-            let mut b1 = UpdateBatch::new();
-            for step in 0..80u32 {
-                b1.remove((step * 7) % 400);
-            }
-            for o in &extra[..30] {
-                b1.insert(o.clone());
-            }
-            let r1 = e.apply(&b1);
-            assert_eq!(r1.compactions, 0, "compaction is opt-in");
-            let mut b2 = UpdateBatch::new();
-            for o in &extra[30..] {
-                b2.insert(o.clone());
-            }
-            b2.remove(r1.inserted_ids[5]).remove(399);
-            e.apply(&b2);
+        let mut e = build_engine(kind, &pts, &pivots, &opts, shards);
+        // Churn: two apply batches of interleaved removes + inserts.
+        let mut b1 = UpdateBatch::new();
+        for step in 0..80u32 {
+            b1.remove((step * 7) % 400);
+        }
+        for o in &extra[..30] {
+            b1.insert(o.clone());
+        }
+        let r1 = e.apply(&b1);
+        assert_eq!(r1.compactions, 0, "compaction is opt-in");
+        let mut b2 = UpdateBatch::new();
+        for o in &extra[30..] {
+            b2.insert(o.clone());
+        }
+        b2.remove(r1.inserted_ids[5]).remove(399);
+        e.apply(&b2);
 
-            // Explicit compaction: every dead row drops, ids densify.
-            // Total matrix rows = 400 seed + 60 inserted.
-            let live_before = live_objects(&e, 460);
-            let dead = 460 - live_before.len();
-            let dropped = e.compact();
-            assert_eq!(dropped, dead, "{kind:?} {policy:?}: all dead rows dropped");
-            assert_eq!(e.len(), live_before.len());
+        // Explicit compaction: every dead row drops, ids densify.
+        // Total matrix rows = 400 seed + 60 inserted.
+        let live_before = live_objects(&e, 460);
+        let dead = 460 - live_before.len();
+        let dropped = e.compact();
+        assert_eq!(dropped, dead, "{kind:?}: all dead rows dropped");
+        assert_eq!(e.len(), live_before.len());
 
-            // Survivor rank == new gid: objects are served under 0..m.
-            let objs: Vec<Vec<f32>> = live_before.iter().map(|(_, o)| o.clone()).collect();
-            for (gid, o) in objs.iter().enumerate() {
-                assert_eq!(e.get(gid as u32).as_ref(), Some(o), "{kind:?} {policy:?}");
-            }
+        // Survivor rank == new gid: objects are served under 0..m.
+        let objs: Vec<Vec<f32>> = live_before.iter().map(|(_, o)| o.clone()).collect();
+        for (gid, o) in objs.iter().enumerate() {
+            assert_eq!(e.get(gid as u32).as_ref(), Some(o), "{kind:?}");
+        }
 
-            let rebuilt = rebuild_like(&e, objs.len() as u32, kind, L2, &pivots, &opts);
+        let rebuilt = rebuild_like(&e, objs.len() as u32, kind, L2, &pivots, &opts);
 
-            if policy == PartitionPolicy::PivotSpace {
-                assert_eq!(
-                    e.routing().unwrap().boxes(),
-                    rebuilt.routing().unwrap().boxes(),
-                    "{kind:?}: compaction preserves the tight boxes"
-                );
-            }
+        assert_eq!(
+            e.routing().unwrap().boxes(),
+            rebuilt.routing().unwrap().boxes(),
+            "{kind:?}: compaction preserves the tight boxes"
+        );
 
-            let radius = datasets::calibrate_radius(&pts, &L2, 0.02, 21);
-            let batch = mixed_batch(&pts, 80, radius, 9);
-            e.reset_counters();
-            rebuilt.reset_counters();
-            let out_compacted = e.serve(&batch);
-            let out_rebuilt = rebuilt.serve(&batch);
+        let radius = datasets::calibrate_radius(&pts, &L2, 0.02, 21);
+        let batch = mixed_batch(&pts, 80, radius, 9);
+        e.reset_counters();
+        rebuilt.reset_counters();
+        let out_compacted = e.serve(&batch);
+        let out_rebuilt = rebuilt.serve(&batch);
+        assert_eq!(
+            out_compacted.results, out_rebuilt.results,
+            "{kind:?}: byte-identical results, no id mapping"
+        );
+        assert_eq!(
+            out_compacted.report.cost.compdists, out_rebuilt.report.cost.compdists,
+            "{kind:?}: exact serve compdist parity"
+        );
+        assert_eq!(
+            (
+                out_compacted.report.shards_probed,
+                out_compacted.report.shards_pruned
+            ),
+            (
+                out_rebuilt.report.shards_probed,
+                out_rebuilt.report.shards_pruned
+            ),
+            "{kind:?}: exact probe/prune parity"
+        );
+        if kind == IndexKind::Laesa {
             assert_eq!(
-                out_compacted.results, out_rebuilt.results,
-                "{kind:?} {policy:?}: byte-identical results, no id mapping"
+                e.shard_counters(),
+                rebuilt.shard_counters(),
+                "{kind:?}: per-shard counter parity"
             );
-            assert_eq!(
-                out_compacted.report.cost.compdists, out_rebuilt.report.cost.compdists,
-                "{kind:?} {policy:?}: exact serve compdist parity"
-            );
-            assert_eq!(
-                (
-                    out_compacted.report.shards_probed,
-                    out_compacted.report.shards_pruned
-                ),
-                (
-                    out_rebuilt.report.shards_probed,
-                    out_rebuilt.report.shards_pruned
-                ),
-                "{kind:?} {policy:?}: exact probe/prune parity"
-            );
-            if kind == IndexKind::Laesa {
-                assert_eq!(
-                    e.shard_counters(),
-                    rebuilt.shard_counters(),
-                    "{kind:?} {policy:?}: per-shard counter parity"
-                );
-            }
         }
     }
 }
@@ -556,58 +537,56 @@ fn fqa_compaction_equals_rebuild() {
         refresh: RefreshPolicy::disabled(),
         ..EngineConfig::default()
     };
-    for policy in [PartitionPolicy::PivotSpace, PartitionPolicy::RoundRobin] {
-        let mut e = build_sharded_engine(
-            IndexKind::Fqa,
-            pts.clone(),
-            metric,
-            pivots.clone(),
-            &opts,
-            &cfg,
-            policy,
-        )
-        .unwrap();
-        let mut batch = UpdateBatch::new();
-        for step in 0..70u32 {
-            batch.remove((step * 11) % 300);
-        }
-        for o in &extra {
-            batch.insert(o.clone());
-        }
-        e.apply(&batch);
-        let live = live_objects(&e, 340);
-        let dropped = e.compact();
-        assert!(dropped > 0);
-        assert_eq!(e.len(), live.len());
-        let rebuilt = rebuild_like(
-            &e,
-            live.len() as u32,
-            IndexKind::Fqa,
-            metric,
-            &pivots,
-            &opts,
-        );
-        let batch = mixed_batch(&pts, 60, 1500.0, 7);
-        e.reset_counters();
-        rebuilt.reset_counters();
-        let a = e.serve(&batch);
-        let b = rebuilt.serve(&batch);
-        assert_eq!(a.results, b.results, "FQA {policy:?}: byte-identical");
-        assert_eq!(
-            a.report.cost.compdists, b.report.cost.compdists,
-            "FQA {policy:?}: compdist parity"
-        );
-        assert_eq!(
-            (a.report.shards_probed, a.report.shards_pruned),
-            (b.report.shards_probed, b.report.shards_pruned),
-            "FQA {policy:?}: probe/prune parity"
-        );
-        assert_eq!(
-            e.shard_counters(),
-            rebuilt.shard_counters(),
-            "FQA {policy:?}: per-shard counter parity"
-        );
+    let mut e = build_sharded_engine(
+        IndexKind::Fqa,
+        pts.clone(),
+        metric,
+        pivots.clone(),
+        &opts,
+        &cfg,
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    let mut batch = UpdateBatch::new();
+    for step in 0..70u32 {
+        batch.remove((step * 11) % 300);
     }
+    for o in &extra {
+        batch.insert(o.clone());
+    }
+    e.apply(&batch);
+    let live = live_objects(&e, 340);
+    let dropped = e.compact();
+    assert!(dropped > 0);
+    assert_eq!(e.len(), live.len());
+    let rebuilt = rebuild_like(
+        &e,
+        live.len() as u32,
+        IndexKind::Fqa,
+        metric,
+        &pivots,
+        &opts,
+    );
+    let batch = mixed_batch(&pts, 60, 1500.0, 7);
+    e.reset_counters();
+    rebuilt.reset_counters();
+    let a = e.serve(&batch);
+    let b = rebuilt.serve(&batch);
+    assert_eq!(a.results, b.results, "FQA: byte-identical");
+    assert_eq!(
+        a.report.cost.compdists, b.report.cost.compdists,
+        "FQA: compdist parity"
+    );
+    assert_eq!(
+        (a.report.shards_probed, a.report.shards_pruned),
+        (b.report.shards_probed, b.report.shards_pruned),
+        "FQA: probe/prune parity"
+    );
+    assert_eq!(
+        e.shard_counters(),
+        rebuilt.shard_counters(),
+        "FQA: per-shard counter parity"
+    );
 }
 
 /// Single-op unification regression: `remove()` is sugar for a 1-op
@@ -620,22 +599,8 @@ fn single_op_removes_shrink_boxes_like_batched_apply() {
     let pts = datasets::la(600, 21);
     let opts = engine_opts(5);
     let pivots = hfi_pivots(&pts, 5);
-    let mut batched = build_engine(
-        IndexKind::Laesa,
-        &pts,
-        &pivots,
-        &opts,
-        8,
-        PartitionPolicy::PivotSpace,
-    );
-    let mut singles = build_engine(
-        IndexKind::Laesa,
-        &pts,
-        &pivots,
-        &opts,
-        8,
-        PartitionPolicy::PivotSpace,
-    );
+    let mut batched = build_engine(IndexKind::Laesa, &pts, &pivots, &opts, 8);
+    let mut singles = build_engine(IndexKind::Laesa, &pts, &pivots, &opts, 8);
 
     // Empty out two whole shards (a hot region being migrated away).
     let victims: Vec<usize> = vec![0, 5];
@@ -766,10 +731,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Interleaves `apply` batches (inserts + removes) with mixed
-    /// range/kNN serving across kinds × policies × shard counts: after
-    /// every batch, answers must equal both a brute-force oracle over the
-    /// survivors and a freshly rebuilt engine of the same kind/policy
-    /// (identical pivots), under the monotone gid bijection.
+    /// range/kNN serving across kinds × shard counts: after every batch,
+    /// answers must equal both a brute-force oracle over the survivors and
+    /// a freshly rebuilt engine of the same kind (identical pivots), under
+    /// the monotone gid bijection.
     #[test]
     fn apply_interleaved_with_serving_matches_rebuild(
         v in vecs(3, 70..120),
@@ -778,12 +743,10 @@ proptest! {
         r in 100.0f64..2500.0,
         shards_pick in 0usize..3,
         kind_pick in 0usize..4,
-        policy_pick in 0usize..2,
         churn_seed in 0u32..1000,
     ) {
         let shards = [1usize, 2, 5][shards_pick];
         let kind = ENGINE_KINDS[kind_pick];
-        let policy = [PartitionPolicy::RoundRobin, PartitionPolicy::PivotSpace][policy_pick];
         let opts = BuildOptions {
             num_pivots: 3,
             d_plus: 8000.0,
@@ -791,7 +754,7 @@ proptest! {
             ..BuildOptions::default()
         };
         let pivots = hfi_pivots(&v, 3);
-        let mut e = build_engine(kind, &v, &pivots, &opts, shards, policy);
+        let mut e = build_engine(kind, &v, &pivots, &opts, shards);
         let id_bound = (v.len() + extra.len()) as u32;
 
         let half = extra.len() / 2;
@@ -813,14 +776,7 @@ proptest! {
             prop_assert_eq!(report.inserts, chunk.len());
             prop_assert!(report.removes >= 1);
             prop_assert_eq!(report.missing_removes, 0);
-            prop_assert_eq!(
-                report.map_compdists,
-                if policy == PartitionPolicy::PivotSpace || kind.adopts_pivot_matrix() {
-                    (chunk.len() * 3) as u64
-                } else {
-                    0
-                }
-            );
+            prop_assert_eq!(report.map_compdists, (chunk.len() * 3) as u64);
 
             // Serve a mixed batch and check against oracle + fresh rebuild.
             let live = live_objects(&e, id_bound);
@@ -828,7 +784,7 @@ proptest! {
             let map = gid_map(&live);
             let objs: Vec<Vec<f32>> = live.iter().map(|(_, o)| o.clone()).collect();
             let oracle = BruteForce::new(objs.clone(), L2);
-            let rebuilt = build_engine(kind, &objs, &pivots, &opts, shards, policy);
+            let rebuilt = build_engine(kind, &objs, &pivots, &opts, shards);
             let queries = mixed_batch(&v, 10, r, k);
             let out = e.serve(&queries);
             let out_rebuilt = rebuilt.serve(&queries);
@@ -841,8 +797,8 @@ proptest! {
                 let mapped = map_result(&out.results[i], &map);
                 prop_assert_eq!(
                     &mapped, &out_rebuilt.results[i],
-                    "{} {:?} P={} round {} query {}: updated vs rebuilt",
-                    kind.label(), policy, shards, round, i
+                    "{} P={} round {} query {}: updated vs rebuilt",
+                    kind.label(), shards, round, i
                 );
                 match (q, &mapped) {
                     (Query::Range { q, radius }, QueryResult::Range(ids)) => {
