@@ -805,6 +805,8 @@ pub struct ScalePoint {
     pub layout: &'static str,
     /// Best-of-reps batch QPS.
     pub qps: f64,
+    /// Exact distance computations per query of one served batch.
+    pub compdists_per_query: f64,
     /// Build wall seconds.
     pub build_secs: f64,
 }
@@ -850,8 +852,8 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
         harness::DEFAULT_K
     );
     println!(
-        "{:<14} {:>3} {:>12} {:>10}",
-        "layout", "P", "build_s", "qps"
+        "{:<14} {:>3} {:>12} {:>10} {:>12}",
+        "layout", "P", "build_s", "qps", "compdists/q"
     );
     let mut out = Vec::new();
     for layout in ["unrouted", "routed"] {
@@ -873,7 +875,9 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
                 .expect("buildable")
             };
             let build_secs = engine.build_stats().build_wall_secs;
-            let _ = engine.serve(&batch); // warm scratch + page cache
+            // Warms scratch and page cache, and counts the batch's exact cost.
+            let warm = engine.serve(&batch);
+            let compdists_per_query = warm.report.cost.compdists as f64 / queries as f64;
             let mut best = f64::INFINITY;
             for _ in 0..2 {
                 let t0 = Instant::now();
@@ -882,14 +886,15 @@ pub fn scale(cfg: &ExpConfig) -> Vec<ScalePoint> {
             }
             let qps = queries as f64 / best;
             println!(
-                "{:<14} {:>3} {:>12.3} {:>10.0}",
-                layout, shards, build_secs, qps
+                "{:<14} {:>3} {:>12.3} {:>10.0} {:>12.1}",
+                layout, shards, build_secs, qps, compdists_per_query
             );
             out.push(ScalePoint {
                 n,
                 shards,
                 layout,
                 qps,
+                compdists_per_query,
                 build_secs,
             });
         }

@@ -574,7 +574,7 @@ mod tests {
         let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
         for w in &long {
             let row = [m.dist(w, &pivots[0])];
-            let id = idx.insert_adopted(w.clone(), &row).expect("FQA adopts");
+            let id = idx.insert_adopted(w.clone(), &row);
             assert_eq!(id, oracle.insert(w.clone()));
         }
         let stored = |id| idx.pivot_rows().unwrap().row(id as usize).next();

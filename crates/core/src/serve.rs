@@ -36,9 +36,11 @@
 //!   rows, and the `RefreshPolicy` re-clusters the worst shard pair under
 //!   imbalance.
 //!
-//! An engine that probes every shard and holds no rows is built directly:
+//! An engine whose pivot space has zero width — every bound 0, so every
+//! shard is probed, over balanced contiguous runs — is built directly:
 //! `ShardedEngine::build(objects, Layout::plain(), cfg, ..)` with
-//! [`build_index`](crate::builder::build_index) as the factory. The exact build cost (rows + every
+//! [`build_index`](crate::builder::build_index) as the factory (its shards
+//! keep their own pivots, and the engine's empty rows beside them). The exact build cost (rows + every
 //! shard's construction) and build wall-clock are recorded in the engine's
 //! [`BuildStats`](pmi_engine::BuildStats) and surfaced through every
 //! `ServeReport`. Query-time mapping distances (`l` per routed query)
@@ -107,7 +109,6 @@ where
         layout,
         cfg,
         |_, part, rows| {
-            let rows = rows.expect("a mapped layout hands every shard its rows");
             build_index_with_matrix(kind, part, metric.clone(), pivots.clone(), opts, rows)
         },
     ))

@@ -6,7 +6,7 @@
 
 use super::{
     resolve_threads, EngineConfig, EngineCore, EngineError, EngineSnapshot, Locator, ObsClock,
-    PivotMap, ShardedEngine,
+    ShardedEngine,
 };
 use crate::report::{BuildStats, UpdateStats};
 use crate::robust::QuarantineState;
@@ -14,34 +14,31 @@ use crate::shard::{partition_by_assignment, Partition, Shard};
 use pmi_metric::parallel::claim_each;
 use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
 use pmi_obs::{Hist, Registry};
-use pmi_router::RoutingTable;
+use pmi_router::{Mapper, RoutingTable};
 use std::borrow::Cow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One partition awaiting its index, plus its members' stored pivot rows
-/// when the engine holds a pivot space.
-type MatrixPart<O> = (Partition<O>, Option<PivotColumns>);
+/// One partition awaiting its index, plus its members' stored pivot rows.
+type MatrixPart<O> = (Partition<O>, PivotColumns);
 
-/// What [`ShardedEngine::build`] builds over: whether the engine holds a
-/// pivot space — and with it routes — and optionally an explicit
-/// membership. Routing without a mapper cannot be written down.
+/// What [`ShardedEngine::build`] builds over: the engine's pivot space —
+/// its mapper and width — and optionally an explicit membership.
 pub struct Layout<'a, O> {
-    /// The pivot space: its mapper and width `l`.
-    space: Option<(PivotMap<O>, usize)>,
+    mapper: Mapper<O>,
+    width: usize,
     membership: Option<&'a [usize]>,
 }
 
 impl<'a, O> Layout<'a, O> {
-    /// No pivot space: balanced contiguous runs, every query probes every
-    /// shard, the shard factory receives no rows and the engine computes no
-    /// distance of its own — for kinds that would read no row of it.
+    /// The zero-width pivot space: the engine computes no distance of its
+    /// own, the partitioner's fallback cuts balanced contiguous runs, every
+    /// routing box bounds nothing so every query probes every shard, and
+    /// the shard factory receives zero-width rows — for kinds that would
+    /// read no row of a pivot space.
     pub fn plain() -> Self {
-        Layout {
-            space: None,
-            membership: None,
-        }
+        Layout::mapped(0, |_: &O, _: &mut Vec<f64>| {})
     }
 
     /// A pivot space: `mapper` appends `(d(o, p_1), …, d(o, p_width))` to
@@ -53,30 +50,21 @@ impl<'a, O> Layout<'a, O> {
         mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
     ) -> Self {
         Layout {
-            space: Some((Arc::new(mapper), width)),
+            mapper: Arc::new(mapper),
+            width,
             membership: None,
         }
     }
 
     /// Places object `i` in shard `membership[i]` instead of partitioning:
     /// reproduces another engine's final membership for a parity rebuild or
-    /// a migration. A mapped layout still routes (the boxes are derived
-    /// from the members' rows), a plain one still probes every shard. The
+    /// a migration (the boxes are derived from the members' rows). The
     /// build checks that there is one entry per object, each below
     /// [`EngineConfig::resolved_shards`].
     pub fn with_membership(mut self, membership: &'a [usize]) -> Self {
         self.membership = Some(membership);
         self
     }
-}
-
-/// The plain membership: balanced *contiguous* runs rather than a stride —
-/// shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋ ids in order, just as
-/// geometry-agnostic as a stride.
-fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
-    (0..shards)
-        .flat_map(|s| std::iter::repeat_n(s, n / shards + usize::from(s < n % shards)))
-        .collect()
 }
 
 impl<O> ShardedEngine<O> {
@@ -92,9 +80,9 @@ impl<O> ShardedEngine<O> {
     ///    order as [`PivotMatrix::compute`]);
     /// 2. the membership — [`pmi_router::partition_pivot_space`] over the
     ///    rows with `cfg.partition_seed` (the call
-    ///    [`compact`](Self::compact) repeats over the survivors), balanced
-    ///    contiguous runs without a pivot space, or the layout's explicit
-    ///    one;
+    ///    [`compact`](Self::compact) repeats over the survivors; balanced
+    ///    contiguous runs over a zero-width space), or the layout's
+    ///    explicit one;
     /// 3. the [`RoutingTable`]: one box per shard over what it stores of
     ///    its members' rows, and the mapper, which queries and inserts map
     ///    through;
@@ -105,12 +93,13 @@ impl<O> ShardedEngine<O> {
     ///    form any shard, index or snapshot holds them in; the full f64
     ///    matrix is dropped before the first shard table exists.
     ///
-    /// The factory receives `(shard_number, partition, rows)` — `rows` is
-    /// `Some` iff the layout has a pivot space — and must insert the
-    /// partition in order, so that local id `i` is the `i`-th object of the
-    /// partition (every index in this workspace does). A factory whose
-    /// index exposes [`MetricIndex::pivot_rows`] must have built it from
-    /// those rows or from the same mapping. Shard builds run in parallel,
+    /// The factory receives `(shard_number, partition, rows)` and must
+    /// insert the partition in order, so that local id `i` is the `i`-th
+    /// object of the partition (every index in this workspace does). An
+    /// index whose [`MetricIndex::pivot_rows`] have the engine's width must
+    /// have been built from those rows or from the same mapping; rows of
+    /// another width are the index's own, and its shard keeps the engine's
+    /// beside it. Shard builds run in parallel,
     /// up to `cfg.threads` workers with the caller one of them, each taking
     /// the next shard in shard order ([`claim_each`]) — the paper's §6.2
     /// observation that per-object pivot distances parallelize trivially.
@@ -132,7 +121,7 @@ impl<O> ShardedEngine<O> {
     where
         O: Send + Sync + 'static,
         E: Send,
-        F: Fn(usize, Vec<O>, Option<PivotColumns>) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, Vec<O>, PivotColumns) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         if cfg.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -140,7 +129,12 @@ impl<O> ShardedEngine<O> {
         let t0 = Instant::now();
         let n = objects.len();
         let num_shards = cfg.resolved_shards(n);
-        if let Some(m) = layout.membership {
+        let Layout {
+            mapper,
+            width,
+            membership,
+        } = layout;
+        if let Some(m) = membership {
             if m.len() != n {
                 return Err(EngineError::BadMembership(format!(
                     "{} entries for {n} objects",
@@ -161,37 +155,31 @@ impl<O> ShardedEngine<O> {
         let mut clock = ObsClock::start(timing);
 
         // The pivot space: row `i` is the map of object `i`.
-        let space = layout.space.map(|(map, width)| {
-            let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
-                let mut row = Vec::with_capacity(width);
-                for (o, slot) in run.iter().zip(slots.chunks_mut(width.max(1))) {
-                    row.clear();
-                    map(o, &mut row);
-                    slot.copy_from_slice(&row);
-                }
-            });
-            // The one step every shard's columns and the routing table
-            // get: boxes stay a pure function of the stored rows.
-            let step = rows.step();
-            (map, rows, step)
+        let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
+            let mut row = Vec::with_capacity(width);
+            for (o, slot) in run.iter().zip(slots.chunks_mut(width.max(1))) {
+                row.clear();
+                mapper(o, &mut row);
+                slot.copy_from_slice(&row);
+            }
         });
-        let mut matrix_compdists = 0;
-        if let Some((_, rows, _)) = &space {
-            matrix_compdists = (rows.rows() * rows.width()) as u64;
-            obs.phase_add(
-                "build.matrix",
-                1,
-                clock.lap(),
-                &[("compdists", matrix_compdists)],
-            );
-        }
+        // The one step every shard's columns and the routing table get:
+        // boxes stay a pure function of the stored rows.
+        let step = rows.step();
+        let matrix_compdists = (rows.rows() * rows.width()) as u64;
+        obs.phase_add(
+            "build.matrix",
+            1,
+            clock.lap(),
+            &[("compdists", matrix_compdists)],
+        );
 
         let mut partitioned = None;
-        let membership: Cow<[usize]> = match (layout.membership, &space) {
-            (Some(m), _) => m.into(),
-            (None, Some((_, rows, _))) => {
+        let membership: Cow<[usize]> = match membership {
+            Some(m) => m.into(),
+            None => {
                 let part = pmi_router::partition_pivot_space(
-                    rows,
+                    &rows,
                     num_shards,
                     cfg.partition_seed,
                     threads,
@@ -204,19 +192,8 @@ impl<O> ShardedEngine<O> {
                 ]);
                 part.assignment.into()
             }
-            (None, None) => balanced_runs(n, num_shards).into(),
         };
-        let router = space.as_ref().map(|(map, rows, step)| {
-            let map = Arc::clone(map);
-            RoutingTable::from_assignment(
-                move |o: &O, out: &mut Vec<f64>| map(o, out),
-                rows.width(),
-                rows,
-                &membership,
-                num_shards,
-                *step,
-            )
-        });
+        let router = RoutingTable::from_assignment(mapper, &rows, &membership, num_shards, step);
         let partition_nanos = clock.lap();
         if let Some(counters) = partitioned {
             obs.phase_add("build.partition", 1, partition_nanos, &counters);
@@ -229,15 +206,13 @@ impl<O> ShardedEngine<O> {
         let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
             .into_iter()
             .map(|(objs, gids)| {
-                let rows = space.as_ref().map(|(_, m, step)| {
-                    let members = gids.iter().map(|&g| m.row(g as usize));
-                    PivotColumns::from_rows(m.width(), *step, members)
-                });
-                ((objs, gids), rows)
+                let members = gids.iter().map(|&g| rows.row(g as usize));
+                let own = PivotColumns::from_rows(width, step, members);
+                ((objs, gids), own)
             })
             .collect();
         drop(membership);
-        drop(space);
+        drop(rows);
         // The split belongs to no child phase.
         clock.lap();
 
@@ -301,7 +276,7 @@ impl<O> ShardedEngine<O> {
         }
 
         let shards: Vec<Arc<Shard<O>>> = shards.into_iter().map(Arc::new).collect();
-        let router = router.map(Arc::new);
+        let router = Arc::new(router);
         let snap = Arc::new(EngineSnapshot {
             epoch: 0,
             shards: shards.clone(),
@@ -341,7 +316,7 @@ impl<O> ShardedEngine<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{brute_factory, engine, grid};
+    use crate::engine::tests::{assert_plans_every_shard, brute_factory, engine, grid};
     use crate::{LatencySummary, Query};
 
     #[test]
@@ -354,13 +329,12 @@ mod tests {
             threads: 2,
             ..EngineConfig::default()
         };
-        let runs = balanced_runs(60, 4);
+        let runs: Vec<usize> = (0..60).map(|i| i / 15).collect();
         let layout = Layout::mapped(2, |o: &Vec<f32>, out: &mut Vec<f64>| {
             out.extend([o[0] as f64, o[1] as f64])
         })
         .with_membership(&runs);
         let e = ShardedEngine::build(objects.clone(), layout, &cfg, |_, part, m| {
-            let m = m.expect("a pivot space hands every factory its rows");
             assert_eq!(m.rows(), part.len());
             assert_eq!(m.width(), 2);
             for (i, o) in part.iter().enumerate() {
@@ -371,7 +345,7 @@ mod tests {
         .unwrap();
         assert_eq!(e.build_stats().build_compdists, 60 * 2, "n·l for the rows");
         let plain = engine(60, 4, 2);
-        assert_eq!(plain.build_stats().build_compdists, 0, "no pivot space");
+        assert_eq!(plain.build_stats().build_compdists, 0, "zero width");
         for qi in [0usize, 30, 59] {
             assert_eq!(
                 e.range_query(&objects[qi], 4.0),
@@ -384,10 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cuts_balanced_contiguous_runs() {
-        assert_eq!(balanced_runs(10, 3), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
-        assert_eq!(balanced_runs(2, 2), [0, 1]);
-        assert!(balanced_runs(0, 1).is_empty());
+    fn a_plain_engine_cuts_balanced_contiguous_runs() {
         let e = engine(10, 3, 1);
         let of =
             |s: usize| -> Vec<ObjId> { e.shards()[s].live_members().map(|(_, g)| g).collect() };
@@ -424,7 +395,7 @@ mod tests {
         // A valid one may leave a shard empty.
         let e = build(&[0, 1, 3, 3, 0, 1, 3, 3, 0, 1]).unwrap();
         assert_eq!(e.num_shards(), 4);
-        assert!(e.routing().is_none(), "a plain layout never routes");
+        assert_plans_every_shard(&e);
         assert!(e.shards()[2].is_empty());
         assert_eq!(e.range_query(&grid(10)[6], 0.0), vec![6]);
     }

@@ -4,17 +4,17 @@
 //!
 //! Everything hangs off one mapping, `o ↦ (d(o, p_1), …, d(o, p_l))` — the
 //! engine's **pivot space** — and the engine owns it: there is one
-//! constructor, [`ShardedEngine::build`], and its [`Layout`] says only
-//! whether there is a pivot space (a mapper) and optionally an explicit
-//! membership. A pivot space means routing: from the mapper the engine
-//! itself computes every object's row, clusters over the rows, derives the
-//! [`RoutingTable`] boxes (the table holds the mapper from then on), and
-//! gives every shard its members' rows, stored once as planar u16 bucket
-//! columns of its own under one engine-wide step
+//! constructor, [`ShardedEngine::build`], and its [`Layout`] says only what
+//! the pivot space is (a mapper and its width) and optionally an explicit
+//! membership. Every engine has one and routes by it: from the mapper the
+//! engine itself computes every object's row, clusters over the rows,
+//! derives the [`RoutingTable`] boxes (the table holds the mapper from then
+//! on), and gives every shard its members' rows, stored once as planar u16
+//! bucket columns of its own under one engine-wide step
 //! ([`pmi_metric::PivotColumns`], the only form a row is stored in) — so
 //! "row `i` stores the map of object `i`", "every member lies inside its
-//! shard's box" and "a routed engine holds rows" are true by construction,
-//! not by caller contract.
+//! shard's box" and "every shard holds its members' rows" are true by
+//! construction, not by caller contract.
 //!
 //! The routing table prunes shards per query via Lemma 1 box bounds —
 //! range queries skip every shard whose bounding box cannot intersect the
@@ -22,9 +22,9 @@
 //! whose lower bound exceeds the current k-th distance. The answers are
 //! those of probing every shard; routing only changes how much work is
 //! paid for them, which the engine accounts exactly through the
-//! `shards_probed` / `shards_pruned` counters. The one unrouted shape,
-//! [`Layout::plain`], cuts balanced contiguous runs, holds no rows and
-//! probes every shard.
+//! `shards_probed` / `shards_pruned` counters. [`Layout::plain`] is the
+//! zero-width pivot space: every bound is 0, so every shard is probed, and
+//! the partitioner's fallback cuts balanced contiguous runs.
 //!
 //! The shards keep their rows — inside the index when the kind adopts them
 //! (the shard factory receives them, so shard builds stop recomputing pivot
@@ -36,7 +36,8 @@
 //! the shard's routing centre); a [`RefreshPolicy`] re-clusters the
 //! worst shard pair when live counts drift apart; and
 //! [`compact`](ShardedEngine::compact) re-partitions the survivors with the
-//! very call and seed the build ran. A plain engine pays for none of it.
+//! very call and seed the build ran. On a plain engine the rows are empty
+//! and all of it costs no distance.
 //! Serving reuses per-worker [`EngineScratch`] buffers so the batch hot
 //! loop performs no transient heap allocations per query.
 //!
@@ -94,15 +95,15 @@ pub struct EngineConfig {
     /// available hardware thread.
     pub threads: usize,
     /// When [`apply`](ShardedEngine::apply) re-clusters the worst shard
-    /// pair (routed engines only).
+    /// pair.
     pub refresh: RefreshPolicy,
     /// When [`apply`](ShardedEngine::apply) compacts the shards' pivot
-    /// rows (routed engines only; renumbers global ids —
-    /// disabled by default, see [`CompactionPolicy`]).
+    /// rows (renumbers global ids — disabled by default, see
+    /// [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
     /// Seed for the engine's partitioning decisions — the pivot-space
     /// clustering at build and the full survivor re-partition a
-    /// [`compact`](ShardedEngine::compact) runs on routed engines are one
+    /// [`compact`](ShardedEngine::compact) runs are one
     /// call with this one seed, so a compaction reproduces exactly the
     /// clustering a fresh build over the survivors would compute. The
     /// `pmi` facade sets it to `BuildOptions::seed`.
@@ -300,8 +301,8 @@ pub struct EngineSnapshot<O> {
     epoch: u64,
     /// The shard set of this version.
     shards: Vec<Arc<Shard<O>>>,
-    /// The routing table of this version; `None` for a plain engine.
-    router: Option<Arc<RoutingTable<O>>>,
+    /// The routing table of this version.
+    router: Arc<RoutingTable<O>>,
 }
 
 impl<O> EngineSnapshot<O> {
@@ -417,11 +418,11 @@ impl<O> EngineReader<O> {
 /// A dataset sharded across `P` independent [`MetricIndex`]es, serving
 /// batches of mixed range / kNN queries concurrently.
 ///
-/// An engine with a pivot space holds a [`RoutingTable`] that summarizes
-/// each shard as a bounding box in pivot space, and queries skip every
-/// shard those summaries prove answer-free (Lemma 1); a plain engine
-/// probes every shard (shards partition the data, so all hold candidates).
-/// Either way, per-shard partial answers merge into
+/// The engine holds a [`RoutingTable`] that summarizes each shard as a
+/// bounding box in pivot space, and queries skip every shard those
+/// summaries prove answer-free (Lemma 1); over a plain engine's zero-width
+/// space no box proves anything, so every shard is probed. Either way,
+/// per-shard partial answers merge into
 /// one global answer — a sorted union for range queries, a bounded-heap
 /// top-k for kNN — and because pruning is conservative and each shard's own
 /// query processing is exact, the merged answers are identical to a single
@@ -451,15 +452,12 @@ pub struct ShardedEngine<O> {
     /// Writer mirror of the published shard set — the same `Arc`s as the
     /// current snapshot's. `apply` forks the entries it touches.
     shards: Vec<Arc<Shard<O>>>,
-    /// Writer mirror of the published routing table: present iff the
-    /// engine has a pivot space, that is iff every shard carries its
-    /// members' rows ([`Shard::pivot_row`]). Its mapper is what lets
-    /// inserts hand over their mapped row; the rows let removes recompute
-    /// routing boxes, and re-clustering and compaction move objects
-    /// without recomputing any distance. Without it a table's rows are
-    /// private (computed over the factory's pivots) and the engine never
-    /// reads them.
-    router: Option<Arc<RoutingTable<O>>>,
+    /// Writer mirror of the published routing table. Its mapper is what
+    /// lets inserts hand over their mapped row; the rows every shard
+    /// carries ([`Shard::pivot_row`]) let removes recompute routing boxes,
+    /// and re-clustering and compaction move objects without recomputing
+    /// any distance.
+    router: Arc<RoutingTable<O>>,
     /// Publication epoch of the current snapshot.
     epoch: u64,
     /// Retired snapshots not yet reclaimed (still pinned by in-flight
@@ -483,11 +481,6 @@ pub struct ShardedEngine<O> {
 /// A shared per-item object validator (see
 /// [`set_query_validator`](ShardedEngine::set_query_validator)).
 type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
-
-/// The pivot-space mapper a [`Layout`] carries to the build, which hands it
-/// to the routing table: appends `(d(o, p_1), …, d(o, p_l))` to the
-/// caller's buffer.
-type PivotMap<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Stored rows as one transient f64 matrix for the partitioner (a stored
 /// value is its bucket's lower edge and every shard shares one step, so a
@@ -518,7 +511,7 @@ struct ApplyTxn<O> {
     touched: Vec<bool>,
     /// Staged routing table (a copy-on-write clone: shared mapper, own
     /// boxes).
-    router: Option<RoutingTable<O>>,
+    router: RoutingTable<O>,
     /// Staged locator (a clone sharing every chunk this batch leaves alone).
     locator: Locator,
     next_id: ObjId,
@@ -588,16 +581,17 @@ impl<O> ShardedEngine<O> {
     }
 
     /// Construction cost of this engine: the exact distance computations
-    /// of its pivot rows (`n · l`, when it holds a pivot space) plus every
+    /// of its pivot rows (`n · l`) plus every
     /// shard's own construction, and the wall-clock of the whole
     /// [`build`](Self::build).
     pub fn build_stats(&self) -> BuildStats {
         self.core.build
     }
 
-    /// The routing table; `None` for a plain engine.
+    /// The routing table. Always `Some`: the `Option` is kept only for
+    /// the frozen `benchmark/` callers that `expect` it.
     pub fn routing(&self) -> Option<&RoutingTable<O>> {
-        self.router.as_deref()
+        Some(&self.router)
     }
 
     /// Publication epoch of the current snapshot: 0 at build, +1 per
@@ -786,8 +780,8 @@ impl<O> ShardedEngine<O> {
 
     /// Removes an object by global id; returns whether it was present.
     /// Sugar for a one-op [`apply`](Self::apply) batch, so it shares the
-    /// full transactional path — on routed engines the shard's box shrinks
-    /// back to the surviving members, preserving pruning power.
+    /// full transactional path — the shard's box shrinks back to the
+    /// surviving members, preserving pruning power.
     pub fn remove(&mut self, id: ObjId) -> bool
     where
         O: Clone,
@@ -811,12 +805,12 @@ impl<O> ShardedEngine<O> {
     /// layered path queries use, returning exact accounting.
     ///
     /// * **Inserts** are routed via the routing table (nearest box lower
-    ///   bound, smallest shard among ties; a plain engine picks the
-    ///   smallest shard). On an engine with a pivot space the object's
+    ///   bound, smallest shard among ties — on a plain engine every bound
+    ///   is 0, so the smallest shard). The object's
     ///   pivot row is computed **once** and handed to the destination shard
-    ///   with the object — kinds that own their rows (LAESA, CPT, FQA)
-    ///   append it and pay zero shard-side remap distances; for the rest
-    ///   the shard keeps it beside the index.
+    ///   with the object — kinds that own the engine's rows (LAESA, CPT,
+    ///   FQA) append it and pay zero shard-side remap distances; for the
+    ///   rest the shard keeps it beside the index.
     /// * **Removes** tombstone the object; after the last op every shard
     ///   that lost a member lying on a face of its routing box has the box
     ///   recomputed from its surviving members' rows in one pass
@@ -926,7 +920,7 @@ impl<O> ShardedEngine<O> {
         ApplyTxn {
             shards: self.shards.clone(),
             touched: vec![false; n],
-            router: self.router.as_deref().cloned(),
+            router: RoutingTable::clone(&self.router),
             locator: self.locator.clone(),
             next_id: self.next_id,
             stats: self.update_stats,
@@ -1021,7 +1015,7 @@ impl<O> ShardedEngine<O> {
     /// staged state and the new snapshot goes out in a single swap.
     fn commit_txn(&mut self, txn: ApplyTxn<O>) {
         self.shards = txn.shards;
-        self.router = txn.router.map(Arc::new);
+        self.router = Arc::new(txn.router);
         self.locator = txn.locator;
         self.next_id = txn.next_id;
         self.update_stats = txn.stats;
@@ -1036,7 +1030,7 @@ impl<O> ShardedEngine<O> {
         let next = Arc::new(EngineSnapshot {
             epoch: self.epoch,
             shards: self.shards.clone(),
-            router: self.router.clone(),
+            router: Arc::clone(&self.router),
         });
         let old = std::mem::replace(
             &mut *self.core.snap.lock().unwrap_or_else(|e| e.into_inner()),
@@ -1055,40 +1049,23 @@ impl<O> ShardedEngine<O> {
 
     /// The one insert path: map once, hand the row to the shard.
     fn stage_insert(&self, txn: &mut ApplyTxn<O>, o: O, mapped: &mut Vec<f64>) -> ObjId {
-        let si = match &txn.router {
-            Some(rt) => {
-                rt.map_into(&o, mapped);
-                txn.stats.map_compdists += mapped.len() as u64;
-                // Nearest box lower bound; ties go to the smallest shard,
-                // then the lowest shard id.
-                let mut best = (f64::INFINITY, usize::MAX, 0usize);
-                for (s, b) in rt.boxes().iter().enumerate() {
-                    let cand = (b.lower_bound(mapped), txn.shards[s].len());
-                    if cand.0 < best.0 || (cand.0 == best.0 && cand.1 < best.1) {
-                        best = (cand.0, cand.1, s);
-                    }
-                }
-                best.2
+        let rt = &mut txn.router;
+        rt.map_into(&o, mapped);
+        txn.stats.map_compdists += mapped.len() as u64;
+        // Nearest box lower bound; ties go to the smallest shard, then the
+        // lowest shard id.
+        let mut best = (f64::INFINITY, usize::MAX, 0usize);
+        for (s, b) in rt.boxes().iter().enumerate() {
+            let cand = (b.lower_bound(mapped), txn.shards[s].len());
+            if cand.0 < best.0 || (cand.0 == best.0 && cand.1 < best.1) {
+                best = (cand.0, cand.1, s);
             }
-            None => {
-                txn.shards
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.len())
-                    .expect("engine always has at least one shard")
-                    .0
-            }
-        };
+        }
+        let si = best.2;
+        rt.extend(si, mapped);
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = if txn.router.is_some() {
-            txn.shard_mut(si).insert_adopted(o, gid, mapped)
-        } else {
-            txn.shard_mut(si).insert(o, gid)
-        };
-        if let Some(rt) = txn.router.as_mut() {
-            rt.extend(si, mapped);
-        }
+        let local = txn.shard_mut(si).insert_adopted(o, gid, mapped);
         txn.locator.set(gid, si, local);
         txn.stats.inserts += 1;
         gid
@@ -1112,7 +1089,8 @@ impl<O> ShardedEngine<O> {
             return false;
         }
         txn.stats.removes += 1;
-        if let (false, Some(rt)) = (txn.dirty[s], txn.router.as_mut()) {
+        if !txn.dirty[s] {
+            let rt = &mut txn.router;
             let row = || txn.shards[s].pivot_row(local);
             let (b, step) = (&rt.boxes()[s], rt.step());
             let inside = row().zip(b.lo().iter().zip(b.hi())).all(|(y, (&lo, &hi))| {
@@ -1134,11 +1112,9 @@ impl<O> ShardedEngine<O> {
     /// shards from their live members' rows, in slot order (re-clustering
     /// and compaction get their centres here). Work is bounded by the
     /// flagged shards' own slot tables. Returns how many boxes were
-    /// recomputed (0 when the engine has no router).
+    /// recomputed.
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
-        let Some(rt) = txn.router.as_mut() else {
-            return 0;
-        };
+        let rt = &mut txn.router;
         let mut reboxed = 0;
         for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
             let shard = &txn.shards[s];
@@ -1158,13 +1134,10 @@ impl<O> ShardedEngine<O> {
     /// along; locator and boxes are fixed up). Returns
     /// `(passes, moved, boxes recomputed)`.
     fn stage_recluster(&self, txn: &mut ApplyTxn<O>) -> (usize, u64, usize) {
-        let Some(rt) = &txn.router else {
-            return (0, 0, 0);
-        };
         if txn.shards.len() < 2 {
             return (0, 0, 0);
         }
-        let width = rt.boxes()[0].dim();
+        let width = txn.router.boxes()[0].dim();
         let (mut hi, mut lo) = (0usize, 0usize);
         for (s, shard) in txn.shards.iter().enumerate() {
             if shard.len() > txn.shards[hi].len() {
@@ -1239,7 +1212,7 @@ impl<O> ShardedEngine<O> {
     /// compaction**, restoring the engine to what a from-scratch rebuild
     /// over the survivors would produce:
     ///
-    /// 1. Routed engines first **re-partition** the survivors with the
+    /// 1. Every engine first **re-partitions** the survivors with the
     ///    call and seed [`build`](Self::build) ran, over their stored
     ///    rows (churn drifts shard membership away from the balanced
     ///    clustering; probing an oversized shard costs extra kernel work
@@ -1254,8 +1227,8 @@ impl<O> ShardedEngine<O> {
     ///    ([`MetricIndex::compact_rows`]); other kinds keep their local
     ///    tombstones and only have their live slots' global ids
     ///    rewritten.
-    /// 3. Routed engines recompute every routing box from the final
-    ///    membership, so pruning is exactly a fresh build's.
+    /// 3. Every routing box is recomputed from the final membership, so
+    ///    pruning is exactly a fresh build's.
     ///
     /// Serving afterwards is byte-identical — results, compdists,
     /// probe/prune counts — to a rebuild over the survivors with this
@@ -1264,8 +1237,7 @@ impl<O> ShardedEngine<O> {
     /// differs only if the largest pivot distance left or entered a
     /// power-of-two band). **Renumbers global ids**: ids returned by earlier
     /// inserts are invalidated, exactly as a rebuild would. Returns the
-    /// number of dead rows dropped (0 on an engine without a pivot space,
-    /// or with nothing dead).
+    /// number of dead rows dropped (0 with nothing dead).
     ///
     /// The pass is a transaction like [`apply`](Self::apply): everything
     /// stages on forked shards and publishes as one new engine snapshot,
@@ -1278,7 +1250,7 @@ impl<O> ShardedEngine<O> {
     /// [`MetricIndex::compact_rows`]: pmi_metric::MetricIndex::compact_rows
     pub fn compact(&mut self) -> usize {
         let dead = self.next_id as usize - self.len();
-        if self.router.is_none() || dead == 0 {
+        if dead == 0 {
             // A no-op records nothing: a `compact` phase in the metrics
             // always means rows actually moved.
             return 0;
@@ -1322,9 +1294,9 @@ impl<O> ShardedEngine<O> {
 
         // (1) Full re-partition of the survivors. The movement tombstones
         // this leaves behind are folded away by the dense rebuild below.
-        if let (Some(rt), true) = (&txn.router, txn.shards.len() >= 2) {
+        if txn.shards.len() >= 2 {
             let live_rows = stored_rows(
-                rt.boxes()[0].dim(),
+                txn.router.boxes()[0].dim(),
                 survivors.iter().map(|&gid| {
                     let (s, local) = at(txn, gid);
                     txn.shards[s].pivot_row(local)
@@ -1402,8 +1374,8 @@ mod tests {
         Ok(Box::new(BruteForce::new(part, L2)))
     }
 
-    /// BruteForce shards in balanced runs, no pivot space: the reference
-    /// engine.
+    /// BruteForce shards in balanced runs over the zero-width pivot space:
+    /// the reference engine.
     pub(super) fn engine(n: usize, shards: usize, threads: usize) -> ShardedEngine<Vec<f32>> {
         ShardedEngine::build(
             grid(n),
@@ -1416,6 +1388,16 @@ mod tests {
             |_, part, _| brute_factory(part),
         )
         .unwrap()
+    }
+
+    /// A plain layout is the zero-width pivot space: its boxes bound
+    /// nothing, so its table plans every shard.
+    pub(super) fn assert_plans_every_shard(e: &ShardedEngine<Vec<f32>>) {
+        let rt = e.routing().expect("every engine routes");
+        assert!(rt.boxes().iter().all(|b| b.dim() == 0), "zero-width boxes");
+        let mut plan = Vec::new();
+        rt.range_plan_into(&[], 0.0, &mut plan);
+        assert_eq!(plan, (0..e.num_shards()).collect::<Vec<_>>());
     }
 
     /// A routed engine over [`grid`] whose pivot space is the identity on
@@ -1471,7 +1453,7 @@ mod tests {
             let e = engine(300, shards, 2);
             assert_eq!(e.len(), 300);
             assert_eq!(e.num_shards(), shards);
-            assert!(e.routing().is_none());
+            assert_plans_every_shard(&e);
             for qi in [0usize, 17, 299] {
                 let mut want = single.range_query(&objects[qi], 5.0);
                 want.sort_unstable();
@@ -1577,14 +1559,14 @@ mod tests {
         };
         // What an in-flight reader batch holds across the commits below.
         let pinned = e.core.snapshot();
-        let published = table_of(pinned.router.as_ref().unwrap());
+        let published = table_of(&pinned.router);
         assert_eq!(published[1].1, Some(vec![104.5]));
         // An insert, an interior remove (102) and a face remove (109): the
         // staged copy's centre moves by `extend`, `forget` and a rebox.
         let mut batch = UpdateBatch::new();
         batch.insert(vec![107.5]).remove(5).remove(19);
         assert_eq!(e.apply(&batch).reboxed_shards, 1);
-        assert_eq!(table_of(pinned.router.as_ref().unwrap()), published);
+        assert_eq!(table_of(&pinned.router), published);
         // {100, 101, 103, …, 108} and 107.5 remain.
         let now = table_of(e.routing().unwrap());
         assert_eq!(now[1].1, Some(vec![(1045.0 - 102.0 - 109.0 + 107.5) / 9.0]));

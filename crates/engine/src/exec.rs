@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 pub struct EngineScratch {
     /// Index-level scratch (query-pivot distances, kNN heap).
     qs: QueryScratch,
-    /// The query's mapped point in pivot space (routed engines).
+    /// The query's mapped point in pivot space (empty on a plain engine).
     mapped: Vec<f64>,
     /// Range probe plan: shards that must be probed.
     probe: Vec<usize>,
@@ -560,56 +560,34 @@ impl<O> EngineCore<O> {
         // rest see only the plain per-shard probe tally.
         let mut clock = ObsClock::start(obs.sampled);
         let mut tclock = ObsClock::start(trace.active);
-        match &snap.router {
-            Some(rt) => {
-                rt.map_into(q, mapped);
-                rt.range_plan_into(mapped, radius, probe);
-                if obs.timing {
-                    obs.map_dists += mapped.len() as u64;
-                }
-            }
-            None => {
-                probe.clear();
-                probe.extend(0..snap.shards.len());
-            }
+        let rt = &snap.router;
+        rt.map_into(q, mapped);
+        rt.range_plan_into(mapped, radius, probe);
+        if obs.timing {
+            obs.map_dists += mapped.len() as u64;
         }
         obs.plan_nanos += clock.lap();
         if trace.active {
             // Per-shard plan verdicts: range planning keeps shard order, so
             // the probe rank is the position in the (ascending) probe set.
-            match &snap.router {
-                Some(rt) => {
-                    let mut next = probe.iter().peekable();
-                    let mut rank = 0u32;
-                    for (s, b) in rt.boxes().iter().enumerate() {
-                        let probed = next.peek() == Some(&&s);
-                        let order = if probed {
-                            next.next();
-                            rank += 1;
-                            rank - 1
-                        } else {
-                            u32::MAX
-                        };
-                        trace.ring.push(TraceEvent::Plan {
-                            shard: s as u32,
-                            lower_bound: b.lower_bound(mapped),
-                            probed,
-                            order,
-                            centre_dist: 0.0,
-                        });
-                    }
-                }
-                None => {
-                    for s in 0..snap.shards.len() {
-                        trace.ring.push(TraceEvent::Plan {
-                            shard: s as u32,
-                            lower_bound: 0.0,
-                            probed: true,
-                            order: s as u32,
-                            centre_dist: 0.0,
-                        });
-                    }
-                }
+            let mut next = probe.iter().peekable();
+            let mut rank = 0u32;
+            for (s, b) in rt.boxes().iter().enumerate() {
+                let probed = next.peek() == Some(&&s);
+                let order = if probed {
+                    next.next();
+                    rank += 1;
+                    rank - 1
+                } else {
+                    u32::MAX
+                };
+                trace.ring.push(TraceEvent::Plan {
+                    shard: s as u32,
+                    lower_bound: b.lower_bound(mapped),
+                    probed,
+                    order,
+                    centre_dist: 0.0,
+                });
             }
             trace.ring.push(TraceEvent::PlanDone {
                 shards: snap.shards.len() as u32,
@@ -652,7 +630,7 @@ impl<O> EngineCore<O> {
     }
 
     /// Probes `MkNNQ(q, k)` serially into the scratch's bounded top-k
-    /// collector. Routed engines go best-first by box lower bound — bound
+    /// collector. Shards go best-first by box lower bound — bound
     /// ties by the nearer centre, whose shard then seeds the radius — and
     /// skip every shard whose bound exceeds the current k-th distance
     /// (strictly — an equal bound could still hide an id-tie winner).
@@ -678,30 +656,21 @@ impl<O> EngineCore<O> {
         topk.reset(k);
         let mut clock = ObsClock::start(obs.sampled);
         let mut tclock = ObsClock::start(trace.active);
-        match &snap.router {
-            Some(rt) => {
-                rt.map_into(q, mapped);
-                rt.knn_order_into(mapped, order);
-                if obs.timing {
-                    obs.map_dists += mapped.len() as u64;
-                }
-            }
-            // No boxes: every shard in shard order under a zero bound,
-            // which is never `> threshold`.
-            None => {
-                mapped.clear();
-                order.clear();
-                order.extend((0..snap.shards.len()).map(|s| (s, 0.0)));
-            }
+        let rt = &snap.router;
+        rt.map_into(q, mapped);
+        rt.knn_order_into(mapped, order);
+        if obs.timing {
+            obs.map_dists += mapped.len() as u64;
         }
         obs.plan_nanos += clock.lap();
         let plan_nanos = tclock.lap();
         let (mut probed, mut pruned) = (0usize, 0usize);
         for (rank, &(s, lb)) in order.iter().enumerate() {
             // Traced queries record the key that ranked bound ties too.
-            let centre_dist = match &snap.router {
-                Some(rt) if trace.active => rt.centre_distance(s, mapped),
-                _ => 0.0,
+            let centre_dist = if trace.active {
+                rt.centre_distance(s, mapped)
+            } else {
+                0.0
             };
             if lb > topk.threshold() {
                 pruned += 1;
@@ -1290,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_counts_all_probes() {
+    fn a_plain_engine_counts_a_probe_of_every_shard() {
         let e = engine(100, 4, 1);
         e.reset_counters();
         let out = e.serve(&[
@@ -1467,7 +1436,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_traces_probe_every_shard() {
+    fn a_plain_engine_traces_a_probe_of_every_shard() {
         let e = engine(40, 4, 1);
         e.set_trace_policy(TracePolicy::sample(1).with_max_captured(16));
         let q = grid(40)[7].clone();

@@ -177,8 +177,8 @@ pub struct ServeReport {
     /// counts through atomic counters.
     pub cost: Counters,
     /// Exact number of shard probes executed across the batch (a query
-    /// touching 3 of 8 shards adds 3). A plain (unrouted) engine always
-    /// probes `queries × shards`.
+    /// touching 3 of 8 shards adds 3). A plain engine (zero-width pivot
+    /// space) always probes `queries × shards`.
     pub shards_probed: u64,
     /// Exact number of shard probes avoided by pivot-space routing across
     /// the batch (the same query adds 5). Always 0 for a plain engine.

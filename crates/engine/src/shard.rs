@@ -24,50 +24,44 @@ pub struct Shard<O> {
     /// [`fork`](Self::fork).
     global_ids: CowVec<ObjId>,
     /// The members' stored pivot-distance rows, slot-aligned with
-    /// `global_ids` (a tombstoned slot keeps its row), on an engine that
-    /// holds a pivot space and whose index did not take them
-    /// ([`MetricIndex::pivot_rows`] is `None`). Routing state, not index
-    /// state: outside [`storage`](Self::storage).
+    /// `global_ids` (a tombstoned slot keeps its row), unless the index
+    /// holds them: `None` iff [`MetricIndex::pivot_rows`] has the engine's
+    /// width. Routing state, not index state: outside
+    /// [`storage`](Self::storage).
     rows: Option<PivotColumns>,
 }
 
 impl<O> Shard<O> {
     /// Wraps a freshly built index whose insertion order matched
     /// `global_ids` (i.e. local id `i` holds the object with global id
-    /// `global_ids[i]`). On an engine that holds a pivot space, `rows` are
-    /// the members' rows in that order: an index that adopted them (it was
-    /// built from a clone of `rows`, sharing the storage) answers
-    /// [`pivot_row`](Self::pivot_row) itself; otherwise the shard keeps
-    /// them.
-    pub fn new(
-        index: Box<dyn MetricIndex<O>>,
-        global_ids: Vec<ObjId>,
-        rows: Option<PivotColumns>,
-    ) -> Self {
+    /// `global_ids[i]`); `rows` are the members' rows of the engine's pivot
+    /// space in that order. An index whose rows have the engine's width
+    /// adopted them (it was built from a clone of `rows`, sharing the
+    /// storage) and answers [`pivot_row`](Self::pivot_row) itself;
+    /// otherwise — no rows, or rows over pivots of its own — the shard
+    /// keeps them.
+    pub fn new(index: Box<dyn MetricIndex<O>>, global_ids: Vec<ObjId>, rows: PivotColumns) -> Self {
         debug_assert_eq!(index.len(), global_ids.len());
-        debug_assert!(rows.iter().all(|r| r.rows() == global_ids.len()));
+        debug_assert_eq!(rows.rows(), global_ids.len());
+        let adopted = index.pivot_rows().map(PivotColumns::width) == Some(rows.width());
         Shard {
-            rows: rows.filter(|_| index.pivot_rows().is_none()),
+            rows: (!adopted).then_some(rows),
             index,
             global_ids: global_ids.into(),
         }
     }
 
     /// The stored pivot-distance row of local slot `local`, live or
-    /// tombstoned — from the index's own rows or the ones the shard holds.
+    /// tombstoned — from the index's rows or the ones the shard holds.
     /// Each value is the lower edge of a bucket and stands for every true
     /// distance in its
     /// [`stored_interval`](pmi_metric::matrix::stored_interval).
-    ///
-    /// # Panics
-    ///
-    /// If neither holds any: the engine has no pivot space.
     pub fn pivot_row(&self, local: ObjId) -> impl Iterator<Item = f64> + '_ {
-        self.rows
-            .as_ref()
-            .or_else(|| self.index.pivot_rows())
-            .expect("a shard of an engine with a pivot space carries its rows")
-            .row(local as usize)
+        match &self.rows {
+            Some(rows) => rows,
+            None => self.index.pivot_rows().expect("the index holds the rows"),
+        }
+        .row(local as usize)
     }
 
     /// Number of live objects in this shard.
@@ -150,45 +144,38 @@ impl<O> Shard<O> {
         }
     }
 
-    /// Inserts an object carrying a global id; records the mapping.
-    pub fn insert(&mut self, o: O, global: ObjId) -> ObjId {
-        let local = self.index.insert(o);
+    /// Inserts an object carrying a global id, with the pivot row the
+    /// engine already computed: an index that holds the engine's rows
+    /// appends it (no remap); otherwise the index takes a plain insert and
+    /// the shard keeps the row.
+    pub fn insert_adopted(&mut self, o: O, global: ObjId, row: &[f64]) -> ObjId {
+        let local = match &mut self.rows {
+            None => self.index.insert_adopted(o, row),
+            Some(rows) => {
+                let local = self.index.insert(o);
+                let slot = rows.push_row(row);
+                assert_eq!(slot, local as usize, "routing rows stay slot-aligned");
+                local
+            }
+        };
         self.note_mapping(local, global);
         local
-    }
-
-    /// Inserts an object whose pivot row the engine already computed:
-    /// indexes that own their rows append it (no remap); for everything
-    /// else the index takes a plain [`insert`](Self::insert) and the shard
-    /// keeps the row.
-    pub fn insert_adopted(&mut self, o: O, global: ObjId, row: &[f64]) -> ObjId {
-        match self.index.insert_adopted(o, row) {
-            Ok(local) => {
-                self.note_mapping(local, global);
-                local
-            }
-            Err(o) => {
-                let local = self.insert(o, global);
-                if let Some(rows) = &mut self.rows {
-                    let slot = rows.push_row(row);
-                    assert_eq!(slot, local as usize, "routing rows stay slot-aligned");
-                }
-                local
-            }
-        }
     }
 
     /// Engine-level compaction of the wrapped index: `keep` are the old
     /// local ids of this shard's survivors (ascending global id), `gids`
     /// their new global ids. An index that compacts
     /// ([`MetricIndex::compact_rows`]) holds survivor `i` at local id `i`
-    /// afterwards, so the local→global table is replaced wholesale. Returns
-    /// whether it did: other kinds keep their tombstones (and the shard
-    /// its slot-aligned rows); only the live slots' global ids are
-    /// rewritten then.
+    /// afterwards, so the local→global table — and the rows the shard
+    /// holds, if any — are replaced wholesale. Returns whether it did:
+    /// other kinds keep their tombstones (and the shard its slot-aligned
+    /// rows); only the live slots' global ids are rewritten then.
     pub fn compact_rows(&mut self, keep: &[ObjId], gids: &[ObjId]) -> bool {
         if self.index.compact_rows(keep) {
             self.global_ids = gids.iter().copied().collect();
+            if let Some(rows) = &mut self.rows {
+                *rows = rows.select(keep);
+            }
             true
         } else {
             for (&local, &gid) in keep.iter().zip(gids) {
@@ -301,7 +288,8 @@ mod tests {
         // Shard holds objects with global ids 4, 9, 14.
         let objs = vec![vec![0.0f32], vec![10.0], vec![20.0]];
         let idx = Box::new(BruteForce::new(objs.clone(), L2));
-        let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14], None);
+        let rows = PivotColumns::from_rows(0, 1.0, [[0.0; 0]; 3]);
+        let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14], rows);
         let mut qs = QueryScratch::new();
         let mut hits = Vec::new();
         shard.range_global_into(&vec![0.0f32], 10.5, &mut qs, &mut hits);
@@ -318,8 +306,10 @@ mod tests {
     #[test]
     fn insert_extends_mapping() {
         let idx = Box::new(BruteForce::new(vec![vec![0.0f32]], L2));
-        let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7], None);
-        shard.insert(vec![5.0f32], 42);
+        let rows = PivotColumns::from_rows(1, 1.0, [[0.0]]);
+        let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7], rows);
+        shard.insert_adopted(vec![5.0f32], 42, &[5.0]);
+        assert!(shard.pivot_row(1).eq([5.0]), "the shard keeps the row");
         assert_eq!(shard.len(), 2);
         let mut hits = Vec::new();
         shard.range_global_into(&vec![5.0f32], 0.1, &mut QueryScratch::new(), &mut hits);

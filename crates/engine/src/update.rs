@@ -81,8 +81,9 @@ impl<O> FromIterator<UpdateOp<O>> for UpdateBatch<O> {
 /// than `max_imbalance ×` the emptiest shard's live objects (and the pair
 /// is big enough to matter), the worst pair is re-split by 2-means over the
 /// members' mapped rows — an incremental rebalance instead of a full
-/// rebuild. Only routed engines re-cluster; a plain engine's contiguous
-/// runs are balanced by construction.
+/// rebuild. Over a plain engine's zero-width rows the re-split is the
+/// partitioner's fallback: the pair's members, in global-id order, cut
+/// into two contiguous runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RefreshPolicy {
     /// Trigger threshold: re-cluster when `max_len > max_imbalance *
@@ -121,8 +122,9 @@ impl Default for RefreshPolicy {
 /// When `apply` compacts the shards' pivot rows: after a batch, if the
 /// fraction of dead (tombstoned) rows among all rows ever handed out
 /// exceeds `max_dead_fraction` (and there are at least `min_dead_rows` of
-/// them), the engine renumbers the survivors densely, has every shard
-/// that owns its rows drop the dead ones, and remaps its own id tables — see
+/// them), the engine — plain or routed — re-partitions and renumbers the
+/// survivors densely, has every shard whose index compacts drop the dead
+/// rows, and remaps its own id tables — see
 /// [`ShardedEngine::compact`](crate::ShardedEngine::compact). Serving after
 /// a compaction is byte-identical to a from-scratch rebuild over the
 /// survivors (with the rebuild's dense ids), which is exactly what closes

@@ -93,24 +93,25 @@ pub trait MetricIndex<O>: Send + Sync {
     /// Inserts an object whose pivot-distance row the caller already
     /// computed (`row`, its distances to the shared pivot set) — the
     /// sharded engine's mutation path, which maps each insert into pivot
-    /// space exactly once. Kinds that own such rows
-    /// ([`pivot_rows`](Self::pivot_rows)) store and append `row` without
-    /// computing any distance beyond what their auxiliary structures need
-    /// (e.g. CPT's M-tree clustering). Every other kind returns `Err(o)`,
-    /// handing the object back so the caller can fall back to
+    /// space exactly once and calls this only on an index whose
+    /// [`pivot_rows`](Self::pivot_rows) are the engine's. Kinds that own
+    /// such rows store and append `row` without computing any distance
+    /// beyond what their auxiliary structures need (e.g. CPT's M-tree
+    /// clustering). A kind that keeps no rows ignores `row` and calls
     /// [`insert`](Self::insert).
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
         let _ = row;
-        Err(o)
+        self.insert(o)
     }
 
     /// The stored pivot-distance rows this index owns and scans, aligned
     /// with its slot ids (a tombstoned slot keeps its row) — LAESA, CPT and
-    /// an engine's FQA shard, all one pivot table. On an engine built over a pivot matrix they are the
-    /// shard's share of it: what the engine reads to maintain routing boxes
-    /// and to move objects between shards without recomputing a distance.
-    /// `None` for kinds that keep no such rows — their shard holds them
-    /// itself.
+    /// an engine's FQA shard, all one pivot table. When they have the
+    /// engine's width they are the shard's share of its pivot space: what
+    /// the engine reads to maintain routing boxes and to move objects
+    /// between shards without recomputing a distance. `None` for kinds
+    /// that keep no such rows; their shard holds its rows itself, as it
+    /// does beside an index whose rows are over pivots of its own.
     fn pivot_rows(&self) -> Option<&PivotColumns> {
         None
     }

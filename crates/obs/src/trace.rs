@@ -114,7 +114,7 @@ pub enum TraceEvent {
         /// Squared pivot-space distance from the mapped query to the
         /// shard's centre: the key a kNN plan ranks shards by where their
         /// bounds tie (`∞` for a shard without members). 0 where no centre
-        /// is consulted — range plans and plain engines.
+        /// is consulted — range plans — and over a zero-width pivot space.
         centre_dist: f64,
     },
     /// Planning finished: totals plus the plan-stage wall.

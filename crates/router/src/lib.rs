@@ -8,8 +8,9 @@
 //! shards:
 //!
 //! * [`partition::partition_pivot_space`] clusters the dataset's
-//!   pivot-distance vectors (balanced k-means-style in pivot space, with a
-//!   stride fallback for degenerate inputs), so each shard holds a
+//!   pivot-distance vectors (balanced k-means-style in pivot space, with
+//!   balanced contiguous runs as the fallback for degenerate inputs — a
+//!   zero-width pivot space among them), so each shard holds a
 //!   compact region of the pivot space. The balanced step is a deferred
 //!   acceptance between points and shards: linear passes over the matrix
 //!   rows, `O(n)` extra memory, run on the build's threads with an
@@ -46,13 +47,14 @@
 //! answers are *identical* to probing every shard — pruning only ever
 //! removes shards that provably contain no answers.
 //!
-//! The engine builds and stores a [`RoutingTable`] whenever it holds a
-//! pivot space; the table maps query and inserted objects into pivot space
-//! through the engine's one mapper, so the engine itself stays
+//! Every engine builds and stores a [`RoutingTable`]: an engine without
+//! pivots holds a zero-width pivot space, whose boxes bound nothing, so it
+//! plans every shard. The table maps query and inserted objects into pivot
+//! space through the engine's one [`Mapper`], so the engine itself stays
 //! metric-agnostic.
 
 pub mod partition;
 pub mod table;
 
-pub use partition::{assign_pivot_space, assign_round_robin, partition_pivot_space, Partition};
+pub use partition::{assign_pivot_space, partition_pivot_space, Partition};
 pub use table::{Mapper, RoutingTable};

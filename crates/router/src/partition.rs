@@ -6,8 +6,10 @@
 //! `ceil(n / P)` objects and none is left empty), so routing quality never
 //! comes at the price of a hot shard. Degenerate inputs — one shard, no
 //! pivots, fewer objects than shards, or a dataset whose mapped points are
-//! all identical — fall back to the stride ([`assign_round_robin`]), which
-//! is always valid.
+//! all identical — fall back to balanced contiguous runs
+//! (`balanced_runs`), which are always valid. A zero-width pivot space —
+//! an engine's `Layout::plain()` — is such an input, so this one fallback
+//! is what an engine without pivots is cut into.
 //!
 //! Every step is a linear pass over the matrix rows plus work proportional
 //! to the proposals a full shard turns away. The per-object passes run over
@@ -46,13 +48,15 @@ const PREFETCH_AHEAD: usize = 16;
 /// Centroids per block of the distance kernel ([`Lanes`]).
 const LANES: usize = 8;
 
-/// The stride: object `i` to shard `i % shards`. Always valid and within
-/// one object of balanced, so it is [`partition_pivot_space`]'s fallback
-/// for inputs clustering cannot help — not what an unrouted engine is cut
-/// into, which is balanced contiguous runs.
-pub fn assign_round_robin(n: usize, shards: usize) -> Vec<usize> {
+/// Balanced contiguous runs: shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋
+/// objects in order. Always valid and within one object of balanced, so it
+/// is [`partition_pivot_space`]'s fallback for inputs clustering cannot
+/// help.
+fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
     let shards = shards.max(1);
-    (0..n).map(|i| i % shards).collect()
+    (0..shards)
+        .flat_map(|s| std::iter::repeat_n(s, n / shards + usize::from(s < n % shards)))
+        .collect()
 }
 
 #[inline]
@@ -65,7 +69,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 pub struct Partition {
     /// The shard of each object.
     pub assignment: Vec<usize>,
-    /// Balanced-assignment iterations run (0 on a stride fallback).
+    /// Balanced-assignment iterations run (0 on the fallback).
     pub iters: u64,
     /// Proposals a full shard turned away, over all iterations: every one
     /// made its point recompute its next-nearest centroid.
@@ -88,8 +92,8 @@ pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, seed: u64) -> Vec
 /// few rounds of: balanced nearest-centroid assignment, centroid
 /// recomputation. The assignment step guarantees every shard gets at least
 /// one object and at most `ceil(n / shards)`, so shards stay within one
-/// object of perfectly balanced. Falls back to the stride when clustering
-/// cannot help (see module docs).
+/// object of perfectly balanced. Falls back to balanced contiguous runs
+/// when clustering cannot help (see module docs).
 ///
 /// Runs in `O(iters · n · shards)` distance computations, plus per rejected
 /// proposal `shards` more and one `O(log n)` heap step (at most
@@ -114,7 +118,7 @@ pub fn partition_pivot_space(
     let p = shards.max(1).min(n.max(1));
     let dim = mapped.width();
     let fallback = || Partition {
-        assignment: assign_round_robin(n, p),
+        assignment: balanced_runs(n, p),
         iters: 0,
         rejected: 0,
         rounds: 0,
@@ -731,22 +735,25 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_fallbacks() {
-        assert_eq!(assign_round_robin(5, 2), vec![0, 1, 0, 1, 0]);
+    fn degenerate_inputs_fall_back_to_balanced_runs() {
+        assert_eq!(balanced_runs(10, 3), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
+        assert_eq!(balanced_runs(5, 2), [0, 0, 0, 1, 1]);
+        assert_eq!(balanced_runs(2, 2), [0, 1]);
+        assert!(balanced_runs(0, 1).is_empty());
         // One shard.
         assert_eq!(
             assign_pivot_space(&blobs(4, &[(0.0, 0.0)]), 1, 7),
             vec![0; 4]
         );
-        // Zero-dimensional mapped points (no pivots).
+        // Zero-dimensional mapped points (no pivots): a plain engine's cut.
         let mut flat = PivotMatrix::new(0);
         for _ in 0..3 {
             flat.push_row(&[]);
         }
-        assert_eq!(assign_pivot_space(&flat, 2, 7), vec![0, 1, 0]);
+        assert_eq!(assign_pivot_space(&flat, 2, 7), vec![0, 0, 1]);
         // All mapped points identical.
         let same = PivotMatrix::from_rows(2, vec![[3.0, 3.0]; 6]);
-        assert_eq!(assign_pivot_space(&same, 3, 7), vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(assign_pivot_space(&same, 3, 7), vec![0, 0, 1, 1, 2, 2]);
         // Fewer objects than shards.
         assert_eq!(
             assign_pivot_space(&blobs(2, &[(0.0, 0.0)]), 5, 7),

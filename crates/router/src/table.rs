@@ -6,16 +6,14 @@ use pmi_metric::matrix::snap;
 use pmi_metric::PivotMatrix;
 use std::sync::Arc;
 
-/// Boxed pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to the
+/// The pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to the
 /// caller's buffer. The write-into shape keeps the serving hot loop free of
 /// per-query allocations — workers reuse one buffer across a whole batch.
-pub type Mapper<O> = Box<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
-
-/// The shared form the table stores: cloning a [`RoutingTable`] shares the
-/// mapper and copies only the boxes (copy-on-write rebox — the engine's
-/// apply transaction clones the table, mutates the clone's boxes, and
-/// publishes it with the next engine snapshot).
-type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
+/// Shared: cloning a [`RoutingTable`] shares the mapper and copies only the
+/// boxes (copy-on-write rebox — the engine's apply transaction clones the
+/// table, mutates the clone's boxes, and publishes it with the next engine
+/// snapshot).
+pub type Mapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
 /// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and, per
@@ -63,7 +61,7 @@ type SharedMapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 /// snapshot, and the apply transaction reboxes a copy-on-write clone off to
 /// the side.
 pub struct RoutingTable<O> {
-    mapper: SharedMapper<O>,
+    mapper: Mapper<O>,
     boxes: Vec<Mbb>,
     /// Shard-major, one box dimension each: `sums[s * dim..][..dim]` is Σ
     /// of shard `s`'s live stored rows.
@@ -98,15 +96,14 @@ impl<O> RoutingTable<O> {
     /// of its argument under the *same* pivots and metric that produced
     /// `mapped`.
     pub fn from_assignment(
-        mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
-        dim: usize,
+        mapper: Mapper<O>,
         mapped: &PivotMatrix,
         assignment: &[usize],
         shards: usize,
         step: f64,
     ) -> Self {
         debug_assert_eq!(mapped.rows(), assignment.len());
-        debug_assert_eq!(mapped.width(), dim);
+        let dim = mapped.width();
         // Flooring to a bucket is monotone, so the box of the stored values
         // is the stored form of the exact rows' box: take that (two
         // compares a value), then widen each occupied box once.
@@ -126,7 +123,7 @@ impl<O> RoutingTable<O> {
             b.extend_stored(e.hi().iter().map(|&x| snap(x, step)), step);
         }
         RoutingTable {
-            mapper: Arc::new(mapper),
+            mapper,
             boxes,
             sums,
             counts,
@@ -304,8 +301,7 @@ mod tests {
         let mapped = PivotMatrix::from_rows(1, points.iter().map(|&(x, _)| [x.abs()]));
         let assignment: Vec<usize> = points.iter().map(|&(_, s)| s).collect();
         RoutingTable::from_assignment(
-            |q: &f64, out: &mut Vec<f64>| out.push(q.abs()),
-            1,
+            Arc::new(|q: &f64, out: &mut Vec<f64>| out.push(q.abs())),
             &mapped,
             &assignment,
             shards,
@@ -543,8 +539,7 @@ mod tests {
             let rows: Vec<Vec<f64>> = cells.iter().map(|&(c, _)| point(c)).collect();
             let assignment: Vec<usize> = cells.iter().map(|&(_, s)| s % shards).collect();
             let mut t = RoutingTable::from_assignment(
-                |_: &f64, _: &mut Vec<f64>| {},
-                width,
+                Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
                 &PivotMatrix::from_rows(width, &rows),
                 &assignment,
                 shards,

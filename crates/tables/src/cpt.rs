@@ -151,11 +151,11 @@ where
         self.push(&o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
         // The `n · l` table row comes with the object; only the M-tree
         // clustering computes distances (its normal insert cost).
         let local = self.table.push(row);
-        Ok(self.push(&o, local))
+        self.push(&o, local)
     }
 
     fn pivot_rows(&self) -> Option<&PivotColumns> {

@@ -166,10 +166,10 @@ where
         self.push(o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> Result<ObjId, O> {
+    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
         // The caller already mapped the object: zero distance computations.
         let local = self.table.push(row);
-        Ok(self.push(o, local))
+        self.push(o, local)
     }
 
     fn pivot_rows(&self) -> Option<&PivotColumns> {
@@ -267,9 +267,7 @@ mod tests {
         let row: Vec<f64> = plain.table.pivots.iter().map(|p| L2.dist(&o, p)).collect();
         adopted.reset_counters();
         plain.reset_counters();
-        let a = adopted
-            .insert_adopted(o.clone(), &row)
-            .expect("LAESA owns its rows");
+        let a = adopted.insert_adopted(o.clone(), &row);
         let b = plain.insert(o.clone());
         assert_eq!(a, b, "same slot id");
         assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");

@@ -95,7 +95,13 @@ fn blobs_prune_shards_and_match_baseline_exactly() {
         build_index(kind, part, L2, pivots.clone(), &opts)
     })
     .unwrap();
-    assert!(routed.routing().is_some() && plain.routing().is_none());
+    // A plain layout is the zero-width pivot space: its boxes bound
+    // nothing, so its table plans every shard.
+    let table = plain.routing().expect("every engine routes");
+    assert!(table.boxes().iter().all(|b| b.dim() == 0));
+    let mut plan = Vec::new();
+    table.range_plan_into(&[], 120.0, &mut plan);
+    assert_eq!(plan, (0..8).collect::<Vec<_>>());
 
     // Selective radius: ~a blob's core, far below the inter-blob spacing.
     let batch: Vec<Query<Vec<f32>>> = (0..200)

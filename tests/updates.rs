@@ -190,7 +190,6 @@ where
         ..EngineConfig::default()
     };
     ShardedEngine::build(objs, layout, &cfg, |_, part, rows| {
-        let rows = rows.expect("a pivot space hands every factory its rows");
         build_index_with_matrix(kind, part, metric.clone(), pivots.to_vec(), opts, rows)
     })
     .unwrap()
@@ -721,6 +720,72 @@ fn recluster_trigger_rebalances_under_skewed_growth() {
             assert!((g.dist - w.dist).abs() < 1e-9, "post-recluster kNN");
         }
     }
+}
+
+/// A plain engine is the zero-width pivot space, and its LAESA shards scan
+/// rows over pivots of their own: each shard keeps the engine's zero-width
+/// rows beside its index. A batch that empties most of one shard trips the
+/// `RefreshPolicy`, re-clusters over those rows and commits; `compact()`
+/// then drops every dead row, the shard's rows with its index's. A shard
+/// that read its index's private rows here would abort the batch.
+#[test]
+fn a_plain_engine_with_private_pivot_rows_reclusters_and_compacts() {
+    let pts = datasets::la(600, 21);
+    let opts = engine_opts(5);
+    let cfg = EngineConfig {
+        shards: 3,
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let mut e = ShardedEngine::build(pts.clone(), Layout::plain(), &cfg, |_, part, _| {
+        let pivots = hfi_pivots(&part, opts.num_pivots);
+        build_index(IndexKind::Laesa, part, L2, pivots, &opts)
+    })
+    .unwrap();
+    let mut oracle = BruteForce::new(pts.clone(), L2);
+    // The survivors are ids 180.., and a compaction renumbers them from 0.
+    let matches_oracle = |e: &ShardedEngine<Vec<f32>>, oracle: &BruteForce<_, _>, shift| {
+        for q in pts.iter().step_by(37) {
+            let got: Vec<ObjId> = e.range_query(q, 700.0).iter().map(|g| g + shift).collect();
+            let mut want = oracle.range_query(q, 700.0);
+            want.sort_unstable();
+            assert_eq!(got, want, "MRQ");
+            let got: Vec<(ObjId, u64)> = e
+                .knn_query(q, 10)
+                .iter()
+                .map(|n| (n.id + shift, n.dist.to_bits()))
+                .collect();
+            let want: Vec<(ObjId, u64)> = oracle
+                .knn_query(q, 10)
+                .iter()
+                .map(|n| (n.id, n.dist.to_bits()))
+                .collect();
+            assert_eq!(got, want, "kNN");
+        }
+    };
+
+    let mut batch = UpdateBatch::new();
+    for gid in 0..180 {
+        batch.remove(gid);
+        assert!(oracle.remove(gid));
+    }
+    let report = e.apply(&batch);
+    assert!(!report.aborted, "the batch commits");
+    assert_eq!((report.removes, report.reclusters), (180, 1));
+    assert_eq!(e.len(), 420);
+    matches_oracle(&e, &oracle, 0);
+
+    assert_eq!(e.compact(), 180);
+    assert_eq!(e.len(), 420);
+    matches_oracle(&e, &oracle, 180);
+
+    // The rows a shard keeps were compacted with its index, so the next
+    // insert lands in step.
+    let mut batch = UpdateBatch::new();
+    batch.insert(pts[0].clone());
+    assert_eq!(e.apply(&batch).inserted_ids, [420]);
+    assert_eq!(oracle.insert(pts[0].clone()), 600);
+    matches_oracle(&e, &oracle, 180);
 }
 
 fn vecs(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f32>>> {
