@@ -274,7 +274,10 @@ mod tests {
         assert!(count(partition, "rejected").unwrap() > 0);
         // A rejection is made in a deferred-acceptance round.
         assert!(count(partition, "rounds").unwrap() >= 1);
-        for path in ["build.matrix", "build.shards"] {
+        // The split between the partition and the shard builds — the
+        // objects' moves, the shards' columns and the routing table — is a
+        // phase of its own, so that no build time is left unlabelled.
+        for path in ["build.matrix", "build.split", "build.shards"] {
             assert!(phase(path).wall_secs > 0.0, "{path}");
         }
     }

@@ -1,8 +1,11 @@
 //! The one constructor: the [`Layout`] it builds over and everything it
-//! derives from the layout's pivot space — the rows, the membership, the
-//! routing boxes, each shard's own stored columns — before it indexes the
-//! partitions. A child of the `engine` module, so it fills the engine's
-//! private state directly.
+//! derives from the layout's pivot space — the rows, the membership, each
+//! shard's own stored columns and the routing boxes read off them — before
+//! it indexes the partitions. Its phases are laps of one clock:
+//! `build.matrix`, `build.partition`, `build.split` (the objects' moves,
+//! the columns, the routing table) and `build.shards`, all inside `build`.
+//! A child of the `engine` module, so it fills the engine's private state
+//! directly.
 
 use super::{
     resolve_threads, EngineConfig, EngineCore, EngineError, EngineSnapshot, Locator, ObsClock,
@@ -83,15 +86,17 @@ impl<O> ShardedEngine<O> {
     ///    [`compact`](Self::compact) repeats over the survivors; balanced
     ///    contiguous runs over a zero-width space), or the layout's
     ///    explicit one;
-    /// 3. the [`RoutingTable`]: one box per shard over what it stores of
-    ///    its members' rows, and the mapper, which queries and inserts map
-    ///    through;
-    /// 4. each shard's rows, stored once as its own planar u16 bucket
+    /// 3. each shard's rows, stored once as its own planar u16 bucket
     ///    columns ([`PivotColumns`]) under the matrix's one step
     ///    ([`PivotMatrix::step`], which the routing table gets too, and
-    ///    which every later insert, fork and compaction keeps) — the only
-    ///    form any shard, index or snapshot holds them in; the full f64
-    ///    matrix is dropped before the first shard table exists.
+    ///    which every later insert, fork and compaction keeps) — encoded
+    ///    shard by shard on the build's workers, the only form any shard,
+    ///    index or snapshot holds them in; the full f64 matrix is dropped
+    ///    before the first shard table exists;
+    /// 4. the [`RoutingTable`], read off those columns
+    ///    ([`RoutingTable::from_columns`]): one box per shard over what it
+    ///    stores of its members' rows, and the mapper, which queries and
+    ///    inserts map through.
     ///
     /// The factory receives `(shard_number, partition, rows)` and must
     /// insert the partition in order, so that local id `i` is the `i`-th
@@ -193,28 +198,27 @@ impl<O> ShardedEngine<O> {
                 part.assignment.into()
             }
         };
-        let router = RoutingTable::from_assignment(mapper, &rows, &membership, num_shards, step);
         let partition_nanos = clock.lap();
         if let Some(counters) = partitioned {
             obs.phase_add("build.partition", 1, partition_nanos, &counters);
         }
 
-        // Every partition stores its members' rows as columns of its own,
-        // all under the matrix's one step, and the full matrix is dropped,
-        // so the two coexist only here — before a single shard table,
-        // locator or id table exists.
-        let parts: Vec<MatrixPart<O>> = partition_by_assignment(objects, &membership, num_shards)
-            .into_iter()
-            .map(|(objs, gids)| {
-                let members = gids.iter().map(|&g| rows.row(g as usize));
-                let own = PivotColumns::from_rows(width, step, members);
-                ((objs, gids), own)
-            })
-            .collect();
+        // The split: the objects move to their partitions, every partition
+        // stores its members' rows as columns of its own — encoded shard by
+        // shard on the workers, all under the matrix's one step — the
+        // routing table is read off those columns, and the full matrix is
+        // dropped, so the two coexist only here: before a single shard
+        // table, locator or id table exists.
+        let parts = partition_by_assignment(objects, &membership, num_shards);
         drop(membership);
+        let members: Vec<&[ObjId]> = parts.iter().map(|(_, gids)| gids.as_slice()).collect();
+        let columns = claim_each(members, threads, |gids| {
+            PivotColumns::from_rows(width, step, gids.iter().map(|&g| rows.row(g as usize)))
+        });
         drop(rows);
-        // The split belongs to no child phase.
-        clock.lap();
+        let router = RoutingTable::from_columns(mapper, step, &columns);
+        obs.phase_add("build.split", 1, clock.lap(), &[]);
+        let parts: Vec<MatrixPart<O>> = parts.into_iter().zip(columns).collect();
 
         // Shards in shard order, each built by the next free worker. The
         // factory gets a clone of the shard's rows (shared storage); the

@@ -258,8 +258,14 @@ pub(crate) fn partition_by_assignment<O>(
         assignment.len(),
         "one shard assignment per object"
     );
-    let shards = shards.max(1);
-    let mut parts: Vec<Partition<O>> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+    let mut sizes = vec![0usize; shards.max(1)];
+    for &s in assignment {
+        sizes[s] += 1;
+    }
+    let mut parts: Vec<Partition<O>> = sizes
+        .into_iter()
+        .map(|size| (Vec::with_capacity(size), Vec::with_capacity(size)))
+        .collect();
     for (i, o) in objects.into_iter().enumerate() {
         let s = assignment[i];
         parts[s].0.push(o);

@@ -193,10 +193,7 @@ pub fn dist8_calls() -> u64 {
 pub(crate) fn dist8_on<M: Lanes>(tier: SimdTier, m: &M, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
     DIST8_CALLS.with(|c| c.set(c.get() + 1));
     #[cfg(target_arch = "x86_64")]
-    if in_registers(a, || tier)
-        && b.iter().all(|b| b.len() == a.len())
-        && is_x86_feature_detected!("avx2")
-    {
+    if in_registers(a, || tier) && b.iter().all(|b| b.len() == a.len()) && simd::has_avx2() {
         // SAFETY: AVX2 detected and every length equal to `a`'s, just above.
         let s = unsafe { simd::x86::fold8_avx2(M::LANE, a, b) };
         return if M::LANE == Lane::Square {

@@ -392,6 +392,11 @@ impl PivotColumns {
         self.step
     }
 
+    /// Column `j`: the codes of every row against pivot `j`, in row order.
+    pub fn column(&self, j: usize) -> &CowVec<u16> {
+        &self.cols[j]
+    }
+
     /// The stored values of row `id`, pivot order: each the lower edge of
     /// its bucket ([`snap`] of the distance that was pushed), standing for
     /// its [`stored_interval`].

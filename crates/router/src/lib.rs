@@ -13,12 +13,14 @@
 //!   zero-width pivot space among them), so each shard holds a
 //!   compact region of the pivot space. The balanced step is a deferred
 //!   acceptance between points and shards: linear passes over the matrix
-//!   rows, `O(n)` extra memory, run on the build's threads with an
-//!   assignment that does not depend on how many there are
+//!   rows, `O(n)` extra memory, run on the build's threads and the CPU's
+//!   SIMD tier with an assignment that depends on neither
 //!   ([`partition::assign_pivot_space`] is its single-threaded form),
 //! * [`RoutingTable`] summarizes each shard as a minimum bounding box
 //!   ([`pmi_metric::lemmas::Mbb`]) and a centre (the mean) over its mapped
-//!   points, and plans queries against the summaries:
+//!   points — read off the shards' stored columns
+//!   ([`RoutingTable::from_columns`]) — and plans queries against the
+//!   summaries:
 //!   - **range**: a shard whose box satisfies `lemma1_box_prunable` cannot
 //!     hold any answer and is skipped outright
 //!     ([`RoutingTable::range_plan_into`]),

@@ -15,10 +15,14 @@
 //! to the proposals a full shard turns away. The per-object passes run over
 //! row ranges, and the per-shard work shard by shard, on up to `threads`
 //! workers with the caller one of them; every merge is exact, so the
-//! assignment does not depend on the thread count (see
-//! `docs/performance.md`, "Build and partition cost").
+//! assignment does not depend on the thread count. The distances to the
+//! centroids run on the SIMD tier [`simd::tier`] picks
+//! ([`CentroidLanes`]: the same bits on every tier), so it does not depend
+//! on the tier either (see `docs/performance.md`, "Build and partition
+//! cost").
 
-use pmi_metric::parallel::{claim_each, map_row_chunks};
+use pmi_metric::parallel::{claim_each, map_row_chunks, map_row_chunks_with};
+use pmi_metric::simd::{self, CentroidLanes, SimdTier};
 use pmi_metric::PivotMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -45,9 +49,6 @@ const MIN_PROPOSALS_PER_PART: usize = 4096;
 /// this many proposals of work cover a miss to memory.
 const PREFETCH_AHEAD: usize = 16;
 
-/// Centroids per block of the distance kernel ([`Lanes`]).
-const LANES: usize = 8;
-
 /// Balanced contiguous runs: shard `s` takes the next ⌈n/P⌉-or-⌊n/P⌋
 /// objects in order. Always valid and within one object of balanced, so it
 /// is [`partition_pivot_space`]'s fallback for inputs clustering cannot
@@ -59,6 +60,8 @@ fn balanced_runs(n: usize, shards: usize) -> Vec<usize> {
         .collect()
 }
 
+/// The squared Euclidean distance, one coordinate at a time: what every
+/// [`CentroidLanes`] lane computes, bit for bit, on every tier.
 #[inline]
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -103,12 +106,24 @@ pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, seed: u64) -> Vec
 /// and each round's next proposals run over row ranges, and the select,
 /// heapify and acceptances shard by shard, on up to `threads` workers, the
 /// caller one of them ([`pmi_metric::parallel`]); the partition is the same
-/// for every `threads`.
+/// for every `threads` and every SIMD tier.
 ///
 /// # Panics
 ///
 /// If the matrix has more than `u32::MAX` rows (object ids are `u32`).
 pub fn partition_pivot_space(
+    mapped: &PivotMatrix,
+    shards: usize,
+    seed: u64,
+    threads: usize,
+) -> Partition {
+    partition_on(simd::tier(), mapped, shards, seed, threads)
+}
+
+/// [`partition_pivot_space`] with the centroid distances on `tier`, which
+/// the tier-agreement tests pin.
+fn partition_on(
+    tier: SimdTier,
     mapped: &PivotMatrix,
     shards: usize,
     seed: u64,
@@ -173,8 +188,9 @@ pub fn partition_pivot_space(
     drop(nearest);
 
     let cap = n.div_ceil(p);
-    let mut work = Balancer::new(p);
-    let mut assignment = vec![usize::MAX; n];
+    let mut work = Balancer::new(p, tier);
+    // Shard ids are `u32` inside the loop (`p ≤ n` fits, checked above).
+    let mut assignment = vec![u32::MAX; n];
     let mut next = Vec::new();
     let mut iters = 0u64;
     let mut sums = vec![0.0f64; p * dim];
@@ -189,24 +205,31 @@ pub fn partition_pivot_space(
             &mut next,
         );
         iters += 1;
-        if next == assignment {
+        if iter + 1 == MAX_ITERS {
+            // Nothing reads the centroids after the last assignment, and
+            // the result is this one whether or not it moved a point.
+            std::mem::swap(&mut assignment, &mut next);
             break;
         }
-        std::mem::swap(&mut assignment, &mut next);
-        if iter + 1 == MAX_ITERS {
-            break; // nothing reads the centroids after the last assignment
-        }
-        // Standard k-means centroid update over the new groups. One
-        // sequential pass: a floating-point sum depends on its order, so
-        // splitting it over threads would tie the centroids — and through
-        // them the assignment — to the thread count.
+        // The convergence test and the standard k-means centroid sums over
+        // the new groups, in one sequential pass: a floating-point sum
+        // depends on its order, so splitting it over threads would tie the
+        // centroids — and through them the assignment — to the thread
+        // count.
         sums.fill(0.0);
         counts.fill(0);
-        for (m, &s) in rows.chunks_exact(dim).zip(&assignment) {
+        let mut moved = false;
+        for ((m, &s), &was) in rows.chunks_exact(dim).zip(&next).zip(&assignment) {
+            moved |= s != was;
+            let s = s as usize;
             counts[s] += 1;
-            for (acc, x) in sums[s * dim..(s + 1) * dim].iter_mut().zip(m) {
+            for (acc, x) in sums[s * dim..][..dim].iter_mut().zip(m) {
                 *acc += x;
             }
+        }
+        std::mem::swap(&mut assignment, &mut next);
+        if !moved {
+            break;
         }
         for (s, &count) in counts.iter().enumerate() {
             if count > 0 {
@@ -217,17 +240,26 @@ pub fn partition_pivot_space(
             }
         }
     }
+    let (rejected, rounds) = (work.rejected, work.rounds);
+    // The balancer's buffers go before the ids are widened.
+    drop((work, next));
     Partition {
-        assignment,
+        assignment: assignment.into_iter().map(|s| s as usize).collect(),
         iters,
-        rejected: work.rejected,
-        rounds: work.rounds,
+        rejected,
+        rounds,
     }
 }
 
-/// `(squared distance bits, id)`. Squared distances are non-negative, where
-/// the order of the raw `f64` bits is the numeric order, so these tuples
-/// compare exactly as the reference's `total_cmp`-then-id order.
+/// `(squared distance bits, id)`, compared as a `u64`, then the id. On
+/// non-negative distances the order of the raw `f64` bits is the numeric
+/// order, so for NaN-free rows these tuples compare exactly as the
+/// reference's `total_cmp`-then-id order. A NaN distance (`∞ − ∞`, from a
+/// row and a centroid with `+∞` in the same coordinate, is a NaN with the
+/// sign bit set on x86) ranks last here and first under `total_cmp`: the
+/// partition of rows with `+∞` coordinates is defined by this order, the
+/// same on every tier and thread count, and equals the reference's only
+/// where no distance is NaN.
 type Key = (u64, u32);
 
 /// A proposal: `(distance bits, shard, point)`. Flat, so that it packs
@@ -236,76 +268,21 @@ type Move = (u64, u32, u32);
 
 const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 
-/// Hints that the cache line holding `*at` is about to be used, without
-/// waiting for it. Does nothing off x86-64.
-#[inline(always)]
-fn prefetch<T>(at: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch only warms the cache: it cannot fault, changes
-    // nothing the program observes, and `at` is a live reference anyway.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((at as *const T).cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = at;
-}
-
-/// The one kernel for a row's squared distances to all `p` centroids. The
-/// centroids are copied centroid-major in blocks of [`LANES`], so one loop
-/// over a row's coordinates feeds a whole block; lane `j` of block `b` sums
-/// centroid `b · LANES + j`'s terms in dimension order from `0.0`. Those
-/// are [`sq_dist`]'s operations (whose `sum` may start from `-0.0`, which
-/// a first term `≥ +0.0` absorbs like `0.0`), so a distance has `sq_dist`'s
-/// bits for every `p`. The lanes past `p` in the last block hold zeros and
-/// are never reported.
-struct Lanes {
-    p: usize,
-    dim: usize,
-    /// Block `b`, coordinate `k`, at `blocks[b · dim + k]`.
-    blocks: Vec<[f64; LANES]>,
-}
-
-impl Lanes {
-    fn new(centroids: &[f64], dim: usize) -> Self {
-        let p = centroids.len() / dim;
-        let mut blocks = vec![[0.0; LANES]; p.div_ceil(LANES) * dim];
-        for (s, c) in centroids.chunks_exact(dim).enumerate() {
-            for (k, &x) in c.iter().enumerate() {
-                blocks[s / LANES * dim + k][s % LANES] = x;
-            }
-        }
-        Lanes { p, dim, blocks }
-    }
-
-    /// Calls `f(s, sq_dist(m, centroid s))` for `s = 0..p`, in order.
-    #[inline(always)]
-    fn each(&self, m: &[f64], mut f: impl FnMut(usize, f64)) {
-        for (b, block) in self.blocks.chunks_exact(self.dim).enumerate() {
-            let mut acc = [0.0f64; LANES];
-            for (lanes, &x) in block.iter().zip(m) {
-                for (a, &c) in acc.iter_mut().zip(lanes) {
-                    let t = x - c;
-                    *a += t * t;
-                }
-            }
-            let first = b * LANES;
-            for (j, &d) in acc.iter().enumerate().take(self.p - first) {
-                f(first + j, d);
-            }
-        }
-    }
-}
-
 /// The buffers of the balanced assignment step, reused across the k-means
 /// iterations of one partitioning run, and the work it has done.
 struct Balancer {
-    /// Proposals in flight, each `(distance bits, shard)` a cursor into its
-    /// point's own preference order, which is never materialized: after
-    /// step 1 every point's first proposal, then the points turned away,
-    /// each with the proposal it lost. A round rewrites each to its next
-    /// proposal, buckets them by shard and lets each shard overwrite its
-    /// bucket with what it turns away, all in place.
+    /// The SIMD tier of the distances to the centroids.
+    tier: SimdTier,
+    /// Per row chunk of step 1, per shard, the chunk's points whose first
+    /// proposal is to it, `(distance bits, point)` in row order. The first
+    /// chunk fills the shards' own buffers, lent for the pass.
+    firsts: Vec<Vec<Vec<Key>>>,
+    /// Proposals turned away, each `(distance bits, shard)` a cursor into
+    /// its point's own preference order, which is never materialized:
+    /// after step 2 the points over their first choice's room, each with
+    /// the proposal it lost. A round rewrites each to its next proposal,
+    /// buckets them by shard and lets each shard overwrite its bucket with
+    /// what it turns away, all in place.
     moves: Vec<Move>,
     shards: Vec<Shard>,
     /// Per shard, what it turns away in step 2, or the proposals it
@@ -335,27 +312,42 @@ enum Held {
 }
 
 impl Shard {
-    /// Empties the shard, keeping its buffer, which it returns.
-    fn reopen(&mut self, room: usize) -> &mut Vec<Key> {
-        if let Held::Full(heap) = &mut self.held {
-            self.held = Held::Open(std::mem::take(heap).into_vec());
-        }
-        self.room = room;
-        let Held::Open(held) = &mut self.held else {
-            unreachable!("opened above")
+    /// Empties the shard and hands out its buffer.
+    fn take_buffer(&mut self) -> Vec<Key> {
+        let mut held = match std::mem::replace(&mut self.held, Held::Open(Vec::new())) {
+            Held::Open(held) => held,
+            Held::Full(heap) => heap.into_vec(),
         };
         held.clear();
         held
     }
 
-    /// Step 2 for shard `s`: over its room, keep the best by one
-    /// `select_nth_unstable` and write the rest to `out`, which has exactly
-    /// their number of slots; at its room, become a heap. Returns how many
-    /// it turned away.
-    fn settle(&mut self, s: usize, out: &mut [Move]) -> usize {
+    /// Opens the shard for step 2 with the first chunk's first-choice
+    /// proposers `held`, room for `total` of them in all, and `room` places
+    /// left after the claims. A shard below its room stays open: filling it
+    /// on a worker must not allocate.
+    fn open(&mut self, room: usize, mut held: Vec<Key>, total: usize) {
+        held.reserve(total.max(room) - held.len());
+        self.held = Held::Open(held);
+        self.room = room;
+    }
+
+    /// Step 2 for shard `s`: append the later chunks' proposers `rest`;
+    /// over its room, keep the best by one `select_nth_unstable` and write
+    /// the rest to `out`, which has exactly their number of slots; at its
+    /// room, become a heap. Returns how many it turned away.
+    fn settle<'a>(
+        &mut self,
+        s: usize,
+        rest: impl Iterator<Item = &'a [Key]>,
+        out: &mut [Move],
+    ) -> usize {
         let Held::Open(held) = &mut self.held else {
-            unreachable!("every shard is reopened before step 2")
+            unreachable!("every shard is opened before step 2")
         };
+        for group in rest {
+            held.extend_from_slice(group);
+        }
         debug_assert_eq!(out.len(), held.len().saturating_sub(self.room));
         if held.len() > self.room {
             held.select_nth_unstable(self.room);
@@ -388,7 +380,6 @@ impl Shard {
         }
     }
 }
-
 /// Runs `work(s, shard, slots)` on every shard, where `slots` is the
 /// shard's own `bound[s]` entries of `out` and `work` returns how many it
 /// wrote; then packs what was written, in shard order, into `out`. Up to
@@ -479,14 +470,19 @@ impl Nearest {
         }
     }
 
-    /// Enters row `i`, at squared distance `dists[s]` from centroid `s`,
-    /// into every list it belongs to. Rows must be offered in ascending id
-    /// order: a tie with a full list's last entry then loses, as it does in
-    /// the reference.
-    fn offer(&mut self, i: u32, dists: &[f64]) {
+    /// Enters row `i` (`m`, whose nearest centroid is `first` away, in
+    /// bits) into every list it belongs to. Rows must be offered in
+    /// ascending id order: a tie with a full list's last entry then loses,
+    /// as it does in the reference. No distance is below `first`, so only
+    /// a list whose bound is above it can take the row, and only that
+    /// list's distance is computed — by `sq_dist`, whose bits are the lane
+    /// kernel's.
+    fn offer(&mut self, i: u32, first: u64, m: &[f64], centroids: &[f64]) {
         let p = self.lists.len();
-        for ((d, list), bound) in dists.iter().zip(&mut self.lists).zip(&mut self.bound) {
-            let bits = d.to_bits();
+        let dim = m.len();
+        let lists = self.lists.iter_mut().zip(&mut self.bound).enumerate();
+        for (s, (list, bound)) in lists.filter(|(_, (_, bound))| first < **bound) {
+            let bits = sq_dist(m, &centroids[s * dim..][..dim]).to_bits();
             if bits < *bound {
                 let at = list.partition_point(|e| e.0 <= bits);
                 list.insert(at, (bits, i));
@@ -501,8 +497,10 @@ impl Nearest {
 }
 
 impl Balancer {
-    fn new(p: usize) -> Self {
+    fn new(p: usize, tier: SimdTier) -> Self {
         Balancer {
+            tier,
+            firsts: Vec::new(),
             moves: Vec::new(),
             shards: (0..p)
                 .map(|_| Shard {
@@ -537,9 +535,12 @@ impl Balancer {
     /// it ranks at or above its final one (McVitie and Wilson, 1971), so
     /// the number of rejections is the same for every order too. Hence:
     ///
-    /// 1. one pass computes each point's nearest centroid (its first
-    ///    proposal) and, fused into it, the `p` nearest points of every
-    ///    centroid, from which the claims are replayed in centroid order;
+    /// 1. one pass over row ranges computes each point's nearest centroid
+    ///    (its first proposal), records it in `out` and appends the point
+    ///    to its chunk's group for that shard, in row order; fused into it,
+    ///    the `p` nearest points of every centroid, from which the claims
+    ///    are replayed in centroid order, each taking its point out of its
+    ///    group;
     /// 2. every shard over capacity keeps its best `cap − claimed` proposers
     ///    by one `select_nth_unstable` and turns the rest away;
     /// 3. in rounds, every point turned away recomputes its next preference
@@ -560,97 +561,93 @@ impl Balancer {
         cap: usize,
         threads: usize,
         floor: usize,
-        out: &mut Vec<usize>,
+        out: &mut Vec<u32>,
     ) {
         let n = mapped.rows();
         let dim = mapped.width();
         let p = self.shards.len();
         debug_assert_eq!(centroids.len(), p * dim);
         let rows = mapped.as_slice();
-        let lanes = Lanes::new(centroids, dim);
+        let lanes = CentroidLanes::new(centroids, dim);
+        let tier = self.tier;
 
-        // (1) First proposals, and per centroid its `p` nearest points —
-        // enough to replay `p` claims, each of which removes one point.
-        self.moves.resize(n, (0, 0, 0));
-        let chunk_nearest = map_row_chunks(
-            &mut self.moves,
+        // (1) First proposals, grouped by shard per row chunk, and per
+        // centroid its `p` nearest points — enough to replay `p` claims,
+        // each of which removes one point. `out` records from here on the
+        // shard each point last proposed to; step 1 writes every slot.
+        out.resize(n, 0);
+        let lent = self.shards.iter_mut().map(Shard::take_buffer).collect();
+        match self.firsts.first_mut() {
+            Some(first) => *first = lent,
+            None => self.firsts.push(lent),
+        }
+        let chunk_nearest = map_row_chunks_with(
+            out,
+            &mut self.firsts,
             threads,
             MIN_ROWS_PER_CHUNK,
-            |start, chunk| {
-                let mut nearest = Nearest::new(p);
-                let mut dists = vec![0.0; p];
-                let chunk_rows = rows[start * dim..].chunks_exact(dim);
-                for (j, (slot, m)) in chunk.iter_mut().zip(chunk_rows).enumerate() {
-                    // Strict `<`: a tie goes to the lower centroid id. Written
-                    // as selects so that the loop has no unpredictable branch.
-                    let mut first = (u64::MAX, 0u32);
-                    lanes.each(m, |s, d| {
-                        dists[s] = d;
-                        let bits = d.to_bits();
-                        let nearer = bits < first.0;
-                        first.0 = if nearer { bits } else { first.0 };
-                        first.1 = if nearer { s as u32 } else { first.1 };
-                    });
-                    let i = (start + j) as u32;
-                    *slot = (first.0, first.1, i);
-                    if first.0 < nearest.widest {
-                        nearest.offer(i, &dists);
-                    }
+            |start, chunk, firsts| {
+                firsts.resize_with(p, Vec::new);
+                for group in firsts.iter_mut() {
+                    group.clear();
                 }
+                let mut nearest = Nearest::new(p);
+                let chunk_rows = &rows[start * dim..][..chunk.len() * dim];
+                lanes.nearest_each(tier, chunk_rows, |j, bits, s| {
+                    let i = (start + j) as u32;
+                    chunk[j] = s;
+                    firsts[s as usize].push((bits, i));
+                    if bits < nearest.widest {
+                        nearest.offer(i, bits, &chunk_rows[j * dim..][..dim], centroids);
+                    }
+                });
                 nearest.lists
             },
         );
         let mut room = vec![cap; p];
-        out.clear();
-        out.resize(n, usize::MAX);
+        let mut claimed = Vec::with_capacity(p);
         for s in 0..p {
             let mut nearest: Vec<Key> = chunk_nearest
                 .iter()
                 .flat_map(|lists| lists[s].iter().copied())
                 .collect();
             nearest.sort_unstable();
-            if let Some(&(_, i)) = nearest
-                .iter()
-                .find(|&&(_, i)| out[i as usize] == usize::MAX)
-            {
-                out[i as usize] = s;
+            if let Some(&(_, i)) = nearest.iter().find(|&&(_, i)| !claimed.contains(&i)) {
+                // Out of its first choice's group, in whichever chunk holds
+                // it: each group is in row order.
+                let first = out[i as usize] as usize;
+                for groups in &mut self.firsts {
+                    let group = &mut groups[first];
+                    if let Ok(at) = group.binary_search_by_key(&i, |&(_, j)| j) {
+                        group.remove(at);
+                        break;
+                    }
+                }
+                claimed.push(i);
+                out[i as usize] = s as u32;
                 room[s] -= 1;
             }
         }
 
-        // (2) Group the free points by first choice, which `out` records
-        // from here on as the shard each last proposed to; over-full shards
-        // keep their nearest.
-        let mut open: Vec<&mut Vec<Key>> = self
-            .shards
-            .iter_mut()
-            .zip(&room)
-            .map(|(shard, &room)| shard.reopen(room))
-            .collect();
-        for (&(bits, s, i), shard) in self.moves.iter().zip(out.iter_mut()) {
-            if *shard == usize::MAX {
-                *shard = s as usize;
-                open[s as usize].push((bits, i));
-            }
-        }
-        for (held, &room) in open.iter_mut().zip(&room) {
-            // A shard below its room stays open: filling it on a worker
-            // must not allocate.
-            held.reserve(room.saturating_sub(held.len()));
-        }
+        // (2) Each shard's proposers are its groups in chunk order — every
+        // free point in row order, the later chunks' appended on the
+        // workers; over-full shards keep their nearest.
         self.counts.clear();
-        self.counts.extend(
-            open.iter()
-                .zip(&room)
-                .map(|(held, &room)| held.len().saturating_sub(room)),
-        );
+        let (lent, rest) = self.firsts.split_first_mut().expect("one chunk at least");
+        let rest = &*rest;
+        for ((s, shard), &room) in self.shards.iter_mut().enumerate().zip(&room) {
+            let held = std::mem::take(&mut lent[s]);
+            let total = held.len() + rest.iter().map(|groups| groups[s].len()).sum::<usize>();
+            self.counts.push(total.saturating_sub(room));
+            shard.open(room, held, total);
+        }
         for_each_shard(
             &mut self.shards,
             &self.counts,
             threads,
             floor,
             &mut self.moves,
-            |s, shard, slots| shard.settle(s, slots),
+            |s, shard, slots| shard.settle(s, rest.iter().map(|groups| &groups[s][..]), slots),
         );
         self.rejected += self.moves.len() as u64;
 
@@ -658,33 +655,20 @@ impl Balancer {
         while !self.moves.is_empty() {
             self.rounds += 1;
             map_row_chunks(&mut self.moves, threads, floor, |_, chunk| {
-                for j in 0..chunk.len() {
-                    if let Some(&(_, _, ahead)) = chunk.get(j + PREFETCH_AHEAD) {
-                        let row = &rows[ahead as usize * dim..][..dim];
-                        prefetch(&row[0]);
-                        prefetch(&row[dim - 1]);
-                    }
-                    let (bits, shard, i) = chunk[j];
-                    let tried = (bits, shard);
-                    let mut next = (u64::MAX, u32::MAX);
-                    lanes.each(&rows[i as usize * dim..][..dim], |s, d| {
-                        let key = (d.to_bits(), s as u32);
-                        if key > tried && key < next {
-                            next = key;
-                        }
-                    });
-                    debug_assert!((next.1 as usize) < p, "total capacity covers every point");
-                    chunk[j] = (next.0, next.1, i);
-                }
+                lanes.next_each(tier, rows, chunk, PREFETCH_AHEAD);
+                debug_assert!(
+                    chunk.iter().all(|&(_, s, _)| (s as usize) < p),
+                    "total capacity covers every point"
+                );
             });
             // Record each proposal as its point's, and bucket them by shard.
             self.counts.clear();
             self.counts.resize(p, 0);
             for (j, &(_, s, i)) in self.moves.iter().enumerate() {
                 if let Some(&(_, _, ahead)) = self.moves.get(j + PREFETCH_AHEAD) {
-                    prefetch(&out[ahead as usize]);
+                    simd::prefetch(&out[ahead as usize]);
                 }
-                out[i as usize] = s as usize;
+                out[i as usize] = s;
                 self.counts[s as usize] += 1;
             }
             bucket_by_shard(&mut self.moves, &self.counts, &mut self.cursors);
@@ -711,7 +695,7 @@ impl Balancer {
             self.rejected += self.moves.len() as u64;
         }
         // Every free point is now held by the shard it last proposed to.
-        debug_assert!(out.iter().all(|&s| s < p));
+        debug_assert!(out.iter().all(|&s| (s as usize) < p));
     }
 }
 
@@ -856,18 +840,20 @@ mod tests {
         assignment
     }
 
-    /// One assignment step of the implementation on `threads`, with step 2
-    /// and the rounds split down to single proposals, plus the proposals it
-    /// rejected and the rounds it ran.
+    /// One assignment step of the implementation on `tier` and `threads`,
+    /// with step 2 and the rounds split down to single proposals, plus the
+    /// proposals it rejected and the rounds it ran.
     fn balanced_assign(
         mapped: &PivotMatrix,
         centroids: &[Vec<f64>],
         cap: usize,
+        tier: SimdTier,
         threads: usize,
     ) -> (Vec<usize>, u64, u64) {
         let mut out = Vec::new();
-        let mut work = Balancer::new(centroids.len());
+        let mut work = Balancer::new(centroids.len(), tier);
         work.assign(mapped, &centroids.concat(), cap, threads, 1, &mut out);
+        let out = out.into_iter().map(|s| s as usize).collect();
         (out, work.rejected, work.rounds)
     }
 
@@ -892,9 +878,11 @@ mod tests {
             // the real loop would produce.
             let centroids: Vec<Vec<f64>> =
                 (0..p).map(|s| mapped.row((s * n) / p).to_vec()).collect();
-            let (fast, _, _) = balanced_assign(&mapped, &centroids, cap, 1);
             let slow = balanced_assign_reference(&mapped, &centroids, cap);
-            assert_eq!(fast, slow, "n={n} p={p}");
+            for tier in simd::available_tiers() {
+                let (fast, _, _) = balanced_assign(&mapped, &centroids, cap, tier, 1);
+                assert_eq!(fast, slow, "n={n} p={p} {tier:?}");
+            }
         }
     }
 
@@ -906,9 +894,10 @@ mod tests {
         /// optionally squeezed next to one centroid so that nearly every
         /// first proposal lands on the same shard; centroids are rows of
         /// the data (zero distances) or arbitrary grid points. `p` spans
-        /// whole lane blocks and masked tails, and every case runs on one,
-        /// two and three threads with step 2 and the rounds split down to
-        /// single proposals.
+        /// one masked lane block, whole ones and two or three blocks, and
+        /// every case runs on every SIMD tier the CPU has, each on one, two
+        /// and three threads with step 2 and the rounds split down to single
+        /// proposals.
         #[test]
         fn deferred_acceptance_equals_reference_on_random_input(
             cells in prop::collection::vec(0u32..1_000_000, 12..400),
@@ -946,29 +935,118 @@ mod tests {
                 .map(|&c| if data_centroids == 1 { rows[c as usize % n].clone() } else { point(c) })
                 .collect();
             // The lane kernel is `sq_dist` bit for bit, on coordinates whose
-            // sums round (the grid's are exact in any order).
+            // sums round (the grid's are exact in any order), and every tier
+            // picks the key the definitions below pick.
             let thirds = |v: &Vec<f64>| -> Vec<f64> { v.iter().map(|x| x / 3.0 + 0.1).collect() };
-            let lanes = Lanes::new(&centroids.iter().flat_map(thirds).collect::<Vec<_>>(), width);
-            for m in rows.iter().map(thirds) {
+            let lanes = CentroidLanes::new(&centroids.iter().flat_map(thirds).collect::<Vec<_>>(), width);
+            let fine: Vec<f64> = rows.iter().flat_map(thirds).collect();
+            let mut want_nearest = Vec::new();
+            let mut want_next = Vec::new();
+            for (i, m) in fine.chunks_exact(width).enumerate() {
                 let mut got = Vec::new();
-                lanes.each(&m, |s, d| got.push((s, d.to_bits())));
+                lanes.each(m, |s, d| got.push((s, d.to_bits())));
                 let want: Vec<(usize, u64)> =
-                    centroids.iter().map(|c| sq_dist(&m, &thirds(c)).to_bits()).enumerate().collect();
-                prop_assert_eq!(got, want, "lane kernel p={} width={}", p, width);
+                    centroids.iter().map(|c| sq_dist(m, &thirds(c)).to_bits()).enumerate().collect();
+                prop_assert_eq!(&got, &want, "lane kernel p={} width={}", p, width);
+                let keys = || want.iter().map(|&(s, bits)| (bits, s as u32));
+                let first = keys().min().expect("p >= 2");
+                want_nearest.push(first);
+                // Every key of the row in turn, and one past the last.
+                let mut tried = first;
+                loop {
+                    let next = keys().filter(|&k| k > tried).min().unwrap_or(simd::NO_KEY);
+                    want_next.push(((tried.0, tried.1, i as u32), (next.0, next.1, i as u32)));
+                    if next == simd::NO_KEY {
+                        break;
+                    }
+                    tried = next;
+                }
+            }
+            for tier in simd::available_tiers() {
+                let mut got = Vec::new();
+                lanes.nearest_each(tier, &fine, |j, bits, s| {
+                    got.push((bits, s));
+                    assert_eq!(j + 1, got.len());
+                });
+                prop_assert_eq!(&got, &want_nearest, "nearest_each {:?} p={} width={}", tier, p, width);
+                let mut moves: Vec<Move> = want_next.iter().map(|w| w.0).collect();
+                lanes.next_each(tier, &fine, &mut moves, PREFETCH_AHEAD);
+                prop_assert!(
+                    moves.iter().eq(want_next.iter().map(|w| &w.1)),
+                    "next_each {:?} p={} width={}", tier, p, width
+                );
             }
             let cap = n.div_ceil(p);
             let slow = balanced_assign_reference(&mapped, &centroids, cap);
-            let (fast, rejected, rounds) = balanced_assign(&mapped, &centroids, cap, 1);
+            let portable = SimdTier::Portable;
+            let (fast, rejected, rounds) = balanced_assign(&mapped, &centroids, cap, portable, 1);
             prop_assert_eq!(&fast, &slow, "n={} p={} width={}", n, p, width);
             prop_assert!(rejected <= (n * p) as u64, "a point proposes to a shard at most once");
             prop_assert_eq!(rounds > 0, rejected > 0);
-            for threads in [2, 3] {
-                let threaded = balanced_assign(&mapped, &centroids, cap, threads);
-                prop_assert_eq!(
-                    threaded,
-                    (slow.clone(), rejected, rounds),
-                    "n={} p={} width={} threads={}", n, p, width, threads
-                );
+            for tier in simd::available_tiers() {
+                for threads in [1, 2, 3] {
+                    let other = balanced_assign(&mapped, &centroids, cap, tier, threads);
+                    prop_assert_eq!(
+                        other,
+                        (slow.clone(), rejected, rounds),
+                        "n={} p={} width={} {:?} threads={}", n, p, width, tier, threads
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rows with `+∞` coordinates — `PivotMatrix::step` skips
+        /// non-finite distances, so they are expected — in every shape the
+        /// proptest above draws: a centroid that averages one in is `+∞`
+        /// there, and `∞ − ∞` makes NaN distances, which the balancer ranks
+        /// above every number. Every tier and thread count gives the same
+        /// partition, and it is total and within `⌈n/P⌉`.
+        #[test]
+        fn partition_tiers_agree_on_infinite_rows(
+            cells in prop::collection::vec((0u32..1_000_000, 0u32..8), 12..300),
+            width in 1usize..=5,
+            p in 2usize..=17,
+            grid in 2u32..12,
+            seed in 0u64..1_000,
+        ) {
+            // One cell value per point, as above; a point's `flags` put
+            // `+∞` in up to three of its coordinates (most have none).
+            let rows: Vec<Vec<f64>> = cells
+                .iter()
+                .map(|&(cell, flags)| {
+                    (0..width as u32)
+                        .map(|k| {
+                            if flags & (1 << k) != 0 && flags >= 5 {
+                                f64::INFINITY
+                            } else {
+                                ((cell / grid.pow(k)) % grid) as f64
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mapped = PivotMatrix::from_rows(width, &rows);
+            let n = mapped.rows();
+            let one = partition_on(SimdTier::Portable, &mapped, p, seed, 1);
+            prop_assert_eq!(one.assignment.len(), n);
+            let mut counts = vec![0usize; p];
+            for &s in &one.assignment {
+                prop_assert!(s < p, "shard {} of {}", s, p);
+                counts[s] += 1;
+            }
+            prop_assert!(counts.iter().all(|&c| c <= n.div_ceil(p)), "{:?}", counts);
+            for tier in simd::available_tiers() {
+                for threads in [1, 2, 3] {
+                    prop_assert_eq!(
+                        &partition_on(tier, &mapped, p, seed, threads),
+                        &one,
+                        "{:?} threads={}", tier, threads
+                    );
+                }
             }
         }
     }
@@ -1024,20 +1102,25 @@ mod tests {
 
     #[test]
     fn partition_is_independent_of_thread_count() {
-        // Large enough that 7 threads really get 7 row chunks.
+        // Large enough that 7 threads really get 7 row chunks; 9 shards
+        // end in a masked lane block.
         let mapped = hfi_matrix(&datasets::la(60_000, 7), &L2);
-        for p in [2, 8] {
-            let one = partition_pivot_space(&mapped, p, 42, 1);
+        for p in [2, 9] {
+            let one = partition_on(SimdTier::Portable, &mapped, p, 42, 1);
             assert_eq!(one.assignment, assign_pivot_space(&mapped, p, 42));
             assert!(
                 one.iters >= 1 && one.rejected > 0 && one.rounds >= 1,
                 "{one:?}"
             );
-            for threads in [2, 3, 7] {
+            // Every tier on one and two threads, the best on more.
+            let tiers = simd::available_tiers();
+            let best = *tiers.last().expect("portable always present");
+            let runs = tiers.iter().flat_map(|&tier| [(tier, 1), (tier, 2)]);
+            for (tier, threads) in runs.chain([(best, 3), (best, 7)]) {
                 assert_eq!(
-                    partition_pivot_space(&mapped, p, 42, threads),
+                    partition_on(tier, &mapped, p, 42, threads),
                     one,
-                    "P={p} threads={threads}"
+                    "P={p} {tier:?} threads={threads}"
                 );
             }
         }

@@ -3,7 +3,7 @@
 
 use pmi_metric::lemmas::Mbb;
 use pmi_metric::matrix::snap;
-use pmi_metric::PivotMatrix;
+use pmi_metric::PivotColumns;
 use std::sync::Arc;
 
 /// The pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to the
@@ -85,42 +85,53 @@ impl<O> Clone for RoutingTable<O> {
 }
 
 impl<O> RoutingTable<O> {
-    /// Builds the table from a partitioning — the only way to make one:
-    /// row `i` of `mapped` (the build-time pivot-distance matrix) is object
-    /// `i`'s pivot-distance vector, `assignment[i]` its shard, `step` the
-    /// bucket width the shards store those rows under. Each box and centre
-    /// covers what its shard will store of them (see
-    /// [`extend`](Self::extend)).
+    /// Builds the table over the shards' stored rows — the only way to make
+    /// one: `shards[s]` are shard `s`'s members' columns, all under `step`.
+    /// Each box is the union of the members' buckets, from the smallest
+    /// code of each column to one step above the largest (open above at
+    /// the top code: [`Mbb::extend_stored`] of the two extremes, which is
+    /// the union since [`stored_interval`](pmi_metric::matrix::stored_interval)
+    /// is monotone); each centre sum is Σ code · step, taken as the integer
+    /// sum of the codes times `step` — both exact (a stored value is a
+    /// whole number of steps, and fewer than 2⁵³ of them add up), so the
+    /// bits are those of the stored values added one by one in any order.
     ///
     /// Correctness contract: `mapper` must append the pivot-distance vector
-    /// of its argument under the *same* pivots and metric that produced
-    /// `mapped`.
-    pub fn from_assignment(
-        mapper: Mapper<O>,
-        mapped: &PivotMatrix,
-        assignment: &[usize],
-        shards: usize,
-        step: f64,
-    ) -> Self {
-        debug_assert_eq!(mapped.rows(), assignment.len());
-        let dim = mapped.width();
-        // Flooring to a bucket is monotone, so the box of the stored values
-        // is the stored form of the exact rows' box: take that (two
-        // compares a value), then widen each occupied box once.
-        let mut exact = vec![Mbb::empty(dim); shards];
-        let mut sums = vec![0.0; shards * dim];
-        let mut counts = vec![0u64; shards];
-        for ((_, m), &s) in mapped.iter_rows().zip(assignment) {
-            exact[s].extend(m);
-            for (t, &x) in sums[s * dim..][..dim].iter_mut().zip(m) {
-                *t += snap(x, step);
+    /// of its argument under the *same* pivots and metric that produced the
+    /// columns.
+    ///
+    /// # Panics
+    /// If the shards' columns differ in width or are under another step.
+    pub fn from_columns(mapper: Mapper<O>, step: f64, shards: &[PivotColumns]) -> Self {
+        let dim = shards.first().map_or(0, PivotColumns::width);
+        let mut boxes = Vec::with_capacity(shards.len());
+        let mut sums = Vec::with_capacity(shards.len() * dim);
+        let mut counts = Vec::with_capacity(shards.len());
+        for cols in shards {
+            assert!(
+                cols.width() == dim && cols.step() == step,
+                "every shard's columns are {dim} wide, under step {step}"
+            );
+            let mut lo = vec![u16::MAX; dim];
+            let mut hi = vec![0u16; dim];
+            for (j, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
+                let mut total = 0u64;
+                // Three folds a chunk, each over contiguous codes.
+                for chunk in cols.column(j).chunks() {
+                    *lo = chunk.iter().copied().fold(*lo, u16::min);
+                    *hi = chunk.iter().copied().fold(*hi, u16::max);
+                    total += chunk.iter().map(|&c| u64::from(c)).sum::<u64>();
+                }
+                sums.push(total as f64 * step);
             }
-            counts[s] += 1;
-        }
-        let mut boxes = vec![Mbb::empty(dim); shards];
-        for (b, e) in boxes.iter_mut().zip(&exact).filter(|(_, e)| !e.is_empty()) {
-            b.extend_stored(e.lo().iter().map(|&x| snap(x, step)), step);
-            b.extend_stored(e.hi().iter().map(|&x| snap(x, step)), step);
+            let mut b = Mbb::empty(dim);
+            if cols.rows() > 0 {
+                for edge in [lo, hi] {
+                    b.extend_stored(edge.into_iter().map(|c| f64::from(c) * step), step);
+                }
+            }
+            boxes.push(b);
+            counts.push(cols.rows() as u64);
         }
         RoutingTable {
             mapper,
@@ -296,17 +307,103 @@ mod tests {
     /// the eighth below them.
     const STEP: f64 = 0.125;
 
+    /// Each shard's members' rows, in row order, stored under `step`.
+    fn columns(
+        rows: &[Vec<f64>],
+        assignment: &[usize],
+        shards: usize,
+        width: usize,
+        step: f64,
+    ) -> Vec<PivotColumns> {
+        (0..shards)
+            .map(|s| {
+                let members = rows.iter().zip(assignment).filter(|&(_, &t)| t == s);
+                PivotColumns::from_rows(width, step, members.map(|(row, _)| row))
+            })
+            .collect()
+    }
+
     /// 1-d objects, one pivot at the origin: mapping is |x|.
     fn table(points: &[(f64, usize)], shards: usize) -> RoutingTable<f64> {
-        let mapped = PivotMatrix::from_rows(1, points.iter().map(|&(x, _)| [x.abs()]));
+        let rows: Vec<Vec<f64>> = points.iter().map(|&(x, _)| vec![x.abs()]).collect();
         let assignment: Vec<usize> = points.iter().map(|&(_, s)| s).collect();
-        RoutingTable::from_assignment(
+        RoutingTable::from_columns(
             Arc::new(|q: &f64, out: &mut Vec<f64>| out.push(q.abs())),
-            &mapped,
-            &assignment,
-            shards,
             STEP,
+            &columns(&rows, &assignment, shards, 1, STEP),
         )
+    }
+
+    /// The derivation the table had before it was read off the shards'
+    /// columns, kept as the oracle: one pass over the f64 rows, the exact
+    /// box snapped at its two corners, and each centre the f64 sum of the
+    /// snapped values in row order.
+    fn from_rows_reference(
+        rows: &[Vec<f64>],
+        assignment: &[usize],
+        shards: usize,
+        dim: usize,
+        step: f64,
+    ) -> RoutingTable<f64> {
+        let mut exact = vec![Mbb::empty(dim); shards];
+        let mut sums = vec![0.0; shards * dim];
+        let mut counts = vec![0u64; shards];
+        for (m, &s) in rows.iter().zip(assignment) {
+            exact[s].extend(m);
+            for (t, &x) in sums[s * dim..][..dim].iter_mut().zip(m) {
+                *t += snap(x, step);
+            }
+            counts[s] += 1;
+        }
+        let mut boxes = vec![Mbb::empty(dim); shards];
+        for (b, e) in boxes.iter_mut().zip(&exact).filter(|(_, e)| !e.is_empty()) {
+            b.extend_stored(e.lo().iter().map(|&x| snap(x, step)), step);
+            b.extend_stored(e.hi().iter().map(|&x| snap(x, step)), step);
+        }
+        RoutingTable {
+            mapper: Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+            boxes,
+            sums,
+            counts,
+            step,
+        }
+    }
+
+    /// Box edges, centre sums and counts, as bits, one after another.
+    fn table_bits(t: &RoutingTable<f64>) -> Vec<u64> {
+        let edges = t.boxes.iter().flat_map(|b| b.lo().iter().chain(b.hi()));
+        edges
+            .chain(&t.sums)
+            .map(|x| x.to_bits())
+            .chain(t.counts.iter().copied())
+            .collect()
+    }
+
+    #[test]
+    fn columns_table_equals_the_row_derivation_on_edge_cases() {
+        // Shard 1 is empty; shard 0 holds tied rows; shard 2 a value past
+        // the top bucket (stored saturated, its box open above) and one
+        // exactly at its lower edge; shard 3 a lone zero row.
+        let top = 65_535.0 * STEP;
+        let rows = vec![
+            vec![1.0, 2.0],
+            vec![1.0, 2.0],
+            vec![9_000.0, 0.3],
+            vec![top, 0.3],
+            vec![1.0, 2.0],
+            vec![0.0, 0.0],
+        ];
+        let assignment = [0, 0, 2, 2, 0, 3];
+        let got = RoutingTable::from_columns(
+            Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+            STEP,
+            &columns(&rows, &assignment, 4, 2, STEP),
+        );
+        let want = from_rows_reference(&rows, &assignment, 4, 2, STEP);
+        assert_eq!(table_bits(&got), table_bits(&want));
+        assert!(got.boxes()[1].is_empty() && got.centre(1).is_none());
+        assert_eq!(got.boxes()[2].hi()[0], f64::INFINITY);
+        assert_eq!(got.centre(0).unwrap().collect::<Vec<_>>(), vec![1.0, 2.0]);
     }
 
     fn range_plan(t: &RoutingTable<f64>, q: &[f64], r: f64) -> Vec<usize> {
@@ -520,6 +617,38 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
+        /// Random rows — tied ones, values past the top bucket, shards left
+        /// empty, steps from a sixty-fourth to 2 — give the table the row
+        /// derivation gives, bit for bit.
+        #[test]
+        fn columns_table_equals_the_row_derivation(
+            cells in prop::collection::vec((0u32..10_000, 0usize..6, 0u32..20), 0..80),
+            width in 1usize..=4,
+            shards in 1usize..=6,
+            step_log in -6i32..=1,
+        ) {
+            let step = 2f64.powi(step_log);
+            let rows: Vec<Vec<f64>> = cells
+                .iter()
+                .map(|&(c, _, far)| {
+                    (0..width as u32)
+                        .map(|k| {
+                            let x = f64::from((c / 10u32.pow(k)) % 10) / 3.0;
+                            if far == 0 { x + 70_000.0 * step } else { x }
+                        })
+                        .collect()
+                })
+                .collect();
+            let assignment: Vec<usize> = cells.iter().map(|&(_, s, _)| s % shards).collect();
+            let got = RoutingTable::from_columns(
+                Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+                step,
+                &columns(&rows, &assignment, shards, width, step),
+            );
+            let want = from_rows_reference(&rows, &assignment, shards, width, step);
+            prop_assert_eq!(table_bits(&got), table_bits(&want));
+        }
+
         /// Random rows on a coarse grid (boxes overlap and bounds tie at 0
         /// and elsewhere; some shards stay empty), a few inserts on top:
         /// the order is the sort of `(bound, centre distance, id)` with
@@ -538,12 +667,10 @@ mod tests {
             };
             let rows: Vec<Vec<f64>> = cells.iter().map(|&(c, _)| point(c)).collect();
             let assignment: Vec<usize> = cells.iter().map(|&(_, s)| s % shards).collect();
-            let mut t = RoutingTable::from_assignment(
+            let mut t = RoutingTable::from_columns(
                 Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
-                &PivotMatrix::from_rows(width, &rows),
-                &assignment,
-                shards,
                 STEP,
+                &columns(&rows, &assignment, shards, width, STEP),
             );
             let mut members: Vec<Vec<Vec<f64>>> = vec![Vec::new(); shards];
             for (row, &s) in rows.iter().zip(&assignment) {
