@@ -77,10 +77,11 @@
 //!
 //! Contiguous runs of the input would spread every metric region across
 //! all shards, so every query would probe all `P` of them. The facade's
-//! engines instead cluster objects by their pivot-distance vectors
-//! (balanced k-means in pivot space, via the [`router`] module / crate
-//! `pmi-router`; [`PartitionPolicy::PivotSpace`], the one policy) and keep
-//! a per-shard bounding box over the mapped points. Each query is then
+//! engines instead cut the pivot space into balanced cells by the
+//! objects' pivot-distance vectors (recursive median cuts, via the
+//! [`router`] module / crate `pmi-router`;
+//! [`PartitionPolicy::PivotSpace`], the one policy) and keep a per-shard
+//! bounding box over the mapped points. Each query is then
 //! *routed*: range queries skip every shard whose box fails the Lemma 1
 //! intersection test, and kNN queries probe shards best-first by box lower
 //! bound (the boxes a query lies inside, nearest centre first), skipping
@@ -124,7 +125,7 @@
 //! matrix `A[i][j] = d(o_i, p_j)`. The engine's one constructor
 //! (`ShardedEngine::build`; this facade hands it the mapper over the
 //! shared pivots) computes that matrix **once, in parallel** across its
-//! worker threads ([`PivotMatrix`]), clusters/routes over its rows, and
+//! worker threads ([`PivotMatrix`]), cuts and routes over its rows, and
 //! hands each shard its members' rows as planar u16 bucket
 //! [`PivotColumns`] of its own — the only form a pivot distance is stored in, and the unit a
 //! query is routed to owns the bytes it scans — so shared-pivot

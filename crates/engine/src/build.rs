@@ -36,8 +36,8 @@ pub struct Layout<'a, O> {
 
 impl<'a, O> Layout<'a, O> {
     /// The zero-width pivot space: the engine computes no distance of its
-    /// own, the partitioner's fallback cuts balanced contiguous runs, every
-    /// routing box bounds nothing so every query probes every shard, and
+    /// own, the partitioner cuts balanced contiguous runs, every routing
+    /// box bounds nothing so every query probes every shard, and
     /// the shard factory receives zero-width rows — for kinds that would
     /// read no row of a pivot space.
     pub fn plain() -> Self {
@@ -81,8 +81,8 @@ impl<O> ShardedEngine<O> {
     ///    computed once, in parallel over `cfg.threads`
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
     ///    order as [`PivotMatrix::compute`]);
-    /// 2. the membership — [`pmi_router::partition_pivot_space`] over the
-    ///    rows with `cfg.partition_seed` (the call
+    /// 2. the membership — [`pmi_router::partition_pivot_space`]'s
+    ///    balanced median cuts of the rows' bucket codes (the call
     ///    [`compact`](Self::compact) repeats over the survivors; balanced
     ///    contiguous runs over a zero-width space), or the layout's
     ///    explicit one;
@@ -179,29 +179,15 @@ impl<O> ShardedEngine<O> {
             &[("compdists", matrix_compdists)],
         );
 
-        let mut partitioned = None;
         let membership: Cow<[usize]> = match membership {
             Some(m) => m.into(),
             None => {
-                let part = pmi_router::partition_pivot_space(
-                    &rows,
-                    num_shards,
-                    cfg.partition_seed,
-                    threads,
-                );
-                partitioned = Some([
-                    ("shards", num_shards as u64),
-                    ("iters", part.iters),
-                    ("rejected", part.rejected),
-                    ("rounds", part.rounds),
-                ]);
-                part.assignment.into()
+                let cells = pmi_router::partition_pivot_space(&rows, num_shards, threads);
+                let shards = [("shards", num_shards as u64)];
+                obs.phase_add("build.partition", 1, clock.lap(), &shards);
+                cells.into()
             }
         };
-        let partition_nanos = clock.lap();
-        if let Some(counters) = partitioned {
-            obs.phase_add("build.partition", 1, partition_nanos, &counters);
-        }
 
         // The split: the objects move to their partitions, every partition
         // stores its members' rows as columns of its own — encoded shard by
@@ -309,7 +295,6 @@ impl<O> ShardedEngine<O> {
             retired: Vec::new(),
             refresh: cfg.refresh,
             compaction: cfg.compaction,
-            partition_seed: cfg.partition_seed,
             locator,
             next_id: n as ObjId,
             update_stats: UpdateStats::default(),

@@ -7,7 +7,7 @@
 //! constructor, [`ShardedEngine::build`], and its [`Layout`] says only what
 //! the pivot space is (a mapper and its width) and optionally an explicit
 //! membership. Every engine has one and routes by it: from the mapper the
-//! engine itself computes every object's row, clusters over the rows,
+//! engine itself computes every object's row, cuts the rows into cells,
 //! derives the [`RoutingTable`] boxes (the table holds the mapper from then
 //! on), and gives every shard its members' rows, stored once as planar u16
 //! bucket columns of its own under one engine-wide step
@@ -75,9 +75,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Seed for the deterministic 2-means re-split of the worst shard pair.
-const RECLUSTER_SEED: u64 = 0x5245_434C; // "RECL"
-
 /// Engine shape: how many partitions, how many worker threads, and when the
 /// mutation path re-clusters.
 #[derive(Clone, Copy, Debug)]
@@ -101,13 +98,6 @@ pub struct EngineConfig {
     /// rows (renumbers global ids — disabled by default, see
     /// [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
-    /// Seed for the engine's partitioning decisions — the pivot-space
-    /// clustering at build and the full survivor re-partition a
-    /// [`compact`](ShardedEngine::compact) runs are one
-    /// call with this one seed, so a compaction reproduces exactly the
-    /// clustering a fresh build over the survivors would compute. The
-    /// `pmi` facade sets it to `BuildOptions::seed`.
-    pub partition_seed: u64,
     /// Per-query trace capture: sample 1-in-N and/or retroactively keep
     /// slow queries (see [`TracePolicy`]). Disabled by default — the serve
     /// hot path stays untraced; swap at runtime with
@@ -129,7 +119,6 @@ impl Default for EngineConfig {
             threads: 0,
             refresh: RefreshPolicy::default(),
             compaction: CompactionPolicy::default(),
-            partition_seed: 42,
             trace: TracePolicy::disabled(),
             budget: ServeBudget::unlimited(),
             faults: FaultPolicy::default(),
@@ -468,9 +457,6 @@ pub struct ShardedEngine<O> {
     refresh: RefreshPolicy,
     /// When [`apply`](Self::apply) compacts the shards' rows.
     compaction: CompactionPolicy,
-    /// Seed of the build's partitioning, reused by the survivor
-    /// re-partition at compaction.
-    partition_seed: u64,
     /// Global id → (shard, local id) for live objects.
     locator: Locator,
     next_id: ObjId,
@@ -820,8 +806,8 @@ impl<O> ShardedEngine<O> {
     ///   tight and pruning does not decay under churn.
     /// * If the batch leaves live counts imbalanced past the
     ///   [`RefreshPolicy`], the worst shard pair is incrementally
-    ///   re-clustered: a deterministic 2-means re-split over the members'
-    ///   mapped rows, moving only the objects that change side (their
+    ///   re-clustered: one balanced median cut of the members' stored
+    ///   rows, moving only the objects that change side (their
     ///   global ids are preserved and their rows ride along; the locator
     ///   is fixed up).
     ///
@@ -1129,9 +1115,10 @@ impl<O> ShardedEngine<O> {
 
     /// Incremental re-clustering: when the live counts of the fullest and
     /// emptiest shards trip the [`RefreshPolicy`], their members are
-    /// re-split by a deterministic balanced 2-means over mapped rows and
-    /// only the objects that changed side move (global ids stay, rows ride
-    /// along; locator and boxes are fixed up). Returns
+    /// re-split by one balanced median cut of their stored rows (the
+    /// partitioner's call with two shards) and only the objects that
+    /// changed side move (global ids stay, rows ride along; locator and
+    /// boxes are fixed up). Returns
     /// `(passes, moved, boxes recomputed)`.
     fn stage_recluster(&self, txn: &mut ApplyTxn<O>) -> (usize, u64, usize) {
         if txn.shards.len() < 2 {
@@ -1170,11 +1157,9 @@ impl<O> ShardedEngine<O> {
                 .iter()
                 .map(|&(_, s, local)| txn.shards[s].pivot_row(local)),
         );
-        let split =
-            pmi_router::partition_pivot_space(&pair_rows, 2, RECLUSTER_SEED, self.core.threads)
-                .assignment;
+        let split = pmi_router::partition_pivot_space(&pair_rows, 2, self.core.threads);
 
-        // Orient the two clusters onto (hi, lo) so the fewest objects move.
+        // Orient the two halves onto (hi, lo) so the fewest objects move.
         let stays = |flip: bool| {
             members
                 .iter()
@@ -1213,10 +1198,9 @@ impl<O> ShardedEngine<O> {
     /// over the survivors would produce:
     ///
     /// 1. Every engine first **re-partitions** the survivors with the
-    ///    call and seed [`build`](Self::build) ran, over their stored
-    ///    rows (churn drifts shard membership away from the balanced
-    ///    clustering; probing an oversized shard costs extra kernel work
-    ///    on every query).
+    ///    call [`build`](Self::build) ran, over their stored rows (churn
+    ///    drifts shard membership away from the balanced cells; probing an
+    ///    oversized shard costs extra kernel work on every query).
     ///    Objects that change side move through the normal adopted path —
     ///    kinds that own their rows compute no distances for a move.
     /// 2. The survivors are renumbered **densely in ascending global-id
@@ -1302,13 +1286,8 @@ impl<O> ShardedEngine<O> {
                     txn.shards[s].pivot_row(local)
                 }),
             );
-            let assignment = pmi_router::partition_pivot_space(
-                &live_rows,
-                txn.shards.len(),
-                self.partition_seed,
-                self.core.threads,
-            )
-            .assignment;
+            let assignment =
+                pmi_router::partition_pivot_space(&live_rows, txn.shards.len(), self.core.threads);
             for (rank, (&gid, &target)) in survivors.iter().zip(&assignment).enumerate() {
                 let from = at(txn, gid);
                 txn.move_object(gid, from, target, live_rows.row(rank));

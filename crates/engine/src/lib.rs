@@ -12,13 +12,14 @@
 //!   serve). There is one constructor, [`ShardedEngine::build`], and one
 //!   shape: [`Layout::mapped`] hands it a pivot space
 //!   (`o ↦ (d(o, p_1), …, d(o, p_l))`) and the engine derives the rest
-//!   itself — the pivot rows, the clustering over them (`pmi-router`),
-//!   each shard's own run of rows, and a [`RoutingTable`] of per-shard
-//!   pivot-space bounding boxes that lets queries *skip* shards: Lemma 1
-//!   box pruning for range queries, best-first probing with a tightening
-//!   cutoff for kNN. [`Layout::plain`] is the zero-width pivot space: every
-//!   bound is 0, so every shard is probed, and the partitioner's fallback
-//!   cuts balanced contiguous runs. Skips are counted exactly in every
+//!   itself — the pivot rows, the balanced cells cut over them
+//!   (`pmi-router`), each shard's own run of rows, and a
+//!   [`RoutingTable`] of per-shard pivot-space bounding boxes that lets
+//!   queries *skip* shards: Lemma 1 box pruning for range queries,
+//!   best-first probing with a tightening cutoff for kNN.
+//!   [`Layout::plain`] is the zero-width pivot space: every bound is 0, so
+//!   every shard is probed, and the cuts come out as balanced contiguous
+//!   runs. Skips are counted exactly in every
 //!   [`ServeReport`] (`shards_probed` / `shards_pruned`),
 //! * batches of mixed range / kNN queries ([`Query`]) execute on
 //!   `threads` workers, the calling thread one of them, each claiming the

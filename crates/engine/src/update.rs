@@ -79,11 +79,11 @@ impl<O> FromIterator<UpdateOp<O>> for UpdateBatch<O> {
 
 /// When `apply` re-clusters: after a batch, if the fullest shard holds more
 /// than `max_imbalance ×` the emptiest shard's live objects (and the pair
-/// is big enough to matter), the worst pair is re-split by 2-means over the
-/// members' mapped rows — an incremental rebalance instead of a full
-/// rebuild. Over a plain engine's zero-width rows the re-split is the
-/// partitioner's fallback: the pair's members, in global-id order, cut
-/// into two contiguous runs.
+/// is big enough to matter), the worst pair is re-split by one balanced
+/// median cut of the members' stored rows — an incremental rebalance
+/// instead of a full rebuild. Over a plain engine's zero-width rows the
+/// cut orders by global id alone: the pair's members cut into two
+/// contiguous runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RefreshPolicy {
     /// Trigger threshold: re-cluster when `max_len > max_imbalance *

@@ -5,8 +5,7 @@
 //! pre-computed distances for each object can be computed in parallel".
 //! Every parallel step — the pivot matrix, the partitioner, HFI, the shard
 //! builds, a served batch — runs through [`fan_out`], directly or via
-//! [`claim_each`] or [`map_row_chunks`] (and [`map_row_chunks_with`], its
-//! form with a reusable state per chunk). Its contract: every task but the
+//! [`claim_each`] or [`map_row_chunks`]. Its contract: every task but the
 //! last runs on a scoped thread, the last on the calling thread (so one
 //! task spawns nothing, and no call site keeps a one-thread copy of its
 //! body); results come back in task order; a panic in a task reaches the
@@ -97,32 +96,6 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    map_row_chunks_with(
-        out,
-        &mut Vec::new(),
-        threads,
-        min_rows,
-        |start, chunk, ()| f(start, chunk),
-    )
-}
-
-/// [`map_row_chunks`] with a state of its own for each chunk: `states`
-/// becomes one entry per chunk, in row order — those it held are kept,
-/// so buffers in them are reused from one call to the next — and
-/// `f(first_row, chunk, state)` gets its chunk's.
-pub fn map_row_chunks_with<T, S, R, F>(
-    out: &mut [T],
-    states: &mut Vec<S>,
-    threads: usize,
-    min_rows: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    S: Send + Default,
-    R: Send,
-    F: Fn(usize, &mut [T], &mut S) -> R + Sync,
-{
     let rows = out.len();
     let chunks = threads.min(rows / min_rows.max(1)).max(1);
     let len = rows.div_ceil(chunks);
@@ -134,9 +107,7 @@ where
             .map(|(c, chunk)| (c * len, chunk))
             .collect()
     };
-    states.resize_with(pieces.len(), S::default);
-    let tasks: Vec<_> = pieces.into_iter().zip(states.iter_mut()).collect();
-    fan_out(tasks, |((start, chunk), state)| f(start, chunk, state))
+    fan_out(pieces, |(start, chunk)| f(start, chunk))
 }
 
 #[cfg(test)]

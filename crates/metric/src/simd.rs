@@ -1,9 +1,8 @@
-//! Explicit-SIMD tiers, with one-time runtime dispatch, for three kernels:
+//! Explicit-SIMD tiers, with one-time runtime dispatch, for two kernels:
 //! the stored-code Lemma 1 scan
-//! ([`PivotColumns::gaps_into`](crate::PivotColumns::gaps_into)), eight
+//! ([`PivotColumns::gaps_into`](crate::PivotColumns::gaps_into)) and eight
 //! distances per register pass ([`Metric::dist8`](crate::Metric::dist8)
-//! for L1, L2 and L∞ on `[f32]`), and the balanced partitioner's row
-//! against eight centroids per block ([`CentroidLanes`]). This file is the
+//! for L1, L2 and L∞ on `[f32]`). This file is the
 //! one place that holds intrinsics and asks the CPU for its features
 //! (CI's "One place holds intrinsics" step): every other crate reaches
 //! them through a safe function here.
@@ -17,9 +16,7 @@
 //!
 //! * [`SimdTier::Avx2`] — 256-bit lanes (16 u16 rows per step), picked
 //!   when the CPU reports AVX2 at first use. `dist8` runs its register
-//!   kernel: eight distances in the f64 lanes of two ymm registers; so do
-//!   [`CentroidLanes::nearest_each`] and [`CentroidLanes::next_each`],
-//!   which also pick each row's key there.
+//!   kernel: eight distances in the f64 lanes of two ymm registers.
 //! * [`SimdTier::Sse2`] — 128-bit lanes (8 u16 rows per step), the x86-64
 //!   baseline. `dist8` is two `dist4` calls (LLVM's packing of four
 //!   scalar lanes).
@@ -31,12 +28,10 @@
 //! integer arithmetic — an absolute difference, a max and a saturating
 //! decrement of u16s, exact in any order. A `dist8` lane runs `dist`'s
 //! operations in `dist`'s order, so each lane is `dist`'s result bit for
-//! bit (`x86::fold8_avx2` says why); a centroid lane likewise
-//! ([`CentroidLanes`] says why, and why its keys compare as integers).
-//! `PivotColumns` and `dist8` each take a pinned tier privately, and
-//! `CentroidLanes` takes one per call, which is how the kernel proptests
-//! hold every available tier against the portable body and against the
-//! one-lane loop.
+//! bit (`x86::fold8_avx2` says why). `PivotColumns` and `dist8` each take
+//! a pinned tier privately, which is how the kernel proptests hold every
+//! available tier against the portable body and against the one-lane
+//! loop.
 //!
 //! Dispatch is decided once per process ([`tier`], a `OnceLock`) and can be
 //! forced down with `PMI_SIMD=portable|scalar|sse2|avx2` — compiler flags
@@ -49,8 +44,8 @@
 
 use std::sync::OnceLock;
 
-/// A SIMD implementation tier of the stored-code scan kernel, of `dist8`
-/// and of [`CentroidLanes`], ordered from the narrowest to the widest.
+/// A SIMD implementation tier of the stored-code scan kernel and of
+/// `dist8`, ordered from the narrowest to the widest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdTier {
     /// Blocked scalar code, 16 u16 rows per step, auto-vectorized by LLVM.
@@ -100,21 +95,6 @@ pub(crate) fn has_avx2() -> bool {
     false
 }
 
-/// Hints that the cache line holding `*at` is about to be used, without
-/// waiting for it. Does nothing off x86-64.
-#[inline(always)]
-pub fn prefetch<T>(at: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch only warms the cache: it cannot fault, changes
-    // nothing the program observes, and `at` is a live reference anyway.
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((at as *const T).cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = at;
-}
-
 fn detect() -> SimdTier {
     let best = *available_tiers().last().expect("portable always present");
     let value = std::env::var_os("PMI_SIMD").map(|v| v.to_string_lossy().into_owned());
@@ -158,163 +138,13 @@ pub(crate) enum Lane {
     Max,
 }
 
-/// Centroids per block of [`CentroidLanes`]: two ymm registers of `f64`.
-pub const CENTROID_LANES: usize = 8;
-
-/// The balanced partitioner's distance kernel: a row's squared Euclidean
-/// distances to all `p` centroids, and the centroid a row picks from them.
-/// The centroids are copied centroid-major in blocks of [`CENTROID_LANES`],
-/// so one loop over a row's coordinates feeds a whole block; lane `j` of
-/// block `b` sums centroid `b · 8 + j`'s terms `(x − c)²` in dimension
-/// order from `+0.0`, a subtraction, a multiplication and an addition each
-/// (no FMA). Those are the operations of the one-vector loop
-/// `m.iter().zip(c).map(|(x, c)| (x − c) · (x − c)).sum()` (whose `sum` may
-/// start from `−0.0`, which a first term `≥ +0.0` absorbs like `+0.0`), so
-/// a distance has that loop's bits on every tier. The lanes past `p` in
-/// the last block hold zeros and never win.
-///
-/// A row picks by **key** `(bits, s)`: the distance's IEEE bit pattern as a
-/// `u64`, then the centroid. On non-negative distances the bit order is the
-/// numeric order; a NaN lane (`∞ − ∞` on x86 yields a NaN with the sign bit
-/// set) ranks above every number, `+∞` included. The AVX2 bodies compare
-/// those bit patterns in registers — sign bit flipped, then the signed
-/// `_mm256_cmpgt_epi64` — and never `_mm256_min_pd`, whose NaN rule is
-/// neither this order nor the portable body's; so every tier picks the
-/// same key for every row, NaN lanes included.
-#[derive(Clone, Debug)]
-pub struct CentroidLanes {
-    p: usize,
-    dim: usize,
-    /// Block `b`, coordinate `k`, at `blocks[b · dim + k]`.
-    blocks: Vec<[f64; CENTROID_LANES]>,
-}
-
-/// The largest key: where the search for a row's next key starts, and what
-/// it returns when no key of the row is above the one it last proposed.
-pub const NO_KEY: (u64, u32) = (u64::MAX, u32::MAX);
-
-impl CentroidLanes {
-    /// Lays out `centroids`, `p` rows of `dim` coordinates back to back.
-    ///
-    /// # Panics
-    /// If `dim` is 0 or does not divide `centroids.len()`.
-    pub fn new(centroids: &[f64], dim: usize) -> Self {
-        assert!(
-            dim > 0 && centroids.len().is_multiple_of(dim),
-            "{} values are no rows of width {dim}",
-            centroids.len()
-        );
-        let p = centroids.len() / dim;
-        let mut blocks = vec![[0.0; CENTROID_LANES]; p.div_ceil(CENTROID_LANES) * dim];
-        for (s, c) in centroids.chunks_exact(dim).enumerate() {
-            for (k, &x) in c.iter().enumerate() {
-                blocks[s / CENTROID_LANES * dim + k][s % CENTROID_LANES] = x;
-            }
-        }
-        CentroidLanes { p, dim, blocks }
-    }
-
-    /// The portable body, and the oracle of the others: calls
-    /// `f(s, squared distance from m to centroid s)` for `s = 0..p`, in
-    /// order.
-    #[inline(always)]
-    pub fn each(&self, m: &[f64], mut f: impl FnMut(usize, f64)) {
-        for (b, block) in self.blocks.chunks_exact(self.dim).enumerate() {
-            let mut acc = [0.0f64; CENTROID_LANES];
-            for (lanes, &x) in block.iter().zip(m) {
-                for (a, &c) in acc.iter_mut().zip(lanes) {
-                    let t = x - c;
-                    *a += t * t;
-                }
-            }
-            let first = b * CENTROID_LANES;
-            for (j, &d) in acc.iter().enumerate().take(self.p - first) {
-                f(first + j, d);
-            }
-        }
-    }
-
-    /// For every row `j` of `rows` (`dim` values each), its smallest key:
-    /// calls `f(j, bits, s)` in row order, where `(bits, s)` is the nearest
-    /// centroid — on a tie the lowest `s`. `tier` picks the body; a caller
-    /// that wants a row's distances too asks [`each`](Self::each).
-    ///
-    /// # Panics
-    /// If `rows.len()` is not a multiple of `dim`.
-    pub fn nearest_each(&self, tier: SimdTier, rows: &[f64], mut f: impl FnMut(usize, u64, u32)) {
-        assert!(
-            rows.len().is_multiple_of(self.dim),
-            "whole rows of width {}",
-            self.dim
-        );
-        #[cfg(target_arch = "x86_64")]
-        if tier == SimdTier::Avx2 && has_avx2() {
-            // SAFETY: AVX2 detected just above.
-            return unsafe { x86::nearest_avx2(self, rows, f) };
-        }
-        let _ = tier;
-        for (j, m) in rows.chunks_exact(self.dim).enumerate() {
-            // Strict `<`: a tie goes to the lower centroid. Written as
-            // selects so that the loop has no unpredictable branch.
-            let mut first = (u64::MAX, 0u32);
-            self.each(m, |s, d| {
-                let bits = d.to_bits();
-                let nearer = bits < first.0;
-                first.0 = if nearer { bits } else { first.0 };
-                first.1 = if nearer { s as u32 } else { first.1 };
-            });
-            f(j, first.0, first.1);
-        }
-    }
-
-    /// Rewrites every proposal `(bits, s, i)` of `moves` — row `i` of
-    /// `rows` last proposed key `(bits, s)` — to `(next bits, next s, i)`,
-    /// its smallest key above `(bits, s)`, or [`NO_KEY`] when none is.
-    /// The row `ahead` proposals on is prefetched: proposals are scattered
-    /// over the matrix. `tier` picks the body.
-    ///
-    /// # Panics
-    /// If a row `i` is past the end of `rows`.
-    pub fn next_each(
-        &self,
-        tier: SimdTier,
-        rows: &[f64],
-        moves: &mut [(u64, u32, u32)],
-        ahead: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if tier == SimdTier::Avx2 && has_avx2() {
-            // SAFETY: AVX2 detected just above.
-            return unsafe { x86::next_avx2(self, rows, moves, ahead) };
-        }
-        let _ = tier;
-        for j in 0..moves.len() {
-            if let Some(&(_, _, later)) = moves.get(j + ahead) {
-                let row = &rows[later as usize * self.dim..][..self.dim];
-                prefetch(&row[0]);
-                prefetch(&row[self.dim - 1]);
-            }
-            let (bits, s, i) = moves[j];
-            let tried = (bits, s);
-            let mut next = NO_KEY;
-            self.each(&rows[i as usize * self.dim..][..self.dim], |s, d| {
-                let key = (d.to_bits(), s as u32);
-                if key > tried && key < next {
-                    next = key;
-                }
-            });
-            moves[j] = (next.0, next.1, i);
-        }
-    }
-}
-
 /// The x86-64 lane implementations. The scan kernels require the slice
 /// preconditions `ScanKernel::fill_gaps` checks (one column per pivot,
 /// each at least `out.len()` long), `fold8_avx2` nine equal lengths, and
 /// the AVX2 ones a CPU with AVX2 — which the dispatcher guarantees.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use super::{CentroidLanes, Lane, CENTROID_LANES};
+    use super::Lane;
     use crate::matrix::ScanKernel;
     use core::arch::x86_64::*;
 
@@ -461,255 +291,6 @@ pub(crate) mod x86 {
         _mm256_storeu_pd(out.as_mut_ptr(), lo);
         _mm256_storeu_pd(out.as_mut_ptr().add(4), hi);
         out
-    }
-
-    /// [`CentroidLanes::nearest_each`]'s loop, two rows at a time (see
-    /// [`pick`]).
-    ///
-    /// # Safety
-    /// Caller verified AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn nearest_avx2(
-        lanes: &CentroidLanes,
-        rows: &[f64],
-        mut f: impl FnMut(usize, u64, u32),
-    ) {
-        let dim = lanes.dim;
-        let all = |_: usize, _, _: &Ids| None;
-        let mut pairs = rows.chunks_exact(2 * dim);
-        let mut j = 0;
-        for pair in &mut pairs {
-            let (ma, mb) = pair.split_at(dim);
-            let [(ka, sa), (kb, sb)] = pick(lanes, [ma, mb], all);
-            f(j, ka, sa);
-            f(j + 1, kb, sb);
-            j += 2;
-        }
-        if !pairs.remainder().is_empty() {
-            let [(k, s)] = pick(lanes, [pairs.remainder()], all);
-            f(j, k, s);
-        }
-    }
-
-    /// [`CentroidLanes::next_each`]'s loop, two proposals at a time, with
-    /// every lane at or below the key a row tried masked out.
-    ///
-    /// # Safety
-    /// Caller verified AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn next_avx2(
-        lanes: &CentroidLanes,
-        rows: &[f64],
-        moves: &mut [(u64, u32, u32)],
-        ahead: usize,
-    ) {
-        let dim = lanes.dim;
-        let row = |i: u32| &rows[i as usize * dim..][..dim];
-        let warm = |moves: &[(u64, u32, u32)], j: usize| {
-            if let Some(&(_, _, later)) = moves.get(j + ahead) {
-                let later = row(later);
-                super::prefetch(&later[0]);
-                super::prefetch(&later[dim - 1]);
-            }
-        };
-        let mut j = 0;
-        while j < moves.len() {
-            warm(moves, j);
-            if j + 1 < moves.len() {
-                warm(moves, j + 1);
-                let ((ba, sa, ia), (bb, sb, ib)) = (moves[j], moves[j + 1]);
-                let tried = [Tried::of(ba, sa), Tried::of(bb, sb)];
-                let keep = |r: usize, keys, ids: &Ids| Some(tried[r].above(keys, ids));
-                let [(ka, na), (kb, nb)] = pick(lanes, [row(ia), row(ib)], keep);
-                moves[j] = (ka, na, ia);
-                moves[j + 1] = (kb, nb, ib);
-                j += 2;
-            } else {
-                let (bits, s, i) = moves[j];
-                let tried = Tried::of(bits, s);
-                let keep = |_: usize, keys, ids: &Ids| Some(tried.above(keys, ids));
-                let [(k, n)] = pick(lanes, [row(i)], keep);
-                moves[j] = (k, n, i);
-                j += 1;
-            }
-        }
-    }
-
-    /// The sign bit of an `f64`, and of an `i64`.
-    const SIGN: u64 = 1 << 63;
-
-    /// The key a row last proposed, broadcast.
-    #[derive(Clone, Copy)]
-    struct Tried {
-        key: __m256i,
-        id: __m256i,
-    }
-
-    impl Tried {
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        fn of(bits: u64, s: u32) -> Tried {
-            Tried {
-                key: _mm256_set1_epi64x((bits ^ SIGN) as i64),
-                id: _mm256_set1_epi64x(i64::from(s)),
-            }
-        }
-
-        /// The lanes of a block's two halves of flipped keys whose
-        /// `(key, id)` is above it: a larger key, or the same key and a
-        /// larger id.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        fn above(&self, (lo, hi): (__m256i, __m256i), ids: &Ids) -> (__m256i, __m256i) {
-            let half = |key: __m256i, id: __m256i| {
-                let tie = _mm256_and_si256(
-                    _mm256_cmpeq_epi64(key, self.key),
-                    _mm256_cmpgt_epi64(id, self.id),
-                );
-                _mm256_or_si256(_mm256_cmpgt_epi64(key, self.key), tie)
-            };
-            (half(lo, ids.lo), half(hi, ids.hi))
-        }
-    }
-
-    /// The smallest key of each of `N` rows among the centroids of the
-    /// lanes `keep(r, keys, ids)` sets (`keys` the block's two halves,
-    /// sign-flipped, see [`flip`]; `None` keeps every lane), or
-    /// [`NO_KEY`](super::NO_KEY). Block by block, the rows' distances stay
-    /// in registers ([`sq_dists`]) and so does each block's smallest kept
-    /// key ([`block_min`]); the blocks' keys then compare as `(u64, u32)`
-    /// pairs, in ascending centroid order. A row's distances are one chain
-    /// of dependent additions; two rows side by side keep both chains in
-    /// flight.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn pick<const N: usize>(
-        lanes: &CentroidLanes,
-        m: [&[f64]; N],
-        keep: impl Fn(usize, (__m256i, __m256i), &Ids) -> Option<(__m256i, __m256i)>,
-    ) -> [(u64, u32); N] {
-        let mut best = [super::NO_KEY; N];
-        for (b, block) in lanes.blocks.chunks_exact(lanes.dim).enumerate() {
-            let dists = sq_dists(block, m);
-            let ids = Ids::of(b, lanes.p);
-            for (r, ((lo, hi), best)) in dists.into_iter().zip(&mut best).enumerate() {
-                let (lo, hi) = (flip(lo), flip(hi));
-                // Padding lanes are never kept; a full block needs no mask.
-                let kept = match (keep(r, (lo, hi), &ids), ids.full) {
-                    (kept, true) => kept,
-                    (None, false) => Some((ids.valid_lo, ids.valid_hi)),
-                    (Some((kl, kh)), false) => Some((
-                        _mm256_and_si256(ids.valid_lo, kl),
-                        _mm256_and_si256(ids.valid_hi, kh),
-                    )),
-                };
-                if let Some((bits, lane)) = block_min(lo, hi, kept) {
-                    let key = (bits, (b * CENTROID_LANES) as u32 + lane);
-                    if key < *best {
-                        *best = key;
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// The smallest kept key of one block (every lane when `kept` is
-    /// `None`), unflipped, and the lowest lane holding it; `None` if no
-    /// lane is kept. The minimum is a compare of the flipped bit patterns
-    /// as signed 64-bit lanes and a blend, three times (the two halves,
-    /// then pairs, then neighbours); the lane is the lowest set bit of the
-    /// kept lanes equal to it.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn block_min(lo: __m256i, hi: __m256i, kept: Option<(__m256i, __m256i)>) -> Option<(u64, u32)> {
-        let none = _mm256_set1_epi64x(i64::MAX);
-        let (lo, hi) = match kept {
-            Some((kl, kh)) => (
-                _mm256_blendv_epi8(none, lo, kl),
-                _mm256_blendv_epi8(none, hi, kh),
-            ),
-            None => (lo, hi),
-        };
-        let min = |a: __m256i, b: __m256i| _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-        let mut m = min(lo, hi);
-        m = min(m, _mm256_permute4x64_epi64::<0x4E>(m));
-        m = min(m, _mm256_shuffle_epi32::<0x4E>(m));
-        let at = |half: __m256i, kept: Option<__m256i>| {
-            let at = _mm256_cmpeq_epi64(half, m);
-            let at = kept.map_or(at, |kept| _mm256_and_si256(at, kept));
-            _mm256_movemask_pd(_mm256_castsi256_pd(at)) as u32
-        };
-        let lanes = at(lo, kept.map(|k| k.0)) | at(hi, kept.map(|k| k.1)) << 4;
-        let bits = _mm256_extract_epi64::<0>(m) as u64 ^ SIGN;
-        (lanes != 0).then(|| (bits, lanes.trailing_zeros()))
-    }
-
-    /// The squared distances from each row of `m` to the eight centroids
-    /// of `block` (`block[k]` their coordinate `k`): lanes 0–3 and 4–7,
-    /// each summed in dimension order from `+0.0` by a subtraction, a
-    /// multiplication and an addition per coordinate —
-    /// [`CentroidLanes::each`]'s operations, never fused.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn sq_dists<const N: usize>(
-        block: &[[f64; CENTROID_LANES]],
-        m: [&[f64]; N],
-    ) -> [(__m256d, __m256d); N] {
-        let mut acc = [(_mm256_setzero_pd(), _mm256_setzero_pd()); N];
-        for (k, c) in block.iter().enumerate() {
-            // SAFETY: `c` is eight `f64`, read as two halves of four.
-            let (clo, chi) = unsafe {
-                (
-                    _mm256_loadu_pd(c.as_ptr()),
-                    _mm256_loadu_pd(c.as_ptr().add(4)),
-                )
-            };
-            for ((lo, hi), m) in acc.iter_mut().zip(m) {
-                let x = _mm256_set1_pd(m[k]);
-                let (tlo, thi) = (_mm256_sub_pd(x, clo), _mm256_sub_pd(x, chi));
-                *lo = _mm256_add_pd(*lo, _mm256_mul_pd(tlo, tlo));
-                *hi = _mm256_add_pd(*hi, _mm256_mul_pd(thi, thi));
-            }
-        }
-        acc
-    }
-
-    /// The distances' bit patterns with the sign bit flipped: the signed
-    /// order of the result is the unsigned order of the bits.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn flip(d: __m256d) -> __m256i {
-        _mm256_xor_si256(_mm256_castpd_si256(d), _mm256_set1_epi64x(SIGN as i64))
-    }
-
-    /// The centroid ids of block `b`'s two halves, which of them are
-    /// centroids (`< p`) rather than padding, and whether all are.
-    struct Ids {
-        lo: __m256i,
-        hi: __m256i,
-        valid_lo: __m256i,
-        valid_hi: __m256i,
-        full: bool,
-    }
-
-    impl Ids {
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        fn of(b: usize, p: usize) -> Ids {
-            let first = (b * CENTROID_LANES) as i64;
-            let lo = _mm256_setr_epi64x(first, first + 1, first + 2, first + 3);
-            let hi = _mm256_add_epi64(lo, _mm256_set1_epi64x(4));
-            let count = p;
-            let p = _mm256_set1_epi64x(p as i64);
-            Ids {
-                lo,
-                hi,
-                valid_lo: _mm256_cmpgt_epi64(p, lo),
-                valid_hi: _mm256_cmpgt_epi64(p, hi),
-                full: (b + 1) * CENTROID_LANES <= count,
-            }
-        }
     }
 
     /// The in-lane 4×4 transpose of four rows of eight `f32`: output `k`

@@ -7,15 +7,16 @@
 //! bounds let an index *skip* work; this crate lifts that from objects to
 //! shards:
 //!
-//! * [`partition::partition_pivot_space`] clusters the dataset's
-//!   pivot-distance vectors (balanced k-means-style in pivot space, with
-//!   balanced contiguous runs as the fallback for degenerate inputs — a
-//!   zero-width pivot space among them), so each shard holds a
-//!   compact region of the pivot space. The balanced step is a deferred
-//!   acceptance between points and shards: linear passes over the matrix
-//!   rows, `O(n)` extra memory, run on the build's threads and the CPU's
-//!   SIMD tier with an assignment that depends on neither
-//!   ([`partition::assign_pivot_space`] is its single-threaded form),
+//! * [`partition::partition_pivot_space`] cuts the dataset's
+//!   pivot-distance vectors by recursive balanced median cuts (a k-d split
+//!   of their u16 bucket codes), so each shard holds one cell of the pivot
+//!   space and shard `s` of `P` holds exactly `⌊n/P⌋ + [s < n mod P]`
+//!   objects. Cells are disjoint but for the bucket a cut falls in, so a
+//!   small query ball meets about one of them. The cut has no random
+//!   choice and no floating-point sum: the same for every thread count by
+//!   construction ([`partition::assign_pivot_space`] is its
+//!   single-threaded form). A zero-width pivot space is cut into balanced
+//!   contiguous runs,
 //! * [`RoutingTable`] summarizes each shard as a minimum bounding box
 //!   ([`pmi_metric::lemmas::Mbb`]) and a centre (the mean) over its mapped
 //!   points — read off the shards' stored columns
@@ -25,10 +26,9 @@
 //!     hold any answer and is skipped outright
 //!     ([`RoutingTable::range_plan_into`]),
 //!   - **kNN**: shards are ordered best-first by the box lower bound,
-//!     shards whose bounds tie — a query usually lies inside several
-//!     overlapping boxes, bound 0 for each — by the distance from the
-//!     mapped query to their centre, the quantity the balanced k-means
-//!     partition was built on, and only then by shard id
+//!     shards whose bounds tie — a query in a bucket two cells share lies
+//!     inside both boxes, bound 0 for each — by the distance from the
+//!     mapped query to their centre, and only then by shard id
 //!     ([`RoutingTable::knn_order_into`]); the engine probes in that order
 //!     and skips every shard whose lower bound exceeds the current k-th
 //!     distance as the global heap tightens. The first shard probed seeds
@@ -58,5 +58,5 @@
 pub mod partition;
 pub mod table;
 
-pub use partition::{assign_pivot_space, partition_pivot_space, Partition};
+pub use partition::{assign_pivot_space, partition_pivot_space};
 pub use table::{Mapper, RoutingTable};

@@ -207,12 +207,15 @@ impl<O> RoutingTable<O> {
     /// id. The engine probes in this order and skips every shard whose
     /// bound exceeds the current k-th distance.
     ///
-    /// The tie rule decides what a kNN costs: boxes of a clustered
-    /// partition overlap, so a query usually lies inside several (bound 0
-    /// for each), and the shard probed first seeds the radius every later
-    /// probe prunes with. The shard whose centre is nearest is the one the
-    /// balanced k-means partition would have put the query in — the likely
-    /// home of its true neighbours — where the shard id says nothing. The
+    /// The tie rule decides what a kNN costs: a query can lie inside
+    /// several boxes (bound 0 for each) — k-d cells share the bucket a cut
+    /// falls in, and inserts grow boxes over their neighbours' — and the
+    /// shard probed first seeds the radius every later probe prunes with.
+    /// A box grown by inserts keeps its centre in its own cell, so the
+    /// nearest centre is the likely home of the query's true neighbours,
+    /// where the shard id says nothing. The key misleads where a shard is
+    /// not one cell: a re-split of two cells that do not border each other
+    /// leaves both centres between them (ROADMAP item 22). The
     /// answer does not depend on the order (the engine merges by
     /// `(distance, id)`), only the number of distances paid for it does.
     pub fn knn_order_into(&self, q_dists: &[f64], out: &mut Vec<(usize, f64)>) {

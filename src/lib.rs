@@ -22,7 +22,7 @@
 //!     pmr::L2,
 //!     &pmr::BuildOptions { d_plus: 14143.0, ..Default::default() },
 //!     &pmr::EngineConfig { shards: 4, threads: 2, ..Default::default() },
-//!     // PartitionPolicy::PivotSpace clusters shards in pivot space so
+//!     // PartitionPolicy::PivotSpace cuts the pivot space into shards so
 //!     // queries can skip shards (see the `pmi` crate docs).
 //!     pmr::PartitionPolicy::PivotSpace,
 //! )

@@ -586,6 +586,24 @@ fn obs_toggle_changes_no_results_and_no_exact_counters() {
     }
 }
 
+/// Inserts `n` objects evenly spaced on a circle of radius 7 500 around
+/// the middle of the LA square, every one outside it. Each lands in the
+/// routing box nearest it and stretches that box out to cover it, on some
+/// pivot dimensions over a neighbouring k-d cell: how boxes come to share
+/// buckets once a fresh build's cells, disjoint up to the bucket a cut
+/// falls in, take inserts.
+fn grow_boxes_by_outliers(engine: &mut pmr::ShardedEngine<Vec<f32>>, n: usize) {
+    let mut batch = pmr::engine::UpdateBatch::new();
+    for i in 0..n {
+        let t = i as f64 * std::f64::consts::TAU / n as f64;
+        batch.insert(vec![
+            (5000.0 + 7500.0 * t.cos()) as f32,
+            (5000.0 + 7500.0 * t.sin()) as f32,
+        ]);
+    }
+    assert_eq!(engine.apply(&batch).inserts, n);
+}
+
 /// The tracing tentpole's acceptance contract: a traced query's
 /// `explain()` output shows the router's per-shard prune/probe decisions,
 /// and the captured traces' counters sum **exactly** to the batch's
@@ -601,7 +619,7 @@ fn traced_queries_sum_exactly_to_serve_report() {
         ..BuildOptions::default()
     };
     let radius = datasets::calibrate_radius(&pts, &L2, 0.02, 5);
-    let engine = pmr::build_sharded_vector_engine(
+    let mut engine = pmr::build_sharded_vector_engine(
         IndexKind::Laesa,
         pts.clone(),
         L2,
@@ -614,6 +632,21 @@ fn traced_queries_sum_exactly_to_serve_report() {
         pmr::PartitionPolicy::PivotSpace,
     )
     .unwrap();
+    // The k-d cells of a fresh build share no bucket here (each cut bucket
+    // holds one row), so no query has a bound tie until inserts grow a box
+    // over a neighbour's cell.
+    grow_boxes_by_outliers(&mut engine, 12);
+    let rt = engine.routing().expect("a routed engine");
+    let mut mapped = Vec::new();
+    let shared = pts
+        .iter()
+        .find(|o| {
+            rt.map_into(o, &mut mapped);
+            let inside = rt.boxes().iter().filter(|b| b.lower_bound(&mapped) == 0.0);
+            inside.count() >= 2
+        })
+        .expect("an object in a bucket two routing boxes share")
+        .clone();
     let batch: Vec<pmr::Query<Vec<f32>>> = (0..32)
         .map(|i| {
             if i % 2 == 0 {
@@ -622,6 +655,7 @@ fn traced_queries_sum_exactly_to_serve_report() {
                 pmr::Query::knn(pts[i * 13].clone(), 10)
             }
         })
+        .chain([pmr::Query::knn(shared, 10)])
         .collect();
     engine.set_trace_policy(pmr::TracePolicy::sample(1).with_max_captured(batch.len()));
     let out = engine.serve(&batch);
@@ -698,8 +732,8 @@ fn traced_queries_sum_exactly_to_serve_report() {
         }
         assert!(text.contains("merge:"), "merge line present:\n{text}");
     }
-    // Clustered boxes overlap: some kNN lies inside more than one, and its
-    // plan says the centres ranked them.
+    // The last kNN lies inside two boxes, and its plan says the centres
+    // ranked them.
     assert!(
         traces
             .iter()
@@ -739,14 +773,15 @@ fn knn_by_hand(
 
 /// The kNN probe order's pin: which of the boxes a query lies inside is
 /// probed first seeds the radius every later probe prunes with, so bound
-/// ties go to the nearest centre. Over 200 held-out queries on a routed
-/// 8-shard engine, (1) the engine pays exactly what the by-hand replay of
-/// `knn_order_into`'s order pays, and strictly less than the replay of the
-/// `(bound, shard id)` order it replaced — a table kind and a tree kind,
-/// same answers either way; (2) LAESA's verified slots stay within 5 % of
-/// what no order can go below: every slot whose stored bound is within the
-/// true k-th distance, in every shard whose box bound is (ties by id sat
-/// ≈ 30 % above it).
+/// ties go to the nearest centre. A routed 8-shard engine first takes
+/// twelve outliers ([`grow_boxes_by_outliers`]), so that some of 200
+/// held-out queries lie inside two boxes. Over those queries, (1) the
+/// engine pays exactly what the by-hand replay of `knn_order_into`'s order
+/// pays, and strictly less than the replay of the `(bound, shard id)`
+/// order — a table kind and a tree kind, same answers either way; (2)
+/// LAESA's verified slots stay within 5 % of what no order can go below:
+/// every slot whose stored bound is within the true k-th distance, in
+/// every shard whose box bound is.
 #[cfg(not(debug_assertions))]
 #[test]
 fn knn_probe_order_stays_near_the_verification_floor() {
@@ -758,7 +793,7 @@ fn knn_probe_order_stays_near_the_verification_floor() {
         ..BuildOptions::default()
     };
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
-        let engine = pmr::build_sharded_vector_engine(
+        let mut engine = pmr::build_sharded_vector_engine(
             kind,
             indexed.to_vec(),
             L2,
@@ -771,6 +806,7 @@ fn knn_probe_order_stays_near_the_verification_floor() {
             pmr::PartitionPolicy::PivotSpace,
         )
         .unwrap();
+        grow_boxes_by_outliers(&mut engine, 12);
         let rt = engine.routing().unwrap();
         // Every shard's stored rows (LAESA's own, the floor's input).
         let rows: Vec<Vec<Vec<f64>>> = engine

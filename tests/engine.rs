@@ -158,16 +158,11 @@ fn aggregate_counters_equal_shard_sum_exactly() {
 
 /// The build layout, pinned in two hashes — the tier-1 twin of the ruler's
 /// `result_checksum`. `layout`: which shard and slot every object lands in,
-/// the exact build cost and every shard's counters — recorded before the
-/// engine took over computing its own pivot space (PR 19) and unmoved since:
-/// the partition runs over the exact f64 matrix whatever the shards store.
-/// `boxes`: every routing box edge bit for bit, one value for both kinds
-/// (one pivot space, one partition) — re-recorded whenever what a shard
-/// stores of a row changed, and with it the box that stands for it:
-/// `0x214dd13ecd99f158` over the exact f64 rows, `0xebf94245fc6f7a1a` over
-/// f32 values widened by one ulp a face, and now the union of the u16
-/// buckets (step 0.25 here) the stored rows stand for. Neither hash may
-/// depend on the thread count.
+/// the exact build cost and every shard's counters. `boxes`: every routing
+/// box edge bit for bit, one value for both kinds (one pivot space, one
+/// partition): the union of the u16 buckets (step 0.25 here) the stored
+/// rows stand for. A changed hash means a changed partition, build cost or
+/// box face. Neither hash may depend on the thread count.
 #[test]
 fn build_layout_is_pinned_and_independent_of_thread_count() {
     const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
@@ -181,13 +176,13 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
     let golden = [
         (
             IndexKind::Laesa,
-            0xfa99_ac15_7d22_c5b8u64,
-            0x0530_0648_fcd9_a264u64,
+            0x6a62_c031_81cc_1078u64,
+            0x02d7_da86_9031_f33cu64,
         ),
         (
             IndexKind::Mvpt,
-            0xffc6_de3b_9924_2963,
-            0x0530_0648_fcd9_a264,
+            0x4438_fae1_1082_9523,
+            0x02d7_da86_9031_f33c,
         ),
     ];
     for (kind, want_layout, want_boxes) in golden {

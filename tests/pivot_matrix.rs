@@ -40,11 +40,7 @@ fn recompute_engine(
     let layout = Layout::mapped(pivots.len(), move |o: &Vec<f32>, out: &mut Vec<f64>| {
         out.extend(map_pivots.iter().map(|p| L2.dist(o, p)))
     });
-    let cfg = EngineConfig {
-        partition_seed: opts.seed,
-        ..*cfg
-    };
-    ShardedEngine::build(pts.to_vec(), layout, &cfg, |_, part, _| {
+    ShardedEngine::build(pts.to_vec(), layout, cfg, |_, part, _| {
         build_index(kind, part, L2, pivots.clone(), opts)
     })
     .unwrap()
