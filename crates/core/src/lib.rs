@@ -170,28 +170,25 @@
 //! insert costs exactly `l` distance computations — no shard-side remap);
 //! removes shrink the affected shards' routing boxes back to their
 //! surviving members; and when a batch leaves live counts imbalanced past
-//! [`EngineConfig::refresh`] ([`RefreshPolicy`]), the worst shard pair is
-//! re-clustered incrementally (global ids are preserved and rows ride
-//! along — only membership moves).
+//! [`EngineConfig::refresh`] ([`RefreshPolicy`]), every shard is re-cut
+//! by the build's k-d cut of the live rows (global ids are preserved and
+//! rows ride along — only membership moves).
 //! Routed answers after any churn are byte-identical to a from-scratch
 //! rebuild over the survivors; the [`ApplyReport`] accounts every step
 //! exactly, and cumulative totals ride along in `ServeReport::updates`.
 //!
 //! Sustained churn leaves tombstoned rows in the shards' matrices — dead
-//! weight the scan kernel still pays lower-bound arithmetic for. A
-//! [`CompactionPolicy`] (next to `refresh` on [`EngineConfig`]) lets
-//! `apply` drop them once the dead fraction crosses a threshold:
-//! survivors are renumbered **densely in ascending global-id order** (the
-//! ids a fresh rebuild would assign — old ids are invalidated, which is
-//! why the default policy is disabled), every shard keeps only its
-//! survivors' rows, and serving afterwards is byte-identical to that
-//! rebuild. `engine.compact()` runs the same pass on demand; it is
-//! all-or-nothing, like `apply`.
+//! weight the scan kernel still pays lower-bound arithmetic for.
+//! `engine.compact()` drops them: survivors are renumbered **densely in
+//! ascending global-id order** (the ids a fresh rebuild would assign — old
+//! ids are invalidated, which is why only an explicit call compacts),
+//! every shard keeps only its survivors' rows, and serving afterwards is
+//! byte-identical to that rebuild. It is all-or-nothing, like `apply`.
 //!
 //! ```
 //! use pmi::{
-//!     build_sharded_vector_engine, BuildOptions, CompactionPolicy, EngineConfig, IndexKind,
-//!     PartitionPolicy, RefreshPolicy, UpdateBatch,
+//!     build_sharded_vector_engine, BuildOptions, EngineConfig, IndexKind, PartitionPolicy,
+//!     RefreshPolicy, UpdateBatch,
 //! };
 //!
 //! let objects = pmi::datasets::la(2_000, 42);
@@ -204,11 +201,8 @@
 //!     &EngineConfig {
 //!         shards: 8,
 //!         threads: 2,
-//!         // Re-cluster the worst shard pair when one holds 3x another.
+//!         // Re-cut every shard when one holds 3x another.
 //!         refresh: RefreshPolicy { max_imbalance: 3.0, min_objects: 64 },
-//!         // Drop tombstoned matrix rows (renumbering ids!) once more
-//!         // than 30% of the rows are dead.
-//!         compaction: CompactionPolicy::at_dead_fraction(0.3),
 //!         ..EngineConfig::default()
 //!     },
 //!     PartitionPolicy::PivotSpace,
@@ -227,19 +221,18 @@
 //! // A routing box is recomputed only when a removed member lay on one
 //! // of its faces; an interior member cannot have changed it.
 //! assert!(report.reboxed_shards <= 2);
-//! assert_eq!(report.compactions, 0, "2 dead rows is under every floor");
 //! assert_eq!(engine.len(), 1_999);
 //!
-//! // Heavy churn: remove a third of the dataset, then watch apply
-//! // compact the matrix back to dense (ids renumber to 0..n_live).
+//! // Heavy churn: remove a third of the dataset, then compact the rows
+//! // back to dense (ids renumber to 0..n_live).
 //! let mut churn = UpdateBatch::new();
 //! for id in 100..800 {
 //!     churn.remove(id);
 //! }
-//! let report = engine.apply(&churn);
-//! assert_eq!(report.compactions, 1);
-//! assert_eq!(report.compacted_rows, 702, "all dead rows dropped");
+//! assert_eq!(engine.apply(&churn).removes, 700);
+//! assert_eq!(engine.compact(), 702, "all dead rows dropped");
 //! assert_eq!(engine.len(), 1_299);
+//! assert_eq!(engine.update_stats().compacted_rows, 702);
 //! ```
 //!
 //! Each committed batch publishes a new immutable [`EngineSnapshot`]
@@ -342,12 +335,12 @@ pub use serve::{build_sharded_engine, build_sharded_vector_engine, PartitionPoli
 
 pub use pmi_engine as engine;
 pub use pmi_engine::{
-    AdmissionPolicy, ApplyReport, BatchOutcome, BuildStats, CompactionPolicy, Completeness,
-    DegradeReason, Degraded, EngineConfig, EngineError, EngineReader, EngineScratch,
-    EngineSnapshot, FaultPolicy, LatencySummary, OpError, OpErrorKind, PumpOutcome, Query,
-    QueryBudget, QueryError, QueryResult, QueryTrace, QueueStats, RefreshPolicy, ServeBudget,
-    ServeReport, ShardFaultState, ShardServeStats, ShardedEngine, SubmitOutcome, SubmitQueue,
-    TraceEvent, TraceKind, TracePolicy, UpdateBatch, UpdateOp, UpdateStats,
+    AdmissionPolicy, ApplyReport, BatchOutcome, BuildStats, Completeness, DegradeReason, Degraded,
+    EngineConfig, EngineError, EngineReader, EngineScratch, EngineSnapshot, FaultPolicy,
+    LatencySummary, OpError, OpErrorKind, PumpOutcome, Query, QueryBudget, QueryError, QueryResult,
+    QueryTrace, QueueStats, RefreshPolicy, ServeBudget, ServeReport, ShardFaultState,
+    ShardServeStats, ShardedEngine, SubmitOutcome, SubmitQueue, TraceEvent, TraceKind, TracePolicy,
+    UpdateBatch, UpdateOp, UpdateStats,
 };
 
 pub use pmi_obs as obs;

@@ -33,8 +33,7 @@
 //!   beside it otherwise) for the engine's unified mutation path: an
 //!   `apply`-batch insert maps its object once and hands the row to the
 //!   destination shard, removes shrink routing boxes over the surviving
-//!   rows, and the `RefreshPolicy` re-clusters the worst shard pair under
-//!   imbalance.
+//!   rows, and the `RefreshPolicy` re-cuts every shard under imbalance.
 //!
 //! An engine whose pivot space has zero width — every bound 0, so every
 //! shard is probed, over balanced contiguous runs — is built directly:

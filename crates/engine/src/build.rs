@@ -12,11 +12,11 @@ use super::{
     ShardedEngine,
 };
 use crate::report::{BuildStats, UpdateStats};
-use crate::robust::QuarantineState;
+use crate::robust::{QuarantineState, ServeBudget};
 use crate::shard::{partition_by_assignment, Partition, Shard};
 use pmi_metric::parallel::claim_each;
 use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
-use pmi_obs::{Hist, Registry};
+use pmi_obs::{Hist, Registry, TracePolicy};
 use pmi_router::{Mapper, RoutingTable};
 use std::borrow::Cow;
 use std::sync::atomic::AtomicU64;
@@ -82,10 +82,10 @@ impl<O> ShardedEngine<O> {
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
     ///    order as [`PivotMatrix::compute`]);
     /// 2. the membership — [`pmi_router::partition_pivot_space`]'s
-    ///    balanced median cuts of the rows' bucket codes (the call
-    ///    [`compact`](Self::compact) repeats over the survivors; balanced
-    ///    contiguous runs over a zero-width space), or the layout's
-    ///    explicit one;
+    ///    balanced median cuts of the rows' bucket codes (the call a
+    ///    re-cluster and [`compact`](Self::compact) repeat over the live
+    ///    members; balanced contiguous runs over a zero-width space), or
+    ///    the layout's explicit one;
     /// 3. each shard's rows, stored once as its own planar u16 bucket
     ///    columns ([`PivotColumns`]) under the matrix's one step
     ///    ([`PivotMatrix::step`], which the routing table gets too, and
@@ -279,8 +279,8 @@ impl<O> ShardedEngine<O> {
             probed: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
             obs,
-            trace: Mutex::new(cfg.trace),
-            budget: Mutex::new(cfg.budget),
+            trace: Mutex::new(TracePolicy::disabled()),
+            budget: Mutex::new(ServeBudget::unlimited()),
             faults: cfg.faults,
             quarantine: QuarantineState::new(num_shards),
             validator: Mutex::new(None),
@@ -294,7 +294,6 @@ impl<O> ShardedEngine<O> {
             epoch: 0,
             retired: Vec::new(),
             refresh: cfg.refresh,
-            compaction: cfg.compaction,
             locator,
             next_id: n as ObjId,
             update_stats: UpdateStats::default(),

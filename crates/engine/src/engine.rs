@@ -33,11 +33,11 @@
 //! ([`ShardedEngine::apply`]): inserts compute their pivot row once and
 //! hand it to the destination shard; removes shrink the affected routing
 //! boxes back over the surviving rows (and every insert and remove moves
-//! the shard's routing centre); a [`RefreshPolicy`] re-clusters the
-//! worst shard pair when live counts drift apart; and
-//! [`compact`](ShardedEngine::compact) re-partitions the survivors with the
-//! very call and seed the build ran. On a plain engine the rows are empty
-//! and all of it costs no distance.
+//! the shard's routing centre); and when live counts drift apart past a
+//! [`RefreshPolicy`], a re-cluster re-cuts every shard with the very call
+//! the build ran, as [`compact`](ShardedEngine::compact) does before it
+//! renumbers. On a plain engine the rows are empty and all of it costs no
+//! distance.
 //! Serving reuses per-worker [`EngineScratch`] buffers so the batch hot
 //! loop performs no transient heap allocations per query.
 //!
@@ -63,7 +63,7 @@ use crate::robust::{
     FaultPolicy, OpError, OpErrorKind, QuarantineState, ServeBudget, ShardFaultState,
 };
 use crate::shard::Shard;
-use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
+use crate::update::{ApplyReport, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
 use pmi_metric::matrix::stored_interval;
 use pmi_metric::{cow, Counters, CowVec, ObjId, PivotMatrix, StorageFootprint};
@@ -91,22 +91,8 @@ pub struct EngineConfig {
     /// included, is capped by the work there is. `0` means one per
     /// available hardware thread.
     pub threads: usize,
-    /// When [`apply`](ShardedEngine::apply) re-clusters the worst shard
-    /// pair.
+    /// When [`apply`](ShardedEngine::apply) re-cuts every shard.
     pub refresh: RefreshPolicy,
-    /// When [`apply`](ShardedEngine::apply) compacts the shards' pivot
-    /// rows (renumbers global ids — disabled by default, see
-    /// [`CompactionPolicy`]).
-    pub compaction: CompactionPolicy,
-    /// Per-query trace capture: sample 1-in-N and/or retroactively keep
-    /// slow queries (see [`TracePolicy`]). Disabled by default — the serve
-    /// hot path stays untraced; swap at runtime with
-    /// [`set_trace_policy`](ShardedEngine::set_trace_policy).
-    pub trace: TracePolicy,
-    /// Per-query / per-batch serving budgets (see [`ServeBudget`]).
-    /// Unlimited by default — the serve hot path pays nothing; swap at
-    /// runtime with [`set_budget`](ShardedEngine::set_budget).
-    pub budget: ServeBudget,
     /// When repeated per-shard query panics quarantine a shard (see
     /// [`FaultPolicy`]; default: after 3).
     pub faults: FaultPolicy,
@@ -118,9 +104,6 @@ impl Default for EngineConfig {
             shards: 4,
             threads: 0,
             refresh: RefreshPolicy::default(),
-            compaction: CompactionPolicy::default(),
-            trace: TracePolicy::disabled(),
-            budget: ServeBudget::unlimited(),
             faults: FaultPolicy::default(),
         }
     }
@@ -253,13 +236,13 @@ impl Locator {
         Some(at)
     }
 
-    /// The live ids, ascending.
-    fn live_ids(&self) -> impl Iterator<Item = ObjId> + '_ {
+    /// The live ids, ascending, each with its `(shard, local id)`.
+    fn live(&self) -> impl Iterator<Item = (ObjId, (usize, ObjId))> + '_ {
         self.0
             .iter()
             .enumerate()
             .filter(|&(_, &e)| e != Self::DEAD)
-            .map(|(gid, _)| gid as ObjId)
+            .map(|(gid, &(s, local))| (gid as ObjId, (s as usize, local)))
     }
 }
 
@@ -453,10 +436,8 @@ pub struct ShardedEngine<O> {
     /// reader batches). Swept at each publish: a snapshot whose only owner
     /// is this list is dropped.
     retired: Vec<Arc<EngineSnapshot<O>>>,
-    /// When [`apply`](Self::apply) re-clusters the worst shard pair.
+    /// When [`apply`](Self::apply) re-cuts every shard.
     refresh: RefreshPolicy,
-    /// When [`apply`](Self::apply) compacts the shards' rows.
-    compaction: CompactionPolicy,
     /// Global id → (shard, local id) for live objects.
     locator: Locator,
     next_id: ObjId,
@@ -805,11 +786,10 @@ impl<O> ShardedEngine<O> {
     ///   shard's routing centre ([`RoutingTable::forget`]) — so boxes stay
     ///   tight and pruning does not decay under churn.
     /// * If the batch leaves live counts imbalanced past the
-    ///   [`RefreshPolicy`], the worst shard pair is incrementally
-    ///   re-clustered: one balanced median cut of the members' stored
-    ///   rows, moving only the objects that change side (their
-    ///   global ids are preserved and their rows ride along; the locator
-    ///   is fixed up).
+    ///   [`RefreshPolicy`], every shard is re-cut: the build's k-d cut of
+    ///   the live members' stored rows, moving only the objects whose cell
+    ///   changed (their global ids are preserved and their rows ride
+    ///   along; the locator is fixed up).
     ///
     /// Routed answers after any sequence of `apply` calls are identical to
     /// a from-scratch rebuild over the surviving objects — box maintenance
@@ -871,15 +851,6 @@ impl<O> ShardedEngine<O> {
                 ("forked_shards", forked as u64),
                 ("copied_bytes", cow::copied_bytes() - copied0),
             ],
-        );
-        let compacted = self.maybe_compact();
-        report.compactions = usize::from(compacted > 0);
-        report.compacted_rows = compacted as u64;
-        self.core.obs.phase_add(
-            "apply.compact",
-            report.compactions as u64,
-            clock.lap(),
-            &[("compacted_rows", report.compacted_rows)],
         );
         report.map_compdists = self.update_stats.map_compdists - map_cd0;
         report.shard_compdists = self.counters().compdists - shard_cd0;
@@ -1113,84 +1084,41 @@ impl<O> ShardedEngine<O> {
         reboxed
     }
 
-    /// Incremental re-clustering: when the live counts of the fullest and
-    /// emptiest shards trip the [`RefreshPolicy`], their members are
-    /// re-split by one balanced median cut of their stored rows (the
-    /// partitioner's call with two shards) and only the objects that
-    /// changed side move (global ids stay, rows ride along; locator and
-    /// boxes are fixed up). Returns
+    /// Re-clustering: when the live counts of the fullest and emptiest
+    /// shards trip the [`RefreshPolicy`], every shard is re-cut
+    /// ([`stage_recut`](Self::stage_recut)) and reboxed. Returns
     /// `(passes, moved, boxes recomputed)`.
     fn stage_recluster(&self, txn: &mut ApplyTxn<O>) -> (usize, u64, usize) {
-        if txn.shards.len() < 2 {
-            return (0, 0, 0);
-        }
-        let width = txn.router.boxes()[0].dim();
-        let (mut hi, mut lo) = (0usize, 0usize);
-        for (s, shard) in txn.shards.iter().enumerate() {
-            if shard.len() > txn.shards[hi].len() {
-                hi = s;
-            }
-            if shard.len() < txn.shards[lo].len() {
-                lo = s;
-            }
-        }
-        let (max_len, min_len) = (txn.shards[hi].len(), txn.shards[lo].len());
-        if hi == lo || !self.refresh.triggers(max_len, min_len) {
+        let lens = || txn.shards.iter().map(|s| s.len());
+        let (max_len, min_len) = (lens().max().unwrap_or(0), lens().min().unwrap_or(0));
+        if txn.shards.len() < 2 || !self.refresh.triggers(max_len, min_len) {
             return (0, 0, 0);
         }
         fault::at("engine.recluster", 0);
-
-        // The pair's live members in ascending global id order (slot
-        // tables carry no order guarantee; sorting keeps the re-split
-        // deterministic). Only the two shards are walked.
-        let mut members: Vec<(ObjId, usize, ObjId)> = Vec::new();
-        for s in [hi, lo] {
-            for (local, gid) in txn.shards[s].live_members() {
-                members.push((gid, s, local));
-            }
-        }
-        members.sort_unstable_by_key(|&(gid, _, _)| gid);
-        // The pair's rows as one transient matrix for the partitioner.
-        let pair_rows = stored_rows(
-            width,
-            members
-                .iter()
-                .map(|&(_, s, local)| txn.shards[s].pivot_row(local)),
-        );
-        let split = pmi_router::partition_pivot_space(&pair_rows, 2, self.core.threads);
-
-        // Orient the two halves onto (hi, lo) so the fewest objects move.
-        let stays = |flip: bool| {
-            members
-                .iter()
-                .zip(&split)
-                .filter(|((_, s, _), &c)| ((c == 0) != flip) == (*s == hi))
-                .count()
-        };
-        let flip = stays(true) > stays(false);
-        let mut moved = 0u64;
-        for (i, (&(gid, s, local), &c)) in members.iter().zip(&split).enumerate() {
-            let target = if (c == 0) != flip { hi } else { lo };
-            moved += u64::from(txn.move_object(gid, (s, local), target, pair_rows.row(i)));
-        }
-        let mut reboxed = 0;
-        if moved > 0 {
-            let mut dirty = vec![false; txn.shards.len()];
-            dirty[hi] = true;
-            dirty[lo] = true;
-            reboxed = self.stage_rebox(txn, &dirty);
-        }
-        (1, moved, reboxed)
+        let moved = self.stage_recut(txn);
+        let dirty = vec![true; txn.shards.len()];
+        (1, moved, self.stage_rebox(txn, &dirty))
     }
 
-    /// Runs [`compact`](Self::compact) when the dead-row fraction trips
-    /// the engine's [`CompactionPolicy`]. Returns the rows dropped.
-    fn maybe_compact(&mut self) -> usize {
-        let total = self.next_id as usize;
-        if !self.compaction.triggers(total - self.len(), total) {
-            return 0;
+    /// The write path's one re-partition: the build's k-d cut of the live
+    /// members' stored rows, taken in ascending global id order (slot
+    /// tables carry no order guarantee; the order keeps the cut
+    /// deterministic). Every object whose cell changed moves (global id
+    /// kept, row riding along). Returns the objects moved; boxes are left
+    /// to the caller.
+    fn stage_recut(&self, txn: &mut ApplyTxn<O>) -> u64 {
+        let live: Vec<(ObjId, (usize, ObjId))> = txn.locator.live().collect();
+        let rows = stored_rows(
+            txn.router.boxes()[0].dim(),
+            live.iter()
+                .map(|&(_, (s, local))| txn.shards[s].pivot_row(local)),
+        );
+        let cells = pmi_router::partition_pivot_space(&rows, txn.shards.len(), self.core.threads);
+        let mut moved = 0;
+        for (i, (&(gid, from), &to)) in live.iter().zip(&cells).enumerate() {
+            moved += u64::from(txn.move_object(gid, from, to, rows.row(i)));
         }
-        self.compact()
+        moved
     }
 
     /// Compacts the shards' pivot rows under sustained churn — a **major
@@ -1268,41 +1196,21 @@ impl<O> ShardedEngine<O> {
     /// for the steps) and returns the survivor count. Touches no published
     /// state.
     fn stage_compaction(&self, txn: &mut ApplyTxn<O>) -> usize {
-        // Survivors in ascending (old) global-id order; their rank is the
-        // new global id.
-        let survivors: Vec<ObjId> = txn.locator.live_ids().collect();
-        let at = |txn: &ApplyTxn<O>, gid: ObjId| {
-            let (s, local) = txn.locator.get(gid).expect("a survivor is live");
-            (s as usize, local)
-        };
-
         // (1) Full re-partition of the survivors. The movement tombstones
         // this leaves behind are folded away by the dense rebuild below.
-        if txn.shards.len() >= 2 {
-            let live_rows = stored_rows(
-                txn.router.boxes()[0].dim(),
-                survivors.iter().map(|&gid| {
-                    let (s, local) = at(txn, gid);
-                    txn.shards[s].pivot_row(local)
-                }),
-            );
-            let assignment =
-                pmi_router::partition_pivot_space(&live_rows, txn.shards.len(), self.core.threads);
-            for (rank, (&gid, &target)) in survivors.iter().zip(&assignment).enumerate() {
-                let from = at(txn, gid);
-                txn.move_object(gid, from, target, live_rows.row(rank));
-            }
-        }
+        self.stage_recut(txn);
 
-        // (2) Dense ids, per-shard compaction.
+        // (2) Dense ids, per-shard compaction: the survivors in ascending
+        // (old) global-id order, their rank the new global id.
         let mut keep: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
         let mut gids: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
-        for (new_gid, &old_gid) in survivors.iter().enumerate() {
-            let (s, local) = at(txn, old_gid);
+        let mut survivors = 0;
+        for (_, (s, local)) in txn.locator.live() {
             keep[s].push(local);
-            gids[s].push(new_gid as ObjId);
+            gids[s].push(survivors as ObjId);
+            survivors += 1;
         }
-        let mut locator = vec![Locator::DEAD; survivors.len()];
+        let mut locator = vec![Locator::DEAD; survivors];
         for (s, (keep, gids)) in keep.iter().zip(&gids).enumerate() {
             if txn.shard_mut(s).compact_rows(keep, gids) {
                 // Dense rebuild: new local id i holds new global id gids[i].
@@ -1317,14 +1225,14 @@ impl<O> ShardedEngine<O> {
             }
         }
         txn.locator = Locator(locator.into());
-        txn.next_id = survivors.len() as ObjId;
+        txn.next_id = survivors as ObjId;
 
         // (3) Tight boxes over the final membership.
         let dirty = vec![true; txn.shards.len()];
         self.stage_rebox(txn, &dirty);
         // The last abortable point: past here the compaction commits.
         fault::at("engine.compact", 0);
-        survivors.len()
+        survivors
     }
 
     /// Fetches a copy of a live object by global id.
@@ -1553,7 +1461,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_phases_nest_under_apply_and_compact_carries_no_publish_wall() {
+    fn apply_phases_nest_under_apply() {
         let mut e = engine(400, 4, 1);
         if !e.obs().is_enabled() {
             return; // observability compiled out: no phases to check
@@ -1592,16 +1500,12 @@ mod tests {
             counter("copied_bytes") > 0,
             "forks copy the chunks they write"
         );
-        // No compaction ran: the phase is a clock read, not the publish.
-        let compact = phase("apply.compact");
-        assert_eq!(compact.calls, 0);
-        assert!(compact.wall_secs < publish.wall_secs);
     }
 
     #[test]
-    fn recluster_rebalances_worst_pair_and_keeps_answers() {
+    fn recluster_recuts_every_shard_and_keeps_answers() {
         // Start from two tight clusters, then grow cluster A only: the
-        // imbalance trips RefreshPolicy and the pair is re-split.
+        // imbalance trips RefreshPolicy and every shard is re-cut.
         let (_, mut e) = two_clusters(RefreshPolicy {
             max_imbalance: 2.0,
             min_objects: 10,
@@ -1615,13 +1519,10 @@ mod tests {
         let report = e.apply(&batch);
         assert_eq!(report.inserts, 40);
         assert_eq!(report.reclusters, 1, "imbalance trips the policy");
-        assert!(report.moved_objects > 0, "the re-split moved objects");
+        assert!(report.moved_objects > 0, "the re-cut moved objects");
+        assert_eq!(report.reboxed_shards, 2, "every shard is reboxed");
         let lens: Vec<usize> = e.shards().iter().map(|s| s.len()).collect();
-        let (max, min) = (*lens.iter().max().unwrap(), *lens.iter().min().unwrap());
-        assert!(
-            (max as f64) <= 2.0 * min.max(1) as f64,
-            "rebalanced under the threshold: {lens:?}"
-        );
+        assert_eq!(lens, [30, 30], "the build's balanced cells");
         // Every object is still served exactly once, with exact answers.
         let single: Vec<Vec<f32>> = (0..e.next_id).filter_map(|gid| e.get(gid)).collect();
         assert_eq!(single.len(), e.len());
@@ -1662,7 +1563,6 @@ mod tests {
         batch.insert(vec![500.0f32, 500.0]);
         let r = e.apply(&batch);
         assert_eq!((r.removes, r.inserts), (6, 1));
-        assert_eq!(r.compactions, 0, "default policy never compacts");
 
         // Survivors in ascending old-gid order are the expected new order.
         let survivors: Vec<Vec<f32>> = (0..41u32).filter_map(|g| e.get(g)).collect();
@@ -1684,32 +1584,6 @@ mod tests {
         assert_eq!(e.range_query(&vec![600.0f32, 600.0], 0.5), vec![35]);
         // compact with nothing dead is a no-op.
         assert_eq!(e.compact(), 0);
-    }
-
-    #[test]
-    fn compaction_policy_triggers_inside_apply() {
-        let mut e = grid_space_engine(
-            32,
-            &EngineConfig {
-                shards: 2,
-                threads: 1,
-                compaction: CompactionPolicy {
-                    max_dead_fraction: 0.25,
-                    min_dead_rows: 4,
-                },
-                ..EngineConfig::default()
-            },
-        );
-        let mut batch = UpdateBatch::new();
-        for id in 0..12u32 {
-            batch.remove(id);
-        }
-        let r = e.apply(&batch);
-        assert_eq!(r.removes, 12);
-        assert_eq!(r.compactions, 1, "12/32 dead trips the 25% policy");
-        assert_eq!(r.compacted_rows, 12);
-        assert_eq!(e.len(), 20);
-        assert_eq!(e.range_query(&e.get(0).unwrap(), 0.0), vec![0]);
     }
 
     #[test]

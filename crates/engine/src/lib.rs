@@ -37,9 +37,8 @@
 //!   via the routing table and map to **one** pivot row that the
 //!   destination shard takes with the object (no remap),
 //!   removes shrink the affected routing boxes back to the surviving
-//!   members, and a [`RefreshPolicy`] re-clusters the worst shard pair
-//!   when a batch leaves the shards imbalanced. Every [`ApplyReport`]
-//!   counter is exact.
+//!   members, and a [`RefreshPolicy`] re-cuts every shard when a batch
+//!   leaves the shards imbalanced. Every [`ApplyReport`] counter is exact.
 //!
 //! There is one serving model: every query — in a batch of any width, or
 //! alone through [`ShardedEngine::execute`], [`ShardedEngine::range_query`]
@@ -96,4 +95,4 @@ pub use robust::{
     QueryError, ServeBudget, ShardFaultState,
 };
 pub use shard::Shard;
-pub use update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
+pub use update::{ApplyReport, RefreshPolicy, UpdateBatch, UpdateOp};

@@ -10,8 +10,7 @@
 //! ([`MetricIndex::insert_adopted`](pmi_metric::MetricIndex::insert_adopted))
 //! — no per-shard remap. Removes recompute the affected shards' routing
 //! boxes from the surviving members' rows, and a batch that leaves the
-//! shards too imbalanced triggers an incremental re-clustering of the worst
-//! shard pair.
+//! shards too imbalanced re-cuts every shard.
 
 use crate::robust::OpError;
 use pmi_metric::ObjId;
@@ -78,18 +77,19 @@ impl<O> FromIterator<UpdateOp<O>> for UpdateBatch<O> {
 }
 
 /// When `apply` re-clusters: after a batch, if the fullest shard holds more
-/// than `max_imbalance ×` the emptiest shard's live objects (and the pair
-/// is big enough to matter), the worst pair is re-split by one balanced
-/// median cut of the members' stored rows — an incremental rebalance
-/// instead of a full rebuild. Over a plain engine's zero-width rows the
-/// cut orders by global id alone: the pair's members cut into two
-/// contiguous runs.
+/// than `max_imbalance ×` the emptiest shard's live objects (and the two
+/// are big enough to matter), every shard is re-cut by the build's k-d cut
+/// of the live members' stored rows, moving only the objects whose cell
+/// changed — what [`compact`](crate::ShardedEngine::compact) does before it
+/// renumbers, without the renumbering. Over a plain engine's zero-width rows
+/// the cut orders by global id alone: balanced contiguous runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RefreshPolicy {
     /// Trigger threshold: re-cluster when `max_len > max_imbalance *
     /// max(min_len, 1)`. `f64::INFINITY` disables re-clustering.
     pub max_imbalance: f64,
-    /// The worst pair must hold at least this many live objects combined;
+    /// The fullest and the emptiest shard must hold at least this many live
+    /// objects combined;
     /// below it, imbalance is noise and re-clustering is skipped.
     pub min_objects: usize,
 }
@@ -119,63 +119,6 @@ impl Default for RefreshPolicy {
     }
 }
 
-/// When `apply` compacts the shards' pivot rows: after a batch, if the
-/// fraction of dead (tombstoned) rows among all rows ever handed out
-/// exceeds `max_dead_fraction` (and there are at least `min_dead_rows` of
-/// them), the engine — plain or routed — re-partitions and renumbers the
-/// survivors densely, has every shard whose index compacts drop the dead
-/// rows, and remaps its own id tables — see
-/// [`ShardedEngine::compact`](crate::ShardedEngine::compact). Serving after
-/// a compaction is byte-identical to a from-scratch rebuild over the
-/// survivors (with the rebuild's dense ids), which is exactly what closes
-/// the post-churn QPS gap: tombstoned rows stop costing lower-bound
-/// arithmetic and cache space.
-///
-/// **Compaction renumbers global ids** (survivor rank order), invalidating
-/// ids the caller holds from before — the same contract as rebuilding. The
-/// default is therefore *disabled*; opt in via `EngineConfig.compaction`
-/// or call `compact()` explicitly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompactionPolicy {
-    /// Trigger threshold: compact when
-    /// `dead_rows > max_dead_fraction * total_rows`.
-    pub max_dead_fraction: f64,
-    /// Minimum dead rows before compaction is worth rewriting the rows.
-    pub min_dead_rows: usize,
-}
-
-impl CompactionPolicy {
-    /// Never compact automatically (the default; `compact()` stays
-    /// available as an explicit call).
-    pub fn disabled() -> Self {
-        CompactionPolicy {
-            max_dead_fraction: f64::INFINITY,
-            min_dead_rows: usize::MAX,
-        }
-    }
-
-    /// Compact when more than `fraction` of the pivot rows are dead
-    /// (with a small absolute floor so tiny engines don't thrash).
-    pub fn at_dead_fraction(fraction: f64) -> Self {
-        CompactionPolicy {
-            max_dead_fraction: fraction,
-            min_dead_rows: 256,
-        }
-    }
-
-    /// Whether a `(dead, total)` row count pair trips the trigger.
-    pub fn triggers(&self, dead_rows: usize, total_rows: usize) -> bool {
-        dead_rows >= self.min_dead_rows
-            && dead_rows as f64 > self.max_dead_fraction * total_rows as f64
-    }
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy::disabled()
-    }
-}
-
 /// What one [`apply`](crate::ShardedEngine::apply) did and what it cost —
 /// every counter is exact.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -199,17 +142,13 @@ pub struct ApplyReport {
     pub shard_compdists: u64,
     /// Routing boxes actually recomputed from surviving members: one per
     /// shard that lost a member lying on a face of its box (removing a
-    /// member strictly inside cannot change the box), plus the pair a
-    /// re-cluster re-split.
+    /// member strictly inside cannot change the box), plus every shard
+    /// after a re-cluster.
     pub reboxed_shards: usize,
     /// Re-clustering passes run (0 or 1 per apply).
     pub reclusters: usize,
     /// Objects moved between shards by re-clustering.
     pub moved_objects: u64,
-    /// Matrix compactions run (0 or 1 per apply; see [`CompactionPolicy`]).
-    pub compactions: usize,
-    /// Dead matrix rows dropped by compaction.
-    pub compacted_rows: u64,
     /// Wall-clock duration of the apply, seconds.
     pub wall_secs: f64,
     /// Whether the apply aborted: a fault (panic) inside the staging
@@ -253,13 +192,8 @@ impl std::fmt::Display for ApplyReport {
         )?;
         write!(
             f,
-            "  routing: {} box(es) shrunk, {} re-cluster(s) moving {} object(s), \
-             {} compaction(s) dropping {} row(s)",
-            self.reboxed_shards,
-            self.reclusters,
-            self.moved_objects,
-            self.compactions,
-            self.compacted_rows
+            "  routing: {} box(es) shrunk, {} re-cluster(s) moving {} object(s)",
+            self.reboxed_shards, self.reclusters, self.moved_objects
         )?;
         if !self.op_errors.is_empty() {
             write!(f, "\n  op errors: {}", self.op_errors.len())?;
@@ -284,21 +218,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(collected.len(), 2);
-    }
-
-    #[test]
-    fn compaction_policy_triggers() {
-        let p = CompactionPolicy {
-            max_dead_fraction: 0.25,
-            min_dead_rows: 100,
-        };
-        assert!(p.triggers(300, 1000), "30% dead over the floor");
-        assert!(!p.triggers(200, 1000), "20% is under the threshold");
-        assert!(!p.triggers(50, 100), "too few dead rows to matter");
-        assert!(!CompactionPolicy::disabled().triggers(1_000_000, 1_000_001));
-        assert!(CompactionPolicy::at_dead_fraction(0.3).triggers(400, 1000));
-        assert!(!CompactionPolicy::at_dead_fraction(0.3).triggers(100, 200));
-        assert_eq!(CompactionPolicy::default(), CompactionPolicy::disabled());
     }
 
     #[test]

@@ -54,9 +54,8 @@
 //! stay in place (ids remain row indices) and are simply never verified,
 //! because liveness lives in the index's slot map ([`crate::ObjTable`]).
 //! Under sustained churn those dead rows still cost lower-bound arithmetic
-//! and cache space, which is what compaction (driven by the engine's
-//! `CompactionPolicy`) reclaims: each shard keeps
-//! [`select`](PivotColumns::select) of its survivors.
+//! and cache space, which is what the engine's `compact()` reclaims: each
+//! shard keeps [`select`](PivotColumns::select) of its survivors.
 
 use crate::cow::CowVec;
 use crate::distance::{dists_from, Metric};

@@ -213,9 +213,9 @@ impl<O> RoutingTable<O> {
     /// shard probed first seeds the radius every later probe prunes with.
     /// A box grown by inserts keeps its centre in its own cell, so the
     /// nearest centre is the likely home of the query's true neighbours,
-    /// where the shard id says nothing. The key misleads where a shard is
-    /// not one cell: a re-split of two cells that do not border each other
-    /// leaves both centres between them (ROADMAP item 22). The
+    /// where the shard id says nothing. The key would mislead where a
+    /// shard is not one cell, which is why a re-cluster re-cuts every
+    /// shard instead of re-splitting two. The
     /// answer does not depend on the order (the engine merges by
     /// `(distance, id)`), only the number of distances paid for it does.
     pub fn knn_order_into(&self, q_dists: &[f64], out: &mut Vec<(usize, f64)>) {

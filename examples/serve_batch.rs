@@ -140,7 +140,7 @@ fn main() {
     // The unified mutation path: one apply() batch routes inserts through
     // the routing table (each maps to ONE pivot row its shard takes with
     // the object, no remap), shrinks the boxes of shards that
-    // lost members, and re-clusters the worst pair if live counts drift.
+    // lost members, and re-cuts every shard if live counts drift apart.
     let mut engine = engine;
     let mut churn = UpdateBatch::new();
     for i in 0..1_000u32 {

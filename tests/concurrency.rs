@@ -6,7 +6,7 @@
 //! [`EngineReader`] serves is byte-identical to serving the same batch on
 //! a *quiesced* engine at the snapshot epoch the batch reports — readers
 //! never observe a half-applied update, torn routing state, or a
-//! mid-recluster shard pair.
+//! half-moved re-cluster.
 
 use pivot_metric_repro as pmr;
 use pmr::builder::{BuildOptions, IndexKind};

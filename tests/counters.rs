@@ -781,11 +781,12 @@ fn knn_by_hand(
 /// order — a table kind and a tree kind, same answers either way; (2)
 /// LAESA's verified slots stay within 5 % of what no order can go below:
 /// every slot whose stored bound is within the true k-th distance, in
-/// every shard whose box bound is.
+/// every shard whose box bound is. Both hold on a fresh build and on one
+/// whose removes emptied a cell (2 000 of shard 7's 2 500 members), so
+/// that a re-cluster re-cut every shard before the outliers came.
 #[cfg(not(debug_assertions))]
 #[test]
 fn knn_probe_order_stays_near_the_verification_floor() {
-    const K: usize = 10;
     let pts = datasets::la(20_200, 37);
     let (indexed, held_out) = pts.split_at(20_000);
     let opts = BuildOptions {
@@ -793,79 +794,97 @@ fn knn_probe_order_stays_near_the_verification_floor() {
         ..BuildOptions::default()
     };
     for kind in [IndexKind::Laesa, IndexKind::Mvpt] {
-        let mut engine = pmr::build_sharded_vector_engine(
-            kind,
-            indexed.to_vec(),
-            L2,
-            &opts,
-            &pmr::EngineConfig {
-                shards: 8,
-                threads: 1,
-                ..pmr::EngineConfig::default()
-            },
-            pmr::PartitionPolicy::PivotSpace,
-        )
-        .unwrap();
-        grow_boxes_by_outliers(&mut engine, 12);
-        let rt = engine.routing().unwrap();
-        // Every shard's stored rows (LAESA's own, the floor's input).
-        let rows: Vec<Vec<Vec<f64>>> = engine
-            .shards()
-            .iter()
-            .map(|sh| {
-                sh.live_members()
-                    .map(|(local, _)| sh.pivot_row(local).collect())
-                    .collect()
-            })
-            .collect();
-        let (mut mapped, mut order) = (Vec::new(), Vec::new());
-        let (mut by_centre, mut by_id, mut verified, mut floor) = (0u64, 0u64, 0u64, 0u64);
-        for q in held_out {
-            rt.map_into(q, &mut mapped);
-            rt.knn_order_into(&mapped, &mut order);
-            let mut id_order = order.clone();
-            id_order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-
-            let before = engine.counters().compdists;
-            let real = engine.knn_query(q, K);
-            let paid = engine.counters().compdists - before;
-            let (hand, dists, probes) = knn_by_hand(&engine, q, K, &order);
-            assert_eq!(
-                hand,
-                real,
-                "{}: the replay answers as the engine",
-                kind.label()
-            );
-            assert_eq!(dists, paid, "{}: and pays what it pays", kind.label());
-            let (old, old_dists, _) = knn_by_hand(&engine, q, K, &id_order);
-            assert_eq!(old, real, "{}: the answer is order-free", kind.label());
-            by_centre += dists;
-            by_id += old_dists;
-
-            if kind == IndexKind::Laesa {
-                // Each probe maps the query (`l` distances), then verifies.
-                verified += dists - probes * mapped.len() as u64;
-                let dk = real[K - 1].dist;
-                for &(s, _) in order.iter().filter(|&&(_, lb)| lb <= dk) {
-                    floor += rows[s]
-                        .iter()
-                        .filter(|row| stored_lower_bound(&mapped, row, rt.step()) <= dk)
-                        .count() as u64;
+        for recut in [false, true] {
+            let mut engine = pmr::build_sharded_vector_engine(
+                kind,
+                indexed.to_vec(),
+                L2,
+                &opts,
+                &pmr::EngineConfig {
+                    shards: 8,
+                    threads: 1,
+                    ..pmr::EngineConfig::default()
+                },
+                pmr::PartitionPolicy::PivotSpace,
+            )
+            .unwrap();
+            let label = format!("{} re-cut {recut}", kind.label());
+            if recut {
+                let mut batch = pmr::engine::UpdateBatch::new();
+                for (_, gid) in engine.shards()[7].live_members().take(2_000) {
+                    batch.remove(gid);
                 }
+                assert_eq!(engine.apply(&batch).reclusters, 1, "{label}");
+            }
+            grow_boxes_by_outliers(&mut engine, 12);
+            assert_probe_order_near_the_floor(&engine, held_out, kind == IndexKind::Laesa, &label);
+        }
+    }
+}
+
+/// The checks of [`knn_probe_order_stays_near_the_verification_floor`] on
+/// one engine; `floor_check` for a table kind, whose stored rows are the
+/// slots it verifies.
+#[cfg(not(debug_assertions))]
+fn assert_probe_order_near_the_floor(
+    engine: &pmr::ShardedEngine<Vec<f32>>,
+    held_out: &[Vec<f32>],
+    floor_check: bool,
+    label: &str,
+) {
+    const K: usize = 10;
+    let rt = engine.routing().unwrap();
+    // Every shard's stored rows (LAESA's own, the floor's input).
+    let rows: Vec<Vec<Vec<f64>>> = engine
+        .shards()
+        .iter()
+        .map(|sh| {
+            sh.live_members()
+                .map(|(local, _)| sh.pivot_row(local).collect())
+                .collect()
+        })
+        .collect();
+    let (mut mapped, mut order) = (Vec::new(), Vec::new());
+    let (mut by_centre, mut by_id, mut verified, mut floor) = (0u64, 0u64, 0u64, 0u64);
+    for q in held_out {
+        rt.map_into(q, &mut mapped);
+        rt.knn_order_into(&mapped, &mut order);
+        let mut id_order = order.clone();
+        id_order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+
+        let before = engine.counters().compdists;
+        let real = engine.knn_query(q, K);
+        let paid = engine.counters().compdists - before;
+        let (hand, dists, probes) = knn_by_hand(engine, q, K, &order);
+        assert_eq!(hand, real, "{label}: the replay answers as the engine");
+        assert_eq!(dists, paid, "{label}: and pays what it pays");
+        let (old, old_dists, _) = knn_by_hand(engine, q, K, &id_order);
+        assert_eq!(old, real, "{label}: the answer is order-free");
+        by_centre += dists;
+        by_id += old_dists;
+
+        if floor_check {
+            // Each probe maps the query (`l` distances), then verifies.
+            verified += dists - probes * mapped.len() as u64;
+            let dk = real[K - 1].dist;
+            for &(s, _) in order.iter().filter(|&&(_, lb)| lb <= dk) {
+                floor += rows[s]
+                    .iter()
+                    .filter(|row| stored_lower_bound(&mapped, row, rt.step()) <= dk)
+                    .count() as u64;
             }
         }
+    }
+    assert!(
+        by_centre < by_id,
+        "{label}: nearest centre first paid {by_centre}, lowest id first {by_id}"
+    );
+    if floor_check {
+        assert!(floor <= verified, "{label}: a floor: {floor} vs {verified}");
         assert!(
-            by_centre < by_id,
-            "{}: nearest centre first paid {by_centre}, lowest id first {by_id}",
-            kind.label()
+            verified as f64 <= 1.05 * floor as f64,
+            "{label}: verified {verified} slots against a floor of {floor}"
         );
-        if kind == IndexKind::Laesa {
-            assert!(floor <= verified, "a floor: {floor} vs {verified}");
-            assert!(
-                verified as f64 <= 1.05 * floor as f64,
-                "verified {verified} slots against a floor of {floor}"
-            );
-        }
     }
 }
 

@@ -165,19 +165,61 @@ fn hfi_pivots(pts: &[Vec<f32>]) -> Vec<Vec<f32>> {
 }
 
 fn engine(kind: IndexKind, pts: &[Vec<f32>], refresh: RefreshPolicy) -> ShardedEngine<Vec<f32>> {
+    engine_over(kind, pts, hfi_pivots(pts), refresh, 6)
+}
+
+fn engine_over(
+    kind: IndexKind,
+    pts: &[Vec<f32>],
+    pivots: Vec<Vec<f32>>,
+    refresh: RefreshPolicy,
+    shards: usize,
+) -> ShardedEngine<Vec<f32>> {
     let opts = BuildOptions {
         d_plus: 14143.0,
         maxnum: 48,
         ..BuildOptions::default()
     };
     let cfg = EngineConfig {
-        shards: 6,
+        shards,
         threads: 1,
         refresh,
         ..EngineConfig::default()
     };
     let policy = PartitionPolicy::PivotSpace;
-    build_sharded_engine(kind, pts.to_vec(), L2, hfi_pivots(pts), &opts, &cfg, policy).unwrap()
+    build_sharded_engine(kind, pts.to_vec(), L2, pivots, &opts, &cfg, policy).unwrap()
+}
+
+/// The shard pairs whose routing boxes overlap by more than one bucket on
+/// every dimension (the two sides of a k-d cut share at most the bucket
+/// the cut falls in), and the live objects whose exact map lies inside two
+/// boxes or more.
+fn box_overlaps(e: &ShardedEngine<Vec<f32>>, id_bound: ObjId) -> (usize, usize) {
+    let rt = e.routing().expect("a routed engine");
+    let boxes = rt.boxes();
+    let mut pairs = 0;
+    for a in 0..boxes.len() {
+        for b in a + 1..boxes.len() {
+            let (x, y) = (&boxes[a], &boxes[b]);
+            let wide = (0..x.dim())
+                .all(|j| x.hi()[j].min(y.hi()[j]) - x.lo()[j].max(y.lo()[j]) > rt.step());
+            pairs += usize::from(wide);
+        }
+    }
+    let mut row = Vec::new();
+    let mut inside_two = 0;
+    for g in 0..id_bound {
+        let Some(o) = e.get(g) else {
+            continue;
+        };
+        rt.map_into(&o, &mut row);
+        let holders = boxes
+            .iter()
+            .filter(|b| (0..b.dim()).all(|j| b.lo()[j] <= row[j] && row[j] <= b.hi()[j]))
+            .count();
+        inside_two += usize::from(holders >= 2);
+    }
+    (pairs, inside_two)
 }
 
 /// The tables own their rows; the shards of the tree and the disk index
@@ -278,9 +320,42 @@ fn a_commit_that_reclusters_leaves_tight_boxes() {
         let report = e.apply(&batch);
         assert_eq!(report.reclusters, 1, "{}", kind.label());
         assert!(report.moved_objects > 0);
-        assert_eq!(report.reboxed_shards, 2, "the re-split pair");
+        assert_eq!(report.reboxed_shards, e.num_shards());
         assert_boxes_tight(&e, 700, kind.label());
         assert_centres_true(&e, kind.label());
+    }
+
+    // Removes empty one k-d cell (120 of shard 3's 150 members, P = 4): the
+    // re-cluster re-cuts every shard, so the cells stay as disjoint and as
+    // balanced as a fresh build's over the same live set.
+    let pts = datasets::la(600, 21);
+    let pivots = hfi_pivots(&pts);
+    for kind in KINDS {
+        let label = kind.label();
+        let mut e = engine_over(kind, &pts, pivots.clone(), RefreshPolicy::default(), 4);
+        let mut batch = UpdateBatch::new();
+        for (_, gid) in e.shards()[3].live_members().take(120) {
+            batch.remove(gid);
+        }
+        let report = e.apply(&batch);
+        assert_eq!((report.removes, report.reclusters), (120, 1), "{label}");
+        assert!(report.reboxed_shards >= e.num_shards(), "{label}");
+        assert_boxes_tight(&e, 600, label);
+        assert_centres_true(&e, label);
+
+        let (pairs, inside_two) = box_overlaps(&e, 600);
+        assert_eq!(pairs, 0, "{label}: boxes overlapping past a cut bucket");
+        let live: Vec<Vec<f32>> = (0..600).filter_map(|g| e.get(g)).collect();
+        let n = live.len();
+        let fresh = engine_over(kind, &live, pivots.clone(), RefreshPolicy::default(), 4);
+        let (_, fresh_two) = box_overlaps(&fresh, n as ObjId);
+        assert!(
+            inside_two <= fresh_two,
+            "{label}: {inside_two} objects inside two boxes, a fresh build {fresh_two}"
+        );
+        let sizes: Vec<usize> = e.shards().iter().map(|s| s.len()).collect();
+        let balanced: Vec<usize> = (0..4).map(|s| n / 4 + usize::from(s < n % 4)).collect();
+        assert_eq!(sizes, balanced, "{label}");
     }
 }
 
