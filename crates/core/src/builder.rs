@@ -328,12 +328,14 @@ where
 }
 
 /// [`build_index`] over pre-computed, stored pivot-distance rows (a
-/// shard's rows of the engine's build-time matrix, or any owned
+/// shard's codes of the engine's build-time matrix, or any owned
 /// [`PivotColumns`]): the kinds that are the one pivot table — LAESA, CPT
 /// and FQA — take ownership of `rows` (row `i` = `objects[i]`'s distances
-/// to `pivots`) instead of recomputing the `n · l` table, with
-/// byte-identical query behavior, and engine inserts then hand over one
-/// precomputed row the index appends ([`MetricIndex::insert_adopted`]);
+/// to `pivots`, as codes under the rows' step) instead of recomputing the
+/// `n · l` table, with byte-identical query behavior, and engine inserts
+/// then hand over one row of codes, mapped and quantised once by the
+/// engine, which the index appends as it is
+/// ([`MetricIndex::insert_adopted`]);
 /// a shard's index shows it adopted through [`MetricIndex::pivot_rows`].
 /// LAESA and CPT adopt as themselves; FQA adopts as
 /// LAESA under FQA's name (`name()` is `"FQA"`, range verification passes
@@ -549,6 +551,7 @@ mod tests {
     /// removable.
     #[test]
     fn an_fqa_insert_beyond_the_top_bucket_is_exact_and_removable() {
+        use pmi_metric::matrix::quantise;
         use pmi_metric::{EditDistance, PivotMatrix};
         // Short words only at build: distances to the pivot stay under 16,
         // so the columns' step is 2⁻¹² and their top bucket starts at 16.
@@ -558,7 +561,8 @@ mod tests {
             .collect();
         let pivots = vec![ws[0].clone()];
         let rows = PivotColumns::from(&PivotMatrix::compute(&ws, &EditDistance, &pivots, 1));
-        assert!(65_535.0 * rows.step() < 17.0);
+        let step = rows.step();
+        assert!(65_535.0 * step < 17.0);
         let opts = BuildOptions {
             d_plus: 34.0,
             ..BuildOptions::default()
@@ -573,12 +577,13 @@ mod tests {
         // saturated, under one code.
         let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
         for w in &long {
-            let row = [m.dist(w, &pivots[0])];
-            let id = idx.insert_adopted(w.clone(), &row);
+            let codes = [quantise(m.dist(w, &pivots[0]), step)];
+            let id = idx.insert_adopted(w.clone(), &codes);
             assert_eq!(id, oracle.insert(w.clone()));
         }
-        let stored = |id| idx.pivot_rows().unwrap().row(id as usize).next();
-        assert_eq!(stored(n), stored(n + 1));
+        let stored = |id| idx.pivot_rows().unwrap().codes(id as usize).next();
+        assert_eq!(stored(n), Some(u16::MAX));
+        assert_eq!(stored(n + 1), Some(u16::MAX));
         let same = |idx: &dyn MetricIndex<String>, oracle: &BruteForce<String, _>, q| {
             for r in [0.0, 3.0, 12.0, 30.0] {
                 let (mut got, mut want) = (idx.range_query(q, r), oracle.range_query(q, r));

@@ -2,8 +2,9 @@
 //! derives from the layout's pivot space — the rows, the membership, each
 //! shard's own stored columns and the routing boxes read off them — before
 //! it indexes the partitions. Its phases are laps of one clock:
-//! `build.matrix`, `build.partition`, `build.split` (the objects' moves,
-//! the columns, the routing table) and `build.shards`, all inside `build`.
+//! `build.matrix` (the f64 rows, the step and the one quantisation),
+//! `build.partition`, `build.split` (the objects' moves, the columns, the
+//! routing table) and `build.shards`, all inside `build`.
 //! A child of the `engine` module, so it fills the engine's private state
 //! directly.
 
@@ -80,19 +81,20 @@ impl<O> ShardedEngine<O> {
     /// 1. the rows — row `i` is the mapper's image of `objects[i]`,
     ///    computed once, in parallel over `cfg.threads`
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
-    ///    order as [`PivotMatrix::compute`]);
-    /// 2. the membership — [`pmi_router::partition_pivot_space`]'s
-    ///    balanced median cuts of the rows' bucket codes (the call a
-    ///    re-cluster and [`compact`](Self::compact) repeat over the live
-    ///    members; balanced contiguous runs over a zero-width space), or
-    ///    the layout's explicit one;
-    /// 3. each shard's rows, stored once as its own planar u16 bucket
-    ///    columns ([`PivotColumns`]) under the matrix's one step
+    ///    order as [`PivotMatrix::compute`]) — and stored once: quantised
+    ///    into row-major u16 bucket codes under the matrix's one step
     ///    ([`PivotMatrix::step`], which the routing table gets too, and
-    ///    which every later insert, fork and compaction keeps) — encoded
-    ///    shard by shard on the build's workers, the only form any shard,
-    ///    index or snapshot holds them in; the full f64 matrix is dropped
-    ///    before the first shard table exists;
+    ///    which every later insert, fork and compaction keeps), after
+    ///    which the f64 matrix is dropped;
+    /// 2. the membership — [`pmi_router::partition_pivot_space`]'s
+    ///    balanced median cuts of those codes (the call a re-cluster and
+    ///    [`compact`](Self::compact) repeat over the live members' codes;
+    ///    balanced contiguous runs over a zero-width space), or the
+    ///    layout's explicit one;
+    /// 3. each shard's rows as its own planar u16 bucket columns
+    ///    ([`PivotColumns`]), gathered from the codes shard by shard on the
+    ///    build's workers — the only form any shard, index or snapshot
+    ///    holds them in;
     /// 4. the [`RoutingTable`], read off those columns
     ///    ([`RoutingTable::from_columns`]): one box per shard over what it
     ///    stores of its members' rows, and the mapper, which queries and
@@ -168,10 +170,12 @@ impl<O> ShardedEngine<O> {
                 slot.copy_from_slice(&row);
             }
         });
-        // The one step every shard's columns and the routing table get:
-        // boxes stay a pure function of the stored rows.
+        // The one step every shard's columns and the routing table get, and
+        // the rows stored under it: from here on a row is its codes.
         let step = rows.step();
         let matrix_compdists = (rows.rows() * rows.width()) as u64;
+        let codes = rows.codes(step);
+        drop(rows);
         obs.phase_add(
             "build.matrix",
             1,
@@ -182,7 +186,7 @@ impl<O> ShardedEngine<O> {
         let membership: Cow<[usize]> = match membership {
             Some(m) => m.into(),
             None => {
-                let cells = pmi_router::partition_pivot_space(&rows, num_shards, threads);
+                let cells = pmi_router::partition_pivot_space(&codes, n, num_shards, threads);
                 let shards = [("shards", num_shards as u64)];
                 obs.phase_add("build.partition", 1, clock.lap(), &shards);
                 cells.into()
@@ -190,18 +194,19 @@ impl<O> ShardedEngine<O> {
         };
 
         // The split: the objects move to their partitions, every partition
-        // stores its members' rows as columns of its own — encoded shard by
-        // shard on the workers, all under the matrix's one step — the
-        // routing table is read off those columns, and the full matrix is
-        // dropped, so the two coexist only here: before a single shard
-        // table, locator or id table exists.
+        // gathers its members' codes into columns of its own — shard by
+        // shard on the workers — the routing table is read off those
+        // columns, and the row-major codes are dropped, so the two coexist
+        // only here: before a single shard table, locator or id table
+        // exists.
         let parts = partition_by_assignment(objects, &membership, num_shards);
         drop(membership);
         let members: Vec<&[ObjId]> = parts.iter().map(|(_, gids)| gids.as_slice()).collect();
         let columns = claim_each(members, threads, |gids| {
-            PivotColumns::from_rows(width, step, gids.iter().map(|&g| rows.row(g as usize)))
+            let row = |g: ObjId| &codes[g as usize * width..][..width];
+            PivotColumns::from_codes(width, step, gids.iter().map(|&g| row(g)))
         });
-        drop(rows);
+        drop(codes);
         let router = RoutingTable::from_columns(mapper, step, &columns);
         obs.phase_add("build.split", 1, clock.lap(), &[]);
         let parts: Vec<MatrixPart<O>> = parts.into_iter().zip(columns).collect();

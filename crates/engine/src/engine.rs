@@ -29,9 +29,10 @@
 //! The shards keep their rows — inside the index when the kind adopts them
 //! (the shard factory receives them, so shard builds stop recomputing pivot
 //! distances and every scan streams sequential memory), beside it otherwise
-//! ([`Shard::pivot_row`]) — for the unified mutation path
-//! ([`ShardedEngine::apply`]): inserts compute their pivot row once and
-//! hand it to the destination shard; removes shrink the affected routing
+//! ([`Shard::codes`]) — for the unified mutation path
+//! ([`ShardedEngine::apply`]): inserts compute and store their pivot row
+//! once and hand its codes to the destination shard and its routing box;
+//! from there on every write moves codes; removes shrink the affected routing
 //! boxes back over the surviving rows (and every insert and remove moves
 //! the shard's routing centre); and when live counts drift apart past a
 //! [`RefreshPolicy`], a re-cluster re-cuts every shard with the very call
@@ -65,8 +66,8 @@ use crate::robust::{
 use crate::shard::Shard;
 use crate::update::{ApplyReport, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
-use pmi_metric::matrix::stored_interval;
-use pmi_metric::{cow, Counters, CowVec, ObjId, PivotMatrix, StorageFootprint};
+use pmi_metric::matrix::quantise;
+use pmi_metric::{cow, Counters, CowVec, ObjId, StorageFootprint};
 use pmi_obs::{MetricsSnapshot, Registry, Span, TracePolicy};
 use pmi_router::RoutingTable;
 use std::collections::HashSet;
@@ -426,7 +427,7 @@ pub struct ShardedEngine<O> {
     shards: Vec<Arc<Shard<O>>>,
     /// Writer mirror of the published routing table. Its mapper is what
     /// lets inserts hand over their mapped row; the rows every shard
-    /// carries ([`Shard::pivot_row`]) let removes recompute routing boxes,
+    /// carries ([`Shard::codes`]) let removes recompute routing boxes,
     /// and re-clustering and compaction move objects without recomputing
     /// any distance.
     router: Arc<RoutingTable<O>>,
@@ -448,23 +449,6 @@ pub struct ShardedEngine<O> {
 /// A shared per-item object validator (see
 /// [`set_query_validator`](ShardedEngine::set_query_validator)).
 type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
-
-/// Stored rows as one transient f64 matrix for the partitioner (a stored
-/// value is its bucket's lower edge and every shard shares one step, so a
-/// moved object's row is stored again as the codes it had).
-fn stored_rows<R>(width: usize, rows: impl Iterator<Item = R>) -> PivotMatrix
-where
-    R: Iterator<Item = f64>,
-{
-    let mut out = PivotMatrix::with_capacity(width, rows.size_hint().0);
-    let mut buf = Vec::with_capacity(width);
-    for row in rows {
-        buf.clear();
-        buf.extend(row);
-        out.push_row(&buf);
-    }
-    out
-}
 
 /// One in-flight `apply` or `compact` transaction: the staged next version
 /// of the engine's serving state, built off to the side and either
@@ -502,9 +486,9 @@ impl<O> ApplyTxn<O> {
     }
 
     /// Moves object `gid` from `(shard, local slot)` to shard `to` with its
-    /// stored `row` and re-points the locator. Returns whether it moved:
+    /// stored `codes` and re-points the locator. Returns whether it moved:
     /// not if it is in `to` already, or the slot holds nothing.
-    fn move_object(&mut self, gid: ObjId, from: (usize, ObjId), to: usize, row: &[f64]) -> bool {
+    fn move_object(&mut self, gid: ObjId, from: (usize, ObjId), to: usize, codes: &[u16]) -> bool {
         let (s, local) = from;
         if s == to {
             return false;
@@ -513,7 +497,7 @@ impl<O> ApplyTxn<O> {
             return false;
         };
         self.shard_mut(s).remove_local(local);
-        let new_local = self.shard_mut(to).insert_adopted(o, gid, row);
+        let new_local = self.shard_mut(to).insert_adopted(o, gid, codes);
         self.locator.set(gid, to, new_local);
         true
     }
@@ -774,22 +758,23 @@ impl<O> ShardedEngine<O> {
     /// * **Inserts** are routed via the routing table (nearest box lower
     ///   bound, smallest shard among ties — on a plain engine every bound
     ///   is 0, so the smallest shard). The object's
-    ///   pivot row is computed **once** and handed to the destination shard
-    ///   with the object — kinds that own the engine's rows (LAESA, CPT,
-    ///   FQA) append it and pay zero shard-side remap distances; for the
-    ///   rest the shard keeps it beside the index.
+    ///   pivot row is computed and stored as codes **once** and handed to
+    ///   the destination shard with the object — kinds that own the
+    ///   engine's rows (LAESA, CPT, FQA) append it and pay zero shard-side
+    ///   remap distances; for the rest the shard keeps it beside the index.
     /// * **Removes** tombstone the object; after the last op every shard
     ///   that lost a member lying on a face of its routing box has the box
-    ///   recomputed from its surviving members' rows in one pass
-    ///   ([`RoutingTable::rebox_from_rows`]) — a member strictly inside the
-    ///   box cannot have changed it, and only gives its row back to the
+    ///   recomputed from its surviving members' codes in one pass
+    ///   ([`RoutingTable::rebox`]) — a member strictly inside the box
+    ///   cannot have changed it, and only gives its row back to the
     ///   shard's routing centre ([`RoutingTable::forget`]) — so boxes stay
     ///   tight and pruning does not decay under churn.
     /// * If the batch leaves live counts imbalanced past the
-    ///   [`RefreshPolicy`], every shard is re-cut: the build's k-d cut of
-    ///   the live members' stored rows, moving only the objects whose cell
-    ///   changed (their global ids are preserved and their rows ride
-    ///   along; the locator is fixed up).
+    ///   [`RefreshPolicy`], every shard is re-cut instead: the build's k-d
+    ///   cut of the live members' stored codes, moving only the objects
+    ///   whose cell changed (their global ids are preserved and their codes
+    ///   ride along; the locator is fixed up), then every box recomputed
+    ///   once.
     ///
     /// Routed answers after any sequence of `apply` calls are identical to
     /// a from-scratch rebuild over the surviving objects — box maintenance
@@ -898,7 +883,7 @@ impl<O> ShardedEngine<O> {
     ) where
         O: Clone,
     {
-        let mut mapped = Vec::new();
+        let (mut mapped, mut codes) = (Vec::new(), Vec::new());
         // Global ids this batch successfully removed, to tell a duplicate
         // remove apart from a remove of an id that was never live.
         let mut removed_here: HashSet<ObjId> = HashSet::new();
@@ -915,7 +900,7 @@ impl<O> ShardedEngine<O> {
                             continue;
                         }
                     }
-                    let gid = self.stage_insert(txn, o.clone(), &mut mapped);
+                    let gid = self.stage_insert(txn, o.clone(), &mut mapped, &mut codes);
                     txn.report.inserted_ids.push(gid);
                     txn.report.inserts += 1;
                 }
@@ -944,25 +929,35 @@ impl<O> ShardedEngine<O> {
                 ("removes", txn.report.removes as u64),
             ],
         );
+        // The trigger reads the live counts the ops left, which no rebox
+        // changes. A re-cluster reboxes every shard after its re-cut, so
+        // the face rebox is skipped then: it would be thrown away.
+        let lens = || txn.shards.iter().map(|s| s.len());
+        let (max_len, min_len) = (lens().max().unwrap_or(0), lens().min().unwrap_or(0));
+        let recluster = txn.shards.len() >= 2 && self.refresh.triggers(max_len, min_len);
         let dirty = std::mem::take(&mut txn.dirty);
-        txn.report.reboxed_shards = self.stage_rebox(txn, &dirty);
+        if !recluster {
+            txn.report.reboxed_shards = self.stage_rebox(txn, |s| dirty[s]);
+        }
         self.core.obs.phase_add(
             "apply.rebox",
             1,
             clock.lap(),
             &[("reboxed_shards", txn.report.reboxed_shards as u64)],
         );
-        let (reclusters, moved, recluster_reboxed) = self.stage_recluster(txn);
-        txn.report.reclusters = reclusters;
-        txn.report.moved_objects = moved;
-        txn.report.reboxed_shards += recluster_reboxed;
-        txn.stats.reclusters += reclusters as u64;
-        txn.stats.moved_objects += moved;
+        if recluster {
+            fault::at("engine.recluster", 0);
+            txn.report.moved_objects = self.stage_recut(txn);
+            txn.report.reboxed_shards = self.stage_rebox(txn, |_| true);
+            txn.report.reclusters = 1;
+        }
+        txn.stats.reclusters += txn.report.reclusters as u64;
+        txn.stats.moved_objects += txn.report.moved_objects;
         self.core.obs.phase_add(
             "apply.recluster",
-            reclusters as u64,
+            u64::from(recluster),
             clock.lap(),
-            &[("moved_objects", moved)],
+            &[("moved_objects", txn.report.moved_objects)],
         );
         // The last abortable point: past here the transaction commits.
         fault::at("engine.apply.publish", 0);
@@ -1004,25 +999,36 @@ impl<O> ShardedEngine<O> {
             .gauge_set("engine.retired_snapshots", self.retired.len() as u64);
     }
 
-    /// The one insert path: map once, hand the row to the shard.
-    fn stage_insert(&self, txn: &mut ApplyTxn<O>, o: O, mapped: &mut Vec<f64>) -> ObjId {
+    /// The one insert path: map once, store the row as codes once, hand
+    /// the codes to the shard and its routing box. `mapped` and `codes` are
+    /// reused buffers.
+    fn stage_insert(
+        &self,
+        txn: &mut ApplyTxn<O>,
+        o: O,
+        mapped: &mut Vec<f64>,
+        codes: &mut Vec<u16>,
+    ) -> ObjId {
         let rt = &mut txn.router;
         rt.map_into(&o, mapped);
         txn.stats.map_compdists += mapped.len() as u64;
-        // Nearest box lower bound; ties go to the smallest shard, then the
-        // lowest shard id.
+        // Nearest box lower bound of the exact map; ties go to the smallest
+        // shard, then the lowest shard id.
         let mut best = (f64::INFINITY, usize::MAX, 0usize);
         for (s, b) in rt.boxes().iter().enumerate() {
-            let cand = (b.lower_bound(mapped), txn.shards[s].len());
+            let cand = (b.lower_bound(mapped, rt.step()), txn.shards[s].len());
             if cand.0 < best.0 || (cand.0 == best.0 && cand.1 < best.1) {
                 best = (cand.0, cand.1, s);
             }
         }
         let si = best.2;
-        rt.extend(si, mapped);
+        let step = rt.step();
+        codes.clear();
+        codes.extend(mapped.iter().map(|&x| quantise(x, step)));
+        rt.extend(si, codes);
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = txn.shard_mut(si).insert_adopted(o, gid, mapped);
+        let local = txn.shard_mut(si).insert_adopted(o, gid, codes);
         txn.locator.set(gid, si, local);
         txn.stats.inserts += 1;
         gid
@@ -1030,13 +1036,12 @@ impl<O> ShardedEngine<O> {
 
     /// The one remove path: tombstone, and flag the shard for a box
     /// recomputation only if the box can have changed. Every staged box is
-    /// the bounding box of its shard's live *stored* rows, each value
-    /// widened to the bucket it stands for (true at build, kept by every
-    /// insert's `extend` and every recomputation), so a member whose
-    /// bucket lies strictly inside it on every pivot dimension attains no
-    /// face: removing it leaves every per-dimension min and max — the box
-    /// — exactly as it was. The tombstoned slot keeps its row, whether
-    /// it was there at the last commit or inserted by this very batch.
+    /// the per-dimension min and max of its shard's live stored codes
+    /// (true at build, kept by every insert's `extend` and every
+    /// recomputation), so a member whose code lies strictly inside it on
+    /// every pivot dimension attains no face: removing it leaves the box
+    /// exactly as it was. The tombstoned slot keeps its row, whether it
+    /// was there at the last commit or inserted by this very batch.
     fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId) -> bool {
         let Some((s, local)) = txn.locator.remove(id) else {
             return false;
@@ -1048,16 +1053,11 @@ impl<O> ShardedEngine<O> {
         txn.stats.removes += 1;
         if !txn.dirty[s] {
             let rt = &mut txn.router;
-            let row = || txn.shards[s].pivot_row(local);
-            let (b, step) = (&rt.boxes()[s], rt.step());
-            let inside = row().zip(b.lo().iter().zip(b.hi())).all(|(y, (&lo, &hi))| {
-                let (below, above) = stored_interval(y, step);
-                lo < below && above < hi
-            });
-            if inside {
+            let codes = || txn.shards[s].codes(local);
+            if rt.boxes()[s].strictly_contains(codes()) {
                 // The box stands; the centre gives the row back. A flagged
                 // shard's centre is recomputed with its box instead.
-                rt.forget(s, row());
+                rt.forget(s, codes());
             } else {
                 txn.dirty[s] = true;
             }
@@ -1066,57 +1066,43 @@ impl<O> ShardedEngine<O> {
     }
 
     /// Recomputes the staged routing boxes and centres of the flagged
-    /// shards from their live members' rows, in slot order (re-clustering
-    /// and compaction get their centres here). Work is bounded by the
-    /// flagged shards' own slot tables. Returns how many boxes were
-    /// recomputed.
-    fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
-        let rt = &mut txn.router;
+    /// shards from their live members' codes (re-clustering and
+    /// compaction get their centres here). Work is bounded by the flagged
+    /// shards' own columns. Returns how many boxes were recomputed.
+    fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: impl Fn(usize) -> bool) -> usize {
         let mut reboxed = 0;
-        for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
+        for s in (0..txn.shards.len()).filter(|&s| dirty(s)) {
             let shard = &txn.shards[s];
-            let rows = shard
-                .live_members()
-                .map(|(local, _)| shard.pivot_row(local));
-            rt.rebox_from_rows(s, rows);
+            txn.router
+                .rebox(s, shard.columns(), |slot| shard.is_live(slot));
             reboxed += 1;
         }
         reboxed
     }
 
-    /// Re-clustering: when the live counts of the fullest and emptiest
-    /// shards trip the [`RefreshPolicy`], every shard is re-cut
-    /// ([`stage_recut`](Self::stage_recut)) and reboxed. Returns
-    /// `(passes, moved, boxes recomputed)`.
-    fn stage_recluster(&self, txn: &mut ApplyTxn<O>) -> (usize, u64, usize) {
-        let lens = || txn.shards.iter().map(|s| s.len());
-        let (max_len, min_len) = (lens().max().unwrap_or(0), lens().min().unwrap_or(0));
-        if txn.shards.len() < 2 || !self.refresh.triggers(max_len, min_len) {
-            return (0, 0, 0);
-        }
-        fault::at("engine.recluster", 0);
-        let moved = self.stage_recut(txn);
-        let dirty = vec![true; txn.shards.len()];
-        (1, moved, self.stage_rebox(txn, &dirty))
-    }
-
     /// The write path's one re-partition: the build's k-d cut of the live
-    /// members' stored rows, taken in ascending global id order (slot
-    /// tables carry no order guarantee; the order keeps the cut
-    /// deterministic). Every object whose cell changed moves (global id
-    /// kept, row riding along). Returns the objects moved; boxes are left
-    /// to the caller.
+    /// members' stored codes, gathered row-major in ascending global id
+    /// order (slot tables carry no order guarantee; the order keeps the
+    /// cut deterministic). Every object whose cell changed moves (global
+    /// id kept, codes riding along). Returns the objects moved; boxes are
+    /// left to the caller.
     fn stage_recut(&self, txn: &mut ApplyTxn<O>) -> u64 {
         let live: Vec<(ObjId, (usize, ObjId))> = txn.locator.live().collect();
-        let rows = stored_rows(
-            txn.router.boxes()[0].dim(),
-            live.iter()
-                .map(|&(_, (s, local))| txn.shards[s].pivot_row(local)),
+        let width = txn.shards[0].columns().width();
+        let mut codes = Vec::with_capacity(live.len() * width);
+        for &(_, (s, local)) in &live {
+            codes.extend(txn.shards[s].codes(local));
+        }
+        let cells = pmi_router::partition_pivot_space(
+            &codes,
+            live.len(),
+            txn.shards.len(),
+            self.core.threads,
         );
-        let cells = pmi_router::partition_pivot_space(&rows, txn.shards.len(), self.core.threads);
         let mut moved = 0;
         for (i, (&(gid, from), &to)) in live.iter().zip(&cells).enumerate() {
-            moved += u64::from(txn.move_object(gid, from, to, rows.row(i)));
+            let row = &codes[i * width..][..width];
+            moved += u64::from(txn.move_object(gid, from, to, row));
         }
         moved
     }
@@ -1228,8 +1214,7 @@ impl<O> ShardedEngine<O> {
         txn.next_id = survivors as ObjId;
 
         // (3) Tight boxes over the final membership.
-        let dirty = vec![true; txn.shards.len()];
-        self.stage_rebox(txn, &dirty);
+        self.stage_rebox(txn, |_| true);
         // The last abortable point: past here the compaction commits.
         fault::at("engine.compact", 0);
         survivors
@@ -1246,7 +1231,7 @@ impl<O> ShardedEngine<O> {
 mod tests {
     use super::*;
     use crate::Query;
-    use pmi_metric::lemmas::Mbb;
+    use pmi_metric::CodeBox;
     use pmi_metric::{BruteForce, Metric, MetricIndex, L2};
 
     pub(super) fn grid(n: usize) -> Vec<Vec<f32>> {
@@ -1386,11 +1371,11 @@ mod tests {
         assert_eq!(report.reboxed_shards, 1, "object 7's shard is reboxed");
         // The grid's coordinates stay under 30, so the rows are stored in
         // steps of 2⁻¹¹ that stop short of 32: both inserts saturate.
-        let top = 65_535.0 / 2048.0;
+        assert_eq!(e.routing().unwrap().step(), 1.0 / 2048.0);
         for gid in [30, 31] {
             let (s, local) = e.locate(gid).unwrap();
             assert!(
-                e.shards()[s].pivot_row(local).eq([top, top]),
+                e.shards()[s].codes(local).eq([u16::MAX, u16::MAX]),
                 "the shard keeps the row a BruteForce index does not take"
             );
         }
@@ -1439,7 +1424,7 @@ mod tests {
     #[test]
     fn a_pinned_snapshot_keeps_the_table_it_was_published_with() {
         let (_, mut e) = routed_two_clusters();
-        let table_of = |rt: &RoutingTable<Vec<f32>>| -> Vec<(Mbb, Option<Vec<f64>>)> {
+        let table_of = |rt: &RoutingTable<Vec<f32>>| -> Vec<(CodeBox, Option<Vec<f64>>)> {
             (0..rt.num_shards())
                 .map(|s| (rt.boxes()[s].clone(), rt.centre(s).map(|c| c.collect())))
                 .collect()

@@ -583,7 +583,7 @@ impl<O> EngineCore<O> {
                 };
                 trace.ring.push(TraceEvent::Plan {
                     shard: s as u32,
-                    lower_bound: b.lower_bound(mapped),
+                    lower_bound: b.lower_bound(mapped, rt.step()),
                     probed,
                     order,
                     centre_dist: 0.0,

@@ -37,7 +37,7 @@ impl<O> Shard<O> {
     /// `global_ids[i]`); `rows` are the members' rows of the engine's pivot
     /// space in that order. An index whose rows have the engine's width
     /// adopted them (it was built from a clone of `rows`, sharing the
-    /// storage) and answers [`pivot_row`](Self::pivot_row) itself;
+    /// storage) and answers [`codes`](Self::codes) itself;
     /// otherwise — no rows, or rows over pivots of its own — the shard
     /// keeps them.
     pub fn new(index: Box<dyn MetricIndex<O>>, global_ids: Vec<ObjId>, rows: PivotColumns) -> Self {
@@ -51,17 +51,18 @@ impl<O> Shard<O> {
         }
     }
 
-    /// The stored pivot-distance row of local slot `local`, live or
-    /// tombstoned — from the index's rows or the ones the shard holds.
-    /// Each value is the lower edge of a bucket and stands for every true
-    /// distance in its
-    /// [`stored_interval`](pmi_metric::matrix::stored_interval).
-    pub fn pivot_row(&self, local: ObjId) -> impl Iterator<Item = f64> + '_ {
+    /// The members' stored pivot-distance rows, slot-aligned, tombstoned
+    /// slots included — the index's, or the ones the shard holds.
+    pub(crate) fn columns(&self) -> &PivotColumns {
         match &self.rows {
             Some(rows) => rows,
             None => self.index.pivot_rows().expect("the index holds the rows"),
         }
-        .row(local as usize)
+    }
+
+    /// The stored codes of local slot `local`'s row, live or tombstoned.
+    pub fn codes(&self, local: ObjId) -> impl Iterator<Item = u16> + '_ {
+        self.columns().codes(local as usize)
     }
 
     /// Number of live objects in this shard.
@@ -100,6 +101,11 @@ impl<O> Shard<O> {
             .enumerate()
             .filter(|&(_, &gid)| gid != TOMBSTONE)
             .map(|(local, &gid)| (local as ObjId, gid))
+    }
+
+    /// Whether local slot `local` holds a live member.
+    pub(crate) fn is_live(&self, local: usize) -> bool {
+        self.global_ids[local] != TOMBSTONE
     }
 
     /// Range query answered in global ids (unsorted), appended to `out`;
@@ -145,15 +151,15 @@ impl<O> Shard<O> {
     }
 
     /// Inserts an object carrying a global id, with the pivot row the
-    /// engine already computed: an index that holds the engine's rows
-    /// appends it (no remap); otherwise the index takes a plain insert and
-    /// the shard keeps the row.
-    pub fn insert_adopted(&mut self, o: O, global: ObjId, row: &[f64]) -> ObjId {
+    /// engine already computed and stored as `codes`: an index that holds
+    /// the engine's rows appends them (no remap); otherwise the index takes
+    /// a plain insert and the shard keeps the codes.
+    pub fn insert_adopted(&mut self, o: O, global: ObjId, codes: &[u16]) -> ObjId {
         let local = match &mut self.rows {
-            None => self.index.insert_adopted(o, row),
+            None => self.index.insert_adopted(o, codes),
             Some(rows) => {
                 let local = self.index.insert(o);
-                let slot = rows.push_row(row);
+                let slot = rows.push_codes(codes);
                 assert_eq!(slot, local as usize, "routing rows stay slot-aligned");
                 local
             }
@@ -294,7 +300,7 @@ mod tests {
         // Shard holds objects with global ids 4, 9, 14.
         let objs = vec![vec![0.0f32], vec![10.0], vec![20.0]];
         let idx = Box::new(BruteForce::new(objs.clone(), L2));
-        let rows = PivotColumns::from_rows(0, 1.0, [[0.0; 0]; 3]);
+        let rows = PivotColumns::from_codes(0, 1.0, [[0u16; 0]; 3]);
         let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14], rows);
         let mut qs = QueryScratch::new();
         let mut hits = Vec::new();
@@ -312,13 +318,14 @@ mod tests {
     #[test]
     fn insert_extends_mapping() {
         let idx = Box::new(BruteForce::new(vec![vec![0.0f32]], L2));
-        let rows = PivotColumns::from_rows(1, 1.0, [[0.0]]);
+        let rows = PivotColumns::from_codes(1, 1.0, [[0u16]]);
         let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7], rows);
-        shard.insert_adopted(vec![5.0f32], 42, &[5.0]);
-        assert!(shard.pivot_row(1).eq([5.0]), "the shard keeps the row");
+        shard.insert_adopted(vec![5.0f32], 42, &[5]);
+        assert!(shard.codes(1).eq([5]), "the shard keeps the row");
         assert_eq!(shard.len(), 2);
         let mut hits = Vec::new();
         shard.range_global_into(&vec![5.0f32], 0.1, &mut QueryScratch::new(), &mut hits);
         assert_eq!(hits, vec![42]);
+        assert!(shard.remove_local(0) && !shard.is_live(0) && shard.is_live(1));
     }
 }

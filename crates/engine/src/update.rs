@@ -142,8 +142,9 @@ pub struct ApplyReport {
     pub shard_compdists: u64,
     /// Routing boxes actually recomputed from surviving members: one per
     /// shard that lost a member lying on a face of its box (removing a
-    /// member strictly inside cannot change the box), plus every shard
-    /// after a re-cluster.
+    /// member strictly inside cannot change the box) — or, in a commit
+    /// that re-clusters, exactly one per shard: the re-cut reboxes every
+    /// shard, so the face rebox is skipped.
     pub reboxed_shards: usize,
     /// Re-clustering passes run (0 or 1 per apply).
     pub reclusters: usize,

@@ -91,16 +91,17 @@ pub trait MetricIndex<O>: Send + Sync {
     fn insert(&mut self, o: O) -> ObjId;
 
     /// Inserts an object whose pivot-distance row the caller already
-    /// computed (`row`, its distances to the shared pivot set) — the
-    /// sharded engine's mutation path, which maps each insert into pivot
-    /// space exactly once and calls this only on an index whose
-    /// [`pivot_rows`](Self::pivot_rows) are the engine's. Kinds that own
-    /// such rows store and append `row` without computing any distance
+    /// computed and stored: `codes`, its distances to the shared pivot set
+    /// as u16 bucket codes under the step of
+    /// [`pivot_rows`](Self::pivot_rows) — the sharded engine's mutation
+    /// path, which maps and quantises each insert exactly once and calls
+    /// this only on an index whose rows are the engine's. Kinds that own
+    /// such rows append `codes` as they are, without computing any distance
     /// beyond what their auxiliary structures need (e.g. CPT's M-tree
-    /// clustering). A kind that keeps no rows ignores `row` and calls
+    /// clustering). A kind that keeps no rows ignores `codes` and calls
     /// [`insert`](Self::insert).
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
-        let _ = row;
+    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
+        let _ = codes;
         self.insert(o)
     }
 

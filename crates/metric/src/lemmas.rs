@@ -5,8 +5,6 @@
 //! that cannot be answers (Lemmas 1–3) and may only validate objects that
 //! must be answers (Lemma 4).
 
-use crate::matrix::stored_interval;
-
 /// Lower bound on `d(q, o)` from pre-computed pivot distances:
 /// `max_i |d(q, p_i) - d(o, p_i)|` (triangle inequality). With no pivots the
 /// bound is trivially 0.
@@ -82,123 +80,6 @@ pub fn mbb_lower_bound(q_dists: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         }
     }
     m
-}
-
-/// Upper bound counterpart of [`mbb_lower_bound`]: no point in the box maps
-/// further than this from the query in the pivot (L∞) space. Combined with
-/// Lemma 4 this can validate whole regions.
-#[inline]
-pub fn mbb_validation_bound(q_dists: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    let mut worst = f64::INFINITY;
-    for i in 0..q_dists.len() {
-        // For pivot i, every object o in the box has d(o,p_i) <= hi[i], so
-        // d(q,o) <= d(q,p_i) + hi[i].
-        let ub = q_dists[i] + hi[i];
-        if ub < worst {
-            worst = ub;
-        }
-    }
-    let _ = lo;
-    worst
-}
-
-/// A minimum bounding box over mapped points (pivot-distance vectors), the
-/// region summary behind [`lemma1_box_prunable`]: `lo[i]..=hi[i]` bounds
-/// `d(o, p_i)` for every object `o` the box covers.
-///
-/// Used wherever a set of objects is summarized for region-level pruning —
-/// R-tree nodes conceptually, and the serving engine's per-shard routing
-/// summaries concretely. An empty box (no points extended yet) reports an
-/// infinite lower bound, so it is always prunable; a zero-dimensional box
-/// (no pivots) reports a zero lower bound, so it never prunes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mbb {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
-
-impl Mbb {
-    /// An empty box over `dim` pivot dimensions (`lo = +∞`, `hi = -∞`).
-    pub fn empty(dim: usize) -> Self {
-        Mbb {
-            lo: vec![f64::INFINITY; dim],
-            hi: vec![f64::NEG_INFINITY; dim],
-        }
-    }
-
-    /// The tight box over an iterator of mapped points.
-    pub fn from_points<'a>(dim: usize, points: impl IntoIterator<Item = &'a [f64]>) -> Self {
-        let mut b = Mbb::empty(dim);
-        for p in points {
-            b.extend(p);
-        }
-        b
-    }
-
-    /// Number of pivot dimensions.
-    pub fn dim(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Whether the box covers no points yet (any inverted interval).
-    pub fn is_empty(&self) -> bool {
-        self.lo.iter().zip(&self.hi).any(|(l, h)| l > h)
-    }
-
-    /// Per-dimension lower edges.
-    pub fn lo(&self) -> &[f64] {
-        &self.lo
-    }
-
-    /// Per-dimension upper edges.
-    pub fn hi(&self) -> &[f64] {
-        &self.hi
-    }
-
-    /// Grows the box to cover one mapped point.
-    pub fn extend(&mut self, p: &[f64]) {
-        debug_assert_eq!(p.len(), self.lo.len());
-        for ((x, lo), hi) in p.iter().zip(&mut self.lo).zip(&mut self.hi) {
-            if *x < *lo {
-                *lo = *x;
-            }
-            if *x > *hi {
-                *hi = *x;
-            }
-        }
-    }
-
-    /// Grows the box to cover every true distance a *stored* row can stand
-    /// for: per dimension the [`stored_interval`] of the stored value under
-    /// the columns' `step` — its bucket, open above for the top one. A box
-    /// extended only this way is the union of its members' buckets per
-    /// dimension — a pure function of the stored values, whatever the
-    /// order — and contains the exact f64 map of every member.
-    pub fn extend_stored(&mut self, row: impl IntoIterator<Item = f64>, step: f64) {
-        for ((y, lo), hi) in row.into_iter().zip(&mut self.lo).zip(&mut self.hi) {
-            let (below, above) = stored_interval(y, step);
-            if below < *lo {
-                *lo = below;
-            }
-            if above > *hi {
-                *hi = above;
-            }
-        }
-    }
-
-    /// [`mbb_lower_bound`] against this box; `+∞` when the box is empty
-    /// (nothing inside, so everything is prunable).
-    pub fn lower_bound(&self, q_dists: &[f64]) -> f64 {
-        if self.is_empty() {
-            return f64::INFINITY;
-        }
-        mbb_lower_bound(q_dists, &self.lo, &self.hi)
-    }
-
-    /// [`lemma1_box_prunable`] against this box.
-    pub fn prunable(&self, q_dists: &[f64], r: f64) -> bool {
-        self.lower_bound(q_dists) > r
-    }
 }
 
 /// Lemma 2 (range-pivot filtering): a ball region with pivot distance
@@ -300,61 +181,6 @@ mod tests {
         assert_eq!(mbb_lower_bound(&qd, &lo, &hi), 3.0);
         assert!(lemma1_box_prunable(&qd, &lo, &hi, 2.9));
         assert!(!lemma1_box_prunable(&qd, &lo, &hi, 3.0));
-        // Validation bound: min(5+2, 1+4) = 5.
-        assert_eq!(mbb_validation_bound(&qd, &lo, &hi), 5.0);
-    }
-
-    #[test]
-    fn mbb_covers_and_bounds() {
-        let mut b = Mbb::empty(2);
-        assert!(b.is_empty());
-        assert_eq!(b.lower_bound(&[1.0, 1.0]), f64::INFINITY);
-        assert!(b.prunable(&[1.0, 1.0], 1e18), "empty box always prunes");
-        b.extend(&[1.0, 3.0]);
-        b.extend(&[2.0, 2.0]);
-        assert!(!b.is_empty());
-        assert_eq!(b.lo(), &[1.0, 2.0]);
-        assert_eq!(b.hi(), &[2.0, 3.0]);
-        // Same semantics as the free functions.
-        assert_eq!(b.lower_bound(&[5.0, 1.0]), 3.0);
-        assert!(b.prunable(&[5.0, 1.0], 2.9));
-        assert!(!b.prunable(&[5.0, 1.0], 3.0));
-        // Inside the box: bound 0.
-        assert_eq!(b.lower_bound(&[1.5, 2.5]), 0.0);
-        let c = Mbb::from_points(2, [[1.0, 3.0].as_slice(), [2.0, 2.0].as_slice()]);
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn stored_rows_widen_the_box_to_their_buckets() {
-        use crate::matrix::snap;
-        // Step 0.5: 7.3 is stored as 7.0 and stands for [7, 7.5]; 40 000
-        // is beyond the top bucket, stored saturated and open above.
-        let step = 0.5;
-        let exact = [[7.3, 0.1], [3.0, 40_000.0]];
-        let mut b = Mbb::empty(2);
-        for row in &exact {
-            b.extend_stored(row.iter().map(|&x| snap(x, step)), step);
-        }
-        for row in &exact {
-            assert_eq!(b.lower_bound(row), 0.0, "{row:?} outside {b:?}");
-        }
-        assert_eq!((b.lo()[0], b.hi()[0]), (3.0, 7.5));
-        assert_eq!((b.lo()[1], b.hi()[1]), (0.0, f64::INFINITY));
-        // Order-blind.
-        let mut rev = Mbb::empty(2);
-        for row in exact.iter().rev() {
-            rev.extend_stored(row.iter().map(|&x| snap(x, step)), step);
-        }
-        assert_eq!(b, rev);
-    }
-
-    #[test]
-    fn zero_dim_mbb_never_prunes() {
-        let b = Mbb::empty(0);
-        assert!(!b.is_empty(), "a 0-d box covers the whole (empty) space");
-        assert_eq!(b.lower_bound(&[]), 0.0);
-        assert!(!b.prunable(&[], 0.0));
     }
 
     #[test]

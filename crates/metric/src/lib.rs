@@ -9,10 +9,12 @@
 //!   be measured uniformly,
 //! * the four pivot filtering / validation lemmas of the paper ([`lemmas`]),
 //! * the flat pivot-distance matrix ([`PivotMatrix`]) built once, in
-//!   parallel, and split among the pivot tables of a sharded engine — each
-//!   stores its members' rows as planar u16 bucket [`PivotColumns`],
-//!   filtered through the blocked [`ScanKernel`] (see [`matrix`] for why a
-//!   bucket keeps answers exact and the clone-shares, writer-copies rule),
+//!   parallel, and quantised once into the u16 bucket codes that are the
+//!   only form a stored row takes from then on: the planar
+//!   [`PivotColumns`] every pivot table stores and the blocked
+//!   [`ScanKernel`] filters, and the [`CodeBox`]es that bound a set of rows
+//!   (see [`matrix`] for why a bucket keeps answers exact and the
+//!   clone-shares, writer-copies rule),
 //! * the persistent chunked vector ([`CowVec`]) that lets an index fork and
 //!   a snapshot publication share everything they do not write,
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
@@ -41,7 +43,7 @@ pub use distance::{
     dists_from, CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2,
 };
 pub use index::{BruteForce, MetricIndex};
-pub use matrix::{PivotColumns, PivotMatrix, ScanKernel};
+pub use matrix::{CodeBox, PivotColumns, PivotMatrix, ScanKernel};
 pub use object::EncodeObject;
 pub use scratch::{KnnBest, QueryScratch};
 pub use simd::SimdTier;

@@ -1,18 +1,18 @@
 //! The pivot-distance matrix — the paper's central `n × l` object — in its
-//! two forms: the transient f64 [`PivotMatrix`] a build computes and
-//! partitions over, and the [`PivotColumns`] every table and shard *stores*
-//! and the Lemma 1 kernel scans.
+//! two forms: the transient f64 [`PivotMatrix`] a build computes and sizes
+//! the step from, and the u16 bucket codes every table, shard, routing box
+//! and write path moves from then on ([`PivotColumns`], [`CodeBox`]).
 //!
 //! Every pivot-based index is, at its core, a view over the matrix
 //! `A[i][j] = d(o_i, p_j)`.
 //!
 //! * [`PivotMatrix`] is that matrix flat, row-major and exact: **built
 //!   once, in parallel** ([`PivotMatrix::compute`], through
-//!   [`crate::parallel::fan_out`]), clustered over by
-//!   the router, and dropped once every shard has taken its members' rows.
+//!   [`crate::parallel::fan_out`]), quantised once ([`quantise`] under
+//!   [`PivotMatrix::step`]) and dropped.
 //! * [`PivotColumns`] is the only stored form: one planar column of u16
 //!   *bucket codes* per pivot, in local-slot order. Code `c` stands for
-//!   every distance in `[c·step, (c+1)·step]` ([`stored_interval`]) — the
+//!   every distance in `[c·step, (c+1)·step]` (the top one open above) — the
 //!   discretisation the paper's own compact indexes use (SPB-tree's δ-grid,
 //!   FQA's buckets): Lemma 1 stays admissible when a stored distance is an
 //!   interval, so a bound only ever gets *smaller* — an occasional extra
@@ -46,7 +46,7 @@
 //! block (a scan is a pass over plain slices behind `Arc`s), a clone (what
 //! an index fork is) shares every full chunk and copies the one partly
 //! filled chunk per column — what a forked shard pays per commit — so a
-//! [`PivotColumns::push_row`] on it writes only memory it owns. The other
+//! [`PivotColumns::push_codes`] on it writes only memory it owns. The other
 //! side never observes the write, and dropping an unpublished clone changes
 //! nothing.
 //!
@@ -96,30 +96,6 @@ pub fn quantise(x: f64, step: f64) -> u16 {
     (x * (1.0 / step)) as u16
 }
 
-/// What a distance `x` reads back as once stored under `step`: the lower
-/// edge of its bucket, `c · step` (exact). An integer-valued metric whose
-/// distances stay under `65 535 · step` with `step ≤ 1` reads back exactly.
-#[inline]
-pub fn snap(x: f64, step: f64) -> f64 {
-    f64::from(quantise(x, step)) * step
-}
-
-/// The closed interval of true distances a stored value `y` (a bucket's
-/// lower edge, as [`snap`] and [`PivotColumns::row`] yield it) stands for:
-/// `snap(x, step) == y` implies `lo ≤ x ≤ hi`. The top bucket is open
-/// above. Routing boxes are built from these intervals, which is what keeps
-/// them admissible for the exact f64 map of every member while remaining a
-/// pure function of the stored columns.
-#[inline]
-pub fn stored_interval(y: f64, step: f64) -> (f64, f64) {
-    let hi = if y >= f64::from(TOP) * step {
-        f64::INFINITY
-    } else {
-        y + step
-    };
-    (y, hi)
-}
-
 /// The largest gap a radius admits: for every u16 `g`,
 /// `g ≤ steps_within(r, step)` exactly when `f64::from(g) · step ≤ r`.
 /// `step` is a power of two, so `r / step` is exact unless it leaves the
@@ -133,20 +109,25 @@ pub fn steps_within(r: f64, step: f64) -> u16 {
     (r / step) as u16
 }
 
-/// Lemma 1 over a row stored as `codes` under `step`, against the *exact*
-/// query map `qd`: the largest distance by which some `qd[j]` lies outside
-/// the bucket of `codes[j]` (`[c·step, (c+1)·step]`, the top one open
-/// above). Every row the codes stand for is at least this far from the
-/// query, so the bound is admissible; it gives back at most one step of
-/// the exact `max_j |qd[j] − d_j|` where no code saturates — what a tree
-/// leaf that stores its path distances as codes filters with.
+/// The distances the codes `lo ..= hi` stand for: `[lo·step, hi·step +
+/// step]`, open above at the top code; exact, `step` being a power of two.
 #[inline]
-pub fn code_lower_bound(qd: &[f64], codes: &[u16], step: f64) -> f64 {
-    debug_assert_eq!(qd.len(), codes.len());
+fn bucket_edges(lo: u16, hi: u16, step: f64) -> (f64, f64) {
+    let above = if hi == TOP {
+        f64::INFINITY
+    } else {
+        f64::from(hi) * step + step
+    };
+    (f64::from(lo) * step, above)
+}
+
+/// Lemma 1 against the buckets `lo[j] ..= hi[j]`: the largest distance by
+/// which some `qd[j]` lies outside them, 0 when it lies inside them all.
+#[inline]
+fn outside(qd: &[f64], lo: &[u16], hi: &[u16], step: f64) -> f64 {
     let mut m = 0.0f64;
-    for (&q, &c) in qd.iter().zip(codes) {
-        let lo = f64::from(c) * step;
-        let hi = if c == TOP { f64::INFINITY } else { lo + step };
+    for ((&q, &l), &h) in qd.iter().zip(lo).zip(hi) {
+        let (lo, hi) = bucket_edges(l, h, step);
         let (below, above) = (lo - q, q - hi);
         if below > m {
             m = below;
@@ -158,11 +139,92 @@ pub fn code_lower_bound(qd: &[f64], codes: &[u16], step: f64) -> f64 {
     m
 }
 
+/// Lemma 1 over a row stored as `codes` under `step`, against the *exact*
+/// query map `qd`: the [`CodeBox::lower_bound`] of the box holding only
+/// that row — the largest distance by which some `qd[j]` lies outside the
+/// bucket of `codes[j]`. Every row the codes stand for is at least this far
+/// from the query, so the bound is admissible; it gives back at most one
+/// step of the exact `max_j |qd[j] − d_j|` where no code saturates — what a
+/// tree leaf that stores its path distances as codes filters with.
+#[inline]
+pub fn code_lower_bound(qd: &[f64], codes: &[u16], step: f64) -> f64 {
+    debug_assert_eq!(qd.len(), codes.len());
+    outside(qd, codes, codes, step)
+}
+
+/// A box of stored rows: per pivot the smallest and the largest code of its
+/// members, standing for the union of their buckets ([`edges`](Self::edges))
+/// whatever order they came in, so it contains the exact map of every
+/// member. Empty while some `lo > hi` (no member yet: bound `+∞`, prunes
+/// everything); a zero-width box is never empty and bounds nothing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CodeBox {
+    lo: Vec<u16>,
+    hi: Vec<u16>,
+}
+
+impl CodeBox {
+    /// The empty box over `dim` pivots.
+    pub fn empty(dim: usize) -> Self {
+        CodeBox {
+            lo: vec![TOP; dim],
+            hi: vec![0; dim],
+        }
+    }
+
+    /// Number of pivot dimensions.
+    pub fn dim(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Whether the box holds no row yet.
+    pub fn is_empty(&self) -> bool {
+        self.lo.iter().zip(&self.hi).any(|(l, h)| l > h)
+    }
+
+    /// Grows the box to hold one stored row.
+    pub fn extend(&mut self, codes: impl IntoIterator<Item = u16>) {
+        for ((c, lo), hi) in codes.into_iter().zip(&mut self.lo).zip(&mut self.hi) {
+            *lo = (*lo).min(c);
+            *hi = (*hi).max(c);
+        }
+    }
+
+    /// Whether a stored row lies strictly inside the box on every dimension
+    /// (`lo < c < hi`): it attains no face, so the box without it is the
+    /// same box. The top code is never strictly inside.
+    pub fn strictly_contains(&self, codes: impl IntoIterator<Item = u16>) -> bool {
+        codes
+            .into_iter()
+            .zip(self.lo.iter().zip(&self.hi))
+            .all(|(c, (&lo, &hi))| lo < c && c < hi)
+    }
+
+    /// The distances the box stands for under `step`, per dimension:
+    /// `[lo·step, hi·step + step]`, open above at the top code.
+    pub fn edges(&self, step: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let (lo, hi) = (&self.lo, &self.hi);
+        lo.iter()
+            .zip(hi)
+            .map(move |(&l, &h)| bucket_edges(l, h, step))
+    }
+
+    /// Lemma 1 against the box's edges under `step` for the exact query map
+    /// `qd`: a lower bound on `d(q, o)` for every member `o`; `+∞` if empty.
+    pub fn lower_bound(&self, qd: &[f64], step: f64) -> f64 {
+        debug_assert_eq!(qd.len(), self.dim());
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        outside(qd, &self.lo, &self.hi, step)
+    }
+}
+
 /// The transient, exact, row-major `n × l` matrix a build computes:
-/// row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. The engine partitions
-/// over it and hands each shard its members' rows, which the shard stores
-/// as [`PivotColumns`]; nothing keeps an f64 row after the build.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. A build sizes the step
+/// from it, quantises it once ([`codes`](Self::codes)) and drops it;
+/// nothing keeps an f64 row after the build.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PivotMatrix {
     /// `data[i * width + j] = d(o_i, p_j)`.
     data: Vec<f64>,
@@ -174,22 +236,6 @@ pub struct PivotMatrix {
 }
 
 impl PivotMatrix {
-    /// An empty matrix over `width` pivots.
-    pub fn new(width: usize) -> Self {
-        PivotMatrix {
-            width,
-            ..PivotMatrix::default()
-        }
-    }
-
-    /// An empty matrix with capacity reserved for `rows` rows.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        PivotMatrix {
-            data: Vec::with_capacity(width * rows),
-            ..PivotMatrix::new(width)
-        }
-    }
-
     /// Computes the full `objects × pivots` matrix, fanning rows across
     /// `threads` workers, the caller one of them (1 ⇒ serial).
     /// Deterministic: the output is identical for every thread count, and
@@ -239,12 +285,18 @@ impl PivotMatrix {
 
     /// Builds a matrix from per-object rows (each of length `width`).
     pub fn from_rows<R: AsRef<[f64]>>(width: usize, rows: impl IntoIterator<Item = R>) -> Self {
-        let rows = rows.into_iter();
-        let mut m = PivotMatrix::with_capacity(width, rows.size_hint().0);
+        let (mut data, mut n) = (Vec::new(), 0);
         for r in rows {
-            m.push_row(r.as_ref());
+            let r = r.as_ref();
+            assert_eq!(r.len(), width, "row length must equal pivot count");
+            data.extend_from_slice(r);
+            n += 1;
         }
-        m
+        PivotMatrix {
+            data,
+            width,
+            rows: n,
+        }
     }
 
     /// Number of rows `n`.
@@ -257,23 +309,10 @@ impl PivotMatrix {
         self.width
     }
 
-    /// Whether the matrix has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Row `id` as a contiguous slice of `l` distances.
     #[inline]
     pub fn row(&self, id: usize) -> &[f64] {
         &self.data[id * self.width..(id + 1) * self.width]
-    }
-
-    /// Appends one row, returning its row id.
-    pub fn push_row(&mut self, row: &[f64]) -> usize {
-        assert_eq!(row.len(), self.width, "row length must equal pivot count");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-        self.rows - 1
     }
 
     /// The whole matrix as one flat row-major run.
@@ -281,9 +320,10 @@ impl PivotMatrix {
         &self.data
     }
 
-    /// Iterates `(row id, row)` over every row.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[f64])> {
-        (0..self.rows).map(|i| (i, self.row(i)))
+    /// Every distance stored under `step`, row-major: the one quantisation
+    /// of a build's matrix.
+    pub fn codes(&self, step: f64) -> Vec<u16> {
+        self.data.iter().map(|&x| quantise(x, step)).collect()
     }
 
     /// The step to store these rows under: [`step_for`] the largest finite
@@ -340,12 +380,11 @@ impl PivotColumns {
         }
     }
 
-    /// Stores per-object rows (each of length `width`) under `step`, in
-    /// order — how a sharded build hands each shard its members' rows of
-    /// the one matrix, under the matrix's one step (a standalone table
-    /// stores the whole of the matrix it computed:
-    /// `PivotColumns::from(&matrix)`).
-    pub fn from_rows<R: AsRef<[f64]>>(
+    /// Columns over rows already stored under `step` (each `width` codes),
+    /// in order — how a sharded build hands each shard its members' rows of
+    /// the one coded matrix (a standalone table stores the whole of the
+    /// matrix it computed: `PivotColumns::from(&matrix)`).
+    pub fn from_codes<R: AsRef<[u16]>>(
         width: usize,
         step: f64,
         rows: impl IntoIterator<Item = R>,
@@ -361,8 +400,8 @@ impl PivotColumns {
             for row in rows.by_ref().take(BLOCK) {
                 let row = row.as_ref();
                 assert_eq!(row.len(), width, "row length must equal pivot count");
-                for (j, &x) in row.iter().enumerate() {
-                    block[j * BLOCK + n] = quantise(x, step);
+                for (j, &c) in row.iter().enumerate() {
+                    block[j * BLOCK + n] = c;
                 }
                 n += 1;
             }
@@ -396,22 +435,31 @@ impl PivotColumns {
         &self.cols[j]
     }
 
-    /// The stored values of row `id`, pivot order: each the lower edge of
-    /// its bucket ([`snap`] of the distance that was pushed), standing for
-    /// its [`stored_interval`].
+    /// The codes of row `id`, pivot order.
     #[inline]
-    pub fn row(&self, id: usize) -> impl Iterator<Item = f64> + '_ {
+    pub fn codes(&self, id: usize) -> impl Iterator<Item = u16> + '_ {
         assert!(id < self.rows, "row {id} of {}", self.rows);
-        self.cols.iter().map(move |c| f64::from(c[id]) * self.step)
+        self.cols.iter().map(move |c| c[id])
     }
 
-    /// Stores and appends one row, returning its row id. Never copies a
-    /// chunk: a clone took its own copy of each column's partly filled one
-    /// (module docs).
-    pub fn push_row(&mut self, row: &[f64]) -> usize {
-        assert_eq!(row.len(), self.width(), "row length must equal pivot count");
-        for (col, &x) in self.cols.iter_mut().zip(row) {
-            col.push(quantise(x, self.step));
+    /// The stored values of row `id`, pivot order: each the lower edge of
+    /// its bucket, `c · step`.
+    #[inline]
+    pub fn row(&self, id: usize) -> impl Iterator<Item = f64> + '_ {
+        self.codes(id).map(move |c| f64::from(c) * self.step)
+    }
+
+    /// Appends one row already stored under this step, returning its row
+    /// id. Never copies a chunk: a clone took its own copy of each column's
+    /// partly filled one (module docs).
+    pub fn push_codes(&mut self, codes: &[u16]) -> usize {
+        assert_eq!(
+            codes.len(),
+            self.width(),
+            "row length must equal pivot count"
+        );
+        for (col, &c) in self.cols.iter_mut().zip(codes) {
+            col.push(c);
         }
         self.rows += 1;
         self.rows - 1
@@ -525,11 +573,9 @@ impl From<&PivotMatrix> for PivotColumns {
     /// Every row of `matrix`, in row order, under the matrix's own
     /// [`step`](PivotMatrix::step).
     fn from(matrix: &PivotMatrix) -> Self {
-        Self::from_rows(
-            matrix.width(),
-            matrix.step(),
-            matrix.iter_rows().map(|(_, r)| r),
-        )
+        let (w, step) = (matrix.width(), matrix.step());
+        let codes = matrix.codes(step);
+        Self::from_codes(w, step, (0..matrix.rows()).map(|i| &codes[i * w..][..w]))
     }
 }
 
@@ -638,6 +684,43 @@ mod tests {
     use crate::cow;
     use crate::datasets;
     use crate::distance::{CountingMetric, L2};
+    use crate::lemmas::mbb_lower_bound;
+
+    /// Columns over rows of distances, each stored under `step`.
+    fn from_rows<R: AsRef<[f64]>>(
+        width: usize,
+        step: f64,
+        rows: impl IntoIterator<Item = R>,
+    ) -> PivotColumns {
+        let codes: Vec<Vec<u16>> = (rows.into_iter())
+            .map(|r| r.as_ref().iter().map(|&x| quantise(x, step)).collect())
+            .collect();
+        PivotColumns::from_codes(width, step, &codes)
+    }
+
+    /// Stores a row of distances under the columns' step and appends it.
+    fn push_row(cols: &mut PivotColumns, row: &[f64]) -> usize {
+        let codes: Vec<u16> = row.iter().map(|&x| quantise(x, cols.step())).collect();
+        cols.push_codes(&codes)
+    }
+
+    /// What `x` reads back as under `step`: its bucket's lower edge.
+    fn snap(x: f64, step: f64) -> f64 {
+        f64::from(quantise(x, step)) * step
+    }
+
+    /// The f64 oracle of a bucket: the closed interval of true distances a
+    /// stored lower edge `y` stands for, open above at the top bucket — what
+    /// a box of f64 edges was widened by, row by row, before boxes held
+    /// codes.
+    fn stored_interval(y: f64, step: f64) -> (f64, f64) {
+        let hi = if y >= f64::from(TOP) * step {
+            f64::INFINITY
+        } else {
+            y + step
+        };
+        (y, hi)
+    }
 
     #[test]
     fn compute_matches_serial_for_all_thread_counts() {
@@ -667,27 +750,24 @@ mod tests {
     }
 
     #[test]
-    fn push_row_roundtrip() {
-        let mut m = PivotMatrix::new(2);
-        assert!(m.is_empty());
-        assert_eq!(m.push_row(&[1.0, 2.0]), 0);
-        assert_eq!(m.push_row(&[3.0, 4.0]), 1);
-        assert_eq!(m.push_row(&[5.0, 6.0]), 2);
+    fn from_rows_lays_rows_out_flat_and_codes_them_in_place() {
+        let m = PivotMatrix::from_rows(2, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]]);
+        assert_eq!((m.rows(), m.width()), (3, 2));
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.as_slice().len(), 6);
-        let rows: Vec<_> = m.iter_rows().collect();
-        assert_eq!(rows[2], (2, [5.0, 6.0].as_slice()));
-        assert_eq!(
-            m,
-            PivotMatrix::from_rows(2, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        );
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.5]);
+        assert_eq!(m.codes(0.5), [2, 4, 6, 8, 10, 13]);
+        assert_eq!(m.codes(2.0), [0, 1, 1, 2, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row length must equal pivot count")]
+    fn from_rows_rejects_a_ragged_row() {
+        let _ = PivotMatrix::from_rows(2, [vec![1.0, 2.0], vec![3.0]]);
     }
 
     #[test]
     fn zero_width_counts_rows() {
-        let mut m = PivotMatrix::new(0);
-        m.push_row(&[]);
-        m.push_row(&[]);
+        let m = PivotMatrix::from_rows(0, [[0.0; 0]; 2]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.row(1), &[] as &[f64]);
         let pts = datasets::la(10, 1);
@@ -706,9 +786,9 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn push_row_rejects_wrong_width() {
+    fn push_codes_rejects_wrong_width() {
         let mut m = PivotColumns::new(2, 1.0);
-        m.push_row(&[1.0]);
+        m.push_codes(&[1]);
     }
 
     // -----------------------------------------------------------------
@@ -762,7 +842,7 @@ mod tests {
         // A matrix sizes from its largest finite distance.
         let m = PivotMatrix::from_rows(2, [[1.0, f64::INFINITY], [f64::NAN, 100.0]]);
         assert_eq!(m.step(), step_for(100.0));
-        assert_eq!(PivotMatrix::new(3).step(), 1.0);
+        assert_eq!(PivotMatrix::from_rows(3, [[0.0; 3]; 0]).step(), 1.0);
     }
 
     #[test]
@@ -813,7 +893,7 @@ mod tests {
 
         // A push stores under the same step, saturating beyond the top
         // bucket; 0.3 is stored as the edge under it.
-        assert_eq!(m.push_row(&[0.3, 1e6]), 2);
+        assert_eq!(push_row(&mut m, &[0.3, 1e6]), 2);
         assert_eq!(
             m.row(2).collect::<Vec<_>>(),
             [snap(0.3, step), 65_535.0 * step]
@@ -827,7 +907,7 @@ mod tests {
 
         // A push on a clone is the clone's alone.
         let mut forked = m.clone();
-        forked.push_row(&[4.0, 4.0]);
+        push_row(&mut forked, &[4.0, 4.0]);
         assert_eq!((forked.rows(), forked.step()), (4, step));
         assert_eq!(m.rows(), 3, "the pinned side is untouched");
 
@@ -860,21 +940,21 @@ mod tests {
         let row = |i: usize| [(i * 37 % 101) as f64, (i * 53 % 211) as f64 * 1.375];
         let qd = [3.0f64, 41.5];
         let step = 0.125;
-        let flat = PivotColumns::from_rows(2, step, (0..total).map(row));
-        let mut grown = PivotColumns::from_rows(2, step, (0..300).map(row));
+        let flat = from_rows(2, step, (0..total).map(row));
+        let mut grown = from_rows(2, step, (0..300).map(row));
         let mut pin = grown.clone();
         for i in 300..total {
-            grown.push_row(&row(i));
+            push_row(&mut grown, &row(i));
             if i % 700 == 0 {
                 pin = grown.clone();
             }
         }
         assert!(pin.rows() < total && grown.cols[0].chunks().len() == 3);
         assert_same_bounds(&grown, &flat, &qd, "grown under pins");
-        let pinned = PivotColumns::from_rows(2, step, (0..pin.rows()).map(row));
+        let pinned = from_rows(2, step, (0..pin.rows()).map(row));
         assert_same_bounds(&pin, &pinned, &qd, "the pinned clone");
         let ids: Vec<u32> = (0..total as u32).rev().step_by(3).collect();
-        let selected = PivotColumns::from_rows(2, step, ids.iter().map(|&i| row(i as usize)));
+        let selected = from_rows(2, step, ids.iter().map(|&i| row(i as usize)));
         assert_same_bounds(&grown.select(&ids), &selected, &qd, "select");
     }
 
@@ -882,10 +962,10 @@ mod tests {
     fn a_push_on_a_clone_copies_at_most_one_chunk_per_column() {
         let chunk = CowVec::<u16>::CHUNK;
         let rows = (0..3 * chunk + 100).map(|i| [i as f64, (i / 2) as f64]);
-        let first = PivotColumns::from_rows(2, 1.0, rows);
+        let first = from_rows(2, 1.0, rows);
         let before = cow::copied_bytes();
         let mut second = first.clone();
-        second.push_row(&[7.0, 8.0]);
+        second.push_codes(&[7, 8]);
         // The clone copied each column's 100-value last chunk; the push
         // found it owned.
         assert_eq!(cow::copied_bytes() - before, 2 * 100 * 2);
@@ -987,7 +1067,7 @@ mod tests {
             let value = |&(cell, frac): &(u32, u32)| (f64::from(cell) + f64::from(frac) / 1000.0) * step;
             let rows: Vec<f64> = cells[..n * width].iter().map(value).collect();
             let qd: Vec<f64> = query[..width].iter().map(value).collect();
-            let stored = PivotColumns::from_rows(width, step, rows.chunks(width));
+            let stored = from_rows(width, step, rows.chunks(width));
             let mut exact = Vec::new();
             ScanKernel::lower_bounds(&qd, &rows, n, &mut exact);
             let top = 65_535.0 * step;
@@ -1081,6 +1161,83 @@ mod tests {
             prop_assert!(exact <= q.abs(), "{} > d(q, o) {}", exact, q.abs());
             if codes.iter().all(|&c| c < TOP) {
                 prop_assert!(bound >= exact - step, "{} loose of {}", bound, exact);
+            }
+        }
+
+        /// A box of codes against the f64 form it replaced, bit for bit:
+        /// rows of codes that reach 0 and the top code, zero to four of them
+        /// (none: the empty box), widths 0 to 6, power-of-two steps. Its
+        /// bound is `mbb_lower_bound` over the union of the rows' f64
+        /// buckets (`+∞` when empty), for a query inside, outside, beyond
+        /// the top bucket or at `+∞`; each row's `code_lower_bound` is the
+        /// bound of the box holding that row alone; the box is the same
+        /// whatever order its rows came in; and `strictly_contains` is the
+        /// f64 face test — the bucket strictly inside the edges — for the
+        /// rows and for a probe row of its own.
+        #[test]
+        fn code_lower_bound_of_a_box_is_mbb_lower_bound_over_its_edges(
+            width in 0usize..=6,
+            n in 0usize..=4,
+            step_exp in -8i32..=6,
+            codes in prop::collection::vec(
+                prop_oneof![2 => 0u16..=3, 4 => 0u16..=u16::MAX, 2 => 65_532u16..=u16::MAX],
+                6 * 5,
+            ),
+            query in prop::collection::vec(
+                prop_oneof![4 => 0.0f64..70_000.0, 1 => 65_534.0f64..65_537.0, 1 => 1e6f64..1e9],
+                6,
+            ),
+            infinite in 0usize..12,
+        ) {
+            let step = 2f64.powi(step_exp);
+            let rows: Vec<&[u16]> = codes.chunks(width.max(1)).take(n).map(|r| &r[..width]).collect();
+            let probe = &codes[codes.len() - width..];
+            let mut qd: Vec<f64> = query[..width].iter().map(|&x| x * step).collect();
+            if let Some(q) = qd.get_mut(infinite) {
+                *q = f64::INFINITY;
+            }
+            let mut b = CodeBox::empty(width);
+            for row in &rows {
+                b.extend(row.iter().copied());
+            }
+            let mut rev = CodeBox::empty(width);
+            for row in rows.iter().rev() {
+                rev.extend(row.iter().copied());
+            }
+            prop_assert_eq!(&b, &rev);
+            prop_assert_eq!(b.is_empty(), n == 0 && width > 0);
+
+            // The f64 box: per dimension the union of the rows' buckets.
+            let (mut lo, mut hi) = (vec![f64::INFINITY; width], vec![f64::NEG_INFINITY; width]);
+            for row in &rows {
+                for (j, &c) in row.iter().enumerate() {
+                    let (below, above) = stored_interval(f64::from(c) * step, step);
+                    lo[j] = lo[j].min(below);
+                    hi[j] = hi[j].max(above);
+                }
+            }
+            let want = if b.is_empty() { f64::INFINITY } else { mbb_lower_bound(&qd, &lo, &hi) };
+            prop_assert_eq!(b.lower_bound(&qd, step).to_bits(), want.to_bits(), "{:?} {:?}", b, qd);
+            if !b.is_empty() {
+                let edges: Vec<(f64, f64)> = b.edges(step).collect();
+                let f64_edges: Vec<(f64, f64)> = lo.iter().copied().zip(hi.iter().copied()).collect();
+                prop_assert_eq!(
+                    edges.iter().map(|(l, h)| (l.to_bits(), h.to_bits())).collect::<Vec<_>>(),
+                    f64_edges.iter().map(|(l, h)| (l.to_bits(), h.to_bits())).collect::<Vec<_>>()
+                );
+            }
+            for row in rows.iter().chain([&probe]) {
+                let mut one = CodeBox::empty(width);
+                one.extend(row.iter().copied());
+                prop_assert_eq!(
+                    code_lower_bound(&qd, row, step).to_bits(),
+                    one.lower_bound(&qd, step).to_bits()
+                );
+                let inside = row.iter().enumerate().all(|(j, &c)| {
+                    let (below, above) = stored_interval(f64::from(c) * step, step);
+                    lo[j] < below && above < hi[j]
+                });
+                prop_assert_eq!(b.strictly_contains(row.iter().copied()), inside, "{:?} in {:?}", row, b);
             }
         }
     }

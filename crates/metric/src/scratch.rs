@@ -408,7 +408,7 @@ mod tests {
         (verified, out)
     }
 
-    use crate::matrix::{PivotColumns, ScanKernel};
+    use crate::matrix::{quantise, PivotColumns, ScanKernel};
     use crate::simd;
     use proptest::prelude::*;
 
@@ -441,7 +441,8 @@ mod tests {
             let value = |c: u32| f64::from(c) * step / 4.0;
             let rows: Vec<f64> = cells[..n * width].iter().map(|&c| value(c)).collect();
             let qd: Vec<f64> = query[..width].iter().map(|&c| value(c)).collect();
-            let stored = PivotColumns::from_rows(width, step, rows.chunks(width));
+            let codes: Vec<u16> = rows.iter().map(|&x| quantise(x, step)).collect();
+            let stored = PivotColumns::from_codes(width, step, codes.chunks(width));
             let mut exact = Vec::new();
             ScanKernel::lower_bounds(&qd, &rows, n, &mut exact);
             // A distance at or above the exact bound; every seventh slot

@@ -7,9 +7,9 @@
 //! bounds let an index *skip* work; this crate lifts that from objects to
 //! shards:
 //!
-//! * [`partition::partition_pivot_space`] cuts the dataset's
-//!   pivot-distance vectors by recursive balanced median cuts (a k-d split
-//!   of their u16 bucket codes), so each shard holds one cell of the pivot
+//! * [`partition::partition_pivot_space`] cuts the dataset's stored
+//!   pivot-distance rows — their u16 bucket codes, row-major — by recursive
+//!   balanced median cuts (a k-d split), so each shard holds one cell of the pivot
 //!   space and shard `s` of `P` holds exactly `⌊n/P⌋ + [s < n mod P]`
 //!   objects. Cells are disjoint but for the bucket a cut falls in, so a
 //!   small query ball meets about one of them. The cut has no random
@@ -17,13 +17,13 @@
 //!   construction ([`partition::assign_pivot_space`] is its
 //!   single-threaded form). A zero-width pivot space is cut into balanced
 //!   contiguous runs,
-//! * [`RoutingTable`] summarizes each shard as a minimum bounding box
-//!   ([`pmi_metric::lemmas::Mbb`]) and a centre (the mean) over its mapped
-//!   points — read off the shards' stored columns
-//!   ([`RoutingTable::from_columns`]) — and plans queries against the
-//!   summaries:
-//!   - **range**: a shard whose box satisfies `lemma1_box_prunable` cannot
-//!     hold any answer and is skipped outright
+//! * [`RoutingTable`] summarizes each shard as a box of codes
+//!   ([`pmi_metric::CodeBox`]: per pivot the smallest and largest stored
+//!   code) and a centre (the mean) over its members' stored rows — read
+//!   off the shards' columns ([`RoutingTable::from_columns`]) — and plans
+//!   queries against the summaries:
+//!   - **range**: a shard whose box bound ([`pmi_metric::CodeBox::lower_bound`])
+//!     exceeds the radius cannot hold any answer and is skipped outright
 //!     ([`RoutingTable::range_plan_into`]),
 //!   - **kNN**: shards are ordered best-first by the box lower bound,
 //!     shards whose bounds tie — a query in a bucket two cells share lies
@@ -37,13 +37,13 @@
 //!
 //! Boxes stay exact under churn: the engine's mutation path grows a box on
 //! insert ([`RoutingTable::extend`]) and recomputes it from the surviving
-//! members when a remove hits one of its faces
-//! ([`RoutingTable::rebox_from_rows`]). Centres ride along — `extend` adds
-//! the row, [`RoutingTable::forget`] subtracts a removed one, a rebox
-//! recomputes — and are a function of the rows a shard *stores* (the sum of
-//! the stored values — multiples of one step, so exact in any order — over
-//! the count), so a build and a compaction of the same survivors order
-//! their probes, and count their distances, identically.
+//! members when a remove hits one of its faces ([`RoutingTable::rebox`]),
+//! all of it on codes. Centres ride along — `extend` adds the row,
+//! [`RoutingTable::forget`] subtracts a removed one, a rebox recomputes —
+//! and are a function of the rows a shard *stores* (the integer sum of the
+//! codes, times the step, over the count), so a build and a compaction of
+//! the same survivors order their probes, and count their distances,
+//! identically.
 //!
 //! Both decisions are conservative applications of Lemma 1, so routed
 //! answers are *identical* to probing every shard — pruning only ever

@@ -1,16 +1,15 @@
 //! Balanced pivot-space partitioning by median cuts (a k-d split).
 //!
 //! Objects are assigned to shards by cutting their pivot-distance vectors —
-//! the rows of the shared [`PivotMatrix`], read as the u16 bucket codes the
-//! shards will store (`matrix::quantise` under [`PivotMatrix::step`]) —
-//! recursively in two. A node holding shards `first .. first + parts` cuts
-//! on the column whose codes span the widest range (ties to the lower
-//! column): ordered by the key `(code, id)`, the node's first `parts / 2`
-//! shards take the smallest keys, exactly as many as those shards hold in
-//! balanced contiguous runs (shard `s` of `P` holds `⌊n/P⌋ + [s < n mod P]`
-//! rows). So every shard has its balanced size, and the two sides of a cut
-//! share at most one bucket of the cut column — the one the cut falls in —
-//! which makes the shards' routing boxes disjoint but for a face.
+//! as the u16 bucket codes the shards store them in — recursively in two. A
+//! node holding shards `first .. first + parts` cuts on the column whose
+//! codes span the widest range (ties to the lower column): ordered by the
+//! key `(code, id)`, the node's first `parts / 2` shards take the smallest
+//! keys, exactly as many as those shards hold in balanced contiguous runs
+//! (shard `s` of `P` holds `⌊n/P⌋ + [s < n mod P]` rows). So every shard has
+//! its balanced size, and the two sides of a cut share at most one bucket
+//! of the cut column — the one the cut falls in — which makes the shards'
+//! routing boxes disjoint but for a face.
 //!
 //! The keys are unique, so the partition is a pure function of the codes:
 //! the same for every thread count by construction, and no SIMD kernel is
@@ -24,7 +23,6 @@
 //! The two halves of a node are independent and run on up to `threads`
 //! workers ([`claim_each`]).
 
-use pmi_metric::matrix::quantise;
 use pmi_metric::parallel::claim_each;
 use pmi_metric::PivotMatrix;
 
@@ -32,53 +30,51 @@ use pmi_metric::PivotMatrix;
 /// own: a spawn costs tens of microseconds, a row here a few nanoseconds.
 const MIN_ROWS_PER_TASK: usize = 8192;
 
-/// [`partition_pivot_space`] on the calling thread. The seed is unused: the
-/// cuts have no random choice. It stays in the signature only for the
-/// benchmark, which calls this, and goes with ROADMAP item 3 (k).
+/// [`partition_pivot_space`] on the calling thread of the matrix's codes
+/// under its own [`step`](PivotMatrix::step), as a build cuts them. The
+/// seed is unused; it stays only for the benchmark, which calls this, and
+/// goes with ROADMAP item 3 (k).
 pub fn assign_pivot_space(mapped: &PivotMatrix, shards: usize, _seed: u64) -> Vec<usize> {
-    partition_pivot_space(mapped, shards, 1)
+    partition_pivot_space(&mapped.codes(mapped.step()), mapped.rows(), shards, 1)
 }
 
-/// Cuts the rows of `mapped` (one pivot-distance vector per object) into
-/// `shards` balanced cells by recursive median cuts (see module docs) and
-/// returns the shard of each object. Shard `s` gets exactly
-/// `⌊n/P⌋ + [s < n mod P]` objects. Runs on up to `threads` workers, the
-/// caller one of them; the result does not depend on `threads`.
+/// Cuts `rows` stored rows (`codes`, row-major; zero-width rows have none)
+/// into `shards` balanced cells by recursive median cuts (see module docs)
+/// and returns the shard of each row: shard `s` gets exactly
+/// `⌊n/P⌋ + [s < n mod P]`. Runs on up to `threads` workers, the caller one
+/// of them; the result does not depend on `threads`.
 ///
 /// # Panics
 ///
-/// If the matrix has more than `u32::MAX` rows (object ids are `u32`).
-pub fn partition_pivot_space(mapped: &PivotMatrix, shards: usize, threads: usize) -> Vec<usize> {
-    cut_pivot_space(mapped, shards, threads, MIN_ROWS_PER_TASK)
+/// If there are more than `u32::MAX` rows (object ids are `u32`), or the
+/// codes are not a whole number of rows.
+pub fn partition_pivot_space(
+    codes: &[u16],
+    rows: usize,
+    shards: usize,
+    threads: usize,
+) -> Vec<usize> {
+    cut_pivot_space(codes, rows, shards, threads, MIN_ROWS_PER_TASK)
 }
 
 /// [`partition_pivot_space`] with the node size below which its halves stay
 /// on one thread, which the tests lower to reach the threaded path.
 fn cut_pivot_space(
-    mapped: &PivotMatrix,
+    codes: &[u16],
+    n: usize,
     shards: usize,
     threads: usize,
     min_rows: usize,
 ) -> Vec<usize> {
-    let n = mapped.rows();
     assert!(
         u32::try_from(n).is_ok(),
         "{n} rows: object ids must fit in u32"
     );
-    let step = mapped.step();
-    // A zero-width pivot space is one constant column.
-    let codes: Vec<u16> = if mapped.width() == 0 {
-        vec![0; n]
-    } else {
-        mapped
-            .as_slice()
-            .iter()
-            .map(|&x| quantise(x, step))
-            .collect()
-    };
+    let width = codes.len().checked_div(n).unwrap_or(0);
+    assert_eq!(codes.len(), width * n, "{} codes in {n} rows", codes.len());
     let cells = Cells {
-        codes: &codes,
-        width: mapped.width().max(1),
+        codes,
+        width,
         n,
         p: shards.max(1),
         min_rows,
@@ -121,6 +117,32 @@ impl Cells<'_> {
         }
         let left = parts / 2;
         let k = self.start(first + left) - self.start(first);
+        // Zero width is one constant column: every key ties on its code,
+        // so the left shards take the lowest ids, where they already are.
+        if self.width > 0 {
+            self.split(ids, spare, k);
+        }
+        let workers = if ids.len() >= self.min_rows {
+            threads
+        } else {
+            1
+        };
+        let (ids_l, ids_r) = ids.split_at_mut(k);
+        let (spare_l, spare_r) = spare.split_at_mut(k);
+        let halves = vec![
+            (ids_l, spare_l, first, left),
+            (ids_r, spare_r, first + left, parts - left),
+        ];
+        // Each half on half the workers.
+        let threads = (threads / 2).max(1);
+        claim_each(halves, workers, |(ids, spare, first, parts)| {
+            self.cut(ids, spare, first, parts, threads)
+        });
+    }
+
+    /// Moves the `k` smallest keys `(code, id)` of the widest column to the
+    /// front of `ids`, both sides still ascending.
+    fn split(&self, ids: &mut [u32], spare: &mut [u32], k: usize) {
         let w = self.width;
         let code = |i: u32, j: usize| self.codes[i as usize * w + j];
 
@@ -172,29 +194,13 @@ impl Cells<'_> {
         }
         debug_assert_eq!((l, r), (k, ids.len()));
         ids.copy_from_slice(spare);
-
-        let workers = if ids.len() >= self.min_rows {
-            threads
-        } else {
-            1
-        };
-        let (ids_l, ids_r) = ids.split_at_mut(k);
-        let (spare_l, spare_r) = spare.split_at_mut(k);
-        let halves = vec![
-            (ids_l, spare_l, first, left),
-            (ids_r, spare_r, first + left, parts - left),
-        ];
-        // Each half on half the workers.
-        let threads = (threads / 2).max(1);
-        claim_each(halves, workers, |(ids, spare, first, parts)| {
-            self.cut(ids, spare, first, parts, threads)
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmi_metric::matrix::quantise;
     use proptest::prelude::*;
 
     /// Balanced contiguous runs: shard `s` takes the next `⌊n/P⌋ + [s < n
@@ -209,15 +215,11 @@ mod tests {
 
     fn blobs(per: usize, centers: &[(f64, f64)]) -> PivotMatrix {
         // Tiny deterministic jitter, no RNG needed.
-        let mut out = PivotMatrix::new(2);
-        for &(cx, cy) in centers {
-            for i in 0..per {
-                let dx = (i % 5) as f64 * 0.01;
-                let dy = (i % 7) as f64 * 0.01;
-                out.push_row(&[cx + dx, cy + dy]);
-            }
-        }
-        out
+        let jitter = |i: usize| ((i % 5) as f64 * 0.01, (i % 7) as f64 * 0.01);
+        let rows = centers
+            .iter()
+            .flat_map(|&(cx, cy)| (0..per).map(move |i| [cx + jitter(i).0, cy + jitter(i).1]));
+        PivotMatrix::from_rows(2, rows)
     }
 
     #[test]
@@ -232,10 +234,7 @@ mod tests {
             vec![0; 4]
         );
         // Zero-dimensional mapped points (no pivots): a plain engine's cut.
-        let mut flat = PivotMatrix::new(0);
-        for _ in 0..3 {
-            flat.push_row(&[]);
-        }
+        let flat = PivotMatrix::from_rows(0, [[0.0; 0]; 3]);
         assert_eq!(assign_pivot_space(&flat, 2, 7), vec![0, 0, 1]);
         // All mapped points identical.
         let same = PivotMatrix::from_rows(2, vec![[3.0, 3.0]; 6]);
@@ -246,7 +245,8 @@ mod tests {
             vec![0, 1]
         );
         // No objects.
-        assert!(assign_pivot_space(&PivotMatrix::new(2), 3, 7).is_empty());
+        let none = PivotMatrix::from_rows(2, [[0.0; 2]; 0]);
+        assert!(assign_pivot_space(&none, 3, 7).is_empty());
     }
 
     #[test]
@@ -373,9 +373,10 @@ mod tests {
             let step = mapped.step();
             let codes: Vec<Vec<u16>> =
                 rows.iter().map(|r| r.iter().map(|&x| quantise(x, step)).collect()).collect();
+            let row_major = codes.concat();
             let flat = width == 0 || codes.windows(2).all(|w| w[0] == w[1]);
             for p in [2, 3, 8, 9] {
-                let one = cut_pivot_space(&mapped, p, 1, 1);
+                let one = cut_pivot_space(&row_major, n, p, 1, 1);
                 let runs = balanced_runs(n, p);
                 let mut sizes = vec![0usize; p];
                 for &s in &one {
@@ -393,9 +394,68 @@ mod tests {
                 prop_assert_eq!(&assign_pivot_space(&mapped, p, 0), &one);
                 for threads in [2, 3] {
                     prop_assert_eq!(
-                        &cut_pivot_space(&mapped, p, threads, 1),
+                        &cut_pivot_space(&row_major, n, p, threads, 1),
                         &one,
                         "n={} P={} threads={}", n, p, threads
+                    );
+                }
+            }
+        }
+
+        /// The cut of codes is the cut the f64 paths made. A re-cut's codes
+        /// (0 and the top code among them) against their decoded rows
+        /// `c · step`, which a re-cut once handed `assign_pivot_space` —
+        /// whose own step, sized from the decoded maximum, is `step / 2^k`;
+        /// and an exact f64 matrix with `+∞` entries and values far beyond
+        /// the top bucket of the finer steps, coded once under its step as a
+        /// build codes it and cut on one, two and three threads, against
+        /// `assign_pivot_space` over the f64 rows.
+        #[test]
+        fn a_cut_of_codes_equals_the_cut_of_their_f64_rows(
+            cells in prop::collection::vec(
+                prop_oneof![2 => 0u16..=3, 4 => 0u16..=u16::MAX, 1 => 65_532u16..=u16::MAX],
+                0..240,
+            ),
+            width in 0usize..=4,
+            step_exp in -6i32..=4,
+            far in prop::collection::vec(0u8..6, 60),
+        ) {
+            let rows = cells.len().checked_div(width).unwrap_or(cells.len() / 3);
+            let codes = &cells[..rows * width];
+            let step = 2f64.powi(step_exp);
+            let row = |i: usize| &codes[i * width..][..width];
+            let decoded = PivotMatrix::from_rows(
+                width,
+                (0..rows).map(row).map(|r| {
+                    r.iter().map(|&c| f64::from(c) * step).collect::<Vec<f64>>()
+                }),
+            );
+            let exact = PivotMatrix::from_rows(
+                width,
+                (0..rows).map(row).zip(far.iter().cycle()).map(|(r, &f)| {
+                    r.iter()
+                        .map(|&c| match f {
+                            0 => f64::INFINITY,
+                            1 => f64::from(c) * 1e9,
+                            _ => f64::from(c) / 3.0,
+                        })
+                        .collect::<Vec<f64>>()
+                }),
+            );
+            let exact_step = exact.step();
+            let coded: Vec<u16> = exact.as_slice().iter().map(|&x| quantise(x, exact_step)).collect();
+            for p in [2, 3, 8] {
+                prop_assert_eq!(
+                    &cut_pivot_space(codes, rows, p, 1, 1),
+                    &assign_pivot_space(&decoded, p, 0),
+                    "decoded: rows={} P={}", rows, p
+                );
+                let want = assign_pivot_space(&exact, p, 0);
+                for threads in [1, 2, 3] {
+                    prop_assert_eq!(
+                        &cut_pivot_space(&coded, rows, p, threads, 1),
+                        &want,
+                        "exact: rows={} P={} threads={}", rows, p, threads
                     );
                 }
             }

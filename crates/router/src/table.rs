@@ -1,9 +1,7 @@
 //! The routing table: per-shard pivot-space summaries plus the query
 //! planner that decides which shards a query must probe.
 
-use pmi_metric::lemmas::Mbb;
-use pmi_metric::matrix::snap;
-use pmi_metric::PivotColumns;
+use pmi_metric::{CodeBox, PivotColumns};
 use std::sync::Arc;
 
 /// The pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to the
@@ -17,44 +15,42 @@ pub type Mapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
 /// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and, per
-/// shard, one bounding box and one centre over its members' mapped points —
-/// over what the shard *stores* of them, under the one `step` the engine
-/// hands every shard's columns and this table. The box is the union of the
-/// buckets the members' stored pivot distances stand for
-/// ([`Mbb::extend_stored`]: from the lowest stored value to one step above
-/// the highest, open above once a member is stored saturated); the centre
-/// is the mean of the stored values, kept as their f64 sum and the live
-/// count. Both are pure functions of the shard's stored columns: the box is
-/// identical whether it was grown insert by insert or recomputed from the
-/// rows, and contains the exact f64 map of every member, so planning
-/// against it with the exact f64 map of a query stays admissible; a stored
-/// value is a whole number of steps, fewer than `2¹⁶`, so the sum is exact
-/// in any order, and a fresh build and a compaction of the same survivors
-/// agree bit for bit — which keeps their probe orders, and with them their
-/// distance counts, identical.
+/// shard, one bounding box and one centre over what the shard *stores* of
+/// its members' mapped points — u16 bucket codes under the one `step` the
+/// engine hands every shard's columns and this table. The box is a
+/// [`CodeBox`]: per pivot the smallest and largest code, standing for the
+/// union of the members' buckets (open above once a member is stored
+/// saturated); the centre is the mean of the stored values, kept as the
+/// members' code sums and the live count and read as `sum · step / count`.
+/// Both are pure functions of the shard's stored codes: the box is
+/// identical whether it was grown insert by insert or recomputed, and
+/// contains the exact f64 map of every member, so planning against it with
+/// the exact f64 map of a query stays admissible; a code sum is an integer,
+/// below 2⁵³ and exact in any order, so a fresh build and a compaction of
+/// the same survivors agree bit for bit — which keeps their probe orders,
+/// and with them their distance counts, identical.
 ///
 /// Planning is a conservative application of Lemma 1 at shard granularity,
 /// so a routed engine returns exactly what probing every shard would:
 ///
 /// * [`range_plan_into`](Self::range_plan_into) keeps only the shards whose
-///   box intersects the query's search box (`lemma1_box_prunable` on the
-///   rest);
+///   box bound ([`CodeBox::lower_bound`]) is within the radius;
 /// * [`knn_order_into`](Self::knn_order_into) sorts shards by ascending box
 ///   lower bound, bound ties by the nearer centre, letting the engine probe
 ///   best-first and stop paying for shards whose bound exceeds the current
 ///   k-th distance.
 ///
 /// All planning entry points are write-into (the serving hot loop reuses
-/// one buffer per worker); the old allocating wrappers are gone.
+/// one buffer per worker).
 ///
 /// Boxes are maintained exactly through the engine's mutation path: grown
 /// on insert ([`extend`](Self::extend)) and recomputed from the surviving
-/// members' stored rows when a remove hits a face
-/// ([`rebox_from_rows`](Self::rebox_from_rows)), so pruning power does not
-/// decay under churn — there is exactly one mutation route (the engine's
-/// transactional `apply`), so published boxes are never stale. Centres
-/// follow the same route: `extend` adds a row, [`forget`](Self::forget)
-/// subtracts one, a rebox recomputes.
+/// members' stored codes when a remove hits a face
+/// ([`rebox`](Self::rebox)), so pruning power does not decay under churn —
+/// there is exactly one mutation route (the engine's transactional
+/// `apply`), so published boxes are never stale. Centres follow the same
+/// route: `extend` adds a row, [`forget`](Self::forget) subtracts one, a
+/// rebox recomputes.
 ///
 /// Cloning shares the mapper (an `Arc`) and deep-copies the boxes and
 /// centres: the table is immutable once published inside an engine
@@ -62,10 +58,10 @@ pub type Mapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 /// the side.
 pub struct RoutingTable<O> {
     mapper: Mapper<O>,
-    boxes: Vec<Mbb>,
+    boxes: Vec<CodeBox>,
     /// Shard-major, one box dimension each: `sums[s * dim..][..dim]` is Σ
-    /// of shard `s`'s live stored rows.
-    sums: Vec<f64>,
+    /// of the codes of shard `s`'s live stored rows.
+    sums: Vec<u64>,
     /// Live rows behind each shard's sum.
     counts: Vec<u64>,
     /// The bucket width of the shards' stored columns.
@@ -86,15 +82,8 @@ impl<O> Clone for RoutingTable<O> {
 
 impl<O> RoutingTable<O> {
     /// Builds the table over the shards' stored rows — the only way to make
-    /// one: `shards[s]` are shard `s`'s members' columns, all under `step`.
-    /// Each box is the union of the members' buckets, from the smallest
-    /// code of each column to one step above the largest (open above at
-    /// the top code: [`Mbb::extend_stored`] of the two extremes, which is
-    /// the union since [`stored_interval`](pmi_metric::matrix::stored_interval)
-    /// is monotone); each centre sum is Σ code · step, taken as the integer
-    /// sum of the codes times `step` — both exact (a stored value is a
-    /// whole number of steps, and fewer than 2⁵³ of them add up), so the
-    /// bits are those of the stored values added one by one in any order.
+    /// one: `shards[s]` are shard `s`'s members' columns, all under `step`,
+    /// each summarised by [`rebox`](Self::rebox) over every row.
     ///
     /// Correctness contract: `mapper` must append the pivot-distance vector
     /// of its argument under the *same* pivots and metric that produced the
@@ -104,42 +93,17 @@ impl<O> RoutingTable<O> {
     /// If the shards' columns differ in width or are under another step.
     pub fn from_columns(mapper: Mapper<O>, step: f64, shards: &[PivotColumns]) -> Self {
         let dim = shards.first().map_or(0, PivotColumns::width);
-        let mut boxes = Vec::with_capacity(shards.len());
-        let mut sums = Vec::with_capacity(shards.len() * dim);
-        let mut counts = Vec::with_capacity(shards.len());
-        for cols in shards {
-            assert!(
-                cols.width() == dim && cols.step() == step,
-                "every shard's columns are {dim} wide, under step {step}"
-            );
-            let mut lo = vec![u16::MAX; dim];
-            let mut hi = vec![0u16; dim];
-            for (j, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
-                let mut total = 0u64;
-                // Three folds a chunk, each over contiguous codes.
-                for chunk in cols.column(j).chunks() {
-                    *lo = chunk.iter().copied().fold(*lo, u16::min);
-                    *hi = chunk.iter().copied().fold(*hi, u16::max);
-                    total += chunk.iter().map(|&c| u64::from(c)).sum::<u64>();
-                }
-                sums.push(total as f64 * step);
-            }
-            let mut b = Mbb::empty(dim);
-            if cols.rows() > 0 {
-                for edge in [lo, hi] {
-                    b.extend_stored(edge.into_iter().map(|c| f64::from(c) * step), step);
-                }
-            }
-            boxes.push(b);
-            counts.push(cols.rows() as u64);
-        }
-        RoutingTable {
+        let mut table = RoutingTable {
             mapper,
-            boxes,
-            sums,
-            counts,
+            boxes: vec![CodeBox::empty(dim); shards.len()],
+            sums: vec![0; shards.len() * dim],
+            counts: vec![0; shards.len()],
             step,
+        };
+        for (s, cols) in shards.iter().enumerate() {
+            table.rebox(s, cols, |_| true);
         }
+        table
     }
 
     /// The bucket width of the stored rows the boxes and centres are over.
@@ -152,8 +116,9 @@ impl<O> RoutingTable<O> {
         self.boxes.len()
     }
 
-    /// The per-shard boxes, for inspection.
-    pub fn boxes(&self) -> &[Mbb] {
+    /// The per-shard boxes, for inspection; their edges are under
+    /// [`step`](Self::step).
+    pub fn boxes(&self) -> &[CodeBox] {
         &self.boxes
     }
 
@@ -161,7 +126,11 @@ impl<O> RoutingTable<O> {
     /// for inspection; `None` for a shard without members.
     pub fn centre(&self, s: usize) -> Option<impl Iterator<Item = f64> + '_> {
         let n = self.counts[s];
-        (n > 0).then(|| self.sum(s).iter().map(move |&t| t / n as f64))
+        (n > 0).then(|| {
+            self.sum(s)
+                .iter()
+                .map(move |&t| t as f64 * self.step / n as f64)
+        })
     }
 
     /// Squared Euclidean distance in pivot space from a mapped query to
@@ -174,12 +143,12 @@ impl<O> RoutingTable<O> {
         }
     }
 
-    fn sum(&self, s: usize) -> &[f64] {
+    fn sum(&self, s: usize) -> &[u64] {
         let dim = self.boxes[s].dim();
         &self.sums[s * dim..][..dim]
     }
 
-    fn sum_mut(&mut self, s: usize) -> &mut [f64] {
+    fn sum_mut(&mut self, s: usize) -> &mut [u64] {
         let dim = self.boxes[s].dim();
         &mut self.sums[s * dim..][..dim]
     }
@@ -197,7 +166,9 @@ impl<O> RoutingTable<O> {
     /// ascending shard order.
     pub fn range_plan_into(&self, q_dists: &[f64], r: f64, out: &mut Vec<usize>) {
         out.clear();
-        out.extend((0..self.boxes.len()).filter(|&s| !self.boxes[s].prunable(q_dists, r)));
+        out.extend(
+            (0..self.boxes.len()).filter(|&s| self.boxes[s].lower_bound(q_dists, self.step) <= r),
+        );
     }
 
     /// All shards ordered best-first for `MkNNQ(q, k)`, written into a
@@ -224,7 +195,7 @@ impl<O> RoutingTable<O> {
             self.boxes
                 .iter()
                 .enumerate()
-                .map(|(s, b)| (s, b.lower_bound(q_dists))),
+                .map(|(s, b)| (s, b.lower_bound(q_dists, self.step))),
         );
         // Centre distances are computed only where two bounds tie: a
         // handful of `l`-term sums per query, and nothing to allocate.
@@ -239,55 +210,69 @@ impl<O> RoutingTable<O> {
     }
 
     /// Grows shard `s`'s box and moves its centre to cover a newly inserted
-    /// object: `point` is its exact mapped point, and the box grows by the
-    /// bucket its *stored* form stands for — exactly what
-    /// [`rebox_from_rows`](Self::rebox_from_rows) would produce for that
-    /// row, so an insert followed by a rebox of the same members yields the
-    /// identical box — while the centre takes the stored value itself.
-    pub fn extend(&mut self, s: usize, point: &[f64]) {
-        let step = self.step;
-        self.boxes[s].extend_stored(point.iter().map(|&x| snap(x, step)), step);
-        for (t, &x) in self.sum_mut(s).iter_mut().zip(point) {
-            *t += snap(x, step);
+    /// member, given as the `codes` it is stored as — exactly what
+    /// [`rebox`](Self::rebox) would produce for that row, so an insert
+    /// followed by a rebox of the same members yields the identical box.
+    pub fn extend(&mut self, s: usize, codes: &[u16]) {
+        self.boxes[s].extend(codes.iter().copied());
+        for (t, &c) in self.sum_mut(s).iter_mut().zip(codes) {
+            *t += u64::from(c);
         }
         self.counts[s] += 1;
     }
 
-    /// Takes a removed member's stored `row` out of shard `s`'s centre. The
-    /// box is left alone: the engine calls this for a member strictly
-    /// inside it, and recomputes box and centre together
-    /// ([`rebox_from_rows`](Self::rebox_from_rows)) for one on a face.
-    pub fn forget(&mut self, s: usize, row: impl IntoIterator<Item = f64>) {
+    /// Takes a removed member's stored `codes` out of shard `s`'s centre.
+    /// The box is left alone: the engine calls this for a member strictly
+    /// inside it ([`CodeBox::strictly_contains`]), and recomputes box and
+    /// centre together ([`rebox`](Self::rebox)) for one on a face.
+    pub fn forget(&mut self, s: usize, codes: impl IntoIterator<Item = u16>) {
         assert!(self.counts[s] > 0, "forgetting a row of an empty shard");
         self.counts[s] -= 1;
-        for (t, y) in self.sum_mut(s).iter_mut().zip(row) {
-            *t -= y;
+        for (t, c) in self.sum_mut(s).iter_mut().zip(codes) {
+            *t -= u64::from(c);
         }
     }
 
-    /// Recomputes shard `s`'s box and centre from its live members' stored
-    /// rows, restoring full pruning power after removes (an empty iterator
-    /// leaves the always-prunable empty box and no centre).
-    pub fn rebox_from_rows<R>(&mut self, s: usize, rows: impl IntoIterator<Item = R>)
-    where
-        R: IntoIterator<Item = f64>,
-    {
-        let step = self.step;
-        let mut to = Mbb::empty(self.boxes[s].dim());
-        let sum = self.sum_mut(s);
-        sum.fill(0.0);
-        let mut count = 0;
-        for row in rows {
-            // One pass over the row feeds both the box and the sum.
-            let fed = row.into_iter().zip(sum.iter_mut()).map(|(y, t)| {
-                *t += y;
-                y
-            });
-            to.extend_stored(fed, step);
-            count += 1;
+    /// Recomputes shard `s`'s box and centre from the rows of `cols` whose
+    /// slot `live` keeps — the one derivation, which
+    /// [`from_columns`](Self::from_columns) runs over every row and the
+    /// engine over a shard's live members — restoring full pruning power
+    /// after removes (no live row leaves the always-prunable empty box and
+    /// no centre). Per column: its smallest and largest live code and
+    /// their integer sum, a chunk of contiguous codes at a time.
+    ///
+    /// # Panics
+    /// If `cols` are not the table's width or under another step.
+    pub fn rebox(&mut self, s: usize, cols: &PivotColumns, live: impl Fn(usize) -> bool) {
+        let (dim, step) = (self.boxes[s].dim(), self.step);
+        assert!(
+            cols.width() == dim && cols.step() == step,
+            "every shard's columns are {dim} wide, under step {step}"
+        );
+        let mut lo = vec![u16::MAX; dim];
+        let mut hi = vec![0u16; dim];
+        for (j, ((lo, hi), total)) in lo.iter_mut().zip(&mut hi).zip(self.sum_mut(s)).enumerate() {
+            *total = 0;
+            let mut slot = 0;
+            for chunk in cols.column(j).chunks() {
+                for (i, &c) in chunk.iter().enumerate() {
+                    if live(slot + i) {
+                        *lo = (*lo).min(c);
+                        *hi = (*hi).max(c);
+                        *total += u64::from(c);
+                    }
+                }
+                slot += chunk.len();
+            }
         }
-        self.boxes[s] = to;
-        self.counts[s] = count;
+        let count = (0..cols.rows()).filter(|&i| live(i)).count();
+        let mut b = CodeBox::empty(dim);
+        if count > 0 {
+            b.extend(lo);
+            b.extend(hi);
+        }
+        self.boxes[s] = b;
+        self.counts[s] = count as u64;
     }
 }
 
@@ -305,10 +290,22 @@ impl<O> std::fmt::Debug for RoutingTable<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmi_metric::lemmas::mbb_lower_bound;
+    use pmi_metric::matrix::quantise;
 
     /// The bucket width of the tests' tables: coordinates are stored to
     /// the eighth below them.
     const STEP: f64 = 0.125;
+
+    /// What `x` reads back as under `step`: its bucket's lower edge.
+    fn snap(x: f64, step: f64) -> f64 {
+        f64::from(quantise(x, step)) * step
+    }
+
+    /// A row as the codes it is stored as under [`STEP`].
+    fn stored(row: &[f64]) -> Vec<u16> {
+        row.iter().map(|&x| quantise(x, STEP)).collect()
+    }
 
     /// Each shard's members' rows, in row order, stored under `step`.
     fn columns(
@@ -321,7 +318,9 @@ mod tests {
         (0..shards)
             .map(|s| {
                 let members = rows.iter().zip(assignment).filter(|&(_, &t)| t == s);
-                PivotColumns::from_rows(width, step, members.map(|(row, _)| row))
+                let codes =
+                    members.map(|(row, _)| row.iter().map(|&x| quantise(x, step)).collect());
+                PivotColumns::from_codes(width, step, codes.collect::<Vec<Vec<u16>>>())
             })
             .collect()
     }
@@ -337,48 +336,68 @@ mod tests {
         )
     }
 
-    /// The derivation the table had before it was read off the shards'
-    /// columns, kept as the oracle: one pass over the f64 rows, the exact
-    /// box snapped at its two corners, and each centre the f64 sum of the
-    /// snapped values in row order.
+    /// Shard `s`'s box as f64 edges under the table's step, `None` when
+    /// empty.
+    fn edges(t: &RoutingTable<f64>, s: usize) -> Option<Vec<(f64, f64)>> {
+        let b = &t.boxes()[s];
+        (!b.is_empty()).then(|| b.edges(t.step()).collect())
+    }
+
+    /// Per shard: the box's f64 edges (`None` when empty), the centre sums
+    /// `Σ stored value` and the count — all as bits.
+    type TableBits = Vec<(Option<Vec<(u64, u64)>>, Vec<u64>, u64)>;
+
+    fn table_bits(t: &RoutingTable<f64>) -> TableBits {
+        (0..t.num_shards())
+            .map(|s| {
+                let edges = edges(t, s).map(|e| {
+                    e.iter()
+                        .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+                        .collect()
+                });
+                let sums = t.sum(s).iter().map(|&c| (c as f64 * t.step).to_bits());
+                (edges, sums.collect(), t.counts[s])
+            })
+            .collect()
+    }
+
+    /// The derivation the table had when boxes held f64 edges, kept as the
+    /// oracle: one pass over the f64 rows, the exact box snapped at its two
+    /// corners and widened to their buckets (open above at the top one),
+    /// and each centre the f64 sum of the snapped values in row order.
     fn from_rows_reference(
         rows: &[Vec<f64>],
         assignment: &[usize],
         shards: usize,
         dim: usize,
         step: f64,
-    ) -> RoutingTable<f64> {
-        let mut exact = vec![Mbb::empty(dim); shards];
-        let mut sums = vec![0.0; shards * dim];
-        let mut counts = vec![0u64; shards];
-        for (m, &s) in rows.iter().zip(assignment) {
-            exact[s].extend(m);
-            for (t, &x) in sums[s * dim..][..dim].iter_mut().zip(m) {
-                *t += snap(x, step);
-            }
-            counts[s] += 1;
-        }
-        let mut boxes = vec![Mbb::empty(dim); shards];
-        for (b, e) in boxes.iter_mut().zip(&exact).filter(|(_, e)| !e.is_empty()) {
-            b.extend_stored(e.lo().iter().map(|&x| snap(x, step)), step);
-            b.extend_stored(e.hi().iter().map(|&x| snap(x, step)), step);
-        }
-        RoutingTable {
-            mapper: Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
-            boxes,
-            sums,
-            counts,
-            step,
-        }
-    }
-
-    /// Box edges, centre sums and counts, as bits, one after another.
-    fn table_bits(t: &RoutingTable<f64>) -> Vec<u64> {
-        let edges = t.boxes.iter().flat_map(|b| b.lo().iter().chain(b.hi()));
-        edges
-            .chain(&t.sums)
-            .map(|x| x.to_bits())
-            .chain(t.counts.iter().copied())
+    ) -> TableBits {
+        let top = 65_535.0 * step;
+        (0..shards)
+            .map(|s| {
+                let members: Vec<&Vec<f64>> = rows
+                    .iter()
+                    .zip(assignment)
+                    .filter(|&(_, &t)| t == s)
+                    .map(|(m, _)| m)
+                    .collect();
+                let edges = (!members.is_empty()).then(|| {
+                    (0..dim)
+                        .map(|j| {
+                            let lo = members.iter().map(|m| m[j]).fold(f64::INFINITY, f64::min);
+                            let hi = members.iter().map(|m| m[j]).fold(0.0, f64::max);
+                            let (lo, hi) = (snap(lo, step), snap(hi, step));
+                            let above = if hi >= top { f64::INFINITY } else { hi + step };
+                            (lo.to_bits(), above.to_bits())
+                        })
+                        .collect()
+                });
+                let sums = (0..dim).map(|j| {
+                    let total = members.iter().fold(0.0, |t, m| t + snap(m[j], step));
+                    total.to_bits()
+                });
+                (edges, sums.collect(), members.len() as u64)
+            })
             .collect()
     }
 
@@ -403,9 +422,9 @@ mod tests {
             &columns(&rows, &assignment, 4, 2, STEP),
         );
         let want = from_rows_reference(&rows, &assignment, 4, 2, STEP);
-        assert_eq!(table_bits(&got), table_bits(&want));
+        assert_eq!(table_bits(&got), want);
         assert!(got.boxes()[1].is_empty() && got.centre(1).is_none());
-        assert_eq!(got.boxes()[2].hi()[0], f64::INFINITY);
+        assert_eq!(edges(&got, 2).unwrap()[0], (top, f64::INFINITY));
         assert_eq!(got.centre(0).unwrap().collect::<Vec<_>>(), vec![1.0, 2.0]);
     }
 
@@ -469,16 +488,16 @@ mod tests {
     fn extend_grows_the_target_box() {
         let mut t = table(&[(1.0, 0), (2.0, 0), (10.0, 1)], 2);
         assert_eq!(range_plan(&t, &[5.0], 1.0), Vec::<usize>::new());
-        t.extend(0, &[5.0]);
+        t.extend(0, &stored(&[5.0]));
         assert_eq!(range_plan(&t, &[5.0], 1.0), vec![0]);
-        assert_eq!(t.boxes()[0].lower_bound(&[5.0]), 0.0);
+        assert_eq!(t.boxes()[0].lower_bound(&[5.0], STEP), 0.0);
         // A lower face is the stored value itself.
-        assert_eq!(t.boxes()[1].lower_bound(&[5.0]), 10.0 - 5.0);
+        assert_eq!(t.boxes()[1].lower_bound(&[5.0], STEP), 10.0 - 5.0);
         // Beyond the top bucket (65 535 steps) a member is stored
         // saturated: its box is open above, wherever it really is.
-        t.extend(1, &[9_000.0]);
-        assert_eq!(t.boxes()[1].hi(), &[f64::INFINITY]);
-        assert_eq!(t.boxes()[1].lower_bound(&[1e9]), 0.0);
+        t.extend(1, &stored(&[9_000.0]));
+        assert_eq!(edges(&t, 1).unwrap()[0].1, f64::INFINITY);
+        assert_eq!(t.boxes()[1].lower_bound(&[1e9], STEP), 0.0);
         assert_eq!(
             t.centre(1).unwrap().next(),
             Some((10.0 + 65_535.0 * STEP) / 2.0)
@@ -496,13 +515,15 @@ mod tests {
             "stale box still matches near the removed member"
         );
         let grown = t.boxes()[0].clone();
-        t.rebox_from_rows(0, [[1.0], [2.0], [9.0]]);
+        let cols = PivotColumns::from_codes(1, STEP, [[1.0], [2.0], [9.0]].map(|r| stored(&r)));
+        t.rebox(0, &cols, |_| true);
         assert_eq!(
             t.boxes()[0],
             grown,
             "a rebox of the same members is the same box"
         );
-        t.rebox_from_rows(0, [[1.0], [2.0]]);
+        // Slot 2 tombstoned: only the live rows count.
+        t.rebox(0, &cols, |slot| slot != 2);
         assert_eq!(
             range_plan(&t, &[8.0], 0.5),
             Vec::<usize>::new(),
@@ -510,7 +531,8 @@ mod tests {
         );
         assert_eq!(range_plan(&t, &[1.5], 0.5), vec![0], "members still found");
         // The shard lost its last member: the empty box is always pruned.
-        t.rebox_from_rows(0, [[0.0]; 0]);
+        t.rebox(0, &cols, |_| false);
+        assert!(t.boxes()[0].is_empty() && t.centre(0).is_none());
         assert_eq!(range_plan(&t, &[1.5], 1e9), vec![1]);
         assert_eq!(knn_order(&t, &[1.5])[1], (0, f64::INFINITY));
     }
@@ -584,33 +606,34 @@ mod tests {
     fn extend_forget_and_rebox_move_the_centre() {
         let mut t = table(&[(1.0, 0), (3.0, 0), (10.0, 1)], 2);
         assert_eq!(centre(&t, 0), Some(vec![2.0]));
-        t.extend(0, &[8.0]);
+        t.extend(0, &stored(&[8.0]));
         assert_eq!(centre(&t, 0), Some(vec![4.0]));
         // A member strictly inside the box leaves: the box stays, the
         // centre follows.
         let boxed = t.boxes()[0].clone();
-        t.forget(0, [3.0]);
+        t.forget(0, stored(&[3.0]));
         assert_eq!(centre(&t, 0), Some(vec![4.5]));
         assert_eq!(t.boxes()[0], boxed);
         // The centre is over the *stored* values: 0.3 is stored as 0.25.
-        t.extend(1, &[0.3]);
+        t.extend(1, &stored(&[0.3]));
         assert_eq!(centre(&t, 1), Some(vec![(10.0 + 0.25) / 2.0]));
-        t.rebox_from_rows(1, [[0.25], [0.5]]);
+        let cols = PivotColumns::from_codes(1, STEP, [stored(&[0.25]), stored(&[0.5])]);
+        t.rebox(1, &cols, |_| true);
         assert_eq!(
             centre(&t, 1),
             Some(vec![(0.25 + 0.5) / 2.0]),
             "a rebox recomputes the centre from the rows it is given"
         );
-        // The last member forgotten: no centre, and — stored values sum
-        // exactly — no residue for the next.
+        // The last member forgotten: no centre, and — code sums are
+        // integers — no residue for the next.
         let mut t = table(&[(0.3, 0), (0.7, 1)], 2);
-        t.forget(0, [0.25]);
+        t.forget(0, stored(&[0.25]));
         assert_eq!(centre(&t, 0), None);
-        t.extend(0, &[0.25]);
+        t.extend(0, &stored(&[0.25]));
         assert_eq!(centre(&t, 0), Some(vec![0.25]));
         // A clone carries the centres it was cloned with.
         let published = t.clone();
-        t.extend(0, &[0.75]);
+        t.extend(0, &stored(&[0.75]));
         assert_eq!(centre(&published, 0), Some(vec![0.25]));
         assert_eq!(centre(&t, 0), Some(vec![0.5]));
     }
@@ -649,14 +672,15 @@ mod tests {
                 &columns(&rows, &assignment, shards, width, step),
             );
             let want = from_rows_reference(&rows, &assignment, shards, width, step);
-            prop_assert_eq!(table_bits(&got), table_bits(&want));
+            prop_assert_eq!(table_bits(&got), want);
         }
 
         /// Random rows on a coarse grid (boxes overlap and bounds tie at 0
         /// and elsewhere; some shards stay empty), a few inserts on top:
         /// the order is the sort of `(bound, centre distance, id)` with
-        /// the centre worked out here from the rows, and its bound column
-        /// is the `(bound, id)` order's.
+        /// the bound `mbb_lower_bound` over the union of the members' f64
+        /// buckets and the centre worked out here from the rows, and its
+        /// bound column is the `(bound, id)` order's.
         #[test]
         fn knn_order_is_the_sort_of_bound_centre_distance_id(
             cells in prop::collection::vec((0u32..10_000, 0usize..6), 1..60),
@@ -680,10 +704,22 @@ mod tests {
                 members[s].push(row.clone());
             }
             for &(c, s) in &inserts {
-                t.extend(s % shards, &point(c));
+                t.extend(s % shards, &stored(&point(c)));
                 members[s % shards].push(point(c));
             }
             let q = point(q_cell);
+            let bound = |s: usize| -> f64 {
+                if members[s].is_empty() {
+                    return f64::INFINITY;
+                }
+                let lo: Vec<f64> = (0..width)
+                    .map(|j| members[s].iter().map(|r| snap(r[j], STEP)).fold(f64::INFINITY, f64::min))
+                    .collect();
+                let hi: Vec<f64> = (0..width)
+                    .map(|j| members[s].iter().map(|r| snap(r[j], STEP) + STEP).fold(0.0, f64::max))
+                    .collect();
+                mbb_lower_bound(&q, &lo, &hi)
+            };
             let centre_distance = |s: usize| -> f64 {
                 if members[s].is_empty() {
                     return f64::INFINITY;
@@ -697,7 +733,7 @@ mod tests {
                     .sum()
             };
             let mut want: Vec<(usize, f64, f64)> = (0..shards)
-                .map(|s| (s, t.boxes()[s].lower_bound(&q), centre_distance(s)))
+                .map(|s| (s, bound(s), centre_distance(s)))
                 .collect();
             let mut by_id = want.clone();
             want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)).then(a.0.cmp(&b.0)));

@@ -151,10 +151,10 @@ where
         self.push(&o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
+    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
         // The `n · l` table row comes with the object; only the M-tree
         // clustering computes distances (its normal insert cost).
-        let local = self.table.push(row);
+        let local = self.table.rows.push_codes(codes);
         self.push(&o, local)
     }
 

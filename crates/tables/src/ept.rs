@@ -18,6 +18,7 @@
 //! kNN verification as LAESA's. Tombstoned removal keeps ids stable
 //! through the object table's slot map.
 
+use pmi_metric::matrix::quantise;
 use pmi_metric::{
     Counters, CountingMetric, CowVec, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
     PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
@@ -298,7 +299,9 @@ where
         let (ids, dists) = self
             .strategy
             .select_row(&self.metric, &self.pivot_objs, self.l, &o);
-        self.codes.push_row(&dists);
+        let step = self.codes.step();
+        let codes: Vec<u16> = dists.iter().map(|&d| quantise(d, step)).collect();
+        self.codes.push_codes(&codes);
         for (col, id) in self.pivot_ids.iter_mut().zip(ids) {
             col.push(id);
         }

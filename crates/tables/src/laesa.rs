@@ -166,9 +166,9 @@ where
         self.push(o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, row: &[f64]) -> ObjId {
+    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
         // The caller already mapped the object: zero distance computations.
-        let local = self.table.push(row);
+        let local = self.table.rows.push_codes(codes);
         self.push(o, local)
     }
 
@@ -221,6 +221,7 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
+    use pmi_metric::matrix::quantise;
     use pmi_metric::{BruteForce, L2};
     use pmi_pivots::select_hfi;
 
@@ -265,9 +266,11 @@ mod tests {
         // |P| distances to map the same object.
         let o = pts[17].clone();
         let row: Vec<f64> = plain.table.pivots.iter().map(|p| L2.dist(&o, p)).collect();
+        let step = adopted.pivot_rows().unwrap().step();
+        let codes: Vec<u16> = row.iter().map(|&x| quantise(x, step)).collect();
         adopted.reset_counters();
         plain.reset_counters();
-        let a = adopted.insert_adopted(o.clone(), &row);
+        let a = adopted.insert_adopted(o.clone(), &codes);
         let b = plain.insert(o.clone());
         assert_eq!(a, b, "same slot id");
         assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");
@@ -277,11 +280,12 @@ mod tests {
             plain.range_query(&o, 0.0),
             "identical answers after the insert"
         );
-        // The stored row stands for the row handed over.
+        // The stored row is the codes handed over, and each bucket holds
+        // its distance.
         let rows = adopted.pivot_rows().unwrap();
+        assert!(rows.codes(a as usize).eq(codes.iter().copied()));
         for (y, &x) in rows.row(a as usize).zip(&row) {
-            let (lo, hi) = pmi_metric::matrix::stored_interval(y, rows.step());
-            assert!(lo <= x && x <= hi && hi - lo == rows.step());
+            assert!(y <= x && x < y + step);
         }
     }
 

@@ -3,6 +3,7 @@
 //! this table plus a place for the objects, so its build, its range and
 //! kNN bodies, its inserts and its compaction are written here once.
 
+use pmi_metric::matrix::quantise;
 use pmi_metric::{
     CountingMetric, EncodeObject, Metric, Neighbor, ObjId, PivotColumns, PivotMatrix, QueryScratch,
 };
@@ -47,16 +48,14 @@ where
         }
     }
 
-    /// Appends a row the caller mapped (zero distances); returns its slot.
-    pub(crate) fn push(&mut self, row: &[f64]) -> usize {
-        self.rows.push_row(row)
-    }
-
     /// Maps `o` (`|P|` distances, Table 6) and appends its row; returns
     /// its slot.
     pub(crate) fn push_mapped(&mut self, o: &O) -> usize {
-        let row: Vec<f64> = self.pivots.iter().map(|p| self.metric.dist(o, p)).collect();
-        self.push(&row)
+        let step = self.rows.step();
+        let codes: Vec<u16> = (self.pivots.iter())
+            .map(|p| quantise(self.metric.dist(o, p), step))
+            .collect();
+        self.rows.push_codes(&codes)
     }
 
     /// Keeps the rows of `keep`, in that order (the engine's compaction).

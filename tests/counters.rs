@@ -23,9 +23,14 @@ fn stored(matrix: &PivotMatrix) -> (Vec<Vec<f64>>, f64) {
     while 65_535.0 * (step / 2.0) >= max {
         step /= 2.0;
     }
-    let rows = matrix
-        .iter_rows()
-        .map(|(_, r)| r.iter().map(|&x| (x / step).floor() * step).collect())
+    let rows = (0..matrix.rows())
+        .map(|i| {
+            matrix
+                .row(i)
+                .iter()
+                .map(|&x| (x / step).floor() * step)
+                .collect()
+        })
         .collect();
     (rows, step)
 }
@@ -642,7 +647,10 @@ fn traced_queries_sum_exactly_to_serve_report() {
         .iter()
         .find(|o| {
             rt.map_into(o, &mut mapped);
-            let inside = rt.boxes().iter().filter(|b| b.lower_bound(&mapped) == 0.0);
+            let inside = rt
+                .boxes()
+                .iter()
+                .filter(|b| b.lower_bound(&mapped, rt.step()) == 0.0);
             inside.count() >= 2
         })
         .expect("an object in a bucket two routing boxes share")
@@ -840,7 +848,10 @@ fn assert_probe_order_near_the_floor(
         .iter()
         .map(|sh| {
             sh.live_members()
-                .map(|(local, _)| sh.pivot_row(local).collect())
+                .map(|(local, _)| {
+                    let row = sh.codes(local).map(|c| f64::from(c) * rt.step());
+                    row.collect()
+                })
                 .collect()
         })
         .collect();

@@ -213,8 +213,11 @@ fn build_layout_is_pinned_and_independent_of_thread_count() {
                 }
             }
             let mut boxes = FNV_BASIS;
-            for b in engine.routing().expect("a routed engine").boxes() {
-                for x in b.lo().iter().chain(b.hi()) {
+            // Over the f64 edges the planner bounds with.
+            let rt = engine.routing().expect("a routed engine");
+            for b in rt.boxes() {
+                let (lo, hi): (Vec<f64>, Vec<f64>) = b.edges(rt.step()).unzip();
+                for x in lo.iter().chain(&hi) {
                     fnv(&mut boxes, x.to_bits());
                 }
             }
