@@ -244,7 +244,7 @@
 //! concurrency model — snapshot lifecycle, epoch-based reclamation, the
 //! writer-crash contract — is documented in `docs/concurrency.md`.
 //!
-//! # Observability: `engine.metrics()` and the `obs` feature
+//! # Observability: `engine.metrics()`
 //!
 //! Every engine carries a lock-free-on-the-hot-path metrics registry
 //! ([`obs`], crate `pmi-obs`): build/serve/apply/compact run as
@@ -254,14 +254,12 @@
 //! ([`ShardServeStats`]: exact probe/compdists/page counts, sampled
 //! p50/p99 probe wall) so shard skew is visible directly.
 //!
-//! The whole subsystem sits behind the `obs` cargo feature (on by
-//! default). The contract is **zero overhead when off**: disabled at
-//! compile time (`--no-default-features`) every hook is a no-op the
-//! optimizer erases; disabled at runtime
-//! ([`ShardedEngine::set_obs_enabled`]) the serve path performs no clock
-//! reads. Either way, *results and the paper's exact cost counters are
-//! byte-identical* — observability never changes what is computed, only
-//! what is recorded (`tests/counters.rs` proves it).
+//! Instrumentation is always compiled in and always on: there is no cargo
+//! feature and no runtime switch. An unsampled query pays one clock pair
+//! (its own wall); one query in eight also times its plan, probes and
+//! merge. *Results and the paper's exact cost counters are byte-identical*
+//! to the untimed single-query path — observability never changes what is
+//! computed, only what is recorded (`tests/counters.rs` proves it).
 //!
 //! ```
 //! use pmi::{
@@ -283,20 +281,15 @@
 //!     .collect();
 //! let out = engine.serve(&batch);
 //!
-//! // Per-shard breakdown: exact counts, regardless of the obs switch.
+//! // Per-shard breakdown: exact counts.
 //! assert_eq!(out.report.per_shard.len(), 4);
 //! let probes: u64 = out.report.per_shard.iter().map(|s| s.probes).sum();
 //! assert_eq!(probes, out.report.shards_probed);
 //!
-//! // The phase tree (build.matrix, serve.scan, ...) — populated when the
-//! // `obs` feature is on, empty (and free) when compiled out.
+//! // The phase tree (build.matrix, serve.scan, ...).
 //! let snap = engine.metrics();
-//! if pmi::obs::Registry::compiled_in() {
-//!     assert!(snap.phases.iter().any(|p| p.path == "serve"));
-//!     println!("{}", snap.render());
-//! } else {
-//!     assert!(snap.phases.is_empty());
-//! }
+//! assert!(snap.phases.iter().any(|p| p.path == "serve"));
+//! println!("{}", snap.render());
 //! ```
 //!
 //! # Performance: u16 bucket columns, the SIMD kernel, one serving model

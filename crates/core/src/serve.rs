@@ -214,7 +214,6 @@ mod tests {
         assert!(stats.build_wall_secs > 0.0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn build_phase_covers_its_children() {
         // Two threads: shard builds overlap, and the tree must still nest.

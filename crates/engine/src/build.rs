@@ -156,10 +156,8 @@ impl<O> ShardedEngine<O> {
         }
         let threads = resolve_threads(cfg.threads);
         let obs = Registry::new();
-        // One clock pair per phase and per shard build — all of it vanishes
-        // when the obs feature is compiled out.
-        let timing = obs.is_enabled();
-        let mut clock = ObsClock::start(timing);
+        // One clock pair per phase and per shard build.
+        let mut clock = ObsClock::start(true);
 
         // The pivot space: row `i` is the map of object `i`.
         let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
@@ -219,9 +217,9 @@ impl<O> ShardedEngine<O> {
             parts.into_iter().enumerate().collect(),
             threads,
             |(s, ((objs, gids), rows))| {
-                let b0 = timing.then(Instant::now);
+                let b0 = Instant::now();
                 let shard = factory(s, objs, rows.clone()).map(|idx| Shard::new(idx, gids, rows));
-                (shard, b0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                (shard, b0.elapsed().as_nanos() as u64)
             },
         );
         // Wall of the whole shard-build section, so that it nests under
@@ -232,9 +230,7 @@ impl<O> ShardedEngine<O> {
         let mut shard_wall = Hist::new();
         let mut shards = Vec::with_capacity(num_shards);
         for (shard, nanos) in built {
-            if timing {
-                shard_wall.record(nanos);
-            }
+            shard_wall.record(nanos);
             shards.push(shard.map_err(EngineError::Build)?);
         }
 
@@ -252,23 +248,21 @@ impl<O> ShardedEngine<O> {
             build_compdists: matrix_compdists + shard_compdists,
             build_wall_secs: wall.as_secs_f64(),
         };
-        if timing {
-            obs.phase_add(
-                "build",
-                1,
-                wall.as_nanos() as u64,
-                &[("objects", n as u64), ("shards", num_shards as u64)],
-            );
-            obs.phase_add(
-                "build.shards",
-                num_shards as u64,
-                shards_nanos,
-                &[("compdists", shard_compdists)],
-            );
-            obs.hist_merge("build.shard_wall", &shard_wall);
-            obs.gauge_set("engine.shards", num_shards as u64);
-            obs.gauge_set("engine.live_objects", n as u64);
-        }
+        obs.phase_add(
+            "build",
+            1,
+            wall.as_nanos() as u64,
+            &[("objects", n as u64), ("shards", num_shards as u64)],
+        );
+        obs.phase_add(
+            "build.shards",
+            num_shards as u64,
+            shards_nanos,
+            &[("compdists", shard_compdists)],
+        );
+        obs.hist_merge("build.shard_wall", &shard_wall);
+        obs.gauge_set("engine.shards", num_shards as u64);
+        obs.gauge_set("engine.live_objects", n as u64);
 
         let shards: Vec<Arc<Shard<O>>> = shards.into_iter().map(Arc::new).collect();
         let router = Arc::new(router);

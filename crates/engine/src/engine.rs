@@ -177,8 +177,9 @@ pub use exec::EngineScratch;
 /// A lap timer that reads the monotonic clock only when armed: `lap()`
 /// returns the nanoseconds since the previous lap (or construction) and
 /// re-arms, so a sampled query pays exactly one clock read per measured
-/// segment. Disarmed (`ObsClock::start(false)`, the non-sampled and
-/// obs-off paths), every call is a constant 0 the optimizer folds away.
+/// segment. Disarmed (`ObsClock::start(false)`: a query that is neither
+/// one of the 1-in-`OBS_SAMPLE` timing samples nor traced), every call is
+/// a constant 0 the optimizer folds away.
 struct ObsClock(Option<Instant>);
 
 impl ObsClock {
@@ -313,9 +314,7 @@ struct EngineCore<O> {
     /// 5 here).
     pruned: AtomicU64,
     /// The engine's metrics registry: build/serve/apply/compact phases,
-    /// latency histograms, counters. Zero-sized and inert when the `obs`
-    /// feature is compiled out; runtime-toggleable via
-    /// [`set_obs_enabled`](ShardedEngine::set_obs_enabled) otherwise.
+    /// latency histograms, counters. Always recording.
     obs: Registry,
     /// The per-query trace capture policy, read once per batch (the mutex
     /// never sits on the query path).
@@ -600,18 +599,11 @@ impl<O> ShardedEngine<O> {
         &self.core.obs
     }
 
-    /// Snapshot of everything the registry has recorded so far. With the
-    /// `obs` feature compiled out this is the empty snapshot (`enabled:
-    /// false`) — callers need no cfg of their own.
+    /// Snapshot of everything the registry has recorded so far: the
+    /// build, serve, apply and compact phase trees, histograms, counters
+    /// and gauges.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.core.obs.snapshot()
-    }
-
-    /// Flips the runtime observability switch. Off (or compiled out), the
-    /// serve path performs no clock reads and records nothing; results
-    /// and the exact cost counters are identical either way.
-    pub fn set_obs_enabled(&self, on: bool) {
-        self.core.obs.set_enabled(on);
     }
 
     /// The current per-query trace capture policy.
@@ -641,11 +633,6 @@ impl<O> ShardedEngine<O> {
     /// the serve loop to its unbudgeted form.
     pub fn set_budget(&self, budget: ServeBudget) {
         *self.core.budget.lock().unwrap_or_else(|e| e.into_inner()) = budget;
-    }
-
-    /// The engine's shard quarantine policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.core.faults
     }
 
     /// Installs a query/insert object validator: objects it rejects fail
@@ -799,7 +786,7 @@ impl<O> ShardedEngine<O> {
     {
         let t0 = Instant::now();
         let span = Span::enter("apply");
-        let mut clock = ObsClock::start(self.core.obs.is_enabled());
+        let mut clock = ObsClock::start(true);
         let shard_cd0 = self.counters().compdists;
         let map_cd0 = self.update_stats.map_compdists;
         let copied0 = cow::copied_bytes();
@@ -1448,9 +1435,6 @@ mod tests {
     #[test]
     fn apply_phases_nest_under_apply() {
         let mut e = engine(400, 4, 1);
-        if !e.obs().is_enabled() {
-            return; // observability compiled out: no phases to check
-        }
         for round in 0..8u32 {
             let mut batch = UpdateBatch::new();
             for i in 0..32 {

@@ -73,14 +73,12 @@ const OBS_SAMPLE_CAP: usize = 65_536;
 /// Per-worker observability state, recorded with plain (non-atomic)
 /// writes on the serve path and folded into the engine's [`Registry`] and
 /// the batch's [`ServeReport`] once per batch. Exact probe counts are
-/// always maintained (they feed `ServeReport::per_shard` regardless of
-/// the obs switch); everything timed is gated on `timing`/`sampled` —
-/// both constant `false` when the `obs` feature is compiled out, so the
-/// optimizer erases every clock read.
+/// kept for every probe; probe and phase walls only for the queries
+/// `sampled` marks, so an unsampled query reads one clock pair (its own
+/// wall) and no other. A fresh scratch (the single-query paths) never
+/// samples.
 #[derive(Default)]
 struct ScratchObs {
-    /// Runtime obs switch, copied from the registry once per batch.
-    timing: bool,
     /// Whether the in-flight query is one of the 1-in-[`OBS_SAMPLE`]
     /// timing samples.
     sampled: bool,
@@ -98,7 +96,7 @@ struct ScratchObs {
     merge_nanos: u64,
     /// How many queries this worker sampled for timing.
     sampled_queries: u64,
-    /// Pivot distances paid mapping sampled+unsampled queries (timing on).
+    /// Pivot distances paid mapping the batch's queries.
     map_dists: u64,
     /// Every query's wall (not sampled — one histogram record per query).
     query_wall: Hist,
@@ -109,18 +107,12 @@ struct ScratchObs {
 }
 
 impl ScratchObs {
-    /// Sizes the per-shard buffers and arms the runtime switch for one
-    /// batch.
-    fn prepare(&mut self, shards: usize, timing: bool) {
-        self.timing = timing;
+    /// Sizes the per-shard buffers for one batch.
+    fn prepare(&mut self, shards: usize) {
         self.sampled = false;
-        if self.probes.len() < shards {
-            self.probes.resize(shards, 0);
-        }
-        if timing && self.shard_samples.len() < shards {
-            self.shard_nanos.resize(shards, 0);
-            self.shard_samples.resize_with(shards, Vec::new);
-        }
+        self.probes.resize(shards, 0);
+        self.shard_nanos.resize(shards, 0);
+        self.shard_samples.resize_with(shards, Vec::new);
     }
 
     /// Exact probe tally (always on; resilient to unprepared scratch from
@@ -133,12 +125,9 @@ impl ScratchObs {
         self.probes[s] += 1;
     }
 
-    /// Records one sampled probe wall against shard `s`.
+    /// Records one sampled probe wall against shard `s` (only `serve`
+    /// samples, and it prepares every worker's scratch).
     fn note_probe_wall(&mut self, s: usize, nanos: u64) {
-        if self.shard_samples.len() <= s {
-            self.shard_nanos.resize(s + 1, 0);
-            self.shard_samples.resize_with(s + 1, Vec::new);
-        }
         self.shard_nanos[s] += nanos;
         self.scan_nanos += nanos;
         if self.shard_samples[s].len() < OBS_SAMPLE_CAP {
@@ -146,30 +135,20 @@ impl ScratchObs {
         }
     }
 
-    /// Folds another worker's state into this one (report aggregation).
+    /// Folds another worker's state into this one (report aggregation;
+    /// both prepared for the same shard count).
     fn merge(&mut self, other: ScratchObs) {
-        let shards = self.probes.len().max(other.probes.len());
-        if self.probes.len() < shards {
-            self.probes.resize(shards, 0);
+        for (p, q) in self.probes.iter_mut().zip(other.probes) {
+            *p += q;
         }
-        for (s, p) in other.probes.into_iter().enumerate() {
-            self.probes[s] += p;
-        }
-        if !other.shard_samples.is_empty() {
-            if self.shard_samples.len() < other.shard_samples.len() {
-                self.shard_nanos.resize(other.shard_nanos.len(), 0);
-                self.shard_samples
-                    .resize_with(other.shard_samples.len(), Vec::new);
-            }
-            for (s, (ns, mut samples)) in other
-                .shard_nanos
-                .into_iter()
-                .zip(other.shard_samples)
-                .enumerate()
-            {
-                self.shard_nanos[s] += ns;
-                self.shard_samples[s].append(&mut samples);
-            }
+        for (s, (ns, mut samples)) in other
+            .shard_nanos
+            .into_iter()
+            .zip(other.shard_samples)
+            .enumerate()
+        {
+            self.shard_nanos[s] += ns;
+            self.shard_samples[s].append(&mut samples);
         }
         self.plan_nanos += other.plan_nanos;
         self.scan_nanos += other.scan_nanos;
@@ -563,9 +542,7 @@ impl<O> EngineCore<O> {
         let rt = &snap.router;
         rt.map_into(q, mapped);
         rt.range_plan_into(mapped, radius, probe);
-        if obs.timing {
-            obs.map_dists += mapped.len() as u64;
-        }
+        obs.map_dists += mapped.len() as u64;
         obs.plan_nanos += clock.lap();
         if trace.active {
             // Per-shard plan verdicts: range planning keeps shard order, so
@@ -659,9 +636,7 @@ impl<O> EngineCore<O> {
         let rt = &snap.router;
         rt.map_into(q, mapped);
         rt.knn_order_into(mapped, order);
-        if obs.timing {
-            obs.map_dists += mapped.len() as u64;
-        }
+        obs.map_dists += mapped.len() as u64;
         obs.plan_nanos += clock.lap();
         let plan_nanos = tclock.lap();
         let (mut probed, mut pruned) = (0usize, 0usize);
@@ -793,12 +768,10 @@ impl<O: Send + Sync> EngineCore<O> {
             self.probed.load(Ordering::Relaxed),
             self.pruned.load(Ordering::Relaxed),
         );
-        // One registry read per batch: the runtime switch never sits on the
-        // per-query path. Same for the trace policy, the serving budgets,
-        // and the query validator — one mutex lock each here, then a
-        // per-worker copy (the batch sees one consistent policy even if a
-        // setter races it).
-        let timing = self.obs.is_enabled();
+        // The trace policy, the serving budgets and the query validator are
+        // read once per batch — one mutex lock each here, then a per-worker
+        // copy (the batch sees one consistent policy even if a setter races
+        // it).
         let tpolicy = self.trace_policy();
         let budget = self.serve_budget();
         let validator = self.validator();
@@ -814,9 +787,9 @@ impl<O: Send + Sync> EngineCore<O> {
         // tallies, sampled walls, kernel tally) — plain writes only, folded
         // once every worker has returned.
         let run_worker = || {
-            let b0 = timing.then(Instant::now);
+            let b0 = Instant::now();
             let mut scratch = EngineScratch::new();
-            scratch.obs.prepare(snap.shards.len(), timing);
+            scratch.obs.prepare(snap.shards.len());
             scratch.trace.prepare(tpolicy);
             scratch.ctl.batch_budget = budget.query;
             let mut local = Vec::new();
@@ -830,18 +803,18 @@ impl<O: Send + Sync> EngineCore<O> {
                 // not-yet-claimed query outright.
                 if let Some(d) = batch_deadline {
                     if Instant::now() >= d {
-                        local.push((i, QueryResult::Shed, 0));
+                        local.push((i, QueryResult::Shed));
                         continue;
                     }
                 }
                 // Malformed queries fail per-item before touching a shard.
                 if let Some(e) = self.validate(validator.as_ref(), &batch[i]) {
-                    local.push((i, QueryResult::Failed(e), 0));
+                    local.push((i, QueryResult::Failed(e)));
                     continue;
                 }
                 // 1-in-OBS_SAMPLE queries pay the per-segment clock reads;
                 // every query still lands in the latency histogram.
-                scratch.obs.sampled = timing && served.is_multiple_of(OBS_SAMPLE);
+                scratch.obs.sampled = served.is_multiple_of(OBS_SAMPLE);
                 scratch.trace.begin(served);
                 served += 1;
                 let q0 = Instant::now();
@@ -864,10 +837,8 @@ impl<O: Send + Sync> EngineCore<O> {
                     QueryResult::Failed(QueryError::Panicked { shard })
                 });
                 let ns = q0.elapsed().as_nanos() as u64;
-                if timing {
-                    scratch.obs.query_wall.record(ns);
-                    scratch.obs.sampled_queries += scratch.obs.sampled as u64;
-                }
+                scratch.obs.query_wall.record(ns);
+                scratch.obs.sampled_queries += scratch.obs.sampled as u64;
                 if scratch.trace.active {
                     let kind = match &batch[i] {
                         Query::Range { radius, .. } => TraceKind::Range { radius: *radius },
@@ -875,16 +846,12 @@ impl<O: Send + Sync> EngineCore<O> {
                     };
                     scratch.trace.finish(i, kind, ns);
                 }
-                local.push((i, res, ns));
+                local.push((i, res));
             }
             let kernel_rows = scratch.qs.take_kernel_tally();
             let mut obs = std::mem::take(&mut scratch.obs);
-            if timing {
-                obs.kernel_rows += kernel_rows;
-                if let Some(t) = b0 {
-                    obs.busy_nanos = t.elapsed().as_nanos() as u64;
-                }
-            }
+            obs.kernel_rows += kernel_rows;
+            obs.busy_nanos = b0.elapsed().as_nanos() as u64;
             (local, obs, std::mem::take(&mut scratch.trace.captured))
         };
 
@@ -904,33 +871,19 @@ impl<O: Send + Sync> EngineCore<O> {
         );
 
         let mut results: Vec<Option<QueryResult>> = (0..batch.len()).map(|_| None).collect();
-        let mut nanos = Vec::with_capacity(if timing { 0 } else { batch.len() });
         let mut total_results = 0usize;
         let (mut degraded, mut shed, mut failed) = (0usize, 0usize, 0usize);
         let mut agg = ScratchObs::default();
+        agg.prepare(snap.shards.len());
         let mut traces: Vec<QueryTrace> = Vec::new();
         for (local, wobs, wtraces) in collected {
-            for (i, res, ns) in local {
+            for (i, res) in local {
                 total_results += res.len();
-                let executed = match &res {
-                    QueryResult::PartialRange(..) | QueryResult::PartialKnn(..) => {
-                        degraded += 1;
-                        true
-                    }
-                    QueryResult::Shed => {
-                        shed += 1;
-                        false
-                    }
-                    QueryResult::Failed(e) => {
-                        failed += 1;
-                        // Validation rejections never ran; contained
-                        // panics did and carry a real wall.
-                        matches!(e, QueryError::Panicked { .. })
-                    }
-                    _ => true,
-                };
-                if !timing && executed {
-                    nanos.push(ns);
+                match &res {
+                    QueryResult::PartialRange(..) | QueryResult::PartialKnn(..) => degraded += 1,
+                    QueryResult::Shed => shed += 1,
+                    QueryResult::Failed(_) => failed += 1,
+                    _ => {}
                 }
                 results[i] = Some(res);
             }
@@ -946,91 +899,72 @@ impl<O: Send + Sync> EngineCore<O> {
             .map(|r| r.expect("every batch slot served exactly once"))
             .collect();
 
-        // Per-shard breakdown: probe counts and counter deltas are exact
-        // regardless of the obs switch; the wall columns come from the
-        // 1-in-OBS_SAMPLE timed queries (sums extrapolated, quantiles taken
-        // over the raw samples) and stay zero with obs off.
+        // Per-shard breakdown: probe counts and counter deltas are exact;
+        // the wall columns come from the 1-in-OBS_SAMPLE timed queries
+        // (sums extrapolated, quantiles taken over the raw samples).
         let per_shard: Vec<ShardServeStats> = (0..snap.shards.len())
             .map(|s| {
                 let delta = shard_after[s].since(&shard_before[s]);
-                let (wall_secs, p50_secs, p99_secs) = if timing {
-                    let (p50, p99) = match agg.shard_samples.get_mut(s) {
-                        Some(v) if !v.is_empty() => {
-                            v.sort_unstable();
-                            (sample_quantile(v, 0.50), sample_quantile(v, 0.99))
-                        }
-                        _ => (0.0, 0.0),
-                    };
-                    let sum = agg.shard_nanos.get(s).copied().unwrap_or(0);
-                    ((sum * OBS_SAMPLE) as f64 / 1e9, p50, p99)
-                } else {
-                    (0.0, 0.0, 0.0)
-                };
+                let samples = &mut agg.shard_samples[s];
+                samples.sort_unstable();
                 ShardServeStats {
                     shard: s,
-                    probes: agg.probes.get(s).copied().unwrap_or(0),
+                    probes: agg.probes[s],
                     compdists: delta.compdists,
                     page_accesses: delta.page_accesses(),
-                    wall_secs,
-                    p50_secs,
-                    p99_secs,
+                    wall_secs: (agg.shard_nanos[s] * OBS_SAMPLE) as f64 / 1e9,
+                    p50_secs: sample_quantile(samples, 0.50),
+                    p99_secs: sample_quantile(samples, 0.99),
                 }
             })
             .collect();
 
-        let latency = if timing && !agg.query_wall.is_empty() {
-            LatencySummary::from_hist(&agg.query_wall)
-        } else {
-            LatencySummary::from_nanos(nanos)
-        };
+        let latency = LatencySummary::from_hist(&agg.query_wall);
 
-        if timing {
-            // Phase walls for plan/scan/merge cover the sampled queries
-            // only; extrapolate by the sampling stride so they read as
-            // batch-level estimates next to the exact `serve` wall.
-            let idle_nanos = (wall_nanos * workers as u64).saturating_sub(agg.busy_nanos);
-            self.obs.phase_add(
-                "serve",
-                1,
-                wall_nanos,
-                &[
-                    ("queries", batch.len() as u64),
-                    ("results", total_results as u64),
-                    ("workers", workers as u64),
-                    ("shards_probed", probed1 - probed0),
-                    ("shards_pruned", pruned1 - pruned0),
-                    ("compdists", cost.compdists),
-                    ("idle_nanos", idle_nanos),
-                ],
-            );
-            self.obs.phase_add(
-                "serve.plan",
-                batch.len() as u64,
-                agg.plan_nanos * OBS_SAMPLE,
-                &[("map_dists", agg.map_dists)],
-            );
-            self.obs.phase_add(
-                "serve.scan",
-                agg.probes.iter().sum(),
-                agg.scan_nanos * OBS_SAMPLE,
-                &[
-                    ("kernel_rows", agg.kernel_rows),
-                    ("compdists", cost.compdists),
-                    ("page_accesses", cost.page_accesses()),
-                ],
-            );
-            self.obs.phase_add(
-                "serve.merge",
-                batch.len() as u64,
-                agg.merge_nanos * OBS_SAMPLE,
-                &[],
-            );
-            self.obs.hist_merge("serve.query_wall", &agg.query_wall);
-            self.obs
-                .counter_add("serve.sampled_queries", agg.sampled_queries);
-        }
-        // Robustness counters (the registry gates on its runtime switch
-        // and skips zero adds internally).
+        // Phase walls for plan/scan/merge cover the sampled queries
+        // only; extrapolate by the sampling stride so they read as
+        // batch-level estimates next to the exact `serve` wall.
+        let idle_nanos = (wall_nanos * workers as u64).saturating_sub(agg.busy_nanos);
+        self.obs.phase_add(
+            "serve",
+            1,
+            wall_nanos,
+            &[
+                ("queries", batch.len() as u64),
+                ("results", total_results as u64),
+                ("workers", workers as u64),
+                ("shards_probed", probed1 - probed0),
+                ("shards_pruned", pruned1 - pruned0),
+                ("compdists", cost.compdists),
+                ("idle_nanos", idle_nanos),
+            ],
+        );
+        self.obs.phase_add(
+            "serve.plan",
+            batch.len() as u64,
+            agg.plan_nanos * OBS_SAMPLE,
+            &[("map_dists", agg.map_dists)],
+        );
+        self.obs.phase_add(
+            "serve.scan",
+            agg.probes.iter().sum(),
+            agg.scan_nanos * OBS_SAMPLE,
+            &[
+                ("kernel_rows", agg.kernel_rows),
+                ("compdists", cost.compdists),
+                ("page_accesses", cost.page_accesses()),
+            ],
+        );
+        self.obs.phase_add(
+            "serve.merge",
+            batch.len() as u64,
+            agg.merge_nanos * OBS_SAMPLE,
+            &[],
+        );
+        self.obs.hist_merge("serve.query_wall", &agg.query_wall);
+        self.obs
+            .counter_add("serve.sampled_queries", agg.sampled_queries);
+        // Robustness counters (the registry skips zero adds).
         self.obs.counter_add("serve.degraded", degraded as u64);
         self.obs.counter_add("serve.shed", shed as u64);
         self.obs.counter_add("serve.failed", failed as u64);

@@ -4,7 +4,8 @@ use pmi_metric::Counters;
 use pmi_obs::{Hist, QueryTrace};
 
 /// Latency distribution of a served batch, from a monotonic clock
-/// (`std::time::Instant`), in seconds.
+/// (`std::time::Instant`), in seconds: the summary of the merged
+/// `serve.query_wall` histogram ([`LatencySummary::from_hist`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Arithmetic mean.
@@ -24,33 +25,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes per-query latencies given in nanoseconds. Uses the
-    /// nearest-rank method; an empty input yields all zeros. This is the
-    /// sort-based exact path used when observability is off; with it on,
-    /// the engine summarizes the merged per-worker histogram via
-    /// [`LatencySummary::from_hist`] and never sorts.
-    pub fn from_nanos(mut nanos: Vec<u64>) -> Self {
-        if nanos.is_empty() {
-            return LatencySummary::default();
-        }
-        nanos.sort_unstable();
-        let n = nanos.len();
-        let pick = |p: f64| -> f64 {
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            nanos[rank - 1] as f64 * 1e-9
-        };
-        let sum: u128 = nanos.iter().map(|&x| x as u128).sum();
-        LatencySummary {
-            mean_secs: sum as f64 * 1e-9 / n as f64,
-            min_secs: nanos[0] as f64 * 1e-9,
-            p50_secs: pick(0.50),
-            p90_secs: pick(0.90),
-            p99_secs: pick(0.99),
-            p999_secs: pick(0.999),
-            max_secs: nanos[n - 1] as f64 * 1e-9,
-        }
-    }
-
     /// Summarizes a latency histogram without sorting anything: mean, min,
     /// and max are exact; percentiles carry the histogram's sub-bucket
     /// resolution (< 1/32 relative error). An empty histogram yields all
@@ -72,8 +46,8 @@ impl LatencySummary {
 }
 
 /// Per-shard serving breakdown for one batch: exact probe and cost
-/// accounting always, probe-wall timing when observability is enabled
-/// (zeros otherwise). This is what makes shard skew — the P=8 straggler
+/// accounting for every probe, probe walls from the 1-in-8 timing samples
+/// (a shard no sample probed reads zero walls). This is what makes shard skew — the P=8 straggler
 /// of an engine that probes every shard — visible in a [`ServeReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardServeStats {
@@ -86,12 +60,12 @@ pub struct ShardServeStats {
     pub compdists: u64,
     /// Exact page accesses (reads + writes) the probes cost.
     pub page_accesses: u64,
-    /// Total probe wall-clock attributed to this shard, seconds
-    /// (0 with observability off).
+    /// Total probe wall-clock attributed to this shard, seconds: the
+    /// sampled probes' walls times the sampling stride.
     pub wall_secs: f64,
-    /// Median probe wall (0 with observability off).
+    /// Median wall of the sampled probes.
     pub p50_secs: f64,
-    /// 99th-percentile probe wall (0 with observability off).
+    /// 99th-percentile wall of the sampled probes.
     pub p99_secs: f64,
 }
 
@@ -192,8 +166,7 @@ pub struct ServeReport {
     /// at serve time).
     pub updates: UpdateStats,
     /// Per-shard breakdown of the batch, indexed by shard. Probe and cost
-    /// counts are exact regardless of the observability switch; the wall
-    /// fields need it on.
+    /// counts are exact; the wall fields come from the sampled queries.
     pub per_shard: Vec<ShardServeStats>,
     /// Per-query traces captured under the engine's
     /// [`TracePolicy`](pmi_obs::TracePolicy), in batch order — empty with
@@ -299,6 +272,34 @@ impl std::fmt::Display for ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LatencySummary {
+        /// Summarizes per-query latencies given in nanoseconds. Uses the
+        /// nearest-rank method; an empty input yields all zeros. The exact,
+        /// sort-based oracle that [`LatencySummary::from_hist`] is tested
+        /// against.
+        fn from_nanos(mut nanos: Vec<u64>) -> Self {
+            if nanos.is_empty() {
+                return LatencySummary::default();
+            }
+            nanos.sort_unstable();
+            let n = nanos.len();
+            let pick = |p: f64| -> f64 {
+                let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
+                nanos[rank - 1] as f64 * 1e-9
+            };
+            let sum: u128 = nanos.iter().map(|&x| x as u128).sum();
+            LatencySummary {
+                mean_secs: sum as f64 * 1e-9 / n as f64,
+                min_secs: nanos[0] as f64 * 1e-9,
+                p50_secs: pick(0.50),
+                p90_secs: pick(0.90),
+                p99_secs: pick(0.99),
+                p999_secs: pick(0.999),
+                max_secs: nanos[n - 1] as f64 * 1e-9,
+            }
+        }
+    }
 
     #[test]
     fn empty_latencies_are_zero() {

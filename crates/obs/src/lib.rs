@@ -1,6 +1,6 @@
-//! `pmi-obs` — the workspace's observability layer: a lock-free metrics
-//! registry, fixed-bucket log-scale latency histograms, lightweight phase
-//! spans, per-query traces with an EXPLAIN renderer ([`trace`]), and a
+//! `pmi-obs` — the workspace's observability layer: a metrics registry,
+//! fixed-bucket log-scale latency histograms, lightweight phase spans,
+//! per-query traces with an EXPLAIN renderer ([`trace`]), and a
 //! small JSON writer / reader ([`json`]) for reports.
 //! `docs/observability.md` in the repository root covers the whole layer
 //! end-to-end.
@@ -10,21 +10,17 @@
 //! * **No atomics on the serve hot path.** Workers record into plain
 //!   per-thread buffers (histograms, counters) owned by their scratch
 //!   space; the engine merges them into the shared [`Registry`] **once per
-//!   batch** under a mutex. The only per-probe cost with instrumentation
-//!   on is one monotonic clock read and a couple of plain integer adds.
-//! * **Zero overhead when off.** Everything that records is gated twice:
-//!   - *compile time*: with the `enabled` cargo feature off (workspace
-//!     builds pass `--no-default-features`), [`Registry`] is a zero-sized
-//!     type, [`Span`] carries no data, and every hook is an empty
-//!     `#[inline]` function the optimizer erases — instrumented code
-//!     compiles to exactly what it was before instrumentation;
-//!   - *run time*: [`Registry::set_enabled`] flips an `AtomicBool` checked
-//!     once per batch, which is what lets a single binary A/B its own
-//!     obs-on vs obs-off throughput.
+//!   batch** under a mutex. The only per-probe cost of instrumentation
+//!   is one monotonic clock read and a couple of plain integer adds.
+//! * **One mode.** Instrumentation is always compiled in and always on:
+//!   there is no cargo feature and no runtime switch, so what a benchmark
+//!   measures is the only build there is, and the engine's own metrics and
+//!   a ruler's layer breakdown read the same data.
 //! * **Measurement never changes answers.** Instrumentation reads clocks
 //!   and adds integers; it must not reorder, skip, or add distance
-//!   evaluations. `tests/counters.rs` proves serving is byte-identical in
-//!   results and exact counters with the toggle on and off.
+//!   evaluations. `tests/counters.rs` proves a timed `serve` batch matches
+//!   the same queries run one by one through the untimed `execute` path,
+//!   in results and in every exact counter.
 //!
 //! # Phase tree
 //!
@@ -40,10 +36,8 @@
 //! let rows_filtered = 4096u64; // ... do the work being measured ...
 //! span.finish_with(&reg, &[("kernel_rows", rows_filtered)]);
 //! let snap = reg.snapshot();
-//! if Registry::compiled_in() {
-//!     assert_eq!(snap.phases.len(), 1);
-//!     assert_eq!(snap.phases[0].path, "serve.scan");
-//! }
+//! assert_eq!(snap.phases.len(), 1);
+//! assert_eq!(snap.phases[0].path, "serve.scan");
 //! ```
 
 pub mod hist;

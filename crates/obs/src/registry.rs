@@ -2,26 +2,21 @@
 //!
 //! [`Registry`] is the shared sink: engine workers record into plain
 //! per-thread buffers and the engine folds them in **once per batch**
-//! (under a mutex), so nothing here sits on the serve hot path. With the
-//! `enabled` cargo feature off, [`Registry`] and [`Span`] are zero-sized
-//! and every method is an empty `#[inline]` function — instrumented code
-//! compiles to exactly what it was before instrumentation.
+//! (under a mutex), so nothing here sits on the serve hot path. There is
+//! one mode: the registry is always compiled in and always records.
 //!
 //! Phases form a tree by dotted path (`serve.scan` under `serve`); each
 //! accumulates a call count, wall-clock nanoseconds, and named counter
-//! deltas. [`MetricsSnapshot`] is the plain-data read-out (always
-//! compiled, so report plumbing needs no feature gates of its own).
+//! deltas. [`MetricsSnapshot`] is the plain-data read-out.
 
-use crate::hist::HistSummary;
+use crate::hist::{Hist, HistSummary};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+use std::time::Instant;
 
-/// Point-in-time read-out of a [`Registry`]: sorted by name, plain data,
-/// available with the `enabled` feature on or off (off → empty, with
-/// `enabled: false`).
+/// Point-in-time read-out of a [`Registry`]: sorted by name, plain data.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Whether the registry was compiled in *and* runtime-enabled when
-    /// this snapshot was taken.
-    pub enabled: bool,
     /// Monotonic counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Last-write-wins gauges, sorted by name.
@@ -113,294 +108,145 @@ impl MetricsSnapshot {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{MetricsSnapshot, PhaseSnapshot};
-    use crate::hist::{Hist, HistSummary};
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+#[derive(Default)]
+struct PhaseStat {
+    calls: u64,
+    wall_nanos: u64,
+    counters: BTreeMap<String, u64>,
+}
 
-    #[derive(Default)]
-    struct PhaseStat {
-        calls: u64,
-        wall_nanos: u64,
-        counters: BTreeMap<String, u64>,
+#[derive(Default)]
+struct Inner {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
+    hists: BTreeMap<String, Hist>,
+    phases: BTreeMap<String, PhaseStat>,
+}
+
+/// The shared metrics sink. Recording methods take `&self` (interior
+/// mutability); callers batch their recording so the mutex is taken a
+/// handful of times per engine batch, never per probe.
+#[derive(Default)]
+pub struct Registry {
+    inner: Mutex<Inner>,
+}
+
+impl Registry {
+    /// A fresh, empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[derive(Default)]
-    struct Inner {
-        counters: BTreeMap<String, u64>,
-        gauges: BTreeMap<String, u64>,
-        hists: BTreeMap<String, Hist>,
-        phases: BTreeMap<String, PhaseStat>,
+    /// Drops all recorded data.
+    pub fn reset(&self) {
+        *self.inner.lock().unwrap() = Inner::default();
     }
 
-    /// The shared metrics sink. Recording methods take `&self` (interior
-    /// mutability); callers batch their recording so the mutex is taken a
-    /// handful of times per engine batch, never per probe.
-    pub struct Registry {
-        on: AtomicBool,
-        inner: Mutex<Inner>,
+    /// Adds to a monotonic counter.
+    pub fn counter_add(&self, name: &str, v: u64) {
+        if v == 0 {
+            return;
+        }
+        let mut inner = self.inner.lock().unwrap();
+        *inner.counters.entry(name.to_string()).or_default() += v;
     }
 
-    impl Default for Registry {
-        fn default() -> Self {
-            Self::new()
-        }
+    /// Sets a gauge (last write wins).
+    pub fn gauge_set(&self, name: &str, v: u64) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.gauges.insert(name.to_string(), v);
     }
 
-    impl Registry {
-        /// A fresh registry, runtime-enabled.
-        pub fn new() -> Self {
-            Registry {
-                on: AtomicBool::new(true),
-                inner: Mutex::new(Inner::default()),
-            }
+    /// Folds a per-thread histogram into a named shared one — the
+    /// once-per-batch merge path.
+    pub fn hist_merge(&self, name: &str, h: &Hist) {
+        if h.is_empty() {
+            return;
         }
+        let mut inner = self.inner.lock().unwrap();
+        inner.hists.entry(name.to_string()).or_default().merge(h);
+    }
 
-        /// Whether the `enabled` cargo feature is compiled in.
-        pub const fn compiled_in() -> bool {
-            true
-        }
-
-        /// Compile-time AND runtime switch. Callers check this once per
-        /// batch and skip all recording when false.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            self.on.load(Ordering::Relaxed)
-        }
-
-        /// Flips the runtime switch. Lets one binary A/B its own obs-on
-        /// vs obs-off throughput.
-        pub fn set_enabled(&self, on: bool) {
-            self.on.store(on, Ordering::Relaxed);
-        }
-
-        /// Drops all recorded data (the runtime switch is unchanged).
-        pub fn reset(&self) {
-            *self.inner.lock().unwrap() = Inner::default();
-        }
-
-        /// Adds to a monotonic counter.
-        pub fn counter_add(&self, name: &str, v: u64) {
-            if !self.is_enabled() || v == 0 {
-                return;
-            }
-            let mut inner = self.inner.lock().unwrap();
-            *inner.counters.entry(name.to_string()).or_default() += v;
-        }
-
-        /// Sets a gauge (last write wins).
-        pub fn gauge_set(&self, name: &str, v: u64) {
-            if !self.is_enabled() {
-                return;
-            }
-            let mut inner = self.inner.lock().unwrap();
-            inner.gauges.insert(name.to_string(), v);
-        }
-
-        /// Records one sample into a named histogram.
-        pub fn hist_record(&self, name: &str, v: u64) {
-            if !self.is_enabled() {
-                return;
-            }
-            let mut inner = self.inner.lock().unwrap();
-            inner.hists.entry(name.to_string()).or_default().record(v);
-        }
-
-        /// Folds a per-thread histogram into a named shared one — the
-        /// once-per-batch merge path.
-        pub fn hist_merge(&self, name: &str, h: &Hist) {
-            if !self.is_enabled() || h.is_empty() {
-                return;
-            }
-            let mut inner = self.inner.lock().unwrap();
-            inner.hists.entry(name.to_string()).or_default().merge(h);
-        }
-
-        /// Accumulates one phase observation: `calls` invocations taking
-        /// `wall_nanos` total, with named counter deltas.
-        pub fn phase_add(&self, path: &str, calls: u64, wall_nanos: u64, counters: &[(&str, u64)]) {
-            if !self.is_enabled() {
-                return;
-            }
-            let mut inner = self.inner.lock().unwrap();
-            let stat = inner.phases.entry(path.to_string()).or_default();
-            stat.calls += calls;
-            stat.wall_nanos += wall_nanos;
-            for &(k, v) in counters {
-                if v != 0 {
-                    *stat.counters.entry(k.to_string()).or_default() += v;
-                }
-            }
-        }
-
-        /// Point-in-time read-out (sorted, plain data).
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            let inner = self.inner.lock().unwrap();
-            MetricsSnapshot {
-                enabled: self.is_enabled(),
-                counters: inner
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
-                gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                hists: inner
-                    .hists
-                    .iter()
-                    .map(|(k, h)| (k.clone(), HistSummary::of(h)))
-                    .collect(),
-                phases: inner
-                    .phases
-                    .iter()
-                    .map(|(path, s)| PhaseSnapshot {
-                        path: path.clone(),
-                        calls: s.calls,
-                        wall_secs: s.wall_nanos as f64 * 1e-9,
-                        counters: s.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                    })
-                    .collect(),
+    /// Accumulates one phase observation: `calls` invocations taking
+    /// `wall_nanos` total, with named counter deltas.
+    pub fn phase_add(&self, path: &str, calls: u64, wall_nanos: u64, counters: &[(&str, u64)]) {
+        let mut inner = self.inner.lock().unwrap();
+        let stat = inner.phases.entry(path.to_string()).or_default();
+        stat.calls += calls;
+        stat.wall_nanos += wall_nanos;
+        for &(k, v) in counters {
+            if v != 0 {
+                *stat.counters.entry(k.to_string()).or_default() += v;
             }
         }
     }
 
-    /// A lightweight phase timer: captures the clock on `enter`, records
-    /// wall + counters into a [`Registry`] on `finish_with`. It holds no
-    /// registry reference, so it can live across `&mut self` engine
-    /// mutations and be finished against the engine's registry afterward.
-    #[must_use = "a span records nothing unless finished"]
-    pub struct Span {
-        path: &'static str,
-        start: Instant,
-    }
-
-    impl Span {
-        /// Starts timing a phase (one clock read).
-        #[inline]
-        pub fn enter(path: &'static str) -> Span {
-            Span {
-                path,
-                start: Instant::now(),
-            }
-        }
-
-        /// Records the elapsed wall into the phase with no counters.
-        #[inline]
-        pub fn finish(self, reg: &Registry) {
-            self.finish_with(reg, &[]);
-        }
-
-        /// Records the elapsed wall plus named counter deltas.
-        #[inline]
-        pub fn finish_with(self, reg: &Registry, counters: &[(&str, u64)]) {
-            if !reg.is_enabled() {
-                return;
-            }
-            let wall = self.start.elapsed().as_nanos() as u64;
-            reg.phase_add(self.path, 1, wall, counters);
+    /// Point-in-time read-out (sorted, plain data).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let inner = self.inner.lock().unwrap();
+        MetricsSnapshot {
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            hists: inner
+                .hists
+                .iter()
+                .map(|(k, h)| (k.clone(), HistSummary::of(h)))
+                .collect(),
+            phases: inner
+                .phases
+                .iter()
+                .map(|(path, s)| PhaseSnapshot {
+                    path: path.clone(),
+                    calls: s.calls,
+                    wall_secs: s.wall_nanos as f64 * 1e-9,
+                    counters: s.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+                })
+                .collect(),
         }
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::MetricsSnapshot;
-    use crate::hist::Hist;
-
-    /// Compiled-out registry: zero-sized, every method an empty inline
-    /// the optimizer erases. See the crate docs for the gating rules.
-    #[derive(Default)]
-    pub struct Registry;
-
-    impl Registry {
-        /// A fresh (inert) registry.
-        #[inline]
-        pub fn new() -> Self {
-            Registry
-        }
-
-        /// Whether the `enabled` cargo feature is compiled in.
-        pub const fn compiled_in() -> bool {
-            false
-        }
-
-        /// Always false when compiled out.
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn set_enabled(&self, _on: bool) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn reset(&self) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn counter_add(&self, _name: &str, _v: u64) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn gauge_set(&self, _name: &str, _v: u64) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn hist_record(&self, _name: &str, _v: u64) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn hist_merge(&self, _name: &str, _h: &Hist) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn phase_add(
-            &self,
-            _path: &str,
-            _calls: u64,
-            _wall_nanos: u64,
-            _counters: &[(&str, u64)],
-        ) {
-        }
-
-        /// Empty snapshot with `enabled: false`.
-        #[inline]
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::default()
-        }
-    }
-
-    /// Compiled-out span: carries no data, reads no clock.
-    pub struct Span;
-
-    impl Span {
-        /// No-op when compiled out.
-        #[inline]
-        pub fn enter(_path: &'static str) -> Span {
-            Span
-        }
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn finish(self, _reg: &Registry) {}
-
-        /// No-op when compiled out.
-        #[inline]
-        pub fn finish_with(self, _reg: &Registry, _counters: &[(&str, u64)]) {}
-    }
+/// A lightweight phase timer: captures the clock on `enter`, records
+/// wall + counters into a [`Registry`] on `finish_with`. It holds no
+/// registry reference, so it can live across `&mut self` engine
+/// mutations and be finished against the engine's registry afterward.
+#[must_use = "a span records nothing unless finished"]
+pub struct Span {
+    path: &'static str,
+    start: Instant,
 }
 
-pub use imp::{Registry, Span};
+impl Span {
+    /// Starts timing a phase (one clock read).
+    #[inline]
+    pub fn enter(path: &'static str) -> Span {
+        Span {
+            path,
+            start: Instant::now(),
+        }
+    }
+
+    /// Records the elapsed wall into the phase with no counters.
+    #[inline]
+    pub fn finish(self, reg: &Registry) {
+        self.finish_with(reg, &[]);
+    }
+
+    /// Records the elapsed wall plus named counter deltas.
+    #[inline]
+    pub fn finish_with(self, reg: &Registry, counters: &[(&str, u64)]) {
+        let wall = self.start.elapsed().as_nanos() as u64;
+        reg.phase_add(self.path, 1, wall, counters);
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Hist;
 
     #[test]
     fn records_fold_into_sorted_snapshot() {
@@ -420,11 +266,6 @@ mod tests {
         reg.phase_add("serve", 1, 7_000, &[("queries", 2)]);
 
         let snap = reg.snapshot();
-        if !Registry::compiled_in() {
-            assert_eq!(snap, MetricsSnapshot::default());
-            return;
-        }
-        assert!(snap.enabled);
         assert_eq!(
             snap.counters,
             vec![("a.rows".into(), 15), ("b.queries".into(), 3)]
@@ -455,40 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn runtime_toggle_drops_all_recording() {
-        let reg = Registry::new();
-        reg.set_enabled(false);
-        assert!(!reg.is_enabled());
-        reg.counter_add("c", 1);
-        reg.gauge_set("g", 1);
-        reg.hist_record("h", 1);
-        reg.phase_add("p", 1, 1, &[("k", 1)]);
-        Span::enter("p.inner").finish(&reg);
-        let snap = reg.snapshot();
-        assert!(!snap.enabled);
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.hists.is_empty());
-        assert!(snap.phases.is_empty());
-
-        reg.set_enabled(true);
-        reg.counter_add("c", 1);
-        if Registry::compiled_in() {
-            assert_eq!(reg.snapshot().counters, vec![("c".into(), 1)]);
-        }
-    }
-
-    #[test]
     fn span_attributes_wall_to_its_path() {
         let reg = Registry::new();
         let span = Span::enter("apply.rebox");
         std::hint::black_box(0u64);
         span.finish_with(&reg, &[("moved", 7)]);
         let snap = reg.snapshot();
-        if !Registry::compiled_in() {
-            assert!(snap.phases.is_empty());
-            return;
-        }
         assert_eq!(snap.phases.len(), 1);
         assert_eq!(snap.phases[0].path, "apply.rebox");
         assert_eq!(snap.phases[0].calls, 1);

@@ -9,7 +9,7 @@
 //!
 //! # Discipline
 //!
-//! The same zero-overhead rules as the registry apply:
+//! The same hot-path rules as the registry apply:
 //!
 //! * **Per-worker, fixed capacity, plain writes.** Each serve worker owns
 //!   one [`TraceRing`] inside its scratch; recording an event is a bounds

@@ -11,11 +11,7 @@
 //! p50/p99 wall per shard, which makes shard skew visible at a glance)
 //! and the engine-lifetime phase tree (`engine.metrics().render()` —
 //! build/serve/apply/compact phases with wall clock and counter deltas).
-//! Both are populated when the default `obs` feature is on; with
-//! `--no-default-features` the same code compiles and runs, the phase
-//! tree is simply empty and per-shard walls read zero (exact counters
-//! remain). `engine.set_obs_enabled(false)` is the runtime switch — it
-//! never changes results, only whether timings are collected. The final
+//! Instrumentation is always on and never changes results. The final
 //! section turns on per-query tracing (`engine.set_trace_policy`) and
 //! prints captured traces' `explain()` plan trees — see
 //! `docs/observability.md`.
@@ -166,17 +162,11 @@ fn main() {
 
     // The engine-lifetime phase tree: every phase this engine has run
     // (build, apply.ops/rebox/recluster, serve.plan/scan/merge) with wall
-    // clock, call counts, and the counter deltas attributed to it. Empty
-    // when built with `--no-default-features` — the hooks compile away.
-    let snap = engine.metrics();
-    if snap.phases.is_empty() {
-        println!("\nphase tree: (obs feature compiled out)");
-    } else {
-        println!(
-            "\nphase tree (engine.metrics().render()):\n{}",
-            snap.render()
-        );
-    }
+    // clock, call counts, and the counter deltas attributed to it.
+    println!(
+        "\nphase tree (engine.metrics().render()):\n{}",
+        engine.metrics().render()
+    );
 
     // Per-query tracing: sample 1-in-256 queries (and retroactively keep
     // anything slower than 2 ms), then EXPLAIN the captured traces — the

@@ -34,10 +34,9 @@
 //! Observability — per-shard serve stats (`out.report.per_shard`), the
 //! engine phase tree (`engine.metrics()`), per-query traces with an
 //! EXPLAIN renderer (`engine.set_trace_policy(..)` then
-//! `out.report.traces[..].explain()`) — is behind the default-on `obs`
-//! feature (the trace data types are unconditional).
-//! `docs/observability.md` is the quickstart for the whole layer: the
-//! zero-overhead rule, the metrics reference and the trace format.
+//! `out.report.traces[..].explain()`) — is always compiled in and always
+//! on. `docs/observability.md` is the quickstart for the whole layer: the
+//! cost rules, the metrics reference and the trace format.
 //!
 //! Concurrency — the engine serves through churn: immutable
 //! [`EngineSnapshot`]s behind an atomic slot (every `out.report.epoch`

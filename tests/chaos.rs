@@ -211,20 +211,18 @@ fn panicking_shard_probe_is_contained_and_routed_around() {
     assert_eq!(states[faulted].panics, 2);
     assert!(states[faulted].quarantined);
     let snap = chaos.metrics();
-    if snap.enabled {
-        let gauge = snap
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "engine.quarantined_shards")
-            .map(|(_, v)| *v);
-        assert_eq!(gauge, Some(1), "quarantine gauge in engine.metrics()");
-        let quarantines = snap
-            .counters
-            .iter()
-            .find(|(n, _)| n == "serve.quarantines")
-            .map(|(_, v)| *v);
-        assert_eq!(quarantines, Some(1));
-    }
+    let gauge = snap
+        .gauges
+        .iter()
+        .find(|(n, _)| n == "engine.quarantined_shards")
+        .map(|(_, v)| *v);
+    assert_eq!(gauge, Some(1), "quarantine gauge in engine.metrics()");
+    let quarantines = snap
+        .counters
+        .iter()
+        .find(|(n, _)| n == "serve.quarantines")
+        .map(|(_, v)| *v);
+    assert_eq!(quarantines, Some(1));
 
     // Disarm the fault and heal: every query is byte-identical to the
     // fault-free baseline again.
@@ -525,14 +523,12 @@ fn writer_panic_mid_apply(kind: IndexKind) {
         fault::clear();
     }
     let snap = e.metrics();
-    if snap.enabled {
-        let aborts = snap
-            .counters
-            .iter()
-            .find(|(n, _)| n == "apply.aborts")
-            .map(|(_, v)| *v);
-        assert_eq!(aborts, Some(2), "both aborts counted");
-    }
+    let aborts = snap
+        .counters
+        .iter()
+        .find(|(n, _)| n == "apply.aborts")
+        .map(|(_, v)| *v);
+    assert_eq!(aborts, Some(2), "both aborts counted");
 
     // Retry after the fault is gone: the identical batch applies cleanly.
     let mut batch = UpdateBatch::new();
@@ -694,10 +690,8 @@ fn compaction_panic_aborts_and_changes_nothing() {
         assert_eq!(pinned.report.epoch, epoch0, "{kind:?}: nothing published");
         assert_eq!(pinned.results, baseline, "{kind:?}: reader unperturbed");
         let snap = e.metrics();
-        if snap.enabled {
-            let aborts = snap.counters.iter().find(|(n, _)| n == "compact.aborts");
-            assert_eq!(aborts.map(|(_, v)| *v), Some(1), "{kind:?}");
-        }
+        let aborts = snap.counters.iter().find(|(n, _)| n == "compact.aborts");
+        assert_eq!(aborts.map(|(_, v)| *v), Some(1), "{kind:?}");
 
         // Disarmed, the same call drops every dead row and serving equals
         // a rebuild over the survivors (rank in id order == new id).

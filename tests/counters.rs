@@ -475,17 +475,17 @@ fn duplicated_corpus_knn_ties_go_to_the_smaller_id() {
     same_as_oracle(fqa.as_ref(), &oracle, &dpts, "FQA");
 }
 
-/// The observability tentpole's core contract: flipping the obs switch
-/// changes *what is recorded*, never *what is computed*. Serving the same
-/// batch with obs on and obs off must produce byte-identical answers and
-/// identical exact counters (compdists, page accesses, probe/prune counts,
-/// per-shard breakdowns) across every instrumented engine kind — tables
-/// driven by the scan kernel (LAESA, CPT, EPT) and a tree (MVPT) — under
-/// both partition policies. With the `obs` feature compiled out the two
-/// runs are trivially the same code path; with it on, this pins the
-/// sampling clocks and phase recording strictly outside the query math.
+/// Measurement changes *what is recorded*, never *what is computed*. A
+/// `serve` batch — per-query walls, 1-in-8 sampled phase clocks, the
+/// registry fold — must answer and count exactly as the same queries run
+/// one by one through `execute`, whose fresh scratch never samples a
+/// clock: byte-identical answers and identical exact counters
+/// (compdists, page accesses, probe/prune counts, per-shard breakdowns)
+/// across every instrumented engine kind — tables driven by the scan
+/// kernel (LAESA, CPT, EPT) and a tree (MVPT). This pins the sampling
+/// clocks and phase recording strictly outside the query math.
 #[test]
-fn obs_toggle_changes_no_results_and_no_exact_counters() {
+fn instrumented_serve_matches_untimed_execute() {
     let pts = datasets::la(600, 23);
     let opts = BuildOptions {
         d_plus: 14143.0,
@@ -520,73 +520,80 @@ fn obs_toggle_changes_no_results_and_no_exact_counters() {
                 }
             })
             .collect();
-        let run = |on: bool| {
-            engine.set_obs_enabled(on);
-            engine.reset_counters();
-            engine.serve(&batch)
-        };
-        let on = run(true);
-        let off = run(false);
         let label = kind.label();
 
-        assert_eq!(on.results, off.results, "{label}: answers must match");
-        assert_eq!(on.report.cost, off.report.cost, "{label}: exact cost");
-        assert_eq!(on.report.shards_probed, off.report.shards_probed, "{label}");
-        assert_eq!(on.report.shards_pruned, off.report.shards_pruned, "{label}");
-        assert_eq!(on.report.total_results, off.report.total_results, "{label}");
+        engine.reset_counters();
+        let served = engine.serve(&batch);
+        let serve_cost = engine.counters();
+        let serve_shards = engine.shard_counters();
+        assert_eq!(
+            engine.probe_counts(),
+            (served.report.shards_probed, served.report.shards_pruned),
+            "{label}: the report's probe counts are the engine's"
+        );
 
-        // The per-shard breakdown's exact columns are toggle-invariant;
-        // its wall columns are all-zero when nothing was timed.
-        assert_eq!(on.report.per_shard.len(), 4, "{label}");
-        for (a, b) in on.report.per_shard.iter().zip(&off.report.per_shard) {
+        engine.reset_counters();
+        let executed: Vec<pmr::QueryResult> = batch.iter().map(|q| engine.execute(q)).collect();
+        let exec_cost = engine.counters();
+        let exec_shards = engine.shard_counters();
+
+        assert_eq!(served.results, executed, "{label}: answers must match");
+        assert_eq!(served.report.cost, serve_cost, "{label}: report cost");
+        assert_eq!(serve_cost, exec_cost, "{label}: exact cost");
+        assert_eq!(
+            (served.report.shards_probed, served.report.shards_pruned),
+            engine.probe_counts(),
+            "{label}: probe counts"
+        );
+        assert_eq!(serve_shards, exec_shards, "{label}: per-shard counters");
+
+        // The per-shard breakdown: exact columns equal the untimed run's
+        // per-shard counters and sum to the totals.
+        assert_eq!(served.report.per_shard.len(), 4, "{label}");
+        for (s, (row, c)) in served.report.per_shard.iter().zip(&exec_shards).enumerate() {
             assert_eq!(
-                (a.shard, a.probes, a.compdists, a.page_accesses),
-                (b.shard, b.probes, b.compdists, b.page_accesses),
+                (row.shard, row.compdists, row.page_accesses),
+                (s, c.compdists, c.page_accesses()),
                 "{label}: per-shard exact columns"
             );
         }
-        assert!(
-            off.report
-                .per_shard
-                .iter()
-                .all(|s| s.wall_secs == 0.0 && s.p50_secs == 0.0 && s.p99_secs == 0.0),
-            "{label}: obs off must record no walls"
-        );
-        let probe_sum: u64 = on.report.per_shard.iter().map(|s| s.probes).sum();
-        assert_eq!(probe_sum, on.report.shards_probed, "{label}: probes add up");
-        let cd_sum: u64 = on.report.per_shard.iter().map(|s| s.compdists).sum();
+        let per_shard = &served.report.per_shard;
+        let probe_sum: u64 = per_shard.iter().map(|s| s.probes).sum();
         assert_eq!(
-            cd_sum, on.report.cost.compdists,
-            "{label}: compdists add up"
+            probe_sum, served.report.shards_probed,
+            "{label}: probes add up"
+        );
+        let cd_sum: u64 = per_shard.iter().map(|s| s.compdists).sum();
+        assert_eq!(cd_sum, exec_cost.compdists, "{label}: compdists add up");
+        let pa_sum: u64 = per_shard.iter().map(|s| s.page_accesses).sum();
+        assert_eq!(
+            pa_sum,
+            exec_cost.page_accesses(),
+            "{label}: page accesses add up"
         );
 
-        // Phase tree: populated exactly when the feature is compiled in
-        // and the switch was on.
+        // Phase tree: the batch recorded it; `execute` recorded nothing.
         let snap = engine.metrics();
-        if pmr::obs::Registry::compiled_in() {
+        assert!(
+            snap.phases.iter().any(|p| p.path == "serve"),
+            "{label}: serve phase recorded"
+        );
+        let scan = snap
+            .phases
+            .iter()
+            .find(|p| p.path == "serve.scan")
+            .unwrap_or_else(|| panic!("{label}: serve.scan phase missing"));
+        assert_eq!(
+            scan.calls, served.report.shards_probed,
+            "{label}: scan calls == the batch's probes"
+        );
+        if kind != IndexKind::Mvpt {
             assert!(
-                snap.phases.iter().any(|p| p.path == "serve"),
-                "{label}: serve phase recorded"
+                scan.counters
+                    .iter()
+                    .any(|(k, v)| k == "kernel_rows" && *v > 0),
+                "{label}: kernel tally surfaced"
             );
-            let scan = snap
-                .phases
-                .iter()
-                .find(|p| p.path == "serve.scan")
-                .unwrap_or_else(|| panic!("{label}: serve.scan phase missing"));
-            assert_eq!(
-                scan.calls, on.report.shards_probed,
-                "{label}: scan calls == probes (obs-off serve recorded nothing)"
-            );
-            if kind != IndexKind::Mvpt {
-                assert!(
-                    scan.counters
-                        .iter()
-                        .any(|(k, v)| k == "kernel_rows" && *v > 0),
-                    "{label}: kernel tally surfaced"
-                );
-            }
-        } else {
-            assert!(snap.phases.is_empty(), "{label}: compiled out, no phases");
         }
     }
 }
@@ -688,8 +695,7 @@ fn traced_queries_sum_exactly_to_serve_report() {
     );
 
     // Every LAESA probe, range or kNN, scans its shard's rows and pays its
-    // l query-pivot distances plus one per verified survivor — whether or
-    // not observability is compiled in.
+    // l query-pivot distances plus one per verified survivor.
     let l = opts.num_pivots as u64;
     let mut scans = 0;
     for t in traces {
