@@ -5,7 +5,7 @@
 use crate::harness::{self, BuildStats, QueryCost, UpdateCost};
 use crate::scenario::{Scenario, ScenarioData};
 use pmi::builder::{BuildOptions, IndexKind};
-use pmi::{datasets, EncodeObject, Metric, MetricIndex};
+use pmi::{datasets, Metric, MetricIndex, Object};
 
 /// Harness-wide experiment settings.
 #[derive(Clone, Copy, Debug)]
@@ -145,7 +145,7 @@ fn table4_rows<O, M>(
     cfg: &ExpConfig,
 ) -> Vec<(IndexKind, BuildStats)>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let high_dim = matches!(scenario, Scenario::Color | Scenario::Synthetic);
@@ -258,7 +258,7 @@ fn table6_rows<O, M>(
     cfg: &ExpConfig,
 ) -> Vec<(IndexKind, UpdateCost)>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let high_dim = matches!(scenario, Scenario::Color | Scenario::Synthetic);
@@ -365,7 +365,7 @@ fn knn_sweep<O, M>(
     cfg: &ExpConfig,
     out: &mut Vec<SweepPoint>,
 ) where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let high_dim = matches!(scenario, Scenario::Color | Scenario::Synthetic);
@@ -403,7 +403,7 @@ fn mrq_sweep<O, M>(
     cfg: &ExpConfig,
     out: &mut Vec<SweepPoint>,
 ) where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let high_dim = matches!(scenario, Scenario::Color | Scenario::Synthetic);

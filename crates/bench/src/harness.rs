@@ -3,7 +3,7 @@
 //! metrics averaged per operation.
 
 use pmi::builder::{build_index, BuildOptions, IndexKind};
-use pmi::{datasets, pivots, EncodeObject, Metric, MetricIndex, ObjId};
+use pmi::{datasets, pivots, Metric, MetricIndex, ObjId, Object};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -87,7 +87,7 @@ pub fn options_for(
 /// Selects the shared HFI pivot set (§6.1) — uncounted, like the paper,
 /// which charges pivot selection to neither index (EPT/EPT*/BKT pick their
 /// own pivots inside their builders and *are* charged).
-pub fn shared_pivots<O: Clone + Sync, M: Metric<O>>(
+pub fn shared_pivots<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     l: usize,
@@ -109,7 +109,7 @@ pub fn build_measured<O, M>(
     opts: &BuildOptions,
 ) -> Option<(Box<dyn MetricIndex<O>>, BuildStats)>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let start = Instant::now();
@@ -143,7 +143,12 @@ pub fn query_positions(n: usize, q: usize, seed: u64) -> Vec<usize> {
 /// Runs a batch of range queries and averages the costs. The 128 KB LRU
 /// cache is enabled only for kNN batches (paper §6.1), so it is cleared
 /// here by resetting counters only.
-pub fn run_mrq<O>(idx: &dyn MetricIndex<O>, objects: &[O], queries: &[usize], r: f64) -> QueryCost {
+pub fn run_mrq<O: Object>(
+    idx: &dyn MetricIndex<O>,
+    objects: &[O],
+    queries: &[usize],
+    r: f64,
+) -> QueryCost {
     idx.reset_counters();
     let mut results = 0usize;
     let start = Instant::now();
@@ -162,7 +167,7 @@ pub fn run_mrq<O>(idx: &dyn MetricIndex<O>, objects: &[O], queries: &[usize], r:
 }
 
 /// Runs a batch of kNN queries and averages the costs.
-pub fn run_knn<O>(
+pub fn run_knn<O: Object>(
     idx: &dyn MetricIndex<O>,
     objects: &[O],
     queries: &[usize],
@@ -187,7 +192,7 @@ pub fn run_knn<O>(
 
 /// Table 6's update operation: delete a specific object, then insert it
 /// back; averaged over `ops` objects.
-pub fn run_updates<O: Clone>(idx: &mut dyn MetricIndex<O>, ops: usize, seed: u64) -> UpdateCost {
+pub fn run_updates<O: Object>(idx: &mut dyn MetricIndex<O>, ops: usize, seed: u64) -> UpdateCost {
     let n = idx.len();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x55);
     let ids: Vec<ObjId> = (0..ops.min(n))
@@ -214,7 +219,12 @@ pub fn run_updates<O: Clone>(idx: &mut dyn MetricIndex<O>, ops: usize, seed: u64
 
 /// Calibrated radius for a target selectivity (the paper's `r` parameter
 /// is "the percentage of objects ... that are result objects", §6.1).
-pub fn radius_for<O, M: Metric<O>>(objects: &[O], metric: &M, selectivity: f64, seed: u64) -> f64 {
+pub fn radius_for<O: Object, M: Metric<O>>(
+    objects: &[O],
+    metric: &M,
+    selectivity: f64,
+    seed: u64,
+) -> f64 {
     datasets::calibrate_radius(objects, metric, selectivity, seed)
 }
 

@@ -103,28 +103,28 @@ pub enum VecMetric {
 }
 
 impl pmi::Metric<Vec<f32>> for VecMetric {
-    fn dist(&self, a: &Vec<f32>, b: &Vec<f32>) -> f64 {
+    fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
         match self {
             VecMetric::L1(m) => m.dist(a, b),
             VecMetric::L2(m) => m.dist(a, b),
             VecMetric::LInf(m) => m.dist(a, b),
         }
     }
-    fn dist4(&self, a: &Vec<f32>, b: [&Vec<f32>; 4]) -> [f64; 4] {
+    fn dist4(&self, a: &[f32], b: [&[f32]; 4]) -> [f64; 4] {
         match self {
             VecMetric::L1(m) => m.dist4(a, b),
             VecMetric::L2(m) => m.dist4(a, b),
             VecMetric::LInf(m) => m.dist4(a, b),
         }
     }
-    fn dist8(&self, a: &Vec<f32>, b: [&Vec<f32>; 8]) -> [f64; 8] {
+    fn dist8(&self, a: &[f32], b: [&[f32]; 8]) -> [f64; 8] {
         match self {
             VecMetric::L1(m) => m.dist8(a, b),
             VecMetric::L2(m) => m.dist8(a, b),
             VecMetric::LInf(m) => m.dist8(a, b),
         }
     }
-    fn wide(&self, a: &Vec<f32>) -> bool {
+    fn wide(&self, a: &[f32]) -> bool {
         match self {
             VecMetric::L1(m) => pmi::Metric::<Vec<f32>>::wide(m, a),
             VecMetric::L2(m) => pmi::Metric::<Vec<f32>>::wide(m, a),
@@ -233,7 +233,7 @@ mod tests {
         use pmi::metric::{distance::dist8_calls, simd};
         use pmi::Metric;
         let vs: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32; 9]).collect();
-        let b: [&Vec<f32>; 8] = std::array::from_fn(|j| &vs[j + 1]);
+        let b: [&[f32]; 8] = std::array::from_fn(|j| &vs[j + 1][..]);
         let wide = simd::tier() == pmi::SimdTier::Avx2;
         for m in [
             VecMetric::L1(L1),
@@ -245,7 +245,7 @@ mod tests {
             assert_eq!(dist8_calls(), before + 1, "{}", m.name());
             assert_eq!(d.map(f64::to_bits), b.map(|b| m.dist(&vs[0], b).to_bits()));
             assert_eq!(m.wide(&vs[0]), wide, "{}", m.name());
-            assert!(!m.wide(&vs[0][..7].to_vec()), "{}", m.name());
+            assert!(!m.wide(&vs[0][..7]), "{}", m.name());
         }
     }
 }

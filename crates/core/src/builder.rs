@@ -2,7 +2,7 @@
 //! parameters — the "equal footing" requirement of §6.1 (same HFI pivots,
 //! same page sizes, same defaults).
 
-use pmi_metric::{EncodeObject, Metric, MetricIndex, PivotColumns};
+use pmi_metric::{Metric, MetricIndex, ObjTable, Object, PivotColumns};
 use pmi_storage::DiskSim;
 
 /// Every index variant evaluated or surveyed by the paper. All of them
@@ -136,6 +136,17 @@ pub enum BuildError {
     /// A sharded engine was handed an explicit shard membership that does
     /// not name one existing shard per object; says what it held.
     BadMembership(String),
+    /// CPT and the PM-tree store objects inline in M-tree nodes, and a page
+    /// of `page` bytes cannot hold the two largest entries a node split
+    /// leaves together (`needed` bytes; see `pmi_mtree::page_floor`).
+    PageTooSmall {
+        /// The kind refused.
+        kind: IndexKind,
+        /// The inline page size it was given.
+        page: usize,
+        /// The smallest page its largest object fits.
+        needed: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -151,6 +162,11 @@ impl std::fmt::Display for BuildError {
                 write!(f, "a sharded engine requires at least one shard")
             }
             BuildError::BadMembership(why) => write!(f, "bad shard membership: {why}"),
+            BuildError::PageTooSmall { kind, page, needed } => write!(
+                f,
+                "{} needs pages of at least {needed} bytes for its largest object, not {page}",
+                kind.label()
+            ),
         }
     }
 }
@@ -211,16 +227,20 @@ impl Default for BuildOptions {
 
 /// Builds any index over any object type, using pivots selected by the
 /// caller (pass the shared HFI set for the paper's setup; EPT/EPT*/BKT
-/// ignore it and select their own, §6.1).
+/// ignore it and select their own, §6.1). `objects` is a `Vec<O>` or an
+/// [`ObjTable`] (a sharded engine's packed partition): the kinds that keep
+/// an object table adopt it as it is; the rest (EPT, BKT / FQT and the
+/// disk kinds, which select from or page owned objects) get its objects
+/// as a `Vec<O>`.
 pub fn build_index<O, M>(
     kind: IndexKind,
-    objects: Vec<O>,
+    objects: impl Into<ObjTable<O>>,
     metric: M,
     pivots: Vec<O>,
     opts: &BuildOptions,
 ) -> Result<Box<dyn MetricIndex<O>>, BuildError>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     use pmi_external::*;
@@ -243,14 +263,17 @@ where
         sample: opts.ept_sample,
         seed: opts.seed,
     };
+    let table = objects.into();
+    check_inline_page(kind, &table, &pivots, opts)?;
+    let owned = || table.to_vec();
     Ok(match kind {
-        IndexKind::Aesa => Box::new(Aesa::build(objects, metric)),
-        IndexKind::Laesa => Box::new(Laesa::build(objects, metric, pivots)),
-        IndexKind::Ept => Box::new(Ept::build(objects, metric, EptMode::Random, ept_cfg)),
-        IndexKind::EptStar => Box::new(Ept::build(objects, metric, EptMode::Psa, ept_cfg)),
-        IndexKind::Cpt => Box::new(Cpt::build(objects, metric, pivots, disk)),
+        IndexKind::Aesa => Box::new(Aesa::build(table, metric)),
+        IndexKind::Laesa => Box::new(Laesa::build(table, metric, pivots)),
+        IndexKind::Ept => Box::new(Ept::build(owned(), metric, EptMode::Random, ept_cfg)),
+        IndexKind::EptStar => Box::new(Ept::build(owned(), metric, EptMode::Psa, ept_cfg)),
+        IndexKind::Cpt => Box::new(Cpt::build(table, metric, pivots, disk)),
         IndexKind::Bkt => Box::new(DiscreteTree::bkt(
-            objects,
+            owned(),
             metric,
             DiscreteTreeConfig {
                 max_distance: opts.d_plus,
@@ -261,7 +284,7 @@ where
             },
         )),
         IndexKind::Fqt => Box::new(DiscreteTree::fqt(
-            objects,
+            owned(),
             metric,
             pivots,
             DiscreteTreeConfig {
@@ -273,14 +296,14 @@ where
             },
         )),
         IndexKind::Fqa => Box::new(Fqa::build(
-            objects,
+            table,
             metric,
             pivots,
             opts.d_plus,
             opts.buckets as u32,
         )),
         IndexKind::Vpt => Box::new(Mvpt::build(
-            objects,
+            table,
             metric,
             pivots,
             MvptConfig {
@@ -289,7 +312,7 @@ where
             },
         )),
         IndexKind::Mvpt => Box::new(Mvpt::build(
-            objects,
+            table,
             metric,
             pivots,
             MvptConfig {
@@ -297,14 +320,14 @@ where
                 leaf_cap: opts.mvpt_leaf_cap,
             },
         )),
-        IndexKind::PmTree => Box::new(PmTree::build(objects, metric, pivots, disk)),
-        IndexKind::OmniSeq => Box::new(OmniSeqFile::build(objects, metric, pivots, disk)),
+        IndexKind::PmTree => Box::new(PmTree::build(owned(), metric, pivots, disk)),
+        IndexKind::OmniSeq => Box::new(OmniSeqFile::build(owned(), metric, pivots, disk)),
         IndexKind::OmniBPlus => {
-            Box::new(OmniBPlus::build(objects, metric, pivots, disk, opts.d_plus))
+            Box::new(OmniBPlus::build(owned(), metric, pivots, disk, opts.d_plus))
         }
-        IndexKind::OmniR => Box::new(OmniRTree::build(objects, metric, pivots, disk)),
+        IndexKind::OmniR => Box::new(OmniRTree::build(owned(), metric, pivots, disk)),
         IndexKind::MIndex | IndexKind::MIndexStar => Box::new(MIndex::build(
-            objects,
+            owned(),
             metric,
             pivots,
             disk,
@@ -315,7 +338,7 @@ where
             },
         )),
         IndexKind::Spb => Box::new(SpbTree::build(
-            objects,
+            owned(),
             metric,
             pivots,
             disk,
@@ -325,6 +348,35 @@ where
             },
         )),
     })
+}
+
+/// Refuses CPT and the PM-tree when their inline page cannot hold a node
+/// split's two largest entries (their M-tree would overflow a page on the
+/// first split of the largest objects); every other kind passes.
+fn check_inline_page<O: Object>(
+    kind: IndexKind,
+    objects: &ObjTable<O>,
+    pivots: &[O],
+    opts: &BuildOptions,
+) -> Result<(), BuildError> {
+    let l = match kind {
+        IndexKind::Cpt => 0,
+        IndexKind::PmTree => pivots.len(),
+        _ => return Ok(()),
+    };
+    let largest = (objects.iter().map(|(_, o)| O::encoded_len_of(o)))
+        .chain(pivots.iter().map(|p| p.encoded_len()))
+        .max()
+        .unwrap_or(0);
+    let needed = pmi_mtree::page_floor(l, largest);
+    if opts.inline_page_size < needed {
+        return Err(BuildError::PageTooSmall {
+            kind,
+            page: opts.inline_page_size,
+            needed,
+        });
+    }
+    Ok(())
 }
 
 /// [`build_index`] over pre-computed, stored pivot-distance rows (a
@@ -350,19 +402,20 @@ where
 /// factory the facade hands `ShardedEngine::build`.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
-    objects: Vec<O>,
+    objects: impl Into<ObjTable<O>>,
     metric: M,
     pivots: Vec<O>,
     opts: &BuildOptions,
     rows: PivotColumns,
 ) -> Result<Box<dyn MetricIndex<O>>, BuildError>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     use pmi_tables::*;
     use pmi_trees::{Mvpt, MvptConfig};
 
+    let objects = objects.into();
     if pivots.len() < kind.min_pivots() {
         // Refused: `build_index` says why.
         return build_index(kind, objects, metric, pivots, opts);
@@ -372,6 +425,7 @@ where
             objects, metric, pivots, rows,
         ))),
         IndexKind::Cpt => {
+            check_inline_page(kind, &objects, &pivots, opts)?;
             let disk = DiskSim::new(opts.inline_page_size);
             Ok(Box::new(Cpt::build_with_matrix(
                 objects, metric, pivots, rows, disk,
@@ -429,7 +483,66 @@ where
 mod tests {
     use super::*;
     use pmi_metric::datasets;
-    use pmi_metric::{BruteForce, LInf, ObjId, L2};
+    use pmi_metric::{BruteForce, EncodeObject, LInf, ObjId, L2};
+
+    /// 3-d integer points, a third of them one repeated point: an M-tree
+    /// leaf full of copies of the object it promotes twice, whose
+    /// hyperplane split used to put every entry on one side and overflow
+    /// the page (1 083 > 1 024 bytes) with `page_size = 512` and
+    /// `inline_page_size = 1024`.
+    #[test]
+    fn a_pm_tree_over_duplicates_splits_within_its_inline_page() {
+        let mut pts: Vec<Vec<f32>> = (0..125)
+            .map(|i| vec![(i % 5) as f32, (i / 5 % 5) as f32, (i / 25) as f32])
+            .collect();
+        pts.extend(std::iter::repeat_n(vec![1.0f32, 1.0, 1.0], 60));
+        let opts = BuildOptions {
+            page_size: 512,
+            inline_page_size: 1024,
+            d_plus: 10.0,
+            ..BuildOptions::default()
+        };
+        let idx = build_vector_index(IndexKind::PmTree, pts.clone(), L2, &opts).unwrap();
+        let oracle = BruteForce::new(pts.clone(), L2);
+        for q in pts.iter().step_by(7) {
+            let mut got = idx.range_query(q, 1.5);
+            got.sort_unstable();
+            let mut want = oracle.range_query(q, 1.5);
+            want.sort_unstable();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// A page that cannot hold two of the largest entries is refused
+    /// before anything is built: 282-d Color vectors (1 132 B encoded) on
+    /// 1 KB inline pages, for the PM-tree and for CPT.
+    #[test]
+    fn an_inline_page_too_small_for_the_objects_is_a_build_error() {
+        let pts = datasets::color(50, 3);
+        let opts = BuildOptions {
+            page_size: 512,
+            inline_page_size: 1024,
+            ..BuildOptions::default()
+        };
+        for kind in [IndexKind::PmTree, IndexKind::Cpt] {
+            let l = if kind == IndexKind::Cpt { 0 } else { 5 };
+            let needed = pmi_mtree::page_floor(l, 4 + 4 * 282);
+            let err = build_vector_index(kind, pts.clone(), L2, &opts).err();
+            assert_eq!(
+                err,
+                Some(BuildError::PageTooSmall {
+                    kind,
+                    page: 1024,
+                    needed
+                })
+            );
+        }
+        let roomy = BuildOptions {
+            inline_page_size: pmi_mtree::page_floor(5, 4 + 4 * 282),
+            ..opts
+        };
+        assert!(build_vector_index(IndexKind::PmTree, pts, L2, &roomy).is_ok());
+    }
 
     #[test]
     fn builds_every_continuous_index() {
@@ -578,7 +691,7 @@ mod tests {
         let long: Vec<String> = [20, 30].iter().map(|&n| "z".repeat(n)).collect();
         for w in &long {
             let codes = [quantise(m.dist(w, &pivots[0]), step)];
-            let id = idx.insert_adopted(w.clone(), &codes);
+            let id = idx.insert_adopted(w, &codes);
             assert_eq!(id, oracle.insert(w.clone()));
         }
         let stored = |id| idx.pivot_rows().unwrap().codes(id as usize).next();

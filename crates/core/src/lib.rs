@@ -348,8 +348,8 @@ pub use pmi_metric::lemmas;
 pub use pmi_metric::object;
 pub use pmi_metric::{
     BruteForce, Counters, CountingMetric, DistanceCounter, EditDistance, EncodeObject, LInf, Lp,
-    Metric, MetricIndex, Neighbor, ObjId, ObjTable, PivotColumns, PivotMatrix, QueryScratch,
-    ScanKernel, SimdTier, StorageFootprint, Vector, L1, L2,
+    Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object, PivotColumns, PivotMatrix,
+    QueryScratch, ScanKernel, SimdTier, StorageFootprint, Vector, L1, L2,
 };
 
 pub use pmi_pivots as pivots;

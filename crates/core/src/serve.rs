@@ -49,7 +49,7 @@
 
 use crate::builder::{build_index_with_matrix, BuildError, BuildOptions, IndexKind};
 use pmi_engine::{EngineConfig, EngineError, Layout, ShardedEngine};
-use pmi_metric::{dists_from, EncodeObject, Metric};
+use pmi_metric::{dists_from, views, Metric, Object};
 
 /// How the facade's engines partition their dataset: by pivot space, the
 /// one policy — each shard covers a compact pivot-space region, and
@@ -61,7 +61,7 @@ pub enum PartitionPolicy {
     PivotSpace,
 }
 
-fn flatten<O>(
+fn flatten<O: Object>(
     r: Result<ShardedEngine<O>, EngineError<BuildError>>,
 ) -> Result<ShardedEngine<O>, BuildError> {
     r.map_err(|e| match e {
@@ -88,14 +88,12 @@ pub fn build_sharded_engine<O, M>(
     _: PartitionPolicy,
 ) -> Result<ShardedEngine<O>, BuildError>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     let (map_metric, map_pivots) = (metric.clone(), pivots.clone());
-    let layout = Layout::mapped(pivots.len(), move |o: &O, out: &mut Vec<f64>| {
-        dists_from(&map_metric, o, map_pivots.iter().enumerate(), |_, d| {
-            out.push(d)
-        })
+    let layout = Layout::mapped(pivots.len(), move |o: &O::Target, out: &mut Vec<f64>| {
+        dists_from(&map_metric, o, views(&map_pivots), |_, d| out.push(d))
     });
     flatten(ShardedEngine::build(
         objects,
@@ -115,10 +113,14 @@ where
 /// Selection happens before `ShardedEngine::build`, so it is outside
 /// `BuildStats::build_wall_secs`.
 ///
-/// Vector queries additionally get an input validator: a query object with
-/// a non-finite coordinate is rejected at the serve boundary as
-/// [`pmi_engine::QueryError::InvalidObject`] instead of poisoning distance
-/// comparisons (NaN breaks metric axioms silently). See `docs/robustness.md`.
+/// Vector queries and inserts additionally get an input validator: an
+/// object with a non-finite coordinate, or of another dimension than the
+/// corpus's, is rejected at the serve boundary as
+/// [`pmi_engine::QueryError::InvalidObject`] (an insert as
+/// [`pmi_engine::OpErrorKind::InvalidObject`]) instead of poisoning
+/// distance comparisons (NaN breaks metric axioms silently, and the norms
+/// would score a shorter vector over the common prefix) or reaching the
+/// object tables, whose fixed stride refuses it. See `docs/robustness.md`.
 pub fn build_sharded_vector_engine<M>(
     kind: IndexKind,
     objects: Vec<Vec<f32>>,
@@ -138,8 +140,11 @@ where
         cfg.resolved_threads(),
     );
     let pivots = ids.into_iter().map(|i| objects[i].clone()).collect();
+    let dim = objects.first().map(Vec::len);
     let mut engine = build_sharded_engine(kind, objects, metric, pivots, opts, cfg, policy)?;
-    engine.set_query_validator(|o: &Vec<f32>| o.iter().all(|c| c.is_finite()));
+    engine.set_query_validator(move |o: &Vec<f32>| {
+        dim.is_none_or(|d| o.len() == d) && o.iter().all(|c| c.is_finite())
+    });
     Ok(engine)
 }
 

@@ -2,9 +2,10 @@
 //! derives from the layout's pivot space — the rows, the membership, each
 //! shard's own stored columns and the routing boxes read off them — before
 //! it indexes the partitions. Its phases are laps of one clock:
-//! `build.matrix` (the f64 rows, the step and the one quantisation),
-//! `build.partition`, `build.split` (the objects' moves, the columns, the
-//! routing table) and `build.shards`, all inside `build`.
+//! `build.pack` (small objects into one arena), `build.matrix` (the f64
+//! rows, the step and the one quantisation), `build.partition`,
+//! `build.split` (the objects dealt into the shards' tables, the columns,
+//! the routing table) and `build.shards`, all inside `build`.
 //! A child of the `engine` module, so it fills the engine's private state
 //! directly.
 
@@ -14,9 +15,9 @@ use super::{
 };
 use crate::report::{BuildStats, UpdateStats};
 use crate::robust::{QuarantineState, ServeBudget};
-use crate::shard::{partition_by_assignment, Partition, Shard};
+use crate::shard::{members_by_assignment, Partition, Shard};
 use pmi_metric::parallel::claim_each;
-use pmi_metric::{MetricIndex, ObjId, PivotColumns, PivotMatrix};
+use pmi_metric::{MetricIndex, ObjId, ObjTable, Object, PivotColumns, PivotMatrix};
 use pmi_obs::{Hist, Registry, TracePolicy};
 use pmi_router::{Mapper, RoutingTable};
 use std::borrow::Cow;
@@ -27,31 +28,47 @@ use std::time::Instant;
 /// One partition awaiting its index, plus its members' stored pivot rows.
 type MatrixPart<O> = (Partition<O>, PivotColumns);
 
+/// The objects between the input and the split: packed, or as they came.
+enum Objects<O: Object> {
+    Packed(ObjTable<O>),
+    Input(Vec<O>),
+}
+
+impl<O: Object> Objects<O> {
+    /// The view of object `i`.
+    fn view(&self, i: usize) -> &O::Target {
+        match self {
+            Objects::Packed(table) => table.get(i as ObjId).expect("a packed input is all live"),
+            Objects::Input(objects) => &objects[i],
+        }
+    }
+}
+
 /// What [`ShardedEngine::build`] builds over: the engine's pivot space —
 /// its mapper and width — and optionally an explicit membership.
-pub struct Layout<'a, O> {
+pub struct Layout<'a, O: Object> {
     mapper: Mapper<O>,
     width: usize,
     membership: Option<&'a [usize]>,
 }
 
-impl<'a, O> Layout<'a, O> {
+impl<'a, O: Object> Layout<'a, O> {
     /// The zero-width pivot space: the engine computes no distance of its
     /// own, the partitioner cuts balanced contiguous runs, every routing
     /// box bounds nothing so every query probes every shard, and
     /// the shard factory receives zero-width rows — for kinds that would
     /// read no row of a pivot space.
     pub fn plain() -> Self {
-        Layout::mapped(0, |_: &O, _: &mut Vec<f64>| {})
+        Layout::mapped(0, |_: &O::Target, _: &mut Vec<f64>| {})
     }
 
     /// A pivot space: `mapper` appends `(d(o, p_1), …, d(o, p_width))` to
-    /// its buffer — exactly `width` values — and the engine partitions by
-    /// it, routes queries and inserts through it, and gives every shard its
-    /// members' rows.
+    /// its buffer — exactly `width` values — for an object's view, and the
+    /// engine partitions by it, routes queries and inserts through it, and
+    /// gives every shard its members' rows.
     pub fn mapped(
         width: usize,
-        mapper: impl Fn(&O, &mut Vec<f64>) + Send + Sync + 'static,
+        mapper: impl Fn(&O::Target, &mut Vec<f64>) + Send + Sync + 'static,
     ) -> Self {
         Layout {
             mapper: Arc::new(mapper),
@@ -71,14 +88,20 @@ impl<'a, O> Layout<'a, O> {
     }
 }
 
-impl<O> ShardedEngine<O> {
+impl<O: Object> ShardedEngine<O> {
     /// Builds an engine over `objects`, laid out per `layout`, handing each
     /// partition to `factory`, which returns the shard's index (the `pmi`
     /// facade passes `builder::build_index_with_matrix` here). This is the
     /// one constructor; everything an engine derives from its pivot space
     /// is derived here:
     ///
-    /// 1. the rows — row `i` is the mapper's image of `objects[i]`,
+    /// 0. the objects, when each is smaller than its f64 row (2-d LA),
+    ///    packed into one [`ObjTable`] arena first, each input object
+    ///    dropped as soon as it is copied, so the build never holds the
+    ///    input vector's allocations beside the f64 rows; larger objects
+    ///    (282-d Color), whose rows are the smaller transient, stay where
+    ///    they are until the split;
+    /// 1. the rows — row `i` is the mapper's image of object `i`'s view,
     ///    computed once, in parallel over `cfg.threads`
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
     ///    order as [`PivotMatrix::compute`]) — and stored once: quantised
@@ -91,7 +114,10 @@ impl<O> ShardedEngine<O> {
     ///    [`compact`](Self::compact) repeat over the live members' codes;
     ///    balanced contiguous runs over a zero-width space), or the
     ///    layout's explicit one;
-    /// 3. each shard's rows as its own planar u16 bucket columns
+    /// 3. each shard's objects, dealt in one pass in id order into a table
+    ///    of its own (each chunk of the packed table, or each input object,
+    ///    released once copied), and its rows as its own planar u16 bucket
+    ///    columns
     ///    ([`PivotColumns`]), gathered from the codes shard by shard on the
     ///    build's workers — the only form any shard, index or snapshot
     ///    holds them in;
@@ -100,9 +126,10 @@ impl<O> ShardedEngine<O> {
     ///    stores of its members' rows, and the mapper, which queries and
     ///    inserts map through.
     ///
-    /// The factory receives `(shard_number, partition, rows)` and must
-    /// insert the partition in order, so that local id `i` is the `i`-th
-    /// object of the partition (every index in this workspace does). An
+    /// The factory receives `(shard_number, partition, rows)` — the
+    /// partition as an [`ObjTable`] — and must keep its slot order, so that
+    /// local id `i` is the partition's slot `i` (every index in this
+    /// workspace does). An
     /// index whose [`MetricIndex::pivot_rows`] have the engine's width must
     /// have been built from those rows or from the same mapping; rows of
     /// another width are the index's own, and its shard keeps the engine's
@@ -126,9 +153,8 @@ impl<O> ShardedEngine<O> {
         factory: F,
     ) -> Result<Self, EngineError<E>>
     where
-        O: Send + Sync + 'static,
         E: Send,
-        F: Fn(usize, Vec<O>, PivotColumns) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
+        F: Fn(usize, ObjTable<O>, PivotColumns) -> Result<Box<dyn MetricIndex<O>>, E> + Sync,
     {
         if cfg.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -159,12 +185,25 @@ impl<O> ShardedEngine<O> {
         // One clock pair per phase and per shard build.
         let mut clock = ObsClock::start(true);
 
+        // The objects: of them and the f64 rows, the smaller waits beside
+        // the larger. An object smaller than its row (2-d LA: 12 B against
+        // 40 B) is packed first, so the input's allocations are gone before
+        // the rows exist; a larger one (282-d Color: 1 132 B) is mapped
+        // where it lies and copied once, into its shard's table, at the
+        // split.
+        let small = |o: &O| O::encoded_len_of(o) < 8 * width;
+        let objects = if objects.first().is_some_and(small) {
+            Objects::Packed(ObjTable::new(objects))
+        } else {
+            Objects::Input(objects)
+        };
+        obs.phase_add("build.pack", 1, clock.lap(), &[]);
         // The pivot space: row `i` is the map of object `i`.
-        let rows = PivotMatrix::fill_with(&objects, width, threads, |run, slots| {
+        let rows = PivotMatrix::fill_with(n, width, threads, |run, slots| {
             let mut row = Vec::with_capacity(width);
-            for (o, slot) in run.iter().zip(slots.chunks_mut(width.max(1))) {
+            for (i, slot) in run.zip(slots.chunks_mut(width.max(1))) {
                 row.clear();
-                mapper(o, &mut row);
+                mapper(objects.view(i), &mut row);
                 slot.copy_from_slice(&row);
             }
         });
@@ -191,23 +230,30 @@ impl<O> ShardedEngine<O> {
             }
         };
 
-        // The split: the objects move to their partitions, every partition
-        // gathers its members' codes into columns of its own — shard by
-        // shard on the workers — the routing table is read off those
-        // columns, and the row-major codes are dropped, so the two coexist
-        // only here: before a single shard table, locator or id table
-        // exists.
-        let parts = partition_by_assignment(objects, &membership, num_shards);
+        // The split: the objects are dealt into the partitions' tables in
+        // one pass in id order, every partition gathers its members' codes
+        // into columns of its own — shard by shard on the workers — the
+        // routing table is read off those columns, and the row-major codes
+        // are dropped, so the two coexist only here: before a single shard
+        // index, locator or id table exists.
+        let members = members_by_assignment(&membership, num_shards);
+        let tables = match objects {
+            Objects::Packed(table) => table.split(&membership, num_shards),
+            Objects::Input(objects) => ObjTable::split_vec(objects, &membership, num_shards),
+        };
         drop(membership);
-        let members: Vec<&[ObjId]> = parts.iter().map(|(_, gids)| gids.as_slice()).collect();
-        let columns = claim_each(members, threads, |gids| {
+        let parts: Vec<_> = members.into_iter().zip(tables).collect();
+        let split = claim_each(parts, threads, |(gids, table)| {
             let row = |g: ObjId| &codes[g as usize * width..][..width];
-            PivotColumns::from_codes(width, step, gids.iter().map(|&g| row(g)))
+            let rows = PivotColumns::from_codes(width, step, gids.iter().map(|&g| row(g)));
+            ((table, gids), rows)
         });
         drop(codes);
+        let columns: Vec<PivotColumns> = split.iter().map(|(_, rows)| rows.clone()).collect();
         let router = RoutingTable::from_columns(mapper, step, &columns);
+        drop(columns);
         obs.phase_add("build.split", 1, clock.lap(), &[]);
-        let parts: Vec<MatrixPart<O>> = parts.into_iter().zip(columns).collect();
+        let parts: Vec<MatrixPart<O>> = split;
 
         // Shards in shard order, each built by the next free worker. The
         // factory gets a clone of the shard's rows (shared storage); the
@@ -317,15 +363,18 @@ mod tests {
             ..EngineConfig::default()
         };
         let runs: Vec<usize> = (0..60).map(|i| i / 15).collect();
-        let layout = Layout::mapped(2, |o: &Vec<f32>, out: &mut Vec<f64>| {
+        let layout = Layout::mapped(2, |o: &[f32], out: &mut Vec<f64>| {
             out.extend([o[0] as f64, o[1] as f64])
         })
         .with_membership(&runs);
         let e = ShardedEngine::build(objects.clone(), layout, &cfg, |_, part, m| {
             assert_eq!(m.rows(), part.len());
             assert_eq!(m.width(), 2);
-            for (i, o) in part.iter().enumerate() {
-                assert!(m.row(i).eq([o[0] as f64, o[1] as f64]), "the shard's rows");
+            for (i, o) in part.iter() {
+                assert!(
+                    m.row(i as usize).eq([o[0] as f64, o[1] as f64]),
+                    "the shard's rows"
+                );
             }
             brute_factory(part)
         })
@@ -461,7 +510,7 @@ mod tests {
     fn any_thread_count_builds_a_mapped_engine() {
         let e = ShardedEngine::build(
             grid(40),
-            Layout::mapped(1, |o: &Vec<f32>, out: &mut Vec<f64>| out.push(o[0] as f64)),
+            Layout::mapped(1, |o: &[f32], out: &mut Vec<f64>| out.push(o[0] as f64)),
             &EngineConfig {
                 threads: usize::MAX,
                 ..EngineConfig::default()

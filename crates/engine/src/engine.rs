@@ -67,9 +67,10 @@ use crate::shard::Shard;
 use crate::update::{ApplyReport, RefreshPolicy, UpdateBatch, UpdateOp};
 use pmi_metric::fault;
 use pmi_metric::matrix::quantise;
-use pmi_metric::{cow, Counters, CowVec, ObjId, StorageFootprint};
+use pmi_metric::{cow, Counters, CowVec, ObjId, Object, StorageFootprint};
 use pmi_obs::{MetricsSnapshot, Registry, Span, TracePolicy};
 use pmi_router::RoutingTable;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,7 +271,7 @@ pub struct BatchOutcome {
 /// write (copy-on-write at both levels) — so publication cost scales with
 /// the write set, not the engine, and a retired snapshot pins only the
 /// chunks its successor replaced.
-pub struct EngineSnapshot<O> {
+pub struct EngineSnapshot<O: Object> {
     /// Publication epoch: 0 for the freshly built engine, +1 per commit.
     epoch: u64,
     /// The shard set of this version.
@@ -279,7 +280,7 @@ pub struct EngineSnapshot<O> {
     router: Arc<RoutingTable<O>>,
 }
 
-impl<O> EngineSnapshot<O> {
+impl<O: Object> EngineSnapshot<O> {
     /// Publication epoch of this snapshot.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -302,7 +303,7 @@ impl<O> EngineSnapshot<O> {
 /// [`EngineSnapshot`]s into `snap`; readers — [`EngineReader`] handles and
 /// the engine's own serve wrappers — load the snapshot once per batch and
 /// never observe a half-applied update.
-struct EngineCore<O> {
+struct EngineCore<O: Object> {
     threads: usize,
     /// The current published snapshot. The mutex guards a single `Arc`
     /// clone/store — held for nanoseconds, never across a probe.
@@ -334,7 +335,7 @@ struct EngineCore<O> {
     updates: Mutex<UpdateStats>,
 }
 
-impl<O> EngineCore<O> {
+impl<O: Object> EngineCore<O> {
     /// The current published snapshot (one `Arc` clone).
     fn snapshot(&self) -> Arc<EngineSnapshot<O>> {
         Arc::clone(&self.snap.lock().unwrap_or_else(|e| e.into_inner()))
@@ -366,11 +367,11 @@ impl<O> EngineCore<O> {
 ///
 /// [`apply`]: ShardedEngine::apply
 #[derive(Clone)]
-pub struct EngineReader<O> {
+pub struct EngineReader<O: Object> {
     core: Arc<EngineCore<O>>,
 }
 
-impl<O> EngineReader<O> {
+impl<O: Object> EngineReader<O> {
     /// Epoch of the snapshot a batch served right now would see.
     pub fn epoch(&self) -> u64 {
         self.core.snapshot().epoch
@@ -418,7 +419,7 @@ impl<O> EngineReader<O> {
 ///
 /// [`MetricIndex`]: pmi_metric::MetricIndex
 /// [`MetricIndex::fork`]: pmi_metric::MetricIndex::fork
-pub struct ShardedEngine<O> {
+pub struct ShardedEngine<O: Object> {
     /// Reader-shared serving state (snapshot slot, policies, metrics).
     core: Arc<EngineCore<O>>,
     /// Writer mirror of the published shard set — the same `Arc`s as the
@@ -453,7 +454,7 @@ type Validator<O> = Arc<dyn Fn(&O) -> bool + Send + Sync>;
 /// of the engine's serving state, built off to the side and either
 /// committed with a single snapshot publish or dropped whole
 /// (all-or-nothing).
-struct ApplyTxn<O> {
+struct ApplyTxn<O: Object> {
     /// Staged shard set: entries start as the published `Arc`s and are
     /// forked on first touch.
     shards: Vec<Arc<Shard<O>>>,
@@ -473,7 +474,7 @@ struct ApplyTxn<O> {
     dirty: Vec<bool>,
 }
 
-impl<O> ApplyTxn<O> {
+impl<O: Object> ApplyTxn<O> {
     /// Mutable access to staged shard `s`, forking it first if the
     /// published version is still shared (copy-on-write).
     fn shard_mut(&mut self, s: usize) -> &mut Shard<O> {
@@ -486,23 +487,28 @@ impl<O> ApplyTxn<O> {
 
     /// Moves object `gid` from `(shard, local slot)` to shard `to` with its
     /// stored `codes` and re-points the locator. Returns whether it moved:
-    /// not if it is in `to` already, or the slot holds nothing.
+    /// not if it is in `to` already, or the slot holds nothing. The object
+    /// travels as a view of the source shard's table (a handle on the
+    /// source keeps it readable while the destination is written), so a
+    /// table kind copies it arena to arena.
     fn move_object(&mut self, gid: ObjId, from: (usize, ObjId), to: usize, codes: &[u16]) -> bool {
         let (s, local) = from;
         if s == to {
             return false;
         }
-        let Some(o) = self.shards[s].get_local(local) else {
+        let source = Arc::clone(&self.shards[s]);
+        let Some(o) = source.object_local(local) else {
             return false;
         };
-        self.shard_mut(s).remove_local(local);
         let new_local = self.shard_mut(to).insert_adopted(o, gid, codes);
+        drop(source);
+        self.shard_mut(s).remove_local(local);
         self.locator.set(gid, to, new_local);
         true
     }
 }
 
-impl<O> ShardedEngine<O> {
+impl<O: Object> ShardedEngine<O> {
     /// Total live objects across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
@@ -590,13 +596,6 @@ impl<O> ShardedEngine<O> {
     /// Per-shard counter snapshots, in shard order.
     pub fn shard_counters(&self) -> Vec<Counters> {
         self.shards.iter().map(|s| s.counters()).collect()
-    }
-
-    /// The engine's metrics registry — phase walls, counters, histograms
-    /// for build/serve/apply/compact. Hand it to [`pmi_obs::Span`] or
-    /// record custom metrics against the same snapshot.
-    pub fn obs(&self) -> &Registry {
-        &self.core.obs
     }
 
     /// Snapshot of everything the registry has recorded so far: the
@@ -1015,7 +1014,7 @@ impl<O> ShardedEngine<O> {
         rt.extend(si, codes);
         let gid = txn.next_id;
         txn.next_id += 1;
-        let local = txn.shard_mut(si).insert_adopted(o, gid, codes);
+        let local = txn.shard_mut(si).insert_adopted(Cow::Owned(o), gid, codes);
         txn.locator.set(gid, si, local);
         txn.stats.inserts += 1;
         gid
@@ -1210,7 +1209,7 @@ impl<O> ShardedEngine<O> {
     /// Fetches a copy of a live object by global id.
     pub fn get(&self, id: ObjId) -> Option<O> {
         let (s, local) = self.locator.get(id)?;
-        self.shards[s as usize].get_local(local)
+        Some(self.shards[s as usize].object_local(local)?.into_owned())
     }
 }
 
@@ -1219,7 +1218,7 @@ mod tests {
     use super::*;
     use crate::Query;
     use pmi_metric::CodeBox;
-    use pmi_metric::{BruteForce, Metric, MetricIndex, L2};
+    use pmi_metric::{BruteForce, Metric, MetricIndex, ObjTable, L2};
 
     pub(super) fn grid(n: usize) -> Vec<Vec<f32>> {
         (0..n)
@@ -1228,7 +1227,7 @@ mod tests {
     }
 
     pub(super) fn brute_factory(
-        part: Vec<Vec<f32>>,
+        part: ObjTable<Vec<f32>>,
     ) -> Result<Box<dyn MetricIndex<Vec<f32>>>, &'static str> {
         Ok(Box::new(BruteForce::new(part, L2)))
     }
@@ -1262,7 +1261,7 @@ mod tests {
     /// A routed engine over [`grid`] whose pivot space is the identity on
     /// the two coordinates, BruteForce shards (so the shards hold the rows).
     fn grid_space_engine(n: usize, cfg: &EngineConfig) -> ShardedEngine<Vec<f32>> {
-        let layout = Layout::mapped(2, |o: &Vec<f32>, out: &mut Vec<f64>| {
+        let layout = Layout::mapped(2, |o: &[f32], out: &mut Vec<f64>| {
             out.extend([o[0] as f64, o[1] as f64])
         });
         ShardedEngine::build(grid(n), layout, cfg, |_, part, _| brute_factory(part)).unwrap()
@@ -1285,9 +1284,7 @@ mod tests {
             })
             .collect();
         let pivot = vec![0.0f32];
-        let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| {
-            out.push(L2.dist(o.as_slice(), pivot.as_slice()))
-        };
+        let mapper = move |o: &[f32], out: &mut Vec<f64>| out.push(L2.dist(o, &pivot));
         let membership: Vec<usize> = objects.iter().map(|o| usize::from(o[0] >= 50.0)).collect();
         let e = ShardedEngine::build(
             objects.clone(),

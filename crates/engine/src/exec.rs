@@ -15,7 +15,7 @@ use crate::robust::{DegradeReason, Degraded, QueryBudget, QueryError};
 use crate::shard::Shard;
 use pmi_metric::fault;
 use pmi_metric::parallel::fan_out;
-use pmi_metric::{Counters, Neighbor, ObjId, QueryScratch};
+use pmi_metric::{Counters, Neighbor, ObjId, Object, QueryScratch};
 use pmi_obs::{Hist, QueryTrace, TraceEvent, TraceKind, TracePolicy, TraceRing};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -396,7 +396,7 @@ enum ProbeKind {
     },
 }
 
-impl<O> EngineCore<O> {
+impl<O: Object> EngineCore<O> {
     #[inline]
     fn note_probes(&self, probed: usize, pruned: usize) {
         self.probed.fetch_add(probed as u64, Ordering::Relaxed);
@@ -737,7 +737,7 @@ impl<O> EngineCore<O> {
     }
 }
 
-impl<O: Send + Sync> EngineCore<O> {
+impl<O: Object> EngineCore<O> {
     /// Serves a batch of mixed queries on the worker pool: each worker
     /// claims queries from a shared atomic cursor, executes them against
     /// the shards the planner selects through its own reused
@@ -1023,7 +1023,7 @@ impl<O: Send + Sync> EngineCore<O> {
     }
 }
 
-impl<O> EngineReader<O> {
+impl<O: Object> EngineReader<O> {
     /// Executes one query against the current snapshot.
     pub fn execute(&self, query: &Query<O>) -> QueryResult {
         let snap = self.core.snapshot();
@@ -1047,7 +1047,7 @@ impl<O> EngineReader<O> {
     }
 }
 
-impl<O: Send + Sync> EngineReader<O> {
+impl<O: Object> EngineReader<O> {
     /// Serves a batch against the current snapshot. Identical semantics to
     /// [`ShardedEngine::serve`]; safe to call from any number of threads
     /// concurrently with a writer applying updates.
@@ -1064,7 +1064,7 @@ impl<O: Send + Sync> EngineReader<O> {
     }
 }
 
-impl<O> ShardedEngine<O> {
+impl<O: Object> ShardedEngine<O> {
     /// Answers one query by probing shards serially on the calling thread
     /// (the per-worker path of [`serve`](Self::serve)).
     pub fn execute(&self, query: &Query<O>) -> QueryResult {
@@ -1103,7 +1103,7 @@ impl<O> ShardedEngine<O> {
     }
 }
 
-impl<O: Send + Sync> ShardedEngine<O> {
+impl<O: Object> ShardedEngine<O> {
     /// Serves a batch against the engine's current snapshot. See
     /// [`EngineReader::serve`] for the concurrent form; both run the same
     /// core against one atomically-loaded [`EngineSnapshot`].
@@ -1475,8 +1475,8 @@ mod tests {
         fn remove(&mut self, id: ObjId) -> bool {
             self.inner.remove(id)
         }
-        fn get(&self, id: ObjId) -> Option<Vec<f32>> {
-            self.inner.get(id)
+        fn object(&self, id: ObjId) -> Option<std::borrow::Cow<'_, [f32]>> {
+            self.inner.object(id)
         }
         fn storage(&self) -> StorageFootprint {
             self.inner.storage()

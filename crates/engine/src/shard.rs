@@ -3,8 +3,10 @@
 
 use crate::merge::TopK;
 use pmi_metric::{
-    Counters, CowVec, MetricIndex, Neighbor, ObjId, PivotColumns, QueryScratch, StorageFootprint,
+    Counters, CowVec, MetricIndex, Neighbor, ObjId, ObjTable, Object, PivotColumns, QueryScratch,
+    StorageFootprint,
 };
+use std::borrow::Cow;
 
 /// What a removed (or never-filled) slot of the local→global table holds.
 const TOMBSTONE: ObjId = ObjId::MAX;
@@ -16,7 +18,7 @@ const TOMBSTONE: ObjId = ObjId::MAX;
 /// Local ids are whatever the wrapped index assigned at insertion time
 /// (positions in its object table); the shard records the global id for
 /// each local slot so merged answers always speak global ids.
-pub struct Shard<O> {
+pub struct Shard<O: Object> {
     index: Box<dyn MetricIndex<O>>,
     /// Local id → global id; `ObjId::MAX` once the slot's object is removed
     /// (overwritten if the index reuses the local id), so the table alone
@@ -31,7 +33,7 @@ pub struct Shard<O> {
     rows: Option<PivotColumns>,
 }
 
-impl<O> Shard<O> {
+impl<O: Object> Shard<O> {
     /// Wraps a freshly built index whose insertion order matched
     /// `global_ids` (i.e. local id `i` holds the object with global id
     /// `global_ids[i]`); `rows` are the members' rows of the engine's pivot
@@ -152,13 +154,15 @@ impl<O> Shard<O> {
 
     /// Inserts an object carrying a global id, with the pivot row the
     /// engine already computed and stored as `codes`: an index that holds
-    /// the engine's rows appends them (no remap); otherwise the index takes
-    /// a plain insert and the shard keeps the codes.
-    pub fn insert_adopted(&mut self, o: O, global: ObjId, codes: &[u16]) -> ObjId {
+    /// the engine's rows appends them (no remap) and copies the view into
+    /// its object table; otherwise the index takes a plain insert of the
+    /// object, made owned only if it was borrowed, and the shard keeps the
+    /// codes.
+    pub fn insert_adopted(&mut self, o: Cow<'_, O::Target>, global: ObjId, codes: &[u16]) -> ObjId {
         let local = match &mut self.rows {
-            None => self.index.insert_adopted(o, codes),
+            None => self.index.insert_adopted(&o, codes),
             Some(rows) => {
-                let local = self.index.insert(o);
+                let local = self.index.insert(o.into_owned());
                 let slot = rows.push_codes(codes);
                 assert_eq!(slot, local as usize, "routing rows stay slot-aligned");
                 local
@@ -212,9 +216,10 @@ impl<O> Shard<O> {
         removed
     }
 
-    /// Fetches a copy of a live object by local id.
-    pub fn get_local(&self, local: ObjId) -> Option<O> {
-        self.index.get(local)
+    /// A live object by local id: borrowed from the index's object table
+    /// where it has one ([`MetricIndex::object`]).
+    pub fn object_local(&self, local: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.index.object(local)
     }
 
     /// Cost counter snapshot of the wrapped index.
@@ -245,39 +250,20 @@ impl<O> Shard<O> {
     }
 }
 
-/// One partition awaiting its index: the objects plus their global ids.
-pub type Partition<O> = (Vec<O>, Vec<ObjId>);
+/// One partition awaiting its index: its objects plus their global ids.
+pub type Partition<O> = (ObjTable<O>, Vec<ObjId>);
 
-/// Splits `objects` into `shards` partitions according to an explicit
-/// per-object shard assignment — every membership the builder produces or
-/// is given goes through here — preserving input order within each
-/// partition so global ids stay the positions in the input vector. The
+/// Each shard's members under an explicit per-object shard assignment —
+/// every membership the builder produces or is given goes through here —
+/// in input order, so global ids stay the slots of the packed input. The
 /// builder has checked that `assignment` holds one entry `< shards` per
 /// object.
-pub(crate) fn partition_by_assignment<O>(
-    objects: Vec<O>,
-    assignment: &[usize],
-    shards: usize,
-) -> Vec<Partition<O>> {
-    assert_eq!(
-        objects.len(),
-        assignment.len(),
-        "one shard assignment per object"
-    );
-    let mut sizes = vec![0usize; shards.max(1)];
-    for &s in assignment {
-        sizes[s] += 1;
+pub(crate) fn members_by_assignment(assignment: &[usize], shards: usize) -> Vec<Vec<ObjId>> {
+    let mut members: Vec<Vec<ObjId>> = vec![Vec::new(); shards.max(1)];
+    for (i, &s) in assignment.iter().enumerate() {
+        members[s].push(i as ObjId);
     }
-    let mut parts: Vec<Partition<O>> = sizes
-        .into_iter()
-        .map(|size| (Vec::with_capacity(size), Vec::with_capacity(size)))
-        .collect();
-    for (i, o) in objects.into_iter().enumerate() {
-        let s = assignment[i];
-        parts[s].0.push(o);
-        parts[s].1.push(i as ObjId);
-    }
-    parts
+    members
 }
 
 #[cfg(test)]
@@ -287,12 +273,8 @@ mod tests {
 
     #[test]
     fn assignment_partitioning_preserves_order() {
-        let objects: Vec<Vec<f32>> = (0..6).map(|i| vec![i as f32]).collect();
-        let parts = partition_by_assignment(objects, &[1, 0, 1, 1, 0, 2], 3);
-        assert_eq!(parts[0].1, vec![1, 4]);
-        assert_eq!(parts[1].1, vec![0, 2, 3]);
-        assert_eq!(parts[2].1, vec![5]);
-        assert_eq!(parts[1].0[1], vec![2.0f32]);
+        let members = members_by_assignment(&[1, 0, 1, 1, 0, 2], 3);
+        assert_eq!(members, [vec![1, 4], vec![0, 2, 3], vec![5]]);
     }
 
     #[test]
@@ -320,7 +302,7 @@ mod tests {
         let idx = Box::new(BruteForce::new(vec![vec![0.0f32]], L2));
         let rows = PivotColumns::from_codes(1, 1.0, [[0u16]]);
         let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7], rows);
-        shard.insert_adopted(vec![5.0f32], 42, &[5]);
+        shard.insert_adopted(Cow::Owned(vec![5.0f32]), 42, &[5]);
         assert!(shard.codes(1).eq([5]), "the shard keeps the row");
         assert_eq!(shard.len(), 2);
         let mut hits = Vec::new();

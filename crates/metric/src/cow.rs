@@ -2,7 +2,9 @@
 //! the engine used to make.
 //!
 //! [`CowVec<T>`] stores its elements in fixed power-of-two **chunks**: every
-//! full chunk is an immutable `Arc<[T]>` under a spine `Vec` of handles, and
+//! full chunk is an immutable `Arc<Vec<T>>` under a spine `Vec` of handles
+//! (the `Vec` the chunk was filled in, moved behind the `Arc` when it fills
+//! up rather than copied into an `Arc<[T]>`), and
 //! the partly filled last chunk is a plain owned `Vec`. Cloning copies the
 //! spine (one `Arc` bump per chunk) and that last chunk; the clone and the
 //! original then share every full chunk until one of them overwrites an
@@ -50,64 +52,82 @@ fn note_copied(bytes: usize) {
 
 /// A vector with `O(n / chunk)` clone and copy-on-write chunks (see the
 /// module docs for the sharing rule).
+///
+/// A chunk holds a power of two of **runs** of `run` elements each: one
+/// element a run for a plain vector, an object's `d` coordinates for the
+/// object arena ([`strided`](Self::strided)), so that no run straddles two
+/// chunks and [`run_at`](Self::run_at) is one contiguous slice.
 #[derive(Debug)]
 pub struct CowVec<T> {
-    /// The full chunks, [`CHUNK`](Self::CHUNK) elements each.
-    full: Vec<Arc<[T]>>,
-    /// The last chunk while it is short of full (possibly empty); always
-    /// allocated to a whole chunk.
+    /// The full chunks, `run << shift` elements each.
+    full: Vec<Arc<Vec<T>>>,
+    /// The last chunk while it is short of full (possibly empty): a whole
+    /// chunk's allocation once pushed to from empty, a clone's exact copy
+    /// growing by doubling otherwise.
     tail: Vec<T>,
+    /// Elements a run spans: 1 for a plain vector.
+    run: usize,
+    /// log2 of the runs a chunk holds.
+    shift: u32,
 }
 
 impl<T: Clone> Clone for CowVec<T> {
     fn clone(&self) -> Self {
-        let mut tail = Vec::with_capacity(Self::CHUNK);
-        tail.extend_from_slice(&self.tail);
+        // Exactly the elements: the clone's next push grows it to a whole
+        // chunk, and a clone that is never pushed to holds no more.
+        let tail = self.tail.clone();
         note_copied(std::mem::size_of_val(tail.as_slice()));
         CowVec {
             full: self.full.clone(),
             tail,
+            ..*self
         }
     }
 }
 
 impl<T> Default for CowVec<T> {
     fn default() -> Self {
-        CowVec {
-            full: Vec::new(),
-            tail: Vec::new(),
-        }
+        CowVec::strided(1)
     }
 }
 
 impl<T> CowVec<T> {
-    /// log2 of the chunk length: the largest power of two whose chunk fits
-    /// [`CHUNK_BYTES`], never under 64 elements (bit tables address chunks
-    /// in whole 64-bit words).
-    const SHIFT: u32 = {
-        let size = if std::mem::size_of::<T>() == 0 {
-            1
-        } else {
-            std::mem::size_of::<T>()
-        };
-        let per = CHUNK_BYTES / size;
-        if per < 64 {
-            6
-        } else {
-            per.ilog2()
-        }
-    };
-    /// Elements per chunk.
-    pub(crate) const CHUNK: usize = 1 << Self::SHIFT;
+    /// Elements per chunk of a plain vector.
+    #[cfg(test)]
+    pub(crate) const CHUNK: usize = 1 << runs_shift(std::mem::size_of::<T>());
 
     /// An empty vector.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// An empty vector of runs of `run` elements each (`run = 0` is a
+    /// vector that never holds an element): a chunk holds the largest
+    /// power of two of runs that fits 8 KiB, never under 64.
+    pub fn strided(run: usize) -> Self {
+        CowVec {
+            full: Vec::new(),
+            tail: Vec::new(),
+            run,
+            shift: runs_shift(std::mem::size_of::<T>() * run.max(1)),
+        }
+    }
+
+    /// Elements per chunk.
+    #[inline]
+    fn chunk_len(&self) -> usize {
+        self.run << self.shift
+    }
+
+    /// Runs per chunk: a power of two, at least 64.
+    #[inline]
+    pub(crate) fn runs_per_chunk(&self) -> usize {
+        1 << self.shift
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
-        (self.full.len() << Self::SHIFT) + self.tail.len()
+        self.full.len() * self.chunk_len() + self.tail.len()
     }
 
     /// Whether the vector holds no elements.
@@ -115,10 +135,21 @@ impl<T> CowVec<T> {
         self.full.is_empty() && self.tail.is_empty()
     }
 
-    /// The element at `i`, if in range.
+    /// The element at `i`, if in range (a plain vector's: one element a
+    /// run).
     #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {
-        self.chunk(i >> Self::SHIFT).get(i & (Self::CHUNK - 1))
+        debug_assert_eq!(self.run, 1, "elements of a strided vector are read by run");
+        self.chunk(i >> self.shift)
+            .get(i & (self.runs_per_chunk() - 1))
+    }
+
+    /// Run `r`: elements `r·run .. (r+1)·run`, one slice inside one chunk.
+    /// Panics if the run is not stored.
+    #[inline]
+    pub fn run_at(&self, r: usize) -> &[T] {
+        let at = (r & (self.runs_per_chunk() - 1)) * self.run;
+        &self.chunk(r >> self.shift)[at..at + self.run]
     }
 
     /// Chunk `c` as a slice; the chunk after the last full one is the
@@ -142,6 +173,16 @@ impl<T> CowVec<T> {
         }
     }
 
+    /// Hands every chunk to `f` in order, releasing each once `f` returns
+    /// (the vector is consumed), so a pass that copies the elements out
+    /// holds them about once.
+    pub fn drain_chunks(self, mut f: impl FnMut(&[T])) {
+        for chunk in self.full {
+            f(&chunk);
+        }
+        f(&self.tail);
+    }
+
     /// Every element in order.
     pub fn iter(&self) -> std::iter::Flatten<CowChunks<'_, T>> {
         self.chunks().flatten()
@@ -150,26 +191,58 @@ impl<T> CowVec<T> {
     /// Appends an element (amortized one move: a chunk that fills up is
     /// moved behind its `Arc` once).
     pub fn push(&mut self, v: T) {
-        if self.tail.capacity() == 0 {
-            self.tail.reserve_exact(Self::CHUNK);
-        }
+        debug_assert_eq!(self.run, 1, "a strided vector grows by whole runs");
+        self.reserve_chunk(1);
         self.tail.push(v);
         self.seal_full_tail();
     }
 
-    /// Moves the last chunk behind its `Arc` once it is full.
-    fn seal_full_tail(&mut self) {
-        if self.tail.len() == Self::CHUNK {
-            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(Self::CHUNK));
-            self.full.push(full.into());
+    /// Makes room in the last chunk for `more` elements: a whole chunk for
+    /// an empty one (a vector being filled), else at least twice its size
+    /// (a clone's exact copy, written a little per commit) — never past a
+    /// whole chunk.
+    #[inline]
+    fn reserve_chunk(&mut self, more: usize) {
+        let (len, cap) = (self.tail.len(), self.tail.capacity());
+        if len + more > cap {
+            let want = if len == 0 {
+                self.chunk_len()
+            } else {
+                (2 * len).max(len + more)
+            };
+            self.tail.reserve_exact(want.min(self.chunk_len()) - len);
         }
+    }
+
+    /// Moves the last chunk behind its `Arc` once it is full.
+    #[inline]
+    fn seal_full_tail(&mut self) {
+        if self.tail.len() == self.chunk_len() {
+            // The next chunk is allocated by the next push, not here: a
+            // caller that frees what it copied in (a packing pass) has
+            // freed the last of it by then.
+            let full = std::mem::take(&mut self.tail);
+            self.full.push(Arc::new(full));
+        }
+    }
+}
+
+/// log2 of the runs of `bytes` each that one chunk holds: the largest power
+/// of two whose chunk fits [`CHUNK_BYTES`], never under 64 (bit tables
+/// address chunks in whole 64-bit words).
+const fn runs_shift(bytes: usize) -> u32 {
+    let per = CHUNK_BYTES / if bytes == 0 { 1 } else { bytes };
+    if per < 64 {
+        6
+    } else {
+        per.ilog2()
     }
 }
 
 /// The chunks of a [`CowVec`] in order (see [`CowVec::chunks`]).
 #[derive(Debug)]
 pub struct CowChunks<'a, T> {
-    full: std::slice::Iter<'a, Arc<[T]>>,
+    full: std::slice::Iter<'a, Arc<Vec<T>>>,
     tail: Option<&'a [T]>,
 }
 
@@ -195,12 +268,20 @@ impl<T> ExactSizeIterator for CowChunks<'_, T> {}
 impl<T: Clone> CowVec<T> {
     /// Appends every element of `vs` in order — [`push`](Self::push) in
     /// bulk, one copy per chunk it fills.
+    #[inline]
     pub fn extend_from_slice(&mut self, mut vs: &[T]) {
+        // The common case, a run or a whole chunk that fits the last one.
+        if vs.is_empty() {
+            return;
+        }
+        if vs.len() <= self.tail.capacity() - self.tail.len() {
+            self.tail.extend_from_slice(vs);
+            self.seal_full_tail();
+            return;
+        }
         while !vs.is_empty() {
-            if self.tail.capacity() == 0 {
-                self.tail.reserve_exact(Self::CHUNK);
-            }
-            let (now, later) = vs.split_at(vs.len().min(Self::CHUNK - self.tail.len()));
+            let (now, later) = vs.split_at(vs.len().min(self.chunk_len() - self.tail.len()));
+            self.reserve_chunk(now.len());
             self.tail.extend_from_slice(now);
             vs = later;
             self.seal_full_tail();
@@ -210,7 +291,8 @@ impl<T: Clone> CowVec<T> {
     /// Overwrites element `i`; copies its chunk first if another clone
     /// shares it. Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, v: T) {
-        let (c, at) = (i >> Self::SHIFT, i & (Self::CHUNK - 1));
+        debug_assert_eq!(self.run, 1, "elements of a strided vector are read by run");
+        let (c, at) = (i >> self.shift, i & (self.runs_per_chunk() - 1));
         let Some(chunk) = self.full.get_mut(c) else {
             assert!(c == self.full.len(), "index {i} out of range");
             self.tail[at] = v;
@@ -218,7 +300,7 @@ impl<T: Clone> CowVec<T> {
         };
         if Arc::get_mut(chunk).is_none() {
             note_copied(std::mem::size_of_val(&chunk[..]));
-            *chunk = Arc::from(&chunk[..]);
+            *chunk = Arc::new(chunk.to_vec());
         }
         Arc::get_mut(chunk).expect("the chunk was just made uniquely owned")[at] = v;
     }
@@ -236,7 +318,8 @@ impl<T> Index<usize> for CowVec<T> {
 
     #[inline]
     fn index(&self, i: usize) -> &T {
-        &self.chunk(i >> Self::SHIFT)[i & (Self::CHUNK - 1)]
+        debug_assert_eq!(self.run, 1, "elements of a strided vector are read by run");
+        &self.chunk(i >> self.shift)[i & (self.runs_per_chunk() - 1)]
     }
 }
 

@@ -10,6 +10,7 @@
 //! behaviour, which is all the paper's relative comparisons depend on.
 
 use crate::distance::Metric;
+use crate::object::Object;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -206,7 +207,7 @@ pub struct DatasetStats {
 }
 
 /// Estimates [`DatasetStats`] from `pairs` random pairs.
-pub fn dataset_stats<O, M: Metric<O>>(
+pub fn dataset_stats<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     pairs: usize,
@@ -251,7 +252,7 @@ pub fn dataset_stats<O, M: Metric<O>>(
 /// the `r` parameter ("the percentage of objects in the dataset that are
 /// result objects", §6.1). Uses the empirical quantile of query-to-object
 /// distances over a sample.
-pub fn calibrate_radius<O, M: Metric<O>>(
+pub fn calibrate_radius<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     selectivity: f64,

@@ -3,40 +3,48 @@
 //! A metric space `(M, d)` requires `d` to satisfy symmetry, non-negativity,
 //! identity and the triangle inequality (paper §2.1). The implementations
 //! here are property-tested against those axioms.
+//!
+//! A [`Metric<O>`] measures **views**: `O`'s `Deref` target (`[f32]` for a
+//! `Vec<f32>`, `str` for a `String`), which is what an
+//! [`ObjTable`](crate::ObjTable) stores its objects as and hands out. Owned
+//! objects coerce: `m.dist(&a, &b)` over two `&Vec<f32>` is the same call
+//! as over two `&[f32]`, so a caller that holds only `M: Metric<Vec<f32>>`
+//! measures stored objects without making owned ones.
 
+use crate::object::Object;
 use crate::simd::{self, Lane, SimdTier};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A distance function over objects of type `O`.
+/// A distance function over objects of type `O`, taking their views.
 ///
 /// Implementations must satisfy the four metric axioms; all pivot filtering
 /// in this workspace (Lemmas 1–4) is only correct under the triangle
 /// inequality.
-pub trait Metric<O: ?Sized>: Send + Sync {
+pub trait Metric<O: Object>: Send + Sync {
     /// Distance between `a` and `b`. Must be symmetric and non-negative.
-    fn dist(&self, a: &O, b: &O) -> f64;
+    fn dist(&self, a: &O::Target, b: &O::Target) -> f64;
 
     /// `[d(a, b[0]), …, d(a, b[3])]`, each bit-identical to its
     /// [`dist`](Self::dist) call. An override may interleave the four
     /// distances (independent accumulator chains keep a serial add chain's
     /// latency from bounding its throughput) but never reassociate inside
     /// one. Callers reach it through [`dists_from`]. L1, L2, L∞ and Lp on
-    /// `[f32]` run four scalar chains in lockstep, which LLVM packs into
+    /// vectors run four scalar chains in lockstep, which LLVM packs into
     /// SSE2 registers on every tier.
-    fn dist4(&self, a: &O, b: [&O; 4]) -> [f64; 4] {
+    fn dist4(&self, a: &O::Target, b: [&O::Target; 4]) -> [f64; 4] {
         b.map(|b| self.dist(a, b))
     }
 
     /// `[d(a, b[0]), …, d(a, b[7])]`, each bit-identical to its
     /// [`dist`](Self::dist) call, under the same rule as
     /// [`dist4`](Self::dist4); by default two `dist4` calls. L1, L2 and L∞
-    /// on `[f32]` run one AVX2 register kernel for it
+    /// on vectors run one AVX2 register kernel for it
     /// (`simd::x86::fold8_avx2`) when [`simd::tier`] is
     /// [`SimdTier::Avx2`] and all nine lengths are equal and at least 8.
     /// Callers reach it through [`dists_from`].
-    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+    fn dist8(&self, a: &O::Target, b: [&O::Target; 8]) -> [f64; 8] {
         dist4_twice(self, a, b)
     }
 
@@ -44,8 +52,8 @@ pub trait Metric<O: ?Sized>: Send + Sync {
     /// two `dist4` calls; by default not. [`dists_from`] pairs its groups
     /// of four into `dist8` calls only then: grouping by eight costs cheap
     /// distances (2-d L2) more than two `dist4` calls save. L1, L2 and L∞
-    /// on `[f32]` are wide when `dist8` would run the register kernel.
-    fn wide(&self, _a: &O) -> bool {
+    /// on vectors are wide when `dist8` would run the register kernel.
+    fn wide(&self, _a: &O::Target) -> bool {
         false
     }
 
@@ -59,17 +67,17 @@ pub trait Metric<O: ?Sized>: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
-    fn dist(&self, a: &O, b: &O) -> f64 {
+impl<O: Object, M: Metric<O> + ?Sized> Metric<O> for &M {
+    fn dist(&self, a: &O::Target, b: &O::Target) -> f64 {
         (**self).dist(a, b)
     }
-    fn dist4(&self, a: &O, b: [&O; 4]) -> [f64; 4] {
+    fn dist4(&self, a: &O::Target, b: [&O::Target; 4]) -> [f64; 4] {
         (**self).dist4(a, b)
     }
-    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+    fn dist8(&self, a: &O::Target, b: [&O::Target; 8]) -> [f64; 8] {
         (**self).dist8(a, b)
     }
-    fn wide(&self, a: &O) -> bool {
+    fn wide(&self, a: &O::Target) -> bool {
         (**self).wide(a)
     }
     fn is_discrete(&self) -> bool {
@@ -93,13 +101,13 @@ impl<O: ?Sized, M: Metric<O> + ?Sized> Metric<O> for &M {
 /// before its first.
 pub fn dists_from<O, M, T, B>(
     metric: &M,
-    a: &O,
+    a: &O::Target,
     items: impl IntoIterator<Item = (T, B)>,
     mut sink: impl FnMut(T, f64),
 ) where
-    O: ?Sized,
+    O: Object,
     M: Metric<O> + ?Sized,
-    B: Borrow<O>,
+    B: Borrow<O::Target>,
 {
     let wide = metric.wide(a);
     let mut items = items.into_iter().fuse();
@@ -135,13 +143,19 @@ pub fn dists_from<O, M, T, B>(
     }
 }
 
+/// `(i, view)` for every object of `objects`: the items [`dists_from`]
+/// takes, over owned objects (pivots, samples).
+pub fn views<O: Object>(objects: &[O]) -> impl Iterator<Item = (usize, &O::Target)> {
+    objects.iter().map(|o| &**o).enumerate()
+}
+
 /// [`dists_from`]'s group of four: one [`Metric::dist4`] call.
 #[inline(always)]
-fn sink4<O, M, T, B>(metric: &M, a: &O, group: [(T, B); 4], sink: &mut impl FnMut(T, f64))
+fn sink4<O, M, T, B>(metric: &M, a: &O::Target, group: [(T, B); 4], sink: &mut impl FnMut(T, f64))
 where
-    O: ?Sized,
+    O: Object,
     M: Metric<O> + ?Sized,
-    B: Borrow<O>,
+    B: Borrow<O::Target>,
 {
     let [(t0, b0), (t1, b1), (t2, b2), (t3, b3)] = group;
     let d = metric.dist4(a, [b0.borrow(), b1.borrow(), b2.borrow(), b3.borrow()]);
@@ -151,16 +165,20 @@ where
 }
 
 /// `[dist4(a, b[0..4]), dist4(a, b[4..8])]`: `dist8` without a wider kernel.
-fn dist4_twice<O: ?Sized, M: Metric<O> + ?Sized>(m: &M, a: &O, b: [&O; 8]) -> [f64; 8] {
+fn dist4_twice<O: Object, M: Metric<O> + ?Sized>(
+    m: &M,
+    a: &O::Target,
+    b: [&O::Target; 8],
+) -> [f64; 8] {
     let [b0, b1, b2, b3, b4, b5, b6, b7] = b;
     let [d0, d1, d2, d3] = m.dist4(a, [b0, b1, b2, b3]);
     let [d4, d5, d6, d7] = m.dist4(a, [b4, b5, b6, b7]);
     [d0, d1, d2, d3, d4, d5, d6, d7]
 }
 
-/// A norm on `[f32]` whose `dist8` has the AVX2 register kernel
+/// A norm on vectors whose `dist8` has the AVX2 register kernel
 /// ([`simd::x86::fold8_avx2`]): the lane operation of its `dist` loop.
-pub(crate) trait Lanes: Metric<[f32]> {
+pub(crate) trait Lanes: Metric<Vec<f32>> {
     const LANE: Lane;
 }
 
@@ -177,8 +195,8 @@ thread_local! {
 }
 
 /// How many `dist8` calls this thread has made into L1's, L2's or L∞'s own
-/// `dist8` on `[f32]`, on any tier. A wrapper (`&M`, [`CountingMetric`],
-/// the `Vec<f32>` impls, an enum over the norms) that forgot to forward
+/// `dist8`, on any tier. A wrapper (`&M`, [`CountingMetric`], an enum over
+/// the norms) that forgot to forward
 /// `dist8` would return the same bits through two `dist4` calls, at half
 /// the speed; this count is how a test sees the difference.
 #[doc(hidden)]
@@ -233,7 +251,7 @@ fn fold4(a: &[f32], b: [&[f32]; 4], step: impl Fn(f64, f64, f64) -> f64) -> Opti
 #[derive(Clone, Copy, Debug, Default)]
 pub struct L1;
 
-impl Metric<[f32]> for L1 {
+impl Metric<Vec<f32>> for L1 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -267,7 +285,7 @@ impl Lanes for L1 {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct L2;
 
-impl Metric<[f32]> for L2 {
+impl Metric<Vec<f32>> for L2 {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -322,7 +340,7 @@ impl LInf {
     }
 }
 
-impl Metric<[f32]> for LInf {
+impl Metric<Vec<f32>> for LInf {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -387,7 +405,7 @@ impl Lp {
     }
 }
 
-impl Metric<[f32]> for Lp {
+impl Metric<Vec<f32>> for Lp {
     #[inline]
     fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -409,41 +427,6 @@ impl Metric<[f32]> for Lp {
         "Lp"
     }
 }
-
-// `Vec<f32>` convenience impls so indexes generic over `O = Vector` work
-// without explicit deref coercion.
-macro_rules! impl_vec_metric {
-    ($t:ty) => {
-        impl Metric<Vec<f32>> for $t {
-            #[inline]
-            fn dist(&self, a: &Vec<f32>, b: &Vec<f32>) -> f64 {
-                Metric::<[f32]>::dist(self, a.as_slice(), b.as_slice())
-            }
-            #[inline]
-            fn dist4(&self, a: &Vec<f32>, b: [&Vec<f32>; 4]) -> [f64; 4] {
-                Metric::<[f32]>::dist4(self, a.as_slice(), b.map(Vec::as_slice))
-            }
-            #[inline]
-            fn dist8(&self, a: &Vec<f32>, b: [&Vec<f32>; 8]) -> [f64; 8] {
-                Metric::<[f32]>::dist8(self, a.as_slice(), b.map(Vec::as_slice))
-            }
-            #[inline]
-            fn wide(&self, a: &Vec<f32>) -> bool {
-                Metric::<[f32]>::wide(self, a.as_slice())
-            }
-            fn is_discrete(&self) -> bool {
-                Metric::<[f32]>::is_discrete(self)
-            }
-            fn name(&self) -> &'static str {
-                Metric::<[f32]>::name(self)
-            }
-        }
-    };
-}
-impl_vec_metric!(L1);
-impl_vec_metric!(L2);
-impl_vec_metric!(LInf);
-impl_vec_metric!(Lp);
 
 /// Levenshtein edit distance — used by the Words dataset. Discrete.
 #[derive(Clone, Copy, Debug, Default)]
@@ -474,22 +457,9 @@ impl EditDistance {
     }
 }
 
-impl Metric<str> for EditDistance {
-    #[inline]
-    fn dist(&self, a: &str, b: &str) -> f64 {
-        Self::levenshtein(a, b) as f64
-    }
-    fn is_discrete(&self) -> bool {
-        true
-    }
-    fn name(&self) -> &'static str {
-        "edit"
-    }
-}
-
 impl Metric<String> for EditDistance {
     #[inline]
-    fn dist(&self, a: &String, b: &String) -> f64 {
+    fn dist(&self, a: &str, b: &str) -> f64 {
         Self::levenshtein(a, b) as f64
     }
     fn is_discrete(&self) -> bool {
@@ -571,24 +541,24 @@ impl<M> CountingMetric<M> {
     }
 }
 
-impl<O: ?Sized, M: Metric<O>> Metric<O> for CountingMetric<M> {
+impl<O: Object, M: Metric<O>> Metric<O> for CountingMetric<M> {
     #[inline]
-    fn dist(&self, a: &O, b: &O) -> f64 {
+    fn dist(&self, a: &O::Target, b: &O::Target) -> f64 {
         self.counter.bump(1);
         self.inner.dist(a, b)
     }
     #[inline]
-    fn dist4(&self, a: &O, b: [&O; 4]) -> [f64; 4] {
+    fn dist4(&self, a: &O::Target, b: [&O::Target; 4]) -> [f64; 4] {
         self.counter.bump(4);
         self.inner.dist4(a, b)
     }
     #[inline]
-    fn dist8(&self, a: &O, b: [&O; 8]) -> [f64; 8] {
+    fn dist8(&self, a: &O::Target, b: [&O::Target; 8]) -> [f64; 8] {
         self.counter.bump(8);
         self.inner.dist8(a, b)
     }
     #[inline]
-    fn wide(&self, a: &O) -> bool {
+    fn wide(&self, a: &O::Target) -> bool {
         self.inner.wide(a)
     }
     fn is_discrete(&self) -> bool {
@@ -622,7 +592,7 @@ mod tests {
         let a = [1.0f32, -2.0];
         let b = [4.0f32, 2.0];
         assert_eq!(LInf::default().dist(&a[..], &b[..]), 4.0);
-        assert!(Metric::<[f32]>::is_discrete(&LInf::discrete()));
+        assert!(Metric::<Vec<f32>>::is_discrete(&LInf::discrete()));
     }
 
     #[test]
@@ -698,7 +668,7 @@ mod tests {
     /// `m` with its `dist8` and `wide` on one pinned SIMD tier.
     struct Pinned<'m, M>(&'m M, SimdTier);
 
-    impl<M: Lanes> Metric<[f32]> for Pinned<'_, M> {
+    impl<M: Lanes> Metric<Vec<f32>> for Pinned<'_, M> {
         fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
             self.0.dist(a, b)
         }
@@ -726,7 +696,7 @@ mod tests {
     /// every prefix of `b` return `dist`'s result item for item;
     /// `dists_from` charges one per item, sinks the items in order, and
     /// makes one `dist8` call per eight items exactly when `m` is wide.
-    fn assert_matches_dist<M: Metric<[f32]>>(m: &M, a: &[f32], b: &[&[f32]]) {
+    fn assert_matches_dist<M: Metric<Vec<f32>>>(m: &M, a: &[f32], b: &[&[f32]]) {
         let want: Vec<f64> = b.iter().map(|b| m.dist(a, b)).collect();
         let check = |how: &str, got: &[f64]| {
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
@@ -815,7 +785,7 @@ mod tests {
                 b[odd] = &vals[start(odd + 1)..][..len];
             }
 
-            for m in [&L1 as &dyn Metric<[f32]>, &L2, &LInf::default(), &Lp::new(1.5)] {
+            for m in [&L1 as &dyn Metric<Vec<f32>>, &L2, &LInf::default(), &Lp::new(1.5)] {
                 for b in &b {
                     prop_assert!(same(m.dist(a, b), m.dist(b, a)), "{}", m.name());
                 }
@@ -860,7 +830,7 @@ mod tests {
         }
     }
 
-    impl Metric<[f32]> for Recorder {
+    impl Metric<Vec<f32>> for Recorder {
         fn dist(&self, a: &[f32], b: &[f32]) -> f64 {
             self.saw("dist");
             L1.dist(a, b)
@@ -881,12 +851,10 @@ mod tests {
             "recorder"
         }
     }
-    impl_vec_metric!(Recorder);
 
-    /// `&M`, `CountingMetric` and the `Vec<f32>` impls forward `dist8` and
-    /// `wide` (a wrapper that did not would keep the bits and lose the
-    /// register kernel), and the shipped norms' `Vec<f32>` impls reach
-    /// their own `dist8`.
+    /// `&M` and `CountingMetric` forward `dist8` and `wide` (a wrapper
+    /// that did not would keep the bits and lose the register kernel), and
+    /// the shipped norms reach their own `dist8` through `dyn Metric`.
     #[test]
     fn wrappers_forward_dist8_and_wide() {
         let vs: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32 * 0.5; 9]).collect();
@@ -894,15 +862,11 @@ mod tests {
             vs[0].as_slice(),
             std::array::from_fn(|j| vs[j + 1].as_slice()),
         );
-        let bv: [&Vec<f32>; 8] = std::array::from_fn(|j| &vs[j + 1]);
 
         let rec = Recorder::default();
-        let _ = <&Recorder as Metric<[f32]>>::dist8(&&rec, a, b);
-        let _ = <&Recorder as Metric<[f32]>>::wide(&&rec, a);
+        let _ = <&Recorder as Metric<Vec<f32>>>::dist8(&&rec, a, b);
+        let _ = <&Recorder as Metric<Vec<f32>>>::wide(&&rec, a);
         assert_eq!(rec.take(), ["dist8", "wide"], "&M");
-        let _ = Metric::<Vec<f32>>::dist8(&rec, &vs[0], bv);
-        let _ = Metric::<Vec<f32>>::wide(&rec, &vs[0]);
-        assert_eq!(rec.take(), ["dist8", "wide"], "Vec<f32>");
         let counted = CountingMetric::new(Recorder::default());
         let _ = counted.dist8(a, b);
         let _ = counted.wide(a);
@@ -912,15 +876,10 @@ mod tests {
         let norms: [&dyn Metric<Vec<f32>>; 3] = [&L1, &L2, &LInf::default()];
         for m in norms {
             let before = dist8_calls();
-            let d = m.dist8(&vs[0], bv);
+            let d = m.dist8(a, b);
             assert_eq!(dist8_calls(), before + 1, "{}", m.name());
-            assert_eq!(d.map(f64::to_bits), bv.map(|b| m.dist(&vs[0], b).to_bits()));
-            assert_eq!(
-                m.wide(&vs[0]),
-                simd::tier() == SimdTier::Avx2,
-                "{}",
-                m.name()
-            );
+            assert_eq!(d.map(f64::to_bits), b.map(|b| m.dist(a, b).to_bits()));
+            assert_eq!(m.wide(a), simd::tier() == SimdTier::Avx2, "{}", m.name());
         }
     }
 }

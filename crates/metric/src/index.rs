@@ -4,9 +4,11 @@
 
 use crate::distance::{CountingMetric, Metric};
 use crate::matrix::PivotColumns;
+use crate::object::Object;
 use crate::scratch::{KnnBest, QueryScratch};
 use crate::stats::{Counters, Neighbor, ObjId, StorageFootprint};
 use crate::table::ObjTable;
+use std::borrow::Cow;
 
 /// A metric index over objects of type `O`, supporting the paper's two query
 /// types (Definitions 1 and 2) and updates (§6.3).
@@ -16,7 +18,7 @@ use crate::table::ObjTable;
 /// methods take `&self`, and all interior mutability in this workspace is
 /// atomic (distance counters) or lock-guarded (the simulated disk), so
 /// concurrent queries keep the paper's cost accounting exact.
-pub trait MetricIndex<O>: Send + Sync {
+pub trait MetricIndex<O: Object>: Send + Sync {
     /// Index name as used in the paper's tables ("LAESA", "EPT*", ...).
     fn name(&self) -> &str;
 
@@ -90,19 +92,22 @@ pub trait MetricIndex<O>: Send + Sync {
     /// Inserts an object, returning its id.
     fn insert(&mut self, o: O) -> ObjId;
 
-    /// Inserts an object whose pivot-distance row the caller already
-    /// computed and stored: `codes`, its distances to the shared pivot set
+    /// Inserts a copy of the object `o` views whose pivot-distance row the
+    /// caller already computed and stored: `codes`, its distances to the
+    /// shared pivot set
     /// as u16 bucket codes under the step of
     /// [`pivot_rows`](Self::pivot_rows) — the sharded engine's mutation
     /// path, which maps and quantises each insert exactly once and calls
     /// this only on an index whose rows are the engine's. Kinds that own
     /// such rows append `codes` as they are, without computing any distance
     /// beyond what their auxiliary structures need (e.g. CPT's M-tree
-    /// clustering). A kind that keeps no rows ignores `codes` and calls
+    /// clustering); the object tables copy the view into their arena, so an
+    /// object the engine moves between shards is never made owned. A kind
+    /// that keeps no rows ignores `codes` and calls
     /// [`insert`](Self::insert).
-    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
+    fn insert_adopted(&mut self, o: &O::Target, codes: &[u16]) -> ObjId {
         let _ = codes;
-        self.insert(o)
+        self.insert(o.to_owned())
     }
 
     /// The stored pivot-distance rows this index owns and scans, aligned
@@ -135,9 +140,16 @@ pub trait MetricIndex<O>: Send + Sync {
     /// Removes an object by id; returns whether it was present.
     fn remove(&mut self, id: ObjId) -> bool;
 
+    /// A live object: borrowed from the index's object table where it has
+    /// one, decoded from its pages where it does not.
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>>;
+
     /// Retrieves a copy of a live object (used by the update experiment to
-    /// delete-then-reinsert, §6.3).
-    fn get(&self, id: ObjId) -> Option<O>;
+    /// delete-then-reinsert, §6.3). Provided: [`object`](Self::object),
+    /// owned.
+    fn get(&self, id: ObjId) -> Option<O> {
+        self.object(id).map(Cow::into_owned)
+    }
 
     /// Current storage footprint, split between memory and disk as in
     /// Table 4's `(I)` / `(D)` annotations.
@@ -192,16 +204,16 @@ pub trait MetricIndex<O>: Send + Sync {
 /// object table's chunks (see [`ObjTable`]) — the clone is the
 /// [`MetricIndex::fork`] of the original.
 #[derive(Clone)]
-pub struct BruteForce<O, M> {
+pub struct BruteForce<O: Object, M> {
     table: ObjTable<O>,
     metric: CountingMetric<M>,
 }
 
-impl<O, M: Metric<O>> BruteForce<O, M> {
+impl<O: Object, M: Metric<O>> BruteForce<O, M> {
     /// Builds the oracle over `objects`.
-    pub fn new(objects: Vec<O>, metric: M) -> Self {
+    pub fn new(objects: impl Into<ObjTable<O>>, metric: M) -> Self {
         BruteForce {
-            table: ObjTable::new(objects),
+            table: objects.into(),
             metric: CountingMetric::new(metric),
         }
     }
@@ -214,7 +226,7 @@ impl<O, M: Metric<O>> BruteForce<O, M> {
 
 impl<O, M> MetricIndex<O> for BruteForce<O, M>
 where
-    O: Clone + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -258,6 +270,10 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
+        self.table.push(&o)
+    }
+
+    fn insert_adopted(&mut self, o: &O::Target, _codes: &[u16]) -> ObjId {
         self.table.push(o)
     }
 
@@ -265,8 +281,8 @@ where
         self.table.remove(id)
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {

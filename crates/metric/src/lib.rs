@@ -2,8 +2,10 @@
 //!
 //! This crate provides everything the index crates share:
 //!
-//! * the [`Metric`] trait and the concrete distance functions used by the
-//!   paper's evaluation (L1 / L2 / L∞ / Lp norms and edit distance),
+//! * the [`Object`] trait — an owned object and the view (`[f32]`, `str`)
+//!   it derefs to — and the [`Metric`] trait over views, with the concrete
+//!   distance functions used by the paper's evaluation (L1 / L2 / L∞ / Lp
+//!   norms and edit distance),
 //! * [`CountingMetric`], the instrumented wrapper through which every index
 //!   computes distances so that the `compdists` cost metric of the paper can
 //!   be measured uniformly,
@@ -20,7 +22,9 @@
 //! * reusable per-worker query scratch space ([`QueryScratch`]) for the
 //!   allocation-free batch query path,
 //! * the object-safe [`MetricIndex`] trait implemented by all seventeen index
-//!   variants,
+//!   variants, and the [`ObjTable`] the in-memory ones keep their objects
+//!   in — one arena per table ([`Flat`] for vectors: the coordinates back
+//!   to back, whole objects a chunk),
 //! * binary object encoding ([`object`]) used by the disk-resident indexes,
 //! * synthetic dataset generators matching the paper's Table 2 ([`datasets`]).
 
@@ -40,15 +44,15 @@ pub mod table;
 
 pub use cow::CowVec;
 pub use distance::{
-    dists_from, CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2,
+    dists_from, views, CountingMetric, DistanceCounter, EditDistance, LInf, Lp, Metric, L1, L2,
 };
 pub use index::{BruteForce, MetricIndex};
 pub use matrix::{CodeBox, PivotColumns, PivotMatrix, ScanKernel};
-pub use object::EncodeObject;
+pub use object::{EncodeObject, Object};
 pub use scratch::{KnnBest, QueryScratch};
 pub use simd::SimdTier;
 pub use stats::{Counters, Neighbor, ObjId, StorageFootprint};
-pub use table::ObjTable;
+pub use table::{Arena, Flat, ObjTable};
 
 /// A dense vector object. All vector datasets in the paper (LA, Color,
 /// Synthetic) are represented this way; coordinates are stored as `f32`

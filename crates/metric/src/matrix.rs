@@ -60,6 +60,7 @@
 use crate::cow::CowVec;
 use crate::distance::{dists_from, Metric};
 use crate::lemmas::pivot_lower_bound;
+use crate::object::Object;
 use crate::simd::{self, SimdTier};
 
 /// The top bucket code: open above, what a distance beyond `TOP · step`
@@ -243,39 +244,39 @@ impl PivotMatrix {
     /// `objects.len() * pivots.len()` evaluations are counted.
     pub fn compute<O, M>(objects: &[O], metric: &M, pivots: &[O], threads: usize) -> Self
     where
-        O: Sync,
+        O: Object,
         M: Metric<O> + Sync,
     {
         let width = pivots.len();
-        Self::fill_with(objects, width, threads, |objs, slots| {
-            for (slot, o) in slots.chunks_mut(width.max(1)).zip(objs) {
-                dists_from(metric, o, slot.iter_mut().zip(pivots), |x, d| *x = d);
+        Self::fill_with(objects.len(), width, threads, |run, slots| {
+            for (slot, o) in slots.chunks_mut(width.max(1)).zip(&objects[run]) {
+                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
+                dists_from(metric, o, pivots, |x, d| *x = d);
             }
         })
     }
 
-    /// The one chunked fill: an `objects.len() × width` matrix whose rows
-    /// `fill` writes. `fill(run, slots)` gets a contiguous run of objects
-    /// and their zeroed row slots (`run.len() * width` values, row-major):
-    /// one run per thread, [`fan_out`](crate::parallel::fan_out) running
-    /// the last on the caller, or the whole input as one run when there are
-    /// fewer than two rows a thread. Row `i` depends on `objects[i]` alone,
-    /// so the result is the same for every thread count.
-    pub fn fill_with<O, F>(objects: &[O], width: usize, threads: usize, fill: F) -> Self
+    /// The one chunked fill: a `rows × width` matrix whose rows `fill`
+    /// writes. `fill(run, slots)` gets a contiguous run of row numbers and
+    /// their zeroed row slots (`run.len() * width` values, row-major): one
+    /// run per thread, [`fan_out`](crate::parallel::fan_out) running the
+    /// last on the caller, or every row as one run when there are fewer
+    /// than two rows a thread. Row `i` must depend on `i` alone, so the
+    /// result is the same for every thread count.
+    pub fn fill_with<F>(rows: usize, width: usize, threads: usize, fill: F) -> Self
     where
-        O: Sync,
-        F: Fn(&[O], &mut [f64]) + Sync,
+        F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
     {
-        let rows = objects.len();
         let mut data = vec![0.0f64; width * rows];
         let threads = threads.max(1);
         // `rows / 2 < threads` is `rows < 2 * threads` without the overflow.
-        let runs: Vec<(&[O], &mut [f64])> = if rows / 2 < threads || width == 0 {
-            vec![(objects, &mut data)]
+        let runs: Vec<(std::ops::Range<usize>, &mut [f64])> = if rows / 2 < threads || width == 0 {
+            vec![(0..rows, &mut data)]
         } else {
             let chunk = rows.div_ceil(threads);
-            objects
-                .chunks(chunk)
+            (0..rows)
+                .step_by(chunk)
+                .map(|start| start..(start + chunk).min(rows))
                 .zip(data.chunks_mut(chunk * width))
                 .collect()
         };

@@ -1,9 +1,75 @@
-//! Binary object encoding.
+//! What an index stores: the [`Object`] trait, and binary object encoding.
+//!
+//! An object is owned (`Vec<f32>`, `String`) where it crosses the API — a
+//! query, an insert, [`MetricIndex::get`](crate::MetricIndex::get) — and
+//! borrowed as its **view** (`[f32]`, `str`, its `Deref` target) where it is
+//! stored and measured: a [`Metric`](crate::Metric) takes views, and an
+//! [`ObjTable`](crate::ObjTable) keeps its objects in the object's own
+//! [`Arena`] and hands out views of it. `&Vec<f32>` coerces to `&[f32]`, so
+//! a distance between two owned objects is the same call as between two
+//! stored ones.
 //!
 //! The disk-resident indexes of the paper (§5) store objects either in a
 //! random access file (OmniR-tree, M-index, SPB-tree) or inline in tree
-//! nodes (CPT, PM-tree). Both paths serialize objects through this trait so
-//! that storage sizes and page layouts are realistic.
+//! nodes (CPT, PM-tree). Both paths serialize objects through
+//! [`EncodeObject`] so that storage sizes and page layouts are realistic.
+
+use crate::cow::CowVec;
+use crate::table::{Arena, Flat};
+use std::ops::Deref;
+
+/// An object type an index stores: owned, it derefs to its view, and the
+/// view copies back into it.
+pub trait Object:
+    EncodeObject + Deref<Target: ToOwned<Owned = Self> + Send + Sync> + Clone + Send + Sync + 'static
+{
+    /// Where an [`ObjTable`](crate::ObjTable) keeps these objects.
+    type Arena: Arena<Self::Target>;
+
+    /// Bytes [`EncodeObject::encoded_len`] counts for the object `v` is a
+    /// view of: what `storage()` counts per stored object.
+    fn encoded_len_of(v: &Self::Target) -> usize;
+}
+
+impl Object for Vec<f32> {
+    type Arena = Flat;
+
+    fn encoded_len_of(v: &[f32]) -> usize {
+        4 + 4 * v.len()
+    }
+}
+
+impl Object for String {
+    type Arena = Strings;
+
+    fn encoded_len_of(v: &str) -> usize {
+        4 + v.len()
+    }
+}
+
+/// The string arena: one `String` a slot. Strings have no fixed width to
+/// pack by; the words corpora are small.
+#[derive(Clone, Debug, Default)]
+pub struct Strings(CowVec<String>);
+
+impl Arena<str> for Strings {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> &str {
+        &self.0[slot]
+    }
+
+    fn push(&mut self, v: &str) {
+        self.0.push(v.to_owned());
+    }
+
+    fn drain(self, mut f: impl FnMut(&str)) {
+        self.0.drain_chunks(|c| c.iter().for_each(|s| f(s)));
+    }
+}
 
 /// Fixed, self-describing little-endian binary encoding for index objects.
 pub trait EncodeObject: Sized {

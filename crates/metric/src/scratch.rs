@@ -17,9 +17,10 @@
 //! Both read the scan's u16 gaps ([`ScanKernel`](crate::ScanKernel), "The
 //! gap") and meet a radius in code space.
 
-use crate::distance::{dists_from, Metric};
+use crate::distance::{dists_from, views, Metric};
 use crate::fault;
 use crate::matrix::steps_within;
+use crate::object::Object;
 use crate::stats::{Neighbor, ObjId};
 use std::borrow::Borrow;
 use std::collections::BinaryHeap;
@@ -178,10 +179,10 @@ impl QueryScratch {
 
     /// Maps the query into `qd`: `(d(q, p_1), …, d(q, p_l))`, through
     /// [`dists_from`].
-    pub fn map_query<O, M: Metric<O>>(&mut self, metric: &M, q: &O, pivots: &[O]) {
+    pub fn map_query<O: Object, M: Metric<O>>(&mut self, metric: &M, q: &O::Target, pivots: &[O]) {
         let qd = &mut self.qd;
         qd.clear();
-        dists_from(metric, q, pivots.iter().enumerate(), |_, d| qd.push(d));
+        dists_from(metric, q, views(pivots), |_, d| qd.push(d));
     }
 
     /// The verification half of a scan table's range query, the same for
@@ -199,15 +200,15 @@ impl QueryScratch {
     pub fn range_verify<O, M, B>(
         &self,
         metric: &M,
-        q: &O,
+        q: &O::Target,
         r: f64,
         point: &str,
         get: impl Fn(ObjId) -> B,
         out: &mut Vec<ObjId>,
     ) where
-        O: ?Sized,
+        O: Object,
         M: Metric<O>,
-        B: Borrow<O>,
+        B: Borrow<O::Target>,
     {
         let slots = self.survivors.iter().map(|&slot| (slot, get(slot)));
         dists_from(metric, q, slots, |slot, d| {

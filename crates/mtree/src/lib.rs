@@ -15,11 +15,11 @@
 //! and that the experiments surface as poor page utilization (§6.5.2).
 //!
 //! Every node is one disk page; entries are variable-length (objects are
-//! serialized with [`EncodeObject`]), so node capacity is byte-bounded and
+//! serialized with [`EncodeObject`](pmi_metric::EncodeObject)), so node capacity is byte-bounded and
 //! splits trigger on serialized size.
 
 use pmi_metric::lemmas;
-use pmi_metric::{EncodeObject, KnnBest, Metric};
+use pmi_metric::{KnnBest, Metric, Object};
 use pmi_storage::{DiskSim, PageId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -87,7 +87,7 @@ pub struct MTree<O, M> {
     loc: HashMap<u32, PageId>,
 }
 
-impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
+impl<O: Object, M: Metric<O>> MTree<O, M> {
     /// Creates an empty M-tree. Pass pivot objects to enable PM-tree
     /// augmentation (empty slice = plain M-tree).
     pub fn new(disk: DiskSim, metric: M, pivots: Vec<O>) -> Self {
@@ -720,14 +720,17 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
         let (i, j) = self.promote_leaf(&entries);
         let p1 = entries[i].obj.clone();
         let p2 = entries[j].obj.clone();
+        let d: Vec<(f64, f64)> = (entries.iter())
+            .map(|e| (self.metric.dist(&e.obj, &p1), self.metric.dist(&e.obj, &p2)))
+            .collect();
+        let bytes: Vec<usize> = entries.iter().map(|e| self.leaf_entry_bytes(e)).collect();
+        let sides = split_sides(&d, (i, j), &bytes, self.disk.page_size());
         let mut g1: Vec<LeafEntry<O>> = Vec::new();
         let mut g2: Vec<LeafEntry<O>> = Vec::new();
         let mut r1 = 0.0f64;
         let mut r2 = 0.0f64;
-        for mut e in entries {
-            let d1 = self.metric.dist(&e.obj, &p1);
-            let d2 = self.metric.dist(&e.obj, &p2);
-            if d1 <= d2 {
+        for ((mut e, (d1, d2)), first) in entries.into_iter().zip(d).zip(sides) {
+            if first {
                 e.pd = d1;
                 r1 = r1.max(d1);
                 g1.push(e);
@@ -797,14 +800,24 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
         let (i, j) = best;
         let p1 = entries[i].robj.clone();
         let p2 = entries[j].robj.clone();
+        let d: Vec<(f64, f64)> = (entries.iter())
+            .map(|e| {
+                (
+                    self.metric.dist(&e.robj, &p1),
+                    self.metric.dist(&e.robj, &p2),
+                )
+            })
+            .collect();
+        let bytes: Vec<usize> = (entries.iter())
+            .map(|e| self.routing_entry_bytes(e))
+            .collect();
+        let sides = split_sides(&d, (i, j), &bytes, self.disk.page_size());
         let mut g1: Vec<RoutingEntry<O>> = Vec::new();
         let mut g2: Vec<RoutingEntry<O>> = Vec::new();
         let mut r1 = entries[i].radius;
         let mut r2 = entries[j].radius;
-        for mut e in entries {
-            let d1 = self.metric.dist(&e.robj, &p1);
-            let d2 = self.metric.dist(&e.robj, &p2);
-            if d1 <= d2 {
+        for ((mut e, (d1, d2)), first) in entries.into_iter().zip(d).zip(sides) {
+            if first {
                 e.pd = d1;
                 r1 = r1.max(d1 + e.radius);
                 g1.push(e);
@@ -904,6 +917,45 @@ impl<O: EncodeObject + Clone, M: Metric<O>> MTree<O, M> {
 }
 
 /// Candidate promotion pairs: bounded sample so splits stay O(n · pairs).
+/// The side of a split each entry goes to (`true`: promoted entry `i`'s),
+/// given its distances `(d1, d2)` to the two promoted objects and its
+/// serialized `bytes`: by generalized hyperplane (the nearer promoted
+/// object, ties to `i`), each promoted entry on its own side. When that
+/// leaves a node over `page` bytes — duplicates of the promoted objects
+/// collapse the hyperplane onto one side — the entries are cut by
+/// `d1 − d2` order into two runs of equal count instead.
+fn split_sides(
+    d: &[(f64, f64)],
+    (i, j): (usize, usize),
+    bytes: &[usize],
+    page: usize,
+) -> Vec<bool> {
+    let mut sides: Vec<bool> = d.iter().map(|&(d1, d2)| d1 <= d2).collect();
+    sides[i] = true;
+    sides[j] = false;
+    let node = |first: bool, sides: &[bool]| -> usize {
+        3 + (bytes.iter().zip(sides))
+            .filter(|&(_, &s)| s == first)
+            .map(|(b, _)| b)
+            .sum::<usize>()
+    };
+    if node(true, &sides) > page || node(false, &sides) > page {
+        let mut order: Vec<usize> = (0..d.len()).collect();
+        order.sort_by(|&a, &b| (d[a].0 - d[a].1).total_cmp(&(d[b].0 - d[b].1)));
+        for (rank, &k) in order.iter().enumerate() {
+            sides[k] = rank < d.len().div_ceil(2);
+        }
+    }
+    sides
+}
+
+/// The smallest page an M-tree over `l` pivots holds objects of up to
+/// `max_encoded` bytes in: a node of two of the largest routing entries,
+/// the fewest a split leaves on one page.
+pub fn page_floor(l: usize, max_encoded: usize) -> usize {
+    3 + 2 * (4 + 8 + 8 + 4 + max_encoded + 16 * l)
+}
+
 fn candidate_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     if n < 2 {

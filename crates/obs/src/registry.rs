@@ -137,11 +137,6 @@ impl Registry {
         Self::default()
     }
 
-    /// Drops all recorded data.
-    pub fn reset(&self) {
-        *self.inner.lock().unwrap() = Inner::default();
-    }
-
     /// Adds to a monotonic counter.
     pub fn counter_add(&self, name: &str, v: u64) {
         if v == 0 {
@@ -290,8 +285,7 @@ mod tests {
         assert!(txt.contains("scan"));
         assert!(txt.contains("rows=100"));
 
-        reg.reset();
-        let empty = reg.snapshot();
+        let empty = Registry::new().snapshot();
         assert!(empty.phases.is_empty() && empty.counters.is_empty());
     }
 

@@ -15,7 +15,7 @@
 //!   selection that turns EPT into EPT*.
 
 use pmi_metric::parallel::map_row_chunks;
-use pmi_metric::{dists_from, Metric};
+use pmi_metric::{dists_from, views, Metric, Object};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
@@ -60,7 +60,7 @@ const MIN_DISTS_PER_CHUNK: usize = 512;
 /// caller in sample order, so the foci are the same for every `threads`.
 /// Fewer than two objects have no diameter to walk: they are their own
 /// foci, at no cost.
-pub fn hf_candidates<O: Sync, M: Metric<O>>(
+pub fn hf_candidates<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     count: usize,
@@ -100,7 +100,7 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
                     .iter_mut()
                     .zip(&sample[start..])
                     .filter(|&(_, &j)| !(skip_from && j == from))
-                    .map(|(v, &j)| (v, &objects[j]));
+                    .map(|(v, &j)| (v, &*objects[j]));
                 dists_from(metric, &objects[from], slots, update);
             });
         };
@@ -168,7 +168,7 @@ pub fn hf_candidates<O: Sync, M: Metric<O>>(
 /// (the "precision" of the mapped space).
 ///
 /// This is [`select_hfi_with_threads`] on the calling thread.
-pub fn select_hfi<O: Sync, M: Metric<O>>(
+pub fn select_hfi<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     k: usize,
@@ -180,7 +180,7 @@ pub fn select_hfi<O: Sync, M: Metric<O>>(
 /// [`select_hfi`] with its distance passes — HF's and the candidate-to-pair
 /// distances, split by candidate range — on up to `threads` scoped threads.
 /// The pivots are the same for every `threads`.
-pub fn select_hfi_with_threads<O: Sync, M: Metric<O>>(
+pub fn select_hfi_with_threads<O: Object, M: Metric<O>>(
     objects: &[O],
     metric: &M,
     k: usize,
@@ -223,12 +223,12 @@ pub fn select_hfi_with_threads<O: Sync, M: Metric<O>>(
             let a_ends = da
                 .iter_mut()
                 .zip(&pairs)
-                .map(|(x, &(a, _))| (x, &objects[a]));
+                .map(|(x, &(a, _))| (x, &*objects[a]));
             dists_from(metric, &objects[c], a_ends, |x, d| *x = d);
             let b_ends = db
                 .iter_mut()
                 .zip(&pairs)
-                .map(|(x, &(_, b))| (x, &objects[b]));
+                .map(|(x, &(_, b))| (x, &*objects[b]));
             dists_from(metric, &objects[c], b_ends, |x, d| *x = d);
         }
     });
@@ -291,7 +291,7 @@ pub struct PsaSelector<O, M> {
     cand_sample: Vec<Vec<f64>>,
 }
 
-impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
+impl<O: Object, M: Metric<O>> PsaSelector<O, M> {
     /// Prepares a PSA selector: draws the sample `S`, computes HF candidates
     /// and the candidate-to-sample distance matrix. Owns clones of the
     /// selected objects so the selector can outlive the input slice (EPT*
@@ -310,7 +310,7 @@ impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
             .iter()
             .map(|c| {
                 let mut row = Vec::with_capacity(sample.len());
-                dists_from(&metric, c, sample.iter().enumerate(), |_, d| row.push(d));
+                dists_from(&metric, c, views(&sample), |_, d| row.push(d));
                 row
             })
             .collect();
@@ -328,11 +328,13 @@ impl<O: Clone + Sync, M: Metric<O>> PsaSelector<O, M> {
         let l = l.min(self.candidates.len());
         // Distances from o to every candidate and to every sample object.
         let mut d_cand = Vec::with_capacity(self.candidates.len());
-        let candidates = self.candidates.iter().enumerate();
-        dists_from(&self.metric, o, candidates, |_, d| d_cand.push(d));
+        dists_from(&self.metric, o, views(&self.candidates), |_, d| {
+            d_cand.push(d)
+        });
         let mut d_sample = Vec::with_capacity(self.sample.len());
-        let sample = self.sample.iter().enumerate();
-        dists_from(&self.metric, o, sample, |_, d| d_sample.push(d.max(1e-12)));
+        dists_from(&self.metric, o, views(&self.sample), |_, d| {
+            d_sample.push(d.max(1e-12))
+        });
 
         let mut chosen: Vec<usize> = Vec::with_capacity(l);
         // Current best lower bound per sample query.
@@ -476,7 +478,7 @@ mod tests {
     /// `select_hfi` as it stood at commit 1fa4b80, before HF dropped repeat
     /// draws and ran on threads: the reference the new code must match id
     /// for id.
-    fn parent_select_hfi<O, M: Metric<O>>(
+    fn parent_select_hfi<O: Object, M: Metric<O>>(
         objects: &[O],
         metric: &M,
         k: usize,
@@ -554,7 +556,7 @@ mod tests {
         chosen
     }
 
-    fn parent_hf_candidates<O, M: Metric<O>>(
+    fn parent_hf_candidates<O: Object, M: Metric<O>>(
         objects: &[O],
         metric: &M,
         count: usize,
@@ -617,7 +619,7 @@ mod tests {
     }
 
     /// The parent's pivots on every thread count, and the parent's HF foci.
-    fn assert_same_pivots<O: Sync, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u64) {
+    fn assert_same_pivots<O: Object, M: Metric<O>>(objects: &[O], metric: &M, k: usize, seed: u64) {
         let n = objects.len();
         let count = (4 * k).max(CP_SCALE).min(n);
         assert_eq!(

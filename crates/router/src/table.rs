@@ -1,17 +1,18 @@
 //! The routing table: per-shard pivot-space summaries plus the query
 //! planner that decides which shards a query must probe.
 
-use pmi_metric::{CodeBox, PivotColumns};
+use pmi_metric::{CodeBox, Object, PivotColumns};
 use std::sync::Arc;
 
 /// The pivot-space mapper: appends `(d(o, p_1), …, d(o, p_l))` to the
-/// caller's buffer. The write-into shape keeps the serving hot loop free of
+/// caller's buffer, for an object's view (what the engine's object tables
+/// store; an owned object coerces). The write-into shape keeps the serving hot loop free of
 /// per-query allocations — workers reuse one buffer across a whole batch.
 /// Shared: cloning a [`RoutingTable`] shares the mapper and copies only the
 /// boxes (copy-on-write rebox — the engine's apply transaction clones the
 /// table, mutates the clone's boxes, and publishes it with the next engine
 /// snapshot).
-pub type Mapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
+pub type Mapper<O> = Arc<dyn Fn(&<O as std::ops::Deref>::Target, &mut Vec<f64>) + Send + Sync>;
 
 /// Per-shard routing state for a pivot-space-partitioned engine: a mapper
 /// from objects into pivot space (`o ↦ (d(o, p_1), …, d(o, p_l))`) and, per
@@ -56,7 +57,7 @@ pub type Mapper<O> = Arc<dyn Fn(&O, &mut Vec<f64>) + Send + Sync>;
 /// centres: the table is immutable once published inside an engine
 /// snapshot, and the apply transaction reboxes a copy-on-write clone off to
 /// the side.
-pub struct RoutingTable<O> {
+pub struct RoutingTable<O: Object> {
     mapper: Mapper<O>,
     boxes: Vec<CodeBox>,
     /// Shard-major, one box dimension each: `sums[s * dim..][..dim]` is Σ
@@ -68,7 +69,7 @@ pub struct RoutingTable<O> {
     step: f64,
 }
 
-impl<O> Clone for RoutingTable<O> {
+impl<O: Object> Clone for RoutingTable<O> {
     fn clone(&self) -> Self {
         RoutingTable {
             mapper: Arc::clone(&self.mapper),
@@ -80,7 +81,7 @@ impl<O> Clone for RoutingTable<O> {
     }
 }
 
-impl<O> RoutingTable<O> {
+impl<O: Object> RoutingTable<O> {
     /// Builds the table over the shards' stored rows — the only way to make
     /// one: `shards[s]` are shard `s`'s members' columns, all under `step`,
     /// each summarised by [`rebox`](Self::rebox) over every row.
@@ -156,7 +157,7 @@ impl<O> RoutingTable<O> {
     /// Maps a query object into pivot space (`l` distance computations)
     /// into a reused buffer: clears `out`, then appends the mapped point.
     /// The batch-serving hot path.
-    pub fn map_into(&self, q: &O, out: &mut Vec<f64>) {
+    pub fn map_into(&self, q: &O::Target, out: &mut Vec<f64>) {
         out.clear();
         (self.mapper)(q, out);
     }
@@ -276,7 +277,7 @@ impl<O> RoutingTable<O> {
     }
 }
 
-impl<O> std::fmt::Debug for RoutingTable<O> {
+impl<O: Object> std::fmt::Debug for RoutingTable<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoutingTable")
             .field("shards", &self.boxes.len())
@@ -326,11 +327,11 @@ mod tests {
     }
 
     /// 1-d objects, one pivot at the origin: mapping is |x|.
-    fn table(points: &[(f64, usize)], shards: usize) -> RoutingTable<f64> {
+    fn table(points: &[(f64, usize)], shards: usize) -> RoutingTable<Vec<f32>> {
         let rows: Vec<Vec<f64>> = points.iter().map(|&(x, _)| vec![x.abs()]).collect();
         let assignment: Vec<usize> = points.iter().map(|&(_, s)| s).collect();
         RoutingTable::from_columns(
-            Arc::new(|q: &f64, out: &mut Vec<f64>| out.push(q.abs())),
+            Arc::new(|q: &[f32], out: &mut Vec<f64>| out.push(q[0].abs() as f64)),
             STEP,
             &columns(&rows, &assignment, shards, 1, STEP),
         )
@@ -338,7 +339,7 @@ mod tests {
 
     /// Shard `s`'s box as f64 edges under the table's step, `None` when
     /// empty.
-    fn edges(t: &RoutingTable<f64>, s: usize) -> Option<Vec<(f64, f64)>> {
+    fn edges(t: &RoutingTable<Vec<f32>>, s: usize) -> Option<Vec<(f64, f64)>> {
         let b = &t.boxes()[s];
         (!b.is_empty()).then(|| b.edges(t.step()).collect())
     }
@@ -347,7 +348,7 @@ mod tests {
     /// `Σ stored value` and the count — all as bits.
     type TableBits = Vec<(Option<Vec<(u64, u64)>>, Vec<u64>, u64)>;
 
-    fn table_bits(t: &RoutingTable<f64>) -> TableBits {
+    fn table_bits(t: &RoutingTable<Vec<f32>>) -> TableBits {
         (0..t.num_shards())
             .map(|s| {
                 let edges = edges(t, s).map(|e| {
@@ -417,7 +418,7 @@ mod tests {
         ];
         let assignment = [0, 0, 2, 2, 0, 3];
         let got = RoutingTable::from_columns(
-            Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+            Arc::new(|_: &[f32], _: &mut Vec<f64>| {}),
             STEP,
             &columns(&rows, &assignment, 4, 2, STEP),
         );
@@ -428,13 +429,13 @@ mod tests {
         assert_eq!(got.centre(0).unwrap().collect::<Vec<_>>(), vec![1.0, 2.0]);
     }
 
-    fn range_plan(t: &RoutingTable<f64>, q: &[f64], r: f64) -> Vec<usize> {
+    fn range_plan(t: &RoutingTable<Vec<f32>>, q: &[f64], r: f64) -> Vec<usize> {
         let mut out = Vec::new();
         t.range_plan_into(q, r, &mut out);
         out
     }
 
-    fn knn_order(t: &RoutingTable<f64>, q: &[f64]) -> Vec<(usize, f64)> {
+    fn knn_order(t: &RoutingTable<Vec<f32>>, q: &[f64]) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
         t.knn_order_into(q, &mut out);
         out
@@ -460,7 +461,7 @@ mod tests {
     fn map_into_reuses_buffer() {
         let t = table(&[(1.0, 0), (-2.0, 1)], 2);
         let mut buf = vec![99.0];
-        t.map_into(&-3.5, &mut buf);
+        t.map_into(&[-3.5], &mut buf);
         assert_eq!(buf, vec![3.5]);
     }
 
@@ -537,7 +538,7 @@ mod tests {
         assert_eq!(knn_order(&t, &[1.5])[1], (0, f64::INFINITY));
     }
 
-    fn centre(t: &RoutingTable<f64>, s: usize) -> Option<Vec<f64>> {
+    fn centre(t: &RoutingTable<Vec<f32>>, s: usize) -> Option<Vec<f64>> {
         t.centre(s).map(|c| c.collect())
     }
 
@@ -667,7 +668,7 @@ mod tests {
                 .collect();
             let assignment: Vec<usize> = cells.iter().map(|&(_, s, _)| s % shards).collect();
             let got = RoutingTable::from_columns(
-                Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+                Arc::new(|_: &[f32], _: &mut Vec<f64>| {}),
                 step,
                 &columns(&rows, &assignment, shards, width, step),
             );
@@ -695,7 +696,7 @@ mod tests {
             let rows: Vec<Vec<f64>> = cells.iter().map(|&(c, _)| point(c)).collect();
             let assignment: Vec<usize> = cells.iter().map(|&(_, s)| s % shards).collect();
             let mut t = RoutingTable::from_columns(
-                Arc::new(|_: &f64, _: &mut Vec<f64>| {}),
+                Arc::new(|_: &[f32], _: &mut Vec<f64>| {}),
                 STEP,
                 &columns(&rows, &assignment, shards, width, STEP),
             );

@@ -7,9 +7,10 @@
 //! completeness and as a strong lower bound on query compdists.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, KnnBest, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object,
+    QueryScratch, StorageFootprint,
 };
+use std::borrow::Cow;
 
 /// AESA over a triangular distance matrix.
 ///
@@ -17,7 +18,7 @@ use pmi_metric::{
 /// (the object table's chunks and the distance counter are shared); an
 /// AESA insert is `O(n)` distances already and no workload commits to it.
 #[derive(Clone)]
-pub struct Aesa<O, M> {
+pub struct Aesa<O: Object, M> {
     metric: CountingMetric<M>,
     /// Lower-triangular matrix: `tri[i][j]` = d(i, j) for j < i. Rows are
     /// kept for tombstoned slots so surviving indexes stay valid.
@@ -27,24 +28,24 @@ pub struct Aesa<O, M> {
 
 impl<O, M> Aesa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O>,
 {
     /// Builds the full distance table: `n(n−1)/2` distance computations.
-    pub fn build(objects: Vec<O>, metric: M) -> Self {
+    pub fn build(objects: impl Into<ObjTable<O>>, metric: M) -> Self {
+        let table = objects.into();
         let metric = CountingMetric::new(metric);
-        let mut tri: Vec<Vec<f64>> = Vec::with_capacity(objects.len());
-        for i in 0..objects.len() {
-            let row = (0..i)
-                .map(|j| metric.dist(&objects[i], &objects[j]))
-                .collect();
-            tri.push(row);
-        }
-        Aesa {
-            metric,
-            tri,
-            table: ObjTable::new(objects),
-        }
+        let tri = table
+            .iter()
+            .map(|(i, o)| {
+                table
+                    .iter()
+                    .take(i as usize)
+                    .map(|(_, p)| metric.dist(o, p))
+                    .collect()
+            })
+            .collect();
+        Aesa { metric, tri, table }
     }
 
     #[inline]
@@ -101,7 +102,7 @@ where
 
 impl<O, M> MetricIndex<O> for Aesa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -153,7 +154,7 @@ where
                 None => f64::INFINITY, // dead column, never consulted
             })
             .collect();
-        let id = self.table.push(o);
+        let id = self.table.push(&o);
         debug_assert_eq!(id as usize, self.tri.len());
         self.tri.push(row);
         id
@@ -163,14 +164,13 @@ where
         self.table.remove(id)
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
         let tri: u64 = self.tri.iter().map(|r| 8 * r.len() as u64).sum();
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
-        StorageFootprint::mem(tri + objs)
+        StorageFootprint::mem(tri + self.table.encoded_bytes())
     }
 
     fn counters(&self) -> Counters {

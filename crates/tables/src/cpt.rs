@@ -10,14 +10,15 @@
 
 use crate::pivot_table::PivotTable;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, PivotColumns,
+    Counters, CountingMetric, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object, PivotColumns,
     QueryScratch, StorageFootprint,
 };
 use pmi_mtree::MTree;
 use pmi_storage::DiskSim;
+use std::borrow::Cow;
 
 /// CPT: in-memory pivot table + on-disk M-tree holding the objects.
-pub struct Cpt<O, M> {
+pub struct Cpt<O: Object, M> {
     table: PivotTable<O, M>,
     /// Liveness per slot (tombstoned removal keeps ids stable).
     alive: Vec<bool>,
@@ -27,12 +28,18 @@ pub struct Cpt<O, M> {
 
 impl<O, M> Cpt<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone,
 {
     /// Builds CPT on `disk` (the paper uses 40 KB pages for Color/Synthetic
     /// because objects are stored inline in the M-tree).
-    pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>, disk: DiskSim) -> Self {
+    pub fn build(
+        objects: impl Into<ObjTable<O>>,
+        metric: M,
+        pivots: Vec<O>,
+        disk: DiskSim,
+    ) -> Self {
+        let objects = objects.into();
         let table = PivotTable::compute(&objects, metric, pivots);
         Self::finish(objects, table, disk)
     }
@@ -44,21 +51,23 @@ where
     /// [`build`](Self::build)'s, and engine inserts bring their row along
     /// ([`MetricIndex::insert_adopted`]).
     pub fn build_with_matrix(
-        objects: Vec<O>,
+        objects: impl Into<ObjTable<O>>,
         metric: M,
         pivots: Vec<O>,
         rows: PivotColumns,
         disk: DiskSim,
     ) -> Self {
+        let objects = objects.into();
         let table = PivotTable::adopt(objects.len(), metric, pivots, rows);
         Self::finish(objects, table, disk)
     }
 
-    fn finish(objects: Vec<O>, table: PivotTable<O, M>, disk: DiskSim) -> Self {
+    /// Pages the objects into the M-tree, which keeps them from then on.
+    fn finish(objects: ObjTable<O>, table: PivotTable<O, M>, disk: DiskSim) -> Self {
         // Plain M-tree (no pivot augmentation): it only clusters objects.
         let mut mtree = MTree::new(disk, table.metric.clone(), Vec::new());
-        for (i, o) in objects.iter().enumerate() {
-            mtree.insert(i as u32, o);
+        for (i, o) in objects.iter() {
+            mtree.insert(i, &o.to_owned());
         }
         Cpt {
             table,
@@ -95,7 +104,7 @@ where
 /// M-tree's leaf directory are copied (`O(n)` small entries).
 impl<O, M> Clone for Cpt<O, M>
 where
-    O: Clone + EncodeObject,
+    O: Object,
     M: Metric<O> + Clone,
 {
     fn clone(&self) -> Self {
@@ -110,7 +119,7 @@ where
 
 impl<O, M> MetricIndex<O> for Cpt<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -127,7 +136,7 @@ where
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
         let live = |id: ObjId| self.alive[id as usize];
-        let get = |id| self.mtree.fetch(id).expect("object on disk");
+        let get = |id| Cow::<O::Target>::Owned(self.mtree.fetch(id).expect("object on disk"));
         self.table.range(q, r, scratch, live, "cpt.dist", get, out);
     }
 
@@ -141,8 +150,10 @@ where
     ) {
         // A slot never verified is a disk fetch saved too — the biggest win
         // for CPT, whose verification pages objects in from the M-tree.
-        let get =
-            |id| self.alive[id as usize].then(|| self.mtree.fetch(id).expect("object on disk"));
+        let get = |id| {
+            let fetch = || Cow::<O::Target>::Owned(self.mtree.fetch(id).expect("object on disk"));
+            self.alive[id as usize].then(fetch)
+        };
         self.table.knn(q, k, seed, scratch, get, out);
     }
 
@@ -151,11 +162,11 @@ where
         self.push(&o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
+    fn insert_adopted(&mut self, o: &O::Target, codes: &[u16]) -> ObjId {
         // The `n · l` table row comes with the object; only the M-tree
         // clustering computes distances (its normal insert cost).
         let local = self.table.rows.push_codes(codes);
-        self.push(&o, local)
+        self.push(&o.to_owned(), local)
     }
 
     fn pivot_rows(&self) -> Option<&PivotColumns> {
@@ -197,11 +208,11 @@ where
         }
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
         if !*self.alive.get(id as usize)? {
             return None;
         }
-        self.mtree.fetch(id)
+        self.mtree.fetch(id).map(Cow::Owned)
     }
 
     fn storage(&self) -> StorageFootprint {

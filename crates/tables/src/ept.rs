@@ -20,12 +20,13 @@
 
 use pmi_metric::matrix::quantise;
 use pmi_metric::{
-    Counters, CountingMetric, CowVec, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
+    Counters, CountingMetric, CowVec, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object,
     PivotColumns, PivotMatrix, QueryScratch, StorageFootprint,
 };
 use pmi_pivots::PsaSelector;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 
 /// Which pivot-selection strategy an [`Ept`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +76,7 @@ enum Strategy<O, M> {
     Psa(PsaSelector<O, CountingMetric<M>>),
 }
 
-impl<O: Clone + Sync, M: Metric<O>> Strategy<O, M> {
+impl<O: Object, M: Metric<O>> Strategy<O, M> {
     /// The row of `o`: its pivots' indices into `pivot_objs` and its
     /// distances to them, computed here.
     fn select_row(
@@ -117,7 +118,7 @@ impl<O: Clone + Sync, M: Metric<O>> Strategy<O, M> {
 /// id and code columns and of the object table, and the distance counter;
 /// it copies the pivot pool and the selection state.
 #[derive(Clone)]
-pub struct Ept<O, M> {
+pub struct Ept<O: Object, M> {
     metric: CountingMetric<M>,
     mode: EptMode,
     /// All pivot objects any row may reference.
@@ -134,7 +135,7 @@ pub struct Ept<O, M> {
 
 impl<O, M> Ept<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone,
 {
     /// Builds an EPT (`mode = Random`) or EPT* (`mode = Psa`).
@@ -222,7 +223,7 @@ where
     }
 }
 
-fn estimate_mus<O, M: Metric<O>>(metric: &M, pivots: &[O], sample: &[O]) -> Vec<f64> {
+fn estimate_mus<O: Object, M: Metric<O>>(metric: &M, pivots: &[O], sample: &[O]) -> Vec<f64> {
     pivots
         .iter()
         .map(|p| {
@@ -234,7 +235,7 @@ fn estimate_mus<O, M: Metric<O>>(metric: &M, pivots: &[O], sample: &[O]) -> Vec<
 
 impl<O, M> MetricIndex<O> for Ept<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -305,7 +306,7 @@ where
         for (col, id) in self.pivot_ids.iter_mut().zip(ids) {
             col.push(id);
         }
-        self.table.push(o)
+        self.table.push(&o)
     }
 
     /// Clears the slot's liveness bit. As for LAESA, the paper's
@@ -315,8 +316,8 @@ where
         self.table.remove(id)
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
@@ -325,7 +326,7 @@ where
         // keep their rows (ids stay stable), so slots are counted, not
         // live objects.
         let rows = 2 * self.codes.mem_bytes();
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
+        let objs = self.table.encoded_bytes();
         let pivots: u64 = self.pivot_objs.iter().map(|p| p.encoded_len() as u64).sum();
         StorageFootprint::mem(rows + objs + pivots)
     }
@@ -386,7 +387,7 @@ mod tests {
     fn ept_knn_matches_brute_force() {
         fn check<O, M>(objects: Vec<O>, outsiders: Vec<O>, metric: M, label: &str)
         where
-            O: Clone + EncodeObject + Send + Sync + 'static,
+            O: Object,
             M: Metric<O> + Clone + 'static,
         {
             let key = |v: Vec<Neighbor>| -> Vec<(ObjId, u64)> {

@@ -3,9 +3,10 @@
 
 use crate::pivot_table::PivotTable;
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
-    PivotColumns, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object, PivotColumns,
+    QueryScratch, StorageFootprint,
 };
+use std::borrow::Cow;
 
 /// LAESA: `n × l` pre-computed distances + linear scan with Lemma 1.
 ///
@@ -33,7 +34,7 @@ use pmi_metric::{
 /// costs `O(n / chunk)` and each side then copies only the chunks it
 /// writes. It is the [`MetricIndex::fork`].
 #[derive(Clone)]
-pub struct Laesa<O, M> {
+pub struct Laesa<O: Object, M> {
     table: PivotTable<O, M>,
     /// The objects, slot-aligned with the table's rows.
     objects: ObjTable<O>,
@@ -45,16 +46,17 @@ pub struct Laesa<O, M> {
 
 impl<O, M> Laesa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O>,
 {
     /// Builds LAESA over `objects` with the given pivot objects (selected by
     /// the caller with the shared HFI strategy, §6.1). Construction computes
     /// exactly `n · l` distances.
-    pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>) -> Self {
+    pub fn build(objects: impl Into<ObjTable<O>>, metric: M, pivots: Vec<O>) -> Self {
+        let objects = objects.into();
         Laesa {
             table: PivotTable::compute(&objects, metric, pivots),
-            objects: ObjTable::new(objects),
+            objects,
             name: "LAESA",
             point: "laesa.dist",
         }
@@ -68,14 +70,15 @@ where
     /// ([`MetricIndex::insert_adopted`]). Computes **zero** distances;
     /// queries are byte-identical to [`build`](Self::build)'s.
     pub fn build_with_matrix(
-        objects: Vec<O>,
+        objects: impl Into<ObjTable<O>>,
         metric: M,
         pivots: Vec<O>,
         rows: PivotColumns,
     ) -> Self {
+        let objects = objects.into();
         Laesa {
             table: PivotTable::adopt(objects.len(), metric, pivots, rows),
-            objects: ObjTable::new(objects),
+            objects,
             name: "LAESA",
             point: "laesa.dist",
         }
@@ -90,7 +93,12 @@ where
     /// # Panics
     ///
     /// Unless `metric` is discrete, as FQA's is (paper §4.2).
-    pub fn fqa_with_matrix(objects: Vec<O>, metric: M, pivots: Vec<O>, rows: PivotColumns) -> Self {
+    pub fn fqa_with_matrix(
+        objects: impl Into<ObjTable<O>>,
+        metric: M,
+        pivots: Vec<O>,
+        rows: PivotColumns,
+    ) -> Self {
         assert!(
             metric.is_discrete(),
             "FQA requires a discrete distance function (paper §4.2)"
@@ -119,7 +127,7 @@ where
     }
 
     /// Appends an object under the slot its row was just pushed to.
-    fn push(&mut self, o: O, local: usize) -> ObjId {
+    fn push(&mut self, o: &O::Target, local: usize) -> ObjId {
         let id = self.objects.push(o);
         debug_assert_eq!(id as usize, local);
         id
@@ -128,7 +136,7 @@ where
 
 impl<O, M> MetricIndex<O> for Laesa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -163,10 +171,10 @@ where
 
     fn insert(&mut self, o: O) -> ObjId {
         let local = self.table.push_mapped(&o);
-        self.push(o, local)
+        self.push(&o, local)
     }
 
-    fn insert_adopted(&mut self, o: O, codes: &[u16]) -> ObjId {
+    fn insert_adopted(&mut self, o: &O::Target, codes: &[u16]) -> ObjId {
         // The caller already mapped the object: zero distance computations.
         let local = self.table.rows.push_codes(codes);
         self.push(o, local)
@@ -190,19 +198,14 @@ where
         self.objects.remove(id)
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.objects.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.objects.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
         // The columns keep tombstoned rows (ids stay stable), so their
         // footprint counts slots, not live objects.
-        let objs: u64 = self
-            .objects
-            .iter()
-            .map(|(_, o)| o.encoded_len() as u64)
-            .sum();
-        StorageFootprint::mem(self.table.mem_bytes() + objs)
+        StorageFootprint::mem(self.table.mem_bytes() + self.objects.encoded_bytes())
     }
 
     fn counters(&self) -> Counters {
@@ -270,7 +273,7 @@ mod tests {
         let codes: Vec<u16> = row.iter().map(|&x| quantise(x, step)).collect();
         adopted.reset_counters();
         plain.reset_counters();
-        let a = adopted.insert_adopted(o.clone(), &codes);
+        let a = adopted.insert_adopted(&o, &codes);
         let b = plain.insert(o.clone());
         assert_eq!(a, b, "same slot id");
         assert_eq!(adopted.counters().compdists, 0, "adoption computes nothing");

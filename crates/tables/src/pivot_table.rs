@@ -5,7 +5,8 @@
 
 use pmi_metric::matrix::quantise;
 use pmi_metric::{
-    CountingMetric, EncodeObject, Metric, Neighbor, ObjId, PivotColumns, PivotMatrix, QueryScratch,
+    dists_from, CountingMetric, Metric, Neighbor, ObjId, ObjTable, Object, PivotColumns,
+    PivotMatrix, QueryScratch,
 };
 use std::borrow::Borrow;
 
@@ -22,13 +23,21 @@ pub(crate) struct PivotTable<O, M> {
 
 impl<O, M> PivotTable<O, M>
 where
-    O: EncodeObject + Sync,
+    O: Object,
     M: Metric<O>,
 {
     /// Computes the rows of `objects`: exactly `n · l` distances.
-    pub(crate) fn compute(objects: &[O], metric: M, pivots: Vec<O>) -> Self {
+    pub(crate) fn compute(objects: &ObjTable<O>, metric: M, pivots: Vec<O>) -> Self {
         let metric = CountingMetric::new(metric);
-        let rows = PivotColumns::from(&PivotMatrix::compute(objects, &metric, &pivots, 1));
+        let width = pivots.len();
+        let matrix = PivotMatrix::fill_with(objects.slots(), width, 1, |run, slots| {
+            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
+                let o = objects.get(i as ObjId).expect("a fresh table is all live");
+                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
+                dists_from(&metric, o, pivots, |x, d| *x = d);
+            }
+        });
+        let rows = PivotColumns::from(&matrix);
         PivotTable {
             metric,
             pivots,
@@ -50,7 +59,7 @@ where
 
     /// Maps `o` (`|P|` distances, Table 6) and appends its row; returns
     /// its slot.
-    pub(crate) fn push_mapped(&mut self, o: &O) -> usize {
+    pub(crate) fn push_mapped(&mut self, o: &O::Target) -> usize {
         let step = self.rows.step();
         let codes: Vec<u16> = (self.pivots.iter())
             .map(|p| quantise(self.metric.dist(o, p), step))
@@ -75,9 +84,9 @@ where
     /// [`QueryScratch::range_verify`] through the `point` fault hook,
     /// `get(slot)` yielding a survivor's object.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn range<B: Borrow<O>>(
+    pub(crate) fn range<B: Borrow<O::Target>>(
         &self,
-        q: &O,
+        q: &O::Target,
         r: f64,
         scratch: &mut QueryScratch,
         live: impl Fn(ObjId) -> bool,
@@ -103,9 +112,9 @@ where
     /// radius), then [`QueryScratch::knn_verify`], nearest bound first;
     /// `get(slot)` is `None` for a tombstoned slot. The paper's LAESA
     /// verifies in storage order and notes that as suboptimal (§3.1).
-    pub(crate) fn knn<B: Borrow<O>>(
+    pub(crate) fn knn<B: Borrow<O::Target>>(
         &self,
-        q: &O,
+        q: &O::Target,
         k: usize,
         seed: f64,
         scratch: &mut QueryScratch,

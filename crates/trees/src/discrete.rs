@@ -7,11 +7,12 @@
 //! (§4.1 discussion): children are distance *buckets* of equal width.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, KnnBest, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object,
+    QueryScratch, StorageFootprint,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -73,7 +74,7 @@ enum Node<O> {
 /// sole owner copies nothing, a fork copies the root-to-leaf path it
 /// writes and nothing else.
 #[derive(Clone)]
-pub struct DiscreteTree<O, M> {
+pub struct DiscreteTree<O: Object, M> {
     kind: Kind,
     metric: CountingMetric<M>,
     /// FQT: the shared per-level pivots.
@@ -87,7 +88,7 @@ pub struct DiscreteTree<O, M> {
 
 impl<O, M> DiscreteTree<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O>,
 {
     /// Builds a BKT (random pivots per sub-tree).
@@ -144,7 +145,7 @@ where
         match self.kind {
             Kind::Bkt => {
                 let id = ids[self.rng.random_range(0..ids.len())];
-                self.table.get(id).expect("pivot object live").clone()
+                self.table.get(id).expect("pivot object live").to_owned()
             }
             Kind::Fqt => self.level_pivots[depth].clone(),
         }
@@ -223,7 +224,7 @@ where
 
 impl<O, M> MetricIndex<O> for DiscreteTree<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -309,7 +310,7 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        let id = self.table.push(o.clone());
+        let id = self.table.push(&o);
         let w = self.bucket_width();
         let buckets = self.cfg.buckets;
         let leaf_cap = self.cfg.leaf_cap;
@@ -354,7 +355,7 @@ where
     fn remove(&mut self, id: ObjId) -> bool {
         // Nodes own their pivot objects, so removing the dataset object
         // never breaks routing: we just drop the id from its leaf.
-        let Some(o) = self.table.get(id).cloned() else {
+        let Some(o) = self.table.get(id) else {
             return false;
         };
         let w = self.bucket_width();
@@ -366,7 +367,7 @@ where
             loop {
                 match node {
                     Node::Internal { pivot, children } => {
-                        let d = self.metric.dist(&o, pivot);
+                        let d = self.metric.dist(o, pivot);
                         let b = ((d / w) as usize).min(buckets - 1);
                         match children[b].as_mut() {
                             Some(c) => node = Arc::make_mut(c),
@@ -390,12 +391,12 @@ where
         removed
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
+        let objs = self.table.encoded_bytes();
         // Rough structural accounting: each node has a pivot id + bucket
         // pointers; leaves hold ids.
         let structure =
@@ -513,7 +514,7 @@ mod tests {
             w.push(char::from(b'a' + (i % 26) as u8));
             idx.insert(w);
         }
-        let oracle_data: Vec<String> = idx.table.iter().map(|(_, o)| o.clone()).collect();
+        let oracle_data: Vec<String> = idx.table.to_vec();
         let oracle = BruteForce::new(oracle_data, EditDistance);
         let got = idx.knn_query(&idx_target, 10);
         let want = oracle.knn_query(&idx_target, 10);

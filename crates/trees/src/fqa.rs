@@ -15,9 +15,10 @@
 //! signature array, what standalone builds and `repro` measure.
 
 use pmi_metric::{
-    Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor, ObjId,
-    ObjTable, QueryScratch, StorageFootprint,
+    Counters, CountingMetric, KnnBest, Metric, MetricIndex, Neighbor, ObjId, ObjTable, Object,
+    QueryScratch, StorageFootprint,
 };
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -27,7 +28,7 @@ use std::collections::BinaryHeap;
 /// (an FQA insert shifts them, `O(n)`, already); the object table and the
 /// distance counter are shared.
 #[derive(Clone)]
-pub struct Fqa<O, M> {
+pub struct Fqa<O: Object, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
     /// Bucket width shared by all levels.
@@ -47,13 +48,13 @@ fn bucket(d: f64, width: f64, buckets: u32) -> u32 {
 
 impl<O, M> Fqa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O>,
 {
     /// Builds an FQA with the shared pivot set. `max_distance` bounds the
     /// discrete distance domain; `buckets` is the signature alphabet size.
     pub fn build(
-        objects: Vec<O>,
+        objects: impl Into<ObjTable<O>>,
         metric: M,
         pivots: Vec<O>,
         max_distance: f64,
@@ -66,7 +67,7 @@ where
         assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
         let metric = CountingMetric::new(metric);
         let width = (max_distance / buckets as f64).max(1.0);
-        let table = ObjTable::new(objects);
+        let table = objects.into();
         let mut rows: Vec<(Vec<u32>, ObjId)> = table
             .iter()
             .map(|(id, o)| {
@@ -88,7 +89,7 @@ where
         }
     }
 
-    fn signature(&self, o: &O) -> Vec<u32> {
+    fn signature(&self, o: &O::Target) -> Vec<u32> {
         self.pivots
             .iter()
             .map(|p| bucket(self.metric.dist(o, p), self.width, self.buckets))
@@ -157,7 +158,7 @@ where
 
 impl<O, M> MetricIndex<O> for Fqa<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -265,7 +266,7 @@ where
 
     fn insert(&mut self, o: O) -> ObjId {
         let sig = self.signature(&o);
-        let id = self.table.push(o);
+        let id = self.table.push(&o);
         self.insert_sorted(sig, id);
         id
     }
@@ -282,12 +283,12 @@ where
         true
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
+        let objs = self.table.encoded_bytes();
         // Signatures are the compact part: l small integers per object.
         let sigs: u64 = self.rows.iter().map(|(s, _)| 4 * s.len() as u64 + 4).sum();
         let pivots: u64 = self.pivots.iter().map(|p| p.encoded_len() as u64).sum();

@@ -24,9 +24,10 @@
 
 use pmi_metric::matrix::{code_lower_bound, quantise, step_for};
 use pmi_metric::{
-    dists_from, Counters, CountingMetric, EncodeObject, KnnBest, Metric, MetricIndex, Neighbor,
-    ObjId, ObjTable, QueryScratch, StorageFootprint,
+    dists_from, Counters, CountingMetric, KnnBest, Metric, MetricIndex, Neighbor, ObjId, ObjTable,
+    Object, QueryScratch, StorageFootprint,
 };
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -78,7 +79,7 @@ enum Node {
 /// (≤ one node per level, the leaf's two vectors included) and nothing
 /// else.
 #[derive(Clone)]
-pub struct Mvpt<O, M> {
+pub struct Mvpt<O: Object, M> {
     metric: CountingMetric<M>,
     pivots: Vec<O>,
     cfg: MvptConfig,
@@ -92,14 +93,19 @@ pub struct Mvpt<O, M> {
 
 impl<O, M> Mvpt<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O>,
 {
     /// Builds an MVPT with one shared pivot per level (`pivots[lvl]`),
     /// storing leaf codes under [`step_for`] the largest distance the build
     /// computed.
-    pub fn build(objects: Vec<O>, metric: M, pivots: Vec<O>, cfg: MvptConfig) -> Self {
-        Self::build_under(objects, metric, pivots, cfg, None)
+    pub fn build(
+        objects: impl Into<ObjTable<O>>,
+        metric: M,
+        pivots: Vec<O>,
+        cfg: MvptConfig,
+    ) -> Self {
+        Self::build_under(objects.into(), metric, pivots, cfg, None)
     }
 
     /// [`build`](Self::build), storing leaf codes under `step` (a power of
@@ -107,7 +113,7 @@ where
     /// the tree sits beside, so each leaf code equals the column's code for
     /// that member. Same tree, same distance count.
     pub fn build_with_step(
-        objects: Vec<O>,
+        objects: impl Into<ObjTable<O>>,
         metric: M,
         pivots: Vec<O>,
         cfg: MvptConfig,
@@ -117,11 +123,11 @@ where
             step > 0.0 && step.is_finite() && step.to_bits() << 12 == 0,
             "{step} is not a power of two"
         );
-        Self::build_under(objects, metric, pivots, cfg, Some(step))
+        Self::build_under(objects.into(), metric, pivots, cfg, Some(step))
     }
 
     fn build_under(
-        objects: Vec<O>,
+        table: ObjTable<O>,
         metric: M,
         pivots: Vec<O>,
         cfg: MvptConfig,
@@ -130,7 +136,6 @@ where
         assert!(cfg.arity >= 2, "MVPT arity must be at least 2");
         assert!(!pivots.is_empty(), "MVPT needs at least one pivot");
         let metric = CountingMetric::new(metric);
-        let table = ObjTable::new(objects);
         let mut t = Mvpt {
             metric,
             pivots,
@@ -151,7 +156,12 @@ where
     }
 
     /// VPT: binary vantage point tree.
-    pub fn vpt(objects: Vec<O>, metric: M, pivots: Vec<O>, leaf_cap: usize) -> Self {
+    pub fn vpt(
+        objects: impl Into<ObjTable<O>>,
+        metric: M,
+        pivots: Vec<O>,
+        leaf_cap: usize,
+    ) -> Self {
         Self::build(objects, metric, pivots, MvptConfig { arity: 2, leaf_cap })
     }
 
@@ -291,7 +301,7 @@ where
 /// split. Items are positions into `ids` and `rows` (row `p` is
 /// `rows[p * l..][..l]`, `l = pivots.len()`); a node permutes its slice of
 /// positions and hands each child a sub-slice, so no item's row moves.
-struct Builder<'a, O, M> {
+struct Builder<'a, O: Object, M> {
     metric: &'a CountingMetric<M>,
     table: &'a ObjTable<O>,
     pivots: &'a [O],
@@ -303,7 +313,7 @@ struct Builder<'a, O, M> {
     nodes: usize,
 }
 
-impl<O, M: Metric<O>> Builder<'_, O, M> {
+impl<O: Object, M: Metric<O>> Builder<'_, O, M> {
     fn node(&mut self, items: &mut [u32], level: usize) -> Node {
         self.nodes += 1;
         if items.len() <= self.cfg.leaf_cap || level >= self.pivots.len() {
@@ -387,7 +397,7 @@ impl<O, M: Metric<O>> Builder<'_, O, M> {
 
 impl<O, M> MetricIndex<O> for Mvpt<O, M>
 where
-    O: Clone + EncodeObject + Send + Sync + 'static,
+    O: Object,
     M: Metric<O> + Clone + 'static,
 {
     fn name(&self) -> &str {
@@ -480,7 +490,7 @@ where
     }
 
     fn insert(&mut self, o: O) -> ObjId {
-        let id = self.table.push(o.clone());
+        let id = self.table.push(&o);
         // Phase 1: descend (one distance per level), add to the leaf, and —
         // if it overflowed — take its items out for rebuilding. The path of
         // child indices is recorded so phase 2 can replay the descent
@@ -593,12 +603,12 @@ where
         found
     }
 
-    fn get(&self, id: ObjId) -> Option<O> {
-        self.table.get(id).cloned()
+    fn object(&self, id: ObjId) -> Option<Cow<'_, O::Target>> {
+        self.table.get(id).map(Cow::Borrowed)
     }
 
     fn storage(&self) -> StorageFootprint {
-        let objs: u64 = self.table.iter().map(|(_, o)| o.encoded_len() as u64).sum();
+        let objs = self.table.encoded_bytes();
         fn node_bytes(n: &Node) -> u64 {
             match n {
                 Node::Leaf { ids, codes, .. } => 4 * ids.len() as u64 + 2 * codes.len() as u64,
@@ -715,7 +725,7 @@ mod tests {
         // The oracle numbers the live objects 0, 1, …; `live` maps its ids
         // back, in ascending order, so ties keep their order.
         let (live, all): (Vec<ObjId>, Vec<Vec<f32>>) =
-            idx.table.iter().map(|(id, o)| (id, o.clone())).unzip();
+            idx.table.iter().map(|(id, o)| (id, o.to_vec())).unzip();
         let oracle = BruteForce::new(all, L2);
         let got = idx.knn_query(&pts[10], 15);
         let mut want = oracle.knn_query(&pts[10], 15);
@@ -744,7 +754,7 @@ mod tests {
     /// sum of the kNN distances' bits]`.
     fn fingerprint<O, M>(idx: &Mvpt<O, M>, queries: &[O], r: f64, k: usize) -> [u64; 6]
     where
-        O: Clone + EncodeObject + Send + Sync + 'static,
+        O: Object,
         M: Metric<O> + Clone + 'static,
     {
         let charged = idx.counters().compdists;
@@ -779,7 +789,7 @@ mod tests {
         (r, k): (f64, usize),
     ) -> [[u64; 6]; 2]
     where
-        O: Clone + EncodeObject + Send + Sync + 'static,
+        O: Object,
         M: Metric<O> + Clone + 'static,
     {
         let n = objs.len();

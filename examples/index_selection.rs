@@ -15,7 +15,7 @@ use pivot_metric_repro as pmr;
 use pmr::builder::{build_vector_index, BuildOptions, IndexKind};
 use pmr::{datasets, L1, L2};
 
-fn measure<O>(
+fn measure<O: pmr::Object>(
     idx: &dyn pmr::MetricIndex<O>,
     objects: &[O],
     k: usize,

@@ -29,7 +29,7 @@ const ALL_KINDS: [IndexKind; 17] = [
 
 fn check_all<O, M>(objects: Vec<O>, metric: M, d_plus: f64, radii: &[f64], label: &str)
 where
-    O: Clone + pmr::EncodeObject + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    O: pmr::Object + PartialEq + std::fmt::Debug,
     M: Metric<O> + Clone + 'static,
 {
     let opts = BuildOptions {
@@ -141,7 +141,11 @@ fn spb_consistency_separately() {
 
 /// What an index answers for a fixed handful of queries: sorted MRQ ids
 /// and the full kNN lists, exact enough to compare one index with itself.
-fn answers<O>(idx: &dyn MetricIndex<O>, queries: &[O], r: f64) -> Vec<(Vec<ObjId>, Vec<Neighbor>)> {
+fn answers<O: pmr::Object>(
+    idx: &dyn MetricIndex<O>,
+    queries: &[O],
+    r: f64,
+) -> Vec<(Vec<ObjId>, Vec<Neighbor>)> {
     queries
         .iter()
         .map(|q| {
@@ -163,7 +167,7 @@ fn check_fork_contract<O, M>(
     label: &str,
 ) -> Vec<IndexKind>
 where
-    O: Clone + pmr::EncodeObject + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    O: pmr::Object + PartialEq + std::fmt::Debug,
     M: Metric<O> + Clone + 'static,
 {
     let opts = BuildOptions {
@@ -214,7 +218,7 @@ where
         // The fork equals a brute-force model of its own live set.
         assert_eq!(fork.len(), live.len(), "{ctx}");
         let model = BruteForce::new(
-            live.iter().map(|(_, o)| o.clone()).collect(),
+            live.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>(),
             metric.clone(),
         );
         for (q, (ids, knn)) in queries.iter().zip(answers(&*fork, &queries, r)) {

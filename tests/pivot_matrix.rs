@@ -37,7 +37,7 @@ fn recompute_engine(
 ) -> ShardedEngine<Vec<f32>> {
     let pivots = hfi_pivots(pts, opts);
     let map_pivots = pivots.clone();
-    let layout = Layout::mapped(pivots.len(), move |o: &Vec<f32>, out: &mut Vec<f64>| {
+    let layout = Layout::mapped(pivots.len(), move |o: &[f32], out: &mut Vec<f64>| {
         out.extend(map_pivots.iter().map(|p| L2.dist(o, p)))
     });
     ShardedEngine::build(pts.to_vec(), layout, cfg, |_, part, _| {

@@ -180,7 +180,7 @@ proptest! {
 
     #[test]
     fn metric_axioms_hold(v in vecs(4, 3..10)) {
-        let metrics: [&dyn Metric<[f32]>; 3] = [&L1, &L2, &LInf { discrete: false }];
+        let metrics: [&dyn Metric<Vec<f32>>; 3] = [&L1, &L2, &LInf { discrete: false }];
         for m in metrics {
             for a in &v {
                 for b in &v {

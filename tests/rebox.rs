@@ -429,8 +429,7 @@ fn two_clusters() -> ShardedEngine<Vec<f32>> {
         .map(|i| vec![(i % 2 * 100 + i / 2) as f32])
         .collect();
     let membership: Vec<usize> = (0..20).map(|i| i % 2).collect();
-    let mapper =
-        |o: &Vec<f32>, out: &mut Vec<f64>| out.push(L2.dist(o.as_slice(), [0.0f32].as_slice()));
+    let mapper = |o: &[f32], out: &mut Vec<f64>| out.push(L2.dist(o, &[0.0f32]));
     ShardedEngine::build(
         objects,
         Layout::mapped(1, mapper).with_membership(&membership),
@@ -561,7 +560,7 @@ fn inserts_beyond_the_top_bucket_saturate_and_stay_exact() {
         })
         .collect();
     let same_answers = |e: &ShardedEngine<Vec<f32>>, live: &[(ObjId, Vec<f32>)], ctx: &str| {
-        let oracle = BruteForce::new(live.iter().map(|(_, o)| o.clone()).collect(), L2);
+        let oracle = BruteForce::new(live.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>(), L2);
         let gid = |local: ObjId| live[local as usize].0;
         for q in [&far[0], &far[1], &far[7], &pts[3], &pts[411]] {
             for r in [0.0, 900.0, 5_000.0, 80_000.0] {

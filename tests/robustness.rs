@@ -14,8 +14,8 @@ use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Layout, Query, QueryResult};
 use pmr::{
-    build_sharded_vector_engine, LInf, PartitionPolicy, QueryBudget, QueryError, ServeBudget,
-    ShardedEngine, L2,
+    build_sharded_vector_engine, LInf, ObjId, OpError, OpErrorKind, PartitionPolicy, QueryBudget,
+    QueryError, ServeBudget, ShardedEngine, UpdateBatch, L2,
 };
 use proptest::prelude::*;
 
@@ -180,6 +180,48 @@ proptest! {
             prop_assert_eq!(clean_out.report.failed, 0);
         }
     }
+}
+
+/// The norms score two vectors over their common prefix, and the object
+/// tables store one fixed stride: on a 2-d engine, a 3-d query comes back
+/// as `InvalidObject`, a 1-d insert as the op's `InvalidObject`, and the
+/// engine serves and holds exactly what it did before.
+#[test]
+fn a_vector_of_another_dimension_is_refused_at_the_boundary() {
+    let pts = pmr::datasets::la(N, 21);
+    let policy = PartitionPolicy::PivotSpace;
+    let mut engine =
+        build_sharded_vector_engine(IndexKind::Laesa, pts.clone(), L2, &opts(), &cfg(), policy)
+            .unwrap();
+    let valid = [
+        Query::range(pts[0].clone(), 800.0),
+        Query::knn(pts[1].clone(), 10),
+    ];
+    let before = engine.serve(&valid).results;
+
+    let wrong = [
+        Query::range(vec![pts[0][0], pts[0][1], 0.0], 800.0),
+        Query::knn(vec![pts[1][0], pts[1][1], 0.0], 10),
+    ];
+    let out = engine.serve(&wrong);
+    for r in &out.results {
+        assert_eq!(r, &QueryResult::Failed(QueryError::InvalidObject));
+    }
+
+    let mut batch = UpdateBatch::new();
+    batch.insert(vec![pts[2][0]]);
+    let report = engine.apply(&batch);
+    assert_eq!(report.inserts, 0);
+    assert_eq!(
+        report.op_errors,
+        vec![OpError {
+            op: 0,
+            kind: OpErrorKind::InvalidObject
+        }]
+    );
+    assert_eq!(engine.len(), N);
+    assert_eq!(engine.get(N as ObjId), None);
+    assert_eq!(engine.serve(&valid).results, before);
 }
 
 /// Deadline pressure on a plain LAESA engine — every query probes all 8

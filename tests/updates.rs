@@ -180,7 +180,7 @@ where
         .map(|(g, o)| (o, e.locate(g).expect("live object located").0))
         .unzip();
     let (m, p) = (metric.clone(), pivots.to_vec());
-    let layout = Layout::mapped(pivots.len(), move |o: &Vec<f32>, out: &mut Vec<f64>| {
+    let layout = Layout::mapped(pivots.len(), move |o: &[f32], out: &mut Vec<f64>| {
         out.extend(p.iter().map(|p| m.dist(o, p)))
     })
     .with_membership(&membership);
@@ -737,7 +737,7 @@ fn a_plain_engine_with_private_pivot_rows_reclusters_and_compacts() {
         ..EngineConfig::default()
     };
     let mut e = ShardedEngine::build(pts.clone(), Layout::plain(), &cfg, |_, part, _| {
-        let pivots = hfi_pivots(&part, opts.num_pivots);
+        let pivots = hfi_pivots(&part.to_vec(), opts.num_pivots);
         build_index(IndexKind::Laesa, part, L2, pivots, &opts)
     })
     .unwrap();
