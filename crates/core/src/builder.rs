@@ -232,6 +232,11 @@ impl Default for BuildOptions {
 /// an object table adopt it as it is; the rest (EPT, BKT / FQT and the
 /// disk kinds, which select from or page owned objects) get its objects
 /// as a `Vec<O>`.
+///
+/// # Panics
+///
+/// If `objects` is a table with a removed slot ([`ObjTable::fresh`]): ids
+/// are slots, and every kind numbers its objects `0..n`.
 pub fn build_index<O, M>(
     kind: IndexKind,
     objects: impl Into<ObjTable<O>>,
@@ -247,6 +252,7 @@ where
     use pmi_tables::*;
     use pmi_trees::*;
 
+    let table = ObjTable::fresh(objects);
     if kind.requires_discrete() && !metric.is_discrete() {
         return Err(BuildError::RequiresDiscreteMetric(kind));
     }
@@ -263,7 +269,6 @@ where
         sample: opts.ept_sample,
         seed: opts.seed,
     };
-    let table = objects.into();
     check_inline_page(kind, &table, &pivots, opts)?;
     let owned = || table.to_vec();
     Ok(match kind {
@@ -400,6 +405,10 @@ fn check_inline_page<O: Object>(
 /// Omni family interleaves its tables with its disk layout) — drops the
 /// rows and builds exactly as [`build_index`] does. This is the shard
 /// factory the facade hands `ShardedEngine::build`.
+///
+/// # Panics
+///
+/// As [`build_index`], if `objects` is a table with a removed slot.
 pub fn build_index_with_matrix<O, M>(
     kind: IndexKind,
     objects: impl Into<ObjTable<O>>,
@@ -415,7 +424,7 @@ where
     use pmi_tables::*;
     use pmi_trees::{Mvpt, MvptConfig};
 
-    let objects = objects.into();
+    let objects = ObjTable::fresh(objects);
     if pivots.len() < kind.min_pivots() {
         // Refused: `build_index` says why.
         return build_index(kind, objects, metric, pivots, opts);
@@ -485,6 +494,27 @@ mod tests {
     use pmi_metric::datasets;
     use pmi_metric::{BruteForce, EncodeObject, LInf, ObjId, L2};
 
+    /// Every kind `build_index` builds.
+    const ALL_KINDS: [IndexKind; 17] = [
+        IndexKind::Aesa,
+        IndexKind::Laesa,
+        IndexKind::Ept,
+        IndexKind::EptStar,
+        IndexKind::Cpt,
+        IndexKind::Bkt,
+        IndexKind::Fqt,
+        IndexKind::Fqa,
+        IndexKind::Vpt,
+        IndexKind::Mvpt,
+        IndexKind::PmTree,
+        IndexKind::OmniSeq,
+        IndexKind::OmniBPlus,
+        IndexKind::OmniR,
+        IndexKind::MIndex,
+        IndexKind::MIndexStar,
+        IndexKind::Spb,
+    ];
+
     /// 3-d integer points, a third of them one repeated point: an M-tree
     /// leaf full of copies of the object it promotes twice, whose
     /// hyperplane split used to put every entry on one side and overflow
@@ -542,6 +572,48 @@ mod tests {
             ..opts
         };
         assert!(build_vector_index(IndexKind::PmTree, pts, L2, &roomy).is_ok());
+    }
+
+    /// Ids are slots, so no kind builds over a table with a removed slot:
+    /// `build_index` and `build_index_with_matrix` refuse it for every kind
+    /// alike (a kind that pages or re-selects its objects would otherwise
+    /// renumber them, and a table kind would misalign its rows).
+    #[test]
+    fn a_table_with_a_removed_slot_is_refused_by_every_kind() {
+        use pmi_metric::EditDistance;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let words = datasets::words(40, 3);
+        let pivots = words[..3].to_vec();
+        let mut table = ObjTable::new(words);
+        assert!(table.remove(7));
+        let rows = PivotColumns::from(&pmi_metric::PivotMatrix::compute(
+            &table.to_vec(),
+            &EditDistance,
+            &pivots,
+            1,
+        ));
+        let opts = BuildOptions::default();
+        let refused = |build: &dyn Fn() -> Result<Box<dyn MetricIndex<String>>, BuildError>| {
+            let payload = catch_unwind(AssertUnwindSafe(build)).err()?;
+            payload.downcast_ref::<String>().cloned()
+        };
+        let want = "an index is built over a table with no removed slots (39 of 40 live)";
+        for kind in ALL_KINDS {
+            let label = kind.label();
+            let standalone =
+                refused(&|| build_index(kind, table.clone(), EditDistance, pivots.clone(), &opts));
+            assert_eq!(standalone.as_deref(), Some(want), "{label} build_index");
+            let adopted = refused(&|| {
+                let (t, p) = (table.clone(), pivots.clone());
+                build_index_with_matrix(kind, t, EditDistance, p, &opts, rows.clone())
+            });
+            assert_eq!(
+                adopted.as_deref(),
+                Some(want),
+                "{label} build_index_with_matrix"
+            );
+        }
     }
 
     #[test]
@@ -740,25 +812,6 @@ mod tests {
         use pmi_metric::EditDistance;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let kinds = [
-            IndexKind::Aesa,
-            IndexKind::Laesa,
-            IndexKind::Ept,
-            IndexKind::EptStar,
-            IndexKind::Cpt,
-            IndexKind::Bkt,
-            IndexKind::Fqt,
-            IndexKind::Fqa,
-            IndexKind::Vpt,
-            IndexKind::Mvpt,
-            IndexKind::PmTree,
-            IndexKind::OmniSeq,
-            IndexKind::OmniBPlus,
-            IndexKind::OmniR,
-            IndexKind::MIndex,
-            IndexKind::MIndexStar,
-            IndexKind::Spb,
-        ];
         let pts = datasets::la(120, 7);
         let words = datasets::words(120, 7);
         let opts = BuildOptions {
@@ -783,7 +836,7 @@ mod tests {
                 assert_eq!(*err, BuildError::NotEnoughPivots(kind, pivots), "{ctx}");
             }
         };
-        for kind in kinds {
+        for kind in ALL_KINDS {
             let label = kind.label();
             let built = catch_unwind(AssertUnwindSafe(|| {
                 build_index(kind, pts.clone(), L2, Vec::new(), &opts).map(|_| ())

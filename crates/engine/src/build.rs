@@ -2,7 +2,7 @@
 //! derives from the layout's pivot space — the rows, the membership, each
 //! shard's own stored columns and the routing boxes read off them — before
 //! it indexes the partitions. Its phases are laps of one clock:
-//! `build.pack` (small objects into one arena), `build.matrix` (the f64
+//! `build.pack` (the objects into one arena), `build.matrix` (the f64
 //! rows, the step and the one quantisation), `build.partition`,
 //! `build.split` (the objects dealt into the shards' tables, the columns,
 //! the routing table) and `build.shards`, all inside `build`.
@@ -27,22 +27,6 @@ use std::time::Instant;
 
 /// One partition awaiting its index, plus its members' stored pivot rows.
 type MatrixPart<O> = (Partition<O>, PivotColumns);
-
-/// The objects between the input and the split: packed, or as they came.
-enum Objects<O: Object> {
-    Packed(ObjTable<O>),
-    Input(Vec<O>),
-}
-
-impl<O: Object> Objects<O> {
-    /// The view of object `i`.
-    fn view(&self, i: usize) -> &O::Target {
-        match self {
-            Objects::Packed(table) => table.get(i as ObjId).expect("a packed input is all live"),
-            Objects::Input(objects) => &objects[i],
-        }
-    }
-}
 
 /// What [`ShardedEngine::build`] builds over: the engine's pivot space —
 /// its mapper and width — and optionally an explicit membership.
@@ -95,12 +79,9 @@ impl<O: Object> ShardedEngine<O> {
     /// one constructor; everything an engine derives from its pivot space
     /// is derived here:
     ///
-    /// 0. the objects, when each is smaller than its f64 row (2-d LA),
-    ///    packed into one [`ObjTable`] arena first, each input object
-    ///    dropped as soon as it is copied, so the build never holds the
-    ///    input vector's allocations beside the f64 rows; larger objects
-    ///    (282-d Color), whose rows are the smaller transient, stay where
-    ///    they are until the split;
+    /// 0. the objects, packed into one [`ObjTable`] arena first, each
+    ///    input object dropped as soon as it is copied, so the build never
+    ///    holds the input vector's allocations beside the f64 rows;
     /// 1. the rows — row `i` is the mapper's image of object `i`'s view,
     ///    computed once, in parallel over `cfg.threads`
     ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
@@ -115,9 +96,8 @@ impl<O: Object> ShardedEngine<O> {
     ///    balanced contiguous runs over a zero-width space), or the
     ///    layout's explicit one;
     /// 3. each shard's objects, dealt in one pass in id order into a table
-    ///    of its own (each chunk of the packed table, or each input object,
-    ///    released once copied), and its rows as its own planar u16 bucket
-    ///    columns
+    ///    of its own (each chunk of the packed table released once
+    ///    copied), and its rows as its own planar u16 bucket columns
     ///    ([`PivotColumns`]), gathered from the codes shard by shard on the
     ///    build's workers — the only form any shard, index or snapshot
     ///    holds them in;
@@ -185,25 +165,18 @@ impl<O: Object> ShardedEngine<O> {
         // One clock pair per phase and per shard build.
         let mut clock = ObsClock::start(true);
 
-        // The objects: of them and the f64 rows, the smaller waits beside
-        // the larger. An object smaller than its row (2-d LA: 12 B against
-        // 40 B) is packed first, so the input's allocations are gone before
-        // the rows exist; a larger one (282-d Color: 1 132 B) is mapped
-        // where it lies and copied once, into its shard's table, at the
-        // split.
-        let small = |o: &O| O::encoded_len_of(o) < 8 * width;
-        let objects = if objects.first().is_some_and(small) {
-            Objects::Packed(ObjTable::new(objects))
-        } else {
-            Objects::Input(objects)
-        };
+        // The objects, packed before the rows exist: each input object is
+        // dropped once copied, so its allocation is gone before the f64
+        // rows are allocated.
+        let objects = ObjTable::new(objects);
         obs.phase_add("build.pack", 1, clock.lap(), &[]);
         // The pivot space: row `i` is the map of object `i`.
         let rows = PivotMatrix::fill_with(n, width, threads, |run, slots| {
             let mut row = Vec::with_capacity(width);
             for (i, slot) in run.zip(slots.chunks_mut(width.max(1))) {
                 row.clear();
-                mapper(objects.view(i), &mut row);
+                let o = objects.get(i as ObjId).expect("a packed input is all live");
+                mapper(o, &mut row);
                 slot.copy_from_slice(&row);
             }
         });
@@ -237,10 +210,7 @@ impl<O: Object> ShardedEngine<O> {
         // are dropped, so the two coexist only here: before a single shard
         // index, locator or id table exists.
         let members = members_by_assignment(&membership, num_shards);
-        let tables = match objects {
-            Objects::Packed(table) => table.split(&membership, num_shards),
-            Objects::Input(objects) => ObjTable::split_vec(objects, &membership, num_shards),
-        };
+        let tables = objects.split(&membership, num_shards);
         drop(membership);
         let parts: Vec<_> = members.into_iter().zip(tables).collect();
         let split = claim_each(parts, threads, |(gids, table)| {

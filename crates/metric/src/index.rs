@@ -213,7 +213,7 @@ impl<O: Object, M: Metric<O>> BruteForce<O, M> {
     /// Builds the oracle over `objects`.
     pub fn new(objects: impl Into<ObjTable<O>>, metric: M) -> Self {
         BruteForce {
-            table: objects.into(),
+            table: ObjTable::fresh(objects),
             metric: CountingMetric::new(metric),
         }
     }

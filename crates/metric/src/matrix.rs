@@ -247,11 +247,29 @@ impl PivotMatrix {
         O: Object,
         M: Metric<O> + Sync,
     {
+        Self::compute_by(objects.len(), |i| &*objects[i], metric, pivots, threads)
+    }
+
+    /// [`compute`](Self::compute) over `rows` objects that `view(i)` hands
+    /// out by row (an [`ObjTable`](crate::ObjTable)'s slots): the one body
+    /// of the `n · l` build matrix, so every build computes the same
+    /// distances in the same order.
+    pub fn compute_by<'a, O, M>(
+        rows: usize,
+        view: impl Fn(usize) -> &'a O::Target + Sync,
+        metric: &M,
+        pivots: &[O],
+        threads: usize,
+    ) -> Self
+    where
+        O: Object + 'a,
+        M: Metric<O> + Sync,
+    {
         let width = pivots.len();
-        Self::fill_with(objects.len(), width, threads, |run, slots| {
-            for (slot, o) in slots.chunks_mut(width.max(1)).zip(&objects[run]) {
+        Self::fill_with(rows, width, threads, |run, slots| {
+            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
                 let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
-                dists_from(metric, o, pivots, |x, d| *x = d);
+                dists_from(metric, view(i), pivots, |x, d| *x = d);
             }
         })
     }

@@ -21,6 +21,9 @@
 //! hands out **views** (`&[f32]`, `&str`), which is what a
 //! [`Metric`](crate::Metric) measures; [`get`](ObjTable::get) never copies,
 //! and a fork copies the last, short chunk of coordinates in one `memcpy`.
+//!
+//! An index is built over a table with no removed slot
+//! ([`ObjTable::fresh`]): its ids are the table's slots from then on.
 
 use crate::cow::CowVec;
 use crate::object::Object;
@@ -135,6 +138,24 @@ impl<O: Object> ObjTable<O> {
         Self::all_live(objs)
     }
 
+    /// The table an index is built over: ids are slot positions, so a
+    /// build needs every slot live. Every constructor that takes
+    /// `impl Into<ObjTable<O>>` converts through here.
+    ///
+    /// # Panics
+    ///
+    /// If a slot of `objects` was removed.
+    pub fn fresh(objects: impl Into<Self>) -> Self {
+        let table = objects.into();
+        assert!(
+            table.live == table.slots(),
+            "an index is built over a table with no removed slots ({} of {} live)",
+            table.live,
+            table.slots()
+        );
+        table
+    }
+
     /// A table whose every slot of `objs` is live.
     fn all_live(objs: O::Arena) -> Self {
         let n = objs.len();
@@ -173,9 +194,9 @@ impl<O: Object> ObjTable<O> {
     }
 
     /// Whether slot `id` exists and holds a live object (the bits past the
-    /// last slot are never set).
+    /// last slot are never set): one liveness word, no object touched.
     #[inline]
-    fn is_live(&self, id: ObjId) -> bool {
+    pub fn is_live(&self, id: ObjId) -> bool {
         let id = id as usize;
         self.live_bits
             .get(id / 64)
@@ -256,29 +277,13 @@ impl<O: Object> ObjTable<O> {
     /// the objects are held about once throughout.
     pub fn split(self, part: &[usize], parts: usize) -> Vec<Self> {
         assert_eq!(self.live, self.slots(), "a split table is all live");
-        Self::deal(part, parts, |to| self.objs.drain(to))
-    }
-
-    /// [`split`](Self::split) straight from owned objects: object `i` is
-    /// copied into table `part[i]` and dropped before the next is read.
-    pub fn split_vec(objects: Vec<O>, part: &[usize], parts: usize) -> Vec<Self> {
-        Self::deal(part, parts, |to| objects.into_iter().for_each(|o| to(&o)))
-    }
-
-    /// The tables `feed` fills by handing its objects, in slot order, to
-    /// the sink it is given: object `i` to table `part[i]`.
-    fn deal(
-        part: &[usize],
-        parts: usize,
-        feed: impl FnOnce(&mut dyn FnMut(&O::Target)),
-    ) -> Vec<Self> {
+        assert_eq!(part.len(), self.slots(), "one part per object");
         let mut arenas = vec![O::Arena::default(); parts];
         let mut slot = 0;
-        feed(&mut |o| {
+        self.objs.drain(|o| {
             arenas[part[slot]].push(o);
             slot += 1;
         });
-        assert_eq!(slot, part.len(), "one part per object");
         arenas.into_iter().map(Self::all_live).collect()
     }
 
@@ -379,22 +384,18 @@ mod tests {
 
     #[test]
     fn split_deals_every_object_to_its_part_in_slot_order() {
-        // Across chunk boundaries (1 024 objects a chunk at d = 2), from a
-        // packed table and from the objects themselves alike.
+        // Across chunk boundaries (1 024 objects a chunk at d = 2).
         let n = 2_500;
         let objects: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32, -(i as f32)]).collect();
         let part: Vec<usize> = (0..n).map(|i| i * 7 % 3).collect();
-        let packed = ObjTable::new(objects.clone()).split(&part, 3);
-        let direct = ObjTable::split_vec(objects.clone(), &part, 3);
-        for tables in [packed, direct] {
-            for (p, t) in tables.iter().enumerate() {
-                let want: Vec<&[f32]> = (0..n)
-                    .filter(|&i| part[i] == p)
-                    .map(|i| &objects[i][..])
-                    .collect();
-                assert_eq!(t.len(), want.len());
-                assert!(t.iter().map(|(_, o)| o).eq(want));
-            }
+        let tables = ObjTable::new(objects.clone()).split(&part, 3);
+        for (p, t) in tables.iter().enumerate() {
+            let want: Vec<&[f32]> = (0..n)
+                .filter(|&i| part[i] == p)
+                .map(|i| &objects[i][..])
+                .collect();
+            assert_eq!(t.len(), want.len());
+            assert!(t.iter().map(|(_, o)| o).eq(want));
         }
     }
 
@@ -421,14 +422,47 @@ mod tests {
         assert!(t.iter().all(|(id, o)| t.get(id) == Some(o)));
     }
 
+    #[test]
+    fn a_clone_shares_objects_and_diverges_on_write() {
+        // Written on the clone, past the parent's last chunk (2 048 objects
+        // a chunk at d = 1, 1 024 at d = 2, 64 at d = 282), and checked
+        // against what the parent still holds.
+        fn diverge<O: Object + PartialEq<O::Target>>(objects: Vec<O>, extra: impl Fn(usize) -> O) {
+            let n = objects.len();
+            let parent = ObjTable::new(objects.clone());
+            let mut child = parent.clone();
+            assert!(child.remove(10));
+            let pushed: Vec<O> = (0..200).map(extra).collect();
+            for (i, o) in pushed.iter().enumerate() {
+                assert_eq!(child.push(o) as usize, n + i);
+            }
+            assert_eq!((parent.len(), parent.slots()), (n, n));
+            assert!((0..n).all(|i| objects[i] == *parent.get(i as ObjId).unwrap()));
+            assert!(parent.get(n as ObjId).is_none());
+            assert!(child.get(10).is_none());
+            assert!((0..n)
+                .filter(|&i| i != 10)
+                .all(|i| objects[i] == *child.get(i as ObjId).unwrap()));
+            assert!((0..200).all(|i| pushed[i] == *child.get((n + i) as ObjId).unwrap()));
+        }
+        for (d, n) in [(1, 2_000), (2, 1_000), (282, 100)] {
+            let vector = move |v: usize| vec![v as f32; d];
+            diverge((0..n).map(vector).collect(), move |i| vector(n + i));
+        }
+        diverge((0..300).map(|v| v.to_string()).collect(), |i| {
+            format!("new {i}")
+        });
+    }
+
     /// One model operation: push an object, remove a slot, compact, or
-    /// fork (the clone is frozen beside a copy of the model).
+    /// fork. A fork freezes one side beside a copy of the model and goes on
+    /// writing the other: the clone when `Fork(true)`, else the original.
     #[derive(Clone, Debug)]
     enum Op {
         Push(u32),
         Remove(usize),
         Compact(u64),
-        Fork,
+        Fork(bool),
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -436,7 +470,7 @@ mod tests {
             6 => any::<u32>().prop_map(Op::Push),
             3 => any::<usize>().prop_map(Op::Remove),
             1 => any::<u64>().prop_map(Op::Compact),
-            1 => any::<bool>().prop_map(|_| Op::Fork),
+            1 => any::<bool>().prop_map(Op::Fork),
         ]
     }
 
@@ -491,12 +525,20 @@ mod tests {
                     table.compact(&keep);
                     model = keep.iter().map(|&id| model[id as usize].clone()).collect();
                 }
-                Op::Fork => frozen.push((table.clone(), model.clone())),
+                Op::Fork(write_clone) => {
+                    let clone = table.clone();
+                    let frozen_side = if write_clone {
+                        std::mem::replace(&mut table, clone)
+                    } else {
+                        clone
+                    };
+                    frozen.push((frozen_side, model.clone()));
+                }
                 Op::Remove(_) => {}
             }
             // Every slot after a compaction or a fork; otherwise the counts
             // and the last slot (each op's full check is quadratic).
-            if matches!(op, Op::Compact(_) | Op::Fork) {
+            if matches!(op, Op::Compact(_) | Op::Fork(_)) {
                 same(&table, &model);
             } else {
                 assert_eq!(
@@ -522,9 +564,9 @@ mod tests {
         /// and 282 and for strings: push, remove and `compact(keep)` across
         /// chunk boundaries (1 024 objects a chunk at stride 2, 64 at 282),
         /// every view byte-identical to what was pushed (the coordinates
-        /// are arbitrary bit patterns, NaNs included), and every clone
-        /// taken along the way unchanged by what its parent did after the
-        /// fork.
+        /// are arbitrary bit patterns, NaNs included), and at every fork
+        /// the side left alone unchanged by what is written to the other
+        /// after it, whether the clone or the original goes on.
         #[test]
         fn the_arena_table_matches_a_vec_of_options(
             initial in 0usize..1_500,

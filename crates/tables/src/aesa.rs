@@ -33,7 +33,7 @@ where
 {
     /// Builds the full distance table: `n(n−1)/2` distance computations.
     pub fn build(objects: impl Into<ObjTable<O>>, metric: M) -> Self {
-        let table = objects.into();
+        let table = ObjTable::fresh(objects);
         let metric = CountingMetric::new(metric);
         let tri = table
             .iter()

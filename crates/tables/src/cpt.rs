@@ -39,7 +39,7 @@ where
         pivots: Vec<O>,
         disk: DiskSim,
     ) -> Self {
-        let objects = objects.into();
+        let objects = ObjTable::fresh(objects);
         let table = PivotTable::compute(&objects, metric, pivots);
         Self::finish(objects, table, disk)
     }
@@ -57,7 +57,7 @@ where
         rows: PivotColumns,
         disk: DiskSim,
     ) -> Self {
-        let objects = objects.into();
+        let objects = ObjTable::fresh(objects);
         let table = PivotTable::adopt(objects.len(), metric, pivots, rows);
         Self::finish(objects, table, disk)
     }

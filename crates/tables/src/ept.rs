@@ -264,7 +264,7 @@ where
         scratch.map_query(&self.metric, q, &self.pivot_objs);
         self.codes
             .gathered_gaps_into(&scratch.qd, &self.pivot_ids, &mut scratch.gaps);
-        let live = |id| self.table.get(id).is_some();
+        let live = |id| self.table.is_live(id);
         scratch.range_survivors(r, self.codes.step(), live);
         let get = |id| self.table.get(id).expect("survivor is live");
         scratch.range_verify(&self.metric, q, r, "ept.dist", get, out);

@@ -53,7 +53,7 @@ where
     /// the caller with the shared HFI strategy, §6.1). Construction computes
     /// exactly `n · l` distances.
     pub fn build(objects: impl Into<ObjTable<O>>, metric: M, pivots: Vec<O>) -> Self {
-        let objects = objects.into();
+        let objects = ObjTable::fresh(objects);
         Laesa {
             table: PivotTable::compute(&objects, metric, pivots),
             objects,
@@ -75,7 +75,7 @@ where
         pivots: Vec<O>,
         rows: PivotColumns,
     ) -> Self {
-        let objects = objects.into();
+        let objects = ObjTable::fresh(objects);
         Laesa {
             table: PivotTable::adopt(objects.len(), metric, pivots, rows),
             objects,
@@ -152,7 +152,7 @@ where
     }
 
     fn range_query_into(&self, q: &O, r: f64, scratch: &mut QueryScratch, out: &mut Vec<ObjId>) {
-        let live = |id| self.objects.get(id).is_some();
+        let live = |id| self.objects.is_live(id);
         let get = |id| self.objects.get(id).expect("survivor is live");
         self.table.range(q, r, scratch, live, self.point, get, out);
     }

@@ -5,8 +5,8 @@
 
 use pmi_metric::matrix::quantise;
 use pmi_metric::{
-    dists_from, CountingMetric, Metric, Neighbor, ObjId, ObjTable, Object, PivotColumns,
-    PivotMatrix, QueryScratch,
+    CountingMetric, Metric, Neighbor, ObjId, ObjTable, Object, PivotColumns, PivotMatrix,
+    QueryScratch,
 };
 use std::borrow::Borrow;
 
@@ -29,14 +29,8 @@ where
     /// Computes the rows of `objects`: exactly `n · l` distances.
     pub(crate) fn compute(objects: &ObjTable<O>, metric: M, pivots: Vec<O>) -> Self {
         let metric = CountingMetric::new(metric);
-        let width = pivots.len();
-        let matrix = PivotMatrix::fill_with(objects.slots(), width, 1, |run, slots| {
-            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
-                let o = objects.get(i as ObjId).expect("a fresh table is all live");
-                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
-                dists_from(&metric, o, pivots, |x, d| *x = d);
-            }
-        });
+        let view = |i| objects.get(i as ObjId).expect("a fresh table is all live");
+        let matrix = PivotMatrix::compute_by(objects.slots(), view, &metric, &pivots, 1);
         let rows = PivotColumns::from(&matrix);
         PivotTable {
             metric,

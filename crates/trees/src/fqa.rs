@@ -67,7 +67,7 @@ where
         assert!(!pivots.is_empty() && buckets >= 2 && max_distance > 0.0);
         let metric = CountingMetric::new(metric);
         let width = (max_distance / buckets as f64).max(1.0);
-        let table = objects.into();
+        let table = ObjTable::fresh(objects);
         let mut rows: Vec<(Vec<u32>, ObjId)> = table
             .iter()
             .map(|(id, o)| {

@@ -105,7 +105,7 @@ where
         pivots: Vec<O>,
         cfg: MvptConfig,
     ) -> Self {
-        Self::build_under(objects.into(), metric, pivots, cfg, None)
+        Self::build_under(ObjTable::fresh(objects), metric, pivots, cfg, None)
     }
 
     /// [`build`](Self::build), storing leaf codes under `step` (a power of
@@ -123,7 +123,7 @@ where
             step > 0.0 && step.is_finite() && step.to_bits() << 12 == 0,
             "{step} is not a power of two"
         );
-        Self::build_under(objects.into(), metric, pivots, cfg, Some(step))
+        Self::build_under(ObjTable::fresh(objects), metric, pivots, cfg, Some(step))
     }
 
     fn build_under(
