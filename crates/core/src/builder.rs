@@ -229,9 +229,9 @@ impl Default for BuildOptions {
 /// caller (pass the shared HFI set for the paper's setup; EPT/EPT*/BKT
 /// ignore it and select their own, §6.1). `objects` is a `Vec<O>` or an
 /// [`ObjTable`] (a sharded engine's packed partition): the kinds that keep
-/// an object table adopt it as it is; the rest (EPT, BKT / FQT and the
-/// disk kinds, which select from or page owned objects) get its objects
-/// as a `Vec<O>`.
+/// an object table (BKT / FQT among them) adopt it as it is; the rest
+/// (EPT and the disk kinds, which select from or page owned objects) get
+/// its objects as a `Vec<O>`.
 ///
 /// # Panics
 ///
@@ -278,7 +278,7 @@ where
         IndexKind::EptStar => Box::new(Ept::build(owned(), metric, EptMode::Psa, ept_cfg)),
         IndexKind::Cpt => Box::new(Cpt::build(table, metric, pivots, disk)),
         IndexKind::Bkt => Box::new(DiscreteTree::bkt(
-            owned(),
+            table,
             metric,
             DiscreteTreeConfig {
                 max_distance: opts.d_plus,
@@ -289,7 +289,7 @@ where
             },
         )),
         IndexKind::Fqt => Box::new(DiscreteTree::fqt(
-            owned(),
+            table,
             metric,
             pivots,
             DiscreteTreeConfig {

@@ -2,8 +2,9 @@
 //! derives from the layout's pivot space — the rows, the membership, each
 //! shard's own stored columns and the routing boxes read off them — before
 //! it indexes the partitions. Its phases are laps of one clock:
-//! `build.pack` (the objects into one arena), `build.matrix` (the f64
-//! rows, the step and the one quantisation), `build.partition`,
+//! `build.pack` (the objects into one arena), `build.matrix` (the rows,
+//! mapped a block at a time into their codes and their one step),
+//! `build.partition`,
 //! `build.split` (the objects dealt into the shards' tables, the columns,
 //! the routing table) and `build.shards`, all inside `build`.
 //! A child of the `engine` module, so it fills the engine's private state
@@ -16,8 +17,9 @@ use super::{
 use crate::report::{BuildStats, UpdateStats};
 use crate::robust::{QuarantineState, ServeBudget};
 use crate::shard::{members_by_assignment, Partition, Shard};
+use pmi_metric::matrix::code_rows;
 use pmi_metric::parallel::claim_each;
-use pmi_metric::{MetricIndex, ObjId, ObjTable, Object, PivotColumns, PivotMatrix};
+use pmi_metric::{MetricIndex, ObjId, ObjTable, Object, PivotColumns};
 use pmi_obs::{Hist, Registry, TracePolicy};
 use pmi_router::{Mapper, RoutingTable};
 use std::borrow::Cow;
@@ -81,15 +83,15 @@ impl<O: Object> ShardedEngine<O> {
     ///
     /// 0. the objects, packed into one [`ObjTable`] arena first, each
     ///    input object dropped as soon as it is copied, so the build never
-    ///    holds the input vector's allocations beside the f64 rows;
+    ///    holds the input vector's allocations beside the rows;
     /// 1. the rows — row `i` is the mapper's image of object `i`'s view,
-    ///    computed once, in parallel over `cfg.threads`
-    ///    ([`PivotMatrix::fill_with`]: the same distance calls in the same
-    ///    order as [`PivotMatrix::compute`]) — and stored once: quantised
-    ///    into row-major u16 bucket codes under the matrix's one step
-    ///    ([`PivotMatrix::step`], which the routing table gets too, and
-    ///    which every later insert, fork and compaction keeps), after
-    ///    which the f64 matrix is dropped;
+    ///    computed once, in parallel over `cfg.threads` — stored as they
+    ///    are mapped ([`code_rows`]): each worker maps its rows a block at
+    ///    a time into a buffer of its own and codes them, so the build
+    ///    holds row-major u16 bucket codes under one step (that of the
+    ///    largest distance, which the routing table gets too, and which
+    ///    every later insert, fork and compaction keeps) and never the
+    ///    f64 matrix;
     /// 2. the membership — [`pmi_router::partition_pivot_space`]'s
     ///    balanced median cuts of those codes (the call a re-cluster and
     ///    [`compact`](Self::compact) repeat over the live members' codes;
@@ -166,12 +168,14 @@ impl<O: Object> ShardedEngine<O> {
         let mut clock = ObsClock::start(true);
 
         // The objects, packed before the rows exist: each input object is
-        // dropped once copied, so its allocation is gone before the f64
-        // rows are allocated.
+        // dropped once copied, so its allocation is gone before the codes
+        // are allocated.
         let objects = ObjTable::new(objects);
         obs.phase_add("build.pack", 1, clock.lap(), &[]);
-        // The pivot space: row `i` is the map of object `i`.
-        let rows = PivotMatrix::fill_with(n, width, threads, |run, slots| {
+        // The pivot space: row `i` is the map of object `i`, stored under
+        // the one step every shard's columns and the routing table get —
+        // from here on a row is its codes.
+        let (codes, step) = code_rows(n, width, threads, |run, slots| {
             let mut row = Vec::with_capacity(width);
             for (i, slot) in run.zip(slots.chunks_mut(width.max(1))) {
                 row.clear();
@@ -180,12 +184,7 @@ impl<O: Object> ShardedEngine<O> {
                 slot.copy_from_slice(&row);
             }
         });
-        // The one step every shard's columns and the routing table get, and
-        // the rows stored under it: from here on a row is its codes.
-        let step = rows.step();
-        let matrix_compdists = (rows.rows() * rows.width()) as u64;
-        let codes = rows.codes(step);
-        drop(rows);
+        let matrix_compdists = (n * width) as u64;
         obs.phase_add(
             "build.matrix",
             1,

@@ -6,10 +6,14 @@
 //! Every pivot-based index is, at its core, a view over the matrix
 //! `A[i][j] = d(o_i, p_j)`.
 //!
-//! * [`PivotMatrix`] is that matrix flat, row-major and exact: **built
-//!   once, in parallel** ([`PivotMatrix::compute`], through
-//!   [`crate::parallel::fan_out`]), quantised once ([`quantise`] under
-//!   [`PivotMatrix::step`]) and dropped.
+//! * A build never holds that matrix: [`code_rows`] maps it **once, in
+//!   parallel**, one block of rows per worker at a time, and keeps only
+//!   its u16 codes and their one step. Each block is coded under a step
+//!   of its own and shifted to the shared one at the end (exact, both
+//!   steps being powers of two — [`code_rows`]).
+//! * [`PivotMatrix`] is the same matrix flat, row-major and exact in f64
+//!   ([`PivotMatrix::compute`]): the reference the tests and the ruler
+//!   code ([`quantise`] under [`PivotMatrix::step`]) and compare against.
 //! * [`PivotColumns`] is the only stored form: one planar column of u16
 //!   *bucket codes* per pivot, in local-slot order. Code `c` stands for
 //!   every distance in `[c·step, (c+1)·step]` (the top one open above) — the
@@ -221,10 +225,153 @@ impl CodeBox {
     }
 }
 
-/// The transient, exact, row-major `n × l` matrix a build computes:
-/// row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. A build sizes the step
-/// from it, quantises it once ([`codes`](Self::codes)) and drops it;
-/// nothing keeps an f64 row after the build.
+/// Rows the block coder maps at a time: its f64 buffer is
+/// `CODE_BLOCK · width` values a worker (160 KB at five pivots).
+const CODE_BLOCK: usize = 4096;
+
+/// The rows `0..rows` split evenly over `threads` (each run's `width`
+/// values a row of `data`, row-major), or one run of every row when there
+/// are fewer than two rows a thread: the one split of the matrix's rows
+/// over workers, [`code_rows`]'s and [`PivotMatrix::compute`]'s.
+fn even_runs<T>(
+    rows: usize,
+    width: usize,
+    threads: usize,
+    data: &mut [T],
+) -> Vec<(std::ops::Range<usize>, &mut [T])> {
+    let threads = threads.max(1);
+    // `rows / 2 < threads` is `rows < 2 * threads` without the overflow.
+    if rows / 2 < threads || width == 0 {
+        return vec![(0..rows, data)];
+    }
+    let chunk = rows.div_ceil(threads);
+    (0..rows)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(rows))
+        .zip(data.chunks_mut(chunk * width))
+        .collect()
+}
+
+/// The largest finite distance of `values` (0 without a positive one):
+/// what [`step_for`] sizes a step from.
+fn finite_max(values: &[f64]) -> f64 {
+    // Eight running maxima: a single one is a chain of compares each
+    // waiting on the last (6× the wall over 5·10⁶ values).
+    let mut lanes = [0.0f64; 8];
+    for chunk in values.chunks(lanes.len()) {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            if x > *m && x < f64::INFINITY {
+                *m = x;
+            }
+        }
+    }
+    lanes.into_iter().fold(0.0, f64::max)
+}
+
+/// One block of [`code_rows`], coded under `step_for(max)`. When `max`
+/// itself codes to the top, the top code also stands for a finite
+/// distance, which a coarser step shifts like any other: `inf` then lists
+/// where the block's `+∞` entries lie.
+struct CodedBlock {
+    max: f64,
+    inf: Option<Vec<usize>>,
+}
+
+/// The `rows × width` distances `fill` writes, stored: their row-major
+/// codes under their one step, the step being [`step_for`] the largest
+/// finite distance — the codes and the step of the f64 matrix
+/// ([`PivotMatrix::codes`] under [`PivotMatrix::step`]), bit for bit,
+/// without ever holding it.
+///
+/// `fill(run, slots)` gets a contiguous run of row numbers and their
+/// zeroed f64 row slots (`run.len() * width` values, row-major) and must
+/// write row `i` from `i` alone. The rows are split evenly over `threads`
+/// workers ([`fan_out`](crate::parallel::fan_out), the caller one of
+/// them), or run as one when there are fewer than two rows a thread, and
+/// each worker maps its run 4 096 rows at a time into one buffer
+/// of its own, coding each block under the step of its own largest
+/// distance. The shared step is that of the largest block maximum, and a
+/// block whose step is `2^k` times finer is shifted right by `k`: for a
+/// power of two, `⌊⌊x/s⌋ / 2^k⌋ = ⌊x / (2^k·s)⌋` exactly, so the codes
+/// are the same for every thread count. `+∞` stays the top code; a shift
+/// of 16 or more leaves 0.
+pub fn code_rows<F>(rows: usize, width: usize, threads: usize, fill: F) -> (Vec<u16>, f64)
+where
+    F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+{
+    code_rows_by(CODE_BLOCK, rows, width, threads, fill)
+}
+
+/// [`code_rows`] in blocks of `block` rows.
+fn code_rows_by<F>(
+    block: usize,
+    rows: usize,
+    width: usize,
+    threads: usize,
+    fill: F,
+) -> (Vec<u16>, f64)
+where
+    F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+{
+    let mut codes = vec![0u16; width * rows];
+    let runs = even_runs(rows, width, threads, &mut codes);
+    let blocks = crate::parallel::fan_out(runs, |(run, out)| {
+        let mut buf = vec![0.0f64; block.min(run.len()) * width];
+        let mut blocks = Vec::with_capacity(run.len().div_ceil(block));
+        let outs = out.chunks_mut(block * width.max(1));
+        for (start, out) in run.clone().step_by(block).zip(outs) {
+            let end = (start + block).min(run.end);
+            let vals = &mut buf[..(end - start) * width];
+            vals.fill(0.0);
+            fill(start..end, vals);
+            let max = finite_max(vals);
+            let step = step_for(max);
+            for (c, &x) in out.iter_mut().zip(vals.iter()) {
+                *c = quantise(x, step);
+            }
+            let inf = (max > 0.0 && quantise(max, step) == TOP).then(|| {
+                (0..vals.len())
+                    .filter(|&e| vals[e] == f64::INFINITY)
+                    .collect()
+            });
+            blocks.push(CodedBlock { max, inf });
+        }
+        blocks
+    });
+    let step = step_for(blocks.iter().flatten().map(|b| b.max).fold(0.0, f64::max));
+    let runs = even_runs(rows, width, threads, &mut codes);
+    crate::parallel::fan_out(
+        runs.into_iter().zip(blocks).collect(),
+        |((_, out), blocks)| {
+            for (out, coded) in out.chunks_mut(block * width.max(1)).zip(blocks) {
+                // Both steps are normal powers of two: `k` is the difference of
+                // their exponents. A block with no positive distance codes the
+                // same under every step, so a coarser step of its own is no
+                // shift. `⌊c / 2^16⌋` is 0 for every code, so a wider shift is
+                // one of 16, and no shift overflows its lane.
+                let exponent = |s: f64| (s.to_bits() >> 52) as u32;
+                let k = exponent(step).saturating_sub(exponent(step_for(coded.max)));
+                if k == 0 {
+                    continue;
+                }
+                let (k, keep_top) = (k.min(16), coded.inf.is_none());
+                for c in out.iter_mut() {
+                    let shifted = (u32::from(*c) >> k) as u16;
+                    *c = if keep_top && *c == TOP { TOP } else { shifted };
+                }
+                for &e in coded.inf.iter().flatten() {
+                    out[e] = TOP;
+                }
+            }
+        },
+    );
+    (codes, step)
+}
+
+/// The exact, row-major `n × l` matrix in f64: row `i` holds
+/// `(d(o_i, p_1), …, d(o_i, p_l))` — the reference [`code_rows`] must
+/// code bit for bit, and what the ruler computes by hand. No build holds
+/// one; nothing keeps an f64 row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PivotMatrix {
     /// `data[i * width + j] = d(o_i, p_j)`.
@@ -247,58 +394,15 @@ impl PivotMatrix {
         O: Object,
         M: Metric<O> + Sync,
     {
-        Self::compute_by(objects.len(), |i| &*objects[i], metric, pivots, threads)
-    }
-
-    /// [`compute`](Self::compute) over `rows` objects that `view(i)` hands
-    /// out by row (an [`ObjTable`](crate::ObjTable)'s slots): the one body
-    /// of the `n · l` build matrix, so every build computes the same
-    /// distances in the same order.
-    pub fn compute_by<'a, O, M>(
-        rows: usize,
-        view: impl Fn(usize) -> &'a O::Target + Sync,
-        metric: &M,
-        pivots: &[O],
-        threads: usize,
-    ) -> Self
-    where
-        O: Object + 'a,
-        M: Metric<O> + Sync,
-    {
-        let width = pivots.len();
-        Self::fill_with(rows, width, threads, |run, slots| {
-            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
-                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
-                dists_from(metric, view(i), pivots, |x, d| *x = d);
-            }
-        })
-    }
-
-    /// The one chunked fill: a `rows × width` matrix whose rows `fill`
-    /// writes. `fill(run, slots)` gets a contiguous run of row numbers and
-    /// their zeroed row slots (`run.len() * width` values, row-major): one
-    /// run per thread, [`fan_out`](crate::parallel::fan_out) running the
-    /// last on the caller, or every row as one run when there are fewer
-    /// than two rows a thread. Row `i` must depend on `i` alone, so the
-    /// result is the same for every thread count.
-    pub fn fill_with<F>(rows: usize, width: usize, threads: usize, fill: F) -> Self
-    where
-        F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
-    {
+        let (rows, width) = (objects.len(), pivots.len());
         let mut data = vec![0.0f64; width * rows];
-        let threads = threads.max(1);
-        // `rows / 2 < threads` is `rows < 2 * threads` without the overflow.
-        let runs: Vec<(std::ops::Range<usize>, &mut [f64])> = if rows / 2 < threads || width == 0 {
-            vec![(0..rows, &mut data)]
-        } else {
-            let chunk = rows.div_ceil(threads);
-            (0..rows)
-                .step_by(chunk)
-                .map(|start| start..(start + chunk).min(rows))
-                .zip(data.chunks_mut(chunk * width))
-                .collect()
-        };
-        crate::parallel::fan_out(runs, |(run, slots)| fill(run, slots));
+        let runs = even_runs(rows, width, threads, &mut data);
+        crate::parallel::fan_out(runs, |(run, slots)| {
+            for (slot, o) in slots.chunks_mut(width.max(1)).zip(&objects[run]) {
+                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
+                dists_from(metric, &**o, pivots, |x, d| *x = d);
+            }
+        });
         PivotMatrix { data, width, rows }
     }
 
@@ -348,17 +452,7 @@ impl PivotMatrix {
     /// The step to store these rows under: [`step_for`] the largest finite
     /// distance in the matrix.
     pub fn step(&self) -> f64 {
-        // Eight running maxima: a single one is a chain of compares each
-        // waiting on the last (6× the wall over 5·10⁶ values).
-        let mut lanes = [0.0f64; 8];
-        for chunk in self.data.chunks(lanes.len()) {
-            for (m, &x) in lanes.iter_mut().zip(chunk) {
-                if x > *m && x < f64::INFINITY {
-                    *m = x;
-                }
-            }
-        }
-        step_for(lanes.into_iter().fold(0.0, f64::max))
+        step_for(finite_max(&self.data))
     }
 }
 
@@ -768,6 +862,45 @@ mod tests {
         assert_eq!(metric.count(), 400 * 2);
     }
 
+    /// The coder over rows held in memory, `block` rows at a time.
+    fn code_held_rows(
+        block: usize,
+        width: usize,
+        threads: usize,
+        rows: &[Vec<f64>],
+    ) -> (Vec<u16>, f64) {
+        code_rows_by(block, rows.len(), width, threads, |run, slots| {
+            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
+                slot.copy_from_slice(&rows[i]);
+            }
+        })
+    }
+
+    #[test]
+    fn code_rows_shifts_a_finite_top_code_and_keeps_infinity_on_top() {
+        // Block 0's own step is 1 and its maximum codes to the top beside
+        // a `+∞`; block 1's is 4, the shared one, so block 0 shifts by two.
+        let rows = [vec![65_535.0, f64::INFINITY], vec![262_140.0, 3.0]];
+        for threads in 1..=3 {
+            let (codes, step) = code_held_rows(1, 2, threads, &rows);
+            assert_eq!(step, 4.0);
+            assert_eq!(codes, [16_383, TOP, TOP, 0], "threads={threads}");
+        }
+        // The same counted through a metric: exactly `n · l` distances.
+        let pts = datasets::la(9_000, 2);
+        let pivots: Vec<Vec<f32>> = vec![pts[3].clone(), pts[4_500].clone()];
+        let metric = CountingMetric::new(L2);
+        let want = PivotMatrix::compute(&pts, &L2, &pivots, 1);
+        let (codes, step) = code_rows(pts.len(), 2, 2, |run, slots| {
+            for (slot, o) in slots.chunks_mut(2).zip(&pts[run]) {
+                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &p[..]));
+                dists_from(&metric, &o[..], pivots, |x, d| *x = d);
+            }
+        });
+        assert_eq!(metric.count(), 9_000 * 2);
+        assert_eq!((codes, step), (want.codes(want.step()), want.step()));
+    }
+
     #[test]
     fn from_rows_lays_rows_out_flat_and_codes_them_in_place() {
         let m = PivotMatrix::from_rows(2, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]]);
@@ -1064,8 +1197,64 @@ mod tests {
         ]
     }
 
+    /// `n` rows of `width` distances for the coder, from `seed`: each row
+    /// at one scale from a random range of six, 2^-1000 to 2^1000 (so a
+    /// block's own step can lie 16 and more doublings below the shared
+    /// one), all zero, all `+∞`, or mixed — `+∞`, NaN, negatives, zeros,
+    /// exactly `65 535` times the scale (a maximum that codes to the top
+    /// under its own step) and anything below twice that.
+    fn coder_rows(seed: u64, n: usize, width: usize) -> Vec<Vec<f64>> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const SCALES: [i32; 6] = [-1000, -40, -17, 0, 16, 1000];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lo = rng.random_range(0..SCALES.len());
+        let hi = rng.random_range(lo..SCALES.len());
+        let pow2 = |e: i32| f64::from_bits(((e + 1023) as u64) << 52);
+        (0..n)
+            .map(|_| {
+                let scale = pow2(SCALES[rng.random_range(lo..=hi)]);
+                let kind = rng.random_range(0..8u32);
+                (0..width)
+                    .map(|_| match (kind, rng.random_range(0..10u32)) {
+                        (0, _) => 0.0,
+                        (1, _) | (_, 0) => f64::INFINITY,
+                        (_, 1) => f64::NAN,
+                        (_, 2) => -0.5 - rng.random::<f64>(),
+                        (_, 3) => 65_535.0 * scale,
+                        (_, 4) => 0.0,
+                        _ => rng.random::<f64>() * 131_070.0 * scale,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The block coder stores exactly what the f64 matrix stores: its
+        /// codes under its step, bit for bit — at widths 0 to 6, row counts
+        /// of 0, below the thread count and off any multiple of the block,
+        /// 1 to 3 threads, blocks of one row up to [`CODE_BLOCK`], and
+        /// every edge of the shift ([`coder_rows`]): a finite maximum on
+        /// the top code beside `+∞`, NaN and negatives, all-zero and
+        /// all-`∞` blocks whose own step lies above the shared one, and
+        /// blocks shifted by 16 and more.
+        #[test]
+        fn code_rows_codes_the_f64_matrix_bit_for_bit(
+            seed in any::<u64>(),
+            width in 0usize..=6,
+            n in prop_oneof![0usize..=3, 4usize..64, 4_090usize..4_100, 8_190usize..8_200],
+            threads in 1usize..=3,
+            block in prop_oneof![1usize..=5, CODE_BLOCK..=CODE_BLOCK],
+        ) {
+            let rows = coder_rows(seed, n, width);
+            let want = PivotMatrix::from_rows(width, &rows);
+            let (codes, step) = code_held_rows(block, width, threads, &rows);
+            prop_assert_eq!(step.to_bits(), want.step().to_bits());
+            prop_assert_eq!(codes, want.codes(want.step()));
+        }
 
         /// Random columns under a random step, rows and queries inside the
         /// coded range, in the open top bucket and far beyond it: every

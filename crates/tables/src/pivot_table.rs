@@ -3,9 +3,9 @@
 //! this table plus a place for the objects, so its build, its range and
 //! kNN bodies, its inserts and its compaction are written here once.
 
-use pmi_metric::matrix::quantise;
+use pmi_metric::matrix::{code_rows, quantise};
 use pmi_metric::{
-    CountingMetric, Metric, Neighbor, ObjId, ObjTable, Object, PivotColumns, PivotMatrix,
+    dists_from, CountingMetric, Metric, Neighbor, ObjId, ObjTable, Object, PivotColumns,
     QueryScratch,
 };
 use std::borrow::Borrow;
@@ -26,12 +26,20 @@ where
     O: Object,
     M: Metric<O>,
 {
-    /// Computes the rows of `objects`: exactly `n · l` distances.
+    /// Computes the rows of `objects`, a block at a time ([`code_rows`]):
+    /// exactly `n · l` distances.
     pub(crate) fn compute(objects: &ObjTable<O>, metric: M, pivots: Vec<O>) -> Self {
         let metric = CountingMetric::new(metric);
-        let view = |i| objects.get(i as ObjId).expect("a fresh table is all live");
-        let matrix = PivotMatrix::compute_by(objects.slots(), view, &metric, &pivots, 1);
-        let rows = PivotColumns::from(&matrix);
+        let (n, width) = (objects.slots(), pivots.len());
+        let (codes, step) = code_rows(n, width, 1, |run, slots| {
+            for (slot, i) in slots.chunks_mut(width.max(1)).zip(run) {
+                let o = objects.get(i as ObjId).expect("a fresh table is all live");
+                let pivots = slot.iter_mut().zip(pivots.iter().map(|p| &**p));
+                dists_from(&metric, o, pivots, |x, d| *x = d);
+            }
+        });
+        let rows =
+            PivotColumns::from_codes(width, step, (0..n).map(|i| &codes[i * width..][..width]));
         PivotTable {
             metric,
             pivots,

@@ -91,19 +91,30 @@ where
     O: Object,
     M: Metric<O>,
 {
-    /// Builds a BKT (random pivots per sub-tree).
-    pub fn bkt(objects: Vec<O>, metric: M, cfg: DiscreteTreeConfig) -> Self {
+    /// Builds a BKT (random pivots per sub-tree) over `objects`, a
+    /// `Vec<O>` or an [`ObjTable`] it adopts as it is.
+    ///
+    /// # Panics
+    ///
+    /// If `objects` is a table with a removed slot ([`ObjTable::fresh`]).
+    pub fn bkt(objects: impl Into<ObjTable<O>>, metric: M, cfg: DiscreteTreeConfig) -> Self {
         Self::build(objects, metric, Kind::Bkt, Vec::new(), cfg)
     }
 
-    /// Builds an FQT with one shared pivot per level.
-    pub fn fqt(objects: Vec<O>, metric: M, level_pivots: Vec<O>, cfg: DiscreteTreeConfig) -> Self {
+    /// Builds an FQT with one shared pivot per level, over objects as
+    /// [`bkt`](Self::bkt) takes them.
+    pub fn fqt(
+        objects: impl Into<ObjTable<O>>,
+        metric: M,
+        level_pivots: Vec<O>,
+        cfg: DiscreteTreeConfig,
+    ) -> Self {
         assert!(!level_pivots.is_empty(), "FQT needs at least one pivot");
         Self::build(objects, metric, Kind::Fqt, level_pivots, cfg)
     }
 
     fn build(
-        objects: Vec<O>,
+        objects: impl Into<ObjTable<O>>,
         metric: M,
         kind: Kind,
         level_pivots: Vec<O>,
@@ -122,7 +133,7 @@ where
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x424b54),
             cfg,
             root: None,
-            table: ObjTable::new(objects),
+            table: ObjTable::fresh(objects),
             node_count: 0,
         };
         let ids: Vec<ObjId> = t.table.iter().map(|(i, _)| i).collect();

@@ -13,22 +13,30 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Counts every byte requested from and returned to the system allocator.
+/// Counts every byte requested from and returned to the system allocator,
+/// and the most ever live at once.
 struct CountingAlloc;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static FREED: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Heap bytes allocated and not yet freed.
 fn live_bytes() -> u64 {
     ALLOCATED.load(Ordering::Relaxed) - FREED.load(Ordering::Relaxed)
 }
 
+/// Counts `grown` more bytes allocated and raises the peak to what is live.
+fn grow(grown: u64) {
+    let allocated = ALLOCATED.fetch_add(grown, Ordering::Relaxed) + grown;
+    PEAK.fetch_max(allocated - FREED.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
 // SAFETY: every call forwards unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a relaxed statistic.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size() as u64);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let grown = new_size.saturating_sub(layout.size());
         let shrunk = layout.size().saturating_sub(new_size);
-        ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
+        grow(grown as u64);
         FREED.fetch_add(shrunk as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -159,6 +167,49 @@ fn an_engine_holds_its_objects_flat() {
     assert!(
         per_object < 40.0,
         "the engine keeps {per_object:.1} B live an object"
+    );
+}
+
+/// A build never holds the f64 pivot matrix (8 B a distance): it codes
+/// the rows a block at a time, so an LA 10⁵ build over 16 pivots (LAESA,
+/// P = 8, two workers) peaks below `8 · l` B an object of live heap above
+/// its input (≈ 57 B: the codes, 2 B a distance, beside their copy in the
+/// shards' columns, the objects and the ids). A build that holds the
+/// matrix while it codes it peaks at ≈ 136 B: the matrix and its codes
+/// (160 B) and the packed objects (8 B), less the 32 B an object of input
+/// the pack has freed by then.
+#[test]
+fn a_build_holds_no_f64_matrix() {
+    let _serial = SERIAL.lock().unwrap();
+    let (n, l) = (100_000, 16);
+    let pts = datasets::la(n, 42);
+    let pivots = (0..l).map(|i| pts[i * n / l].clone()).collect();
+    let cfg = EngineConfig {
+        shards: 8,
+        threads: 2,
+        ..EngineConfig::default()
+    };
+    let opts = BuildOptions {
+        d_plus: 14143.0,
+        ..BuildOptions::default()
+    };
+    let before = live_bytes();
+    PEAK.store(before, Ordering::Relaxed);
+    let engine = build_sharded_engine(
+        IndexKind::Laesa,
+        pts,
+        L2,
+        pivots,
+        &opts,
+        &cfg,
+        PartitionPolicy::PivotSpace,
+    )
+    .expect("builds over L2");
+    let peak = (PEAK.load(Ordering::Relaxed) - before) as f64 / n as f64;
+    assert_eq!(engine.len(), n);
+    assert!(
+        peak < (8 * l) as f64,
+        "the build peaks at {peak:.1} B live an object above its input"
     );
 }
 
